@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke bench bench-workers bench-solver bench-store bench-cluster bench-passes bench-load
+.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke bench bench-workers bench-solver bench-store bench-cluster bench-passes bench-load bench-e2e bench-layers bench-ir
 
 all: tier1 tier2
 
@@ -128,3 +128,22 @@ bench-passes:
 bench-load:
 	BENCH_LOAD_OUT=$(CURDIR)/BENCH_load.json \
 	$(GO) test -run TestLoadSmoke -count=1 -v ./internal/loadgen
+
+# The repository's benchmark (bench/README.md, BENCHMARK.json): all
+# four workloads at the default seed and length. bench-e2e prints the
+# end-to-end metrics the acceptance driver gates (setup_s,
+# allocs_per_op, peak_rss_mb); bench-layers is the traced run with the
+# per-layer numbers. BENCH_ARGS overrides the seed and length.
+BENCH_WORKLOADS = serve-cold serve-warm cluster-cold search-cold
+BENCH_ARGS     ?= --seed 12 --seconds 15
+bench-e2e:
+	@for w in $(BENCH_WORKLOADS); do bash bench/run.sh --workload $$w $(BENCH_ARGS) --trace 0 || exit 1; done
+
+bench-layers:
+	@for w in $(BENCH_WORKLOADS); do bash bench/run.sh --workload $$w $(BENCH_ARGS) --trace 1 || exit 1; done
+
+# IR front-half micro-benchmarks (ir_bench_test.go): parse, cache key
+# and one combine fixpoint pass on a fixed mid-size function. Their
+# allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
+bench-ir:
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|KeyOfFunc|CombinePass)$$' -benchmem .

@@ -221,9 +221,11 @@ func (c *Coordinator) healthyCount() int {
 // whole fleet failed the query and the caller (oracle.WithShard)
 // should fall back to local verification.
 func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, opts alive.Options) (alive.Result, error) {
+	// Print each function once: the text is the wire body, its fingerprint the key.
+	srcText, tgtText := ir.CanonicalText(src), ir.CanonicalText(tgt)
 	key := vcache.Key{
-		Src:  vcache.KeyOfFunc(src),
-		Dst:  vcache.KeyOfFunc(tgt),
+		Src:  ir.FingerprintText(srcText),
+		Dst:  ir.FingerprintText(tgtText),
 		Opts: opts,
 	}.Fingerprint()
 
@@ -251,7 +253,7 @@ func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, o
 	c.sf[key] = call
 	c.sfMu.Unlock()
 
-	call.res, call.err = c.dispatch(ctx, key, src, tgt, opts)
+	call.res, call.err = c.dispatch(ctx, key, srcText, tgtText, opts)
 	c.sfMu.Lock()
 	delete(c.sf, key)
 	c.sfMu.Unlock()
@@ -276,11 +278,11 @@ type attemptResult struct {
 // to the next preference after the hedge delay, and backoff retries
 // walking the rest of the order on failure. First success wins and
 // cancels the losers.
-func (c *Coordinator) dispatch(ctx context.Context, key [sha256.Size]byte, src, tgt *ir.Function, opts alive.Options) (alive.Result, error) {
+func (c *Coordinator) dispatch(ctx context.Context, key [sha256.Size]byte, srcText, tgtText string, opts alive.Options) (alive.Result, error) {
 	order := c.healthyFirst(c.ring.Order(key))
 	body, err := json.Marshal(verifyRequest{
-		Src:     ir.CanonicalText(src),
-		Tgt:     ir.CanonicalText(tgt),
+		Src:     srcText,
+		Tgt:     tgtText,
 		Options: wireOptions(opts),
 	})
 	if err != nil {

@@ -2,31 +2,20 @@ package instcombine
 
 import "veriopt/internal/ir"
 
-// Site identifies one instruction position where a combining step can
-// fire, used by the policy's action space (internal/rewrite).
-type Site struct {
-	Block int
-	Instr int
-}
-
-// Sites returns all positions where a single simplify/rewrite step
-// would change the function. The probe runs against clones so the
-// input is never modified.
-func Sites(f *ir.Function) []Site {
-	var out []Site
+// StepFirst applies one instcombine micro-step at the first position,
+// in layout order, where one fires — the algebraic rule subset of the
+// reference pass, without its memory cleanups. It probes f itself: a
+// StepAt that does not fire leaves the function untouched (pinned by
+// TestStepAtFalseLeavesFunctionUntouched), so trying needs no clone.
+func StepFirst(f *ir.Function) bool {
 	for bi := range f.Blocks {
 		for ii := range f.Blocks[bi].Instrs {
-			if stepWouldFire(f, bi, ii) {
-				out = append(out, Site{Block: bi, Instr: ii})
+			if StepAt(f, bi, ii) {
+				return true
 			}
 		}
 	}
-	return out
-}
-
-func stepWouldFire(f *ir.Function, bi, ii int) bool {
-	g := ir.CloneFunc(f)
-	return StepAt(g, bi, ii)
+	return false
 }
 
 // StepAt applies one instcombine micro-step (simplify or rewrite) at
@@ -35,13 +24,10 @@ func stepWouldFire(f *ir.Function, bi, ii int) bool {
 // memory forwarding, and no DCE beyond replacing the single value —
 // it is the unit of the simulated LLM's action space.
 func StepAt(f *ir.Function, bi, ii int) bool {
-	if bi >= len(f.Blocks) {
+	if bi >= len(f.Blocks) || ii >= len(f.Blocks[bi].Instrs) {
 		return false
 	}
 	b := f.Blocks[bi]
-	if ii >= len(b.Instrs) {
-		return false
-	}
 	in := b.Instrs[ii]
 	if !in.HasResult() {
 		return false

@@ -1,8 +1,9 @@
 package ir
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
+	"unicode"
 )
 
 // CloneFunc produces a deep copy of a function. All instructions,
@@ -61,48 +62,41 @@ func CloneFunc(f *Function) *Function {
 	return nf
 }
 
-// RenumberFunc rewrites all local value and block names into the
-// sequential numeric scheme clang uses, producing a canonical textual
-// form so that structurally identical functions print identically.
-func RenumberFunc(f *Function) {
+// canonicalNumbers calls fn with the name field of every param, block
+// and result of f and its number in the sequential scheme clang uses:
+// params, then blocks and the results in them, in layout order (the
+// block of a single-block function is "entry", entryNum, instead).
+// Under these names structurally identical functions print identically.
+func canonicalNumbers(f *Function, fn func(v any, name *string, n int)) {
 	next := 0
-	fresh := func() string { n := fmt.Sprint(next); next++; return n }
+	number := func(v any, name *string) { fn(v, name, next); next++ }
 	for _, p := range f.Params {
-		p.NameStr = fresh()
+		number(p, &p.NameStr)
 	}
-	for i, b := range f.Blocks {
-		if i == 0 && len(f.Blocks) == 1 {
-			b.NameStr = "entry"
+	for _, b := range f.Blocks {
+		if len(f.Blocks) == 1 {
+			fn(b, &b.NameStr, entryNum)
 		} else {
-			b.NameStr = fresh()
+			number(b, &b.NameStr)
 		}
 		for _, in := range b.Instrs {
 			if in.HasResult() {
-				in.NameStr = fresh()
+				number(in, &in.NameStr)
 			}
 		}
 	}
 }
 
-// FuncsStructurallyEqual reports whether two functions are identical
-// up to local renaming: it renumbers clones of both and compares the
-// printed text.
-func FuncsStructurallyEqual(a, b *Function) bool {
-	ca, cb := CloneFunc(a), CloneFunc(b)
-	ca.NameStr, cb.NameStr = "f", "f"
-	ca.Attrs, cb.Attrs = "", ""
-	RenumberFunc(ca)
-	RenumberFunc(cb)
-	return FuncString(ca) == FuncString(cb)
-}
+const entryNum = -1
 
-// CanonicalText returns the canonical (renumbered) printed form of a
-// function without mutating the input.
-func CanonicalText(f *Function) string {
-	c := CloneFunc(f)
-	c.Attrs = ""
-	RenumberFunc(c)
-	return FuncString(c)
+// RenumberFunc renames f's local values and blocks into that scheme.
+func RenumberFunc(f *Function) {
+	canonicalNumbers(f, func(_ any, name *string, n int) {
+		*name = "entry"
+		if n != entryNum {
+			*name = strconv.Itoa(n)
+		}
+	})
 }
 
 // Uses returns, for every instruction result, the list of
@@ -214,15 +208,33 @@ func DeadCodeElim(f *Function, m *Module) int {
 }
 
 // FingerprintText strips whitespace variations from IR text so that
-// cosmetic differences do not affect exact-match comparison.
+// cosmetic differences do not affect exact-match comparison: every
+// line becomes its whitespace-separated fields joined by single
+// spaces, and empty lines are dropped.
 func FingerprintText(s string) string {
-	lines := strings.Split(s, "\n")
-	var out []string
-	for _, l := range lines {
-		l = strings.Join(strings.Fields(l), " ")
-		if l != "" {
-			out = append(out, l)
+	var sb strings.Builder
+	sb.Grow(len(s))
+	sep, start := "", -1 // what goes before the next field; where the field being read began
+	flush := func(end int) {
+		if start >= 0 {
+			sb.WriteString(sep)
+			sb.WriteString(s[start:end])
+			sep, start = " ", -1
 		}
 	}
-	return strings.Join(out, "\n")
+	for i, r := range s {
+		switch {
+		case r == '\n':
+			flush(i)
+			if sb.Len() > 0 {
+				sep = "\n"
+			}
+		case unicode.IsSpace(r):
+			flush(i)
+		case start < 0:
+			start = i
+		}
+	}
+	flush(len(s))
+	return sb.String()
 }

@@ -74,6 +74,8 @@ define void @h(i32 noundef %0) {
 				// the verifier catches it (it did).
 				_ = verr
 			}
+			// Whatever parses must key and print as it always did.
+			checkPrinter(t, f)
 		}
 	}
 }

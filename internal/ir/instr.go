@@ -258,9 +258,6 @@ type Instr struct {
 // Type returns the instruction's result type.
 func (in *Instr) Type() Type { return in.Ty }
 
-// Operand renders the instruction result reference ("%name").
-func (in *Instr) Operand() string { return "%" + in.NameStr }
-
 // Name returns the SSA result name without the leading %.
 func (in *Instr) Name() string { return in.NameStr }
 

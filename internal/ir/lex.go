@@ -13,33 +13,37 @@ type tok struct {
 	i     int
 }
 
-// newTok tokenizes one line. Punctuation characters are split into
-// their own tokens; comments (';' to end of line) are stripped.
-func newTok(line string) *tok {
+// lex points the cursor at the tokens of one line, reusing its word
+// slice. Every token is a substring of line: the separators are all
+// ASCII, so a byte scan cannot split a multi-byte rune. Punctuation
+// characters are their own tokens; comments (';' to end of line) are
+// stripped.
+func (t *tok) lex(line string) *tok {
 	if i := strings.IndexByte(line, ';'); i >= 0 {
 		line = line[:i]
 	}
-	var words []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			words = append(words, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range line {
-		switch r {
-		case ' ', '\t':
-			flush()
-		case '(', ')', ',', '=', '[', ']', '{', '}', ':':
-			flush()
-			words = append(words, string(r))
+	t.words, t.i = t.words[:0], 0
+	start := -1
+	for i := 0; i < len(line); i++ {
+		switch line[i] {
+		case ' ', '\t', '(', ')', ',', '=', '[', ']', '{', '}', ':':
+			if start >= 0 {
+				t.words = append(t.words, line[start:i])
+				start = -1
+			}
+			if c := line[i]; c != ' ' && c != '\t' {
+				t.words = append(t.words, line[i:i+1])
+			}
 		default:
-			cur.WriteRune(r)
+			if start < 0 {
+				start = i
+			}
 		}
 	}
-	flush()
-	return &tok{words: words}
+	if start >= 0 {
+		t.words = append(t.words, line[start:])
+	}
+	return t
 }
 
 func (t *tok) peek() string {
@@ -72,34 +76,21 @@ func (t *tok) eatAnyIdent(ids ...string) bool {
 // punctuation/reference tokens).
 func (t *tok) ident() string {
 	w := t.peek()
-	if w == "" || strings.HasPrefix(w, "%") || strings.HasPrefix(w, "@") {
-		return ""
-	}
-	switch w {
-	case "(", ")", ",", "=", "[", "]", "{", "}", ":":
+	if w == "" || strings.IndexByte("%@(),=[]{}:", w[0]) >= 0 {
 		return ""
 	}
 	t.i++
 	return w
 }
 
-// expect consumes the next token, which the caller knows is w.
-func (t *tok) expect(w string) { t.eat(w) }
-
 // local consumes a %name token, returning the bare name.
-func (t *tok) local() (string, bool) {
-	w := t.peek()
-	if strings.HasPrefix(w, "%") && len(w) > 1 {
-		t.i++
-		return w[1:], true
-	}
-	return "", false
-}
+func (t *tok) local() (string, bool) { return t.sigil('%') }
 
 // global consumes a @name token, returning the bare name.
-func (t *tok) global() (string, bool) {
-	w := t.peek()
-	if strings.HasPrefix(w, "@") && len(w) > 1 {
+func (t *tok) global() (string, bool) { return t.sigil('@') }
+
+func (t *tok) sigil(c byte) (string, bool) {
+	if w := t.peek(); len(w) > 1 && w[0] == c {
 		t.i++
 		return w[1:], true
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ParseError is a syntax or reference error encountered while parsing
@@ -19,9 +20,15 @@ func (e *ParseError) Error() string {
 }
 
 // Parse parses a module (declarations and function definitions) from
-// LLVM-like textual IR.
+// LLVM-like textual IR. It must be valid UTF-8: names are substrings of
+// src, and a cache key holding invalid bytes would not survive JSON.
 func Parse(src string) (*Module, error) {
-	p := &parser{lines: strings.Split(src, "\n")}
+	p := &parser{lines: strings.Split(src, "\n"), tk: tok{words: make([]string, 0, 32)}}
+	for i, line := range p.lines {
+		if !utf8.ValidString(line) {
+			return nil, &ParseError{Line: i + 1, Msg: "invalid UTF-8"}
+		}
+	}
 	m := &Module{}
 	for !p.eof() {
 		line := strings.TrimSpace(p.peekLine())
@@ -62,6 +69,7 @@ func ParseFunc(src string) (*Function, error) {
 type parser struct {
 	lines []string
 	pos   int
+	tk    tok // the one line being tokenized
 }
 
 func (p *parser) eof() bool        { return p.pos >= len(p.lines) }
@@ -78,12 +86,11 @@ type pendingRef struct {
 	ty   Type
 }
 
-func (r *pendingRef) Type() Type      { return r.ty }
-func (r *pendingRef) Operand() string { return "%" + r.name }
+func (r *pendingRef) Type() Type { return r.ty }
 
 func (p *parser) parseDecl() (*Declaration, error) {
-	tk := newTok(p.next())
-	tk.expect("declare")
+	tk := p.tk.lex(p.next())
+	tk.eat("declare")
 	retTy, ok := tk.typ()
 	if !ok {
 		return nil, p.errf("declare: bad return type")
@@ -119,8 +126,8 @@ func (p *parser) parseDecl() (*Declaration, error) {
 func (p *parser) parseFunc() (*Function, error) {
 	header := p.next()
 	headerLine := p.pos
-	tk := newTok(header)
-	tk.expect("define")
+	tk := p.tk.lex(header)
+	tk.eat("define")
 	// Skip linkage/visibility attributes clang commonly emits.
 	for tk.eatAnyIdent("dso_local", "internal", "private", "hidden", "local_unnamed_addr") {
 	}
@@ -175,69 +182,72 @@ func (p *parser) parseFunc() (*Function, error) {
 		return nil, &ParseError{Line: headerLine, Msg: "define: expected {"}
 	}
 
-	// Body: gather blocks.
+	// Body: find the blocks, as ranges of p.lines. Instructions are parsed
+	// once every label is known: branches and phis name later blocks.
 	type rawBlock struct {
-		name  string
-		lines []string
-		lnos  []int
+		name       string
+		start, end int // p.lines[start:end]: instructions, blanks, comments
+		n          int // instructions among them
 	}
-	var raws []*rawBlock
-	cur := &rawBlock{name: "entry-implicit"}
+	var raws []rawBlock
+	cur := rawBlock{name: "entry-implicit", start: p.pos}
 	closed := false
 	for !p.eof() {
-		lno := p.pos + 1
 		line := strings.TrimSpace(p.next())
 		if line == "}" {
 			closed = true
 			break
 		}
-		if line == "" || strings.HasPrefix(line, ";") {
+		if line == "" || line[0] == ';' {
 			continue
 		}
 		if strings.HasSuffix(line, ":") && !strings.Contains(line, "=") && !strings.Contains(line, " ") {
 			label := strings.TrimSuffix(line, ":")
-			if len(cur.lines) == 0 && len(raws) == 0 {
-				cur.name = label
-			} else {
+			if cur.n > 0 || len(raws) > 0 {
+				cur.end = p.pos - 1
 				raws = append(raws, cur)
-				cur = &rawBlock{name: label}
 			}
+			cur = rawBlock{name: label, start: p.pos}
 			continue
 		}
-		cur.lines = append(cur.lines, line)
-		cur.lnos = append(cur.lnos, lno)
+		cur.n++
 	}
 	if !closed {
 		return nil, &ParseError{Line: p.pos, Msg: "unterminated function body (missing })"}
 	}
+	cur.end = p.pos - 1
 	raws = append(raws, cur)
 	if len(raws) == 1 && raws[0].name == "entry-implicit" {
 		raws[0].name = "entry"
 	}
 
-	blocks := map[string]*Block{}
+	blocks := make(map[string]*Block, len(raws))
+	f.Blocks = make([]*Block, 0, len(raws))
 	for _, rb := range raws {
 		if _, dup := blocks[rb.name]; dup {
 			return nil, &ParseError{Line: headerLine, Msg: "duplicate block label " + rb.name}
 		}
-		b := &Block{NameStr: rb.name, Parent: f}
+		b := &Block{NameStr: rb.name, Parent: f, Instrs: make([]*Instr, 0, rb.n)}
 		blocks[rb.name] = b
 		f.Blocks = append(f.Blocks, b)
 	}
 
 	// Parse instructions; operands may forward-reference values.
-	var pendings []*pendingRef
-	ip := &instrParser{names: names, blocks: blocks, pendings: &pendings}
+	ip := &instrParser{names: names, blocks: blocks, tk: &p.tk}
 	for bi, rb := range raws {
 		b := f.Blocks[bi]
-		for li, line := range rb.lines {
-			in, err := ip.parseInstr(line, rb.lnos[li])
+		for li := rb.start; li < rb.end; li++ {
+			line := strings.TrimSpace(p.lines[li])
+			if line == "" || line[0] == ';' {
+				continue
+			}
+			in, err := ip.parseInstr(line, li+1)
 			if err != nil {
 				return nil, err
 			}
 			if in.HasResult() {
 				if _, dup := names[in.NameStr]; dup {
-					return nil, &ParseError{Line: rb.lnos[li], Msg: "redefinition of %" + in.NameStr}
+					return nil, &ParseError{Line: li + 1, Msg: "redefinition of %" + in.NameStr}
 				}
 				names[in.NameStr] = in
 			}
@@ -290,9 +300,18 @@ func (p *parser) parseFunc() (*Function, error) {
 
 // instrParser parses individual instruction lines.
 type instrParser struct {
-	names    map[string]Value
-	blocks   map[string]*Block
-	pendings *[]*pendingRef
+	names  map[string]Value
+	blocks map[string]*Block
+	tk     *tok
+}
+
+// arithOps maps the mnemonics of the binary and cast opcodes.
+var arithOps = map[string]Opcode{
+	"add": OpAdd, "sub": OpSub, "mul": OpMul,
+	"udiv": OpUDiv, "sdiv": OpSDiv, "urem": OpURem, "srem": OpSRem,
+	"and": OpAnd, "or": OpOr, "xor": OpXor,
+	"shl": OpShl, "lshr": OpLShr, "ashr": OpAShr,
+	"zext": OpZExt, "sext": OpSExt, "trunc": OpTrunc,
 }
 
 func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
@@ -303,9 +322,7 @@ func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
 			}
 			return v, nil
 		}
-		pr := &pendingRef{name: n, ty: ty}
-		*ip.pendings = append(*ip.pendings, pr)
-		return pr, nil
+		return &pendingRef{name: n, ty: ty}, nil
 	}
 	if g, ok := tk.global(); ok {
 		return &GlobalRef{NameStr: g, Ty: Ptr}, nil
@@ -377,7 +394,7 @@ func (ip *instrParser) label(tk *tok, lno int) (*Block, error) {
 }
 
 func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
-	tk := newTok(line)
+	tk := ip.tk.lex(line)
 	name := ""
 	if n, ok := tk.local(); ok {
 		name = n
@@ -389,13 +406,15 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 	fail := func(format string, args ...interface{}) (*Instr, error) {
 		return nil, &ParseError{Line: lno, Msg: fmt.Sprintf(format, args...)}
 	}
-	binOps := map[string]Opcode{
-		"add": OpAdd, "sub": OpSub, "mul": OpMul,
-		"udiv": OpUDiv, "sdiv": OpSDiv, "urem": OpURem, "srem": OpSRem,
-		"and": OpAnd, "or": OpOr, "xor": OpXor,
-		"shl": OpShl, "lshr": OpLShr, "ashr": OpAShr,
+	// define finishes an instruction that yields a value.
+	define := func(in *Instr) (*Instr, error) {
+		if name == "" {
+			return fail("%s: missing result name", op)
+		}
+		in.NameStr = name
+		return in, nil
 	}
-	if bop, ok := binOps[op]; ok {
+	if bop := arithOps[op]; bop.IsBinary() {
 		var fl Flags
 		for {
 			if tk.eatAnyIdent("nsw") {
@@ -430,10 +449,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if name == "" {
-			return fail("%s: missing result name", op)
-		}
-		return &Instr{Op: bop, NameStr: name, Ty: ty, Args: []Value{x, y}, Flags: fl}, nil
+		return define(&Instr{Op: bop, Ty: ty, Args: []Value{x, y}, Flags: fl})
 	}
 	switch op {
 	case "icmp":
@@ -457,10 +473,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if name == "" {
-			return fail("icmp: missing result name")
-		}
-		return &Instr{Op: OpICmp, NameStr: name, Pred: pred, Ty: I1, Args: []Value{x, y}}, nil
+		return define(&Instr{Op: OpICmp, Pred: pred, Ty: I1, Args: []Value{x, y}})
 	case "select":
 		c, err := ip.typedValue(tk, lno)
 		if err != nil {
@@ -486,12 +499,8 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if !t.Type().Equal(fv.Type()) {
 			return fail("select: arm types differ: %s vs %s", t.Type(), fv.Type())
 		}
-		if name == "" {
-			return fail("select: missing result name")
-		}
-		return &Instr{Op: OpSelect, NameStr: name, Ty: t.Type(), Args: []Value{c, t, fv}}, nil
+		return define(&Instr{Op: OpSelect, Ty: t.Type(), Args: []Value{c, t, fv}})
 	case "zext", "sext", "trunc":
-		ops := map[string]Opcode{"zext": OpZExt, "sext": OpSExt, "trunc": OpTrunc}
 		x, err := ip.typedValue(tk, lno)
 		if err != nil {
 			return nil, err
@@ -514,19 +523,13 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if op != "trunc" && toI.Bits <= from.Bits {
 			return fail("%s: destination i%d not wider than source i%d", op, toI.Bits, from.Bits)
 		}
-		if name == "" {
-			return fail("%s: missing result name", op)
-		}
-		return &Instr{Op: ops[op], NameStr: name, Ty: to, Args: []Value{x}}, nil
+		return define(&Instr{Op: arithOps[op], Ty: to, Args: []Value{x}})
 	case "freeze":
 		x, err := ip.typedValue(tk, lno)
 		if err != nil {
 			return nil, err
 		}
-		if name == "" {
-			return fail("freeze: missing result name")
-		}
-		return &Instr{Op: OpFreeze, NameStr: name, Ty: x.Type(), Args: []Value{x}}, nil
+		return define(&Instr{Op: OpFreeze, Ty: x.Type(), Args: []Value{x}})
 	case "alloca":
 		ty, ok := tk.typ()
 		if !ok {
@@ -539,10 +542,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 			}
 			tk.ident()
 		}
-		if name == "" {
-			return fail("alloca: missing result name")
-		}
-		return &Instr{Op: OpAlloca, NameStr: name, Ty: Ptr, AllocTy: ty}, nil
+		return define(&Instr{Op: OpAlloca, Ty: Ptr, AllocTy: ty})
 	case "load":
 		ty, ok := tk.typ()
 		if !ok {
@@ -564,10 +564,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 			}
 			tk.ident()
 		}
-		if name == "" {
-			return fail("load: missing result name")
-		}
-		return &Instr{Op: OpLoad, NameStr: name, Ty: ty, Args: []Value{ptr}}, nil
+		return define(&Instr{Op: OpLoad, Ty: ty, Args: []Value{ptr}})
 	case "store":
 		v, err := ip.typedValue(tk, lno)
 		if err != nil {
@@ -657,10 +654,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 				break
 			}
 		}
-		if name == "" {
-			return fail("phi: missing result name")
-		}
-		return &Instr{Op: OpPhi, NameStr: name, Ty: ty, Incs: incs}, nil
+		return define(&Instr{Op: OpPhi, Ty: ty, Incs: incs})
 	case "ret":
 		if name != "" {
 			return fail("ret: must not have a result")

@@ -1,142 +1,270 @@
 package ir
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
+
+// printer appends IR text to buf. It is the one place declaration,
+// function and instruction syntax is spelled; its callers differ only
+// in naming scheme and layout.
+type printer struct {
+	buf []byte
+	// nums is the naming scheme: a param, block or result found in it
+	// prints as its number, any other (all, when nil) under its own name.
+	nums map[any]int
+	// key selects the cache-key layout: no indentation, no blank lines,
+	// no trailing newline. That is FingerprintText of the text layout as
+	// long as no printed name holds whitespace; odd records that one
+	// might, and CanonicalKey then pays for the FingerprintText pass.
+	key, odd bool
+}
+
+// canonical returns a printer under the naming scheme RenumberFunc
+// writes into a function, without touching f.
+func canonical(f *Function, key bool) *printer {
+	nums := make(map[any]int, len(f.Params)+len(f.Blocks)+f.NumInstrs())
+	canonicalNumbers(f, func(v any, _ *string, n int) { nums[v] = n })
+	return &printer{nums: nums, key: key}
+}
+
+func (p *printer) s(s string) *printer {
+	p.buf = append(p.buf, s...)
+	return p
+}
+
+// sym appends a name taken from the function as it is.
+func (p *printer) sym(s string) *printer {
+	if p.key && !p.odd {
+		p.odd = strings.ContainsFunc(s, func(r rune) bool { return r <= ' ' || r >= utf8.RuneSelf })
+	}
+	return p.s(s)
+}
+
+// name appends the name of a param, block or result: its number under
+// a naming scheme that has one, own otherwise.
+func (p *printer) name(v any, own string) *printer {
+	n, ok := p.nums[v]
+	switch {
+	case !ok:
+		return p.sym(own)
+	case n == entryNum:
+		return p.s("entry")
+	}
+	p.buf = strconv.AppendInt(p.buf, int64(n), 10)
+	return p
+}
+
+func (p *printer) typ(t Type) *printer {
+	switch t := t.(type) {
+	case IntType:
+		p.buf = strconv.AppendInt(append(p.buf, 'i'), int64(t.Bits), 10)
+	case PtrType:
+		p.s("ptr")
+	case VoidType:
+		p.s("void")
+	default:
+		p.buf = fmt.Appendf(p.buf, "%s", t)
+	}
+	return p
+}
+
+// val appends v as it appears in an operand position: i1 constants as
+// true/false, wider ones as signed decimal, matching clang output.
+func (p *printer) val(v Value) *printer {
+	switch v := v.(type) {
+	case *Const:
+		if v.Ty.Bits == 1 {
+			return p.s(strconv.FormatBool(v.Val&1 == 1))
+		}
+		p.buf = strconv.AppendInt(p.buf, v.Signed(), 10)
+		return p
+	case *Param:
+		return p.s("%").name(v, v.NameStr)
+	case *Instr:
+		return p.s("%").name(v, v.NameStr)
+	case *pendingRef:
+		return p.s("%").sym(v.name)
+	case *GlobalRef:
+		return p.s("@").sym(v.NameStr)
+	case *Undef:
+		return p.s("undef")
+	case *Poison:
+		return p.s("poison")
+	}
+	p.buf = fmt.Appendf(p.buf, "<%T>", v)
+	return p
+}
+
+// typed appends "<type> <operand>".
+func (p *printer) typed(v Value) *printer { return p.typ(v.Type()).s(" ").val(v) }
+
+func (p *printer) label(b *Block) *printer { return p.s("label %").name(b, b.NameStr) }
+
+// instr appends one instruction without indentation or newline.
+func (p *printer) instr(in *Instr) *printer {
+	// Every opcode that can define a value lies in OpAdd..OpPhi.
+	if in.HasResult() && in.Op >= OpAdd && in.Op <= OpPhi {
+		p.s("%").name(in, in.NameStr).s(" = ")
+	}
+	switch {
+	case in.Op.IsBinary():
+		p.s(in.Op.String()).s(in.Flags.String()).s(" ").typ(in.Ty).s(" ").val(in.Args[0]).s(", ").val(in.Args[1])
+	case in.Op == OpICmp:
+		p.s("icmp ").s(in.Pred.String()).s(" ").typed(in.Args[0]).s(", ").val(in.Args[1])
+	case in.Op == OpSelect:
+		p.s("select ").typed(in.Args[0]).s(", ").typed(in.Args[1]).s(", ").typed(in.Args[2])
+	case in.Op.IsCast():
+		p.s(in.Op.String()).s(" ").typed(in.Args[0]).s(" to ").typ(in.Ty)
+	case in.Op == OpFreeze:
+		p.s("freeze ").typed(in.Args[0])
+	case in.Op == OpAlloca:
+		p.s("alloca ").typ(in.AllocTy)
+	case in.Op == OpLoad:
+		p.s("load ").typ(in.Ty).s(", ptr ").val(in.Args[0])
+	case in.Op == OpStore:
+		p.s("store ").typed(in.Args[0]).s(", ptr ").val(in.Args[1])
+	case in.Op == OpCall:
+		p.s("call ").typ(in.Ty).s(" @").sym(in.Callee).s("(")
+		for i, a := range in.Args {
+			if i > 0 {
+				p.s(", ")
+			}
+			p.typed(a)
+		}
+		p.s(")")
+	case in.Op == OpPhi:
+		p.s("phi ").typ(in.Ty)
+		for i, inc := range in.Incs {
+			if i > 0 {
+				p.s(",")
+			}
+			p.s(" [ ").val(inc.Val).s(", %").name(inc.Block, inc.Block.NameStr).s(" ]")
+		}
+	case in.Op == OpRet && len(in.Args) == 0:
+		p.s("ret void")
+	case in.Op == OpRet:
+		p.s("ret ").typed(in.Args[0])
+	case in.Op == OpBr:
+		p.s("br ").label(in.Succs[0])
+	case in.Op == OpCondBr:
+		p.s("br i1 ").val(in.Args[0]).s(", ").label(in.Succs[0]).s(", ").label(in.Succs[1])
+	case in.Op == OpSwitch:
+		p.s("switch ").typed(in.Args[0]).s(", ").label(in.Succs[0]).s(" [")
+		for i, c := range in.Cases {
+			p.s(" ").typed(c).s(", ").label(in.Succs[i+1])
+		}
+		p.s(" ]")
+	case in.Op == OpUnreachable:
+		p.s("unreachable")
+	default:
+		p.buf = fmt.Appendf(p.buf, "<invalid op %d>", int(in.Op))
+	}
+	return p
+}
+
+// fn appends a function definition named name, with the attribute
+// suffix attrs.
+func (p *printer) fn(f *Function, name, attrs string) *printer {
+	p.buf = slices.Grow(p.buf, 64+32*f.NumInstrs())
+	p.s("define ").typ(f.RetTy).s(" @").sym(name).s("(")
+	for i, pr := range f.Params {
+		if i > 0 {
+			p.s(", ")
+		}
+		p.typ(pr.Ty)
+		if pr.Noundef {
+			p.s(" noundef")
+		}
+		p.s(" %").name(pr, pr.NameStr)
+	}
+	p.s(")")
+	if attrs != "" {
+		p.s(" ").s(attrs)
+	}
+	p.s(" {\n")
+	for i, b := range f.Blocks {
+		// The entry label is printed whenever there is a second block.
+		if len(f.Blocks) > 1 {
+			if i > 0 && !p.key {
+				p.s("\n")
+			}
+			p.name(b, b.NameStr).s(":\n")
+		}
+		for _, in := range b.Instrs {
+			if !p.key {
+				p.s("  ")
+			}
+			p.instr(in).s("\n")
+		}
+	}
+	p.s("}")
+	if !p.key {
+		p.s("\n")
+	}
+	return p
+}
 
 // Print renders a module in LLVM-like textual syntax.
 func Print(m *Module) string {
-	var sb strings.Builder
+	var p printer
 	for i, d := range m.Decls {
 		if i > 0 {
-			sb.WriteByte('\n')
+			p.s("\n")
 		}
-		printDecl(&sb, d)
+		p.s("declare ").typ(d.RetTy).s(" @").s(d.NameStr).s("(")
+		for i, t := range d.ParamTys {
+			if i > 0 {
+				p.s(", ")
+			}
+			p.typ(t)
+		}
+		p.s(")")
+		if d.ReadNone {
+			p.s(" readnone")
+		}
+		p.s("\n")
 	}
 	for i, f := range m.Funcs {
 		if i > 0 || len(m.Decls) > 0 {
-			sb.WriteByte('\n')
+			p.s("\n")
 		}
-		PrintFunc(&sb, f)
+		p.fn(f, f.NameStr, f.Attrs)
 	}
-	return sb.String()
-}
-
-func printDecl(sb *strings.Builder, d *Declaration) {
-	params := make([]string, len(d.ParamTys))
-	for i, t := range d.ParamTys {
-		params[i] = t.String()
-	}
-	fmt.Fprintf(sb, "declare %s @%s(%s)", d.RetTy, d.NameStr, strings.Join(params, ", "))
-	if d.ReadNone {
-		sb.WriteString(" readnone")
-	}
-	sb.WriteByte('\n')
+	return string(p.buf)
 }
 
 // PrintFunc renders a single function definition into sb.
-func PrintFunc(sb *strings.Builder, f *Function) {
-	params := make([]string, len(f.Params))
-	for i, p := range f.Params {
-		s := p.Ty.String()
-		if p.Noundef {
-			s += " noundef"
-		}
-		params[i] = s + " %" + p.NameStr
-	}
-	fmt.Fprintf(sb, "define %s @%s(%s)", f.RetTy, f.NameStr, strings.Join(params, ", "))
-	if f.Attrs != "" {
-		sb.WriteString(" " + f.Attrs)
-	}
-	sb.WriteString(" {\n")
-	for i, b := range f.Blocks {
-		if i > 0 {
-			fmt.Fprintf(sb, "\n%s:\n", b.NameStr)
-		} else if blockLabelNeeded(f) {
-			fmt.Fprintf(sb, "%s:\n", b.NameStr)
-		}
-		for _, in := range b.Instrs {
-			sb.WriteString("  ")
-			sb.WriteString(FormatInstr(in))
-			sb.WriteByte('\n')
-		}
-	}
-	sb.WriteString("}\n")
-}
-
-// blockLabelNeeded reports whether the entry block label must be
-// printed (it must when the entry has predecessors or a non-numeric
-// name used elsewhere; for simplicity we print it whenever the
-// function has more than one block).
-func blockLabelNeeded(f *Function) bool { return len(f.Blocks) > 1 }
+func PrintFunc(sb *strings.Builder, f *Function) { sb.WriteString(FuncString(f)) }
 
 // FuncString renders a single function to a string.
-func FuncString(f *Function) string {
-	var sb strings.Builder
-	PrintFunc(&sb, f)
-	return sb.String()
-}
+func FuncString(f *Function) string { return string(new(printer).fn(f, f.NameStr, f.Attrs).buf) }
 
 // FormatInstr renders one instruction without indentation or newline.
-func FormatInstr(in *Instr) string {
-	switch {
-	case in.Op.IsBinary():
-		return fmt.Sprintf("%%%s = %s%s %s %s, %s", in.NameStr, in.Op, in.Flags,
-			in.Ty, in.Args[0].Operand(), in.Args[1].Operand())
-	case in.Op == OpICmp:
-		return fmt.Sprintf("%%%s = icmp %s %s %s, %s", in.NameStr, in.Pred,
-			in.Args[0].Type(), in.Args[0].Operand(), in.Args[1].Operand())
-	case in.Op == OpSelect:
-		return fmt.Sprintf("%%%s = select %s, %s, %s", in.NameStr,
-			operandWithType(in.Args[0]), operandWithType(in.Args[1]), operandWithType(in.Args[2]))
-	case in.Op.IsCast():
-		return fmt.Sprintf("%%%s = %s %s to %s", in.NameStr, in.Op,
-			operandWithType(in.Args[0]), in.Ty)
-	case in.Op == OpFreeze:
-		return fmt.Sprintf("%%%s = freeze %s", in.NameStr, operandWithType(in.Args[0]))
-	case in.Op == OpAlloca:
-		return fmt.Sprintf("%%%s = alloca %s", in.NameStr, in.AllocTy)
-	case in.Op == OpLoad:
-		return fmt.Sprintf("%%%s = load %s, ptr %s", in.NameStr, in.Ty, in.Args[0].Operand())
-	case in.Op == OpStore:
-		return fmt.Sprintf("store %s, ptr %s", operandWithType(in.Args[0]), in.Args[1].Operand())
-	case in.Op == OpCall:
-		args := make([]string, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = operandWithType(a)
-		}
-		call := fmt.Sprintf("call %s @%s(%s)", in.Ty, in.Callee, strings.Join(args, ", "))
-		if in.HasResult() {
-			return fmt.Sprintf("%%%s = %s", in.NameStr, call)
-		}
-		return call
-	case in.Op == OpPhi:
-		incs := make([]string, len(in.Incs))
-		for i, inc := range in.Incs {
-			incs[i] = fmt.Sprintf("[ %s, %%%s ]", inc.Val.Operand(), inc.Block.NameStr)
-		}
-		return fmt.Sprintf("%%%s = phi %s %s", in.NameStr, in.Ty, strings.Join(incs, ", "))
-	case in.Op == OpRet:
-		if len(in.Args) == 0 {
-			return "ret void"
-		}
-		return fmt.Sprintf("ret %s", operandWithType(in.Args[0]))
-	case in.Op == OpBr:
-		return fmt.Sprintf("br label %%%s", in.Succs[0].NameStr)
-	case in.Op == OpCondBr:
-		return fmt.Sprintf("br i1 %s, label %%%s, label %%%s",
-			in.Args[0].Operand(), in.Succs[0].NameStr, in.Succs[1].NameStr)
-	case in.Op == OpSwitch:
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "switch %s, label %%%s [", operandWithType(in.Args[0]), in.Succs[0].NameStr)
-		for i, c := range in.Cases {
-			fmt.Fprintf(&sb, " %s, label %%%s", operandWithType(c), in.Succs[i+1].NameStr)
-		}
-		sb.WriteString(" ]")
-		return sb.String()
-	case in.Op == OpUnreachable:
-		return "unreachable"
+func FormatInstr(in *Instr) string { return string(new(printer).instr(in).buf) }
+
+// CanonicalText returns the printed form f would have after
+// RenumberFunc, without its attribute suffix: structurally identical
+// functions print identically. f is only read.
+func CanonicalText(f *Function) string { return string(canonical(f, false).fn(f, f.NameStr, "").buf) }
+
+// CanonicalKey returns FingerprintText(CanonicalText(f)) — the form the
+// verdict cache, the verdict store and the cluster ring key functions
+// by — printed in one pass. Its bytes are a persisted format.
+func CanonicalKey(f *Function) string {
+	p := canonical(f, true).fn(f, f.NameStr, "")
+	if p.odd {
+		return FingerprintText(string(p.buf))
 	}
-	return fmt.Sprintf("<invalid op %d>", int(in.Op))
+	return string(p.buf)
+}
+
+// FuncsStructurallyEqual reports whether two functions are identical
+// up to their own names, attribute suffixes and local renaming.
+func FuncsStructurallyEqual(a, b *Function) bool {
+	return bytes.Equal(canonical(a, false).fn(a, "f", "").buf, canonical(b, false).fn(b, "f", "").buf)
 }

@@ -316,8 +316,8 @@ func TestConstRendering(t *testing.T) {
 		{NewConst(I64, -9223372036854775808), "-9223372036854775808"},
 	}
 	for _, tc := range cases {
-		if got := tc.c.Operand(); got != tc.want {
-			t.Errorf("Const(%d,i%d).Operand() = %q, want %q", tc.c.Val, tc.c.Ty.Bits, got, tc.want)
+		if got := string(new(printer).val(tc.c).buf); got != tc.want {
+			t.Errorf("Const(%d,i%d) prints as %q, want %q", tc.c.Val, tc.c.Ty.Bits, got, tc.want)
 		}
 	}
 }

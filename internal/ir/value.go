@@ -1,18 +1,10 @@
 package ir
 
-import (
-	"fmt"
-	"strconv"
-)
-
 // Value is anything that can appear as an instruction operand: a
 // constant, a function parameter, or the result of an instruction.
 type Value interface {
 	// Type returns the value's IR type.
 	Type() Type
-	// Operand renders the value as it appears in an operand position
-	// (e.g. "%x", "42", "undef").
-	Operand() string
 }
 
 // Const is an integer constant. Val stores the bit pattern truncated
@@ -30,18 +22,6 @@ func NewConst(ty IntType, v int64) *Const {
 
 // Type returns the constant's integer type.
 func (c *Const) Type() Type { return c.Ty }
-
-// Operand renders the constant. i1 constants render as true/false;
-// wider constants render as signed decimal, matching clang output.
-func (c *Const) Operand() string {
-	if c.Ty.Bits == 1 {
-		if c.Val&1 == 1 {
-			return "true"
-		}
-		return "false"
-	}
-	return strconv.FormatInt(c.Signed(), 10)
-}
 
 // Signed returns the constant sign-extended to int64.
 func (c *Const) Signed() int64 {
@@ -69,9 +49,6 @@ type Undef struct {
 // Type returns the undef's type.
 func (u *Undef) Type() Type { return u.Ty }
 
-// Operand renders "undef".
-func (u *Undef) Operand() string { return "undef" }
-
 // Poison is a poison value of a given type.
 type Poison struct {
 	Ty Type
@@ -79,9 +56,6 @@ type Poison struct {
 
 // Type returns the poison's type.
 func (p *Poison) Type() Type { return p.Ty }
-
-// Operand renders "poison".
-func (p *Poison) Operand() string { return "poison" }
 
 // Param is a function parameter.
 type Param struct {
@@ -95,9 +69,6 @@ type Param struct {
 // Type returns the parameter's type.
 func (p *Param) Type() Type { return p.Ty }
 
-// Operand renders the parameter reference ("%name").
-func (p *Param) Operand() string { return "%" + p.NameStr }
-
 // Name returns the parameter's name without the leading %.
 func (p *Param) Name() string { return p.NameStr }
 
@@ -109,10 +80,3 @@ type GlobalRef struct {
 
 // Type returns the referenced symbol's value type (a pointer).
 func (g *GlobalRef) Type() Type { return g.Ty }
-
-// Operand renders the symbol reference ("@name").
-func (g *GlobalRef) Operand() string { return "@" + g.NameStr }
-
-func operandWithType(v Value) string {
-	return fmt.Sprintf("%s %s", v.Type(), v.Operand())
-}

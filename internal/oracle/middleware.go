@@ -3,7 +3,6 @@ package oracle
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,63 +11,22 @@ import (
 	"veriopt/internal/vcache"
 )
 
-// srcKeyBound caps the per-cache-layer memo of source fingerprints.
-// Sources are the small, stable side of a query (the corpus
-// functions), so a few thousand entries covers any realistic run;
-// targets are freshly parsed throwaways and are never memoized.
-const srcKeyBound = 1 << 12
-
 // WithCache memoizes verdicts in eng, absorbing the former
 // vcache-engine behavior: whitespace-insensitive fingerprint keys,
 // singleflight deduplication of identical in-flight queries, bounded
-// FIFO eviction. Canceled results pass through uncached. Because the
-// cache sits outside the timeout/budget layers in the canonical
-// stack, a memoized verdict is served even when live solver work
-// would be refused.
+// promote-on-hit LRU eviction. Canceled results pass through uncached.
+// Because the cache sits outside the timeout/budget layers in the
+// canonical stack, a memoized verdict is served even when live solver
+// work would be refused.
 func WithCache(eng *vcache.Engine) Middleware {
-	c := &cacheLayer{eng: eng, srcKeys: make(map[*ir.Function]string)}
 	return func(next Oracle) Oracle {
 		return Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-			k := vcache.Key{Src: c.srcKey(src), Dst: vcache.KeyOfFunc(tgt), Opts: opts}
-			return c.eng.Do(ctx, k, func() alive.Result {
+			k := vcache.Key{Src: vcache.KeyOfFunc(src), Dst: vcache.KeyOfFunc(tgt), Opts: opts}
+			return eng.Do(ctx, k, func() alive.Result {
 				return next.Verify(ctx, src, tgt, opts)
 			})
 		})
 	}
-}
-
-// cacheLayer holds the source-fingerprint memo beside the engine. The
-// hot loops issue many queries against the same source function (a
-// GRPO group shares one input; greedy evaluation re-reads the corpus),
-// so rendering the source once per *ir.Function identity instead of
-// once per query recovers the precomputed-srcKey optimization the old
-// VerifyKeyed API had.
-type cacheLayer struct {
-	eng     *vcache.Engine
-	mu      sync.Mutex
-	srcKeys map[*ir.Function]string
-	fifo    []*ir.Function
-}
-
-func (c *cacheLayer) srcKey(src *ir.Function) string {
-	c.mu.Lock()
-	if k, ok := c.srcKeys[src]; ok {
-		c.mu.Unlock()
-		return k
-	}
-	c.mu.Unlock()
-	k := vcache.KeyOfFunc(src) // render outside the lock
-	c.mu.Lock()
-	if _, ok := c.srcKeys[src]; !ok {
-		for len(c.srcKeys) >= srcKeyBound && len(c.fifo) > 0 {
-			delete(c.srcKeys, c.fifo[0])
-			c.fifo = c.fifo[1:]
-		}
-		c.srcKeys[src] = k
-		c.fifo = append(c.fifo, src)
-	}
-	c.mu.Unlock()
-	return k
 }
 
 // WithTimeout bounds each query that reaches it with a per-query

@@ -2,7 +2,7 @@
 // policy (internal/policy): a library of IR transformations spanning
 // four kinds.
 //
-//   - Sound: instcombine-style steps (via instcombine.StepAt) plus
+//   - Sound: instcombine-style steps (via instcombine.StepFirst) plus
 //     memory cleanups — applying all of them reproduces the reference
 //     pass's output.
 //   - Extra: sound transformations *beyond* instcombine (constant
@@ -63,6 +63,14 @@ type Rule struct {
 
 func always(*ir.Function) bool { return true }
 
+// stepRule wraps one of instcombine's mutating steps as a sound rule,
+// applicable when the step would change a copy of the function.
+func stepRule(name string, step func(*ir.Function) bool) *Rule {
+	return &Rule{Name: name, Kind: KindSound,
+		Applicable: func(f *ir.Function) bool { return step(ir.CloneFunc(f)) },
+		Apply:      func(f *ir.Function, _ *rand.Rand) bool { return step(f) }}
+}
+
 // Sound returns the sound instcombine-equivalent rules, plus a
 // metric-neutral cosmetic reorder. The cosmetic rule models the base
 // LLM's dominant "different correct" behaviour (Table I discussion:
@@ -91,43 +99,9 @@ func Sound() []*Rule {
 				return true
 			},
 		},
-		{
-			Name: "combine-step",
-			Kind: KindSound,
-			Applicable: func(f *ir.Function) bool {
-				return len(instcombine.Sites(f)) > 0
-			},
-			Apply: func(f *ir.Function, _ *rand.Rand) bool {
-				sites := instcombine.Sites(f)
-				if len(sites) == 0 {
-					return false
-				}
-				s := sites[0]
-				return instcombine.StepAt(f, s.Block, s.Instr)
-			},
-		},
-		{
-			Name: "forward-loads",
-			Kind: KindSound,
-			Applicable: func(f *ir.Function) bool {
-				g := ir.CloneFunc(f)
-				return instcombine.ForwardLoadsStep(g)
-			},
-			Apply: func(f *ir.Function, _ *rand.Rand) bool {
-				return instcombine.ForwardLoadsStep(f)
-			},
-		},
-		{
-			Name: "remove-dead-allocas",
-			Kind: KindSound,
-			Applicable: func(f *ir.Function) bool {
-				g := ir.CloneFunc(f)
-				return instcombine.RemoveDeadAllocasStep(g)
-			},
-			Apply: func(f *ir.Function, _ *rand.Rand) bool {
-				return instcombine.RemoveDeadAllocasStep(f)
-			},
-		},
+		stepRule("combine-step", instcombine.StepFirst),
+		stepRule("forward-loads", instcombine.ForwardLoadsStep),
+		stepRule("remove-dead-allocas", instcombine.RemoveDeadAllocasStep),
 	}
 }
 

@@ -65,7 +65,9 @@ func (r *SearchResult) Improved() bool {
 	return r.Best.Latency < r.Base.Latency
 }
 
-// state is one node of the search graph.
+// state is one node of the search graph. key is ir.CanonicalKey(fn),
+// the key the verdict cache uses, so states that dedupe here also
+// share cache entries there.
 type state struct {
 	fn  *ir.Function
 	key string
@@ -102,7 +104,7 @@ func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, s
 		if !changed {
 			continue
 		}
-		key := stateKey(g)
+		key := ir.CanonicalKey(g)
 		if seen[key] {
 			continue
 		}
@@ -132,7 +134,7 @@ func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, s
 // along with the context's error.
 func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult, error) {
 	cfg = cfg.normalize()
-	root := &state{fn: f0, key: stateKey(f0), m: costmodel.Measure(f0)}
+	root := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
 	res := &SearchResult{Fn: f0, Base: root.m, Best: root.m}
 	best := root
 	seen := map[string]bool{root.key: true}
@@ -165,7 +167,7 @@ func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult
 // cheap O(passes x depth) baseline against beam search.
 func Greedy(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult, error) {
 	cfg = cfg.normalize()
-	cur := &state{fn: f0, key: stateKey(f0), m: costmodel.Measure(f0)}
+	cur := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
 	res := &SearchResult{Fn: f0, Base: cur.m, Best: cur.m}
 	seen := map[string]bool{cur.key: true}
 	for d := 0; d < cfg.Depth; d++ {

@@ -71,17 +71,6 @@ func fixpointPass(name string, step func(*ir.Function) bool) *Pass {
 	}}
 }
 
-// combineStep applies one instcombine simplify/rewrite micro-step at
-// the first site where one fires — the algebraic rule subset of the
-// reference pass, without its memory cleanups.
-func combineStep(f *ir.Function) bool {
-	sites := instcombine.Sites(f)
-	if len(sites) == 0 {
-		return false
-	}
-	return instcombine.StepAt(f, sites[0].Block, sites[0].Instr)
-}
-
 // instcombinePass wraps the full reference pipeline (the corpus
 // labeler) as one action.
 func instcombinePass() *Pass {
@@ -115,7 +104,7 @@ func extraPass(name, ruleName string) *Pass {
 // new passes must be appended, never inserted.
 func Registry() []*Pass {
 	return []*Pass{
-		fixpointPass("combine", combineStep),
+		fixpointPass("combine", instcombine.StepFirst),
 		fixpointPass("forward-loads", instcombine.ForwardLoadsStep),
 		fixpointPass("drop-dead-allocas", instcombine.RemoveDeadAllocasStep),
 		instcombinePass(),
@@ -134,11 +123,4 @@ func PassNames() []string {
 		out[i] = p.Name
 	}
 	return out
-}
-
-// stateKey returns the whitespace-normalized canonical text of a
-// function — the same key shape the verdict cache fingerprints, so
-// states that dedupe here also share cache entries there.
-func stateKey(f *ir.Function) string {
-	return ir.FingerprintText(ir.CanonicalText(f))
 }

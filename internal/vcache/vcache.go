@@ -260,11 +260,8 @@ func (e *Engine) getBacking() Backing {
 	return b
 }
 
-// KeyOfText normalizes a function text into cache-key form.
-func KeyOfText(text string) string { return ir.FingerprintText(text) }
-
-// KeyOfFunc renders and normalizes a function into cache-key form.
-func KeyOfFunc(f *ir.Function) string { return ir.FingerprintText(ir.CanonicalText(f)) }
+// KeyOfFunc renders a function into cache-key form.
+func KeyOfFunc(f *ir.Function) string { return ir.CanonicalKey(f) }
 
 // Do returns the memoized result for k, running compute on a miss.
 // Identical in-flight keys are deduplicated: duplicate callers block
@@ -408,9 +405,22 @@ func (e *Engine) store(k Key, res alive.Result, durable bool) []demotion {
 			}
 		}
 	}
+	// Queries against one source arrive together (a search's states, a
+	// GRPO group's rollouts), each with its own copy of the source text.
+	// Keep one: point the new key at a recent entry's equal Src.
+	for el, n := e.lru.Front(), 0; el != nil && n < recentSources; el, n = el.Next(), n+1 {
+		if src := el.Value.(*entry).key.Src; src == k.Src {
+			k.Src = src
+			break
+		}
+	}
 	e.entries[k] = e.lru.PushFront(&entry{key: k, res: res, durable: durable})
 	return demoted
 }
+
+// recentSources is how far from the LRU front store looks: enough for
+// the searches or groups running at once to find their own entries.
+const recentSources = 16
 
 // demote performs the deferred demote writes for evicted entries that
 // were not yet durable.

@@ -1,0 +1,120 @@
+package veriopt
+
+import (
+	"testing"
+
+	"veriopt/internal/ir"
+	"veriopt/internal/seqopt"
+	"veriopt/internal/vcache"
+)
+
+// The IR front half — parse, cache key, pass probing — is what every
+// cache hit and every search state pays before any solver work. The
+// ceilings below hold its allocation counts in `go test ./...`, about
+// 20 % above what the substring lexer, the one-pass key and in-place
+// step probing achieve on midFn (96, 7 and 1396; with the rune-by-rune
+// lexer, the clone-and-renumber key and per-position clones they were
+// 566, 413 and 39 105), so a regression fails tier-1 and not only the
+// benchmark. `make bench-ir` prints the numbers themselves.
+
+const midFn = `define i32 @mid(i32 noundef %a, i32 noundef %b, i32 noundef %c) {
+entry:
+  %t0 = add nsw i32 %a, 0
+  %t1 = mul i32 %t0, 8
+  %t2 = shl i32 %b, 2
+  %t3 = shl i32 %t2, 3
+  %t4 = xor i32 %t1, %t1
+  %t5 = or i32 %t3, %t4
+  %t6 = sub i32 %t5, 0
+  %t7 = and i32 %t6, -1
+  %cmp = icmp sgt i32 %t7, %c
+  br i1 %cmp, label %then, label %else
+
+then:
+  %u0 = add i32 %t7, 5
+  %u1 = add i32 %u0, 7
+  %u2 = udiv i32 %u1, 4
+  %u3 = mul i32 %u2, 1
+  br label %join
+
+else:
+  %v0 = sub i32 %c, %c
+  %v1 = add i32 %v0, %t7
+  %v2 = lshr i32 %v1, 1
+  %v3 = lshr i32 %v2, 2
+  %v4 = select i1 true, i32 %v3, i32 %a
+  br label %join
+
+join:
+  %p = phi i32 [ %u3, %then ], [ %v4, %else ]
+  %w0 = xor i32 %p, 0
+  %w1 = trunc i32 %w0 to i8
+  %w2 = zext i8 %w1 to i32
+  ret i32 %w2
+}
+`
+
+func midFunc(tb testing.TB) *ir.Function {
+	tb.Helper()
+	f, err := ir.ParseFunc(midFn)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+func combinePass(tb testing.TB) *seqopt.Pass {
+	tb.Helper()
+	p := seqopt.Registry()[0]
+	if p.Name != "combine" {
+		tb.Fatalf("registry[0] is %s, want combine", p.Name)
+	}
+	return p
+}
+
+func TestIRFrontHalfAllocCeilings(t *testing.T) {
+	f, combine := midFunc(t), combinePass(t)
+	if _, changed := combine.Apply(f); !changed {
+		t.Fatal("combine does not fire on midFn; its ceiling would be vacuous")
+	}
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		fn      func()
+	}{
+		{"ir.ParseFunc", 115, func() { midFunc(t) }},
+		{"vcache.KeyOfFunc", 8, func() { vcache.KeyOfFunc(f) }},
+		{"combine pass", 1675, func() { combine.Apply(f) }},
+	} {
+		if got := testing.AllocsPerRun(50, tc.fn); got > tc.ceiling {
+			t.Errorf("%s: %.0f allocations per run on midFn, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+}
+
+var benchSink any
+
+func BenchmarkParseFunc(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSink = midFunc(b)
+	}
+}
+
+func BenchmarkKeyOfFunc(b *testing.B) {
+	f := midFunc(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = vcache.KeyOfFunc(f)
+	}
+}
+
+func BenchmarkCombinePass(b *testing.B) {
+	f, combine := midFunc(b), combinePass(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = combine.Apply(f)
+	}
+}
