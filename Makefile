@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke bench bench-workers bench-solver bench-store bench-cluster bench-passes bench-load bench-e2e bench-layers bench-ir
+.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke bench bench-workers bench-solver bench-store bench-passes bench-e2e bench-layers bench-ir loc
 
 all: tier1 tier2
 
@@ -39,15 +39,15 @@ resume-smoke:
 store-smoke:
 	$(GO) test -run TestStoreSmoke -count=1 ./internal/server
 
-# Cluster acceptance gate: real worker processes behind a real
-# coordinator process. Requires >= 1.7x throughput at 2 replicas and
-# >= 3x at 4 (latency-bound workload via -sim-delay), hedged p99 well
-# under the unhedged p99 on a skewed-latency fleet, and zero
-# accepted-work loss across a mid-run SIGKILL of one replica followed
-# by automatic ring healing. Also refreshes BENCH_cluster.json.
+# Cluster acceptance gate: the built `veriopt serve -replicas`
+# coordinator in front of harness-owned slow worker processes
+# (internal/smoketest). Requires >= 1.7x throughput at 2 replicas and
+# >= 3x at 4 (latency-bound workload: the workers sleep before
+# verifying), hedged p99 well under the unhedged p99 on a
+# skewed-latency fleet, and zero accepted-work loss across a mid-run
+# SIGKILL of one replica followed by automatic ring healing.
 cluster-smoke:
-	CLUSTER_SMOKE=1 BENCH_CLUSTER_OUT=$(CURDIR)/BENCH_cluster.json \
-	$(GO) test -run TestClusterSmoke -count=1 -v ./internal/cluster
+	CLUSTER_SMOKE=1 $(GO) test -run TestClusterSmoke -count=1 -v ./internal/cluster
 
 # Pass-ordering workload acceptance gate: tiny corpus, short sequence-
 # policy training run, beam baseline. Requires every emitted sequence
@@ -57,9 +57,10 @@ cluster-smoke:
 passes-smoke:
 	$(GO) test -run TestPassesSmoke -count=1 ./internal/pipeline
 
-# Load acceptance gate: a real `veriopt serve` process driven through
-# all five built-in traffic mixes (hot-repeat, all-distinct,
-# deadline-heavy, malformed-ir, mixed), each graded against its SLO.
+# Load acceptance gate: a harness-owned slow worker process
+# (internal/smoketest) driven through all five built-in traffic mixes
+# (hot-repeat, all-distinct, deadline-heavy, malformed-ir, mixed),
+# each graded against its SLO.
 # Fails on any shed-rate/hit-rate/canceled-fraction violation, any
 # 5xx, or any worker panic (a malformed-IR body must never take down
 # a worker).
@@ -109,11 +110,6 @@ bench-store:
 	BENCH_VSTORE_OUT=$(CURDIR)/BENCH_vstore.json \
 	$(GO) test -run TestStoreBench -count=1 -v ./internal/vstore
 
-# Cluster fan-out benchmark: 1/2/4-replica throughput plus hedged vs
-# unhedged latency quantiles, written to BENCH_cluster.json (quoted in
-# EXPERIMENTS.md). Same harness as cluster-smoke.
-bench-cluster: cluster-smoke
-
 # Pass-ordering workload benchmark: the four-way geomean latency table
 # (fixed/greedy/beam/policy), the search's oracle traffic, and the
 # cold-vs-warm solver-run split (warm re-evaluation must perform zero
@@ -121,13 +117,6 @@ bench-cluster: cluster-smoke
 bench-passes:
 	BENCH_PASSES_OUT=$(CURDIR)/BENCH_passes.json \
 	$(GO) test -run TestPassesBench -count=1 -v ./internal/pipeline
-
-# Load benchmark: same harness as load-smoke, plus the per-mix /
-# per-scenario p50/p99/shed/hit-rate report written to BENCH_load.json
-# (quoted in EXPERIMENTS.md).
-bench-load:
-	BENCH_LOAD_OUT=$(CURDIR)/BENCH_load.json \
-	$(GO) test -run TestLoadSmoke -count=1 -v ./internal/loadgen
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all
 # four workloads at the default seed and length. bench-e2e prints the
@@ -147,3 +136,9 @@ bench-layers:
 # allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
 	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|KeyOfFunc|CombinePass)$$' -benchmem .
+
+# "Least code" as a number (ROADMAP, Design diet): per-package non-test
+# lines, test lines and exported names, and the flag count of each
+# veriopt subcommand, as the markdown tables DESIGN.md "Size" quotes.
+loc:
+	@sh scripts/loc.sh

@@ -9,7 +9,7 @@
 //	loadgen -url ... -spec mixes.json                   # custom specs (JSON array)
 //	loadgen -url ... -mix mixed -record trace.jsonl     # record the stream
 //	loadgen -url ... -mix mixed -replay trace.jsonl     # replay it later
-//	loadgen -url ... -out BENCH_load.json               # persist the report
+//	loadgen -url ... -out report.json                   # persist the report
 package main
 
 import (
@@ -41,7 +41,7 @@ func run(args []string) error {
 	specPath := fs.String("spec", "", "JSON file with custom mix specs (a Spec object or array); overrides -mix")
 	record := fs.String("record", "", "write each mix's synthesized event stream to this JSON-lines trace (single mix only)")
 	replay := fs.String("replay", "", "play this JSON-lines trace instead of synthesizing (paced/graded by the single -mix or -spec entry)")
-	out := fs.String("out", "", "write the full report as JSON (BENCH_load.json)")
+	out := fs.String("out", "", "write the full report as JSON")
 	requests := fs.Int("requests", 0, "override Requests on every selected mix (0 = spec values)")
 	concurrency := fs.Int("concurrency", 0, "override Concurrency on every selected mix (0 = spec values)")
 	rate := fs.Float64("rate", 0, "override RatePerSec on every selected mix: open-loop pacing (0 = spec values)")

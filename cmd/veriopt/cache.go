@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"veriopt/internal/ckpt"
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
 	"veriopt/internal/vstore"
@@ -14,17 +13,10 @@ import (
 // cold tier under the stack's cache. The returned store must be
 // closed by the caller (closeStore) so the unsynced tail is flushed
 // on exit — for serve, that is the graceful-drain sync. A missing
-// directory is simply a fresh store. When the deprecated -cache-file
-// flag is passed alongside, a loud note points at the migration path.
-func openStoreDir(stack *oracle.Stack, dir, cacheFile string, rec *obs.Recorder) (*vstore.Store, error) {
+// directory is simply a fresh store.
+func openStoreDir(stack *oracle.Stack, dir string, rec *obs.Recorder) (*vstore.Store, error) {
 	if dir == "" {
 		return nil, nil
-	}
-	if cacheFile != "" {
-		fmt.Fprintf(os.Stderr,
-			"WARNING: -cache-file is deprecated and ignored for persistence when -store-dir is set.\n"+
-				"         Migrate the snapshot once with: veriopt cache migrate -from %s -store-dir %s\n",
-			cacheFile, dir)
 	}
 	st, err := vstore.Open(dir, vstore.Config{})
 	if err != nil {
@@ -37,60 +29,19 @@ func openStoreDir(stack *oracle.Stack, dir, cacheFile string, rec *obs.Recorder)
 	return st, nil
 }
 
-// closeStore syncs the store's tail and releases it, reporting the
-// final storage stats. Close failures are reported, not fatal: every
-// synced verdict is already durable.
+// closeStore syncs the store's tail and releases it, then reports the
+// final storage stats — read after Close so the closing sync is
+// counted, and printed here only (reportVerifierStats leaves the store
+// line to it). Close failures are reported, not fatal: every synced
+// verdict is already durable.
 func closeStore(st *vstore.Store, rec *obs.Recorder) {
 	if st == nil {
 		return
 	}
-	s := st.Stats()
 	if err := st.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "error: close verdict store:", err)
 	}
+	s := st.Stats()
 	fmt.Fprintf(os.Stderr, "[%s]\n", s)
 	rec.Emit(obs.Event{Kind: "checkpoint", Note: fmt.Sprintf("store closed: %d entries, %d segments", s.Entries, s.Segments)})
-}
-
-// loadCacheFile warm-starts the stack's verdict cache from a -cache-file
-// snapshot (deprecated in favor of -store-dir; see `veriopt cache
-// migrate`). A missing file is a cold start, not an error: the first
-// flush creates it. A present-but-unreadable file is an error — a
-// half-loaded cache would silently change hit rates.
-func loadCacheFile(stack *oracle.Stack, path string, rec *obs.Recorder) error {
-	if path == "" {
-		return nil
-	}
-	if !ckpt.Exists(path) {
-		fmt.Fprintf(os.Stderr, "verdict cache %s not found, starting cold\n", path)
-		return nil
-	}
-	n, err := stack.Engine.LoadFile(path)
-	if err != nil {
-		return fmt.Errorf("load verdict cache: %w", err)
-	}
-	fmt.Fprintf(os.Stderr, "verdict cache warm start: %d entries from %s\n", n, path)
-	rec.Emit(obs.Event{Kind: "checkpoint", Note: fmt.Sprintf("cache loaded: %d entries", n)})
-	return nil
-}
-
-// flushCacheFile persists the stack's verdict cache to path
-// atomically. Flush failures are reported, not fatal: the results the
-// cache accelerated have already been produced. With -store-dir the
-// store appends incrementally and this legacy whole-cache rewrite is
-// skipped.
-func flushCacheFile(stack *oracle.Stack, path string, rec *obs.Recorder) {
-	if path == "" {
-		return
-	}
-	if stack.VStore() != nil {
-		return
-	}
-	n, err := stack.Engine.SaveFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error: flush verdict cache:", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "verdict cache flushed: %d entries to %s\n", n, path)
-	rec.Emit(obs.Event{Kind: "checkpoint", Note: fmt.Sprintf("cache flushed: %d entries", n)})
 }

@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"veriopt/internal/alive"
@@ -16,8 +20,9 @@ import (
 //	veriopt cache stat    -store-dir DIR
 //	veriopt cache compact -store-dir DIR
 //
-// migrate streams a legacy -cache-file JSONL snapshot into a segment
-// store, so existing deployments move to -store-dir without re-proving
+// migrate streams a JSONL verdict-cache snapshot (the persistence
+// format before -store-dir, see readSnapshot) into a segment store, so
+// a deployment that still holds one moves over without re-proving
 // anything. stat prints the store's stats; compact runs one compaction
 // synchronously and reports what it reclaimed.
 func cmdCache(args []string) error {
@@ -60,9 +65,7 @@ func cmdCache(args []string) error {
 			return err
 		}
 		defer f.Close()
-		n, err := vcache.ReadSnapshot(f, func(k vcache.Key, res alive.Result) error {
-			return st.Put(k, res)
-		})
+		n, err := readSnapshot(f, st.Put)
 		if err != nil {
 			return fmt.Errorf("migrate %s: %w", *from, err)
 		}
@@ -72,7 +75,7 @@ func cmdCache(args []string) error {
 		s := st.Stats()
 		fmt.Printf("migrated %d verdicts from %s into %s (%d entries, %d segments)\n",
 			n, *from, *dir, s.Entries, s.Segments)
-		fmt.Println("the snapshot file is untouched; switch the service to -store-dir and retire -cache-file")
+		fmt.Println("the snapshot file is untouched; point serve/train/experiments at the store with -store-dir")
 	case "stat":
 		s := st.Stats()
 		fmt.Printf("%s\n", s)
@@ -100,4 +103,70 @@ func cmdCache(args []string) error {
 			res.SegmentsIn, res.Live, res.Dropped, res.ReclaimedBytes, res.Pause)
 	}
 	return nil
+}
+
+// A verdict-cache snapshot is JSON lines: one header object, then one
+// object per cached verdict. Nothing writes the format any more; a
+// file on someone's disk is outside input, so the reader keeps its
+// checks.
+const (
+	snapshotFormat  = "veriopt-vcache"
+	snapshotVersion = 1
+)
+
+type snapshotHeader struct {
+	Format  string `json:"format"`
+	Version int    `json:"version"`
+}
+
+type snapshotEntry struct {
+	Src  string        `json:"src"`
+	Dst  string        `json:"dst"`
+	Opts alive.Options `json:"opts"`
+	Res  alive.Result  `json:"res"`
+}
+
+// readSnapshot streams a snapshot, calling put for each entry in
+// stored order, and returns the number delivered. Canceled results are
+// transient by contract (see alive.Result.Canceled): a line claiming
+// one is skipped. A malformed header or line fails loudly, naming the
+// entry, rather than silently truncating the import.
+func readSnapshot(r io.Reader, put func(vcache.Key, alive.Result) error) (int, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return 0, err
+		}
+		return 0, fmt.Errorf("empty snapshot")
+	}
+	var hdr snapshotHeader
+	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+		return 0, fmt.Errorf("bad snapshot header: %w", err)
+	}
+	if hdr.Format != snapshotFormat {
+		return 0, fmt.Errorf("snapshot format %q, want %q", hdr.Format, snapshotFormat)
+	}
+	if hdr.Version != snapshotVersion {
+		return 0, fmt.Errorf("snapshot version %d, want %d", hdr.Version, snapshotVersion)
+	}
+	n := 0
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ent snapshotEntry
+		if err := json.Unmarshal(line, &ent); err != nil {
+			return n, fmt.Errorf("snapshot entry %d: %w", n+1, err)
+		}
+		if ent.Res.Canceled {
+			continue
+		}
+		if err := put(vcache.Key{Src: ent.Src, Dst: ent.Dst, Opts: ent.Opts}, ent.Res); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, sc.Err()
 }

@@ -110,7 +110,7 @@ subcommands:
   serve        HTTP/JSON verification service: /v1/verify, /v1/optimize,
                /v1/evaluate, /healthz, /metrics; bounded queue with 429
                shedding, graceful drain on SIGTERM
-  cache        verdict-store admin: migrate a legacy -cache-file JSONL
+  cache        verdict-store admin: migrate a JSONL verdict-cache
                snapshot into a -store-dir segment store, print store
                stats, or compact away superseded records
   dataset      generate a corpus and write .ll files
@@ -168,19 +168,14 @@ func buildContext(ctx context.Context, rec *obs.Recorder, n int, seed int64, s1,
 
 // reportVerifierStats prints the oracle stack's counters (per-verdict
 // query distribution plus cache hits and solver wall time) to stderr.
+// An attached verdict store reports itself once, in closeStore.
 func reportVerifierStats(o oracle.Oracle) {
-	resolved := oracle.OrDefault(o)
-	src, ok := resolved.(oracle.StatsSource)
+	src, ok := oracle.OrDefault(o).(oracle.StatsSource)
 	if !ok {
 		return
 	}
 	ostats, cstats := src.OracleStats()
 	fmt.Fprintf(os.Stderr, "[%s]\n[%s]\n", ostats, cstats)
-	if ss, ok := resolved.(oracle.StoreSource); ok {
-		if st := ss.VStore(); st != nil {
-			fmt.Fprintf(os.Stderr, "[%s]\n", st.Stats())
-		}
-	}
 }
 
 func cmdExperiments(ctx context.Context, args []string) error {
@@ -188,7 +183,6 @@ func cmdExperiments(ctx context.Context, args []string) error {
 	run := fs.String("run", "all", "experiment id or 'all'")
 	storeDir := fs.String("store-dir", "",
 		"durable verdict store directory: verdicts append incrementally as they are proved (warm-starts reruns)")
-	cacheFile := fs.String("cache-file", "", "DEPRECATED (use -store-dir) verdict-cache snapshot: load at start, flush at exit")
 	n, seed, s1, s2, s3, workers, trace := commonFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -200,16 +194,11 @@ func cmdExperiments(ctx context.Context, args []string) error {
 	defer closeTrace()
 	c := buildContext(ctx, rec, *n, *seed, *s1, *s2, *s3, *workers)
 	defer reportVerifierStats(c.Oracle)
-	stack := oracle.Default()
-	st, err := openStoreDir(stack, *storeDir, *cacheFile, rec)
+	st, err := openStoreDir(oracle.Default(), *storeDir, rec)
 	if err != nil {
 		return err
 	}
 	defer closeStore(st, rec)
-	if err := loadCacheFile(stack, *cacheFile, rec); err != nil {
-		return err
-	}
-	defer flushCacheFile(stack, *cacheFile, rec)
 	ids := experiments.IDs()
 	if *run != "all" {
 		ids = strings.Split(*run, ",")
@@ -239,7 +228,6 @@ func cmdTrain(ctx context.Context, args []string) error {
 	ckptEvery := fs.Int("ckpt-every", pipeline.DefaultCkptEvery, "mid-stage checkpoint cadence in GRPO steps")
 	storeDir := fs.String("store-dir", "",
 		"durable verdict store directory: verdicts append incrementally as they are proved (warm-starts reruns)")
-	cacheFile := fs.String("cache-file", "", "DEPRECATED (use -store-dir) verdict-cache snapshot: load at start, flush at exit")
 	workload := fs.String("workload", "peephole",
 		"training workload: 'peephole' (text rewriting curriculum) or 'passes' (pass-sequence phase ordering)")
 	seqSteps := fs.Int("seq-steps", 30, "passes workload: sequence-policy GRPO steps")
@@ -259,16 +247,11 @@ func cmdTrain(ctx context.Context, args []string) error {
 		c.Cfg.Stage.Ckpt = &pipeline.CkptConfig{Dir: *checkpoint, Every: *ckptEvery, Resume: *resume}
 	}
 	defer reportVerifierStats(c.Oracle)
-	stack := oracle.Default()
-	st, err := openStoreDir(stack, *storeDir, *cacheFile, rec)
+	st, err := openStoreDir(oracle.Default(), *storeDir, rec)
 	if err != nil {
 		return err
 	}
 	defer closeStore(st, rec)
-	if err := loadCacheFile(stack, *cacheFile, rec); err != nil {
-		return err
-	}
-	defer flushCacheFile(stack, *cacheFile, rec)
 	switch *workload {
 	case "passes":
 		return trainPasses(ctx, c, rec, *save, *seqSteps, *beamWidth, *beamDepth)

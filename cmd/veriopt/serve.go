@@ -62,19 +62,12 @@ func cmdServe(ctx context.Context, args []string) error {
 	trace := fs.String("trace", "", "write JSON-lines request-span events to this file ('-' = stderr)")
 	storeDir := fs.String("store-dir", "",
 		"durable verdict store directory: verdicts append incrementally as they are proved, survive crashes, and warm-start the next boot")
-	cacheFile := fs.String("cache-file", "",
-		"DEPRECATED (use -store-dir; see `veriopt cache migrate`) verdict-cache snapshot: load at boot, flush every -cache-flush and on graceful shutdown")
-	cacheFlush := fs.Duration("cache-flush", time.Minute, "periodic verdict-cache flush interval for the deprecated -cache-file (0 = only at shutdown)")
 	replicas := fs.String("replicas", "",
 		"coordinator mode: comma-separated worker base URLs (http://host:port); queries are consistent-hashed across them, with local verification as the fallback when the fleet fails")
 	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "coordinator ring virtual nodes per replica")
 	hedge := fs.Bool("hedge", true, "coordinator: speculatively re-issue slow queries to the next replica on the ring")
 	hedgeAfter := fs.Duration("hedge-after", 0,
 		"coordinator: fixed hedge delay (0 = adaptive, max(1ms, min(p99, 4*p50)) of recent winning latencies)")
-	simDelay := fs.Duration("sim-delay", 0,
-		"TESTING: inject this latency before every live verification (makes a 1-CPU fan-out benchmark latency-bound instead of CPU-bound)")
-	simTailEvery := fs.Int("sim-tail-every", 0, "TESTING: every Nth query sleeps -sim-tail-delay instead of -sim-delay")
-	simTailDelay := fs.Duration("sim-tail-delay", 0, "TESTING: the injected tail latency for -sim-tail-every")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -100,20 +93,11 @@ func cmdServe(ctx context.Context, args []string) error {
 			return err
 		}
 	}
-	// The default shared stack serves the plain single-process case;
-	// coordinator mode and the latency-injection testing knobs need
-	// their own stack shape.
-	var (
-		o     *oracle.Stack
-		coord *cluster.Coordinator
-		role  = "worker"
-	)
-	base := oracle.Base()
-	if *simDelay > 0 || *simTailDelay > 0 {
-		base = oracle.WithSimulatedLatency(*simDelay, *simTailEvery, *simTailDelay)(base)
-	}
-	switch {
-	case *replicas != "":
+	// A worker is the shared default stack; a coordinator is that shape
+	// with the replica set as its shard layer.
+	o, role := oracle.Default(), "worker"
+	var coord *cluster.Coordinator
+	if *replicas != "" {
 		urls := splitReplicas(*replicas)
 		if len(urls) == 0 {
 			return fmt.Errorf("-replicas is set but names no URLs")
@@ -128,48 +112,16 @@ func cmdServe(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		o = oracle.NewStack(oracle.Config{Remote: coord, Base: base})
-		role = "coordinator"
-	case *simDelay > 0 || *simTailDelay > 0:
-		o = oracle.NewStack(oracle.Config{Base: base})
-	default:
-		o = oracle.Default()
+		o, role = oracle.NewStack(oracle.Config{Remote: coord}), "coordinator"
 	}
 	defer reportVerifierStats(o)
-	// The store (when configured) must be attached before the legacy
-	// snapshot loads, so snapshot entries that overflow the hot tier
-	// demote into it instead of vanishing. Closing it after the drain
-	// syncs the unsynced tail — the last durability step of a graceful
-	// shutdown.
-	st, err := openStoreDir(o, *storeDir, *cacheFile, rec)
+	// Closing the store after the drain syncs the unsynced tail — the
+	// last durability step of a graceful shutdown.
+	st, err := openStoreDir(o, *storeDir, rec)
 	if err != nil {
 		return err
 	}
 	defer closeStore(st, rec)
-	if err := loadCacheFile(o, *cacheFile, rec); err != nil {
-		return err
-	}
-	// Legacy snapshot persistence: the final flush (after the drain)
-	// captures everything; periodic flushes bound the loss window of a
-	// hard kill. SaveFile is atomic, so a flush racing the final one
-	// never corrupts the snapshot. With -store-dir this whole O(n)
-	// rewrite cycle is replaced by the store's incremental appends, so
-	// the ticker never starts.
-	defer flushCacheFile(o, *cacheFile, rec)
-	if *cacheFile != "" && *cacheFlush > 0 && st == nil {
-		go func() {
-			t := time.NewTicker(*cacheFlush)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					flushCacheFile(o, *cacheFile, rec)
-				}
-			}
-		}()
-	}
 
 	scfg := server.Config{
 		Workers:        *workers,

@@ -65,15 +65,8 @@ var (
 	restoreErrors    atomic.Uint64
 )
 
-// CountSnapshot records one snapshot successfully written (called by
-// the writers in this package and by vcache's snapshot path).
-func CountSnapshot() { snapshotsWritten.Add(1) }
-
 // CountEntriesLoaded records n entries restored from durable state.
 func CountEntriesLoaded(n int) { entriesLoaded.Add(uint64(n)) }
-
-// CountRestoreError records one failed restore attempt.
-func CountRestoreError() { restoreErrors.Add(1) }
 
 // Counters returns the process-wide durable-state counters under
 // stable snake_case names for metrics exporters.
@@ -156,7 +149,7 @@ func Save(path, kind string, v any) error {
 	if err := WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
 		return err
 	}
-	CountSnapshot()
+	snapshotsWritten.Add(1)
 	return nil
 }
 
@@ -165,7 +158,7 @@ func Save(path, kind string, v any) error {
 // file and counts a restore error.
 func Load(path, kind string, v any) error {
 	if err := load(path, kind, v); err != nil {
-		CountRestoreError()
+		restoreErrors.Add(1)
 		return err
 	}
 	return nil

@@ -192,8 +192,8 @@ func (r *MixReport) String() string {
 	return sb.String()
 }
 
-// BenchOut is the BENCH_load.json document: one run of several mixes
-// against one target, comparable across PRs.
+// BenchOut is the report document `loadgen -out` writes: one run of
+// several mixes against one target.
 type BenchOut struct {
 	GeneratedUnixMilli int64        `json:"generated_unix_milli"`
 	Target             string       `json:"target"`

@@ -15,9 +15,6 @@ import (
 // vcache-engine behavior: whitespace-insensitive fingerprint keys,
 // singleflight deduplication of identical in-flight queries, bounded
 // promote-on-hit LRU eviction. Canceled results pass through uncached.
-// Because the cache sits outside the timeout/budget layers in the
-// canonical stack, a memoized verdict is served even when live solver
-// work would be refused.
 func WithCache(eng *vcache.Engine) Middleware {
 	return func(next Oracle) Oracle {
 		return Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
@@ -25,42 +22,6 @@ func WithCache(eng *vcache.Engine) Middleware {
 			return eng.Do(ctx, k, func() alive.Result {
 				return next.Verify(ctx, src, tgt, opts)
 			})
-		})
-	}
-}
-
-// WithTimeout bounds each query that reaches it with a per-query
-// deadline. Expired queries come back as Canceled Inconclusive
-// results (never cached). Wall-clock deadlines are load-dependent, so
-// this layer must not appear in stacks whose results feed the
-// deterministic training/evaluation contract.
-func WithTimeout(d time.Duration) Middleware {
-	return func(next Oracle) Oracle {
-		return Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-			tctx, cancel := context.WithTimeout(ctx, d)
-			defer cancel()
-			return next.Verify(tctx, src, tgt, opts)
-		})
-	}
-}
-
-// WithBudget admits at most max queries through to the inner oracle;
-// once spent, further queries return an Inconclusive "oracle budget
-// exhausted" verdict without running the solver. In the canonical
-// stack the budget sits inside the cache, so it bounds live solver
-// work, not total queries. Like a timeout, an exhausted budget makes
-// outcomes depend on query arrival order — keep it out of
-// deterministic training stacks.
-func WithBudget(max int64) Middleware {
-	var spent atomic.Int64
-	return func(next Oracle) Oracle {
-		return Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-			if spent.Add(1) > max {
-				spent.Add(-1) // not admitted; leave the counter at max
-				return alive.Result{Verdict: alive.Inconclusive,
-					Diag: fmt.Sprintf("ERROR: oracle budget exhausted (%d live queries)", max)}
-			}
-			return next.Verify(ctx, src, tgt, opts)
 		})
 	}
 }
@@ -78,12 +39,10 @@ type Remote interface {
 // WithShard routes queries to a remote verification cluster, falling
 // back to the inner (local) oracle only when the cluster cannot answer
 // — every reachable replica failed or shed. In the canonical stack it
-// sits between the cache and the limit layers: memoized verdicts are
-// served without a network hop, remote verdicts are memoized like
-// local ones, and the local budget/timeout bound only the fallback
-// path (each worker replica enforces its own limits). A query whose
-// own context ends is returned Canceled, never retried locally — the
-// caller is gone either way.
+// sits between the cache and the base: memoized verdicts are served
+// without a network hop and remote verdicts are memoized like local
+// ones. A query whose own context ends is returned Canceled, never
+// retried locally — the caller is gone either way.
 func WithShard(r Remote) Middleware {
 	return func(next Oracle) Oracle {
 		return Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
@@ -93,41 +52,6 @@ func WithShard(r Remote) Middleware {
 			}
 			if ctx != nil && ctx.Err() != nil {
 				return alive.CanceledResult(ctx.Err())
-			}
-			return next.Verify(ctx, src, tgt, opts)
-		})
-	}
-}
-
-// WithSimulatedLatency sleeps before every query that reaches it — the
-// cluster harness's stand-in for solver work on machines where real
-// verification would be CPU-bound (a sleeping replica scales with
-// replica count; a spinning one only with cores). Every tailEvery-th
-// query sleeps tail instead of base, modeling the skewed straggler
-// distribution hedged requests exist to cut. The sleep honors ctx, so
-// a hedged loser's cancellation aborts it promptly. Testing/benchmark
-// use only — like WithFaultInjection, it must never appear in a
-// production or deterministic-training stack.
-func WithSimulatedLatency(base time.Duration, tailEvery int, tail time.Duration) Middleware {
-	var n atomic.Uint64
-	return func(next Oracle) Oracle {
-		return Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-			d := base
-			if tailEvery > 0 && tail > 0 && n.Add(1)%uint64(tailEvery) == 0 {
-				d = tail
-			}
-			if d > 0 {
-				t := time.NewTimer(d)
-				defer t.Stop()
-				if ctx == nil {
-					<-t.C
-				} else {
-					select {
-					case <-t.C:
-					case <-ctx.Done():
-						return alive.CanceledResult(ctx.Err())
-					}
-				}
 			}
 			return next.Verify(ctx, src, tgt, opts)
 		})
@@ -214,27 +138,6 @@ func WithStats(c *StatsCollector) Middleware {
 				c.canceled.Add(1)
 			}
 			return res
-		})
-	}
-}
-
-// FaultFunc decides whether to inject a result for the n-th query (n
-// is 1-based) instead of running the inner oracle. Returning ok=false
-// passes the query through.
-type FaultFunc func(n uint64, src, tgt *ir.Function, opts alive.Options) (res alive.Result, ok bool)
-
-// WithFaultInjection intercepts queries with fn — the test seam for
-// verifier flakes: simulated budget exhaustion, wrong verdicts,
-// cancellations, or slow paths, injected deterministically by query
-// ordinal without touching the solver.
-func WithFaultInjection(fn FaultFunc) Middleware {
-	var n atomic.Uint64
-	return func(next Oracle) Oracle {
-		return Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-			if res, ok := fn(n.Add(1), src, tgt, opts); ok {
-				return res
-			}
-			return next.Verify(ctx, src, tgt, opts)
 		})
 	}
 }

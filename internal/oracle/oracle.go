@@ -4,8 +4,8 @@
 // wiring itself to the SAT-backed checker or the verdict cache
 // directly. The paper puts the verifier inside the RL loop (Eq. 1–2);
 // this package is the seam that makes that verifier swappable,
-// cacheable, cancelable, budgetable, and observable without touching
-// the loops themselves.
+// cacheable, cancelable, and observable without touching the loops
+// themselves.
 //
 // An Oracle is one method:
 //
@@ -14,22 +14,24 @@
 // Concerns stack as middleware around the base SAT-backed verifier.
 // The canonical order, outermost first (pinned by tests):
 //
-//	WithStats → WithCache → WithShard → WithBudget → WithTimeout → WithFaultInjection → Base
+//	WithStats → WithCache → WithShard → Base
 //
 // Stats outermost so verdict counters see every query including cache
-// hits; the cache outside the limits so a memoized verdict is served
-// even when the timeout or budget would refuse live solver work; the
-// shard layer (coordinator mode only) inside the cache so memoized
-// verdicts never pay a network hop and remote verdicts are memoized
-// like local ones, but outside the limits so the local budget/timeout
-// bound only the local-fallback path; the limits outside fault
-// injection so injected faults are subject to them in tests.
+// hits; the shard layer (coordinator mode only) inside the cache so
+// memoized verdicts never pay a network hop and remote verdicts are
+// memoized like local ones; the base under the shard layer so a
+// coordinator verifies locally only when no replica can answer.
+//
+// Nothing in the stack consults a clock or a counter to decide a
+// verdict: deadlines arrive as request contexts, and the solver's
+// effort bound is alive.Options.SolverBudget, which is part of the
+// cache key. Config.Base is the one substitution seam — tests and
+// harnesses install a fake or a slowed verifier there.
 package oracle
 
 import (
 	"context"
 	"sync"
-	"time"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
@@ -66,7 +68,7 @@ func Base() Oracle {
 
 // Config assembles the standard stack. The zero value builds the
 // default production shape: stats over a default-sized cache over the
-// base verifier, with no timeout, budget, or fault layer.
+// base verifier.
 type Config struct {
 	// CacheEntries bounds the verdict cache's hot tier (<= 0 selects
 	// vcache.DefaultMaxEntries).
@@ -77,23 +79,13 @@ type Config struct {
 	// demote. Pass a *vstore.Store (directly, or via Stack.UseStore)
 	// to also light up the store section of /metrics.
 	Backing vcache.Backing
-	// Timeout bounds each live verification query (0 = none). Timeout
-	// verdicts are Canceled and therefore never cached, so a stack
-	// with a timeout is NOT deterministic under load — keep it out of
-	// training stacks whose results must be reproducible.
-	Timeout time.Duration
-	// Budget bounds the number of live verifier runs admitted through
-	// the stack (0 = unlimited); see WithBudget.
-	Budget int64
-	// Fault, when non-nil, is installed innermost for tests; see
-	// WithFaultInjection.
-	Fault FaultFunc
 	// Remote, when non-nil, makes this stack a cluster coordinator:
 	// queries that miss the cache are routed to the remote replica set
-	// (see WithShard), with everything below the shard layer serving
-	// only as the local fallback when no replica can answer.
+	// (see WithShard), with the base serving only as the local
+	// fallback when no replica can answer.
 	Remote Remote
-	// Base overrides the bottom of the stack (nil selects Base()).
+	// Base overrides the bottom of the stack (nil selects Base()): the
+	// one seam where a test or harness substitutes the verifier.
 	Base Oracle
 }
 
@@ -157,15 +149,6 @@ func NewStack(cfg Config) *Stack {
 		base = Base()
 	}
 	o := base
-	if cfg.Fault != nil {
-		o = WithFaultInjection(cfg.Fault)(o)
-	}
-	if cfg.Timeout > 0 {
-		o = WithTimeout(cfg.Timeout)(o)
-	}
-	if cfg.Budget > 0 {
-		o = WithBudget(cfg.Budget)(o)
-	}
 	if cfg.Remote != nil {
 		o = WithShard(cfg.Remote)(o)
 	}

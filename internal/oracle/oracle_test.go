@@ -2,14 +2,11 @@ package oracle
 
 import (
 	"context"
-	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
-	"veriopt/internal/vcache"
 )
 
 var bg = context.Background()
@@ -67,71 +64,6 @@ func TestStackVerifiesRealPair(t *testing.T) {
 	}
 }
 
-// TestCacheOutsideBudget pins the canonical order: a memoized verdict
-// is served even after the live-query budget is exhausted, because
-// WithCache wraps WithBudget, not the other way round.
-func TestCacheOutsideBudget(t *testing.T) {
-	var base atomic.Int64
-	st := NewStack(Config{Budget: 1, Base: countingBase(&base)})
-	src, tgt, bad := mustParse(t, srcText), mustParse(t, tgtText), mustParse(t, badText)
-	opts := alive.DefaultOptions()
-
-	if r := st.Verify(bg, src, tgt, opts); r.Verdict != alive.Equivalent {
-		t.Fatalf("first query verdict = %v", r.Verdict)
-	}
-	// Identical query: cache hit, never reaches the budget layer.
-	if r := st.Verify(bg, src, tgt, opts); r.Verdict != alive.Equivalent {
-		t.Fatalf("cached query verdict = %v", r.Verdict)
-	}
-	if base.Load() != 1 {
-		t.Fatalf("base ran %d times, want 1", base.Load())
-	}
-	// A fresh query must be refused by the spent budget.
-	r := st.Verify(bg, src, bad, opts)
-	if r.Verdict != alive.Inconclusive || !strings.Contains(r.Diag, "oracle budget exhausted") {
-		t.Fatalf("fresh query past budget: %+v", r)
-	}
-	// ...while the memoized pair keeps answering.
-	if r := st.Verify(bg, src, tgt, opts); r.Verdict != alive.Equivalent {
-		t.Fatalf("cached query after budget exhaustion: %v", r.Verdict)
-	}
-	if base.Load() != 1 {
-		t.Fatalf("base ran %d times, want 1", base.Load())
-	}
-}
-
-// TestCacheOutsideTimeout pins the other half of the order: a verdict
-// already in the cache is served even when the per-query timeout
-// would kill any live run.
-func TestCacheOutsideTimeout(t *testing.T) {
-	blockingBase := Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-		<-ctx.Done() // a live run can only end by cancellation
-		return alive.CanceledResult(ctx.Err())
-	})
-	st := NewStack(Config{Timeout: time.Nanosecond, Base: blockingBase})
-	src, tgt := mustParse(t, srcText), mustParse(t, tgtText)
-	opts := alive.DefaultOptions()
-
-	// Pre-populate the cache through the engine under the same key the
-	// cache layer computes.
-	k := vcache.Key{Src: vcache.KeyOfFunc(src), Dst: vcache.KeyOfFunc(tgt), Opts: opts}
-	st.Engine.Do(bg, k, func() alive.Result { return alive.Result{Verdict: alive.Equivalent} })
-
-	if r := st.Verify(bg, src, tgt, opts); r.Verdict != alive.Equivalent || r.Canceled {
-		t.Fatalf("cached verdict not served past the timeout layer: %+v", r)
-	}
-	// An uncached pair under the same stack times out — and the
-	// canceled result is not stored.
-	bad := mustParse(t, badText)
-	r := st.Verify(bg, src, bad, opts)
-	if !r.Canceled || r.Verdict != alive.Inconclusive {
-		t.Fatalf("uncached query under 1ns timeout: %+v", r)
-	}
-	if _, cs := st.OracleStats(); cs.Entries != 1 {
-		t.Fatalf("canceled result was cached: %+v", cs)
-	}
-}
-
 // TestStatsOutsideCache: the stats layer counts every query including
 // cache hits, while the engine's misses count only live runs.
 func TestStatsOutsideCache(t *testing.T) {
@@ -147,59 +79,6 @@ func TestStatsOutsideCache(t *testing.T) {
 	}
 	if cs.Misses != 1 || cs.Hits != 2 {
 		t.Fatalf("cache layer: %+v", cs)
-	}
-}
-
-// TestFaultInjectionMakesFlakesTestable: an injected budget-exhausted
-// verdict on chosen ordinals reaches the caller like a real solver
-// flake, without touching the SAT stack.
-func TestFaultInjectionMakesFlakesTestable(t *testing.T) {
-	var base atomic.Int64
-	flake := alive.Result{Verdict: alive.Inconclusive, Diag: "ERROR: solver budget exhausted (injected)"}
-	st := NewStack(Config{
-		Base: countingBase(&base),
-		Fault: func(n uint64, src, tgt *ir.Function, opts alive.Options) (alive.Result, bool) {
-			return flake, n%2 == 1 // flake every odd live query
-		},
-	})
-	src := mustParse(t, srcText)
-	targets := []*ir.Function{mustParse(t, tgtText), mustParse(t, badText)}
-	r1 := st.Verify(bg, src, targets[0], alive.DefaultOptions())
-	r2 := st.Verify(bg, src, targets[1], alive.DefaultOptions())
-	if r1.Verdict != alive.Inconclusive || !strings.Contains(r1.Diag, "injected") {
-		t.Fatalf("first query not flaked: %+v", r1)
-	}
-	if r2.Verdict != alive.Equivalent {
-		t.Fatalf("second query flaked too: %+v", r2)
-	}
-	if base.Load() != 1 {
-		t.Fatalf("base ran %d times, want 1 (the non-flaked query)", base.Load())
-	}
-}
-
-// TestTimeoutUnblocksSlowBase: the timeout layer turns a wedged base
-// into a prompt Canceled verdict.
-func TestTimeoutUnblocksSlowBase(t *testing.T) {
-	slow := Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-		select {
-		case <-ctx.Done():
-			return alive.CanceledResult(ctx.Err())
-		case <-time.After(30 * time.Second):
-			return alive.Result{Verdict: alive.Equivalent}
-		}
-	})
-	st := NewStack(Config{Timeout: 10 * time.Millisecond, Base: slow})
-	src, tgt := mustParse(t, srcText), mustParse(t, tgtText)
-	t0 := time.Now()
-	r := st.Verify(bg, src, tgt, alive.DefaultOptions())
-	if !r.Canceled {
-		t.Fatalf("slow base not canceled: %+v", r)
-	}
-	if d := time.Since(t0); d > 5*time.Second {
-		t.Fatalf("timeout took %v", d)
-	}
-	if os, _ := st.OracleStats(); os.Canceled != 1 {
-		t.Fatalf("canceled counter: %+v", os)
 	}
 }
 

@@ -73,28 +73,6 @@ func TestShardFallsBackToLocal(t *testing.T) {
 	}
 }
 
-// TestShardOutsideBudget pins the order against the limit layers:
-// remote answers must not consume the local live-query budget — it
-// exists to bound local solver work, which a remote verdict never is.
-func TestShardOutsideBudget(t *testing.T) {
-	var remote, base atomic.Int64
-	st := NewStack(Config{
-		Budget: 1,
-		Remote: countingRemote(&remote, alive.Result{Verdict: alive.Equivalent}, nil),
-		Base:   countingBase(&base),
-	})
-	src := mustParse(t, srcText)
-	targets := []*ir.Function{mustParse(t, tgtText), mustParse(t, badText)}
-	for i, tgt := range targets {
-		if r := st.Verify(bg, src, tgt, alive.DefaultOptions()); r.Verdict != alive.Equivalent {
-			t.Fatalf("remote query %d hit the local budget: %+v", i, r)
-		}
-	}
-	if remote.Load() != 2 || base.Load() != 0 {
-		t.Fatalf("remote ran %d, base ran %d; want 2 and 0", remote.Load(), base.Load())
-	}
-}
-
 // TestShardCanceledNoFallback: a query whose own context ends during
 // the remote attempt is returned Canceled, not re-run on the local
 // verifier — the caller is gone and a local solve would be wasted

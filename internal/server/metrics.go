@@ -184,7 +184,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	b.WriteString("# TYPE veriopt_queue_capacity gauge\n")
 	fmt.Fprintf(&b, "veriopt_queue_capacity %d\n", s.cfg.QueueSize)
 
-	b.WriteString("# HELP veriopt_ckpt_total Checkpoint subsystem counters (snapshots written, entries loaded, restore errors) since process start.\n")
+	b.WriteString("# HELP veriopt_ckpt_total Training-checkpoint counters (checkpoints written, entries loaded, restore errors) since process start.\n")
 	b.WriteString("# TYPE veriopt_ckpt_total counter\n")
 	writeCounters(&b, "veriopt_ckpt_total", ckpt.Counters())
 
@@ -197,7 +197,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		b.WriteString("# TYPE veriopt_oracle_wall_seconds_total counter\n")
 		fmt.Fprintf(&b, "veriopt_oracle_wall_seconds_total %g\n", ostats.Wall.Seconds())
 
-		b.WriteString("# HELP veriopt_vcache_total Verdict-cache counters (queries, hits, misses, evictions, budget_exhausted, solver_conflicts, canceled).\n")
+		b.WriteString("# HELP veriopt_vcache_total Verdict-cache counters (queries, hits, misses, evictions, promotions, demotions, store_errors, budget_exhausted, solver_conflicts, canceled).\n")
 		b.WriteString("# TYPE veriopt_vcache_total counter\n")
 		writeCounters(&b, "veriopt_vcache_total", cstats.Counters())
 		b.WriteString("# HELP veriopt_vcache_hit_rate Hits over queries since process start.\n")

@@ -1,7 +1,6 @@
 package vcache
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -17,6 +16,11 @@ type memBacking struct {
 	gets int
 	puts int
 	fail bool
+}
+
+func resN(i int) alive.Result {
+	return alive.Result{Verdict: alive.SemanticError, Diag: fmt.Sprintf("ERROR: Value mismatch %d", i),
+		Counterexample: map[string]uint64{"0": uint64(i)}, SolverConflicts: 10 * i}
 }
 
 func newMemBacking() *memBacking { return &memBacking{m: make(map[Key]alive.Result)} }
@@ -224,44 +228,5 @@ func TestCanceledNeverReachesBacking(t *testing.T) {
 	}
 	if s := e.Stats(); s.Promotions != 0 {
 		t.Fatalf("promotions = %d, want 0", s.Promotions)
-	}
-}
-
-func TestSnapshotLoadOverflowDemotesIntoBacking(t *testing.T) {
-	// The migration path: a legacy snapshot larger than the hot tier
-	// loads without losing verdicts — the overflow demotes to disk.
-	src := New(Config{})
-	fill(t, src, 6)
-	var buf bytes.Buffer
-	if _, err := src.SnapshotTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	b := newMemBacking()
-	dst := New(Config{MaxEntries: 2, Backing: b})
-	n, err := dst.LoadFrom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 6 {
-		t.Fatalf("loaded %d, want 6", n)
-	}
-	s := dst.Stats()
-	if s.Entries != 2 {
-		t.Fatalf("hot entries = %d, want 2", s.Entries)
-	}
-	if b.len() != 4 {
-		t.Fatalf("backing holds %d demoted verdicts, want 4", b.len())
-	}
-	// Every snapshot verdict answers without compute: two hot, four
-	// promoted from the backing.
-	for i := 0; i < 6; i++ {
-		got := dst.Do(bg, keyN(i), func() alive.Result {
-			t.Fatalf("compute ran for snapshot key %d", i)
-			return alive.Result{}
-		})
-		if got.Diag != resN(i).Diag {
-			t.Fatalf("snapshot verdict %d = %+v", i, got)
-		}
 	}
 }

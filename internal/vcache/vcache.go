@@ -26,7 +26,7 @@
 // vcache is deliberately only a cache: it never invokes the verifier
 // itself (the compute callback passed to Do does) and it owns no
 // scheduling — the worker pool lives in internal/par, and the
-// composition of cache, limits, and stats lives in internal/oracle.
+// composition of cache, shard, and stats lives in internal/oracle.
 package vcache
 
 import (
@@ -192,9 +192,10 @@ type entry struct {
 	key Key
 	res alive.Result
 	// durable marks entries known to exist in the backing (written
-	// through, or promoted out of it). Non-durable entries — loaded
-	// from a legacy snapshot — get a demote write on eviction so a
-	// backing never loses a verdict to the hot-tier bound.
+	// through, or promoted out of it). Non-durable entries — their
+	// write-through failed, or they predate SetBacking — get a demote
+	// write on eviction so a backing never loses a verdict to the
+	// hot-tier bound.
 	durable bool
 }
 
