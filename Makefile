@@ -67,13 +67,21 @@ passes-smoke:
 load-smoke:
 	LOAD_SMOKE=1 $(GO) test -run TestLoadSmoke -count=1 -v ./internal/loadgen
 
-# lint fails on any vet diagnostic or unformatted file.
+# lint fails on any vet diagnostic or unformatted file, and on
+# Prometheus exposition text written or matched by hand: internal/metrics
+# is the format's one renderer and one parser.
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt: the following files need formatting:"; \
 		echo "$$fmtout"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnF -e '# HELP' -e '# TYPE' -e '{counter=' --include='*.go' --exclude='*_test.go' --exclude-dir=metrics internal cmd); \
+	if [ -n "$$hits" ]; then \
+		echo "exposition text outside internal/metrics (build a metrics.Family, or look it up on a metrics.Scrape):"; \
+		echo "$$hits"; \
 		exit 1; \
 	fi
 

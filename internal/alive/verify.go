@@ -34,6 +34,16 @@ var verdictNames = [...]string{"equivalent", "semantic_error", "syntax_error", "
 // String returns a stable lowercase verdict name.
 func (v Verdict) String() string { return verdictNames[v] }
 
+// ParseVerdict is String's inverse, for verdicts read off the wire.
+func ParseVerdict(name string) (Verdict, bool) {
+	for v, n := range verdictNames {
+		if n == name {
+			return Verdict(v), true
+		}
+	}
+	return 0, false
+}
+
 // Result is the outcome of a verification query.
 type Result struct {
 	Verdict Verdict

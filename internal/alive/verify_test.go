@@ -566,3 +566,18 @@ def:
 `
 	wantVerdict(t, verify(t, src, tgt), Equivalent)
 }
+
+// TestParseVerdictInvertsString: the wire names round-trip through the
+// one name table, and nothing else is a verdict.
+func TestParseVerdictInvertsString(t *testing.T) {
+	for v := Equivalent; v <= Inconclusive; v++ {
+		if got, ok := ParseVerdict(v.String()); !ok || got != v {
+			t.Errorf("ParseVerdict(%q) = %v, %v", v.String(), got, ok)
+		}
+	}
+	for _, name := range []string{"", "Equivalent", "canceled"} {
+		if v, ok := ParseVerdict(name); ok {
+			t.Errorf("ParseVerdict(%q) = %v, want not ok", name, v)
+		}
+	}
+}

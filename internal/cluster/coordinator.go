@@ -17,6 +17,7 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
 	"veriopt/internal/obs"
+	"veriopt/internal/server"
 	"veriopt/internal/vcache"
 )
 
@@ -238,10 +239,6 @@ func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, o
 	if call, ok := c.sf[key]; ok {
 		c.sfMu.Unlock()
 		c.coalesced.Add(1)
-		if ctx == nil {
-			<-call.done
-			return call.res, call.err
-		}
 		select {
 		case <-call.done:
 			return call.res, call.err
@@ -280,16 +277,16 @@ type attemptResult struct {
 // cancels the losers.
 func (c *Coordinator) dispatch(ctx context.Context, key [sha256.Size]byte, srcText, tgtText string, opts alive.Options) (alive.Result, error) {
 	order := c.healthyFirst(c.ring.Order(key))
-	body, err := json.Marshal(verifyRequest{
+	body, err := json.Marshal(server.VerifyRequest{
 		Src:     srcText,
 		Tgt:     tgtText,
-		Options: wireOptions(opts),
+		Options: &server.OptionsJSON{MaxPaths: opts.MaxPaths, MaxSteps: opts.MaxSteps, SolverBudget: opts.SolverBudget},
 	})
 	if err != nil {
 		return alive.Result{}, fmt.Errorf("cluster: marshal request: %w", err)
 	}
 
-	dctx, cancel := context.WithCancel(orBackground(ctx))
+	dctx, cancel := context.WithCancel(ctx)
 	defer cancel() // cancels the losing attempts' requests
 
 	// Buffered to the attempt count so losing attempts can always
@@ -448,11 +445,11 @@ func (c *Coordinator) post(ctx context.Context, rep *replica, body []byte) (aliv
 	if resp.StatusCode != http.StatusOK {
 		return alive.Result{}, fmt.Errorf("replica %s: status %d", rep.url, resp.StatusCode), false
 	}
-	var vr verifyResponse
+	var vr server.VerifyResponse
 	if err := json.NewDecoder(resp.Body).Decode(&vr); err != nil {
 		return alive.Result{}, fmt.Errorf("replica %s: decode: %w", rep.url, err), false
 	}
-	v, ok := verdictFromName[vr.Verdict]
+	v, ok := alive.ParseVerdict(vr.Verdict)
 	if !ok {
 		return alive.Result{}, fmt.Errorf("replica %s: unknown verdict %q", rep.url, vr.Verdict), false
 	}
@@ -463,13 +460,6 @@ func (c *Coordinator) post(ctx context.Context, rep *replica, body []byte) (aliv
 		Counterexample:  vr.Counterexample,
 		SolverConflicts: vr.SolverConflicts,
 	}, nil, false
-}
-
-func orBackground(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
 }
 
 // latencySampler is a bounded reservoir of recent winning-attempt
@@ -503,45 +493,4 @@ func (s *latencySampler) quantiles() (p50, p99 time.Duration, n int) {
 	p50 = sorted[n/2]
 	p99 = sorted[(n*99)/100]
 	return p50, p99, n
-}
-
-// Wire types duplicate the /v1/verify JSON contract from
-// internal/server. Duplicated rather than imported so cluster and
-// server stay independent packages (server hosts the coordinator's
-// metrics through a callback; importing it here would cycle).
-// server/handlers.go is the contract's home; these must match it.
-//
-// alive.Options.FreshSolver has no wire field — the incremental-solver
-// choice is a per-process tuning knob, not part of query identity on
-// the wire — so a forwarded query runs under the worker's own solver
-// mode.
-type verifyRequest struct {
-	Src     string       `json:"src"`
-	Tgt     string       `json:"tgt"`
-	Options *optionsJSON `json:"options,omitempty"`
-}
-
-type optionsJSON struct {
-	MaxPaths     int `json:"max_paths,omitempty"`
-	MaxSteps     int `json:"max_steps,omitempty"`
-	SolverBudget int `json:"solver_budget,omitempty"`
-}
-
-type verifyResponse struct {
-	Verdict         string            `json:"verdict"`
-	Diag            string            `json:"diag,omitempty"`
-	Canceled        bool              `json:"canceled,omitempty"`
-	Counterexample  map[string]uint64 `json:"counterexample,omitempty"`
-	SolverConflicts int               `json:"solver_conflicts,omitempty"`
-}
-
-func wireOptions(o alive.Options) *optionsJSON {
-	return &optionsJSON{MaxPaths: o.MaxPaths, MaxSteps: o.MaxSteps, SolverBudget: o.SolverBudget}
-}
-
-var verdictFromName = map[string]alive.Verdict{
-	alive.Equivalent.String():    alive.Equivalent,
-	alive.SemanticError.String(): alive.SemanticError,
-	alive.SyntaxError.String():   alive.SyntaxError,
-	alive.Inconclusive.String():  alive.Inconclusive,
 }

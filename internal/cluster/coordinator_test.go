@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -17,6 +18,7 @@ import (
 	"veriopt/internal/ir"
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
+	"veriopt/internal/server"
 	"veriopt/internal/vcache"
 )
 
@@ -52,6 +54,7 @@ type fakeWorker struct {
 	ts *httptest.Server
 
 	hits      atomic.Uint64
+	body      atomic.Value // the last /v1/verify request body, raw ([]byte)
 	delay     atomic.Int64 // nanoseconds before answering
 	shed      atomic.Bool  // answer 429 instead of a verdict
 	healthzOK atomic.Bool
@@ -77,8 +80,10 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 			http.Error(rw, "queue full", http.StatusTooManyRequests)
 			return
 		}
-		var req verifyRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		body, _ := io.ReadAll(r.Body)
+		w.body.Store(body)
+		var req server.VerifyRequest
+		if err := json.Unmarshal(body, &req); err != nil {
 			http.Error(rw, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -98,7 +103,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 				return
 			}
 		}
-		json.NewEncoder(rw).Encode(verifyResponse{Verdict: alive.Equivalent.String()})
+		json.NewEncoder(rw).Encode(server.VerifyResponse{Verdict: alive.Equivalent.String()})
 	})
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
 		if !w.healthzOK.Load() {
@@ -157,6 +162,36 @@ func TestForwardRoundTrip(t *testing.T) {
 	}
 	if w.hits.Load() != 1 || c.reps[0].requests.Load() != 1 {
 		t.Fatalf("hits = %d, requests = %d, want 1/1", w.hits.Load(), c.reps[0].requests.Load())
+	}
+}
+
+// TestForwardedRequestBody pins the bytes a replica receives: the
+// canonical texts, the three limits (zero ones omitted, the object
+// always present) and no timeout_ms, in this order. Written against
+// the coordinator's own copy of the contract, before it imported
+// server.VerifyRequest.
+func TestForwardedRequestBody(t *testing.T) {
+	w := newFakeWorker(t)
+	c := mustNew(t, Config{Replicas: []string{w.ts.URL}})
+	src, tgt := parsePair(t)
+	srcJSON, _ := json.Marshal(ir.CanonicalText(src))
+	tgtJSON, _ := json.Marshal(ir.CanonicalText(tgt))
+	for _, tc := range []struct {
+		opts    alive.Options
+		options string
+	}{
+		{alive.Options{MaxPaths: 64, MaxSteps: 2000, SolverBudget: 30000, FreshSolver: true},
+			`{"max_paths":64,"max_steps":2000,"solver_budget":30000}`},
+		{alive.Options{MaxSteps: 7}, `{"max_steps":7}`},
+		{alive.Options{}, `{}`},
+	} {
+		if _, err := c.VerifyRemote(context.Background(), src, tgt, tc.opts); err != nil {
+			t.Fatal(err)
+		}
+		want := `{"src":` + string(srcJSON) + `,"tgt":` + string(tgtJSON) + `,"options":` + tc.options + `}`
+		if got := string(w.body.Load().([]byte)); got != want {
+			t.Errorf("opts %+v: body\n%s\nwant\n%s", tc.opts, got, want)
+		}
 	}
 }
 

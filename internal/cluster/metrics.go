@@ -1,16 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"veriopt/internal/metrics"
 )
 
 // scrapeTimeout bounds the merged worker /metrics scrape so a stuck
@@ -33,67 +31,42 @@ var mergedFamilies = []string{
 // fleet's merged oracle/vcache/vstore counters and summed queue
 // depth. Wire it into the serving layer via server.Config.ExtraMetrics.
 func (c *Coordinator) MetricsText(ctx context.Context) string {
-	var b strings.Builder
-
-	b.WriteString("# HELP veriopt_cluster_replicas Configured worker replicas.\n")
-	b.WriteString("# TYPE veriopt_cluster_replicas gauge\n")
-	fmt.Fprintf(&b, "veriopt_cluster_replicas %d\n", len(c.reps))
-	b.WriteString("# HELP veriopt_cluster_replicas_healthy Replicas currently marked healthy.\n")
-	b.WriteString("# TYPE veriopt_cluster_replicas_healthy gauge\n")
-	fmt.Fprintf(&b, "veriopt_cluster_replicas_healthy %d\n", c.healthyCount())
-
-	b.WriteString("# HELP veriopt_cluster_coalesced_total Queries answered by an identical in-flight query (cross-node singleflight).\n")
-	b.WriteString("# TYPE veriopt_cluster_coalesced_total counter\n")
-	fmt.Fprintf(&b, "veriopt_cluster_coalesced_total %d\n", c.coalesced.Load())
-
-	b.WriteString("# HELP veriopt_cluster_hedge_delay_seconds Current hedge delay (fixed or quantile-derived).\n")
-	b.WriteString("# TYPE veriopt_cluster_hedge_delay_seconds gauge\n")
-	fmt.Fprintf(&b, "veriopt_cluster_hedge_delay_seconds %g\n", c.hedgeDelay().Seconds())
-
-	perReplica := []struct {
-		family, help string
-		read         func(r *replica) uint64
+	fams := []metrics.Family{
+		metrics.Scalar("veriopt_cluster_replicas", "Configured worker replicas.", "gauge", metrics.Int(len(c.reps))),
+		metrics.Scalar("veriopt_cluster_replicas_healthy", "Replicas currently marked healthy.", "gauge", metrics.Int(c.healthyCount())),
+		metrics.Scalar("veriopt_cluster_coalesced_total", "Queries answered by an identical in-flight query (cross-node singleflight).", "counter", metrics.Int(c.coalesced.Load())),
+		metrics.Scalar("veriopt_cluster_hedge_delay_seconds", "Current hedge delay (fixed or quantile-derived).", "gauge", metrics.Float(c.hedgeDelay().Seconds())),
+	}
+	up := func(r *replica) uint64 {
+		if r.healthy.Load() {
+			return 1
+		}
+		return 0
+	}
+	for _, fam := range []struct {
+		name, typ, help string
+		read            func(r *replica) uint64
 	}{
-		{"veriopt_cluster_requests_total", "Attempts dispatched per replica (primaries, hedges, retries).", func(r *replica) uint64 { return r.requests.Load() }},
-		{"veriopt_cluster_errors_total", "Failed attempts per replica.", func(r *replica) uint64 { return r.errors.Load() }},
-		{"veriopt_cluster_retries_total", "Failure re-routes landing on this replica.", func(r *replica) uint64 { return r.retries.Load() }},
-		{"veriopt_cluster_hedges_total", "Speculative hedge attempts landing on this replica.", func(r *replica) uint64 { return r.hedges.Load() }},
-		{"veriopt_cluster_hedge_wins_total", "Hedge attempts that answered before the primary.", func(r *replica) uint64 { return r.hedgeWins.Load() }},
-	}
-	for _, fam := range perReplica {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", fam.family, fam.help, fam.family)
+		{"veriopt_cluster_requests_total", "counter", "Attempts dispatched per replica (primaries, hedges, retries).", func(r *replica) uint64 { return r.requests.Load() }},
+		{"veriopt_cluster_errors_total", "counter", "Failed attempts per replica.", func(r *replica) uint64 { return r.errors.Load() }},
+		{"veriopt_cluster_retries_total", "counter", "Failure re-routes landing on this replica.", func(r *replica) uint64 { return r.retries.Load() }},
+		{"veriopt_cluster_hedges_total", "counter", "Speculative hedge attempts landing on this replica.", func(r *replica) uint64 { return r.hedges.Load() }},
+		{"veriopt_cluster_hedge_wins_total", "counter", "Hedge attempts that answered before the primary.", func(r *replica) uint64 { return r.hedgeWins.Load() }},
+		{"veriopt_cluster_replica_up", "gauge", "Per-replica health (1 healthy, 0 demoted).", up},
+	} {
+		f := metrics.Family{Name: fam.name, Help: fam.help, Type: fam.typ}
 		for _, rep := range c.reps {
-			fmt.Fprintf(&b, "%s{replica=%q} %d\n", fam.family, rep.url, fam.read(rep))
+			f.Samples = append(f.Samples, metrics.Sample{Labels: []metrics.Label{{"replica", rep.url}}, Value: metrics.Int(fam.read(rep))})
 		}
-	}
-	b.WriteString("# HELP veriopt_cluster_replica_up Per-replica health (1 healthy, 0 demoted).\n")
-	b.WriteString("# TYPE veriopt_cluster_replica_up gauge\n")
-	for _, rep := range c.reps {
-		up := 0
-		if rep.healthy.Load() {
-			up = 1
-		}
-		fmt.Fprintf(&b, "veriopt_cluster_replica_up{replica=%q} %d\n", rep.url, up)
+		fams = append(fams, f)
 	}
 
-	c.writeMergedScrape(ctx, &b)
-	return b.String()
-}
-
-// writeMergedScrape fetches /metrics from every healthy replica in
-// parallel and re-emits the summed counter families plus total queue
-// depth. Unreachable replicas are skipped (and counted), never waited
-// on past the scrape timeout.
-func (c *Coordinator) writeMergedScrape(ctx context.Context, b *strings.Builder) {
-	sctx, cancel := context.WithTimeout(orBackground(ctx), scrapeTimeout)
+	// The merged scrape: each healthy replica's /metrics, fetched in
+	// parallel and parsed; a replica that does not answer in full
+	// within the scrape timeout is skipped, never waited on past it.
+	sctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
-
-	type scrape struct {
-		counters map[string]map[string]uint64 // family -> counter label -> sum
-		qdepth   int64
-		ok       bool
-	}
-	scrapes := make([]scrape, len(c.reps))
+	scrapes := make([]metrics.Scrape, len(c.reps))
 	var wg sync.WaitGroup
 	for i, rep := range c.reps {
 		if !rep.healthy.Load() {
@@ -102,108 +75,64 @@ func (c *Coordinator) writeMergedScrape(ctx context.Context, b *strings.Builder)
 		wg.Add(1)
 		go func(i int, rep *replica) {
 			defer wg.Done()
-			req, err := http.NewRequestWithContext(sctx, http.MethodGet, rep.url+"/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := rep.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer func() {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-			}()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			counters, qdepth := parseWorkerMetrics(resp.Body)
-			scrapes[i] = scrape{counters: counters, qdepth: qdepth, ok: true}
+			scrapes[i] = scrapeReplica(sctx, rep)
 		}(i, rep)
 	}
 	wg.Wait()
 
 	merged := make(map[string]map[string]uint64)
-	var qdepth int64
-	scraped := 0
+	for _, fam := range mergedFamilies {
+		merged[fam] = make(map[string]uint64)
+	}
+	var scraped, qdepth uint64
 	for _, s := range scrapes {
-		if !s.ok {
+		if s == nil {
 			continue
 		}
 		scraped++
-		qdepth += s.qdepth
-		for fam, cs := range s.counters {
-			if merged[fam] == nil {
-				merged[fam] = make(map[string]uint64)
-			}
-			for name, v := range cs {
-				merged[fam][name] += v
+		qdepth += s.Uint("veriopt_queue_depth")
+		for _, fam := range mergedFamilies {
+			for name, n := range s.Labeled(fam, "counter") {
+				merged[fam][name] += n
 			}
 		}
 	}
-
-	b.WriteString("# HELP veriopt_cluster_workers_scraped Replicas whose /metrics answered within the scrape timeout.\n")
-	b.WriteString("# TYPE veriopt_cluster_workers_scraped gauge\n")
-	fmt.Fprintf(b, "veriopt_cluster_workers_scraped %d\n", scraped)
-	b.WriteString("# HELP veriopt_cluster_workers_queue_depth Queued-but-unstarted jobs summed across scraped replicas.\n")
-	b.WriteString("# TYPE veriopt_cluster_workers_queue_depth gauge\n")
-	fmt.Fprintf(b, "veriopt_cluster_workers_queue_depth %d\n", qdepth)
-
+	fams = append(fams,
+		metrics.Scalar("veriopt_cluster_workers_scraped", "Replicas whose /metrics answered within the scrape timeout.", "gauge", metrics.Int(scraped)),
+		metrics.Scalar("veriopt_cluster_workers_queue_depth", "Queued-but-unstarted jobs summed across scraped replicas.", "gauge", metrics.Int(qdepth)))
 	for _, fam := range mergedFamilies {
-		cs := merged[fam]
-		if len(cs) == 0 {
-			continue
-		}
-		out := "veriopt_cluster_" + strings.TrimPrefix(fam, "veriopt_")
-		fmt.Fprintf(b, "# HELP %s %s summed across scraped replicas.\n# TYPE %s counter\n", out, fam, out)
-		names := make([]string, 0, len(cs))
-		for n := range cs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(b, "%s{counter=%q} %d\n", out, n, cs[n])
+		if len(merged[fam]) > 0 {
+			fams = append(fams, metrics.Counters("veriopt_cluster_"+strings.TrimPrefix(fam, "veriopt_"),
+				fam+" summed across scraped replicas.", merged[fam]))
 		}
 	}
+
+	var b strings.Builder
+	metrics.Write(&b, fams)
+	return b.String()
 }
 
-// parseWorkerMetrics extracts the merged counter families and the
-// queue-depth gauge from one worker's Prometheus text exposition.
-func parseWorkerMetrics(r io.Reader) (map[string]map[string]uint64, int64) {
-	counters := make(map[string]map[string]uint64)
-	var qdepth int64
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		if v, ok := strings.CutPrefix(line, "veriopt_queue_depth "); ok {
-			if n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64); err == nil {
-				qdepth = n
-			}
-			continue
-		}
-		for _, fam := range mergedFamilies {
-			rest, ok := strings.CutPrefix(line, fam+`{counter="`)
-			if !ok {
-				continue
-			}
-			name, val, ok := strings.Cut(rest, `"} `)
-			if !ok {
-				break
-			}
-			n, err := strconv.ParseUint(strings.TrimSpace(val), 10, 64)
-			if err != nil {
-				break
-			}
-			if counters[fam] == nil {
-				counters[fam] = make(map[string]uint64)
-			}
-			counters[fam][name] += n
-			break
-		}
+// scrapeReplica fetches and parses one replica's /metrics; nil means
+// it did not answer 200 with a readable body.
+func scrapeReplica(ctx context.Context, rep *replica) metrics.Scrape {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/metrics", nil)
+	if err != nil {
+		return nil
 	}
-	return counters, qdepth
+	resp, err := rep.client.Do(req)
+	if err != nil {
+		return nil
+	}
+	defer func() {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	if resp.StatusCode != http.StatusOK {
+		return nil
+	}
+	s, err := metrics.Parse(resp.Body)
+	if err != nil {
+		return nil
+	}
+	return s
 }

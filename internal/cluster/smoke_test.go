@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"veriopt/internal/server"
 	"veriopt/internal/smoketest"
 )
 
@@ -253,7 +254,7 @@ var smokeClient = &http.Client{
 // answer.
 func postVerify(baseURL string, q int) error {
 	src, tgt := verifyQuery(q)
-	body, _ := json.Marshal(map[string]string{"src": src, "tgt": tgt})
+	body, _ := json.Marshal(server.VerifyRequest{Src: src, Tgt: tgt})
 	resp, err := smokeClient.Post(baseURL+"/v1/verify", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
@@ -266,10 +267,7 @@ func postVerify(baseURL string, q int) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("status %d: %s", resp.StatusCode, blob)
 	}
-	var vr struct {
-		Verdict  string `json:"verdict"`
-		Canceled bool   `json:"canceled"`
-	}
+	var vr server.VerifyResponse
 	if err := json.Unmarshal(blob, &vr); err != nil {
 		return err
 	}

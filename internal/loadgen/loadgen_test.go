@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,26 +138,44 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseCounters(t *testing.T) {
-	text := `# HELP veriopt_requests_shed_total ...
-# TYPE veriopt_requests_shed_total counter
-veriopt_requests_shed_total 7
+// TestScrapeDelta: Scrape's four lookups on a literal exposition (the
+// parser's own cases are internal/metrics' table) and the delta that
+// grades a run.
+func TestScrapeDelta(t *testing.T) {
+	bodies := []string{`veriopt_requests_shed_total 7
 veriopt_panics_total 2
 veriopt_vcache_total{counter="queries"} 100
 veriopt_vcache_total{counter="hits"} 60
 veriopt_vcache_hit_rate 0.6
-some_unknown_family{x="y"} 1
-`
-	c, err := parseCounters(strings.NewReader(text))
+`, `veriopt_requests_shed_total 9
+veriopt_panics_total 0
+veriopt_vcache_total{counter="queries"} 150
+veriopt_vcache_total{counter="hits"} 80
+`}
+	var scrapes atomic.Int32 // the first scrape gets bodies[0], every later one bodies[1]
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(bodies[min(scrapes.Add(1)-1, 1)]))
+	}))
+	defer ts.Close()
+	before, err := Scrape(context.Background(), nil, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Counters{Shed: 7, Panics: 2, CacheQueries: 100, CacheHits: 60}
-	if c != want {
-		t.Fatalf("parsed %+v, want %+v", c, want)
+	if want := (Counters{Shed: 7, Panics: 2, CacheQueries: 100, CacheHits: 60}); before != want {
+		t.Fatalf("scraped %+v, want %+v", before, want)
 	}
-	if hr := c.Delta(Counters{CacheQueries: 50, CacheHits: 40}).HitRate(); hr != 0.4 {
-		t.Fatalf("delta hit rate = %v, want 0.4", hr)
+	d, err := Counters{Shed: 9, Panics: 2, CacheQueries: 150, CacheHits: 80}.Delta(before)
+	if err != nil || d != (Counters{Shed: 2, CacheQueries: 50, CacheHits: 20}) || d.HitRate() != 0.4 {
+		t.Fatalf("delta = %+v (hit rate %v), err %v", d, d.HitRate(), err)
+	}
+
+	// A target that restarted between the scrapes: its panic counter
+	// reads 2, then 0. The wrapped difference once graded as -2 panics,
+	// a PASS; the run must fail and say which counter went backwards.
+	scrapes.Store(0)
+	rep, err := RunEvents(context.Background(), Spec{Name: "restart"}, nil, RunConfig{BaseURL: ts.URL})
+	if err == nil || !strings.Contains(err.Error(), "veriopt_panics_total") {
+		t.Fatalf("RunEvents over a restarted target = %+v, err %v; want an error naming veriopt_panics_total", rep, err)
 	}
 }
 
@@ -302,12 +323,16 @@ func TestShedAccountingMatchesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := BuildReport(spec, results, time.Second, after.Delta(before))
+	delta, err := after.Delta(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := BuildReport(spec, results, time.Second, delta)
 	if rep.Shed == 0 {
 		t.Fatal("one-slot queue under 12-way load shed nothing")
 	}
-	if uint64(rep.Shed) != after.Delta(before).Shed {
-		t.Fatalf("client counted %d sheds, server %d", rep.Shed, after.Delta(before).Shed)
+	if uint64(rep.Shed) != delta.Shed {
+		t.Fatalf("client counted %d sheds, server %d", rep.Shed, delta.Shed)
 	}
 	if rep.Shed+rep.OK+rep.ClientErrors+rep.ServerErrors+rep.TransportErrors != spec.Requests {
 		t.Fatalf("outcome partition does not sum: %+v", rep)

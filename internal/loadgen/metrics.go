@@ -1,12 +1,18 @@
 package loadgen
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
+
+	"veriopt/internal/metrics"
+)
+
+// The server families the SLO evaluation reads.
+const (
+	shedFamily   = "veriopt_requests_shed_total"
+	panicsFamily = "veriopt_panics_total"
+	vcacheFamily = "veriopt_vcache_total"
 )
 
 // Counters is the slice of the server's /metrics exposition the SLO
@@ -19,14 +25,23 @@ type Counters struct {
 	CacheHits    uint64
 }
 
-// Delta subtracts an earlier snapshot counter-wise.
-func (c Counters) Delta(before Counters) Counters {
-	return Counters{
-		Shed:         c.Shed - before.Shed,
-		Panics:       c.Panics - before.Panics,
-		CacheQueries: c.CacheQueries - before.CacheQueries,
-		CacheHits:    c.CacheHits - before.CacheHits,
+// Delta subtracts an earlier snapshot counter-wise. A counter that
+// went backwards means the target restarted between the scrapes; the
+// differences would wrap, so that is an error naming the counter.
+func (c Counters) Delta(before Counters) (Counters, error) {
+	var err error
+	sub := func(name string, now, was uint64) uint64 {
+		if now < was && err == nil {
+			err = fmt.Errorf("loadgen: %s went backwards between scrapes (%d, then %d): target restarted mid-run", name, was, now)
+		}
+		return now - was
 	}
+	return Counters{
+		Shed:         sub(shedFamily, c.Shed, before.Shed),
+		Panics:       sub(panicsFamily, c.Panics, before.Panics),
+		CacheQueries: sub(vcacheFamily+" queries", c.CacheQueries, before.CacheQueries),
+		CacheHits:    sub(vcacheFamily+" hits", c.CacheHits, before.CacheHits),
+	}, err
 }
 
 // HitRate is hits over queries, 0 when nothing was queried.
@@ -54,49 +69,15 @@ func Scrape(ctx context.Context, client *http.Client, baseURL string) (Counters,
 	if resp.StatusCode != http.StatusOK {
 		return Counters{}, fmt.Errorf("loadgen: scrape %s: status %d", baseURL, resp.StatusCode)
 	}
-	return parseCounters(resp.Body)
-}
-
-// parseCounters pulls the relevant families out of Prometheus text
-// exposition. Unknown lines are ignored, so the parser survives new
-// families.
-func parseCounters(r interface{ Read([]byte) (int, error) }) (Counters, error) {
-	var c Counters
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, val, ok := splitMetricLine(line)
-		if !ok {
-			continue
-		}
-		switch name {
-		case "veriopt_requests_shed_total":
-			c.Shed = val
-		case "veriopt_panics_total":
-			c.Panics = val
-		case `veriopt_vcache_total{counter="queries"}`:
-			c.CacheQueries = val
-		case `veriopt_vcache_total{counter="hits"}`:
-			c.CacheHits = val
-		}
-	}
-	return c, sc.Err()
-}
-
-// splitMetricLine separates "name{labels} value" into the labeled
-// name and an integer value; non-integer samples are skipped.
-func splitMetricLine(line string) (string, uint64, bool) {
-	i := strings.LastIndexByte(line, ' ')
-	if i < 0 {
-		return "", 0, false
-	}
-	v, err := strconv.ParseUint(strings.TrimSpace(line[i+1:]), 10, 64)
+	scrape, err := metrics.Parse(resp.Body)
 	if err != nil {
-		return "", 0, false
+		return Counters{}, fmt.Errorf("loadgen: scrape %s: %w", baseURL, err)
 	}
-	return strings.TrimSpace(line[:i]), v, true
+	vcache := scrape.Labeled(vcacheFamily, "counter")
+	return Counters{
+		Shed:         scrape.Uint(shedFamily),
+		Panics:       scrape.Uint(panicsFamily),
+		CacheQueries: vcache["queries"],
+		CacheHits:    vcache["hits"],
+	}, nil
 }

@@ -196,7 +196,9 @@ func RunMix(ctx context.Context, spec Spec, rc RunConfig) (*MixReport, error) {
 
 // RunEvents plays an already-built event stream (synthetic or a
 // replayed trace) under a spec's pacing and SLO, bracketing it with
-// /metrics scrapes so the report carries the server-side deltas.
+// /metrics scrapes so the report carries the server-side deltas. A
+// counter that decreased between the scrapes (the target restarted
+// mid-run) is an error, not a report.
 func RunEvents(ctx context.Context, spec Spec, events []Event, rc RunConfig) (*MixReport, error) {
 	client := rc.Client
 	if client == nil {
@@ -214,5 +216,9 @@ func RunEvents(ctx context.Context, spec Spec, events []Event, rc RunConfig) (*M
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: post-run scrape: %w", err)
 	}
-	return BuildReport(spec, results, wall, after.Delta(before)), playErr
+	delta, err := after.Delta(before)
+	if err != nil {
+		return nil, err
+	}
+	return BuildReport(spec, results, wall, delta), playErr
 }

@@ -17,7 +17,10 @@ import (
 	"veriopt/internal/policy"
 )
 
-// OptionsJSON mirrors alive.Options on the wire.
+// OptionsJSON mirrors alive.Options on the wire. Options.FreshSolver
+// has no wire field — the incremental-solver choice is a per-process
+// tuning knob, not part of query identity — so a query the coordinator
+// forwards runs under the worker's own solver mode.
 type OptionsJSON struct {
 	MaxPaths     int `json:"max_paths,omitempty"`
 	MaxSteps     int `json:"max_steps,omitempty"`
@@ -130,10 +133,7 @@ type EvaluateResponse struct {
 
 // ceilSeconds converts a duration to whole seconds for Retry-After
 // headers, rounding up so a sub-second hint never renders as the
-// meaningless "Retry-After: 0". Both serving tiers use it — the worker
-// shedding at its own queue and the coordinator shedding at the
-// cluster front — so clients see consistent backoff hints regardless
-// of which tier refused them.
+// meaningless "Retry-After: 0".
 func ceilSeconds(d time.Duration) int {
 	if d <= 0 {
 		return 0

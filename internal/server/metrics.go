@@ -2,15 +2,17 @@ package server
 
 import (
 	"context"
-	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"veriopt/internal/ckpt"
+	"veriopt/internal/metrics"
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
 )
@@ -62,19 +64,7 @@ func (m *metricsRegistry) observe(endpoint string, code int, wall time.Duration)
 func (m *metricsRegistry) snapshot() (requests map[reqKey]uint64, latSum map[string]float64, latCount map[string]uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	requests = make(map[reqKey]uint64, len(m.requests))
-	for k, v := range m.requests {
-		requests[k] = v
-	}
-	latSum = make(map[string]float64, len(m.latSum))
-	for k, v := range m.latSum {
-		latSum[k] = v
-	}
-	latCount = make(map[string]uint64, len(m.latCount))
-	for k, v := range m.latCount {
-		latCount[k] = v
-	}
-	return requests, latSum, latCount
+	return maps.Clone(m.requests), maps.Clone(m.latSum), maps.Clone(m.latCount)
 }
 
 // instrumented endpoints, the bounded label set for request metrics;
@@ -131,18 +121,15 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 	})
 }
 
-// handleMetrics renders the Prometheus text exposition format:
-// serving-layer counters (requests, sheds, latency sums, queue
-// depth), plus the oracle stack's verdict counters and the verdict
-// cache's hit/miss/eviction counters and hit rate when the configured
-// oracle exposes them.
+// handleMetrics answers a scrape: serving-layer counters (requests,
+// sheds, latency sums, queue depth), plus the oracle stack's verdict
+// counters, the verdict cache's counters and hit rate, and the
+// verdict store's, when the configured oracle exposes them.
+// internal/metrics owns the text format; Config.ExtraMetrics is
+// appended verbatim.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-
 	requests, latSum, latCount := s.metrics.snapshot()
 
-	b.WriteString("# HELP veriopt_requests_total Completed HTTP requests by endpoint and status code.\n")
-	b.WriteString("# TYPE veriopt_requests_total counter\n")
 	keys := make([]reqKey, 0, len(requests))
 	for k := range requests {
 		keys = append(keys, k)
@@ -153,105 +140,61 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return keys[i].code < keys[j].code
 	})
+	reqs := metrics.Family{Name: "veriopt_requests_total", Type: "counter",
+		Help: "Completed HTTP requests by endpoint and status code."}
 	for _, k := range keys {
-		fmt.Fprintf(&b, "veriopt_requests_total{endpoint=%q,code=\"%d\"} %d\n",
-			k.endpoint, k.code, requests[k])
+		reqs.Samples = append(reqs.Samples, metrics.Sample{Value: metrics.Int(requests[k]),
+			Labels: []metrics.Label{{"endpoint", k.endpoint}, {"code", strconv.Itoa(k.code)}}})
 	}
-	b.WriteString("# HELP veriopt_request_seconds End-to-end request latency sums (queue wait included).\n")
-	b.WriteString("# TYPE veriopt_request_seconds summary\n")
 	eps := make([]string, 0, len(latCount))
 	for ep := range latCount {
 		eps = append(eps, ep)
 	}
 	sort.Strings(eps)
+	lat := metrics.Family{Name: "veriopt_request_seconds", Type: "summary",
+		Help: "End-to-end request latency sums (queue wait included)."}
 	for _, ep := range eps {
-		fmt.Fprintf(&b, "veriopt_request_seconds_sum{endpoint=%q} %g\n", ep, latSum[ep])
-		fmt.Fprintf(&b, "veriopt_request_seconds_count{endpoint=%q} %d\n", ep, latCount[ep])
+		l := []metrics.Label{{"endpoint", ep}}
+		lat.Samples = append(lat.Samples,
+			metrics.Sample{Suffix: "_sum", Labels: l, Value: metrics.Float(latSum[ep])},
+			metrics.Sample{Suffix: "_count", Labels: l, Value: metrics.Int(latCount[ep])})
 	}
 
-	b.WriteString("# HELP veriopt_requests_shed_total Requests shed with 429 because the work queue was full.\n")
-	b.WriteString("# TYPE veriopt_requests_shed_total counter\n")
-	fmt.Fprintf(&b, "veriopt_requests_shed_total %d\n", s.metrics.shed.Load())
-
-	b.WriteString("# HELP veriopt_panics_total Handler panics recovered by queue workers (any value > 0 is a bug).\n")
-	b.WriteString("# TYPE veriopt_panics_total counter\n")
-	fmt.Fprintf(&b, "veriopt_panics_total %d\n", s.metrics.panics.Load())
-
-	b.WriteString("# HELP veriopt_queue_depth Queued-but-unstarted jobs.\n")
-	b.WriteString("# TYPE veriopt_queue_depth gauge\n")
-	fmt.Fprintf(&b, "veriopt_queue_depth %d\n", s.QueueDepth())
-	b.WriteString("# HELP veriopt_queue_capacity Work-queue bound.\n")
-	b.WriteString("# TYPE veriopt_queue_capacity gauge\n")
-	fmt.Fprintf(&b, "veriopt_queue_capacity %d\n", s.cfg.QueueSize)
-
-	b.WriteString("# HELP veriopt_ckpt_total Training-checkpoint counters (checkpoints written, entries loaded, restore errors) since process start.\n")
-	b.WriteString("# TYPE veriopt_ckpt_total counter\n")
-	writeCounters(&b, "veriopt_ckpt_total", ckpt.Counters())
-
+	fams := []metrics.Family{reqs, lat,
+		metrics.Scalar("veriopt_requests_shed_total", "Requests shed with 429 because the work queue was full.", "counter", metrics.Int(s.metrics.shed.Load())),
+		metrics.Scalar("veriopt_panics_total", "Handler panics recovered by queue workers (any value > 0 is a bug).", "counter", metrics.Int(s.metrics.panics.Load())),
+		metrics.Scalar("veriopt_queue_depth", "Queued-but-unstarted jobs.", "gauge", metrics.Int(s.QueueDepth())),
+		metrics.Scalar("veriopt_queue_capacity", "Work-queue bound.", "gauge", metrics.Int(s.cfg.QueueSize)),
+		metrics.Counters("veriopt_ckpt_total", "Training-checkpoint counters (checkpoints written, entries loaded, restore errors) since process start.", ckpt.Counters()),
+	}
 	if src, ok := s.oracle.(oracle.StatsSource); ok {
 		ostats, cstats := src.OracleStats()
-		b.WriteString("# HELP veriopt_oracle_total Oracle-stack query counters by category (verdict names, queries, canceled).\n")
-		b.WriteString("# TYPE veriopt_oracle_total counter\n")
-		writeCounters(&b, "veriopt_oracle_total", ostats.Counters())
-		b.WriteString("# HELP veriopt_oracle_wall_seconds_total Cumulative verification wall time, summed across workers.\n")
-		b.WriteString("# TYPE veriopt_oracle_wall_seconds_total counter\n")
-		fmt.Fprintf(&b, "veriopt_oracle_wall_seconds_total %g\n", ostats.Wall.Seconds())
-
-		b.WriteString("# HELP veriopt_vcache_total Verdict-cache counters (queries, hits, misses, evictions, promotions, demotions, store_errors, budget_exhausted, solver_conflicts, canceled).\n")
-		b.WriteString("# TYPE veriopt_vcache_total counter\n")
-		writeCounters(&b, "veriopt_vcache_total", cstats.Counters())
-		b.WriteString("# HELP veriopt_vcache_hit_rate Hits over queries since process start.\n")
-		b.WriteString("# TYPE veriopt_vcache_hit_rate gauge\n")
-		fmt.Fprintf(&b, "veriopt_vcache_hit_rate %g\n", cstats.HitRate())
-		b.WriteString("# HELP veriopt_vcache_entries Current cache population.\n")
-		b.WriteString("# TYPE veriopt_vcache_entries gauge\n")
-		fmt.Fprintf(&b, "veriopt_vcache_entries %d\n", cstats.Entries)
-		b.WriteString("# HELP veriopt_vcache_wall_seconds_total Cumulative live solver wall time, summed across workers.\n")
-		b.WriteString("# TYPE veriopt_vcache_wall_seconds_total counter\n")
-		fmt.Fprintf(&b, "veriopt_vcache_wall_seconds_total %g\n", cstats.WallTime.Seconds())
+		fams = append(fams,
+			metrics.Counters("veriopt_oracle_total", "Oracle-stack query counters by category (verdict names, queries, canceled).", ostats.Counters()),
+			metrics.Scalar("veriopt_oracle_wall_seconds_total", "Cumulative verification wall time, summed across workers.", "counter", metrics.Float(ostats.Wall.Seconds())),
+			metrics.Counters("veriopt_vcache_total", "Verdict-cache counters (queries, hits, misses, evictions, promotions, demotions, store_errors, budget_exhausted, solver_conflicts, canceled).", cstats.Counters()),
+			metrics.Scalar("veriopt_vcache_hit_rate", "Hits over queries since process start.", "gauge", metrics.Float(cstats.HitRate())),
+			metrics.Scalar("veriopt_vcache_entries", "Current cache population.", "gauge", metrics.Int(cstats.Entries)),
+			metrics.Scalar("veriopt_vcache_wall_seconds_total", "Cumulative live solver wall time, summed across workers.", "counter", metrics.Float(cstats.WallTime.Seconds())))
 	}
-
 	if src, ok := s.oracle.(oracle.StoreSource); ok {
 		if st := src.VStore(); st != nil {
 			ss := st.Stats()
-			b.WriteString("# HELP veriopt_vstore_total Verdict-store counters (appends, gets, hits, misses, syncs, compactions, reclaimed_bytes, truncated_tails, ...).\n")
-			b.WriteString("# TYPE veriopt_vstore_total counter\n")
-			writeCounters(&b, "veriopt_vstore_total", ss.Counters())
-			b.WriteString("# HELP veriopt_vstore_segments Segment files in the store.\n")
-			b.WriteString("# TYPE veriopt_vstore_segments gauge\n")
-			fmt.Fprintf(&b, "veriopt_vstore_segments %d\n", ss.Segments)
-			b.WriteString("# HELP veriopt_vstore_entries Live records indexed by the store.\n")
-			b.WriteString("# TYPE veriopt_vstore_entries gauge\n")
-			fmt.Fprintf(&b, "veriopt_vstore_entries %d\n", ss.Entries)
-			b.WriteString("# HELP veriopt_vstore_live_bytes On-disk bytes holding current verdicts.\n")
-			b.WriteString("# TYPE veriopt_vstore_live_bytes gauge\n")
-			fmt.Fprintf(&b, "veriopt_vstore_live_bytes %d\n", ss.LiveBytes)
-			b.WriteString("# HELP veriopt_vstore_dead_bytes On-disk bytes awaiting compaction (superseded records, tombstones).\n")
-			b.WriteString("# TYPE veriopt_vstore_dead_bytes gauge\n")
-			fmt.Fprintf(&b, "veriopt_vstore_dead_bytes %d\n", ss.DeadBytes)
-			b.WriteString("# HELP veriopt_vstore_compact_pause_seconds_total Cumulative writer-visible compaction pause.\n")
-			b.WriteString("# TYPE veriopt_vstore_compact_pause_seconds_total counter\n")
-			fmt.Fprintf(&b, "veriopt_vstore_compact_pause_seconds_total %g\n", ss.CompactPause.Seconds())
+			fams = append(fams,
+				metrics.Counters("veriopt_vstore_total", "Verdict-store counters (appends, gets, hits, misses, syncs, compactions, reclaimed_bytes, truncated_tails, ...).", ss.Counters()),
+				metrics.Scalar("veriopt_vstore_segments", "Segment files in the store.", "gauge", metrics.Int(ss.Segments)),
+				metrics.Scalar("veriopt_vstore_entries", "Live records indexed by the store.", "gauge", metrics.Int(ss.Entries)),
+				metrics.Scalar("veriopt_vstore_live_bytes", "On-disk bytes holding current verdicts.", "gauge", metrics.Int(ss.LiveBytes)),
+				metrics.Scalar("veriopt_vstore_dead_bytes", "On-disk bytes awaiting compaction (superseded records, tombstones).", "gauge", metrics.Int(ss.DeadBytes)),
+				metrics.Scalar("veriopt_vstore_compact_pause_seconds_total", "Cumulative writer-visible compaction pause.", "counter", metrics.Float(ss.CompactPause.Seconds())))
 		}
 	}
-
+	extra := ""
 	if s.cfg.ExtraMetrics != nil {
-		b.WriteString(s.cfg.ExtraMetrics(r.Context()))
+		extra = s.cfg.ExtraMetrics(r.Context())
 	}
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.Write([]byte(b.String()))
-}
-
-// writeCounters renders a name→value map as one labeled metric family
-// in sorted label order.
-func writeCounters(b *strings.Builder, family string, counters map[string]uint64) {
-	names := make([]string, 0, len(counters))
-	for n := range counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(b, "%s{counter=%q} %d\n", family, n, counters[n])
-	}
+	metrics.Write(w, fams) // a failed write is a scraper that went away
+	io.WriteString(w, extra)
 }
