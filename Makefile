@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke bench bench-workers bench-solver bench-store bench-passes bench-e2e bench-layers bench-ir loc
+.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check bench bench-workers bench-solver bench-store bench-passes bench-e2e bench-layers bench-ir loc
 
 all: tier1 tier2
 
@@ -16,7 +16,7 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke
+tier2: lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check
 	$(GO) test -race ./...
 
 # Serving-layer acceptance gate: >=100 concurrent /v1/verify requests
@@ -66,6 +66,15 @@ passes-smoke:
 # a worker).
 load-smoke:
 	LOAD_SMOKE=1 $(GO) test -run TestLoadSmoke -count=1 -v ./internal/loadgen
+
+# Reproduction-record gate: the run EXPERIMENTS.md quotes (Tables
+# I-III, every figure, the ablations, the passes table; deterministic
+# at any -workers, ~15 s) must reproduce the archived
+# experiments_output.txt byte for byte. A PR that means to change a
+# trajectory regenerates the archive and corrects EXPERIMENTS.md in
+# the same commit.
+experiments-check:
+	$(GO) run ./cmd/veriopt experiments -run all -n 600 -seed 42 2>/dev/null | diff - experiments_output.txt
 
 # lint fails on any vet diagnostic or unformatted file, and on
 # Prometheus exposition text written or matched by hand: internal/metrics

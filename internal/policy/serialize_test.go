@@ -1,7 +1,10 @@
 package policy
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
 	"testing"
 )
 
@@ -65,5 +68,32 @@ func TestUnmarshalRejectsInnerShapeMismatch(t *testing.T) {
 	// not what rejects the cases above.
 	if err := mutateModelFile(t, func(map[string]json.RawMessage) {}); err != nil {
 		t.Errorf("unmutated model file rejected: %v", err)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/model_golden.json from this tree's MarshalJSON")
+
+// TestModelBytesMatchGolden pins what `train -save` and every
+// checkpoint write: json.Marshal of a fixed-seed model, byte for byte.
+// The golden was written by this test (-update) at the commit before
+// the B/S/P/N block moved into policy.Linear.
+func TestModelBytesMatchGolden(t *testing.T) {
+	const path = "testdata/model_golden.json"
+	got, err := json.Marshal(New(CapQwen3B, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("model bytes changed:\n got %s\nwant %s", got, want)
 	}
 }

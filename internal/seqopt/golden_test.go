@@ -1,6 +1,7 @@
 package seqopt
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -14,7 +15,7 @@ import (
 	"veriopt/internal/ir"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/beam_golden.json from this tree's Beam")
+var updateGolden = flag.Bool("update", false, "rewrite testdata/*_golden.json from this tree's Beam and Model")
 
 // beamGolden is one search's observable outcome. Fn is the sha256 of
 // the winner's canonical text.
@@ -76,5 +77,38 @@ func TestBeamMatchesGolden(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("search %d:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestModelBytesMatchGolden pins what `train -workload=passes -save`
+// writes: json.Marshal of a fixed-seed Model, byte for byte — so the
+// keys stay exactly Passes, HashFeatures, MaxLen, MaxBias, B, S, N in
+// that order. The golden was written by this test (-update) at the
+// commit before Model's parameter block became policy.Linear.
+func TestModelBytesMatchGolden(t *testing.T) {
+	const path = "testdata/model_golden.json"
+	got, err := json.Marshal(NewModel(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("model bytes changed:\n got %s\nwant %s", got, want)
+	}
+	var back Model
+	if err := json.Unmarshal(want, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(&back); !bytes.Equal(again, want) {
+		t.Errorf("model does not round-trip:\n got %s\nwant %s", again, want)
 	}
 }
