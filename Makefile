@@ -76,9 +76,11 @@ load-smoke:
 experiments-check:
 	$(GO) run ./cmd/veriopt experiments -run all -n 600 -seed 42 2>/dev/null | diff - experiments_output.txt
 
-# lint fails on any vet diagnostic or unformatted file, and on
-# Prometheus exposition text written or matched by hand: internal/metrics
-# is the format's one renderer and one parser.
+# lint fails on any vet diagnostic or unformatted file; on Prometheus
+# exposition text written or matched by hand (internal/metrics is the
+# format's one renderer and one parser); and on a second softmax, hash
+# embedding or log-softmax gradient (internal/policy/linear.go holds
+# the one of each that both policies, both trainers and sft use).
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
@@ -90,6 +92,13 @@ lint:
 	@hits=$$(grep -rnF -e '# HELP' -e '# TYPE' -e '{counter=' --include='*.go' --exclude='*_test.go' --exclude-dir=metrics internal cmd); \
 	if [ -n "$$hits" ]; then \
 		echo "exposition text outside internal/metrics (build a metrics.Family, or look it up on a metrics.Scrape):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnF -e 'math.Exp(' -e 'hash/fnv' -e '- probs[' --include='*.go' --exclude='*_test.go' internal/seqopt internal/grpo internal/sft; \
+		grep -rnF -e 'math.Exp(' --include='*.go' --exclude='*_test.go' --exclude=linear.go internal/policy); \
+	if [ -n "$$hits" ]; then \
+		echo "softmax, hash features or the log-softmax gradient outside internal/policy/linear.go (use policy.Linear):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

@@ -140,10 +140,8 @@ func check(ctx context.Context, srcText, tgtText string, opts alive.Options, wor
 	if err != nil {
 		// An unparsable multi-function target is a syntax error on the
 		// whole file, mirroring the single-function diagnostic.
-		return []funcResult{{name: "<module>", res: alive.Result{
-			Verdict: alive.SyntaxError,
-			Diag:    "ERROR: couldn't parse transformed IR: " + err.Error(),
-		}}}, nil
+		_, res := alive.Candidate(nil, err)
+		return []funcResult{{name: "<module>", res: res}}, nil
 	}
 	o := oracle.Default()
 	out := make([]funcResult, len(tgtMod.Funcs))
@@ -158,8 +156,8 @@ func check(ctx context.Context, srcText, tgtText string, opts alive.Options, wor
 				Diag: fmt.Sprintf("ERROR: target function @%s has no source counterpart", tf.Name())}
 			return
 		}
-		if err := ir.VerifyFunc(tf); err != nil {
-			out[i].res = alive.Result{Verdict: alive.SyntaxError, Diag: "ERROR: invalid IR: " + err.Error()}
+		if ok, res := alive.Candidate(tf, nil); ok == nil {
+			out[i].res = res
 			return
 		}
 		out[i].res = o.Verify(ctx, sf, tf, opts)

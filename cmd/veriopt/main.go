@@ -223,19 +223,33 @@ func cmdExperiments(ctx context.Context, args []string) error {
 func cmdTrain(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	save := fs.String("save", "", "write the most advanced trained policy to this JSON file (atomic write; on interrupt, whatever finished)")
-	checkpoint := fs.String("checkpoint", "", "checkpoint directory: snapshot after every stage boundary and every -ckpt-every steps")
-	resume := fs.Bool("resume", false, "continue from the checkpoint in -checkpoint (bit-identical to an uninterrupted run)")
-	ckptEvery := fs.Int("ckpt-every", pipeline.DefaultCkptEvery, "mid-stage checkpoint cadence in GRPO steps")
+	checkpoint := fs.String("checkpoint", "", "checkpoint directory: snapshot after every stage boundary and every -ckpt-every steps (peephole only)")
+	resume := fs.Bool("resume", false, "continue from the checkpoint in -checkpoint (bit-identical to an uninterrupted run; peephole only)")
+	ckptEvery := fs.Int("ckpt-every", pipeline.DefaultCkptEvery, "mid-stage checkpoint cadence in GRPO steps (peephole only)")
 	storeDir := fs.String("store-dir", "",
 		"durable verdict store directory: verdicts append incrementally as they are proved (warm-starts reruns)")
 	workload := fs.String("workload", "peephole",
-		"training workload: 'peephole' (text rewriting curriculum) or 'passes' (pass-sequence phase ordering)")
+		"training workload: 'peephole' (text rewriting curriculum) or 'passes' (pass-sequence phase ordering; "+
+			"has no checkpoints: -checkpoint, -resume and -ckpt-every are rejected)")
 	seqSteps := fs.Int("seq-steps", 30, "passes workload: sequence-policy GRPO steps")
 	beamWidth := fs.Int("beam-width", 4, "passes workload: beam width of the search baseline")
 	beamDepth := fs.Int("beam-depth", 4, "passes workload: search depth bound (greedy and beam)")
 	n, seed, s1, s2, s3, workers, trace := commonFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *workload == "passes" {
+		// The sequence trainer has no snapshot; refuse rather than
+		// accept the flags and silently write and resume nothing.
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "checkpoint" || f.Name == "resume" || f.Name == "ckpt-every" {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("-workload=passes has no checkpoints: remove %s", strings.Join(set, ", "))
+		}
 	}
 	rec, closeTrace, err := openTrace(*trace)
 	if err != nil {

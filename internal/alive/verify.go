@@ -125,14 +125,34 @@ func VerifyTextCtx(ctx context.Context, srcText, tgtText string, opts Options) (
 	if err := ir.VerifyFunc(src); err != nil {
 		return Result{}, fmt.Errorf("alive: source does not verify: %w", err)
 	}
-	tgt, err := ir.ParseFunc(tgtText)
-	if err != nil {
-		return Result{Verdict: SyntaxError, Diag: "ERROR: couldn't parse transformed IR: " + err.Error()}, nil
-	}
-	if err := ir.VerifyFunc(tgt); err != nil {
-		return Result{Verdict: SyntaxError, Diag: "ERROR: invalid IR: " + err.Error()}, nil
+	tgt, res := Candidate(ir.ParseFunc(tgtText))
+	if tgt == nil {
+		return res, nil
 	}
 	return VerifyFuncsCtx(ctx, src, tgt, opts), nil
+}
+
+// The two SyntaxError diagnostics, by prefix: the candidate did not
+// parse, or parsed into structurally invalid IR. The policy's emulated
+// Alive2 message (BLEU-scored against the real one) uses the first.
+const (
+	DiagParsePrefix   = "ERROR: couldn't parse transformed IR: "
+	DiagInvalidPrefix = "ERROR: invalid IR: "
+)
+
+// Candidate is the one SyntaxError gate, applied to the outcome of
+// parsing a model-emitted candidate — Candidate(ir.ParseFunc(text)),
+// or a function out of ir.Parse with a nil error. It returns the
+// candidate when it parsed and verifies structurally; otherwise nil
+// and the SyntaxError verdict to report.
+func Candidate(f *ir.Function, parseErr error) (*ir.Function, Result) {
+	if parseErr != nil {
+		return nil, Result{Verdict: SyntaxError, Diag: DiagParsePrefix + parseErr.Error()}
+	}
+	if err := ir.VerifyFunc(f); err != nil {
+		return nil, Result{Verdict: SyntaxError, Diag: DiagInvalidPrefix + err.Error()}
+	}
+	return f, Result{}
 }
 
 // VerifyFuncs validates that tgt refines src. Both functions must be

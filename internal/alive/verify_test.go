@@ -581,3 +581,28 @@ func TestParseVerdictInvertsString(t *testing.T) {
 		}
 	}
 }
+
+// TestCandidateGate pins the one SyntaxError gate: which prefix each
+// failure carries, and that a well-formed candidate comes back as is.
+func TestCandidateGate(t *testing.T) {
+	if f, res := Candidate(ir.ParseFunc("definitely not IR")); f != nil ||
+		res.Verdict != SyntaxError || !strings.HasPrefix(res.Diag, DiagParsePrefix) {
+		t.Errorf("unparsable candidate: f=%v res=%+v", f, res)
+	}
+	// Parses, but uses %3 before its definition.
+	if f, res := Candidate(ir.ParseFunc(`define i32 @f(i32 noundef %0) {
+  %2 = add i32 %0, %3
+  %3 = add i32 %0, 1
+  ret i32 %2
+}
+`)); f != nil || res.Verdict != SyntaxError || !strings.HasPrefix(res.Diag, DiagInvalidPrefix) {
+		t.Errorf("invalid candidate: f=%v res=%+v", f, res)
+	}
+	good, err := ir.ParseFunc("define i32 @f(i32 noundef %0) {\n  ret i32 %0\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, res := Candidate(good, nil); f != good || res.Diag != "" {
+		t.Errorf("well-formed candidate: f=%v res=%+v", f, res)
+	}
+}

@@ -84,13 +84,9 @@ func JudgeWith(ctx context.Context, o oracle.Oracle, ep *policy.Episode, s *data
 }
 
 func verdictOf(ctx context.Context, o oracle.Oracle, text string, s *dataset.Sample, opts alive.Options) (alive.Result, *ir.Function) {
-	f, err := ir.ParseFunc(text)
-	if err != nil {
-		return alive.Result{Verdict: alive.SyntaxError,
-			Diag: "ERROR: couldn't parse transformed IR: " + err.Error()}, nil
-	}
-	if err := ir.VerifyFunc(f); err != nil {
-		return alive.Result{Verdict: alive.SyntaxError, Diag: "ERROR: invalid IR: " + err.Error()}, nil
+	f, res := alive.Candidate(ir.ParseFunc(text))
+	if f == nil {
+		return res, nil
 	}
 	return o.Verify(ctx, s.O0, f, opts), f
 }

@@ -2,19 +2,17 @@ package grpo
 
 import (
 	"context"
-	"math"
 	"math/rand"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
 	"veriopt/internal/oracle"
-	"veriopt/internal/par"
 	"veriopt/internal/seqopt"
 )
 
 // SeqConfig parameterizes GRPO over pass sequences (the phase-ordering
-// workload). It mirrors Config, minus the text-workload concerns
+// workload). It is Config minus the text-workload concerns
 // (reward modes, diagnosis, BLEU shaping): a sequence episode has
 // exactly one reward, the verified latency gain of its final state.
 type SeqConfig struct {
@@ -71,29 +69,21 @@ type SeqStepStats struct {
 // SeqTrainer runs GRPO over a sequence policy and corpus. The reward
 // is gated by the oracle exactly as in the text workload: an episode
 // whose final state is not proven equivalent to its input earns zero,
-// whatever the cost model claims.
+// whatever the cost model claims. It runs on the same rollout core
+// (rollout.go) and the same policy.Linear update as Trainer.
 type SeqTrainer struct {
 	Model *seqopt.Model
 	Cfg   SeqConfig
-	Data  []*dataset.Sample
-
-	// Oracle answers the verification queries; nil selects the shared
-	// default stack (oracle.Default).
-	Oracle oracle.Oracle
-
-	// RewardHistory records the mean reward per step.
-	RewardHistory []float64
+	rollout
 
 	passes []*seqopt.Pass
-	seed   int64
-	cursor int
 }
 
 // NewSeqTrainer wires a sequence trainer. As with NewTrainer, the
 // training trajectory depends only on (model, data, cfg, seed) —
 // never on Cfg.Workers.
 func NewSeqTrainer(m *seqopt.Model, data []*dataset.Sample, cfg SeqConfig, seed int64) *SeqTrainer {
-	return &SeqTrainer{Model: m, Cfg: cfg, Data: data, passes: seqopt.Registry(), seed: seed}
+	return &SeqTrainer{Model: m, Cfg: cfg, rollout: rollout{Data: data, seed: seed}, passes: seqopt.Registry()}
 }
 
 // seqScore pairs an episode with its reward.
@@ -104,10 +94,6 @@ type seqScore struct {
 	improved bool
 }
 
-// seqGrads accumulates B and S gradients (N stays frozen, matching
-// the text policy's update rule).
-type seqGrads struct{ b, s []float64 }
-
 // Step performs one GRPO update; see StepCtx.
 func (tr *SeqTrainer) Step() SeqStepStats {
 	stats, _ := tr.StepCtx(context.Background())
@@ -115,49 +101,22 @@ func (tr *SeqTrainer) Step() SeqStepStats {
 }
 
 // StepCtx performs one GRPO update over a BatchInputs × GroupSize
-// grid of sequence rollouts. Cancellation semantics match
-// Trainer.StepCtx: the partial grid is discarded, no update is
-// applied, and the cursor rewinds so a resumed run replays the batch.
+// grid of sequence rollouts; determinism and cancellation are grid's.
 func (tr *SeqTrainer) StepCtx(ctx context.Context) (SeqStepStats, error) {
 	m := tr.Model
 	cfg := tr.Cfg
-
-	var stats SeqStepStats
-	if err := ctx.Err(); err != nil {
-		return stats, err
-	}
-	if len(tr.Data) == 0 || cfg.BatchInputs <= 0 || cfg.GroupSize <= 0 {
-		tr.RewardHistory = append(tr.RewardHistory, 0)
-		return stats, nil
-	}
-	o := oracle.OrDefault(tr.Oracle)
-
-	base := tr.cursor
-	tr.cursor += cfg.BatchInputs
-	sampleAt := make([]*dataset.Sample, cfg.BatchInputs)
-	for bi := range sampleAt {
-		sampleAt[bi] = tr.Data[(base+bi)%len(tr.Data)]
-	}
-
-	// Roll out and verify the grid in parallel: per-episode RNGs from
-	// the same episodeSeed mix as the text trainer, per-slot writes.
-	grid := make([]seqScore, cfg.BatchInputs*cfg.GroupSize)
-	err := par.For(ctx, cfg.Workers, len(grid), func(i int) {
-		bi, gi := i/cfg.GroupSize, i%cfg.GroupSize
-		s := sampleAt[bi]
-		rng := rand.New(rand.NewSource(episodeSeed(tr.seed, base+bi, gi)))
-		ep := m.Generate(s.O0, seqopt.GenOptions{
-			Temperature: cfg.Temperature,
-			Rng:         rng,
-			Passes:      tr.passes,
-		})
-		es := seqScore{ep: ep}
-		if len(ep.Sequence) == 0 {
-			// No transformation: trivially equivalent, zero gain.
-			es.verified = true
-		} else {
-			vr := o.Verify(ctx, s.O0, ep.FinalFn, cfg.Verify)
-			if vr.Verdict == alive.Equivalent {
+	cells, err := grid(ctx, &tr.rollout, cfg.BatchInputs, cfg.GroupSize, cfg.Workers,
+		func(o oracle.Oracle, s *dataset.Sample, rng *rand.Rand) seqScore {
+			ep := m.Generate(s.O0, seqopt.GenOptions{
+				Temperature: cfg.Temperature,
+				Rng:         rng,
+				Passes:      tr.passes,
+			})
+			es := seqScore{ep: ep}
+			if len(ep.Sequence) == 0 {
+				// No transformation: trivially equivalent, zero gain.
+				es.verified = true
+			} else if vr := o.Verify(ctx, s.O0, ep.FinalFn, cfg.Verify); vr.Verdict == alive.Equivalent {
 				es.verified = true
 				u := costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(ep.FinalFn))
 				es.improved = u > 1
@@ -165,105 +124,41 @@ func (tr *SeqTrainer) StepCtx(ctx context.Context) (SeqStepStats, error) {
 				// judgment: verified final state with speedup u.
 				es.r = LatencyReward(&Judgment{FinalVerdict: vr, Speedup: u}, cfg.Latency)
 			}
-		}
-		grid[i] = es
-	})
-	if err != nil {
-		tr.cursor = base
+			return es
+		})
+	if cells == nil {
 		return SeqStepStats{}, err
 	}
 
-	// Sequential, grid-ordered: advantages and gradient accumulation.
-	g := &seqGrads{b: make([]float64, m.NumActions()), s: make([]float64, m.NumActions())}
+	// Sequential, grid-ordered: stats, advantages (token-normalized
+	// over the whole batch) and gradient accumulation.
+	stats := SeqStepStats{Episodes: len(cells)}
 	totalTokens := 0
-	for _, es := range grid {
-		totalTokens += seqTokensOf(es.ep)
-	}
-	for bi := 0; bi < cfg.BatchInputs; bi++ {
-		group := grid[bi*cfg.GroupSize : (bi+1)*cfg.GroupSize]
-		mean, std := 0.0, 0.0
-		for _, es := range group {
-			mean += es.r
+	for _, es := range cells {
+		totalTokens += len(es.ep.Actions)
+		stats.MeanReward += es.r
+		stats.MeanLen += float64(len(es.ep.Sequence))
+		if es.verified {
+			stats.VerifiedFrac++
 		}
-		mean /= float64(len(group))
-		for _, es := range group {
-			d := es.r - mean
-			std += d * d
-		}
-		std = math.Sqrt(std / float64(len(group)))
-		for _, es := range group {
-			adv := (es.r - mean) / (std + 1e-6)
-			if totalTokens > 0 {
-				tr.accumulateSeq(g, es.ep, adv/float64(totalTokens))
-			}
-			stats.MeanReward += es.r
-			stats.MeanLen += float64(len(es.ep.Sequence))
-			if es.verified {
-				stats.VerifiedFrac++
-			}
-			if es.improved {
-				stats.ImprovedFrac++
-			}
+		if es.improved {
+			stats.ImprovedFrac++
 		}
 	}
-	stats.Episodes = len(grid)
-	if stats.Episodes > 0 {
-		stats.MeanReward /= float64(stats.Episodes)
-		stats.MeanLen /= float64(stats.Episodes)
-		stats.VerifiedFrac /= float64(stats.Episodes)
-		stats.ImprovedFrac /= float64(stats.Episodes)
-	}
+	stats.MeanReward /= float64(stats.Episodes)
+	stats.MeanLen /= float64(stats.Episodes)
+	stats.VerifiedFrac /= float64(stats.Episodes)
+	stats.ImprovedFrac /= float64(stats.Episodes)
 	tr.RewardHistory = append(tr.RewardHistory, stats.MeanReward)
-	stats.GradNorm = tr.applySeq(g)
-	return stats, nil
-}
 
-// accumulateSeq adds ∇ log π(sequence) · advantage into g.
-func (tr *SeqTrainer) accumulateSeq(g *seqGrads, ep *seqopt.Episode, adv float64) {
-	m := tr.Model
-	temp := tr.Cfg.Temperature
-	if temp <= 0 {
-		temp = 1
-	}
-	for _, rec := range ep.Actions {
-		probs := m.Softmax(rec.Cands, rec.StepFrac, ep.H, temp)
-		for i, a := range rec.Cands {
-			ind := 0.0
-			if a == rec.Chosen {
-				ind = 1
-			}
-			coeff := (ind - probs[i]) * adv
-			g.b[a] += coeff
-			g.s[a] += coeff * rec.StepFrac
+	g := m.Grad()
+	for i, adv := range advantages(cells, cfg.GroupSize, false, func(e *seqScore) float64 { return e.r }) {
+		for _, rec := range cells[i].ep.Actions {
+			m.AddGrad(g, rec, cells[i].ep.H, cfg.Temperature, adv/float64(totalTokens))
 		}
 	}
-}
-
-// applySeq performs the clipped update, returning the pre-clip norm.
-func (tr *SeqTrainer) applySeq(g *seqGrads) float64 {
-	m := tr.Model
-	norm := 0.0
-	for a := range g.b {
-		norm += g.b[a]*g.b[a] + g.s[a]*g.s[a]
-	}
-	norm = math.Sqrt(norm)
-	scale := tr.Cfg.LR
-	if tr.Cfg.ClipNorm > 0 && norm > tr.Cfg.ClipNorm {
-		scale *= tr.Cfg.ClipNorm / norm
-	}
-	for a := range g.b {
-		m.B[a] += scale * g.b[a]
-		m.S[a] += scale * g.s[a]
-	}
-	m.Clamp()
-	return norm
-}
-
-func seqTokensOf(ep *seqopt.Episode) int {
-	if len(ep.Actions) == 0 {
-		return 1
-	}
-	return len(ep.Actions)
+	stats.GradNorm = m.ClipStep(g, nil, nil, cfg.LR, cfg.ClipNorm, m.MaxBias)
+	return stats, nil
 }
 
 // Train runs n steps, returning the per-step stats.
@@ -275,13 +170,5 @@ func (tr *SeqTrainer) Train(n int) []SeqStepStats {
 // TrainCtx runs up to n steps under ctx; cancellation semantics match
 // Trainer.TrainCtx.
 func (tr *SeqTrainer) TrainCtx(ctx context.Context, n int) ([]SeqStepStats, error) {
-	out := make([]SeqStepStats, 0, n)
-	for i := 0; i < n; i++ {
-		st, err := tr.StepCtx(ctx)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
+	return train(ctx, n, tr.StepCtx)
 }

@@ -2,13 +2,11 @@ package grpo
 
 import (
 	"context"
-	"math"
 	"math/rand"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
 	"veriopt/internal/oracle"
-	"veriopt/internal/par"
 	"veriopt/internal/policy"
 )
 
@@ -105,34 +103,24 @@ type FailureSample struct {
 	UsedRules []string
 }
 
-// Trainer runs GRPO over a model and corpus.
+// Trainer runs GRPO over a model and corpus; Data, Oracle and
+// RewardHistory are the rollout core's (rollout.go).
 type Trainer struct {
 	Model *policy.Model
 	Cfg   Config
-	Data  []*dataset.Sample
-
-	// Oracle answers the verification queries. nil selects the shared
-	// default stack (oracle.Default), whose cache memoizes verdicts
-	// across episodes and steps.
-	Oracle oracle.Oracle
+	rollout
 
 	// Failures accumulates Model Zero mistakes when CollectFailures is
 	// set.
 	CollectFailures bool
 	Failures        []*FailureSample
-
-	// RewardHistory records the mean raw reward per step (Fig. 4).
-	RewardHistory []float64
-
-	seed   int64
-	cursor int
 }
 
 // NewTrainer wires a trainer. Rollout sampling is driven by
 // per-episode RNGs derived from seed, so a trainer's trajectory
 // depends only on (model, data, cfg, seed) — never on Cfg.Workers.
 func NewTrainer(m *policy.Model, data []*dataset.Sample, cfg Config, seed int64) *Trainer {
-	return &Trainer{Model: m, Cfg: cfg, Data: data, seed: seed}
+	return &Trainer{Model: m, Cfg: cfg, rollout: rollout{Data: data, seed: seed}}
 }
 
 // episodeScore pairs an episode with its judgment and reward. The
@@ -142,36 +130,13 @@ func NewTrainer(m *policy.Model, data []*dataset.Sample, cfg Config, seed int64)
 // reward — without the split, a corrupt-then-correct episode would
 // reinforce corrupting first.
 type episodeScore struct {
+	s        *dataset.Sample
 	ep       *policy.Episode
 	j        *Judgment
 	r        float64
 	rAnswer  float64
 	rThink   float64
 	rAttempt float64
-}
-
-// grads accumulates parameter gradients matching the model layout.
-type grads struct {
-	b, s, p []float64
-	n       [][]float64
-	diagW   [][]float64
-}
-
-func newGrads(m *policy.Model) *grads {
-	g := &grads{
-		b: make([]float64, m.NumActions()),
-		s: make([]float64, m.NumActions()),
-		p: make([]float64, m.NumActions()),
-		n: make([][]float64, m.NumActions()),
-	}
-	for i := range g.n {
-		g.n[i] = make([]float64, m.Cap.HashFeatures)
-	}
-	g.diagW = make([][]float64, len(m.Diag.W))
-	for i := range g.diagW {
-		g.diagW[i] = make([]float64, len(m.Diag.W[i]))
-	}
-	return g
 }
 
 // Step performs one GRPO update: sample a batch of inputs, roll out G
@@ -185,146 +150,87 @@ func (tr *Trainer) Step() StepStats {
 }
 
 // StepCtx is Step under a cancelable context. When ctx ends
-// mid-rollout, the step aborts promptly: in-flight verifications
-// return Canceled verdicts, the partial grid is discarded, NO model
-// update is applied, and the input cursor rewinds so a resumed run
-// replays the same batch — cancellation never perturbs the
-// deterministic training trajectory, it only truncates it.
+// mid-rollout the step aborts promptly with NO model update and the
+// input cursor rewound (see grid).
 func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 	m := tr.Model
 	cfg := tr.Cfg
-	g := newGrads(m)
-
-	var stats StepStats
-	if err := ctx.Err(); err != nil {
-		return stats, err
-	}
-	if len(tr.Data) == 0 || cfg.BatchInputs <= 0 || cfg.GroupSize <= 0 {
-		// An empty corpus (or degenerate batch shape) used to panic
-		// with a divide-by-zero at the cursor modulus. Record an empty
-		// step so RewardHistory keeps one entry per Step.
-		tr.RewardHistory = append(tr.RewardHistory, 0)
-		return stats, nil
-	}
-	o := oracle.OrDefault(tr.Oracle)
-
-	// Assign this step's inputs up front; the cursor advances by the
-	// batch regardless of worker scheduling.
-	base := tr.cursor
-	tr.cursor += cfg.BatchInputs
-	sampleAt := make([]*dataset.Sample, cfg.BatchInputs)
-	for bi := range sampleAt {
-		sampleAt[bi] = tr.Data[(base+bi)%len(tr.Data)]
-	}
-
-	// Roll out and verify the BatchInputs × GroupSize grid in
-	// parallel. Every episode draws from its own rand.Rand derived
-	// from the trainer seed and grid position, and writes only to its
-	// own grid slot, so the result is independent of worker count and
-	// interleaving.
-	grid := make([]episodeScore, cfg.BatchInputs*cfg.GroupSize)
-	err := par.For(ctx, cfg.Workers, len(grid), func(i int) {
-		bi, gi := i/cfg.GroupSize, i%cfg.GroupSize
-		s := sampleAt[bi]
-		rng := rand.New(rand.NewSource(episodeSeed(tr.seed, base+bi, gi)))
-		ep := m.Generate(s.O0, policy.GenOptions{
-			Temperature: cfg.Temperature,
-			Rng:         rng,
-			Augmented:   cfg.Augmented,
-		})
-		j := JudgeWith(ctx, o, ep, s, cfg.Verify)
-		es := episodeScore{ep: ep, j: j}
-		switch cfg.Mode {
-		case ModeCorrectness, ModeCorrectnessCoT:
-			es.rAnswer = CorrectnessRewardShaped(ep, j, !cfg.NoBleuShaping)
-			if cfg.Mode == ModeCorrectnessCoT {
-				es.rThink = CoTReward(ep, j)
-				es.rAttempt = AttemptRewardShaped(ep, j, !cfg.NoBleuShaping)
+	cells, err := grid(ctx, &tr.rollout, cfg.BatchInputs, cfg.GroupSize, cfg.Workers,
+		func(o oracle.Oracle, s *dataset.Sample, rng *rand.Rand) episodeScore {
+			ep := m.Generate(s.O0, policy.GenOptions{
+				Temperature: cfg.Temperature,
+				Rng:         rng,
+				Augmented:   cfg.Augmented,
+			})
+			j := JudgeWith(ctx, o, ep, s, cfg.Verify)
+			es := episodeScore{s: s, ep: ep, j: j}
+			switch cfg.Mode {
+			case ModeCorrectness, ModeCorrectnessCoT:
+				es.rAnswer = CorrectnessRewardShaped(ep, j, !cfg.NoBleuShaping)
+				if cfg.Mode == ModeCorrectnessCoT {
+					es.rThink = CoTReward(ep, j)
+					es.rAttempt = AttemptRewardShaped(ep, j, !cfg.NoBleuShaping)
+				}
+			case ModeLatency:
+				es.rAnswer = LatencyReward(j, cfg.Latency)
 			}
-		case ModeLatency:
-			es.rAnswer = LatencyReward(j, cfg.Latency)
-		}
-		es.r = es.rAnswer + es.rThink
-		grid[i] = es
-	})
-	if err != nil {
-		tr.cursor = base
+			es.r = es.rAnswer + es.rThink
+			return es
+		})
+	if cells == nil {
 		return StepStats{}, err
 	}
 
 	// Everything below is sequential and walks the grid in its
-	// deterministic (batch, group) order: failure harvesting,
-	// advantage computation, and gradient accumulation.
+	// deterministic (batch, group) order: failure harvesting, stats,
+	// and gradient accumulation.
+	stats := StepStats{Episodes: len(cells)}
 	totalTokens := 0
-
-	// Collect all (episode, advantage) pairs first so token-level
-	// normalization can use the global batch token count.
-	var all []episodeScore
-	var advs []advPair
-
-	for bi := 0; bi < cfg.BatchInputs; bi++ {
-		s := sampleAt[bi]
-		group := grid[bi*cfg.GroupSize : (bi+1)*cfg.GroupSize]
-		if tr.CollectFailures {
-			for _, es := range group {
-				if es.j.AttemptVerdict.Verdict != alive.Equivalent {
-					tr.Failures = append(tr.Failures, &FailureSample{
-						Sample:      s,
-						AttemptText: es.ep.AttemptText,
-						TrueDiag:    es.j.AttemptVerdict.Diag,
-						TrueClass:   classOf(es.j.AttemptVerdict.Verdict),
-						UsedRules:   usedRules(m, es.ep),
-					})
-				}
-			}
+	for _, es := range cells {
+		if tr.CollectFailures && es.j.AttemptVerdict.Verdict != alive.Equivalent {
+			tr.Failures = append(tr.Failures, &FailureSample{
+				Sample:      es.s,
+				AttemptText: es.ep.AttemptText,
+				TrueDiag:    es.j.AttemptVerdict.Diag,
+				TrueClass:   classOf(es.j.AttemptVerdict.Verdict),
+				UsedRules:   usedRules(m, es.ep),
+			})
 		}
-		// Group-relative advantages, one per reward component.
-		meanA, stdA := meanStdOf(group, func(e episodeScore) float64 { return e.rAnswer })
-		meanT, stdT := meanStdOf(group, func(e episodeScore) float64 { return e.rThink })
-		meanAt, stdAt := meanStdOf(group, func(e episodeScore) float64 { return e.rAttempt })
-		for _, es := range group {
-			adv := advPair{answer: es.rAnswer, think: es.rThink, attempt: es.rAttempt}
-			if !cfg.NoGroupBaseline {
-				adv.answer = (es.rAnswer - meanA) / (stdA + 1e-6)
-				adv.think = (es.rThink - meanT) / (stdT + 1e-6)
-				adv.attempt = (es.rAttempt - meanAt) / (stdAt + 1e-6)
-			}
-			all = append(all, es)
-			advs = append(advs, adv)
-			totalTokens += tokensOf(es.ep)
-			stats.MeanReward += es.r
-			stats.MeanCoT += es.rThink
-			if es.j.FinalVerdict.Verdict == alive.Equivalent {
-				stats.VerifiedFrac++
-			}
-			if es.ep.Copied {
-				stats.CopyFrac++
-			}
+		totalTokens += tokensOf(es.ep)
+		stats.MeanReward += es.r
+		stats.MeanCoT += es.rThink
+		if es.j.FinalVerdict.Verdict == alive.Equivalent {
+			stats.VerifiedFrac++
+		}
+		if es.ep.Copied {
+			stats.CopyFrac++
 		}
 	}
-	stats.Episodes = len(all)
-	if stats.Episodes > 0 {
-		stats.MeanReward /= float64(stats.Episodes)
-		stats.MeanCoT /= float64(stats.Episodes)
-		stats.VerifiedFrac /= float64(stats.Episodes)
-		stats.CopyFrac /= float64(stats.Episodes)
-	}
+	stats.MeanReward /= float64(stats.Episodes)
+	stats.MeanCoT /= float64(stats.Episodes)
+	stats.VerifiedFrac /= float64(stats.Episodes)
+	stats.CopyFrac /= float64(stats.Episodes)
 	tr.RewardHistory = append(tr.RewardHistory, stats.MeanReward)
 
-	// Accumulate policy gradients.
-	for i, es := range all {
-		adv := advs[i]
+	// Group-relative advantages, one per reward component, normalized
+	// per token over the whole batch (or per sequence, for the
+	// ablation), then the policy gradient.
+	answer := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rAnswer })
+	think := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rThink })
+	attempt := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rAttempt })
+	g := m.Grad()
+	gDiag := make([][]float64, len(m.Diag.W))
+	for c := range gDiag {
+		gDiag[c] = make([]float64, len(m.Diag.W[c]))
+	}
+	for i, es := range cells {
 		norm := float64(totalTokens)
 		if cfg.SeqLevelNorm {
-			norm = float64(tokensOf(es.ep)) * float64(len(all))
+			norm = float64(tokensOf(es.ep)) * float64(len(cells))
 		}
-		if norm == 0 {
-			continue
-		}
-		tr.accumulateEpisode(g, es.ep, advPair{answer: adv.answer / norm, think: adv.think / norm, attempt: adv.attempt / norm})
+		tr.accumulateEpisode(g, gDiag, es.ep, advPair{answer: answer[i] / norm, think: think[i] / norm, attempt: attempt[i] / norm})
 	}
-
-	stats.GradNorm = tr.apply(g)
+	stats.GradNorm = m.ClipStep(g, m.Diag.W, gDiag, cfg.LR, cfg.ClipNorm, m.Cap.MaxBias)
 	return stats, nil
 }
 
@@ -336,21 +242,11 @@ type advPair struct{ answer, think, attempt float64 }
 // the attempt gets the think advantage (plus the answer advantage
 // when it *is* the answer), the correction gets the answer advantage,
 // and the diagnosis decision gets the think advantage.
-func (tr *Trainer) accumulateEpisode(g *grads, ep *policy.Episode, adv advPair) {
+func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *policy.Episode, adv advPair) {
 	m := tr.Model
 	addRecords := func(recs []policy.ActionRecord, h []float64, scale float64) {
 		for _, rec := range recs {
-			probs := m.Softmax(rec.Cands, rec.StepFrac, rec.Work, h, tr.Cfg.Temperature)
-			for i, a := range rec.Cands {
-				ind := 0.0
-				if i == rec.Chosen {
-					ind = 1
-				}
-				coeff := (ind - probs[i]) * scale
-				g.b[a] += coeff
-				g.s[a] += coeff * rec.StepFrac
-				g.p[a] += coeff * rec.Work
-			}
+			m.AddGrad(g, rec, h, tr.Cfg.Temperature, scale)
 		}
 	}
 	// Attempt tokens are judged by the attempt's own Eq. 1 (per-segment
@@ -366,90 +262,8 @@ func (tr *Trainer) accumulateEpisode(g *grads, ep *policy.Episode, adv advPair) 
 	}
 	addRecords(ep.Actions, ep.H, attemptScale)
 	if ep.Diag != nil {
-		f := ep.Diag.Features
-		probs := m.Diag.ClassProbs(f, tr.Cfg.Temperature)
-		for c := range probs {
-			ind := 0.0
-			if c == ep.Diag.ClassIdx {
-				ind = 1
-			}
-			coeff := (ind - probs[c]) * adv.think
-			for j, fj := range f {
-				g.diagW[c][j] += coeff * fj
-			}
-		}
+		m.Diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, tr.Cfg.Temperature, adv.think)
 	}
-}
-
-// apply performs the single clipped gradient-ascent update, returning
-// the pre-clip gradient norm.
-func (tr *Trainer) apply(g *grads) float64 {
-	m := tr.Model
-	norm := 0.0
-	walk := func(vs []float64) {
-		for _, v := range vs {
-			norm += v * v
-		}
-	}
-	walk(g.b)
-	walk(g.s)
-	walk(g.p)
-	for _, row := range g.n {
-		walk(row)
-	}
-	for _, row := range g.diagW {
-		walk(row)
-	}
-	norm = math.Sqrt(norm)
-	scale := tr.Cfg.LR
-	if tr.Cfg.ClipNorm > 0 && norm > tr.Cfg.ClipNorm {
-		scale *= tr.Cfg.ClipNorm / norm
-	}
-	// N is frozen: it models the pretrained network's fixed per-input
-	// idiosyncrasies, the irreducible error source of Table II.
-	for a := range g.b {
-		m.B[a] += scale * g.b[a]
-		m.S[a] += scale * g.s[a]
-		m.P[a] += scale * g.p[a]
-	}
-	for c := range g.diagW {
-		for j := range g.diagW[c] {
-			m.Diag.W[c][j] += scale * g.diagW[c][j]
-		}
-	}
-	m.Clamp()
-	return norm
-}
-
-// episodeSeed mixes the trainer seed with the episode's corpus cursor
-// and group index (splitmix64-style finalizer) so per-episode RNG
-// streams are decorrelated from each other and independent of worker
-// scheduling.
-func episodeSeed(seed int64, cursor, gi int) int64 {
-	z := uint64(seed)*0x9e3779b97f4a7c15 + uint64(cursor)*0xbf58476d1ce4e5b9 + uint64(gi+1)*0x94d049bb133111eb
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return int64(z)
-}
-
-func meanStdOf(group []episodeScore, f func(episodeScore) float64) (float64, float64) {
-	if len(group) == 0 {
-		return 0, 0
-	}
-	mean := 0.0
-	for _, es := range group {
-		mean += f(es)
-	}
-	mean /= float64(len(group))
-	varsum := 0.0
-	for _, es := range group {
-		d := f(es) - mean
-		varsum += d * d
-	}
-	return mean, math.Sqrt(varsum / float64(len(group)))
 }
 
 func tokensOf(ep *policy.Episode) int {
@@ -492,19 +306,9 @@ func (tr *Trainer) Train(n int) []StepStats {
 }
 
 // TrainCtx runs up to n steps under ctx, returning the stats of the
-// steps that completed. On cancellation the aborted step leaves no
-// trace (see StepCtx) and the shortened stats slice is returned with
-// the context's error.
+// steps that completed and, on cancellation, the context's error.
 func (tr *Trainer) TrainCtx(ctx context.Context, n int) ([]StepStats, error) {
-	out := make([]StepStats, 0, n)
-	for i := 0; i < n; i++ {
-		st, err := tr.StepCtx(ctx)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, st)
-	}
-	return out, nil
+	return train(ctx, n, tr.StepCtx)
 }
 
 // EMA smooths a series with the paper's 0.95 exponential moving

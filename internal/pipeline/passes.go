@@ -148,11 +148,6 @@ type PassesResult struct {
 	Report  *PassesReport
 }
 
-// RunPasses is RunPassesCtx under a background context.
-func RunPasses(train, val []*dataset.Sample, cfg PassesConfig) (*PassesResult, error) {
-	return RunPassesCtx(context.Background(), train, val, cfg)
-}
-
 // RunPassesCtx trains the sequence policy on the training split and
 // evaluates the four methods on the validation split. Cancellation
 // follows the curriculum's convention: the interrupted phase aborts

@@ -1,14 +1,12 @@
 package policy
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 
+	"veriopt/internal/alive"
 	"veriopt/internal/rewrite"
 )
-
-func mathExp(x float64) float64 { return math.Exp(x) }
 
 // DiagClass is the model's predicted verification outcome for its own
 // attempt — the Alive2 emulation of Fig. 2.
@@ -60,7 +58,7 @@ type DiagRecord struct {
 
 // DiagHead is the linear classifier emulating Alive2 feedback.
 type DiagHead struct {
-	// W[class][feature] over the feature vector built by diagFeatures.
+	// W[class][feature] over the feature vector built by DiagFeatures.
 	W [][]float64
 	// Sub[subclass][ruleID] associates blamed rules with semantic
 	// subclasses.
@@ -92,22 +90,13 @@ func newDiagHead(cap Capacity, rng *rand.Rand) *DiagHead {
 }
 
 func (d *DiagHead) clone() *DiagHead {
-	c := &DiagHead{nFeatures: d.nFeatures, nRules: d.nRules}
-	c.W = make([][]float64, len(d.W))
-	for i := range d.W {
-		c.W[i] = append([]float64(nil), d.W[i]...)
-	}
-	c.Sub = make([][]float64, len(d.Sub))
-	for i := range d.Sub {
-		c.Sub[i] = append([]float64(nil), d.Sub[i]...)
-	}
-	return c
+	return &DiagHead{W: cloneRows(d.W), Sub: cloneRows(d.Sub), nFeatures: d.nFeatures, nRules: d.nRules}
 }
 
-// diagFeatures builds the classifier input from the attempt
+// DiagFeatures builds the classifier input from the attempt
 // trajectory: [bias, usedCorrupt, usedUnsound, usedSoundOrExtra,
 // trajectoryLenFrac, h...].
-func (m *Model) diagFeatures(h []float64, acts []ActionRecord) []float64 {
+func (m *Model) DiagFeatures(h []float64, acts []ActionRecord) []float64 {
 	kinds := map[rewrite.Kind]int{}
 	for _, rec := range acts {
 		a := rec.Cands[rec.Chosen]
@@ -125,46 +114,10 @@ func (m *Model) diagFeatures(h []float64, acts []ActionRecord) []float64 {
 	return f
 }
 
-func b2f(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// classProbs computes the head's softmax over diagnosis classes.
-func (d *DiagHead) classProbs(f []float64, temp float64) []float64 {
-	logits := make([]float64, numDiagClasses)
-	maxL := math.Inf(-1)
-	for c := range logits {
-		v := 0.0
-		for j, fj := range f {
-			v += d.W[c][j] * fj
-		}
-		logits[c] = v / temp
-		if logits[c] > maxL {
-			maxL = logits[c]
-		}
-	}
-	sum := 0.0
-	for c := range logits {
-		logits[c] = math.Exp(logits[c] - maxL)
-		sum += logits[c]
-	}
-	for c := range logits {
-		logits[c] /= sum
-	}
-	return logits
-}
-
 // diagnose emits the model's self-diagnosis of its attempt.
 func (m *Model) diagnose(h []float64, acts []ActionRecord, opts GenOptions) *DiagRecord {
-	f := m.diagFeatures(h, acts)
-	temp := opts.Temperature
-	if temp <= 0 {
-		temp = 1
-	}
-	probs := m.Diag.classProbs(f, temp)
+	f := m.DiagFeatures(h, acts)
+	probs := m.Diag.ClassProbs(f, opts.Temperature)
 	var cls int
 	if opts.Temperature > 0 {
 		cls = sampleIdx(probs, opts.Rng)
@@ -195,7 +148,7 @@ func (m *Model) diagnose(h []float64, acts []ActionRecord, opts GenOptions) *Dia
 	case DiagOK:
 		rec.Message = "\n; Alive2: Transformation seems to be correct!"
 	case DiagSyntaxError:
-		rec.Message = "\n; Alive2: ERROR: couldn't parse transformed IR: invalid instruction"
+		rec.Message = "\n; Alive2: " + alive.DiagParsePrefix + "invalid instruction"
 	case DiagSemanticError:
 		rec.Subclass = m.Diag.bestSubclass(m, acts)
 		msg := subclassMessages[rec.Subclass]
@@ -241,18 +194,6 @@ func SubclassForDiag(diag string) int {
 	default:
 		return subValueMismatch
 	}
-}
-
-// ClassProbs exposes the class softmax for gradient computation in
-// the trainer.
-func (d *DiagHead) ClassProbs(f []float64, temp float64) []float64 {
-	return d.classProbs(f, temp)
-}
-
-// DiagFeatures exposes the diagnostic feature construction for the
-// supervised warm-up stage.
-func (m *Model) DiagFeatures(h []float64, acts []ActionRecord) []float64 {
-	return m.diagFeatures(h, acts)
 }
 
 // BumpSub strengthens the association between action a and the given

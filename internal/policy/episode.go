@@ -8,17 +8,6 @@ import (
 	"veriopt/internal/rewrite"
 )
 
-// ActionRecord captures one decision for later policy-gradient
-// computation: the candidate set, per-input features, step fraction,
-// and the chosen index.
-type ActionRecord struct {
-	Cands    []int
-	StepFrac float64
-	// Work is the work-remaining feature at this step.
-	Work   float64
-	Chosen int // index into Cands
-}
-
 // Episode is one full generation: the action trajectory, the emitted
 // first attempt, the optional diagnosis + correction, and the final
 // completion.
@@ -135,18 +124,10 @@ func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask m
 	}
 	for t := 0; t < m.Cap.MaxSteps; t++ {
 		stepFrac := float64(t) / float64(m.Cap.MaxSteps)
-		cands := m.candidates(work, mask)
+		cands := m.Candidates(work, mask)
 		wf := m.WorkFeature(work)
-		rec := ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf}
-		var pick int
-		if opts.Temperature > 0 {
-			probs := m.Softmax(cands, stepFrac, wf, h, opts.Temperature)
-			pick = sampleIdx(probs, rng)
-		} else {
-			pick = m.Argmax(cands, stepFrac, wf, h)
-		}
-		rec.Chosen = pick
-		acts = append(acts, rec)
+		pick := m.Choose(cands, stepFrac, wf, h, opts.Temperature, rng)
+		acts = append(acts, ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf, Chosen: pick})
 		a := cands[pick]
 		switch {
 		case a == m.ActStop():
@@ -169,9 +150,9 @@ func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask m
 	return ir.CanonicalText(work), acts, nil, formatBreak
 }
 
-// candidates lists the available actions: every applicable rule
-// (corruptions always apply), STOP, and format-break.
-func (m *Model) candidates(f *ir.Function, mask map[string]bool) []int {
+// Candidates lists the available actions on f: every applicable rule
+// not in mask (corruptions always apply), STOP, and format-break.
+func (m *Model) Candidates(f *ir.Function, mask map[string]bool) []int {
 	var cands []int
 	for i, r := range m.Rules {
 		if mask != nil && mask[r.Name] {
@@ -203,20 +184,6 @@ func (m *Model) WorkFeature(f *ir.Function) float64 {
 
 func (m *Model) selfCorrectEnabled() bool {
 	return sigmoid(m.SelfCorrectGate) > 0.5
-}
-
-func sigmoid(x float64) float64 { return 1 / (1 + mathExp(-x)) }
-
-func sampleIdx(probs []float64, rng *rand.Rand) int {
-	r := rng.Float64()
-	acc := 0.0
-	for i, p := range probs {
-		acc += p
-		if r < acc {
-			return i
-		}
-	}
-	return len(probs) - 1
 }
 
 // actionRand derives a deterministic RNG for a rule application from

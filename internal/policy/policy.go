@@ -2,19 +2,14 @@
 // reproduction: a stochastic, trainable rewrite policy standing in
 // for Qwen2.5-3B (see DESIGN.md §2 for the substitution argument).
 //
-// The policy is a linear-softmax model over a discrete action space
-// (internal/rewrite rules + STOP + a format-breaking action). Its
-// logit for action a on input x at step t is
-//
-//	logit(a) = B[a] + S[a]·(t/T) + Σ_j N[a][j]·h_j(x)
-//
-// where h_j(x) are per-input hash features — fixed pseudo-random
-// values playing the role of the pretrained network's idiosyncratic
-// response to each input. B, S and N are trainable. Because h_j are
-// effectively noise, the policy can reduce but never fully eliminate
-// input-dependent mistakes, reproducing the residual error rates of
-// Table II; "model scale" (Fig. 5) maps to the noise magnitude and
-// feature count (Capacity).
+// The policy is a linear-softmax model (Linear, linear.go) over a
+// discrete action space (internal/rewrite rules + STOP + a
+// format-breaking action), scored on the step fraction t/T, the
+// work-remaining feature and per-input hash features h_j(x). Because
+// h_j are effectively noise, the policy can reduce but never fully
+// eliminate input-dependent mistakes, reproducing the residual error
+// rates of Table II; "model scale" (Fig. 5) maps to the noise
+// magnitude and feature count (Capacity).
 //
 // Generation is greedy for evaluation (paper §IV-B: deterministic,
 // reproducible) and temperature-sampled during GRPO training.
@@ -22,8 +17,6 @@ package policy
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
 
 	"veriopt/internal/rewrite"
@@ -71,13 +64,9 @@ type Model struct {
 	Cap   Capacity
 	Rules []*rewrite.Rule
 
-	// B is the per-action bias; S the per-action step-fraction weight;
-	// P the per-action work-remaining weight; N the per-action,
-	// per-hash-feature weights (frozen after initialization).
-	B []float64
-	S []float64
-	P []float64
-	N [][]float64
+	// Linear is the scorer: per-action bias B, step-fraction weight S,
+	// work-remaining weight P, and frozen hash-feature weights N.
+	Linear
 
 	// Diag is the diagnostic head used in augmented-prompt mode.
 	Diag *DiagHead
@@ -117,18 +106,8 @@ func (m *Model) ActionName(a int) string {
 func New(cap Capacity, seed int64) *Model {
 	rules := rewrite.All()
 	m := &Model{Cap: cap, Rules: rules}
-	n := m.NumActions()
-	m.B = make([]float64, n)
-	m.S = make([]float64, n)
-	m.P = make([]float64, n)
-	m.N = make([][]float64, n)
 	rng := rand.New(rand.NewSource(seed))
-	for a := 0; a < n; a++ {
-		m.N[a] = make([]float64, cap.HashFeatures)
-		for j := range m.N[a] {
-			m.N[a][j] = rng.NormFloat64() * cap.NoiseScale
-		}
-	}
+	m.Linear = NewLinear(m.NumActions(), cap.HashFeatures, cap.NoiseScale, true, rng)
 	// Base biases per kind (Table I calibration; see DESIGN.md §5).
 	for a, r := range rules {
 		switch r.Kind {
@@ -164,120 +143,16 @@ func New(cap Capacity, seed int64) *Model {
 
 // Clone deep-copies the model (used to snapshot curriculum stages).
 func (m *Model) Clone() *Model {
-	c := &Model{Cap: m.Cap, Rules: m.Rules, SelfCorrectGate: m.SelfCorrectGate}
-	c.B = append([]float64(nil), m.B...)
-	c.S = append([]float64(nil), m.S...)
-	c.P = append([]float64(nil), m.P...)
-	c.N = make([][]float64, len(m.N))
-	for i := range m.N {
-		c.N[i] = append([]float64(nil), m.N[i]...)
-	}
-	c.Diag = m.Diag.clone()
-	return c
+	return &Model{Cap: m.Cap, Rules: m.Rules, SelfCorrectGate: m.SelfCorrectGate,
+		Linear: m.Linear.Copy(), Diag: m.Diag.clone()}
 }
 
-// HashFeatures derives the per-input pseudo-random features of input
-// text x: deterministic, roughly standard-normal values.
+// HashFeatures embeds input text x for this model's capacity.
 func (m *Model) HashFeatures(x string) []float64 {
-	out := make([]float64, m.Cap.HashFeatures)
-	for j := range out {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "%d|", j)
-		h.Write([]byte(x))
-		v := h.Sum64()
-		// Map to approximately N(0,1) by summing uniform halves.
-		u1 := float64(v&0xFFFFFFFF) / float64(1<<32)
-		u2 := float64(v>>32) / float64(1<<32)
-		if u1 < 1e-12 {
-			u1 = 1e-12
-		}
-		out[j] = math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-	// Normalize so the per-action noise magnitude is governed by
-	// NoiseScale alone, independent of the feature count.
-	norm := 0.0
-	for _, v := range out {
-		norm += v * v
-	}
-	norm = math.Sqrt(norm)
-	if norm > 1e-9 {
-		for j := range out {
-			out[j] /= norm
-		}
-	}
-	return out
+	return HashFeatures(m.Cap.HashFeatures, "", x)
 }
 
-// Logit computes the unnormalized score of action a. work in [0,1]
-// measures how much sound rewriting remains available — the state
-// feature that lets the policy learn conditional stopping.
-func (m *Model) Logit(a int, stepFrac, work float64, h []float64) float64 {
-	v := m.B[a] + m.S[a]*stepFrac + m.P[a]*work
-	for j, hj := range h {
-		v += m.N[a][j] * hj
-	}
-	return v
-}
-
-// Softmax computes action probabilities over the candidate set at the
-// given temperature (1.0 = natural; 0 is invalid — use Argmax).
-func (m *Model) Softmax(cands []int, stepFrac, work float64, h []float64, temp float64) []float64 {
-	logits := make([]float64, len(cands))
-	maxL := math.Inf(-1)
-	for i, a := range cands {
-		logits[i] = m.Logit(a, stepFrac, work, h) / temp
-		if logits[i] > maxL {
-			maxL = logits[i]
-		}
-	}
-	sum := 0.0
-	for i := range logits {
-		logits[i] = math.Exp(logits[i] - maxL)
-		sum += logits[i]
-	}
-	for i := range logits {
-		logits[i] /= sum
-	}
-	return logits
-}
-
-// Clamp enforces the finite parameter budget: |B|,|S| <= MaxBias.
-// Called after every training update.
-func (m *Model) Clamp() {
-	lim := m.Cap.MaxBias
-	if lim <= 0 {
-		return
-	}
-	cl := func(v float64) float64 {
-		if v > lim {
-			return lim
-		}
-		if v < -lim {
-			return -lim
-		}
-		return v
-	}
-	for a := range m.B {
-		m.B[a] = cl(m.B[a])
-		m.S[a] = cl(m.S[a])
-		m.P[a] = cl(m.P[a])
-	}
-	for c := range m.Diag.W {
-		for j := range m.Diag.W[c] {
-			m.Diag.W[c][j] = cl(m.Diag.W[c][j])
-		}
-	}
-}
-
-// Argmax returns the index (into cands) of the highest-logit action,
-// breaking ties toward the earlier candidate for determinism.
-func (m *Model) Argmax(cands []int, stepFrac, work float64, h []float64) int {
-	best, bestV := 0, math.Inf(-1)
-	for i, a := range cands {
-		v := m.Logit(a, stepFrac, work, h)
-		if v > bestV {
-			best, bestV = i, v
-		}
-	}
-	return best
-}
+// Clamp enforces the finite parameter budget: |B|,|S|,|P| and the
+// diagnostic head's weights <= MaxBias. Called after every training
+// update.
+func (m *Model) Clamp() { m.Linear.Clamp(m.Cap.MaxBias, m.Diag.W...) }

@@ -2,20 +2,18 @@ package seqopt
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
 
 	"veriopt/internal/ir"
+	"veriopt/internal/policy"
 )
 
-// Model is the trainable sequence policy: a linear-softmax scorer
-// over pass indices plus STOP, the phase-ordering analogue of
-// policy.Model. Logit(a) = B[a] + S[a]*stepFrac + N[a]·h(input) where
-// h is the deterministic hash-feature embedding of the input's
-// canonical text. N is frozen input-conditioning noise (the "frozen
-// backbone"); training moves B and S only, matching the peephole
-// policy's update rule.
+// Model is the trainable sequence policy: policy.Linear — the same
+// scorer, gradient and update as the token policy — over pass indices
+// plus STOP. Its features are the step fraction and the "seq"-salted
+// hash embedding of the input's canonical text; it has no
+// work-remaining weight (P is nil). What is specific to pass sequences
+// lives here: the registry binding and Generate.
 type Model struct {
 	// Passes names the action space in registry order; action index i
 	// < len(Passes) applies Passes[i], index len(Passes) is STOP.
@@ -27,8 +25,7 @@ type Model struct {
 	// MaxBias caps |B| and |S| after each update.
 	MaxBias float64
 
-	B, S []float64
-	N    [][]float64
+	policy.Linear
 }
 
 // NewModel builds an untrained sequence policy over the default
@@ -42,17 +39,7 @@ func NewModel(seed int64) *Model {
 		MaxLen:       6,
 		MaxBias:      2.5,
 	}
-	n := m.NumActions()
-	m.B = make([]float64, n)
-	m.S = make([]float64, n)
-	m.N = make([][]float64, n)
-	rng := rand.New(rand.NewSource(seed))
-	for a := 0; a < n; a++ {
-		m.N[a] = make([]float64, m.HashFeatures)
-		for j := range m.N[a] {
-			m.N[a][j] = rng.NormFloat64()
-		}
-	}
+	m.Linear = policy.NewLinear(m.NumActions(), m.HashFeatures, 1, false, rand.New(rand.NewSource(seed)))
 	m.B[m.ActStop()] = 0.5
 	for a := 0; a < len(m.Passes); a++ {
 		m.S[a] = -0.5
@@ -80,113 +67,18 @@ func (m *Model) ActionName(a int) string {
 
 // Clone deep-copies the model.
 func (m *Model) Clone() *Model {
-	c := &Model{Passes: append([]string(nil), m.Passes...),
-		HashFeatures: m.HashFeatures, MaxLen: m.MaxLen, MaxBias: m.MaxBias}
-	c.B = append([]float64(nil), m.B...)
-	c.S = append([]float64(nil), m.S...)
-	c.N = make([][]float64, len(m.N))
-	for i := range m.N {
-		c.N[i] = append([]float64(nil), m.N[i]...)
-	}
-	return c
-}
-
-// HashFeaturesOf embeds input text as deterministic, roughly
-// standard-normal, unit-norm features (same scheme as policy.Model).
-func (m *Model) HashFeaturesOf(x string) []float64 {
-	out := make([]float64, m.HashFeatures)
-	for j := range out {
-		h := fnv.New64a()
-		fmt.Fprintf(h, "seq%d|", j)
-		h.Write([]byte(x))
-		v := h.Sum64()
-		u1 := float64(v&0xFFFFFFFF) / float64(1<<32)
-		u2 := float64(v>>32) / float64(1<<32)
-		if u1 < 1e-12 {
-			u1 = 1e-12
-		}
-		out[j] = math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	}
-	norm := 0.0
-	for _, v := range out {
-		norm += v * v
-	}
-	norm = math.Sqrt(norm)
-	if norm > 1e-9 {
-		for j := range out {
-			out[j] /= norm
-		}
-	}
-	return out
-}
-
-// Logit scores action a at episode progress stepFrac in [0,1].
-func (m *Model) Logit(a int, stepFrac float64, h []float64) float64 {
-	v := m.B[a] + m.S[a]*stepFrac
-	for j, hj := range h {
-		v += m.N[a][j] * hj
-	}
-	return v
-}
-
-// Softmax computes probabilities over the candidate actions at the
-// given temperature (must be > 0).
-func (m *Model) Softmax(cands []int, stepFrac float64, h []float64, temp float64) []float64 {
-	logits := make([]float64, len(cands))
-	maxL := math.Inf(-1)
-	for i, a := range cands {
-		logits[i] = m.Logit(a, stepFrac, h) / temp
-		if logits[i] > maxL {
-			maxL = logits[i]
-		}
-	}
-	sum := 0.0
-	for i := range logits {
-		logits[i] = math.Exp(logits[i] - maxL)
-		sum += logits[i]
-	}
-	for i := range logits {
-		logits[i] /= sum
-	}
-	return logits
+	return &Model{Passes: append([]string(nil), m.Passes...), HashFeatures: m.HashFeatures,
+		MaxLen: m.MaxLen, MaxBias: m.MaxBias, Linear: m.Linear.Copy()}
 }
 
 // Clamp enforces the finite parameter budget after an update.
-func (m *Model) Clamp() {
-	if m.MaxBias <= 0 {
-		return
-	}
-	cl := func(v float64) float64 {
-		if v > m.MaxBias {
-			return m.MaxBias
-		}
-		if v < -m.MaxBias {
-			return -m.MaxBias
-		}
-		return v
-	}
-	for a := range m.B {
-		m.B[a] = cl(m.B[a])
-		m.S[a] = cl(m.S[a])
-	}
-}
-
-// ActionRecord captures one decision for the policy-gradient update.
-type ActionRecord struct {
-	// Cands are the action indices that were available (applicable
-	// passes plus STOP), Chosen the action index taken (an element of
-	// Cands, not a position), StepFrac the episode progress feature at
-	// decision time.
-	Cands    []int
-	Chosen   int
-	StepFrac float64
-}
+func (m *Model) Clamp() { m.Linear.Clamp(m.MaxBias) }
 
 // Episode is one rollout: an ordered pass sequence applied to Input.
 type Episode struct {
 	Input   *ir.Function
 	H       []float64
-	Actions []ActionRecord
+	Actions []policy.ActionRecord
 	// Sequence names the passes actually applied (STOP excluded).
 	Sequence []string
 	// FinalFn is the resulting function (== Input when Sequence is
@@ -217,55 +109,28 @@ func (m *Model) Generate(f *ir.Function, opts GenOptions) *Episode {
 	if len(passes) != len(m.Passes) {
 		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(passes)))
 	}
-	ep := &Episode{Input: f, H: m.HashFeaturesOf(ir.CanonicalText(f)), FinalFn: f}
+	ep := &Episode{Input: f, H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
 	cur := f
 	for t := 0; t < m.MaxLen; t++ {
 		// Probe which passes fire on the current state.
 		var cands []int
-		results := make(map[int]*ir.Function)
+		var next []*ir.Function
 		for i, p := range passes {
-			g, changed := p.Apply(cur)
-			if changed {
+			if g, changed := p.Apply(cur); changed {
 				cands = append(cands, i)
-				results[i] = g
+				next = append(next, g)
 			}
 		}
 		cands = append(cands, m.ActStop())
 		stepFrac := float64(t) / float64(m.MaxLen)
-		chosen := m.pick(cands, stepFrac, ep.H, opts)
-		ep.Actions = append(ep.Actions, ActionRecord{Cands: cands, Chosen: chosen, StepFrac: stepFrac})
-		if chosen == m.ActStop() {
+		pick := m.Choose(cands, stepFrac, 0, ep.H, opts.Temperature, opts.Rng)
+		ep.Actions = append(ep.Actions, policy.ActionRecord{Cands: cands, StepFrac: stepFrac, Chosen: pick})
+		if pick == len(next) { // STOP, the last candidate
 			break
 		}
-		cur = results[chosen]
-		ep.Sequence = append(ep.Sequence, m.Passes[chosen])
+		cur = next[pick]
+		ep.Sequence = append(ep.Sequence, m.Passes[cands[pick]])
 	}
 	ep.FinalFn = cur
 	return ep
-}
-
-func (m *Model) pick(cands []int, stepFrac float64, h []float64, opts GenOptions) int {
-	if opts.Rng == nil {
-		best, bestL := cands[0], math.Inf(-1)
-		for _, a := range cands {
-			if l := m.Logit(a, stepFrac, h); l > bestL {
-				best, bestL = a, l
-			}
-		}
-		return best
-	}
-	temp := opts.Temperature
-	if temp <= 0 {
-		temp = 1
-	}
-	probs := m.Softmax(cands, stepFrac, h, temp)
-	r := opts.Rng.Float64()
-	acc := 0.0
-	for i, p := range probs {
-		acc += p
-		if r < acc {
-			return cands[i]
-		}
-	}
-	return cands[len(cands)-1]
 }

@@ -23,9 +23,9 @@
 //     across beam rounds, and across whole re-runs — cost zero solver
 //     time.
 //
-//   - A sequence policy (Model): a small trainable softmax policy
-//     over pass indices plus STOP, the analogue of internal/policy
-//     for this workload. It trains under grpo.SeqTrainer with the
+//   - A sequence policy (Model): policy.Linear, the scorer of the
+//     token policy, over pass indices plus STOP. It trains under
+//     grpo.SeqTrainer (the same rollout core as grpo.Trainer) with the
 //     paper's verified latency reward: the oracle gates every reward,
 //     so an unverified sequence earns exactly zero.
 package seqopt

@@ -38,7 +38,7 @@ func TeacherTrajectory(m *policy.Model, input *ir.Function) ([]policy.ActionReco
 	var recs []policy.ActionRecord
 	for t := 0; t < m.Cap.MaxSteps; t++ {
 		stepFrac := float64(t) / float64(m.Cap.MaxSteps)
-		cands := candidateSet(m, work)
+		cands := m.Candidates(work, nil)
 		wf := m.WorkFeature(work)
 		// Teacher: the first applicable *real* sound rule (the cosmetic
 		// reorder optimizes nothing and is not taught), else STOP.
@@ -63,19 +63,6 @@ func TeacherTrajectory(m *policy.Model, input *ir.Function) ([]policy.ActionReco
 		m.Rules[cands[choice]].Apply(work, nil)
 	}
 	return recs, ir.CanonicalText(work)
-}
-
-// candidateSet mirrors the policy's candidate enumeration (kept in
-// sync through the shared exported surface).
-func candidateSet(m *policy.Model, f *ir.Function) []int {
-	var cands []int
-	for i, r := range m.Rules {
-		if r.Kind == rewrite.KindCorrupt || r.Applicable(f) {
-			cands = append(cands, i)
-		}
-	}
-	cands = append(cands, m.ActStop(), m.ActFormatBreak())
-	return cands
 }
 
 // Stats summarizes a warm-up run.
@@ -120,8 +107,10 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 				}
 			}
 			h := m.HashFeatures(ir.CanonicalText(s.O0))
+			// One cross-entropy gradient step toward each teacher
+			// action, in place.
 			for _, rec := range recs {
-				cloneStep(m, rec, h, cfg.LR)
+				m.AddGrad(&m.Linear, rec, h, 1, cfg.LR)
 				st.CloneSteps++
 			}
 			// The first-time diagnosis target is OK.
@@ -152,22 +141,6 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 		st.TeacherMatchFrac = float64(matches) / float64(len(samples))
 	}
 	return st, nil
-}
-
-// cloneStep applies one cross-entropy gradient step toward the
-// teacher action.
-func cloneStep(m *policy.Model, rec policy.ActionRecord, h []float64, lr float64) {
-	probs := m.Softmax(rec.Cands, rec.StepFrac, rec.Work, h, 1.0)
-	for i, a := range rec.Cands {
-		ind := 0.0
-		if i == rec.Chosen {
-			ind = 1
-		}
-		coeff := lr * (ind - probs[i])
-		m.B[a] += coeff
-		m.S[a] += coeff * rec.StepFrac
-		m.P[a] += coeff * rec.Work
-	}
 }
 
 // penalizeBlamed pushes down the failure-causing rules named in a
@@ -214,18 +187,7 @@ func reconstructRecords(m *policy.Model, fs *grpo.FailureSample) []policy.Action
 // the true class, and perceptron-bumps the subclass association for
 // semantic errors.
 func trainDiag(m *policy.Model, h []float64, recs []policy.ActionRecord, trueClass policy.DiagClass, trueDiag string, lr float64) {
-	f := m.DiagFeatures(h, recs)
-	probs := m.Diag.ClassProbs(f, 1.0)
-	for c := range probs {
-		ind := 0.0
-		if c == int(trueClass) {
-			ind = 1
-		}
-		coeff := lr * (ind - probs[c])
-		for j, fj := range f {
-			m.Diag.W[c][j] += coeff * fj
-		}
-	}
+	m.Diag.AddGrad(m.Diag.W, m.DiagFeatures(h, recs), int(trueClass), 1, lr)
 	if trueClass == policy.DiagSemanticError && trueDiag != "" {
 		sub := policy.SubclassForDiag(trueDiag)
 		for _, rec := range recs {
