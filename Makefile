@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check bench bench-workers bench-solver bench-store bench-passes bench-e2e bench-layers bench-ir loc
+.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check fuzz-smoke bench bench-workers bench-solver bench-store bench-passes bench-e2e bench-layers bench-ir loc
 
 all: tier1 tier2
 
@@ -16,7 +16,7 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check
+tier2: lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check fuzz-smoke
 	$(GO) test -race ./...
 
 # Serving-layer acceptance gate: >=100 concurrent /v1/verify requests
@@ -75,6 +75,20 @@ load-smoke:
 # the same commit.
 experiments-check:
 	$(GO) run ./cmd/veriopt experiments -run all -n 600 -seed 42 2>/dev/null | diff - experiments_output.txt
+
+# Fuzz gate: every native fuzz target for five seconds each, so that
+# `go test -fuzz` reaches the solver stack (FuzzSessionVsFresh: session
+# vs fresh solver, every Unsat replayed by internal/ruptest's RUP
+# checker, every Sat model evaluated) and the parsers on every PR.
+# Minimization is capped at ten runs per new input: its 60 s default
+# would spend the whole window shrinking the first one found. A crasher
+# lands in the package's testdata/fuzz/ and fails tier1 from then on.
+FUZZ_TARGETS = internal/bv:FuzzSessionVsFresh internal/ir:FuzzCanonicalKey internal/ir:FuzzLexTokens \
+	internal/ir:FuzzFingerprintText internal/vstore:FuzzRecordDecode internal/metrics:FuzzParse
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s -fuzzminimizetime 10x ./$${t%%:*} || exit 1; \
+	done
 
 # lint fails on any vet diagnostic or unformatted file; on Prometheus
 # exposition text written or matched by hand (internal/metrics is the

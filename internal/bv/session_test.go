@@ -1,9 +1,11 @@
 package bv
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
+	"veriopt/internal/ruptest"
 	"veriopt/internal/sat"
 )
 
@@ -38,46 +40,120 @@ func randomBoolTerm(b *Builder, rng *rand.Rand, w, d int) *Term {
 	return cond
 }
 
-// TestSessionDifferentialFuzz is the session's core soundness check:
-// across streams of random related queries, a session must agree with
-// fresh per-query CheckSat on the verdict, and every Sat model must
-// concretely satisfy its query under Eval — whether it came from the
-// pre-pass or the solver.
-func TestSessionDifferentialFuzz(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	for iter := 0; iter < 40; iter++ {
-		b := NewBuilder()
-		w := []int{4, 8, 16}[rng.Intn(3)]
-		sess := NewSession(0)
-		// Seed a few environments like the verifier does, so the
-		// pre-pass path is exercised too.
-		sess.SeedEnv(map[string]uint64{"x": 0, "y": 0, "z": 0})
-		sess.SeedEnv(map[string]uint64{"x": mask(w), "y": 1, "z": 1 << (w - 1)})
-		nQ := 2 + rng.Intn(6)
-		for q := 0; q < nQ; q++ {
-			cond := randomBoolTerm(b, rng, w, 2)
-			fresh, err := CheckSat(cond, 0)
-			if err != nil {
-				t.Fatalf("iter %d q %d: fresh: %v", iter, q, err)
+// audit gives every solver built until the test ends its own RUP
+// checker (internal/ruptest), so an Unsat is not merely agreed on by
+// two runs of the same solver code but replayed by independent unit
+// propagation.
+type audit struct{ checkers []*ruptest.Checker }
+
+func newAudit(t testing.TB) *audit {
+	a := &audit{}
+	sat.ProofForNew = func() sat.ProofSink {
+		c := ruptest.New()
+		a.checkers = append(a.checkers, c)
+		return c
+	}
+	t.Cleanup(func() { sat.ProofForNew = nil })
+	return a
+}
+
+// verify fails the test if any checker rejected a lemma or an Unsat,
+// then forgets the checkers.
+func (a *audit) verify(t testing.TB) {
+	t.Helper()
+	for _, c := range a.checkers {
+		if err := c.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.checkers = a.checkers[:0]
+}
+
+// sessionVsFresh is the session's core soundness check on one stream
+// of random related queries drawn from rng: a session must agree with
+// fresh per-query CheckSat on the verdict, every Sat model — pre-pass
+// or solver — must concretely satisfy its query under Eval, and every
+// Unsat, session's or fresh, must come with a proof the checker
+// accepts. A query either side cannot settle within budget is skipped.
+func sessionVsFresh(t testing.TB, rng *rand.Rand, budget int) {
+	t.Helper()
+	a := newAudit(t)
+	b := NewBuilder()
+	w := []int{4, 8, 16}[rng.Intn(3)]
+	sess := NewSession(budget)
+	// Seed a few environments like the verifier does, so the
+	// pre-pass path is exercised too.
+	sess.SeedEnv(map[string]uint64{"x": 0, "y": 0, "z": 0})
+	sess.SeedEnv(map[string]uint64{"x": mask(w), "y": 1, "z": 1 << (w - 1)})
+	nQ := 2 + rng.Intn(6)
+	for q := 0; q < nQ; q++ {
+		cond := randomBoolTerm(b, rng, w, 2)
+		fresh, ferr := CheckSat(cond, budget)
+		got, serr := sess.Check(cond)
+		if budget == 0 && (ferr != nil || serr != nil) {
+			t.Fatalf("q %d: fresh: %v, session: %v", q, ferr, serr)
+		}
+		if ferr != nil || serr != nil {
+			continue
+		}
+		if got.Status != fresh.Status {
+			t.Fatalf("q %d: session=%v fresh=%v for %v", q, got.Status, fresh.Status, cond)
+		}
+		if got.Status == sat.Sat {
+			if v, ok := Eval(cond, got.Model); !ok || v != 1 {
+				t.Fatalf("q %d: session model %v does not satisfy %v (v=%d ok=%v)", q, got.Model, cond, v, ok)
 			}
-			got, err := sess.Check(cond)
-			if err != nil {
-				t.Fatalf("iter %d q %d: session: %v", iter, q, err)
-			}
-			if got.Status != fresh.Status {
-				t.Fatalf("iter %d q %d: session=%v fresh=%v for %v", iter, q, got.Status, fresh.Status, cond)
-			}
-			if got.Status == sat.Sat {
-				if v, ok := Eval(cond, got.Model); !ok || v != 1 {
-					t.Fatalf("iter %d q %d: session model %v does not satisfy %v (v=%d ok=%v)",
-						iter, q, got.Model, cond, v, ok)
-				}
-				if v, ok := Eval(cond, fresh.Model); !ok || v != 1 {
-					t.Fatalf("iter %d q %d: fresh model does not satisfy its own query", iter, q)
-				}
+			if v, ok := Eval(cond, fresh.Model); !ok || v != 1 {
+				t.Fatalf("q %d: fresh model does not satisfy its own query", q)
 			}
 		}
 	}
+	a.verify(t)
+}
+
+// TestSessionDifferentialFuzz runs sessionVsFresh over 40 seeded
+// streams with no conflict budget.
+func TestSessionDifferentialFuzz(t *testing.T) {
+	rng := rand.New(rand.NewSource(1234))
+	for iter := 0; iter < 40; iter++ {
+		sessionVsFresh(t, rng, 0)
+	}
+}
+
+// byteSource is a rand.Source that spends the fuzzer's bytes, eight per
+// draw, so the fuzzer's mutations steer term shape, width and constants
+// directly; once they run out it continues from a seeded generator (a
+// constant tail would spin randomBoolTerm's "one more conjunct?" loop
+// or rand's rejection sampling forever).
+type byteSource struct {
+	data []byte
+	tail rand.Source
+}
+
+func (s *byteSource) Seed(int64) {}
+func (s *byteSource) Int63() int64 {
+	if len(s.data) < 8 {
+		return s.tail.Int63()
+	}
+	v := binary.BigEndian.Uint64(s.data)
+	s.data = s.data[8:]
+	return int64(v >> 1)
+}
+
+// FuzzSessionVsFresh is sessionVsFresh as a native fuzz target (make
+// fuzz-smoke): the solver stack, which mints the reward, under
+// go test -fuzz with the proof checker as its oracle. The per-query
+// budget keeps one exec short; a query that exhausts it is skipped.
+func FuzzSessionVsFresh(f *testing.F) {
+	seed := rand.New(rand.NewSource(1234))
+	for i := 0; i < 8; i++ {
+		data := make([]byte, 512)
+		seed.Read(data)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sessionVsFresh(t, rand.New(&byteSource{data, rand.NewSource(int64(len(data)))}), 3000)
+	})
 }
 
 // TestSessionSharedBlasting: across a stream of queries over shared

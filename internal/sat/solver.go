@@ -67,6 +67,28 @@ const (
 // ErrBudget is returned when the solver exceeds its conflict budget.
 var ErrBudget = errors.New("sat: conflict budget exhausted")
 
+// ProofSink receives a solver's clausal proof as it is produced, so an
+// independent checker (internal/ruptest) can replay every Unsat answer
+// by unit propagation alone. Each call gets its own copy of the
+// literals.
+type ProofSink interface {
+	// Axiom is a clause exactly as the caller passed it to AddClause,
+	// before any level-0 simplification.
+	Axiom(lits []Lit)
+	// Lemma is a learnt clause, learnt units included, in the order
+	// learnt.
+	Lemma(lits []Lit)
+	// Unsat is an Unsat answer from Solve under these assumptions.
+	Unsat(assumptions []Lit)
+}
+
+// ProofForNew, when set, supplies the Proof of every solver New
+// returns. It is the seam tests use to audit solvers built deep inside
+// bv and alive, whose first axiom is added before a caller could set
+// the field; only _test.go files assign it, and a test that does must
+// not run in parallel with another.
+var ProofForNew func() ProofSink
+
 type clause struct {
 	lits   []Lit
 	learnt bool
@@ -108,6 +130,10 @@ type Solver struct {
 	Budget    int
 	conflicts int
 
+	// Proof, nil by default, is told every axiom, lemma and Unsat
+	// answer. It must be set before the first AddClause.
+	Proof ProofSink
+
 	nVars int
 	okay  bool
 }
@@ -116,6 +142,9 @@ type Solver struct {
 func New() *Solver {
 	s := &Solver{varInc: 1, claInc: 1, okay: true}
 	s.order = &varHeap{s: s}
+	if ProofForNew != nil {
+		s.Proof = ProofForNew()
+	}
 	return s
 }
 
@@ -157,6 +186,9 @@ func (s *Solver) valueLit(l Lit) lbool {
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.okay {
 		return false
+	}
+	if s.Proof != nil {
+		s.Proof.Axiom(append([]Lit(nil), lits...))
 	}
 	s.backtrackTo(0)
 	// Simplify: dedupe, drop false literals, detect tautology. Clauses
@@ -577,13 +609,13 @@ func luby(i int) int {
 // which resets the trail.
 func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 	if !s.okay {
-		return Unsat, nil
+		return s.unsat(assumptions)
 	}
 	// Re-entry from a prior call: drop its decisions and assumptions.
 	s.backtrackTo(0)
 	if conf := s.propagate(); conf != nil {
 		s.okay = false
-		return Unsat, nil
+		return s.unsat(assumptions)
 	}
 	restartN := 1
 	conflictsAtRestart := 0
@@ -600,9 +632,12 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 			}
 			if s.decisionLevel() == 0 {
 				s.okay = false
-				return Unsat, nil
+				return s.unsat(assumptions)
 			}
 			learnt, backLevel := s.analyze(conf)
+			if s.Proof != nil {
+				s.Proof.Lemma(append([]Lit(nil), learnt...))
+			}
 			s.backtrackTo(backLevel)
 			if len(learnt) == 1 {
 				s.enqueue(learnt[0], nil)
@@ -643,7 +678,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 				// this assumption false: unsat under assumptions, but
 				// the solver itself stays usable.
 				s.backtrackTo(0)
-				return Unsat, nil
+				return s.unsat(assumptions)
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
 			s.enqueue(p, nil)
@@ -660,6 +695,14 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 		// toward sparse counterexamples.
 		s.enqueue(MkLit(v, !s.phase[v]), nil)
 	}
+}
+
+// unsat reports an Unsat answer to the proof sink on its way out.
+func (s *Solver) unsat(assumptions []Lit) (Status, error) {
+	if s.Proof != nil {
+		s.Proof.Unsat(append([]Lit(nil), assumptions...))
+	}
+	return Unsat, nil
 }
 
 // Value returns the model value of variable v after Sat.

@@ -1,0 +1,279 @@
+package sat_test
+
+// The solver judged from outside: a fixed corpus of verifier queries
+// and a fixed bv.Session script, run (1) under the independent RUP
+// checker, which must accept every Unsat the solver returns, and (2)
+// against testdata/trajectory_golden.json, which pins every verdict and
+// every conflict count, so a change to the solver's memory layout can
+// show it searched exactly as before. External test package: dataset
+// and alive import sat.
+
+import (
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"veriopt/internal/alive"
+	"veriopt/internal/bv"
+	"veriopt/internal/dataset"
+	"veriopt/internal/ir"
+	"veriopt/internal/rewrite"
+	"veriopt/internal/ruptest"
+	"veriopt/internal/sat"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/trajectory_golden.json")
+
+// audit gives every solver built until the test ends its own checker.
+type audit struct{ checkers []*ruptest.Checker }
+
+func newAudit(t testing.TB) *audit {
+	a := &audit{}
+	sat.ProofForNew = func() sat.ProofSink {
+		c := ruptest.New()
+		a.checkers = append(a.checkers, c)
+		return c
+	}
+	t.Cleanup(func() { sat.ProofForNew = nil })
+	return a
+}
+
+// verify fails the test on the first rejected lemma or Unsat and
+// returns how many of each were checked.
+func (a *audit) verify(t testing.TB) (lemmas, unsats int) {
+	t.Helper()
+	for i, c := range a.checkers {
+		if err := c.Err(); err != nil {
+			t.Fatalf("solver %d of %d: %v", i+1, len(a.checkers), err)
+		}
+		lemmas += c.Lemmas
+		unsats += c.Unsats
+	}
+	return lemmas, unsats
+}
+
+// corpusSeed and corpusN fix the corpus slice: four instances of each
+// of the 36 templates, so all five scenario families are in it.
+const (
+	corpusSeed = 18
+	corpusN    = 144
+)
+
+// runCorpus verifies every sample's (O0, Ref) pair and every
+// rewrite.Unsound() mutant of Ref that applies, each with the session
+// solver and with a fresh solver per query, and returns one line per
+// verification: what was asked, the verdict, the conflicts spent.
+func runCorpus(t testing.TB) []string {
+	t.Helper()
+	samples, err := dataset.Generate(dataset.Config{Seed: corpusSeed, N: corpusN, SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := dataset.ScenarioCounts(samples)
+	for _, f := range []string{dataset.ScenarioScalar, dataset.ScenarioControlFlow, dataset.ScenarioLoop,
+		dataset.ScenarioWideInt, dataset.ScenarioAdversarial} {
+		if families[f] == 0 {
+			t.Fatalf("corpus slice has no %s sample: %v", f, families)
+		}
+	}
+	session := alive.DefaultOptions()
+	session.SolverBudget = 20000
+	fresh := session
+	fresh.FreshSolver = true
+	var lines []string
+	for i, s := range samples {
+		targets := []*ir.Function{s.Ref}
+		names := []string{"ref"}
+		for _, rule := range rewrite.Unsound() {
+			if !rule.Applicable(s.Ref) {
+				continue
+			}
+			g := ir.CloneFunc(s.Ref)
+			if rule.Apply(g, rand.New(rand.NewSource(int64(i)))) && ir.VerifyFunc(g) == nil {
+				targets = append(targets, g)
+				names = append(names, rule.Name)
+			}
+		}
+		for j, tgt := range targets {
+			for _, opts := range []alive.Options{session, fresh} {
+				res := alive.VerifyFuncs(s.O0, tgt, opts)
+				lines = append(lines, fmt.Sprintf("%s %s %s fresh=%v %v %d",
+					s.Scenario, s.Template, names[j], opts.FreshSolver, res.Verdict, res.SolverConflicts))
+			}
+		}
+	}
+	return lines
+}
+
+// runSessionScript drives bv.Session the way one long verification would:
+// queries over shared subterms, Unsat and Sat answers interleaved,
+// repeats that can lean on carried-over lemmas, a pre-pass hit, and —
+// in a second session — budget exhaustion followed by more queries.
+func runSessionScript(t testing.TB) []string {
+	t.Helper()
+	var lines []string
+	ask := func(sess *bv.Session, name string, cond *bv.Term) {
+		res, err := sess.Check(cond)
+		lines = append(lines, fmt.Sprintf("%s %v %d err=%v", name, res.Status, res.Conflicts, err))
+		if res.Status == sat.Sat {
+			if v, ok := bv.Eval(cond, res.Model); !ok || v != 1 {
+				t.Fatalf("%s: model %v does not satisfy the query", name, res.Model)
+			}
+		}
+	}
+	for _, run := range []struct {
+		name   string
+		w      int
+		budget int
+	}{{"w5", 5, 0}, {"w8-budget", 8, 300}} {
+		b := bv.NewBuilder()
+		w := run.w
+		x, y, z := b.Var(w, "x"), b.Var(w, "y"), b.Var(w, "z")
+		c := func(v uint64) *bv.Term { return b.Const(w, v) }
+		ne := func(l, r *bv.Term) *bv.Term { return b.Not(b.Eq(l, r)) }
+		mul, add, sub := func(l, r *bv.Term) *bv.Term { return b.Bin(bv.OpMul, l, r) },
+			func(l, r *bv.Term) *bv.Term { return b.Bin(bv.OpAdd, l, r) },
+			func(l, r *bv.Term) *bv.Term { return b.Bin(bv.OpSub, l, r) }
+		and, or, xor := func(l, r *bv.Term) *bv.Term { return b.Bin(bv.OpAnd, l, r) },
+			func(l, r *bv.Term) *bv.Term { return b.Bin(bv.OpOr, l, r) },
+			func(l, r *bv.Term) *bv.Term { return b.Bin(bv.OpXor, l, r) }
+		xy := mul(x, y)
+		queries := []struct {
+			name string
+			cond *bv.Term
+		}{
+			{"distrib-one", ne(mul(x, add(y, c(1))), add(xy, x))},
+			{"xor-and-add", ne(add(xor(x, y), mul(c(2), and(x, y))), add(x, y))},
+			{"factor", b.BoolAnd(b.Eq(xy, c(35)), b.BoolAnd(b.Cmp(bv.OpUlt, c(1), x), b.Cmp(bv.OpUlt, c(1), y)))},
+			{"or-minus-and", ne(sub(or(x, y), and(x, y)), xor(x, y))},
+			{"cycle", b.BoolAnd(b.Cmp(bv.OpUlt, x, y), b.BoolAnd(b.Cmp(bv.OpUlt, y, z), b.Cmp(bv.OpUlt, z, x)))},
+			{"square-is-2", b.Eq(mul(x, x), c(2))},
+			{"distrib", ne(mul(x, add(y, z)), add(xy, mul(x, z)))},
+			{"distrib-one-again", ne(mul(x, add(y, c(1))), add(xy, x))},
+			{"divmod", b.BoolAnd(ne(y, c(0)), ne(add(mul(b.Bin(bv.OpUDiv, x, y), y), b.Bin(bv.OpURem, x, y)), x))},
+			{"shl-is-double", ne(b.Bin(bv.OpShl, x, c(1)), add(x, x))},
+			{"square-is-4", b.Eq(mul(x, x), c(4))},
+			{"prepass", b.Eq(x, c(2))},
+			{"neg-mul", ne(mul(b.Neg(x), y), b.Neg(xy))},
+			{"square-is-2-again", b.Eq(mul(x, x), c(2))},
+		}
+		sess := bv.NewSession(run.budget)
+		sess.SeedEnv(map[string]uint64{"x": 0, "y": 0, "z": 0})
+		for _, q := range queries {
+			ask(sess, run.name+"/"+q.name, q.cond)
+		}
+	}
+	return lines
+}
+
+func digest(lines []string) string {
+	h := sha256.New()
+	for _, l := range lines {
+		fmt.Fprintln(h, l)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestProofReplayCorpus: the checker accepts every Unsat behind every
+// verdict over the corpus slice, session and fresh.
+func TestProofReplayCorpus(t *testing.T) {
+	a := newAudit(t)
+	lines := runCorpus(t)
+	lemmas, unsats := a.verify(t)
+	t.Logf("%d verifications on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), len(a.checkers), lemmas, unsats)
+	if unsats < 100 || lemmas < 10000 {
+		t.Errorf("coverage too thin: %d Unsat answers, %d lemmas", unsats, lemmas)
+	}
+}
+
+// TestProofReplaySession: the same over bv.Session reuse, where lemmas
+// learnt under one query's activation literal outlive it.
+func TestProofReplaySession(t *testing.T) {
+	a := newAudit(t)
+	lines := runSessionScript(t)
+	lemmas, unsats := a.verify(t)
+	t.Logf("%d queries on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), len(a.checkers), lemmas, unsats)
+	if unsats < 10 || lemmas < 1000 {
+		t.Errorf("coverage too thin: %d Unsat answers, %d lemmas", unsats, lemmas)
+	}
+}
+
+// TestEveryUnsatIsReported: the replay tests check the Unsat answers
+// the sink is told about, so Solve must have no way to answer Unsat
+// that bypasses it — one return statement, inside Solver.unsat.
+func TestEveryUnsatIsReported(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	returns := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		returns += strings.Count(string(src), "return Unsat")
+	}
+	if returns != 1 {
+		t.Errorf("%d `return Unsat` statements in package sat, want the one in Solver.unsat", returns)
+	}
+}
+
+type trajectoryGolden struct {
+	Note string `json:"note"`
+	// CorpusRuns and SessionQueries are how many lines each digest covers.
+	CorpusRuns     int    `json:"corpus_runs"`
+	CorpusSHA256   string `json:"corpus_sha256"`
+	SessionQueries int    `json:"session_queries"`
+	SessionSHA256  string `json:"session_sha256"`
+}
+
+// TestTrajectoryGolden pins what the solver decided: the ordered
+// (verdict, SolverConflicts) of the corpus slice and the ordered
+// (Status, Conflicts) of the session script. The file was written by
+// the heap-object clause database (the commit before the arena); a
+// layout change must leave it byte-identical, and only a deliberate
+// change to the search itself may run -update.
+func TestTrajectoryGolden(t *testing.T) {
+	corpus, session := runCorpus(t), runSessionScript(t)
+	got := trajectoryGolden{
+		Note:           "sha256 over one line per verification/query; go test ./internal/sat -run TrajectoryGolden -update",
+		CorpusRuns:     len(corpus),
+		CorpusSHA256:   digest(corpus),
+		SessionQueries: len(session),
+		SessionSHA256:  digest(session),
+	}
+	const path = "testdata/trajectory_golden.json"
+	if *update {
+		out, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want trajectoryGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("trajectory moved:\n got %+v\nwant %+v", got, want)
+		for _, l := range session {
+			t.Log(l)
+		}
+	}
+}
