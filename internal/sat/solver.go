@@ -627,12 +627,15 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 		if conf != nil {
 			s.conflicts++
 			conflictsAtRestart++
-			if s.Budget > 0 && s.conflicts > s.Budget {
-				return Unknown, ErrBudget
-			}
+			// Level first: a level-0 conflict is Unsat whatever the
+			// budget, and giving up on one would leave the falsified
+			// clause behind qhead for the next call to miss.
 			if s.decisionLevel() == 0 {
 				s.okay = false
 				return s.unsat(assumptions)
+			}
+			if s.Budget > 0 && s.conflicts > s.Budget {
+				return Unknown, ErrBudget
 			}
 			learnt, backLevel := s.analyze(conf)
 			if s.Proof != nil {

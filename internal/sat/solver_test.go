@@ -311,6 +311,32 @@ func TestBudgetSpansSolveCalls(t *testing.T) {
 	}
 }
 
+// TestBudgetAtLevelZeroConflict: a conflict at decision level 0 refutes
+// the formula whatever the budget says. Solve used to test the budget
+// first: the second conflict here (the learnt unit a propagates into
+// ¬a∨c and ¬a∨¬c at level 0) returned ErrBudget with the falsified
+// clause already behind the propagation queue, and the next Solve
+// answered Sat with a = c = true.
+func TestBudgetAtLevelZeroConflict(t *testing.T) {
+	s := New()
+	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
+	s.AddClause(MkLit(a, false), MkLit(b, false))
+	s.AddClause(MkLit(a, false), MkLit(b, true))
+	s.AddClause(MkLit(a, true), MkLit(c, false))
+	s.AddClause(MkLit(a, true), MkLit(c, true))
+	s.Budget = 1
+	if st, err := s.Solve(); err != nil || st != Unsat {
+		t.Errorf("budget 1: %v, %v, want Unsat: the second conflict is at level 0", st, err)
+	}
+	if s.Conflicts() != 2 {
+		t.Errorf("conflicts = %d, want 2 (the reproducer needs the budget to run out on the level-0 conflict)", s.Conflicts())
+	}
+	s.Budget = 0
+	if st, err := s.Solve(); err != nil || st != Unsat {
+		t.Errorf("next call: %v, %v (a=%v c=%v), want Unsat", st, err, s.Value(a), s.Value(c))
+	}
+}
+
 // TestPhaseSaving: an unconstrained variable keeps the polarity it was
 // last assigned, so successive solves re-explore saved assignments.
 func TestPhaseSaving(t *testing.T) {
