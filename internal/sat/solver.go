@@ -67,33 +67,22 @@ const (
 // ErrBudget is returned when the solver exceeds its conflict budget.
 var ErrBudget = errors.New("sat: conflict budget exhausted")
 
-// ProofSink receives a solver's clausal proof as it is produced, so an
-// independent checker (internal/ruptest) can replay every Unsat answer
-// by unit propagation alone. Each call gets its own copy of the
-// literals.
+// ProofSink receives a solver's clausal proof as it is produced, for
+// an independent checker (internal/ruptest) to replay every Unsat by
+// unit propagation alone. Each call owns its slice.
 type ProofSink interface {
-	// Axiom is a clause exactly as the caller passed it to AddClause,
-	// before any level-0 simplification.
+	// Axiom is a clause as passed to AddClause, before simplification.
 	Axiom(lits []Lit)
-	// Lemma is a learnt clause, learnt units included, in the order
-	// learnt.
+	// Lemma is a learnt clause, units included, in the order learnt.
 	Lemma(lits []Lit)
 	// Unsat is an Unsat answer from Solve under these assumptions.
 	Unsat(assumptions []Lit)
 }
 
 // ProofForNew, when set, supplies the Proof of every solver New
-// returns. It is the seam tests use to audit solvers built deep inside
-// bv and alive, whose first axiom is added before a caller could set
-// the field; only _test.go files assign it, and a test that does must
-// not run in parallel with another.
+// returns: the seam tests use to audit solvers built deep inside bv and
+// alive. Only _test.go files assign it, never from parallel tests.
 var ProofForNew func() ProofSink
-
-type clause struct {
-	lits   []Lit
-	learnt bool
-	act    float64
-}
 
 // watcher is one watch-list entry: the clause plus a blocker literal
 // (some other literal of the clause). If the blocker is already true
@@ -101,19 +90,22 @@ type clause struct {
 // the clause memory at all — most watch-list traffic in a long session
 // exits through this check.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
 // Solver is a CDCL SAT solver instance. Zero value is not usable; use
 // New.
 type Solver struct {
-	clauses  []*clause
-	learnts  []*clause
+	arena    []Lit     // clause memory, see arena.go
+	wasted   int       // arena words of freed clauses
+	slab     []watcher // unclaimed rest of the current watch-list chunk
+	clauses  []cref
+	learnts  []cref
 	watches  [][]watcher // literal -> watching clauses
 	assign   []lbool     // variable -> value
 	level    []int       // variable -> decision level
-	reason   []*clause   // variable -> implying clause
+	reason   []cref      // variable -> implying clause, or noClause
 	activity []float64
 	varInc   float64
 	claInc   float64
@@ -124,6 +116,7 @@ type Solver struct {
 	seen     []bool
 	phase    []bool // saved polarity per variable (last assigned value)
 	minBuf   []Lit  // scratch for learnt-clause minimization
+	learnt   []Lit  // scratch: analyze's result, until Solve copies it into the arena
 
 	// Budget bounds the total number of conflicts across Solve calls;
 	// 0 means unlimited.
@@ -152,10 +145,10 @@ func New() *Solver {
 func (s *Solver) NewVar() int {
 	v := s.nVars
 	s.nVars++
-	s.watches = append(s.watches, nil, nil)
+	s.watches = append(s.watches, s.newWatchList(), s.newWatchList())
 	s.assign = append(s.assign, lUndef)
 	s.level = append(s.level, -1)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.phase = append(s.phase, false)
@@ -230,28 +223,25 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.okay = false
 		return false
 	case 1:
-		if !s.enqueue(lits[0], nil) {
-			s.okay = false
-			return false
-		}
-		if conf := s.propagate(); conf != nil {
+		if !s.enqueue(lits[0], noClause) || s.propagate() != noClause {
 			s.okay = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), lits...)}
+	c := s.alloc(lits, false)
 	s.clauses = append(s.clauses, c)
 	s.watch(c)
 	return true
 }
 
-func (s *Solver) watch(c *clause) {
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+func (s *Solver) watch(c cref) {
+	l := s.lits(c)
+	s.watches[l[0].Not()] = append(s.watches[l[0].Not()], watcher{c, l[1]})
+	s.watches[l[1].Not()] = append(s.watches[l[1].Not()], watcher{c, l[0]})
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+func (s *Solver) enqueue(l Lit, from cref) bool {
 	switch s.valueLit(l) {
 	case lTrue:
 		return true
@@ -268,7 +258,7 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) propagate() *clause {
+func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
@@ -288,57 +278,43 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := ws[wi].c
-			// Binary clause: the blocker is the only other literal, and
-			// it is not true, so the clause is unit or conflicting
-			// without searching for a replacement watch. analyze expects
-			// a reason clause's implied literal at lits[0].
-			if len(c.lits) == 2 {
-				if c.lits[0] != ws[wi].blocker {
-					c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			lits := s.lits(c)
+			// Ensure the false literal is lits[1]; analyze expects a
+			// reason clause's implied literal at lits[0].
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
+			}
+			// A binary clause's blocker is its only other literal, and it
+			// is not true: unit or conflicting, with nothing to search.
+			if len(lits) > 2 {
+				// If the first watch is true, the clause is satisfied;
+				// make it the blocker for next time.
+				if s.valueLit(lits[0]) == lTrue {
+					ws[j] = watcher{c, lits[0]}
+					j++
+					continue
 				}
-				ws[j] = ws[wi]
-				j++
-				if !s.enqueue(ws[wi].blocker, c) {
-					for wi++; wi < len(ws); wi++ {
-						ws[j] = ws[wi]
-						j++
+				// Find a new literal to watch. The new watch lits[1] is
+				// non-false while p is true, so its list is never ws
+				// itself and the append cannot alias the slice being
+				// compacted.
+				found := false
+				for k := 2; k < len(lits); k++ {
+					if s.valueLit(lits[k]) != lFalse {
+						lits[1], lits[k] = lits[k], lits[1]
+						s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{c, lits[0]})
+						found = true
+						break
 					}
-					s.watches[p] = ws[:j]
-					s.qhead = len(s.trail)
-					return c
 				}
-				continue
-			}
-			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-			}
-			// If the first watch is true, the clause is satisfied; make
-			// it the blocker for next time.
-			if s.valueLit(c.lits[0]) == lTrue {
-				ws[j] = watcher{c, c.lits[0]}
-				j++
-				continue
-			}
-			// Find a new literal to watch. The new watch c.lits[1] is
-			// non-false while p is true, so its list is never ws itself
-			// and the append cannot alias the slice being compacted.
-			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
-					found = true
-					break
+				if found {
+					continue
 				}
-			}
-			if found {
-				continue
 			}
 			// Clause is unit or conflicting.
-			ws[j] = watcher{c, c.lits[0]}
+			ws[j] = watcher{c, lits[0]}
 			j++
-			if !s.enqueue(c.lits[0], c) {
+			if !s.enqueue(lits[0], c) {
 				// Conflict: keep the unvisited remainder and return.
 				for wi++; wi < len(ws); wi++ {
 					ws[j] = ws[wi]
@@ -351,13 +327,15 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[p] = ws[:j]
 	}
-	return nil
+	return noClause
 }
 
-func (s *Solver) analyze(conf *clause) (learnt []Lit, backLevel int) {
+// analyze derives the first-UIP learnt clause of a conflict. The
+// result is the solver's scratch buffer: valid until the next call.
+func (s *Solver) analyze(conf cref) (learnt []Lit, backLevel int) {
 	counter := 0
 	var p Lit = -1
-	learnt = append(learnt, 0) // placeholder for the asserting literal
+	learnt = append(s.learnt[:0], 0) // placeholder for the asserting literal
 	idx := len(s.trail) - 1
 
 	c := conf
@@ -365,14 +343,14 @@ func (s *Solver) analyze(conf *clause) (learnt []Lit, backLevel int) {
 		// Clauses involved in conflict analysis are the useful ones:
 		// bump them so reduceDB keeps the most-used half rather than
 		// the most recently created.
-		if c.learnt {
+		if s.isLearnt(c) {
 			s.bumpClause(c)
 		}
 		start := 0
 		if p != -1 {
 			start = 1
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -412,13 +390,13 @@ func (s *Solver) analyze(conf *clause) (learnt []Lit, backLevel int) {
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
 		c := s.reason[v]
-		if c == nil {
+		if c == noClause {
 			learnt[j] = learnt[i]
 			j++
 			continue
 		}
 		redundant := true
-		for _, q := range c.lits[1:] {
+		for _, q := range s.lits(c)[1:] {
 			if !s.seen[q.Var()] && s.level[q.Var()] > 0 {
 				redundant = false
 				break
@@ -448,6 +426,7 @@ func (s *Solver) analyze(conf *clause) (learnt []Lit, backLevel int) {
 	for _, l := range s.minBuf {
 		s.seen[l.Var()] = false
 	}
+	s.learnt = learnt[:0]
 	return learnt, backLevel
 }
 
@@ -460,7 +439,7 @@ func (s *Solver) backtrackTo(level int) {
 		v := s.trail[i].Var()
 		s.phase[v] = s.assign[v] == lTrue
 		s.assign[v] = lUndef
-		s.reason[v] = nil
+		s.reason[v] = noClause
 		s.level[v] = -1
 		s.order.push(v)
 	}
@@ -472,11 +451,12 @@ func (s *Solver) backtrackTo(level int) {
 // bumpClause raises a learnt clause's activity, rescaling all learnt
 // activities (and claInc itself) when they grow large so a long-lived
 // incremental session never overflows to +Inf.
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+func (s *Solver) bumpClause(c cref) {
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, l := range s.learnts {
-			l.act *= 1e-20
+			s.setAct(l, s.act(l)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -512,26 +492,28 @@ func (s *Solver) pickBranchVar() int {
 
 // reduceDB removes half of the learnt clauses with lowest activity.
 func (s *Solver) reduceDB() {
-	sort.Slice(s.learnts, func(i, j int) bool { return s.learnts[i].act > s.learnts[j].act })
+	sort.Slice(s.learnts, func(i, j int) bool { return s.act(s.learnts[i]) > s.act(s.learnts[j]) })
 	keep := len(s.learnts) / 2
 	for _, c := range s.learnts[keep:] {
-		if s.isReason(c) || len(c.lits) <= 2 {
+		if s.isReason(c) || len(s.lits(c)) <= 2 {
 			s.learnts = append(s.learnts[:keep], c)
 			keep++
 			continue
 		}
-		s.unwatch(c)
+		s.free(c)
 	}
 	s.learnts = s.learnts[:keep]
+	s.compact()
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	v := c.lits[0].Var()
+func (s *Solver) isReason(c cref) bool {
+	v := s.lits(c)[0].Var()
 	return s.reason[v] == c && s.assign[v] != lUndef
 }
 
-func (s *Solver) unwatch(c *clause) {
-	for _, l := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) unwatch(c cref) {
+	lits := s.lits(c)
+	for _, l := range []Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[l]
 		for i := range ws {
 			if ws[i].c == c {
@@ -554,26 +536,27 @@ func (s *Solver) Simplify() {
 		return
 	}
 	s.backtrackTo(0)
-	if conf := s.propagate(); conf != nil {
+	if s.propagate() != noClause {
 		s.okay = false
 		return
 	}
 	s.clauses = s.removeSatisfied(s.clauses)
 	s.learnts = s.removeSatisfied(s.learnts)
+	s.compact()
 }
 
-func (s *Solver) removeSatisfied(cs []*clause) []*clause {
+func (s *Solver) removeSatisfied(cs []cref) []cref {
 	out := cs[:0]
 	for _, c := range cs {
 		satisfied := false
-		for _, l := range c.lits {
+		for _, l := range s.lits(c) {
 			if s.valueLit(l) == lTrue && s.level[l.Var()] == 0 {
 				satisfied = true
 				break
 			}
 		}
 		if satisfied && !s.isReason(c) {
-			s.unwatch(c)
+			s.free(c)
 			continue
 		}
 		out = append(out, c)
@@ -613,7 +596,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 	}
 	// Re-entry from a prior call: drop its decisions and assumptions.
 	s.backtrackTo(0)
-	if conf := s.propagate(); conf != nil {
+	if s.propagate() != noClause {
 		s.okay = false
 		return s.unsat(assumptions)
 	}
@@ -624,7 +607,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 
 	for {
 		conf := s.propagate()
-		if conf != nil {
+		if conf != noClause {
 			s.conflicts++
 			conflictsAtRestart++
 			// Level first: a level-0 conflict is Unsat whatever the
@@ -643,9 +626,9 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 			}
 			s.backtrackTo(backLevel)
 			if len(learnt) == 1 {
-				s.enqueue(learnt[0], nil)
+				s.enqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				c := s.alloc(learnt, true)
 				s.learnts = append(s.learnts, c)
 				s.watch(c)
 				s.bumpClause(c)
@@ -684,7 +667,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 				return s.unsat(assumptions)
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.enqueue(p, nil)
+			s.enqueue(p, noClause)
 			continue
 		}
 		v := s.pickBranchVar()
@@ -696,7 +679,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 		// and successive assumption solves re-explore saved
 		// assignments. Fresh variables start at false, which biases
 		// toward sparse counterexamples.
-		s.enqueue(MkLit(v, !s.phase[v]), nil)
+		s.enqueue(MkLit(v, !s.phase[v]), noClause)
 	}
 }
 

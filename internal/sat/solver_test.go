@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -357,22 +358,37 @@ func TestPhaseSaving(t *testing.T) {
 }
 
 // TestClauseActivityRescale: bumping near the cap rescales all learnt
-// activities and claInc instead of growing toward +Inf.
+// activities and claInc instead of growing toward +Inf, and the
+// float64 survives its two arena words bit for bit.
 func TestClauseActivityRescale(t *testing.T) {
 	s := New()
-	c1 := &clause{learnt: true, act: 0.5e20}
-	c2 := &clause{learnt: true, act: 1e10}
-	s.learnts = []*clause{c1, c2}
+	for i := 0; i < 3; i++ {
+		s.NewVar()
+	}
+	c1 := s.alloc([]Lit{MkLit(0, false), MkLit(1, false), MkLit(2, false)}, true)
+	c2 := s.alloc([]Lit{MkLit(0, true), MkLit(1, true), MkLit(2, true)}, true)
+	s.learnts = []cref{c1, c2}
+	for _, a := range []float64{0, 1, -0.5, 1e-300, 0.1 + 0.2, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		s.setAct(c2, a)
+		if got := s.act(c2); math.Float64bits(got) != math.Float64bits(a) {
+			t.Fatalf("activity %g read back as %g", a, got)
+		}
+	}
+	if !s.isLearnt(c1) || len(s.lits(c1)) != 3 || s.lits(c2)[0] != MkLit(0, true) {
+		t.Fatalf("activity words overlap the header or the literals: %v %v", s.lits(c1), s.lits(c2))
+	}
+	s.setAct(c1, 0.5e20)
+	s.setAct(c2, 1e10)
 	s.claInc = 0.6e20
 	s.bumpClause(c1)
-	if c1.act > 1e20 || c2.act > 1e20 {
-		t.Fatalf("activities not rescaled: c1=%g c2=%g", c1.act, c2.act)
+	if s.act(c1) > 1e20 || s.act(c2) > 1e20 {
+		t.Fatalf("activities not rescaled: c1=%g c2=%g", s.act(c1), s.act(c2))
 	}
 	if s.claInc >= 0.6e20 {
 		t.Fatalf("claInc not rescaled: %g", s.claInc)
 	}
-	if c1.act <= c2.act {
-		t.Fatalf("relative order lost: c1=%g c2=%g", c1.act, c2.act)
+	if s.act(c1) <= s.act(c2) {
+		t.Fatalf("relative order lost: c1=%g c2=%g", s.act(c1), s.act(c2))
 	}
 }
 
