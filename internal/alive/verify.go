@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 
 	"veriopt/internal/bv"
 	"veriopt/internal/ir"
@@ -487,20 +488,55 @@ func newQuerySolver(fn *ir.Function, opts Options) querySolver {
 	return &sessionSolver{sess: sess}
 }
 
-// seedEnvs builds the deterministic concrete-input environments that
+// seedEnvs returns the deterministic concrete-input environments that
 // prime the session's pre-pass: per-parameter boundary patterns, a few
 // pseudo-random vectors from a fixed seed, and two poison probes.
 // Variables an environment omits (call results, globals, poison bits)
 // evaluate as 0 under bv.Eval, which matches how extractInputs and
 // renderDiag read models.
+//
+// The list is a pure function of the parameter widths, so it is built
+// once per width signature and shared by every session on every
+// goroutine: callers must treat the maps as read-only (bv.Session
+// does — TryConcrete copies the environment it returns).
 func seedEnvs(fn *ir.Function) []map[string]uint64 {
-	widths := make([]int, 0, len(fn.Params))
+	var buf [16]byte
+	sig := buf[:0]
 	for _, p := range fn.Params {
 		w, err := widthOf(p.Ty)
-		if err != nil {
+		if err != nil || w < 0 || w > 255 {
 			return nil // refine will surface the width error via SAT anyway
 		}
-		widths = append(widths, w)
+		sig = append(sig, byte(w))
+	}
+	seedEnvMemo.RLock()
+	envs, ok := seedEnvMemo.m[string(sig)]
+	seedEnvMemo.RUnlock()
+	if ok {
+		return envs
+	}
+	envs = buildSeedEnvs(sig)
+	seedEnvMemo.Lock()
+	// Signatures come from client IR; past the bound they are rebuilt
+	// per verification, as every one used to be.
+	if len(seedEnvMemo.m) < 1024 {
+		seedEnvMemo.m[string(sig)] = envs
+	}
+	seedEnvMemo.Unlock()
+	return envs
+}
+
+var seedEnvMemo = struct {
+	sync.RWMutex
+	m map[string][]map[string]uint64
+}{m: map[string][]map[string]uint64{}}
+
+// buildSeedEnvs builds the environments for parameters of the given
+// widths, one byte each.
+func buildSeedEnvs(sig []byte) []map[string]uint64 {
+	widths, names := make([]int, len(sig)), make([]string, len(sig))
+	for i, w := range sig {
+		widths[i], names[i] = int(w), fmt.Sprintf("in%d", i)
 	}
 	maskOf := func(w int) uint64 {
 		if w >= 64 {
@@ -512,7 +548,7 @@ func seedEnvs(fn *ir.Function) []map[string]uint64 {
 	addPattern := func(f func(w int) uint64) {
 		env := make(map[string]uint64, len(widths))
 		for i, w := range widths {
-			env[fmt.Sprintf("in%d", i)] = f(w) & maskOf(w)
+			env[names[i]] = f(w) & maskOf(w)
 		}
 		envs = append(envs, env)
 	}
@@ -538,7 +574,7 @@ func seedEnvs(fn *ir.Function) []map[string]uint64 {
 	for n := 0; n < 32; n++ {
 		env := make(map[string]uint64, len(widths))
 		for i, w := range widths {
-			env[fmt.Sprintf("in%d", i)] = rng.Uint64() & maskOf(w)
+			env[names[i]] = rng.Uint64() & maskOf(w)
 		}
 		envs = append(envs, env)
 	}
@@ -547,7 +583,7 @@ func seedEnvs(fn *ir.Function) []map[string]uint64 {
 	for n := 0; n < 8; n++ {
 		env := make(map[string]uint64, len(widths))
 		for i, w := range widths {
-			env[fmt.Sprintf("in%d", i)] = (rng.Uint64() & 0xf) & maskOf(w)
+			env[names[i]] = (rng.Uint64() & 0xf) & maskOf(w)
 		}
 		envs = append(envs, env)
 	}
@@ -556,8 +592,8 @@ func seedEnvs(fn *ir.Function) []map[string]uint64 {
 	for n := 0; n < 2; n++ {
 		env := make(map[string]uint64, 2*len(widths))
 		for i, w := range widths {
-			env[fmt.Sprintf("in%d", i)] = rng.Uint64() & maskOf(w)
-			env[fmt.Sprintf("in%d$poison", i)] = 1
+			env[names[i]] = rng.Uint64() & maskOf(w)
+			env[names[i]+"$poison"] = 1
 		}
 		envs = append(envs, env)
 	}
