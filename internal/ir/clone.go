@@ -8,11 +8,13 @@ import (
 
 // CloneFunc produces a deep copy of a function. All instructions,
 // blocks and parameters are fresh objects; constants are shared (they
-// are immutable).
+// are immutable). Every slice is allocated at its final length (a
+// pass-search state is one clone per pass application) and left nil
+// where the original's is empty.
 func CloneFunc(f *Function) *Function {
 	nf := &Function{NameStr: f.NameStr, RetTy: f.RetTy, Attrs: f.Attrs}
 	vmap := map[Value]Value{}
-	bmap := map[*Block]*Block{}
+	bmap := make(map[*Block]*Block, len(f.Blocks))
 	for _, p := range f.Params {
 		np := &Param{NameStr: p.NameStr, Ty: p.Ty, Noundef: p.Noundef}
 		nf.Params = append(nf.Params, np)
@@ -31,6 +33,9 @@ func CloneFunc(f *Function) *Function {
 	}
 	for bi, b := range f.Blocks {
 		nb := nf.Blocks[bi]
+		if len(b.Instrs) > 0 {
+			nb.Instrs = make([]*Instr, 0, len(b.Instrs))
+		}
 		for _, in := range b.Instrs {
 			ni := &Instr{
 				Op: in.Op, NameStr: in.NameStr, Ty: in.Ty,
@@ -48,14 +53,23 @@ func CloneFunc(f *Function) *Function {
 		nb := nf.Blocks[bi]
 		for ii, in := range b.Instrs {
 			ni := nb.Instrs[ii]
-			for _, a := range in.Args {
-				ni.Args = append(ni.Args, mapVal(a))
+			if len(in.Args) > 0 {
+				ni.Args = make([]Value, len(in.Args))
 			}
-			for _, s := range in.Succs {
-				ni.Succs = append(ni.Succs, bmap[s])
+			for i, a := range in.Args {
+				ni.Args[i] = mapVal(a)
 			}
-			for _, inc := range in.Incs {
-				ni.Incs = append(ni.Incs, Incoming{Val: mapVal(inc.Val), Block: bmap[inc.Block]})
+			if len(in.Succs) > 0 {
+				ni.Succs = make([]*Block, len(in.Succs))
+			}
+			for i, s := range in.Succs {
+				ni.Succs[i] = bmap[s]
+			}
+			if len(in.Incs) > 0 {
+				ni.Incs = make([]Incoming, len(in.Incs))
+			}
+			for i, inc := range in.Incs {
+				ni.Incs[i] = Incoming{Val: mapVal(inc.Val), Block: bmap[inc.Block]}
 			}
 		}
 	}
