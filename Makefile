@@ -76,18 +76,20 @@ load-smoke:
 experiments-check:
 	$(GO) run ./cmd/veriopt experiments -run all -n 600 -seed 42 2>/dev/null | diff - experiments_output.txt
 
-# Fuzz gate: every native fuzz target for five seconds each, so that
-# `go test -fuzz` reaches the solver stack (FuzzSessionVsFresh: session
-# vs fresh solver, every Unsat replayed by internal/ruptest's RUP
-# checker, every Sat model evaluated) and the parsers on every PR.
-# Minimization is capped at ten runs per new input: its 60 s default
-# would spend the whole window shrinking the first one found. A crasher
-# lands in the package's testdata/fuzz/ and fails tier1 from then on.
-FUZZ_TARGETS = internal/bv:FuzzSessionVsFresh internal/ir:FuzzCanonicalKey internal/ir:FuzzLexTokens \
-	internal/ir:FuzzFingerprintText internal/vstore:FuzzRecordDecode internal/metrics:FuzzParse
+# Fuzz gate: every native fuzz target in the module (`go test -list`
+# finds them, so a new one is in the gate the day it is written) for
+# five seconds each, so that `go test -fuzz` reaches the solver stack
+# (FuzzSessionVsFresh: session vs fresh solver, every Unsat replayed by
+# internal/ruptest's RUP checker, every Sat model evaluated) and the
+# parsers on every PR. Minimization is capped at ten runs per new input:
+# its 60 s default would spend the whole window shrinking the first one
+# found. A crasher lands in the package's testdata/fuzz/ and fails tier1
+# from then on.
 fuzz-smoke:
-	@for t in $(FUZZ_TARGETS); do \
-		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime 5s -fuzzminimizetime 10x ./$${t%%:*} || exit 1; \
+	@for p in $$($(GO) list ./...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$p | grep '^Fuzz'); do \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 5s -fuzzminimizetime 10x $$p || exit 1; \
+		done; \
 	done
 
 # lint fails on any vet diagnostic or unformatted file; on Prometheus

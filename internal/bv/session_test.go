@@ -40,35 +40,6 @@ func randomBoolTerm(b *Builder, rng *rand.Rand, w, d int) *Term {
 	return cond
 }
 
-// audit gives every solver built until the test ends its own RUP
-// checker (internal/ruptest), so an Unsat is not merely agreed on by
-// two runs of the same solver code but replayed by independent unit
-// propagation.
-type audit struct{ checkers []*ruptest.Checker }
-
-func newAudit(t testing.TB) *audit {
-	a := &audit{}
-	sat.ProofForNew = func() sat.ProofSink {
-		c := ruptest.New()
-		a.checkers = append(a.checkers, c)
-		return c
-	}
-	t.Cleanup(func() { sat.ProofForNew = nil })
-	return a
-}
-
-// verify fails the test if any checker rejected a lemma or an Unsat,
-// then forgets the checkers.
-func (a *audit) verify(t testing.TB) {
-	t.Helper()
-	for _, c := range a.checkers {
-		if err := c.Err(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a.checkers = a.checkers[:0]
-}
-
 // sessionVsFresh is the session's core soundness check on one stream
 // of random related queries drawn from rng: a session must agree with
 // fresh per-query CheckSat on the verdict, every Sat model — pre-pass
@@ -77,7 +48,13 @@ func (a *audit) verify(t testing.TB) {
 // accepts. A query either side cannot settle within budget is skipped.
 func sessionVsFresh(t testing.TB, rng *rand.Rand, budget int) {
 	t.Helper()
-	a := newAudit(t)
+	// Every solver built below, the session's and each fresh one, gets
+	// its own RUP checker (internal/ruptest): an Unsat is not merely
+	// agreed on by two runs of the same solver code but replayed by
+	// independent unit propagation.
+	a := &ruptest.Audit{}
+	sat.ProofForNew = func() sat.ProofSink { return a.New() }
+	defer func() { sat.ProofForNew = nil }()
 	b := NewBuilder()
 	w := []int{4, 8, 16}[rng.Intn(3)]
 	sess := NewSession(budget)
@@ -108,7 +85,7 @@ func sessionVsFresh(t testing.TB, rng *rand.Rand, budget int) {
 			}
 		}
 	}
-	a.verify(t)
+	a.Verify(t)
 }
 
 // TestSessionDifferentialFuzz runs sessionVsFresh over 40 seeded

@@ -16,6 +16,7 @@ package ruptest
 
 import (
 	"fmt"
+	"testing"
 
 	"veriopt/internal/sat"
 )
@@ -59,6 +60,34 @@ func Check(tr Trace) error {
 		}
 	}
 	return c.Err()
+}
+
+// Audit hands out one Checker per solver a test builds (the test
+// points the solver package's new-solver hook at New) and judges them
+// together.
+type Audit struct{ checkers []*Checker }
+
+// New returns a fresh checker the audit remembers.
+func (a *Audit) New() *Checker {
+	c := New()
+	a.checkers = append(a.checkers, c)
+	return c
+}
+
+// Verify fails the test on the first lemma or Unsat any checker
+// rejected, returns how many solvers, lemmas and Unsat answers were
+// checked, and forgets the checkers.
+func (a *Audit) Verify(t testing.TB) (solvers, lemmas, unsats int) {
+	t.Helper()
+	for i, c := range a.checkers {
+		if err := c.Err(); err != nil {
+			t.Fatalf("solver %d of %d: %v", i+1, len(a.checkers), err)
+		}
+		lemmas += c.Lemmas
+		unsats += c.Unsats
+	}
+	solvers, a.checkers = len(a.checkers), a.checkers[:0]
+	return solvers, lemmas, unsats
 }
 
 // Checker checks a proof online; *Checker is a sat.ProofSink.

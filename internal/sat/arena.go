@@ -36,6 +36,9 @@ func (s *Solver) setAct(c cref, a float64) {
 func words(h Lit) int { return 1 + 2*int(h&1) + int(h>>1) }
 
 func (s *Solver) alloc(lits []Lit, learnt bool) cref {
+	if len(s.arena)+len(lits)+3 > math.MaxInt32 {
+		panic("sat: clause arena exceeds 2^31 words") // a wrapped cref would alias another clause
+	}
 	c := cref(len(s.arena))
 	if learnt {
 		s.arena = append(s.arena, Lit(len(lits))<<1|1, 0, 0)
@@ -99,11 +102,7 @@ const slabPerLit = 4
 
 func (s *Solver) newWatchList() []watcher {
 	if len(s.slab) < slabPerLit {
-		n := s.nVars
-		if n < 32 {
-			n = 32
-		}
-		s.slab = make([]watcher, 2*slabPerLit*n)
+		s.slab = make([]watcher, 2*slabPerLit*max(s.nVars, 32))
 	}
 	ws := s.slab[:0:slabPerLit]
 	s.slab = s.slab[slabPerLit:]

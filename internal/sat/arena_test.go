@@ -162,7 +162,6 @@ func TestCompactRepointsEverything(t *testing.T) {
 			}
 		}
 	}
-	visit(func(c cref) { before = append(before, take(c)) })
 	if len(s.learnts) < 50 {
 		t.Fatalf("only %d learnt clauses", len(s.learnts))
 	}
@@ -176,7 +175,6 @@ func TestCompactRepointsEverything(t *testing.T) {
 		kept = append(kept, c)
 	}
 	s.learnts = kept
-	before = before[:0]
 	visit(func(c cref) { before = append(before, take(c)) })
 	s.wasted = len(s.arena) // force it
 	oldLen := len(s.arena)

@@ -263,9 +263,7 @@ func (s *Solver) propagate() cref {
 		p := s.trail[s.qhead]
 		s.qhead++
 		// Compact the watch list in place: kept watches slide left over
-		// moved ones, so propagation allocates nothing. (A session's
-		// watch lists grow across queries; the old clear-and-re-append
-		// scheme reallocated the whole list on every assignment.)
+		// moved ones, so visiting a list allocates nothing.
 		ws := s.watches[p]
 		j := 0
 		for wi := 0; wi < len(ws); wi++ {

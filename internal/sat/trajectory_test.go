@@ -30,32 +30,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/trajectory_golden.json")
 
-// audit gives every solver built until the test ends its own checker.
-type audit struct{ checkers []*ruptest.Checker }
-
-func newAudit(t testing.TB) *audit {
-	a := &audit{}
-	sat.ProofForNew = func() sat.ProofSink {
-		c := ruptest.New()
-		a.checkers = append(a.checkers, c)
-		return c
-	}
+// newAudit gives every solver built until the test ends its own
+// checker.
+func newAudit(t testing.TB) *ruptest.Audit {
+	a := &ruptest.Audit{}
+	sat.ProofForNew = func() sat.ProofSink { return a.New() }
 	t.Cleanup(func() { sat.ProofForNew = nil })
 	return a
-}
-
-// verify fails the test on the first rejected lemma or Unsat and
-// returns how many of each were checked.
-func (a *audit) verify(t testing.TB) (lemmas, unsats int) {
-	t.Helper()
-	for i, c := range a.checkers {
-		if err := c.Err(); err != nil {
-			t.Fatalf("solver %d of %d: %v", i+1, len(a.checkers), err)
-		}
-		lemmas += c.Lemmas
-		unsats += c.Unsats
-	}
-	return lemmas, unsats
 }
 
 // corpusSeed and corpusN fix the corpus slice: four instances of each
@@ -185,8 +166,8 @@ func digest(lines []string) string {
 func TestProofReplayCorpus(t *testing.T) {
 	a := newAudit(t)
 	lines := runCorpus(t)
-	lemmas, unsats := a.verify(t)
-	t.Logf("%d verifications on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), len(a.checkers), lemmas, unsats)
+	solvers, lemmas, unsats := a.Verify(t)
+	t.Logf("%d verifications on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), solvers, lemmas, unsats)
 	if unsats < 100 || lemmas < 10000 {
 		t.Errorf("coverage too thin: %d Unsat answers, %d lemmas", unsats, lemmas)
 	}
@@ -197,8 +178,8 @@ func TestProofReplayCorpus(t *testing.T) {
 func TestProofReplaySession(t *testing.T) {
 	a := newAudit(t)
 	lines := runSessionScript(t)
-	lemmas, unsats := a.verify(t)
-	t.Logf("%d queries on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), len(a.checkers), lemmas, unsats)
+	solvers, lemmas, unsats := a.Verify(t)
+	t.Logf("%d queries on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), solvers, lemmas, unsats)
 	if unsats < 10 || lemmas < 1000 {
 		t.Errorf("coverage too thin: %d Unsat answers, %d lemmas", unsats, lemmas)
 	}
