@@ -37,6 +37,8 @@ type Session struct {
 	// envs are the pre-pass candidate environments, in check order:
 	// caller seeds first, then models from earlier Sat answers.
 	envs []map[string]uint64
+	// memo serves every evaluation of the pre-pass.
+	memo evalMemo
 
 	queries     int
 	prepassHits int
@@ -85,7 +87,7 @@ func (s *Session) TryConcrete(t *Term) (Result, bool) {
 		panic("bv: TryConcrete on non-boolean term")
 	}
 	for _, env := range s.envs {
-		if v, ok := Eval(t, env); ok && v == 1 {
+		if v, ok := s.memo.run(t, env); ok && v == 1 {
 			s.prepassHits++
 			model := make(map[string]uint64, len(env))
 			for k, v := range env {

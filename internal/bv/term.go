@@ -6,6 +6,7 @@ package bv
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -64,6 +65,7 @@ type Term struct {
 	Val   uint64 // OpConst only
 	Name  string // OpVar only
 	id    int
+	own   [3]*Term // what Kids is a slice of
 }
 
 // ID returns the term's unique (per-Builder) identity.
@@ -108,43 +110,71 @@ func signExtend(v uint64, w int) int64 {
 }
 
 // Builder creates hash-consed terms with bottom-up constant folding.
+// A lookup allocates nothing; only a miss takes a Term from the
+// builder's current chunk. Ids follow creation order, which the
+// commutative canonicalization below, the blaster's variable numbering
+// and so every solver trajectory depend on.
 type Builder struct {
-	table  map[string]*Term
+	table  map[termKey]*Term
 	nextID int
+	// terms is the chunk new nodes are carved from. A full chunk is
+	// left to the terms that point into it and replaced.
+	terms []Term
+}
+
+// termKey is a term's structural identity, narrow so it is cheap to
+// hash.
+type termKey struct {
+	op, width, nkids uint8
+	kids             [3]int32
+	val              uint64
+	name             string
 }
 
 // NewBuilder returns an empty term builder.
 func NewBuilder() *Builder {
-	return &Builder{table: map[string]*Term{}}
+	return &Builder{table: map[termKey]*Term{}}
 }
 
 // NumTerms returns the number of distinct terms created.
 func (b *Builder) NumTerms() int { return b.nextID }
 
-func (b *Builder) intern(t *Term) *Term {
-	var key strings.Builder
-	fmt.Fprintf(&key, "%d|%d|%d|%s", t.Op, t.Width, t.Val, t.Name)
-	for _, k := range t.Kids {
-		fmt.Fprintf(&key, "|%d", k.id)
+// intern returns the term with the given structure, creating it on
+// first sight.
+func (b *Builder) intern(op Op, w int, val uint64, name string, kids ...*Term) *Term {
+	key := termKey{op: uint8(op), width: uint8(w), nkids: uint8(len(kids)), val: val, name: name}
+	for i, k := range kids {
+		key.kids[i] = int32(k.id)
 	}
-	ks := key.String()
-	if old, ok := b.table[ks]; ok {
+	if old, ok := b.table[key]; ok {
 		return old
 	}
-	t.id = b.nextID
+	if b.nextID == math.MaxInt32 {
+		panic("bv: term id exceeds 2^31") // wrapped in a termKey it would alias another term
+	}
+	// Chunks double from 32 terms to 1024, so a small verification
+	// does not pay for a large one's.
+	if len(b.terms) == cap(b.terms) {
+		b.terms = make([]Term, 0, min(max(2*cap(b.terms), 32), 1024))
+	}
+	b.terms = append(b.terms, Term{Op: op, Width: w, Val: val, Name: name, id: b.nextID})
 	b.nextID++
-	b.table[ks] = t
+	t := &b.terms[len(b.terms)-1]
+	if n := copy(t.own[:], kids); n > 0 {
+		t.Kids = t.own[:n:n] // capped: an append to Kids reallocates
+	}
+	b.table[key] = t
 	return t
 }
 
 // Const builds a constant of the given width.
 func (b *Builder) Const(w int, v uint64) *Term {
-	return b.intern(&Term{Op: OpConst, Width: w, Val: v & mask(w)})
+	return b.intern(OpConst, w, v&mask(w), "")
 }
 
 // Var builds (or returns) the named variable of the given width.
 func (b *Builder) Var(w int, name string) *Term {
-	return b.intern(&Term{Op: OpVar, Width: w, Name: name})
+	return b.intern(OpVar, w, 0, name)
 }
 
 // True and False are width-1 constants.
@@ -225,7 +255,7 @@ func (b *Builder) Bin(op Op, x, y *Term) *Term {
 	if t := b.simplifyBin(op, x, y); t != nil {
 		return t
 	}
-	return b.intern(&Term{Op: op, Width: w, Kids: []*Term{x, y}})
+	return b.intern(op, w, 0, "", x, y)
 }
 
 func foldBin(op Op, a, c uint64, w int) (uint64, bool) {
@@ -376,7 +406,7 @@ func (b *Builder) Not(x *Term) *Term {
 	if x.Op == OpNot {
 		return x.Kids[0]
 	}
-	return b.intern(&Term{Op: OpNot, Width: x.Width, Kids: []*Term{x}})
+	return b.intern(OpNot, x.Width, 0, "", x)
 }
 
 // Neg builds two's-complement negation.
@@ -384,7 +414,7 @@ func (b *Builder) Neg(x *Term) *Term {
 	if c, ok := constOf(x); ok {
 		return b.Const(x.Width, -c)
 	}
-	return b.intern(&Term{Op: OpNeg, Width: x.Width, Kids: []*Term{x}})
+	return b.intern(OpNeg, x.Width, 0, "", x)
 }
 
 // Cmp builds a comparison term of width 1.
@@ -426,7 +456,7 @@ func (b *Builder) Cmp(op Op, x, y *Term) *Term {
 			return b.False()
 		}
 	}
-	return b.intern(&Term{Op: op, Width: 1, Kids: []*Term{x, y}})
+	return b.intern(op, 1, 0, "", x, y)
 }
 
 // Eq is shorthand for Cmp(OpEq, x, y).
@@ -449,7 +479,7 @@ func (b *Builder) Ite(c, t, f *Term) *Term {
 	if t == f {
 		return t
 	}
-	return b.intern(&Term{Op: OpIte, Width: t.Width, Kids: []*Term{c, t, f}})
+	return b.intern(OpIte, t.Width, 0, "", c, t, f)
 }
 
 // ZExt zero-extends x to width w.
@@ -460,7 +490,7 @@ func (b *Builder) ZExt(x *Term, w int) *Term {
 	if c, ok := constOf(x); ok {
 		return b.Const(w, c)
 	}
-	return b.intern(&Term{Op: OpZExt, Width: w, Kids: []*Term{x}})
+	return b.intern(OpZExt, w, 0, "", x)
 }
 
 // SExt sign-extends x to width w.
@@ -471,7 +501,7 @@ func (b *Builder) SExt(x *Term, w int) *Term {
 	if c, ok := constOf(x); ok {
 		return b.Const(w, uint64(signExtend(c, x.Width)))
 	}
-	return b.intern(&Term{Op: OpSExt, Width: w, Kids: []*Term{x}})
+	return b.intern(OpSExt, w, 0, "", x)
 }
 
 // Trunc truncates x to width w.
@@ -482,7 +512,7 @@ func (b *Builder) Trunc(x *Term, w int) *Term {
 	if c, ok := constOf(x); ok {
 		return b.Const(w, c)
 	}
-	return b.intern(&Term{Op: OpTrunc, Width: w, Kids: []*Term{x}})
+	return b.intern(OpTrunc, w, 0, "", x)
 }
 
 // Bool connectives on width-1 terms.
@@ -501,28 +531,52 @@ func (b *Builder) Implies(x, y *Term) *Term { return b.BoolOr(b.Not(x), y) }
 
 // Eval evaluates a term under an assignment of variable values
 // (by name). Division by zero returns (0, false). Evaluation is
-// memoized over the hash-consed DAG (keyed by Term.ID()), so heavily
-// shared subexpressions are computed once — this is what makes the
-// concrete-execution pre-pass in Session affordable.
+// memoized over the hash-consed DAG (by Term.ID()), so heavily shared
+// subexpressions are computed once. Eval builds its memo per call; a
+// Session keeps one across the many evaluations of its pre-pass.
 func Eval(t *Term, env map[string]uint64) (uint64, bool) {
-	return evalTerm(t, env, make(map[int]evalResult))
+	var m evalMemo
+	return m.run(t, env)
 }
 
-type evalResult struct {
-	v  uint64
-	ok bool
+// evalMemo is a dense evaluation memo indexed by term id. A slot
+// holds a result of the current evaluation only when its stamp equals
+// gen, so starting the next one is an increment, not a sweep.
+type evalMemo struct {
+	slots []evalSlot
+	gen   uint32
 }
 
-func evalTerm(t *Term, env map[string]uint64, memo map[int]evalResult) (uint64, bool) {
-	if r, done := memo[t.id]; done {
+type evalSlot struct {
+	v   uint64
+	gen uint32
+	ok  bool
+}
+
+// run evaluates t under env, starting from an empty memo. A term's
+// operands were interned before it, so t's id bounds every id under
+// it; the slots grow with the builder as later terms arrive.
+func (m *evalMemo) run(t *Term, env map[string]uint64) (uint64, bool) {
+	if t.id >= len(m.slots) {
+		m.slots = append(m.slots, make([]evalSlot, t.id+1-len(m.slots))...)
+	}
+	if m.gen++; m.gen == 0 { // wrapped: stamps 2^32 evaluations old would read as current
+		clear(m.slots)
+		m.gen = 1
+	}
+	return m.eval(t, env)
+}
+
+func (m *evalMemo) eval(t *Term, env map[string]uint64) (uint64, bool) {
+	if r := &m.slots[t.id]; r.gen == m.gen {
 		return r.v, r.ok
 	}
-	v, ok := evalNode(t, env, memo)
-	memo[t.id] = evalResult{v: v, ok: ok}
+	v, ok := m.evalNode(t, env)
+	m.slots[t.id] = evalSlot{v: v, gen: m.gen, ok: ok}
 	return v, ok
 }
 
-func evalNode(t *Term, env map[string]uint64, memo map[int]evalResult) (uint64, bool) {
+func (m *evalMemo) evalNode(t *Term, env map[string]uint64) (uint64, bool) {
 	switch t.Op {
 	case OpConst:
 		return t.Val, true
@@ -533,32 +587,32 @@ func evalNode(t *Term, env map[string]uint64, memo map[int]evalResult) (uint64, 
 		}
 		return v & mask(t.Width), true
 	case OpNot:
-		v, ok := evalTerm(t.Kids[0], env, memo)
+		v, ok := m.eval(t.Kids[0], env)
 		return ^v & mask(t.Width), ok
 	case OpNeg:
-		v, ok := evalTerm(t.Kids[0], env, memo)
+		v, ok := m.eval(t.Kids[0], env)
 		return -v & mask(t.Width), ok
 	case OpIte:
-		c, ok := evalTerm(t.Kids[0], env, memo)
+		c, ok := m.eval(t.Kids[0], env)
 		if !ok {
 			return 0, false
 		}
 		if c&1 == 1 {
-			return evalTerm(t.Kids[1], env, memo)
+			return m.eval(t.Kids[1], env)
 		}
-		return evalTerm(t.Kids[2], env, memo)
+		return m.eval(t.Kids[2], env)
 	case OpZExt:
-		v, ok := evalTerm(t.Kids[0], env, memo)
+		v, ok := m.eval(t.Kids[0], env)
 		return v & mask(t.Kids[0].Width), ok
 	case OpSExt:
-		v, ok := evalTerm(t.Kids[0], env, memo)
+		v, ok := m.eval(t.Kids[0], env)
 		return uint64(signExtend(v, t.Kids[0].Width)) & mask(t.Width), ok
 	case OpTrunc:
-		v, ok := evalTerm(t.Kids[0], env, memo)
+		v, ok := m.eval(t.Kids[0], env)
 		return v & mask(t.Width), ok
 	case OpEq, OpUlt, OpUle, OpSlt, OpSle:
-		x, ok1 := evalTerm(t.Kids[0], env, memo)
-		y, ok2 := evalTerm(t.Kids[1], env, memo)
+		x, ok1 := m.eval(t.Kids[0], env)
+		y, ok2 := m.eval(t.Kids[1], env)
 		if !ok1 || !ok2 {
 			return 0, false
 		}
@@ -582,8 +636,8 @@ func evalNode(t *Term, env map[string]uint64, memo map[int]evalResult) (uint64, 
 		return 0, true
 	}
 	// Binary ops.
-	x, ok1 := evalTerm(t.Kids[0], env, memo)
-	y, ok2 := evalTerm(t.Kids[1], env, memo)
+	x, ok1 := m.eval(t.Kids[0], env)
+	y, ok2 := m.eval(t.Kids[1], env)
 	if !ok1 || !ok2 {
 		return 0, false
 	}
