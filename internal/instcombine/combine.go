@@ -14,7 +14,7 @@
 package instcombine
 
 import (
-	"fmt"
+	"strconv"
 
 	"veriopt/internal/ir"
 )
@@ -23,18 +23,27 @@ import (
 // output is renumbered into canonical form.
 func Run(f *ir.Function) *ir.Function {
 	g := ir.CloneFunc(f)
-	c := &combiner{fn: g}
+	RunInPlace(g)
+	ir.RenumberFunc(g)
+	return g
+}
+
+// RunInPlace is Run on f itself, without the renumbering. It reports
+// whether any rule or cleanup fired; false leaves f untouched.
+func RunInPlace(f *ir.Function) bool {
+	c := &combiner{fn: f}
+	fired := false
 	for iter := 0; iter < maxIterations; iter++ {
 		changed := c.iterate()
-		changed = forwardLoads(g) || changed
-		changed = removeDeadAllocas(g) || changed
-		changed = ir.DeadCodeElim(g, nil) > 0 || changed
+		changed = forwardLoads(f) || changed
+		changed = removeDeadAllocas(f) || changed
+		changed = ir.DeadCodeElim(f, nil) > 0 || changed
 		if !changed {
 			break
 		}
+		fired = true
 	}
-	ir.RenumberFunc(g)
-	return g
+	return fired
 }
 
 // maxIterations caps fixpoint iteration; real instcombine has a
@@ -86,20 +95,42 @@ func (c *combiner) iterate() bool {
 func (c *combiner) fresh() string {
 	if c.nextID == 0 {
 		c.fn.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-			var n int
-			if _, err := fmt.Sscanf(in.NameStr, "t%d", &n); err == nil && n > c.nextID {
+			if n, ok := tempNumber(in.NameStr); ok && n > c.nextID {
 				c.nextID = n
 			}
 		})
 		for _, p := range c.fn.Params {
-			var n int
-			if _, err := fmt.Sscanf(p.NameStr, "t%d", &n); err == nil && n > c.nextID {
+			if n, ok := tempNumber(p.NameStr); ok && n > c.nextID {
 				c.nextID = n
 			}
 		}
 	}
 	c.nextID++
-	return fmt.Sprintf("t%d", c.nextID)
+	return "t" + strconv.Itoa(c.nextID)
+}
+
+// tempNumber reads the N of a name that starts t<N>, as
+// fmt.Sscanf(name, "t%d", &n) did at a scan state and an error per
+// name: an optional sign, then digits up to the first other byte
+// ("t12x" is 12). Sscanf also skipped blanks after the t; a name with
+// one is not a t<digits> name fresh could collide with.
+func tempNumber(name string) (int, bool) {
+	if len(name) < 2 || name[0] != 't' {
+		return 0, false
+	}
+	end := 1
+	if name[1] == '+' || name[1] == '-' {
+		end++
+	}
+	digits := end
+	for end < len(name) && name[end] >= '0' && name[end] <= '9' {
+		end++
+	}
+	if end == digits {
+		return 0, false
+	}
+	n, err := strconv.Atoi(name[1:end])
+	return n, err == nil
 }
 
 // insertBefore places a new instruction immediately before position

@@ -1,6 +1,7 @@
 package instcombine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -402,4 +403,43 @@ func TestXorChainCancel(t *testing.T) {
 		t.Errorf("xor chain not cancelled:\n%s", text)
 	}
 	checkSound(t, src)
+}
+
+// sscanfTempNumber is what combiner.fresh ran on every name before
+// tempNumber: the reference the hand parser must agree with.
+func sscanfTempNumber(name string) (int, bool) {
+	var n int
+	_, err := fmt.Sscanf(name, "t%d", &n)
+	return n, err == nil
+}
+
+// TestTempNumberMatchesSscanf: fresh must start above every existing
+// t<digits> name, prefix matches included, and — StepAt's output is
+// not renumbered, so the number is visible — no higher than Sscanf put
+// it.
+func TestTempNumberMatchesSscanf(t *testing.T) {
+	for _, name := range []string{
+		"t7", "t07", "t12x", "t", "tx", "7", "", "t-3",
+		"t+5", "t-", "t0", "t12_", "t1_0", "t_1", "t12.sel", "T7", "tt7", "xt7", "m2r1",
+		"t9223372036854775807", "t9223372036854775808", "t00000000000000000000012",
+	} {
+		want, wantOK := sscanfTempNumber(name)
+		if got, ok := tempNumber(name); ok != wantOK || ok && got != want {
+			t.Errorf("tempNumber(%q) = %d, %v; Sscanf reads %d, %v", name, got, ok, want, wantOK)
+		}
+	}
+
+	f, err := ir.ParseFunc(`define i32 @f(i32 noundef %t40x, i32 noundef %t-50) {
+entry:
+  %t7 = add i32 %t40x, %t-50
+  %t012 = mul i32 %t7, 3
+  ret i32 %t012
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := (&combiner{fn: f}).fresh(); got != "t41" {
+		t.Errorf("first fresh name over t7, t012, t40x, t-50 = %s, want t41", got)
+	}
 }

@@ -113,25 +113,6 @@ func RenumberFunc(f *Function) {
 	})
 }
 
-// Uses returns, for every instruction result, the list of
-// instructions that use it (including phi incomings).
-func Uses(f *Function) map[Value][]*Instr {
-	uses := map[Value][]*Instr{}
-	f.ForEachInstr(func(_ *Block, in *Instr) {
-		for _, a := range in.Args {
-			if def, ok := a.(*Instr); ok {
-				uses[def] = append(uses[def], in)
-			}
-		}
-		for _, inc := range in.Incs {
-			if def, ok := inc.Val.(*Instr); ok {
-				uses[def] = append(uses[def], in)
-			}
-		}
-	})
-	return uses
-}
-
 // ReplaceAllUses rewrites every use of old with new throughout f.
 func ReplaceAllUses(f *Function, old, nv Value) {
 	f.ForEachInstr(func(_ *Block, in *Instr) {
@@ -200,14 +181,27 @@ func HasSideEffects(in *Instr, m *Module) bool {
 // fixpoint, returning the number removed.
 func DeadCodeElim(f *Function, m *Module) int {
 	removed := 0
+	used := make(map[*Instr]struct{}, f.NumInstrs())
 	for {
-		uses := Uses(f)
+		clear(used)
+		f.ForEachInstr(func(_ *Block, in *Instr) {
+			for _, a := range in.Args {
+				if def, ok := a.(*Instr); ok {
+					used[def] = struct{}{}
+				}
+			}
+			for _, inc := range in.Incs {
+				if def, ok := inc.Val.(*Instr); ok {
+					used[def] = struct{}{}
+				}
+			}
+		})
 		var dead []*Instr
 		f.ForEachInstr(func(_ *Block, in *Instr) {
 			if !in.HasResult() {
 				return
 			}
-			if len(uses[in]) == 0 && !HasSideEffects(in, m) {
+			if _, ok := used[in]; !ok && !HasSideEffects(in, m) {
 				dead = append(dead, in)
 			}
 		})
