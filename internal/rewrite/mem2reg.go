@@ -13,26 +13,28 @@ import (
 // al.'s simple-and-efficient SSA algorithm: block-local defs first,
 // then recursive lookups that pre-install phis to break cycles.
 //
-// It returns false (leaving f untouched) when nothing was promotable.
-// The output is re-verified; on any inconsistency the function is
-// restored, so the rule is safe to expose as a policy action.
+// It promotes on a copy and moves the result into f only once it
+// verifies, so the rule is safe to expose as a policy action and false
+// leaves f untouched, every instruction where it was: seqopt's search
+// goes on offering the same function to its next pass.
 func mem2reg(f *ir.Function) bool {
-	allocas := promotableAllocas(f)
-	if len(allocas) == 0 {
+	if len(promotableAllocas(f)) == 0 {
 		return false
 	}
-	backup := ir.CloneFunc(f)
+	g := ir.CloneFunc(f)
 	p := &promoter{
-		f:       f,
-		preds:   ir.Preds(f),
+		f:       g,
+		preds:   ir.Preds(g),
 		blockIn: map[promKey]ir.Value{},
 		nextID:  0,
 	}
-	p.run(allocas)
-	if err := ir.VerifyFunc(f); err != nil {
-		// Restore from backup: replace contents wholesale.
-		*f = *backup
+	p.run(promotableAllocas(g))
+	if err := ir.VerifyFunc(g); err != nil {
 		return false
+	}
+	*f = *g
+	for _, b := range f.Blocks {
+		b.Parent = f
 	}
 	return true
 }
