@@ -1,0 +1,240 @@
+package seqopt
+
+import (
+	"context"
+	"reflect"
+	"slices"
+	"sort"
+	"sync"
+	"testing"
+
+	"veriopt/internal/alive"
+	"veriopt/internal/costmodel"
+	"veriopt/internal/dataset"
+	"veriopt/internal/ir"
+	"veriopt/internal/oracle"
+)
+
+// familySlice is a corpus slice with every template, so all five
+// scenario families, in it.
+func familySlice(t *testing.T, perTemplate int) []*dataset.Sample {
+	t.Helper()
+	samples, err := dataset.Generate(dataset.Config{Seed: 7, N: perTemplate * len(dataset.Templates()), SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(dataset.ScenarioCounts(samples)); n != 5 {
+		t.Fatalf("slice covers %d scenario families, want 5", n)
+	}
+	return samples
+}
+
+func layout(f *ir.Function) []*ir.Instr {
+	var out []*ir.Instr
+	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) { out = append(out, in) })
+	return out
+}
+
+// TestInPlaceFalseLeavesFunctionUntouched is the contract expand's
+// shared working copy stands on, for every pass the registry holds —
+// none is skipped, so a new pass is under it the day it is appended: a
+// run that reports false has changed nothing, not the text and not
+// which instruction object sits where. Each pass is probed on the O0
+// function and on every state a walk through the registry passes on
+// the way down from it.
+func TestInPlaceFalseLeavesFunctionUntouched(t *testing.T) {
+	samples := familySlice(t, 2)
+	reg := Registry()
+	for _, p := range reg {
+		probes := 0
+		for _, s := range samples {
+			states := []*ir.Function{s.O0}
+			for _, q := range reg {
+				if g, changed := q.Apply(states[len(states)-1]); changed {
+					states = append(states, g)
+				}
+			}
+			for i, st := range states {
+				g := ir.CloneFunc(st)
+				text, instrs := ir.FuncString(g), layout(g)
+				if p.run(g) {
+					continue
+				}
+				probes++
+				if got := ir.FuncString(g); got != text {
+					t.Fatalf("%s on %s state %d reported false but changed the function:\n%s\nwas:\n%s", p.Name, s.Name, i, got, text)
+				}
+				if !slices.Equal(layout(g), instrs) {
+					t.Fatalf("%s on %s state %d reported false but moved or replaced an instruction", p.Name, s.Name, i)
+				}
+			}
+		}
+		if probes < 100 {
+			t.Errorf("%s: only %d non-firing probes; the corpus no longer exercises the contract", p.Name, probes)
+		}
+	}
+}
+
+// refExpand is expand as it was before the shared working copy: every
+// pass gets its own clone of the state through Apply.
+func refExpand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult) []*state {
+	var out []*state
+	for _, p := range cfg.Passes {
+		g, changed := p.Apply(st.fn)
+		if !changed {
+			continue
+		}
+		key := ir.CanonicalKey(g)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		res.States++
+		vr := cfg.Oracle.Verify(ctx, f0, g, cfg.Verify)
+		res.Queries++
+		if vr.Verdict != alive.Equivalent {
+			continue
+		}
+		seq := append(append([]string(nil), st.seq...), p.Name)
+		out = append(out, &state{fn: g, key: key, seq: seq, m: costmodel.Measure(g)})
+	}
+	return out
+}
+
+// refSearch is Beam (beam true) or Greedy over refExpand.
+func refSearch(f0 *ir.Function, cfg SearchConfig, beam bool) *SearchResult {
+	ctx := context.Background()
+	cfg = cfg.normalize()
+	root := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
+	res := &SearchResult{Fn: f0, Base: root.m, Best: root.m}
+	best, frontier := root, []*state{root}
+	seen := map[string]bool{root.key: true}
+	for d := 0; d < cfg.Depth && len(frontier) > 0; d++ {
+		var cands []*state
+		for _, st := range frontier {
+			cands = append(cands, refExpand(ctx, f0, st, cfg, seen, res)...)
+		}
+		sort.SliceStable(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
+		if !beam {
+			if len(cands) == 0 || cands[0].m.Latency >= best.m.Latency {
+				break
+			}
+			cands = cands[:1]
+		} else if len(cands) > cfg.Width {
+			cands = cands[:cfg.Width]
+		}
+		if len(cands) > 0 && better(cands[0], best) {
+			best = cands[0]
+		}
+		frontier = cands
+	}
+	finish(res, best)
+	return res
+}
+
+// outcome is everything a search reports, the winner as canonical text.
+type outcome struct {
+	Sequence        []string
+	Fn              string
+	Base, Best      costmodel.Metrics
+	States, Queries int
+}
+
+func outcomeOf(r *SearchResult) outcome {
+	return outcome{r.Sequence, ir.CanonicalText(r.Fn), r.Base, r.Best, r.States, r.Queries}
+}
+
+// TestSearchMatchesPerPassApply: sharing one working copy among the
+// passes of an expansion changes nothing a search reports.
+func TestSearchMatchesPerPassApply(t *testing.T) {
+	samples := familySlice(t, 1)
+	ctx := context.Background()
+	improved := 0
+	for _, s := range samples {
+		for _, beam := range []bool{true, false} {
+			search, name := Greedy, "Greedy"
+			if beam {
+				search, name = Beam, "Beam"
+			}
+			got, err := search(ctx, s.O0, SearchConfig{Oracle: oracle.NewStack(oracle.Config{})})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refSearch(s.O0, SearchConfig{Oracle: oracle.NewStack(oracle.Config{})}, beam)
+			if !reflect.DeepEqual(outcomeOf(got), outcomeOf(want)) {
+				t.Errorf("%s on %s:\n got %+v\nwant %+v", name, s.Name, outcomeOf(got), outcomeOf(want))
+			}
+			if got.Improved() {
+				improved++
+			}
+		}
+	}
+	if improved < len(samples) {
+		t.Errorf("only %d of %d searches improved their input; the comparison is close to vacuous", improved, 2*len(samples))
+	}
+}
+
+// TestBeamConcurrentSharedConfig: four goroutines searching through
+// one SearchConfig — one pass slice, one oracle stack — report what a
+// sequential run reports, and no winner changes afterwards: a result
+// must not be a working copy some later pass went on to rewrite. Run
+// under -race in tier 2.
+func TestBeamConcurrentSharedConfig(t *testing.T) {
+	samples := familySlice(t, 1)
+	ctx := context.Background()
+	cfg := SearchConfig{Oracle: oracle.NewStack(oracle.Config{}), Passes: Registry()}
+	want := make([]outcome, len(samples))
+	for i, s := range samples {
+		res, err := Beam(ctx, s.O0, SearchConfig{Oracle: oracle.NewStack(oracle.Config{})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = outcomeOf(res)
+	}
+	const workers = 4
+	results := make([][]*SearchResult, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		results[w] = make([]*SearchResult, len(samples))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := range samples {
+				// Each worker starts elsewhere, so the workers are in
+				// different searches at any one time.
+				j := (i + w*len(samples)/workers) % len(samples)
+				res, err := Beam(ctx, samples[j].O0, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results[w][j] = res
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range results {
+		for i, res := range results[w] {
+			if res == nil {
+				t.Fatalf("worker %d: no result for %s", w, samples[i].Name)
+			}
+			if got := outcomeOf(res); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("worker %d on %s:\n got %+v\nwant %+v", w, samples[i].Name, got, want[i])
+			}
+		}
+	}
+}
+
+// TestRegistryBuildsOnce: every call returns the same passes in a
+// slice of the caller's own, so reordering one caller's action space
+// cannot reorder another's.
+func TestRegistryBuildsOnce(t *testing.T) {
+	a, b := Registry(), Registry()
+	a[0], a[1] = a[1], a[0]
+	if b[0].Name != "combine" || b[1] != a[0] || b[0] != a[1] {
+		t.Errorf("Registry calls share their slice or rebuild their passes: %s, %s", b[0].Name, b[1].Name)
+	}
+	if n := testing.AllocsPerRun(20, func() { Registry() }); n > 1 {
+		t.Errorf("Registry: %v allocations per call, want the slice only", n)
+	}
+}

@@ -31,13 +31,16 @@
 package seqopt
 
 import (
+	"slices"
+	"sync"
+
 	"veriopt/internal/instcombine"
 	"veriopt/internal/ir"
 	"veriopt/internal/rewrite"
 )
 
 // Pass is one deterministic whole-function transformation in the
-// sequence action space.
+// sequence action space. Passes come from Registry.
 type Pass struct {
 	Name string
 	// Apply returns a transformed copy of f and whether anything
@@ -45,42 +48,67 @@ type Pass struct {
 	// renumbered into canonical form. Apply is deterministic: the same
 	// input always yields the same output.
 	Apply func(f *ir.Function) (*ir.Function, bool)
+	// run is Apply without the copy: it takes g itself to the pass's
+	// fixpoint, renumbers it if that changed anything, and reports
+	// whether it did. False leaves g untouched — same text, same
+	// instruction objects in the same slots — so expand can offer one
+	// copy of a state to pass after pass
+	// (TestInPlaceFalseLeavesFunctionUntouched).
+	run func(g *ir.Function) bool
 }
 
 // maxFixpointIters caps per-pass fixpoint iteration, mirroring
 // instcombine's own safety cap.
 const maxFixpointIters = 64
 
-// fixpointPass lifts a single mutating step into a Pass: clone, apply
-// the step until it stops firing, renumber.
+// newPass builds a Pass from fix, which rewrites a function in place
+// to the pass's fixpoint and reports whether it changed anything,
+// leaving it untouched if not.
+func newPass(name string, fix func(*ir.Function) bool) *Pass {
+	p := &Pass{Name: name}
+	p.run = func(g *ir.Function) bool {
+		changed := fix(g)
+		if changed {
+			ir.RenumberFunc(g)
+		}
+		return changed
+	}
+	p.Apply = func(f *ir.Function) (*ir.Function, bool) {
+		if g := ir.CloneFunc(f); p.run(g) {
+			return g, true
+		}
+		return f, false
+	}
+	return p
+}
+
+// fixpointPass lifts a single mutating step into a Pass: apply the
+// step until it stops firing.
 func fixpointPass(name string, step func(*ir.Function) bool) *Pass {
-	return &Pass{Name: name, Apply: func(f *ir.Function) (*ir.Function, bool) {
-		g := ir.CloneFunc(f)
+	return newPass(name, func(g *ir.Function) bool {
 		changed := false
-		for i := 0; i < maxFixpointIters; i++ {
-			if !step(g) {
-				break
-			}
+		for i := 0; i < maxFixpointIters && step(g); i++ {
 			changed = true
 		}
-		if !changed {
-			return f, false
-		}
-		ir.RenumberFunc(g)
-		return g, true
-	}}
+		return changed
+	})
 }
 
 // instcombinePass wraps the full reference pipeline (the corpus
-// labeler) as one action.
+// labeler) as one action. Its driver counts rule firings, and a run of
+// them can end structurally where it began, so Apply confirms a change
+// against its input. expand needs no such test: a result structurally
+// equal to the state it came from has that state's key, which is seen.
 func instcombinePass() *Pass {
-	return &Pass{Name: "instcombine", Apply: func(f *ir.Function) (*ir.Function, bool) {
-		g := instcombine.Run(f)
-		if ir.FuncsStructurallyEqual(f, g) {
-			return f, false
+	p := newPass("instcombine", instcombine.RunInPlace)
+	apply := p.Apply
+	p.Apply = func(f *ir.Function) (*ir.Function, bool) {
+		if g, changed := apply(f); changed && !ir.FuncsStructurallyEqual(f, g) {
+			return g, true
 		}
-		return g, true
-	}}
+		return f, false
+	}
+	return p
 }
 
 // extraPass lifts one of internal/rewrite's sound beyond-instcombine
@@ -99,10 +127,9 @@ func extraPass(name, ruleName string) *Pass {
 	panic("seqopt: unknown rewrite rule " + ruleName)
 }
 
-// Registry returns the pass action space in stable order. Policy
-// action indices and search tie-breaking depend on this ordering, so
-// new passes must be appended, never inserted.
-func Registry() []*Pass {
+// registry holds the passes, built once per process: they are
+// stateless, and every search asks for them.
+var registry = sync.OnceValue(func() []*Pass {
 	return []*Pass{
 		fixpointPass("combine", instcombine.StepFirst),
 		fixpointPass("forward-loads", instcombine.ForwardLoadsStep),
@@ -113,11 +140,17 @@ func Registry() []*Pass {
 		extraPass("merge-blocks", "extra-merge-blocks"),
 		extraPass("if-to-select", "extra-diamond-to-select"),
 	}
-}
+})
+
+// Registry returns the pass action space in stable order. Policy
+// action indices and search tie-breaking depend on this ordering, so
+// new passes must be appended, never inserted. The slice is the
+// caller's own; the passes in it are shared.
+func Registry() []*Pass { return slices.Clone(registry()) }
 
 // PassNames returns the registry names in order.
 func PassNames() []string {
-	reg := Registry()
+	reg := registry()
 	out := make([]string, len(reg))
 	for i, p := range reg {
 		out[i] = p.Name
