@@ -1,9 +1,13 @@
 package veriopt
 
 import (
+	"context"
 	"testing"
 
+	"veriopt/internal/alive"
+	"veriopt/internal/instcombine"
 	"veriopt/internal/ir"
+	"veriopt/internal/oracle"
 	"veriopt/internal/seqopt"
 	"veriopt/internal/vcache"
 )
@@ -12,13 +16,22 @@ import (
 // cache hit and every search state pays before any solver work. The
 // ceilings below hold its allocation counts in `go test ./...`, about
 // 20 % above what the substring lexer, the one-pass key and in-place
-// step probing achieve on midFn (96, 7 and 1396; with the rune-by-rune
+// step probing achieve on midFn (96, 7 and 163; with the rune-by-rune
 // lexer, the clone-and-renumber key and per-position clones they were
-// 566, 413 and 39 105), so a regression fails tier-1 and not only the
-// benchmark. `make bench-ir` prints the numbers themselves. A search
-// state is also one ir.CloneFunc per pass application: 76 on midFn with
-// every slice allocated at its final length, 111 when they grew by
-// append.
+// 566, 413 and 39 105, and the combine pass was still 1362 while
+// DeadCodeElim built a use list per definition and combiner.fresh ran
+// Sscanf over every name), so a regression fails tier-1 and not only
+// the benchmark. `make bench-ir` prints the numbers themselves. A
+// search state is also one ir.CloneFunc per pass that fires: 76 on
+// midFn with every slice allocated at its final length, 111 when they
+// grew by append.
+//
+// The last two rows are what a search pays outside the SAT search: one
+// verification (558 allocations; 1762 when bv.Builder allocated a term
+// and a formatted key before looking it up, and the concrete pre-pass
+// a map per environment) and one whole Beam on a stack nothing has
+// warmed (2614; 10 658 with that interner and a clone per pass
+// application instead of one working copy per expanded state).
 
 const midFn = `define i32 @mid(i32 noundef %a, i32 noundef %b, i32 noundef %c) {
 entry:
@@ -75,8 +88,29 @@ func combinePass(tb testing.TB) *seqopt.Pass {
 	return p
 }
 
+// verifyMid is one verification on a search's path: midFn against its
+// instcombine output.
+func verifyMid(tb testing.TB, f, opt *ir.Function) alive.Result {
+	r := alive.VerifyFuncs(f, opt, alive.DefaultOptions())
+	if r.Verdict != alive.Equivalent {
+		tb.Fatalf("midFn against its instcombine output: %s", r.Verdict)
+	}
+	return r
+}
+
+// beamMid is one search on a stack nothing has warmed, as search-cold
+// runs them.
+func beamMid(tb testing.TB, f *ir.Function) *seqopt.SearchResult {
+	res, err := seqopt.Beam(context.Background(), f, seqopt.SearchConfig{Oracle: oracle.NewStack(oracle.Config{})})
+	if err != nil || !res.Improved() {
+		tb.Fatalf("beam over midFn: improved %v, err %v", res.Improved(), err)
+	}
+	return res
+}
+
 func TestIRFrontHalfAllocCeilings(t *testing.T) {
 	f, combine := midFunc(t), combinePass(t)
+	opt := instcombine.Run(f)
 	if _, changed := combine.Apply(f); !changed {
 		t.Fatal("combine does not fire on midFn; its ceiling would be vacuous")
 	}
@@ -87,8 +121,10 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 	}{
 		{"ir.ParseFunc", 115, func() { midFunc(t) }},
 		{"vcache.KeyOfFunc", 8, func() { vcache.KeyOfFunc(f) }},
-		{"combine pass", 1675, func() { combine.Apply(f) }},
+		{"combine pass", 195, func() { combine.Apply(f) }},
 		{"ir.CloneFunc", 80, func() { ir.CloneFunc(f) }},
+		{"alive.VerifyFuncs", 670, func() { verifyMid(t, f, opt) }},
+		{"seqopt.Beam", 3140, func() { beamMid(t, f) }},
 	} {
 		if got := testing.AllocsPerRun(50, tc.fn); got > tc.ceiling {
 			t.Errorf("%s: %.0f allocations per run on midFn, ceiling %.0f", tc.name, got, tc.ceiling)
@@ -120,5 +156,24 @@ func BenchmarkCombinePass(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink, _ = combine.Apply(f)
+	}
+}
+
+func BenchmarkVerifyMid(b *testing.B) {
+	f := midFunc(b)
+	opt := instcombine.Run(f)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = verifyMid(b, f, opt)
+	}
+}
+
+func BenchmarkBeamMid(b *testing.B) {
+	f := midFunc(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = beamMid(b, f)
 	}
 }
