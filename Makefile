@@ -176,7 +176,8 @@ bench-layers:
 # IR front-half micro-benchmarks (ir_bench_test.go): parse, cache key
 # and one combine fixpoint pass on a fixed mid-size function, then what
 # a search does with it: one verification and one whole Beam on a cold
-# stack (add -memprofile for the allocation profile of that path).
+# stack (the same go test line with -memprofile is the allocation
+# profile of that path).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
 	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|KeyOfFunc|CombinePass|VerifyMid|BeamMid)$$' -benchmem .
