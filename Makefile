@@ -173,14 +173,14 @@ bench-e2e:
 bench-layers:
 	@for w in $(BENCH_WORKLOADS); do bash bench/run.sh --workload $$w $(BENCH_ARGS) --trace 1 || exit 1; done
 
-# IR front-half micro-benchmarks (ir_bench_test.go): parse, cache key
-# and one combine fixpoint pass on a fixed mid-size function, then what
-# a search does with it: one verification and one whole Beam on a cold
-# stack (the same go test line with -memprofile is the allocation
-# profile of that path).
+# IR front-half micro-benchmarks (ir_bench_test.go): parse, structural
+# verification, cache key and one combine fixpoint pass on a fixed
+# mid-size function, then what a search does with it: one verification
+# and one whole Beam on a cold stack (the same go test line with
+# -memprofile is the allocation profile of that path).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
-	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|KeyOfFunc|CombinePass|VerifyMid|BeamMid)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|CombinePass|VerifyMid|BeamMid)$$' -benchmem .
 
 # "Least code" as a number (ROADMAP, Design diet): per-package non-test
 # lines, test lines and exported names, and the flag count of each

@@ -179,7 +179,10 @@ func (ex *executor) runBlock(blk *ir.Block, pred *ir.Block, ps *pathState) error
 	b := ex.b
 	// Evaluate phis simultaneously from the incoming edge.
 	phiVals := map[*ir.Instr]symVal{}
-	for _, in := range blk.Phis() {
+	for _, in := range blk.Instrs {
+		if in.Op != ir.OpPhi {
+			break
+		}
 		found := false
 		for _, inc := range in.Incs {
 			if inc.Block == pred {

@@ -138,7 +138,10 @@ func (s *state) run(f *ir.Function) error {
 	for {
 		// Phi nodes evaluate simultaneously from the incoming edge.
 		phiVals := map[*ir.Instr]Val{}
-		for _, in := range b.Phis() {
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpPhi {
+				break
+			}
 			found := false
 			for _, inc := range in.Incs {
 				if inc.Block == prev {

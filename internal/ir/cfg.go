@@ -1,156 +1,193 @@
 package ir
 
-// Preds computes the predecessor map of a function's CFG.
-func Preds(f *Function) map[*Block][]*Block {
-	preds := make(map[*Block][]*Block, len(f.Blocks))
+import "slices"
+
+// CFG is a read-only analysis of a function's control-flow graph:
+// predecessor lists, reachability from entry and immediate dominators.
+// A block is its position in f.Blocks, and every per-block answer lives
+// in int32 slices carved from one allocation. The analysis writes
+// nothing into the function — no index or mark on Block or Instr — so
+// any number of goroutines may analyse one function at once. It is a
+// snapshot: blocks or terminators changed afterwards are not seen.
+type CFG struct {
+	blocks []*Block
+	// Nothing below is built for a function whose only block has no
+	// successor (the scalar majority of what is parsed): it has no edge
+	// to record, and every accessor answers for it from nil slices. One
+	// block that branches to itself is not that case.
+	index   map[*Block]int32
+	predOff []int32 // preds[predOff[i]:predOff[i+1]] are the predecessors of block i
+	preds   []int32
+	order   []int32 // reverse post-order number; -1 when unreachable
+	idom    []int32 // immediate dominator; the entry's is itself; -1 when unreachable
+	// foreign is the first block whose terminator names a block that is
+	// not in the function; such an edge is left out of the graph.
+	foreign *Block
+}
+
+// NewCFG analyses f.
+func NewCFG(f *Function) CFG {
+	c := CFG{blocks: f.Blocks}
+	n, edges := len(f.Blocks), 0
 	for _, b := range f.Blocks {
-		preds[b] = nil
+		edges += len(b.Succs())
 	}
-	for _, b := range f.Blocks {
+	if n <= 1 && edges == 0 {
+		return c
+	}
+	c.index = make(map[*Block]int32, n)
+	for i, b := range f.Blocks {
+		c.index[b] = int32(i)
+	}
+	slab := make([]int32, 2*(n+1)+2*edges+5*n)
+	carve := func(k int) []int32 {
+		s := slab[:k:k]
+		slab = slab[k:]
+		return s
+	}
+	succOff, succs := carve(n+1), carve(edges)
+	c.predOff, c.preds = carve(n+1), carve(edges)
+	c.order, c.idom = carve(n), carve(n)
+	rpo, stack, next := carve(n), carve(n), carve(n)
+
+	// Successors by index, and the number of edges into each block.
+	e := 0
+	for i, b := range f.Blocks {
+		succOff[i] = int32(e)
 		for _, s := range b.Succs() {
-			preds[s] = append(preds[s], b)
-		}
-	}
-	return preds
-}
-
-// ReversePostOrder returns the blocks reachable from entry in reverse
-// post-order.
-func ReversePostOrder(f *Function) []*Block {
-	if len(f.Blocks) == 0 {
-		return nil
-	}
-	seen := map[*Block]bool{}
-	var post []*Block
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs() {
-			dfs(s)
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry())
-	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
-		post[i], post[j] = post[j], post[i]
-	}
-	return post
-}
-
-// Reachable returns the set of blocks reachable from entry.
-func Reachable(f *Function) map[*Block]bool {
-	seen := map[*Block]bool{}
-	var dfs func(*Block)
-	dfs = func(b *Block) {
-		if b == nil || seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs() {
-			dfs(s)
-		}
-	}
-	dfs(f.Entry())
-	return seen
-}
-
-// Dominators computes the immediate-dominator map using the classic
-// Cooper/Harvey/Kennedy iterative algorithm over reverse post-order.
-// The entry block maps to itself; unreachable blocks are absent.
-func Dominators(f *Function) map[*Block]*Block {
-	rpo := ReversePostOrder(f)
-	if len(rpo) == 0 {
-		return nil
-	}
-	index := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		index[b] = i
-	}
-	preds := Preds(f)
-	idom := make(map[*Block]*Block, len(rpo))
-	entry := rpo[0]
-	idom[entry] = entry
-
-	intersect := func(a, b *Block) *Block {
-		for a != b {
-			for index[a] > index[b] {
-				a = idom[a]
+			si, ok := c.index[s]
+			if !ok {
+				si = -1
+				if c.foreign == nil {
+					c.foreign = b
+				}
+			} else {
+				c.predOff[si+1]++
 			}
-			for index[b] > index[a] {
-				b = idom[b]
+			succs[e] = si
+			e++
+		}
+	}
+	succOff[n] = int32(e)
+	// Predecessors grouped by target, in layout order of their sources
+	// and one per edge: a conditional branch with both arms on one
+	// block is its predecessor twice, as a phi there counts it.
+	for i := 0; i < n; i++ {
+		c.predOff[i+1] += c.predOff[i]
+	}
+	copy(next, c.predOff)
+	for i := range f.Blocks {
+		for _, si := range succs[succOff[i]:succOff[i+1]] {
+			if si >= 0 {
+				c.preds[next[si]] = int32(i)
+				next[si]++
+			}
+		}
+	}
+	c.preds = c.preds[:c.predOff[n]]
+
+	// Depth-first search from entry on an explicit stack; order holds
+	// -1 for a block not yet seen, then its reverse post-order number.
+	const seen = -2
+	for i := range c.order {
+		c.order[i], c.idom[i] = -1, -1
+	}
+	copy(next, succOff)
+	stack[0], c.order[0] = 0, seen
+	sp, post := 1, 0
+	for sp > 0 {
+		v := stack[sp-1]
+		if next[v] < succOff[v+1] {
+			s := succs[next[v]]
+			next[v]++
+			if s >= 0 && c.order[s] == -1 {
+				c.order[s] = seen
+				stack[sp] = s
+				sp++
+			}
+			continue
+		}
+		sp--
+		post++
+		rpo[n-post] = v
+	}
+	rpo = rpo[n-post:]
+	for i, v := range rpo {
+		c.order[v] = int32(i)
+	}
+
+	// Immediate dominators: Cooper, Harvey and Kennedy's iteration over
+	// reverse post-order.
+	intersect := func(a, b int32) int32 {
+		for a != b {
+			for c.order[a] > c.order[b] {
+				a = c.idom[a]
+			}
+			for c.order[b] > c.order[a] {
+				b = c.idom[b]
 			}
 		}
 		return a
 	}
-
+	c.idom[0] = 0
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo[1:] {
-			var newIdom *Block
-			for _, p := range preds[b] {
-				if idom[p] == nil {
-					continue // predecessor not yet processed or unreachable
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = intersect(newIdom, p)
+			idom := int32(-1)
+			for _, p := range c.Preds(int(b)) {
+				switch {
+				case c.idom[p] < 0: // not yet processed, or unreachable
+				case idom < 0:
+					idom = p
+				default:
+					idom = intersect(idom, p)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if idom >= 0 && c.idom[b] != idom {
+				c.idom[b] = idom
 				changed = true
 			}
 		}
 	}
-	return idom
+	return c
 }
 
-// Dominates reports whether a dominates b under the idom map
-// (reflexive: every block dominates itself).
-func Dominates(idom map[*Block]*Block, a, b *Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next, ok := idom[b]
-		if !ok || next == b {
-			return a == b
-		}
-		b = next
+// Index returns b's position in the function's block list, or -1 when
+// b is not one of its blocks.
+func (c *CFG) Index(b *Block) int {
+	if c.index == nil {
+		return slices.Index(c.blocks, b) // of at most one block
 	}
+	if i, ok := c.index[b]; ok {
+		return int(i)
+	}
+	return -1
 }
 
-// HasLoop reports whether the function's CFG contains a cycle
-// reachable from entry.
-func HasLoop(f *Function) bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[*Block]int{}
-	var dfs func(*Block) bool
-	dfs = func(b *Block) bool {
-		color[b] = gray
-		for _, s := range b.Succs() {
-			switch color[s] {
-			case gray:
-				return true
-			case white:
-				if dfs(s) {
-					return true
-				}
-			}
-		}
-		color[b] = black
-		return false
+// Preds returns the predecessors of block i, one entry per edge, in
+// layout order of the branching blocks. The slice is the analysis's
+// own: read it, do not keep or change it.
+func (c *CFG) Preds(i int) []int32 {
+	if i < 0 || c.predOff == nil {
+		return nil
 	}
-	if f.Entry() == nil {
-		return false
+	return c.preds[c.predOff[i]:c.predOff[i+1]]
+}
+
+// Reachable reports whether block i can be reached from entry.
+func (c *CFG) Reachable(i int) bool {
+	return i >= 0 && (c.order == nil || c.order[i] >= 0)
+}
+
+// Dominates reports whether block a dominates block b: every path from
+// entry to b passes through a. A block dominates itself; an
+// unreachable block dominates and is dominated by no other.
+func (c *CFG) Dominates(a, b int) bool {
+	if a == b || !c.Reachable(a) || !c.Reachable(b) {
+		return a == b && a >= 0
 	}
-	return dfs(f.Entry())
+	for c.order[b] > c.order[a] {
+		b = int(c.idom[b])
+	}
+	return a == b
 }

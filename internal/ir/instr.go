@@ -313,7 +313,9 @@ func (b *Block) Succs() []*Block {
 	return t.Succs
 }
 
-// Phis returns the leading phi instructions of the block.
+// Phis returns the leading phi instructions of the block in a slice of
+// its own, for a caller that removes them as it goes; one that only
+// reads walks Instrs to the first non-phi instead.
 func (b *Block) Phis() []*Instr {
 	var out []*Instr
 	for _, in := range b.Instrs {

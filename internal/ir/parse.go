@@ -143,7 +143,10 @@ func (p *parser) parseFunc() (*Function, error) {
 		return nil, &ParseError{Line: headerLine, Msg: "define: expected ("}
 	}
 	f := &Function{NameStr: name, RetTy: retTy}
-	names := map[string]Value{}
+	// The value table is made once the body has been counted; until
+	// then the parameter names alone, in a set that stays on the stack
+	// at the usual handful.
+	paramNames := map[string]struct{}{}
 	for !tk.eat(")") {
 		pt, ok := tk.typ()
 		if !ok {
@@ -165,10 +168,10 @@ func (p *parser) parseFunc() (*Function, error) {
 			return nil, &ParseError{Line: headerLine, Msg: "define: expected parameter name"}
 		}
 		pr.NameStr = pn
-		if _, dup := names[pn]; dup {
+		if _, dup := paramNames[pn]; dup {
 			return nil, &ParseError{Line: headerLine, Msg: "duplicate parameter %" + pn}
 		}
-		names[pn] = pr
+		paramNames[pn] = struct{}{}
 		f.Params = append(f.Params, pr)
 		if !tk.eat(",") && tk.peek() != ")" {
 			return nil, &ParseError{Line: headerLine, Msg: "define: expected , or )"}
@@ -184,12 +187,15 @@ func (p *parser) parseFunc() (*Function, error) {
 
 	// Body: find the blocks, as ranges of p.lines. Instructions are parsed
 	// once every label is known: branches and phis name later blocks.
+	// This pass also counts what the next one builds, so that it can take
+	// every block and instruction from a slab of exactly that size.
 	type rawBlock struct {
 		name       string
 		start, end int // p.lines[start:end]: instructions, blanks, comments
 		n          int // instructions among them
 	}
-	var raws []rawBlock
+	var rawBuf [8]rawBlock
+	raws, total := rawBuf[:0], 0
 	cur := rawBlock{name: "entry-implicit", start: p.pos}
 	closed := false
 	for !p.eof() {
@@ -211,6 +217,7 @@ func (p *parser) parseFunc() (*Function, error) {
 			continue
 		}
 		cur.n++
+		total++
 	}
 	if !closed {
 		return nil, &ParseError{Line: p.pos, Msg: "unterminated function body (missing })"}
@@ -221,19 +228,39 @@ func (p *parser) parseFunc() (*Function, error) {
 		raws[0].name = "entry"
 	}
 
+	// The function's memory: one Block and one Instr per block and
+	// instruction found, and each block's Instrs a window of one pointer
+	// slab, its capacity capped at the block's count — an append by a
+	// later pass reallocates instead of writing into the next block's
+	// window. None of the three is ever grown, so *Block and *Instr are
+	// stable. Operands, successors, phi incomings and constants, whose
+	// numbers the first pass does not know, come from the instruction
+	// parser's chunks. Everything is garbage once the function is: the
+	// parser keeps nothing.
 	blocks := make(map[string]*Block, len(raws))
-	f.Blocks = make([]*Block, 0, len(raws))
-	for _, rb := range raws {
+	blockSlab, instrPtrs := make([]Block, len(raws)), make([]*Instr, total)
+	f.Blocks = make([]*Block, len(raws))
+	for i, rb := range raws {
 		if _, dup := blocks[rb.name]; dup {
 			return nil, &ParseError{Line: headerLine, Msg: "duplicate block label " + rb.name}
 		}
-		b := &Block{NameStr: rb.name, Parent: f, Instrs: make([]*Instr, 0, rb.n)}
+		b := &blockSlab[i]
+		*b = Block{NameStr: rb.name, Parent: f, Instrs: instrPtrs[:0:rb.n]}
+		instrPtrs = instrPtrs[rb.n:]
 		blocks[rb.name] = b
-		f.Blocks = append(f.Blocks, b)
+		f.Blocks[i] = b
+	}
+	names := make(map[string]Value, len(f.Params)+total)
+	for _, pr := range f.Params {
+		names[pr.NameStr] = pr
 	}
 
 	// Parse instructions; operands may forward-reference values.
-	ip := &instrParser{names: names, blocks: blocks, tk: &p.tk}
+	ip := &instrParser{
+		names: names, blocks: blocks, tk: &p.tk, instrs: make([]Instr, 0, total),
+		vals: chunk[Value]{size: 2 * total}, consts: chunk[Const]{size: total},
+		succs: chunk[*Block]{size: 2 * len(raws)}, incs: chunk[Incoming]{size: 4 * len(raws)},
+	}
 	for bi, rb := range raws {
 		b := f.Blocks[bi]
 		for li := rb.start; li < rb.end; li++ {
@@ -303,6 +330,70 @@ type instrParser struct {
 	names  map[string]Value
 	blocks map[string]*Block
 	tk     *tok
+	// instrs has room for exactly the instructions the function holds.
+	instrs []Instr
+	vals   chunk[Value]
+	succs  chunk[*Block]
+	incs   chunk[Incoming]
+	consts chunk[Const]
+}
+
+// instr moves in to the next slot of the function's instruction slab,
+// which has one per instruction line: it is never grown (the reslice
+// would panic first), so the pointer stays good.
+func (ip *instrParser) instr(in Instr) *Instr {
+	ip.instrs = ip.instrs[:len(ip.instrs)+1]
+	p := &ip.instrs[len(ip.instrs)-1]
+	*p = in
+	return p
+}
+
+// konst returns the constant val of type ty, truncated to its width: a
+// window of one in the constant chunk.
+func (ip *instrParser) konst(ty IntType, val uint64) *Const {
+	return &ip.consts.of(Const{Ty: ty, Val: val & ty.Mask()})[0]
+}
+
+// chunk hands out windows of one backing array to lists whose lengths
+// the first pass does not know (operands, successors, phi incomings),
+// in place of an allocation each. One window is open at a time: push
+// extends it, take closes it.
+type chunk[T any] struct {
+	buf  []T
+	open int // where the open window begins
+	size int // elements in a fresh array
+}
+
+// push appends v to the open window. A full array is replaced, never
+// grown — the windows taken from it stay where they are — and the open
+// window moves to the new one.
+func (c *chunk[T]) push(v T) {
+	if len(c.buf) == cap(c.buf) {
+		w := c.buf[c.open:]
+		c.buf, c.open = append(make([]T, 0, max(c.size, 2*len(w)+1)), w...), 0
+	}
+	c.buf = append(c.buf, v)
+}
+
+// take closes the open window and returns it, nil when empty, with its
+// capacity capped at its length: an append to one instruction's
+// operands by a later pass reallocates instead of writing into its
+// neighbour's (the rule bv.Term.Kids follows).
+func (c *chunk[T]) take() []T {
+	w := c.buf[c.open:len(c.buf):len(c.buf)]
+	c.open = len(c.buf)
+	if len(w) == 0 {
+		return nil
+	}
+	return w
+}
+
+// of returns vs as one window.
+func (c *chunk[T]) of(vs ...T) []T {
+	for _, v := range vs {
+		c.push(v)
+	}
+	return c.take()
 }
 
 // arithOps maps the mnemonics of the binary and cast opcodes.
@@ -339,7 +430,7 @@ func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
 		if w == "true" {
 			v = 1
 		}
-		return &Const{Ty: I1, Val: v}, nil
+		return ip.konst(I1, v), nil
 	case "undef":
 		tk.eat(w)
 		return &Undef{Ty: ty}, nil
@@ -353,7 +444,7 @@ func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
 		if !ok {
 			return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("integer constant %s requires an integer type, got %v", w, ty)}
 		}
-		return NewConst(it, iv), nil
+		return ip.konst(it, uint64(iv)), nil
 	}
 	// Unsigned values above MaxInt64 (rare but legal for i64).
 	if uv, err := strconv.ParseUint(w, 10, 64); err == nil {
@@ -362,7 +453,7 @@ func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
 		if !ok {
 			return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("integer constant %s requires an integer type", w)}
 		}
-		return &Const{Ty: it, Val: uv & it.Mask()}, nil
+		return ip.konst(it, uv), nil
 	}
 	return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("expected value, got %q", w)}
 }
@@ -449,7 +540,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return define(&Instr{Op: bop, Ty: ty, Args: []Value{x, y}, Flags: fl})
+		return define(ip.instr(Instr{Op: bop, Ty: ty, Args: ip.vals.of(x, y), Flags: fl}))
 	}
 	switch op {
 	case "icmp":
@@ -473,7 +564,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return define(&Instr{Op: OpICmp, Pred: pred, Ty: I1, Args: []Value{x, y}})
+		return define(ip.instr(Instr{Op: OpICmp, Pred: pred, Ty: I1, Args: ip.vals.of(x, y)}))
 	case "select":
 		c, err := ip.typedValue(tk, lno)
 		if err != nil {
@@ -499,7 +590,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if !t.Type().Equal(fv.Type()) {
 			return fail("select: arm types differ: %s vs %s", t.Type(), fv.Type())
 		}
-		return define(&Instr{Op: OpSelect, Ty: t.Type(), Args: []Value{c, t, fv}})
+		return define(ip.instr(Instr{Op: OpSelect, Ty: t.Type(), Args: ip.vals.of(c, t, fv)}))
 	case "zext", "sext", "trunc":
 		x, err := ip.typedValue(tk, lno)
 		if err != nil {
@@ -523,13 +614,13 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if op != "trunc" && toI.Bits <= from.Bits {
 			return fail("%s: destination i%d not wider than source i%d", op, toI.Bits, from.Bits)
 		}
-		return define(&Instr{Op: arithOps[op], Ty: to, Args: []Value{x}})
+		return define(ip.instr(Instr{Op: arithOps[op], Ty: to, Args: ip.vals.of(x)}))
 	case "freeze":
 		x, err := ip.typedValue(tk, lno)
 		if err != nil {
 			return nil, err
 		}
-		return define(&Instr{Op: OpFreeze, Ty: x.Type(), Args: []Value{x}})
+		return define(ip.instr(Instr{Op: OpFreeze, Ty: x.Type(), Args: ip.vals.of(x)}))
 	case "alloca":
 		ty, ok := tk.typ()
 		if !ok {
@@ -542,7 +633,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 			}
 			tk.ident()
 		}
-		return define(&Instr{Op: OpAlloca, Ty: Ptr, AllocTy: ty})
+		return define(ip.instr(Instr{Op: OpAlloca, Ty: Ptr, AllocTy: ty}))
 	case "load":
 		ty, ok := tk.typ()
 		if !ok {
@@ -564,7 +655,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 			}
 			tk.ident()
 		}
-		return define(&Instr{Op: OpLoad, Ty: ty, Args: []Value{ptr}})
+		return define(ip.instr(Instr{Op: OpLoad, Ty: ty, Args: ip.vals.of(ptr)}))
 	case "store":
 		v, err := ip.typedValue(tk, lno)
 		if err != nil {
@@ -589,7 +680,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if name != "" {
 			return fail("store: must not have a result")
 		}
-		return &Instr{Op: OpStore, Ty: Void, Args: []Value{v, ptr}}, nil
+		return ip.instr(Instr{Op: OpStore, Ty: Void, Args: ip.vals.of(v, ptr)}), nil
 	case "call":
 		retTy, ok := tk.typ()
 		if !ok {
@@ -602,13 +693,12 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if !tk.eat("(") {
 			return fail("call: expected (")
 		}
-		var args []Value
 		for !tk.eat(")") {
 			a, err := ip.typedValue(tk, lno)
 			if err != nil {
 				return nil, err
 			}
-			args = append(args, a)
+			ip.vals.push(a)
 			if !tk.eat(",") && tk.peek() != ")" {
 				return fail("call: expected , or )")
 			}
@@ -620,13 +710,12 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if _, isVoid := retTy.(VoidType); isVoid && name != "" {
 			return fail("call: void call must not have a result")
 		}
-		return &Instr{Op: OpCall, NameStr: name, Ty: retTy, Callee: callee, Args: args}, nil
+		return ip.instr(Instr{Op: OpCall, NameStr: name, Ty: retTy, Callee: callee, Args: ip.vals.take()}), nil
 	case "phi":
 		ty, ok := tk.typ()
 		if !ok {
 			return fail("phi: expected type")
 		}
-		var incs []Incoming
 		for {
 			if !tk.eat("[") {
 				return fail("phi: expected [")
@@ -649,24 +738,24 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 			if !tk.eat("]") {
 				return fail("phi: expected ]")
 			}
-			incs = append(incs, Incoming{Val: v, Block: blk})
+			ip.incs.push(Incoming{Val: v, Block: blk})
 			if !tk.eat(",") {
 				break
 			}
 		}
-		return define(&Instr{Op: OpPhi, Ty: ty, Incs: incs})
+		return define(ip.instr(Instr{Op: OpPhi, Ty: ty, Incs: ip.incs.take()}))
 	case "ret":
 		if name != "" {
 			return fail("ret: must not have a result")
 		}
 		if tk.eatAnyIdent("void") {
-			return &Instr{Op: OpRet, Ty: Void}, nil
+			return ip.instr(Instr{Op: OpRet, Ty: Void}), nil
 		}
 		v, err := ip.typedValue(tk, lno)
 		if err != nil {
 			return nil, err
 		}
-		return &Instr{Op: OpRet, Ty: Void, Args: []Value{v}}, nil
+		return ip.instr(Instr{Op: OpRet, Ty: Void, Args: ip.vals.of(v)}), nil
 	case "br":
 		if name != "" {
 			return fail("br: must not have a result")
@@ -676,7 +765,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Instr{Op: OpBr, Ty: Void, Succs: []*Block{dst}}, nil
+			return ip.instr(Instr{Op: OpBr, Ty: Void, Succs: ip.succs.of(dst)}), nil
 		}
 		c, err := ip.typedValue(tk, lno)
 		if err != nil {
@@ -699,7 +788,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Instr{Op: OpCondBr, Ty: Void, Args: []Value{c}, Succs: []*Block{t, f}}, nil
+		return ip.instr(Instr{Op: OpCondBr, Ty: Void, Args: ip.vals.of(c), Succs: ip.succs.of(t, f)}), nil
 	case "switch":
 		if name != "" {
 			return fail("switch: must not have a result")
@@ -722,7 +811,8 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if !tk.eat("[") {
 			return fail("switch: expected [")
 		}
-		in := &Instr{Op: OpSwitch, Ty: Void, Args: []Value{v}, Succs: []*Block{def}}
+		var cases []*Const
+		ip.succs.push(def)
 		for !tk.eat("]") {
 			cty, ok := tk.typ()
 			if !ok {
@@ -746,15 +836,15 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			in.Cases = append(in.Cases, cc)
-			in.Succs = append(in.Succs, dst)
+			cases = append(cases, cc)
+			ip.succs.push(dst)
 		}
-		return in, nil
+		return ip.instr(Instr{Op: OpSwitch, Ty: Void, Args: ip.vals.of(v), Succs: ip.succs.take(), Cases: cases}), nil
 	case "unreachable":
 		if name != "" {
 			return fail("unreachable: must not have a result")
 		}
-		return &Instr{Op: OpUnreachable, Ty: Void}, nil
+		return ip.instr(Instr{Op: OpUnreachable, Ty: Void}), nil
 	case "":
 		return fail("empty instruction")
 	}

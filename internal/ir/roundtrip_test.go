@@ -85,9 +85,6 @@ done:
 	if err := VerifyFunc(f); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	if !HasLoop(f) {
-		t.Error("HasLoop = false, want true")
-	}
 }
 
 func TestParseMemoryAndCalls(t *testing.T) {
@@ -272,12 +269,12 @@ c:
 	if err != nil {
 		t.Fatal(err)
 	}
-	idom := Dominators(f)
-	entry, a, b, c := f.Block("entry"), f.Block("a"), f.Block("b"), f.Block("c")
-	if idom[c] != entry {
-		t.Errorf("idom(c) = %v, want entry", idom[c].NameStr)
+	cfg := NewCFG(f)
+	entry, a, b, c := cfg.Index(f.Block("entry")), cfg.Index(f.Block("a")), cfg.Index(f.Block("b")), cfg.Index(f.Block("c"))
+	if got := int(cfg.idom[c]); got != entry {
+		t.Errorf("idom(c) = %v, want entry", f.Blocks[got].NameStr)
 	}
-	if !Dominates(idom, entry, c) || Dominates(idom, a, c) || Dominates(idom, b, c) {
+	if !cfg.Dominates(entry, c) || cfg.Dominates(a, c) || cfg.Dominates(b, c) {
 		t.Error("dominance relation wrong")
 	}
 }

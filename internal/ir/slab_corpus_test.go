@@ -1,0 +1,138 @@
+package ir_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"veriopt/internal/dataset"
+	"veriopt/internal/ir"
+	"veriopt/internal/rewrite"
+)
+
+// corpusTexts returns, for perTemplate samples of every dataset
+// template (all five scenario families), the O0 text, the reference
+// text and — the corpus itself holds no phi — the text of the O0
+// function after mem2reg.
+func corpusTexts(tb testing.TB, perTemplate int) []string {
+	tb.Helper()
+	samples, err := dataset.Generate(dataset.Config{Seed: 7, N: perTemplate * len(dataset.Templates()), SkipVerify: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if n := len(dataset.ScenarioCounts(samples)); n != 5 {
+		tb.Fatalf("slice covers %d scenario families, want 5", n)
+	}
+	var mem2reg *rewrite.Rule
+	for _, r := range rewrite.Extra() {
+		if r.Name == "extra-mem2reg" {
+			mem2reg = r
+		}
+	}
+	var texts []string
+	for _, s := range samples {
+		texts = append(texts, s.O0Text, s.RefText)
+		if g := ir.CloneFunc(s.O0); mem2reg.Apply(g, nil) {
+			texts = append(texts, ir.FuncString(g))
+		}
+	}
+	return texts
+}
+
+func parse(tb testing.TB, text string) *ir.Function {
+	tb.Helper()
+	f, err := ir.ParseFunc(text)
+	if err != nil {
+		tb.Fatalf("%v\n%s", err, text)
+	}
+	return f
+}
+
+// TestVerifyAndCFGMatchReferenceOnCorpus: on every corpus function the
+// dense verifier answers as the map-based reference does, and on every
+// one with more than a block the analysis agrees with the reference's
+// maps node by node — predecessors, reachability, immediate dominators.
+func TestVerifyAndCFGMatchReferenceOnCorpus(t *testing.T) {
+	multi, phis := 0, 0
+	for _, text := range corpusTexts(t, 3) {
+		f := parse(t, text)
+		ir.CheckVerify(t, f)
+		ir.CheckCFG(t, f)
+		if err := ir.VerifyFunc(f); err != nil {
+			t.Errorf("corpus function rejected: %v\n%s", err, text)
+		}
+		if len(f.Blocks) > 1 {
+			multi++
+		}
+		f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) { phis += len(in.Incs) })
+	}
+	if multi < 50 || phis < 50 {
+		t.Errorf("%d multi-block functions and %d phi incomings compared; the test is close to vacuous", multi, phis)
+	}
+}
+
+// FuzzVerifyFuncVsReference: whatever parses, VerifyFunc and the CFG
+// analysis answer as the reference implementations in ref_test.go do.
+// Seeds: every template's texts, and what rewrite.Corruptions() makes
+// of them that still parses — the malformed IR a policy emits first.
+func FuzzVerifyFuncVsReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, text := range corpusTexts(f, 1) {
+		f.Add(text)
+		for _, r := range rewrite.Corruptions() {
+			if out := r.ApplyText(text, rng); out != text {
+				if _, err := ir.Parse(out); err == nil {
+					f.Add(out)
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		m, err := ir.Parse(src)
+		if err != nil {
+			return
+		}
+		for _, fn := range m.Funcs {
+			ir.CheckVerify(t, fn)
+			ir.CheckCFG(t, fn)
+		}
+	})
+}
+
+// TestParsedSlicesDoNotAlias: a parsed function's operand, successor,
+// incoming and instruction lists are windows of shared arrays, and each
+// is capped at its own length — an append to any of them, which is what
+// a pass inserting an operand or an instruction does, must reallocate
+// and not write into the next instruction's or block's window. Dropping
+// the cap from chunk.take or from a block's window fails this test.
+func TestParsedSlicesDoNotAlias(t *testing.T) {
+	intruderBlock := &ir.Block{NameStr: "INTRUDER"}
+	intruder := &ir.Instr{Op: ir.OpUnreachable, NameStr: "INTRUDER", Ty: ir.Void, Parent: intruderBlock}
+	windows := 0
+	for _, text := range corpusTexts(t, 2) {
+		f := parse(t, text)
+		before := ir.FuncString(f)
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				for _, w := range [][2]int{{len(in.Args), cap(in.Args)}, {len(in.Succs), cap(in.Succs)}, {len(in.Incs), cap(in.Incs)}} {
+					if w[0] != w[1] {
+						t.Fatalf("%s: a list of %d has capacity %d\n%s", ir.FormatInstr(in), w[0], w[1], text)
+					}
+					windows++
+				}
+				_ = append(in.Args, ir.Value(intruder))
+				_ = append(in.Succs, intruderBlock)
+				_ = append(in.Incs, ir.Incoming{Val: intruder, Block: intruderBlock})
+			}
+			if len(b.Instrs) != cap(b.Instrs) {
+				t.Fatalf("block %s: %d instructions in a window of capacity %d\n%s", b.NameStr, len(b.Instrs), cap(b.Instrs), text)
+			}
+			_ = append(b.Instrs, intruder)
+		}
+		if after := ir.FuncString(f); after != before {
+			t.Fatalf("an append to one list wrote into another:\n%s\nwas:\n%s", after, before)
+		}
+	}
+	if windows < 1000 {
+		t.Errorf("only %d lists checked", windows)
+	}
+}

@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // VerifyError is a structural well-formedness violation.
 type VerifyError struct {
@@ -47,9 +50,12 @@ func VerifyModule(m *Module) error {
 }
 
 // VerifyFunc checks structural well-formedness of a single function:
-// every block ends in exactly one terminator, phis agree with CFG
-// predecessors, types are consistent, SSA definitions dominate uses,
-// and names are unique.
+// every block ends in exactly one terminator, every instruction has the
+// operands and successors its opcode takes, branches and phis name
+// blocks of this function, phis agree with CFG predecessors, types are
+// consistent, SSA definitions dominate uses, and names are unique. A
+// function it accepts can be printed, cloned, executed and keyed without
+// a further look at its shape. f is only read.
 func VerifyFunc(f *Function) error {
 	fail := func(format string, args ...interface{}) error {
 		return &VerifyError{f.NameStr, fmt.Sprintf(format, args...)}
@@ -58,15 +64,19 @@ func VerifyFunc(f *Function) error {
 		return fail("no blocks")
 	}
 
-	names := map[string]bool{}
+	// One map answers both "is this name taken" and, for the dominance
+	// check, "where is this value defined": names are unique once this
+	// loop is through, so a value is the function's own exactly when its
+	// name leads back to it.
+	defs := make(map[string]def, len(f.Params)+f.NumInstrs())
 	for _, p := range f.Params {
-		if names[p.NameStr] {
+		if _, dup := defs[p.NameStr]; dup {
 			return fail("duplicate name %%%s", p.NameStr)
 		}
-		names[p.NameStr] = true
+		defs[p.NameStr] = def{}
 	}
-	blockNames := map[string]bool{}
-	for _, b := range f.Blocks {
+	blockNames := make(map[string]bool, len(f.Blocks))
+	for bi, b := range f.Blocks {
 		if blockNames[b.NameStr] {
 			return fail("duplicate block %s", b.NameStr)
 		}
@@ -82,54 +92,60 @@ func VerifyFunc(f *Function) error {
 				}
 				return fail("block %s has terminator before its end", b.NameStr)
 			}
-			if in.Op == OpPhi {
-				// Phis must be grouped at the block head.
-				for j := 0; j < i; j++ {
-					if b.Instrs[j].Op != OpPhi {
-						return fail("block %s: phi %%%s not at block head", b.NameStr, in.NameStr)
-					}
-				}
+			// Phis must be grouped at the block head: the first one that
+			// is not directly follows something else.
+			if in.Op == OpPhi && i > 0 && b.Instrs[i-1].Op != OpPhi {
+				return fail("block %s: phi %%%s not at block head", b.NameStr, in.NameStr)
 			}
 			if in.HasResult() {
 				if in.NameStr == "" {
 					return fail("unnamed %s result in block %s", in.Op, b.NameStr)
 				}
-				if names[in.NameStr] {
+				if _, dup := defs[in.NameStr]; dup {
 					return fail("duplicate name %%%s", in.NameStr)
 				}
-				names[in.NameStr] = true
+				defs[in.NameStr] = def{in, int32(bi), int32(i)}
 			}
 		}
 	}
 
+	if err := verifyShape(f, fail); err != nil {
+		return err
+	}
 	if err := verifyTypes(f, fail); err != nil {
 		return err
 	}
-	preds := Preds(f)
-	reach := Reachable(f)
-	for _, b := range f.Blocks {
-		if !reach[b] {
-			continue
-		}
-		for _, in := range b.Phis() {
-			if len(in.Incs) != len(preds[b]) {
-				return fail("phi %%%s in %s has %d incomings for %d predecessors",
-					in.NameStr, b.NameStr, len(in.Incs), len(preds[b]))
+	cfg := NewCFG(f)
+	if cfg.foreign != nil {
+		return fail("block %s branches to a block outside the function", cfg.foreign.NameStr)
+	}
+	for bi, b := range f.Blocks {
+		preds := cfg.Preds(bi)
+		for _, in := range b.Instrs {
+			if in.Op != OpPhi {
+				break
 			}
-			seenPred := map[*Block]bool{}
-			for _, inc := range in.Incs {
-				if seenPred[inc.Block] {
-					return fail("phi %%%s: duplicate incoming block %s", in.NameStr, inc.Block.NameStr)
-				}
-				seenPred[inc.Block] = true
-				found := false
-				for _, p := range preds[b] {
-					if p == inc.Block {
-						found = true
-						break
+			if !cfg.Reachable(bi) {
+				// Nothing else is asked of dead code, but a clone or a
+				// printed text of it still has to name its blocks.
+				for _, inc := range in.Incs {
+					if cfg.Index(inc.Block) < 0 {
+						return fail("phi %%%s: incoming block %s is outside the function", in.NameStr, inc.Block.NameStr)
 					}
 				}
-				if !found {
+				continue
+			}
+			if len(in.Incs) != len(preds) {
+				return fail("phi %%%s in %s has %d incomings for %d predecessors",
+					in.NameStr, b.NameStr, len(in.Incs), len(preds))
+			}
+			for i, inc := range in.Incs {
+				for _, prev := range in.Incs[:i] {
+					if prev.Block == inc.Block {
+						return fail("phi %%%s: duplicate incoming block %s", in.NameStr, inc.Block.NameStr)
+					}
+				}
+				if pi := cfg.Index(inc.Block); pi < 0 || !slices.Contains(preds, int32(pi)) {
 					return fail("phi %%%s: %s is not a predecessor of %s", in.NameStr, inc.Block.NameStr, b.NameStr)
 				}
 				if !inc.Val.Type().Equal(in.Ty) {
@@ -138,7 +154,66 @@ func VerifyFunc(f *Function) error {
 			}
 		}
 	}
-	return verifyDominance(f, fail)
+	return verifyDominance(f, &cfg, defs, fail)
+}
+
+// def is where a name is defined: in is nil for a parameter.
+type def struct {
+	in           *Instr
+	block, index int32
+}
+
+// verifyShape checks that every instruction has the number of operands
+// and successors its opcode takes and that no operand, successor, case
+// or phi incoming is nil, so that the checks after it — and whoever
+// takes the verifier's word — may index Args and Succs without looking.
+func verifyShape(f *Function, fail func(string, ...interface{}) error) error {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			args, succs := 0, 0
+			switch {
+			case in.Op.IsBinary(), in.Op == OpICmp, in.Op == OpStore:
+				args = 2
+			case in.Op == OpSelect:
+				args = 3
+			case in.Op.IsCast(), in.Op == OpFreeze, in.Op == OpLoad:
+				args = 1
+			case in.Op == OpAlloca, in.Op == OpPhi, in.Op == OpUnreachable:
+			case in.Op == OpCall:
+				args = len(in.Args)
+			case in.Op == OpRet:
+				args = min(len(in.Args), 1)
+			case in.Op == OpBr:
+				succs = 1
+			case in.Op == OpCondBr:
+				args, succs = 1, 2
+			case in.Op == OpSwitch:
+				args, succs = 1, len(in.Succs) // verifyTypes counts them against the cases
+			default:
+				return fail("invalid opcode %d in block %s", int(in.Op), b.NameStr)
+			}
+			if len(in.Args) != args {
+				return fail("%s in block %s has %d operands, wants %d", in.Op, b.NameStr, len(in.Args), args)
+			}
+			if in.Op.IsTerminator() && len(in.Succs) != succs {
+				return fail("%s in block %s has %d successors, wants %d", in.Op, b.NameStr, len(in.Succs), succs)
+			}
+			for _, a := range in.Args {
+				if a == nil || a.Type() == nil {
+					return fail("%s in block %s has a nil or untyped operand", in.Op, b.NameStr)
+				}
+			}
+			if slices.Contains(in.Succs, nil) || slices.Contains(in.Cases, nil) {
+				return fail("%s in block %s has a nil successor or case", in.Op, b.NameStr)
+			}
+			for _, inc := range in.Incs {
+				if inc.Val == nil || inc.Val.Type() == nil || inc.Block == nil {
+					return fail("phi %%%s has a nil or untyped incoming", in.NameStr)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func verifyTypes(f *Function, fail func(string, ...interface{}) error) error {
@@ -227,70 +302,46 @@ func verifyTypes(f *Function, fail func(string, ...interface{}) error) error {
 
 // verifyDominance checks that each use of an instruction result is
 // dominated by its definition (with the usual phi-edge adjustment).
-func verifyDominance(f *Function, fail func(string, ...interface{}) error) error {
-	idom := Dominators(f)
-	reach := Reachable(f)
-
-	defBlock := map[Value]*Block{}
-	defIndex := map[Value]int{}
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			if in.HasResult() {
-				defBlock[in] = b
-				defIndex[in] = i
-			}
-		}
-	}
-
-	checkUse := func(user *Instr, userBlock *Block, userIdx int, v Value) error {
-		def, ok := v.(*Instr)
-		if !ok {
-			return nil // params and constants dominate everything
-		}
-		db, ok := defBlock[def]
-		if !ok {
-			return fail("%%%s used in %s but defined outside function", def.NameStr, userBlock.NameStr)
-		}
-		if db == userBlock {
-			if defIndex[def] >= userIdx {
-				return fail("%%%s used before definition in block %s", def.NameStr, userBlock.NameStr)
-			}
-			return nil
-		}
-		if !Dominates(idom, db, userBlock) {
-			return fail("definition of %%%s (block %s) does not dominate use in %s", def.NameStr, db.NameStr, userBlock.NameStr)
-		}
-		_ = user
-		return nil
-	}
-
-	for _, b := range f.Blocks {
-		if !reach[b] {
+func verifyDominance(f *Function, cfg *CFG, defs map[string]def, fail func(string, ...interface{}) error) error {
+	for bi, b := range f.Blocks {
+		if !cfg.Reachable(bi) {
 			continue
 		}
 		for i, in := range b.Instrs {
 			if in.Op == OpPhi {
 				for _, inc := range in.Incs {
-					def, ok := inc.Val.(*Instr)
+					v, ok := inc.Val.(*Instr)
 					if !ok {
 						continue
 					}
-					db, ok2 := defBlock[def]
-					if !ok2 {
+					d := defs[v.NameStr]
+					if d.in != v {
 						return fail("phi %%%s references value defined outside function", in.NameStr)
 					}
 					// The incoming value must dominate the end of the
 					// incoming edge's source block.
-					if db != inc.Block && !Dominates(idom, db, inc.Block) {
+					if !cfg.Dominates(int(d.block), cfg.Index(inc.Block)) {
 						return fail("phi %%%s: incoming %%%s does not dominate predecessor %s",
-							in.NameStr, def.NameStr, inc.Block.NameStr)
+							in.NameStr, v.NameStr, inc.Block.NameStr)
 					}
 				}
 				continue
 			}
 			for _, a := range in.Args {
-				if err := checkUse(in, b, i, a); err != nil {
-					return err
+				v, ok := a.(*Instr)
+				if !ok {
+					continue // params and constants dominate everything
+				}
+				d := defs[v.NameStr]
+				switch {
+				case d.in != v:
+					return fail("%%%s used in %s but defined outside function", v.NameStr, b.NameStr)
+				case int(d.block) == bi:
+					if int(d.index) >= i {
+						return fail("%%%s used before definition in block %s", v.NameStr, b.NameStr)
+					}
+				case !cfg.Dominates(int(d.block), bi):
+					return fail("definition of %%%s (block %s) does not dominate use in %s", v.NameStr, f.Blocks[d.block].NameStr, b.NameStr)
 				}
 			}
 		}

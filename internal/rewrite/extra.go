@@ -124,26 +124,26 @@ func removePhiIncoming(b *ir.Block, pred *ir.Block) {
 // pruneUnreachable deletes blocks not reachable from entry, fixing
 // phis that referenced them.
 func pruneUnreachable(f *ir.Function) bool {
-	reach := ir.Reachable(f)
-	if len(reach) == len(f.Blocks) {
-		return false
-	}
+	cfg := ir.NewCFG(f)
 	var kept []*ir.Block
-	for _, b := range f.Blocks {
-		if reach[b] {
+	for i, b := range f.Blocks {
+		if cfg.Reachable(i) {
 			kept = append(kept, b)
 			continue
 		}
 		for _, s := range b.Succs() {
-			if reach[s] {
+			if cfg.Reachable(cfg.Index(s)) {
 				removePhiIncoming(s, b)
 			}
 		}
 	}
+	if len(kept) == len(f.Blocks) {
+		return false
+	}
 	f.Blocks = kept
 	// Single-incoming phis collapse to their value.
 	for _, b := range f.Blocks {
-		for _, in := range b.Phis() {
+		for _, in := range b.Phis() { // a copy: the loop removes from b.Instrs
 			if len(in.Incs) == 1 {
 				ir.ReplaceAllUses(f, in, in.Incs[0].Val)
 				ir.RemoveInstr(in)
@@ -162,14 +162,17 @@ func canMergeAny(f *ir.Function) bool {
 // findMergePair locates (b, c) where b ends in an unconditional br to
 // c, c has exactly one predecessor, and c is not the entry.
 func findMergePair(f *ir.Function) (*ir.Block, *ir.Block, bool) {
-	preds := ir.Preds(f)
+	if len(f.Blocks) < 2 {
+		return nil, nil, false
+	}
+	cfg := ir.NewCFG(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
 		c := t.Succs[0]
-		if c == f.Entry() || c == b || len(preds[c]) != 1 {
+		if c == f.Entry() || c == b || len(cfg.Preds(cfg.Index(c))) != 1 {
 			continue
 		}
 		return b, c, true
@@ -233,18 +236,21 @@ type diamond struct {
 // contain only speculatable instructions and that joins in a block
 // starting with phis.
 func findDiamond(f *ir.Function) *diamond {
-	preds := ir.Preds(f)
+	if len(f.Blocks) < 2 {
+		return nil
+	}
+	cfg := ir.NewCFG(f)
 	for _, h := range f.Blocks {
 		t := h.Term()
 		if t == nil || t.Op != ir.OpCondBr {
 			continue
 		}
 		a, b := t.Succs[0], t.Succs[1]
-		join, la, lb := diamondJoin(h, a, b, preds)
+		join, la, lb := diamondJoin(h, a, b, &cfg)
 		if join == nil {
 			continue
 		}
-		if len(join.Phis()) == 0 {
+		if len(join.Instrs) == 0 || join.Instrs[0].Op != ir.OpPhi {
 			continue
 		}
 		if la != nil && !speculatable(la) {
@@ -262,10 +268,10 @@ func findDiamond(f *ir.Function) *diamond {
 // shared join block; each arm is either the join itself (empty arm)
 // or a single block that unconditionally branches to the join and has
 // one predecessor.
-func diamondJoin(h, a, b *ir.Block, preds map[*ir.Block][]*ir.Block) (join, armA, armB *ir.Block) {
+func diamondJoin(h, a, b *ir.Block, cfg *ir.CFG) (join, armA, armB *ir.Block) {
 	armTarget := func(x *ir.Block) (*ir.Block, *ir.Block) {
 		// Returns (join candidate, arm block or nil).
-		if t := x.Term(); t != nil && t.Op == ir.OpBr && len(preds[x]) == 1 && x != h {
+		if t := x.Term(); t != nil && t.Op == ir.OpBr && len(cfg.Preds(cfg.Index(x))) == 1 && x != h {
 			return t.Succs[0], x
 		}
 		return x, nil
@@ -279,7 +285,7 @@ func diamondJoin(h, a, b *ir.Block, preds map[*ir.Block][]*ir.Block) (join, armA
 		return nil, nil, nil
 	}
 	// The join must have exactly the two arm predecessors.
-	if len(preds[ja]) != 2 {
+	if len(cfg.Preds(cfg.Index(ja))) != 2 {
 		return nil, nil, nil
 	}
 	return ja, la, lb
@@ -337,7 +343,7 @@ func diamondToSelect(f *ir.Function) bool {
 	// Map each phi to a select over the incoming values. d.left is
 	// the true-side arm by construction (nil if the true edge goes
 	// straight to the join), d.right the false side.
-	for _, phi := range d.join.Phis() {
+	for _, phi := range d.join.Phis() { // a copy: the loop removes from join.Instrs
 		var tv, fv ir.Value
 		for _, inc := range phi.Incs {
 			switch {
@@ -414,7 +420,7 @@ func findPromotable(f *ir.Function) *ir.Instr {
 			}
 		}
 	})
-	idom := ir.Dominators(f)
+	cfg := ir.NewCFG(f)
 	pos := map[*ir.Instr]int{}
 	i := 0
 	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) { pos[in] = i; i++ })
@@ -431,7 +437,7 @@ func findPromotable(f *ir.Function) *ir.Instr {
 					ok = false
 					break
 				}
-			} else if !ir.Dominates(idom, st.Parent, ld.Parent) {
+			} else if !cfg.Dominates(cfg.Index(st.Parent), cfg.Index(ld.Parent)) {
 				ok = false
 				break
 			}

@@ -24,7 +24,7 @@ func mem2reg(f *ir.Function) bool {
 	g := ir.CloneFunc(f)
 	p := &promoter{
 		f:       g,
-		preds:   ir.Preds(g),
+		cfg:     ir.NewCFG(g),
 		blockIn: map[promKey]ir.Value{},
 		nextID:  0,
 	}
@@ -46,8 +46,10 @@ type promKey struct {
 }
 
 type promoter struct {
-	f       *ir.Function
-	preds   map[*ir.Block][]*ir.Block
+	f *ir.Function
+	// cfg is of f as cloned: run moves instructions, never blocks or
+	// terminators.
+	cfg     ir.CFG
 	blockIn map[promKey]ir.Value // resolved block-entry values
 	nextID  int
 }
@@ -226,7 +228,7 @@ func (p *promoter) readVar(a *ir.Instr, b *ir.Block) ir.Value {
 		}
 		return p.readVar(a, pred)
 	}
-	preds := p.preds[b]
+	preds := p.cfg.Preds(p.cfg.Index(b))
 	switch len(preds) {
 	case 0:
 		// Entry with no store before the load: uninitialized.
@@ -234,7 +236,7 @@ func (p *promoter) readVar(a *ir.Instr, b *ir.Block) ir.Value {
 		p.blockIn[key] = v
 		return v
 	case 1:
-		v := outOf(preds[0])
+		v := outOf(p.f.Blocks[preds[0]])
 		p.blockIn[key] = v
 		return v
 	}
@@ -242,7 +244,8 @@ func (p *promoter) readVar(a *ir.Instr, b *ir.Block) ir.Value {
 	phi := &ir.Instr{Op: ir.OpPhi, NameStr: fmt.Sprintf("m2r%d", p.nextID), Ty: a.AllocTy, Parent: b}
 	b.Instrs = append([]*ir.Instr{phi}, b.Instrs...)
 	p.blockIn[key] = phi // break cycles before recursing
-	for _, pred := range preds {
+	for _, pi := range preds {
+		pred := p.f.Blocks[pi]
 		phi.Incs = append(phi.Incs, ir.Incoming{Val: outOf(pred), Block: pred})
 	}
 	return phi
@@ -254,7 +257,7 @@ func (p *promoter) cleanTrivialPhis() {
 	for {
 		changed := false
 		for _, b := range p.f.Blocks {
-			for _, phi := range b.Phis() {
+			for _, phi := range b.Phis() { // a copy: the loop removes from b.Instrs
 				var same ir.Value
 				trivial := true
 				for _, inc := range phi.Incs {

@@ -3,6 +3,7 @@ package rewrite
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"veriopt/internal/alive"
@@ -370,4 +371,41 @@ def:
 	if res.Verdict != alive.Equivalent {
 		t.Fatalf("fold unsound: %s", res.Diag)
 	}
+}
+
+// TestReadOnlyAnalysesShareOneFunction: one source function is verified,
+// keyed and probed by many goroutines at once (a GRPO group against one
+// prompt, a search's passes against one state), so ir.NewCFG and what
+// stands on it may write nothing into the function they read. The race
+// detector is the judge; the answers must also be the sequential ones.
+func TestReadOnlyAnalysesShareOneFunction(t *testing.T) {
+	f := parse(t, diamondSrc)
+	key := ir.CanonicalKey(f)
+	mb, mc, mok := findMergePair(f)
+	d := findDiamond(f)
+	if d == nil {
+		t.Fatal("diamond not detected")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := ir.VerifyFunc(f); err != nil {
+					t.Errorf("VerifyFunc: %v", err)
+				}
+				if got := ir.CanonicalKey(f); got != key {
+					t.Errorf("CanonicalKey = %q, want %q", got, key)
+				}
+				if b, c, ok := findMergePair(f); b != mb || c != mc || ok != mok {
+					t.Errorf("findMergePair = %v, %v, %v", b, c, ok)
+				}
+				if got := findDiamond(f); got == nil || *got != *d {
+					t.Errorf("findDiamond = %v, want %v", got, d)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -75,6 +75,77 @@ func TestInPlaceFalseLeavesFunctionUntouched(t *testing.T) {
 	}
 }
 
+// TestPassesOnParsedEqualPassesOnClone: a parsed function keeps its
+// instructions, operands and successors in shared slabs (ir/parse.go),
+// a clone of it one object each; every pass must do to the first what
+// it does to the second — alone on a fresh parse, and in rounds through
+// the whole registry until nothing fires, where a pass meets windows
+// earlier passes have already cut into and appended to.
+func TestPassesOnParsedEqualPassesOnClone(t *testing.T) {
+	parsed := func(text string) *ir.Function {
+		f, err := ir.ParseFunc(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// The corpus never branches on a constant; fold-branches needs one.
+	texts := []string{`define i32 @constbr(i32 noundef %x) {
+entry:
+  br i1 true, label %a, label %b
+
+a:
+  %y = add i32 %x, 0
+  br label %j
+
+b:
+  br label %j
+
+j:
+  %p = phi i32 [ %y, %a ], [ 7, %b ]
+  ret i32 %p
+}
+`}
+	for _, s := range familySlice(t, 2) {
+		texts = append(texts, s.O0Text)
+	}
+	reg := Registry()
+	fired := make(map[string]int)
+	for _, text := range texts {
+		same := func(p *Pass, a, b *ir.Function) bool {
+			ca, cb := p.run(a), p.run(b)
+			if ta, tb := ir.FuncString(a), ir.FuncString(b); ca != cb || ta != tb {
+				t.Fatalf("%s: parsed (changed %v):\n%s\nclone (changed %v):\n%s\nfrom:\n%s", p.Name, ca, ta, cb, tb, text)
+			}
+			if ca {
+				fired[p.Name]++
+			}
+			return ca
+		}
+		for _, p := range reg {
+			same(p, parsed(text), ir.CloneFunc(parsed(text)))
+		}
+		a, b := parsed(text), ir.CloneFunc(parsed(text))
+		for round, changed := 0, true; changed; round++ {
+			if round == maxFixpointIters {
+				t.Fatalf("the registry does not reach a fixpoint on:\n%s", text)
+			}
+			changed = false
+			for _, p := range reg {
+				changed = same(p, a, b) || changed
+			}
+		}
+		if err := ir.VerifyFunc(a); err != nil {
+			t.Fatalf("at the registry's fixpoint: %v\n%s", err, ir.FuncString(a))
+		}
+	}
+	for _, p := range reg {
+		if fired[p.Name] == 0 {
+			t.Errorf("%s never fired; the corpus no longer exercises it", p.Name)
+		}
+	}
+}
+
 // refExpand is expand as it was before the shared working copy: every
 // pass gets its own clone of the state through Apply.
 func refExpand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult) []*state {

@@ -15,16 +15,18 @@ import (
 // The IR front half — parse, cache key, pass probing — is what every
 // cache hit and every search state pays before any solver work. The
 // ceilings below hold its allocation counts in `go test ./...`, about
-// 20 % above what the substring lexer, the one-pass key and in-place
-// step probing achieve on midFn (96, 7 and 163; with the rune-by-rune
-// lexer, the clone-and-renumber key and per-position clones they were
-// 566, 413 and 39 105, and the combine pass was still 1362 while
-// DeadCodeElim built a use list per definition and combiner.fresh ran
-// Sscanf over every name), so a regression fails tier-1 and not only
-// the benchmark. `make bench-ir` prints the numbers themselves. A
-// search state is also one ir.CloneFunc per pass that fires: 76 on
-// midFn with every slice allocated at its final length, 111 when they
-// grew by append.
+// 20 % above what the slab parser, the dense CFG analysis, the one-pass
+// key and in-place step probing achieve on midFn (26, 6, 7 and 163;
+// the parser read 96 with an object per instruction and operand list,
+// VerifyFunc 37 with a map per CFG question; with the rune-by-rune
+// lexer, the clone-and-renumber key and per-position clones parse, key
+// and pass were 566, 413 and 39 105, and the combine pass was still
+// 1362 while DeadCodeElim built a use list per definition and
+// combiner.fresh ran Sscanf over every name), so a regression fails
+// tier-1 and not only the benchmark. `make bench-ir` prints the numbers
+// themselves. A search state is also one ir.CloneFunc per pass that
+// fires: 76 on midFn with every slice allocated at its final length,
+// 111 when they grew by append.
 //
 // The last two rows are what a search pays outside the SAT search: one
 // verification (558 allocations; 1762 when bv.Builder allocated a term
@@ -119,7 +121,8 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 		ceiling float64
 		fn      func()
 	}{
-		{"ir.ParseFunc", 115, func() { midFunc(t) }},
+		{"ir.ParseFunc", 31, func() { midFunc(t) }},
+		{"ir.VerifyFunc", 8, func() { _ = ir.VerifyFunc(f) }},
 		{"vcache.KeyOfFunc", 8, func() { vcache.KeyOfFunc(f) }},
 		{"combine pass", 195, func() { combine.Apply(f) }},
 		{"ir.CloneFunc", 80, func() { ir.CloneFunc(f) }},
@@ -138,6 +141,15 @@ func BenchmarkParseFunc(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchSink = midFunc(b)
+	}
+}
+
+func BenchmarkVerifyFunc(b *testing.B) {
+	f := midFunc(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = ir.VerifyFunc(f)
 	}
 }
 
