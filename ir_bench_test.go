@@ -29,10 +29,10 @@ import (
 // 111 when they grew by append.
 //
 // The last two rows are what a search pays outside the SAT search: one
-// verification (558 allocations; 1762 when bv.Builder allocated a term
+// verification (553 allocations; 1762 when bv.Builder allocated a term
 // and a formatted key before looking it up, and the concrete pre-pass
 // a map per environment) and one whole Beam on a stack nothing has
-// warmed (2611; 10 658 with that interner and a clone per pass
+// warmed (2579; 10 658 with that interner and a clone per pass
 // application instead of one working copy per expanded state).
 
 const midFn = `define i32 @mid(i32 noundef %a, i32 noundef %b, i32 noundef %c) {
