@@ -96,7 +96,13 @@ fuzz-smoke:
 # exposition text written or matched by hand (internal/metrics is the
 # format's one renderer and one parser); and on a second softmax, hash
 # embedding or log-softmax gradient (internal/policy/linear.go holds
-# the one of each that both policies, both trainers and sft use).
+# the one of each that both policies, both trainers and sft use); and
+# on a map keyed by the ir.Value interface under internal/ (every lookup
+# hashes a type word and a pointer; key by *ir.Instr and hold
+# parameters by position, as interp and ir.CloneFunc do). The one
+# exception is alive/exec.go's pathState.vals, copied on every path
+# fork: ROADMAP item 3(b) splits alive.verify_us into stages, and the
+# PR that can see what changing that map buys is the one to change it.
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
@@ -115,6 +121,12 @@ lint:
 		grep -rnF -e 'math.Exp(' --include='*.go' --exclude='*_test.go' --exclude=linear.go internal/policy); \
 	if [ -n "$$hits" ]; then \
 		echo "softmax, hash features or the log-softmax gradient outside internal/policy/linear.go (use policy.Linear):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnE 'map\[(ir\.)?Value\]' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/alive/exec.go:'); \
+	if [ -n "$$hits" ]; then \
+		echo "map keyed by the ir.Value interface (key by *ir.Instr, parameters by position; alive/exec.go pathState.vals is the one exception, until ROADMAP 3(b)):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi
@@ -180,7 +192,7 @@ bench-layers:
 # -memprofile is the allocation profile of that path).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
-	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|CombinePass|VerifyMid|BeamMid)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|CombinePass|VerifyMid|BeamMid|InterpRun|GenerateSkipVerify)$$' -benchmem .
 
 # "Least code" as a number (ROADMAP, Design diet): per-package non-test
 # lines, test lines and exported names, and the flag count of each

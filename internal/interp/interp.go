@@ -45,15 +45,11 @@ type CallObs struct {
 	Args   []Val
 }
 
-// Config controls interpretation limits and the environment.
+// Config controls interpretation limits.
 type Config struct {
 	// MaxSteps bounds executed instructions (guards against runaway
 	// loops); exceeding it returns an error.
 	MaxSteps int
-	// CallResult supplies return values for external calls; when nil,
-	// calls return a value derived from a hash of the arguments so
-	// that equal call sites yield equal results within a run.
-	CallResult func(callee string, args []Val) Val
 }
 
 // DefaultConfig returns the standard interpreter limits.
@@ -71,10 +67,11 @@ func Run(f *ir.Function, args []Val, cfg Config) (*Outcome, error) {
 		cfg.MaxSteps = 10000
 	}
 	st := &state{
-		cfg:  cfg,
-		vals: map[ir.Value]Val{},
-		mem:  map[*ir.Instr]memCell{},
-		out:  &Outcome{},
+		cfg:    cfg,
+		params: f.Params,
+		args:   make([]Val, len(args)),
+		vals:   make(map[*ir.Instr]Val, f.NumInstrs()),
+		out:    &Outcome{},
 	}
 	for i, p := range f.Params {
 		a := args[i]
@@ -88,7 +85,7 @@ func Run(f *ir.Function, args []Val, cfg Config) (*Outcome, error) {
 		if it, ok := p.Ty.(ir.IntType); ok {
 			a.Bits &= it.Mask()
 		}
-		st.vals[p] = a
+		st.args[i] = a
 	}
 	err := st.run(f)
 	if err != nil {
@@ -97,18 +94,26 @@ func Run(f *ir.Function, args []Val, cfg Config) (*Outcome, error) {
 	return st.out, nil
 }
 
+// memCell is the storage of one executed alloca.
 type memCell struct {
-	val    Val
-	init   bool
-	elemTy ir.Type
+	at   *ir.Instr
+	val  Val
+	init bool
 }
 
+// state is one execution. Results are keyed by instruction pointer and
+// arguments held by parameter position, so no lookup hashes an
+// interface; nothing is numbered up front, since a one-shot run visits
+// fewer instructions than the function has.
 type state struct {
-	cfg   Config
-	vals  map[ir.Value]Val
-	mem   map[*ir.Instr]memCell
-	out   *Outcome
-	steps int
+	cfg    Config
+	params []*ir.Param
+	args   []Val
+	vals   map[*ir.Instr]Val
+	cells  []memCell // in execution order
+	phis   []Val     // scratch for a block's leading phis
+	out    *Outcome
+	steps  int
 }
 
 func (s *state) ub(reason string) {
@@ -116,10 +121,20 @@ func (s *state) ub(reason string) {
 	s.out.UBReason = reason
 }
 
+// eval reads an operand; a value defined nowhere in the function (or
+// not yet executed) reads as the zero Val.
 func (s *state) eval(v ir.Value) Val {
 	switch x := v.(type) {
+	case *ir.Instr:
+		return s.vals[x]
 	case *ir.Const:
 		return V(x.Val & x.Ty.Mask())
+	case *ir.Param:
+		for i, p := range s.params {
+			if p == x {
+				return s.args[i]
+			}
+		}
 	case *ir.Undef:
 		// Model undef as poison for refinement purposes (conservative
 		// but sound for the transformations we validate).
@@ -129,15 +144,19 @@ func (s *state) eval(v ir.Value) Val {
 	case *ir.GlobalRef:
 		return V(0x61000) // opaque non-null address; never dereferenced
 	}
-	return s.vals[v]
+	return Val{}
 }
 
 func (s *state) run(f *ir.Function) error {
-	b := f.Entry()
+	if len(f.Blocks) == 0 {
+		return fmt.Errorf("interp: function has no blocks")
+	}
+	b := f.Blocks[0]
 	var prev *ir.Block
 	for {
-		// Phi nodes evaluate simultaneously from the incoming edge.
-		phiVals := map[*ir.Instr]Val{}
+		// Phi nodes evaluate simultaneously from the incoming edge:
+		// all of them read before any is assigned.
+		s.phis = s.phis[:0]
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpPhi {
 				break
@@ -145,7 +164,7 @@ func (s *state) run(f *ir.Function) error {
 			found := false
 			for _, inc := range in.Incs {
 				if inc.Block == prev {
-					phiVals[in] = s.eval(inc.Val)
+					s.phis = append(s.phis, s.eval(inc.Val))
 					found = true
 					break
 				}
@@ -154,10 +173,11 @@ func (s *state) run(f *ir.Function) error {
 				return fmt.Errorf("interp: phi %%%s has no incoming for predecessor", in.NameStr)
 			}
 		}
-		for in, v := range phiVals {
-			s.vals[in] = v
+		for i, v := range s.phis {
+			s.vals[b.Instrs[i]] = v
 		}
-		for _, in := range b.Instrs {
+		var next *ir.Block
+		for _, in := range b.Instrs[len(s.phis):] {
 			if in.Op == ir.OpPhi {
 				continue
 			}
@@ -165,125 +185,118 @@ func (s *state) run(f *ir.Function) error {
 			if s.steps > s.cfg.MaxSteps {
 				return ErrStepLimit
 			}
-			done, next, err := s.step(in)
+			done, succ, err := s.step(in)
 			if err != nil {
 				return err
 			}
 			if s.out.UB || done {
 				return nil
 			}
-			if next != nil {
-				prev = b
-				b = next
+			if next = succ; next != nil {
 				break
 			}
 		}
+		if next == nil {
+			return fmt.Errorf("interp: block %s does not end in a terminator", b.NameStr)
+		}
+		prev, b = b, next
 	}
 }
 
 // step executes one instruction. It returns done=true on ret or
 // unreachable, or a non-nil next block on a branch.
 func (s *state) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
+	var v Val // the instruction's result, stored once after the switch
 	switch {
 	case in.Op.IsBinary():
-		x, y := s.eval(in.Args[0]), s.eval(in.Args[1])
-		s.vals[in] = s.binop(in, x, y)
+		v = s.binop(in, s.eval(in.Args[0]), s.eval(in.Args[1]))
 		if s.out.UB {
 			return true, nil, nil
 		}
 	case in.Op == ir.OpICmp:
 		x, y := s.eval(in.Args[0]), s.eval(in.Args[1])
 		if x.Poison || y.Poison {
-			s.vals[in] = P()
+			v = P()
 		} else {
 			it := in.Args[0].Type().(ir.IntType)
-			s.vals[in] = V(boolBit(icmp(in.Pred, x.Bits, y.Bits, it)))
+			v = V(boolBit(icmp(in.Pred, x.Bits, y.Bits, it)))
 		}
 	case in.Op == ir.OpSelect:
 		c, t, f := s.eval(in.Args[0]), s.eval(in.Args[1]), s.eval(in.Args[2])
 		switch {
 		case c.Poison:
-			s.vals[in] = P()
+			v = P()
 		case c.Bits&1 == 1:
-			s.vals[in] = t
+			v = t
 		default:
-			s.vals[in] = f
+			v = f
 		}
 	case in.Op == ir.OpZExt:
-		s.vals[in] = s.eval(in.Args[0]) // already masked
+		v = s.eval(in.Args[0]) // already masked
 	case in.Op == ir.OpSExt:
-		x := s.eval(in.Args[0])
-		if x.Poison {
-			s.vals[in] = P()
-		} else {
+		v = P()
+		if x := s.eval(in.Args[0]); !x.Poison {
 			from := in.Args[0].Type().(ir.IntType)
 			to := in.Ty.(ir.IntType)
-			s.vals[in] = V(signExtend(x.Bits, from) & to.Mask())
+			v = V(signExtend(x.Bits, from) & to.Mask())
 		}
 	case in.Op == ir.OpTrunc:
-		x := s.eval(in.Args[0])
-		if x.Poison {
-			s.vals[in] = P()
-		} else {
-			to := in.Ty.(ir.IntType)
-			s.vals[in] = V(x.Bits & to.Mask())
+		v = P()
+		if x := s.eval(in.Args[0]); !x.Poison {
+			v = V(x.Bits & in.Ty.(ir.IntType).Mask())
 		}
 	case in.Op == ir.OpFreeze:
-		x := s.eval(in.Args[0])
-		if x.Poison {
+		if v = s.eval(in.Args[0]); v.Poison {
 			// Freeze picks an arbitrary value; zero is a valid choice
 			// and deterministic.
-			s.vals[in] = V(0)
-		} else {
-			s.vals[in] = x
+			v = V(0)
 		}
 	case in.Op == ir.OpAlloca:
-		s.mem[in] = memCell{elemTy: in.AllocTy}
-		s.vals[in] = V(uint64(0x1000 + len(s.mem)*16)) // stable fake address
+		// A re-executed alloca resets its cell; the fake address follows
+		// the number of cells live at that moment.
+		i := s.cell(in)
+		if i < 0 {
+			i = len(s.cells)
+			s.cells = append(s.cells, memCell{})
+		}
+		s.cells[i] = memCell{at: in}
+		v = V(uint64(0x1000 + len(s.cells)*16))
 	case in.Op == ir.OpLoad:
-		cellIn, ok := s.resolvePtr(in.Args[0])
-		if !ok {
+		i := s.cell(in.Args[0])
+		if i < 0 {
 			s.ub("load from unknown pointer")
 			return true, nil, nil
 		}
-		cell := s.mem[cellIn]
-		if !cell.init {
-			// Uninitialized load yields undef, modeled as poison.
-			s.vals[in] = P()
-		} else {
-			v := cell.val
+		// Uninitialized load yields undef, modeled as poison.
+		v = P()
+		if c := &s.cells[i]; c.init {
+			v = c.val
 			if it, ok := in.Ty.(ir.IntType); ok && !v.Poison {
 				v.Bits &= it.Mask()
 			}
-			s.vals[in] = v
 		}
 	case in.Op == ir.OpStore:
-		cellIn, ok := s.resolvePtr(in.Args[1])
-		if !ok {
+		i := s.cell(in.Args[1])
+		if i < 0 {
 			s.ub("store to unknown pointer")
 			return true, nil, nil
 		}
-		cell := s.mem[cellIn]
-		cell.val = s.eval(in.Args[0])
-		cell.init = true
-		s.mem[cellIn] = cell
+		s.cells[i].val, s.cells[i].init = s.eval(in.Args[0]), true
+		return false, nil, nil
 	case in.Op == ir.OpCall:
 		args := make([]Val, len(in.Args))
 		for i, a := range in.Args {
 			args[i] = s.eval(a)
 		}
 		s.out.Calls = append(s.out.Calls, CallObs{Callee: in.Callee, Args: args})
-		if in.HasResult() {
-			if s.cfg.CallResult != nil {
-				s.vals[in] = s.cfg.CallResult(in.Callee, args)
-			} else {
-				s.vals[in] = V(hashCall(in.Callee, args))
-			}
-			if it, ok := in.Ty.(ir.IntType); ok {
-				v := s.vals[in]
-				v.Bits &= it.Mask()
-				s.vals[in] = v
-			}
+		if !in.HasResult() {
+			return false, nil, nil
+		}
+		// A value derived from a hash of the arguments, so that equal
+		// call sites yield equal results within a run.
+		v = V(hashCall(in.Callee, args))
+		if it, ok := in.Ty.(ir.IntType); ok {
+			v.Bits &= it.Mask()
 		}
 	case in.Op == ir.OpRet:
 		if len(in.Args) > 0 {
@@ -303,14 +316,14 @@ func (s *state) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 		}
 		return false, in.Succs[1], nil
 	case in.Op == ir.OpSwitch:
-		v := s.eval(in.Args[0])
-		if v.Poison {
+		x := s.eval(in.Args[0])
+		if x.Poison {
 			s.ub("switch on poison")
 			return true, nil, nil
 		}
 		it := in.Args[0].Type().(ir.IntType)
 		for i, cc := range in.Cases {
-			if v.Bits&it.Mask() == cc.Val&it.Mask() {
+			if x.Bits&it.Mask() == cc.Val&it.Mask() {
 				return false, in.Succs[i+1], nil
 			}
 		}
@@ -321,21 +334,22 @@ func (s *state) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 	default:
 		return false, nil, fmt.Errorf("interp: unhandled op %v", in.Op)
 	}
+	s.vals[in] = v
 	return false, nil, nil
 }
 
-// resolvePtr maps a pointer operand back to its defining alloca.
-// Pointers in this subset only flow directly from allocas.
-func (s *state) resolvePtr(p ir.Value) (*ir.Instr, bool) {
-	in, ok := p.(*ir.Instr)
-	if !ok {
-		return nil, false
+// cell returns the index of the cell p points to, or -1. Pointers in
+// this subset only flow directly from allocas, and only an executed
+// alloca has a cell.
+func (s *state) cell(p ir.Value) int {
+	if in, ok := p.(*ir.Instr); ok {
+		for i := range s.cells {
+			if s.cells[i].at == in {
+				return i
+			}
+		}
 	}
-	if in.Op == ir.OpAlloca {
-		_, present := s.mem[in]
-		return in, present
-	}
-	return nil, false
+	return -1
 }
 
 func (s *state) binop(in *ir.Instr, x, y Val) Val {

@@ -13,21 +13,39 @@ import (
 // where the original's is empty.
 func CloneFunc(f *Function) *Function {
 	nf := &Function{NameStr: f.NameStr, RetTy: f.RetTy, Attrs: f.Attrs}
-	vmap := map[Value]Value{}
 	bmap := make(map[*Block]*Block, len(f.Blocks))
 	for _, p := range f.Params {
-		np := &Param{NameStr: p.NameStr, Ty: p.Ty, Noundef: p.Noundef}
-		nf.Params = append(nf.Params, np)
-		vmap[p] = np
+		nf.Params = append(nf.Params, &Param{NameStr: p.NameStr, Ty: p.Ty, Noundef: p.Noundef})
 	}
+	// vmap is sized to its entries exactly: a search's clones are tiny,
+	// and a hint past the single group of a small map buys a table.
+	results := 0
 	for _, b := range f.Blocks {
 		nb := &Block{NameStr: b.NameStr, Parent: nf}
 		nf.Blocks = append(nf.Blocks, nb)
 		bmap[b] = nb
+		for _, in := range b.Instrs {
+			if in.HasResult() {
+				results++
+			}
+		}
 	}
+	vmap := make(map[*Instr]*Instr, results)
+	// An instruction or parameter of f maps to its copy (a parameter by
+	// position); anything else, a value of another function included,
+	// stays shared.
 	mapVal := func(v Value) Value {
-		if nv, ok := vmap[v]; ok {
-			return nv
+		switch x := v.(type) {
+		case *Instr:
+			if ni, ok := vmap[x]; ok {
+				return ni
+			}
+		case *Param:
+			for i, p := range f.Params {
+				if p == x {
+					return nf.Params[i]
+				}
+			}
 		}
 		return v
 	}

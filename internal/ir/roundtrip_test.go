@@ -226,6 +226,72 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestCloneSharesForeignValues: operands that are not f's own — a
+// parameter and an instruction of another function, a global — stay
+// the same objects in the clone, while every parameter and instruction
+// of f, phi incomings through a back edge included, is remapped to its
+// copy.
+func TestCloneSharesForeignValues(t *testing.T) {
+	other, err := ParseFunc(sampleFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ParseFunc(`define i32 @g(i32 %n, ptr %q) {
+entry:
+  br label %loop
+loop:
+  %i = phi i32 [ 0, %entry ], [ %i1, %loop ]
+  %i1 = add i32 %i, %n
+  %v = call i32 @h(ptr @glob, ptr %q)
+  %c = icmp ult i32 %i1, %v
+  br i1 %c, label %loop, label %out
+out:
+  ret i32 %i1
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign := []Value{other.Params[1], other.Blocks[0].Instrs[0]}
+	add := f.Blocks[1].Instrs[1]
+	add.Args = append(add.Args, foreign...) // ill-typed on purpose: only identity is under test
+	c := CloneFunc(f)
+	copyOf := map[Value]Value{} // each own value's copy, by position
+	for i, p := range f.Params {
+		copyOf[p] = c.Params[i]
+	}
+	for bi, b := range f.Blocks {
+		for ii, in := range b.Instrs {
+			copyOf[in] = c.Blocks[bi].Instrs[ii]
+		}
+	}
+	remapped, shared := 0, 0
+	for bi, b := range f.Blocks {
+		for ii, in := range b.Instrs {
+			ni := c.Blocks[bi].Instrs[ii]
+			ops, nops := append([]Value(nil), in.Args...), append([]Value(nil), ni.Args...)
+			for k := range in.Incs {
+				ops, nops = append(ops, in.Incs[k].Val), append(nops, ni.Incs[k].Val)
+			}
+			for k, v := range ops {
+				if nv, own := copyOf[v]; own {
+					if nops[k] != nv || nv == v {
+						t.Errorf("%s: own operand %d not remapped to its copy", FormatInstr(in), k)
+					}
+					remapped++
+				} else {
+					if nops[k] != v {
+						t.Errorf("%s: foreign operand %d copied, want shared", FormatInstr(in), k)
+					}
+					shared++
+				}
+			}
+		}
+	}
+	if _, isGlobal := c.Blocks[1].Instrs[2].Args[0].(*GlobalRef); !isGlobal || remapped < 8 || shared < 4 {
+		t.Errorf("%d own and %d foreign operands checked (global seen: %v)", remapped, shared, isGlobal)
+	}
+}
+
 func TestStructurallyEqualModuloNames(t *testing.T) {
 	a, err := ParseFunc(sampleFn)
 	if err != nil {

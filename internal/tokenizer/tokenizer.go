@@ -35,8 +35,27 @@ func Tokenize(s string) []string {
 	return toks
 }
 
-// Count returns the token count of s.
-func Count(s string) int { return len(Tokenize(s)) }
+// Count returns len(Tokenize(s)) without building the tokens. Every
+// delimiter is ASCII, so a walk over the bytes splits where the walk
+// over the runes does, invalid UTF-8 included.
+func Count(s string) int {
+	n, inWord := 0, false
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ' ', '\t', '\n', '\r':
+			inWord = false
+		case '(', ')', '[', ']', '{', '}', ',', '=', ':', '*':
+			n++
+			inWord = false
+		default:
+			if !inWord {
+				n++
+				inWord = true
+			}
+		}
+	}
+	return n
+}
 
 // FitsContext reports whether s fits in the model context window.
 func FitsContext(s string) bool { return Count(s) <= MaxContextTokens }

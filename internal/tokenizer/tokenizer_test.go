@@ -77,3 +77,38 @@ func TestPunctuationSplit(t *testing.T) {
 		}
 	}
 }
+
+// TestCountEqualsLenTokenize: Count walks bytes where Tokenize walks
+// runes and builds nothing; the filter that decides which samples the
+// corpus keeps must not be able to tell them apart.
+func TestCountEqualsLenTokenize(t *testing.T) {
+	cases := []string{
+		"", " \t\n\r ", "a", " a ", "ab cd", "()[]{},=:*", "a(b)c", "x=*y", ",,", "a ,b",
+		"é", "日本 語", "a日(本)b", "\xff", "a\xffb \xff\xfe(\xc3", "\xe6\x97", // multi-byte, lone and truncated bytes
+		"define i32 @f(i32 noundef %0, ptr %1) {\nentry:\n  %2 = add nsw i32 %0, -1\n  store i32 %2, ptr %1, align 4\n  switch i32 %2, label %d [\n    i32 0, label %a\n  ]\n}\n",
+	}
+	for _, d := range "()[]{},=:*" {
+		cases = append(cases, string(d), "a"+string(d), string(d)+"a", "a"+string(d)+string(d)+"b")
+	}
+	for _, s := range cases {
+		if got, want := Count(s), len(Tokenize(s)); got != want {
+			t.Errorf("Count(%q) = %d, len(Tokenize) = %d", s, got, want)
+		}
+	}
+	// Random strings over an alphabet dense in delimiters, multi-byte
+	// runes and bytes that are not UTF-8, then over whatever quick draws.
+	alphabet := []string{"a", "%0", " ", "\n", "\t", "\r", "(", ")", "[", "]", "{", "}", ",", "=", ":", "*", "é", "語", "\xff", "\xc3", "\x80"}
+	fromAlphabet := func(picks []byte) bool {
+		var sb strings.Builder
+		for _, p := range picks {
+			sb.WriteString(alphabet[int(p)%len(alphabet)])
+		}
+		return Count(sb.String()) == len(Tokenize(sb.String()))
+	}
+	anyString := func(s string) bool { return Count(s) == len(Tokenize(s)) }
+	for _, check := range []any{fromAlphabet, anyString} {
+		if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Error(err)
+		}
+	}
+}

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"veriopt/internal/alive"
+	"veriopt/internal/dataset"
 	"veriopt/internal/instcombine"
+	"veriopt/internal/interp"
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/seqopt"
@@ -25,8 +27,12 @@ import (
 // combiner.fresh ran Sscanf over every name), so a regression fails
 // tier-1 and not only the benchmark. `make bench-ir` prints the numbers
 // themselves. A search state is also one ir.CloneFunc per pass that
-// fires: 76 on midFn with every slice allocated at its final length,
-// 111 when they grew by append.
+// fires: 74 on midFn with every slice allocated at its final length
+// and the value map keyed by *Instr and sized to its entries (76 keyed
+// by the Value interface and grown from empty), 111 when the slices
+// grew by append. One interp.Run, which the benchmark's labeller and
+// every differential test call once per input, is 7 (9 with one
+// map[ir.Value]Val for everything and a fresh phi map per block visit).
 //
 // The last two rows are what a search pays outside the SAT search: one
 // verification (553 allocations; 1762 when bv.Builder allocated a term
@@ -110,6 +116,15 @@ func beamMid(tb testing.TB, f *ir.Function) *seqopt.SearchResult {
 	return res
 }
 
+// runMid is one concrete execution, as the corpus labeller makes them.
+func runMid(tb testing.TB, f *ir.Function) *interp.Outcome {
+	o, err := interp.Run(f, []interp.Val{interp.V(9), interp.V(3), interp.V(40)}, interp.DefaultConfig())
+	if err != nil || o.UB {
+		tb.Fatalf("midFn on (9, 3, 40): %+v, %v", o, err)
+	}
+	return o
+}
+
 func TestIRFrontHalfAllocCeilings(t *testing.T) {
 	f, combine := midFunc(t), combinePass(t)
 	opt := instcombine.Run(f)
@@ -125,7 +140,8 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 		{"ir.VerifyFunc", 8, func() { _ = ir.VerifyFunc(f) }},
 		{"vcache.KeyOfFunc", 8, func() { vcache.KeyOfFunc(f) }},
 		{"combine pass", 195, func() { combine.Apply(f) }},
-		{"ir.CloneFunc", 80, func() { ir.CloneFunc(f) }},
+		{"ir.CloneFunc", 78, func() { ir.CloneFunc(f) }},
+		{"interp.Run", 8, func() { runMid(t, f) }},
 		{"alive.VerifyFuncs", 670, func() { verifyMid(t, f, opt) }},
 		{"seqopt.Beam", 3140, func() { beamMid(t, f) }},
 	} {
@@ -187,5 +203,40 @@ func BenchmarkBeamMid(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = beamMid(b, f)
+	}
+}
+
+// BenchmarkInterpRun is the labeller's call: one-shot runs, a different
+// function each time (256 samples across the five families), so a
+// set-up cost a single hot function would amortize is paid in full.
+func BenchmarkInterpRun(b *testing.B) {
+	samples, err := dataset.Generate(dataset.Config{Seed: 12, N: 256, SkipVerify: true})
+	if err != nil || len(dataset.ScenarioCounts(samples)) != 5 {
+		b.Fatalf("%d scenario families, err %v", len(dataset.ScenarioCounts(samples)), err)
+	}
+	args := make([][]interp.Val, len(samples))
+	for i, s := range samples {
+		for j := range s.O0.Params {
+			args[i] = append(args[i], interp.V(uint64(7*i+j+1)))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(samples)
+		benchSink, _ = interp.Run(samples[k].O0, args[k], interp.DefaultConfig())
+	}
+}
+
+// BenchmarkGenerateSkipVerify is the corpus path under setup_s less the
+// labelling: lower, instcombine, print, the context-length filter.
+func BenchmarkGenerateSkipVerify(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		samples, err := dataset.Generate(dataset.Config{Seed: 12, N: 1024, SkipVerify: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = samples
 	}
 }
