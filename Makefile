@@ -103,6 +103,10 @@ fuzz-smoke:
 # exception is alive/exec.go's pathState.vals, copied on every path
 # fork: ROADMAP item 3(b) splits alive.verify_us into stages, and the
 # PR that can see what changing that map buys is the one to change it.
+# Last, on container/list and on a map keyed by vcache.Key in the
+# storage spine (vcache, oracle, cluster, vstore): such a map keeps two
+# whole function texts alive per entry, which is what made a resident
+# verdict weigh 1.2 KB; the spine's one identity is Key.Fingerprint().
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
@@ -127,6 +131,12 @@ lint:
 	@hits=$$(grep -rnE 'map\[(ir\.)?Value\]' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/alive/exec.go:'); \
 	if [ -n "$$hits" ]; then \
 		echo "map keyed by the ir.Value interface (key by *ir.Instr, parameters by position; alive/exec.go pathState.vals is the one exception, until ROADMAP 3(b)):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnE 'map\[(vcache\.)?Key\]|"container/list"' --include='*.go' --exclude='*_test.go' internal/vcache internal/oracle internal/cluster internal/vstore); \
+	if [ -n "$$hits" ]; then \
+		echo "map keyed by the full vcache.Key, or container/list, in the storage spine (key by Key.Fingerprint(): 32 bytes, not two function texts; link entries through their own fields):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi
@@ -186,13 +196,13 @@ bench-layers:
 	@for w in $(BENCH_WORKLOADS); do bash bench/run.sh --workload $$w $(BENCH_ARGS) --trace 1 || exit 1; done
 
 # IR front-half micro-benchmarks (ir_bench_test.go): parse, structural
-# verification, cache key and one combine fixpoint pass on a fixed
-# mid-size function, then what a search does with it: one verification
+# verification, cache key, its digest and one combine fixpoint pass on a
+# fixed mid-size function, then what a search does with it: one verification
 # and one whole Beam on a cold stack (the same go test line with
 # -memprofile is the allocation profile of that path).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
-	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|CombinePass|VerifyMid|BeamMid|InterpRun|GenerateSkipVerify)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|KeyFingerprint|CombinePass|VerifyMid|BeamMid|InterpRun|GenerateSkipVerify)$$' -benchmem .
 
 # "Least code" as a number (ROADMAP, Design diet): per-package non-test
 # lines, test lines and exported names, and the flag count of each

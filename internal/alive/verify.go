@@ -642,11 +642,13 @@ func gatherCalls(b *bv.Builder, events []callEvent, callee string) (*bv.Term, []
 	return cond, args, true
 }
 
-// extractInputs pulls the parameter valuation out of a SAT model.
+// extractInputs pulls the parameter valuation out of a SAT model. The
+// names are cloned: they are substrings of the text the function was
+// parsed from, and a Result is cached long after that request is gone.
 func extractInputs(model map[string]uint64, paramNames []string) map[string]uint64 {
-	out := map[string]uint64{}
+	out := make(map[string]uint64, len(paramNames))
 	for i, n := range paramNames {
-		out[n] = model[fmt.Sprintf("in%d", i)]
+		out[strings.Clone(n)] = model[fmt.Sprintf("in%d", i)]
 	}
 	return out
 }

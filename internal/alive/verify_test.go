@@ -3,6 +3,7 @@ package alive
 import (
 	"strings"
 	"testing"
+	"unsafe"
 	"veriopt/internal/ir"
 )
 
@@ -449,6 +450,54 @@ func TestCounterexampleIsConcrete(t *testing.T) {
 	}
 	if !strings.Contains(res.Diag, "Example:") {
 		t.Errorf("diagnostic missing example section:\n%s", res.Diag)
+	}
+}
+
+// TestResultDoesNotAliasInput: a Result is memoized for as long as the
+// cache keeps it, and the parser's names are substrings of the text it
+// read. A counterexample keyed by those substrings kept every cached
+// SemanticError's whole request body reachable.
+func TestResultDoesNotAliasInput(t *testing.T) {
+	// Clone: the texts must be heap buffers of known extent, not
+	// constants the linker may have merged with anything.
+	src := strings.Clone(`define i8 @f(i8 noundef %lhs, i8 noundef %rhs) {
+  %sum = add i8 %lhs, %rhs
+  ret i8 %sum
+}
+`)
+	tgt := strings.Clone(`define i8 @f(i8 noundef %lhs, i8 noundef %rhs) {
+  %sum = sub i8 %lhs, %rhs
+  ret i8 %sum
+}
+`)
+	inside := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, in := range []string{src, tgt} {
+			lo := uintptr(unsafe.Pointer(unsafe.StringData(in)))
+			if len(s) > 0 && p < lo+uintptr(len(in)) && lo < p+uintptr(len(s)) {
+				return true
+			}
+		}
+		return false
+	}
+	res := verify(t, src, tgt)
+	wantVerdict(t, res, SemanticError)
+	if _, ok := res.Counterexample["rhs"]; !ok || len(res.Counterexample) != 2 {
+		t.Fatalf("counterexample = %v, want values for lhs and rhs", res.Counterexample)
+	}
+	for name := range res.Counterexample {
+		if inside(name) {
+			t.Errorf("counterexample key %q is a substring of the input text", name)
+		}
+	}
+	if inside(res.Diag) {
+		t.Errorf("diagnostic points into the input text:\n%s", res.Diag)
+	}
+	tgt = strings.Clone("define i8 @f(i8 noundef %lhs, i8 noundef %rhs) {\n  ret i8 %nowhere\n}\n")
+	res = verify(t, src, tgt)
+	wantVerdict(t, res, SyntaxError)
+	if inside(res.Diag) {
+		t.Errorf("syntax diagnostic points into the input text:\n%s", res.Diag)
 	}
 }
 

@@ -2,6 +2,8 @@ package vcache
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -156,14 +158,23 @@ func TestBackingHitPromotesWithoutCompute(t *testing.T) {
 
 func TestEvictionDemotesNonDurableOnly(t *testing.T) {
 	b := newMemBacking()
-	e := New(Config{MaxEntries: 2})
-	// Entries created before the backing attaches are non-durable.
+	e := New(Config{MaxEntries: 2, Backing: b})
+	// A failed write-through leaves the entry owing the backing a
+	// write: it is the one kind of entry that keeps its full key.
+	b.fail = true
 	e.Do(bg, keyN(0), func() alive.Result { return resN(0) })
-	e.SetBacking(b)
-	// Computed after attach: written through, durable.
+	b.fail = false
+	if ent := e.entries[keyN(0).Fingerprint()]; ent.owed == nil || *ent.owed != keyN(0) {
+		t.Fatalf("entry whose write-through failed keeps key %v, want %v", ent.owed, keyN(0))
+	}
+	// Written through: durable, and nothing but digest and verdict stay.
+	puts := b.puts
 	e.Do(bg, keyN(1), func() alive.Result { return resN(1) })
-	if b.puts != 1 {
-		t.Fatalf("write-through puts = %d, want 1", b.puts)
+	if b.puts != puts+1 {
+		t.Fatalf("write-through puts = %d, want %d", b.puts, puts+1)
+	}
+	if ent := e.entries[keyN(1).Fingerprint()]; ent.owed != nil {
+		t.Fatalf("durable entry still holds its key: %v", ent.owed)
 	}
 	// Overflow twice: key 0 (non-durable) demotes with a Put; key 1
 	// (durable) demotes without one.
@@ -182,7 +193,8 @@ func TestEvictionDemotesNonDurableOnly(t *testing.T) {
 	if b.puts != putsAfterDemote+1 {
 		t.Fatalf("durable eviction re-wrote the backing: puts %d -> %d", putsAfterDemote, b.puts)
 	}
-	// Both evicted verdicts answer from the backing via promotion.
+	// Both evicted verdicts answer from the backing via promotion, and
+	// a promoted entry holds no key either.
 	for _, i := range []int{0, 1} {
 		got := e.Do(bg, keyN(i), func() alive.Result {
 			t.Fatalf("compute ran for demoted key %d", i)
@@ -191,6 +203,26 @@ func TestEvictionDemotesNonDurableOnly(t *testing.T) {
 		if got.Diag != resN(i).Diag {
 			t.Fatalf("demoted verdict %d = %+v", i, got)
 		}
+		if ent := e.entries[keyN(i).Fingerprint()]; ent.owed != nil {
+			t.Fatalf("promoted entry %d holds its key: %v", i, ent.owed)
+		}
+	}
+}
+
+// TestLateBackingLeavesOldEntriesMemoryOnly pins what SetBacking on an
+// engine that already answered queries means: the resident entries kept
+// no key, so they are served from memory while they last and discarded
+// at eviction. openStoreDir, the one production caller, attaches before
+// the first query.
+func TestLateBackingLeavesOldEntriesMemoryOnly(t *testing.T) {
+	b := newMemBacking()
+	e := New(Config{MaxEntries: 1})
+	e.Do(bg, keyN(0), func() alive.Result { return resN(0) })
+	e.SetBacking(b)
+	e.Do(bg, keyN(0), func() alive.Result { t.Fatal("compute ran for a resident entry"); return alive.Result{} })
+	e.Do(bg, keyN(1), func() alive.Result { return resN(1) })
+	if b.has(keyN(0)) || b.puts != 1 {
+		t.Fatalf("entry older than the backing was written to it: puts = %d", b.puts)
 	}
 }
 
@@ -228,5 +260,63 @@ func TestCanceledNeverReachesBacking(t *testing.T) {
 	}
 	if s := e.Stats(); s.Promotions != 0 {
 		t.Fatalf("promotions = %d, want 0", s.Promotions)
+	}
+}
+
+// sinkBacking accepts every write and retains nothing, so that what
+// the heap holds after a fill is the hot tier's alone.
+type sinkBacking struct{}
+
+func (sinkBacking) Get(Key) (alive.Result, bool, error) { return alive.Result{}, false, nil }
+func (sinkBacking) Put(Key, alive.Result) error         { return nil }
+
+// TestHotTierBytesPerEntry bounds what a resident verdict weighs. The
+// keys are corpus-shaped (two function texts, 700 bytes together, built
+// afresh per query as KeyOfFunc builds them) and a third of the verdicts
+// carry what a SemanticError carries: a diagnostic and a two-parameter
+// counterexample. While entries were keyed by the texts this read
+// 1 178 bytes, and reads 326 now; the bound leaves room for the map's
+// growth policy, not for a text.
+func TestHotTierBytesPerEntry(t *testing.T) {
+	const n = 20000
+	for _, tc := range []struct {
+		name    string
+		backing Backing
+	}{{"no backing", nil}, {"written through", sinkBacking{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{MaxEntries: 2 * n, Backing: tc.backing})
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < n; i++ {
+				k := Key{
+					Src:  fmt.Sprintf("define i32 @f%d(i32 noundef %%0, i32 noundef %%1) {%s}", i, strings.Repeat(" %3 = add nsw i32 %0, %1", 14)),
+					Dst:  fmt.Sprintf("define i32 @f%d(i32 noundef %%0, i32 noundef %%1) {%s}", i, strings.Repeat(" %3 = shl i32 %0, 1", 14)),
+					Opts: alive.DefaultOptions(),
+				}
+				if len(k.Src)+len(k.Dst) < 600 {
+					t.Fatalf("key texts are %d bytes, want a corpus-sized key", len(k.Src)+len(k.Dst))
+				}
+				e.Do(bg, k, func() alive.Result {
+					if i%3 != 0 {
+						return alive.Result{Verdict: alive.Equivalent, SolverConflicts: i}
+					}
+					return alive.Result{Verdict: alive.SemanticError, SolverConflicts: i,
+						Diag:           fmt.Sprintf("ERROR: Value mismatch\n\nExample:\ni32 %%0 = #x%08x (%d)\ni32 %%1 = #x00000001 (1)\nSource value: i32 %d\nTarget value: i32 %d", i, i, i+1, 2*i),
+						Counterexample: map[string]uint64{strings.Clone("0"): uint64(i), strings.Clone("1"): 1}}
+				})
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if got := e.Stats().Entries; got != n {
+				t.Fatalf("%d entries resident, want %d", got, n)
+			}
+			per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+			t.Logf("%d bytes per resident verdict", per)
+			if per > 400 {
+				t.Errorf("a resident verdict weighs %d bytes, want <= 400", per)
+			}
+			runtime.KeepAlive(e)
+		})
 	}
 }

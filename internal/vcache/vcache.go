@@ -9,7 +9,9 @@
 //
 //	(ir.FingerprintText(src), ir.FingerprintText(dst), Options)
 //
-// which identifies functions up to whitespace. Identical queries in
+// which identifies functions up to whitespace. What stays resident is
+// the key's 32-byte Fingerprint and the verdict, not the two texts: an
+// entry is fixed-size whatever the functions were. Identical queries in
 // flight are deduplicated (singleflight): the second caller blocks on
 // the first's result instead of re-running the solver.
 //
@@ -19,9 +21,9 @@
 // as they are produced (incremental appends — there is no flush
 // cycle to lose work between). Eviction is promote-on-hit LRU, and an
 // evicted entry demotes instead of discarding: it stays durable in
-// the backing (a demote write covers the rare entry that is not yet
-// there). With no backing the engine is exactly the bounded in-memory
-// cache it always was.
+// the backing (a demote write covers the rare entry whose write-through
+// failed; only such an entry keeps its full key). With no backing the
+// engine is exactly the bounded in-memory cache it always was.
 //
 // vcache is deliberately only a cache: it never invokes the verifier
 // itself (the compute callback passed to Do does) and it owns no
@@ -30,22 +32,22 @@
 package vcache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
 )
 
-// Key identifies one verification query. Options is comparable by
-// design (see internal/alive); the whole Key is usable as a map key.
+// Key identifies one verification query. It is what callers and a
+// Backing exchange; maps key on its Fingerprint (make lint).
 type Key struct {
 	// Src and Dst are whitespace-normalized function texts
 	// (ir.FingerprintText of the canonical printed form).
@@ -54,23 +56,78 @@ type Key struct {
 	Opts alive.Options
 }
 
-// Fingerprint condenses the key to the fixed-size form the storage
-// and serving spine shares: the verdict store's index (internal/vstore)
-// and the cluster coordinator's consistent-hash ring (internal/cluster)
-// both key on it. The full key (src and dst are whole function texts)
-// would make an index as large as the corpus; 32 bytes keeps millions
-// of verdicts indexable and gives the ring a uniform hash. Collisions
-// are handled by whoever stores values under it (vstore compares the
-// full key at read time; the ring only routes, so a collision merely
-// co-locates two queries).
+// Fingerprint condenses the key to the fixed-size form the whole
+// storage and serving spine shares: the hot tier's map, the verdict
+// store's index (internal/vstore) and the cluster coordinator's
+// consistent-hash ring (internal/cluster) all key on it. The full key
+// (src and dst are whole function texts) would make an index as large
+// as the corpus; 32 bytes keeps millions of verdicts indexable and
+// gives the ring a uniform hash. The hot tier trusts the digest;
+// vstore, which has the full key on disk anyway, compares it at read
+// time; the ring only routes, so a collision merely co-locates two
+// queries.
+//
+// The bytes are sha256(json.Marshal(k)) and every reopened store
+// replays them, so they never change. They are produced without
+// encoding/json (which costs two allocations and three times the CPU
+// of the hash) by appending the same JSON into a stack buffer; a field
+// added to Key or alive.Options must be appended here, and
+// TestFingerprintMatchesReference fails until it is.
 func (k Key) Fingerprint() [sha256.Size]byte {
-	blob, err := json.Marshal(k)
-	if err != nil {
-		// Key is strings and a flat struct of scalars; Marshal cannot
-		// fail on it.
-		panic("vcache: marshal key: " + err.Error())
+	var stack [2048]byte // corpus keys are 0.5-1.6 KB as JSON; a longer one spills to the heap
+	b := appendJSONString(append(stack[:0], `{"Src":`...), k.Src)
+	b = appendJSONString(append(b, `,"Dst":`...), k.Dst)
+	b = strconv.AppendInt(append(b, `,"Opts":{"MaxPaths":`...), int64(k.Opts.MaxPaths), 10)
+	b = strconv.AppendInt(append(b, `,"MaxSteps":`...), int64(k.Opts.MaxSteps), 10)
+	b = strconv.AppendInt(append(b, `,"SolverBudget":`...), int64(k.Opts.SolverBudget), 10)
+	b = strconv.AppendBool(append(b, `,"FreshSolver":`...), k.Opts.FreshSolver)
+	return sha256.Sum256(append(b, "}}"...))
+}
+
+// jsonEscape[c] is 0 for a byte json.Marshal copies into a string and
+// otherwise the letter after its backslash; 'u' is \u00XX, or for a
+// byte >= 0x80 whatever its rune turns out to need.
+var jsonEscape = func() (t [256]byte) {
+	for c := range t {
+		if c < ' ' || c >= utf8.RuneSelf || c == '<' || c == '>' || c == '&' {
+			t[c] = 'u'
+		}
 	}
-	return sha256.Sum256(blob)
+	t['"'], t['\\'] = '"', '\\'
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = 'b', 'f', 'n', 'r', 't'
+	return t
+}()
+
+// appendJSONString appends s quoted the way json.Marshal quotes a
+// string: `"`, `\`, control bytes, the HTML-unsafe `<` `>` `&` and
+// U+2028/U+2029 escaped, each invalid UTF-8 byte as \ufffd.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	start := 0 // s[start:i] is read but not yet copied
+	for i := 0; i < len(s); {
+		e := jsonEscape[s[i]]
+		if e == 0 {
+			i++
+			continue
+		}
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf { // an invalid byte decodes as (U+FFFD, 1)
+			if r, size = utf8.DecodeRuneInString(s[i:]); size > 1 && r != '\u2028' && r != '\u2029' {
+				i += size
+				continue
+			}
+		}
+		b = append(b, s[start:i]...)
+		i += size
+		start = i
+		if e != 'u' {
+			b = append(b, '\\', e)
+		} else {
+			b = append(b, '\\', 'u', hex[r>>12], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
+		}
+	}
+	return append(append(b, s[start:]...), '"')
 }
 
 // Backing is the durable tier under the in-memory cache, implemented
@@ -96,7 +153,11 @@ type Config struct {
 }
 
 // DefaultMaxEntries is the cache bound used when Config.MaxEntries is
-// unset. At ~200 bytes per verdict this is tens of MB at worst.
+// unset. A resident verdict costs ≈ 200 bytes (a 112-byte entry and its
+// map slot) plus what its Result owns — a SemanticError's Diag and
+// Counterexample, ≈ 400 bytes — whatever the size of the functions:
+// ≈ 325 bytes on a model-output mix (TestHotTierBytesPerEntry; 324 on
+// the benchmark's serve-cold), so the bound is ≈ 43 MB of live heap.
 const DefaultMaxEntries = 1 << 17
 
 // Stats is a point-in-time snapshot of an engine's counters.
@@ -114,9 +175,10 @@ type Stats struct {
 	// Promotions counts queries answered from the backing and promoted
 	// into the hot tier (a subset of Hits).
 	Promotions uint64
-	// Demotions counts evictions that landed in (or were already
-	// durable in) the backing instead of being discarded — with a
-	// backing attached this equals Evictions.
+	// Demotions counts evictions made with a backing attached: the
+	// verdict was written through, came from the backing, or is written
+	// now. It equals Evictions unless SetBacking came after queries
+	// (entries older than the backing are counted and discarded).
 	Demotions uint64
 	// StoreErrors counts failed backing reads and writes. The query is
 	// still answered (by the solver, or from memory); the error only
@@ -187,23 +249,27 @@ type call struct {
 	res  alive.Result
 }
 
-// entry is one hot-tier resident; the LRU element's Value.
+// entry is one hot-tier resident, linked into the engine's LRU ring.
 type entry struct {
-	key Key
-	res alive.Result
-	// durable marks entries known to exist in the backing (written
-	// through, or promoted out of it). Non-durable entries — their
-	// write-through failed, or they predate SetBacking — get a demote
-	// write on eviction so a backing never loses a verdict to the
-	// hot-tier bound.
-	durable bool
+	fp         [sha256.Size]byte
+	res        alive.Result
+	prev, next *entry
+	// owed is the full key of a verdict the backing still lacks (its
+	// write-through failed), kept for the demote write at eviction.
+	// It is nil for every other entry: written through, promoted, or
+	// made while no backing was attached.
+	owed *Key
 }
 
-// demotion is an eviction that still needs its demote write, performed
-// outside the engine lock.
-type demotion struct {
-	key Key
-	res alive.Result
+// unlink takes ent out of the LRU ring; pushFront makes it the most
+// recent. Both run under e.mu.
+func (ent *entry) unlink() {
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+}
+
+func (e *Engine) pushFront(ent *entry) {
+	ent.prev, ent.next = &e.lru, e.lru.next
+	ent.prev.next, ent.next.prev = ent, ent
 }
 
 // Engine is the memoized verdict store's hot tier. The zero value is
@@ -213,9 +279,9 @@ type Engine struct {
 	maxEntries int
 
 	mu       sync.Mutex
-	entries  map[Key]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[Key]*call
+	entries  map[[sha256.Size]byte]*entry
+	lru      entry // ring sentinel: next = most recently used, prev = coldest
+	inflight map[[sha256.Size]byte]*call
 	backing  Backing
 
 	queries         atomic.Uint64
@@ -236,29 +302,28 @@ func New(cfg Config) *Engine {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = DefaultMaxEntries
 	}
-	return &Engine{
+	e := &Engine{
 		maxEntries: cfg.MaxEntries,
-		entries:    make(map[Key]*list.Element),
-		lru:        list.New(),
-		inflight:   make(map[Key]*call),
+		inflight:   make(map[[sha256.Size]byte]*call),
 		backing:    cfg.Backing,
 	}
+	e.clear()
+	return e
+}
+
+// clear empties the hot tier. Callers hold e.mu (or own e outright).
+func (e *Engine) clear() {
+	e.entries = make(map[[sha256.Size]byte]*entry)
+	e.lru.prev, e.lru.next = &e.lru, &e.lru
 }
 
 // SetBacking attaches (or replaces) the durable tier. Attach at boot,
-// before queries flow; entries already resident stay marked
-// non-durable and demote on eviction.
+// before queries flow: entries already resident kept no key to write
+// under, so they stay memory-only and eviction discards them.
 func (e *Engine) SetBacking(b Backing) {
 	e.mu.Lock()
 	e.backing = b
 	e.mu.Unlock()
-}
-
-func (e *Engine) getBacking() Backing {
-	e.mu.Lock()
-	b := e.backing
-	e.mu.Unlock()
-	return b
 }
 
 // KeyOfFunc renders a function into cache-key form.
@@ -289,15 +354,17 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 		}
 	}
 
+	fp := k.Fingerprint()
 	e.mu.Lock()
-	if el, ok := e.entries[k]; ok {
-		e.lru.MoveToFront(el)
-		res := el.Value.(*entry).res
+	if ent, ok := e.entries[fp]; ok {
+		ent.unlink()
+		e.pushFront(ent)
+		res := ent.res
 		e.mu.Unlock()
 		e.hits.Add(1)
 		return res
 	}
-	if c, ok := e.inflight[k]; ok {
+	if c, ok := e.inflight[fp]; ok {
 		e.mu.Unlock()
 		if ctx == nil {
 			<-c.done
@@ -316,7 +383,7 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 		}
 	}
 	c := &call{done: make(chan struct{})}
-	e.inflight[k] = c
+	e.inflight[fp] = c
 	b := e.backing
 	e.mu.Unlock()
 
@@ -331,7 +398,7 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 			e.hits.Add(1)
 			e.promotions.Add(1)
 			c.res = res
-			e.settle(k, c, res, true)
+			e.settle(fp, c, nil)
 			return res
 		}
 	}
@@ -348,7 +415,7 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 	if c.res.Canceled {
 		e.canceled.Add(1)
 		e.mu.Lock()
-		delete(e.inflight, k)
+		delete(e.inflight, fp)
 		e.mu.Unlock()
 		close(c.done)
 		return c.res
@@ -356,88 +423,60 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 
 	// Write through to the backing first (outside the lock): the
 	// verdict is durable before — not eventually after — it becomes
-	// evictable.
-	durable := false
+	// evictable. Only a failed write leaves the entry owing one, and
+	// only then does it keep the key.
+	var owed *Key
 	if b != nil {
 		if err := b.Put(k, c.res); err != nil {
 			e.storeErrors.Add(1)
-		} else {
-			durable = true
+			kept := k // a copy, so that k itself stays on the caller's stack
+			owed = &kept
 		}
 	}
-	e.settle(k, c, c.res, durable)
+	e.settle(fp, c, owed)
 	return c.res
 }
 
 // settle installs a finished computation into the hot tier, releases
 // the singleflight slot, and performs any demote writes the insertion
 // forced — outside the lock.
-func (e *Engine) settle(k Key, c *call, res alive.Result, durable bool) {
+func (e *Engine) settle(fp [sha256.Size]byte, c *call, owed *Key) {
 	e.mu.Lock()
-	demoted := e.store(k, res, durable)
-	delete(e.inflight, k)
+	demoted := e.store(fp, c.res, owed)
+	delete(e.inflight, fp)
+	b := e.backing
 	e.mu.Unlock()
 	close(c.done)
-	e.demote(demoted)
-}
-
-// store inserts under e.mu as the most recent entry, evicting from the
-// LRU tail as needed. It returns the evicted entries that still need a
-// demote write; the caller performs them after releasing the lock.
-func (e *Engine) store(k Key, res alive.Result, durable bool) []demotion {
-	var demoted []demotion
-	if el, ok := e.entries[k]; ok {
-		ent := el.Value.(*entry)
-		ent.res = res
-		ent.durable = ent.durable || durable
-		e.lru.MoveToFront(el)
-		return nil
-	}
-	for len(e.entries) >= e.maxEntries && e.lru.Len() > 0 {
-		el := e.lru.Back()
-		ent := el.Value.(*entry)
-		e.lru.Remove(el)
-		delete(e.entries, ent.key)
-		e.evictions.Add(1)
-		if e.backing != nil {
-			e.demotions.Add(1)
-			if !ent.durable && !ent.res.Canceled {
-				demoted = append(demoted, demotion{key: ent.key, res: ent.res})
-			}
-		}
-	}
-	// Queries against one source arrive together (a search's states, a
-	// GRPO group's rollouts), each with its own copy of the source text.
-	// Keep one: point the new key at a recent entry's equal Src.
-	for el, n := e.lru.Front(), 0; el != nil && n < recentSources; el, n = el.Next(), n+1 {
-		if src := el.Value.(*entry).key.Src; src == k.Src {
-			k.Src = src
-			break
-		}
-	}
-	e.entries[k] = e.lru.PushFront(&entry{key: k, res: res, durable: durable})
-	return demoted
-}
-
-// recentSources is how far from the LRU front store looks: enough for
-// the searches or groups running at once to find their own entries.
-const recentSources = 16
-
-// demote performs the deferred demote writes for evicted entries that
-// were not yet durable.
-func (e *Engine) demote(demoted []demotion) {
-	if len(demoted) == 0 {
-		return
-	}
-	b := e.getBacking()
-	if b == nil {
-		return
-	}
-	for _, d := range demoted {
-		if err := b.Put(d.key, d.res); err != nil {
+	for _, ent := range demoted {
+		if err := b.Put(*ent.owed, ent.res); err != nil {
 			e.storeErrors.Add(1)
 		}
 	}
+}
+
+// store inserts under e.mu as the most recent entry, evicting from the
+// LRU tail as needed. It returns the evicted entries that still owe the
+// backing a write (none without a backing); the caller performs them
+// after releasing the lock. The singleflight slot its caller holds
+// means fp is not resident.
+func (e *Engine) store(fp [sha256.Size]byte, res alive.Result, owed *Key) []*entry {
+	var demoted []*entry
+	for len(e.entries) >= e.maxEntries {
+		ent := e.lru.prev
+		ent.unlink()
+		delete(e.entries, ent.fp)
+		e.evictions.Add(1)
+		if e.backing != nil {
+			e.demotions.Add(1)
+			if ent.owed != nil {
+				demoted = append(demoted, ent)
+			}
+		}
+	}
+	ent := &entry{fp: fp, res: res, owed: owed}
+	e.entries[fp] = ent
+	e.pushFront(ent)
+	return demoted
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -466,8 +505,7 @@ func (e *Engine) Stats() Stats {
 // any, keeps its contents — Reset empties memory, not disk.
 func (e *Engine) Reset() {
 	e.mu.Lock()
-	e.entries = make(map[Key]*list.Element)
-	e.lru = list.New()
+	e.clear()
 	e.mu.Unlock()
 	e.queries.Store(0)
 	e.hits.Store(0)

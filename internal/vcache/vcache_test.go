@@ -2,13 +2,10 @@ package vcache
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"veriopt/internal/alive"
 )
@@ -345,27 +342,5 @@ func TestSolverConflictsAccumulateOnLiveRunsOnly(t *testing.T) {
 	e.Reset()
 	if got := e.Stats().SolverConflicts; got != 0 {
 		t.Fatalf("SolverConflicts after Reset = %d, want 0", got)
-	}
-}
-
-// TestEntriesOfOneSourceShareItsText: a caller that verifies many
-// targets against one source renders the source key afresh for each
-// query; the entries must not each keep their own copy (on the pass
-// search that was 11 MB of 73 MB peak RSS). Interleaved sources, as
-// from concurrent searches, must still find their own.
-func TestEntriesOfOneSourceShareItsText(t *testing.T) {
-	e := New(Config{})
-	srcs := []string{strings.Repeat("a", 64), strings.Repeat("b", 64), strings.Repeat("c", 64)}
-	for i := 0; i < 30; i++ {
-		src := strings.Clone(srcs[i%len(srcs)]) // a fresh copy per query, as KeyOfFunc makes
-		k := Key{Src: src, Dst: fmt.Sprint("target ", i), Opts: alive.DefaultOptions()}
-		e.Do(bg, k, equivalent)
-	}
-	copies := map[*byte]bool{}
-	for k := range e.entries {
-		copies[unsafe.StringData(k.Src)] = true
-	}
-	if len(e.entries) != 30 || len(copies) != len(srcs) {
-		t.Errorf("%d entries hold %d copies of %d source texts", len(e.entries), len(copies), len(srcs))
 	}
 }

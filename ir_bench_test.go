@@ -33,6 +33,9 @@ import (
 // grew by append. One interp.Run, which the benchmark's labeller and
 // every differential test call once per input, is 7 (9 with one
 // map[ir.Value]Val for everything and a fresh phi map per block visit).
+// Key.Fingerprint runs on every query, hot hits included, and twice more
+// under a store: 0 on a key that fits its 2 KB stack buffer (2, and four
+// times the CPU, through json.Marshal).
 //
 // The last two rows are what a search pays outside the SAT search: one
 // verification (553 allocations; 1762 when bv.Builder allocated a term
@@ -128,6 +131,7 @@ func runMid(tb testing.TB, f *ir.Function) *interp.Outcome {
 func TestIRFrontHalfAllocCeilings(t *testing.T) {
 	f, combine := midFunc(t), combinePass(t)
 	opt := instcombine.Run(f)
+	key := midKey(f, opt)
 	if _, changed := combine.Apply(f); !changed {
 		t.Fatal("combine does not fire on midFn; its ceiling would be vacuous")
 	}
@@ -139,6 +143,7 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 		{"ir.ParseFunc", 31, func() { midFunc(t) }},
 		{"ir.VerifyFunc", 8, func() { _ = ir.VerifyFunc(f) }},
 		{"vcache.KeyOfFunc", 8, func() { vcache.KeyOfFunc(f) }},
+		{"vcache.Key.Fingerprint", 0, func() { key.Fingerprint() }},
 		{"combine pass", 195, func() { combine.Apply(f) }},
 		{"ir.CloneFunc", 78, func() { ir.CloneFunc(f) }},
 		{"interp.Run", 8, func() { runMid(t, f) }},
@@ -176,6 +181,25 @@ func BenchmarkKeyOfFunc(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSink = vcache.KeyOfFunc(f)
 	}
+}
+
+// midKey is the query midFn against its instcombine output is cached
+// under: 1.2 KB as JSON, between the corpus's median and its largest.
+func midKey(f, opt *ir.Function) vcache.Key {
+	return vcache.Key{Src: vcache.KeyOfFunc(f), Dst: vcache.KeyOfFunc(opt), Opts: alive.DefaultOptions()}
+}
+
+func BenchmarkKeyFingerprint(b *testing.B) {
+	f := midFunc(b)
+	k := midKey(f, instcombine.Run(f))
+	b.SetBytes(int64(len(k.Src) + len(k.Dst)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum byte
+	for i := 0; i < b.N; i++ {
+		sum += k.Fingerprint()[0]
+	}
+	benchSink = sum
 }
 
 func BenchmarkCombinePass(b *testing.B) {
