@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check fuzz-smoke bench bench-workers bench-solver bench-store bench-passes bench-e2e bench-layers bench-ir loc
+.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check fuzz-smoke bench bench-workers bench-e2e bench-layers bench-ir loc loc-check
 
 all: tier1 tier2
 
@@ -16,7 +16,7 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
-tier2: lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check fuzz-smoke
+tier2: lint loc-check serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check fuzz-smoke
 	$(GO) test -race ./...
 
 # Serving-layer acceptance gate: >=100 concurrent /v1/verify requests
@@ -149,39 +149,6 @@ bench:
 bench-workers:
 	$(GO) test -run xxx -bench 'Workers[0-9]' -benchtime 5x .
 
-# Live solver wall on the cold-cache workloads, written to
-# BENCH_solver.json (quoted in EXPERIMENTS.md). The pre-PR baseline
-# walls below were measured from a git worktree at BASELINE_COMMIT
-# (the incremental-session solver cannot be switched back to the old
-# code at runtime): the same 48-pair workload via a copy of
-# solver_bench_test.go, and the cold quickstart train
-# (train -n 40 -stage1 2 -stage2 4 -stage3 3), median of 3.
-# Re-measure with: git worktree add /tmp/base $(BASELINE_COMMIT).
-BASELINE_COMMIT   = 266c0fe
-BASELINE_BENCH_NS = 92094564
-BASELINE_TRAIN_NS = 493000000
-bench-solver:
-	BENCH_SOLVER_OUT=$(CURDIR)/BENCH_solver.json \
-	BENCH_SOLVER_BASELINE_COMMIT=$(BASELINE_COMMIT) \
-	BENCH_SOLVER_BASELINE_BENCH_NS=$(BASELINE_BENCH_NS) \
-	BENCH_SOLVER_BASELINE_TRAIN_NS=$(BASELINE_TRAIN_NS) \
-	$(GO) test -run TestSolverWallBench -count=1 -v .
-
-# Verdict-store micro-benchmark: append throughput, read-hit/-miss
-# latency, replay wall, and the writer-visible compaction pause,
-# written to BENCH_vstore.json (quoted in EXPERIMENTS.md).
-bench-store:
-	BENCH_VSTORE_OUT=$(CURDIR)/BENCH_vstore.json \
-	$(GO) test -run TestStoreBench -count=1 -v ./internal/vstore
-
-# Pass-ordering workload benchmark: the four-way geomean latency table
-# (fixed/greedy/beam/policy), the search's oracle traffic, and the
-# cold-vs-warm solver-run split (warm re-evaluation must perform zero
-# solver runs), written to BENCH_passes.json (quoted in EXPERIMENTS.md).
-bench-passes:
-	BENCH_PASSES_OUT=$(CURDIR)/BENCH_passes.json \
-	$(GO) test -run TestPassesBench -count=1 -v ./internal/pipeline
-
 # The repository's benchmark (bench/README.md, BENCHMARK.json): all
 # four workloads at the default seed and length. bench-e2e prints the
 # end-to-end metrics the acceptance driver gates (setup_s,
@@ -209,3 +176,9 @@ bench-ir:
 # veriopt subcommand, as the markdown tables DESIGN.md "Size" quotes.
 loc:
 	@sh scripts/loc.sh
+
+# The same count as a gate: fails when the non-test line total or the
+# exported-name total exceeds scripts/loc.ceiling. A PR that needs more
+# raises the ceiling in its own diff, where a reviewer sees it.
+loc-check:
+	@sh scripts/loc.sh check

@@ -1,11 +1,15 @@
-// Command veriopt is the main CLI: it generates corpora, trains the
-// four-model curriculum, evaluates models, and regenerates every
-// table and figure of the paper.
+// Command veriopt is the CLI: it generates corpora, trains the
+// four-model curriculum, evaluates models, regenerates every table and
+// figure of the paper, serves the verifier over HTTP, and holds the
+// file-level tools (translation validation, the IR toolbox).
 //
 // Usage:
 //
 //	veriopt experiments [-run id|all] [-n corpus] [-seed s] [-trace f] [flags]
 //	veriopt train       [-n corpus] [-seed s] [-trace f] [flags]
+//	veriopt optimize    [-model m.json] [-workers n] file.ll
+//	veriopt check       [-paths n] [-budget n] [-workers n] [-stats] source.ll target.ll
+//	veriopt ir          print|verify|opt|cost|interp file.ll [fn args...]
 //	veriopt serve       [-addr host:port] [-queue n] [-workers n] [-model m.json]
 //	veriopt dataset     [-n corpus] [-seed s] [-out dir]
 //	veriopt list
@@ -38,7 +42,6 @@ import (
 	"veriopt/internal/ckpt"
 	"veriopt/internal/dataset"
 	"veriopt/internal/experiments"
-	"veriopt/internal/instcombine"
 	"veriopt/internal/ir"
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
@@ -71,6 +74,10 @@ func main() {
 		err = cmdDataset(os.Args[2:])
 	case "optimize":
 		err = cmdOptimize(ctx, os.Args[2:])
+	case "check":
+		os.Exit(cmdCheck(ctx, os.Args[2:], os.Stdout))
+	case "ir":
+		err = cmdIR(os.Args[2:], os.Stdout)
 	case "serve":
 		err = cmdServe(ctx, os.Args[2:])
 	case "cache":
@@ -106,7 +113,13 @@ subcommands:
                (-save model.json persists the Model-Latency policy);
                -workload=passes trains the pass-sequence policy instead
                and prints the policy/greedy/beam/fixed comparison table
-  optimize     optimize a .ll file with a trained model + verifier fallback
+  optimize     optimize a .ll file with a trained model (or, without
+               -model, instcombine) under the verifier's fallback rule
+  check        translation-validate target.ll against source.ll, function
+               by function (exit 0 equivalent, 1 semantic/syntax error,
+               2 inconclusive, 3 usage/source error, 130 interrupted)
+  ir           IR toolbox: print, verify, opt (instcombine, unverified),
+               cost, interp
   serve        HTTP/JSON verification service: /v1/verify, /v1/optimize,
                /v1/evaluate, /healthz, /metrics; bounded queue with 429
                shedding, graceful drain on SIGTERM
@@ -429,9 +442,46 @@ func savePolicy(res *pipeline.Result, path string) error {
 	return nil
 }
 
-// cmdOptimize runs a trained policy on every function of a .ll file,
-// applying the paper's deployment rule: emit the model's output only
-// when the verifier proves it, else fall back to the input.
+// readModule is the file prologue of optimize, check and ir: read,
+// parse and, when verify is set, structurally verify a .ll file.
+func readModule(path string, verify bool) (*ir.Module, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	m, err := ir.Parse(string(src))
+	if err != nil {
+		return nil, fmt.Errorf("parse: %w", err)
+	}
+	if verify {
+		if err := ir.VerifyModule(m); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+// loadModel reads the trained policy behind -model (serve, optimize);
+// an empty path is no model.
+func loadModel(path string) (*policy.Model, error) {
+	if path == "" {
+		return nil, nil
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	model := &policy.Model{}
+	if err := json.Unmarshal(blob, model); err != nil {
+		return nil, err
+	}
+	return model, nil
+}
+
+// cmdOptimize puts every function of a .ll file through the paper's
+// deployment rule (oracle.Accept): the model's output, or without
+// -model instcombine's, replaces the input only when the verifier
+// proves it.
 func cmdOptimize(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("optimize", flag.ExitOnError)
 	modelPath := fs.String("model", "", "trained policy JSON (from train -save); empty = use instcombine only")
@@ -442,27 +492,13 @@ func cmdOptimize(ctx context.Context, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: veriopt optimize [-model m.json] file.ll")
 	}
-	src, err := os.ReadFile(fs.Arg(0))
+	m, err := readModule(fs.Arg(0), true)
 	if err != nil {
 		return err
 	}
-	m, err := ir.Parse(string(src))
+	model, err := loadModel(*modelPath)
 	if err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if err := ir.VerifyModule(m); err != nil {
 		return err
-	}
-	var model *policy.Model
-	if *modelPath != "" {
-		blob, err := os.ReadFile(*modelPath)
-		if err != nil {
-			return err
-		}
-		model = &policy.Model{}
-		if err := json.Unmarshal(blob, model); err != nil {
-			return err
-		}
 	}
 	opts := alive.DefaultOptions()
 	o := oracle.Default()
@@ -471,40 +507,21 @@ func cmdOptimize(ctx context.Context, args []string) error {
 	// module rewrite are applied sequentially afterwards so output
 	// order is deterministic. On SIGINT the unreached functions keep
 	// their input (the fallback rule) and the partial module prints.
-	notes := make([]string, len(m.Funcs))
-	accepted := make([]*ir.Function, len(m.Funcs))
+	outs := make([]*ir.Function, len(m.Funcs))
+	why := make([]alive.Result, len(m.Funcs))
 	runErr := par.For(ctx, *workers, len(m.Funcs), func(i int) {
-		f := m.Funcs[i]
-		var cand *ir.Function
-		if model != nil {
-			ep := model.Generate(f, policy.GenOptions{})
-			if g, perr := ir.ParseFunc(ep.FinalText); perr == nil && ir.VerifyFunc(g) == nil {
-				cand = g
-			}
-		} else {
-			cand = instcombine.Run(f)
-		}
-		if cand == nil {
-			notes[i] = fmt.Sprintf("; @%s: output rejected (parse), keeping input", f.Name())
-			return
-		}
-		res := o.Verify(ctx, f, cand, opts)
-		if res.Verdict != alive.Equivalent {
-			notes[i] = fmt.Sprintf("; @%s: verifier verdict %s, keeping input", f.Name(), res.Verdict)
-			return
-		}
-		accepted[i] = cand
+		outs[i], why[i] = oracle.Accept(ctx, o, model, m.Funcs[i], nil, opts)
 	})
-	for i, cand := range accepted {
-		if cand == nil {
-			if notes[i] == "" {
-				notes[i] = fmt.Sprintf("; @%s: not verified before interrupt, keeping input", m.Funcs[i].Name())
-			}
-			fmt.Fprintln(os.Stderr, notes[i])
-			continue
+	for i, f := range m.Funcs {
+		switch {
+		case outs[i] == nil:
+			fmt.Fprintf(os.Stderr, "; @%s: not verified before interrupt, keeping input\n", f.Name())
+		case outs[i] == f:
+			fmt.Fprintf(os.Stderr, "; @%s: verifier verdict %s, keeping input\n", f.Name(), why[i].Verdict)
+		default:
+			outs[i].NameStr = f.NameStr
+			m.Funcs[i] = outs[i]
 		}
-		cand.NameStr = m.Funcs[i].NameStr
-		m.Funcs[i] = cand
 	}
 	fmt.Print(ir.Print(m))
 	return runErr

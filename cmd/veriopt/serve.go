@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
@@ -16,7 +15,6 @@ import (
 	"veriopt/internal/cluster"
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
-	"veriopt/internal/policy"
 	"veriopt/internal/server"
 )
 
@@ -82,19 +80,12 @@ func cmdServe(ctx context.Context, args []string) error {
 	ctx, stop := signal.NotifyContext(ctx, syscall.SIGTERM)
 	defer stop()
 
-	var model *policy.Model
-	if *modelPath != "" {
-		blob, err := os.ReadFile(*modelPath)
-		if err != nil {
-			return err
-		}
-		model = &policy.Model{}
-		if err := json.Unmarshal(blob, model); err != nil {
-			return err
-		}
+	model, err := loadModel(*modelPath)
+	if err != nil {
+		return err
 	}
 	// A worker is the shared default stack; a coordinator is that shape
-	// with the replica set as its shard layer.
+	// with the replica set as its Remote.
 	o, role := oracle.Default(), "worker"
 	var coord *cluster.Coordinator
 	if *replicas != "" {

@@ -112,13 +112,6 @@ func DefaultOptions() Options {
 // returned otherwise, since a broken source indicates harness misuse,
 // not a model failure).
 func VerifyText(srcText, tgtText string, opts Options) (Result, error) {
-	return VerifyTextCtx(context.Background(), srcText, tgtText, opts)
-}
-
-// VerifyTextCtx is VerifyText under a context: cancellation or
-// deadline expiry aborts symbolic execution and solving promptly,
-// yielding a Canceled Inconclusive result.
-func VerifyTextCtx(ctx context.Context, srcText, tgtText string, opts Options) (Result, error) {
 	src, err := ir.ParseFunc(srcText)
 	if err != nil {
 		return Result{}, fmt.Errorf("alive: source does not parse: %w", err)
@@ -130,7 +123,7 @@ func VerifyTextCtx(ctx context.Context, srcText, tgtText string, opts Options) (
 	if tgt == nil {
 		return res, nil
 	}
-	return VerifyFuncsCtx(ctx, src, tgt, opts), nil
+	return VerifyFuncs(src, tgt, opts), nil
 }
 
 // The two SyntaxError diagnostics, by prefix: the candidate did not

@@ -9,15 +9,15 @@ import (
 	"strings"
 )
 
-// MaxN is the n-gram order used (standard BLEU-4).
-const MaxN = 4
+// maxN is the n-gram order used (standard BLEU-4).
+const maxN = 4
 
-// Score computes BLEU of candidate against a single reference, both
+// score computes BLEU of candidate against a single reference, both
 // given as token slices. It uses uniform weights over 1..4-gram
 // modified precisions with the brevity penalty, and +1 smoothing on
 // higher-order n-grams so near-misses still give a gradient (the
 // reward-shaping role requires a non-vanishing score).
-func Score(candidate, reference []string) float64 {
+func score(candidate, reference []string) float64 {
 	if len(candidate) == 0 || len(reference) == 0 {
 		if len(candidate) == len(reference) {
 			return 1
@@ -25,7 +25,7 @@ func Score(candidate, reference []string) float64 {
 		return 0
 	}
 	logSum := 0.0
-	for n := 1; n <= MaxN; n++ {
+	for n := 1; n <= maxN; n++ {
 		match, total := ngramOverlap(candidate, reference, n)
 		if total == 0 {
 			// Candidate shorter than n: treat as fully smoothed.
@@ -46,13 +46,13 @@ func Score(candidate, reference []string) float64 {
 	if len(candidate) < len(reference) {
 		bp = math.Exp(1 - float64(len(reference))/float64(len(candidate)))
 	}
-	return bp * math.Exp(logSum/MaxN)
+	return bp * math.Exp(logSum/maxN)
 }
 
 // ScoreText computes BLEU over whitespace-and-punctuation tokens of
 // two strings.
 func ScoreText(candidate, reference string) float64 {
-	return Score(split(candidate), split(reference))
+	return score(split(candidate), split(reference))
 }
 
 func split(s string) []string {

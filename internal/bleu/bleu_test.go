@@ -69,7 +69,7 @@ func TestScoreBounded(t *testing.T) {
 		return out
 	}
 	check := func(s1, s2 uint32, n1, n2 uint8) bool {
-		v := Score(gen(s1, n1), gen(s2, n2))
+		v := score(gen(s1, n1), gen(s2, n2))
 		return v >= 0 && v <= 1.0000001
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 3000}); err != nil {
@@ -88,7 +88,7 @@ func TestIdentityProperty(t *testing.T) {
 			s = s*1664525 + 1013904223
 			toks[i] = words[s%4]
 		}
-		return Score(toks, toks) > 0.999
+		return score(toks, toks) > 0.999
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

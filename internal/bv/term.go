@@ -71,14 +71,6 @@ type Term struct {
 // ID returns the term's unique (per-Builder) identity.
 func (t *Term) ID() int { return t.id }
 
-// IsConst reports whether t is a constant, returning its value.
-func (t *Term) IsConst() (uint64, bool) {
-	if t.Op == OpConst {
-		return t.Val, true
-	}
-	return 0, false
-}
-
 // String renders the term as an s-expression (for diagnostics).
 func (t *Term) String() string {
 	switch t.Op {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,11 +20,15 @@ import (
 	"veriopt/internal/vcache"
 )
 
-// Defaults for the zero Config.
 const (
-	DefaultRetryBackoff       = 2 * time.Millisecond
-	DefaultProbeInterval      = 250 * time.Millisecond
-	DefaultMaxConnsPerReplica = 64
+	// defaultProbeInterval is the zero Config's ProbeInterval.
+	defaultProbeInterval = 250 * time.Millisecond
+	// retryBackoff is the delay before a failed attempt is re-routed to
+	// the next replica in ring order; it doubles per successive failure
+	// within one query.
+	retryBackoff = 2 * time.Millisecond
+	// maxConnsPerReplica bounds each replica's HTTP connection pool.
+	maxConnsPerReplica = 64
 	// hedgeFloor is the hedge delay used until the latency sampler has
 	// seen enough wins to estimate quantiles: late enough that a
 	// healthy fleet almost never hedges cold, early enough to matter.
@@ -55,16 +58,9 @@ type Config struct {
 	// DisableHedge turns speculative second attempts off entirely
 	// (retries on failure still re-route).
 	DisableHedge bool
-	// RetryBackoff is the delay before re-routing a failed attempt to
-	// the next replica in ring order, doubling per successive failure
-	// within one query (<= 0 selects DefaultRetryBackoff).
-	RetryBackoff time.Duration
 	// ProbeInterval paces the health prober's /healthz checks of
-	// replicas marked down (<= 0 selects DefaultProbeInterval).
+	// replicas marked down (<= 0 selects defaultProbeInterval).
 	ProbeInterval time.Duration
-	// MaxConnsPerReplica bounds each replica's HTTP connection pool
-	// (<= 0 selects DefaultMaxConnsPerReplica).
-	MaxConnsPerReplica int
 	// Obs receives replica_down/replica_up ring-membership events (nil
 	// = no tracing).
 	Obs *obs.Recorder
@@ -84,29 +80,20 @@ type replica struct {
 	hedgeWins atomic.Uint64
 }
 
-// sfCall is one in-flight cross-node verification; duplicate callers
-// park on done.
-type sfCall struct {
-	done chan struct{}
-	res  alive.Result
-	err  error
-}
-
 // Coordinator fans verification queries out to worker replicas. It
-// implements oracle.Remote; compose it into a stack with
-// oracle.Config.Remote or oracle.WithShard. Construct with New, then
-// Start the health prober; Wait after canceling Start's context to
-// reap it.
+// implements oracle.Remote: install it as oracle.Config.Remote.
+// Construct with New, then Start the health prober; Wait after
+// canceling Start's context to reap it.
+//
+// It is a transport and coalesces nothing itself: the stack it sits in
+// admits one leader per key digest (vcache.Engine's singleflight) before
+// a query can reach it, and that digest is the one the ring routes on.
 type Coordinator struct {
 	cfg  Config
 	ring *Ring
 	reps []*replica
 
-	sfMu sync.Mutex
-	sf   map[[sha256.Size]byte]*sfCall
-
-	coalesced atomic.Uint64
-	sampler   latencySampler
+	sampler latencySampler
 
 	wg sync.WaitGroup
 }
@@ -117,28 +104,18 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("cluster: no replicas configured")
 	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = DefaultRetryBackoff
-	}
 	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
+		cfg.ProbeInterval = defaultProbeInterval
 	}
-	if cfg.MaxConnsPerReplica <= 0 {
-		cfg.MaxConnsPerReplica = DefaultMaxConnsPerReplica
-	}
-	c := &Coordinator{
-		cfg:  cfg,
-		ring: NewRing(cfg.Replicas, cfg.VNodes),
-		sf:   make(map[[sha256.Size]byte]*sfCall),
-	}
+	c := &Coordinator{cfg: cfg, ring: NewRing(cfg.Replicas, cfg.VNodes)}
 	for _, url := range cfg.Replicas {
 		// Each replica gets its own transport so one slow replica
 		// cannot starve the others' connection pools, and so
 		// MaxConnsPerHost genuinely bounds per-replica fan-in.
 		tr := &http.Transport{
-			MaxIdleConns:        cfg.MaxConnsPerReplica,
-			MaxIdleConnsPerHost: cfg.MaxConnsPerReplica,
-			MaxConnsPerHost:     cfg.MaxConnsPerReplica,
+			MaxIdleConns:        maxConnsPerReplica,
+			MaxIdleConnsPerHost: maxConnsPerReplica,
+			MaxConnsPerHost:     maxConnsPerReplica,
 			IdleConnTimeout:     90 * time.Second,
 		}
 		rep := &replica{url: url, client: &http.Client{Transport: tr}}
@@ -216,48 +193,6 @@ func (c *Coordinator) healthyCount() int {
 	return n
 }
 
-// VerifyRemote implements oracle.Remote: route the query to its ring
-// owner, coalescing identical in-flight queries, hedging slow
-// attempts, and re-routing failed ones. A non-nil error means the
-// whole fleet failed the query and the caller (oracle.WithShard)
-// should fall back to local verification.
-func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, opts alive.Options) (alive.Result, error) {
-	// Print each function once: the text is the wire body, its fingerprint the key.
-	srcText, tgtText := ir.CanonicalText(src), ir.CanonicalText(tgt)
-	key := vcache.Key{
-		Src:  ir.FingerprintText(srcText),
-		Dst:  ir.FingerprintText(tgtText),
-		Opts: opts,
-	}.Fingerprint()
-
-	// Cross-node singleflight: the coordinator sees traffic from many
-	// clients at once, so identical queries racing from different
-	// connections collapse to one worker round-trip. (The local vcache
-	// singleflight sits above WithShard and only coalesces within one
-	// stack; this tier coalesces across all of them.)
-	c.sfMu.Lock()
-	if call, ok := c.sf[key]; ok {
-		c.sfMu.Unlock()
-		c.coalesced.Add(1)
-		select {
-		case <-call.done:
-			return call.res, call.err
-		case <-ctx.Done():
-			return alive.CanceledResult(ctx.Err()), nil
-		}
-	}
-	call := &sfCall{done: make(chan struct{})}
-	c.sf[key] = call
-	c.sfMu.Unlock()
-
-	call.res, call.err = c.dispatch(ctx, key, srcText, tgtText, opts)
-	c.sfMu.Lock()
-	delete(c.sf, key)
-	c.sfMu.Unlock()
-	close(call.done)
-	return call.res, call.err
-}
-
 // attemptResult is one replica attempt's outcome.
 type attemptResult struct {
 	res alive.Result
@@ -271,11 +206,21 @@ type attemptResult struct {
 	elapsed   time.Duration
 }
 
-// dispatch runs one query against the ring: primary attempt, a hedge
-// to the next preference after the hedge delay, and backoff retries
-// walking the rest of the order on failure. First success wins and
-// cancels the losers.
-func (c *Coordinator) dispatch(ctx context.Context, key [sha256.Size]byte, srcText, tgtText string, opts alive.Options) (alive.Result, error) {
+// VerifyRemote implements oracle.Remote. It runs one query against the
+// ring: primary attempt on the key's owner, a hedge to the next
+// preference after the hedge delay, and backoff retries walking the
+// rest of the order on failure. First success wins and cancels the
+// losers. A non-nil error means the whole fleet failed the query and
+// the caller (oracle.Stack.Verify) should fall back to local
+// verification.
+func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, opts alive.Options) (alive.Result, error) {
+	// Print each function once: the text is the wire body, its fingerprint the key.
+	srcText, tgtText := ir.CanonicalText(src), ir.CanonicalText(tgt)
+	key := vcache.Key{
+		Src:  ir.FingerprintText(srcText),
+		Dst:  ir.FingerprintText(tgtText),
+		Opts: opts,
+	}.Fingerprint()
 	order := c.healthyFirst(c.ring.Order(key))
 	body, err := json.Marshal(server.VerifyRequest{
 		Src:     srcText,
@@ -291,7 +236,7 @@ func (c *Coordinator) dispatch(ctx context.Context, key [sha256.Size]byte, srcTe
 
 	// Buffered to the attempt count so losing attempts can always
 	// deposit their outcome and exit — no goroutine is ever left
-	// blocked on this channel after dispatch returns.
+	// blocked on this channel after VerifyRemote returns.
 	results := make(chan attemptResult, len(order))
 	launch := func(i int, hedge bool) {
 		rep := c.reps[order[i]]
@@ -320,7 +265,7 @@ func (c *Coordinator) dispatch(ctx context.Context, key [sha256.Size]byte, srcTe
 		}
 	}()
 	var retryC <-chan time.Time
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 
 	var firstErr error
 	for {

@@ -196,23 +196,21 @@ func TestForwardedRequestBody(t *testing.T) {
 }
 
 // TestSingleflightCoalesces: identical concurrent queries collapse to
-// one worker round-trip; the rest ride the leader's answer.
+// one worker round-trip; the rest ride the leader's answer. The
+// coalescing is the stack's (vcache.Engine admits one leader per key
+// digest, the digest the ring routes on); the coordinator under it has
+// no singleflight of its own and needs none.
 func TestSingleflightCoalesces(t *testing.T) {
 	w := newFakeWorker(t)
 	w.gate = make(chan struct{})
 	c := mustNew(t, Config{Replicas: []string{w.ts.URL}, DisableHedge: true})
+	st := oracle.NewStack(oracle.Config{Remote: c})
 	src, tgt := parsePair(t)
 	opts := alive.DefaultOptions()
 
 	const callers = 8
 	results := make(chan alive.Result, callers)
-	run := func() {
-		res, err := c.VerifyRemote(context.Background(), src, tgt, opts)
-		if err != nil {
-			t.Error(err)
-		}
-		results <- res
-	}
+	run := func() { results <- st.Verify(context.Background(), src, tgt, opts) }
 	go run()
 	// The leader owns the singleflight slot before its request leaves,
 	// so once the worker has seen one hit every later caller coalesces.
@@ -226,9 +224,9 @@ func TestSingleflightCoalesces(t *testing.T) {
 	for i := 1; i < callers; i++ {
 		go run()
 	}
-	for c.coalesced.Load() < callers-1 {
+	for st.Engine.Stats().Queries < callers {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d callers coalesced", c.coalesced.Load())
+			t.Fatalf("only %d callers arrived", st.Engine.Stats().Queries)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -241,8 +239,8 @@ func TestSingleflightCoalesces(t *testing.T) {
 	if w.hits.Load() != 1 {
 		t.Fatalf("worker hits = %d, want 1 (singleflight)", w.hits.Load())
 	}
-	if c.coalesced.Load() != callers-1 {
-		t.Fatalf("coalesced = %d, want %d", c.coalesced.Load(), callers-1)
+	if cs := st.Engine.Stats(); cs.Misses != 1 || cs.Hits != callers-1 {
+		t.Fatalf("cache stats = %+v, want 1 miss and %d hits", cs, callers-1)
 	}
 }
 
@@ -319,8 +317,8 @@ func TestShedReroutesWithoutDemotion(t *testing.T) {
 }
 
 // TestAllReplicasFailed: with the whole fleet unreachable the
-// coordinator reports an error — the signal oracle.WithShard uses to
-// fall back to local verification.
+// coordinator reports an error — the signal oracle.Stack.Verify uses
+// to fall back to local verification.
 func TestAllReplicasFailed(t *testing.T) {
 	w := newFakeWorker(t)
 	w.ts.Close()

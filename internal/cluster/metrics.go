@@ -34,7 +34,6 @@ func (c *Coordinator) MetricsText(ctx context.Context) string {
 	fams := []metrics.Family{
 		metrics.Scalar("veriopt_cluster_replicas", "Configured worker replicas.", "gauge", metrics.Int(len(c.reps))),
 		metrics.Scalar("veriopt_cluster_replicas_healthy", "Replicas currently marked healthy.", "gauge", metrics.Int(c.healthyCount())),
-		metrics.Scalar("veriopt_cluster_coalesced_total", "Queries answered by an identical in-flight query (cross-node singleflight).", "counter", metrics.Int(c.coalesced.Load())),
 		metrics.Scalar("veriopt_cluster_hedge_delay_seconds", "Current hedge delay (fixed or quantile-derived).", "gauge", metrics.Float(c.hedgeDelay().Seconds())),
 	}
 	up := func(r *replica) uint64 {

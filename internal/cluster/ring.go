@@ -12,18 +12,18 @@
 //     returns the full distinct-replica preference order for a key, so
 //     retries and hedges walk successors instead of re-rolling.
 //   - Coordinator: implements oracle.Remote over the ring — per-replica
-//     bounded HTTP clients, cross-node singleflight, hedged requests
-//     with a quantile-derived delay, retry-with-backoff re-routing on
-//     replica failure, and /healthz probing that heals the ring.
+//     bounded HTTP clients, hedged requests with a quantile-derived
+//     delay, retry-with-backoff re-routing on replica failure, and
+//     /healthz probing that heals the ring. Identical queries in
+//     flight are coalesced above it, by the stack's verdict cache.
 //   - MetricsText: the coordinator's /metrics section — per-replica
 //     request/hedge/retry counters plus a merged scrape of the worker
 //     fleet's oracle/vcache/vstore counters.
 //
-// The coordinator composes into the oracle stack via
-// oracle.WithShard, inside the local verdict cache and outside the
-// local budget/timeout limits, so memoized verdicts never touch the
-// network and a dead cluster degrades to local verification rather
-// than an outage.
+// The coordinator enters the oracle stack as oracle.Config.Remote,
+// inside the local verdict cache and in front of the local base, so
+// memoized verdicts never touch the network and a dead cluster
+// degrades to local verification rather than an outage.
 package cluster
 
 import (
@@ -72,9 +72,6 @@ func NewRing(replicas []string, vnodes int) *Ring {
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
 	return r
 }
-
-// Replicas reports the replica count the ring was built over.
-func (r *Ring) Replicas() int { return r.n }
 
 // Order returns the key's full preference order: the owner replica
 // first, then each distinct successor walking clockwise from the

@@ -50,9 +50,9 @@ func Latency(f *ir.Function) int {
 	return total
 }
 
-// InstCount returns the number of IR instructions in the function
+// instCount returns the number of IR instructions in the function
 // (the paper's ICount metric).
-func InstCount(f *ir.Function) int { return f.NumInstrs() }
+func instCount(f *ir.Function) int { return f.NumInstrs() }
 
 // encodedBytes estimates the .text bytes a lowered instruction
 // occupies on a fixed-width 4-byte ISA. Some IR instructions lower to
@@ -100,10 +100,10 @@ func fitsImm12(v int64) bool {
 	return v >= 0 && v <= 4095
 }
 
-// BinarySize estimates the on-disk object size contribution of the
+// binarySize estimates the on-disk object size contribution of the
 // function: encoded .text bytes plus a fixed prologue/epilogue,
 // following the paper's .TEXT+.DATA (no .bss) measurement.
-func BinarySize(f *ir.Function) int {
+func binarySize(f *ir.Function) int {
 	total := 8 // prologue/epilogue
 	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
 		total += encodedBytes(in)
@@ -120,7 +120,7 @@ type Metrics struct {
 
 // Measure computes all three metrics.
 func Measure(f *ir.Function) Metrics {
-	return Metrics{Latency: Latency(f), ICount: InstCount(f), Size: BinarySize(f)}
+	return Metrics{Latency: Latency(f), ICount: instCount(f), Size: binarySize(f)}
 }
 
 // Speedup returns t(base)/t(opt), the paper's Eq. 3 ratio; both

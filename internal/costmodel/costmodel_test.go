@@ -63,7 +63,7 @@ b:
 `)
 	// alloca and phi must contribute zero latency and zero bytes.
 	base := Latency(f)
-	sizeBase := BinarySize(f)
+	sizeBase := binarySize(f)
 	// Manually remove the alloca and phi and confirm no metric change
 	// beyond the removed instructions' zero cost.
 	g := ir.CloneFunc(f)
@@ -71,8 +71,8 @@ b:
 	if Latency(g) != base {
 		t.Errorf("alloca latency not free: %d vs %d", Latency(g), base)
 	}
-	if BinarySize(g) != sizeBase {
-		t.Errorf("alloca size not free: %d vs %d", BinarySize(g), sizeBase)
+	if binarySize(g) != sizeBase {
+		t.Errorf("alloca size not free: %d vs %d", binarySize(g), sizeBase)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestBigImmediateCostsExtraBytes(t *testing.T) {
   ret i32 %2
 }
 `)
-	if BinarySize(big) <= BinarySize(small) {
+	if binarySize(big) <= binarySize(small) {
 		t.Error("large immediates should need a materializing instruction")
 	}
 }
@@ -101,7 +101,7 @@ func TestEncodedBytesImmediates(t *testing.T) {
 	cases := []struct {
 		name string
 		body string
-		want int // BinarySize minus the 8-byte prologue/epilogue
+		want int // binarySize minus the 8-byte prologue/epilogue
 	}{
 		{"small-imm", "%2 = add i32 %0, 100", 4 + 4},
 		{"max-imm", "%2 = add i32 %0, 4095", 4 + 4},
@@ -115,7 +115,7 @@ func TestEncodedBytesImmediates(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			f := parse(t, "define i32 @f(i32 noundef %0) {\n  "+tc.body+"\n  ret i32 %2\n}\n")
-			if got := BinarySize(f) - 8; got != tc.want {
+			if got := binarySize(f) - 8; got != tc.want {
 				t.Errorf("%s: encoded bytes = %d, want %d", tc.body, got, tc.want)
 			}
 		})
@@ -141,7 +141,7 @@ func TestMeasureConsistent(t *testing.T) {
 }
 `)
 	m := Measure(f)
-	if m.Latency != Latency(f) || m.ICount != InstCount(f) || m.Size != BinarySize(f) {
+	if m.Latency != Latency(f) || m.ICount != instCount(f) || m.Size != binarySize(f) {
 		t.Errorf("Measure disagrees with individual metrics: %+v", m)
 	}
 	if m.ICount != 3 {

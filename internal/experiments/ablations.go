@@ -8,12 +8,12 @@ import (
 	"veriopt/internal/pipeline"
 )
 
-// AblationGRPO probes the GRPO design choices of §IV-B and DESIGN.md
+// ablationGRPO probes the GRPO design choices of §IV-B and DESIGN.md
 // §6: token-level vs sequence-level loss normalization, group-relative
 // advantages vs raw REINFORCE, and the BLEU shaping term of Eq. 1.
 // Each variant trains a fresh Model Zero for the same number of steps
 // and is compared on the validation set.
-func AblationGRPO(c *Context) (*Outcome, error) {
+func ablationGRPO(c *Context) (*Outcome, error) {
 	train, err := c.Train()
 	if err != nil {
 		return nil, err
@@ -67,11 +67,11 @@ func AblationGRPO(c *Context) (*Outcome, error) {
 	return &Outcome{ID: "ablation_grpo", Title: "Ablation: GRPO design choices (§IV-B)", Text: sb.String(), Numbers: nums}, nil
 }
 
-// AblationVerifier contrasts the verifier-in-the-loop reward against
+// ablationVerifier contrasts the verifier-in-the-loop reward against
 // using the verifier only as a post-hoc output filter (DESIGN.md §6
 // item 1): the filter guarantees the same safety but cannot teach the
 // model anything, so the useful-output rate stays at the base level.
-func AblationVerifier(c *Context) (*Outcome, error) {
+func ablationVerifier(c *Context) (*Outcome, error) {
 	val, err := c.Val()
 	if err != nil {
 		return nil, err

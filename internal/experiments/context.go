@@ -90,7 +90,7 @@ func (c *Context) Context() context.Context {
 }
 
 // Corpus returns the generated samples, building them on first use.
-func (c *Context) Corpus() ([]*dataset.Sample, error) {
+func (c *Context) corpus() ([]*dataset.Sample, error) {
 	if c.samples == nil {
 		c.progress("generating corpus (%d samples)...", c.Cfg.CorpusN)
 		s, err := dataset.Generate(dataset.Config{Seed: c.Cfg.Seed, N: c.Cfg.CorpusN})
@@ -109,7 +109,7 @@ func (c *Context) Corpus() ([]*dataset.Sample, error) {
 
 // Train returns the training split.
 func (c *Context) Train() ([]*dataset.Sample, error) {
-	if _, err := c.Corpus(); err != nil {
+	if _, err := c.corpus(); err != nil {
 		return nil, err
 	}
 	return c.train, nil
@@ -117,7 +117,7 @@ func (c *Context) Train() ([]*dataset.Sample, error) {
 
 // Val returns the validation split (strictly disjoint from training).
 func (c *Context) Val() ([]*dataset.Sample, error) {
-	if _, err := c.Corpus(); err != nil {
+	if _, err := c.corpus(); err != nil {
 		return nil, err
 	}
 	return c.val, nil

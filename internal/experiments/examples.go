@@ -104,9 +104,9 @@ done:
 	},
 }
 
-// Fig8to12 runs the curated inputs through Model-Latency and
+// fig8to12 runs the curated inputs through Model-Latency and
 // instcombine side by side, verifying every model output.
-func Fig8to12(c *Context) (*Outcome, error) {
+func fig8to12(c *Context) (*Outcome, error) {
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err

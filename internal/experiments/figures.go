@@ -63,10 +63,10 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// Fig4 reproduces Figure 4: GRPO training dynamics under the
+// fig4 reproduces Figure 4: GRPO training dynamics under the
 // correctness-stage and latency-stage rewards, with the paper's
 // EMA(0.95) smoothing.
-func Fig4(c *Context) (*Outcome, error) {
+func fig4(c *Context) (*Outcome, error) {
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
@@ -87,9 +87,9 @@ func Fig4(c *Context) (*Outcome, error) {
 	return &Outcome{ID: "fig4", Title: "Figure 4: GRPO training dynamics", Text: text, Numbers: nums}, nil
 }
 
-// Fig5 reproduces Figure 5: LLM-VeriOpt against SFT baselines of
+// fig5 reproduces Figure 5: LLM-VeriOpt against SFT baselines of
 // increasing size and the LLM-Compiler analogue, on all four axes.
-func Fig5(c *Context) (*Outcome, error) {
+func fig5(c *Context) (*Outcome, error) {
 	val, err := c.Val()
 	if err != nil {
 		return nil, err
@@ -140,9 +140,9 @@ func Fig5(c *Context) (*Outcome, error) {
 	return &Outcome{ID: "fig5", Title: "Figure 5: comparison against LLM-based compiler baselines", Text: sb.String(), Numbers: nums}, nil
 }
 
-// Fig6 reproduces Figure 6: pairwise distributions of Model-Latency
+// fig6 reproduces Figure 6: pairwise distributions of Model-Latency
 // against -O0 and against instcombine, plus the hybrid-fallback gain.
-func Fig6(c *Context) (*Outcome, error) {
+func fig6(c *Context) (*Outcome, error) {
 	val, err := c.Val()
 	if err != nil {
 		return nil, err
@@ -186,9 +186,9 @@ func Fig6(c *Context) (*Outcome, error) {
 	return &Outcome{ID: "fig6", Title: "Figure 6: pairwise distributions vs baselines", Text: sb.String(), Numbers: nums}, nil
 }
 
-// Fig7 reproduces Figure 7: the ablation over the four curriculum
+// fig7 reproduces Figure 7: the ablation over the four curriculum
 // models.
-func Fig7(c *Context) (*Outcome, error) {
+func fig7(c *Context) (*Outcome, error) {
 	val, err := c.Val()
 	if err != nil {
 		return nil, err

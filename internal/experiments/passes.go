@@ -7,13 +7,13 @@ import (
 	"veriopt/internal/pipeline"
 )
 
-// Passes runs the pass-ordering workload: train the sequence policy
+// passesWorkload runs the pass-ordering workload: train the sequence policy
 // on the training split, then compare fixed instcombine, greedy
 // search, beam search, and the trained policy on the validation
 // split. The headline numbers are the geomean latency ratios vs -O0
 // (lower is better) and the beam-vs-fixed gap, the workload's
 // acceptance criterion.
-func Passes(c *Context) (*Outcome, error) {
+func passesWorkload(c *Context) (*Outcome, error) {
 	train, err := c.Train()
 	if err != nil {
 		return nil, err

@@ -14,17 +14,17 @@ type runner struct {
 }
 
 var registry = []runner{
-	{"table1", "Table I: baseline model verdicts", Table1},
-	{"table2", "Table II: LLM-VeriOpt model verdicts", Table2},
-	{"table3", "Table III: outcomes vs -O0", Table3},
-	{"fig4", "Figure 4: training dynamics", Fig4},
-	{"fig5", "Figure 5: baseline comparison", Fig5},
-	{"fig6", "Figure 6: vs instcombine", Fig6},
-	{"fig7", "Figure 7: curriculum ablation", Fig7},
-	{"fig8_12", "Figures 8-12: qualitative examples", Fig8to12},
-	{"ablation_grpo", "Ablation: GRPO design choices", AblationGRPO},
-	{"ablation_verifier", "Ablation: verifier placement", AblationVerifier},
-	{"passes", "Pass-ordering workload: policy vs search vs fixed pipeline", Passes},
+	{"table1", "Table I: baseline model verdicts", table1},
+	{"table2", "Table II: LLM-VeriOpt model verdicts", table2},
+	{"table3", "Table III: outcomes vs -O0", table3},
+	{"fig4", "Figure 4: training dynamics", fig4},
+	{"fig5", "Figure 5: baseline comparison", fig5},
+	{"fig6", "Figure 6: vs instcombine", fig6},
+	{"fig7", "Figure 7: curriculum ablation", fig7},
+	{"fig8_12", "Figures 8-12: qualitative examples", fig8to12},
+	{"ablation_grpo", "Ablation: GRPO design choices", ablationGRPO},
+	{"ablation_verifier", "Ablation: verifier placement", ablationVerifier},
+	{"passes", "Pass-ordering workload: policy vs search vs fixed pipeline", passesWorkload},
 }
 
 // IDs lists the registered experiment identifiers in run order.

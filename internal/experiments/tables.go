@@ -36,9 +36,9 @@ func verdictTable(title string, rep *pipeline.Report) string {
 	return sb.String()
 }
 
-// Table1 reproduces Table I: verdict categories of the untrained base
+// table1 reproduces Table I: verdict categories of the untrained base
 // model under the generic one-shot prompt.
-func Table1(c *Context) (*Outcome, error) {
+func table1(c *Context) (*Outcome, error) {
 	val, err := c.Val()
 	if err != nil {
 		return nil, err
@@ -67,9 +67,9 @@ func Table1(c *Context) (*Outcome, error) {
 	}, nil
 }
 
-// Table2 reproduces Table II: verdicts of Model-Correctness and
+// table2 reproduces Table II: verdicts of Model-Correctness and
 // Model-Latency.
-func Table2(c *Context) (*Outcome, error) {
+func table2(c *Context) (*Outcome, error) {
 	val, err := c.Val()
 	if err != nil {
 		return nil, err
@@ -102,10 +102,10 @@ func Table2(c *Context) (*Outcome, error) {
 	}, nil
 }
 
-// Table3 reproduces Table III: per-sample outcomes vs -O0 for the
+// table3 reproduces Table III: per-sample outcomes vs -O0 for the
 // three efficiency metrics across Model-Latency, Model-Correctness,
 // and the base model.
-func Table3(c *Context) (*Outcome, error) {
+func table3(c *Context) (*Outcome, error) {
 	val, err := c.Val()
 	if err != nil {
 		return nil, err

@@ -170,7 +170,7 @@ func TestStepEmptyDataNoPanic(t *testing.T) {
 // — an unconditional full reward for any speedup > 1.
 func TestLatencyRewardZeroParams(t *testing.T) {
 	j := &Judgment{FinalVerdict: alive.Result{Verdict: alive.Equivalent}, Speedup: 1.5}
-	r := LatencyReward(j, LatencyRewardParams{})
+	r := latencyReward(j, LatencyRewardParams{})
 	if math.IsNaN(r) {
 		t.Fatal("zero params produced NaN")
 	}
@@ -183,12 +183,12 @@ func TestLatencyRewardZeroParams(t *testing.T) {
 	}
 	// Fractional Gamma < 1 also normalizes instead of producing NaN
 	// for the negative frac of a degenerate UMax.
-	r = LatencyReward(j, LatencyRewardParams{UMax: 0, Gamma: 0.5})
+	r = latencyReward(j, LatencyRewardParams{UMax: 0, Gamma: 0.5})
 	if math.IsNaN(r) || r <= 0 || r >= 1 {
 		t.Fatalf("reward = %v under degenerate UMax + fractional Gamma", r)
 	}
 	// Valid params are untouched.
-	r = LatencyReward(j, LatencyRewardParams{UMax: 3, Gamma: 2})
+	r = latencyReward(j, LatencyRewardParams{UMax: 3, Gamma: 2})
 	if math.Abs(r-0.0625) > 1e-9 {
 		t.Fatalf("valid params altered: reward = %v, want 0.0625", r)
 	}
@@ -197,7 +197,7 @@ func TestLatencyRewardZeroParams(t *testing.T) {
 // TestNoBleuShapingCoversBothSegments: the ablation must remove the
 // BLEU term from the attempt segment's reward too, not only from the
 // final answer's (it used to subtract j.Bleu from rAnswer while
-// leaving AttemptReward's j.AttemptBleu intact).
+// leaving attemptReward's j.AttemptBleu intact).
 func TestNoBleuShapingCoversBothSegments(t *testing.T) {
 	samples := corpus(t, 2)
 	s := samples[0]
@@ -208,21 +208,14 @@ func TestNoBleuShapingCoversBothSegments(t *testing.T) {
 		FormatOK:    true,
 		Diag:        &policy.DiagRecord{PredictedClass: policy.DiagOK},
 	}
-	j := Judge(ep, s, vo)
+	j := judge(ep, s, vo)
 	if j.AttemptBleu <= 0 || j.Bleu <= 0 {
 		t.Fatalf("test setup: expected nonzero BLEU terms, got %v / %v", j.Bleu, j.AttemptBleu)
 	}
-	if got, want := CorrectnessRewardShaped(ep, j, false), CorrectnessReward(ep, j)-j.Bleu; math.Abs(got-want) > 1e-9 {
-		t.Errorf("answer segment: shaped(false) = %v, want %v", got, want)
+	if got, want := correctnessReward(ep, j, false), correctnessReward(ep, j, true)-j.Bleu; math.Abs(got-want) > 1e-9 {
+		t.Errorf("answer segment: unshaped = %v, want %v", got, want)
 	}
-	if got, want := AttemptRewardShaped(ep, j, false), AttemptReward(ep, j)-j.AttemptBleu; math.Abs(got-want) > 1e-9 {
-		t.Errorf("attempt segment: shaped(false) = %v, want %v", got, want)
-	}
-	// With shaping on, the shaped variants match the plain ones.
-	if CorrectnessRewardShaped(ep, j, true) != CorrectnessReward(ep, j) {
-		t.Error("shaped(true) diverges from CorrectnessReward")
-	}
-	if AttemptRewardShaped(ep, j, true) != AttemptReward(ep, j) {
-		t.Error("shaped(true) diverges from AttemptReward")
+	if got, want := attemptReward(ep, j, false), attemptReward(ep, j, true)-j.AttemptBleu; math.Abs(got-want) > 1e-9 {
+		t.Errorf("attempt segment: unshaped = %v, want %v", got, want)
 	}
 }

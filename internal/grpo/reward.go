@@ -44,20 +44,13 @@ type Judgment struct {
 	Copied bool
 }
 
-// Judge verifies an episode against its sample. opts bounds the
-// verifier work per query. Verification goes through the process-wide
-// oracle stack (oracle.Default); use JudgeWith to supply a private
-// oracle or a cancelable context.
-func Judge(ep *policy.Episode, s *dataset.Sample, opts alive.Options) *Judgment {
-	return JudgeWith(context.Background(), nil, ep, s, opts)
-}
-
-// JudgeWith is Judge with an explicit oracle (nil selects the shared
-// default stack) and context. The default stack memoizes verdicts, so
-// a single episode does not pay for the same (source, text) proof
-// twice — the attempt and the final answer frequently coincide across
-// the rollouts of a GRPO group, and greedy evaluation re-proves
-// identical outputs across curriculum stages.
+// JudgeWith verifies an episode against its sample; opts bounds the
+// verifier work per query, asked of o (nil selects the shared default
+// stack) under ctx. The default stack memoizes verdicts, so a single
+// episode does not pay for the same (source, text) proof twice — the
+// attempt and the final answer frequently coincide across the rollouts
+// of a GRPO group, and greedy evaluation re-proves identical outputs
+// across curriculum stages.
 func JudgeWith(ctx context.Context, o oracle.Oracle, ep *policy.Episode, s *dataset.Sample, opts alive.Options) *Judgment {
 	o = oracle.OrDefault(o)
 	j := &Judgment{Copied: ep.Copied}
@@ -91,20 +84,15 @@ func verdictOf(ctx context.Context, o oracle.Oracle, text string, s *dataset.Sam
 	return o.Verify(ctx, s.O0, f, opts), f
 }
 
-// CorrectnessReward is the paper's Eq. 1:
+// correctnessReward is the paper's Eq. 1:
 //
 //	r = t·(1 + a·(1 + m)) + b
 //
 // with t format compliance, a Alive2 equivalence, m exact match with
-// the reference, b the BLEU similarity.
-func CorrectnessReward(ep *policy.Episode, j *Judgment) float64 {
-	return CorrectnessRewardShaped(ep, j, true)
-}
-
-// CorrectnessRewardShaped is Eq. 1 with the BLEU shaping term b made
-// optional — bleuShaping=false implements the NoBleuShaping ablation
-// (the gradient-starvation mitigation removed) for the final answer.
-func CorrectnessRewardShaped(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
+// the reference, b the BLEU similarity. The shaping term b is optional:
+// bleuShaping=false implements the NoBleuShaping ablation (the
+// gradient-starvation mitigation removed) for the final answer.
+func correctnessReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
 	t := 0.0
 	if ep.FormatOK {
 		t = 1
@@ -124,16 +112,12 @@ func CorrectnessRewardShaped(ep *policy.Episode, j *Judgment, bleuShaping bool) 
 	return r
 }
 
-// AttemptReward applies Eq. 1 to the think-block attempt: the reward
+// attemptReward applies Eq. 1 to the think-block attempt: the reward
 // whose group-relative advantage trains the attempt's action tokens.
-func AttemptReward(ep *policy.Episode, j *Judgment) float64 {
-	return AttemptRewardShaped(ep, j, true)
-}
-
-// AttemptRewardShaped is AttemptReward with the BLEU term optional,
-// so the NoBleuShaping ablation removes the shaping signal from the
-// attempt segment too — not just from the answer segment.
-func AttemptRewardShaped(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
+// The BLEU term is optional here too, so the NoBleuShaping ablation
+// removes the shaping signal from the attempt segment, not just from
+// the answer segment.
+func attemptReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
 	t := 0.0
 	if ep.FormatOK {
 		t = 1
@@ -153,10 +137,10 @@ func AttemptRewardShaped(ep *policy.Episode, j *Judgment, bleuShaping bool) floa
 	return r
 }
 
-// CoTReward is the paper's Eq. 2: full credit when model and verifier
+// cotReward is the paper's Eq. 2: full credit when model and verifier
 // agree the attempt is OK, partial credit scaled by diagnostic BLEU
 // when both agree on an error, zero on disagreement.
-func CoTReward(ep *policy.Episode, j *Judgment) float64 {
+func cotReward(ep *policy.Episode, j *Judgment) float64 {
 	if ep.Diag == nil {
 		return 0
 	}
@@ -205,11 +189,11 @@ func (p LatencyRewardParams) normalize() LatencyRewardParams {
 	return p
 }
 
-// LatencyReward is the paper's Eq. 4: zero unless the output verified
+// latencyReward is the paper's Eq. 4: zero unless the output verified
 // (S=1) and sped up (u>1); then a convex, saturating share of the
 // speedup. Degenerate params (UMax <= 1 or Gamma < 1) are replaced by
 // defaults — see normalize.
-func LatencyReward(j *Judgment, p LatencyRewardParams) float64 {
+func latencyReward(j *Judgment, p LatencyRewardParams) float64 {
 	if j.FinalVerdict.Verdict != alive.Equivalent || j.Speedup <= 1 {
 		return 0
 	}

@@ -122,7 +122,7 @@ func (tr *SeqTrainer) StepCtx(ctx context.Context) (SeqStepStats, error) {
 				es.improved = u > 1
 				// Reuse the Eq. 3–4 latency shaping via a synthetic
 				// judgment: verified final state with speedup u.
-				es.r = LatencyReward(&Judgment{FinalVerdict: vr, Speedup: u}, cfg.Latency)
+				es.r = latencyReward(&Judgment{FinalVerdict: vr, Speedup: u}, cfg.Latency)
 			}
 			return es
 		})

@@ -166,13 +166,13 @@ func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 			es := episodeScore{s: s, ep: ep, j: j}
 			switch cfg.Mode {
 			case ModeCorrectness, ModeCorrectnessCoT:
-				es.rAnswer = CorrectnessRewardShaped(ep, j, !cfg.NoBleuShaping)
+				es.rAnswer = correctnessReward(ep, j, !cfg.NoBleuShaping)
 				if cfg.Mode == ModeCorrectnessCoT {
-					es.rThink = CoTReward(ep, j)
-					es.rAttempt = AttemptRewardShaped(ep, j, !cfg.NoBleuShaping)
+					es.rThink = cotReward(ep, j)
+					es.rAttempt = attemptReward(ep, j, !cfg.NoBleuShaping)
 				}
 			case ModeLatency:
-				es.rAnswer = LatencyReward(j, cfg.Latency)
+				es.rAnswer = latencyReward(j, cfg.Latency)
 			}
 			es.r = es.rAnswer + es.rThink
 			return es

@@ -1,6 +1,7 @@
 package grpo
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,6 +20,11 @@ func corpus(t *testing.T, n int) []*dataset.Sample {
 	return samples
 }
 
+// judge is JudgeWith on the shared default stack.
+func judge(ep *policy.Episode, s *dataset.Sample, opts alive.Options) *Judgment {
+	return JudgeWith(context.Background(), nil, ep, s, opts)
+}
+
 func TestRewardEq1Hierarchy(t *testing.T) {
 	samples := corpus(t, 4)
 	s := samples[0]
@@ -26,35 +32,35 @@ func TestRewardEq1Hierarchy(t *testing.T) {
 
 	// Exact instcombine output: top reward 4 (t=1, a=1, m=1, b=1).
 	epExact := &policy.Episode{FinalText: s.RefText, AttemptText: s.RefText, FormatOK: true}
-	jExact := Judge(epExact, s, vo)
-	rExact := CorrectnessReward(epExact, jExact)
+	jExact := judge(epExact, s, vo)
+	rExact := correctnessReward(epExact, jExact, true)
 	if math.Abs(rExact-4) > 1e-9 {
 		t.Errorf("exact-match reward = %v, want 4", rExact)
 	}
 
 	// Copy of input: correct but no exact match (2 + BLEU).
 	epCopy := &policy.Episode{FinalText: s.O0Text, AttemptText: s.O0Text, FormatOK: true, Copied: true}
-	jCopy := Judge(epCopy, s, vo)
-	rCopy := CorrectnessReward(epCopy, jCopy)
+	jCopy := judge(epCopy, s, vo)
+	rCopy := correctnessReward(epCopy, jCopy, true)
 	if rCopy <= 2 || rCopy >= rExact {
 		t.Errorf("copy reward = %v, want in (2, %v)", rCopy, rExact)
 	}
 
 	// Garbage: only BLEU-ish scraps, and t=1 keeps the format point.
 	epBad := &policy.Episode{FinalText: "not ir at all", AttemptText: "not ir at all", FormatOK: true}
-	jBad := Judge(epBad, s, vo)
+	jBad := judge(epBad, s, vo)
 	if jBad.FinalVerdict.Verdict != alive.SyntaxError {
 		t.Fatalf("garbage verdict = %v", jBad.FinalVerdict.Verdict)
 	}
-	rBad := CorrectnessReward(epBad, jBad)
+	rBad := correctnessReward(epBad, jBad, true)
 	if rBad >= rCopy {
 		t.Errorf("garbage reward %v not below copy reward %v", rBad, rCopy)
 	}
 
 	// Format break zeroes the t term.
 	epNoFmt := &policy.Episode{FinalText: s.RefText, AttemptText: s.RefText, FormatOK: false}
-	jNoFmt := Judge(epNoFmt, s, vo)
-	rNoFmt := CorrectnessReward(epNoFmt, jNoFmt)
+	jNoFmt := judge(epNoFmt, s, vo)
+	rNoFmt := correctnessReward(epNoFmt, jNoFmt, true)
 	if math.Abs(rNoFmt-1) > 1e-9 { // b = 1 only
 		t.Errorf("format-broken exact reward = %v, want 1", rNoFmt)
 	}
@@ -72,22 +78,22 @@ func TestCoTRewardAgreement(t *testing.T) {
 			FormatOK:    true,
 			Diag:        &policy.DiagRecord{PredictedClass: cls, Message: msg},
 		}
-		return ep, Judge(ep, s, vo)
+		return ep, judge(ep, s, vo)
 	}
 
 	// Agreement on OK.
 	ep, j := mk(s.RefText, policy.DiagOK, "ok")
-	if r := CoTReward(ep, j); r != 1 {
+	if r := cotReward(ep, j); r != 1 {
 		t.Errorf("agree-OK reward = %v, want 1", r)
 	}
 	// Disagreement: verifier OK, model says error.
 	ep, j = mk(s.RefText, policy.DiagSemanticError, "ERROR: Value mismatch")
-	if r := CoTReward(ep, j); r != 0 {
+	if r := cotReward(ep, j); r != 0 {
 		t.Errorf("disagree reward = %v, want 0", r)
 	}
 	// Agreement on ERR: 0.5 + BLEU share.
 	ep, j = mk("garbage text", policy.DiagSyntaxError, "ERROR: couldn't parse transformed IR")
-	r := CoTReward(ep, j)
+	r := cotReward(ep, j)
 	if r < 0.5 || r > 1 {
 		t.Errorf("agree-ERR reward = %v, want in [0.5, 1]", r)
 	}
@@ -99,15 +105,15 @@ func TestLatencyRewardShape(t *testing.T) {
 	mk := func(v alive.Verdict, u float64) *Judgment {
 		return &Judgment{FinalVerdict: alive.Result{Verdict: v}, Speedup: u}
 	}
-	if LatencyReward(mk(alive.SemanticError, 5), p) != 0 {
+	if latencyReward(mk(alive.SemanticError, 5), p) != 0 {
 		t.Error("unverified output must get 0")
 	}
-	if LatencyReward(mk(alive.Equivalent, 1.0), p) != 0 {
+	if latencyReward(mk(alive.Equivalent, 1.0), p) != 0 {
 		t.Error("no speedup must get 0 (copies included)")
 	}
-	r2 := LatencyReward(mk(alive.Equivalent, 2), p)
-	r3 := LatencyReward(mk(alive.Equivalent, 3), p)
-	r9 := LatencyReward(mk(alive.Equivalent, 9), p)
+	r2 := latencyReward(mk(alive.Equivalent, 2), p)
+	r3 := latencyReward(mk(alive.Equivalent, 3), p)
+	r9 := latencyReward(mk(alive.Equivalent, 9), p)
 	if !(r2 > 0 && r2 < r3) {
 		t.Errorf("reward not increasing: r2=%v r3=%v", r2, r3)
 	}
@@ -115,7 +121,7 @@ func TestLatencyRewardShape(t *testing.T) {
 		t.Errorf("saturation failed: r3=%v r9=%v", r3, r9)
 	}
 	// Convexity: γ>1 emphasizes larger speedups.
-	rHalf := LatencyReward(mk(alive.Equivalent, 2), p)
+	rHalf := latencyReward(mk(alive.Equivalent, 2), p)
 	if math.Abs(rHalf-0.25) > 1e-9 {
 		t.Errorf("r(u=2, umax=3, γ=2) = %v, want 0.25", rHalf)
 	}
@@ -232,7 +238,7 @@ func TestJudgeCountsCopyAndExact(t *testing.T) {
 	samples := corpus(t, 2)
 	s := samples[0]
 	ep := &policy.Episode{FinalText: s.RefText, AttemptText: s.RefText, FormatOK: true}
-	j := Judge(ep, s, alive.DefaultOptions())
+	j := judge(ep, s, alive.DefaultOptions())
 	if !j.ExactMatch {
 		t.Error("exact match not detected")
 	}

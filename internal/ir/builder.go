@@ -85,11 +85,6 @@ func (b *Builder) Cast(op Opcode, x Value, to Type) *Instr {
 	return b.insert(&Instr{Op: op, Ty: to, Args: []Value{x}})
 }
 
-// Freeze emits a freeze instruction.
-func (b *Builder) Freeze(x Value) *Instr {
-	return b.insert(&Instr{Op: OpFreeze, Ty: x.Type(), Args: []Value{x}})
-}
-
 // Alloca emits a stack allocation of elemTy, yielding a ptr.
 func (b *Builder) Alloca(elemTy Type) *Instr {
 	return b.insert(&Instr{Op: OpAlloca, Ty: Ptr, AllocTy: elemTy})
@@ -140,9 +135,4 @@ func (b *Builder) Switch(v Value, def *Block, cases []*Const, dests []*Block) *I
 	in := &Instr{Op: OpSwitch, Ty: Void, Args: []Value{v}, Cases: cases}
 	in.Succs = append([]*Block{def}, dests...)
 	return b.insert(in)
-}
-
-// Unreachable emits an unreachable terminator.
-func (b *Builder) Unreachable() *Instr {
-	return b.insert(&Instr{Op: OpUnreachable, Ty: Void})
 }

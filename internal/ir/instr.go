@@ -191,9 +191,6 @@ func (p Pred) Inverse() Pred {
 	return p
 }
 
-// IsSigned reports whether the predicate compares signed values.
-func (p Pred) IsSigned() bool { return p >= PredSGT && p <= PredSLE }
-
 // Flags are the poison-generating instruction flags.
 type Flags struct {
 	NSW   bool // no signed wrap

@@ -238,9 +238,6 @@ func Print(m *Module) string {
 	return string(p.buf)
 }
 
-// PrintFunc renders a single function definition into sb.
-func PrintFunc(sb *strings.Builder, f *Function) { sb.WriteString(FuncString(f)) }
-
 // FuncString renders a single function to a string.
 func FuncString(f *Function) string { return string(new(printer).fn(f, f.NameStr, f.Attrs).buf) }
 

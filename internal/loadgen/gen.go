@@ -15,9 +15,9 @@ import (
 type Op string
 
 const (
-	OpVerify   Op = "verify"
-	OpOptimize Op = "optimize"
-	OpEvaluate Op = "evaluate"
+	opVerify   Op = "verify"
+	opOptimize Op = "optimize"
+	opEvaluate Op = "evaluate"
 )
 
 // ScenarioMalformed labels intentionally broken payloads in the
@@ -96,7 +96,7 @@ func Synthesize(spec Spec) ([]Event, error) {
 		switch {
 		case rng.Float64() < spec.MalformedFrac:
 			mb := malformedBodies[i%len(malformedBodies)]
-			e = Event{Op: OpVerify, Scenario: ScenarioMalformed, Src: mb.src, Tgt: mb.tgt, Malformed: true}
+			e = Event{Op: opVerify, Scenario: ScenarioMalformed, Src: mb.src, Tgt: mb.tgt, Malformed: true}
 		default:
 			switch w := rng.Intn(totalW); {
 			case w < spec.VerifyWeight:
@@ -106,14 +106,14 @@ func Synthesize(spec Spec) ([]Event, error) {
 				} else {
 					distinct++
 				}
-				e = Event{Op: OpVerify, Scenario: s.Scenario, Src: s.O0Text, Tgt: s.RefText}
+				e = Event{Op: opVerify, Scenario: s.Scenario, Src: s.O0Text, Tgt: s.RefText}
 			case w < spec.VerifyWeight+spec.OptimizeWeight:
 				s := samples[rng.Intn(len(samples))]
-				e = Event{Op: OpOptimize, Scenario: s.Scenario, IR: ir.Print(s.Module)}
+				e = Event{Op: opOptimize, Scenario: s.Scenario, IR: ir.Print(s.Module)}
 			default:
 				// A tiny deterministic corpus slice; the server caches
 				// the generated corpus by (seed, n).
-				e = Event{Op: OpEvaluate, Scenario: "evaluate", Seed: spec.Seed, N: 8, Offset: rng.Intn(4), Count: 2}
+				e = Event{Op: opEvaluate, Scenario: "evaluate", Seed: spec.Seed, N: 8, Offset: rng.Intn(4), Count: 2}
 			}
 		}
 		e.TimeoutMs = spec.TimeoutMs

@@ -138,7 +138,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScrapeDelta: Scrape's four lookups on a literal exposition (the
+// TestScrapeDelta: scrapeCounters' four lookups on a literal exposition (the
 // parser's own cases are internal/metrics' table) and the delta that
 // grades a run.
 func TestScrapeDelta(t *testing.T) {
@@ -157,7 +157,7 @@ veriopt_vcache_total{counter="hits"} 80
 		w.Write([]byte(bodies[min(scrapes.Add(1)-1, 1)]))
 	}))
 	defer ts.Close()
-	before, err := Scrape(context.Background(), nil, ts.URL)
+	before, err := scrapeCounters(context.Background(), nil, ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSLOEvaluation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := Spec{Name: "t", Requests: len(tc.res), SLO: tc.slo}
-			rep := BuildReport(spec, tc.res, time.Second, tc.delta)
+			rep := buildReport(spec, tc.res, time.Second, tc.delta)
 			if len(rep.Violations) != tc.broken {
 				t.Fatalf("violations = %v, want %d", rep.Violations, tc.broken)
 			}
@@ -311,15 +311,15 @@ func TestShedAccountingMatchesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := Scrape(context.Background(), nil, url)
+	before, err := scrapeCounters(context.Background(), nil, url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := Play(context.Background(), events, spec, RunConfig{BaseURL: url})
+	results, err := play(context.Background(), events, spec, RunConfig{BaseURL: url})
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Scrape(context.Background(), nil, url)
+	after, err := scrapeCounters(context.Background(), nil, url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestShedAccountingMatchesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := BuildReport(spec, results, time.Second, delta)
+	rep := buildReport(spec, results, time.Second, delta)
 	if rep.Shed == 0 {
 		t.Fatal("one-slot queue under 12-way load shed nothing")
 	}
@@ -413,7 +413,7 @@ func TestOpenLoopPacing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t0 := time.Now()
-	results, err := Play(context.Background(), events, spec, RunConfig{BaseURL: url})
+	results, err := play(context.Background(), events, spec, RunConfig{BaseURL: url})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,8 +52,8 @@ func (c Counters) HitRate() float64 {
 	return float64(c.CacheHits) / float64(c.CacheQueries)
 }
 
-// Scrape fetches and parses the target's /metrics.
-func Scrape(ctx context.Context, client *http.Client, baseURL string) (Counters, error) {
+// scrapeCounters fetches and parses the target's /metrics.
+func scrapeCounters(ctx context.Context, client *http.Client, baseURL string) (Counters, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}

@@ -6,7 +6,7 @@
 // (verify/optimize/evaluate), the key-reuse structure (hot-repeat vs
 // all-distinct), the deadline profile, and the malformed-body
 // fraction — plus the SLO the run must meet. Specs synthesize to a
-// deterministic []Event stream (gen.go) which Play (run.go) drives
+// deterministic []Event stream (gen.go) which play (run.go) drives
 // open-loop (fixed arrival rate) or closed-loop (fixed concurrency).
 // Event streams serialize to JSON-lines traces, so a synthetic run
 // can be recorded once and replayed bit-identically later, and real
@@ -107,8 +107,8 @@ type Spec struct {
 
 // Default corpus identity for the built-in mixes.
 const (
-	DefaultCorpusSeed = 1009
-	DefaultCorpusN    = 72
+	defaultCorpusSeed = 1009
+	defaultCorpusN    = 72
 )
 
 func (s Spec) withDefaults() Spec {
@@ -122,10 +122,10 @@ func (s Spec) withDefaults() Spec {
 		s.HotSetSize = 8
 	}
 	if s.Seed == 0 {
-		s.Seed = DefaultCorpusSeed
+		s.Seed = defaultCorpusSeed
 	}
 	if s.CorpusN <= 0 {
-		s.CorpusN = DefaultCorpusN
+		s.CorpusN = defaultCorpusN
 	}
 	if s.VerifyWeight <= 0 && s.OptimizeWeight <= 0 && s.EvaluateWeight <= 0 {
 		s.VerifyWeight = 1

@@ -65,9 +65,9 @@ type MixReport struct {
 // Passed reports whether the run met its SLO.
 func (r *MixReport) Passed() bool { return len(r.Violations) == 0 }
 
-// BuildReport aggregates a Play call's results, grades them against
+// buildReport aggregates a play call's results, grades them against
 // the spec's SLO, and folds in the server-side counter delta.
-func BuildReport(spec Spec, results []Result, wall time.Duration, delta Counters) *MixReport {
+func buildReport(spec Spec, results []Result, wall time.Duration, delta Counters) *MixReport {
 	spec = spec.withDefaults()
 	rep := &MixReport{
 		Mix:           spec.Name,

@@ -13,7 +13,7 @@ import (
 	"veriopt/internal/server"
 )
 
-// RunConfig wires a Play call to its target server.
+// RunConfig wires a play call to its target server.
 type RunConfig struct {
 	// BaseURL is the serve process (or cluster coordinator) root,
 	// e.g. "http://127.0.0.1:8723".
@@ -52,14 +52,14 @@ func defaultClient() *http.Client {
 	}
 }
 
-// Play drives the event stream against the target. RatePerSec > 0
+// play drives the event stream against the target. RatePerSec > 0
 // selects open-loop pacing (arrivals at fixed times, concurrency
 // bounded only by MaxInFlight); otherwise a closed loop of
 // Concurrency workers. Results are positional: results[i] is
 // events[i]'s outcome. Cancellation stops scheduling new requests;
 // in-flight ones finish and the partial results return with ctx's
 // error.
-func Play(ctx context.Context, events []Event, spec Spec, rc RunConfig) ([]Result, error) {
+func play(ctx context.Context, events []Event, spec Spec, rc RunConfig) ([]Result, error) {
 	spec = spec.withDefaults()
 	client := rc.Client
 	if client == nil {
@@ -113,25 +113,25 @@ func Play(ctx context.Context, events []Event, spec Spec, rc RunConfig) ([]Resul
 			r.Scenario = events[i].Scenario
 			r.Op = events[i].Op
 			r.Malformed = events[i].Malformed
-			play(ctx, client, rc.BaseURL, &events[i], r)
+			playEvent(ctx, client, rc.BaseURL, &events[i], r)
 		}(i)
 	}
 	wg.Wait()
 	return results, err
 }
 
-// play issues one event and classifies the outcome into r.
-func play(ctx context.Context, client *http.Client, baseURL string, e *Event, r *Result) {
+// playEvent issues one event and classifies the outcome into r.
+func playEvent(ctx context.Context, client *http.Client, baseURL string, e *Event, r *Result) {
 	var path string
 	var body any
 	switch e.Op {
-	case OpVerify:
+	case opVerify:
 		path = "/v1/verify"
 		body = server.VerifyRequest{Src: e.Src, Tgt: e.Tgt, TimeoutMs: e.TimeoutMs}
-	case OpOptimize:
+	case opOptimize:
 		path = "/v1/optimize"
 		body = server.OptimizeRequest{IR: e.IR, TimeoutMs: e.TimeoutMs}
-	case OpEvaluate:
+	case opEvaluate:
 		path = "/v1/evaluate"
 		body = server.EvaluateRequest{Seed: e.Seed, N: e.N, Offset: e.Offset, Count: e.Count, TimeoutMs: e.TimeoutMs}
 	default:
@@ -205,14 +205,14 @@ func RunEvents(ctx context.Context, spec Spec, events []Event, rc RunConfig) (*M
 		client = defaultClient()
 		rc.Client = client
 	}
-	before, err := Scrape(ctx, client, rc.BaseURL)
+	before, err := scrapeCounters(ctx, client, rc.BaseURL)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: pre-run scrape: %w", err)
 	}
 	t0 := time.Now()
-	results, playErr := Play(ctx, events, spec, rc)
+	results, playErr := play(ctx, events, spec, rc)
 	wall := time.Since(t0)
-	after, err := Scrape(context.WithoutCancel(ctx), client, rc.BaseURL)
+	after, err := scrapeCounters(context.WithoutCancel(ctx), client, rc.BaseURL)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: post-run scrape: %w", err)
 	}
@@ -220,5 +220,5 @@ func RunEvents(ctx context.Context, spec Spec, events []Event, rc RunConfig) (*M
 	if err != nil {
 		return nil, err
 	}
-	return BuildReport(spec, results, wall, delta), playErr
+	return buildReport(spec, results, wall, delta), playErr
 }

@@ -165,9 +165,9 @@ func ClusterEvent(kind, replica string, healthy, total int, note string) Event {
 	}
 }
 
-// VerdictCounts converts an oracle stats snapshot into the event
+// verdictCounts converts an oracle stats snapshot into the event
 // verdict map, using the stable lowercase verdict names.
-func VerdictCounts(s oracle.Stats) map[string]uint64 {
+func verdictCounts(s oracle.Stats) map[string]uint64 {
 	names := [...]string{"equivalent", "semantic_error", "syntax_error", "inconclusive"}
 	out := make(map[string]uint64, len(names))
 	any := false
@@ -190,7 +190,7 @@ func DeltaVerdicts(before, after oracle.Stats) map[string]uint64 {
 	for i := range d.ByVerdict {
 		d.ByVerdict[i] -= before.ByVerdict[i]
 	}
-	return VerdictCounts(d)
+	return verdictCounts(d)
 }
 
 // DeltaCache returns the cache-engine delta over an interval (nil

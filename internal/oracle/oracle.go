@@ -1,37 +1,34 @@
-// Package oracle is the composable verification stack: every
-// component that needs a verdict — GRPO rewards, pipeline evaluation,
-// the curriculum stages, and the CLIs — asks an Oracle instead of
-// wiring itself to the SAT-backed checker or the verdict cache
-// directly. The paper puts the verifier inside the RL loop (Eq. 1–2);
-// this package is the seam that makes that verifier swappable,
-// cacheable, cancelable, and observable without touching the loops
-// themselves.
+// Package oracle is the verification spine: every component that
+// needs a verdict — GRPO rewards, pipeline evaluation, the curriculum
+// stages, the server and the CLIs — goes through it instead of wiring
+// itself to the SAT-backed checker or the verdict cache. The paper puts
+// the verifier inside the RL loop (Eq. 1–2) and makes deployment
+// conditional on it; the package has one entry point for each:
 //
-// An Oracle is one method:
+//	(*Stack).Verify(ctx, src, tgt, opts) alive.Result   // ask
+//	Accept(ctx, o, model, in, cand, opts)               // accept
 //
-//	Verify(ctx, src, tgt, opts) alive.Result
+// Verify is one method: count the query, build its key, and let the
+// verdict cache's engine answer it — from the hot tier, from an
+// identical query in flight, from the durable backing, or by computing.
+// Computing means the remote replica set when one is configured (a
+// coordinator), and the base verifier otherwise or when the whole fleet
+// failed under a context that is still live. The counters sit outside
+// the cache so they see every query, hits included; the remote sits
+// inside it so a memoized verdict never pays a network hop and a remote
+// verdict is memoized like a local one.
 //
-// Concerns stack as middleware around the base SAT-backed verifier.
-// The canonical order, outermost first (pinned by tests):
-//
-//	WithStats → WithCache → WithShard → Base
-//
-// Stats outermost so verdict counters see every query including cache
-// hits; the shard layer (coordinator mode only) inside the cache so
-// memoized verdicts never pay a network hop and remote verdicts are
-// memoized like local ones; the base under the shard layer so a
-// coordinator verifies locally only when no replica can answer.
-//
-// Nothing in the stack consults a clock or a counter to decide a
-// verdict: deadlines arrive as request contexts, and the solver's
-// effort bound is alive.Options.SolverBudget, which is part of the
-// cache key. Config.Base is the one substitution seam — tests and
-// harnesses install a fake or a slowed verifier there.
+// Nothing here consults a clock or a counter to decide a verdict:
+// deadlines arrive as request contexts, and the solver's effort bound
+// is alive.Options.SolverBudget, which is part of the cache key.
+// Config.Base, Config.Backing and Config.Remote are the substitution
+// seams — tests and harnesses install a fake or a slowed layer there.
 package oracle
 
 import (
 	"context"
 	"sync"
+	"time"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
@@ -55,9 +52,6 @@ func (f Func) Verify(ctx context.Context, src, tgt *ir.Function, opts alive.Opti
 	return f(ctx, src, tgt, opts)
 }
 
-// Middleware wraps an Oracle with one additional concern.
-type Middleware func(Oracle) Oracle
-
 // Base returns the raw SAT-backed verifier (internal/alive) with no
 // cache, limits, or counters.
 func Base() Oracle {
@@ -66,9 +60,19 @@ func Base() Oracle {
 	})
 }
 
-// Config assembles the standard stack. The zero value builds the
-// default production shape: stats over a default-sized cache over the
-// base verifier.
+// Remote answers verification queries over the network — implemented
+// by the cluster coordinator (internal/cluster), which consistent-
+// hashes each query's fingerprint across worker replicas. Unlike
+// Oracle, a Remote can fail to answer at all (every replica down or
+// shedding); the error return carries that, and Stack.Verify then
+// verifies locally.
+type Remote interface {
+	VerifyRemote(ctx context.Context, src, tgt *ir.Function, opts alive.Options) (alive.Result, error)
+}
+
+// Config assembles a Stack. The zero value builds the default
+// production shape: counters over a default-sized cache over the base
+// verifier.
 type Config struct {
 	// CacheEntries bounds the verdict cache's hot tier (<= 0 selects
 	// vcache.DefaultMaxEntries).
@@ -80,27 +84,54 @@ type Config struct {
 	// to also light up the store section of /metrics.
 	Backing vcache.Backing
 	// Remote, when non-nil, makes this stack a cluster coordinator:
-	// queries that miss the cache are routed to the remote replica set
-	// (see WithShard), with the base serving only as the local
-	// fallback when no replica can answer.
+	// queries that miss the cache are routed to the remote replica set,
+	// with the base serving only as the local fallback when no replica
+	// can answer.
 	Remote Remote
 	// Base overrides the bottom of the stack (nil selects Base()): the
 	// one seam where a test or harness substitutes the verifier.
 	Base Oracle
 }
 
-// Stack is the assembled oracle plus handles to its introspectable
-// layers: the verdict cache's engine and the stats collector. It
-// implements Oracle itself.
+// Stack is the oracle every product path asks, plus handles to its
+// introspectable parts: the verdict cache's engine and the per-verdict
+// counters.
 type Stack struct {
-	Oracle
-	// Engine is the verdict cache behind WithCache.
+	// Engine is the verdict cache: hot tier, singleflight and backing.
 	Engine *vcache.Engine
-	// Stats is the outermost per-verdict counter layer.
+	// Stats counts every query, cache hits included.
 	Stats *StatsCollector
+
+	base   Oracle
+	remote Remote
 
 	mu    sync.Mutex
 	store *vstore.Store
+}
+
+// Verify implements Oracle. Identical queries in flight share one
+// computation (the engine's singleflight, keyed by the digest the
+// cluster ring routes on), so a Remote sees each distinct query once.
+// A query whose own context ends during the remote attempt is returned
+// Canceled, never retried locally — the caller is gone either way.
+func (s *Stack) Verify(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+	s.Stats.queries.Add(1)
+	t0 := time.Now()
+	k := vcache.Key{Src: vcache.KeyOfFunc(src), Dst: vcache.KeyOfFunc(tgt), Opts: opts}
+	res := s.Engine.Do(ctx, k, func() alive.Result {
+		if s.remote != nil {
+			res, err := s.remote.VerifyRemote(ctx, src, tgt, opts)
+			if err == nil {
+				return res
+			}
+			if ctx != nil && ctx.Err() != nil {
+				return alive.CanceledResult(ctx.Err())
+			}
+		}
+		return s.base.Verify(ctx, src, tgt, opts)
+	})
+	s.Stats.count(res, time.Since(t0))
+	return res
 }
 
 // OracleStats implements StatsSource.
@@ -142,25 +173,19 @@ type StatsSource interface {
 	OracleStats() (Stats, vcache.Stats)
 }
 
-// NewStack assembles the canonical middleware stack for cfg.
+// NewStack assembles the stack for cfg.
 func NewStack(cfg Config) *Stack {
-	base := cfg.Base
-	if base == nil {
-		base = Base()
+	s := &Stack{
+		Engine: vcache.New(vcache.Config{MaxEntries: cfg.CacheEntries, Backing: cfg.Backing}),
+		Stats:  &StatsCollector{},
+		base:   cfg.Base,
+		remote: cfg.Remote,
 	}
-	o := base
-	if cfg.Remote != nil {
-		o = WithShard(cfg.Remote)(o)
+	if s.base == nil {
+		s.base = Base()
 	}
-	eng := vcache.New(vcache.Config{MaxEntries: cfg.CacheEntries, Backing: cfg.Backing})
-	o = WithCache(eng)(o)
-	st := &StatsCollector{}
-	o = WithStats(st)(o)
-	stack := &Stack{Oracle: o, Engine: eng, Stats: st}
-	if vs, ok := cfg.Backing.(*vstore.Store); ok {
-		stack.store = vs
-	}
-	return stack
+	s.store, _ = cfg.Backing.(*vstore.Store)
+	return s
 }
 
 var (

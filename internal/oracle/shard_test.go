@@ -26,7 +26,7 @@ func countingRemote(n *atomic.Int64, res alive.Result, err error) Remote {
 	})
 }
 
-// TestShardInsideCache pins the shard layer's position below the
+// TestShardInsideCache pins the remote's position inside the
 // cache: a memoized verdict is served without a network hop, while a
 // fresh query is routed to the remote and its answer memoized.
 func TestShardInsideCache(t *testing.T) {
@@ -56,8 +56,7 @@ func TestShardInsideCache(t *testing.T) {
 }
 
 // TestShardFallsBackToLocal: when the cluster cannot answer (every
-// replica down), the query runs on the local stack below the shard
-// layer instead of failing.
+// replica down), the query runs on the local base instead of failing.
 func TestShardFallsBackToLocal(t *testing.T) {
 	var remote, base atomic.Int64
 	st := NewStack(Config{
@@ -76,8 +75,7 @@ func TestShardFallsBackToLocal(t *testing.T) {
 // TestShardCanceledNoFallback: a query whose own context ends during
 // the remote attempt is returned Canceled, not re-run on the local
 // verifier — the caller is gone and a local solve would be wasted
-// work. Exercised on the bare middleware: in the full stack the cache
-// layer above would short-circuit an already-dead context first.
+// work — and the Canceled result is not memoized.
 func TestShardCanceledNoFallback(t *testing.T) {
 	var base atomic.Int64
 	ctx, cancel := context.WithCancel(bg)
@@ -85,13 +83,16 @@ func TestShardCanceledNoFallback(t *testing.T) {
 		cancel() // the caller gives up mid-attempt
 		return alive.Result{}, errors.New("replica lost")
 	})
-	o := WithShard(dying)(countingBase(&base))
+	st := NewStack(Config{Remote: dying, Base: countingBase(&base)})
 	src, tgt := mustParse(t, srcText), mustParse(t, tgtText)
-	r := o.Verify(ctx, src, tgt, alive.DefaultOptions())
+	r := st.Verify(ctx, src, tgt, alive.DefaultOptions())
 	if !r.Canceled || r.Verdict != alive.Inconclusive {
 		t.Fatalf("canceled remote query: %+v", r)
 	}
 	if base.Load() != 0 {
 		t.Fatalf("local base ran %d times after cancellation, want 0", base.Load())
+	}
+	if os, cs := st.OracleStats(); os.Canceled != 1 || cs.Canceled != 1 || cs.Entries != 0 {
+		t.Fatalf("stats after a canceled remote query: oracle %+v cache %+v", os, cs)
 	}
 }

@@ -177,7 +177,7 @@ func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesC
 	sp.end(cfg.TrainSteps, tr.RewardHistory, "")
 
 	sp = beginStage(cfg.Obs, o, "passes-eval")
-	rep, err := EvaluatePassesCtx(ctx, res.Model, val, cfg)
+	rep, err := evaluatePasses(ctx, res.Model, val, cfg)
 	res.Report = rep
 	if err != nil {
 		sp.end(0, nil, "canceled")
@@ -187,12 +187,12 @@ func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesC
 	return res, nil
 }
 
-// EvaluatePassesCtx runs the four-way comparison on samples. Every
+// evaluatePasses runs the four-way comparison on samples. Every
 // non-identity output is verifier-gated: a method's transformed
 // function is accepted only with an Equivalent verdict, otherwise the
 // O0 metrics are substituted (the fallback rule of the text
 // workload). m may be nil to skip the policy row.
-func EvaluatePassesCtx(ctx context.Context, m *seqopt.Model, samples []*dataset.Sample, cfg PassesConfig) (*PassesReport, error) {
+func evaluatePasses(ctx context.Context, m *seqopt.Model, samples []*dataset.Sample, cfg PassesConfig) (*PassesReport, error) {
 	if cfg.Verify == (alive.Options{}) {
 		cfg.Verify = alive.DefaultOptions()
 	}
@@ -205,28 +205,16 @@ func EvaluatePassesCtx(ctx context.Context, m *seqopt.Model, samples []*dataset.
 		s := samples[i]
 		d := &PassesDetail{Sample: s, Base: costmodel.Measure(s.O0)}
 
-		// Gate any candidate output through the oracle; fall back to O0
-		// on anything short of a proof.
+		// Every non-identity output goes through the deployment rule:
+		// oracle.Accept hands back O0 itself on anything short of a proof.
 		accept := func(method string, seq []string, fn *ir.Function) PassesOutput {
-			out := PassesOutput{Method: method, Sequence: seq, Fn: fn}
 			if fn == s.O0 || len(seq) == 0 {
-				out.Fn = s.O0
-				out.Sequence = nil
-				out.Verified = true
-				out.Metrics = d.Base
-				return out
+				return PassesOutput{Method: method, Fn: s.O0, Verified: true, Metrics: d.Base}
 			}
-			vr := o.Verify(ctx, s.O0, fn, cfg.Verify)
-			if vr.Verdict == alive.Equivalent {
-				out.Verified = true
-				out.Metrics = costmodel.Measure(fn)
-				return out
+			if out, _ := oracle.Accept(ctx, o, nil, s.O0, fn, cfg.Verify); out == s.O0 {
+				return PassesOutput{Method: method, Fn: s.O0, Fallback: true, Metrics: d.Base}
 			}
-			out.Fn = s.O0
-			out.Sequence = nil
-			out.Fallback = true
-			out.Metrics = d.Base
-			return out
+			return PassesOutput{Method: method, Sequence: seq, Fn: fn, Verified: true, Metrics: costmodel.Measure(fn)}
 		}
 
 		d.Outputs = append(d.Outputs, accept(MethodFixed, []string{"instcombine"}, instcombine.Run(s.O0)))

@@ -63,11 +63,10 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 		InputText: inputText,
 		H:         m.HashFeatures(opts.Salt + inputText),
 	}
-	attempt, acts, corruption, formatBreak := m.rollout(input, ep.H, opts, opts.MaskRules)
+	attempt, acts, formatBreak := m.rollout(input, ep.H, opts, opts.MaskRules)
 	ep.Actions = acts
 	ep.AttemptText = attempt
 	ep.FormatOK = !formatBreak
-	_ = corruption
 
 	if !opts.Augmented {
 		ep.FinalText = attempt
@@ -98,7 +97,7 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 		o2.Salt = opts.Salt + "#retry"
 		h2 := m.HashFeatures(o2.Salt + inputText)
 		ep.CorrH = h2
-		corrText, corrActs, _, corrFmtBreak := m.rollout(input, h2, o2, mask)
+		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, o2, mask)
 		ep.CorrectionActs = corrActs
 		ep.CorrectionText = corrText
 		ep.FinalText = corrText
@@ -111,13 +110,11 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 }
 
 // rollout runs one action sequence over a working copy of the input,
-// returning the emitted text, the action records, the corruption rule
-// applied (if any), and whether the format was broken.
-func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask map[string]bool) (string, []ActionRecord, *rewrite.Rule, bool) {
+// returning the emitted text, the action records, and whether the
+// format was broken.
+func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask map[string]bool) (string, []ActionRecord, bool) {
 	work := ir.CloneFunc(input)
 	var acts []ActionRecord
-	var corruption *rewrite.Rule
-	formatBreak := false
 	var rng *rand.Rand
 	if opts.Temperature > 0 {
 		rng = opts.Rng
@@ -131,23 +128,18 @@ func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask m
 		a := cands[pick]
 		switch {
 		case a == m.ActStop():
-			text := ir.CanonicalText(work)
-			return text, acts, nil, false
+			return ir.CanonicalText(work), acts, false
 		case a == m.ActFormatBreak():
-			formatBreak = true
-			text := ir.CanonicalText(work)
-			return text, acts, nil, formatBreak
+			return ir.CanonicalText(work), acts, true
 		default:
 			r := m.Rules[a]
 			if r.Kind == rewrite.KindCorrupt {
-				corruption = r
-				text := r.ApplyText(ir.CanonicalText(work), actionRand(h, t))
-				return text, acts, corruption, false
+				return r.ApplyText(ir.CanonicalText(work), actionRand(h, t)), acts, false
 			}
 			r.Apply(work, actionRand(h, t))
 		}
 	}
-	return ir.CanonicalText(work), acts, nil, formatBreak
+	return ir.CanonicalText(work), acts, false
 }
 
 // Candidates lists the available actions on f: every applicable rule

@@ -159,9 +159,6 @@ func (s *Solver) NewVar() int {
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return s.nVars }
 
-// NumClauses returns the number of problem clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
-
 // Conflicts returns the number of conflicts encountered so far.
 func (s *Solver) Conflicts() int { return s.conflicts }
 

@@ -34,7 +34,7 @@ type Model struct {
 // mostly emits short sequences — training must learn to sustain them.
 func NewModel(seed int64) *Model {
 	m := &Model{
-		Passes:       PassNames(),
+		Passes:       passNames(),
 		HashFeatures: 4,
 		MaxLen:       6,
 		MaxBias:      2.5,

@@ -148,8 +148,8 @@ var registry = sync.OnceValue(func() []*Pass {
 // caller's own; the passes in it are shared.
 func Registry() []*Pass { return slices.Clone(registry()) }
 
-// PassNames returns the registry names in order.
-func PassNames() []string {
+// passNames returns the registry names in order.
+func passNames() []string {
 	reg := registry()
 	out := make([]string, len(reg))
 	for i, p := range reg {

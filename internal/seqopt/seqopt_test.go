@@ -29,7 +29,7 @@ func corpus(t *testing.T, n int) []*dataset.Sample {
 func TestRegistryStable(t *testing.T) {
 	want := []string{"combine", "forward-loads", "drop-dead-allocas", "instcombine",
 		"mem2reg", "fold-branches", "merge-blocks", "if-to-select"}
-	got := PassNames()
+	got := passNames()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d passes, want %d", len(got), len(want))
 	}

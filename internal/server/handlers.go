@@ -10,11 +10,9 @@ import (
 
 	"veriopt/internal/alive"
 	"veriopt/internal/costmodel"
-	"veriopt/internal/instcombine"
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/pipeline"
-	"veriopt/internal/policy"
 )
 
 // OptionsJSON mirrors alive.Options on the wire. Options.FreshSolver
@@ -86,9 +84,6 @@ type FunctionResult struct {
 	Base         MetricsJSON `json:"base"`
 	Out          MetricsJSON `json:"out"`
 	Speedup      float64     `json:"speedup"`
-	// outText carries the verified candidate back to the module
-	// rewrite; unexported, so it never reaches the wire.
-	outText string
 }
 
 // OptimizeResponse carries the rewritten module and per-function
@@ -286,15 +281,9 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.serveQueued(w, r, req.TimeoutMs, func(ctx context.Context) (int, any) {
 		resp := OptimizeResponse{Functions: make([]FunctionResult, 0, len(m.Funcs))}
 		for i, f := range m.Funcs {
-			fr := s.optimizeFunc(ctx, f)
-			if !fr.UsedFallback {
-				// Replace the function in place; the candidate was
-				// verified equivalent.
-				cand, _ := ir.ParseFunc(fr.outText)
-				cand.NameStr = f.NameStr
-				m.Funcs[i] = cand
-			}
-			fr.outText = ""
+			out, fr := s.optimizeFunc(ctx, f)
+			out.NameStr = f.NameStr
+			m.Funcs[i] = out
 			resp.Functions = append(resp.Functions, fr)
 		}
 		resp.Module = ir.Print(m)
@@ -302,41 +291,23 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// optimizeFunc applies the deployment rule to one function: generate
-// a candidate (trained model if loaded, else instcombine), verify it,
-// keep the input unless the verifier proves the candidate.
-func (s *Server) optimizeFunc(ctx context.Context, f *ir.Function) FunctionResult {
-	fr := FunctionResult{Name: f.Name(), UsedFallback: true, Base: metricsJSON(costmodel.Measure(f))}
-	var cand *ir.Function
-	if s.cfg.Model != nil {
-		ep := s.cfg.Model.Generate(f, policy.GenOptions{})
-		if g, err := ir.ParseFunc(ep.FinalText); err == nil && ir.VerifyFunc(g) == nil {
-			cand = g
-		}
-	} else {
-		cand = instcombine.Run(f)
+// optimizeFunc puts one function through the deployment rule
+// (oracle.Accept: trained model if loaded, else instcombine; the input
+// is kept unless the verifier proves the candidate) and reports what
+// came back.
+func (s *Server) optimizeFunc(ctx context.Context, f *ir.Function) (*ir.Function, FunctionResult) {
+	out, res := oracle.Accept(ctx, s.oracle, s.cfg.Model, f, nil, s.cfg.Verify)
+	base, after := costmodel.Measure(f), costmodel.Measure(out)
+	return out, FunctionResult{
+		Name:         f.Name(),
+		Verdict:      res.Verdict.String(),
+		Diag:         res.Diag,
+		UsedFallback: out == f,
+		Canceled:     res.Canceled,
+		Base:         metricsJSON(base),
+		Out:          metricsJSON(after),
+		Speedup:      costmodel.Speedup(base, after),
 	}
-	if cand == nil {
-		fr.Verdict = alive.SyntaxError.String()
-		fr.Diag = "output rejected (parse), keeping input"
-		fr.Out = fr.Base
-		fr.Speedup = 1
-		return fr
-	}
-	res := s.oracle.Verify(ctx, f, cand, s.cfg.Verify)
-	fr.Verdict = res.Verdict.String()
-	fr.Diag = res.Diag
-	fr.Canceled = res.Canceled
-	if res.Verdict != alive.Equivalent {
-		fr.Out = fr.Base
-		fr.Speedup = 1
-		return fr
-	}
-	fr.UsedFallback = false
-	fr.Out = metricsJSON(costmodel.Measure(cand))
-	fr.Speedup = costmodel.Speedup(costmodel.Measure(f), costmodel.Measure(cand))
-	fr.outText = ir.CanonicalText(cand)
-	return fr
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {

@@ -18,7 +18,7 @@
 // of spawning unbounded goroutines; a draining queue answers 503.
 // Per-request deadlines (the default or a request's timeout_ms) map
 // to context cancellation, so the end-to-end cancellation plumbing —
-// alive, vcache, oracle middleware — is exercised on every timeout.
+// alive, vcache, the oracle stack — is exercised on every timeout.
 // Identical in-flight verify queries coalesce through the verdict
 // cache's singleflight.
 //

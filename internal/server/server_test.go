@@ -15,6 +15,7 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
+	"veriopt/internal/policy"
 )
 
 const (
@@ -340,6 +341,46 @@ func TestHealthzAndMetrics(t *testing.T) {
 		}
 	}
 	drain(t, cancel, errc)
+}
+
+// TestOptimizeKeepsInputWithoutProof: /v1/optimize is oracle.Accept per
+// function. Anything short of a proof answers 200 with the input module
+// unchanged, used_fallback set and the verdict that says why; a model
+// output that does not parse reports the parser's own diagnostic.
+func TestOptimizeKeepsInputWithoutProof(t *testing.T) {
+	refuse := oracle.Func(func(context.Context, *ir.Function, *ir.Function, alive.Options) alive.Result {
+		return alive.Result{Verdict: alive.SemanticError, Diag: "ERROR: Value mismatch"}
+	})
+	garbler := policy.New(policy.CapQwen3B, 1)
+	for a := 0; a < garbler.NumActions(); a++ {
+		if garbler.ActionName(a) == "corrupt-bad-mnemonic" {
+			garbler.B[a] = 1e6
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		cfg           Config
+		verdict, diag string
+	}{
+		{"refuted", Config{Oracle: refuse}, "semantic_error", "ERROR: Value mismatch"},
+		{"unparsable", Config{Oracle: refuse, Model: garbler}, "syntax_error",
+			alive.DiagParsePrefix + `line 2: unknown instruction "faddq"`},
+	} {
+		_, base, cancel, errc := start(t, tc.cfg)
+		code, body, _ := postJSON(t, &http.Client{}, base+"/v1/optimize", OptimizeRequest{IR: srcAddZero})
+		var or OptimizeResponse
+		if err := json.Unmarshal(body, &or); err != nil || code != http.StatusOK || len(or.Functions) != 1 {
+			t.Fatalf("%s: status %d, err %v, body %s", tc.name, code, err, body)
+		}
+		f := or.Functions[0]
+		if !f.UsedFallback || f.Verdict != tc.verdict || f.Diag != tc.diag || f.Out != f.Base || f.Speedup != 1 {
+			t.Errorf("%s: function result = %+v", tc.name, f)
+		}
+		if or.Module != srcAddZero {
+			t.Errorf("%s: module changed without a proof:\n%s", tc.name, or.Module)
+		}
+		drain(t, cancel, errc)
+	}
 }
 
 func TestOptimizeEndpoint(t *testing.T) {

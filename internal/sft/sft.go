@@ -29,11 +29,11 @@ type Config struct {
 // DefaultConfig matches the reproduction's runs.
 func DefaultConfig() Config { return Config{Epochs: 3, LR: 0.35} }
 
-// TeacherTrajectory computes the sound-action sequence that rewrites
+// teacherTrajectory computes the sound-action sequence that rewrites
 // the O0 function toward the instcombine reference: at each state the
 // first applicable sound rule, then STOP. Returns the per-step
 // (candidates, chosen) records plus the text the trajectory reaches.
-func TeacherTrajectory(m *policy.Model, input *ir.Function) ([]policy.ActionRecord, string) {
+func teacherTrajectory(m *policy.Model, input *ir.Function) ([]policy.ActionRecord, string) {
 	work := ir.CloneFunc(input)
 	var recs []policy.ActionRecord
 	for t := 0; t < m.Cap.MaxSteps; t++ {
@@ -100,7 +100,7 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
-			recs, reached := TeacherTrajectory(m, s.O0)
+			recs, reached := teacherTrajectory(m, s.O0)
 			if epoch == 0 {
 				if ir.FingerprintText(reached) == ir.FingerprintText(s.RefText) {
 					matches++

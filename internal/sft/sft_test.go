@@ -24,7 +24,7 @@ func TestTeacherTrajectoryReachesOptimizedForm(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 1)
 	reachedBetter := 0
 	for _, s := range samples {
-		recs, reached := TeacherTrajectory(m, s.O0)
+		recs, reached := teacherTrajectory(m, s.O0)
 		if len(recs) == 0 {
 			t.Fatalf("%s: empty teacher trajectory", s.Name)
 		}
@@ -65,7 +65,7 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 		// Mean probability assigned to the teacher action at step 0.
 		total := 0.0
 		for _, s := range samples {
-			recs, _ := TeacherTrajectory(mm, s.O0)
+			recs, _ := teacherTrajectory(mm, s.O0)
 			h := mm.HashFeatures(ir.CanonicalText(s.O0))
 			rec := recs[0]
 			probs := mm.Softmax(rec.Cands, rec.StepFrac, rec.Work, h, 1.0)

@@ -3,41 +3,14 @@
 // paper uses to cap samples at 2048 tokens.
 package tokenizer
 
-import "strings"
+// maxContextTokens is the paper's context-window cap (§IV-A note 5).
+const maxContextTokens = 2048
 
-// MaxContextTokens is the paper's context-window cap (§IV-A note 5).
-const MaxContextTokens = 2048
-
-// Tokenize splits IR text into a deterministic token stream:
-// identifiers and numbers are single tokens, punctuation characters
-// are individual tokens, whitespace separates.
-func Tokenize(s string) []string {
-	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
-		}
-	}
-	for _, r := range s {
-		switch {
-		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
-			flush()
-		case strings.ContainsRune("()[]{},=:*", r):
-			flush()
-			toks = append(toks, string(r))
-		default:
-			cur.WriteRune(r)
-		}
-	}
-	flush()
-	return toks
-}
-
-// Count returns len(Tokenize(s)) without building the tokens. Every
-// delimiter is ASCII, so a walk over the bytes splits where the walk
-// over the runes does, invalid UTF-8 included.
+// Count returns the number of tokens in s: identifiers and numbers are
+// single tokens, punctuation characters are individual tokens,
+// whitespace separates. Nothing is built. Every delimiter is ASCII, so
+// the walk over the bytes splits where a walk over the runes would
+// (tokenize, in the tests), invalid UTF-8 included.
 func Count(s string) int {
 	n, inWord := 0, false
 	for i := 0; i < len(s); i++ {
@@ -58,4 +31,4 @@ func Count(s string) int {
 }
 
 // FitsContext reports whether s fits in the model context window.
-func FitsContext(s string) bool { return Count(s) <= MaxContextTokens }
+func FitsContext(s string) bool { return Count(s) <= maxContextTokens }

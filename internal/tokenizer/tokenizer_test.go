@@ -7,7 +7,7 @@ import (
 )
 
 func TestTokenizeIRLine(t *testing.T) {
-	toks := Tokenize("%2 = add nsw i32 %0, 1")
+	toks := tokenize("%2 = add nsw i32 %0, 1")
 	want := []string{"%2", "=", "add", "nsw", "i32", "%0", ",", "1"}
 	if len(toks) != len(want) {
 		t.Fatalf("got %v, want %v", toks, want)
@@ -24,7 +24,7 @@ func TestCountAndContext(t *testing.T) {
 	if !FitsContext(short) {
 		t.Error("short function should fit the context window")
 	}
-	long := strings.Repeat("tok ", MaxContextTokens+10)
+	long := strings.Repeat("tok ", maxContextTokens+10)
 	if FitsContext(long) {
 		t.Error("overlong input should not fit")
 	}
@@ -45,8 +45,8 @@ func TestTokenizeDeterministic(t *testing.T) {
 				sb.WriteByte(' ')
 			}
 		}
-		a := Tokenize(sb.String())
-		b := Tokenize(sb.String())
+		a := tokenize(sb.String())
+		b := tokenize(sb.String())
 		if len(a) != len(b) {
 			return false
 		}
@@ -63,7 +63,7 @@ func TestTokenizeDeterministic(t *testing.T) {
 }
 
 func TestPunctuationSplit(t *testing.T) {
-	toks := Tokenize("call i32 @f(i32 %0, i32 %1)")
+	toks := tokenize("call i32 @f(i32 %0, i32 %1)")
 	joined := strings.Join(toks, "|")
 	for _, want := range []string{"(", ")", ","} {
 		found := false
@@ -78,7 +78,7 @@ func TestPunctuationSplit(t *testing.T) {
 	}
 }
 
-// TestCountEqualsLenTokenize: Count walks bytes where Tokenize walks
+// TestCountEqualsLenTokenize: Count walks bytes where tokenize walks
 // runes and builds nothing; the filter that decides which samples the
 // corpus keeps must not be able to tell them apart.
 func TestCountEqualsLenTokenize(t *testing.T) {
@@ -91,8 +91,8 @@ func TestCountEqualsLenTokenize(t *testing.T) {
 		cases = append(cases, string(d), "a"+string(d), string(d)+"a", "a"+string(d)+string(d)+"b")
 	}
 	for _, s := range cases {
-		if got, want := Count(s), len(Tokenize(s)); got != want {
-			t.Errorf("Count(%q) = %d, len(Tokenize) = %d", s, got, want)
+		if got, want := Count(s), len(tokenize(s)); got != want {
+			t.Errorf("Count(%q) = %d, len(tokenize) = %d", s, got, want)
 		}
 	}
 	// Random strings over an alphabet dense in delimiters, multi-byte
@@ -103,12 +103,40 @@ func TestCountEqualsLenTokenize(t *testing.T) {
 		for _, p := range picks {
 			sb.WriteString(alphabet[int(p)%len(alphabet)])
 		}
-		return Count(sb.String()) == len(Tokenize(sb.String()))
+		return Count(sb.String()) == len(tokenize(sb.String()))
 	}
-	anyString := func(s string) bool { return Count(s) == len(Tokenize(s)) }
+	anyString := func(s string) bool { return Count(s) == len(tokenize(s)) }
 	for _, check := range []any{fromAlphabet, anyString} {
 		if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 			t.Error(err)
 		}
 	}
+}
+
+// tokenize is the reference Count must agree with; it splits IR text
+// into a deterministic token stream:
+// identifiers and numbers are single tokens, punctuation characters
+// are individual tokens, whitespace separates.
+func tokenize(s string) []string {
+	var toks []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			toks = append(toks, cur.String())
+			cur.Reset()
+		}
+	}
+	for _, r := range s {
+		switch {
+		case r == ' ' || r == '\t' || r == '\n' || r == '\r':
+			flush()
+		case strings.ContainsRune("()[]{},=:*", r):
+			flush()
+			toks = append(toks, string(r))
+		default:
+			cur.WriteRune(r)
+		}
+	}
+	flush()
+	return toks
 }

@@ -168,7 +168,7 @@ type Stats struct {
 	// the hot tier, from an identical in-flight query, or from the
 	// backing (those are additionally counted under Promotions).
 	Hits uint64
-	// Misses counts requests that ran the compute callback.
+	// Misses counts requests that ran the compute callback to a verdict.
 	Misses uint64
 	// Evictions counts hot-tier entries dropped to respect MaxEntries.
 	Evictions uint64
@@ -333,53 +333,59 @@ func KeyOfFunc(f *ir.Function) string { return ir.CanonicalKey(f) }
 // Identical in-flight keys are deduplicated: duplicate callers block
 // on the first caller's compute, or return a Canceled result as soon
 // as their own ctx ends. Canceled results (ctx ended mid-compute) are
-// returned but never stored — in either tier — so a later query under
-// a live context re-runs the verifier.
+// returned but never stored — in either tier — and never shared: they
+// say that the owner's caller left, not anything about the query, so a
+// waiter that wakes to one goes round again under its own context.
 //
 // Lookup order: hot tier, in-flight duplicates, backing, solver. A
 // backing hit counts as a Hit (and a Promotion) — the solver never
-// ran. Stats classification otherwise as before: a query that returns
-// early because its own ctx ended counts as Canceled, not as a Hit —
+// ran. A query that ends Canceled — its ctx done at entry, while it
+// waited, or mid-compute — counts as Canceled, not as a Hit or a Miss:
 // it was never answered.
 func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) alive.Result {
 	e.queries.Add(1)
-
-	// A context that is already done cannot be answered: skip the
-	// cache and the solver alike and return promptly, counted under
-	// Canceled so the hit rate only reflects answered queries.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			e.canceled.Add(1)
-			return alive.CanceledResult(err)
-		}
-	}
-
 	fp := k.Fingerprint()
-	e.mu.Lock()
-	if ent, ok := e.entries[fp]; ok {
-		ent.unlink()
-		e.pushFront(ent)
-		res := ent.res
-		e.mu.Unlock()
-		e.hits.Add(1)
-		return res
-	}
-	if c, ok := e.inflight[fp]; ok {
-		e.mu.Unlock()
-		if ctx == nil {
-			<-c.done
+	for {
+		// A context that is already done cannot be answered: skip the
+		// cache and the solver alike and return promptly, counted under
+		// Canceled so the hit rate only reflects answered queries.
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				e.canceled.Add(1)
+				return alive.CanceledResult(err)
+			}
+		}
+		e.mu.Lock()
+		if ent, ok := e.entries[fp]; ok {
+			ent.unlink()
+			e.pushFront(ent)
+			res := ent.res
+			e.mu.Unlock()
 			e.hits.Add(1)
-			return c.res
+			return res
+		}
+		c, ok := e.inflight[fp]
+		if !ok {
+			break // still holding e.mu: this caller becomes the owner
+		}
+		e.mu.Unlock()
+		// Done is asked for only here: a context makes its channel on
+		// the first call, and most queries never wait.
+		var ctxDone <-chan struct{} // nil, and so never ready, without a ctx
+		if ctx != nil {
+			ctxDone = ctx.Done()
 		}
 		select {
 		case <-c.done:
-			e.hits.Add(1)
-			return c.res
-		case <-ctx.Done():
+		case <-ctxDone:
 			// The waiter gave up before the owner's result arrived:
 			// it got a Canceled result, not a cache answer.
 			e.canceled.Add(1)
 			return alive.CanceledResult(ctx.Err())
+		}
+		if !c.res.Canceled {
+			e.hits.Add(1)
+			return c.res
 		}
 	}
 	c := &call{done: make(chan struct{})}
@@ -402,8 +408,6 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 			return res
 		}
 	}
-	e.misses.Add(1)
-
 	t0 := time.Now()
 	c.res = compute()
 	e.wallNanos.Add(int64(time.Since(t0)))
@@ -420,6 +424,7 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 		close(c.done)
 		return c.res
 	}
+	e.misses.Add(1)
 
 	// Write through to the backing first (outside the lock): the
 	// verdict is durable before — not eventually after — it becomes

@@ -267,6 +267,51 @@ func TestWaiterAnsweredByOwnerIsHit(t *testing.T) {
 	}
 }
 
+// TestWaiterSurvivesOwnerCancel: a Canceled result says that the
+// owner's caller left, nothing about the query. A dedup waiter whose
+// own context is live must not be handed it (two /v1/verify requests
+// for one key with different deadlines: the short one's expiry was
+// served to the long one as a 200): it goes round again and computes.
+func TestWaiterSurvivesOwnerCancel(t *testing.T) {
+	e := New(Config{})
+	ownerCtx, cancelOwner := context.WithCancel(bg)
+	started := make(chan struct{})
+	ownerDone := make(chan alive.Result, 1)
+	go func() {
+		ownerDone <- e.Do(ownerCtx, keyN(5), func() alive.Result {
+			close(started)
+			<-ownerCtx.Done()
+			return alive.CanceledResult(ownerCtx.Err())
+		})
+	}()
+	<-started
+	waiterDone := make(chan alive.Result, 1)
+	go func() {
+		waiterDone <- e.Do(bg, keyN(5), equivalent)
+	}()
+	// Let the waiter park on the owner's call before the owner's
+	// caller gives up.
+	for e.Stats().Queries < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	cancelOwner()
+	if r := <-ownerDone; !r.Canceled {
+		t.Fatalf("owner result = %+v, want canceled", r)
+	}
+	select {
+	case r := <-waiterDone:
+		if r.Verdict != alive.Equivalent || r.Canceled {
+			t.Fatalf("waiter under a live context got %+v, want the computed verdict", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter never returned")
+	}
+	if s := e.Stats(); s.Queries != 2 || s.Canceled != 1 || s.Misses != 1 || s.Hits != 0 || s.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 canceled, 1 miss, 0 hits, 1 entry", s)
+	}
+}
+
 func TestEvictionRespectsBound(t *testing.T) {
 	e := New(Config{MaxEntries: 2})
 	for i := 0; i < 5; i++ {

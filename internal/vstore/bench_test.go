@@ -1,9 +1,7 @@
 package vstore
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -11,12 +9,11 @@ import (
 	"veriopt/internal/vcache"
 )
 
-// Store benchmark: append throughput, read-hit and read-miss latency,
-// reopen (replay) wall, and the writer-visible compaction pause.
-// `make bench-store` runs TestStoreBench with BENCH_VSTORE_OUT set and
-// records the measured numbers in BENCH_vstore.json (quoted in
-// EXPERIMENTS.md). Under plain `go test` the workload shrinks and
-// nothing is written — tier-1 must not fail on a loaded machine.
+// Store life cycle at a few thousand records: append, read hits and
+// misses, supersede half, compact, reopen. The walls are logged, not
+// asserted — tier-1 must not fail on a loaded machine; what is asserted
+// is that every read answers as it should and that the reopened store
+// holds every appended record.
 
 // benchKey builds a key shaped like real traffic: function-sized texts
 // (a few hundred bytes), unique per i.
@@ -42,11 +39,7 @@ func benchRes(i int) alive.Result {
 }
 
 func TestStoreBench(t *testing.T) {
-	out := os.Getenv("BENCH_VSTORE_OUT")
-	n := 2_000
-	if out != "" {
-		n = 50_000
-	}
+	const n = 2_000
 	dir := t.TempDir()
 	s, err := Open(dir, Config{DisableAutoCompact: true})
 	if err != nil {
@@ -108,6 +101,16 @@ func TestStoreBench(t *testing.T) {
 	if st := s2.Stats(); st.Entries != n {
 		t.Fatalf("entries after reopen = %d, want %d", st.Entries, n)
 	}
+	// Every appended record, in its last-written form.
+	for i := 0; i < n; i++ {
+		want := benchRes(i)
+		if i < n/2 {
+			want = benchRes(i + 1)
+		}
+		if got, ok, err := s2.Get(benchKey(i)); err != nil || !ok || got.SolverConflicts != want.SolverConflicts {
+			t.Fatalf("record %d after reopen: %+v ok=%v err=%v, want %+v", i, got, ok, err, want)
+		}
+	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -119,27 +122,4 @@ func TestStoreBench(t *testing.T) {
 	t.Logf("compact: %d segments, %d bytes reclaimed, %v writer pause", res.SegmentsIn, res.ReclaimedBytes, res.Pause)
 	t.Logf("reopen:  %v for %d records", reopenWall, n)
 
-	if out == "" {
-		return
-	}
-	doc := map[string]any{
-		"records":                 n,
-		"append_wall_ns":          appendWall.Nanoseconds(),
-		"appends_per_sec":         appendsPerSec,
-		"appended_bytes":          bytesAppended,
-		"read_hit_ns_per_op":      (hitWall / reads).Nanoseconds(),
-		"read_miss_ns_per_op":     (missWall / reads).Nanoseconds(),
-		"compact_segments_in":     res.SegmentsIn,
-		"compact_reclaimed_bytes": res.ReclaimedBytes,
-		"compact_pause_ns":        res.Pause.Nanoseconds(),
-		"reopen_wall_ns":          reopenWall.Nanoseconds(),
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", out)
 }

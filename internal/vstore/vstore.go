@@ -63,17 +63,17 @@ import (
 
 // Defaults for the zero Config.
 const (
-	// DefaultSegmentBytes is the rotation threshold for the active
+	// defaultSegmentBytes is the rotation threshold for the active
 	// segment. Small enough that compaction works in modest units,
 	// large enough that a training run stays in a handful of segments.
-	DefaultSegmentBytes = 8 << 20
-	// DefaultSyncEvery is the fsync cadence in appends. It bounds the
+	defaultSegmentBytes = 8 << 20
+	// defaultSyncEvery is the fsync cadence in appends. It bounds the
 	// crash-loss window to a few dozen verdicts while keeping append
 	// cost amortized; 1 fsyncs every append.
-	DefaultSyncEvery = 32
-	// DefaultCompactMinDeadFrac is the dead-byte fraction of sealed
+	defaultSyncEvery = 32
+	// defaultCompactMinDeadFrac is the dead-byte fraction of sealed
 	// segments above which rotation triggers a background compaction.
-	DefaultCompactMinDeadFrac = 0.5
+	defaultCompactMinDeadFrac = 0.5
 )
 
 const manifestName = "MANIFEST"
@@ -81,15 +81,15 @@ const manifestName = "MANIFEST"
 // Config sizes a Store. The zero value selects the defaults above.
 type Config struct {
 	// SegmentBytes rotates the active segment once it exceeds this
-	// size (<= 0 selects DefaultSegmentBytes).
+	// size (<= 0 selects defaultSegmentBytes).
 	SegmentBytes int64
 	// SyncEvery fsyncs the active segment after this many appends
-	// (<= 0 selects DefaultSyncEvery; 1 = every append). Sync and
+	// (<= 0 selects defaultSyncEvery; 1 = every append). Sync and
 	// Close always flush the tail regardless.
 	SyncEvery int
 	// CompactMinDeadFrac triggers background compaction after a
 	// rotation when sealed segments carry at least this fraction of
-	// dead bytes (<= 0 selects DefaultCompactMinDeadFrac).
+	// dead bytes (<= 0 selects defaultCompactMinDeadFrac).
 	CompactMinDeadFrac float64
 	// DisableAutoCompact turns off the rotation-triggered background
 	// compaction; Compact can still be called explicitly (the
@@ -189,13 +189,13 @@ func segmentName(seq uint64) string { return fmt.Sprintf("seg-%08d.vlog", seq) }
 // checkpoint temp files) are removed.
 func Open(dir string, cfg Config) (*Store, error) {
 	if cfg.SegmentBytes <= 0 {
-		cfg.SegmentBytes = DefaultSegmentBytes
+		cfg.SegmentBytes = defaultSegmentBytes
 	}
 	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = DefaultSyncEvery
+		cfg.SyncEvery = defaultSyncEvery
 	}
 	if cfg.CompactMinDeadFrac <= 0 {
-		cfg.CompactMinDeadFrac = DefaultCompactMinDeadFrac
+		cfg.CompactMinDeadFrac = defaultCompactMinDeadFrac
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vstore: create dir: %w", err)

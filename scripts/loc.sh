@@ -6,7 +6,12 @@
 # A package named *test is test support (only _test.go files import
 # it), so all of its lines are test lines. Then the flag count of each
 # veriopt subcommand, read off its -h.
+#
+# `loc.sh check` (make loc-check, in tier2) prints nothing but compares
+# the two totals with the ceilings in scripts/loc.ceiling and fails when
+# either is exceeded.
 set -eu
+mode=${1-table}
 cd "$(dirname "$0")/.."
 files() { find "$1" -maxdepth 1 -name '*.go' ${2-} -name '*_test.go' -print0; }
 exported='
@@ -15,21 +20,32 @@ exported='
 blk && /^\t[A-Z][A-Za-z0-9_]*([ ,(]|$)/ { n++ }
 /^func ([A-Z]|\([^)]*\) [A-Z])/ || /^(type|const|var) [A-Z]/ { n++ }
 END { print n + 0 }'
-echo '| package | non-test lines | test lines | exported names |'
-echo '|---|---:|---:|---:|'
+row() { [ "$mode" = check ] || echo "$1"; }
+row '| package | non-test lines | test lines | exported names |'
+row '|---|---:|---:|---:|'
 N=0 T=0 E=0
 for d in internal/* cmd/*; do
 	n=$(files "$d" '!' | xargs -0 -r cat | wc -l)
 	t=$(files "$d" | xargs -0 -r cat | wc -l)
 	e=$(files "$d" '!' | xargs -0 -r cat | awk "$exported")
 	case $d in *test) t=$((t + n)) n=0 ;; esac
-	echo "| $d | $n | $t | $e |"
+	row "| $d | $n | $t | $e |"
 	N=$((N + n)) T=$((T + t)) E=$((E + e))
 done
-echo "| **total** | **$N** | **$T** | **$E** |"
+row "| **total** | **$N** | **$T** | **$E** |"
+if [ "$mode" = check ]; then
+	maxN=$(awk '$1 == "non_test_lines" { print $2 }' scripts/loc.ceiling)
+	maxE=$(awk '$1 == "exported_names" { print $2 }' scripts/loc.ceiling)
+	if [ "$N" -gt "$maxN" ] || [ "$E" -gt "$maxE" ]; then
+		echo "loc-check: $N non-test lines (ceiling $maxN), $E exported names (ceiling $maxE):" >&2
+		echo "  shrink the change, or raise scripts/loc.ceiling in this diff and say why" >&2
+		exit 1
+	fi
+	exit 0
+fi
 echo
 echo '| veriopt subcommand | flags |'
 echo '|---|---:|'
-for sub in experiments train optimize serve dataset 'cache migrate'; do
+for sub in experiments train optimize check serve dataset 'cache migrate'; do
 	echo "| $sub | $(go run ./cmd/veriopt $sub -h 2>&1 | grep -c '^  -') |"
 done

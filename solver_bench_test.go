@@ -3,23 +3,17 @@ package veriopt
 // Solver-wall benchmark: the cold-cache verification workload run
 // through the fresh-solver-per-query path versus the incremental
 // session path (the default), isolating the live SAT cost the verdict
-// cache cannot hide. `make bench-solver` runs TestSolverWallBench with
-// BENCH_SOLVER_OUT set and records the measured numbers in
-// BENCH_solver.json (quoted in EXPERIMENTS.md).
+// cache cannot hide. BenchmarkSolverWall{Fresh,Session} time the two;
+// TestSolverWallBench holds them to the same verdicts.
 
 import (
-	"encoding/json"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
-	"veriopt/internal/experiments"
 	"veriopt/internal/ir"
-	"veriopt/internal/oracle"
 )
 
 type verifyPair struct {
@@ -98,89 +92,25 @@ func solverOpts(fresh bool) alive.Options {
 	return o
 }
 
-// TestSolverWallBench measures both solver paths over the workload,
-// requires verdict parity between them (the correctness half of the
-// acceptance criterion), and — when BENCH_SOLVER_OUT names a file —
-// writes the measured walls as JSON. The speedup itself is reported,
-// not asserted: tier-1 must not fail on a loaded machine.
+// TestSolverWallBench runs both solver paths over the workload and
+// requires verdict parity between them on every pair. The walls and
+// conflict counts are logged, not asserted: tier-1 must not fail on a
+// loaded machine.
 func TestSolverWallBench(t *testing.T) {
 	pairs := solverWorkload(t)
+	if len(pairs) < 32 {
+		t.Fatalf("workload: %d pairs, want the 32 samples and their mutants", len(pairs))
+	}
 	fv, fc, fw := runSolverWall(pairs, solverOpts(true))
 	sv, sc, sw := runSolverWall(pairs, solverOpts(false))
 	for i := range pairs {
 		if fv[i] != sv[i] {
-			t.Fatalf("%s: fresh=%v session=%v", pairs[i].name, fv[i], sv[i])
+			t.Errorf("%s: fresh=%v session=%v", pairs[i].name, fv[i], sv[i])
 		}
 	}
-	speedup := float64(fw) / float64(sw)
 	t.Logf("workload: %d pairs", len(pairs))
 	t.Logf("fresh:   %v wall, %d conflicts", fw, fc)
 	t.Logf("session: %v wall, %d conflicts", sw, sc)
-	t.Logf("speedup: %.2fx wall, %.2fx conflicts", speedup, float64(fc)/float64(max(sc, 1)))
-	if out := os.Getenv("BENCH_SOLVER_OUT"); out != "" {
-		doc := map[string]any{
-			"workload_pairs":     len(pairs),
-			"fresh_wall_ns":      fw.Nanoseconds(),
-			"session_wall_ns":    sw.Nanoseconds(),
-			"fresh_conflicts":    fc,
-			"session_conflicts":  sc,
-			"wall_speedup":       speedup,
-			"conflict_reduction": float64(fc) / float64(max(sc, 1)),
-		}
-		// The acceptance workload: the EXPERIMENTS.md quickstart
-		// training run on a cold verdict cache. Its live solver wall is
-		// what the cold/warm table quotes.
-		coldWall, coldConflicts := coldExperimentsWall(t)
-		doc["cold_experiments_wall_ns"] = coldWall.Nanoseconds()
-		doc["cold_experiments_conflicts"] = coldConflicts
-		// Pre-PR baseline walls are measured from a git worktree at the
-		// commit before this change (the session/solver code cannot be
-		// switched back to its old form at runtime); the Makefile
-		// passes the recorded values and provenance through.
-		if ns := envNs("BENCH_SOLVER_BASELINE_TRAIN_NS"); ns > 0 {
-			doc["baseline_commit"] = os.Getenv("BENCH_SOLVER_BASELINE_COMMIT")
-			doc["baseline_cold_experiments_wall_ns"] = ns
-			doc["cold_experiments_speedup_vs_baseline"] = float64(ns) / float64(coldWall.Nanoseconds())
-		}
-		if ns := envNs("BENCH_SOLVER_BASELINE_BENCH_NS"); ns > 0 {
-			doc["baseline_bench_wall_ns"] = ns
-			doc["bench_speedup_vs_baseline"] = float64(ns) / float64(sw.Nanoseconds())
-		}
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", out)
-	}
-}
-
-func envNs(name string) int64 {
-	ns, _ := strconv.ParseInt(os.Getenv(name), 10, 64)
-	return ns
-}
-
-// coldExperimentsWall runs the quickstart curriculum (train -n 40
-// -stage1 2 -stage2 4 -stage3 3) against a fresh oracle stack and
-// returns the live solver wall its verdict cache accumulated — the
-// number the EXPERIMENTS.md cold/warm table reports for a cold cache.
-func coldExperimentsWall(t *testing.T) (time.Duration, int) {
-	t.Helper()
-	cfg := experiments.DefaultConfig()
-	cfg.CorpusN = 40
-	cfg.Stage.Stage1Steps = 2
-	cfg.Stage.Stage2Steps = 4
-	cfg.Stage.Stage3Steps = 3
-	c := experiments.NewContext(cfg)
-	stack := oracle.NewStack(oracle.Config{})
-	c.Oracle = stack
-	if _, err := c.Pipeline(); err != nil {
-		t.Fatal(err)
-	}
-	_, cs := stack.OracleStats()
-	return cs.WallTime, int(cs.SolverConflicts)
 }
 
 // BenchmarkSolverWallFresh times the pre-session path: a fresh
