@@ -385,18 +385,16 @@ func (bl *Blaster) shifter(op Op, x, sh []sat.Lit) []sat.Lit {
 		}
 		cur = next
 	}
-	// If any shift bit >= log2ceil(w) is set, the amount is >= w.
-	over := bl.fLit
-	for stage := 0; stage < len(sh); stage++ {
-		if 1<<uint(stage) >= w {
-			over = bl.orGate(over, sh[stage])
-		}
-	}
-	// Also handle non-power-of-two widths: amount in [w, 2^stages).
 	stages := 0
 	for (1 << uint(stages)) < w {
 		stages++
 	}
+	// If any shift bit >= log2ceil(w) is set, the amount is >= w.
+	over := bl.fLit
+	for stage := stages; stage < len(sh); stage++ {
+		over = bl.orGate(over, sh[stage])
+	}
+	// Also handle non-power-of-two widths: amount in [w, 2^stages).
 	if w != 1<<uint(stages) {
 		// Compare low bits of sh against w.
 		low := sh

@@ -288,6 +288,14 @@ func TestShiftOverflowSemantics(t *testing.T) {
 	checkValid(t, b, b.Eq(sh, b.Const(8, 0)))
 	shl := b.Bin(OpShl, x, b.Const(8, 200))
 	checkValid(t, b, b.Eq(shl, b.Const(8, 0)))
+	// At 64 bits the amount's top bit counts too: the shifter's ">= width"
+	// test once computed 1<<63 as an int and skipped it
+	// (FuzzBuilderVsReference found it).
+	y, n := b.Var(64, "y"), b.Var(64, "n")
+	huge := b.Cmp(OpUle, b.Const(64, 1<<63), n)
+	checkValid(t, b, b.Implies(huge, b.Eq(b.Bin(OpLShr, y, n), b.Const(64, 0))))
+	checkValid(t, b, b.Implies(huge, b.Eq(b.Bin(OpShl, y, n), b.Const(64, 0))))
+	checkValid(t, b, b.Implies(huge, b.Eq(b.Bin(OpAShr, y, n), b.Bin(OpAShr, y, b.Const(64, 63)))))
 }
 
 func TestCastChain(t *testing.T) {
