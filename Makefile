@@ -166,10 +166,14 @@ bench-layers:
 # verification, cache key, its digest and one combine fixpoint pass on a
 # fixed mid-size function, then what a search does with it: one verification
 # and one whole Beam on a cold stack (the same go test line with
-# -memprofile is the allocation profile of that path).
+# -memprofile is the allocation profile of that path), the verifier's
+# tail shapes one by one (VerifyTail), and then the table of where the
+# solver's time goes over the benchmark's two corpora, per template and
+# width, with the normal-form rules that fired (-seed N for another seed).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
-	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|KeyFingerprint|CombinePass|VerifyMid|BeamMid|InterpRun|GenerateSkipVerify)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|KeyFingerprint|CombinePass|VerifyMid|BeamMid|VerifyTail|InterpRun|GenerateSkipVerify)$$' -benchmem .
+	$(GO) test -run '^TestNormalFormTable$$' -count=1 -v ./internal/alive
 
 # "Least code" as a number (ROADMAP, Design diet): per-package non-test
 # lines, test lines and exported names, and the flag count of each

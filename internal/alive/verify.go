@@ -165,6 +165,11 @@ func VerifyFuncsCtx(ctx context.Context, src, tgt *ir.Function, opts Options) Re
 	if err := ctx.Err(); err != nil {
 		return CanceledResult(err)
 	}
+	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts)
+}
+
+// verifyWith is VerifyFuncsCtx over a builder the caller can read afterwards.
+func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts Options) Result {
 	if opts.MaxPaths == 0 {
 		opts = DefaultOptions()
 	}
@@ -179,7 +184,6 @@ func VerifyFuncsCtx(ctx context.Context, src, tgt *ir.Function, opts Options) Re
 		}
 	}
 
-	b := bv.NewBuilder()
 	// Shared symbolic inputs. Parameters carry noundef in the clang
 	// -O0 style our pipeline uses, so inputs are never poison; a
 	// non-noundef parameter gets a free poison bit.
@@ -350,6 +354,12 @@ func refine(ctx context.Context, b *bv.Builder, src, tgt *summary, paramNames []
 		}
 	}
 	queries = live
+	if len(queries) == 0 {
+		// Source and target interned to the same terms (bv's normal form
+		// exists to make this the common Equivalent): no session, no
+		// solver, nothing blasted.
+		return Result{Verdict: Equivalent}
+	}
 
 	solver := newQuerySolver(src.fn, opts)
 	if sess, ok := solver.(*sessionSolver); ok {
@@ -408,9 +418,6 @@ func refineBatched(ctx context.Context, b *bv.Builder, sess *sessionSolver, quer
 		if res, ok := sess.sess.TryConcrete(q.cond); ok {
 			return semanticError(b, q, res.Model, src, tgt, paramNames, sess.spent()), true
 		}
-	}
-	if len(queries) == 0 {
-		return Result{Verdict: Equivalent, SolverConflicts: sess.spent()}, true
 	}
 	any := queries[0].cond
 	for _, q := range queries[1:] {

@@ -9,14 +9,14 @@ import (
 // Blaster translates bit-vector terms into CNF over a sat.Solver via
 // Tseitin encoding, one solver variable per bit.
 //
-// The blast cache is keyed by Term.ID(), which is unique per Builder,
+// The blast cache is keyed by term id, which is unique per Builder,
 // and it survives across queries: a Blaster reused for a stream of
 // queries over one Builder (the Session path) blasts every shared
 // subterm exactly once. Consequently a Blaster must only ever see
 // terms from a single Builder.
 type Blaster struct {
 	S     *sat.Solver
-	cache map[int][]sat.Lit // Term.ID() -> bit literals
+	cache map[int][]sat.Lit // term id -> bit literals
 	// tLit/fLit are literals fixed to true/false.
 	tLit, fLit sat.Lit
 	vars       map[string][]sat.Lit // variable name -> bit literals
@@ -217,14 +217,14 @@ func (bl *Blaster) negate(a []sat.Lit) []sat.Lit {
 
 // Blast returns the bit literals (LSB first) representing t.
 func (bl *Blaster) Blast(t *Term) []sat.Lit {
-	if lits, ok := bl.cache[t.ID()]; ok {
+	if lits, ok := bl.cache[t.id]; ok {
 		return lits
 	}
 	lits := bl.blast(t)
 	if len(lits) != t.Width {
 		panic(fmt.Sprintf("bv: blast width mismatch for %v: got %d, want %d", t.Op, len(lits), t.Width))
 	}
-	bl.cache[t.ID()] = lits
+	bl.cache[t.id] = lits
 	return lits
 }
 
@@ -260,14 +260,22 @@ func (bl *Blaster) blast(t *Term) []sat.Lit {
 	case OpNeg:
 		return bl.negate(bl.Blast(t.Kids[0]))
 	case OpAdd:
-		return bl.adder(bl.Blast(t.Kids[0]), bl.Blast(t.Kids[1]), bl.fLit)
-	case OpSub:
-		x, y := bl.Blast(t.Kids[0]), bl.Blast(t.Kids[1])
-		inv := make([]sat.Lit, w)
-		for i := range inv {
-			inv[i] = y[i].Not()
+		// x + neg y is x - y: one adder over y's complement with the
+		// carry in set, not a negation and then an addition.
+		var in [2][]sat.Lit
+		cin := bl.fLit
+		for i, k := range t.Kids {
+			if k.Op != OpNeg || cin == bl.tLit {
+				in[i] = bl.Blast(k)
+				continue
+			}
+			cin = bl.tLit
+			in[i] = make([]sat.Lit, w)
+			for j, l := range bl.Blast(k.Kids[0]) {
+				in[i][j] = l.Not()
+			}
 		}
-		return bl.adder(x, inv, bl.tLit)
+		return bl.adder(in[0], in[1], cin)
 	case OpMul:
 		return bl.multiplier(bl.Blast(t.Kids[0]), bl.Blast(t.Kids[1]))
 	case OpAnd, OpOr, OpXor:

@@ -10,7 +10,7 @@ import (
 // calls in three ways:
 //
 //  1. Shared bit-blasting: one Blaster/Solver pair serves every
-//     query, and the blast cache (keyed by Term.ID()) survives across
+//     query, and the blast cache (keyed by term id) survives across
 //     queries, so the hash-consed subterms the queries share are
 //     translated to CNF exactly once.
 //  2. Assumption-based solving: each query's condition is guarded by

@@ -7,6 +7,7 @@ package bv
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 )
 
@@ -68,9 +69,6 @@ type Term struct {
 	own   [3]*Term // what Kids is a slice of
 }
 
-// ID returns the term's unique (per-Builder) identity.
-func (t *Term) ID() int { return t.id }
-
 // String renders the term as an s-expression (for diagnostics).
 func (t *Term) String() string {
 	switch t.Op {
@@ -112,6 +110,42 @@ type Builder struct {
 	// terms is the chunk new nodes are carved from. A full chunk is
 	// left to the terms that point into it and replaced.
 	terms []Term
+	// hits counts, per normal-form rule, the constructor calls it
+	// rewrote.
+	hits [numRules]int
+}
+
+// The rules of the normal form (DESIGN.md, "The normal form"), as
+// indices into Builder.hits.
+const (
+	ruleSub        = iota // x - y built as x + neg y
+	ruleNegNeg            // a negation met a negation
+	ruleMerge             // like terms of a sum met (x - x, x + x)
+	ruleScale             // a constant factor or shift met another, or a sum
+	ruleEqConst           // x + c1 == c2 became x == c2 - c1
+	ruleXorCancel         // (a ^ b) ^ b
+	ruleAbsorb            // (a | b) & a, (a & b) | a
+	ruleComplement        // x & ~x, x | ~x
+	ruleMulPow2           // x * 2^k as x << k
+	ruleUDivPow2          // x udiv 2^k as x lshr k
+	ruleURemPow2          // x urem 2^k as x & (2^k - 1)
+	ruleSDivPow2          // x sdiv 2^k as biased ashr
+	numRules
+)
+
+var ruleNames = [numRules]string{"sub", "neg-neg", "merge", "scale", "eq-const",
+	"xor-cancel", "absorb", "complement", "mul-pow2", "udiv-pow2", "urem-pow2", "sdiv-pow2"}
+
+// RuleHits reports how many constructor calls each normal-form rule
+// rewrote, by rule name; rules that never fired are absent.
+func (b *Builder) RuleHits() map[string]int {
+	m := map[string]int{}
+	for r, n := range b.hits {
+		if n > 0 {
+			m[ruleNames[r]] = n
+		}
+	}
+	return m
 }
 
 // termKey is a term's structural identity, narrow so it is cheap to
@@ -197,50 +231,65 @@ func (b *Builder) Bin(op Op, x, y *Term) *Term {
 			return b.Const(w, v)
 		}
 	}
-	// Normalize subtraction of a constant into addition (exact under
-	// wrapping semantics), so mixed add/sub constant chains share one
-	// operator and reassociate below.
-	if op == OpSub {
-		if yc, ok := constOf(y); ok {
-			return b.Bin(OpAdd, x, b.Const(w, -yc))
-		}
-	}
-	// Reassociate constant chains: (z ⋄ c1) ⋄ c2 → z ⋄ (c1 ⋄ c2) for
-	// associative ops. Long accumulator chains ("a += 24; a -= 8; ...")
-	// collapse to a single operation, which turns their equivalence
-	// proofs from carry-chain SAT searches into constant folds.
 	switch op {
-	case OpAdd, OpMul, OpAnd, OpOr, OpXor:
-		if c2, ok := constOf(y); ok && x.Op == op {
-			if c1, ok := constOf(x.Kids[1]); ok {
-				v, _ := foldBin(op, c1, c2, w)
-				return b.Bin(op, x.Kids[0], b.Const(w, v))
-			}
-			if c1, ok := constOf(x.Kids[0]); ok {
-				v, _ := foldBin(op, c1, c2, w)
-				return b.Bin(op, x.Kids[1], b.Const(w, v))
-			}
+	case OpAdd, OpSub, OpMul, OpShl:
+		if x.Op == OpConst && (op == OpAdd || op == OpMul) {
+			x, y = y, x // a sum or product keeps its constant last
 		}
-		if c2, ok := constOf(x); ok && y.Op == op {
-			if c1, ok := constOf(y.Kids[1]); ok {
-				v, _ := foldBin(op, c1, c2, w)
-				return b.Bin(op, y.Kids[0], b.Const(w, v))
-			}
-			if c1, ok := constOf(y.Kids[0]); ok {
-				v, _ := foldBin(op, c1, c2, w)
-				return b.Bin(op, y.Kids[1], b.Const(w, v))
-			}
+		if t := b.linear(op, x, y); t != nil {
+			return t
 		}
-	case OpShl:
-		// (z << c1) << c2 → z << (c1+c2); foldBin already maps
-		// amounts ≥ w to zero on both spellings.
-		if c2, ok := constOf(y); ok && x.Op == OpShl {
-			if c1, ok := constOf(x.Kids[1]); ok {
-				sum := c1 + c2
-				if sum < c1 || sum > uint64(w) { // overflow or ≥ w
-					sum = uint64(w)
+		// Kept as built, in the one operator each shape has: x - y is
+		// x + neg y, and x * 2^k is x << k.
+		c, yIsC := constOf(y)
+		switch {
+		case op == OpSub && yIsC:
+			op, y = OpAdd, b.Const(w, -c)
+		case op == OpSub:
+			b.hits[ruleSub]++
+			op, y = OpAdd, b.intern(OpNeg, w, 0, "", y)
+			if x.Op == OpConst {
+				x, y = y, x
+			}
+		case op == OpShl && yIsC && c >= uint64(w):
+			return b.Const(w, 0)
+		case op == OpMul && yIsC && c&(c-1) == 0 && c > 1:
+			b.hits[ruleMulPow2]++
+			op, y = OpShl, b.Const(w, uint64(bits.TrailingZeros64(c)))
+		}
+	case OpUDiv, OpURem, OpSDiv:
+		// Division by a power of two is total, so the shift that
+		// replaces it loses no definedness. sdiv keeps its divider for 1
+		// (k = 0), and for the sign bit, which is -2^(w-1).
+		c, ok := constOf(y)
+		if !ok || c&(c-1) != 0 || c == 0 {
+			break
+		}
+		k := bits.TrailingZeros64(c)
+		switch {
+		case op == OpUDiv:
+			b.hits[ruleUDivPow2]++
+			return b.Bin(OpLShr, x, b.Const(w, uint64(k)))
+		case op == OpURem:
+			b.hits[ruleURemPow2]++
+			return b.Bin(OpAnd, x, b.Const(w, c-1))
+		case k > 0 && k < w-1:
+			// Round toward zero: add 2^k - 1 to a negative dividend.
+			b.hits[ruleSDivPow2]++
+			bias := b.Bin(OpLShr, b.Bin(OpAShr, x, b.Const(w, uint64(w-1))), b.Const(w, uint64(w-k)))
+			return b.Bin(OpAShr, b.Bin(OpAdd, x, bias), b.Const(w, uint64(k)))
+		}
+	case OpAnd, OpOr, OpXor:
+		// Reassociate constant chains: (z ⋄ c1) ⋄ c2 → z ⋄ (c1 ⋄ c2).
+		// (Sums and products by constants do so in linear.)
+		for _, p := range [2][2]*Term{{x, y}, {y, x}} {
+			if c2, ok := constOf(p[1]); ok && p[0].Op == op {
+				for i, k := range p[0].Kids {
+					if c1, ok := constOf(k); ok {
+						v, _ := foldBin(op, c1, c2, w)
+						return b.Bin(op, p[0].Kids[1-i], b.Const(w, v))
+					}
 				}
-				return b.Bin(OpShl, x.Kids[0], b.Const(w, sum))
 			}
 		}
 	}
@@ -325,13 +374,6 @@ func (b *Builder) simplifyBin(op Op, x, y *Term) *Term {
 		if xIsC && xc == 0 {
 			return y
 		}
-	case OpSub:
-		if yIsC && yc == 0 {
-			return x
-		}
-		if x == y {
-			return b.Const(x.Width, 0)
-		}
 	case OpMul:
 		if yIsC && yc == 1 {
 			return x
@@ -355,6 +397,14 @@ func (b *Builder) simplifyBin(op Op, x, y *Term) *Term {
 		if xIsC && xc == mask(x.Width) {
 			return y
 		}
+		if isNotOf(x, y) || isNotOf(y, x) {
+			b.hits[ruleComplement]++
+			return b.Const(x.Width, 0)
+		}
+		if t := absorbed(OpOr, x, y); t != nil {
+			b.hits[ruleAbsorb]++
+			return t
+		}
 	case OpOr:
 		if x == y {
 			return x
@@ -364,6 +414,14 @@ func (b *Builder) simplifyBin(op Op, x, y *Term) *Term {
 		}
 		if xIsC && xc == 0 {
 			return y
+		}
+		if isNotOf(x, y) || isNotOf(y, x) {
+			b.hits[ruleComplement]++
+			return b.Const(x.Width, mask(x.Width))
+		}
+		if t := absorbed(OpAnd, x, y); t != nil {
+			b.hits[ruleAbsorb]++
+			return t
 		}
 	case OpXor:
 		if x == y {
@@ -375,12 +433,198 @@ func (b *Builder) simplifyBin(op Op, x, y *Term) *Term {
 		if xIsC && xc == 0 {
 			return y
 		}
+		// (a ^ b) ^ b is a, one level deep.
+		for _, p := range [2][2]*Term{{x, y}, {y, x}} {
+			if p[0].Op == OpXor && (p[0].Kids[0] == p[1] || p[0].Kids[1] == p[1]) {
+				b.hits[ruleXorCancel]++
+				if p[0].Kids[0] == p[1] {
+					return p[0].Kids[1]
+				}
+				return p[0].Kids[0]
+			}
+		}
 	case OpShl, OpLShr, OpAShr:
 		if yIsC && yc == 0 {
 			return x
 		}
 	}
 	return nil
+}
+
+// isNotOf reports whether t is the complement of u.
+func isNotOf(t, u *Term) bool { return t.Op == OpNot && t.Kids[0] == u }
+
+// absorbed returns the operand that absorbs the other: with inner = or
+// it answers (a | b) & a, with inner = and it answers (a & b) | a.
+func absorbed(inner Op, x, y *Term) *Term {
+	if x.Op == inner && (x.Kids[0] == y || x.Kids[1] == y) {
+		return y
+	}
+	if y.Op == inner && (y.Kids[0] == x || y.Kids[1] == x) {
+		return x
+	}
+	return nil
+}
+
+// sumWindow bounds the additive normal form: a sum of more distinct
+// atoms than this is left as built, so one constructor call costs O(1)
+// whatever it is handed.
+const sumWindow = 8
+
+// linSum is a sum of coefficient·atom monomials over at most sumWindow
+// distinct atoms, ordered by atom id, plus a constant, modulo 2^w. An
+// atom is any term that is not itself a constant, a sum, a negation, or
+// a shift or product by a constant.
+type linSum struct {
+	atom  [sumWindow]*Term
+	coef  [sumWindow]uint64
+	n     int
+	k     uint64
+	steps int
+	// consts counts the constants met; folded is set once the sum is
+	// shorter than the expression it was read off — like terms met, a
+	// negation met a negation, a scale met a scale, two constants met.
+	consts int
+	folded bool
+}
+
+// addScaled adds coef·t to s, looking through the additive operators; it
+// reports false when s would leave the window.
+func (b *Builder) addScaled(s *linSum, t *Term, coef uint64) bool {
+	if s.steps++; s.steps > 8*sumWindow {
+		return false
+	}
+	switch t.Op {
+	case OpConst:
+		if s.consts++; s.consts > 1 {
+			s.folded = true
+		}
+		s.k += coef * t.Val
+		return true
+	case OpAdd:
+		b.scaleMet(s, t.Width, coef)
+		return b.addScaled(s, t.Kids[0], coef) && b.addScaled(s, t.Kids[1], coef)
+	case OpNeg:
+		if coef&mask(t.Width) == mask(t.Width) {
+			b.hits[ruleNegNeg]++
+			s.folded = true
+		}
+		return b.addScaled(s, t.Kids[0], -coef)
+	case OpShl:
+		if c, ok := constOf(t.Kids[1]); ok && c < uint64(t.Width) {
+			b.scaleMet(s, t.Width, coef)
+			return b.addScaled(s, t.Kids[0], coef<<c)
+		}
+	case OpMul:
+		for i, k := range t.Kids {
+			if c, ok := constOf(k); ok {
+				b.scaleMet(s, t.Width, coef)
+				return b.addScaled(s, t.Kids[1-i], coef*c)
+			}
+		}
+	}
+	i := 0
+	for i < s.n && s.atom[i].id < t.id {
+		i++
+	}
+	if i < s.n && s.atom[i] == t {
+		b.hits[ruleMerge]++
+		s.folded = true
+		s.coef[i] += coef
+		return true
+	}
+	if s.n == sumWindow {
+		return false
+	}
+	copy(s.atom[i+1:], s.atom[i:s.n])
+	copy(s.coef[i+1:], s.coef[i:s.n])
+	s.atom[i], s.coef[i] = t, coef
+	s.n++
+	return true
+}
+
+// scaleMet books a sum, shift or product met under a coefficient other
+// than ±1: two scales fold into one, and a scaled sum is always the sum
+// of its scaled terms (both (x + c) << 2 and (x << 2) + 4c are met).
+func (b *Builder) scaleMet(s *linSum, w int, coef uint64) {
+	if c := coef & mask(w); c != 1 && c != mask(w) {
+		b.hits[ruleScale]++
+		s.folded = true
+	}
+}
+
+// sum interns s in its one spelling: the monomials in atom order added
+// left to right, the constant last. A coefficient of 1 is the atom, a
+// power of two a shift, anything else a product; one with more bits set
+// than its negation is the neg of that (the blaster subtracts, and a
+// product costs an adder per set bit).
+func (b *Builder) sum(s *linSum, w int) *Term {
+	var acc *Term
+	for i, t := range s.atom[:s.n] {
+		c := s.coef[i] & mask(w)
+		if c == 0 {
+			continue
+		}
+		if nc := -c & mask(w); bits.OnesCount64(nc) < bits.OnesCount64(c) {
+			t = b.intern(OpNeg, w, 0, "", b.scaled(t, nc))
+		} else {
+			t = b.scaled(t, c)
+		}
+		if acc == nil {
+			acc = t
+		} else {
+			acc = b.intern(OpAdd, w, 0, "", acc, t)
+		}
+	}
+	k := s.k & mask(w)
+	if acc == nil {
+		return b.Const(w, k)
+	}
+	if k != 0 {
+		acc = b.intern(OpAdd, w, 0, "", acc, b.Const(w, k))
+	}
+	return acc
+}
+
+// scaled interns c·t for an atom t and c not zero.
+func (b *Builder) scaled(t *Term, c uint64) *Term {
+	switch {
+	case c == 1:
+		return t
+	case c&(c-1) == 0:
+		return b.intern(OpShl, t.Width, 0, "", t, b.Const(t.Width, uint64(bits.TrailingZeros64(c))))
+	}
+	return b.intern(OpMul, t.Width, 0, "", t, b.Const(t.Width, c))
+}
+
+// linear builds x op y, for op one of add, sub, and mul or shl by a
+// constant, when reading it as a sum folds something: the sum is then
+// interned in its one spelling, so source and target of a rewrite that
+// reassociates, negates, cancels or strength-reduces intern to one term.
+// It returns nil when nothing folds — the expression is kept as built,
+// which is how it shares structure with the other side of a refinement
+// query — or when the sum does not fit the window.
+func (b *Builder) linear(op Op, x, y *Term) *Term {
+	var s linSum
+	fits := false
+	switch op {
+	case OpAdd:
+		fits = b.addScaled(&s, x, 1) && b.addScaled(&s, y, 1)
+	case OpSub:
+		fits = b.addScaled(&s, x, 1) && b.addScaled(&s, y, ^uint64(0))
+	case OpMul:
+		if c, ok := constOf(y); ok {
+			fits = b.addScaled(&s, x, c)
+		}
+	case OpShl:
+		if c, ok := constOf(y); ok {
+			fits = b.addScaled(&s, x, 1<<c)
+		}
+	}
+	if !fits || !s.folded {
+		return nil
+	}
+	return b.sum(&s, x.Width)
 }
 
 func constOf(t *Term) (uint64, bool) {
@@ -403,8 +647,9 @@ func (b *Builder) Not(x *Term) *Term {
 
 // Neg builds two's-complement negation.
 func (b *Builder) Neg(x *Term) *Term {
-	if c, ok := constOf(x); ok {
-		return b.Const(x.Width, -c)
+	var s linSum
+	if b.addScaled(&s, x, ^uint64(0)) && (s.folded || s.n == 0) {
+		return b.sum(&s, x.Width)
 	}
 	return b.intern(OpNeg, x.Width, 0, "", x)
 }
@@ -446,6 +691,17 @@ func (b *Builder) Cmp(op Op, x, y *Term) *Term {
 			return b.True()
 		case OpUlt, OpSlt:
 			return b.False()
+		}
+	}
+	if op == OpEq {
+		// x + c1 == c2 is x == c2 - c1: a sum keeps its constant last.
+		for _, p := range [2][2]*Term{{x, y}, {y, x}} {
+			if c2, ok := constOf(p[1]); ok && p[0].Op == OpAdd {
+				if c1, ok := constOf(p[0].Kids[1]); ok {
+					b.hits[ruleEqConst]++
+					return b.Cmp(OpEq, p[0].Kids[0], b.Const(x.Width, c2-c1))
+				}
+			}
 		}
 	}
 	return b.intern(op, 1, 0, "", x, y)
@@ -523,7 +779,7 @@ func (b *Builder) Implies(x, y *Term) *Term { return b.BoolOr(b.Not(x), y) }
 
 // Eval evaluates a term under an assignment of variable values
 // (by name). Division by zero returns (0, false). Evaluation is
-// memoized over the hash-consed DAG (by Term.ID()), so heavily shared
+// memoized over the hash-consed DAG (by term id), so heavily shared
 // subexpressions are computed once. Eval builds its memo per call; a
 // Session keeps one across the many evaluations of its pre-pass.
 func Eval(t *Term, env map[string]uint64) (uint64, bool) {

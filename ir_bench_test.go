@@ -230,6 +230,39 @@ func BenchmarkBeamMid(b *testing.B) {
 	}
 }
 
+// BenchmarkVerifyTail is the verifier's tail as a command: the three
+// corpus shapes that were 78 % of serve-warm's fill while they went to
+// the solver (i64 negation, sdiv by 2^k and xor-cancel: 35 ms, 8 ms and
+// 2.3 ms apiece on this host then, 5–10 µs now), multi-var (220 µs
+// then), and known-bits as the control the normal form does not fold. Each is a template's source against its
+// instcombine output.
+func BenchmarkVerifyTail(b *testing.B) {
+	for _, tc := range []struct{ name, src string }{
+		{"negation-i64", "define i64 @f(i64 noundef %0, i64 noundef %1) {\n  %3 = sub i64 0, %1\n  %4 = add i64 %0, %3\n  ret i64 %4\n}\n"},
+		{"sdiv-pow2-i64", "define i64 @f(i64 noundef %0) {\n  %2 = sdiv i64 %0, 65536\n  ret i64 %2\n}\n"},
+		{"xor-cancel-i64", "define i64 @f(i64 noundef %0, i64 noundef %1) {\n  %3 = xor i64 %0, %1\n  %4 = xor i64 %3, %1\n  ret i64 %4\n}\n"},
+		{"multi-var-i32", "define i32 @f(i32 noundef %0, i32 noundef %1, i32 noundef %2) {\n  %4 = add i32 %0, %1\n  %5 = mul i32 %4, 4\n  %6 = sub i32 %5, %2\n  %7 = add i32 %6, 0\n  ret i32 %7\n}\n"},
+		{"known-bits-i32", "define i32 @f(i32 noundef %0) {\n  %2 = and i32 %0, 7\n  %3 = icmp ult i32 %2, 9\n  %4 = zext i1 %3 to i32\n  ret i32 %4\n}\n"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			f, err := ir.ParseFunc(tc.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opt := instcombine.Run(f)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := alive.VerifyFuncs(f, opt, alive.DefaultOptions())
+				if r.Verdict != alive.Equivalent {
+					b.Fatalf("%s against its instcombine output: %s", tc.name, r.Verdict)
+				}
+				benchSink = r
+			}
+		})
+	}
+}
+
 // BenchmarkInterpRun is the labeller's call: one-shot runs, a different
 // function each time (256 samples across the five families), so a
 // set-up cost a single hot function would amortize is paid in full.
