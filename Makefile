@@ -16,8 +16,11 @@ tier1:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# -short under the race detector: the one thing it skips is bv's width-4
+# enumeration of the Builder against its reference (single-threaded, half
+# a billion evaluations, minutes under -race), which tier1 has just run.
 tier2: lint loc-check serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke load-smoke experiments-check fuzz-smoke
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
 
 # Serving-layer acceptance gate: >=100 concurrent /v1/verify requests
 # through the bounded queue (200 or explicit 429, never a hang),

@@ -71,7 +71,9 @@ func (tb *table) measure(row string, src, tgt *ir.Function) alive.Result {
 	r.spent += dt
 	r.slowest = max(r.slowest, dt)
 	for rule, n := range hits {
-		r.hits[rule] += n
+		if rule != "walk" { // work done, not a rule
+			r.hits[rule] += n
+		}
 	}
 	tb.each = append(tb.each, dt)
 	return res
@@ -454,29 +456,28 @@ func chainFn(t *testing.T, n int, right bool, bump int) *ir.Function {
 // TestNormalFormLinearOnLongChains: /v1/verify takes any IR that parses,
 // so reading an expression as a sum must stay O(1) per constructor call
 // on a chain far longer than its window, whichever way the chain leans:
-// twice the instructions may not cost four times the time. Each size is
-// timed as the best of five; the verdicts are checked too.
+// twice the instructions may visit at most twice the nodes (the count is
+// exact; with the window at 4096 it reads 4x). The times are logged, not
+// asserted — this host moves them by a third between runs.
 func TestNormalFormLinearOnLongChains(t *testing.T) {
-	best := func(n int, right bool) time.Duration {
+	run := func(n int, right bool) (walked int, took time.Duration) {
 		src, same, other := chainFn(t, n, right, 0), chainFn(t, n, right, 0), chainFn(t, n, right, 1)
-		fastest := time.Duration(1 << 62)
-		for run := 0; run < 5; run++ {
-			t0 := time.Now()
-			if res := alive.VerifyFuncs(src, same, alive.DefaultOptions()); res.Verdict != alive.Equivalent {
-				t.Fatalf("chain of %d against itself: %v (%s)", n, res.Verdict, res.Diag)
-			}
-			if res := alive.VerifyFuncs(src, other, alive.DefaultOptions()); res.Verdict != alive.SemanticError {
-				t.Fatalf("chain of %d against one with a changed constant: %v (%s)", n, res.Verdict, res.Diag)
-			}
-			fastest = min(fastest, time.Since(t0))
+		t0 := time.Now()
+		res, hits := alive.VerifyRuleHits(src, same, alive.DefaultOptions())
+		if res.Verdict != alive.Equivalent {
+			t.Fatalf("chain of %d against itself: %v (%s)", n, res.Verdict, res.Diag)
 		}
-		return fastest
+		if res := alive.VerifyFuncs(src, other, alive.DefaultOptions()); res.Verdict != alive.SemanticError {
+			t.Fatalf("chain of %d against one with a changed constant: %v (%s)", n, res.Verdict, res.Diag)
+		}
+		return hits["walk"], time.Since(t0)
 	}
 	for _, right := range []bool{false, true} {
-		half, full := best(2000, right), best(4000, right)
-		t.Logf("right-leaning %v: 2000 instructions %v, 4000 instructions %v", right, half, full)
-		if full > 3*half {
-			t.Errorf("right-leaning %v: 4000 instructions took %v, 2000 took %v: more than linear", right, full, half)
+		half, halfTook := run(2000, right)
+		full, fullTook := run(4000, right)
+		t.Logf("right-leaning %v: 2000 instructions visit %d nodes in %v, 4000 visit %d in %v", right, half, halfTook, full, fullTook)
+		if half == 0 || full > 2*half+half/10 {
+			t.Errorf("right-leaning %v: 4000 instructions visit %d nodes, 2000 visit %d: more than linear", right, full, half)
 		}
 	}
 }

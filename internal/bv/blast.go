@@ -205,14 +205,21 @@ func (bl *Blaster) adder(a, b []sat.Lit, cin sat.Lit) []sat.Lit {
 	return out
 }
 
-func (bl *Blaster) negate(a []sat.Lit) []sat.Lit {
+// complement returns the bitwise complement of a.
+func complement(a []sat.Lit) []sat.Lit {
 	inv := make([]sat.Lit, len(a))
+	for i, l := range a {
+		inv[i] = l.Not()
+	}
+	return inv
+}
+
+func (bl *Blaster) negate(a []sat.Lit) []sat.Lit {
 	zeros := make([]sat.Lit, len(a))
-	for i := range a {
-		inv[i] = a[i].Not()
+	for i := range zeros {
 		zeros[i] = bl.fLit
 	}
-	return bl.adder(inv, zeros, bl.tLit)
+	return bl.adder(complement(a), zeros, bl.tLit)
 }
 
 // Blast returns the bit literals (LSB first) representing t.
@@ -251,12 +258,7 @@ func (bl *Blaster) blast(t *Term) []sat.Lit {
 		bl.vars[t.Name] = out
 		return out
 	case OpNot:
-		x := bl.Blast(t.Kids[0])
-		out := make([]sat.Lit, w)
-		for i := range out {
-			out[i] = x[i].Not()
-		}
-		return out
+		return complement(bl.Blast(t.Kids[0]))
 	case OpNeg:
 		return bl.negate(bl.Blast(t.Kids[0]))
 	case OpAdd:
@@ -265,14 +267,10 @@ func (bl *Blaster) blast(t *Term) []sat.Lit {
 		var in [2][]sat.Lit
 		cin := bl.fLit
 		for i, k := range t.Kids {
-			if k.Op != OpNeg || cin == bl.tLit {
+			if k.Op == OpNeg && cin == bl.fLit {
+				in[i], cin = complement(bl.Blast(k.Kids[0])), bl.tLit
+			} else {
 				in[i] = bl.Blast(k)
-				continue
-			}
-			cin = bl.tLit
-			in[i] = make([]sat.Lit, w)
-			for j, l := range bl.Blast(k.Kids[0]) {
-				in[i][j] = l.Not()
 			}
 		}
 		return bl.adder(in[0], in[1], cin)

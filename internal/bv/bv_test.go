@@ -109,6 +109,117 @@ func TestSimplifications(t *testing.T) {
 	}
 }
 
+// TestNormalForm: each rule of the normal form interns the two spellings
+// it exists for to one term, and the shapes it must leave alone keep
+// their operator.
+func TestNormalForm(t *testing.T) {
+	b := NewBuilder()
+	x, y, z := b.Var(32, "x"), b.Var(32, "y"), b.Var(32, "z")
+	c := func(v uint64) *Term { return b.Const(32, v) }
+	bin := b.Bin
+	for _, tc := range []struct {
+		name      string
+		got, want *Term
+	}{
+		{"x - y is x + neg y", bin(OpSub, x, y), bin(OpAdd, x, b.Neg(y))},
+		{"0 - y is neg y", bin(OpSub, c(0), y), b.Neg(y)},
+		{"neg neg", b.Neg(b.Neg(x)), x},
+		{"0 - (0 - x)", bin(OpSub, c(0), bin(OpSub, c(0), x)), x},
+		{"x + (0 - y) is x - y", bin(OpAdd, x, bin(OpSub, c(0), y)), bin(OpSub, x, y)},
+		{"x + neg x", bin(OpAdd, x, b.Neg(x)), c(0)},
+		{"(x - y) + y", bin(OpAdd, bin(OpSub, x, y), y), x},
+		{"x + x is x << 1", bin(OpAdd, x, x), bin(OpShl, x, c(1))},
+		{"x * 8 is x << 3", bin(OpMul, x, c(8)), bin(OpShl, x, c(3))},
+		{"(x + 3) * 4 is (x << 2) + 12", bin(OpMul, bin(OpAdd, x, c(3)), c(4)), bin(OpAdd, bin(OpShl, x, c(2)), c(12))},
+		{"((x + y) * 4) - z either way", bin(OpSub, bin(OpMul, bin(OpAdd, x, y), c(4)), z),
+			bin(OpSub, bin(OpAdd, bin(OpShl, x, c(2)), bin(OpShl, y, c(2))), z)},
+		{"(x * 3) * 5", bin(OpMul, bin(OpMul, x, c(3)), c(5)), bin(OpMul, x, c(15))},
+		{"(x << 3) << 4", bin(OpShl, bin(OpShl, x, c(3)), c(4)), bin(OpShl, x, c(7))},
+		{"x << 32", bin(OpShl, x, c(32)), c(0)},
+		{"(x + 5) - 7", bin(OpSub, bin(OpAdd, x, c(5)), c(7)), bin(OpAdd, x, c(0xfffffffe))},
+		{"x + 5 == 7", b.Eq(bin(OpAdd, x, c(5)), c(7)), b.Eq(x, c(2))},
+		{"7 == 5 + x", b.Eq(c(7), bin(OpAdd, c(5), x)), b.Eq(x, c(2))},
+		{"(x ^ y) ^ y", bin(OpXor, bin(OpXor, x, y), y), x},
+		{"y ^ (y ^ x)", bin(OpXor, y, bin(OpXor, y, x)), x},
+		{"(x | y) & x", bin(OpAnd, bin(OpOr, x, y), x), x},
+		{"y | (x & y)", bin(OpOr, y, bin(OpAnd, x, y)), y},
+		{"x & ~x", bin(OpAnd, x, b.Not(x)), c(0)},
+		{"~x | x", bin(OpOr, b.Not(x), x), c(0xffffffff)},
+		{"udiv 16", bin(OpUDiv, x, c(16)), bin(OpLShr, x, c(4))},
+		{"udiv 1", bin(OpUDiv, x, c(1)), x},
+		{"urem 16", bin(OpURem, x, c(16)), bin(OpAnd, x, c(15))},
+		{"sdiv 16", bin(OpSDiv, x, c(16)),
+			bin(OpAShr, bin(OpAdd, x, bin(OpLShr, bin(OpAShr, x, c(31)), c(28))), c(4))},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: %v, want %v", tc.name, tc.got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		got  *Term
+		op   Op
+	}{
+		{"sdiv 1", bin(OpSDiv, x, c(1)), OpSDiv},
+		{"sdiv -1", bin(OpSDiv, x, c(0xffffffff)), OpSDiv},
+		{"sdiv by the sign bit", bin(OpSDiv, x, c(1<<31)), OpSDiv},
+		{"udiv 0", bin(OpUDiv, x, c(0)), OpUDiv},
+		{"urem 0", bin(OpURem, x, c(0)), OpURem},
+		{"srem 16", bin(OpSRem, x, c(16)), OpSRem},
+		{"udiv 12", bin(OpUDiv, x, c(12)), OpUDiv},
+	} {
+		if tc.got.Op != tc.op {
+			t.Errorf("%s was rewritten to %v", tc.name, tc.got)
+		}
+	}
+	// Nothing folds in (x + 5) - y: it stays as built, the constant where
+	// it was, so it still shares x + 5 with whoever else built that.
+	if got := bin(OpSub, bin(OpAdd, x, c(5)), y); got.Kids[0] != bin(OpAdd, x, c(5)) {
+		t.Errorf("(x + 5) - y was reassociated: %v", got)
+	}
+	if hits := b.RuleHits(); hits["sub"] == 0 || hits["neg-neg"] == 0 || hits["merge"] == 0 || hits["sdiv-pow2"] != 1 {
+		t.Errorf("rule hits %v", hits)
+	}
+}
+
+// TestSumWindow: a sum over more distinct atoms than the window is left
+// as built and still means what was written, and like terms inside the
+// window cancel wherever they stand in it.
+func TestSumWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for iter := 0; iter < 200; iter++ {
+		b := NewBuilder()
+		n := 2 + rng.Intn(2*sumWindow)
+		env := map[string]uint64{}
+		var acc *Term
+		var want uint64
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("v%d", rng.Intn(n))
+			if _, seen := env[name]; !seen {
+				env[name] = rng.Uint64() & 0xffff
+			}
+			atom := b.Bin(OpXor, b.Var(16, name), b.Const(16, 0x5a5a)) // not itself a sum
+			v := env[name] ^ 0x5a5a
+			switch op := []Op{OpAdd, OpSub}[rng.Intn(2)]; {
+			case acc == nil:
+				acc, want = atom, v
+			case rng.Intn(2) == 0:
+				acc = b.Bin(op, acc, atom)
+				want = map[Op]uint64{OpAdd: want + v, OpSub: want - v}[op]
+			default:
+				acc = b.Bin(op, atom, acc)
+				want = map[Op]uint64{OpAdd: v + want, OpSub: v - want}[op]
+			}
+		}
+		if got, ok := Eval(acc, env); !ok || got != want&0xffff {
+			t.Fatalf("iter %d: %v evaluates to %d (%v), want %d", iter, acc, got, ok, want&0xffff)
+		}
+		if zero := b.Bin(OpSub, acc, acc); zero != b.Const(16, 0) && n <= sumWindow {
+			t.Fatalf("iter %d: a sum of %d terms minus itself is %v", iter, n, zero)
+		}
+	}
+}
+
 // TestBlastAgainstEvalExhaustive8 exhaustively compares the blasted
 // semantics against the evaluator for all binary ops at width 4.
 func TestBlastAgainstEvalExhaustive(t *testing.T) {

@@ -130,14 +130,16 @@ const (
 	ruleUDivPow2          // x udiv 2^k as x lshr k
 	ruleURemPow2          // x urem 2^k as x & (2^k - 1)
 	ruleSDivPow2          // x sdiv 2^k as biased ashr
+	ruleWalk              // not a rule: the nodes visited reading sums
 	numRules
 )
 
 var ruleNames = [numRules]string{"sub", "neg-neg", "merge", "scale", "eq-const",
-	"xor-cancel", "absorb", "complement", "mul-pow2", "udiv-pow2", "urem-pow2", "sdiv-pow2"}
+	"xor-cancel", "absorb", "complement", "mul-pow2", "udiv-pow2", "urem-pow2", "sdiv-pow2", "walk"}
 
 // RuleHits reports how many constructor calls each normal-form rule
-// rewrote, by rule name; rules that never fired are absent.
+// rewrote, by rule name, and under "walk" the work all of them did;
+// rules that never fired are absent.
 func (b *Builder) RuleHits() map[string]int {
 	m := map[string]int{}
 	for r, n := range b.hits {
@@ -491,6 +493,7 @@ type linSum struct {
 // addScaled adds coef·t to s, looking through the additive operators; it
 // reports false when s would leave the window.
 func (b *Builder) addScaled(s *linSum, t *Term, coef uint64) bool {
+	b.hits[ruleWalk]++
 	if s.steps++; s.steps > 8*sumWindow {
 		return false
 	}
