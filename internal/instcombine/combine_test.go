@@ -7,6 +7,7 @@ import (
 
 	"veriopt/internal/alive"
 	"veriopt/internal/costmodel"
+	"veriopt/internal/interp"
 	"veriopt/internal/ir"
 )
 
@@ -141,6 +142,39 @@ func TestSDivByPow2LowersToAshrSequence(t *testing.T) {
 		t.Errorf("expected ashr sequence:\n%s", text)
 	}
 	checkSound(t, src)
+}
+
+// TestSDivBySignBitIsLeftAlone: the constant with only bit w-1 set is
+// MinInt, not +2^(w-1), and the biased shift is wrong for it at
+// x = MinInt (MinInt sdiv MinInt is 1, the shift gives -1). The rule
+// must skip it and still fire for 2^(w-2), the largest positive power;
+// both are run against the interpreter at the boundary inputs.
+func TestSDivBySignBitIsLeftAlone(t *testing.T) {
+	for _, w := range []uint{8, 16, 32, 64} {
+		minInt := int64(-1) << (w - 1)
+		for _, tc := range []struct {
+			divisor int64
+			lowered bool
+		}{{minInt, false}, {1 << (w - 2), true}} {
+			src := fmt.Sprintf("define i%d @f(i%d noundef %%0) {\n  %%2 = sdiv i%d %%0, %d\n  ret i%d %%2\n}\n", w, w, w, tc.divisor, w)
+			g, text := opt(t, src)
+			if got := !strings.Contains(text, "sdiv"); got != tc.lowered {
+				t.Errorf("i%d sdiv by %d: lowered=%v, want %v:\n%s", w, tc.divisor, got, tc.lowered, text)
+			}
+			f, err := ir.ParseFunc(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range []int64{minInt, minInt + 1, -1, 0, 1, -(minInt + 1)} {
+				args := []interp.Val{interp.V(uint64(x))}
+				o1, e1 := interp.Run(f, args, interp.DefaultConfig())
+				o2, e2 := interp.Run(g, args, interp.DefaultConfig())
+				if e1 != nil || e2 != nil || o1.UB || o2.UB || o1.Ret != o2.Ret {
+					t.Errorf("i%d: %d sdiv %d is %+v, instcombine's form gives %+v (%v, %v)", w, x, tc.divisor, o1.Ret, o2.Ret, e1, e2)
+				}
+			}
+		}
+	}
 }
 
 func TestAllocaRoundTripRemoved(t *testing.T) {

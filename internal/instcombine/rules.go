@@ -125,8 +125,10 @@ func (c *combiner) combineBin(b *ir.Block, idx *int, in *ir.Instr) ir.Value {
 			}
 		case ir.OpSDiv:
 			// sdiv X, 2^k -> ashr (add X, bias), k  where
-			// bias = lshr (ashr X, w-1), w-k  rounds toward zero.
-			if k, ok := isPow2(cy); ok && k > 0 {
+			// bias = lshr (ashr X, w-1), w-k  rounds toward zero. Not
+			// for k = w-1: that constant is MinInt, not +2^k, and
+			// MinInt sdiv MinInt is 1 where the shift gives -1.
+			if k, ok := isPow2(cy); ok && k > 0 && k < intTy(in).Bits-1 {
 				w := intTy(in).Bits
 				sign := c.newBin(b, idx, ir.OpAShr, x, cInt(in, int64(w-1)), ir.Flags{})
 				bias := c.newBin(b, idx, ir.OpLShr, sign, cInt(in, int64(w-k)), ir.Flags{})
