@@ -123,9 +123,8 @@ subcommands:
   serve        HTTP/JSON verification service: /v1/verify, /v1/optimize,
                /v1/evaluate, /healthz, /metrics; bounded queue with 429
                shedding, graceful drain on SIGTERM
-  cache        verdict-store admin: migrate a JSONL verdict-cache
-               snapshot into a -store-dir segment store, print store
-               stats, or compact away superseded records
+  cache        verdict-store admin: "cache stat -store-dir DIR" prints
+               a segment store's stats
   dataset      generate a corpus and write .ll files
   list         list experiment ids
 

@@ -181,12 +181,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if st := src.VStore(); st != nil {
 			ss := st.Stats()
 			fams = append(fams,
-				metrics.Counters("veriopt_vstore_total", "Verdict-store counters (appends, gets, hits, misses, syncs, compactions, reclaimed_bytes, truncated_tails, ...).", ss.Counters()),
+				metrics.Counters("veriopt_vstore_total", "Verdict-store counters (appends, appended_bytes, gets, hits, misses, syncs, truncated_tails).", ss.Counters()),
 				metrics.Scalar("veriopt_vstore_segments", "Segment files in the store.", "gauge", metrics.Int(ss.Segments)),
 				metrics.Scalar("veriopt_vstore_entries", "Live records indexed by the store.", "gauge", metrics.Int(ss.Entries)),
-				metrics.Scalar("veriopt_vstore_live_bytes", "On-disk bytes holding current verdicts.", "gauge", metrics.Int(ss.LiveBytes)),
-				metrics.Scalar("veriopt_vstore_dead_bytes", "On-disk bytes awaiting compaction (superseded records, tombstones).", "gauge", metrics.Int(ss.DeadBytes)),
-				metrics.Scalar("veriopt_vstore_compact_pause_seconds_total", "Cumulative writer-visible compaction pause.", "counter", metrics.Float(ss.CompactPause.Seconds())))
+				metrics.Scalar("veriopt_vstore_live_bytes", "On-disk bytes holding current verdicts.", "gauge", metrics.Int(ss.LiveBytes)))
 		}
 	}
 	extra := ""

@@ -140,10 +140,8 @@ func TestStoreSmoke(t *testing.T) {
 		fmt.Sprintf(`veriopt_vstore_entries %d`, pairs),
 		"veriopt_vstore_segments ",
 		"veriopt_vstore_live_bytes ",
-		"veriopt_vstore_dead_bytes ",
 		`veriopt_vstore_total{counter="hits"}`,
 		`veriopt_vcache_total{counter="promotions"}`,
-		"veriopt_vstore_compact_pause_seconds_total ",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q", want)

@@ -6,14 +6,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"veriopt/internal/vcache"
 )
 
 // The crash suite simulates kills at the failure points the design
-// guards: mid-append (torn tail on the active segment), mid-compaction
-// (renamed-but-uncommitted segment, stray temp file), and plain bit
-// rot. The contract under test: reopening loses at most the unsynced
+// guards: mid-append (torn tail on the active segment) and plain bit
+// rot; a kill mid-rotation is TestManifestIsTheCommitPoint. The contract under test: reopening loses at most the unsynced
 // tail of the active segment, every surviving record passes its
 // checksum, and corruption that cannot be a crash artifact (sealed
 // segments) fails loudly instead of being guessed around.
@@ -43,7 +40,7 @@ func activeSegmentPath(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqs := s.segmentSeqs()
+	seqs := s.replayOrder()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +132,7 @@ func TestBitFlipInSealedSegmentFailsOpenLoudly(t *testing.T) {
 	dir := t.TempDir()
 	// SegmentBytes: 1 seals a segment on every append, so record 0
 	// lives in a sealed segment.
-	s, err := Open(dir, Config{SegmentBytes: 1, DisableAutoCompact: true})
+	s, err := Open(dir, Config{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +141,7 @@ func TestBitFlipInSealedSegmentFailsOpenLoudly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	seqs := s.segmentSeqs()
+	seqs := s.replayOrder()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -170,103 +167,12 @@ func TestBitFlipInSealedSegmentFailsOpenLoudly(t *testing.T) {
 	}
 }
 
-func TestKillMidCompactionLeavesOldSegmentSet(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{SegmentBytes: 1, DisableAutoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	for round := 0; round < 2; round++ {
-		for i := 0; i < n; i++ {
-			if err := s.Put(tkey(i), tres(100*round+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	nextSeq := s.nextSeq
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate the two mid-compaction kill points. Before the rename:
-	// a half-written temp file. After the rename but before the
-	// manifest swap: a fully-written .vlog the manifest does not name.
-	// Both must be discarded — the manifest still names the old set,
-	// which remains complete and valid.
-	tmp := filepath.Join(dir, "compact-99999999.tmp")
-	if err := os.WriteFile(tmp, []byte("half a record"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	renamed := filepath.Join(dir, segmentName(nextSeq))
-	rec, err := encodeRecord(record{Src: "ghost", Dst: "dst", Res: tres(999)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(renamed, rec, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir, Config{DisableAutoCompact: true})
-	if err != nil {
-		t.Fatalf("reopen after mid-compaction crash: %v", err)
-	}
-	defer s2.Close()
-	for _, p := range []string{tmp, renamed} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("crashed-compaction leftover %s survived open", filepath.Base(p))
-		}
-	}
-	// All records intact at their newest versions; the uncommitted
-	// ghost record is invisible.
-	if st := s2.Stats(); st.Entries != n {
-		t.Fatalf("entries = %d, want %d", st.Entries, n)
-	}
-	for i := 0; i < n; i++ {
-		sameResult(t, mustGet(t, s2, tkey(i)), tres(100+i))
-	}
-	if _, ok, _ := s2.Get(vcache.Key{Src: "ghost", Dst: "dst"}); ok {
-		t.Fatal("uncommitted compaction output was replayed")
-	}
-}
-
-func TestCrashAfterCompactionCommitKeepsNewSet(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{SegmentBytes: 1, DisableAutoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 6
-	for round := 0; round < 2; round++ {
-		for i := 0; i < n; i++ {
-			if err := s.Put(tkey(i), tres(100*round+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, ok, err := s.Compact(); err != nil || !ok {
-		t.Fatalf("Compact: ok=%v err=%v", ok, err)
-	}
-	// Abandon without Close: a kill right after the manifest swap.
-	s2, err := Open(dir, Config{DisableAutoCompact: true})
-	if err != nil {
-		t.Fatalf("reopen after committed compaction: %v", err)
-	}
-	defer s2.Close()
-	if st := s2.Stats(); st.Entries != n {
-		t.Fatalf("entries = %d, want %d", st.Entries, n)
-	}
-	for i := 0; i < n; i++ {
-		sameResult(t, mustGet(t, s2, tkey(i)), tres(100+i))
-	}
-}
-
 // TestEverySurvivingRecordPassesChecksum is the sweep form of the
 // crash contract: after a torn-tail repair, re-scanning every byte the
 // store kept must decode cleanly.
 func TestEverySurvivingRecordPassesChecksum(t *testing.T) {
 	dir := t.TempDir()
-	crashedStore(t, dir, 10, Config{SegmentBytes: 512, DisableAutoCompact: true})
+	crashedStore(t, dir, 10, Config{SegmentBytes: 512})
 	path := activeSegmentPath(t, dir)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -275,7 +181,7 @@ func TestEverySurvivingRecordPassesChecksum(t *testing.T) {
 	f.Write([]byte{0xde, 0xad, 0xbe}) // not even a whole header
 	f.Close()
 
-	s, err := Open(dir, Config{DisableAutoCompact: true})
+	s, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

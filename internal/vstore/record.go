@@ -17,8 +17,8 @@ import (
 //
 // The CRC covers the payload only; a corrupt length field is caught by
 // the maxRecordBytes bound or by the CRC of whatever bytes it selects.
-// Records never span segments and are immutable once appended — an
-// update is a new record for the same key, a delete is a tombstone.
+// Records never span segments and are immutable once appended — a
+// second Put for a key is a new record, and the newest wins.
 
 const (
 	// recordHeaderBytes is the fixed prefix before the payload.
@@ -33,16 +33,16 @@ const (
 // amd64/arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// record is the JSON payload of one stored verdict (or tombstone). It
-// carries the full key, not just its fingerprint, so reads can reject
-// fingerprint collisions and a store is recoverable from segments
-// alone.
+// record is the JSON payload of one stored verdict. It carries the
+// full key, not just its fingerprint, so reads can reject fingerprint
+// collisions and a store is recoverable from segments alone.
 type record struct {
 	Src  string        `json:"src"`
 	Dst  string        `json:"dst"`
 	Opts alive.Options `json:"opts"`
 	Res  alive.Result  `json:"res"`
-	// Tomb marks a deletion: replaying it removes the key.
+	// Tomb marks a deletion. Nothing writes one any more; stores on
+	// disk may hold them, and replaying one removes the key.
 	Tomb bool `json:"tomb,omitempty"`
 }
 

@@ -1,19 +1,19 @@
-// Package vstore is the cold tier of the verdict storage spine: a
-// log-structured, crash-safe, on-disk verdict store that
-// internal/vcache overflows into and warm-starts from. Where the old
-// persistence path was a load-at-boot/flush-on-exit JSONL snapshot —
-// capped by RAM, rewritten O(n) on every flush, and lost on a crash
-// between flushes — vstore appends each verdict once, durably, as it
-// is produced.
+// Package vstore is the cold tier of the verdict storage spine: an
+// append-only, crash-safe, on-disk log of verdicts that
+// internal/vcache overflows into and warm-starts from. A verdict is a
+// pure function of its key (src, tgt, Options) — which is why it may
+// be memoized at all — so a record is an immutable fact: it is
+// appended once, durably, as it is produced, and nothing the system
+// does afterwards deletes it or reclaims its bytes.
 //
 // Layout: a store directory holds numbered append-only segment files
 // (seg-NNNNNNNN.vlog) of checksummed, length-prefixed records (see
 // record.go), plus a MANIFEST written atomically through internal/ckpt
 // that fixes the segment replay order. The newest segment is the
 // active one; all writes append to it, and it rotates at
-// Config.SegmentBytes. Older (sealed) segments are immutable, which is
-// what makes concurrent reads trivially safe against the single
-// writer.
+// Config.SegmentBytes. Older (sealed) segments are immutable and are
+// never unlinked, which is what makes concurrent reads trivially safe
+// against the single writer.
 //
 // Crash safety:
 //
@@ -22,18 +22,29 @@
 //     at most the unsynced tail of the active segment; on reopen the
 //     torn tail is detected by length/checksum validation and truncated
 //     away. A record that fails its checksum is never served.
-//   - Compaction writes a fresh segment to a temp file, fsyncs, renames
-//     it into place, and only then swaps the MANIFEST atomically. A
-//     crash at any point leaves either the old segment set or the new
-//     one; orphan files not named by the MANIFEST are deleted on open.
+//   - A failed append (a short write: ENOSPC, EIO) cuts the active
+//     segment back to where the record began, so the store stays
+//     usable once the condition clears. If the cut fails too the store
+//     refuses further appends and never rotates: the damage stays a
+//     torn active tail, which reopening repairs.
+//   - A new segment file exists, fsynced, before the MANIFEST names
+//     it. A crash between the two leaves an orphan file the MANIFEST
+//     does not name; orphans are deleted on open.
 //   - Sealed segments are never modified, so corruption found in one is
 //     not a crash artifact — Open fails loudly instead of guessing.
 //
 // The in-memory index maps a 32-byte key fingerprint to the newest
-// record location; superseded and tombstoned records are dead weight
-// on disk until compaction drops them. Reads verify the record
-// checksum and compare the stored key, so a fingerprint collision
-// degrades to a miss, never a wrong verdict.
+// record location. Put on a key that already has a record appends a
+// second one, and the newest wins — in memory at once, on reopen
+// because replay follows the MANIFEST's order; the older record stays
+// on disk. Reads verify the record checksum and compare the stored
+// key, so a fingerprint collision degrades to a miss, never a wrong
+// verdict.
+//
+// Stores written before the log was append-only may hold deletion
+// records and a compacted segment the MANIFEST orders before
+// lower-numbered ones. Replay honours both: a file on disk is outside
+// input, and a record that says "deleted" is never served.
 //
 // Invariant carried over from the snapshot era: Canceled verdicts are
 // transient by contract and are never persisted — Put refuses them.
@@ -50,11 +61,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/ckpt"
@@ -64,16 +73,13 @@ import (
 // Defaults for the zero Config.
 const (
 	// defaultSegmentBytes is the rotation threshold for the active
-	// segment. Small enough that compaction works in modest units,
-	// large enough that a training run stays in a handful of segments.
+	// segment: large enough that a training run stays in a handful of
+	// segments.
 	defaultSegmentBytes = 8 << 20
 	// defaultSyncEvery is the fsync cadence in appends. It bounds the
 	// crash-loss window to a few dozen verdicts while keeping append
 	// cost amortized; 1 fsyncs every append.
 	defaultSyncEvery = 32
-	// defaultCompactMinDeadFrac is the dead-byte fraction of sealed
-	// segments above which rotation triggers a background compaction.
-	defaultCompactMinDeadFrac = 0.5
 )
 
 const manifestName = "MANIFEST"
@@ -87,14 +93,6 @@ type Config struct {
 	// (<= 0 selects defaultSyncEvery; 1 = every append). Sync and
 	// Close always flush the tail regardless.
 	SyncEvery int
-	// CompactMinDeadFrac triggers background compaction after a
-	// rotation when sealed segments carry at least this fraction of
-	// dead bytes (<= 0 selects defaultCompactMinDeadFrac).
-	CompactMinDeadFrac float64
-	// DisableAutoCompact turns off the rotation-triggered background
-	// compaction; Compact can still be called explicitly (the
-	// `veriopt cache compact` admin path, tests).
-	DisableAutoCompact bool
 }
 
 // manifest is the atomically-swapped source of truth for the segment
@@ -105,7 +103,8 @@ type manifest struct {
 	// Segments lists segment sequence numbers in replay order; the
 	// last entry is the active segment. Replay order is what makes
 	// last-writer-wins recovery correct, so it is recorded explicitly
-	// rather than inferred from file names.
+	// rather than inferred from file names (a store written by an
+	// older build may order a higher-numbered segment first).
 	Segments []uint64 `json:"segments"`
 	// NextSeq is the next unused sequence number.
 	NextSeq uint64 `json:"next_seq"`
@@ -129,14 +128,17 @@ type recloc struct {
 type segment struct {
 	seq  uint64
 	path string
-	r    *os.File // ReadAt handle, safe for concurrent readers
-	w    *os.File // append handle, active segment only
+	r    *os.File   // ReadAt handle, safe for concurrent readers
+	w    appendFile // append handle, active segment only
 	size int64
+}
 
-	// live/dead byte and record accounting, guarded by Store.mu. Dead
-	// weight is what compaction reclaims.
-	liveBytes, deadBytes int64
-	liveRecs, deadRecs   int64
+// appendFile is what the writer needs of the active segment's
+// O_APPEND handle: an *os.File, or a test's handle that fails.
+type appendFile interface {
+	io.WriteCloser
+	Sync() error
+	Truncate(size int64) error
 }
 
 // Store is the on-disk verdict store. Construct with Open; all methods
@@ -146,34 +148,30 @@ type Store struct {
 	dir string
 	cfg Config
 
-	// wmu serializes all mutation: Put, Delete, Sync, rotation, the
-	// compaction swap, and Close.
+	// wmu serializes all mutation: Put, Sync, rotation and Close.
 	wmu sync.Mutex
 	// mu guards the index and segment table for readers.
 	mu    sync.RWMutex
 	index map[[32]byte]recloc
 	segs  map[uint64]*segment
 	order []uint64 // replay order; last = active
+	// liveBytes is the bytes of the records the index points at.
+	liveBytes int64
 
 	nextSeq  uint64
 	unsynced int
-	closing  atomic.Bool
-
-	compacting atomic.Bool
-	compactWG  sync.WaitGroup
+	// refuse, once set, is what every later append returns: the store
+	// is closed, or a failed append left bytes it could not cut back.
+	refuse error
 
 	// counters
 	appends        atomic.Uint64
 	appendedBytes  atomic.Uint64
-	tombstones     atomic.Uint64
 	gets           atomic.Uint64
 	hits           atomic.Uint64
 	misses         atomic.Uint64
 	syncs          atomic.Uint64
-	compactions    atomic.Uint64
-	reclaimedBytes atomic.Uint64
 	truncatedTails atomic.Uint64
-	compactPauseNs atomic.Int64
 }
 
 // Store implements the hot tier's backing interface.
@@ -185,17 +183,15 @@ func segmentName(seq uint64) string { return fmt.Sprintf("seg-%08d.vlog", seq) }
 // segment named by the MANIFEST to rebuild the index. A torn tail on
 // the active segment — the signature of a crash between fsyncs — is
 // truncated away; corruption anywhere else fails loudly. Files in dir
-// that the MANIFEST does not name (crashed-compaction leftovers,
-// checkpoint temp files) are removed.
+// that the MANIFEST does not name (a segment created by a rotation
+// that crashed before its manifest save, checkpoint temp files) are
+// removed.
 func Open(dir string, cfg Config) (*Store, error) {
 	if cfg.SegmentBytes <= 0 {
 		cfg.SegmentBytes = defaultSegmentBytes
 	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = defaultSyncEvery
-	}
-	if cfg.CompactMinDeadFrac <= 0 {
-		cfg.CompactMinDeadFrac = defaultCompactMinDeadFrac
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("vstore: create dir: %w", err)
@@ -276,8 +272,8 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// removeOrphans deletes files the manifest does not own: segments left
-// by a crash between a compaction's rename and its manifest swap, and
+// removeOrphans deletes files the manifest does not own: a segment left
+// by a crash between createSegmentFile and the manifest save, and
 // stray temp files. They are dead by construction — the manifest is
 // the commit point.
 func (s *Store) removeOrphans() error {
@@ -345,7 +341,7 @@ func (s *Store) openAndReplay(seq uint64, active bool) error {
 			scanErr = err
 			break
 		}
-		s.replay(seg, rec, recloc{seq: seq, off: off, n: uint32(total)})
+		s.replay(rec, recloc{seq: seq, off: off, n: uint32(total)})
 		off += int64(total)
 	}
 	seg.size = off
@@ -376,102 +372,68 @@ func (s *Store) openAndReplay(seq uint64, active bool) error {
 	return nil
 }
 
-// replay applies one scanned record to the index and the live/dead
-// accounting. Callers hold no locks (open) or both locks (compaction
-// swap never replays; this is open-time only).
-func (s *Store) replay(seg *segment, rec record, loc recloc) {
+// replay applies one scanned record to the index: the newest record
+// for a key wins, and a deletion record (only older builds wrote them)
+// drops the key. Open-time only; callers hold no locks.
+func (s *Store) replay(rec record, loc recloc) {
 	h := fingerprint(rec.key())
-	if old, ok := s.index[h]; ok {
-		if oseg := s.segs[old.seq]; oseg != nil {
-			oseg.liveBytes -= int64(old.n)
-			oseg.deadBytes += int64(old.n)
-			oseg.liveRecs--
-			oseg.deadRecs++
-		} else if old.seq == seg.seq {
-			seg.liveBytes -= int64(old.n)
-			seg.deadBytes += int64(old.n)
-			seg.liveRecs--
-			seg.deadRecs++
-		}
-	}
 	if rec.Tomb {
+		s.liveBytes -= int64(s.index[h].n)
 		delete(s.index, h)
-		seg.deadBytes += int64(loc.n)
-		seg.deadRecs++
 		return
 	}
+	s.point(h, loc)
+}
+
+// point makes loc the record the index serves for h and keeps
+// liveBytes exact. Callers hold mu, or no lock at open.
+func (s *Store) point(h [32]byte, loc recloc) {
+	s.liveBytes += int64(loc.n) - int64(s.index[h].n)
 	s.index[h] = loc
-	seg.liveBytes += int64(loc.n)
-	seg.liveRecs++
 }
 
 // active returns the write-side segment. Callers hold wmu.
 func (s *Store) active() *segment { return s.segs[s.order[len(s.order)-1]] }
 
-// Put appends a verdict for k, superseding any earlier record. It
-// refuses Canceled results: they are transient by contract and must
-// never be persisted.
+// Put appends a verdict for k; if k already has a record the new one
+// supersedes it and the old one stays on disk. It refuses Canceled
+// results: they are transient by contract and must never be
+// persisted.
 func (s *Store) Put(k vcache.Key, res alive.Result) error {
 	if res.Canceled {
 		return fmt.Errorf("vstore: refusing to persist a Canceled verdict")
 	}
-	return s.append(record{Src: k.Src, Dst: k.Dst, Opts: k.Opts, Res: res})
-}
-
-// Delete appends a tombstone for k. Deleting an absent key is a no-op
-// that still writes the tombstone (idempotent by replay).
-func (s *Store) Delete(k vcache.Key) error {
-	return s.append(record{Src: k.Src, Dst: k.Dst, Opts: k.Opts, Tomb: true})
-}
-
-func (s *Store) append(rec record) error {
-	buf, err := encodeRecord(rec)
+	buf, err := encodeRecord(record{Src: k.Src, Dst: k.Dst, Opts: k.Opts, Res: res})
 	if err != nil {
 		return err
 	}
-	h := fingerprint(rec.key())
+	h := fingerprint(k)
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.closing.Load() {
-		return fmt.Errorf("vstore: store is closed")
+	if s.refuse != nil {
+		return s.refuse
 	}
 	seg := s.active()
 	off := seg.size
 	if _, err := seg.w.Write(buf); err != nil {
-		// A partial write leaves a torn tail exactly like a crash
-		// would; reopening repairs it. Refuse further appends at this
-		// offset by not advancing size only on full success.
+		// The handle is O_APPEND, so whatever part of buf was written
+		// is in the file at off, where the next record would be
+		// indexed. Cut it away; a tail that cannot be cut must stay the
+		// active segment's, where reopening repairs it.
+		if terr := seg.w.Truncate(off); terr != nil {
+			s.refuse = fmt.Errorf("vstore: an append failed (%v) and its partial record could not be cut (%v); reopen the store to repair it", err, terr)
+		}
 		return fmt.Errorf("vstore: append: %w", err)
 	}
 	seg.size = off + int64(len(buf))
-	loc := recloc{seq: seg.seq, off: off, n: uint32(len(buf))}
 
 	s.mu.Lock()
-	if old, ok := s.index[h]; ok {
-		if oseg := s.segs[old.seq]; oseg != nil {
-			oseg.liveBytes -= int64(old.n)
-			oseg.deadBytes += int64(old.n)
-			oseg.liveRecs--
-			oseg.deadRecs++
-		}
-	}
-	if rec.Tomb {
-		delete(s.index, h)
-		seg.deadBytes += int64(len(buf))
-		seg.deadRecs++
-	} else {
-		s.index[h] = loc
-		seg.liveBytes += int64(len(buf))
-		seg.liveRecs++
-	}
+	s.point(h, recloc{seq: seg.seq, off: off, n: uint32(len(buf))})
 	s.mu.Unlock()
 
 	s.appends.Add(1)
 	s.appendedBytes.Add(uint64(len(buf)))
-	if rec.Tomb {
-		s.tombstones.Add(1)
-	}
 
 	s.unsynced++
 	if s.unsynced >= s.cfg.SyncEvery {
@@ -487,48 +449,39 @@ func (s *Store) append(rec record) error {
 	return nil
 }
 
-// Get returns the stored verdict for k. A fingerprint collision or a
-// read raced against a compaction swap retries against the fresh
-// index; a record that fails its checksum is never returned.
+// Get returns the stored verdict for k. A sealed segment is immutable
+// and never unlinked, so a failed read or checksum is an error, not
+// something a retry could mend; a record that fails its checksum is
+// never returned.
 func (s *Store) Get(k vcache.Key) (alive.Result, bool, error) {
 	s.gets.Add(1)
 	h := fingerprint(k)
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		s.mu.RLock()
-		loc, ok := s.index[h]
-		var seg *segment
-		if ok {
-			seg = s.segs[loc.seq]
-		}
-		s.mu.RUnlock()
-		if !ok || seg == nil {
-			s.misses.Add(1)
-			return alive.Result{}, false, nil
-		}
-		buf := make([]byte, loc.n)
-		if _, err := seg.r.ReadAt(buf, loc.off); err != nil {
-			// The segment may have been compacted away between the
-			// lookup and the read; retry re-resolves the location.
-			lastErr = err
-			continue
-		}
-		rec, _, err := decodeRecord(buf)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if rec.Tomb || rec.key() != k {
-			// Tombstones never stay indexed, so this is a fingerprint
-			// collision: the stored record belongs to a different key.
-			s.misses.Add(1)
-			return alive.Result{}, false, nil
-		}
-		s.hits.Add(1)
-		return rec.Res, true, nil
+	s.mu.RLock()
+	loc, ok := s.index[h]
+	seg := s.segs[loc.seq]
+	s.mu.RUnlock()
+	if !ok {
+		s.misses.Add(1)
+		return alive.Result{}, false, nil
 	}
-	s.misses.Add(1)
-	return alive.Result{}, false, fmt.Errorf("vstore: read record: %w", lastErr)
+	buf := make([]byte, loc.n)
+	_, err := seg.r.ReadAt(buf, loc.off)
+	var rec record
+	if err == nil {
+		rec, _, err = decodeRecord(buf)
+	}
+	if err != nil {
+		s.misses.Add(1)
+		return alive.Result{}, false, fmt.Errorf("vstore: read record: %w", err)
+	}
+	if rec.key() != k {
+		// A fingerprint collision: the stored record belongs to a
+		// different key.
+		s.misses.Add(1)
+		return alive.Result{}, false, nil
+	}
+	s.hits.Add(1)
+	return rec.Res, true, nil
 }
 
 // Sync flushes the active segment's unsynced tail to disk.
@@ -588,28 +541,7 @@ func (s *Store) rotateLocked() error {
 	s.segs[seq] = &segment{seq: seq, path: path, r: r, w: w}
 	s.order = order
 	s.mu.Unlock()
-
-	if !s.cfg.DisableAutoCompact && s.sealedDeadFrac() >= s.cfg.CompactMinDeadFrac {
-		s.startBackgroundCompact()
-	}
 	return nil
-}
-
-// sealedDeadFrac reports the dead-byte fraction across sealed
-// segments.
-func (s *Store) sealedDeadFrac() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var live, dead int64
-	for _, seq := range s.order[:len(s.order)-1] {
-		seg := s.segs[seq]
-		live += seg.liveBytes
-		dead += seg.deadBytes
-	}
-	if live+dead == 0 {
-		return 0
-	}
-	return float64(dead) / float64(live+dead)
 }
 
 func (s *Store) saveManifest(order []uint64) error {
@@ -617,13 +549,11 @@ func (s *Store) saveManifest(order []uint64) error {
 		manifest{Version: manifestVersion, Segments: order, NextSeq: s.nextSeq})
 }
 
-// Close syncs the tail and releases every file handle. Waits for any
-// background compaction to finish first.
+// Close syncs the tail and releases every file handle.
 func (s *Store) Close() error {
-	s.closing.Store(true)
-	s.compactWG.Wait()
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	s.refuse = fmt.Errorf("vstore: store is closed")
 	err := s.syncLocked()
 	s.closeAll()
 	return err
@@ -645,25 +575,19 @@ func (s *Store) closeAll() {
 // Stats is a point-in-time snapshot of the store's counters and
 // gauges.
 type Stats struct {
-	// Gauges.
+	// Gauges. LiveBytes is the bytes of the records the index points
+	// at — what a reopen keeps, as opposed to what was appended.
 	Segments  int
 	Entries   int
 	LiveBytes int64
-	DeadBytes int64
 	// Counters.
 	Appends        uint64
 	AppendedBytes  uint64
-	Tombstones     uint64
 	Gets           uint64
 	Hits           uint64
 	Misses         uint64
 	Syncs          uint64
-	Compactions    uint64
-	ReclaimedBytes uint64
 	TruncatedTails uint64
-	// CompactPause is cumulative writer-visible pause spent inside
-	// compaction swaps.
-	CompactPause time.Duration
 }
 
 // Counters returns the snapshot's monotonic counters under stable
@@ -672,57 +596,32 @@ func (s Stats) Counters() map[string]uint64 {
 	return map[string]uint64{
 		"appends":         s.Appends,
 		"appended_bytes":  s.AppendedBytes,
-		"tombstones":      s.Tombstones,
 		"gets":            s.Gets,
 		"hits":            s.Hits,
 		"misses":          s.Misses,
 		"syncs":           s.Syncs,
-		"compactions":     s.Compactions,
-		"reclaimed_bytes": s.ReclaimedBytes,
 		"truncated_tails": s.TruncatedTails,
 	}
 }
 
 // String renders the snapshot for logs and the cache admin CLI.
 func (s Stats) String() string {
-	return fmt.Sprintf("vstore: %d entries in %d segments (%d live / %d dead bytes), %d appends, %d gets (%d hits), %d syncs, %d compactions (%d bytes reclaimed, %v pause), %d torn tails repaired",
-		s.Entries, s.Segments, s.LiveBytes, s.DeadBytes,
-		s.Appends, s.Gets, s.Hits, s.Syncs,
-		s.Compactions, s.ReclaimedBytes, s.CompactPause.Round(time.Millisecond),
-		s.TruncatedTails)
+	return fmt.Sprintf("vstore: %d entries in %d segments (%d live bytes), %d appends, %d gets (%d hits), %d syncs, %d torn tails repaired",
+		s.Entries, s.Segments, s.LiveBytes,
+		s.Appends, s.Gets, s.Hits, s.Syncs, s.TruncatedTails)
 }
 
 // Stats returns a snapshot of the store's counters and gauges.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
-	st := Stats{
-		Segments: len(s.order),
-		Entries:  len(s.index),
-	}
-	for _, seg := range s.segs {
-		st.LiveBytes += seg.liveBytes
-		st.DeadBytes += seg.deadBytes
-	}
+	st := Stats{Segments: len(s.order), Entries: len(s.index), LiveBytes: s.liveBytes}
 	s.mu.RUnlock()
 	st.Appends = s.appends.Load()
 	st.AppendedBytes = s.appendedBytes.Load()
-	st.Tombstones = s.tombstones.Load()
 	st.Gets = s.gets.Load()
 	st.Hits = s.hits.Load()
 	st.Misses = s.misses.Load()
 	st.Syncs = s.syncs.Load()
-	st.Compactions = s.compactions.Load()
-	st.ReclaimedBytes = s.reclaimedBytes.Load()
 	st.TruncatedTails = s.truncatedTails.Load()
-	st.CompactPause = time.Duration(s.compactPauseNs.Load())
 	return st
-}
-
-// segmentSeqs returns the current replay order (tests, admin stat).
-func (s *Store) segmentSeqs() []uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := append([]uint64{}, s.order...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

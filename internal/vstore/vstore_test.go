@@ -1,9 +1,13 @@
 package vstore
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +32,14 @@ func sameResult(t *testing.T, got, want alive.Result) {
 		got.Counterexample["x"] != want.Counterexample["x"] {
 		t.Fatalf("result = %+v, want %+v", got, want)
 	}
+}
+
+// replayOrder returns the segments in replay order; the last is the
+// active one.
+func (s *Store) replayOrder() []uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Clone(s.order)
 }
 
 func mustGet(t *testing.T, s *Store, k vcache.Key) alive.Result {
@@ -115,8 +127,13 @@ func TestSupersedeKeepsNewestAcrossReopen(t *testing.T) {
 	if st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
 	}
-	if st.DeadBytes == 0 {
-		t.Fatal("superseded record left no dead bytes")
+	// Both records are on disk; LiveBytes counts the one that is served.
+	newest, err := encodeRecord(record{Src: tkey(0).Src, Dst: tkey(0).Dst, Opts: tkey(0).Opts, Res: tres(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LiveBytes != int64(len(newest)) || st.AppendedBytes <= uint64(st.LiveBytes) {
+		t.Fatalf("live bytes = %d of %d appended, want %d (the newest record alone)", st.LiveBytes, st.AppendedBytes, len(newest))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -128,41 +145,108 @@ func TestSupersedeKeepsNewestAcrossReopen(t *testing.T) {
 	}
 	defer s2.Close()
 	sameResult(t, mustGet(t, s2, tkey(0)), tres(2))
-	if st := s2.Stats(); st.Entries != 1 || st.DeadBytes == 0 {
+	if st := s2.Stats(); st.Entries != 1 || st.LiveBytes != int64(len(newest)) {
 		t.Fatalf("reopen stats: %+v", st)
 	}
 }
 
-func TestTombstoneDeletesAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{})
+// fixKey is tkey with the options spelled out: the fixture's keys must
+// not move when a default does.
+func fixKey(i int) vcache.Key {
+	k := tkey(i)
+	k.Opts = alive.Options{MaxPaths: 512, MaxSteps: 4096, SolverBudget: 200000}
+	return k
+}
+
+// TestParentWrittenStoreReopens opens a store written by the last
+// build that could delete and compact (commit 56cc0e6): four segments
+// in MANIFEST order [5 4 6 7], where 5 is a compaction's output and so
+// precedes lower-numbered, younger segments; key 2's verdict in 5 is
+// superseded in 4, key 4's in 6; key 3 has a deletion record in 4;
+// key 0's first verdict and key 1 were dropped by the compaction.
+// PARENT.json beside it is what that build reported on reopening it.
+// The fixture was produced, in a checkout of that commit, by
+//
+//	cp testdata/parent-store/writer_test.go.txt internal/vstore/writer_test.go
+//	PARENT_STORE_OUT=/tmp/parent-store go test ./internal/vstore -run TestWriteParentStore -v
+func TestParentWrittenStoreReopens(t *testing.T) {
+	const fixture = "testdata/parent-store"
+	var want struct {
+		Entries       int            `json:"entries"`
+		LiveBytes     int64          `json:"live_bytes"`
+		ManifestOrder []uint64       `json:"manifest_order"`
+		VerdictOf     map[string]int `json:"verdict_of"`
+		DeletedKeys   []int          `json:"deleted_keys"`
+	}
+	blob, err := os.ReadFile(filepath.Join(fixture, "PARENT.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(tkey(0), tres(0)); err != nil {
+	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(tkey(0)); err != nil {
+	dir := t.TempDir()
+	files, _ := filepath.Glob(filepath.Join(fixture, "seg-*.vlog"))
+	for _, f := range append(files, filepath.Join(fixture, manifestName)) {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	check := func(s *Store) {
+		t.Helper()
+		for k, v := range want.VerdictOf {
+			i, err := strconv.Atoi(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, mustGet(t, s, fixKey(i)), tres(v))
+		}
+		for _, i := range want.DeletedKeys {
+			if _, ok, err := s.Get(fixKey(i)); err != nil || ok {
+				t.Fatalf("deleted key %d: ok=%v err=%v, want a miss", i, ok, err)
+			}
+		}
+	}
+	s, err := Open(dir, Config{SegmentBytes: 600})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := s.Get(tkey(0)); ok {
-		t.Fatal("deleted key still served")
+	if got := s.replayOrder(); !slices.Equal(got, want.ManifestOrder) || len(got) < 3 || slices.IsSorted(got) {
+		t.Fatalf("replay order %v, want %v: at least three segments, not in file-name order", got, want.ManifestOrder)
 	}
-	if st := s.Stats(); st.Entries != 0 || st.Tombstones != 1 {
-		t.Fatalf("stats: %+v", st)
+	if st := s.Stats(); st.Entries != want.Entries || st.LiveBytes != want.LiveBytes || st.TruncatedTails != 0 {
+		t.Fatalf("stats %+v, want %d entries and %d live bytes as the writer reported", st, want.Entries, want.LiveBytes)
+	}
+	check(s)
+
+	// It is an ordinary store from here: it takes appends, rotates, and
+	// reopens with the old verdicts and the new.
+	for i := 11; i <= 13; i++ {
+		if err := s.Put(fixKey(i), tres(i)); err != nil {
+			t.Fatal(err)
+		}
+		want.VerdictOf[strconv.Itoa(i)] = i
+	}
+	if st := s.Stats(); st.Segments <= len(want.ManifestOrder) {
+		t.Fatalf("%d segments after three appends, want a rotation past %d", st.Segments, len(want.ManifestOrder))
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	s2, err := Open(dir, Config{})
+	s, err = Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if _, ok, _ := s2.Get(tkey(0)); ok {
-		t.Fatal("tombstone did not survive reopen")
+	defer s.Close()
+	if st := s.Stats(); st.Entries != len(want.VerdictOf) {
+		t.Fatalf("entries after the second reopen = %d, want %d", st.Entries, len(want.VerdictOf))
 	}
+	check(s)
 }
 
 func TestCanceledVerdictsRefused(t *testing.T) {
@@ -182,7 +266,7 @@ func TestCanceledVerdictsRefused(t *testing.T) {
 func TestRotationSpreadsSegmentsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny threshold rotates on every append.
-	s, err := Open(dir, Config{SegmentBytes: 1, DisableAutoCompact: true})
+	s, err := Open(dir, Config{SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +287,7 @@ func TestRotationSpreadsSegmentsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, Config{DisableAutoCompact: true})
+	s2, err := Open(dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,115 +300,8 @@ func TestRotationSpreadsSegmentsAndRecovers(t *testing.T) {
 	}
 }
 
-func TestCompactDropsDeadWeight(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{SegmentBytes: 1, DisableAutoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Write each key three times (two superseded copies each) plus one
-	// deleted key; everything is sealed because each append rotates.
-	const n = 6
-	for round := 0; round < 3; round++ {
-		for i := 0; i < n; i++ {
-			if err := s.Put(tkey(i), tres(100*round+i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := s.Delete(tkey(0)); err != nil {
-		t.Fatal(err)
-	}
-
-	before := s.Stats()
-	res, ok, err := s.Compact()
-	if err != nil || !ok {
-		t.Fatalf("Compact: ok=%v err=%v", ok, err)
-	}
-	if res.Live != n-1 {
-		t.Fatalf("compaction carried %d records, want %d", res.Live, n-1)
-	}
-	if res.Dropped == 0 || res.ReclaimedBytes <= 0 {
-		t.Fatalf("compaction reclaimed nothing: %+v", res)
-	}
-	after := s.Stats()
-	if after.Segments >= before.Segments {
-		t.Fatalf("segments %d -> %d, want fewer", before.Segments, after.Segments)
-	}
-	if after.Entries != n-1 {
-		t.Fatalf("entries after compact = %d, want %d", after.Entries, n-1)
-	}
-	for i := 1; i < n; i++ {
-		sameResult(t, mustGet(t, s, tkey(i)), tres(200+i))
-	}
-	if _, ok, _ := s.Get(tkey(0)); ok {
-		t.Fatal("tombstoned key resurrected by compaction")
-	}
-	// Old segment files are physically gone.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vlogs int
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".vlog") {
-			vlogs++
-		}
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("compaction left temp file %s", e.Name())
-		}
-	}
-	if vlogs != after.Segments {
-		t.Fatalf("%d .vlog files on disk, stats say %d segments", vlogs, after.Segments)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The compacted store reopens to the same contents.
-	s2, err := Open(dir, Config{DisableAutoCompact: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if st := s2.Stats(); st.Entries != n-1 {
-		t.Fatalf("entries after reopen = %d, want %d", st.Entries, n-1)
-	}
-	for i := 1; i < n; i++ {
-		sameResult(t, mustGet(t, s2, tkey(i)), tres(200+i))
-	}
-}
-
-func TestAutoCompactTriggersOnRotation(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Config{SegmentBytes: 1, CompactMinDeadFrac: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Superseding the same key on every append makes almost every
-	// sealed byte dead, so the rotation trigger fires immediately.
-	for i := 0; i < 20; i++ {
-		if err := s.Put(tkey(0), tres(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil { // waits for background compaction
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.Compactions == 0 {
-		t.Fatalf("auto-compaction never ran: %+v", st)
-	}
-
-	s2, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	sameResult(t, mustGet(t, s2, tkey(0)), tres(19))
-}
-
-func TestConcurrentReadersWriterAndCompaction(t *testing.T) {
-	s, err := Open(t.TempDir(), Config{SegmentBytes: 512, DisableAutoCompact: true})
+func TestConcurrentReadersAndRotatingWriter(t *testing.T) {
+	s, err := Open(t.TempDir(), Config{SegmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,8 +315,8 @@ func TestConcurrentReadersWriterAndCompaction(t *testing.T) {
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Readers hammer the full key range while the writer supersedes and
-	// compactions swap segments underneath them.
+	// Readers hammer the full key range while the writer supersedes
+	// every key eight times over, rotating every third append.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -375,10 +352,6 @@ func TestConcurrentReadersWriterAndCompaction(t *testing.T) {
 					return
 				}
 			}
-			if _, _, err := s.Compact(); err != nil {
-				t.Errorf("Compact: %v", err)
-				return
-			}
 		}
 	}()
 	<-writerDone
@@ -388,6 +361,9 @@ func TestConcurrentReadersWriterAndCompaction(t *testing.T) {
 		return
 	}
 
+	if st := s.Stats(); st.Segments < 8*n/4 {
+		t.Fatalf("%d segments: the writer was meant to rotate under the readers", st.Segments)
+	}
 	for i := 0; i < n; i++ {
 		sameResult(t, mustGet(t, s, tkey(i)), tres(8000+i))
 	}
@@ -408,13 +384,13 @@ func TestStatsStringAndCounters(t *testing.T) {
 		t.Fatalf("String() = %q", got)
 	}
 	c := st.Counters()
-	for _, name := range []string{"appends", "appended_bytes", "tombstones", "gets", "hits",
-		"misses", "syncs", "compactions", "reclaimed_bytes", "truncated_tails"} {
+	for _, name := range []string{"appends", "appended_bytes", "gets", "hits",
+		"misses", "syncs", "truncated_tails"} {
 		if _, ok := c[name]; !ok {
 			t.Fatalf("Counters() missing %q", name)
 		}
 	}
-	if c["appends"] != 1 || c["hits"] != 1 {
+	if len(c) != 7 || c["appends"] != 1 || c["hits"] != 1 {
 		t.Fatalf("Counters() = %v", c)
 	}
 }
@@ -467,12 +443,18 @@ func TestManifestIsTheCommitPoint(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Files the manifest does not own — crashed-compaction leftovers —
-	// are removed on open and never replayed.
+	// Files the manifest does not own are removed on open and never
+	// replayed: the segment a rotation created before a crash kept it
+	// from saving the manifest (here even holding a well-formed record),
+	// and the temp file of that interrupted save.
+	ghost, err := encodeRecord(record{Src: "ghost", Dst: "dst", Res: tres(999)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	orphanSeg := filepath.Join(dir, segmentName(77))
-	orphanTmp := filepath.Join(dir, "compact-00000077.tmp")
-	for _, p := range []string{orphanSeg, orphanTmp} {
-		if err := os.WriteFile(p, []byte("garbage that would fail any scan"), 0o644); err != nil {
+	orphanTmp := filepath.Join(dir, manifestName+".tmp77")
+	for p, data := range map[string][]byte{orphanSeg: ghost, orphanTmp: []byte("half a manifest")} {
+		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -487,4 +469,149 @@ func TestManifestIsTheCommitPoint(t *testing.T) {
 		}
 	}
 	sameResult(t, mustGet(t, s2, tkey(0)), tres(0))
+	if _, ok, _ := s2.Get(vcache.Key{Src: "ghost", Dst: "dst"}); ok || s2.Stats().Entries != 1 {
+		t.Fatal("a segment the manifest does not name was replayed")
+	}
+}
+
+// flakyFile is an append handle on a disk that fills: it lets room
+// more bytes through, then fails every write after writing what fits.
+// With stuck set it cannot be truncated either.
+type flakyFile struct {
+	*os.File
+	room  int
+	stuck bool
+}
+
+func (f *flakyFile) Write(b []byte) (int, error) {
+	if len(b) <= f.room {
+		f.room -= len(b)
+		return f.File.Write(b)
+	}
+	n, _ := f.File.Write(b[:f.room])
+	f.room = 0
+	return n, errors.New("no space left on device")
+}
+
+func (f *flakyFile) Truncate(size int64) error {
+	if f.stuck {
+		return errors.New("input/output error")
+	}
+	return f.File.Truncate(size)
+}
+
+// fillDisk swaps the active segment's append handle for one that
+// accepts room more bytes.
+func fillDisk(s *Store, room int, stuck bool) *flakyFile {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	f := &flakyFile{File: s.active().w.(*os.File), room: room, stuck: stuck}
+	s.active().w = f
+	return f
+}
+
+// TestShortWriteLeavesTheStoreUsable: an append that fails part-way
+// leaves its first bytes in the O_APPEND file. Unless they are cut
+// away every later record of the segment is indexed that many bytes
+// early, and once the segment is sealed the store never opens again.
+func TestShortWriteLeavesTheStoreUsable(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{SegmentBytes: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(i int) error { return s.Put(tkey(i), tres(i)) }
+	for i := 0; i < 2; i++ {
+		if err := put(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	disk := fillDisk(s, 11, false)
+	if err := put(2); err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Fatalf("Put on a full disk: %v, want the write's error", err)
+	}
+	if st := s.Stats(); st.Appends != 2 || st.Entries != 2 {
+		t.Fatalf("the failed Put was counted: %+v", st)
+	}
+	// The condition clears; the store carries on, through a rotation.
+	disk.room = 1 << 30
+	for i := 3; i < 10; i++ {
+		if err := put(i); err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, mustGet(t, s, tkey(i)), tres(i))
+	}
+	if st := s.Stats(); st.Segments < 2 {
+		t.Fatalf("%d segments, want a rotation after the failed append", st.Segments)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatalf("reopen after a short write: %v", err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.Entries != 9 || st.TruncatedTails != 0 {
+		t.Fatalf("stats after reopen: %+v, want the 9 acknowledged verdicts and nothing to repair", st)
+	}
+	for i := 0; i < 10; i++ {
+		if i == 2 {
+			if _, ok, err := s2.Get(tkey(i)); err != nil || ok {
+				t.Fatalf("the verdict whose Put failed: ok=%v err=%v, want a miss", ok, err)
+			}
+			continue
+		}
+		sameResult(t, mustGet(t, s2, tkey(i)), tres(i))
+	}
+}
+
+// TestShortWriteThatCannotBeCutRefusesAppends: when the truncate fails
+// as well, the partial record must stay the tail of the active segment
+// — the one place reopening repairs — so the store takes no more
+// appends and does not rotate.
+func TestShortWriteThatCannotBeCutRefusesAppends(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Config{SegmentBytes: 300}) // a rotation every other append
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Put(tkey(i), tres(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segments := s.Stats().Segments
+	fillDisk(s, 11, true)
+	if err := s.Put(tkey(3), tres(3)); err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Fatalf("Put on a full disk: %v, want the write's error", err)
+	}
+	for i := 4; i < 6; i++ {
+		if err := s.Put(tkey(i), tres(i)); err == nil || !strings.Contains(err.Error(), "reopen") {
+			t.Fatalf("Put after an uncut short write: %v, want a refusal", err)
+		}
+	}
+	if st := s.Stats(); st.Segments != segments || st.Appends != 3 {
+		t.Fatalf("stats %+v, want %d segments and 3 appends still", st, segments)
+	}
+	for i := 0; i < 3; i++ { // reads are unaffected
+		sameResult(t, mustGet(t, s, tkey(i)), tres(i))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatalf("reopen over the torn tail: %v", err)
+	}
+	defer s2.Close()
+	if st := s2.Stats(); st.Entries != 3 || st.TruncatedTails != 1 {
+		t.Fatalf("stats after reopen: %+v, want 3 entries and one repaired tail", st)
+	}
+	if err := s2.Put(tkey(3), tres(3)); err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, mustGet(t, s2, tkey(3)), tres(3))
 }

@@ -46,6 +46,6 @@ fi
 echo
 echo '| veriopt subcommand | flags |'
 echo '|---|---:|'
-for sub in experiments train optimize check serve dataset 'cache migrate'; do
+for sub in experiments train optimize check serve dataset 'cache stat'; do
 	echo "| $sub | $(go run ./cmd/veriopt $sub -h 2>&1 | grep -c '^  -') |"
 done
