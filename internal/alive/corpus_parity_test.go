@@ -33,48 +33,18 @@ func breakFn(f *ir.Function) *ir.Function {
 	return g
 }
 
-// concretelyDiffers reports whether running src and tgt on the given
-// inputs exposes a refinement violation (UB introduced, extra poison,
-// value mismatch, or diverging call trace).
+// concretelyDiffers is differsOn at a counterexample's inputs.
 func concretelyDiffers(t *testing.T, src, tgt *ir.Function, inputs map[string]uint64) bool {
 	t.Helper()
 	args := make([]interp.Val, len(src.Params))
 	for i, p := range src.Params {
 		args[i] = interp.V(inputs[p.NameStr])
 	}
-	cfg := interp.DefaultConfig()
-	o1, err := interp.Run(src, args, cfg)
+	differs, err := differsOn(src, tgt, args)
 	if err != nil {
-		t.Fatalf("interp src: %v", err)
+		t.Fatal(err)
 	}
-	o2, err := interp.Run(tgt, args, cfg)
-	if err != nil {
-		t.Fatalf("interp tgt: %v", err)
-	}
-	if o1.UB {
-		return false
-	}
-	if o2.UB {
-		return true
-	}
-	if len(o1.Calls) != len(o2.Calls) {
-		return true
-	}
-	for i := range o1.Calls {
-		if o1.Calls[i].Callee != o2.Calls[i].Callee || len(o1.Calls[i].Args) != len(o2.Calls[i].Args) {
-			return true
-		}
-		for j := range o1.Calls[i].Args {
-			a, b := o1.Calls[i].Args[j], o2.Calls[i].Args[j]
-			if a.Poison || b.Poison || a.Bits != b.Bits {
-				return true
-			}
-		}
-	}
-	if o1.Ret.Poison {
-		return false
-	}
-	return o2.Ret.Poison || o1.Ret.Bits != o2.Ret.Bits
+	return differs
 }
 
 // TestCorpusSessionParity verifies dataset-generated (O0, Ref) pairs —

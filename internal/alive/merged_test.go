@@ -1,0 +1,468 @@
+package alive_test
+
+// The executor held to the one it replaced and to the interpreter: on
+// every control-flow and loop function of the corpus, against what
+// instcombine, each seqopt pass, the whole pass pipeline and each
+// applicable unsound rewrite make of it, exec (which merges states at
+// joins) and the forking reference in ref_test.go reach the same
+// verdict; a counterexample from either distinguishes under interp; and
+// where the parameters total at most 16 bits and nothing is called,
+// interp over every input decides refinement and both must agree with
+// it. External test package: dataset imports alive.
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"veriopt/internal/alive"
+	"veriopt/internal/dataset"
+	"veriopt/internal/instcombine"
+	"veriopt/internal/interp"
+	"veriopt/internal/ir"
+	"veriopt/internal/rewrite"
+	"veriopt/internal/ruptest"
+	"veriopt/internal/sat"
+	"veriopt/internal/seqopt"
+)
+
+// branchyPair is one query of the differential.
+type branchyPair struct {
+	name     string
+	src, tgt *ir.Function
+}
+
+// branchyPairs returns, for every control-flow and loop sample among n
+// of seed's corpus, the O0 function against: instcombine's output, each
+// seqopt pass's output, the passes applied round-robin to a fixpoint
+// (the if-converted form: mem2reg, then if-to-select), and every
+// applicable rewrite.Unsound() mutant of the first and the last.
+func branchyPairs(tb testing.TB, seed int64, n int) []branchyPair {
+	tb.Helper()
+	samples, err := dataset.Generate(dataset.Config{Seed: seed, N: n, SkipVerify: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var pairs []branchyPair
+	for _, s := range samples {
+		if s.Scenario != dataset.ScenarioControlFlow && s.Scenario != dataset.ScenarioLoop {
+			continue
+		}
+		add := func(kind string, tgt *ir.Function) {
+			pairs = append(pairs, branchyPair{fmt.Sprintf("%s/%s", s.O0.NameStr, kind), s.O0, tgt})
+		}
+		ref := instcombine.Run(s.O0)
+		add("instcombine", ref)
+		piped := s.O0
+		for again := true; again; {
+			again = false
+			for _, p := range seqopt.Registry() {
+				if g, changed := p.Apply(piped); changed {
+					piped, again = g, true
+				}
+			}
+		}
+		add("pipeline", piped)
+		for _, p := range seqopt.Registry() {
+			if g, changed := p.Apply(s.O0); changed {
+				add(p.Name, g)
+			}
+		}
+		for _, base := range []*ir.Function{ref, piped} {
+			for i, rule := range rewrite.Unsound() {
+				if !rule.Applicable(base) {
+					continue
+				}
+				if g := ir.CloneFunc(base); rule.Apply(g, rand.New(rand.NewSource(seed+int64(i)))) && ir.VerifyFunc(g) == nil {
+					add(rule.Name, g)
+				}
+			}
+		}
+	}
+	return pairs
+}
+
+// mergeShapes are joins no template emits: three arms meeting in one
+// block, arms whose call counts differ, a cell one arm leaves
+// uninitialised, a loop that leaves from two places, and a phi diamond
+// against its select.
+var mergeShapes = [][2]string{
+	{`define i8 @three(i8 noundef %a, i8 noundef %b) {
+entry:
+  %c = icmp slt i8 %a, 0
+  br i1 %c, label %neg, label %pos
+neg:
+  %d = icmp ult i8 %b, 9
+  br i1 %d, label %x, label %join
+x:
+  %s = add i8 %a, %b
+  br label %join
+pos:
+  br label %join
+join:
+  %r = phi i8 [ %s, %x ], [ %b, %neg ], [ %a, %pos ]
+  ret i8 %r
+}`, `define i8 @three(i8 noundef %a, i8 noundef %b) {
+  %c = icmp slt i8 %a, 0
+  %d = icmp ult i8 %b, 9
+  %s = add i8 %a, %b
+  %i = select i1 %d, i8 %s, i8 %b
+  %r = select i1 %c, i8 %i, i8 %a
+  ret i8 %r
+}`},
+	{`declare i8 @obs(i8)
+define i8 @calls(i8 noundef %a, i8 noundef %b) {
+entry:
+  %c = icmp eq i8 %a, %b
+  br i1 %c, label %once, label %twice
+once:
+  %u = call i8 @obs(i8 %a)
+  br label %join
+twice:
+  %v = call i8 @obs(i8 %a)
+  %w = call i8 @obs(i8 %v)
+  br label %join
+join:
+  %r = phi i8 [ %u, %once ], [ %w, %twice ]
+  ret i8 %r
+}`, `declare i8 @obs(i8)
+define i8 @calls(i8 noundef %a, i8 noundef %b) {
+entry:
+  %v = call i8 @obs(i8 %a)
+  %c = icmp eq i8 %a, %b
+  br i1 %c, label %join, label %twice
+twice:
+  %w = call i8 @obs(i8 %v)
+  br label %join
+join:
+  %r = phi i8 [ %v, %entry ], [ %w, %twice ]
+  ret i8 %r
+}`},
+	{`define i8 @halfinit(i8 noundef %a, i8 noundef %b) {
+entry:
+  %p = alloca i8
+  %c = icmp ugt i8 %a, %b
+  br i1 %c, label %set, label %join
+set:
+  store i8 %a, ptr %p
+  br label %join
+join:
+  %v = load i8, ptr %p
+  %f = freeze i8 %v
+  %r = select i1 %c, i8 %f, i8 %b
+  ret i8 %r
+}`, `define i8 @halfinit(i8 noundef %a, i8 noundef %b) {
+  %c = icmp ugt i8 %a, %b
+  %r = select i1 %c, i8 %a, i8 %b
+  ret i8 %r
+}`},
+	{`define i8 @twoexits(i8 noundef %a, i8 noundef %b) {
+entry:
+  br label %head
+head:
+  %i = phi i8 [ 0, %entry ], [ %i1, %latch ]
+  %acc = phi i8 [ %a, %entry ], [ %acc1, %latch ]
+  %c = icmp ult i8 %i, 3
+  br i1 %c, label %body, label %out
+body:
+  %acc1 = add i8 %acc, %b
+  %d = icmp eq i8 %acc1, 7
+  br i1 %d, label %out, label %latch
+latch:
+  %i1 = add i8 %i, 1
+  br label %head
+out:
+  %r = phi i8 [ %acc, %head ], [ %i, %body ]
+  ret i8 %r
+}`, `define i8 @twoexits(i8 noundef %a, i8 noundef %b) {
+  %s1 = add i8 %a, %b
+  %d1 = icmp eq i8 %s1, 7
+  %s2 = add i8 %s1, %b
+  %d2 = icmp eq i8 %s2, 7
+  %s3 = add i8 %s2, %b
+  %d3 = icmp eq i8 %s3, 7
+  %t3 = select i1 %d3, i8 2, i8 %s3
+  %t2 = select i1 %d2, i8 1, i8 %t3
+  %t1 = select i1 %d1, i8 0, i8 %t2
+  ret i8 %t1
+}`},
+	{`define i8 @phidiamond(i8 noundef %a, i8 noundef %b) {
+entry:
+  %c = icmp ne i8 %a, %b
+  br i1 %c, label %t, label %f
+t:
+  %x = sub i8 %a, %b
+  br label %join
+f:
+  %y = udiv i8 %a, %b
+  br label %join
+join:
+  %r = phi i8 [ %x, %t ], [ %y, %f ]
+  ret i8 %r
+}`, `define i8 @phidiamond(i8 noundef %a, i8 noundef %b) {
+  %c = icmp ne i8 %a, %b
+  %x = sub i8 %a, %b
+  %y = udiv i8 %a, %b
+  %r = select i1 %c, i8 %x, i8 %y
+  ret i8 %r
+}`},
+}
+
+// shapePairs parses mergeShapes, each both ways round.
+func shapePairs(tb testing.TB) []branchyPair {
+	tb.Helper()
+	var pairs []branchyPair
+	for _, sh := range mergeShapes {
+		var fns [2]*ir.Function
+		for i, text := range sh {
+			m, err := ir.Parse(text)
+			if err != nil || ir.VerifyFunc(m.Funcs[0]) != nil {
+				tb.Fatalf("%v, %v\n%s", err, ir.VerifyFunc(m.Funcs[0]), text)
+			}
+			fns[i] = m.Funcs[0]
+		}
+		pairs = append(pairs, branchyPair{fns[0].NameStr, fns[0], fns[1]}, branchyPair{fns[0].NameStr + "/back", fns[1], fns[0]})
+	}
+	return pairs
+}
+
+// mutateBranchy returns a copy of f with one to three of its constants,
+// icmp predicates and nsw/nuw/exact flags changed, as rng says.
+func mutateBranchy(f *ir.Function, rng *rand.Rand) *ir.Function {
+	g := ir.CloneFunc(f)
+	var sites []func()
+	g.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
+		for i, a := range in.Args {
+			if c, ok := a.(*ir.Const); ok && in.Op != ir.OpSwitch {
+				sites = append(sites, func() {
+					delta := []int64{1, -1, 2, int64(rng.Intn(64)) - 32, -c.Signed(), int64(c.Ty.SignBit()) - c.Signed()}
+					in.Args[i] = ir.NewConst(c.Ty, c.Signed()+delta[rng.Intn(len(delta))])
+				})
+			}
+		}
+		switch {
+		case in.Op == ir.OpICmp:
+			sites = append(sites, func() { in.Pred = ir.Pred(rng.Intn(int(ir.PredSLE) + 1)) })
+		case in.Op == ir.OpAdd, in.Op == ir.OpSub, in.Op == ir.OpMul, in.Op == ir.OpShl:
+			sites = append(sites, func() { in.Flags.NSW = !in.Flags.NSW }, func() { in.Flags.NUW = !in.Flags.NUW })
+		case in.Op == ir.OpUDiv, in.Op == ir.OpSDiv, in.Op == ir.OpLShr, in.Op == ir.OpAShr:
+			sites = append(sites, func() { in.Flags.Exact = !in.Flags.Exact })
+		}
+	})
+	for k := 1 + rng.Intn(3); k > 0 && len(sites) > 0; k-- {
+		sites[rng.Intn(len(sites))]()
+	}
+	return g
+}
+
+// mergeTally is what a differential run saw, for the floors.
+type mergeTally struct {
+	pairs, equivalent, semantic, forkingOutOfPaths, budget, exhaustive, exhaustiveRefuted int
+}
+
+// why names the limit behind an Inconclusive verdict, "" for a verdict
+// that is not one.
+func why(res alive.Result) string {
+	switch {
+	case res.Verdict != alive.Inconclusive:
+		return ""
+	case res.Canceled:
+		return "canceled"
+	case strings.Contains(res.Diag, "solver budget"):
+		return "budget"
+	case strings.Contains(res.Diag, "resource limit"):
+		return "limit"
+	}
+	return "unsupported"
+}
+
+// differsOn reports whether running src and tgt on args exposes a
+// refinement violation (UB introduced, extra poison, value mismatch, or
+// diverging call trace); the error is the interpreter's own, a step
+// limit.
+func differsOn(src, tgt *ir.Function, args []interp.Val) (bool, error) {
+	o1, err := interp.Run(src, args, interp.DefaultConfig())
+	if err != nil {
+		return false, fmt.Errorf("interp src: %w", err)
+	}
+	o2, err := interp.Run(tgt, args, interp.DefaultConfig())
+	if err != nil {
+		return false, fmt.Errorf("interp tgt: %w", err)
+	}
+	if o1.UB {
+		return false, nil
+	}
+	if o2.UB || len(o1.Calls) != len(o2.Calls) {
+		return true, nil
+	}
+	for i := range o1.Calls {
+		if o1.Calls[i].Callee != o2.Calls[i].Callee || len(o1.Calls[i].Args) != len(o2.Calls[i].Args) {
+			return true, nil
+		}
+		for j := range o1.Calls[i].Args {
+			a, b := o1.Calls[i].Args[j], o2.Calls[i].Args[j]
+			if a.Poison || b.Poison || a.Bits != b.Bits {
+				return true, nil
+			}
+		}
+	}
+	if o1.Ret.Poison {
+		return false, nil
+	}
+	return o2.Ret.Poison || o1.Ret.Bits != o2.Ret.Bits, nil
+}
+
+// refinesExhaustively decides refinement for a call-free pair whose
+// parameters total at most 16 bits by running both functions on every
+// input: source UB or poison admits anything, otherwise the results
+// must agree. ok is false when the pair is not of that kind.
+func refinesExhaustively(src, tgt *ir.Function) (refines, ok bool) {
+	bits := 0
+	for i, p := range src.Params {
+		it, isInt := p.Ty.(ir.IntType)
+		if !isInt || !p.Noundef || i >= len(tgt.Params) || !tgt.Params[i].Ty.Equal(p.Ty) || !tgt.Params[i].Noundef {
+			return false, false
+		}
+		bits += it.Bits
+	}
+	calls := false
+	for _, f := range []*ir.Function{src, tgt} {
+		f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) { calls = calls || in.Op == ir.OpCall })
+	}
+	if bits > 16 || calls || len(src.Params) != len(tgt.Params) || !src.RetTy.Equal(tgt.RetTy) {
+		return false, false
+	}
+	args := make([]interp.Val, len(src.Params))
+	for in := uint64(0); in < 1<<uint(bits); in++ {
+		rest := in
+		for i, p := range src.Params {
+			w := uint(p.Ty.(ir.IntType).Bits)
+			args[i] = interp.V(rest & (1<<w - 1))
+			rest >>= w
+		}
+		differs, err := differsOn(src, tgt, args)
+		if err != nil {
+			return false, false
+		}
+		if differs {
+			return false, true
+		}
+	}
+	return true, true
+}
+
+// checkMergedVsForking verifies one pair with exec and with the forking
+// reference, each with the session and with a fresh solver per query,
+// under the RUP checker, and holds the four answers to each other, to
+// the interpreter on every counterexample and, where it applies, to the
+// exhaustive decision. A verdict may differ in one way only: the
+// reference ran out of paths or steps where exec did not.
+func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
+	t.Helper()
+	audit := &ruptest.Audit{}
+	sat.ProofForNew = func() sat.ProofSink { return audit.New() }
+	defer func() { sat.ProofForNew = nil }()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("%s: %s\nsource:\n%s\ntarget:\n%s", p.name, fmt.Sprintf(format, args...), ir.FuncString(p.src), ir.FuncString(p.tgt))
+	}
+	opts := alive.DefaultOptions()
+	opts.SolverBudget = 20000
+	var definite []alive.Result
+	for _, fresh := range []bool{false, true} {
+		opts.FreshSolver = fresh
+		merged := alive.VerifyFuncs(p.src, p.tgt, opts)
+		forking := alive.VerifyForking(context.Background(), p.src, p.tgt, opts)
+		mw, fw := why(merged), why(forking)
+		switch {
+		case mw == "budget" || fw == "budget":
+			tl.budget++
+		case fw == "limit" && mw == "":
+			tl.forkingOutOfPaths++
+		case merged.Verdict != forking.Verdict || mw != fw:
+			fail("fresh=%v: merged %v (%s), forking %v (%s)", fresh, merged.Verdict, merged.Diag, forking.Verdict, forking.Diag)
+		}
+		for name, res := range map[string]alive.Result{"merged": merged, "forking": forking} {
+			if res.Verdict == alive.SemanticError && !concretelyDiffers(t, p.src, p.tgt, res.Counterexample) {
+				fail("fresh=%v: %s counterexample %v does not distinguish (%s)", fresh, name, res.Counterexample, res.Diag)
+			}
+			if why(res) == "" {
+				definite = append(definite, res)
+			}
+		}
+		if !fresh {
+			tl.pairs++
+			switch merged.Verdict {
+			case alive.Equivalent:
+				tl.equivalent++
+			case alive.SemanticError:
+				tl.semantic++
+			}
+		}
+	}
+	audit.Verify(t)
+	if refines, ok := refinesExhaustively(p.src, p.tgt); ok {
+		tl.exhaustive++
+		want := alive.SemanticError
+		if refines {
+			want = alive.Equivalent
+		} else {
+			tl.exhaustiveRefuted++
+		}
+		for _, res := range definite {
+			if res.Verdict != want {
+				fail("interp over every input says %v, a verifier says %v (%s)", want, res.Verdict, res.Diag)
+			}
+		}
+	}
+}
+
+// TestMergedVsForking is the differential over two corpus seeds and the
+// hand-written joins; the floors keep it from passing vacuously.
+func TestMergedVsForking(t *testing.T) {
+	var tl mergeTally
+	pairs := shapePairs(t)
+	n := 72
+	if testing.Short() {
+		n = 36
+	}
+	for _, seed := range []int64{12, 31} {
+		pairs = append(pairs, branchyPairs(t, seed, n)...)
+	}
+	for _, p := range pairs {
+		checkMergedVsForking(t, p, &tl)
+	}
+	t.Logf("%+v", tl)
+	if tl.equivalent < 100 || tl.semantic < 40 || tl.exhaustive < 10 || tl.exhaustiveRefuted < 3 {
+		t.Errorf("floors (100 equivalent, 40 semantic errors, 10 pairs decided exhaustively, 3 of them refuted) not met: %+v", tl)
+	}
+}
+
+// FuzzMergedVsForking: whatever pair parses and passes ir.VerifyFunc,
+// with the target's constants, predicates and flags changed as the seed
+// says (seed 0 leaves it alone), exec and the forking reference agree
+// on, and the interpreter agrees with both. Seeds: one corpus slice's
+// pairs and the hand-written joins.
+func FuzzMergedVsForking(f *testing.F) {
+	for i, p := range append(shapePairs(f), branchyPairs(f, 7, 36)...) {
+		f.Add(ir.FuncString(p.src), ir.FuncString(p.tgt), int64(i%3))
+	}
+	f.Fuzz(func(t *testing.T, srcText, tgtText string, seed int64) {
+		src, err := ir.ParseFunc(srcText)
+		if err != nil || ir.VerifyFunc(src) != nil {
+			return
+		}
+		tgt, err := ir.ParseFunc(tgtText)
+		if err != nil || ir.VerifyFunc(tgt) != nil {
+			return
+		}
+		if seed != 0 {
+			if tgt = mutateBranchy(tgt, rand.New(rand.NewSource(seed))); ir.VerifyFunc(tgt) != nil {
+				return
+			}
+		}
+		checkMergedVsForking(t, branchyPair{src.NameStr, src, tgt}, new(mergeTally))
+	})
+}

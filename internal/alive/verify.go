@@ -173,26 +173,45 @@ func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts 
 	if opts.MaxPaths == 0 {
 		opts = DefaultOptions()
 	}
-	// Signature must match.
+	params, paramNames, mismatch := sharedInputs(b, src, tgt)
+	if mismatch != nil {
+		return *mismatch
+	}
+	cfg := execConfig{ctx: ctx, maxPaths: opts.MaxPaths, maxSteps: opts.MaxSteps, callVar: sharedCallVars(b)}
+	sSum, err := exec(b, src, params, cfg)
+	if err != nil {
+		return inconclusiveFrom(err)
+	}
+	tSum, err := exec(b, tgt, params, cfg)
+	if err != nil {
+		return inconclusiveFrom(err)
+	}
+	return refine(ctx, b, sSum, tSum, paramNames, opts)
+}
+
+// sharedInputs builds the symbolic parameters both functions are
+// executed on, with the source's names for them, or the verdict when
+// the two signatures do not match.
+func sharedInputs(b *bv.Builder, src, tgt *ir.Function) ([]symVal, []string, *Result) {
 	if len(src.Params) != len(tgt.Params) || !src.RetTy.Equal(tgt.RetTy) {
-		return Result{Verdict: SemanticError, Diag: "ERROR: signature mismatch between source and target"}
+		return nil, nil, &Result{Verdict: SemanticError, Diag: "ERROR: signature mismatch between source and target"}
 	}
 	for i := range src.Params {
 		if !src.Params[i].Ty.Equal(tgt.Params[i].Ty) {
-			return Result{Verdict: SemanticError,
+			return nil, nil, &Result{Verdict: SemanticError,
 				Diag: fmt.Sprintf("ERROR: parameter %d type mismatch: %s vs %s", i, src.Params[i].Ty, tgt.Params[i].Ty)}
 		}
 	}
 
-	// Shared symbolic inputs. Parameters carry noundef in the clang
-	// -O0 style our pipeline uses, so inputs are never poison; a
-	// non-noundef parameter gets a free poison bit.
+	// Parameters carry noundef in the clang -O0 style our pipeline
+	// uses, so inputs are never poison; a non-noundef parameter gets a
+	// free poison bit.
 	params := make([]symVal, len(src.Params))
 	paramNames := make([]string, len(src.Params))
 	for i, p := range src.Params {
 		w, err := widthOf(p.Ty)
 		if err != nil {
-			return Result{Verdict: Inconclusive, Diag: "ERROR: " + err.Error()}
+			return nil, nil, &Result{Verdict: Inconclusive, Diag: "ERROR: " + err.Error()}
 		}
 		name := fmt.Sprintf("in%d", i)
 		paramNames[i] = p.NameStr
@@ -202,12 +221,15 @@ func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts 
 		}
 		params[i] = symVal{val: b.Var(w, name), poison: poison}
 	}
+	return params, paramNames, nil
+}
 
-	// Shared uninterpreted call results: occurrence k of callee c
-	// returns the same unknown on both sides (trace equality below
-	// makes this sound).
+// sharedCallVars returns the uninterpreted call results both sides
+// read: occurrence k of callee c returns the same unknown in source
+// and target (trace equality in refine makes this sound).
+func sharedCallVars(b *bv.Builder) func(k int, callee string, width int) *bv.Term {
 	callVars := map[string]*bv.Term{}
-	callVar := func(k int, callee string, width int) *bv.Term {
+	return func(k int, callee string, width int) *bv.Term {
 		key := fmt.Sprintf("call$%s$%d$%d", callee, k, width)
 		if t, ok := callVars[key]; ok {
 			return t
@@ -216,18 +238,6 @@ func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts 
 		callVars[key] = t
 		return t
 	}
-
-	cfg := execConfig{ctx: ctx, maxPaths: opts.MaxPaths, maxSteps: opts.MaxSteps, callVar: callVar}
-	sSum, err := exec(b, src, params, cfg)
-	if err != nil {
-		return inconclusiveFrom(err)
-	}
-	tSum, err := exec(b, tgt, params, cfg)
-	if err != nil {
-		return inconclusiveFrom(err)
-	}
-
-	return refine(ctx, b, sSum, tSum, paramNames, opts)
 }
 
 func inconclusiveFrom(err error) Result {
