@@ -66,6 +66,9 @@ type summary struct {
 	calls [][]callEvent
 	// maxOccur is the largest number of call events on any one path.
 	maxOccur int
+	// paths and steps are the edges taken and the instructions visited
+	// to get here.
+	paths, steps int
 }
 
 // execConfig bounds symbolic execution.
@@ -153,7 +156,7 @@ func exec(b *bv.Builder, fn *ir.Function, params []symVal, cfg execConfig) (*sum
 
 func (ex *executor) finish() (*summary, error) {
 	b := ex.b
-	s := &summary{fn: ex.fn, ub: ex.ub, calls: ex.calls, maxOccur: ex.maxOccur}
+	s := &summary{fn: ex.fn, ub: ex.ub, calls: ex.calls, maxOccur: ex.maxOccur, paths: ex.paths, steps: ex.steps}
 	if _, isVoid := ex.fn.RetTy.(ir.VoidType); !isVoid {
 		w, err := widthOf(ex.fn.RetTy)
 		if err != nil {

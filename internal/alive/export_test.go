@@ -7,11 +7,23 @@ import (
 	"veriopt/internal/ir"
 )
 
+// ExecCounts is what symbolic execution of one function took: edges
+// taken, instructions visited, states merged at joins.
+type ExecCounts struct{ Paths, Steps, Merges int }
+
 // VerifyRuleHits is VerifyFuncs that also reports which of bv's
-// normal-form rules fired while the two functions were executed, for
-// the external tests (dataset imports this package).
-func VerifyRuleHits(src, tgt *ir.Function, opts Options) (Result, map[string]int) {
+// normal-form rules fired while the two functions were executed and
+// what executing the source and the target took (zero for a side that
+// did not finish), for the external tests (dataset imports this
+// package).
+func VerifyRuleHits(src, tgt *ir.Function, opts Options) (Result, map[string]int, [2]ExecCounts) {
 	b := bv.NewBuilder()
-	res := verifyWith(context.Background(), b, src, tgt, opts)
-	return res, b.RuleHits()
+	res, sSum, tSum := verifyUsing(context.Background(), b, src, tgt, opts, exec)
+	var counts [2]ExecCounts
+	for i, s := range []*summary{sSum, tSum} {
+		if s != nil {
+			counts[i] = ExecCounts{Paths: s.paths, Steps: s.steps}
+		}
+	}
+	return res, b.RuleHits(), counts
 }

@@ -9,6 +9,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"strings"
@@ -40,6 +41,7 @@ func countSolvers(t *testing.T) *int {
 // tally is one row of the table.
 type tally struct {
 	queries, noSolver, conflicts int
+	exec                         alive.ExecCounts // source and target together
 	spent                        time.Duration
 	slowest                      time.Duration
 	hits                         map[string]int
@@ -49,6 +51,52 @@ type table struct {
 	solvers *int
 	rows    map[string]*tally
 	each    []time.Duration
+	// rerun lists the acyclic functions whose execution visited more
+	// instructions than one pass over each block per distinct call
+	// count reaching it.
+	rerun []string
+}
+
+// onceThroughSteps is the most instructions an execution of f visits
+// when it runs each block once per distinct number of calls made on the
+// way to it; ok is false when f has a cycle. It reads the function and
+// nothing of the executor.
+func onceThroughSteps(f *ir.Function) (steps int, ok bool) {
+	const onStack = -1
+	state := map[*ir.Block]int{} // onStack, or 1 when finished
+	var post []*ir.Block
+	var visit func(b *ir.Block) bool
+	visit = func(b *ir.Block) bool {
+		state[b] = onStack
+		for _, s := range b.Succs() {
+			if state[s] == onStack || (state[s] == 0 && !visit(s)) {
+				return false
+			}
+		}
+		state[b] = 1
+		post = append(post, b)
+		return true
+	}
+	if !visit(f.Entry()) {
+		return 0, false
+	}
+	occurs := map[*ir.Block]uint64{f.Entry(): 1} // bit k: reached having made k calls
+	for i := len(post) - 1; i >= 0; i-- {
+		b, calls, nonPhi := post[i], uint(0), 0
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpCall {
+				calls++
+			}
+			if in.Op != ir.OpPhi {
+				nonPhi++
+			}
+		}
+		steps += bits.OnesCount64(occurs[b]) * nonPhi
+		for _, s := range b.Succs() {
+			occurs[s] |= occurs[b] << calls
+		}
+	}
+	return steps, true
 }
 
 // measure verifies one pair as the oracle stack's base does and books
@@ -56,7 +104,7 @@ type table struct {
 func (tb *table) measure(row string, src, tgt *ir.Function) alive.Result {
 	before := *tb.solvers
 	t0 := time.Now()
-	res, hits := alive.VerifyRuleHits(src, tgt, alive.DefaultOptions())
+	res, hits, counts := alive.VerifyRuleHits(src, tgt, alive.DefaultOptions())
 	dt := time.Since(t0)
 	r := tb.rows[row]
 	if r == nil {
@@ -64,6 +112,14 @@ func (tb *table) measure(row string, src, tgt *ir.Function) alive.Result {
 		tb.rows[row] = r
 	}
 	r.queries++
+	for i, f := range []*ir.Function{src, tgt} {
+		r.exec.Paths += counts[i].Paths
+		r.exec.Steps += counts[i].Steps
+		r.exec.Merges += counts[i].Merges
+		if bound, acyclic := onceThroughSteps(f); acyclic && counts[i].Steps > bound {
+			tb.rerun = append(tb.rerun, fmt.Sprintf("%s (%s): %d steps, %d once through", f.NameStr, row, counts[i].Steps, bound))
+		}
+	}
 	if *tb.solvers == before {
 		r.noSolver++
 	}
@@ -88,11 +144,16 @@ func (tb *table) print(t *testing.T, title string) {
 		total.noSolver += r.noSolver
 		total.conflicts += r.conflicts
 		total.spent += r.spent
+		total.exec.Paths += r.exec.Paths
+		total.exec.Steps += r.exec.Steps
+		total.exec.Merges += r.exec.Merges
 	}
 	sort.Slice(names, func(i, j int) bool { return tb.rows[names[i]].spent > tb.rows[names[j]].spent })
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s: %d verifications, %d without a solver, %d conflicts, %.1f ms\n", title,
 		total.queries, total.noSolver, total.conflicts, ms(total.spent))
+	fmt.Fprintf(&sb, "executed: %d paths, %d steps, %d merges; %d acyclic functions stepped past one pass per block and call count\n",
+		total.exec.Paths, total.exec.Steps, total.exec.Merges, len(tb.rerun))
 	sort.Slice(tb.each, func(i, j int) bool { return tb.each[i] > tb.each[j] })
 	for _, top := range []int{10, 100, 200, 1000} {
 		var sum time.Duration
@@ -101,7 +162,7 @@ func (tb *table) print(t *testing.T, title string) {
 		}
 		fmt.Fprintf(&sb, "slowest %d: %.1f ms (%.0f%%)\n", top, ms(sum), 100*float64(sum)/float64(total.spent))
 	}
-	fmt.Fprintf(&sb, "| template/width | verifications | no solver | conflicts | ms | slowest ms | rule hits |\n|---|---:|---:|---:|---:|---:|---|\n")
+	fmt.Fprintf(&sb, "| template/width | verifications | no solver | conflicts | paths | steps | merges | ms | slowest ms | rule hits |\n|---|---:|---:|---:|---:|---:|---:|---:|---:|---|\n")
 	for _, name := range names {
 		r := tb.rows[name]
 		rules := make([]string, 0, len(r.hits))
@@ -109,8 +170,8 @@ func (tb *table) print(t *testing.T, title string) {
 			rules = append(rules, fmt.Sprintf("%s %d", rule, n))
 		}
 		sort.Strings(rules)
-		fmt.Fprintf(&sb, "| %s | %d | %d | %d | %.2f | %.2f | %s |\n", name, r.queries, r.noSolver, r.conflicts,
-			ms(r.spent), ms(r.slowest), strings.Join(rules, ", "))
+		fmt.Fprintf(&sb, "| %s | %d | %d | %d | %d | %d | %d | %.2f | %.2f | %s |\n", name, r.queries, r.noSolver, r.conflicts,
+			r.exec.Paths, r.exec.Steps, r.exec.Merges, ms(r.spent), ms(r.slowest), strings.Join(rules, ", "))
 	}
 	t.Log("\n" + sb.String())
 }
@@ -463,7 +524,7 @@ func TestNormalFormLinearOnLongChains(t *testing.T) {
 	run := func(n int, right bool) (walked int, took time.Duration) {
 		src, same, other := chainFn(t, n, right, 0), chainFn(t, n, right, 0), chainFn(t, n, right, 1)
 		t0 := time.Now()
-		res, hits := alive.VerifyRuleHits(src, same, alive.DefaultOptions())
+		res, hits, _ := alive.VerifyRuleHits(src, same, alive.DefaultOptions())
 		if res.Verdict != alive.Equivalent {
 			t.Fatalf("chain of %d against itself: %v (%s)", n, res.Verdict, res.Diag)
 		}
