@@ -102,11 +102,8 @@ fuzz-smoke:
 # the one of each that both policies, both trainers and sft use); and
 # on a map keyed by the ir.Value interface under internal/ (every lookup
 # hashes a type word and a pointer; key by *ir.Instr and hold
-# parameters by position, as interp and ir.CloneFunc do). The one
-# exception is alive/exec.go's pathState.vals, copied on every path
-# fork: ROADMAP item 3(b) splits alive.verify_us into stages, and the
-# PR that can see what changing that map buys is the one to change it.
-# Last, on container/list and on a map keyed by vcache.Key in the
+# parameters by position, as interp, ir.CloneFunc and alive's executor
+# do). Last, on container/list and on a map keyed by vcache.Key in the
 # storage spine (vcache, oracle, cluster, vstore): such a map keeps two
 # whole function texts alive per entry, which is what made a resident
 # verdict weigh 1.2 KB; the spine's one identity is Key.Fingerprint().
@@ -131,9 +128,9 @@ lint:
 		echo "$$hits"; \
 		exit 1; \
 	fi
-	@hits=$$(grep -rnE 'map\[(ir\.)?Value\]' --include='*.go' --exclude='*_test.go' internal | grep -v '^internal/alive/exec.go:'); \
+	@hits=$$(grep -rnE 'map\[(ir\.)?Value\]' --include='*.go' --exclude='*_test.go' internal); \
 	if [ -n "$$hits" ]; then \
-		echo "map keyed by the ir.Value interface (key by *ir.Instr, parameters by position; alive/exec.go pathState.vals is the one exception, until ROADMAP 3(b)):"; \
+		echo "map keyed by the ir.Value interface (key by *ir.Instr, parameters by position):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

@@ -12,6 +12,8 @@ package alive
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"veriopt/internal/bv"
 	"veriopt/internal/ir"
@@ -66,9 +68,8 @@ type summary struct {
 	calls [][]callEvent
 	// maxOccur is the largest number of call events on any one path.
 	maxOccur int
-	// paths and steps are the edges taken and the instructions visited
-	// to get here.
-	paths, steps int
+	// Edges taken, instructions visited and states merged to get here.
+	paths, steps, merges int
 }
 
 // execConfig bounds symbolic execution.
@@ -86,17 +87,27 @@ type execConfig struct {
 }
 
 type executor struct {
-	b     *bv.Builder
-	cfg   execConfig
-	fn    *ir.Function
-	steps int
-	paths int
+	b      *bv.Builder
+	cfg    execConfig
+	fn     *ir.Function
+	params []symVal // by position; no state changes them
+
+	steps, paths, merges int
 
 	ub       *bv.Term
 	rets     []retRecord
 	calls    [][]callEvent
 	maxOccur int
 	allocaID int
+
+	// pending holds the states that took an edge and have not run its
+	// target yet, oldest first; a diamond fits the array it starts in.
+	pending    []arrival
+	pendingBuf [4]arrival
+	// order ranks the blocks in reverse post-order (post counts down as
+	// they finish), from the first time two states wait at once.
+	order map[*ir.Block]int32
+	post  int32
 }
 
 type retRecord struct {
@@ -104,11 +115,19 @@ type retRecord struct {
 	val  symVal // zero for void
 }
 
+// pathState is what holds under cond. States that meet at a block are
+// merged, so one stands for every path into its block, not for one.
 type pathState struct {
 	cond  *bv.Term
-	vals  map[ir.Value]symVal
+	vals  map[*ir.Instr]symVal
 	mem   map[*ir.Instr]memCell
-	occur int // call events so far on this path
+	occur int // call events so far, the same on every path it stands for
+}
+
+// arrival is a state that took the edge pred -> dst.
+type arrival struct {
+	dst, pred *ir.Block
+	ps        *pathState
 }
 
 type memCell struct {
@@ -117,15 +136,7 @@ type memCell struct {
 }
 
 func (ps *pathState) clone() *pathState {
-	nv := make(map[ir.Value]symVal, len(ps.vals))
-	for k, v := range ps.vals {
-		nv[k] = v
-	}
-	nm := make(map[*ir.Instr]memCell, len(ps.mem))
-	for k, v := range ps.mem {
-		nm[k] = v
-	}
-	return &pathState{cond: ps.cond, vals: nv, mem: nm, occur: ps.occur}
+	return &pathState{cond: ps.cond, vals: maps.Clone(ps.vals), mem: maps.Clone(ps.mem), occur: ps.occur}
 }
 
 // widthOf maps an IR type to a bit-vector width. Pointers get 64 bits
@@ -141,22 +152,26 @@ func widthOf(t ir.Type) (int, error) {
 }
 
 // exec symbolically executes fn, binding parameters to the provided
-// shared input values.
+// shared input values. It runs the waiting block earliest in reverse
+// post-order: on acyclic code every state that can reach it has then
+// arrived and it runs once, on their merge; a back edge re-enters a
+// header that has run, which is bounded unrolling (DESIGN.md §13).
 func exec(b *bv.Builder, fn *ir.Function, params []symVal, cfg execConfig) (*summary, error) {
-	ex := &executor{b: b, cfg: cfg, fn: fn, ub: b.False()}
-	init := &pathState{cond: b.True(), vals: map[ir.Value]symVal{}, mem: map[*ir.Instr]memCell{}}
-	for i, p := range fn.Params {
-		init.vals[p] = params[i]
-	}
-	if err := ex.runBlock(fn.Entry(), nil, init); err != nil {
-		return nil, err
+	ex := &executor{b: b, cfg: cfg, fn: fn, params: params, ub: b.False()}
+	init := &pathState{cond: b.True(), vals: map[*ir.Instr]symVal{}, mem: map[*ir.Instr]memCell{}}
+	ex.pending = append(ex.pendingBuf[:0], arrival{dst: fn.Entry(), ps: init})
+	for len(ex.pending) > 0 {
+		if err := ex.runNext(); err != nil {
+			return nil, err
+		}
 	}
 	return ex.finish()
 }
 
 func (ex *executor) finish() (*summary, error) {
 	b := ex.b
-	s := &summary{fn: ex.fn, ub: ex.ub, calls: ex.calls, maxOccur: ex.maxOccur, paths: ex.paths, steps: ex.steps}
+	s := &summary{fn: ex.fn, ub: ex.ub, calls: ex.calls, maxOccur: ex.maxOccur,
+		paths: ex.paths, steps: ex.steps, merges: ex.merges}
 	if _, isVoid := ex.fn.RetTy.(ir.VoidType); !isVoid {
 		w, err := widthOf(ex.fn.RetTy)
 		if err != nil {
@@ -177,35 +192,190 @@ func (ex *executor) addUB(cond *bv.Term) {
 	ex.ub = ex.b.BoolOr(ex.ub, cond)
 }
 
-// runBlock executes block blk entered from pred under state ps.
-func (ex *executor) runBlock(blk *ir.Block, pred *ir.Block, ps *pathState) error {
-	b := ex.b
-	// Evaluate phis simultaneously from the incoming edge.
-	phiVals := map[*ir.Instr]symVal{}
+// number ranks blk and every block first reached through it.
+func (ex *executor) number(blk *ir.Block) {
+	ex.order[blk] = 0
+	for _, s := range blk.Succs() {
+		if _, seen := ex.order[s]; !seen {
+			ex.number(s)
+		}
+	}
+	ex.post--
+	ex.order[blk] = ex.post
+}
+
+// runNext takes the pending block earliest in reverse post-order,
+// merges the states waiting at it and runs it once per state left.
+func (ex *executor) runNext() error {
+	blk := ex.pending[0].dst
+	if len(ex.pending) > 1 {
+		if ex.order == nil {
+			ex.order = make(map[*ir.Block]int32, len(ex.fn.Blocks))
+			ex.number(ex.fn.Entry())
+		}
+		for _, a := range ex.pending[1:] {
+			if ex.order[a.dst] < ex.order[blk] {
+				blk = a.dst
+			}
+		}
+	}
+	// Each state reads blk's phis from its own edge, then merges with a
+	// state it splits a condition with, and that one with the next: three
+	// arms meeting in one block nest the way the branches did.
+	var buf [4]*pathState
+	group, rest := buf[:0], ex.pending[:0]
+	for _, a := range ex.pending {
+		if a.dst != blk {
+			rest = append(rest, a)
+			continue
+		}
+		if err := ex.enter(blk, a.pred, a.ps); err != nil {
+			return err
+		}
+		ps := a.ps
+		for i := 0; i < len(group); i++ {
+			if p, c := ex.split(group[i].cond, ps.cond); p != nil && ex.merge(group[i], ps, p, c) {
+				ps = group[i]
+				group, i = slices.Delete(group, i, i+1), -1
+			}
+		}
+		group = append(group, ps)
+	}
+	ex.pending = rest
+	// Then what no branch splits (the arms of a switch), in order.
+	for i := 0; i < len(group); i++ {
+		for j := i + 1; j < len(group); j++ {
+			if ex.merge(group[i], group[j], nil, nil) {
+				group, j = slices.Delete(group, j, j+1), j-1
+			}
+		}
+	}
+	for _, ps := range group {
+		if err := ex.runBlock(blk, ps); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// enter evaluates blk's phis, simultaneously, from the edge ps took.
+func (ex *executor) enter(blk, pred *ir.Block, ps *pathState) error {
+	var buf [4]symVal
+	phis := buf[:0]
 	for _, in := range blk.Instrs {
 		if in.Op != ir.OpPhi {
 			break
 		}
-		found := false
-		for _, inc := range in.Incs {
-			if inc.Block == pred {
-				v, err := ex.operand(ps, inc.Val)
-				if err != nil {
-					return err
-				}
-				phiVals[in] = v
-				found = true
-				break
-			}
-		}
-		if !found {
+		i := slices.IndexFunc(in.Incs, func(inc ir.Incoming) bool { return inc.Block == pred })
+		if i < 0 {
 			return &errUnsupported{"phi without matching incoming edge"}
 		}
+		v, err := ex.operand(ps, in.Incs[i].Val)
+		if err != nil {
+			return err
+		}
+		phis = append(phis, v)
 	}
-	for in, v := range phiVals {
-		ps.vals[in] = v
+	for i, v := range phis {
+		ps.vals[blk.Instrs[i]] = v
 	}
+	return nil
+}
 
+// split recognises the conditions of the two edges of one branch: for
+// cx = p ∧ c and cy = p ∧ ¬c (or c and ¬c, p true) it returns p and c,
+// otherwise nil. The two states merge under p with c selecting, which
+// is how a select on c spells the same choice.
+func (ex *executor) split(cx, cy *bv.Term) (p, c *bv.Term) {
+	p, c, d := ex.b.True(), cx, cy
+	if cx.Op == bv.OpAnd && cy.Op == bv.OpAnd {
+		for i, kx := range cx.Kids {
+			for j, ky := range cy.Kids {
+				if kx == ky {
+					p, c, d = kx, cx.Kids[1-i], cy.Kids[1-j]
+				}
+			}
+		}
+	}
+	if (c.Op == bv.OpNot && c.Kids[0] == d) || (d.Op == bv.OpNot && d.Kids[0] == c) {
+		return p, c
+	}
+	return nil, nil
+}
+
+// merge makes x the state that holds under cond and is x where sel
+// holds and y elsewhere; without a cond, under the disjunction with x's
+// condition selecting. It refuses when the two have made different
+// numbers of calls (a call's occurrence index is its state's) or a cell
+// holds values of two widths. A value or cell only one of them has is
+// dropped (a use of it is a use outside the executed region); a cell
+// only one has initialised reads as undef in the other. The walk is in
+// layout order, not map order: term ids follow creation order, and the
+// solver's search follows the ids.
+func (ex *executor) merge(x, y *pathState, cond, sel *bv.Term) bool {
+	if x.occur != y.occur {
+		return false
+	}
+	for cell, cx := range x.mem {
+		if cy := y.mem[cell]; cx.init && cy.init && cx.val.val.Width != cy.val.val.Width {
+			return false
+		}
+	}
+	if cond == nil {
+		cond, sel = ex.b.BoolOr(x.cond, y.cond), x.cond
+	}
+	ex.merges++
+	x.cond = cond
+	for _, blk := range ex.fn.Blocks {
+		for _, in := range blk.Instrs {
+			vx, ok := x.vals[in]
+			if !ok {
+				continue
+			}
+			vy, ok := y.vals[in]
+			if !ok {
+				delete(x.vals, in)
+				delete(x.mem, in)
+				continue
+			}
+			x.vals[in] = ex.ite(sel, vx, vy)
+			cx, cy := x.mem[in], y.mem[in]
+			if !cx.init && !cy.init {
+				continue // not an alloca, or a cell nothing was stored to
+			}
+			if !cx.init {
+				cx.val = ex.undef(cy.val.val.Width)
+			}
+			if !cy.init {
+				cy.val = ex.undef(cx.val.val.Width)
+			}
+			x.mem[in] = memCell{val: ex.ite(sel, cx.val, cy.val), init: true}
+		}
+	}
+	return true
+}
+
+// undef is what undef, poison and uninitialised stack memory read as:
+// poison (sound for proving the transformations in this subset; may
+// over-reject).
+func (ex *executor) undef(w int) symVal {
+	return symVal{val: ex.b.Const(w, 0), poison: ex.b.True()}
+}
+
+// ite chooses between two symbolic values. A negated condition swaps
+// the arms instead, so that a select and a merge over the same branch
+// build one term whichever edge was the true one.
+func (ex *executor) ite(c *bv.Term, t, f symVal) symVal {
+	if c.Op == bv.OpNot {
+		c, t, f = c.Kids[0], f, t
+	}
+	return symVal{val: ex.b.Ite(c, t.val, f.val), poison: ex.b.Ite(c, t.poison, f.poison)}
+}
+
+// runBlock executes the instructions of blk after its phis under state
+// ps; its terminator puts the states that leave on the worklist.
+func (ex *executor) runBlock(blk *ir.Block, ps *pathState) error {
+	b := ex.b
 	for _, in := range blk.Instrs {
 		if in.Op == ir.OpPhi {
 			continue
@@ -216,7 +386,7 @@ func (ex *executor) runBlock(blk *ir.Block, pred *ir.Block, ps *pathState) error
 		}
 		// Poll the context every 64 instruction visits: cheap against
 		// term construction, frequent enough that cancellation lands
-		// well inside one path.
+		// well inside one block.
 		if ex.steps&63 == 0 && ex.cfg.ctx != nil {
 			if err := ex.cfg.ctx.Err(); err != nil {
 				return &errCanceled{cause: err}
@@ -238,7 +408,7 @@ func (ex *executor) runBlock(blk *ir.Block, pred *ir.Block, ps *pathState) error
 			ex.addUB(ps.cond)
 			return nil
 		case ir.OpBr:
-			return ex.branch(in.Succs[0], blk, ps)
+			return ex.take(in.Succs[0], blk, ps, ps.cond, true)
 		case ir.OpSwitch:
 			v, err := ex.operand(ps, in.Args[0])
 			if err != nil {
@@ -250,22 +420,12 @@ func (ex *executor) runBlock(blk *ir.Block, pred *ir.Block, ps *pathState) error
 			notAny := b.True()
 			for i, cc := range in.Cases {
 				eq := b.Eq(v.val, b.Const(w, cc.Val))
-				edge := b.BoolAnd(ps.cond, eq)
-				if !isFalse(edge) {
-					cs := ps.clone()
-					cs.cond = edge
-					if err := ex.branch(in.Succs[i+1], blk, cs); err != nil {
-						return err
-					}
+				if err := ex.take(in.Succs[i+1], blk, ps, b.BoolAnd(ps.cond, eq), false); err != nil {
+					return err
 				}
 				notAny = b.BoolAnd(notAny, b.Not(eq))
 			}
-			defEdge := b.BoolAnd(ps.cond, notAny)
-			if !isFalse(defEdge) {
-				ps.cond = defEdge
-				return ex.branch(in.Succs[0], blk, ps)
-			}
-			return nil
+			return ex.take(in.Succs[0], blk, ps, b.BoolAnd(ps.cond, notAny), true)
 		case ir.OpCondBr:
 			c, err := ex.operand(ps, in.Args[0])
 			if err != nil {
@@ -275,19 +435,10 @@ func (ex *executor) runBlock(blk *ir.Block, pred *ir.Block, ps *pathState) error
 			ex.addUB(b.BoolAnd(ps.cond, c.poison))
 			tCond := b.BoolAnd(ps.cond, c.val)
 			fCond := b.BoolAnd(ps.cond, b.Not(c.val))
-			// Prune statically-false edges.
-			if !isFalse(tCond) {
-				tps := ps.clone()
-				tps.cond = tCond
-				if err := ex.branch(in.Succs[0], blk, tps); err != nil {
-					return err
-				}
+			if err := ex.take(in.Succs[0], blk, ps, tCond, false); err != nil {
+				return err
 			}
-			if !isFalse(fCond) {
-				ps.cond = fCond
-				return ex.branch(in.Succs[1], blk, ps)
-			}
-			return nil
+			return ex.take(in.Succs[1], blk, ps, fCond, true)
 		default:
 			if err := ex.instr(ps, in); err != nil {
 				return err
@@ -297,12 +448,22 @@ func (ex *executor) runBlock(blk *ir.Block, pred *ir.Block, ps *pathState) error
 	return &errUnsupported{"block without terminator"}
 }
 
-func (ex *executor) branch(dst *ir.Block, from *ir.Block, ps *pathState) error {
-	ex.paths++
-	if ex.paths > ex.cfg.maxPaths {
+// take puts ps on the worklist as taking the edge from -> dst under
+// cond — a copy of it unless this is the last edge out of from — and
+// prunes an edge whose condition is statically false.
+func (ex *executor) take(dst, from *ir.Block, ps *pathState, cond *bv.Term, last bool) error {
+	if isFalse(cond) {
+		return nil
+	}
+	if ex.paths++; ex.paths > ex.cfg.maxPaths {
 		return &errPathLimit{"path budget exhausted"}
 	}
-	return ex.runBlock(dst, from, ps)
+	if !last {
+		ps = ps.clone()
+	}
+	ps.cond = cond
+	ex.pending = append(ex.pending, arrival{dst: dst, pred: from, ps: ps})
+	return nil
 }
 
 func isFalse(t *bv.Term) bool {
@@ -314,28 +475,26 @@ func (ex *executor) operand(ps *pathState, v ir.Value) (symVal, error) {
 	switch x := v.(type) {
 	case *ir.Const:
 		return symVal{val: b.Const(x.Ty.Bits, x.Val), poison: b.False()}, nil
-	case *ir.Undef:
-		// Conservatively model undef as poison (sound for proving the
-		// transformations in this subset; may over-reject).
-		w, err := widthOf(x.Ty)
+	case *ir.Undef, *ir.Poison:
+		w, err := widthOf(v.Type())
 		if err != nil {
 			return symVal{}, err
 		}
-		return symVal{val: b.Const(w, 0), poison: b.True()}, nil
-	case *ir.Poison:
-		w, err := widthOf(x.Ty)
-		if err != nil {
-			return symVal{}, err
-		}
-		return symVal{val: b.Const(w, 0), poison: b.True()}, nil
+		return ex.undef(w), nil
 	case *ir.GlobalRef:
 		return symVal{val: b.Var(64, "glob$"+x.NameStr), poison: b.False()}, nil
+	case *ir.Param:
+		for i, p := range ex.fn.Params {
+			if p == x {
+				return ex.params[i], nil
+			}
+		}
+	case *ir.Instr:
+		if sv, ok := ps.vals[x]; ok {
+			return sv, nil
+		}
 	}
-	sv, ok := ps.vals[v]
-	if !ok {
-		return symVal{}, &errUnsupported{"value defined outside executed region"}
-	}
-	return sv, nil
+	return symVal{}, &errUnsupported{"value defined outside executed region"}
 }
 
 func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
@@ -402,10 +561,9 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		ps.vals[in] = symVal{
-			val:    b.Ite(c.val, t.val, f.val),
-			poison: b.BoolOr(c.poison, b.Ite(c.val, t.poison, f.poison)),
-		}
+		sv := ex.ite(c.val, t, f)
+		sv.poison = b.BoolOr(c.poison, sv.poison)
+		ps.vals[in] = sv
 		return nil
 	case in.Op == ir.OpZExt, in.Op == ir.OpSExt, in.Op == ir.OpTrunc:
 		x, err := ex.operand(ps, in.Args[0])
@@ -451,19 +609,14 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		mc := ps.mem[cell]
-		if !mc.init {
-			// Load of uninitialized stack memory: undef, modeled as poison.
-			w, errW := widthOf(in.Ty)
-			if errW != nil {
-				return errW
-			}
-			ps.vals[in] = symVal{val: b.Const(w, 0), poison: b.True()}
-			return nil
-		}
 		w, errW := widthOf(in.Ty)
 		if errW != nil {
 			return errW
+		}
+		mc := ps.mem[cell]
+		if !mc.init {
+			ps.vals[in] = ex.undef(w)
+			return nil
 		}
 		if mc.val.val.Width != w {
 			return &errUnsupported{"load width differs from stored width"}

@@ -18,12 +18,15 @@ type ExecCounts struct{ Paths, Steps, Merges int }
 // package).
 func VerifyRuleHits(src, tgt *ir.Function, opts Options) (Result, map[string]int, [2]ExecCounts) {
 	b := bv.NewBuilder()
-	res, sSum, tSum := verifyUsing(context.Background(), b, src, tgt, opts, exec)
 	var counts [2]ExecCounts
-	for i, s := range []*summary{sSum, tSum} {
-		if s != nil {
-			counts[i] = ExecCounts{Paths: s.paths, Steps: s.steps}
+	side := 0
+	res := verifyWith(context.Background(), b, src, tgt, opts, func(b *bv.Builder, f *ir.Function, params []symVal, cfg execConfig) (*summary, error) {
+		s, err := exec(b, f, params, cfg)
+		if err == nil {
+			counts[side] = ExecCounts{Paths: s.paths, Steps: s.steps, Merges: s.merges}
 		}
-	}
+		side++
+		return s, err
+	})
 	return res, b.RuleHits(), counts
 }

@@ -174,6 +174,10 @@ func (tb *table) print(t *testing.T, title string) {
 			r.exec.Paths, r.exec.Steps, r.exec.Merges, ms(r.spent), ms(r.slowest), strings.Join(rules, ", "))
 	}
 	t.Log("\n" + sb.String())
+	// A join that runs once per path into it is what merging removed.
+	for _, r := range tb.rerun {
+		t.Errorf("a block ran more than once per call count: %s", r)
+	}
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

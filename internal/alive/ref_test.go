@@ -20,31 +20,7 @@ import (
 // VerifyForking is VerifyFuncsCtx with both functions executed by the
 // forking reference.
 func VerifyForking(ctx context.Context, src, tgt *ir.Function, opts Options) Result {
-	res, _, _ := verifyUsing(ctx, bv.NewBuilder(), src, tgt, opts, refExec)
-	return res
-}
-
-// verifyUsing is verifyWith with the executor passed in and the two
-// summaries handed back (nil where execution did not finish).
-func verifyUsing(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts Options,
-	run func(*bv.Builder, *ir.Function, []symVal, execConfig) (*summary, error)) (Result, *summary, *summary) {
-	if opts.MaxPaths == 0 {
-		opts = DefaultOptions()
-	}
-	params, paramNames, mismatch := sharedInputs(b, src, tgt)
-	if mismatch != nil {
-		return *mismatch, nil, nil
-	}
-	cfg := execConfig{ctx: ctx, maxPaths: opts.MaxPaths, maxSteps: opts.MaxSteps, callVar: sharedCallVars(b)}
-	sSum, err := run(b, src, params, cfg)
-	if err != nil {
-		return inconclusiveFrom(err), nil, nil
-	}
-	tSum, err := run(b, tgt, params, cfg)
-	if err != nil {
-		return inconclusiveFrom(err), sSum, nil
-	}
-	return refine(ctx, b, sSum, tSum, paramNames, opts), sSum, tSum
+	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, refExec)
 }
 
 type refExecutor struct {

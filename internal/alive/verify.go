@@ -83,7 +83,10 @@ func CanceledResult(err error) Result {
 // internal/vcache, and two queries with equal Options must be
 // interchangeable.
 type Options struct {
-	// MaxPaths bounds the number of CFG paths explored per function.
+	// MaxPaths bounds the CFG edges taken per function (the states put
+	// on the executor's worklist). States meeting at a block merge, so
+	// acyclic code takes an edge once per distinct call count and only
+	// an unrolled loop or a very large function reaches the bound.
 	MaxPaths int
 	// MaxSteps bounds total symbolically executed instructions.
 	MaxSteps int
@@ -165,53 +168,35 @@ func VerifyFuncsCtx(ctx context.Context, src, tgt *ir.Function, opts Options) Re
 	if err := ctx.Err(); err != nil {
 		return CanceledResult(err)
 	}
-	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts)
+	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, exec)
 }
 
-// verifyWith is VerifyFuncsCtx over a builder the caller can read afterwards.
-func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts Options) Result {
+// verifyWith is VerifyFuncsCtx over a builder the caller can read
+// afterwards and an executor it chooses (exec, but for ref_test.go).
+func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts Options, run func(*bv.Builder, *ir.Function, []symVal, execConfig) (*summary, error)) Result {
 	if opts.MaxPaths == 0 {
 		opts = DefaultOptions()
 	}
-	params, paramNames, mismatch := sharedInputs(b, src, tgt)
-	if mismatch != nil {
-		return *mismatch
-	}
-	cfg := execConfig{ctx: ctx, maxPaths: opts.MaxPaths, maxSteps: opts.MaxSteps, callVar: sharedCallVars(b)}
-	sSum, err := exec(b, src, params, cfg)
-	if err != nil {
-		return inconclusiveFrom(err)
-	}
-	tSum, err := exec(b, tgt, params, cfg)
-	if err != nil {
-		return inconclusiveFrom(err)
-	}
-	return refine(ctx, b, sSum, tSum, paramNames, opts)
-}
-
-// sharedInputs builds the symbolic parameters both functions are
-// executed on, with the source's names for them, or the verdict when
-// the two signatures do not match.
-func sharedInputs(b *bv.Builder, src, tgt *ir.Function) ([]symVal, []string, *Result) {
+	// Signature must match.
 	if len(src.Params) != len(tgt.Params) || !src.RetTy.Equal(tgt.RetTy) {
-		return nil, nil, &Result{Verdict: SemanticError, Diag: "ERROR: signature mismatch between source and target"}
+		return Result{Verdict: SemanticError, Diag: "ERROR: signature mismatch between source and target"}
 	}
 	for i := range src.Params {
 		if !src.Params[i].Ty.Equal(tgt.Params[i].Ty) {
-			return nil, nil, &Result{Verdict: SemanticError,
+			return Result{Verdict: SemanticError,
 				Diag: fmt.Sprintf("ERROR: parameter %d type mismatch: %s vs %s", i, src.Params[i].Ty, tgt.Params[i].Ty)}
 		}
 	}
 
-	// Parameters carry noundef in the clang -O0 style our pipeline
-	// uses, so inputs are never poison; a non-noundef parameter gets a
-	// free poison bit.
+	// Shared symbolic inputs. Parameters carry noundef in the clang
+	// -O0 style our pipeline uses, so inputs are never poison; a
+	// non-noundef parameter gets a free poison bit.
 	params := make([]symVal, len(src.Params))
 	paramNames := make([]string, len(src.Params))
 	for i, p := range src.Params {
 		w, err := widthOf(p.Ty)
 		if err != nil {
-			return nil, nil, &Result{Verdict: Inconclusive, Diag: "ERROR: " + err.Error()}
+			return Result{Verdict: Inconclusive, Diag: "ERROR: " + err.Error()}
 		}
 		name := fmt.Sprintf("in%d", i)
 		paramNames[i] = p.NameStr
@@ -221,15 +206,12 @@ func sharedInputs(b *bv.Builder, src, tgt *ir.Function) ([]symVal, []string, *Re
 		}
 		params[i] = symVal{val: b.Var(w, name), poison: poison}
 	}
-	return params, paramNames, nil
-}
 
-// sharedCallVars returns the uninterpreted call results both sides
-// read: occurrence k of callee c returns the same unknown in source
-// and target (trace equality in refine makes this sound).
-func sharedCallVars(b *bv.Builder) func(k int, callee string, width int) *bv.Term {
+	// Shared uninterpreted call results: occurrence k of callee c
+	// returns the same unknown on both sides (trace equality below
+	// makes this sound).
 	callVars := map[string]*bv.Term{}
-	return func(k int, callee string, width int) *bv.Term {
+	callVar := func(k int, callee string, width int) *bv.Term {
 		key := fmt.Sprintf("call$%s$%d$%d", callee, k, width)
 		if t, ok := callVars[key]; ok {
 			return t
@@ -238,6 +220,18 @@ func sharedCallVars(b *bv.Builder) func(k int, callee string, width int) *bv.Ter
 		callVars[key] = t
 		return t
 	}
+
+	cfg := execConfig{ctx: ctx, maxPaths: opts.MaxPaths, maxSteps: opts.MaxSteps, callVar: callVar}
+	sSum, err := run(b, src, params, cfg)
+	if err != nil {
+		return inconclusiveFrom(err)
+	}
+	tSum, err := run(b, tgt, params, cfg)
+	if err != nil {
+		return inconclusiveFrom(err)
+	}
+
+	return refine(ctx, b, sSum, tSum, paramNames, opts)
 }
 
 func inconclusiveFrom(err error) Result {
