@@ -86,8 +86,8 @@ func branchyPairs(tb testing.TB, seed int64, n int) []branchyPair {
 
 // mergeShapes are joins no template emits: three arms meeting in one
 // block, arms whose call counts differ, a cell one arm leaves
-// uninitialised, a loop that leaves from two places, and a phi diamond
-// against its select.
+// uninitialised, a loop that leaves from two places, a phi diamond
+// against its select, and a call after arms whose call counts differ.
 var mergeShapes = [][2]string{
 	{`define i8 @three(i8 noundef %a, i8 noundef %b) {
 entry:
@@ -208,6 +208,34 @@ join:
   %r = select i1 %c, i8 %x, i8 %y
   ret i8 %r
 }`},
+	{`declare i8 @obs(i8)
+define i8 @callafter(i8 noundef %a, i8 noundef %b) {
+entry:
+  %c = icmp ult i8 %a, %b
+  br i1 %c, label %once, label %join
+once:
+  %u = call i8 @obs(i8 %a)
+  br label %join
+join:
+  %p = phi i8 [ %u, %once ], [ %a, %entry ]
+  %v = call i8 @obs(i8 %b)
+  %r = add i8 %p, %v
+  ret i8 %r
+}`, `declare i8 @obs(i8)
+define i8 @callafter(i8 noundef %a, i8 noundef %b) {
+entry:
+  %c = icmp ult i8 %a, %b
+  br i1 %c, label %both, label %one
+both:
+  %u = call i8 @obs(i8 %a)
+  %v = call i8 @obs(i8 %b)
+  %s = add i8 %u, %v
+  ret i8 %s
+one:
+  %w = call i8 @obs(i8 %b)
+  %t = add i8 %a, %w
+  ret i8 %t
+}`},
 }
 
 // shapePairs parses mergeShapes, each both ways round.
@@ -217,11 +245,7 @@ func shapePairs(tb testing.TB) []branchyPair {
 	for _, sh := range mergeShapes {
 		var fns [2]*ir.Function
 		for i, text := range sh {
-			m, err := ir.Parse(text)
-			if err != nil || ir.VerifyFunc(m.Funcs[0]) != nil {
-				tb.Fatalf("%v, %v\n%s", err, ir.VerifyFunc(m.Funcs[0]), text)
-			}
-			fns[i] = m.Funcs[0]
+			fns[i] = mustParse(tb, text)
 		}
 		pairs = append(pairs, branchyPair{fns[0].NameStr, fns[0], fns[1]}, branchyPair{fns[0].NameStr + "/back", fns[1], fns[0]})
 	}
