@@ -100,10 +100,11 @@ type executor struct {
 	maxOccur int
 	allocaID int
 
-	// pending holds the states that took an edge and have not run its
-	// target yet, oldest first; a diamond fits the array it starts in.
+	// pending holds the states that took an edge, oldest first; its first
+	// array and the entry's state are allocated with the executor.
 	pending    []arrival
 	pendingBuf [4]arrival
+	entry      pathState
 	// order ranks the blocks in reverse post-order (post counts down as
 	// they finish), from the first time two states wait at once.
 	order map[*ir.Block]int32
@@ -158,8 +159,8 @@ func widthOf(t ir.Type) (int, error) {
 // header that has run, which is bounded unrolling (DESIGN.md §13).
 func exec(b *bv.Builder, fn *ir.Function, params []symVal, cfg execConfig) (*summary, error) {
 	ex := &executor{b: b, cfg: cfg, fn: fn, params: params, ub: b.False()}
-	init := &pathState{cond: b.True(), vals: map[*ir.Instr]symVal{}, mem: map[*ir.Instr]memCell{}}
-	ex.pending = append(ex.pendingBuf[:0], arrival{dst: fn.Entry(), ps: init})
+	ex.entry = pathState{cond: b.True(), vals: map[*ir.Instr]symVal{}, mem: map[*ir.Instr]memCell{}}
+	ex.pending = append(ex.pendingBuf[:0], arrival{dst: fn.Entry(), ps: &ex.entry})
 	for len(ex.pending) > 0 {
 		if err := ex.runNext(); err != nil {
 			return nil, err
@@ -356,8 +357,7 @@ func (ex *executor) merge(x, y *pathState, cond, sel *bv.Term) bool {
 }
 
 // undef is what undef, poison and uninitialised stack memory read as:
-// poison (sound for proving the transformations in this subset; may
-// over-reject).
+// poison (sound for the transformations in this subset; may over-reject).
 func (ex *executor) undef(w int) symVal {
 	return symVal{val: ex.b.Const(w, 0), poison: ex.b.True()}
 }
