@@ -11,6 +11,11 @@ import (
 // taken, instructions visited, states merged at joins.
 type ExecCounts struct{ Paths, Steps, Merges int }
 
+// Add adds o to c.
+func (c *ExecCounts) Add(o ExecCounts) {
+	c.Paths, c.Steps, c.Merges = c.Paths+o.Paths, c.Steps+o.Steps, c.Merges+o.Merges
+}
+
 // VerifyRuleHits is VerifyFuncs that also reports which of bv's
 // normal-form rules fired while the two functions were executed and
 // what executing the source and the target took (zero for a side that

@@ -113,9 +113,7 @@ func (tb *table) measure(row string, src, tgt *ir.Function) alive.Result {
 	}
 	r.queries++
 	for i, f := range []*ir.Function{src, tgt} {
-		r.exec.Paths += counts[i].Paths
-		r.exec.Steps += counts[i].Steps
-		r.exec.Merges += counts[i].Merges
+		r.exec.Add(counts[i])
 		if bound, acyclic := onceThroughSteps(f); acyclic && counts[i].Steps > bound {
 			tb.rerun = append(tb.rerun, fmt.Sprintf("%s (%s): %d steps, %d once through", f.NameStr, row, counts[i].Steps, bound))
 		}
@@ -144,9 +142,7 @@ func (tb *table) print(t *testing.T, title string) {
 		total.noSolver += r.noSolver
 		total.conflicts += r.conflicts
 		total.spent += r.spent
-		total.exec.Paths += r.exec.Paths
-		total.exec.Steps += r.exec.Steps
-		total.exec.Merges += r.exec.Merges
+		total.exec.Add(r.exec)
 	}
 	sort.Slice(names, func(i, j int) bool { return tb.rows[names[i]].spent > tb.rows[names[j]].spent })
 	var sb strings.Builder
