@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -48,15 +49,18 @@ func parsePair(t *testing.T) (*ir.Function, *ir.Function) {
 }
 
 // fakeWorker is a scriptable stand-in for a worker replica: answers
-// /v1/verify with a canned verdict, optionally delayed, gated, or
-// shedding, counts hits, and reports loser cancellation.
+// /v1/verify with a canned verdict, optionally delayed, gated,
+// shedding, or cut off mid-body, counts hits, and reports loser
+// cancellation.
 type fakeWorker struct {
 	ts *httptest.Server
 
 	hits      atomic.Uint64
+	onHit     func()       // when non-nil, called on every /v1/verify before anything else
 	body      atomic.Value // the last /v1/verify request body, raw ([]byte)
 	delay     atomic.Int64 // nanoseconds before answering
 	shed      atomic.Bool  // answer 429 instead of a verdict
+	truncate  atomic.Bool  // answer 200, promise a body, send half of it and half-close
 	healthzOK atomic.Bool
 
 	// gate, when non-nil, blocks every verify until closed (or the
@@ -75,6 +79,24 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/verify", func(rw http.ResponseWriter, r *http.Request) {
 		w.hits.Add(1)
+		if w.onHit != nil {
+			w.onHit()
+		}
+		if w.truncate.Load() {
+			io.Copy(io.Discard, r.Body)
+			conn, buf, err := rw.(http.Hijacker).Hijack()
+			if err != nil {
+				panic(err)
+			}
+			defer conn.Close()
+			buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"verdict\":\"equiv")
+			buf.Flush()
+			conn.(*net.TCPConn).CloseWrite()
+			// Hold the read side until the client gives up on the body.
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			io.Copy(io.Discard, conn)
+			return
+		}
 		if w.shed.Load() {
 			rw.Header().Set("Retry-After", "1")
 			http.Error(rw, "queue full", http.StatusTooManyRequests)
