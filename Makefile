@@ -46,9 +46,8 @@ store-smoke:
 # coordinator in front of harness-owned slow worker processes
 # (internal/smoketest). Requires >= 1.7x throughput at 2 replicas and
 # >= 3x at 4 (latency-bound workload: the workers sleep before
-# verifying), hedged p99 well under the unhedged p99 on a
-# skewed-latency fleet, and zero accepted-work loss across a mid-run
-# SIGKILL of one replica followed by automatic ring healing.
+# verifying), and zero accepted-work loss across a mid-run SIGKILL of
+# one replica followed by automatic ring healing.
 cluster-smoke:
 	CLUSTER_SMOKE=1 $(GO) test -run TestClusterSmoke -count=1 -v ./internal/cluster
 

@@ -41,8 +41,8 @@ func splitReplicas(s string) []string {
 // With -replicas the process becomes a cluster coordinator (see
 // internal/cluster): /v1/verify queries that miss the local verdict
 // cache are consistent-hashed across the named worker replicas, with
-// hedged requests, failure re-routing, and local verification as the
-// last-resort fallback. /healthz reports role=coordinator and
+// failure re-routing, and local verification as the last-resort
+// fallback. /healthz reports role=coordinator and
 // /metrics grows the per-replica and fleet-merged sections.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -63,9 +63,6 @@ func cmdServe(ctx context.Context, args []string) error {
 	replicas := fs.String("replicas", "",
 		"coordinator mode: comma-separated worker base URLs (http://host:port); queries are consistent-hashed across them, with local verification as the fallback when the fleet fails")
 	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "coordinator ring virtual nodes per replica")
-	hedge := fs.Bool("hedge", true, "coordinator: speculatively re-issue slow queries to the next replica on the ring")
-	hedgeAfter := fs.Duration("hedge-after", 0,
-		"coordinator: fixed hedge delay (0 = adaptive, max(1ms, min(p99, 4*p50)) of recent winning latencies)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -94,11 +91,9 @@ func cmdServe(ctx context.Context, args []string) error {
 			return fmt.Errorf("-replicas is set but names no URLs")
 		}
 		coord, err = cluster.New(cluster.Config{
-			Replicas:     urls,
-			VNodes:       *vnodes,
-			HedgeAfter:   *hedgeAfter,
-			DisableHedge: !*hedge,
-			Obs:          rec,
+			Replicas: urls,
+			VNodes:   *vnodes,
+			Obs:      rec,
 		})
 		if err != nil {
 			return err
@@ -129,8 +124,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		scfg.ExtraMetrics = coord.MetricsText
 		coord.Start(ctx)
 		defer coord.Wait()
-		fmt.Fprintf(os.Stderr, "veriopt serve: coordinating %d replicas (hedge %v)\n",
-			len(splitReplicas(*replicas)), *hedge)
+		fmt.Fprintf(os.Stderr, "veriopt serve: coordinating %d replicas\n", len(splitReplicas(*replicas)))
 	}
 	srv := server.New(scfg)
 	ln, err := net.Listen("tcp", *addr)

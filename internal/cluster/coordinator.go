@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,16 +28,6 @@ const (
 	retryBackoff = 2 * time.Millisecond
 	// maxConnsPerReplica bounds each replica's HTTP connection pool.
 	maxConnsPerReplica = 64
-	// hedgeFloor is the hedge delay used until the latency sampler has
-	// seen enough wins to estimate quantiles: late enough that a
-	// healthy fleet almost never hedges cold, early enough to matter.
-	hedgeFloor = 25 * time.Millisecond
-	// hedgeMinSamples gates the quantile estimate: below this the
-	// sampler's tail is noise and the floor is safer.
-	hedgeMinSamples = 16
-	// samplerSize bounds the latency reservoir (a ring buffer of the
-	// most recent winning-attempt latencies).
-	samplerSize = 256
 )
 
 // Config sizes a Coordinator. Replicas is required; everything else
@@ -51,13 +40,6 @@ type Config struct {
 	// VNodes is the ring's virtual-node count per replica (<= 0
 	// selects DefaultVNodes).
 	VNodes int
-	// HedgeAfter fixes the hedge delay. 0 selects the adaptive policy:
-	// max(1ms, min(p99, 4*p50)) over recent winning latencies, with
-	// hedgeFloor until enough samples accumulate.
-	HedgeAfter time.Duration
-	// DisableHedge turns speculative second attempts off entirely
-	// (retries on failure still re-route).
-	DisableHedge bool
 	// ProbeInterval paces the health prober's /healthz checks of
 	// replicas marked down (<= 0 selects defaultProbeInterval).
 	ProbeInterval time.Duration
@@ -73,11 +55,9 @@ type replica struct {
 	client  *http.Client
 	healthy atomic.Bool
 
-	requests  atomic.Uint64
-	errors    atomic.Uint64
-	retries   atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
+	requests atomic.Uint64
+	errors   atomic.Uint64
+	retries  atomic.Uint64
 }
 
 // Coordinator fans verification queries out to worker replicas. It
@@ -92,8 +72,6 @@ type Coordinator struct {
 	cfg  Config
 	ring *Ring
 	reps []*replica
-
-	sampler latencySampler
 
 	wg sync.WaitGroup
 }
@@ -193,26 +171,17 @@ func (c *Coordinator) healthyCount() int {
 	return n
 }
 
-// attemptResult is one replica attempt's outcome.
-type attemptResult struct {
-	res alive.Result
-	err error
-	// transport marks a connection-level failure (dial, reset, EOF) —
-	// the demotion signal. HTTP-level refusals (429 shed, 503 drain)
-	// re-route without demoting: a shedding replica is alive.
-	transport bool
-	rep       *replica
-	hedge     bool
-	elapsed   time.Duration
-}
-
-// VerifyRemote implements oracle.Remote. It runs one query against the
-// ring: primary attempt on the key's owner, a hedge to the next
-// preference after the hedge delay, and backoff retries walking the
-// rest of the order on failure. First success wins and cancels the
-// losers. A non-nil error means the whole fleet failed the query and
-// the caller (oracle.Stack.Verify) should fall back to local
-// verification.
+// VerifyRemote implements oracle.Remote. It offers the query to one
+// replica at a time, under the caller's context, walking the key's ring
+// order healthy-first: the first answer is returned; a failed attempt
+// is counted against its replica, a transport failure (dial, reset,
+// EOF — not an HTTP refusal: a replica shedding 429 or draining 503 is
+// alive) demotes it, and the next replica is tried after a backoff. A
+// slow replica is waited on for as long as the caller's deadline
+// allows; a caller whose context ends gets a canceled result, which is
+// no replica's failure. A non-nil error means the whole fleet failed
+// the query and the caller (oracle.Stack.Verify) should fall back to
+// local verification.
 func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, opts alive.Options) (alive.Result, error) {
 	// Print each function once: the text is the wire body, its fingerprint the key.
 	srcText, tgtText := ir.CanonicalText(src), ir.CanonicalText(tgt)
@@ -231,96 +200,44 @@ func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, o
 		return alive.Result{}, fmt.Errorf("cluster: marshal request: %w", err)
 	}
 
-	dctx, cancel := context.WithCancel(ctx)
-	defer cancel() // cancels the losing attempts' requests
-
-	// Buffered to the attempt count so losing attempts can always
-	// deposit their outcome and exit — no goroutine is ever left
-	// blocked on this channel after VerifyRemote returns.
-	results := make(chan attemptResult, len(order))
-	launch := func(i int, hedge bool) {
-		rep := c.reps[order[i]]
-		rep.requests.Add(1)
-		go func() {
-			t0 := time.Now()
-			res, err, transport := c.post(dctx, rep, body)
-			results <- attemptResult{res: res, err: err, transport: transport,
-				rep: rep, hedge: hedge, elapsed: time.Since(t0)}
-		}()
-	}
-
-	launch(0, false)
-	next, inflight := 1, 1
-
-	var hedgeC <-chan time.Time
-	if !c.cfg.DisableHedge && next < len(order) {
-		ht := time.NewTimer(c.hedgeDelay())
-		defer ht.Stop()
-		hedgeC = ht.C
-	}
-	var retryTimer *time.Timer
-	defer func() {
-		if retryTimer != nil {
-			retryTimer.Stop()
-		}
-	}()
-	var retryC <-chan time.Time
-	backoff := retryBackoff
-
 	var firstErr error
-	for {
-		select {
-		case <-ctx.Done():
+	backoff := retryBackoff
+	for i, idx := range order {
+		rep := c.reps[idx]
+		rep.requests.Add(1)
+		if i > 0 {
+			rep.retries.Add(1)
+		}
+		res, err, transport := c.post(ctx, rep, body)
+		if err == nil {
+			c.markUp(rep, "answered a query")
+			return res, nil
+		}
+		if ctx.Err() != nil {
 			return alive.CanceledResult(ctx.Err()), nil
-		case <-hedgeC:
-			hedgeC = nil
-			if next < len(order) {
-				c.reps[order[next]].hedges.Add(1)
-				launch(next, true)
-				next++
-				inflight++
+		}
+		rep.errors.Add(1)
+		if transport {
+			c.markDown(rep, err.Error())
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+		if i+1 < len(order) {
+			// Re-route after a backoff so a fleet-wide hiccup
+			// (everyone restarting) is ridden out instead of
+			// burned through in microseconds.
+			t := time.NewTimer(backoff)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return alive.CanceledResult(ctx.Err()), nil
 			}
-		case <-retryC:
-			retryC = nil
-			if next < len(order) {
-				c.reps[order[next]].retries.Add(1)
-				launch(next, false)
-				next++
-				inflight++
-			}
-		case a := <-results:
-			inflight--
-			if a.err == nil {
-				c.sampler.add(a.elapsed)
-				c.markUp(a.rep, "answered a query")
-				if a.hedge {
-					a.rep.hedgeWins.Add(1)
-				}
-				return a.res, nil
-			}
-			a.rep.errors.Add(1)
-			if a.transport {
-				c.markDown(a.rep, a.err.Error())
-			}
-			if firstErr == nil {
-				firstErr = a.err
-			}
-			if next < len(order) && retryC == nil {
-				// Re-route after a backoff so a fleet-wide hiccup
-				// (everyone restarting) is ridden out instead of
-				// burned through in microseconds.
-				if retryTimer == nil {
-					retryTimer = time.NewTimer(backoff)
-				} else {
-					retryTimer.Reset(backoff)
-				}
-				retryC = retryTimer.C
-				backoff *= 2
-			} else if inflight == 0 && next >= len(order) {
-				return alive.Result{}, fmt.Errorf("cluster: all %d replicas failed: %w", len(order), firstErr)
-			}
+			backoff *= 2
 		}
 	}
+	return alive.Result{}, fmt.Errorf("cluster: all %d replicas failed: %w", len(order), firstErr)
 }
 
 // healthyFirst stably reorders a ring preference order so healthy
@@ -343,31 +260,6 @@ func (c *Coordinator) healthyFirst(order []int) []int {
 		}
 	}
 	return out
-}
-
-// hedgeDelay picks how long the primary attempt runs alone. With a
-// fixed HedgeAfter that's that; otherwise it adapts to the fleet:
-// min(p99, 4*p50) of recent winning latencies — p99 is the classic
-// "hedge when slower than almost everyone" threshold, the 4*p50 clamp
-// keeps it useful when a heavy latency tail drags the observed p99
-// out to the tail itself — floored at 1ms so a microsecond-fast fleet
-// doesn't hedge every request.
-func (c *Coordinator) hedgeDelay() time.Duration {
-	if c.cfg.HedgeAfter > 0 {
-		return c.cfg.HedgeAfter
-	}
-	p50, p99, n := c.sampler.quantiles()
-	if n < hedgeMinSamples {
-		return hedgeFloor
-	}
-	d := 4 * p50
-	if p99 < d {
-		d = p99
-	}
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
 }
 
 // post runs one /v1/verify round-trip against rep. The third return
@@ -405,37 +297,4 @@ func (c *Coordinator) post(ctx context.Context, rep *replica, body []byte) (aliv
 		Counterexample:  vr.Counterexample,
 		SolverConflicts: vr.SolverConflicts,
 	}, nil, false
-}
-
-// latencySampler is a bounded reservoir of recent winning-attempt
-// latencies, feeding the adaptive hedge delay.
-type latencySampler struct {
-	mu  sync.Mutex
-	buf [samplerSize]time.Duration
-	n   int
-}
-
-func (s *latencySampler) add(d time.Duration) {
-	s.mu.Lock()
-	s.buf[s.n%samplerSize] = d
-	s.n++
-	s.mu.Unlock()
-}
-
-func (s *latencySampler) quantiles() (p50, p99 time.Duration, n int) {
-	s.mu.Lock()
-	n = s.n
-	if n > samplerSize {
-		n = samplerSize
-	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, s.buf[:n])
-	s.mu.Unlock()
-	if n == 0 {
-		return 0, 0, 0
-	}
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	p50 = sorted[n/2]
-	p99 = sorted[(n*99)/100]
-	return p50, p99, n
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -50,8 +51,8 @@ func parsePair(t *testing.T) (*ir.Function, *ir.Function) {
 
 // fakeWorker is a scriptable stand-in for a worker replica: answers
 // /v1/verify with a canned verdict, optionally delayed, gated,
-// shedding, or cut off mid-body, counts hits, and reports loser
-// cancellation.
+// shedding, or cut off mid-body, counts hits, and reports a request
+// whose context died under it.
 type fakeWorker struct {
 	ts *httptest.Server
 
@@ -67,8 +68,8 @@ type fakeWorker struct {
 	// request context dies).
 	gate chan struct{}
 	// canceled receives once per verify whose context died while
-	// parked in the delay or gate — how a losing hedge announces it
-	// was reaped.
+	// parked in the delay or gate — how a test sees that the caller's
+	// cancellation reached the replica.
 	canceled chan struct{}
 }
 
@@ -225,7 +226,7 @@ func TestForwardedRequestBody(t *testing.T) {
 func TestSingleflightCoalesces(t *testing.T) {
 	w := newFakeWorker(t)
 	w.gate = make(chan struct{})
-	c := mustNew(t, Config{Replicas: []string{w.ts.URL}, DisableHedge: true})
+	c := mustNew(t, Config{Replicas: []string{w.ts.URL}})
 	st := oracle.NewStack(oracle.Config{Remote: c})
 	src, tgt := parsePair(t)
 	opts := alive.DefaultOptions()
@@ -274,9 +275,8 @@ func TestFailoverReroutes(t *testing.T) {
 	w0, w1 := newFakeWorker(t), newFakeWorker(t)
 	rec := &bytes.Buffer{}
 	c := mustNew(t, Config{
-		Replicas:     []string{w0.ts.URL, w1.ts.URL},
-		DisableHedge: true,
-		Obs:          obs.New(rec),
+		Replicas: []string{w0.ts.URL, w1.ts.URL},
+		Obs:      obs.New(rec),
 	})
 	opts := alive.DefaultOptions()
 	ordered, order := orderedWorkers(t, c, []*fakeWorker{w0, w1}, opts)
@@ -311,10 +311,7 @@ func TestFailoverReroutes(t *testing.T) {
 // transient overload.
 func TestShedReroutesWithoutDemotion(t *testing.T) {
 	w0, w1 := newFakeWorker(t), newFakeWorker(t)
-	c := mustNew(t, Config{
-		Replicas:     []string{w0.ts.URL, w1.ts.URL},
-		DisableHedge: true,
-	})
+	c := mustNew(t, Config{Replicas: []string{w0.ts.URL, w1.ts.URL}})
 	opts := alive.DefaultOptions()
 	ordered, order := orderedWorkers(t, c, []*fakeWorker{w0, w1}, opts)
 	ordered[0].shed.Store(true)
@@ -344,7 +341,7 @@ func TestShedReroutesWithoutDemotion(t *testing.T) {
 func TestAllReplicasFailed(t *testing.T) {
 	w := newFakeWorker(t)
 	w.ts.Close()
-	c := mustNew(t, Config{Replicas: []string{w.ts.URL}, DisableHedge: true})
+	c := mustNew(t, Config{Replicas: []string{w.ts.URL}})
 	src, tgt := parsePair(t)
 	_, err := c.VerifyRemote(context.Background(), src, tgt, alive.DefaultOptions())
 	if err == nil {
@@ -352,55 +349,11 @@ func TestAllReplicasFailed(t *testing.T) {
 	}
 }
 
-// TestHedgeCancelsLoser: a slow primary is hedged to the ring
-// successor after the fixed delay; the hedge answers, wins, and the
-// primary's in-flight request is canceled — the loser signals its
-// context death, and the -race run flags any leaked writer.
-func TestHedgeCancelsLoser(t *testing.T) {
+// TestSlowPrimaryIsWaitedOn: a slow primary is simply waited on; the
+// successor never sees traffic.
+func TestSlowPrimaryIsWaitedOn(t *testing.T) {
 	w0, w1 := newFakeWorker(t), newFakeWorker(t)
-	c := mustNew(t, Config{
-		Replicas:   []string{w0.ts.URL, w1.ts.URL},
-		HedgeAfter: 5 * time.Millisecond,
-	})
-	opts := alive.DefaultOptions()
-	ordered, order := orderedWorkers(t, c, []*fakeWorker{w0, w1}, opts)
-	primary, successor := ordered[0], ordered[1]
-	primary.delay.Store(int64(10 * time.Second))
-
-	src, tgt := parsePair(t)
-	res, err := c.VerifyRemote(context.Background(), src, tgt, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != alive.Equivalent {
-		t.Fatalf("verdict = %v, want equivalent", res.Verdict)
-	}
-	if got := c.reps[order[1]].hedges.Load(); got != 1 {
-		t.Fatalf("successor hedges = %d, want 1", got)
-	}
-	if got := c.reps[order[1]].hedgeWins.Load(); got != 1 {
-		t.Fatalf("successor hedge wins = %d, want 1", got)
-	}
-	if successor.hits.Load() != 1 {
-		t.Fatalf("successor hits = %d, want 1", successor.hits.Load())
-	}
-	// The losing primary must observe cancellation promptly — its
-	// handler signals when its request context dies.
-	select {
-	case <-primary.canceled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing primary attempt was never canceled")
-	}
-}
-
-// TestHedgeDisabled: with hedging off, a slow primary is simply
-// waited on; the successor never sees traffic.
-func TestHedgeDisabled(t *testing.T) {
-	w0, w1 := newFakeWorker(t), newFakeWorker(t)
-	c := mustNew(t, Config{
-		Replicas:     []string{w0.ts.URL, w1.ts.URL},
-		DisableHedge: true,
-	})
+	c := mustNew(t, Config{Replicas: []string{w0.ts.URL, w1.ts.URL}})
 	opts := alive.DefaultOptions()
 	ordered, _ := orderedWorkers(t, c, []*fakeWorker{w0, w1}, opts)
 	ordered[0].delay.Store(int64(50 * time.Millisecond))
@@ -411,36 +364,110 @@ func TestHedgeDisabled(t *testing.T) {
 		t.Fatalf("result = %+v err = %v", res, err)
 	}
 	if ordered[1].hits.Load() != 0 {
-		t.Fatal("successor saw traffic with hedging disabled")
+		t.Fatal("successor saw traffic while the primary was only slow")
 	}
 }
 
-// TestHedgeDelayAdapts: the adaptive delay uses the floor until
-// enough samples accumulate, then tracks min(p99, 4*p50).
-func TestHedgeDelayAdapts(t *testing.T) {
-	c := mustNew(t, Config{Replicas: []string{"http://unused:1"}})
-	if got := c.hedgeDelay(); got != hedgeFloor {
-		t.Fatalf("cold hedge delay = %v, want floor %v", got, hedgeFloor)
+// TestCallerDeadlineIsNotAReplicaFailure: a caller whose deadline ends
+// while its replica is still working gets a canceled result and no
+// error (so the stack does not verify locally what nobody waits for),
+// the replica's request is canceled with it, and the replica is neither
+// charged an error nor demoted nor routed around.
+func TestCallerDeadlineIsNotAReplicaFailure(t *testing.T) {
+	w0, w1 := newFakeWorker(t), newFakeWorker(t)
+	w0.gate, w1.gate = make(chan struct{}), make(chan struct{})
+	c := mustNew(t, Config{Replicas: []string{w0.ts.URL, w1.ts.URL}})
+	opts := alive.DefaultOptions()
+	ordered, order := orderedWorkers(t, c, []*fakeWorker{w0, w1}, opts)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	src, tgt := parsePair(t)
+	res, err := c.VerifyRemote(ctx, src, tgt, opts)
+	if err != nil || !res.Canceled {
+		t.Fatalf("result = %+v err = %v, want a canceled result and no error", res, err)
 	}
-	for i := 0; i < hedgeMinSamples; i++ {
-		c.sampler.add(10 * time.Millisecond)
+	select {
+	case <-ordered[0].canceled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replica's request outlived its caller")
 	}
-	// p50 = p99 = 10ms: min(10ms, 40ms) = 10ms.
-	if got := c.hedgeDelay(); got != 10*time.Millisecond {
-		t.Fatalf("hedge delay = %v, want 10ms", got)
+	primary := c.reps[order[0]]
+	if primary.requests.Load() != 1 || primary.errors.Load() != 0 || !primary.healthy.Load() {
+		t.Fatalf("primary: requests %d, errors %d, healthy %v; want 1, 0, true",
+			primary.requests.Load(), primary.errors.Load(), primary.healthy.Load())
 	}
-	// A heavy tail drags p99 out to 1s; the 4*p50 clamp holds the
-	// delay near the healthy latency instead.
-	for i := 0; i < 8; i++ {
-		c.sampler.add(time.Second)
+	if ordered[1].hits.Load() != 0 || c.reps[order[1]].requests.Load() != 0 {
+		t.Fatal("the caller's deadline re-routed its query to the successor")
 	}
-	if got := c.hedgeDelay(); got != 40*time.Millisecond {
-		t.Fatalf("hedge delay with heavy tail = %v, want 40ms (4*p50 clamp)", got)
+}
+
+// TestTruncatedBodyReroutes: a replica that answers 200, sends half a
+// body and half-closes is routed around — the successor answers — and
+// is charged an error but not demoted: it accepted the connection and
+// spoke HTTP, so the next query may try it again.
+func TestTruncatedBodyReroutes(t *testing.T) {
+	w0, w1 := newFakeWorker(t), newFakeWorker(t)
+	c := mustNew(t, Config{Replicas: []string{w0.ts.URL, w1.ts.URL}})
+	opts := alive.DefaultOptions()
+	ordered, order := orderedWorkers(t, c, []*fakeWorker{w0, w1}, opts)
+	ordered[0].truncate.Store(true)
+
+	src, tgt := parsePair(t)
+	res, err := c.VerifyRemote(context.Background(), src, tgt, opts)
+	if err != nil || res.Verdict != alive.Equivalent {
+		t.Fatalf("result = %+v err = %v, want equivalent from the successor", res, err)
 	}
-	// A fixed override wins unconditionally.
-	c.cfg.HedgeAfter = 7 * time.Millisecond
-	if got := c.hedgeDelay(); got != 7*time.Millisecond {
-		t.Fatalf("fixed hedge delay = %v, want 7ms", got)
+	if ordered[0].hits.Load() != 1 || ordered[1].hits.Load() != 1 {
+		t.Fatalf("hits: truncating primary %d, successor %d; want 1 and 1", ordered[0].hits.Load(), ordered[1].hits.Load())
+	}
+	if rep := c.reps[order[0]]; rep.errors.Load() != 1 || !rep.healthy.Load() {
+		t.Fatalf("truncating primary: errors %d, healthy %v; want 1, true", rep.errors.Load(), rep.healthy.Load())
+	}
+	if got := c.reps[order[1]].retries.Load(); got != 1 {
+		t.Fatalf("successor retries = %d, want 1", got)
+	}
+}
+
+// TestEachQueryReachesOneReplica: under the zero Config, 32 distinct
+// concurrent queries through two replicas that each take 40 ms reach a
+// replica once each, the one that owns the key — a slow answer is not
+// a reason to ask a second replica for it.
+func TestEachQueryReachesOneReplica(t *testing.T) {
+	workers := []*fakeWorker{newFakeWorker(t), newFakeWorker(t)}
+	for _, w := range workers {
+		w.delay.Store(int64(40 * time.Millisecond))
+	}
+	c := mustNew(t, Config{Replicas: []string{workers[0].ts.URL, workers[1].ts.URL}})
+	src, tgt := parsePair(t)
+
+	const queries = 32
+	var owned [2]uint64
+	errs := make(chan error, queries)
+	for q := 0; q < queries; q++ {
+		// A distinct step limit is a distinct key.
+		opts := alive.Options{MaxSteps: 1000 + q}
+		owned[c.ring.Order(queryKey(t, src, tgt, opts))[0]]++
+		go func() {
+			res, err := c.VerifyRemote(context.Background(), src, tgt, opts)
+			if err == nil && res.Verdict != alive.Equivalent {
+				err = fmt.Errorf("verdict %v", res.Verdict)
+			}
+			errs <- err
+		}()
+	}
+	for q := 0; q < queries; q++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, w := range workers {
+		if got := w.hits.Load(); got != owned[i] {
+			t.Errorf("worker %d: %d hits, owns %d of the %d keys", i, got, owned[i], queries)
+		}
+		if got := c.reps[i].requests.Load(); got != owned[i] {
+			t.Errorf("replica %d: %d attempts, owns %d of the %d keys", i, got, owned[i], queries)
+		}
 	}
 }
 
@@ -521,7 +548,7 @@ func TestMetricsMergesWorkerCounters(t *testing.T) {
 // the network, and identical stack queries hit the worker once.
 func TestStackComposition(t *testing.T) {
 	w := newFakeWorker(t)
-	c := mustNew(t, Config{Replicas: []string{w.ts.URL}, DisableHedge: true})
+	c := mustNew(t, Config{Replicas: []string{w.ts.URL}})
 	var baseRuns atomic.Uint64
 	stack := oracle.NewStack(oracle.Config{
 		Remote: c,

@@ -26,15 +26,13 @@ var mergedFamilies = []string{
 }
 
 // MetricsText renders the coordinator's Prometheus section: ring and
-// health gauges, per-replica traffic counters, the current hedge
-// delay, and — scraped live from the healthy replicas under ctx — the
-// fleet's merged oracle/vcache/vstore counters and summed queue
-// depth. Wire it into the serving layer via server.Config.ExtraMetrics.
+// health gauges, per-replica traffic counters, and — scraped live from
+// the healthy replicas under ctx — the fleet's merged
+// oracle/vcache/vstore counters and summed queue depth. Wire it into the serving layer via server.Config.ExtraMetrics.
 func (c *Coordinator) MetricsText(ctx context.Context) string {
 	fams := []metrics.Family{
 		metrics.Scalar("veriopt_cluster_replicas", "Configured worker replicas.", "gauge", metrics.Int(len(c.reps))),
 		metrics.Scalar("veriopt_cluster_replicas_healthy", "Replicas currently marked healthy.", "gauge", metrics.Int(c.healthyCount())),
-		metrics.Scalar("veriopt_cluster_hedge_delay_seconds", "Current hedge delay (fixed or quantile-derived).", "gauge", metrics.Float(c.hedgeDelay().Seconds())),
 	}
 	up := func(r *replica) uint64 {
 		if r.healthy.Load() {
@@ -46,11 +44,9 @@ func (c *Coordinator) MetricsText(ctx context.Context) string {
 		name, typ, help string
 		read            func(r *replica) uint64
 	}{
-		{"veriopt_cluster_requests_total", "counter", "Attempts dispatched per replica (primaries, hedges, retries).", func(r *replica) uint64 { return r.requests.Load() }},
+		{"veriopt_cluster_requests_total", "counter", "Attempts dispatched per replica (primaries and retries).", func(r *replica) uint64 { return r.requests.Load() }},
 		{"veriopt_cluster_errors_total", "counter", "Failed attempts per replica.", func(r *replica) uint64 { return r.errors.Load() }},
 		{"veriopt_cluster_retries_total", "counter", "Failure re-routes landing on this replica.", func(r *replica) uint64 { return r.retries.Load() }},
-		{"veriopt_cluster_hedges_total", "counter", "Speculative hedge attempts landing on this replica.", func(r *replica) uint64 { return r.hedges.Load() }},
-		{"veriopt_cluster_hedge_wins_total", "counter", "Hedge attempts that answered before the primary.", func(r *replica) uint64 { return r.hedgeWins.Load() }},
 		{"veriopt_cluster_replica_up", "gauge", "Per-replica health (1 healthy, 0 demoted).", up},
 	} {
 		f := metrics.Family{Name: fam.name, Help: fam.help, Type: fam.typ}

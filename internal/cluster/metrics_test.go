@@ -8,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 )
 
 // updateGolden rewrites the golden under internal/metrics/testdata. It
@@ -52,14 +51,12 @@ func TestMetricsTextGolden(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	c := mustNew(t, Config{Replicas: urls, HedgeAfter: 1500 * time.Microsecond})
+	c := mustNew(t, Config{Replicas: urls})
 	for i, rep := range c.reps {
 		n := uint64(i + 1)
 		rep.requests.Store(1234567 * n)
 		rep.errors.Store(2 * n)
 		rep.retries.Store(3 * n)
-		rep.hedges.Store(4 * n)
-		rep.hedgeWins.Store(5 * n)
 	}
 	c.reps[2].healthy.Store(false)
 

@@ -190,7 +190,7 @@ func TestLoopVsStateMachine(t *testing.T) {
 				hits = nil
 				// The same URLs build the same ring, so both dispatches
 				// walk the fleet in the same order.
-				c := mustNew(t, Config{Replicas: urls, DisableHedge: true})
+				c := mustNew(t, Config{Replicas: urls})
 				t0 := time.Now()
 				res, err := dispatch(c, context.Background(), src, tgt, opts)
 				elapsed := time.Since(t0)

@@ -20,7 +20,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -52,28 +51,20 @@ func Main(m *testing.M) {
 // Worker sizes one slow worker: a serving process whose every live
 // verification first sleeps Delay — the stand-in for solver work that
 // makes a fan-out measurement latency-bound on a machine where real
-// verification would be CPU-bound. Every TailEvery-th query sleeps
-// TailDelay instead, the straggler distribution hedging exists to cut.
+// verification would be CPU-bound.
 type Worker struct {
 	// Addr is the listen address; empty picks a free loopback port.
-	Addr      string
-	Delay     time.Duration
-	TailEvery int
-	TailDelay time.Duration
+	Addr  string
+	Delay time.Duration
 }
 
 // slowBase is the oracle.Func a slow worker installs at Config.Base:
-// sleep, honoring ctx so a hedged loser's cancellation aborts it
-// promptly, then run the real verifier.
+// sleep, honoring ctx so a caller's cancellation aborts it promptly,
+// then run the real verifier.
 func (w Worker) slowBase() oracle.Oracle {
 	base := oracle.Base()
-	var n atomic.Uint64
 	return oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-		d := w.Delay
-		if w.TailEvery > 0 && n.Add(1)%uint64(w.TailEvery) == 0 {
-			d = w.TailDelay
-		}
-		t := time.NewTimer(d)
+		t := time.NewTimer(w.Delay)
 		defer t.Stop()
 		select {
 		case <-t.C:
