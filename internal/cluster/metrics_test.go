@@ -14,7 +14,9 @@ import (
 // was written at PR 14's commit, by this test over PR 14's hand-written
 // renderer and parser; regenerating it is a wire-format change. (PR 23
 // made one: the three lines of veriopt_cluster_coalesced_total went
-// with the coordinator's singleflight.)
+// with the coordinator's singleflight. PR 27 made another: the three
+// veriopt_cluster_hedge* families went with hedging, and the HELP of
+// _requests_total stopped naming hedges.)
 var updateGolden = flag.Bool("update", false, "rewrite the coordinator /metrics golden")
 
 // TestMetricsTextGolden pins the coordinator's whole /metrics section,
