@@ -62,7 +62,6 @@ func cmdServe(ctx context.Context, args []string) error {
 		"durable verdict store directory: verdicts append incrementally as they are proved, survive crashes, and warm-start the next boot")
 	replicas := fs.String("replicas", "",
 		"coordinator mode: comma-separated worker base URLs (http://host:port); queries are consistent-hashed across them, with local verification as the fallback when the fleet fails")
-	vnodes := fs.Int("vnodes", cluster.DefaultVNodes, "coordinator ring virtual nodes per replica")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -90,11 +89,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		if len(urls) == 0 {
 			return fmt.Errorf("-replicas is set but names no URLs")
 		}
-		coord, err = cluster.New(cluster.Config{
-			Replicas: urls,
-			VNodes:   *vnodes,
-			Obs:      rec,
-		})
+		coord, err = cluster.New(cluster.Config{Replicas: urls, Obs: rec})
 		if err != nil {
 			return err
 		}

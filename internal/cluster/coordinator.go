@@ -20,7 +20,8 @@ import (
 )
 
 const (
-	// defaultProbeInterval is the zero Config's ProbeInterval.
+	// defaultProbeInterval paces the health prober's /healthz checks of
+	// replicas marked down.
 	defaultProbeInterval = 250 * time.Millisecond
 	// retryBackoff is the delay before a failed attempt is re-routed to
 	// the next replica in ring order; it doubles per successive failure
@@ -30,19 +31,12 @@ const (
 	maxConnsPerReplica = 64
 )
 
-// Config sizes a Coordinator. Replicas is required; everything else
-// has a usable zero value.
+// Config names a Coordinator's fleet. Replicas is required.
 type Config struct {
 	// Replicas are the worker base URLs ("http://host:port"). The set
 	// is fixed for the coordinator's lifetime; failed replicas are
 	// skipped, not removed, so recovery never remaps keys.
 	Replicas []string
-	// VNodes is the ring's virtual-node count per replica (<= 0
-	// selects DefaultVNodes).
-	VNodes int
-	// ProbeInterval paces the health prober's /healthz checks of
-	// replicas marked down (<= 0 selects defaultProbeInterval).
-	ProbeInterval time.Duration
 	// Obs receives replica_down/replica_up ring-membership events (nil
 	// = no tracing).
 	Obs *obs.Recorder
@@ -70,8 +64,10 @@ type replica struct {
 // a query can reach it, and that digest is the one the ring routes on.
 type Coordinator struct {
 	cfg  Config
-	ring *Ring
+	ring *ring
 	reps []*replica
+	// probeInterval is defaultProbeInterval outside this package's tests.
+	probeInterval time.Duration
 
 	wg sync.WaitGroup
 }
@@ -82,10 +78,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("cluster: no replicas configured")
 	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = defaultProbeInterval
-	}
-	c := &Coordinator{cfg: cfg, ring: NewRing(cfg.Replicas, cfg.VNodes)}
+	c := &Coordinator{cfg: cfg, ring: newRing(cfg.Replicas), probeInterval: defaultProbeInterval}
 	for _, url := range cfg.Replicas {
 		// Each replica gets its own transport so one slow replica
 		// cannot starve the others' connection pools, and so
@@ -104,7 +97,7 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Start launches the health prober, which re-checks demoted replicas
-// every ProbeInterval and heals the ring when one answers /healthz
+// every probeInterval and heals the ring when one answers /healthz
 // again. Cancel ctx and call Wait to stop it.
 func (c *Coordinator) Start(ctx context.Context) {
 	c.wg.Add(1)
@@ -118,7 +111,7 @@ func (c *Coordinator) Start(ctx context.Context) {
 func (c *Coordinator) Wait() { c.wg.Wait() }
 
 func (c *Coordinator) probeLoop(ctx context.Context) {
-	t := time.NewTicker(c.cfg.ProbeInterval)
+	t := time.NewTicker(c.probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -130,7 +123,7 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 			if rep.healthy.Load() {
 				continue
 			}
-			pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeInterval)
+			pctx, cancel := context.WithTimeout(ctx, c.probeInterval)
 			req, err := http.NewRequestWithContext(pctx, http.MethodGet, rep.url+"/healthz", nil)
 			if err != nil {
 				cancel()
@@ -190,7 +183,7 @@ func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, o
 		Dst:  ir.FingerprintText(tgtText),
 		Opts: opts,
 	}.Fingerprint()
-	order := c.healthyFirst(c.ring.Order(key))
+	order := c.healthyFirst(c.ring.order(key))
 	body, err := json.Marshal(server.VerifyRequest{
 		Src:     srcText,
 		Tgt:     tgtText,

@@ -162,7 +162,7 @@ func mustNew(t *testing.T, cfg Config) *Coordinator {
 func orderedWorkers(t *testing.T, c *Coordinator, workers []*fakeWorker, opts alive.Options) ([]*fakeWorker, []int) {
 	t.Helper()
 	src, tgt := parsePair(t)
-	order := c.ring.Order(queryKey(t, src, tgt, opts))
+	order := c.ring.order(queryKey(t, src, tgt, opts))
 	out := make([]*fakeWorker, len(order))
 	for i, idx := range order {
 		out[i] = workers[idx]
@@ -447,7 +447,7 @@ func TestEachQueryReachesOneReplica(t *testing.T) {
 	for q := 0; q < queries; q++ {
 		// A distinct step limit is a distinct key.
 		opts := alive.Options{MaxSteps: 1000 + q}
-		owned[c.ring.Order(queryKey(t, src, tgt, opts))[0]]++
+		owned[c.ring.order(queryKey(t, src, tgt, opts))[0]]++
 		go func() {
 			res, err := c.VerifyRemote(context.Background(), src, tgt, opts)
 			if err == nil && res.Verdict != alive.Equivalent {
@@ -477,11 +477,8 @@ func TestProbeHeals(t *testing.T) {
 	w := newFakeWorker(t)
 	w.healthzOK.Store(false)
 	rec := &bytes.Buffer{}
-	c := mustNew(t, Config{
-		Replicas:      []string{w.ts.URL},
-		ProbeInterval: 5 * time.Millisecond,
-		Obs:           obs.New(rec),
-	})
+	c := mustNew(t, Config{Replicas: []string{w.ts.URL}, Obs: obs.New(rec)})
+	c.probeInterval = 5 * time.Millisecond
 	c.markDown(c.reps[0], "test demotion")
 	ctx, cancel := context.WithCancel(context.Background())
 	c.Start(ctx)

@@ -40,7 +40,7 @@ func refVerifyRemote(c *Coordinator, ctx context.Context, src, tgt *ir.Function,
 		Dst:  ir.FingerprintText(tgtText),
 		Opts: opts,
 	}.Fingerprint()
-	order := c.healthyFirst(c.ring.Order(key))
+	order := c.healthyFirst(c.ring.order(key))
 	body, err := json.Marshal(server.VerifyRequest{
 		Src:     srcText,
 		Tgt:     tgtText,

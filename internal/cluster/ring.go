@@ -8,16 +8,16 @@
 //
 // The pieces:
 //
-//   - Ring: a consistent-hash ring with virtual nodes. Order(key)
+//   - ring: a consistent-hash ring with virtual nodes. order(key)
 //     returns the full distinct-replica preference order for a key, so
-//     retries and hedges walk successors instead of re-rolling.
+//     a retry walks to the key's successor instead of re-rolling.
 //   - Coordinator: implements oracle.Remote over the ring — per-replica
-//     bounded HTTP clients, hedged requests with a quantile-derived
-//     delay, retry-with-backoff re-routing on replica failure, and
+//     bounded HTTP clients, one attempt at a time under the caller's
+//     deadline, retry-with-backoff re-routing on replica failure, and
 //     /healthz probing that heals the ring. Identical queries in
 //     flight are coalesced above it, by the stack's verdict cache.
 //   - MetricsText: the coordinator's /metrics section — per-replica
-//     request/hedge/retry counters plus a merged scrape of the worker
+//     request/error/retry counters plus a merged scrape of the worker
 //     fleet's oracle/vcache/vstore counters.
 //
 // The coordinator enters the oracle stack as oracle.Config.Remote,
@@ -33,36 +33,33 @@ import (
 	"strconv"
 )
 
-// DefaultVNodes is the virtual-node count per replica. 64 points per
+// vnodes is the virtual-node count per replica. 64 points per
 // replica keeps the ring's load spread within a few percent of even
 // for small fleets while the whole ring stays a few KB.
-const DefaultVNodes = 64
+const vnodes = 64
 
 type ringPoint struct {
 	hash uint64
 	idx  int
 }
 
-// Ring is an immutable consistent-hash ring over a fixed replica set.
+// ring is an immutable consistent-hash ring over a fixed replica set.
 // Health is deliberately not the ring's concern: the ring answers
 // "which replicas, in what order, does this key prefer", and the
 // coordinator reorders that answer healthy-first. Keeping the ring
 // immutable means a flapping replica never remaps keys owned by
 // stable replicas — it is skipped, not removed.
-type Ring struct {
+type ring struct {
 	points []ringPoint
 	n      int
 }
 
-// NewRing builds a ring over replicas (identified by index) with
-// vnodes virtual points each (<= 0 selects DefaultVNodes). The point
-// hashes are derived from the replica's base URL so the same fleet
-// listed in any order produces the same key placement.
-func NewRing(replicas []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	r := &Ring{n: len(replicas), points: make([]ringPoint, 0, len(replicas)*vnodes)}
+// newRing builds a ring over replicas (identified by index) with
+// vnodes virtual points each. The point hashes are derived from the
+// replica's base URL so the same fleet listed in any order produces
+// the same key placement.
+func newRing(replicas []string) *ring {
+	r := &ring{n: len(replicas), points: make([]ringPoint, 0, len(replicas)*vnodes)}
 	for i, url := range replicas {
 		for v := 0; v < vnodes; v++ {
 			sum := sha256.Sum256([]byte(url + "#" + strconv.Itoa(v)))
@@ -73,12 +70,12 @@ func NewRing(replicas []string, vnodes int) *Ring {
 	return r
 }
 
-// Order returns the key's full preference order: the owner replica
+// order returns the key's full preference order: the owner replica
 // first, then each distinct successor walking clockwise from the
 // key's point. len == the replica count, every index exactly once.
-// Retries and hedges consume this order left to right, so a key's
-// fallback placement is as stable as its primary placement.
-func (r *Ring) Order(key [sha256.Size]byte) []int {
+// Retries consume this order left to right, so a key's fallback
+// placement is as stable as its primary placement.
+func (r *ring) order(key [sha256.Size]byte) []int {
 	order := make([]int, 0, r.n)
 	if r.n == 0 {
 		return order
@@ -95,6 +92,3 @@ func (r *Ring) Order(key [sha256.Size]byte) []int {
 	}
 	return order
 }
-
-// Owner returns the key's primary replica index.
-func (r *Ring) Owner(key [sha256.Size]byte) int { return r.Order(key)[0] }

@@ -14,6 +14,9 @@ func testKey(i int) [sha256.Size]byte {
 	return sha256.Sum256(seed[:])
 }
 
+// owner returns the key's primary replica index.
+func (r *ring) owner(key [sha256.Size]byte) int { return r.order(key)[0] }
+
 func urls(n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -26,11 +29,11 @@ func urls(n int) []string {
 // indices, identical across independently built rings over the same
 // fleet.
 func TestRingOrderComplete(t *testing.T) {
-	r1 := NewRing(urls(4), 0)
-	r2 := NewRing(urls(4), 0)
+	r1 := newRing(urls(4))
+	r2 := newRing(urls(4))
 	for i := 0; i < 200; i++ {
 		k := testKey(i)
-		o1, o2 := r1.Order(k), r2.Order(k)
+		o1, o2 := r1.order(k), r2.order(k)
 		if len(o1) != 4 {
 			t.Fatalf("order length = %d, want 4", len(o1))
 		}
@@ -49,14 +52,14 @@ func TestRingOrderComplete(t *testing.T) {
 	}
 }
 
-// TestRingBalance: with default vnodes, no replica owns a wildly
+// TestRingBalance: with 64 virtual nodes each, no replica owns a wildly
 // disproportionate share of keys.
 func TestRingBalance(t *testing.T) {
 	const replicas, keys = 3, 3000
-	r := NewRing(urls(replicas), 0)
+	r := newRing(urls(replicas))
 	counts := make([]int, replicas)
 	for i := 0; i < keys; i++ {
-		counts[r.Owner(testKey(i))]++
+		counts[r.owner(testKey(i))]++
 	}
 	for i, n := range counts {
 		frac := float64(n) / keys
@@ -70,13 +73,13 @@ func TestRingBalance(t *testing.T) {
 // owned; every other key keeps its owner. This is the property that
 // makes replica-local verdict caches survive fleet resizes.
 func TestRingConsistency(t *testing.T) {
-	full := NewRing(urls(4), 0)
-	reduced := NewRing(urls(4)[:3], 0)
+	full := newRing(urls(4))
+	reduced := newRing(urls(4)[:3])
 	remapped := 0
 	for i := 0; i < 2000; i++ {
 		k := testKey(i)
-		before := full.Owner(k)
-		after := reduced.Owner(k)
+		before := full.owner(k)
+		after := reduced.owner(k)
 		if before < 3 {
 			if after != before {
 				t.Fatalf("key %d moved from surviving replica %d to %d", i, before, after)
@@ -86,7 +89,7 @@ func TestRingConsistency(t *testing.T) {
 		remapped++
 		// An orphaned key must land on its first surviving successor.
 		want := -1
-		for _, idx := range full.Order(k) {
+		for _, idx := range full.order(k) {
 			if idx < 3 {
 				want = idx
 				break
@@ -103,9 +106,9 @@ func TestRingConsistency(t *testing.T) {
 
 // TestRingSingleReplica: a one-replica ring routes everything there.
 func TestRingSingleReplica(t *testing.T) {
-	r := NewRing(urls(1), 0)
+	r := newRing(urls(1))
 	for i := 0; i < 50; i++ {
-		if got := r.Order(testKey(i)); len(got) != 1 || got[0] != 0 {
+		if got := r.order(testKey(i)); len(got) != 1 || got[0] != 0 {
 			t.Fatalf("order = %v, want [0]", got)
 		}
 	}
