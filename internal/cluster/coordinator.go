@@ -167,14 +167,14 @@ func (c *Coordinator) healthyCount() int {
 // VerifyRemote implements oracle.Remote. It offers the query to one
 // replica at a time, under the caller's context, walking the key's ring
 // order healthy-first: the first answer is returned; a failed attempt
-// is counted against its replica, a transport failure (dial, reset,
-// EOF — not an HTTP refusal: a replica shedding 429 or draining 503 is
-// alive) demotes it, and the next replica is tried after a backoff. A
-// slow replica is waited on for as long as the caller's deadline
-// allows; a caller whose context ends gets a canceled result, which is
-// no replica's failure. A non-nil error means the whole fleet failed
-// the query and the caller (oracle.Stack.Verify) should fall back to
-// local verification.
+// is counted against its replica, a transport failure (the dial or the
+// round trip failed — not an HTTP refusal: a replica shedding 429 or
+// draining 503 is alive) demotes it, and the next replica is tried
+// after a backoff. A slow replica is waited on for as long as the
+// caller's deadline allows; a caller whose context ends gets a canceled
+// result, which is no replica's failure. A non-nil error means the
+// whole fleet failed the query and the caller (oracle.Stack.Verify)
+// should fall back to local verification.
 func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, opts alive.Options) (alive.Result, error) {
 	// Print each function once: the text is the wire body, its fingerprint the key.
 	srcText, tgtText := ir.CanonicalText(src), ir.CanonicalText(tgt)
@@ -207,6 +207,8 @@ func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, o
 			return res, nil
 		}
 		if ctx.Err() != nil {
+			// The caller's context ended under the attempt: what the
+			// attempt returned says nothing about the replica.
 			return alive.CanceledResult(ctx.Err()), nil
 		}
 		rep.errors.Add(1)

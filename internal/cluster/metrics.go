@@ -28,7 +28,8 @@ var mergedFamilies = []string{
 // MetricsText renders the coordinator's Prometheus section: ring and
 // health gauges, per-replica traffic counters, and — scraped live from
 // the healthy replicas under ctx — the fleet's merged
-// oracle/vcache/vstore counters and summed queue depth. Wire it into the serving layer via server.Config.ExtraMetrics.
+// oracle/vcache/vstore counters and summed queue depth. Wire it into
+// the serving layer via server.Config.ExtraMetrics.
 func (c *Coordinator) MetricsText(ctx context.Context) string {
 	fams := []metrics.Family{
 		metrics.Scalar("veriopt_cluster_replicas", "Configured worker replicas.", "gauge", metrics.Int(len(c.reps))),
