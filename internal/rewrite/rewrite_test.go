@@ -83,76 +83,77 @@ func TestSoundRulesAreSound(t *testing.T) {
 	}
 }
 
-func TestUnsoundRulesAreRejectedSomewhere(t *testing.T) {
-	// Each unsound rule must have at least one witness input where the
-	// verifier catches it.
-	witnesses := map[string]string{
-		"unsound-sdiv-as-lshr": `define i32 @f(i32 noundef %0) {
+// unsoundWitnesses holds, for each unsound rule, an input where the
+// verifier catches it.
+var unsoundWitnesses = map[string]string{
+	"unsound-sdiv-as-lshr": `define i32 @f(i32 noundef %0) {
   %2 = sdiv i32 %0, 4
   ret i32 %2
 }
 `,
-		"unsound-srem-as-and": `define i32 @f(i32 noundef %0) {
+	"unsound-srem-as-and": `define i32 @f(i32 noundef %0) {
   %2 = srem i32 %0, 8
   ret i32 %2
 }
 `,
-		"unsound-ashr-as-lshr": `define i32 @f(i32 noundef %0) {
+	"unsound-ashr-as-lshr": `define i32 @f(i32 noundef %0) {
   %2 = ashr i32 %0, 3
   ret i32 %2
 }
 `,
-		"unsound-add-flags": `define i8 @f(i8 noundef %0) {
+	"unsound-add-flags": `define i8 @f(i8 noundef %0) {
   %2 = add i8 %0, 1
   ret i8 %2
 }
 `,
-		"unsound-overflow-cmp": `define i1 @f(i32 noundef %0) {
+	"unsound-overflow-cmp": `define i1 @f(i32 noundef %0) {
   %2 = add i32 %0, 5
   %3 = icmp slt i32 %0, %2
   ret i1 %3
 }
 `,
-		"unsound-sub-commute": `define i32 @f(i32 noundef %0, i32 noundef %1) {
+	"unsound-sub-commute": `define i32 @f(i32 noundef %0, i32 noundef %1) {
   %3 = sub i32 %0, %1
   ret i32 %3
 }
 `,
-		"unsound-ext-swap": `define i64 @f(i8 noundef %0) {
+	"unsound-ext-swap": `define i64 @f(i8 noundef %0) {
   %2 = zext i8 %0 to i64
   ret i64 %2
 }
 `,
-		"unsound-drop-store": `define i32 @f(i32 noundef %0) {
+	"unsound-drop-store": `define i32 @f(i32 noundef %0) {
   %2 = alloca i32
   store i32 %0, ptr %2
   %3 = load i32, ptr %2
   ret i32 %3
 }
 `,
-		"unsound-drop-call": `declare i32 @g(i32)
+	"unsound-drop-call": `declare i32 @g(i32)
 
 define i32 @f(i32 noundef %0) {
   %2 = call i32 @g(i32 %0)
   ret i32 %2
 }
 `,
-		"unsound-off-by-one": `define i32 @f(i32 noundef %0) {
+	"unsound-off-by-one": `define i32 @f(i32 noundef %0) {
   %2 = add i32 %0, 100
   ret i32 %2
 }
 `,
-		"unsound-select-swap": `define i32 @f(i1 noundef %0, i32 noundef %1) {
+	"unsound-select-swap": `define i32 @f(i1 noundef %0, i32 noundef %1) {
   %3 = select i1 %0, i32 %1, i32 7
   ret i32 %3
 }
 `,
-	}
+}
+
+func TestUnsoundRulesAreRejectedSomewhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, r := range Unsound() {
 		r := r
 		t.Run(r.Name, func(t *testing.T) {
-			src, ok := witnesses[r.Name]
+			src, ok := unsoundWitnesses[r.Name]
 			if !ok {
 				t.Fatalf("no witness input for %s", r.Name)
 			}
@@ -251,8 +252,7 @@ func TestDiamondToSelect(t *testing.T) {
 	}
 }
 
-func TestFoldConstBranch(t *testing.T) {
-	src := `define i32 @f(i32 noundef %0) {
+const constBranchSrc = `define i32 @f(i32 noundef %0) {
 entry:
   br i1 true, label %a, label %b
 
@@ -263,7 +263,9 @@ b:
   ret i32 2
 }
 `
-	f := parse(t, src)
+
+func TestFoldConstBranch(t *testing.T) {
+	f := parse(t, constBranchSrc)
 	g := ir.CloneFunc(f)
 	if !foldConstBranch(g) {
 		t.Fatal("const branch not folded")
@@ -341,8 +343,7 @@ func TestAllRulesStableOrder(t *testing.T) {
 	}
 }
 
-func TestFoldConstSwitch(t *testing.T) {
-	src := `define i32 @f(i32 noundef %0) {
+const constSwitchSrc = `define i32 @f(i32 noundef %0) {
 entry:
   switch i32 2, label %def [ i32 1, label %a i32 2, label %b ]
 
@@ -356,7 +357,9 @@ def:
   ret i32 -1
 }
 `
-	f := parse(t, src)
+
+func TestFoldConstSwitch(t *testing.T) {
+	f := parse(t, constSwitchSrc)
 	g := ir.CloneFunc(f)
 	if !foldConstBranch(g) {
 		t.Fatal("constant switch not folded")
