@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"context"
-	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -10,13 +9,11 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
 	"veriopt/internal/policy"
-	"veriopt/internal/rewrite"
 )
 
 // forcedModel returns a policy whose greedy decode always takes the
-// named action first: a rule of the model's vocabulary, or "stop". A
-// non-empty emit replaces what that (text-level) rule writes.
-func forcedModel(t *testing.T, action, emit string) *policy.Model {
+// named action first: a rule of the model's vocabulary, or "stop".
+func forcedModel(t *testing.T, action string) *policy.Model {
 	t.Helper()
 	m := policy.New(policy.CapQwen3B, 1)
 	for a := 0; a < m.NumActions(); a++ {
@@ -24,12 +21,6 @@ func forcedModel(t *testing.T, action, emit string) *policy.Model {
 			continue
 		}
 		m.B[a] = 1e6
-		if emit != "" {
-			r := *m.Rules[a]
-			r.ApplyText = func(string, *rand.Rand) string { return emit }
-			m.Rules = append([]*rewrite.Rule(nil), m.Rules...)
-			m.Rules[a] = &r
-		}
 		return m
 	}
 	t.Fatalf("no action %q", action)
@@ -56,7 +47,7 @@ func TestAcceptIsTheDeploymentRule(t *testing.T) {
 	}{
 		{"caller's candidate", nil, mustParse(t, tgtText)},
 		{"instcombine", nil, nil},
-		{"model decode", forcedModel(t, "stop", ""), nil},
+		{"model decode", forcedModel(t, "stop"), nil},
 	}
 	for _, src := range sources {
 		for _, want := range verdicts {
@@ -90,21 +81,20 @@ func TestAcceptIsTheDeploymentRule(t *testing.T) {
 // into structurally invalid IR, is a syntax_error carrying
 // alive.Candidate's diagnostic, keeps the input, and costs no query.
 func TestAcceptGatesModelOutput(t *testing.T) {
-	in := mustParse(t, srcText)
-	// Parses, but uses %3 before its definition.
-	const useBeforeDef = `define i32 @f(i32 noundef %0) {
-  %2 = add i32 %0, %3
-  %3 = add i32 %0, 1
-  ret i32 %2
-}
-`
-	for _, tc := range []struct{ name, emit, diag string }{
-		{"unparsable", "", alive.DiagParsePrefix + `line 2: unknown instruction "faddq"`},
-		{"invalid", useBeforeDef, alive.DiagInvalidPrefix},
+	// With no "= add i32" to damage, corrupt-type-mismatch rewrites the
+	// return type: the text parses, and returns an i32 from an i31
+	// function.
+	const mulText = `define i32 @f(i32 noundef %x) {
+  %r = mul i32 %x, 1
+  ret i32 %r
+}`
+	for _, tc := range []struct{ name, src, action, diag string }{
+		{"unparsable", srcText, "corrupt-bad-mnemonic", alive.DiagParsePrefix + `line 2: unknown instruction "faddq"`},
+		{"invalid", mulText, "corrupt-type-mismatch", alive.DiagInvalidPrefix},
 	} {
 		var queries atomic.Int64
-		model := forcedModel(t, "corrupt-bad-mnemonic", tc.emit)
-		out, res := Accept(bg, countingBase(&queries), model, in, nil, alive.DefaultOptions())
+		in := mustParse(t, tc.src)
+		out, res := Accept(bg, countingBase(&queries), forcedModel(t, tc.action), in, nil, alive.DefaultOptions())
 		if out != in {
 			t.Errorf("%s: out is not the input pointer", tc.name)
 		}

@@ -121,8 +121,7 @@ func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask m
 	}
 	for t := 0; t < m.Cap.MaxSteps; t++ {
 		stepFrac := float64(t) / float64(m.Cap.MaxSteps)
-		cands := m.Candidates(work, mask)
-		wf := m.WorkFeature(work)
+		cands, wf := m.Available(work, mask)
 		pick := m.Choose(cands, stepFrac, wf, h, opts.Temperature, rng)
 		acts = append(acts, ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf, Chosen: pick})
 		a := cands[pick]
@@ -142,36 +141,28 @@ func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask m
 	return ir.CanonicalText(work), acts, false
 }
 
-// Candidates lists the available actions on f: every applicable rule
-// not in mask (corruptions always apply), STOP, and format-break.
-func (m *Model) Candidates(f *ir.Function, mask map[string]bool) []int {
-	var cands []int
+// Available asks each rule once whether it applies to f and answers
+// both things a step needs: the available actions — every applicable
+// rule not in mask (corruptions always apply), STOP, and format-break —
+// and the work feature, how much real (non-cosmetic) sound rewriting
+// remains on f, masked or not, saturating at 1.
+func (m *Model) Available(f *ir.Function, mask map[string]bool) (cands []int, work float64) {
+	n := 0
 	for i, r := range m.Rules {
-		if mask != nil && mask[r.Name] {
+		masked := mask != nil && mask[r.Name]
+		real := r.Kind == rewrite.KindSound && r.Name != "cosmetic-reorder"
+		if masked && !real || !r.Applicable(f) {
 			continue
 		}
-		if r.Kind == rewrite.KindCorrupt || r.Applicable(f) {
+		if !masked {
 			cands = append(cands, i)
 		}
-	}
-	cands = append(cands, m.ActStop(), m.ActFormatBreak())
-	return cands
-}
-
-// WorkFeature measures how much real (non-cosmetic) sound rewriting
-// remains available on f, saturating at 1.
-func (m *Model) WorkFeature(f *ir.Function) float64 {
-	n := 0
-	for _, r := range m.Rules {
-		if r.Kind == rewrite.KindSound && r.Name != "cosmetic-reorder" && r.Applicable(f) {
+		if real {
 			n++
 		}
 	}
-	v := float64(n) / 2
-	if v > 1 {
-		v = 1
-	}
-	return v
+	cands = append(cands, m.ActStop(), m.ActFormatBreak())
+	return cands, min(float64(n)/2, 1)
 }
 
 func (m *Model) selfCorrectEnabled() bool {

@@ -6,72 +6,44 @@ import (
 	"veriopt/internal/ir"
 )
 
-// Extra returns the sound rules beyond instcombine's scope — the
-// simplifycfg- and mem2reg-flavoured transformations whose discovery
-// the paper attributes to reinforcement learning (Fig. 10: "emergent
-// learning of simplifycfg-style behavior").
+// The sound rules beyond instcombine's scope — the simplifycfg- and
+// mem2reg-flavoured transformations whose discovery the paper
+// attributes to reinforcement learning (Fig. 10: "emergent learning of
+// simplifycfg-style behavior"). They ignore their RNG. The exported
+// four are the ones seqopt's registry lifts into passes.
+var (
+	FoldConstBranch   = matchRule("extra-fold-const-branch", KindExtra, findConstBranch, foldConstBranch)
+	MergeBlocks       = matchRule("extra-merge-blocks", KindExtra, findMergePair, mergeBlocks)
+	DiamondToSelect   = matchRule("extra-diamond-to-select", KindExtra, findDiamond, diamondToSelect)
+	promoteAllocaRule = matchRule("extra-promote-alloca", KindExtra, findPromotable, promoteAlloca)
+	Mem2Reg           = matchRule("extra-mem2reg", KindExtra, promotableAllocas, mem2reg)
+)
+
+// Extra returns them in their stable order.
 func Extra() []*Rule {
-	return []*Rule{
-		{
-			Name: "extra-fold-const-branch", Kind: KindExtra,
-			Applicable: func(f *ir.Function) bool { return findConstBranch(f) != nil },
-			Apply: func(f *ir.Function, _ *rand.Rand) bool {
-				return foldConstBranch(f)
-			},
-		},
-		{
-			Name: "extra-merge-blocks", Kind: KindExtra,
-			Applicable: func(f *ir.Function) bool { return canMergeAny(f) },
-			Apply: func(f *ir.Function, _ *rand.Rand) bool {
-				return mergeBlocks(f)
-			},
-		},
-		{
-			Name: "extra-diamond-to-select", Kind: KindExtra,
-			Applicable: func(f *ir.Function) bool { return findDiamond(f) != nil },
-			Apply: func(f *ir.Function, _ *rand.Rand) bool {
-				return diamondToSelect(f)
-			},
-		},
-		{
-			Name: "extra-promote-alloca", Kind: KindExtra,
-			Applicable: func(f *ir.Function) bool { return findPromotable(f) != nil },
-			Apply: func(f *ir.Function, _ *rand.Rand) bool {
-				return promoteAlloca(f)
-			},
-		},
-		{
-			Name: "extra-mem2reg", Kind: KindExtra,
-			Applicable: func(f *ir.Function) bool { return len(promotableAllocas(f)) > 0 },
-			Apply: func(f *ir.Function, _ *rand.Rand) bool {
-				return mem2reg(f)
-			},
-		},
-	}
+	return []*Rule{FoldConstBranch, MergeBlocks, DiamondToSelect, promoteAllocaRule, Mem2Reg}
 }
 
-func findConstBranch(f *ir.Function) *ir.Instr {
+// findConstBranch locates the first terminator that branches or
+// switches on a constant.
+func findConstBranch(f *ir.Function) (*ir.Instr, bool) {
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || (t.Op != ir.OpCondBr && t.Op != ir.OpSwitch) {
 			continue
 		}
 		if _, ok := t.Args[0].(*ir.Const); ok {
-			return t
+			return t, true
 		}
 	}
-	return nil
+	return nil, false
 }
 
 // foldConstBranch rewrites `br i1 const, A, B` (or a switch on a
 // constant) into an unconditional branch, fixes phis in the
 // no-longer-reached successors, and prunes blocks that become
 // unreachable.
-func foldConstBranch(f *ir.Function) bool {
-	t := findConstBranch(f)
-	if t == nil {
-		return false
-	}
+func foldConstBranch(f *ir.Function, t *ir.Instr, _ *rand.Rand) bool {
 	c := t.Args[0].(*ir.Const)
 	from := t.Parent
 	var taken *ir.Block
@@ -154,16 +126,15 @@ func pruneUnreachable(f *ir.Function) bool {
 	return true
 }
 
-func canMergeAny(f *ir.Function) bool {
-	_, _, ok := findMergePair(f)
-	return ok
-}
+// mergePair is a block that ends in an unconditional br and the
+// successor to splice into it.
+type mergePair struct{ b, c *ir.Block }
 
 // findMergePair locates (b, c) where b ends in an unconditional br to
 // c, c has exactly one predecessor, and c is not the entry.
-func findMergePair(f *ir.Function) (*ir.Block, *ir.Block, bool) {
+func findMergePair(f *ir.Function) (mergePair, bool) {
 	if len(f.Blocks) < 2 {
-		return nil, nil, false
+		return mergePair{}, false
 	}
 	cfg := ir.NewCFG(f)
 	for _, b := range f.Blocks {
@@ -175,18 +146,15 @@ func findMergePair(f *ir.Function) (*ir.Block, *ir.Block, bool) {
 		if c == f.Entry() || c == b || len(cfg.Preds(cfg.Index(c))) != 1 {
 			continue
 		}
-		return b, c, true
+		return mergePair{b, c}, true
 	}
-	return nil, nil, false
+	return mergePair{}, false
 }
 
 // mergeBlocks splices a single-predecessor successor into its
 // predecessor.
-func mergeBlocks(f *ir.Function) bool {
-	b, c, ok := findMergePair(f)
-	if !ok {
-		return false
-	}
+func mergeBlocks(f *ir.Function, p mergePair, _ *rand.Rand) bool {
+	b, c := p.b, p.c
 	// Collapse c's phis (single incoming from b).
 	for _, in := range c.Phis() {
 		if len(in.Incs) != 1 {
@@ -235,9 +203,9 @@ type diamond struct {
 // findDiamond locates a two-armed region whose arms are empty or
 // contain only speculatable instructions and that joins in a block
 // starting with phis.
-func findDiamond(f *ir.Function) *diamond {
+func findDiamond(f *ir.Function) (diamond, bool) {
 	if len(f.Blocks) < 2 {
-		return nil
+		return diamond{}, false
 	}
 	cfg := ir.NewCFG(f)
 	for _, h := range f.Blocks {
@@ -259,9 +227,9 @@ func findDiamond(f *ir.Function) *diamond {
 		if lb != nil && !speculatable(lb) {
 			continue
 		}
-		return &diamond{head: h, left: la, right: lb, join: join}
+		return diamond{head: h, left: la, right: lb, join: join}, true
 	}
-	return nil
+	return diamond{}, false
 }
 
 // diamondJoin decides whether a and b converge immediately into a
@@ -317,11 +285,7 @@ func speculatable(b *ir.Block) bool {
 // diamondToSelect hoists both arms into the head and replaces the
 // join's phis with selects — the simplifycfg transformation of the
 // paper's Fig. 10.
-func diamondToSelect(f *ir.Function) bool {
-	d := findDiamond(f)
-	if d == nil {
-		return false
-	}
+func diamondToSelect(f *ir.Function, d diamond, _ *rand.Rand) bool {
 	t := d.head.Term()
 	cond := t.Args[0]
 
@@ -373,14 +337,20 @@ func diamondToSelect(f *ir.Function) bool {
 	t.Args = nil
 	t.Succs = []*ir.Block{d.join}
 	pruneUnreachable(f)
-	mergeBlocks(f)
+	MergeBlocks.Apply(f, nil)
 	return true
+}
+
+// promotion is an alloca, its one store and its loads, in layout order.
+type promotion struct {
+	alloca, store *ir.Instr
+	loads         []*ir.Instr
 }
 
 // findPromotable locates a non-escaping alloca with exactly one store
 // whose block dominates every load (and precedes them within its own
 // block).
-func findPromotable(f *ir.Function) *ir.Instr {
+func findPromotable(f *ir.Function) (promotion, bool) {
 	type info struct {
 		stores []*ir.Instr
 		loads  []*ir.Instr
@@ -447,41 +417,20 @@ func findPromotable(f *ir.Function) *ir.Instr {
 			}
 		}
 		if ok {
-			return a
+			return promotion{alloca: a, store: st, loads: inf.loads}, true
 		}
 	}
-	return nil
+	return promotion{}, false
 }
 
 // promoteAlloca replaces every load of a single-store dominating
 // alloca with the stored value, then deletes the store and alloca.
-func promoteAlloca(f *ir.Function) bool {
-	a := findPromotable(f)
-	if a == nil {
-		return false
-	}
-	var store *ir.Instr
-	var loads []*ir.Instr
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		switch in.Op {
-		case ir.OpStore:
-			if in.Args[1] == ir.Value(a) {
-				store = in
-			}
-		case ir.OpLoad:
-			if in.Args[0] == ir.Value(a) {
-				loads = append(loads, in)
-			}
-		}
-	})
-	if store == nil {
-		return false
-	}
-	for _, ld := range loads {
-		ir.ReplaceAllUses(f, ld, store.Args[0])
+func promoteAlloca(f *ir.Function, p promotion, _ *rand.Rand) bool {
+	for _, ld := range p.loads {
+		ir.ReplaceAllUses(f, ld, p.store.Args[0])
 		ir.RemoveInstr(ld)
 	}
-	ir.RemoveInstr(store)
-	ir.RemoveInstr(a)
+	ir.RemoveInstr(p.store)
+	ir.RemoveInstr(p.alloca)
 	return true
 }

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"math/rand"
 
 	"veriopt/internal/ir"
 )
@@ -17,10 +18,7 @@ import (
 // verifies, so the rule is safe to expose as a policy action and false
 // leaves f untouched, every instruction where it was: seqopt's search
 // goes on offering the same function to its next pass.
-func mem2reg(f *ir.Function) bool {
-	if len(promotableAllocas(f)) == 0 {
-		return false
-	}
+func mem2reg(f *ir.Function, _ []*ir.Instr, _ *rand.Rand) bool {
 	g := ir.CloneFunc(f)
 	p := &promoter{
 		f:       g,
@@ -28,7 +26,8 @@ func mem2reg(f *ir.Function) bool {
 		blockIn: map[promKey]ir.Value{},
 		nextID:  0,
 	}
-	p.run(promotableAllocas(g))
+	allocas, _ := promotableAllocas(g) // the match is f's allocas; these are the copy's
+	p.run(allocas)
 	if err := ir.VerifyFunc(g); err != nil {
 		return false
 	}
@@ -57,7 +56,7 @@ type promoter struct {
 // promotableAllocas finds non-escaping allocas whose loads and stores
 // all agree with the allocated element type and that are loaded at
 // least once.
-func promotableAllocas(f *ir.Function) []*ir.Instr {
+func promotableAllocas(f *ir.Function) ([]*ir.Instr, bool) {
 	type usage struct {
 		loads, stores int
 		consistent    bool
@@ -123,7 +122,7 @@ func promotableAllocas(f *ir.Function) []*ir.Instr {
 			out = append(out, in)
 		}
 	})
-	return out
+	return out, len(out) > 0
 }
 
 func (p *promoter) run(allocas []*ir.Instr) {

@@ -267,7 +267,7 @@ b:
 func TestFoldConstBranch(t *testing.T) {
 	f := parse(t, constBranchSrc)
 	g := ir.CloneFunc(f)
-	if !foldConstBranch(g) {
+	if !FoldConstBranch.Apply(g, nil) {
 		t.Fatal("const branch not folded")
 	}
 	if err := ir.VerifyFunc(g); err != nil {
@@ -302,7 +302,7 @@ b:
 `
 	f := parse(t, src)
 	g := ir.CloneFunc(f)
-	if !promoteAlloca(g) {
+	if !promoteAllocaRule.Apply(g, nil) {
 		t.Fatal("alloca not promoted")
 	}
 	if err := ir.VerifyFunc(g); err != nil {
@@ -334,10 +334,10 @@ func TestAllRulesStableOrder(t *testing.T) {
 			t.Errorf("duplicate rule name %s", r.Name)
 		}
 		seen[r.Name] = true
-		if r.Kind == KindCorrupt && r.ApplyText == nil {
+		if r.Kind == KindCorrupt && r.damage == nil {
 			t.Errorf("corrupt rule %s lacks ApplyText", r.Name)
 		}
-		if r.Kind != KindCorrupt && r.Apply == nil {
+		if r.Kind != KindCorrupt && r.apply == nil {
 			t.Errorf("rule %s lacks Apply", r.Name)
 		}
 	}
@@ -361,7 +361,7 @@ def:
 func TestFoldConstSwitch(t *testing.T) {
 	f := parse(t, constSwitchSrc)
 	g := ir.CloneFunc(f)
-	if !foldConstBranch(g) {
+	if !FoldConstBranch.Apply(g, nil) {
 		t.Fatal("constant switch not folded")
 	}
 	if err := ir.VerifyFunc(g); err != nil {
@@ -384,9 +384,9 @@ func TestFoldConstSwitch(t *testing.T) {
 func TestReadOnlyAnalysesShareOneFunction(t *testing.T) {
 	f := parse(t, diamondSrc)
 	key := ir.CanonicalKey(f)
-	mb, mc, mok := findMergePair(f)
-	d := findDiamond(f)
-	if d == nil {
+	mp, mok := findMergePair(f)
+	d, dok := findDiamond(f)
+	if !dok {
 		t.Fatal("diamond not detected")
 	}
 	var wg sync.WaitGroup
@@ -401,10 +401,10 @@ func TestReadOnlyAnalysesShareOneFunction(t *testing.T) {
 				if got := ir.CanonicalKey(f); got != key {
 					t.Errorf("CanonicalKey = %q, want %q", got, key)
 				}
-				if b, c, ok := findMergePair(f); b != mb || c != mc || ok != mok {
-					t.Errorf("findMergePair = %v, %v, %v", b, c, ok)
+				if p, ok := findMergePair(f); p != mp || ok != mok {
+					t.Errorf("findMergePair = %v, %v", p, ok)
 				}
-				if got := findDiamond(f); got == nil || *got != *d {
+				if got, ok := findDiamond(f); !ok || got != d {
 					t.Errorf("findDiamond = %v, want %v", got, d)
 				}
 			}

@@ -111,20 +111,11 @@ func instcombinePass() *Pass {
 	return p
 }
 
-// extraPass lifts one of internal/rewrite's sound beyond-instcombine
-// rules (simplifycfg/mem2reg-flavoured) into a fixpoint Pass. The
-// Extra rules ignore their RNG parameter, so the lift stays
-// deterministic.
-func extraPass(name, ruleName string) *Pass {
-	for _, r := range rewrite.Extra() {
-		if r.Name == ruleName {
-			rule := r
-			return fixpointPass(name, func(f *ir.Function) bool {
-				return rule.Apply(f, nil)
-			})
-		}
-	}
-	panic("seqopt: unknown rewrite rule " + ruleName)
+// rulePass lifts one of internal/rewrite's sound beyond-instcombine
+// rules (simplifycfg/mem2reg-flavoured) into a fixpoint Pass. Those
+// rules ignore their RNG parameter, so the lift stays deterministic.
+func rulePass(name string, rule *rewrite.Rule) *Pass {
+	return fixpointPass(name, func(f *ir.Function) bool { return rule.Apply(f, nil) })
 }
 
 // registry holds the passes, built once per process: they are
@@ -135,10 +126,10 @@ var registry = sync.OnceValue(func() []*Pass {
 		fixpointPass("forward-loads", instcombine.ForwardLoadsStep),
 		fixpointPass("drop-dead-allocas", instcombine.RemoveDeadAllocasStep),
 		instcombinePass(),
-		extraPass("mem2reg", "extra-mem2reg"),
-		extraPass("fold-branches", "extra-fold-const-branch"),
-		extraPass("merge-blocks", "extra-merge-blocks"),
-		extraPass("if-to-select", "extra-diamond-to-select"),
+		rulePass("mem2reg", rewrite.Mem2Reg),
+		rulePass("fold-branches", rewrite.FoldConstBranch),
+		rulePass("merge-blocks", rewrite.MergeBlocks),
+		rulePass("if-to-select", rewrite.DiamondToSelect),
 	}
 })
 

@@ -38,8 +38,7 @@ func teacherTrajectory(m *policy.Model, input *ir.Function) ([]policy.ActionReco
 	var recs []policy.ActionRecord
 	for t := 0; t < m.Cap.MaxSteps; t++ {
 		stepFrac := float64(t) / float64(m.Cap.MaxSteps)
-		cands := m.Candidates(work, nil)
-		wf := m.WorkFeature(work)
+		cands, wf := m.Available(work, nil)
 		// Teacher: the first applicable *real* sound rule (the cosmetic
 		// reorder optimizes nothing and is not taught), else STOP.
 		choice := -1
