@@ -7,6 +7,7 @@
 package veriopt
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -134,7 +135,7 @@ func BenchmarkGreedyInferenceWithVerification(b *testing.B) {
 	vo := pipeline.EvalOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := pipeline.Evaluate(res.Latency, val, false, vo)
+		rep, _ := pipeline.EvaluateCtx(context.Background(), res.Latency, val, false, pipeline.EvalConfig{Verify: vo})
 		if rep.Total() != len(val) {
 			b.Fatal("evaluation lost samples")
 		}
@@ -165,7 +166,7 @@ func benchEvalWorkers(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
 		st.Engine.Reset()
 		for _, m := range models {
-			rep := pipeline.EvaluateWith(m, val, false, cfg)
+			rep, _ := pipeline.EvaluateCtx(context.Background(), m, val, false, cfg)
 			if rep.Total() != len(val) {
 				b.Fatal("evaluation lost samples")
 			}
@@ -202,7 +203,7 @@ func benchTrainerStep(b *testing.B, workers int) {
 	tr.Oracle = oracle.NewStack(oracle.Config{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Step()
+		tr.StepCtx(context.Background())
 	}
 }
 

@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
 
 	"veriopt/internal/dataset"
 	"veriopt/internal/pipeline"
+	"veriopt/internal/policy"
 )
 
 func main() {
@@ -31,20 +33,30 @@ func main() {
 	cfg.Stage2Steps = 60
 	cfg.Stage3Steps = 40
 	t0 = time.Now()
-	res := pipeline.Run(train, cfg)
+	ctx := context.Background()
+	res, err := pipeline.RunCtx(ctx, train, cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("curriculum trained in %v (harvested %d diagnostic-augmented samples, UMax %.1f)\n\n",
 		time.Since(t0).Round(time.Second), len(res.Failures), res.UMax)
 
-	vo := pipeline.EvalOptions()
+	evaluate := func(m *policy.Model, augmented bool) *pipeline.Report {
+		rep, err := pipeline.EvaluateCtx(ctx, m, val, augmented, pipeline.EvalConfig{Verify: pipeline.EvalOptions()})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return rep
+	}
 	stages := []struct {
 		name string
 		rep  *pipeline.Report
 	}{
-		{"base (untrained)", pipeline.Evaluate(res.Base, val, false, vo)},
-		{"model zero", pipeline.Evaluate(res.ModelZero, val, false, vo)},
-		{"warm-up", pipeline.Evaluate(res.WarmUp, val, true, vo)},
-		{"model-correctness", pipeline.Evaluate(res.Correctness, val, true, vo)},
-		{"model-latency", pipeline.Evaluate(res.Latency, val, false, vo)},
+		{"base (untrained)", evaluate(res.Base, false)},
+		{"model zero", evaluate(res.ModelZero, false)},
+		{"warm-up", evaluate(res.WarmUp, true)},
+		{"model-correctness", evaluate(res.Correctness, true)},
+		{"model-latency", evaluate(res.Latency, false)},
 	}
 	fmt.Printf("%-18s %9s %14s %9s\n", "stage", "correct%", "diff-correct%", "speedup")
 	for _, s := range stages {

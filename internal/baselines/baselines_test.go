@@ -1,12 +1,21 @@
 package baselines
 
 import (
+	"context"
 	"testing"
 
+	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
 	"veriopt/internal/pipeline"
 	"veriopt/internal/policy"
 )
+
+// evaluate is pipeline.EvaluateCtx under a context that never ends,
+// where the only error is nil.
+func evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool, vo alive.Options) *pipeline.Report {
+	rep, _ := pipeline.EvaluateCtx(context.Background(), m, samples, augmented, pipeline.EvalConfig{Verify: vo})
+	return rep
+}
 
 func TestSuiteOrderAndNames(t *testing.T) {
 	samples, err := dataset.Generate(dataset.Config{Seed: 4, N: 20})
@@ -44,9 +53,9 @@ func TestSFTBaselineBeatsUntrained(t *testing.T) {
 	}
 	vo := pipeline.EvalOptions()
 	base := policy.New(policy.CapQwen3B, 9)
-	baseRep := pipeline.Evaluate(base, val, false, vo)
+	baseRep := evaluate(base, val, false, vo)
 	sftB := SFT(policy.CapQwen3B, 3, train, 9)
-	sftRep := pipeline.Evaluate(sftB.Model, val, false, vo)
+	sftRep := evaluate(sftB.Model, val, false, vo)
 	if sftRep.DifferentCorrectFrac() <= baseRep.DifferentCorrectFrac() {
 		t.Errorf("SFT (%.2f) did not beat untrained (%.2f) on different-correct",
 			sftRep.DifferentCorrectFrac(), baseRep.DifferentCorrectFrac())
@@ -59,7 +68,7 @@ func TestLLMCompilerProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := LLMCompiler(3)
-	rep := pipeline.Evaluate(b.Model, samples, false, pipeline.EvalOptions())
+	rep := evaluate(b.Model, samples, false, pipeline.EvalOptions())
 	// The LLM-Compiler analogue compiles nearly always (the paper
 	// reports 95.6%) ...
 	synFrac := float64(rep.Syntax) / float64(rep.Total())
@@ -90,8 +99,8 @@ func TestScaleImprovesQuality(t *testing.T) {
 	vo := pipeline.EvalOptions()
 	small := SFT(policy.CapQwen05B, 0.5, train, 7)
 	big := SFT(policy.CapQwen32B, 32, train, 7)
-	smallRep := pipeline.Evaluate(small.Model, val, false, vo)
-	bigRep := pipeline.Evaluate(big.Model, val, false, vo)
+	smallRep := evaluate(small.Model, val, false, vo)
+	bigRep := evaluate(big.Model, val, false, vo)
 	if bigRep.CorrectFrac() < smallRep.CorrectFrac()-0.05 {
 		t.Errorf("32B analogue (%.2f) below 0.5B analogue (%.2f) on correctness",
 			bigRep.CorrectFrac(), smallRep.CorrectFrac())

@@ -23,7 +23,7 @@ func trainSteps(t *testing.T, samples []*dataset.Sample, workers, steps int) *Tr
 	tr := NewTrainer(m, samples, cfg, 21)
 	tr.Oracle = oracle.NewStack(oracle.Config{})
 	tr.CollectFailures = true
-	tr.Train(steps)
+	trainBg(tr.TrainCtx, steps)
 	return tr
 }
 
@@ -129,7 +129,7 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 	// The cursor rewound: the resumed first step replays the same batch
 	// as an uncanceled run's first step.
 	tr.Oracle = oracle.NewStack(oracle.Config{})
-	resumed := tr.Step()
+	resumed := stepBg(tr.StepCtx)
 	fresh := trainSteps(t, samples, 1, 1)
 	if resumed.MeanReward != fresh.RewardHistory[0] {
 		t.Fatalf("resumed step diverged: %v vs %v", resumed.MeanReward, fresh.RewardHistory[0])
@@ -156,7 +156,7 @@ func TestTrainCtxStopsEarly(t *testing.T) {
 func TestStepEmptyDataNoPanic(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 3)
 	tr := NewTrainer(m, nil, DefaultConfig(), 1)
-	stats := tr.Step()
+	stats := stepBg(tr.StepCtx)
 	if stats.Episodes != 0 {
 		t.Fatalf("episodes = %d, want 0", stats.Episodes)
 	}

@@ -76,7 +76,7 @@ func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
 	tr.Oracle = oracle.NewStack(oracle.Config{})
 	tr.CollectFailures = mode == ModeCorrectness
 	var norms []float64
-	for _, st := range tr.Train(goldenSteps) {
+	for _, st := range trainBg(tr.TrainCtx, goldenSteps) {
 		norms = append(norms, st.GradNorm)
 	}
 	vecs := [][]float64{m.B, m.S, m.P}
@@ -99,7 +99,7 @@ func seqTrajectory(t *testing.T, workers int) trajectory {
 	tr := NewSeqTrainer(m, seqCorpus(t, 24), cfg, 23)
 	tr.Oracle = oracle.NewStack(oracle.Config{})
 	var norms []float64
-	for _, st := range tr.Train(goldenSteps) {
+	for _, st := range trainBg(tr.TrainCtx, goldenSteps) {
 		norms = append(norms, st.GradNorm)
 	}
 	vecs := [][]float64{m.B, m.S}
@@ -200,7 +200,7 @@ func TestSnapshotGoldenRoundTrips(t *testing.T) {
 	}
 	if *updateGolden {
 		tr := mk()
-		tr.Train(3)
+		trainBg(tr.TrainCtx, 3)
 		if err := os.WriteFile(path, snapshotBytes(tr), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -221,9 +221,9 @@ func TestSnapshotGoldenRoundTrips(t *testing.T) {
 	if got := snapshotBytes(resumed); !bytes.Equal(got, want) {
 		t.Errorf("snapshot does not round-trip:\n got %s\nwant %s", got, want)
 	}
-	resumed.Train(3)
+	trainBg(resumed.TrainCtx, 3)
 	straight := mk()
-	straight.Train(6)
+	trainBg(straight.TrainCtx, 6)
 	if !bytes.Equal(modelBytes(t, straight.Model), modelBytes(t, resumed.Model)) {
 		t.Error("run resumed from the golden snapshot left the uninterrupted trajectory")
 	}

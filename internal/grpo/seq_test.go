@@ -25,7 +25,7 @@ func TestSeqTrainerLearns(t *testing.T) {
 	data := seqCorpus(t, 40)
 	m := seqopt.NewModel(3)
 	tr := NewSeqTrainer(m, data, DefaultSeqConfig(), 11)
-	stats := tr.Train(30)
+	stats := trainBg(tr.TrainCtx, 30)
 	if len(tr.RewardHistory) != 30 {
 		t.Fatalf("reward history has %d entries, want 30", len(tr.RewardHistory))
 	}
@@ -62,7 +62,7 @@ func TestSeqTrainerWorkerIndependence(t *testing.T) {
 		cfg := DefaultSeqConfig()
 		cfg.Workers = workers
 		tr := NewSeqTrainer(seqopt.NewModel(5), data, cfg, 23)
-		tr.Train(8)
+		trainBg(tr.TrainCtx, 8)
 		return tr
 	}
 	a, b := run(1), run(4)
@@ -120,7 +120,7 @@ func TestSeqTrainerCancellation(t *testing.T) {
 // the text trainer stay safe here too.
 func TestSeqTrainerEmptyCorpus(t *testing.T) {
 	tr := NewSeqTrainer(seqopt.NewModel(1), nil, DefaultSeqConfig(), 1)
-	st := tr.Step()
+	st := stepBg(tr.StepCtx)
 	if st.Episodes != 0 {
 		t.Fatal("empty corpus produced episodes")
 	}

@@ -94,12 +94,6 @@ type seqScore struct {
 	improved bool
 }
 
-// Step performs one GRPO update; see StepCtx.
-func (tr *SeqTrainer) Step() SeqStepStats {
-	stats, _ := tr.StepCtx(context.Background())
-	return stats
-}
-
 // StepCtx performs one GRPO update over a BatchInputs × GroupSize
 // grid of sequence rollouts; determinism and cancellation are grid's.
 func (tr *SeqTrainer) StepCtx(ctx context.Context) (SeqStepStats, error) {
@@ -159,12 +153,6 @@ func (tr *SeqTrainer) StepCtx(ctx context.Context) (SeqStepStats, error) {
 	}
 	stats.GradNorm = m.ClipStep(g, nil, nil, cfg.LR, cfg.ClipNorm, m.MaxBias)
 	return stats, nil
-}
-
-// Train runs n steps, returning the per-step stats.
-func (tr *SeqTrainer) Train(n int) []SeqStepStats {
-	out, _ := tr.TrainCtx(context.Background(), n)
-	return out
 }
 
 // TrainCtx runs up to n steps under ctx; cancellation semantics match

@@ -36,10 +36,10 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 
 	straight := mkTrainer()
-	straight.Train(6)
+	trainBg(straight.TrainCtx, 6)
 
 	first := mkTrainer()
-	first.Train(3)
+	trainBg(first.TrainCtx, 3)
 	st, err := first.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	if err := resumed.Restore(&st2); err != nil {
 		t.Fatal(err)
 	}
-	resumed.Train(3)
+	trainBg(resumed.TrainCtx, 3)
 
 	if !bytes.Equal(modelBytes(t, straight.Model), modelBytes(t, resumed.Model)) {
 		t.Fatal("resumed model bytes differ from uninterrupted run")

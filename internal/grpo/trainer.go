@@ -139,19 +139,13 @@ type episodeScore struct {
 	rAttempt float64
 }
 
-// Step performs one GRPO update: sample a batch of inputs, roll out G
+// StepCtx performs one GRPO update: sample a batch of inputs, roll out G
 // completions each in parallel across Cfg.Workers goroutines, verify
 // through the oracle, compute group-relative advantages, and apply a
 // single clipped gradient-ascent update. The update is bit-identical
-// at any worker count.
-func (tr *Trainer) Step() StepStats {
-	stats, _ := tr.StepCtx(context.Background())
-	return stats
-}
-
-// StepCtx is Step under a cancelable context. When ctx ends
-// mid-rollout the step aborts promptly with NO model update and the
-// input cursor rewound (see grid).
+// at any worker count. When ctx ends mid-rollout the step aborts
+// promptly with NO model update and the input cursor rewound (see
+// grid).
 func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 	m := tr.Model
 	cfg := tr.Cfg
@@ -296,12 +290,6 @@ func usedRules(m *policy.Model, ep *policy.Episode) []string {
 			out = append(out, m.Rules[a].Name)
 		}
 	}
-	return out
-}
-
-// Train runs n steps, returning the per-step stats.
-func (tr *Trainer) Train(n int) []StepStats {
-	out, _ := tr.TrainCtx(context.Background(), n)
 	return out
 }
 

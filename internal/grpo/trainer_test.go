@@ -20,6 +20,18 @@ func corpus(t *testing.T, n int) []*dataset.Sample {
 	return samples
 }
 
+// stepBg and trainBg run a trainer's StepCtx and TrainCtx under a
+// context that never ends, where the only error is nil.
+func stepBg[S any](stepCtx func(context.Context) (S, error)) S {
+	stats, _ := stepCtx(context.Background())
+	return stats
+}
+
+func trainBg[S any](trainCtx func(context.Context, int) ([]S, error), n int) []S {
+	stats, _ := trainCtx(context.Background(), n)
+	return stats
+}
+
 // judge is JudgeWith on the shared default stack.
 func judge(ep *policy.Episode, s *dataset.Sample, opts alive.Options) *Judgment {
 	return JudgeWith(context.Background(), nil, ep, s, opts)
@@ -169,10 +181,10 @@ func TestTrainingImprovesVerifiedFraction(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 3)
 	cfg := DefaultConfig()
 	tr := NewTrainer(m, samples, cfg, 11)
-	first := tr.Step()
+	first := stepBg(tr.StepCtx)
 	var last StepStats
 	for i := 0; i < 14; i++ {
-		last = tr.Step()
+		last = stepBg(tr.StepCtx)
 	}
 	if last.MeanReward <= first.MeanReward {
 		t.Errorf("mean reward did not improve: %v -> %v", first.MeanReward, last.MeanReward)
@@ -187,7 +199,7 @@ func TestFailureCollection(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 3)
 	tr := NewTrainer(m, samples, DefaultConfig(), 12)
 	tr.CollectFailures = true
-	tr.Train(3)
+	trainBg(tr.TrainCtx, 3)
 	if len(tr.Failures) == 0 {
 		t.Fatal("no failures harvested from the untrained model")
 	}
@@ -208,7 +220,7 @@ func TestGradClipBoundsUpdate(t *testing.T) {
 	cfg.ClipNorm = 0.001 // practically freeze the model
 	before := append([]float64(nil), m.B...)
 	tr := NewTrainer(m, samples, cfg, 13)
-	tr.Train(2)
+	trainBg(tr.TrainCtx, 2)
 	maxDelta := 0.0
 	for a := range m.B {
 		d := math.Abs(m.B[a] - before[a])

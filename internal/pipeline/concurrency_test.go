@@ -21,8 +21,8 @@ import (
 func TestEvaluateIdenticalAcrossWorkers(t *testing.T) {
 	res, val := smallRun(t)
 	vo := EvalOptions()
-	r1 := EvaluateWith(res.Latency, val, false, EvalConfig{Verify: vo, Workers: 1, Oracle: oracle.NewStack(oracle.Config{})})
-	r4 := EvaluateWith(res.Latency, val, false, EvalConfig{Verify: vo, Workers: 4, Oracle: oracle.NewStack(oracle.Config{})})
+	r1 := evaluate(res.Latency, val, false, EvalConfig{Verify: vo, Workers: 1, Oracle: oracle.NewStack(oracle.Config{})})
+	r4 := evaluate(res.Latency, val, false, EvalConfig{Verify: vo, Workers: 4, Oracle: oracle.NewStack(oracle.Config{})})
 
 	if r1.Correct != r4.Correct || r1.Copies != r4.Copies || r1.Semantic != r4.Semantic ||
 		r1.Syntax != r4.Syntax || r1.Inconclusive != r4.Inconclusive {
@@ -43,9 +43,9 @@ func TestEvaluateCacheSharing(t *testing.T) {
 	res, val := smallRun(t)
 	st := oracle.NewStack(oracle.Config{})
 	cfg := EvalConfig{Verify: EvalOptions(), Workers: 4, Oracle: st}
-	EvaluateWith(res.Latency, val, false, cfg)
+	evaluate(res.Latency, val, false, cfg)
 	miss := st.Engine.Stats().Misses
-	EvaluateWith(res.Latency, val, false, cfg)
+	evaluate(res.Latency, val, false, cfg)
 	s := st.Engine.Stats()
 	if s.Misses != miss {
 		t.Fatalf("re-evaluation ran the solver again: %+v", s)
@@ -261,7 +261,7 @@ func TestMeanDeltaSkipsZeroBaseline(t *testing.T) {
 // TestEvaluateEmptySamples guards the degenerate evaluation.
 func TestEvaluateEmptySamples(t *testing.T) {
 	res, _ := smallRun(t)
-	rep := EvaluateWith(res.Base, nil, false, EvalConfig{Verify: EvalOptions(), Workers: 4})
+	rep := evaluate(res.Base, nil, false, EvalConfig{Verify: EvalOptions(), Workers: 4})
 	if rep.Total() != 0 || rep.Correct != 0 {
 		t.Fatalf("empty evaluation produced counts: %+v", *rep)
 	}

@@ -98,25 +98,10 @@ type EvalConfig struct {
 	Oracle oracle.Oracle
 }
 
-// Evaluate runs the model greedily (deterministic, §IV-B) over the
-// samples, verifying each output and applying the fallback rule.
-// Samples are evaluated in parallel across runtime.NumCPU() workers;
-// use EvaluateWith to control the worker count or supply a private
-// oracle, and EvaluateCtx to make the run cancelable.
-func Evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool, vo alive.Options) *Report {
-	return EvaluateWith(m, samples, augmented, EvalConfig{Verify: vo})
-}
-
-// EvaluateWith is Evaluate with explicit concurrency and oracle
-// knobs.
-func EvaluateWith(m *policy.Model, samples []*dataset.Sample, augmented bool, cfg EvalConfig) *Report {
-	rep, _ := EvaluateCtx(context.Background(), m, samples, augmented, cfg)
-	return rep
-}
-
-// EvaluateCtx is the cancelable evaluation run. Each sample is
-// independent (greedy generation reads only immutable model state),
-// so the fan-out is embarrassingly parallel; results land in
+// EvaluateCtx runs the model greedily (deterministic, §IV-B) over the
+// samples, verifying each output and applying the fallback rule. Each
+// sample is independent (greedy generation reads only immutable model
+// state), so the fan-out is embarrassingly parallel; results land in
 // per-sample slots and the verdict tallies are summed sequentially
 // afterwards, keeping the report identical at any worker count.
 //

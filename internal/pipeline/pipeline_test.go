@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"testing"
 
 	"veriopt/internal/alive"
@@ -30,16 +31,23 @@ func smallRun(t *testing.T) (*Result, []*dataset.Sample) {
 	cfg.Stage1Steps = 6
 	cfg.Stage2Steps = 40
 	cfg.Stage3Steps = 30
-	cached = Run(train, cfg)
+	cached, _ = RunCtx(context.Background(), train, cfg)
 	cachedVal = val
 	return cached, cachedVal
+}
+
+// evaluate is EvaluateCtx under a context that never ends, where the
+// only error is nil.
+func evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool, cfg EvalConfig) *Report {
+	rep, _ := EvaluateCtx(context.Background(), m, samples, augmented, cfg)
+	return rep
 }
 
 func TestCurriculumImprovesDifferentCorrect(t *testing.T) {
 	res, val := smallRun(t)
 	vo := EvalOptions()
-	base := Evaluate(res.Base, val, false, vo)
-	lat := Evaluate(res.Latency, val, false, vo)
+	base := evaluate(res.Base, val, false, EvalConfig{Verify: vo})
+	lat := evaluate(res.Latency, val, false, EvalConfig{Verify: vo})
 	if lat.DifferentCorrectFrac() <= base.DifferentCorrectFrac() {
 		t.Errorf("different-correct did not improve: base %.2f, latency %.2f",
 			base.DifferentCorrectFrac(), lat.DifferentCorrectFrac())
@@ -54,8 +62,8 @@ func TestCurriculumImprovesDifferentCorrect(t *testing.T) {
 func TestCurriculumImprovesSpeedup(t *testing.T) {
 	res, val := smallRun(t)
 	vo := EvalOptions()
-	base := Evaluate(res.Base, val, false, vo)
-	lat := Evaluate(res.Latency, val, false, vo)
+	base := evaluate(res.Base, val, false, EvalConfig{Verify: vo})
+	lat := evaluate(res.Latency, val, false, EvalConfig{Verify: vo})
 	bs, ls := GeomeanSpeedup(base), GeomeanSpeedup(lat)
 	if ls <= bs {
 		t.Errorf("speedup did not improve: base %.3f, latency %.3f", bs, ls)
@@ -68,7 +76,7 @@ func TestCurriculumImprovesSpeedup(t *testing.T) {
 
 func TestFallbackRuleNeverWorseOnFailures(t *testing.T) {
 	res, val := smallRun(t)
-	rep := Evaluate(res.Base, val, false, EvalOptions())
+	rep := evaluate(res.Base, val, false, EvalConfig{Verify: EvalOptions()})
 	for _, r := range rep.Results {
 		if r.UsedFallback && r.Out != r.Base {
 			t.Fatal("fallback did not restore the O0 metrics")
@@ -81,7 +89,7 @@ func TestFallbackRuleNeverWorseOnFailures(t *testing.T) {
 
 func TestReportCountsConsistent(t *testing.T) {
 	res, val := smallRun(t)
-	rep := Evaluate(res.Correctness, val, true, EvalOptions())
+	rep := evaluate(res.Correctness, val, true, EvalConfig{Verify: EvalOptions()})
 	if rep.Correct+rep.Semantic+rep.Syntax+rep.Inconclusive != rep.Total() {
 		t.Errorf("verdict counts do not partition the total: %+v", rep)
 	}
@@ -92,7 +100,7 @@ func TestReportCountsConsistent(t *testing.T) {
 
 func TestOutcomesArithmetic(t *testing.T) {
 	res, val := smallRun(t)
-	rep := Evaluate(res.Latency, val, false, EvalOptions())
+	rep := evaluate(res.Latency, val, false, EvalConfig{Verify: EvalOptions()})
 	for _, m := range []Metric{MetricLatency, MetricSize, MetricICount} {
 		o := OutcomesVsO0(rep, m)
 		if o.Better+o.Worse+o.Tie != rep.Total() {
@@ -107,7 +115,7 @@ func TestOutcomesArithmetic(t *testing.T) {
 
 func TestGeomeanRelationships(t *testing.T) {
 	res, val := smallRun(t)
-	rep := Evaluate(res.Latency, val, false, EvalOptions())
+	rep := evaluate(res.Latency, val, false, EvalConfig{Verify: EvalOptions()})
 	sp := GeomeanSpeedup(rep)
 	ratio := GeomeanRatio(rep, MetricLatency)
 	if sp <= 0 || ratio <= 0 {
@@ -140,8 +148,8 @@ func TestLatencyStagePreservesCorrectness(t *testing.T) {
 	// Model-Correctness (within a tolerance band for the small run).
 	res, val := smallRun(t)
 	vo := EvalOptions()
-	corr := Evaluate(res.Correctness, val, true, vo)
-	lat := Evaluate(res.Latency, val, false, vo)
+	corr := evaluate(res.Correctness, val, true, EvalConfig{Verify: vo})
+	lat := evaluate(res.Latency, val, false, EvalConfig{Verify: vo})
 	if lat.CorrectFrac() < corr.CorrectFrac()-0.25 {
 		t.Errorf("latency stage lost too much correctness: %.2f -> %.2f",
 			corr.CorrectFrac(), lat.CorrectFrac())
@@ -150,8 +158,8 @@ func TestLatencyStagePreservesCorrectness(t *testing.T) {
 
 func TestEvaluateDeterministic(t *testing.T) {
 	res, val := smallRun(t)
-	a := Evaluate(res.Latency, val[:10], false, EvalOptions())
-	b := Evaluate(res.Latency, val[:10], false, EvalOptions())
+	a := evaluate(res.Latency, val[:10], false, EvalConfig{Verify: EvalOptions()})
+	b := evaluate(res.Latency, val[:10], false, EvalConfig{Verify: EvalOptions()})
 	for i := range a.Results {
 		if a.Results[i].Verdict != b.Results[i].Verdict || a.Results[i].Out != b.Results[i].Out {
 			t.Fatal("evaluation not deterministic")

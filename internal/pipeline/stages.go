@@ -211,13 +211,7 @@ func runSteps(ctx context.Context, tr *grpo.Trainer, start, steps int, onStep fu
 	return nil
 }
 
-// Run executes the full curriculum on the training samples.
-func Run(train []*dataset.Sample, cfg StageConfig) *Result {
-	res, _ := RunCtx(context.Background(), train, cfg)
-	return res
-}
-
-// RunCtx executes the curriculum under a cancelable context. When ctx
+// RunCtx executes the full curriculum on the training samples. When ctx
 // ends, the in-flight stage aborts promptly (see grpo.Trainer.StepCtx
 // and EvaluateCtx), the partial Result accumulated so far is returned
 // with the context's error, and the interrupted stage's model is left

@@ -1,6 +1,7 @@
 package sft
 
 import (
+	"context"
 	"testing"
 
 	"veriopt/internal/alive"
@@ -59,7 +60,7 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 	zero := m.Clone()
 	tr := grpo.NewTrainer(zero, samples, grpo.DefaultConfig(), 7)
 	tr.CollectFailures = true
-	tr.Train(3)
+	tr.TrainCtx(context.Background(), 3)
 
 	prob := func(mm *policy.Model) float64 {
 		// Mean probability assigned to the teacher action at step 0.
@@ -94,7 +95,7 @@ func TestWarmUpTrainsDiagnosticHead(t *testing.T) {
 	zero := m.Clone()
 	tr := grpo.NewTrainer(zero, samples, grpo.DefaultConfig(), 8)
 	tr.CollectFailures = true
-	tr.Train(4)
+	tr.TrainCtx(context.Background(), 4)
 	if len(tr.Failures) == 0 {
 		t.Skip("no failures harvested in this configuration")
 	}
