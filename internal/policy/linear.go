@@ -112,10 +112,10 @@ type ActionRecord struct {
 	Chosen int // index into Cands
 }
 
-// Logit computes the unnormalized score of action a. work in [0,1]
+// logit computes the unnormalized score of action a. work in [0,1]
 // measures how much sound rewriting remains available — the state
 // feature that lets the policy learn conditional stopping.
-func (l *Linear) Logit(a int, stepFrac, work float64, h []float64) float64 {
+func (l *Linear) logit(a int, stepFrac, work float64, h []float64) float64 {
 	v := l.B[a] + l.S[a]*stepFrac
 	if l.P != nil {
 		v += l.P[a] * work
@@ -156,7 +156,7 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 func (l *Linear) Softmax(cands []int, stepFrac, work float64, h []float64, temp float64) []float64 {
 	logits := make([]float64, len(cands))
 	for i, a := range cands {
-		logits[i] = l.Logit(a, stepFrac, work, h)
+		logits[i] = l.logit(a, stepFrac, work, h)
 	}
 	return softmax(logits, temp)
 }
@@ -169,7 +169,7 @@ func (l *Linear) Choose(cands []int, stepFrac, work float64, h []float64, temp f
 	}
 	best, bestV := 0, math.Inf(-1)
 	for i, a := range cands {
-		if v := l.Logit(a, stepFrac, work, h); v > bestV {
+		if v := l.logit(a, stepFrac, work, h); v > bestV {
 			best, bestV = i, v
 		}
 	}

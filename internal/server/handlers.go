@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -36,9 +37,23 @@ func metricsJSON(m costmodel.Metrics) MetricsJSON {
 	return MetricsJSON{Latency: m.Latency, ICount: m.ICount, Size: m.Size}
 }
 
-// ErrorResponse is the body of every non-2xx response.
+// ErrorResponse is the body of every non-2xx response. Line is the
+// 1-based line of the request's IR text the parser stopped at, on the
+// 400 that answers a source or module that does not parse.
 type ErrorResponse struct {
 	Error string `json:"error"`
+	Line  int    `json:"line,omitempty"`
+}
+
+// parseFailure is that 400's body: the message as it always read, and
+// the line where err is an *ir.ParseError.
+func parseFailure(what string, err error) ErrorResponse {
+	resp := ErrorResponse{Error: what + " does not parse: " + err.Error()}
+	var pe *ir.ParseError
+	if errors.As(err, &pe) {
+		resp.Line = pe.Line
+	}
+	return resp
 }
 
 // VerifyRequest asks whether tgt refines src.
@@ -145,7 +160,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // decode reads and parses the request body, answering 400 itself on
 // failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
 		return false
@@ -203,7 +218,7 @@ func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, timeoutMs i
 	switch s.enqueue(j) {
 	case queueFull:
 		s.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(s.cfg.RetryAfter)))
+		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(retryAfter)))
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "work queue full, retry later"})
 		return
 	case queueDraining:
@@ -241,7 +256,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	// model failure and yields a syntax_error verdict.
 	src, err := ir.ParseFunc(req.Src)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "source does not parse: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, parseFailure("source", err))
 		return
 	}
 	if err := ir.VerifyFunc(src); err != nil {
@@ -271,7 +286,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := ir.Parse(req.IR)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "module does not parse: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, parseFailure("module", err))
 		return
 	}
 	if err := ir.VerifyModule(m); err != nil {
@@ -315,9 +330,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if req.N <= 0 || req.N > s.cfg.EvalMaxN {
+	if req.N <= 0 || req.N > evalMaxN {
 		writeJSON(w, http.StatusBadRequest,
-			ErrorResponse{Error: fmt.Sprintf("n must be in [1, %d]", s.cfg.EvalMaxN)})
+			ErrorResponse{Error: fmt.Sprintf("n must be in [1, %d]", evalMaxN)})
 		return
 	}
 	if req.Offset < 0 || req.Count < 0 || req.Offset > req.N {

@@ -53,16 +53,18 @@ const Version = "0.9.0"
 const (
 	DefaultQueueSize   = 256
 	DefaultGracePeriod = 10 * time.Second
-	DefaultMaxBody     = 1 << 20
-	DefaultRetryAfter  = 1 * time.Second
 	// DefaultMaxTimeout caps client-supplied timeout_ms: without a cap
 	// a huge value silently defeats the operator's DefaultTimeout and
 	// pins a worker for as long as the client likes.
 	DefaultMaxTimeout = 2 * time.Minute
-	// DefaultEvalMaxN bounds the per-request corpus size of
-	// /v1/evaluate (corpus generation and evaluation are the service's
-	// most expensive operations).
-	DefaultEvalMaxN = 512
+	// maxBodyBytes bounds request bodies.
+	maxBodyBytes = 1 << 20
+	// retryAfter is advertised on shed responses.
+	retryAfter = 1 * time.Second
+	// evalMaxN bounds the per-request corpus size of /v1/evaluate
+	// (corpus generation and evaluation are the service's most
+	// expensive operations).
+	evalMaxN = 512
 	// corpusCacheBound caps the number of generated corpora kept for
 	// /v1/evaluate, FIFO-evicted (each corpus is regenerated
 	// deterministically from its (seed, n) key on demand).
@@ -93,12 +95,6 @@ type Config struct {
 	// GracePeriod bounds the drain after shutdown begins (<= 0
 	// selects DefaultGracePeriod).
 	GracePeriod time.Duration
-	// MaxBodyBytes bounds request bodies (<= 0 selects
-	// DefaultMaxBody).
-	MaxBodyBytes int64
-	// RetryAfter is advertised on shed responses (<= 0 selects
-	// DefaultRetryAfter).
-	RetryAfter time.Duration
 	// Verify is the default verification limit set; the zero value
 	// selects alive.DefaultOptions(). /v1/verify requests may override
 	// it per query.
@@ -116,9 +112,6 @@ type Config struct {
 	// Obs receives one request-span event per handled request (nil =
 	// no tracing).
 	Obs *obs.Recorder
-	// EvalMaxN bounds /v1/evaluate corpus sizes (<= 0 selects
-	// DefaultEvalMaxN).
-	EvalMaxN int
 	// Role labels this process on /healthz: "worker" (the default) for
 	// a plain serving process, "coordinator" for the cluster front.
 	Role string
@@ -179,17 +172,8 @@ func New(cfg Config) *Server {
 	if cfg.GracePeriod <= 0 {
 		cfg.GracePeriod = DefaultGracePeriod
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = DefaultMaxBody
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = DefaultRetryAfter
-	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
-	}
-	if cfg.EvalMaxN <= 0 {
-		cfg.EvalMaxN = DefaultEvalMaxN
 	}
 	if (cfg.Verify == alive.Options{}) {
 		cfg.Verify = alive.DefaultOptions()

@@ -583,3 +583,38 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	drain(t, cancel, errc)
 }
+
+// TestParseFailureCarriesLine: the 400 that answers a source or module
+// that does not parse names the parser's line beside its message; a 400
+// for any other reason has no line.
+func TestParseFailureCarriesLine(t *testing.T) {
+	_, base, cancel, errc := start(t, Config{Workers: 1, Oracle: oracle.NewStack(oracle.Config{})})
+	client := &http.Client{}
+	const badLine3 = "define i32 @f(i32 noundef %0) {\n  %2 = add i32 %0, 0\n  %3 = frob i32 %2\n  ret i32 %3\n}\n"
+	const useBeforeDef = "define i32 @f(i32 noundef %0) {\nentry:\n  br label %b\n\nb:\n  %2 = add i32 %3, 0\n  %3 = add i32 %0, 1\n  ret i32 %2\n}\n"
+	for _, tc := range []struct {
+		name, path string
+		req        any
+		msg        string
+		line       int
+	}{
+		{"verify source", "/v1/verify", VerifyRequest{Src: badLine3, Tgt: tgtAddZero}, `source does not parse: line 3: unknown instruction "frob"`, 3},
+		{"verify source, first line", "/v1/verify", VerifyRequest{Src: "not ir", Tgt: tgtAddZero}, "source does not parse: line 1: ", 1},
+		{"optimize module", "/v1/optimize", OptimizeRequest{IR: "declare i32 @g(i32)\n\n" + badLine3}, `module does not parse: line 5: unknown instruction "frob"`, 5},
+		{"verify source that parses", "/v1/verify", VerifyRequest{Src: useBeforeDef, Tgt: tgtAddZero}, "source does not verify: ", 0},
+		{"negative timeout", "/v1/verify", VerifyRequest{Src: srcAddZero, Tgt: tgtAddZero, TimeoutMs: -5}, "timeout_ms", 0},
+	} {
+		code, body, _ := postJSON(t, client, base+tc.path, tc.req)
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if code != http.StatusBadRequest || !strings.Contains(er.Error, tc.msg) || er.Line != tc.line {
+			t.Errorf("%s: status %d, body %s; want 400, error containing %q, line %d", tc.name, code, body, tc.msg, tc.line)
+		}
+		if hasLine := bytes.Contains(body, []byte(`"line"`)); hasLine != (tc.line != 0) {
+			t.Errorf("%s: body %s; \"line\" present = %v", tc.name, body, hasLine)
+		}
+	}
+	drain(t, cancel, errc)
+}
