@@ -106,6 +106,9 @@ fuzz-smoke:
 # storage spine (vcache, oracle, cluster, vstore): such a map keeps two
 # whole function texts alive per entry, which is what made a resident
 # verdict weigh 1.2 KB; the spine's one identity is Key.Fingerprint().
+# And on a rewrite rule that spells Applicable or Apply itself: a rule
+# states what it matches once, to matchRule, peephole or stepRule, and
+# both methods are derived from that.
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
@@ -136,6 +139,12 @@ lint:
 	@hits=$$(grep -rnE 'map\[(vcache\.)?Key\]|"container/list"' --include='*.go' --exclude='*_test.go' internal/vcache internal/oracle internal/cluster internal/vstore); \
 	if [ -n "$$hits" ]; then \
 		echo "map keyed by the full vcache.Key, or container/list, in the storage spine (key by Key.Fingerprint(): 32 bytes, not two function texts; link entries through their own fields):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnE '\b(Applicable|Apply):' --include='*.go' --exclude='*_test.go' internal/rewrite); \
+	if [ -n "$$hits" ]; then \
+		echo "a rule's match written out per method (declare it once with matchRule, peephole or stepRule):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

@@ -20,6 +20,13 @@
 //
 // Rules are deterministic given the same function and RNG so that
 // greedy decoding is reproducible (paper §IV-B).
+//
+// This package is the one pass vocabulary. Its unit is instcombine's:
+// mutate f, report whether anything changed, leave f untouched on
+// false. A rule is declared once, as a finder plus a rewrite of the
+// place found, as one such step, or as a text damager; Applicable,
+// Apply and ApplyText are derived from the declaration, and seqopt's
+// passes are these rules and instcombine's steps run to a fixpoint.
 package rewrite
 
 import (
