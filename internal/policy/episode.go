@@ -149,15 +149,15 @@ func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask m
 func (m *Model) Available(f *ir.Function, mask map[string]bool) (cands []int, work float64) {
 	n := 0
 	for i, r := range m.Rules {
-		masked := mask != nil && mask[r.Name]
-		real := r.Kind == rewrite.KindSound && r.Name != "cosmetic-reorder"
-		if masked && !real || !r.Applicable(f) {
+		masked := mask[r.Name]
+		isWork := r.Kind == rewrite.KindSound && r.Name != "cosmetic-reorder"
+		if (masked && !isWork) || !r.Applicable(f) {
 			continue
 		}
 		if !masked {
 			cands = append(cands, i)
 		}
-		if real {
+		if isWork {
 			n++
 		}
 	}
