@@ -54,8 +54,8 @@ var kindNames = [...]string{"sound", "extra", "unsound", "corrupt"}
 func (k Kind) String() string { return kindNames[k] }
 
 // Rule is one transformation in the action space, declared once by
-// one of the three constructors below: what it matches is stated in
-// one place, and Applicable and Apply both read it from there.
+// one of the constructors below: what it matches is stated in one
+// place, and Applicable and Apply both read it from there.
 type Rule struct {
 	Name string
 	Kind Kind
