@@ -39,7 +39,7 @@ func refLex(line string) []string {
 }
 
 func refCanonicalText(f *Function) string {
-	c := CloneFunc(f)
+	c := refCloneFunc(f)
 	c.Attrs = ""
 	RenumberFunc(c)
 	return refFuncString(c)
@@ -48,7 +48,7 @@ func refCanonicalText(f *Function) string {
 func refCanonicalKey(f *Function) string { return refFingerprintText(refCanonicalText(f)) }
 
 func refStructurallyEqual(a, b *Function) bool {
-	ca, cb := CloneFunc(a), CloneFunc(b)
+	ca, cb := refCloneFunc(a), refCloneFunc(b)
 	ca.NameStr, cb.NameStr = "f", "f"
 	ca.Attrs, cb.Attrs = "", ""
 	RenumberFunc(ca)
@@ -190,6 +190,87 @@ func refFingerprintText(s string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// refCloneFunc is CloneFunc as it was before it took its memory from
+// slabs: an object per parameter, block and instruction and a slice per
+// list, each allocated at its final length. checkClone holds the slab
+// clone to what it copies and what it shares.
+func refCloneFunc(f *Function) *Function {
+	nf := &Function{NameStr: f.NameStr, RetTy: f.RetTy, Attrs: f.Attrs}
+	bmap := make(map[*Block]*Block, len(f.Blocks))
+	for _, p := range f.Params {
+		nf.Params = append(nf.Params, &Param{NameStr: p.NameStr, Ty: p.Ty, Noundef: p.Noundef})
+	}
+	results := 0
+	for _, b := range f.Blocks {
+		nb := &Block{NameStr: b.NameStr, Parent: nf}
+		nf.Blocks = append(nf.Blocks, nb)
+		bmap[b] = nb
+		for _, in := range b.Instrs {
+			if in.HasResult() {
+				results++
+			}
+		}
+	}
+	vmap := make(map[*Instr]*Instr, results)
+	mapVal := func(v Value) Value {
+		switch x := v.(type) {
+		case *Instr:
+			if ni, ok := vmap[x]; ok {
+				return ni
+			}
+		case *Param:
+			for i, p := range f.Params {
+				if p == x {
+					return nf.Params[i]
+				}
+			}
+		}
+		return v
+	}
+	for bi, b := range f.Blocks {
+		nb := nf.Blocks[bi]
+		if len(b.Instrs) > 0 {
+			nb.Instrs = make([]*Instr, 0, len(b.Instrs))
+		}
+		for _, in := range b.Instrs {
+			ni := &Instr{
+				Op: in.Op, NameStr: in.NameStr, Ty: in.Ty,
+				Pred: in.Pred, Flags: in.Flags, AllocTy: in.AllocTy, Callee: in.Callee,
+				Cases: append([]*Const(nil), in.Cases...),
+			}
+			nb.Append(ni)
+			if in.HasResult() {
+				vmap[in] = ni
+			}
+		}
+	}
+	for bi, b := range f.Blocks {
+		nb := nf.Blocks[bi]
+		for ii, in := range b.Instrs {
+			ni := nb.Instrs[ii]
+			if len(in.Args) > 0 {
+				ni.Args = make([]Value, len(in.Args))
+			}
+			for i, a := range in.Args {
+				ni.Args[i] = mapVal(a)
+			}
+			if len(in.Succs) > 0 {
+				ni.Succs = make([]*Block, len(in.Succs))
+			}
+			for i, s := range in.Succs {
+				ni.Succs[i] = bmap[s]
+			}
+			if len(in.Incs) > 0 {
+				ni.Incs = make([]Incoming, len(in.Incs))
+			}
+			for i, inc := range in.Incs {
+				ni.Incs[i] = Incoming{Val: mapVal(inc.Val), Block: bmap[inc.Block]}
+			}
+		}
+	}
+	return nf
 }
 
 // The map-per-question CFG helpers and the VerifyFunc built on them, as

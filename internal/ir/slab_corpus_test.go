@@ -98,38 +98,57 @@ func FuzzVerifyFuncVsReference(f *testing.F) {
 	})
 }
 
+// TestCloneMatchesReference: on every corpus function, parsed and
+// cloned once already, CloneFunc copies what the clone it replaced
+// (ref_test.go) copied and shares what it shared.
+func TestCloneMatchesReference(t *testing.T) {
+	for _, text := range corpusTexts(t, 3) {
+		f := parse(t, text)
+		ir.CheckClone(t, f)
+		ir.CheckClone(t, ir.CloneFunc(f))
+	}
+}
+
 // TestParsedSlicesDoNotAlias: a parsed function's operand, successor,
-// incoming and instruction lists are windows of shared arrays, and each
-// is capped at its own length — an append to any of them, which is what
-// a pass inserting an operand or an instruction does, must reallocate
-// and not write into the next instruction's or block's window. Dropping
-// the cap from chunk.take or from a block's window fails this test.
+// incoming and instruction lists are windows of shared arrays, each
+// capped at its own length, and so are a clone's, its case lists and
+// block list besides. An append to any list — what a pass inserting an
+// operand, a case, an instruction or a block does — must reallocate and
+// not write into the next list's window. Dropping the cap from
+// chunk.take, from a parsed block's window or from any of a clone's
+// windows fails this test; the same function is checked parsed and then
+// cloned.
 func TestParsedSlicesDoNotAlias(t *testing.T) {
 	intruderBlock := &ir.Block{NameStr: "INTRUDER"}
 	intruder := &ir.Instr{Op: ir.OpUnreachable, NameStr: "INTRUDER", Ty: ir.Void, Parent: intruderBlock}
+	intruderCase := ir.NewConst(ir.I32, 123456789)
 	windows := 0
 	for _, text := range corpusTexts(t, 2) {
-		f := parse(t, text)
-		before := ir.FuncString(f)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for _, w := range [][2]int{{len(in.Args), cap(in.Args)}, {len(in.Succs), cap(in.Succs)}, {len(in.Incs), cap(in.Incs)}} {
-					if w[0] != w[1] {
-						t.Fatalf("%s: a list of %d has capacity %d\n%s", ir.FormatInstr(in), w[0], w[1], text)
+		for _, f := range []*ir.Function{parse(t, text), ir.CloneFunc(parse(t, text))} {
+			before := ir.FuncString(f)
+			for _, b := range f.Blocks {
+				for _, in := range b.Instrs {
+					for _, w := range [][2]int{{len(in.Args), cap(in.Args)}, {len(in.Succs), cap(in.Succs)}, {len(in.Incs), cap(in.Incs)}} {
+						if w[0] != w[1] {
+							t.Fatalf("%s: a list of %d has capacity %d\n%s", ir.FormatInstr(in), w[0], w[1], text)
+						}
+						windows++
 					}
-					windows++
+					_ = append(in.Args, ir.Value(intruder))
+					_ = append(in.Succs, intruderBlock)
+					_ = append(in.Incs, ir.Incoming{Val: intruder, Block: intruderBlock})
+					_ = append(in.Cases, intruderCase)
 				}
-				_ = append(in.Args, ir.Value(intruder))
-				_ = append(in.Succs, intruderBlock)
-				_ = append(in.Incs, ir.Incoming{Val: intruder, Block: intruderBlock})
+				if len(b.Instrs) != cap(b.Instrs) {
+					t.Fatalf("block %s: %d instructions in a window of capacity %d\n%s", b.NameStr, len(b.Instrs), cap(b.Instrs), text)
+				}
+				_ = append(b.Instrs, intruder)
 			}
-			if len(b.Instrs) != cap(b.Instrs) {
-				t.Fatalf("block %s: %d instructions in a window of capacity %d\n%s", b.NameStr, len(b.Instrs), cap(b.Instrs), text)
+			_ = append(f.Params, &ir.Param{NameStr: "INTRUDER", Ty: ir.I32})
+			_ = append(f.Blocks, intruderBlock)
+			if after := ir.FuncString(f); after != before {
+				t.Fatalf("an append to one list wrote into another:\n%s\nwas:\n%s", after, before)
 			}
-			_ = append(b.Instrs, intruder)
-		}
-		if after := ir.FuncString(f); after != before {
-			t.Fatalf("an append to one list wrote into another:\n%s\nwas:\n%s", after, before)
 		}
 	}
 	if windows < 1000 {
