@@ -20,12 +20,14 @@ import (
 )
 
 // Run returns an optimized copy of f; the input is not modified. The
-// output is renumbered into canonical form.
+// output is renumbered into canonical form, and compact: a clone of the
+// working copy, whose slabs would keep all the fixpoint deleted alive as
+// long as the result (a corpus keeps it as a sample's Ref).
 func Run(f *ir.Function) *ir.Function {
 	g := ir.CloneFunc(f)
 	RunInPlace(g)
 	ir.RenumberFunc(g)
-	return g
+	return ir.CloneFunc(g)
 }
 
 // RunInPlace is Run on f itself, without the renumbering. It reports

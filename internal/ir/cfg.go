@@ -40,15 +40,10 @@ func NewCFG(f *Function) CFG {
 		c.index[b] = int32(i)
 	}
 	slab := make([]int32, 2*(n+1)+2*edges+5*n)
-	carve := func(k int) []int32 {
-		s := slab[:k:k]
-		slab = slab[k:]
-		return s
-	}
-	succOff, succs := carve(n+1), carve(edges)
-	c.predOff, c.preds = carve(n+1), carve(edges)
-	c.order, c.idom = carve(n), carve(n)
-	rpo, stack, next := carve(n), carve(n), carve(n)
+	succOff, succs := carve(&slab, n+1), carve(&slab, edges)
+	c.predOff, c.preds = carve(&slab, n+1), carve(&slab, edges)
+	c.order, c.idom = carve(&slab, n), carve(&slab, n)
+	rpo, stack, next := carve(&slab, n), carve(&slab, n), carve(&slab, n)
 
 	// Successors by index, and the number of edges into each block.
 	e := 0

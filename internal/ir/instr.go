@@ -129,8 +129,8 @@ func (p Pred) String() string {
 	return fmt.Sprintf("pred(%d)", int(p))
 }
 
-// PredFromString parses a predicate spelling; ok is false if unknown.
-func PredFromString(s string) (Pred, bool) {
+// predFromString parses a predicate spelling; ok is false if unknown.
+func predFromString(s string) (Pred, bool) {
 	for i, n := range predNames {
 		if n == s {
 			return Pred(i), true

@@ -245,8 +245,7 @@ func (p *parser) parseFunc() (*Function, error) {
 			return nil, &ParseError{Line: headerLine, Msg: "duplicate block label " + rb.name}
 		}
 		b := &blockSlab[i]
-		*b = Block{NameStr: rb.name, Parent: f, Instrs: instrPtrs[:0:rb.n]}
-		instrPtrs = instrPtrs[rb.n:]
+		*b = Block{NameStr: rb.name, Parent: f, Instrs: carve(&instrPtrs, rb.n)[:0]}
 		blocks[rb.name] = b
 		f.Blocks[i] = b
 	}
@@ -545,7 +544,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 	switch op {
 	case "icmp":
 		ps := tk.ident()
-		pred, ok := PredFromString(ps)
+		pred, ok := predFromString(ps)
 		if !ok {
 			return fail("icmp: unknown predicate %q", ps)
 		}

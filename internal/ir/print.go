@@ -241,9 +241,6 @@ func Print(m *Module) string {
 // FuncString renders a single function to a string.
 func FuncString(f *Function) string { return string(new(printer).fn(f, f.NameStr, f.Attrs).buf) }
 
-// FormatInstr renders one instruction without indentation or newline.
-func FormatInstr(in *Instr) string { return string(new(printer).instr(in).buf) }
-
 // CanonicalText returns the printed form f would have after
 // RenumberFunc, without its attribute suffix: structurally identical
 // functions print identically. f is only read.

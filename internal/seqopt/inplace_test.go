@@ -77,10 +77,12 @@ func TestInPlaceFalseLeavesFunctionUntouched(t *testing.T) {
 
 // TestPassesOnParsedEqualPassesOnClone: a parsed function keeps its
 // instructions, operands and successors in shared slabs (ir/parse.go),
-// a clone of it one object each; every pass must do to the first what
-// it does to the second — alone on a fresh parse, and in rounds through
-// the whole registry until nothing fires, where a pass meets windows
-// earlier passes have already cut into and appended to.
+// and so does a clone of it, in slabs of other sizes cut in another
+// order (ir/clone.go: one exact-size slab per element type, the block
+// list and the successors sharing one); every pass must do to the first
+// what it does to the second — alone on a fresh parse, and in rounds
+// through the whole registry until nothing fires, where a pass meets
+// windows earlier passes have already cut into and appended to.
 func TestPassesOnParsedEqualPassesOnClone(t *testing.T) {
 	parsed := func(text string) *ir.Function {
 		f, err := ir.ParseFunc(text)
