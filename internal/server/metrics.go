@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"veriopt/internal/ckpt"
 	"veriopt/internal/metrics"
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
@@ -165,7 +164,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.Scalar("veriopt_panics_total", "Handler panics recovered by queue workers (any value > 0 is a bug).", "counter", metrics.Int(s.metrics.panics.Load())),
 		metrics.Scalar("veriopt_queue_depth", "Queued-but-unstarted jobs.", "gauge", metrics.Int(s.QueueDepth())),
 		metrics.Scalar("veriopt_queue_capacity", "Work-queue bound.", "gauge", metrics.Int(s.cfg.QueueSize)),
-		metrics.Counters("veriopt_ckpt_total", "Training-checkpoint counters (checkpoints written, entries loaded, restore errors) since process start.", ckpt.Counters()),
 	}
 	if src, ok := s.oracle.(oracle.StatsSource); ok {
 		ostats, cstats := src.OracleStats()
