@@ -474,6 +474,47 @@ func TestManifestIsTheCommitPoint(t *testing.T) {
 	}
 }
 
+// TestCorruptManifestSizeFailsOpen: a MANIFEST whose header claims a
+// negative size, or more bytes than the file holds, makes Open return
+// an error instead of panicking or exhausting memory.
+func TestCorruptManifestSizeFailsOpen(t *testing.T) {
+	for _, size := range []int64{-1, 1 << 40} {
+		dir := t.TempDir()
+		s, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(tkey(0), tres(0)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		mpath := filepath.Join(dir, manifestName)
+		blob, err := os.ReadFile(mpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdrLine, rest, _ := strings.Cut(string(blob), "\n")
+		var hdr map[string]any
+		if err := json.Unmarshal([]byte(hdrLine), &hdr); err != nil {
+			t.Fatal(err)
+		}
+		hdr["size"] = size
+		bad, err := json.Marshal(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mpath, []byte(string(bad)+"\n"+rest), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err := Open(dir, Config{}); err == nil {
+			s.Close()
+			t.Errorf("size %d: Open accepted a corrupt MANIFEST", size)
+		}
+	}
+}
+
 // flakyFile is an append handle on a disk that fills: it lets room
 // more bytes through, then fails every write after writing what fits.
 // With stuck set it cannot be truncated either.
