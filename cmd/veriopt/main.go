@@ -235,14 +235,13 @@ func cmdExperiments(ctx context.Context, args []string) error {
 func cmdTrain(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	save := fs.String("save", "", "write the most advanced trained policy to this JSON file (atomic write; on interrupt, whatever finished)")
-	checkpoint := fs.String("checkpoint", "", "checkpoint directory: snapshot after every stage boundary and every -ckpt-every steps (peephole only)")
+	checkpoint := fs.String("checkpoint", "", "checkpoint directory: written at every stage boundary (peephole only)")
 	resume := fs.Bool("resume", false, "continue from the checkpoint in -checkpoint (bit-identical to an uninterrupted run; peephole only)")
-	ckptEvery := fs.Int("ckpt-every", pipeline.DefaultCkptEvery, "mid-stage checkpoint cadence in GRPO steps (peephole only)")
 	storeDir := fs.String("store-dir", "",
 		"durable verdict store directory: verdicts append incrementally as they are proved (warm-starts reruns)")
 	workload := fs.String("workload", "peephole",
 		"training workload: 'peephole' (text rewriting curriculum) or 'passes' (pass-sequence phase ordering; "+
-			"has no checkpoints: -checkpoint, -resume and -ckpt-every are rejected)")
+			"has no checkpoints: -checkpoint and -resume are rejected)")
 	seqSteps := fs.Int("seq-steps", 30, "passes workload: sequence-policy GRPO steps")
 	beamWidth := fs.Int("beam-width", 4, "passes workload: beam width of the search baseline")
 	beamDepth := fs.Int("beam-depth", 4, "passes workload: search depth bound (greedy and beam)")
@@ -251,11 +250,11 @@ func cmdTrain(ctx context.Context, args []string) error {
 		return err
 	}
 	if *workload == "passes" {
-		// The sequence trainer has no snapshot; refuse rather than
+		// The passes workload has no checkpoints; refuse rather than
 		// accept the flags and silently write and resume nothing.
 		var set []string
 		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "checkpoint" || f.Name == "resume" || f.Name == "ckpt-every" {
+			if f.Name == "checkpoint" || f.Name == "resume" {
 				set = append(set, "-"+f.Name)
 			}
 		})
@@ -270,7 +269,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	defer closeTrace()
 	c := buildContext(ctx, rec, *n, *seed, *s1, *s2, *s3, *workers)
 	if *checkpoint != "" {
-		c.Cfg.Stage.Ckpt = &pipeline.CkptConfig{Dir: *checkpoint, Every: *ckptEvery, Resume: *resume}
+		c.Cfg.Stage.Ckpt = &pipeline.CkptConfig{Dir: *checkpoint, Resume: *resume}
 	}
 	defer reportVerifierStats(c.Oracle)
 	st, err := openStoreDir(oracle.Default(), *storeDir, rec)

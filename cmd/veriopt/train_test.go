@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// TestTrainPassesRejectsCheckpointFlags: the sequence trainer has no
-// snapshot, so `train -workload passes` used to accept -checkpoint,
-// -resume and -ckpt-every, print its table, write no checkpoint and
+// TestTrainPassesRejectsCheckpointFlags: the passes workload has no
+// checkpoints, so `train -workload passes` used to accept -checkpoint
+// and -resume, print its table, write no checkpoint and
 // "resume" one that did not exist. The combination is now a usage
 // error naming the flags, raised before anything is created or
 // trained: the context is already canceled, so any training the call
@@ -21,9 +21,7 @@ func TestTrainPassesRejectsCheckpointFlags(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-checkpoint", "CKPT"},
 		{"-checkpoint", "CKPT", "-resume"},
-		{"-checkpoint", "CKPT", "-ckpt-every", "5"},
 		{"-resume"},
-		{"-ckpt-every", "5"},
 	} {
 		dir := t.TempDir()
 		ckptDir := filepath.Join(dir, "ck")

@@ -1,7 +1,6 @@
 package grpo
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -169,62 +168,4 @@ func TestSeqTrajectoryMatchesGolden(t *testing.T) {
 		t.Errorf("Workers=4 trajectory differs from Workers=1:\n w1 %+v\n w4 %+v", got["passes"], w4)
 	}
 	checkGolden(t, "testdata/seq_golden.json", got)
-}
-
-// TestSnapshotGoldenRoundTrips is the existing-checkpoints contract:
-// a TrainerState written (by this test, -update) at the commit before
-// the refactor restores into this tree's Trainer, snapshots back to
-// the same bytes, and resumes onto the trajectory of an uninterrupted
-// run.
-func TestSnapshotGoldenRoundTrips(t *testing.T) {
-	const path = "testdata/snapshot_golden.json"
-	samples := corpus(t, 16)
-	mk := func() *Trainer {
-		cfg := DefaultConfig()
-		cfg.Workers = 2
-		tr := NewTrainer(policy.New(policy.CapQwen3B, 7), samples, cfg, 21)
-		tr.Oracle = oracle.NewStack(oracle.Config{})
-		tr.CollectFailures = true
-		return tr
-	}
-	snapshotBytes := func(tr *Trainer) []byte {
-		st, err := tr.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
-	if *updateGolden {
-		tr := mk()
-		trainBg(tr.TrainCtx, 3)
-		if err := os.WriteFile(path, snapshotBytes(tr), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st TrainerState
-	if err := json.Unmarshal(want, &st); err != nil {
-		t.Fatal(err)
-	}
-	resumed := mk()
-	if err := resumed.Restore(&st); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotBytes(resumed); !bytes.Equal(got, want) {
-		t.Errorf("snapshot does not round-trip:\n got %s\nwant %s", got, want)
-	}
-	trainBg(resumed.TrainCtx, 3)
-	straight := mk()
-	trainBg(straight.TrainCtx, 6)
-	if !bytes.Equal(modelBytes(t, straight.Model), modelBytes(t, resumed.Model)) {
-		t.Error("run resumed from the golden snapshot left the uninterrupted trajectory")
-	}
 }

@@ -40,9 +40,9 @@ type rollout struct {
 //
 // A nil grid means no step ran. When ctx ends — before or mid-rollout
 // — in-flight verifications return Canceled verdicts, the partial grid
-// is discarded and the cursor rewinds, so a resumed run replays the
-// same batch: cancellation never perturbs the trajectory, it only
-// truncates it. An empty corpus or degenerate grid shape (which used
+// is discarded and the cursor rewinds, so the trainer's next step
+// replays the same batch: cancellation never perturbs the trajectory,
+// it only truncates it. An empty corpus or degenerate grid shape (which used
 // to divide by zero at the cursor modulus) records an empty step so
 // RewardHistory keeps one entry per Step.
 func grid[T any](ctx context.Context, r *rollout, batch, group, workers int,

@@ -45,9 +45,9 @@ type StageConfig struct {
 	// Obs, when non-nil, receives stage_start/stage_end trace events
 	// with wall time, verdict/cache deltas, and reward summaries.
 	Obs *obs.Recorder
-	// Ckpt, when non-nil with a Dir, makes the run durable: atomic
-	// checkpoints at stage boundaries and every Ckpt.Every GRPO steps,
-	// with bit-identical resume (see CkptConfig).
+	// Ckpt, when non-nil with a Dir, makes the run durable: an atomic
+	// checkpoint at every stage boundary, with bit-identical resume
+	// (see CkptConfig).
 	Ckpt *CkptConfig
 }
 
@@ -141,74 +141,33 @@ func devEvalCtx(ctx context.Context, m *policy.Model, dev []*dataset.Sample, aug
 	return 2*rep.DifferentCorrectFrac() + GeomeanSpeedup(rep)/100, nil
 }
 
-// devState is the best-checkpoint selection state of one GRPO stage.
-// It lives outside trainWithCheckpoints so a mid-stage snapshot can
-// persist it and a resumed run can continue selecting against the
-// same best — without it, resume would re-baseline and could pick a
-// different final model than the uninterrupted run.
-type devState struct {
-	best      *policy.Model
-	bestScore float64
-	// scored marks the initial dev evaluation done (always true once
-	// any step has completed, so snapshots never capture it false).
-	scored bool
-}
-
-// trainWithCheckpoints runs GRPO from step start, evaluating on the
-// dev split every evalEvery steps and keeping the best checkpoint in
-// ds (the paper's "selecting the best checkpoint for evaluation").
-// onStep, when non-nil, runs after every completed step with the count of
-// steps done — the durable-checkpoint hook. On cancellation it
-// returns the best model seen so far with the context's error. The
-// loop index continues from start, so a resumed stage replays the
-// exact evaluation schedule of an uninterrupted one.
-func trainWithCheckpoints(ctx context.Context, tr *grpo.Trainer, start, steps, evalEvery int, dev []*dataset.Sample, augmented bool, ec EvalConfig, ds *devState, onStep func(int) error) (*policy.Model, error) {
-	if !ds.scored {
-		ds.best = tr.Model.Clone()
-		score, err := devEvalCtx(ctx, ds.best, dev, augmented, ec)
-		if err != nil {
-			return ds.best, err
-		}
-		ds.bestScore = score
-		ds.scored = true
+// trainWithCheckpoints runs steps GRPO steps, evaluating on the dev
+// split before the first and every evalEvery steps after it, and
+// returns the best model seen (the paper's "selecting the best
+// checkpoint for evaluation"). On cancellation it returns the best
+// model so far with the context's error.
+func trainWithCheckpoints(ctx context.Context, tr *grpo.Trainer, steps, evalEvery int, dev []*dataset.Sample, augmented bool, ec EvalConfig) (*policy.Model, error) {
+	best := tr.Model.Clone()
+	bestScore, err := devEvalCtx(ctx, best, dev, augmented, ec)
+	if err != nil {
+		return best, err
 	}
-	for i := start; i < steps; i++ {
+	for i := 0; i < steps; i++ {
 		if _, err := tr.StepCtx(ctx); err != nil {
-			return ds.best, err
+			return best, err
 		}
 		if (i+1)%evalEvery == 0 || i == steps-1 {
 			score, err := devEvalCtx(ctx, tr.Model, dev, augmented, ec)
 			if err != nil {
-				return ds.best, err
+				return best, err
 			}
-			if score > ds.bestScore {
-				ds.bestScore = score
-				ds.best = tr.Model.Clone()
-			}
-		}
-		if onStep != nil {
-			if err := onStep(i + 1); err != nil {
-				return ds.best, err
+			if score > bestScore {
+				bestScore = score
+				best = tr.Model.Clone()
 			}
 		}
 	}
-	return ds.best, nil
-}
-
-// runSteps drives a plain GRPO stage (no best-checkpoint selection)
-// from step start, invoking onStep after each completed step.
-func runSteps(ctx context.Context, tr *grpo.Trainer, start, steps int, onStep func(int) error) error {
-	for i := start; i < steps; i++ {
-		if _, err := tr.StepCtx(ctx); err != nil {
-			return err
-		}
-		if onStep != nil {
-			if err := onStep(i + 1); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return best, nil
 }
 
 // RunCtx executes the full curriculum on the training samples. When ctx
@@ -218,11 +177,10 @@ func runSteps(ctx context.Context, tr *grpo.Trainer, start, steps int, onStep fu
 // nil — its history, and every completed stage's model, survive for
 // partial reporting.
 //
-// With cfg.Ckpt set the run is durable: completed stages and
-// mid-stage trainer state are snapshotted atomically, and a resumed
-// run (CkptConfig.Resume) skips completed stages, rewinds the
-// interrupted trainer, and continues the exact trajectory — the final
-// models are bit-identical to an uninterrupted run's.
+// With cfg.Ckpt set the run is durable: every completed stage is
+// checkpointed atomically, and a resumed run (CkptConfig.Resume) skips
+// the completed stages and replays the interrupted one from its start
+// — the final models are bit-identical to an uninterrupted run's.
 func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Result, error) {
 	res := &Result{}
 	res.Base = policy.New(cfg.Capacity, cfg.Seed)
@@ -257,11 +215,7 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 		t1 := grpo.NewTrainer(zero, train, c1, cfg.Seed+101)
 		t1.Oracle = o
 		t1.CollectFailures = true
-		start, err := ck.resumeTrainer(stageModelZero, t1, nil)
-		if err != nil {
-			return res, err
-		}
-		err = runSteps(ctx, t1, start, cfg.Stage1Steps, ck.stepSaver(stageModelZero, t1, nil))
+		_, err := t1.TrainCtx(ctx, cfg.Stage1Steps)
 		res.ZeroHistory = t1.RewardHistory
 		res.Failures = t1.Failures
 		if err != nil {
@@ -277,9 +231,7 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 
 	// Stage 2a: Warm-up — SFT from the *base* model (Model Zero is
 	// only the sample generator, §III-C1) on first-time and
-	// correction-augmented samples. The stage is deterministic and
-	// fast, so it checkpoints only at its boundary: an interrupt
-	// mid-warm-up abandons the partial model and replays the stage.
+	// correction-augmented samples.
 	if ck.state.Stage <= stageWarmUp {
 		sp := beginStage(cfg.Obs, o, "warm-up")
 		warm := res.Base.Clone()
@@ -313,12 +265,7 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 		c2.ClipNorm = cfg.GRPO.ClipNorm / 2
 		t2 := grpo.NewTrainer(corr, train, c2, cfg.Seed+202)
 		t2.Oracle = o
-		ds := &devState{}
-		start, err := ck.resumeTrainer(stageCorrectness, t2, ds)
-		if err != nil {
-			return res, err
-		}
-		best2, err := trainWithCheckpoints(ctx, t2, start, cfg.Stage2Steps, 10, dev, true, ec, ds, ck.stepSaver(stageCorrectness, t2, ds))
+		best2, err := trainWithCheckpoints(ctx, t2, cfg.Stage2Steps, 10, dev, true, ec)
 		res.CorrectnessHistory = t2.RewardHistory
 		if err != nil {
 			sp.end(len(t2.RewardHistory), t2.RewardHistory, "canceled")
@@ -343,12 +290,7 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 		c3.Latency = grpo.LatencyRewardParams{UMax: res.UMax, Gamma: cfg.Gamma}
 		t3 := grpo.NewTrainer(lat, train, c3, cfg.Seed+303)
 		t3.Oracle = o
-		ds := &devState{}
-		start, err := ck.resumeTrainer(stageLatency, t3, ds)
-		if err != nil {
-			return res, err
-		}
-		best3, err := trainWithCheckpoints(ctx, t3, start, cfg.Stage3Steps, 10, dev, false, ec, ds, ck.stepSaver(stageLatency, t3, ds))
+		best3, err := trainWithCheckpoints(ctx, t3, cfg.Stage3Steps, 10, dev, false, ec)
 		res.LatencyHistory = t3.RewardHistory
 		if err != nil {
 			sp.end(len(t3.RewardHistory), t3.RewardHistory, "canceled")
