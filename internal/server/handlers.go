@@ -184,12 +184,15 @@ func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, timeoutMs i
 		return
 	}
 	ctx := r.Context()
-	d := s.cfg.DefaultTimeout
+	d := min(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if timeoutMs > 0 {
-		d = time.Duration(timeoutMs) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
+		// Clamp in milliseconds, before converting: past about 9.2e12 ms
+		// the product with time.Millisecond wraps, to no deadline or to a
+		// few microseconds.
 		d = s.cfg.MaxTimeout
+		if int64(timeoutMs) <= s.cfg.MaxTimeout.Milliseconds() {
+			d = time.Duration(timeoutMs) * time.Millisecond
+		}
 	}
 	if d > 0 {
 		var cancel context.CancelFunc
