@@ -1,32 +1,51 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"veriopt/internal/alive"
+	"veriopt/internal/ir"
+	"veriopt/internal/oracle"
 	"veriopt/internal/server"
-	"veriopt/internal/smoketest"
 )
 
-func TestMain(m *testing.M) { smoketest.Main(m) }
+// TestMain: a test binary re-executed as a slow worker (startWorker)
+// serves until SIGTERM and exits; anything else runs the tests.
+func TestMain(m *testing.M) {
+	if len(os.Args) == 3 && os.Args[1] == workerArg {
+		if err := serveWorker(os.Args[2]); err != nil {
+			fmt.Fprintln(os.Stderr, "slow worker:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // TestClusterSmoke is the multi-process acceptance gate for cluster
 // mode (`make cluster-smoke`): the built `veriopt serve -replicas`
 // coordinator in front of worker processes, driven over HTTP. The
-// workers are harness-owned (smoketest.StartWorker: this test binary
-// re-executed as internal/server over a stack whose base sleeps before
-// verifying), so the injected latency lives here and not in the
-// product.
+// workers are harness-owned (startWorker: this test binary re-executed
+// as internal/server over a stack whose base sleeps before verifying),
+// so the injected latency lives here and not in the product.
 //
 // It proves, in order:
 //
@@ -50,12 +69,12 @@ func TestClusterSmoke(t *testing.T) {
 	if os.Getenv("CLUSTER_SMOKE") == "" {
 		t.Skip("multi-process harness; run via `make cluster-smoke` (CLUSTER_SMOKE=1)")
 	}
-	bin := smoketest.BuildVeriopt(t)
+	bin := buildVeriopt(t)
 
 	// --- Phase 1: throughput scaling over 1/2/4 replicas. ---
-	workers := make([]*smoketest.Proc, 4)
+	workers := make([]*proc, 4)
 	for i := range workers {
-		workers[i] = smoketest.StartWorker(t, smoketest.Worker{Delay: scaleDelay})
+		workers[i] = startWorker(t, worker{Delay: scaleDelay})
 	}
 	// Warm every worker before measuring: the first queries into a
 	// fresh process pay lazy-init costs that would otherwise land only
@@ -63,7 +82,7 @@ func TestClusterSmoke(t *testing.T) {
 	// the 4-replica run).
 	for i, w := range workers {
 		for j := 0; j < 4; j++ {
-			if err := postVerify(w.URL, 90000+i*10+j); err != nil {
+			if err := postVerify(w.url, 90000+i*10+j); err != nil {
 				t.Fatalf("warmup worker %d: %v", i, err)
 			}
 		}
@@ -72,13 +91,13 @@ func TestClusterSmoke(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		urls := make([]string, n)
 		for i := range urls {
-			urls[i] = workers[i].URL
+			urls[i] = workers[i].url
 		}
-		coord := smoketest.StartServe(t, bin,
+		coord := startServe(t, bin,
 			"-workers", "128", "-queue", "512",
 			"-replicas", strings.Join(urls, ","))
-		done, p50, p99 := fireWindow(t, coord.URL, scaleWindow, scaleClients, n*100000)
-		coord.Stop()
+		done, p50, p99 := fireWindow(t, coord.url, scaleWindow, scaleClients, n*100000)
+		coord.stop()
 		qps := float64(done) / scaleWindow.Seconds()
 		t.Logf("replicas=%d completed=%d qps=%.0f p50=%v p99=%v", n, done, qps, p50, p99)
 		if n == 1 {
@@ -92,18 +111,18 @@ func TestClusterSmoke(t *testing.T) {
 		}
 	}
 	for _, w := range workers {
-		w.Stop()
+		w.stop()
 	}
 
 	// --- Phase 2: kill one replica mid-stream, heal the ring. ---
-	killWorker := smoketest.Worker{Delay: 10 * time.Millisecond}
-	kw := []*smoketest.Proc{
-		smoketest.StartWorker(t, killWorker),
-		smoketest.StartWorker(t, killWorker),
+	killWorker := worker{Delay: 10 * time.Millisecond}
+	kw := []*proc{
+		startWorker(t, killWorker),
+		startWorker(t, killWorker),
 	}
-	coord := smoketest.StartServe(t, bin,
+	coord := startServe(t, bin,
 		"-workers", "32", "-queue", "512",
-		"-replicas", kw[0].URL+","+kw[1].URL)
+		"-replicas", kw[0].url+","+kw[1].url)
 
 	const killQueries = 200
 	var completed atomic.Int64
@@ -113,7 +132,7 @@ func TestClusterSmoke(t *testing.T) {
 		for completed.Load() < killQueries/4 {
 			time.Sleep(time.Millisecond)
 		}
-		kw[1].Kill()
+		kw[1].kill()
 	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, killQueries)
@@ -124,7 +143,7 @@ func TestClusterSmoke(t *testing.T) {
 		go func(q int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if err := postVerify(coord.URL, 70000+q); err != nil {
+			if err := postVerify(coord.url, 70000+q); err != nil {
 				errs <- fmt.Errorf("query %d: %w", q, err)
 			}
 			completed.Add(1)
@@ -139,11 +158,11 @@ func TestClusterSmoke(t *testing.T) {
 
 	// Heal: bring the killed replica back on its old address and wait
 	// for the coordinator's prober to re-promote it.
-	killWorker.Addr = kw[1].Addr
-	kw[1] = smoketest.StartWorker(t, killWorker)
+	killWorker.Addr = kw[1].addr
+	kw[1] = startWorker(t, killWorker)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		if strings.Contains(scrape(t, coord.URL), "veriopt_cluster_replicas_healthy 2") {
+		if strings.Contains(scrape(t, coord.url), "veriopt_cluster_replicas_healthy 2") {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -151,13 +170,13 @@ func TestClusterSmoke(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	metrics := scrape(t, coord.URL)
+	metrics := scrape(t, coord.url)
 	if !strings.Contains(metrics, "veriopt_cluster_oracle_total") {
 		t.Error("coordinator /metrics is missing the merged worker scrape")
 	}
-	coord.Stop()
-	kw[0].Stop()
-	kw[1].Stop()
+	coord.stop()
+	kw[0].stop()
+	kw[1].stop()
 }
 
 // Harness sizing. The scaling workload is latency-bound by design:
@@ -294,4 +313,200 @@ func scrape(t *testing.T, baseURL string) string {
 		t.Fatal(err)
 	}
 	return string(blob)
+}
+
+// The process harness: build and launch the real `veriopt serve`, and
+// launch slow workers by re-executing this test binary. The slow worker
+// is where the smoke's injected verification latency lives; the shipped
+// oracle stack has no sleep in it.
+
+// workerArg as os.Args[1] marks a test binary re-executed as a slow
+// worker; see TestMain.
+const workerArg = "cluster-smoke-slow-worker"
+
+// worker sizes one slow worker: a serving process whose every live
+// verification first sleeps Delay, the stand-in for solver work that
+// makes a fan-out measurement latency-bound on a machine where real
+// verification would be CPU-bound. It travels to the child as JSON.
+type worker struct {
+	// Addr is the listen address; empty picks a free loopback port.
+	Addr  string
+	Delay time.Duration
+}
+
+// slowBase is the oracle.Func a slow worker installs at Config.Base:
+// sleep, honoring ctx so a caller's cancellation aborts it promptly,
+// then run the real verifier.
+func (w worker) slowBase() oracle.Oracle {
+	base := oracle.Base()
+	return oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+		t := time.NewTimer(w.Delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return alive.CanceledResult(ctx.Err())
+		}
+		return base.Verify(ctx, src, tgt, opts)
+	})
+}
+
+// serveWorker is the child side of startWorker: spec is the worker as
+// JSON.
+func serveWorker(spec string) error {
+	var w worker
+	if err := json.Unmarshal([]byte(spec), &w); err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, os.Interrupt)
+	defer stop()
+	srv := server.New(server.Config{
+		Workers:        8,
+		QueueSize:      256,
+		DefaultTimeout: 30 * time.Second,
+		Oracle:         oracle.NewStack(oracle.Config{Base: w.slowBase()}),
+	})
+	ln, err := net.Listen("tcp", w.Addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "slow worker: listening on http://%s\n", ln.Addr())
+	return srv.Run(ctx, ln)
+}
+
+// startWorker launches a slow worker process. A fixed addr is retried
+// for a while: a port freed by a kill can linger briefly.
+func startWorker(t *testing.T, w worker) *proc {
+	t.Helper()
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := w.Addr != ""
+	if !fixed {
+		w.Addr = "127.0.0.1:0"
+	}
+	spec, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p, err := launch(t, exe, []string{workerArg, string(spec)})
+		if err == nil {
+			return p
+		}
+		if !fixed || time.Now().After(deadline) {
+			t.Fatalf("start slow worker: %v", err)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// buildVeriopt builds the CLI into the test's temp directory.
+func buildVeriopt(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "veriopt")
+	cmd := exec.Command("go", "build", "-o", bin, "veriopt/cmd/veriopt")
+	if blob, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, blob)
+	}
+	return bin
+}
+
+// startServe launches `bin serve` on a free loopback port with the
+// extra flags.
+func startServe(t *testing.T, bin string, extra ...string) *proc {
+	t.Helper()
+	p, err := launch(t, bin, append([]string{"serve", "-addr", "127.0.0.1:0"}, extra...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// proc is one spawned serving process.
+type proc struct {
+	cmd  *exec.Cmd
+	addr string // host:port actually bound
+	url  string // http://host:port
+}
+
+// launch starts exe, reads the bound address off its "listening on"
+// banner, and waits for /healthz. The process is killed at test end if
+// it is still running.
+func launch(t *testing.T, exe string, args []string) (*proc, error) {
+	t.Helper()
+	cmd := exec.Command(exe, args...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		return nil, err
+	}
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	p := &proc{cmd: cmd}
+	t.Cleanup(p.kill)
+
+	// Parse the bound address off the startup banner, then keep
+	// draining stderr so the process never blocks on a full pipe.
+	lines := bufio.NewScanner(stderr)
+	var banner bytes.Buffer
+	for lines.Scan() {
+		line := lines.Text()
+		banner.WriteString(line + "\n")
+		if _, rest, ok := strings.Cut(line, "listening on http://"); ok {
+			p.addr = strings.Fields(rest)[0]
+			p.url = "http://" + p.addr
+			break
+		}
+	}
+	if p.url == "" {
+		p.kill()
+		return nil, fmt.Errorf("no listening banner from %s %v:\n%s", exe, args, banner.String())
+	}
+	go io.Copy(io.Discard, stderr)
+
+	// Readiness: the banner precedes Run; wait for /healthz.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(p.url + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return p, nil
+			}
+		}
+		if time.Now().After(deadline) {
+			p.kill()
+			return nil, fmt.Errorf("%s never became healthy", p.url)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// stop drains the process gracefully (SIGTERM) and reaps it.
+func (p *proc) stop() {
+	if p.cmd.ProcessState != nil {
+		return
+	}
+	p.cmd.Process.Signal(syscall.SIGTERM)
+	done := make(chan struct{})
+	go func() { p.cmd.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		p.cmd.Process.Kill()
+		<-done
+	}
+}
+
+// kill SIGKILLs the process (the mid-run replica failure) and reaps
+// it. Killing a process already reaped is a no-op.
+func (p *proc) kill() {
+	if p.cmd.ProcessState != nil {
+		return
+	}
+	p.cmd.Process.Kill()
+	p.cmd.Wait()
 }

@@ -151,9 +151,10 @@ func TestWriteValuesAndLabels(t *testing.T) {
 	}
 }
 
-// TestParse is the one parser's table. "loadgen scrape" and "worker
-// body" are the cases internal/loadgen's and internal/cluster's own
-// parsers were tested on before this package replaced them.
+// TestParse is the one parser's table. "server scrape" is a worker's
+// /metrics as a scraper reads it; "worker body" is the case
+// internal/cluster's own parser was tested on before this package
+// replaced it. The coordinator is Parse's one production consumer.
 func TestParse(t *testing.T) {
 	cases := []struct {
 		name, text string
@@ -161,7 +162,7 @@ func TestParse(t *testing.T) {
 		uints      map[string]uint64            // Uint(name)
 		labeled    map[string]map[string]uint64 // Labeled(family, "counter")
 	}{
-		{name: "loadgen scrape",
+		{name: "server scrape",
 			text: `# HELP veriopt_requests_shed_total ...
 # TYPE veriopt_requests_shed_total counter
 veriopt_requests_shed_total 7
