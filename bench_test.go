@@ -159,12 +159,12 @@ func benchEvalWorkers(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := oracle.NewStack(oracle.Config{})
-	cfg := pipeline.EvalConfig{Verify: pipeline.EvalOptions(), Workers: workers, Oracle: st}
 	models := []*policy.Model{res.Base, res.Correctness, res.Latency}
+	var st *oracle.Stack
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.Engine.Reset()
+		st = oracle.NewStack(oracle.Config{})
+		cfg := pipeline.EvalConfig{Verify: pipeline.EvalOptions(), Workers: workers, Oracle: st}
 		for _, m := range models {
 			rep, _ := pipeline.EvaluateCtx(context.Background(), m, val, false, cfg)
 			if rep.Total() != len(val) {

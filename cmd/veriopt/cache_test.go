@@ -2,14 +2,12 @@ package main
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
-	"veriopt/internal/oracle"
 )
 
 // TestStoreStatsPrintedOnceAfterClose drives the exit path serve,
@@ -22,34 +20,22 @@ func TestStoreStatsPrintedOnceAfterClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer out.Close()
-	saved := os.Stderr
-	os.Stderr = out
-	t.Cleanup(func() { os.Stderr = saved })
-
-	stack := oracle.NewStack(oracle.Config{})
-	st, err := openStoreDir(stack, filepath.Join(t.TempDir(), "store"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := stack.Verify(context.Background(), f, f, alive.DefaultOptions()); r.Verdict != alive.Equivalent {
-		t.Errorf("verdict %v", r.Verdict)
-	}
-	closeStore(st, nil)
-	reportVerifierStats(stack)
-	os.Stderr = saved
-
-	want := "[" + st.Stats().String() + "]"
-	blob, err := os.ReadFile(out.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
+	var want string
+	blob := captureStderr(t, func() {
+		st, err := openStoreDir(filepath.Join(t.TempDir(), "store"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stack := storeStack(st, nil)
+		if r := stack.Verify(context.Background(), f, f, alive.DefaultOptions()); r.Verdict != alive.Equivalent {
+			t.Errorf("verdict %v", r.Verdict)
+		}
+		closeStore(st, nil)
+		reportVerifierStats(stack)
+		want = "[" + st.Stats().String() + "]"
+	})
 	var got []string
-	for _, line := range strings.Split(string(blob), "\n") {
+	for _, line := range strings.Split(blob, "\n") {
 		if strings.HasPrefix(line, "[vstore:") {
 			got = append(got, line)
 		}

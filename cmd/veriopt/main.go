@@ -160,7 +160,7 @@ func openTrace(path string) (*obs.Recorder, func(), error) {
 	return obs.New(f), func() { f.Close() }, nil
 }
 
-func buildContext(ctx context.Context, rec *obs.Recorder, n int, seed int64, s1, s2, s3, workers int) *experiments.Context {
+func buildContext(ctx context.Context, rec *obs.Recorder, o oracle.Oracle, n int, seed int64, s1, s2, s3, workers int) *experiments.Context {
 	cfg := experiments.DefaultConfig()
 	cfg.CorpusN = n
 	cfg.Seed = seed
@@ -170,7 +170,7 @@ func buildContext(ctx context.Context, rec *obs.Recorder, n int, seed int64, s1,
 	cfg.Stage.Stage3Steps = s3
 	c := experiments.NewContext(cfg)
 	c.Ctx = ctx
-	c.Oracle = oracle.Default()
+	c.Oracle = o
 	c.Obs = rec
 	c.Progress = func(msg string) {
 		fmt.Fprintf(os.Stderr, "[%s] %s\n", time.Now().Format("15:04:05"), msg)
@@ -204,12 +204,12 @@ func cmdExperiments(ctx context.Context, args []string) error {
 		return err
 	}
 	defer closeTrace()
-	c := buildContext(ctx, rec, *n, *seed, *s1, *s2, *s3, *workers)
-	defer reportVerifierStats(c.Oracle)
-	st, err := openStoreDir(oracle.Default(), *storeDir, rec)
+	st, err := openStoreDir(*storeDir, rec)
 	if err != nil {
 		return err
 	}
+	c := buildContext(ctx, rec, storeStack(st, nil), *n, *seed, *s1, *s2, *s3, *workers)
+	defer reportVerifierStats(c.Oracle)
 	defer closeStore(st, rec)
 	ids := experiments.IDs()
 	if *run != "all" {
@@ -267,15 +267,15 @@ func cmdTrain(ctx context.Context, args []string) error {
 		return err
 	}
 	defer closeTrace()
-	c := buildContext(ctx, rec, *n, *seed, *s1, *s2, *s3, *workers)
+	st, err := openStoreDir(*storeDir, rec)
+	if err != nil {
+		return err
+	}
+	c := buildContext(ctx, rec, storeStack(st, nil), *n, *seed, *s1, *s2, *s3, *workers)
 	if *checkpoint != "" {
 		c.Cfg.Stage.Ckpt = &pipeline.CkptConfig{Dir: *checkpoint, Resume: *resume}
 	}
 	defer reportVerifierStats(c.Oracle)
-	st, err := openStoreDir(oracle.Default(), *storeDir, rec)
-	if err != nil {
-		return err
-	}
 	defer closeStore(st, rec)
 	switch *workload {
 	case "passes":

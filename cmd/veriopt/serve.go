@@ -80,10 +80,11 @@ func cmdServe(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	// A worker is the shared default stack; a coordinator is that shape
-	// with the replica set as its Remote.
-	o, role := oracle.Default(), "worker"
+	// A worker verifies locally; a coordinator is the same stack with
+	// the replica set as its Remote.
+	role := "worker"
 	var coord *cluster.Coordinator
+	var remote oracle.Remote
 	if *replicas != "" {
 		urls := splitReplicas(*replicas)
 		if len(urls) == 0 {
@@ -93,15 +94,16 @@ func cmdServe(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		o, role = oracle.NewStack(oracle.Config{Remote: coord}), "coordinator"
+		role, remote = "coordinator", coord
 	}
-	defer reportVerifierStats(o)
-	// Closing the store after the drain syncs the unsynced tail — the
-	// last durability step of a graceful shutdown.
-	st, err := openStoreDir(o, *storeDir, rec)
+	st, err := openStoreDir(*storeDir, rec)
 	if err != nil {
 		return err
 	}
+	o := storeStack(st, remote)
+	defer reportVerifierStats(o)
+	// Closing the store after the drain syncs the unsynced tail — the
+	// last durability step of a graceful shutdown.
 	defer closeStore(st, rec)
 
 	scfg := server.Config{

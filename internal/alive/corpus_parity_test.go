@@ -4,6 +4,7 @@ package alive_test
 // lives outside package alive because internal/dataset imports it.
 
 import (
+	"context"
 	"testing"
 
 	"veriopt/internal/alive"
@@ -56,10 +57,8 @@ func TestCorpusSessionParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsSess := alive.DefaultOptions()
-	optsSess.SolverBudget = 25000
-	optsFresh := optsSess
-	optsFresh.FreshSolver = true
+	opts := alive.DefaultOptions()
+	opts.SolverBudget = 25000
 	checked, semantic := 0, 0
 	for _, s := range samples {
 		targets := []*ir.Function{s.Ref}
@@ -67,8 +66,8 @@ func TestCorpusSessionParity(t *testing.T) {
 			targets = append(targets, broken)
 		}
 		for _, tgt := range targets {
-			rs := alive.VerifyFuncsCtx(nil, s.O0, tgt, optsSess)
-			rf := alive.VerifyFuncsCtx(nil, s.O0, tgt, optsFresh)
+			rs := alive.VerifyFuncs(s.O0, tgt, opts)
+			rf := alive.VerifyFresh(context.Background(), s.O0, tgt, opts, false)
 			if rs.Verdict != rf.Verdict {
 				t.Fatalf("%s: session=%v fresh=%v\nsrc:\n%s\ntgt:\n%s\nsession diag: %s\nfresh diag: %s",
 					s.Name, rs.Verdict, rf.Verdict, ir.FuncString(s.O0), ir.FuncString(tgt), rs.Diag, rf.Diag)

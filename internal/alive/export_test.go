@@ -32,6 +32,10 @@ func VerifyRuleHits(src, tgt *ir.Function, opts Options) (Result, map[string]int
 		}
 		side++
 		return s, err
-	})
+	}, newSession)
 	return res, b.RuleHits(), counts
 }
+
+// UpdateGolden is the package's -update flag, for the external tests'
+// goldens (one test binary holds both packages' flags).
+var UpdateGolden = update

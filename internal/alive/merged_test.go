@@ -426,9 +426,12 @@ func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 	var definite []alive.Result
 	callWitness := false
 	for _, fresh := range []bool{false, true} {
-		opts.FreshSolver = fresh
 		merged := alive.VerifyFuncs(p.src, p.tgt, opts)
 		forking := alive.VerifyForking(context.Background(), p.src, p.tgt, opts)
+		if fresh {
+			merged = alive.VerifyFresh(context.Background(), p.src, p.tgt, opts, false)
+			forking = alive.VerifyFresh(context.Background(), p.src, p.tgt, opts, true)
+		}
 		mw, fw := why(merged), why(forking)
 		switch {
 		case mw == "budget" || fw == "budget":

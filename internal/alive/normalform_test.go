@@ -377,8 +377,6 @@ func tailShapes(bits int) map[string]string {
 // verifier accepts must survive the interpreter on a few hundred inputs.
 func TestNormalFormFoldsWithoutSolver(t *testing.T) {
 	solvers := countSolvers(t)
-	fresh := alive.DefaultOptions()
-	fresh.FreshSolver = true
 	refuted := 0
 	for _, bits := range []int{8, 16, 32, 64} {
 		for name, text := range tailShapes(bits) {
@@ -402,13 +400,17 @@ func TestNormalFormFoldsWithoutSolver(t *testing.T) {
 				if !rule.Applicable(ref) || !rule.Apply(bad, rand.New(rand.NewSource(int64(i)))) || ir.VerifyFunc(bad) != nil {
 					continue
 				}
-				for _, opts := range []alive.Options{alive.DefaultOptions(), fresh} {
-					switch res := alive.VerifyFuncs(src, bad, opts); res.Verdict {
+				for _, fresh := range []bool{false, true} {
+					res := alive.VerifyFuncs(src, bad, alive.DefaultOptions())
+					if fresh {
+						res = alive.VerifyFresh(context.Background(), src, bad, alive.DefaultOptions(), false)
+					}
+					switch res.Verdict {
 					case alive.SemanticError:
 						refuted++
 						if !concretelyDiffers(t, src, bad, res.Counterexample) {
 							t.Errorf("%s, %s, fresh=%v: counterexample %v does not distinguish\n%s%s", name, rule.Name,
-								opts.FreshSolver, res.Counterexample, text, ir.FuncString(bad))
+								fresh, res.Counterexample, text, ir.FuncString(bad))
 						}
 					case alive.Equivalent:
 						rng := rand.New(rand.NewSource(int64(bits)))

@@ -6,6 +6,7 @@ import (
 
 	"veriopt/internal/bv"
 	"veriopt/internal/ir"
+	"veriopt/internal/sat"
 )
 
 // The reference the differential test and fuzzer compare exec against:
@@ -20,8 +21,50 @@ import (
 // VerifyForking is VerifyFuncsCtx with both functions executed by the
 // forking reference.
 func VerifyForking(ctx context.Context, src, tgt *ir.Function, opts Options) Result {
-	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, refExec)
+	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, refExec, newSession)
 }
+
+// VerifyFresh is VerifyFuncsCtx with the second reference below, a
+// fresh solver per refinement query, in place of the session; forking
+// selects the forking executor as well. The session must reach the
+// verdicts it reaches (TestSessionMatchesFreshSolver,
+// TestCorpusSessionParity, TestTrajectoryGolden).
+func VerifyFresh(ctx context.Context, src, tgt *ir.Function, opts Options, forking bool) Result {
+	run := exec
+	if forking {
+		run = refExec
+	}
+	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, run, newFreshSolver)
+}
+
+// freshSolver is the query solver as it was before bv.Session: every
+// query bit-blasted onto a new solver under the whole conflict budget,
+// nothing learnt carried from one query to the next.
+type freshSolver struct {
+	budget    int
+	conflicts int
+}
+
+func newFreshSolver(_ *ir.Function, opts Options) querySolver {
+	return &freshSolver{budget: opts.SolverBudget}
+}
+
+func (f *freshSolver) check(t *bv.Term) (bv.Result, error) {
+	bl := bv.NewBlaster()
+	bl.S.Budget = f.budget
+	bl.AssertTrue(t)
+	st, err := bl.S.Solve()
+	f.conflicts += bl.S.Conflicts()
+	res := bv.Result{Status: st, Conflicts: bl.S.Conflicts()}
+	if err != nil {
+		res.Status = sat.Unknown
+	} else if st == sat.Sat {
+		res.Model = bl.Model()
+	}
+	return res, err
+}
+
+func (f *freshSolver) spent() int { return f.conflicts }
 
 type refExecutor struct {
 	b     *bv.Builder

@@ -1,6 +1,7 @@
 package alive
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,8 +12,8 @@ import (
 
 // TestSessionMatchesFreshSolver pins the acceptance criterion of the
 // incremental solver session: across random function/mutant pairs the
-// session path (the default) must return the same verdict as the
-// fresh-solver-per-query path (Options.FreshSolver), and every
+// session path must return the same verdict as the
+// fresh-solver-per-query reference (VerifyFresh), and every
 // counterexample either path produces must concretely distinguish the
 // pair under the interpreter. Counterexample models need not be
 // bit-identical between the paths — SAT models depend on search
@@ -31,11 +32,9 @@ func TestSessionMatchesFreshSolver(t *testing.T) {
 		if err := ir.VerifyFunc(tgt); err != nil {
 			continue
 		}
-		optsSess := propOptions()
-		optsFresh := optsSess
-		optsFresh.FreshSolver = true
-		rs := VerifyFuncs(src, tgt, optsSess)
-		rf := VerifyFuncs(src, tgt, optsFresh)
+		opts := propOptions()
+		rs := VerifyFuncs(src, tgt, opts)
+		rf := VerifyFresh(context.Background(), src, tgt, opts, false)
 		if rs.Verdict != rf.Verdict {
 			t.Fatalf("iteration %d: session=%v fresh=%v\nsrc:\n%s\ntgt:\n%s\nsession diag: %s\nfresh diag: %s",
 				iter, rs.Verdict, rf.Verdict, ir.FuncString(src), ir.FuncString(tgt), rs.Diag, rf.Diag)
@@ -139,9 +138,10 @@ func TestVerifyReportsSolverConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fresh := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.FreshSolver = fresh
-		res := VerifyFuncs(src, tgt, opts)
+		res := VerifyFuncs(src, tgt, DefaultOptions())
+		if fresh {
+			res = VerifyFresh(context.Background(), src, tgt, DefaultOptions(), false)
+		}
 		if res.Verdict != Equivalent {
 			t.Fatalf("fresh=%v: verdict %v, want Equivalent (%s)", fresh, res.Verdict, res.Diag)
 		}

@@ -92,11 +92,6 @@ type Options struct {
 	MaxSteps int
 	// SolverBudget bounds SAT conflicts per query (0 = unlimited).
 	SolverBudget int
-	// FreshSolver disables the incremental solver session and runs
-	// every refinement query on a fresh solver, the way builds before
-	// the session existed did. It exists as a differential-testing and
-	// benchmarking knob; verdicts must not depend on it.
-	FreshSolver bool
 }
 
 // Compile-time guarantee that Options stays usable as a map key.
@@ -168,12 +163,13 @@ func VerifyFuncsCtx(ctx context.Context, src, tgt *ir.Function, opts Options) Re
 	if err := ctx.Err(); err != nil {
 		return CanceledResult(err)
 	}
-	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, exec)
+	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, exec, newSession)
 }
 
 // verifyWith is VerifyFuncsCtx over a builder the caller can read
-// afterwards and an executor it chooses (exec, but for ref_test.go).
-func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts Options, run func(*bv.Builder, *ir.Function, []symVal, execConfig) (*summary, error)) Result {
+// afterwards, an executor and a query solver it chooses (exec and
+// newSession, but for ref_test.go).
+func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts Options, run func(*bv.Builder, *ir.Function, []symVal, execConfig) (*summary, error), newSolver func(*ir.Function, Options) querySolver) Result {
 	if opts.MaxPaths == 0 {
 		opts = DefaultOptions()
 	}
@@ -231,7 +227,7 @@ func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts 
 		return inconclusiveFrom(err)
 	}
 
-	return refine(ctx, b, sSum, tSum, paramNames, opts)
+	return refine(ctx, b, sSum, tSum, paramNames, opts, newSolver)
 }
 
 func inconclusiveFrom(err error) Result {
@@ -256,7 +252,7 @@ type refinementQuery struct {
 	diag string
 }
 
-func refine(ctx context.Context, b *bv.Builder, src, tgt *summary, paramNames []string, opts Options) Result {
+func refine(ctx context.Context, b *bv.Builder, src, tgt *summary, paramNames []string, opts Options, newSolver func(*ir.Function, Options) querySolver) Result {
 	srcOK := b.Not(src.ub)
 	var queries []refinementQuery
 
@@ -365,7 +361,7 @@ func refine(ctx context.Context, b *bv.Builder, src, tgt *summary, paramNames []
 		return Result{Verdict: Equivalent}
 	}
 
-	solver := newQuerySolver(src.fn, opts)
+	solver := newSolver(src.fn, opts)
 	if sess, ok := solver.(*sessionSolver); ok {
 		if res, done := refineBatched(ctx, b, sess, queries, src, tgt, paramNames); done {
 			return res
@@ -376,8 +372,9 @@ func refine(ctx context.Context, b *bv.Builder, src, tgt *summary, paramNames []
 
 // refinePerQuery discharges the queries one solver call each, in
 // order: the first satisfiable query yields the diagnostic. This is
-// the fresh-solver path, and the fallback when a batched session solve
-// exhausts its budget (so Inconclusive attribution matches).
+// the fallback when a batched session solve exhausts its budget (so
+// Inconclusive attribution matches), and the fresh-solver reference's
+// only path.
 func refinePerQuery(ctx context.Context, b *bv.Builder, solver querySolver, queries []refinementQuery, src, tgt *summary, paramNames []string) Result {
 	for _, q := range queries {
 		// Each check call is bounded by SolverBudget; polling the
@@ -454,37 +451,23 @@ func semanticError(b *bv.Builder, q refinementQuery, model map[string]uint64, sr
 	}
 }
 
-// querySolver abstracts how refine discharges its queries: either an
-// incremental session shared across the whole verify (the default) or
-// a fresh solver per query (Options.FreshSolver).
+// querySolver abstracts how refine discharges its queries: an
+// incremental session shared across the whole verify, or (ref_test.go)
+// a fresh solver per query, the way builds before the session did.
 type querySolver interface {
 	check(t *bv.Term) (bv.Result, error)
 	// spent reports the total SAT conflicts consumed so far.
 	spent() int
 }
 
-type freshSolver struct {
-	budget    int
-	conflicts int
-}
-
-func (f *freshSolver) check(t *bv.Term) (bv.Result, error) {
-	res, err := bv.CheckSat(t, f.budget)
-	f.conflicts += res.Conflicts
-	return res, err
-}
-
-func (f *freshSolver) spent() int { return f.conflicts }
-
 type sessionSolver struct{ sess *bv.Session }
 
 func (s *sessionSolver) check(t *bv.Term) (bv.Result, error) { return s.sess.Check(t) }
 func (s *sessionSolver) spent() int                          { return s.sess.Conflicts() }
 
-func newQuerySolver(fn *ir.Function, opts Options) querySolver {
-	if opts.FreshSolver {
-		return &freshSolver{budget: opts.SolverBudget}
-	}
+// newSession is the production query solver: one bv.Session under the
+// conflict budget, its pre-pass seeded from fn's parameter widths.
+func newSession(fn *ir.Function, opts Options) querySolver {
 	sess := bv.NewSession(opts.SolverBudget)
 	for _, env := range seedEnvs(fn) {
 		sess.SeedEnv(env)

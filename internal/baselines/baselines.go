@@ -7,6 +7,8 @@
 package baselines
 
 import (
+	"context"
+
 	"veriopt/internal/dataset"
 	"veriopt/internal/policy"
 	"veriopt/internal/rewrite"
@@ -34,7 +36,7 @@ func SFT(cap policy.Capacity, params float64, train []*dataset.Sample, seed int6
 	// SFT-only training gets the full supervised budget; the warm-up
 	// inside the VeriOpt pipeline deliberately uses fewer epochs.
 	cfg.Epochs = 5
-	sft.WarmUp(m, train, nil, cfg)
+	sft.WarmUpCtx(context.Background(), m, train, nil, cfg)
 	// Pure SFT models have no diagnose-and-correct ability.
 	m.SelfCorrectGate = -2
 	return &Baseline{Name: cap.Name + "-SFT", Params: params, Model: m}

@@ -586,23 +586,3 @@ type Result struct {
 	// this check (0 when the concrete pre-pass answered it).
 	Conflicts int
 }
-
-// CheckSat determines satisfiability of the width-1 term, with an
-// optional conflict budget (0 = unlimited). On Sat, Model gives a
-// witness assignment for all variables mentioned. Each call builds a
-// fresh Blaster and solver; use Session for a query stream that
-// should share bit-blasting and learnt clauses.
-func CheckSat(t *Term, budget int) (Result, error) {
-	bl := NewBlaster()
-	bl.S.Budget = budget
-	bl.AssertTrue(t)
-	st, err := bl.S.Solve()
-	if err != nil {
-		return Result{Status: sat.Unknown, Conflicts: bl.S.Conflicts()}, err
-	}
-	res := Result{Status: st, Conflicts: bl.S.Conflicts()}
-	if st == sat.Sat {
-		res.Model = bl.Model()
-	}
-	return res, nil
-}

@@ -9,11 +9,31 @@ import (
 	"veriopt/internal/sat"
 )
 
+// checkSat determines satisfiability of the width-1 term on a fresh
+// Blaster and solver, with an optional conflict budget (0 =
+// unlimited); on Sat, Model gives a witness for every variable
+// mentioned. It is the one-query-one-solver reference the tests hold
+// terms and Session to.
+func checkSat(t *Term, budget int) (Result, error) {
+	bl := NewBlaster()
+	bl.S.Budget = budget
+	bl.AssertTrue(t)
+	st, err := bl.S.Solve()
+	if err != nil {
+		return Result{Status: sat.Unknown, Conflicts: bl.S.Conflicts()}, err
+	}
+	res := Result{Status: st, Conflicts: bl.S.Conflicts()}
+	if st == sat.Sat {
+		res.Model = bl.Model()
+	}
+	return res, nil
+}
+
 // checkValid proves a width-1 term is true for all assignments by
 // showing its negation unsatisfiable.
 func checkValid(t *testing.T, b *Builder, prop *Term) {
 	t.Helper()
-	res, err := CheckSat(b.Not(prop), 0)
+	res, err := checkSat(b.Not(prop), 0)
 	if err != nil {
 		t.Fatalf("solver: %v", err)
 	}
@@ -26,7 +46,7 @@ func checkValid(t *testing.T, b *Builder, prop *Term) {
 // model with the evaluator.
 func checkSatisfiable(t *testing.T, prop *Term) map[string]uint64 {
 	t.Helper()
-	res, err := CheckSat(prop, 0)
+	res, err := checkSat(prop, 0)
 	if err != nil {
 		t.Fatalf("solver: %v", err)
 	}
@@ -247,7 +267,7 @@ func TestBlastAgainstEvalExhaustive(t *testing.T) {
 					prop := b.BoolAnd(
 						b.BoolAnd(b.Eq(x, b.Const(w, a)), b.Eq(y, b.Const(w, c))),
 						b.Not(b.Eq(expr, b.Const(w, want))))
-					res, err := CheckSat(prop, 0)
+					res, err := checkSat(prop, 0)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -277,7 +297,7 @@ func TestBlastRandomWide(t *testing.T) {
 		prop := b.BoolAnd(
 			b.BoolAnd(b.Eq(x, b.Const(w, a)), b.Eq(y, b.Const(w, c))),
 			b.Eq(expr, b.Const(w, want)))
-		res, err := CheckSat(prop, 0)
+		res, err := checkSat(prop, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +354,7 @@ func TestUnsoundIdentityRejected(t *testing.T) {
 	x := b.Var(8, "x")
 	xp1 := b.Bin(OpAdd, x, b.Const(8, 1))
 	prop := b.Cmp(OpSlt, x, xp1)
-	res, err := CheckSat(b.Not(prop), 0)
+	res, err := checkSat(b.Not(prop), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +438,7 @@ func TestCastChain(t *testing.T) {
 	checkValid(t, b, b.Eq(lhs, rhs))
 	// sext(trunc(x,8),32) differs from x in general.
 	l2 := b.SExt(b.Trunc(x, 8), 32)
-	res, err := CheckSat(b.Not(b.Eq(l2, x)), 0)
+	res, err := checkSat(b.Not(b.Eq(l2, x)), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +511,7 @@ func BenchmarkBlastMulCommutativity(b *testing.B) {
 		x := bd.Var(7, "x")
 		y := bd.Var(7, "y")
 		prop := bd.Not(bd.Eq(bd.Bin(OpMul, x, y), bd.Bin(OpMul, y, x)))
-		res, err := CheckSat(prop, 0)
+		res, err := checkSat(prop, 0)
 		if err != nil || res.Status != sat.Unsat {
 			b.Fatalf("%v %v", res.Status, err)
 		}
@@ -506,18 +526,18 @@ func BenchmarkBlastAddValid(b *testing.B) {
 		y := bd.Var(64, "y")
 		lhs := bd.Bin(OpAdd, x, y)
 		rhs := bd.Bin(OpAdd, y, x)
-		res, err := CheckSat(bd.Not(bd.Eq(lhs, rhs)), 0)
+		res, err := checkSat(bd.Not(bd.Eq(lhs, rhs)), 0)
 		if err != nil || res.Status != sat.Unsat {
 			b.Fatalf("%v %v", res.Status, err)
 		}
 	}
 }
 
-func ExampleCheckSat() {
+func ExampleSession() {
 	b := NewBuilder()
 	x := b.Var(8, "x")
 	prop := b.Eq(b.Bin(OpMul, x, b.Const(8, 3)), b.Const(8, 30))
-	res, _ := CheckSat(prop, 0)
+	res, _ := NewSession(0).Check(prop)
 	fmt.Println(res.Status == sat.Sat, res.Model["x"])
 	// Output: true 10
 }

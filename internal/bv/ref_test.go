@@ -449,7 +449,7 @@ func builderVsReference(t testing.TB, rng *rand.Rand) {
 		for name, v := range env {
 			cond = b.BoolAnd(cond, b.Eq(b.Var(w, name), b.Const(w, v)))
 		}
-		res, err := CheckSat(cond, 2000)
+		res, err := checkSat(cond, 2000)
 		if err == nil && res.Status != sat.Unsat {
 			t.Fatalf("%v under %v is %d; the blasted term %v can differ (model %v)", n, env, want, term, res.Model)
 		}

@@ -6,8 +6,8 @@ import (
 
 // Session is an incremental satisfiability checker for a stream of
 // related width-1 queries over one Builder's terms — the refinement
-// queries of a single verification. It improves on repeated CheckSat
-// calls in three ways:
+// queries of a single verification. It improves on a fresh Blaster and
+// solver per query in three ways:
 //
 //  1. Shared bit-blasting: one Blaster/Solver pair serves every
 //     query, and the blast cache (keyed by term id) survives across
@@ -32,7 +32,7 @@ type Session struct {
 	bl *Blaster
 	// budget is the per-query conflict budget (0 = unlimited). The
 	// underlying solver budget is topped up before each query so every
-	// query gets the same headroom a fresh CheckSat would have.
+	// query gets the same headroom a fresh solver would have.
 	budget int
 	// envs are the pre-pass candidate environments, in check order:
 	// caller seeds first, then models from earlier Sat answers.

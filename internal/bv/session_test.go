@@ -42,7 +42,7 @@ func randomBoolTerm(b *Builder, rng *rand.Rand, w, d int) *Term {
 
 // sessionVsFresh is the session's core soundness check on one stream
 // of random related queries drawn from rng: a session must agree with
-// fresh per-query CheckSat on the verdict, every Sat model — pre-pass
+// fresh per-query checkSat on the verdict, every Sat model — pre-pass
 // or solver — must concretely satisfy its query under Eval, and every
 // Unsat, session's or fresh, must come with a proof the checker
 // accepts. A query either side cannot settle within budget is skipped.
@@ -65,7 +65,7 @@ func sessionVsFresh(t testing.TB, rng *rand.Rand, budget int) {
 	nQ := 2 + rng.Intn(6)
 	for q := 0; q < nQ; q++ {
 		cond := randomBoolTerm(b, rng, w, 2)
-		fresh, ferr := CheckSat(cond, budget)
+		fresh, ferr := checkSat(cond, budget)
 		got, serr := sess.Check(cond)
 		if budget == 0 && (ferr != nil || serr != nil) {
 			t.Fatalf("q %d: fresh: %v, session: %v", q, ferr, serr)

@@ -203,7 +203,7 @@ func TestForwardedRequestBody(t *testing.T) {
 		opts    alive.Options
 		options string
 	}{
-		{alive.Options{MaxPaths: 64, MaxSteps: 2000, SolverBudget: 30000, FreshSolver: true},
+		{alive.Options{MaxPaths: 64, MaxSteps: 2000, SolverBudget: 30000},
 			`{"max_paths":64,"max_steps":2000,"solver_budget":30000}`},
 		{alive.Options{MaxSteps: 7}, `{"max_steps":7}`},
 		{alive.Options{}, `{}`},

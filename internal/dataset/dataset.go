@@ -37,10 +37,9 @@ type Config struct {
 	// N is the number of samples wanted (after filtering).
 	N int
 	// SkipVerify skips the Alive equivalence filter (faster; used by
-	// benchmarks that only need shape).
+	// benchmarks that only need shape). The filter verifies under
+	// alive.DefaultOptions().
 	SkipVerify bool
-	// VerifyOptions configures the filter.
-	VerifyOptions alive.Options
 }
 
 // TemplateStat is one template's generation accounting.
@@ -140,9 +139,6 @@ func GenerateReport(cfg Config) ([]*Sample, *GenReport, error) {
 	if cfg.N <= 0 {
 		return nil, nil, fmt.Errorf("dataset: N must be positive")
 	}
-	if cfg.VerifyOptions.MaxPaths == 0 {
-		cfg.VerifyOptions = alive.DefaultOptions()
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tmpls := Templates()
 	rep := &GenReport{Templates: make([]TemplateStat, len(tmpls))}
@@ -201,7 +197,7 @@ func build(prog *program, tmpl Template, cfg Config) (*Sample, error) {
 		return nil, nil
 	}
 	if !cfg.SkipVerify {
-		res := alive.VerifyFuncs(o0, ref, cfg.VerifyOptions)
+		res := alive.VerifyFuncs(o0, ref, alive.DefaultOptions())
 		if res.Verdict != alive.Equivalent {
 			// Inequivalent (a labeler bug) or unverifiable (deep loop):
 			// excluded from the corpus, as in the paper.

@@ -18,14 +18,16 @@ import (
 	"veriopt/internal/policy"
 )
 
+// valFrac is the validation share of the corpus.
+const valFrac = 0.33
+
 // Config sizes an experiment run. Defaults are commodity-scale; the
 // paper-scale run uses CorpusN large enough for a 4,386-function
 // validation set.
 type Config struct {
-	// CorpusN is the total corpus size (train + validation).
+	// CorpusN is the total corpus size (train + validation), of which
+	// valFrac is held out for validation.
 	CorpusN int
-	// ValFrac is the validation share.
-	ValFrac float64
 	// Seed drives corpus generation and training.
 	Seed int64
 	// Workers bounds the rollout/verification fan-out of training and
@@ -41,7 +43,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		CorpusN: 240,
-		ValFrac: 0.33,
 		Seed:    42,
 		Stage:   pipeline.DefaultStageConfig(),
 	}
@@ -98,7 +99,7 @@ func (c *Context) corpus() ([]*dataset.Sample, error) {
 			return nil, err
 		}
 		c.samples = s
-		c.train, c.val, err = dataset.Split(s, c.Cfg.ValFrac, c.Cfg.Seed+1000)
+		c.train, c.val, err = dataset.Split(s, valFrac, c.Cfg.Seed+1000)
 		if err != nil {
 			c.samples = nil
 			return nil, err

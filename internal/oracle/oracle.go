@@ -80,8 +80,9 @@ type Config struct {
 	// Backing, when non-nil, is the durable cold tier under the cache
 	// (see vcache.Backing): hot-tier misses fall through to it before
 	// the solver, computed verdicts write through, and evictions
-	// demote. Pass a *vstore.Store (directly, or via Stack.UseStore)
-	// to also light up the store section of /metrics.
+	// demote. A *vstore.Store also lights up the store section of
+	// /metrics. It is fixed for the stack's life: a stack is complete
+	// when NewStack returns.
 	Backing vcache.Backing
 	// Remote, when non-nil, makes this stack a cluster coordinator:
 	// queries that miss the cache are routed to the remote replica set,
@@ -104,9 +105,7 @@ type Stack struct {
 
 	base   Oracle
 	remote Remote
-
-	mu    sync.Mutex
-	store *vstore.Store
+	store  *vstore.Store // Config.Backing when it is one, else nil
 }
 
 // Verify implements Oracle. Identical queries in flight share one
@@ -139,26 +138,12 @@ func (s *Stack) OracleStats() (Stats, vcache.Stats) {
 	return s.Stats.Snapshot(), s.Engine.Stats()
 }
 
-// UseStore attaches a durable verdict store as the cache's cold tier
-// and exposes it through VStore for metrics. Attach at boot, before
-// queries flow. If cfg.Backing was already a *vstore.Store, NewStack
-// has done this.
-func (s *Stack) UseStore(st *vstore.Store) {
-	s.mu.Lock()
-	s.store = st
-	s.mu.Unlock()
-	s.Engine.SetBacking(st)
-}
-
-// VStore implements StoreSource: the attached verdict store, or nil.
-func (s *Stack) VStore() *vstore.Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store
-}
+// VStore implements StoreSource: the verdict store under the cache, or
+// nil.
+func (s *Stack) VStore() *vstore.Store { return s.store }
 
 // StoreSource is implemented by oracles backed by a durable verdict
-// store (notably *Stack after UseStore); consumers like the serving
+// store (notably a *Stack built over one); consumers like the serving
 // layer's /metrics use it to export storage-engine gauges without
 // knowing the stack's shape. A nil return means no store is attached.
 type StoreSource interface {

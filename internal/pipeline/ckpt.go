@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"veriopt/internal/ckpt"
 	"veriopt/internal/dataset"
@@ -174,7 +175,10 @@ func newCkptRunner(cfg StageConfig, train []*dataset.Sample) (*ckptRunner, error
 	if err := ckpt.Load(r.path, ckptKind, r.state); err != nil {
 		return nil, err
 	}
-	if r.state.ConfigSig != sig {
+	// A checkpoint written while alive.Options still had a FreshSolver
+	// field spells it, false, in its signature: no training run could
+	// set it, so it is read as absent.
+	if strings.ReplaceAll(r.state.ConfigSig, " FreshSolver:false", "") != sig {
 		return nil, fmt.Errorf("pipeline: checkpoint at %s was written under a different configuration; resuming it would not reproduce the original trajectory", r.path)
 	}
 	r.rec.Emit(obs.Event{Kind: "checkpoint", Stage: stageNames[r.state.Stage], Note: "resumed"})

@@ -47,13 +47,11 @@ type GenOptions struct {
 	// Augmented enables the <think> diagnose-and-correct protocol
 	// (Fig. 2 of the paper); otherwise the generic prompt (Fig. 1).
 	Augmented bool
-	// Salt perturbs the hash features (used to decorrelate the
-	// correction attempt from the first attempt).
-	Salt string
-	// MaskRules suppresses the named rules during generation (used by
-	// self-correction to avoid the diagnosed mistake).
-	MaskRules map[string]bool
 }
+
+// retrySalt perturbs the correction attempt's hash features, to
+// decorrelate it from the first attempt.
+const retrySalt = "#retry"
 
 // Generate runs the policy on an input function, producing a
 // completion. The input function is never modified.
@@ -61,9 +59,9 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	inputText := ir.CanonicalText(input)
 	ep := &Episode{
 		InputText: inputText,
-		H:         m.HashFeatures(opts.Salt + inputText),
+		H:         m.HashFeatures(inputText),
 	}
-	attempt, acts, formatBreak := m.rollout(input, ep.H, opts, opts.MaskRules)
+	attempt, acts, formatBreak := m.rollout(input, ep.H, opts, nil)
 	ep.Actions = acts
 	ep.AttemptText = attempt
 	ep.FormatOK = !formatBreak
@@ -78,11 +76,8 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	ep.Diag = m.diagnose(ep.H, acts, opts)
 	if ep.Diag.PredictedClass != DiagOK && m.selfCorrectEnabled() {
 		ep.CorrectionUsed = true
+		// Mask the diagnosed family on the second attempt.
 		mask := map[string]bool{}
-		for k := range opts.MaskRules {
-			mask[k] = true
-		}
-		// Avoid the diagnosed family on the second attempt.
 		for _, name := range ep.Diag.BlamedRules {
 			mask[name] = true
 		}
@@ -93,11 +88,9 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 				}
 			}
 		}
-		o2 := opts
-		o2.Salt = opts.Salt + "#retry"
-		h2 := m.HashFeatures(o2.Salt + inputText)
+		h2 := m.HashFeatures(retrySalt + inputText)
 		ep.CorrH = h2
-		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, o2, mask)
+		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, opts, mask)
 		ep.CorrectionActs = corrActs
 		ep.CorrectionText = corrText
 		ep.FinalText = corrText

@@ -150,13 +150,23 @@ func TestMaskRulesRespected(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(5))
+	h := m.HashFeatures(ir.CanonicalText(f))
 	for i := 0; i < 10; i++ {
-		ep := m.Generate(f, GenOptions{Temperature: 1.5, Rng: rng, MaskRules: mask})
-		kinds := ep.UsedRuleKinds(m)
+		// The correction attempt's rollout, the one that takes a mask.
+		_, acts, _ := m.rollout(f, h, GenOptions{Temperature: 1.5, Rng: rng}, mask)
+		kinds := (&Episode{Actions: acts}).UsedRuleKinds(m)
 		if kinds[rewrite.KindUnsound] > 0 || kinds[rewrite.KindCorrupt] > 0 || kinds[rewrite.KindExtra] > 0 {
 			t.Fatalf("masked rule used: %v", kinds)
 		}
 	}
+}
+
+// saltedEpisode is Generate's generic-prompt path with salt prepended
+// to the text the hash features are taken of.
+func saltedEpisode(m *Model, f *ir.Function, salt string) *Episode {
+	text := ir.CanonicalText(f)
+	final, acts, _ := m.rollout(f, m.HashFeatures(salt+text), GenOptions{}, nil)
+	return &Episode{Actions: acts, FinalText: final, Copied: ir.FingerprintText(final) == ir.FingerprintText(text)}
 }
 
 func TestBaseModelProfileRoughlyTableI(t *testing.T) {
@@ -168,10 +178,10 @@ func TestBaseModelProfileRoughlyTableI(t *testing.T) {
 	copies, corrupts, sounds := 0, 0, 0
 	total := 120
 	for i := 0; i < total; i++ {
-		// Different pseudo-inputs via the salt (each salt changes the
+		// Different pseudo-inputs via a salt (each salt changes the
 		// hash features exactly as a different input would).
 		salt := string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
-		ep := m.Generate(f, GenOptions{Salt: salt})
+		ep := saltedEpisode(m, f, salt)
 		kinds := ep.UsedRuleKinds(m)
 		switch {
 		case kinds[rewrite.KindCorrupt] > 0:

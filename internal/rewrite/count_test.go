@@ -1,6 +1,7 @@
 package rewrite_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -48,7 +49,7 @@ func TestEachRuleAskedOncePerStep(t *testing.T) {
 			}
 		}
 	}
-	for _, opts := range []policy.GenOptions{{}, {Temperature: 1}, {Temperature: 1, Augmented: true}, {Temperature: 1, MaskRules: mask}} {
+	for _, opts := range []policy.GenOptions{{}, {Temperature: 1}, {Temperature: 1, Augmented: true}} {
 		m, finds := countingModel()
 		opts.Rng = rand.New(rand.NewSource(7))
 		steps := 0
@@ -56,9 +57,19 @@ func TestEachRuleAskedOncePerStep(t *testing.T) {
 			ep := m.Generate(s.O0, opts)
 			steps += len(ep.Actions) + len(ep.CorrectionActs)
 		}
-		check("Generate", m, finds, steps, opts.MaskRules)
+		check("Generate", m, finds, steps, nil)
 	}
+	// A mask (the correction attempt's) reaches the rules through
+	// Available, one step per call.
 	m, finds := countingModel()
-	st := sft.WarmUp(m, samples, nil, sft.Config{Epochs: 1, LR: 0.35})
-	check("sft.WarmUp", m, finds, st.CloneSteps, nil)
+	for _, s := range samples {
+		m.Available(s.O0, mask)
+	}
+	check("Available", m, finds, len(samples), mask)
+	m, finds = countingModel()
+	st, err := sft.WarmUpCtx(context.Background(), m, samples, nil, sft.Config{Epochs: 1, LR: 0.35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sft.WarmUpCtx", m, finds, st.CloneSteps, nil)
 }

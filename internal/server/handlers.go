@@ -16,10 +16,9 @@ import (
 	"veriopt/internal/pipeline"
 )
 
-// OptionsJSON mirrors alive.Options on the wire. Options.FreshSolver
-// has no wire field — the incremental-solver choice is a per-process
-// tuning knob, not part of query identity — so a query the coordinator
-// forwards runs under the worker's own solver mode.
+// OptionsJSON mirrors alive.Options on the wire: the three limits that
+// decide a verdict, each defaulting to alive.DefaultOptions() when
+// unset.
 type OptionsJSON struct {
 	MaxPaths     int `json:"max_paths,omitempty"`
 	MaxSteps     int `json:"max_steps,omitempty"`
@@ -232,11 +231,13 @@ func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, timeoutMs i
 	writeJSON(w, status, body)
 }
 
-func (s *Server) verifyOptions(o *OptionsJSON) alive.Options {
+// verifyOptions is alive.DefaultOptions() with the limits a /v1/verify
+// request sets in place of the defaults.
+func verifyOptions(o *OptionsJSON) alive.Options {
+	opts := alive.DefaultOptions()
 	if o == nil {
-		return s.cfg.Verify
+		return opts
 	}
-	opts := s.cfg.Verify
 	if o.MaxPaths > 0 {
 		opts.MaxPaths = o.MaxPaths
 	}
@@ -266,7 +267,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "source does not verify: " + err.Error()})
 		return
 	}
-	opts := s.verifyOptions(req.Options)
+	opts := verifyOptions(req.Options)
 	s.serveQueued(w, r, req.TimeoutMs, func(ctx context.Context) (int, any) {
 		tgt, res := alive.Candidate(ir.ParseFunc(req.Tgt))
 		if tgt != nil {
@@ -314,7 +315,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // is kept unless the verifier proves the candidate) and reports what
 // came back.
 func (s *Server) optimizeFunc(ctx context.Context, f *ir.Function) (*ir.Function, FunctionResult) {
-	out, res := oracle.Accept(ctx, s.oracle, s.cfg.Model, f, nil, s.cfg.Verify)
+	out, res := oracle.Accept(ctx, s.oracle, s.cfg.Model, f, nil, alive.DefaultOptions())
 	base, after := costmodel.Measure(f), costmodel.Measure(out)
 	return out, FunctionResult{
 		Name:         f.Name(),
@@ -352,7 +353,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			slice = slice[:req.Count]
 		}
 		rep, runErr := pipeline.EvaluateCtx(ctx, s.evalPol, slice, req.Augmented, pipeline.EvalConfig{
-			Verify:  s.cfg.Verify,
+			Verify:  alive.DefaultOptions(),
 			Workers: 1, // the queue's worker pool is the concurrency governor
 			Oracle:  s.oracle,
 		})

@@ -85,8 +85,7 @@ func TestHealthzRoleAndStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	stack := oracle.NewStack(oracle.Config{})
-	stack.UseStore(st)
+	stack := oracle.NewStack(oracle.Config{Backing: st})
 	_, base, cancel, errc := start(t, Config{Oracle: stack, Role: "coordinator"})
 	hr := getHealthz(t, base)
 	drain(t, cancel, errc)

@@ -37,7 +37,6 @@ import (
 	"sync"
 	"time"
 
-	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
@@ -95,10 +94,6 @@ type Config struct {
 	// GracePeriod bounds the drain after shutdown begins (<= 0
 	// selects DefaultGracePeriod).
 	GracePeriod time.Duration
-	// Verify is the default verification limit set; the zero value
-	// selects alive.DefaultOptions(). /v1/verify requests may override
-	// it per query.
-	Verify alive.Options
 	// Oracle answers all verification queries (nil selects the shared
 	// oracle.Default() stack). Supply a *oracle.Stack — or any
 	// oracle.StatsSource — to light up the oracle/vcache sections of
@@ -174,9 +169,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = DefaultMaxTimeout
-	}
-	if (cfg.Verify == alive.Options{}) {
-		cfg.Verify = alive.DefaultOptions()
 	}
 	if cfg.Role == "" {
 		cfg.Role = "worker"

@@ -75,21 +75,14 @@ type Stats struct {
 	TeacherMatchFrac float64
 }
 
-// WarmUp runs the supervised stage on the model in place: behaviour
+// WarmUpCtx runs the supervised stage on the model in place: behaviour
 // cloning of first-time samples (teacher trajectories toward the
 // instcombine label) and diagnostic training from correction-augmented
-// samples (Model Zero failures with their true verifier feedback).
-func WarmUp(m *policy.Model, samples []*dataset.Sample, failures []*grpo.FailureSample, cfg Config) Stats {
-	st, _ := WarmUpCtx(context.Background(), m, samples, failures, cfg)
-	return st
-}
-
-// WarmUpCtx is WarmUp under a cancelable context, polled once per
-// sample so a SIGINT mid-warm-up returns within one teacher
-// trajectory. The model is updated in place, so a canceled warm-up
-// leaves a partially-trained model — callers abandon it (the
-// curriculum stops on cancellation) rather than treat it as a
-// finished stage.
+// samples (Model Zero failures with their true verifier feedback). The
+// context is polled once per sample, so a SIGINT mid-warm-up returns
+// within one teacher trajectory; a canceled warm-up leaves a
+// partially-trained model, which callers abandon (the curriculum stops
+// on cancellation) rather than treat as a finished stage.
 func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, failures []*grpo.FailureSample, cfg Config) (Stats, error) {
 	var st Stats
 	matches := 0

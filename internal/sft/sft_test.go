@@ -76,7 +76,10 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 	}
 
 	before := prob(m)
-	st := WarmUp(m, samples, tr.Failures, DefaultConfig())
+	st, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	after := prob(m)
 	if after <= before {
 		t.Errorf("teacher likelihood did not improve: %.3f -> %.3f", before, after)
@@ -99,7 +102,9 @@ func TestWarmUpTrainsDiagnosticHead(t *testing.T) {
 	if len(tr.Failures) == 0 {
 		t.Skip("no failures harvested in this configuration")
 	}
-	WarmUp(m, samples, tr.Failures, DefaultConfig())
+	if _, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
 
 	// The trained head must classify a corrupt trajectory as a syntax
 	// error and a clean trajectory as OK, more often than not.

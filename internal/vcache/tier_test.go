@@ -209,23 +209,6 @@ func TestEvictionDemotesNonDurableOnly(t *testing.T) {
 	}
 }
 
-// TestLateBackingLeavesOldEntriesMemoryOnly pins what SetBacking on an
-// engine that already answered queries means: the resident entries kept
-// no key, so they are served from memory while they last and discarded
-// at eviction. openStoreDir, the one production caller, attaches before
-// the first query.
-func TestLateBackingLeavesOldEntriesMemoryOnly(t *testing.T) {
-	b := newMemBacking()
-	e := New(Config{MaxEntries: 1})
-	e.Do(bg, keyN(0), func() alive.Result { return resN(0) })
-	e.SetBacking(b)
-	e.Do(bg, keyN(0), func() alive.Result { t.Fatal("compute ran for a resident entry"); return alive.Result{} })
-	e.Do(bg, keyN(1), func() alive.Result { return resN(1) })
-	if b.has(keyN(0)) || b.puts != 1 {
-		t.Fatalf("entry older than the backing was written to it: puts = %d", b.puts)
-	}
-}
-
 func TestBackingErrorsDegradeToSolver(t *testing.T) {
 	b := newMemBacking()
 	b.fail = true

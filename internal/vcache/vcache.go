@@ -67,8 +67,9 @@ type Key struct {
 // time; the ring only routes, so a collision merely co-locates two
 // queries.
 //
-// The bytes are sha256(json.Marshal(k)) and every reopened store
-// replays them, so they never change. They are produced without
+// The bytes are sha256(json.Marshal(k)). A store keeps no digest on
+// disk: Open fingerprints each record's stored full key, so what a
+// record's options decode to decides the bytes. They are produced without
 // encoding/json (which costs two allocations and three times the CPU
 // of the hash) by appending the same JSON into a stack buffer; a field
 // added to Key or alive.Options must be appended here, and
@@ -80,7 +81,6 @@ func (k Key) Fingerprint() [sha256.Size]byte {
 	b = strconv.AppendInt(append(b, `,"Opts":{"MaxPaths":`...), int64(k.Opts.MaxPaths), 10)
 	b = strconv.AppendInt(append(b, `,"MaxSteps":`...), int64(k.Opts.MaxSteps), 10)
 	b = strconv.AppendInt(append(b, `,"SolverBudget":`...), int64(k.Opts.SolverBudget), 10)
-	b = strconv.AppendBool(append(b, `,"FreshSolver":`...), k.Opts.FreshSolver)
 	return sha256.Sum256(append(b, "}}"...))
 }
 
@@ -147,8 +147,7 @@ type Config struct {
 	MaxEntries int
 	// Backing, when non-nil, is the durable cold tier: hot-tier misses
 	// fall through to it, computed verdicts write through to it, and
-	// evictions demote into it. It can also be attached later with
-	// SetBacking.
+	// evictions demote into it. It is fixed for the engine's life.
 	Backing Backing
 }
 
@@ -175,10 +174,9 @@ type Stats struct {
 	// Promotions counts queries answered from the backing and promoted
 	// into the hot tier (a subset of Hits).
 	Promotions uint64
-	// Demotions counts evictions made with a backing attached: the
-	// verdict was written through, came from the backing, or is written
-	// now. It equals Evictions unless SetBacking came after queries
-	// (entries older than the backing are counted and discarded).
+	// Demotions counts evictions into the backing: the verdict was
+	// written through, came from the backing, or is written now. It
+	// equals Evictions whenever a backing exists, and is 0 otherwise.
 	Demotions uint64
 	// StoreErrors counts failed backing reads and writes. The query is
 	// still answered (by the solver, or from memory); the error only
@@ -257,7 +255,7 @@ type entry struct {
 	// owed is the full key of a verdict the backing still lacks (its
 	// write-through failed), kept for the demote write at eviction.
 	// It is nil for every other entry: written through, promoted, or
-	// made while no backing was attached.
+	// made by an engine with no backing.
 	owed *Key
 }
 
@@ -278,11 +276,12 @@ func (e *Engine) pushFront(ent *entry) {
 type Engine struct {
 	maxEntries int
 
+	backing Backing // fixed at New
+
 	mu       sync.Mutex
 	entries  map[[sha256.Size]byte]*entry
 	lru      entry // ring sentinel: next = most recently used, prev = coldest
 	inflight map[[sha256.Size]byte]*call
-	backing  Backing
 
 	queries         atomic.Uint64
 	hits            atomic.Uint64
@@ -304,26 +303,12 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		maxEntries: cfg.MaxEntries,
-		inflight:   make(map[[sha256.Size]byte]*call),
 		backing:    cfg.Backing,
+		entries:    make(map[[sha256.Size]byte]*entry),
+		inflight:   make(map[[sha256.Size]byte]*call),
 	}
-	e.clear()
-	return e
-}
-
-// clear empties the hot tier. Callers hold e.mu (or own e outright).
-func (e *Engine) clear() {
-	e.entries = make(map[[sha256.Size]byte]*entry)
 	e.lru.prev, e.lru.next = &e.lru, &e.lru
-}
-
-// SetBacking attaches (or replaces) the durable tier. Attach at boot,
-// before queries flow: entries already resident kept no key to write
-// under, so they stay memory-only and eviction discards them.
-func (e *Engine) SetBacking(b Backing) {
-	e.mu.Lock()
-	e.backing = b
-	e.mu.Unlock()
+	return e
 }
 
 // KeyOfFunc renders a function into cache-key form.
@@ -390,14 +375,13 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 	}
 	c := &call{done: make(chan struct{})}
 	e.inflight[fp] = c
-	b := e.backing
 	e.mu.Unlock()
 
 	// Miss in the hot tier: consult the cold tier before the solver.
 	// The singleflight slot is already claimed, so concurrent
 	// duplicates wait on this read instead of hammering the disk.
-	if b != nil {
-		res, ok, err := b.Get(k)
+	if e.backing != nil {
+		res, ok, err := e.backing.Get(k)
 		if err != nil {
 			e.storeErrors.Add(1)
 		} else if ok && !res.Canceled {
@@ -431,8 +415,8 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 	// evictable. Only a failed write leaves the entry owing one, and
 	// only then does it keep the key.
 	var owed *Key
-	if b != nil {
-		if err := b.Put(k, c.res); err != nil {
+	if e.backing != nil {
+		if err := e.backing.Put(k, c.res); err != nil {
 			e.storeErrors.Add(1)
 			kept := k // a copy, so that k itself stays on the caller's stack
 			owed = &kept
@@ -449,11 +433,10 @@ func (e *Engine) settle(fp [sha256.Size]byte, c *call, owed *Key) {
 	e.mu.Lock()
 	demoted := e.store(fp, c.res, owed)
 	delete(e.inflight, fp)
-	b := e.backing
 	e.mu.Unlock()
 	close(c.done)
 	for _, ent := range demoted {
-		if err := b.Put(*ent.owed, ent.res); err != nil {
+		if err := e.backing.Put(*ent.owed, ent.res); err != nil {
 			e.storeErrors.Add(1)
 		}
 	}
@@ -503,24 +486,4 @@ func (e *Engine) Stats() Stats {
 		Entries:         n,
 		WallTime:        time.Duration(e.wallNanos.Load()),
 	}
-}
-
-// Reset drops all hot-tier verdicts and zeroes the counters (used by
-// benchmarks that measure cold-cache throughput). The backing, if
-// any, keeps its contents — Reset empties memory, not disk.
-func (e *Engine) Reset() {
-	e.mu.Lock()
-	e.clear()
-	e.mu.Unlock()
-	e.queries.Store(0)
-	e.hits.Store(0)
-	e.misses.Store(0)
-	e.evictions.Store(0)
-	e.promotions.Store(0)
-	e.demotions.Store(0)
-	e.storeErrors.Store(0)
-	e.budgetExhausted.Store(0)
-	e.solverConflicts.Store(0)
-	e.canceled.Store(0)
-	e.wallNanos.Store(0)
 }

@@ -361,15 +361,6 @@ func TestConcurrentQueriesRaceFree(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	e := New(Config{})
-	e.Do(bg, keyN(0), equivalent)
-	e.Reset()
-	if s := e.Stats(); s.Queries != 0 || s.Entries != 0 {
-		t.Fatalf("reset left state: %+v", s)
-	}
-}
-
 func TestSolverConflictsAccumulateOnLiveRunsOnly(t *testing.T) {
 	e := New(Config{})
 	compute := func() alive.Result {
@@ -383,9 +374,5 @@ func TestSolverConflictsAccumulateOnLiveRunsOnly(t *testing.T) {
 	}
 	if got := e.Stats().Counters()["solver_conflicts"]; got != 14 {
 		t.Fatalf("Counters()[solver_conflicts] = %d, want 14", got)
-	}
-	e.Reset()
-	if got := e.Stats().SolverConflicts; got != 0 {
-		t.Fatalf("SolverConflicts after Reset = %d, want 0", got)
 	}
 }

@@ -19,9 +19,9 @@ import (
 // writer is abandoned without Close (handles leak until process exit,
 // exactly like a kill -9), so nothing beyond what Put already synced
 // reaches the manifest or an orderly shutdown path.
-func crashedStore(t *testing.T, dir string, n int, cfg Config) {
+func crashedStore(t *testing.T, dir string, n int, segmentBytes int64) {
 	t.Helper()
-	s, err := Open(dir, cfg)
+	s, err := open(dir, Config{}, segmentBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func activeSegmentPath(t *testing.T, dir string) string {
 
 func TestKillMidAppendTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	crashedStore(t, dir, 5, Config{})
+	crashedStore(t, dir, 5, defaultSegmentBytes)
 	// Simulate the kill landing mid-write: a record header naming a
 	// 4096-byte payload of which only 16 bytes hit the disk.
 	path := activeSegmentPath(t, dir)
@@ -95,7 +95,7 @@ func TestKillMidAppendTruncatesTornTail(t *testing.T) {
 
 func TestBitFlipInActiveTailTruncatesFromThere(t *testing.T) {
 	dir := t.TempDir()
-	crashedStore(t, dir, 5, Config{})
+	crashedStore(t, dir, 5, defaultSegmentBytes)
 	path := activeSegmentPath(t, dir)
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -130,9 +130,9 @@ func TestBitFlipInActiveTailTruncatesFromThere(t *testing.T) {
 
 func TestBitFlipInSealedSegmentFailsOpenLoudly(t *testing.T) {
 	dir := t.TempDir()
-	// SegmentBytes: 1 seals a segment on every append, so record 0
+	// A 1-byte threshold seals a segment on every append, so record 0
 	// lives in a sealed segment.
-	s, err := Open(dir, Config{SegmentBytes: 1})
+	s, err := open(dir, Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestBitFlipInSealedSegmentFailsOpenLoudly(t *testing.T) {
 // store kept must decode cleanly.
 func TestEverySurvivingRecordPassesChecksum(t *testing.T) {
 	dir := t.TempDir()
-	crashedStore(t, dir, 10, Config{SegmentBytes: 512})
+	crashedStore(t, dir, 10, 512)
 	path := activeSegmentPath(t, dir)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

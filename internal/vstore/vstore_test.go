@@ -212,7 +212,7 @@ func TestParentWrittenStoreReopens(t *testing.T) {
 			}
 		}
 	}
-	s, err := Open(dir, Config{SegmentBytes: 600})
+	s, err := open(dir, Config{}, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestCanceledVerdictsRefused(t *testing.T) {
 func TestRotationSpreadsSegmentsAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	// A tiny threshold rotates on every append.
-	s, err := Open(dir, Config{SegmentBytes: 1})
+	s, err := open(dir, Config{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestRotationSpreadsSegmentsAndRecovers(t *testing.T) {
 }
 
 func TestConcurrentReadersAndRotatingWriter(t *testing.T) {
-	s, err := Open(t.TempDir(), Config{SegmentBytes: 512})
+	s, err := open(t.TempDir(), Config{}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func fillDisk(s *Store, room int, stuck bool) *flakyFile {
 // early, and once the segment is sealed the store never opens again.
 func TestShortWriteLeavesTheStoreUsable(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{SegmentBytes: 1000})
+	s, err := open(dir, Config{}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +614,7 @@ func TestShortWriteLeavesTheStoreUsable(t *testing.T) {
 // appends and does not rotate.
 func TestShortWriteThatCannotBeCutRefusesAppends(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Config{SegmentBytes: 300}) // a rotation every other append
+	s, err := open(dir, Config{}, 300) // a rotation every other append
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,9 @@
 package veriopt
 
 // Solver-wall benchmark: the cold-cache verification workload run
-// through the fresh-solver-per-query path versus the incremental
-// session path (the default), isolating the live SAT cost the verdict
-// cache cannot hide. BenchmarkSolverWall{Fresh,Session} time the two;
-// TestSolverWallBench holds them to the same verdicts.
+// through the incremental session, isolating the live SAT cost the
+// verdict cache cannot hide. BenchmarkSolverWallSession times it;
+// TestSolverWallBench logs one run.
 
 import (
 	"sync"
@@ -16,10 +15,7 @@ import (
 	"veriopt/internal/ir"
 )
 
-type verifyPair struct {
-	name     string
-	src, tgt *ir.Function
-}
+type verifyPair struct{ src, tgt *ir.Function }
 
 var (
 	solverPairsOnce sync.Once
@@ -40,9 +36,9 @@ func solverWorkload(tb testing.TB) []verifyPair {
 			return
 		}
 		for _, s := range samples {
-			solverPairs = append(solverPairs, verifyPair{name: s.Name, src: s.O0, tgt: s.Ref})
+			solverPairs = append(solverPairs, verifyPair{s.O0, s.Ref})
 			if broken := perturbConst(s.Ref); broken != nil {
-				solverPairs = append(solverPairs, verifyPair{name: s.Name + "/broken", src: s.O0, tgt: broken})
+				solverPairs = append(solverPairs, verifyPair{s.O0, broken})
 			}
 		}
 	})
@@ -73,54 +69,30 @@ func perturbConst(f *ir.Function) *ir.Function {
 }
 
 // runSolverWall verifies the whole workload under opts, returning the
-// verdicts, the total SAT conflicts, and the wall-clock spent.
-func runSolverWall(pairs []verifyPair, opts alive.Options) ([]alive.Verdict, int, time.Duration) {
-	verdicts := make([]alive.Verdict, len(pairs))
+// total SAT conflicts and the wall-clock spent.
+func runSolverWall(pairs []verifyPair, opts alive.Options) (int, time.Duration) {
 	conflicts := 0
 	t0 := time.Now()
-	for i, p := range pairs {
-		res := alive.VerifyFuncs(p.src, p.tgt, opts)
-		verdicts[i] = res.Verdict
-		conflicts += res.SolverConflicts
+	for _, p := range pairs {
+		conflicts += alive.VerifyFuncs(p.src, p.tgt, opts).SolverConflicts
 	}
-	return verdicts, conflicts, time.Since(t0)
+	return conflicts, time.Since(t0)
 }
 
-func solverOpts(fresh bool) alive.Options {
-	o := alive.DefaultOptions()
-	o.FreshSolver = fresh
-	return o
-}
-
-// TestSolverWallBench runs both solver paths over the workload and
-// requires verdict parity between them on every pair. The walls and
-// conflict counts are logged, not asserted: tier-1 must not fail on a
-// loaded machine.
+// TestSolverWallBench runs the session over the workload and logs its
+// wall and conflict count; nothing timed is asserted, since tier-1 must
+// not fail on a loaded machine. Verdict parity with the fresh solver per
+// query, the path builds before the session took, is
+// internal/alive's TestSessionMatchesFreshSolver (the fresh solver is a
+// test reference there).
 func TestSolverWallBench(t *testing.T) {
 	pairs := solverWorkload(t)
 	if len(pairs) < 32 {
 		t.Fatalf("workload: %d pairs, want the 32 samples and their mutants", len(pairs))
 	}
-	fv, fc, fw := runSolverWall(pairs, solverOpts(true))
-	sv, sc, sw := runSolverWall(pairs, solverOpts(false))
-	for i := range pairs {
-		if fv[i] != sv[i] {
-			t.Errorf("%s: fresh=%v session=%v", pairs[i].name, fv[i], sv[i])
-		}
-	}
+	conflicts, wall := runSolverWall(pairs, alive.DefaultOptions())
 	t.Logf("workload: %d pairs", len(pairs))
-	t.Logf("fresh:   %v wall, %d conflicts", fw, fc)
-	t.Logf("session: %v wall, %d conflicts", sw, sc)
-}
-
-// BenchmarkSolverWallFresh times the pre-session path: a fresh
-// bit-blast and solver per refinement query.
-func BenchmarkSolverWallFresh(b *testing.B) {
-	pairs := solverWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runSolverWall(pairs, solverOpts(true))
-	}
+	t.Logf("session: %v wall, %d conflicts", wall, conflicts)
 }
 
 // BenchmarkSolverWallSession times the incremental session path.
@@ -128,6 +100,6 @@ func BenchmarkSolverWallSession(b *testing.B) {
 	pairs := solverWorkload(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runSolverWall(pairs, solverOpts(false))
+		runSolverWall(pairs, alive.DefaultOptions())
 	}
 }
