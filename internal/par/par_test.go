@@ -38,12 +38,13 @@ func TestForCompletesWithoutCancel(t *testing.T) {
 func TestForStopsDispatchingOnCancel(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
-		var ran, inflight atomic.Int64
+		var ran, inflight, atCancel atomic.Int64
 		err := For(ctx, workers, 1000, func(i int) {
 			inflight.Add(1)
 			defer inflight.Add(-1)
 			if ran.Add(1) == 3 {
 				cancel()
+				atCancel.Store(ran.Load())
 			}
 		})
 		cancel()
@@ -54,9 +55,12 @@ func TestForStopsDispatchingOnCancel(t *testing.T) {
 			t.Fatalf("workers=%d: %d calls still in flight after For returned", workers, inflight.Load())
 		}
 		// At most one extra dispatch per worker can slip through after
-		// cancel (a worker already past its ctx check).
-		if n := ran.Load(); n > int64(3+workers) {
-			t.Fatalf("workers=%d: %d calls ran after cancel at 3", workers, n)
+		// cancel returns (a worker already past its ctx check). Counted
+		// from cancel's return, not from the third call: the canceling
+		// goroutine can be descheduled between the two while the other
+		// workers run on, hundreds of calls under the race detector.
+		if n := ran.Load() - atCancel.Load(); n > int64(workers) {
+			t.Fatalf("workers=%d: %d calls ran after cancel returned", workers, n)
 		}
 	}
 }
