@@ -1,9 +1,13 @@
 // Package veriopt's root benchmark harness: one testing.B benchmark
 // per paper table and figure (see DESIGN.md §4 for the index). The
 // expensive shared artifacts — corpus, trained curriculum, baselines
-// — are built once per benchmark binary; each iteration then
-// regenerates the table or figure from them, which is the
-// inference+verification work the paper's artifact measures.
+// — are built once per benchmark binary, and the context keeps the
+// validation report of each (model, prompt) it evaluates; so the
+// first iteration of a table or figure pays for the
+// inference+verification work the paper's artifact measures, and
+// later iterations time rendering from memoized reports.
+// BenchmarkGreedyInferenceWithVerification and the Workers benchmarks
+// evaluate afresh on every iteration.
 package veriopt
 
 import (
@@ -132,10 +136,9 @@ func BenchmarkGreedyInferenceWithVerification(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	vo := pipeline.EvalOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, _ := pipeline.EvaluateCtx(context.Background(), res.Latency, val, false, pipeline.EvalConfig{Verify: vo})
+		rep, _ := pipeline.EvaluateCtx(context.Background(), res.Latency, val, false, pipeline.EvalConfig{})
 		if rep.Total() != len(val) {
 			b.Fatal("evaluation lost samples")
 		}
@@ -164,7 +167,7 @@ func benchEvalWorkers(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st = oracle.NewStack(oracle.Config{})
-		cfg := pipeline.EvalConfig{Verify: pipeline.EvalOptions(), Workers: workers, Oracle: st}
+		cfg := pipeline.EvalConfig{Workers: workers, Oracle: st}
 		for _, m := range models {
 			rep, _ := pipeline.EvaluateCtx(context.Background(), m, val, false, cfg)
 			if rep.Total() != len(val) {

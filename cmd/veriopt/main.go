@@ -303,7 +303,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	ec := pipeline.EvalConfig{Verify: pipeline.EvalOptions(), Workers: *workers, Oracle: c.Oracle}
+	ec := pipeline.EvalConfig{Workers: *workers, Oracle: c.Oracle}
 	rows := []struct {
 		name      string
 		m         *policy.Model

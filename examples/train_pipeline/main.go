@@ -42,7 +42,7 @@ func main() {
 		time.Since(t0).Round(time.Second), len(res.Failures), res.UMax)
 
 	evaluate := func(m *policy.Model, augmented bool) *pipeline.Report {
-		rep, err := pipeline.EvaluateCtx(ctx, m, val, augmented, pipeline.EvalConfig{Verify: pipeline.EvalOptions()})
+		rep, err := pipeline.EvaluateCtx(ctx, m, val, augmented, pipeline.EvalConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -22,8 +22,6 @@ type Baseline struct {
 	// by size).
 	Params float64
 	Model  *policy.Model
-	// Augmented is always false for baselines (generic prompt).
-	Augmented bool
 }
 
 // SFT builds a supervised-fine-tuned baseline at the given capacity:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
 	"veriopt/internal/pipeline"
 	"veriopt/internal/policy"
@@ -12,8 +11,8 @@ import (
 
 // evaluate is pipeline.EvaluateCtx under a context that never ends,
 // where the only error is nil.
-func evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool, vo alive.Options) *pipeline.Report {
-	rep, _ := pipeline.EvaluateCtx(context.Background(), m, samples, augmented, pipeline.EvalConfig{Verify: vo})
+func evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool) *pipeline.Report {
+	rep, _ := pipeline.EvaluateCtx(context.Background(), m, samples, augmented, pipeline.EvalConfig{})
 	return rep
 }
 
@@ -33,9 +32,6 @@ func TestSuiteOrderAndNames(t *testing.T) {
 		}
 	}
 	for _, b := range suite {
-		if b.Augmented {
-			t.Errorf("%s: baselines must use the generic prompt", b.Name)
-		}
 		if b.Model == nil {
 			t.Errorf("%s: nil model", b.Name)
 		}
@@ -51,11 +47,10 @@ func TestSFTBaselineBeatsUntrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vo := pipeline.EvalOptions()
 	base := policy.New(policy.CapQwen3B, 9)
-	baseRep := evaluate(base, val, false, vo)
+	baseRep := evaluate(base, val, false)
 	sftB := SFT(policy.CapQwen3B, 3, train, 9)
-	sftRep := evaluate(sftB.Model, val, false, vo)
+	sftRep := evaluate(sftB.Model, val, false)
 	if sftRep.DifferentCorrectFrac() <= baseRep.DifferentCorrectFrac() {
 		t.Errorf("SFT (%.2f) did not beat untrained (%.2f) on different-correct",
 			sftRep.DifferentCorrectFrac(), baseRep.DifferentCorrectFrac())
@@ -68,7 +63,7 @@ func TestLLMCompilerProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := LLMCompiler(3)
-	rep := evaluate(b.Model, samples, false, pipeline.EvalOptions())
+	rep := evaluate(b.Model, samples, false)
 	// The LLM-Compiler analogue compiles nearly always (the paper
 	// reports 95.6%) ...
 	synFrac := float64(rep.Syntax) / float64(rep.Total())
@@ -96,11 +91,10 @@ func TestScaleImprovesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vo := pipeline.EvalOptions()
 	small := SFT(policy.CapQwen05B, 0.5, train, 7)
 	big := SFT(policy.CapQwen32B, 32, train, 7)
-	smallRep := evaluate(small.Model, val, false, vo)
-	bigRep := evaluate(big.Model, val, false, vo)
+	smallRep := evaluate(small.Model, val, false)
+	bigRep := evaluate(big.Model, val, false)
 	if bigRep.CorrectFrac() < smallRep.CorrectFrac()-0.05 {
 		t.Errorf("32B analogue (%.2f) below 0.5B analogue (%.2f) on correctness",
 			bigRep.CorrectFrac(), smallRep.CorrectFrac())

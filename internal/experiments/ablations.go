@@ -18,10 +18,6 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	val, err := c.Val()
-	if err != nil {
-		return nil, err
-	}
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
@@ -42,7 +38,6 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 	nums := map[string]float64{}
 	fmt.Fprintf(&sb, "GRPO variants, %d steps each from the same base model:\n", steps)
 	fmt.Fprintf(&sb, "%-38s %12s %12s %10s\n", "Variant", "DiffCorrect%", "Correct%", "Speedup")
-	vo := c.EvalConfig(pipeline.EvalOptions())
 	for i, v := range variants {
 		m := res.Base.Clone()
 		cfg := c.Cfg.Stage.GRPO
@@ -54,7 +49,7 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 		if _, err := tr.TrainCtx(c.Context(), steps); err != nil {
 			return nil, err
 		}
-		rep, err := c.Evaluate(m, val, false, vo)
+		rep, err := c.report(m, false)
 		if err != nil {
 			return nil, err
 		}
@@ -72,20 +67,15 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 // item 1): the filter guarantees the same safety but cannot teach the
 // model anything, so the useful-output rate stays at the base level.
 func ablationVerifier(c *Context) (*Outcome, error) {
-	val, err := c.Val()
-	if err != nil {
-		return nil, err
-	}
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
 	}
-	vo := c.EvalConfig(pipeline.EvalOptions())
-	baseRep, err := c.Evaluate(res.Base, val, false, vo)
+	baseRep, err := c.report(res.Base, false)
 	if err != nil {
 		return nil, err
 	}
-	latRep, err := c.Evaluate(res.Latency, val, false, vo)
+	latRep, err := c.report(res.Latency, false)
 	if err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"veriopt/internal/alive"
 	"veriopt/internal/baselines"
 	"veriopt/internal/dataset"
 	"veriopt/internal/obs"
@@ -49,7 +48,8 @@ func DefaultConfig() Config {
 }
 
 // Context lazily builds and caches the expensive shared artifacts:
-// the corpus, the trained curriculum, and the baseline suite.
+// the corpus, the trained curriculum, the baseline suite, and the
+// validation report of each (model, prompt).
 type Context struct {
 	Cfg Config
 
@@ -69,8 +69,15 @@ type Context struct {
 	val     []*dataset.Sample
 	res     *pipeline.Result
 	bl      []*baselines.Baseline
+	reports map[evalKey]*pipeline.Report
 	// Progress, when non-nil, receives coarse progress messages.
 	Progress func(msg string)
+}
+
+// evalKey names one memoized report: a model under one prompt.
+type evalKey struct {
+	m         *policy.Model
+	augmented bool
 }
 
 // NewContext returns an empty context for the given config.
@@ -149,18 +156,31 @@ func (c *Context) Pipeline() (*pipeline.Result, error) {
 	return c.res, nil
 }
 
-// EvalConfig builds the evaluation config experiments should use: the
-// given verification limits plus the context's worker bound and
-// oracle (the shared default stack when none is set).
-func (c *Context) EvalConfig(vo alive.Options) pipeline.EvalConfig {
-	return pipeline.EvalConfig{Verify: vo, Workers: c.Cfg.Workers, Oracle: c.Oracle}
-}
-
-// Evaluate runs a cancelable evaluation under the context's Ctx and
-// oracle. Experiments route every evaluation through here so a SIGINT
-// mid-experiment propagates instead of running the remaining samples.
-func (c *Context) Evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool, cfg pipeline.EvalConfig) (*pipeline.Report, error) {
-	return pipeline.EvaluateCtx(c.Context(), m, samples, augmented, cfg)
+// report evaluates m greedily on the validation split under its
+// prompt (augmented or generic), with alive.DefaultOptions() and the
+// context's workers and oracle, and keeps the report: every table and
+// figure that reads the same (model, prompt) shares one evaluation.
+// The memo relies on a model never changing after it is evaluated
+// (training always works on a clone). A canceled evaluation returns
+// the context's error and is not kept.
+func (c *Context) report(m *policy.Model, augmented bool) (*pipeline.Report, error) {
+	k := evalKey{m, augmented}
+	if rep, ok := c.reports[k]; ok {
+		return rep, nil
+	}
+	val, err := c.Val()
+	if err != nil {
+		return nil, err
+	}
+	rep, err := pipeline.EvaluateCtx(c.Context(), m, val, augmented, pipeline.EvalConfig{Workers: c.Cfg.Workers, Oracle: c.Oracle})
+	if err != nil {
+		return nil, err
+	}
+	if c.reports == nil {
+		c.reports = map[evalKey]*pipeline.Report{}
+	}
+	c.reports[k] = rep
+	return rep, nil
 }
 
 // Baselines returns the Fig. 5 comparison suite.

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
+
+	"veriopt/internal/ir"
+	"veriopt/internal/pipeline"
 )
 
 var (
@@ -13,15 +18,82 @@ var (
 
 func sharedCtx(t *testing.T) *Context {
 	t.Helper()
-	testCtxOnce.Do(func() {
-		cfg := DefaultConfig()
-		cfg.CorpusN = 100
-		cfg.Stage.Stage1Steps = 6
-		cfg.Stage.Stage2Steps = 40
-		cfg.Stage.Stage3Steps = 30
-		testCtx = NewContext(cfg)
-	})
+	testCtxOnce.Do(func() { testCtx = NewContext(testConfig()) })
 	return testCtx
+}
+
+func testConfig() Config {
+	cfg := DefaultConfig()
+	cfg.CorpusN = 100
+	cfg.Stage.Stage1Steps = 6
+	cfg.Stage.Stage2Steps = 40
+	cfg.Stage.Stage3Steps = 30
+	return cfg
+}
+
+// TestOneEvaluationPerModelAndPrompt: the tables and figures that read
+// the curriculum's models share one validation report per (model,
+// prompt): five for these six experiments, which ask for nineteen.
+func TestOneEvaluationPerModelAndPrompt(t *testing.T) {
+	c := NewContext(testConfig())
+	for _, id := range []string{"table1", "table2", "table3", "fig6", "fig7", "ablation_verifier"} {
+		if _, err := Run(id, c); err != nil {
+			t.Fatalf("Run(%s): %v", id, err)
+		}
+	}
+	if len(c.reports) != 5 {
+		t.Errorf("%d memoized reports, want 5: base, model zero and latency generic, warm-up and correctness augmented", len(c.reports))
+	}
+}
+
+// TestCanceledReportNotKept: an evaluation cut short returns its error
+// and leaves nothing memoized, so the next call under a live context
+// evaluates afresh and gets the full report.
+func TestCanceledReportNotKept(t *testing.T) {
+	c := NewContext(testConfig())
+	res, err := c.Pipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.Ctx = ctx
+	if rep, err := c.report(res.Latency, false); err == nil || rep != nil {
+		t.Fatalf("canceled report: got %v, %v; want nil and the context's error", rep, err)
+	}
+	if len(c.reports) != 0 {
+		t.Fatalf("canceled evaluation kept: %d memoized reports", len(c.reports))
+	}
+	c.Ctx = nil
+	got, err := c.report(res.Latency, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val, err := c.Val()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pipeline.EvaluateCtx(context.Background(), res.Latency, val, false, pipeline.EvalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Skipped != 0 || summary(got) != summary(want) {
+		t.Errorf("live report after a canceled one:\n got %s\nwant %s", summary(got), summary(want))
+	}
+}
+
+// summary renders every per-sample outcome and tally of a report.
+func summary(rep *pipeline.Report) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d/%d/%d/%d/%d/%d", rep.Correct, rep.Copies, rep.Semantic, rep.Syntax, rep.Inconclusive, rep.Skipped)
+	for _, r := range rep.Results {
+		fn := ""
+		if r.FinalFn != nil {
+			fn = ir.FuncString(r.FinalFn)
+		}
+		fmt.Fprintf(&sb, "|%s %v %q %v %v %+v %+v %+v %s", r.Sample.Name, r.Verdict, r.Diag, r.Copied, r.UsedFallback, r.Out, r.Base, r.Ref, fn)
+	}
+	return sb.String()
 }
 
 func TestAllExperimentsRun(t *testing.T) {

@@ -90,10 +90,6 @@ func fig4(c *Context) (*Outcome, error) {
 // fig5 reproduces Figure 5: LLM-VeriOpt against SFT baselines of
 // increasing size and the LLM-Compiler analogue, on all four axes.
 func fig5(c *Context) (*Outcome, error) {
-	val, err := c.Val()
-	if err != nil {
-		return nil, err
-	}
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
@@ -102,7 +98,6 @@ func fig5(c *Context) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	vo := c.EvalConfig(pipeline.EvalOptions())
 	var sb strings.Builder
 	nums := map[string]float64{}
 	fmt.Fprintf(&sb, "%-22s %7s %10s %12s %10s %10s\n",
@@ -115,13 +110,13 @@ func fig5(c *Context) (*Outcome, error) {
 	}
 	var rows []row
 	for _, b := range bl {
-		rep, err := c.Evaluate(b.Model, val, b.Augmented, vo)
+		rep, err := c.report(b.Model, false)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row{b.Name, b.Params, rep})
 	}
-	ours, err := c.Evaluate(res.Latency, val, false, vo)
+	ours, err := c.report(res.Latency, false)
 	if err != nil {
 		return nil, err
 	}
@@ -143,15 +138,11 @@ func fig5(c *Context) (*Outcome, error) {
 // fig6 reproduces Figure 6: pairwise distributions of Model-Latency
 // against -O0 and against instcombine, plus the hybrid-fallback gain.
 func fig6(c *Context) (*Outcome, error) {
-	val, err := c.Val()
-	if err != nil {
-		return nil, err
-	}
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := c.Evaluate(res.Latency, val, false, c.EvalConfig(pipeline.EvalOptions()))
+	rep, err := c.report(res.Latency, false)
 	if err != nil {
 		return nil, err
 	}
@@ -189,15 +180,10 @@ func fig6(c *Context) (*Outcome, error) {
 // fig7 reproduces Figure 7: the ablation over the four curriculum
 // models.
 func fig7(c *Context) (*Outcome, error) {
-	val, err := c.Val()
-	if err != nil {
-		return nil, err
-	}
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
 	}
-	vo := c.EvalConfig(pipeline.EvalOptions())
 	type stageRow struct {
 		name string
 		rep  *pipeline.Report
@@ -214,7 +200,7 @@ func fig7(c *Context) (*Outcome, error) {
 	}
 	var stages []stageRow
 	for _, p := range plan {
-		rep, err := c.Evaluate(p.m, val, p.augmented, vo)
+		rep, err := c.report(p.m, p.augmented)
 		if err != nil {
 			return nil, err
 		}

@@ -39,15 +39,11 @@ func verdictTable(title string, rep *pipeline.Report) string {
 // table1 reproduces Table I: verdict categories of the untrained base
 // model under the generic one-shot prompt.
 func table1(c *Context) (*Outcome, error) {
-	val, err := c.Val()
-	if err != nil {
-		return nil, err
-	}
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
 	}
-	rep, err := c.Evaluate(res.Base, val, false, c.EvalConfig(pipeline.EvalOptions()))
+	rep, err := c.report(res.Base, false)
 	if err != nil {
 		return nil, err
 	}
@@ -70,20 +66,15 @@ func table1(c *Context) (*Outcome, error) {
 // table2 reproduces Table II: verdicts of Model-Correctness and
 // Model-Latency.
 func table2(c *Context) (*Outcome, error) {
-	val, err := c.Val()
-	if err != nil {
-		return nil, err
-	}
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
 	}
-	vo := c.EvalConfig(pipeline.EvalOptions())
-	corr, err := c.Evaluate(res.Correctness, val, true, vo)
+	corr, err := c.report(res.Correctness, true)
 	if err != nil {
 		return nil, err
 	}
-	lat, err := c.Evaluate(res.Latency, val, false, vo)
+	lat, err := c.report(res.Latency, false)
 	if err != nil {
 		return nil, err
 	}
@@ -106,15 +97,10 @@ func table2(c *Context) (*Outcome, error) {
 // three efficiency metrics across Model-Latency, Model-Correctness,
 // and the base model.
 func table3(c *Context) (*Outcome, error) {
-	val, err := c.Val()
-	if err != nil {
-		return nil, err
-	}
 	res, err := c.Pipeline()
 	if err != nil {
 		return nil, err
 	}
-	vo := c.EvalConfig(pipeline.EvalOptions())
 	rows := []struct {
 		name      string
 		m         *policy.Model
@@ -130,7 +116,7 @@ func table3(c *Context) (*Outcome, error) {
 	fmt.Fprintf(&sb, "%-8s %-18s %7s %7s %7s %7s %10s\n", "Metric", "Model", "Better", "Worse", "Tie", "Total", "MeanΔ")
 	for _, metric := range []pipeline.Metric{pipeline.MetricLatency, pipeline.MetricSize, pipeline.MetricICount} {
 		for _, row := range rows {
-			rep, err := c.Evaluate(row.m, val, row.augmented, vo)
+			rep, err := c.report(row.m, row.augmented)
 			if err != nil {
 				return nil, err
 			}

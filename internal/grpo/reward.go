@@ -84,32 +84,35 @@ func verdictOf(ctx context.Context, o oracle.Oracle, text string, s *dataset.Sam
 	return o.Verify(ctx, s.O0, f, opts), f
 }
 
-// correctnessReward is the paper's Eq. 1:
+// eq1 is the paper's Eq. 1:
 //
 //	r = t·(1 + a·(1 + m)) + b
 //
 // with t format compliance, a Alive2 equivalence, m exact match with
-// the reference, b the BLEU similarity. The shaping term b is optional:
-// bleuShaping=false implements the NoBleuShaping ablation (the
-// gradient-starvation mitigation removed) for the final answer.
-func correctnessReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
-	t := 0.0
-	if ep.FormatOK {
+// the reference (counted only when a holds), b the BLEU similarity.
+// The shaping term b is optional: shaping=false implements the
+// NoBleuShaping ablation (the gradient-starvation mitigation removed).
+func eq1(formatOK bool, verdict alive.Verdict, exact bool, b float64, shaping bool) float64 {
+	t, a, m := 0.0, 0.0, 0.0
+	if formatOK {
 		t = 1
 	}
-	a := 0.0
-	if j.FinalVerdict.Verdict == alive.Equivalent {
+	if verdict == alive.Equivalent {
 		a = 1
-	}
-	m := 0.0
-	if j.ExactMatch && a == 1 {
-		m = 1
+		if exact {
+			m = 1
+		}
 	}
 	r := t * (1 + a*(1+m))
-	if bleuShaping {
-		r += j.Bleu
+	if shaping {
+		r += b
 	}
 	return r
+}
+
+// correctnessReward applies Eq. 1 to the final answer.
+func correctnessReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
+	return eq1(ep.FormatOK, j.FinalVerdict.Verdict, j.ExactMatch, j.Bleu, bleuShaping)
 }
 
 // attemptReward applies Eq. 1 to the think-block attempt: the reward
@@ -118,23 +121,7 @@ func correctnessReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float6
 // removes the shaping signal from the attempt segment, not just from
 // the answer segment.
 func attemptReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
-	t := 0.0
-	if ep.FormatOK {
-		t = 1
-	}
-	a := 0.0
-	if j.AttemptVerdict.Verdict == alive.Equivalent {
-		a = 1
-	}
-	m := 0.0
-	if j.AttemptExact && a == 1 {
-		m = 1
-	}
-	r := t * (1 + a*(1+m))
-	if bleuShaping {
-		r += j.AttemptBleu
-	}
-	return r
+	return eq1(ep.FormatOK, j.AttemptVerdict.Verdict, j.AttemptExact, j.AttemptBleu, bleuShaping)
 }
 
 // cotReward is the paper's Eq. 2: full credit when model and verifier

@@ -75,15 +75,13 @@ type SeqTrainer struct {
 	Model *seqopt.Model
 	Cfg   SeqConfig
 	rollout
-
-	passes []*seqopt.Pass
 }
 
 // NewSeqTrainer wires a sequence trainer. As with NewTrainer, the
 // training trajectory depends only on (model, data, cfg, seed) —
 // never on Cfg.Workers.
 func NewSeqTrainer(m *seqopt.Model, data []*dataset.Sample, cfg SeqConfig, seed int64) *SeqTrainer {
-	return &SeqTrainer{Model: m, Cfg: cfg, rollout: rollout{Data: data, seed: seed}, passes: seqopt.Registry()}
+	return &SeqTrainer{Model: m, Cfg: cfg, rollout: rollout{Data: data, seed: seed}}
 }
 
 // seqScore pairs an episode with its reward.
@@ -104,7 +102,6 @@ func (tr *SeqTrainer) StepCtx(ctx context.Context) (SeqStepStats, error) {
 			ep := m.Generate(s.O0, seqopt.GenOptions{
 				Temperature: cfg.Temperature,
 				Rng:         rng,
-				Passes:      tr.passes,
 			})
 			es := seqScore{ep: ep}
 			if len(ep.Sequence) == 0 {

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"veriopt/internal/alive"
 	"veriopt/internal/oracle"
 	"veriopt/internal/vcache"
 )
@@ -166,14 +167,13 @@ func ClusterEvent(kind, replica string, healthy, total int, note string) Event {
 }
 
 // verdictCounts converts an oracle stats snapshot into the event
-// verdict map, using the stable lowercase verdict names.
+// verdict map, under the alive.Verdict names.
 func verdictCounts(s oracle.Stats) map[string]uint64 {
-	names := [...]string{"equivalent", "semantic_error", "syntax_error", "inconclusive"}
-	out := make(map[string]uint64, len(names))
+	out := make(map[string]uint64, len(s.ByVerdict))
 	any := false
-	for i, n := range names {
-		out[n] = s.ByVerdict[i]
-		if s.ByVerdict[i] > 0 {
+	for i, n := range s.ByVerdict {
+		out[alive.Verdict(i).String()] = n
+		if n > 0 {
 			any = true
 		}
 	}

@@ -20,9 +20,8 @@ import (
 // too.
 func TestEvaluateIdenticalAcrossWorkers(t *testing.T) {
 	res, val := smallRun(t)
-	vo := EvalOptions()
-	r1 := evaluate(res.Latency, val, false, EvalConfig{Verify: vo, Workers: 1, Oracle: oracle.NewStack(oracle.Config{})})
-	r4 := evaluate(res.Latency, val, false, EvalConfig{Verify: vo, Workers: 4, Oracle: oracle.NewStack(oracle.Config{})})
+	r1 := evaluate(res.Latency, val, false, EvalConfig{Workers: 1, Oracle: oracle.NewStack(oracle.Config{})})
+	r4 := evaluate(res.Latency, val, false, EvalConfig{Workers: 4, Oracle: oracle.NewStack(oracle.Config{})})
 
 	if r1.Correct != r4.Correct || r1.Copies != r4.Copies || r1.Semantic != r4.Semantic ||
 		r1.Syntax != r4.Syntax || r1.Inconclusive != r4.Inconclusive {
@@ -38,14 +37,14 @@ func TestEvaluateIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestEvaluateCacheSharing: the second evaluation of the same model
-// over the same samples must be answered from the verdict cache.
+// over the same samples must be answered from the verdict cache, also
+// when one leaves Verify zero and the other spells out the defaults.
 func TestEvaluateCacheSharing(t *testing.T) {
 	res, val := smallRun(t)
 	st := oracle.NewStack(oracle.Config{})
-	cfg := EvalConfig{Verify: EvalOptions(), Workers: 4, Oracle: st}
-	evaluate(res.Latency, val, false, cfg)
+	evaluate(res.Latency, val, false, EvalConfig{Workers: 4, Oracle: st})
 	miss := st.Engine.Stats().Misses
-	evaluate(res.Latency, val, false, cfg)
+	evaluate(res.Latency, val, false, EvalConfig{Verify: alive.DefaultOptions(), Workers: 4, Oracle: st})
 	s := st.Engine.Stats()
 	if s.Misses != miss {
 		t.Fatalf("re-evaluation ran the solver again: %+v", s)
@@ -78,7 +77,7 @@ func TestEvaluateCancellationPartialReport(t *testing.T) {
 	done := make(chan outcome, 1)
 	go func() {
 		rep, err := EvaluateCtx(ctx, res.Latency, val, false,
-			EvalConfig{Verify: EvalOptions(), Workers: 2, Oracle: blocking})
+			EvalConfig{Workers: 2, Oracle: blocking})
 		done <- outcome{rep, err}
 	}()
 	<-started
@@ -122,7 +121,7 @@ func TestEvaluateCanceledVerdictsCountSkipped(t *testing.T) {
 		return alive.CanceledResult(context.Canceled)
 	})
 	rep, err := EvaluateCtx(context.Background(), m, samples, false,
-		EvalConfig{Verify: EvalOptions(), Workers: 2, Oracle: canceled})
+		EvalConfig{Workers: 2, Oracle: canceled})
 	if err != nil {
 		t.Fatalf("uncanceled run returned err = %v", err)
 	}
@@ -176,7 +175,7 @@ func TestEvaluatePartialFractionsExcludeCanceled(t *testing.T) {
 		return alive.Result{Verdict: alive.Equivalent}
 	})
 	rep, runErr := EvaluateCtx(ctx, m, samples, false,
-		EvalConfig{Verify: EvalOptions(), Workers: 1, Oracle: fake})
+		EvalConfig{Workers: 1, Oracle: fake})
 	if runErr != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", runErr)
 	}
@@ -261,7 +260,7 @@ func TestMeanDeltaSkipsZeroBaseline(t *testing.T) {
 // TestEvaluateEmptySamples guards the degenerate evaluation.
 func TestEvaluateEmptySamples(t *testing.T) {
 	res, _ := smallRun(t)
-	rep := evaluate(res.Base, nil, false, EvalConfig{Verify: EvalOptions(), Workers: 4})
+	rep := evaluate(res.Base, nil, false, EvalConfig{Workers: 4})
 	if rep.Total() != 0 || rep.Correct != 0 {
 		t.Fatalf("empty evaluation produced counts: %+v", *rep)
 	}

@@ -68,6 +68,19 @@ type Report struct {
 // canceled run are not evaluated).
 func (r *Report) Total() int { return len(r.Results) - r.Skipped }
 
+// evaluated returns the genuinely evaluated samples in sample order:
+// unreached slots (nil) and verifications cut short (Canceled) are
+// left out of every tally and aggregate.
+func (r *Report) evaluated() []*SampleResult {
+	out := make([]*SampleResult, 0, len(r.Results))
+	for _, res := range r.Results {
+		if res != nil && !res.Canceled {
+			out = append(out, res)
+		}
+	}
+	return out
+}
+
 // DifferentCorrectFrac is the paper's headline metric: verified
 // outputs that actually differ from the input.
 func (r *Report) DifferentCorrectFrac() float64 {
@@ -87,7 +100,8 @@ func (r *Report) CorrectFrac() float64 {
 
 // EvalConfig parameterizes an evaluation run.
 type EvalConfig struct {
-	// Verify bounds each verification query.
+	// Verify bounds each verification query; the zero value selects
+	// alive.DefaultOptions().
 	Verify alive.Options
 	// Workers bounds the per-sample fan-out (<= 0 selects
 	// runtime.NumCPU()). Greedy generation is deterministic per
@@ -113,6 +127,9 @@ type EvalConfig struct {
 // Skipped, never in Inconclusive, so a partial report's fractions are
 // over genuinely evaluated samples only.
 func EvaluateCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, augmented bool, cfg EvalConfig) (*Report, error) {
+	if cfg.Verify == (alive.Options{}) {
+		cfg.Verify = alive.DefaultOptions()
+	}
 	o := oracle.OrDefault(cfg.Oracle)
 	rep := &Report{Results: make([]*SampleResult, len(samples))}
 	err := par.For(ctx, cfg.Workers, len(samples), func(i int) {
@@ -138,15 +155,12 @@ func EvaluateCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample
 		}
 		rep.Results[i] = res
 	})
-	for _, res := range rep.Results {
-		if res == nil || res.Canceled {
-			// Unreached, or verification cut short mid-flight: the
-			// sample was never genuinely evaluated, so it must not
-			// land in Inconclusive (that would deflate the fractions
-			// of a partial report).
-			rep.Skipped++
-			continue
-		}
+	// Unreached, or verification cut short mid-flight: the sample was
+	// never genuinely evaluated, so it must not land in Inconclusive
+	// (that would deflate the fractions of a partial report).
+	done := rep.evaluated()
+	rep.Skipped = len(rep.Results) - len(done)
+	for _, res := range done {
 		switch res.Verdict {
 		case alive.Equivalent:
 			rep.Correct++
@@ -200,16 +214,14 @@ type Outcomes struct {
 	MeanDelta float64
 }
 
-// OutcomesVsO0 computes a Table III row: the model's effective output
-// (with fallback) against the -O0 baseline.
-func OutcomesVsO0(rep *Report, m Metric) Outcomes {
+// outcomes counts the model's effective output (with fallback)
+// against baseline's metric per sample, and averages the relative
+// change over the samples with a positive baseline metric.
+func outcomes(rep *Report, m Metric, baseline func(*SampleResult) costmodel.Metrics) Outcomes {
 	var o Outcomes
 	sum, n := 0.0, 0
-	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
-			continue
-		}
-		base := metricOf(r.Base, m)
+	for _, r := range rep.evaluated() {
+		base := metricOf(baseline(r), m)
 		out := metricOf(r.Out, m)
 		switch {
 		case out < base:
@@ -232,27 +244,44 @@ func OutcomesVsO0(rep *Report, m Metric) Outcomes {
 	return o
 }
 
-// GeomeanRatio returns the geometric mean of out/base for the metric
-// (< 1 = improvement), the Fig. 5/7 aggregation.
-func GeomeanRatio(rep *Report, m Metric) float64 {
+// geomean returns the geometric mean of num/den over the samples where
+// both are positive, 1 when there are none. Logs are added in sample
+// order.
+func geomean(rep *Report, num, den func(*SampleResult) int) float64 {
 	logSum := 0.0
 	n := 0
-	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
+	for _, r := range rep.evaluated() {
+		a, b := num(r), den(r)
+		if a <= 0 || b <= 0 {
 			continue
 		}
-		base := metricOf(r.Base, m)
-		out := metricOf(r.Out, m)
-		if base <= 0 || out <= 0 {
-			continue
-		}
-		logSum += math.Log(float64(out) / float64(base))
+		logSum += math.Log(float64(a) / float64(b))
 		n++
 	}
 	if n == 0 {
 		return 1
 	}
 	return math.Exp(logSum / float64(n))
+}
+
+// OutcomesVsO0 computes a Table III row: the model's effective output
+// (with fallback) against the -O0 baseline.
+func OutcomesVsO0(rep *Report, m Metric) Outcomes {
+	return outcomes(rep, m, func(r *SampleResult) costmodel.Metrics { return r.Base })
+}
+
+// VsInstCombine compares the model's effective output against the
+// instcombine reference per function — Fig. 6(c).
+func VsInstCombine(rep *Report, m Metric) Outcomes {
+	return outcomes(rep, m, func(r *SampleResult) costmodel.Metrics { return r.Ref })
+}
+
+// GeomeanRatio returns the geometric mean of out/base for the metric
+// (< 1 = improvement), the Fig. 5/7 aggregation.
+func GeomeanRatio(rep *Report, m Metric) float64 {
+	return geomean(rep,
+		func(r *SampleResult) int { return metricOf(r.Out, m) },
+		func(r *SampleResult) int { return metricOf(r.Base, m) })
 }
 
 // GeomeanSpeedup returns the geometric-mean latency speedup vs -O0
@@ -264,55 +293,9 @@ func GeomeanSpeedup(rep *Report) float64 {
 // RefGeomeanSpeedup returns instcombine's geomean speedup on the same
 // samples (the 2.39× comparison point).
 func RefGeomeanSpeedup(rep *Report) float64 {
-	logSum := 0.0
-	n := 0
-	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
-			continue
-		}
-		b, ref := r.Base.Latency, r.Ref.Latency
-		if b <= 0 || ref <= 0 {
-			continue
-		}
-		logSum += math.Log(float64(b) / float64(ref))
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return math.Exp(logSum / float64(n))
-}
-
-// VsInstCombine compares the model's effective output against the
-// instcombine reference per function — Fig. 6(c).
-func VsInstCombine(rep *Report, m Metric) Outcomes {
-	var o Outcomes
-	sum, n := 0.0, 0
-	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
-			continue
-		}
-		ref := metricOf(r.Ref, m)
-		out := metricOf(r.Out, m)
-		switch {
-		case out < ref:
-			o.Better++
-		case out > ref:
-			o.Worse++
-		default:
-			o.Tie++
-		}
-		if ref > 0 {
-			sum += float64(out-ref) / float64(ref)
-			n++
-		}
-	}
-	// Same divisor rule as OutcomesVsO0: average over the summed
-	// terms only.
-	if n > 0 {
-		o.MeanDelta = sum / float64(n)
-	}
-	return o
+	return geomean(rep,
+		func(r *SampleResult) int { return r.Base.Latency },
+		func(r *SampleResult) int { return r.Ref.Latency })
 }
 
 // HybridGeomeanGain computes the paper's fallback-hybrid gain: taking
@@ -320,26 +303,7 @@ func VsInstCombine(rep *Report, m Metric) Outcomes {
 // improvement over instcombine alone (latency 17%, icount 13.9%, size
 // 2.1% in the paper).
 func HybridGeomeanGain(rep *Report, m Metric) float64 {
-	logSum := 0.0
-	n := 0
-	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
-			continue
-		}
-		ref := metricOf(r.Ref, m)
-		out := metricOf(r.Out, m)
-		best := ref
-		if out < best {
-			best = out
-		}
-		if ref <= 0 || best <= 0 {
-			continue
-		}
-		logSum += math.Log(float64(ref) / float64(best))
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return math.Exp(logSum / float64(n))
+	return geomean(rep,
+		func(r *SampleResult) int { return metricOf(r.Ref, m) },
+		func(r *SampleResult) int { return min(metricOf(r.Ref, m), metricOf(r.Out, m)) })
 }

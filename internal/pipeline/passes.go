@@ -23,20 +23,12 @@ import (
 // greedy / beam / policy) on the validation split.
 type PassesConfig struct {
 	Seed int64
-	// TrainSteps is the number of SeqTrainer GRPO steps.
+	// TrainSteps is the number of SeqTrainer GRPO steps, each under
+	// grpo.DefaultSeqConfig().
 	TrainSteps int
-	// Seq parameterizes the trainer; the zero value selects
-	// grpo.DefaultSeqConfig(). Its Latency params are overwritten from
-	// the training split's UMax percentile, matching the curriculum.
-	Seq grpo.SeqConfig
 	// BeamWidth and BeamDepth size the beam baseline (<= 0 selects the
 	// seqopt defaults). Greedy shares BeamDepth.
 	BeamWidth, BeamDepth int
-	// UMaxPercentile sets the latency-reward saturation (paper: 80).
-	UMaxPercentile float64
-	// Verify bounds each evaluation-time verification query; the zero
-	// value selects alive.DefaultOptions().
-	Verify alive.Options
 	// Workers bounds the evaluation fan-out (<= 0 selects
 	// runtime.NumCPU()); results are worker-count independent.
 	Workers int
@@ -49,12 +41,7 @@ type PassesConfig struct {
 
 // DefaultPassesConfig returns the reduced-scale defaults.
 func DefaultPassesConfig() PassesConfig {
-	return PassesConfig{
-		Seed:           1,
-		TrainSteps:     30,
-		Seq:            grpo.DefaultSeqConfig(),
-		UMaxPercentile: 80,
-	}
+	return PassesConfig{Seed: 1, TrainSteps: 30}
 }
 
 // Method names of the evaluation rows, in report order.
@@ -154,19 +141,17 @@ type PassesResult struct {
 // promptly and the partial result is returned with the context's
 // error (Report nil when evaluation never completed).
 func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesConfig) (*PassesResult, error) {
-	if cfg.Seq == (grpo.SeqConfig{}) {
-		cfg.Seq = grpo.DefaultSeqConfig()
-	}
-	cfg.Seq.Workers = cfg.Workers
-	if cfg.UMaxPercentile <= 0 {
-		cfg.UMaxPercentile = 80
-	}
-	cfg.Seq.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(train, cfg.UMaxPercentile), Gamma: 2}
+	seq := grpo.DefaultSeqConfig()
+	seq.Workers = cfg.Workers
+	// The latency reward saturates at the 80th percentile of
+	// instcombine's speedups on the training split: the paper's
+	// setting, and the curriculum's.
+	seq.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(train, 80), Gamma: 2}
 	o := oracle.OrDefault(cfg.Oracle)
 
 	res := &PassesResult{Model: seqopt.NewModel(cfg.Seed)}
 	sp := beginStage(cfg.Obs, o, "seq-train")
-	tr := grpo.NewSeqTrainer(res.Model, train, cfg.Seq, cfg.Seed+404)
+	tr := grpo.NewSeqTrainer(res.Model, train, seq, cfg.Seed+404)
 	tr.Oracle = o
 	_, err := tr.TrainCtx(ctx, cfg.TrainSteps)
 	res.History = tr.RewardHistory
@@ -193,12 +178,8 @@ func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesC
 // O0 metrics are substituted (the fallback rule of the text
 // workload). m may be nil to skip the policy row.
 func evaluatePasses(ctx context.Context, m *seqopt.Model, samples []*dataset.Sample, cfg PassesConfig) (*PassesReport, error) {
-	if cfg.Verify == (alive.Options{}) {
-		cfg.Verify = alive.DefaultOptions()
-	}
 	o := oracle.OrDefault(cfg.Oracle)
-	passes := seqopt.Registry()
-	scfg := seqopt.SearchConfig{Width: cfg.BeamWidth, Depth: cfg.BeamDepth, Verify: cfg.Verify, Oracle: o, Passes: passes}
+	scfg := seqopt.SearchConfig{Width: cfg.BeamWidth, Depth: cfg.BeamDepth, Oracle: o}
 
 	details := make([]*PassesDetail, len(samples))
 	err := par.For(ctx, cfg.Workers, len(samples), func(i int) {
@@ -211,7 +192,7 @@ func evaluatePasses(ctx context.Context, m *seqopt.Model, samples []*dataset.Sam
 			if fn == s.O0 || len(seq) == 0 {
 				return PassesOutput{Method: method, Fn: s.O0, Verified: true, Metrics: d.Base}
 			}
-			if out, _ := oracle.Accept(ctx, o, nil, s.O0, fn, cfg.Verify); out == s.O0 {
+			if out, _ := oracle.Accept(ctx, o, nil, s.O0, fn, alive.DefaultOptions()); out == s.O0 {
 				return PassesOutput{Method: method, Fn: s.O0, Fallback: true, Metrics: d.Base}
 			}
 			return PassesOutput{Method: method, Sequence: seq, Fn: fn, Verified: true, Metrics: costmodel.Measure(fn)}
@@ -225,7 +206,7 @@ func evaluatePasses(ctx context.Context, m *seqopt.Model, samples []*dataset.Sam
 			d.Outputs = append(d.Outputs, accept(MethodBeam, br.Sequence, br.Fn))
 		}
 		if m != nil {
-			ep := m.Generate(s.O0, seqopt.GenOptions{Passes: passes}) // greedy decode
+			ep := m.Generate(s.O0, seqopt.GenOptions{}) // greedy decode
 			d.Outputs = append(d.Outputs, accept(MethodPolicy, ep.Sequence, ep.FinalFn))
 		}
 		details[i] = d

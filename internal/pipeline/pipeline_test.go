@@ -45,9 +45,8 @@ func evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool, cfg Ev
 
 func TestCurriculumImprovesDifferentCorrect(t *testing.T) {
 	res, val := smallRun(t)
-	vo := EvalOptions()
-	base := evaluate(res.Base, val, false, EvalConfig{Verify: vo})
-	lat := evaluate(res.Latency, val, false, EvalConfig{Verify: vo})
+	base := evaluate(res.Base, val, false, EvalConfig{})
+	lat := evaluate(res.Latency, val, false, EvalConfig{})
 	if lat.DifferentCorrectFrac() <= base.DifferentCorrectFrac() {
 		t.Errorf("different-correct did not improve: base %.2f, latency %.2f",
 			base.DifferentCorrectFrac(), lat.DifferentCorrectFrac())
@@ -61,9 +60,8 @@ func TestCurriculumImprovesDifferentCorrect(t *testing.T) {
 
 func TestCurriculumImprovesSpeedup(t *testing.T) {
 	res, val := smallRun(t)
-	vo := EvalOptions()
-	base := evaluate(res.Base, val, false, EvalConfig{Verify: vo})
-	lat := evaluate(res.Latency, val, false, EvalConfig{Verify: vo})
+	base := evaluate(res.Base, val, false, EvalConfig{})
+	lat := evaluate(res.Latency, val, false, EvalConfig{})
 	bs, ls := GeomeanSpeedup(base), GeomeanSpeedup(lat)
 	if ls <= bs {
 		t.Errorf("speedup did not improve: base %.3f, latency %.3f", bs, ls)
@@ -76,7 +74,7 @@ func TestCurriculumImprovesSpeedup(t *testing.T) {
 
 func TestFallbackRuleNeverWorseOnFailures(t *testing.T) {
 	res, val := smallRun(t)
-	rep := evaluate(res.Base, val, false, EvalConfig{Verify: EvalOptions()})
+	rep := evaluate(res.Base, val, false, EvalConfig{})
 	for _, r := range rep.Results {
 		if r.UsedFallback && r.Out != r.Base {
 			t.Fatal("fallback did not restore the O0 metrics")
@@ -89,7 +87,7 @@ func TestFallbackRuleNeverWorseOnFailures(t *testing.T) {
 
 func TestReportCountsConsistent(t *testing.T) {
 	res, val := smallRun(t)
-	rep := evaluate(res.Correctness, val, true, EvalConfig{Verify: EvalOptions()})
+	rep := evaluate(res.Correctness, val, true, EvalConfig{})
 	if rep.Correct+rep.Semantic+rep.Syntax+rep.Inconclusive != rep.Total() {
 		t.Errorf("verdict counts do not partition the total: %+v", rep)
 	}
@@ -100,7 +98,7 @@ func TestReportCountsConsistent(t *testing.T) {
 
 func TestOutcomesArithmetic(t *testing.T) {
 	res, val := smallRun(t)
-	rep := evaluate(res.Latency, val, false, EvalConfig{Verify: EvalOptions()})
+	rep := evaluate(res.Latency, val, false, EvalConfig{})
 	for _, m := range []Metric{MetricLatency, MetricSize, MetricICount} {
 		o := OutcomesVsO0(rep, m)
 		if o.Better+o.Worse+o.Tie != rep.Total() {
@@ -115,7 +113,7 @@ func TestOutcomesArithmetic(t *testing.T) {
 
 func TestGeomeanRelationships(t *testing.T) {
 	res, val := smallRun(t)
-	rep := evaluate(res.Latency, val, false, EvalConfig{Verify: EvalOptions()})
+	rep := evaluate(res.Latency, val, false, EvalConfig{})
 	sp := GeomeanSpeedup(rep)
 	ratio := GeomeanRatio(rep, MetricLatency)
 	if sp <= 0 || ratio <= 0 {
@@ -147,9 +145,8 @@ func TestLatencyStagePreservesCorrectness(t *testing.T) {
 	// Table II: Model-Latency's correctness stays comparable to
 	// Model-Correctness (within a tolerance band for the small run).
 	res, val := smallRun(t)
-	vo := EvalOptions()
-	corr := evaluate(res.Correctness, val, true, EvalConfig{Verify: vo})
-	lat := evaluate(res.Latency, val, false, EvalConfig{Verify: vo})
+	corr := evaluate(res.Correctness, val, true, EvalConfig{})
+	lat := evaluate(res.Latency, val, false, EvalConfig{})
 	if lat.CorrectFrac() < corr.CorrectFrac()-0.25 {
 		t.Errorf("latency stage lost too much correctness: %.2f -> %.2f",
 			corr.CorrectFrac(), lat.CorrectFrac())
@@ -158,8 +155,8 @@ func TestLatencyStagePreservesCorrectness(t *testing.T) {
 
 func TestEvaluateDeterministic(t *testing.T) {
 	res, val := smallRun(t)
-	a := evaluate(res.Latency, val[:10], false, EvalConfig{Verify: EvalOptions()})
-	b := evaluate(res.Latency, val[:10], false, EvalConfig{Verify: EvalOptions()})
+	a := evaluate(res.Latency, val[:10], false, EvalConfig{})
+	b := evaluate(res.Latency, val[:10], false, EvalConfig{})
 	for i := range a.Results {
 		if a.Results[i].Verdict != b.Results[i].Verdict || a.Results[i].Out != b.Results[i].Out {
 			t.Fatal("evaluation not deterministic")

@@ -305,6 +305,3 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 
 	return res, nil
 }
-
-// EvalOptions returns the verifier options used for evaluation runs.
-func EvalOptions() alive.Options { return alive.DefaultOptions() }

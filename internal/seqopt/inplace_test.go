@@ -152,7 +152,7 @@ j:
 // pass gets its own clone of the state through Apply.
 func refExpand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult) []*state {
 	var out []*state
-	for _, p := range cfg.Passes {
+	for _, p := range Registry() {
 		g, changed := p.Apply(st.fn)
 		if !changed {
 			continue
@@ -163,7 +163,7 @@ func refExpand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig
 		}
 		seen[key] = true
 		res.States++
-		vr := cfg.Oracle.Verify(ctx, f0, g, cfg.Verify)
+		vr := cfg.Oracle.Verify(ctx, f0, g, alive.DefaultOptions())
 		res.Queries++
 		if vr.Verdict != alive.Equivalent {
 			continue
@@ -248,14 +248,14 @@ func TestSearchMatchesPerPassApply(t *testing.T) {
 }
 
 // TestBeamConcurrentSharedConfig: four goroutines searching through
-// one SearchConfig — one pass slice, one oracle stack — report what a
-// sequential run reports, and no winner changes afterwards: a result
-// must not be a working copy some later pass went on to rewrite. Run
-// under -race in tier 2.
+// one SearchConfig — one oracle stack, and the one pass registry every
+// search shares — report what a sequential run reports, and no winner
+// changes afterwards: a result must not be a working copy some later
+// pass went on to rewrite. Run under -race in tier 2.
 func TestBeamConcurrentSharedConfig(t *testing.T) {
 	samples := familySlice(t, 1)
 	ctx := context.Background()
-	cfg := SearchConfig{Oracle: oracle.NewStack(oracle.Config{}), Passes: Registry()}
+	cfg := SearchConfig{Oracle: oracle.NewStack(oracle.Config{})}
 	want := make([]outcome, len(samples))
 	for i, s := range samples {
 		res, err := Beam(ctx, s.O0, SearchConfig{Oracle: oracle.NewStack(oracle.Config{})})

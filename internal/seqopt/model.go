@@ -93,19 +93,13 @@ type GenOptions struct {
 	// Rng drives sampling. nil selects greedy (argmax) decoding for
 	// deterministic evaluation.
 	Rng *rand.Rand
-	// Passes must match the model's Passes names; nil selects
-	// Registry().
-	Passes []*Pass
 }
 
 // Generate rolls out a pass sequence on f. At each step the candidate
 // set is the passes that actually change the current state, plus
 // STOP; the episode ends on STOP or at MaxLen.
 func (m *Model) Generate(f *ir.Function, opts GenOptions) *Episode {
-	passes := opts.Passes
-	if passes == nil {
-		passes = Registry()
-	}
+	passes := registry()
 	if len(passes) != len(m.Passes) {
 		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(passes)))
 	}

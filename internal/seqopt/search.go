@@ -16,14 +16,10 @@ type SearchConfig struct {
 	Width int
 	// Depth bounds the sequence length. <= 0 selects 4.
 	Depth int
-	// Verify bounds each equivalence query; the zero value selects
-	// alive.DefaultOptions(). Search keys every query on the same
-	// options, so one warm cache serves the whole search.
-	Verify alive.Options
 	// Oracle answers equivalence queries; nil selects oracle.Default().
+	// Every query of a search runs under alive.DefaultOptions(), so one
+	// warm cache serves the whole search.
 	Oracle oracle.Oracle
-	// Passes is the action space; nil selects Registry().
-	Passes []*Pass
 }
 
 func (c SearchConfig) normalize() SearchConfig {
@@ -33,13 +29,7 @@ func (c SearchConfig) normalize() SearchConfig {
 	if c.Depth <= 0 {
 		c.Depth = 4
 	}
-	if c.Verify == (alive.Options{}) {
-		c.Verify = alive.DefaultOptions()
-	}
 	c.Oracle = oracle.OrDefault(c.Oracle)
-	if c.Passes == nil {
-		c.Passes = Registry()
-	}
 	return c
 }
 
@@ -102,7 +92,7 @@ func better(a, b *state) bool {
 func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult) ([]*state, error) {
 	var out []*state
 	var work *ir.Function
-	for _, p := range cfg.Passes {
+	for _, p := range registry() {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
@@ -120,7 +110,7 @@ func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, s
 		}
 		seen[key] = true
 		res.States++
-		vr := cfg.Oracle.Verify(ctx, f0, g, cfg.Verify)
+		vr := cfg.Oracle.Verify(ctx, f0, g, alive.DefaultOptions())
 		res.Queries++
 		if vr.Canceled {
 			return out, ctx.Err()

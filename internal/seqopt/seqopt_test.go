@@ -270,18 +270,17 @@ func TestSearchCancellation(t *testing.T) {
 func TestGenerateGreedyDeterministicAndSampledReproducible(t *testing.T) {
 	samples := corpus(t, 8)
 	m := NewModel(7)
-	passes := Registry()
 	for _, s := range samples {
-		a := m.Generate(s.O0, GenOptions{Passes: passes})
-		b := m.Generate(s.O0, GenOptions{Passes: passes})
+		a := m.Generate(s.O0, GenOptions{})
+		b := m.Generate(s.O0, GenOptions{})
 		if strings.Join(a.Sequence, ",") != strings.Join(b.Sequence, ",") {
 			t.Fatalf("%s: greedy decode not deterministic", s.Name)
 		}
 		if ir.FuncString(a.FinalFn) != ir.FuncString(b.FinalFn) {
 			t.Fatalf("%s: greedy decode final fn differs", s.Name)
 		}
-		c := m.Generate(s.O0, GenOptions{Temperature: 1, Rng: rand.New(rand.NewSource(3)), Passes: passes})
-		d := m.Generate(s.O0, GenOptions{Temperature: 1, Rng: rand.New(rand.NewSource(3)), Passes: passes})
+		c := m.Generate(s.O0, GenOptions{Temperature: 1, Rng: rand.New(rand.NewSource(3))})
+		d := m.Generate(s.O0, GenOptions{Temperature: 1, Rng: rand.New(rand.NewSource(3))})
 		if strings.Join(c.Sequence, ",") != strings.Join(d.Sequence, ",") {
 			t.Fatalf("%s: sampled decode not seed-reproducible", s.Name)
 		}
