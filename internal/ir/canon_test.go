@@ -79,6 +79,48 @@ d:
 	// has to come out as the reference's, not as printed.
 	"define i32 @a\u00a0b(i32 %x) {\n  %y = call i32 @c\u2003d(i32 %x)\n  store i32 %y, ptr @g\vh\n  ret i32 %y\n}\n",
 	"define i32 @cr\r(i32 %x) {\r\n  ret i32 %x\r\n}\r\n",
+	// Names that are numbers, or "entry", but not the ones the
+	// canonical scheme gives them; the printer must not keep any of them.
+	// Values named with each other's numbers, and a parameter named like
+	// a later result:
+	"define i32 @swap(i32 %1, i32 %3) {\n  %0 = add i32 %1, %3\n  %2 = mul i32 %0, %1\n  ret i32 %2\n}\n",
+	// entry naming a block that is not the first of several, and a
+	// first block named with a later value's number:
+	`define i32 @late(i32 %0, i1 %1) {
+3:
+  br i1 %1, label %entry, label %2
+
+entry:
+  %5 = add i32 %0, 1
+  br label %2
+
+2:
+  %4 = phi i32 [ %0, %3 ], [ %5, %entry ]
+  ret i32 %4
+}
+`,
+	// 0 naming the block of a single-block function:
+	"define i32 @one(i32 %0) {\n0:\n  %1 = add i32 %0, 1\n  ret i32 %1\n}\n",
+	// Leading zeros, a sign, and numbers past one digit:
+	"define i32 @zeros(i32 %00, i32 %+1) {\n  %02 = add i32 %00, %+1\n  %3 = add i32 %02, 1\n  %4 = add i32 %3, 1\n  %5 = add i32 %4, 1\n  %6 = add i32 %5, 1\n  %7 = add i32 %6, 1\n  %8 = add i32 %7, 1\n  %9 = add i32 %8, 1\n  %010 = add i32 %9, 1\n  %11 = add i32 %010, 1\n  ret i32 %11\n}\n",
+	// Already canonical except for whitespace and non-ASCII names: a
+	// value's, the function's and a callee's.
+	"define i32 @odd\u00a0one(i32 %0, i32 %\u00e9t\u00e9, i32 %x\vy) {\nentry:\n  %3 = call i32 @c\u2003d(i32 %0)\n  %4 = add i32 %3, %\u00e9t\u00e9\n  %5 = sub i32 %4, %x\vy\n  ret i32 %5\n}\n",
+	// A canonically numbered function, as every search state is.
+	`define i32 @canon(i32 noundef %0, i32 %1) {
+2:
+  %3 = icmp sgt i32 %0, %1
+  br i1 %3, label %4, label %6
+
+4:
+  %5 = sub i32 %0, %1
+  br label %6
+
+6:
+  %7 = phi i32 [ %5, %4 ], [ 0, %2 ]
+  ret i32 %7
+}
+`,
 }
 
 func TestPrinterMatchesReference(t *testing.T) {
