@@ -90,10 +90,11 @@ fuzz-smoke:
 # format's one renderer and one parser); and on a second softmax, hash
 # embedding or log-softmax gradient (internal/policy/linear.go holds
 # the one of each that both policies, both trainers and sft use); and
-# on a map keyed by the ir.Value interface under internal/ (every lookup
-# hashes a type word and a pointer; key by *ir.Instr and hold
-# parameters by position, as interp, ir.CloneFunc and alive's executor
-# do). Last, on container/list and on a map keyed by vcache.Key in the
+# on a map keyed by an interface (ir.Value, any, interface{}) under
+# internal/ (every lookup hashes a type word and a pointer; key by
+# *ir.Instr, or by the name field as the canonical printer does, and
+# hold parameters by position, as interp, ir.CloneFunc and alive's
+# executor do). Last, on container/list and on a map keyed by vcache.Key in the
 # storage spine (vcache, oracle, cluster, vstore): such a map keeps two
 # whole function texts alive per entry, which is what made a resident
 # verdict weigh 1.2 KB; the spine's one identity is Key.Fingerprint().
@@ -121,9 +122,9 @@ lint:
 		echo "$$hits"; \
 		exit 1; \
 	fi
-	@hits=$$(grep -rnE 'map\[(ir\.)?Value\]' --include='*.go' --exclude='*_test.go' internal); \
+	@hits=$$(grep -rnE 'map\[((ir\.)?Value|any|interface\{\})\]' --include='*.go' --exclude='*_test.go' internal); \
 	if [ -n "$$hits" ]; then \
-		echo "map keyed by the ir.Value interface (key by *ir.Instr, parameters by position):"; \
+		echo "map keyed by an interface (key by *ir.Instr or a name field, parameters by position):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

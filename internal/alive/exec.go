@@ -12,7 +12,6 @@ package alive
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 
 	"veriopt/internal/bv"
@@ -91,6 +90,8 @@ type executor struct {
 	cfg    execConfig
 	fn     *ir.Function
 	params []symVal // by position; no state changes them
+	// slot numbers fn's results in layout order: a state's slot for each.
+	slot map[*ir.Instr]int32
 
 	steps, paths, merges int
 
@@ -120,9 +121,16 @@ type retRecord struct {
 // merged, so one stands for every path into its block, not for one.
 type pathState struct {
 	cond  *bv.Term
-	vals  map[*ir.Instr]symVal
-	mem   map[*ir.Instr]memCell
-	occur int // call events so far, the same on every path it stands for
+	slots []slot // by the executor's slot number
+	occur int    // call events so far, the same on every path it stands for
+}
+
+// slot is what a state knows of one result: its value (val.val nil
+// while it has none) and, for an alloca, its cell, which exists exactly
+// while the value does.
+type slot struct {
+	val  symVal
+	cell memCell
 }
 
 // arrival is a state that took the edge pred -> dst.
@@ -137,8 +145,11 @@ type memCell struct {
 }
 
 func (ps *pathState) clone() *pathState {
-	return &pathState{cond: ps.cond, vals: maps.Clone(ps.vals), mem: maps.Clone(ps.mem), occur: ps.occur}
+	return &pathState{cond: ps.cond, slots: slices.Clone(ps.slots), occur: ps.occur}
 }
+
+// set gives in the value v in ps.
+func (ex *executor) set(ps *pathState, in *ir.Instr, v symVal) { ps.slots[ex.slot[in]].val = v }
 
 // widthOf maps an IR type to a bit-vector width. Pointers get 64 bits
 // but pointer arithmetic is unsupported.
@@ -158,8 +169,13 @@ func widthOf(t ir.Type) (int, error) {
 // arrived and it runs once, on their merge; a back edge re-enters a
 // header that has run, which is bounded unrolling (DESIGN.md §13).
 func exec(b *bv.Builder, fn *ir.Function, params []symVal, cfg execConfig) (*summary, error) {
-	ex := &executor{b: b, cfg: cfg, fn: fn, params: params, ub: b.False()}
-	ex.entry = pathState{cond: b.True(), vals: map[*ir.Instr]symVal{}, mem: map[*ir.Instr]memCell{}}
+	ex := &executor{b: b, cfg: cfg, fn: fn, params: params, ub: b.False(), slot: make(map[*ir.Instr]int32, fn.NumInstrs())}
+	fn.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
+		if in.HasResult() {
+			ex.slot[in] = int32(len(ex.slot))
+		}
+	})
+	ex.entry = pathState{cond: b.True(), slots: make([]slot, len(ex.slot))}
 	ex.pending = append(ex.pendingBuf[:0], arrival{dst: fn.Entry(), ps: &ex.entry})
 	for len(ex.pending) > 0 {
 		if err := ex.runNext(); err != nil {
@@ -278,7 +294,7 @@ func (ex *executor) enter(blk, pred *ir.Block, ps *pathState) error {
 		phis = append(phis, v)
 	}
 	for i, v := range phis {
-		ps.vals[blk.Instrs[i]] = v
+		ex.set(ps, blk.Instrs[i], v)
 	}
 	return nil
 }
@@ -311,14 +327,14 @@ func (ex *executor) split(cx, cy *bv.Term) (p, c *bv.Term) {
 // holds values of two widths. A value or cell only one of them has is
 // dropped (a use of it is a use outside the executed region); a cell
 // only one has initialised reads as undef in the other. The walk is in
-// layout order, not map order: term ids follow creation order, and the
-// solver's search follows the ids.
+// slot order, which is layout order: term ids follow creation order,
+// and the solver's search follows the ids.
 func (ex *executor) merge(x, y *pathState, cond, sel *bv.Term) bool {
 	if x.occur != y.occur {
 		return false
 	}
-	for cell, cx := range x.mem {
-		if cy := y.mem[cell]; cx.init && cy.init && cx.val.val.Width != cy.val.val.Width {
+	for i, sx := range x.slots {
+		if cx, cy := sx.cell, y.slots[i].cell; cx.init && cy.init && cx.val.val.Width != cy.val.val.Width {
 			return false
 		}
 	}
@@ -327,31 +343,27 @@ func (ex *executor) merge(x, y *pathState, cond, sel *bv.Term) bool {
 	}
 	ex.merges++
 	x.cond = cond
-	for _, blk := range ex.fn.Blocks {
-		for _, in := range blk.Instrs {
-			vx, ok := x.vals[in]
-			if !ok {
-				continue
-			}
-			vy, ok := y.vals[in]
-			if !ok {
-				delete(x.vals, in)
-				delete(x.mem, in)
-				continue
-			}
-			x.vals[in] = ex.ite(sel, vx, vy)
-			cx, cy := x.mem[in], y.mem[in]
-			if !cx.init && !cy.init {
-				continue // not an alloca, or a cell nothing was stored to
-			}
-			if !cx.init {
-				cx.val = ex.undef(cy.val.val.Width)
-			}
-			if !cy.init {
-				cy.val = ex.undef(cx.val.val.Width)
-			}
-			x.mem[in] = memCell{val: ex.ite(sel, cx.val, cy.val), init: true}
+	for i := range x.slots {
+		sx, sy := &x.slots[i], &y.slots[i]
+		if sx.val.val == nil {
+			continue
 		}
+		if sy.val.val == nil {
+			*sx = slot{}
+			continue
+		}
+		sx.val = ex.ite(sel, sx.val, sy.val)
+		cx, cy := sx.cell, sy.cell
+		if !cx.init && !cy.init {
+			continue // not an alloca, or a cell nothing was stored to
+		}
+		if !cx.init {
+			cx.val = ex.undef(cy.val.val.Width)
+		}
+		if !cy.init {
+			cy.val = ex.undef(cx.val.val.Width)
+		}
+		sx.cell = memCell{val: ex.ite(sel, cx.val, cy.val), init: true}
 	}
 	return true
 }
@@ -490,8 +502,8 @@ func (ex *executor) operand(ps *pathState, v ir.Value) (symVal, error) {
 			}
 		}
 	case *ir.Instr:
-		if sv, ok := ps.vals[x]; ok {
-			return sv, nil
+		if i, ok := ex.slot[x]; ok && ps.slots[i].val.val != nil {
+			return ps.slots[i].val, nil
 		}
 	}
 	return symVal{}, &errUnsupported{"value defined outside executed region"}
@@ -509,7 +521,7 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		ps.vals[in] = ex.binop(ps, in, x, y)
+		ex.set(ps, in, ex.binop(ps, in, x, y))
 		return nil
 	case in.Op == ir.OpICmp:
 		x, err := ex.operand(ps, in.Args[0])
@@ -546,7 +558,7 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		case ir.PredSLE:
 			cmp = b.Cmp(bv.OpSle, x.val, y.val)
 		}
-		ps.vals[in] = symVal{val: cmp, poison: b.BoolOr(x.poison, y.poison)}
+		ex.set(ps, in, symVal{val: cmp, poison: b.BoolOr(x.poison, y.poison)})
 		return nil
 	case in.Op == ir.OpSelect:
 		c, err := ex.operand(ps, in.Args[0])
@@ -563,7 +575,7 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		}
 		sv := ex.ite(c.val, t, f)
 		sv.poison = b.BoolOr(c.poison, sv.poison)
-		ps.vals[in] = sv
+		ex.set(ps, in, sv)
 		return nil
 	case in.Op == ir.OpZExt, in.Op == ir.OpSExt, in.Op == ir.OpTrunc:
 		x, err := ex.operand(ps, in.Args[0])
@@ -583,7 +595,7 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		case ir.OpTrunc:
 			v = b.Trunc(x.val, w)
 		}
-		ps.vals[in] = symVal{val: v, poison: x.poison}
+		ex.set(ps, in, symVal{val: v, poison: x.poison})
 		return nil
 	case in.Op == ir.OpFreeze:
 		x, err := ex.operand(ps, in.Args[0])
@@ -593,16 +605,16 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		// freeze(poison) is an arbitrary fixed value; pick 0 (matching
 		// the interpreter) so both sides agree deterministically.
 		w, _ := widthOf(in.Ty)
-		ps.vals[in] = symVal{
+		ex.set(ps, in, symVal{
 			val:    b.Ite(x.poison, b.Const(w, 0), x.val),
 			poison: b.False(),
-		}
+		})
 		return nil
 	case in.Op == ir.OpAlloca:
-		ps.mem[in] = memCell{}
-		// The address itself: opaque distinct non-null value.
+		// The address itself: opaque distinct non-null value; the cell is
+		// fresh.
 		ex.allocaID++
-		ps.vals[in] = symVal{val: b.Const(64, uint64(0x1000+16*ex.allocaID)), poison: b.False()}
+		ps.slots[ex.slot[in]] = slot{val: symVal{val: b.Const(64, uint64(0x1000+16*ex.allocaID)), poison: b.False()}}
 		return nil
 	case in.Op == ir.OpLoad:
 		cell, err := ex.resolvePtr(ps, in.Args[0])
@@ -613,15 +625,15 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		if errW != nil {
 			return errW
 		}
-		mc := ps.mem[cell]
+		mc := cell.cell
 		if !mc.init {
-			ps.vals[in] = ex.undef(w)
+			ex.set(ps, in, ex.undef(w))
 			return nil
 		}
 		if mc.val.val.Width != w {
 			return &errUnsupported{"load width differs from stored width"}
 		}
-		ps.vals[in] = mc.val
+		ex.set(ps, in, mc.val)
 		return nil
 	case in.Op == ir.OpStore:
 		v, err := ex.operand(ps, in.Args[0])
@@ -632,7 +644,7 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		if err != nil {
 			return err
 		}
-		ps.mem[cell] = memCell{val: v, init: true}
+		cell.cell = memCell{val: v, init: true}
 		return nil
 	case in.Op == ir.OpCall:
 		args := make([]symVal, len(in.Args))
@@ -661,24 +673,25 @@ func (ex *executor) instr(ps *pathState, in *ir.Instr) error {
 		}
 		ex.calls[k] = append(ex.calls[k], callEvent{cond: ps.cond, callee: in.Callee, args: args, result: result})
 		if in.HasResult() {
-			ps.vals[in] = symVal{val: result, poison: b.False()}
+			ex.set(ps, in, symVal{val: result, poison: b.False()})
 		}
 		return nil
 	}
 	return &errUnsupported{fmt.Sprintf("instruction %v", in.Op)}
 }
 
-// resolvePtr maps a pointer operand to its alloca cell; any other
-// pointer provenance is unsupported.
-func (ex *executor) resolvePtr(ps *pathState, p ir.Value) (*ir.Instr, error) {
+// resolvePtr maps a pointer operand to its alloca's slot in ps; any
+// other pointer provenance is unsupported.
+func (ex *executor) resolvePtr(ps *pathState, p ir.Value) (*slot, error) {
 	in, ok := p.(*ir.Instr)
 	if !ok || in.Op != ir.OpAlloca {
 		return nil, &errUnsupported{"memory access through non-alloca pointer"}
 	}
-	if _, present := ps.mem[in]; !present {
+	i, ok := ex.slot[in]
+	if !ok || ps.slots[i].val.val == nil {
 		return nil, &errUnsupported{"memory access to out-of-scope alloca"}
 	}
-	return in, nil
+	return &ps.slots[i], nil
 }
 
 func (ex *executor) binop(ps *pathState, in *ir.Instr, x, y symVal) symVal {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"veriopt/internal/bv"
 	"veriopt/internal/ir"
 )
 
@@ -653,5 +655,25 @@ func TestCandidateGate(t *testing.T) {
 	}
 	if f, res := Candidate(good, nil); f != good || res.Diag != "" {
 		t.Errorf("well-formed candidate: f=%v res=%+v", f, res)
+	}
+}
+
+var cloneSink *pathState
+
+// TestPathStateCloneAllocs pins what forking a path state allocates: the
+// state and one copy of its slots, however many values and cells it
+// holds. Two maps.Clone calls, a header and buckets each, were the
+// price while it kept them in maps keyed by instruction.
+func TestPathStateCloneAllocs(t *testing.T) {
+	b := bv.NewBuilder()
+	ps := &pathState{cond: b.True(), slots: make([]slot, 40)}
+	for i := range ps.slots {
+		ps.slots[i].val = symVal{val: b.Const(32, uint64(i)), poison: b.False()}
+		if i%4 == 0 {
+			ps.slots[i].cell = memCell{val: ps.slots[i].val, init: true}
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { cloneSink = ps.clone() }); got != 2 {
+		t.Errorf("pathState.clone: %.0f allocations, want 2", got)
 	}
 }

@@ -9,12 +9,14 @@ import "veriopt/internal/ir"
 // the stored value.
 func forwardLoads(f *ir.Function) bool {
 	changed := false
+	// Forwarding cannot change which allocas escape: a load's uses only
+	// ever take a value already stored, and storing an address escapes it.
+	escaped := escapedAllocas(f)
 	for _, b := range f.Blocks {
 		// available maps an alloca to the last value stored into it in
 		// this block, invalidated by calls (conservatively: a callee
 		// could not access a non-escaping alloca, but an alloca whose
 		// address flows into a call can change; track escapes).
-		escaped := escapedAllocas(f)
 		available := map[*ir.Instr]ir.Value{}
 		for _, in := range b.Instrs {
 			switch in.Op {

@@ -106,21 +106,21 @@ func carve[T any](slab *[]T, n int) []T {
 // params, then blocks and the results in them, in layout order (the
 // block of a single-block function is "entry", entryNum, instead).
 // Under these names structurally identical functions print identically.
-func canonicalNumbers(f *Function, fn func(v any, name *string, n int)) {
+func canonicalNumbers(f *Function, fn func(name *string, n int)) {
 	next := 0
-	number := func(v any, name *string) { fn(v, name, next); next++ }
+	number := func(name *string) { fn(name, next); next++ }
 	for _, p := range f.Params {
-		number(p, &p.NameStr)
+		number(&p.NameStr)
 	}
 	for _, b := range f.Blocks {
 		if len(f.Blocks) == 1 {
-			fn(b, &b.NameStr, entryNum)
+			fn(&b.NameStr, entryNum)
 		} else {
-			number(b, &b.NameStr)
+			number(&b.NameStr)
 		}
 		for _, in := range b.Instrs {
 			if in.HasResult() {
-				number(in, &in.NameStr)
+				number(&in.NameStr)
 			}
 		}
 	}
@@ -130,7 +130,7 @@ const entryNum = -1
 
 // RenumberFunc renames f's local values and blocks into that scheme.
 func RenumberFunc(f *Function) {
-	canonicalNumbers(f, func(_ any, name *string, n int) {
+	canonicalNumbers(f, func(name *string, n int) {
 		*name = "entry"
 		if n != entryNum {
 			*name = strconv.Itoa(n)

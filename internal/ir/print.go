@@ -14,9 +14,10 @@ import (
 // in naming scheme and layout.
 type printer struct {
 	buf []byte
-	// nums is the naming scheme: a param, block or result found in it
-	// prints as its number, any other (all, when nil) under its own name.
-	nums map[any]int
+	// nums is the naming scheme, keyed by name field: a param, block or
+	// result found in it prints as its number, any other (all, when nil)
+	// under its own name.
+	nums map[*string]int
 	// key selects the cache-key layout: no indentation, no blank lines,
 	// no trailing newline. That is FingerprintText of the text layout as
 	// long as no printed name holds whitespace; odd records that one
@@ -25,11 +26,32 @@ type printer struct {
 }
 
 // canonical returns a printer under the naming scheme RenumberFunc
-// writes into a function, without touching f.
+// writes into a function, without touching f. A value whose name
+// already is its canonical one prints the same bytes under that name,
+// so only the others are mapped: a function RenumberFunc has numbered
+// takes no map at all.
 func canonical(f *Function, key bool) *printer {
-	nums := make(map[any]int, len(f.Params)+len(f.Blocks)+f.NumInstrs())
-	canonicalNumbers(f, func(v any, _ *string, n int) { nums[v] = n })
-	return &printer{nums: nums, key: key}
+	p := &printer{key: key}
+	canonicalNumbers(f, func(name *string, n int) {
+		if canonicalName(*name, n) {
+			return
+		}
+		if p.nums == nil {
+			p.nums = make(map[*string]int, len(f.Params)+len(f.Blocks)+f.NumInstrs())
+		}
+		p.nums[name] = n
+	})
+	return p
+}
+
+// canonicalName reports whether name is what RenumberFunc names the
+// value numbered n, without formatting a string.
+func canonicalName(name string, n int) bool {
+	if n == entryNum {
+		return name == "entry"
+	}
+	var buf [20]byte
+	return string(strconv.AppendInt(buf[:0], int64(n), 10)) == name
 }
 
 func (p *printer) s(s string) *printer {
@@ -45,13 +67,13 @@ func (p *printer) sym(s string) *printer {
 	return p.s(s)
 }
 
-// name appends the name of a param, block or result: its number under
-// a naming scheme that has one, own otherwise.
-func (p *printer) name(v any, own string) *printer {
-	n, ok := p.nums[v]
+// name appends the name of a param, block or result, given its name
+// field: its number under a naming scheme that has one, own otherwise.
+func (p *printer) name(field *string) *printer {
+	n, ok := p.nums[field]
 	switch {
 	case !ok:
-		return p.sym(own)
+		return p.sym(*field)
 	case n == entryNum:
 		return p.s("entry")
 	}
@@ -84,9 +106,9 @@ func (p *printer) val(v Value) *printer {
 		p.buf = strconv.AppendInt(p.buf, v.Signed(), 10)
 		return p
 	case *Param:
-		return p.s("%").name(v, v.NameStr)
+		return p.s("%").name(&v.NameStr)
 	case *Instr:
-		return p.s("%").name(v, v.NameStr)
+		return p.s("%").name(&v.NameStr)
 	case *pendingRef:
 		return p.s("%").sym(v.name)
 	case *GlobalRef:
@@ -103,13 +125,13 @@ func (p *printer) val(v Value) *printer {
 // typed appends "<type> <operand>".
 func (p *printer) typed(v Value) *printer { return p.typ(v.Type()).s(" ").val(v) }
 
-func (p *printer) label(b *Block) *printer { return p.s("label %").name(b, b.NameStr) }
+func (p *printer) label(b *Block) *printer { return p.s("label %").name(&b.NameStr) }
 
 // instr appends one instruction without indentation or newline.
 func (p *printer) instr(in *Instr) *printer {
 	// Every opcode that can define a value lies in OpAdd..OpPhi.
 	if in.HasResult() && in.Op >= OpAdd && in.Op <= OpPhi {
-		p.s("%").name(in, in.NameStr).s(" = ")
+		p.s("%").name(&in.NameStr).s(" = ")
 	}
 	switch {
 	case in.Op.IsBinary():
@@ -143,7 +165,7 @@ func (p *printer) instr(in *Instr) *printer {
 			if i > 0 {
 				p.s(",")
 			}
-			p.s(" [ ").val(inc.Val).s(", %").name(inc.Block, inc.Block.NameStr).s(" ]")
+			p.s(" [ ").val(inc.Val).s(", %").name(&inc.Block.NameStr).s(" ]")
 		}
 	case in.Op == OpRet && len(in.Args) == 0:
 		p.s("ret void")
@@ -180,7 +202,7 @@ func (p *printer) fn(f *Function, name, attrs string) *printer {
 		if pr.Noundef {
 			p.s(" noundef")
 		}
-		p.s(" %").name(pr, pr.NameStr)
+		p.s(" %").name(&pr.NameStr)
 	}
 	p.s(")")
 	if attrs != "" {
@@ -193,7 +215,7 @@ func (p *printer) fn(f *Function, name, attrs string) *printer {
 			if i > 0 && !p.key {
 				p.s("\n")
 			}
-			p.name(b, b.NameStr).s(":\n")
+			p.name(&b.NameStr).s(":\n")
 		}
 		for _, in := range b.Instrs {
 			if !p.key {
