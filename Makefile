@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke experiments-check fuzz-smoke bench bench-workers bench-e2e bench-layers bench-ir loc loc-check
+.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke experiments-check fuzz-smoke bench bench-workers bench-e2e bench-layers bench-pair bench-ir loc loc-check
 
 all: tier1 tier2
 
@@ -161,6 +161,16 @@ bench-e2e:
 
 bench-layers:
 	@for w in $(BENCH_WORKLOADS); do bash bench/run.sh --workload $$w $(BENCH_ARGS) --trace 1 || exit 1; done
+
+# This checkout against the commit REF on one workload, N alternating
+# pairs of end-to-end runs, each tree built by its own bench/run.sh:
+# per metric both medians, their ratio and wins/N
+# (scripts/bench-pair.sh). The one timing comparison quoted here.
+WORKLOAD ?= search-cold
+N        ?= 10
+bench-pair:
+	@[ -n "$(REF)" ] || { echo "usage: make bench-pair REF=<commit> [WORKLOAD=search-cold] [N=10]"; exit 2; }
+	@sh scripts/bench-pair.sh $(REF) $(WORKLOAD) $(N) $(BENCH_ARGS)
 
 # IR front-half micro-benchmarks (ir_bench_test.go): parse, structural
 # verification, cache key, its digest, one clone and one combine fixpoint
