@@ -89,9 +89,8 @@ type executor struct {
 	b      *bv.Builder
 	cfg    execConfig
 	fn     *ir.Function
-	params []symVal // by position; no state changes them
-	// slot numbers fn's results in layout order: a state's slot for each.
-	slot map[*ir.Instr]int32
+	params []symVal            // by position; no state changes them
+	slot   map[*ir.Instr]int32 // fn's results in layout order, for pathState.slots
 
 	steps, paths, merges int
 

@@ -14,9 +14,8 @@ import (
 // in naming scheme and layout.
 type printer struct {
 	buf []byte
-	// nums is the naming scheme, keyed by name field: a param, block or
-	// result found in it prints as its number, any other (all, when nil)
-	// under its own name.
+	// nums is the naming scheme, by name field: a param, block or result
+	// found in it prints as its number, any other under its own name.
 	nums map[*string]int
 	// key selects the cache-key layout: no indentation, no blank lines,
 	// no trailing newline. That is FingerprintText of the text layout as
@@ -25,13 +24,11 @@ type printer struct {
 	key, odd bool
 }
 
-// canonical returns a printer under the naming scheme RenumberFunc
-// writes into a function, without touching f. A value whose name
-// already is its canonical one prints the same bytes under that name,
-// so only the others are mapped: a function RenumberFunc has numbered
-// takes no map at all.
-func canonical(f *Function, key bool) *printer {
-	p := &printer{key: key}
+// canonical puts p under the naming scheme RenumberFunc writes into f,
+// without touching f. A name that already is its number prints the same
+// bytes, so only the others are mapped: a function RenumberFunc has
+// numbered takes no map, and p (on the caller's stack) is all it costs.
+func (p *printer) canonical(f *Function) *printer {
 	canonicalNumbers(f, func(name *string, n int) {
 		if canonicalName(*name, n) {
 			return
@@ -266,13 +263,17 @@ func FuncString(f *Function) string { return string(new(printer).fn(f, f.NameStr
 // CanonicalText returns the printed form f would have after
 // RenumberFunc, without its attribute suffix: structurally identical
 // functions print identically. f is only read.
-func CanonicalText(f *Function) string { return string(canonical(f, false).fn(f, f.NameStr, "").buf) }
+func CanonicalText(f *Function) string {
+	var p printer
+	return string(p.canonical(f).fn(f, f.NameStr, "").buf)
+}
 
 // CanonicalKey returns FingerprintText(CanonicalText(f)) — the form the
 // verdict cache, the verdict store and the cluster ring key functions
 // by — printed in one pass. Its bytes are a persisted format.
 func CanonicalKey(f *Function) string {
-	p := canonical(f, true).fn(f, f.NameStr, "")
+	p := printer{key: true}
+	p.canonical(f).fn(f, f.NameStr, "")
 	if p.odd {
 		return FingerprintText(string(p.buf))
 	}
@@ -282,5 +283,6 @@ func CanonicalKey(f *Function) string {
 // FuncsStructurallyEqual reports whether two functions are identical
 // up to their own names, attribute suffixes and local renaming.
 func FuncsStructurallyEqual(a, b *Function) bool {
-	return bytes.Equal(canonical(a, false).fn(a, "f", "").buf, canonical(b, false).fn(b, "f", "").buf)
+	var pa, pb printer
+	return bytes.Equal(pa.canonical(a).fn(a, "f", "").buf, pb.canonical(b).fn(b, "f", "").buf)
 }

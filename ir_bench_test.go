@@ -39,8 +39,8 @@ import (
 // under a store: 0 on a key that fits its 2 KB stack buffer (2, and four
 // times the CPU, through json.Marshal). Every search state and corpus
 // input is canonically numbered, and its key prints under its own names:
-// 3 on a renumbered midFn (8 while the printer mapped every value to its
-// number).
+// 2 on a renumbered midFn, the buffer and the string (8 while the printer
+// mapped every value to its number and was itself on the heap).
 //
 // The last two rows are what a search pays outside the SAT search, and
 // their ceilings are about 5 % above what they read: one verification
@@ -48,7 +48,7 @@ import (
 // two maps, 553 before that when bv.Builder allocated a term and a
 // formatted key before looking it up, and the concrete pre-pass a map
 // per environment) and one whole Beam on a stack nothing has warmed
-// (1134; 1192 with those maps and the key's, 2579 with a clone an
+// (1121; 1192 with those maps and the key's, 2579 with a clone an
 // object per instruction, 10 658 with that interner and a clone per
 // pass application instead of one working copy per expanded state).
 
@@ -153,13 +153,13 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 		{"ir.ParseFunc", 31, func() { midFunc(t) }},
 		{"ir.VerifyFunc", 8, func() { _ = ir.VerifyFunc(f) }},
 		{"vcache.KeyOfFunc", 8, func() { vcache.KeyOfFunc(f) }},
-		{"vcache.KeyOfFunc, renumbered", 3, func() { vcache.KeyOfFunc(renumbered) }},
+		{"vcache.KeyOfFunc, renumbered", 2, func() { vcache.KeyOfFunc(renumbered) }},
 		{"vcache.Key.Fingerprint", 0, func() { key.Fingerprint() }},
 		{"combine pass", 195, func() { combine.Apply(f) }},
 		{"ir.CloneFunc", 15, func() { ir.CloneFunc(f) }},
 		{"interp.Run", 8, func() { runMid(t, f) }},
 		{"alive.VerifyFuncs", 325, func() { verifyMid(t, f, opt) }},
-		{"seqopt.Beam", 1190, func() { beamMid(t, f) }},
+		{"seqopt.Beam", 1175, func() { beamMid(t, f) }},
 	} {
 		if got := testing.AllocsPerRun(50, tc.fn); got > tc.ceiling {
 			t.Errorf("%s: %.0f allocations per run on midFn, ceiling %.0f", tc.name, got, tc.ceiling)
