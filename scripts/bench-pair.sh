@@ -15,8 +15,8 @@
 # and both trees must print one corpus_digest. Then, per end-to-end
 # metric, the median of each tree, their ratio (this checkout / REF) and
 # wins/N: the pairs in which this checkout read lower (every end-to-end
-# metric in BENCHMARK.json is lower-is-better). The directory is removed
-# on exit; each run's output stays there until then.
+# metric in BENCHMARK.json is lower-is-better); then every run's value,
+# pair by pair. The directory is removed on exit.
 set -eu
 [ $# -ge 3 ] || { echo "usage: $0 REF WORKLOAD N [bench/run.sh arguments]" >&2; exit 2; }
 ref=$1 workload=$2 n=$3
@@ -84,4 +84,7 @@ for m in $(metrics "$tmp/out/ref.1" | awk '{ print $1 }'); do
 	wins=$(awk '$2 < $1 { w++ } END { print w + 0 }' "$tmp/pairs")
 	awk -v m="$m" -v r="$r" -v h="$h" -v w="$wins" -v n="$n" \
 		'BEGIN { printf "%-16s %14.4f %14.4f %8.3f %3d/%d\n", m, r, h, (r == 0) ? 0 : h / r, w, n }'
+	awk -v m="$m" '{ r = r " " $1; h = h " " $2 } END { printf "%-16s REF %s\n%-16s HEAD%s\n", m, r, m, h }' "$tmp/pairs" >>"$tmp/runs"
 done
+echo "runs, pair by pair:"
+cat "$tmp/runs"
