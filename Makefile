@@ -94,10 +94,11 @@ fuzz-smoke:
 # internal/ (every lookup hashes a type word and a pointer; key by
 # *ir.Instr, or by the name field as the canonical printer does, and
 # hold parameters by position, as interp, ir.CloneFunc and alive's
-# executor do). Last, on container/list and on a map keyed by vcache.Key in the
-# storage spine (vcache, oracle, cluster, vstore): such a map keeps two
-# whole function texts alive per entry, which is what made a resident
-# verdict weigh 1.2 KB; the spine's one identity is Key.Fingerprint().
+# executor do). Last, on container/list and on a map keyed by
+# vcache.Key in the storage spine (vcache, oracle, cluster, vstore): such
+# a map keeps two whole function texts alive per entry, which is what
+# made a resident verdict weigh 1.2 KB; the spine's one identity is
+# Key.Fingerprint().
 # And on a rewrite rule that spells Applicable or Apply itself: a rule
 # states what it matches once, to matchRule, peephole or stepRule, and
 # both methods are derived from that.
