@@ -102,6 +102,9 @@ fuzz-smoke:
 # And on a rewrite rule that spells Applicable or Apply itself: a rule
 # states what it matches once, to matchRule, peephole or stepRule, and
 # both methods are derived from that.
+# And on a verdict's diag searched for text outside internal/alive: why
+# a verdict is Inconclusive is alive.Result.Reason, the one reader of
+# the diag prefixes alive writes.
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
@@ -138,6 +141,12 @@ lint:
 	@hits=$$(grep -rnE '\b(Applicable|Apply):' --include='*.go' --exclude='*_test.go' internal/rewrite); \
 	if [ -n "$$hits" ]; then \
 		echo "a rule's match written out per method (declare it once with matchRule, peephole or stepRule):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnE 'strings\.(Contains|HasPrefix|HasSuffix|Index)\([^,)]*\.Diag\b' --include='*.go' --exclude='*_test.go' --exclude-dir=alive .); \
+	if [ -n "$$hits" ]; then \
+		echo "a verdict's diag searched outside internal/alive (ask Result.Reason why it is Inconclusive):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

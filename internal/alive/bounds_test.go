@@ -103,7 +103,7 @@ func TestExecutorBounds(t *testing.T) {
 	if counts[0].Paths != 49 || counts[0].Merges != 12 {
 		t.Errorf("12-rung ladder: %+v, want 49 paths and 12 merges", counts[0])
 	}
-	if forking := alive.VerifyForking(context.Background(), branchy, selects, opts); forking.Verdict != alive.Inconclusive || !strings.Contains(forking.Diag, "path budget exhausted") {
+	if forking := alive.VerifyForking(context.Background(), branchy, selects, opts); forking.Reason() != alive.PathLimit {
 		t.Errorf("the forking reference on the 12-rung ladder: %v (%s), want the path budget", forking.Verdict, forking.Diag)
 	}
 	_, mutant := ladderFns(t, 12, 7)
@@ -119,7 +119,7 @@ func TestExecutorBounds(t *testing.T) {
 	if res := alive.VerifyFuncs(countedLoop(t, 40), countedLoop(t, 40), tight); res.Verdict != alive.Equivalent {
 		t.Errorf("40 trips in %d steps: %v (%s)", tight.MaxSteps, res.Verdict, res.Diag)
 	}
-	if res := alive.VerifyFuncs(countedLoop(t, 41), countedLoop(t, 41), tight); res.Verdict != alive.Inconclusive || !strings.Contains(res.Diag, "step budget exhausted") {
+	if res := alive.VerifyFuncs(countedLoop(t, 41), countedLoop(t, 41), tight); res.Reason() != alive.StepLimit {
 		t.Errorf("41 trips in %d steps: %v (%s), want the step budget", tight.MaxSteps, res.Verdict, res.Diag)
 	}
 
@@ -144,8 +144,8 @@ func TestExecutorBounds(t *testing.T) {
 	long := chainFn(t, 400, false, 0)
 	for _, polls := range []int{1, 2, 4} {
 		res := alive.VerifyFuncsCtx(&stopAfter{context.Background(), polls}, long, long, opts)
-		if res.Verdict != alive.Inconclusive || !res.Canceled {
-			t.Errorf("context ended after %d polls: %v, canceled %v (%s)", polls, res.Verdict, res.Canceled, res.Diag)
+		if res.Reason() != alive.Canceled {
+			t.Errorf("context ended after %d polls: %v, reason %q (%s)", polls, res.Verdict, res.Reason(), res.Diag)
 		}
 	}
 }

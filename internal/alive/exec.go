@@ -24,13 +24,13 @@ type errUnsupported struct{ what string }
 
 func (e *errUnsupported) Error() string { return "unsupported: " + e.what }
 
-// errPathLimit marks path/step budget exhaustion (deep loops).
-type errPathLimit struct{ what string }
+// errPathLimit marks path/step budget exhaustion (deep loops) by its diag.
+type errPathLimit struct{ diag string }
 
-func (e *errPathLimit) Error() string { return "resource limit: " + e.what }
+func (e *errPathLimit) Error() string { return e.diag }
 
 // errCanceled marks a context that ended mid-execution; it surfaces
-// as a Canceled Inconclusive verdict (never cached).
+// as an Inconclusive verdict for reason Canceled (never cached).
 type errCanceled struct{ cause error }
 
 func (e *errCanceled) Error() string {
@@ -393,7 +393,7 @@ func (ex *executor) runBlock(blk *ir.Block, ps *pathState) error {
 		}
 		ex.steps++
 		if ex.steps > ex.cfg.maxSteps {
-			return &errPathLimit{"step budget exhausted (loop too deep?)"}
+			return &errPathLimit{diagStepLimit + " (loop too deep?)"}
 		}
 		// Poll the context every 64 instruction visits: cheap against
 		// term construction, frequent enough that cancellation lands
@@ -467,7 +467,7 @@ func (ex *executor) take(dst, from *ir.Block, ps *pathState, cond *bv.Term, last
 		return nil
 	}
 	if ex.paths++; ex.paths > ex.cfg.maxPaths {
-		return &errPathLimit{"path budget exhausted"}
+		return &errPathLimit{diagPathLimit}
 	}
 	if !last {
 		ps = ps.clone()

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"veriopt/internal/alive"
@@ -312,22 +311,6 @@ func usesCallResult(f *ir.Function) bool {
 	return uses
 }
 
-// why names the limit behind an Inconclusive verdict, "" for a verdict
-// that is not one.
-func why(res alive.Result) string {
-	switch {
-	case res.Verdict != alive.Inconclusive:
-		return ""
-	case res.Canceled:
-		return "canceled"
-	case strings.Contains(res.Diag, "solver budget"):
-		return "budget"
-	case strings.Contains(res.Diag, "resource limit"):
-		return "limit"
-	}
-	return "unsupported"
-}
-
 // differsOn reports whether running src and tgt on args exposes a
 // refinement violation (UB introduced, extra poison, value mismatch, or
 // diverging call trace); the error is the interpreter's own, a step
@@ -432,13 +415,13 @@ func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 			merged = alive.VerifyFresh(context.Background(), p.src, p.tgt, opts, false)
 			forking = alive.VerifyFresh(context.Background(), p.src, p.tgt, opts, true)
 		}
-		mw, fw := why(merged), why(forking)
+		mr, fr := merged.Reason(), forking.Reason()
 		switch {
-		case mw == "budget" || fw == "budget":
+		case mr == alive.ConflictBudget || fr == alive.ConflictBudget:
 			tl.budget++
-		case fw == "limit" && mw == "":
+		case (fr == alive.PathLimit || fr == alive.StepLimit) && mr == alive.NoReason:
 			tl.forkingOutOfPaths++
-		case merged.Verdict != forking.Verdict || mw != fw:
+		case merged.Verdict != forking.Verdict || mr != fr:
 			fail("fresh=%v: merged %v (%s), forking %v (%s)", fresh, merged.Verdict, merged.Diag, forking.Verdict, forking.Diag)
 		}
 		for name, res := range map[string]alive.Result{"merged": merged, "forking": forking} {
@@ -448,7 +431,7 @@ func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 				}
 				callWitness = true
 			}
-			if why(res) == "" {
+			if res.Verdict != alive.Inconclusive {
 				definite = append(definite, res)
 			}
 		}

@@ -16,9 +16,10 @@ func distributes(t *testing.T) (src, tgt *ir.Function) {
 }
 
 // TestInconclusiveDiags pins the bytes of every Inconclusive diag, one
-// row per source of one, through both executors and both query solvers.
-// Eq. 2 BLEU-scores the diag and vstore persists it, so these bytes do
-// not move.
+// row per source of one, through both executors and both query solvers,
+// and the reason Result.Reason reads off each. Eq. 2 BLEU-scores the
+// diag and vstore persists it, so these bytes do not move; this is the
+// one test that spells a diag's reason out as text.
 func TestInconclusiveDiags(t *testing.T) {
 	opts := alive.DefaultOptions()
 	branchy, selects := ladderFns(t, 12, 0)
@@ -56,19 +57,20 @@ func TestInconclusiveDiags(t *testing.T) {
 		// merging one answers Equivalent.
 		forkingOnly bool
 		diag        string
+		reason      alive.Reason
 	}{
 		{"path limit", branchy, selects, opts, context.Background(), true,
-			"ERROR: resource limit: path budget exhausted"},
+			"ERROR: resource limit: path budget exhausted", alive.PathLimit},
 		{"step limit", countedLoop(t, 41), countedLoop(t, 41), tight, context.Background(), false,
-			"ERROR: resource limit: step budget exhausted (loop too deep?)"},
+			"ERROR: resource limit: step budget exhausted (loop too deep?)", alive.StepLimit},
 		{"conflict budget", mulSrc, mulTgt, starved, context.Background(), false,
-			"ERROR: solver budget exhausted (Value mismatch check)"},
+			"ERROR: solver budget exhausted (Value mismatch check)", alive.ConflictBudget},
 		{"unsupported", void, void, opts, context.Background(), false,
-			"ERROR: unsupported: type void in value position"},
+			"ERROR: unsupported: type void in value position", alive.Unsupported},
 		{"canceled before", mulSrc, mulTgt, opts, done, false,
-			"ERROR: verification canceled: context canceled"},
+			"ERROR: verification canceled: context canceled", alive.Canceled},
 		{"canceled mid-query", mulSrc, mulTgt, starved, nil, false,
-			"ERROR: verification canceled: context canceled"},
+			"ERROR: verification canceled: context canceled", alive.Canceled},
 	} {
 		for _, v := range verifiers {
 			ctx := c.ctx
@@ -79,13 +81,13 @@ func TestInconclusiveDiags(t *testing.T) {
 			}
 			res := v.run(ctx, c.src, c.tgt, c.opts)
 			if c.forkingOnly && (v.name == "VerifyFuncsCtx" || v.name == "VerifyFresh") {
-				if res.Verdict != alive.Equivalent || res.Diag != "" {
-					t.Errorf("%s, %s: %v (%q), want equivalent", c.name, v.name, res.Verdict, res.Diag)
+				if res.Verdict != alive.Equivalent || res.Diag != "" || res.Reason() != alive.NoReason {
+					t.Errorf("%s, %s: %v (%q, reason %q), want equivalent", c.name, v.name, res.Verdict, res.Diag, res.Reason())
 				}
 				continue
 			}
-			if res.Verdict != alive.Inconclusive || res.Diag != c.diag {
-				t.Errorf("%s, %s: %v (%q), want inconclusive (%q)", c.name, v.name, res.Verdict, res.Diag, c.diag)
+			if res.Verdict != alive.Inconclusive || res.Diag != c.diag || res.Reason() != c.reason {
+				t.Errorf("%s, %s: %v (%q, reason %q), want inconclusive (%q, reason %q)", c.name, v.name, res.Verdict, res.Diag, res.Reason(), c.diag, c.reason)
 			}
 		}
 	}

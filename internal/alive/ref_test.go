@@ -171,7 +171,7 @@ func (ex *refExecutor) runBlock(blk *ir.Block, pred *ir.Block, ps *refPathState)
 		}
 		ex.steps++
 		if ex.steps > ex.cfg.maxSteps {
-			return &errPathLimit{"step budget exhausted (loop too deep?)"}
+			return &errPathLimit{diagStepLimit + " (loop too deep?)"}
 		}
 		// Poll the context every 64 instruction visits: cheap against
 		// term construction, frequent enough that cancellation lands
@@ -259,7 +259,7 @@ func (ex *refExecutor) runBlock(blk *ir.Block, pred *ir.Block, ps *refPathState)
 func (ex *refExecutor) branch(dst *ir.Block, from *ir.Block, ps *refPathState) error {
 	ex.paths++
 	if ex.paths > ex.cfg.maxPaths {
-		return &errPathLimit{"path budget exhausted"}
+		return &errPathLimit{diagPathLimit}
 	}
 	return ex.runBlock(dst, from, ps)
 }

@@ -56,13 +56,56 @@ type Result struct {
 	Counterexample map[string]uint64
 	// SolverConflicts counts total SAT conflicts spent.
 	SolverConflicts int
-	// Canceled marks an Inconclusive verdict produced because the
-	// query's context ended (cancellation or timeout) rather than
-	// because the query itself exhausted its limits. Canceled results
-	// are transient — they must never be memoized (internal/vcache
-	// skips them) and re-running the query under a live context can
-	// still prove it.
-	Canceled bool
+}
+
+// Reason says why a verdict is Inconclusive. Result.Reason reads it off
+// the diag, its one record: Eq. 2 BLEU-scores the diag and vstore
+// persists it, so a Result rebuilt from text still carries its reason.
+type Reason int
+
+// Reason values, in the order String and the oracle's counters use.
+const (
+	NoReason       Reason = iota // the verdict is not Inconclusive
+	ConflictBudget               // a refinement query spent Options.SolverBudget
+	PathLimit                    // execution took Options.MaxPaths edges
+	StepLimit                    // execution visited Options.MaxSteps instructions
+	Unsupported                  // a construct outside the validated subset
+	// Canceled: the query's context ended, not its own limits. Such a
+	// result is transient: never memoized (vcache skips it, vstore
+	// refuses it), and a re-run under a live context can still prove it.
+	Canceled
+)
+
+var reasonNames = [...]string{"", "conflict_budget", "path_limit", "step_limit", "unsupported", "canceled"}
+
+// String returns a stable lowercase reason name, "" for NoReason.
+func (r Reason) String() string { return reasonNames[r] }
+
+// The diag prefixes Result.Reason reads; every diag of those reasons is
+// written from them. Any other Inconclusive diag is Unsupported.
+const (
+	diagConflictBudget = "ERROR: solver budget exhausted"
+	diagPathLimit      = "ERROR: resource limit: path budget exhausted"
+	diagStepLimit      = "ERROR: resource limit: step budget exhausted"
+	diagCanceled       = "ERROR: verification canceled: "
+)
+
+// Reason reports why r is Inconclusive, NoReason for any other verdict.
+func (r Result) Reason() Reason {
+	if r.Verdict != Inconclusive {
+		return NoReason
+	}
+	switch {
+	case strings.HasPrefix(r.Diag, diagConflictBudget):
+		return ConflictBudget
+	case strings.HasPrefix(r.Diag, diagPathLimit):
+		return PathLimit
+	case strings.HasPrefix(r.Diag, diagStepLimit):
+		return StepLimit
+	case strings.HasPrefix(r.Diag, diagCanceled):
+		return Canceled
+	}
+	return Unsupported
 }
 
 // CanceledResult builds the verdict returned when a query's context
@@ -72,8 +115,7 @@ func CanceledResult(err error) Result {
 	if err != nil {
 		msg = err.Error()
 	}
-	return Result{Verdict: Inconclusive, Canceled: true,
-		Diag: "ERROR: verification canceled: " + msg}
+	return Result{Verdict: Inconclusive, Diag: diagCanceled + msg}
 }
 
 // Options controls verification limits.
@@ -230,17 +272,16 @@ func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts 
 	return refine(ctx, b, sSum, tSum, paramNames, opts, newSolver)
 }
 
+// inconclusiveFrom is the verdict of an executor that stopped with err;
+// an error neither canceled nor a limit is an unsupported construct.
 func inconclusiveFrom(err error) Result {
-	var unsup *errUnsupported
 	var lim *errPathLimit
 	var canc *errCanceled
 	switch {
 	case errors.As(err, &canc):
 		return CanceledResult(canc.cause)
-	case errors.As(err, &unsup):
-		return Result{Verdict: Inconclusive, Diag: "ERROR: " + unsup.Error()}
 	case errors.As(err, &lim):
-		return Result{Verdict: Inconclusive, Diag: "ERROR: " + lim.Error()}
+		return Result{Verdict: Inconclusive, Diag: lim.diag}
 	}
 	return Result{Verdict: Inconclusive, Diag: "ERROR: " + err.Error()}
 }
@@ -388,7 +429,7 @@ func refinePerQuery(ctx context.Context, b *bv.Builder, solver querySolver, quer
 		res, err := solver.check(q.cond)
 		if err != nil {
 			return Result{Verdict: Inconclusive,
-				Diag:            "ERROR: solver budget exhausted (" + q.diag + " check)",
+				Diag:            diagConflictBudget + " (" + q.diag + " check)",
 				SolverConflicts: solver.spent()}
 		}
 		if res.Status == sat.Sat {

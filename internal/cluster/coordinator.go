@@ -288,7 +288,6 @@ func (c *Coordinator) post(ctx context.Context, rep *replica, body []byte) (aliv
 	return alive.Result{
 		Verdict:         v,
 		Diag:            vr.Diag,
-		Canceled:        vr.Canceled,
 		Counterexample:  vr.Counterexample,
 		SolverConflicts: vr.SolverConflicts,
 	}, nil, false

@@ -180,11 +180,56 @@ func TestForwardRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Verdict != alive.Equivalent || res.Canceled {
+	if res.Verdict != alive.Equivalent {
 		t.Fatalf("result = %+v, want equivalent", res)
 	}
 	if w.hits.Load() != 1 || c.reps[0].requests.Load() != 1 {
 		t.Fatalf("hits = %d, requests = %d, want 1/1", w.hits.Load(), c.reps[0].requests.Load())
+	}
+}
+
+// TestReasonCrossesTheWire: an Inconclusive verdict a replica answers
+// reaches the coordinator's caller for the same reason, read off the
+// diag the replica sends — one canceled, one out of conflict budget.
+func TestReasonCrossesTheWire(t *testing.T) {
+	mul := func(text string) *ir.Function {
+		f, err := ir.ParseFunc(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	starved := alive.DefaultOptions()
+	starved.SolverBudget = 1
+	budget := alive.VerifyFuncs(
+		mul("define i6 @d(i6 noundef %x, i6 noundef %y, i6 noundef %z) {\n  %s = add i6 %y, %z\n  %r = mul i6 %x, %s\n  ret i6 %r\n}\n"),
+		mul("define i6 @d(i6 noundef %x, i6 noundef %y, i6 noundef %z) {\n  %a = mul i6 %x, %y\n  %b = mul i6 %x, %z\n  %r = add i6 %a, %b\n  ret i6 %r\n}\n"),
+		starved)
+	if budget.Reason() != alive.ConflictBudget {
+		t.Fatalf("x*(y+z) against x*y+x*z in 1 conflict: reason %q (%s)", budget.Reason(), budget.Diag)
+	}
+	src, tgt := parsePair(t)
+	for _, want := range []alive.Result{alive.CanceledResult(context.DeadlineExceeded), budget} {
+		replica := server.New(server.Config{Workers: 1, Oracle: oracle.Func(func(context.Context, *ir.Function, *ir.Function, alive.Options) alive.Result {
+			return want
+		})})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() { errc <- replica.Run(ctx, ln) }()
+		c := mustNew(t, Config{Replicas: []string{"http://" + ln.Addr().String()}})
+		res, err := c.VerifyRemote(context.Background(), src, tgt, alive.DefaultOptions())
+		cancel()
+		if err := <-errc; err != nil {
+			t.Fatalf("replica Run: %v", err)
+		}
+		if err != nil || res.Reason() != want.Reason() || res.Diag != want.Diag {
+			t.Errorf("replica answered %v, reason %q (%s); the caller got %v, reason %q (%s), error %v",
+				want.Verdict, want.Reason(), want.Diag, res.Verdict, res.Reason(), res.Diag, err)
+		}
 	}
 }
 
@@ -384,7 +429,7 @@ func TestCallerDeadlineIsNotAReplicaFailure(t *testing.T) {
 	defer cancel()
 	src, tgt := parsePair(t)
 	res, err := c.VerifyRemote(ctx, src, tgt, opts)
-	if err != nil || !res.Canceled {
+	if err != nil || res.Reason() != alive.Canceled {
 		t.Fatalf("result = %+v err = %v, want a canceled result and no error", res, err)
 	}
 	select {

@@ -137,7 +137,7 @@ var scriptNames = [scriptCount]string{"answers", "sheds", "refused", "truncated"
 // a replica or the coordinator's /metrics can see.
 type dispatchOutcome struct {
 	verdict  alive.Verdict
-	canceled bool
+	reason   alive.Reason
 	err      string
 	hits     []int // fleet index of each worker hit, in arrival order
 	requests []uint64
@@ -194,7 +194,7 @@ func TestLoopVsStateMachine(t *testing.T) {
 				t0 := time.Now()
 				res, err := dispatch(c, context.Background(), src, tgt, opts)
 				elapsed := time.Since(t0)
-				out := dispatchOutcome{verdict: res.Verdict, canceled: res.Canceled}
+				out := dispatchOutcome{verdict: res.Verdict, reason: res.Reason()}
 				if err != nil {
 					out.err = err.Error()
 				}

@@ -256,8 +256,8 @@ func postVerify(baseURL string, q int) error {
 	if err := json.Unmarshal(blob, &vr); err != nil {
 		return err
 	}
-	if vr.Verdict != "equivalent" || vr.Canceled {
-		return fmt.Errorf("verdict %q canceled=%v, want equivalent", vr.Verdict, vr.Canceled)
+	if vr.Verdict != "equivalent" || vr.Reason != "" {
+		return fmt.Errorf("verdict %q reason %q, want equivalent", vr.Verdict, vr.Reason)
 	}
 	return nil
 }

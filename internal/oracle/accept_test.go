@@ -60,7 +60,7 @@ func TestAcceptIsTheDeploymentRule(t *testing.T) {
 				return want
 			})
 			out, res := Accept(bg, o, src.model, in, src.cand, alive.DefaultOptions())
-			if res.Verdict != want.Verdict || res.Diag != want.Diag || res.Canceled != want.Canceled {
+			if res.Verdict != want.Verdict || res.Diag != want.Diag || res.Reason() != want.Reason() {
 				t.Errorf("%s/%v: result %+v, want the oracle's %+v", src.name, want.Verdict, res, want)
 			}
 			switch {

@@ -89,7 +89,7 @@ func TestBaseHonorsContext(t *testing.T) {
 	cancel()
 	src, tgt := mustParse(t, srcText), mustParse(t, tgtText)
 	r := Base().Verify(ctx, src, tgt, alive.DefaultOptions())
-	if !r.Canceled || r.Verdict != alive.Inconclusive {
+	if r.Reason() != alive.Canceled {
 		t.Fatalf("pre-canceled base query: %+v", r)
 	}
 }

@@ -86,13 +86,13 @@ func TestShardCanceledNoFallback(t *testing.T) {
 	st := NewStack(Config{Remote: dying, Base: countingBase(&base)})
 	src, tgt := mustParse(t, srcText), mustParse(t, tgtText)
 	r := st.Verify(ctx, src, tgt, alive.DefaultOptions())
-	if !r.Canceled || r.Verdict != alive.Inconclusive {
+	if r.Reason() != alive.Canceled {
 		t.Fatalf("canceled remote query: %+v", r)
 	}
 	if base.Load() != 0 {
 		t.Fatalf("local base ran %d times after cancellation, want 0", base.Load())
 	}
-	if os, cs := st.OracleStats(); os.Canceled != 1 || cs.Canceled != 1 || cs.Entries != 0 {
+	if os, cs := st.OracleStats(); os.ByReason[alive.Canceled] != 1 || cs.Canceled != 1 || cs.Entries != 0 {
 		t.Fatalf("stats after a canceled remote query: oracle %+v cache %+v", os, cs)
 	}
 }

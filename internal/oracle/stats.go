@@ -15,26 +15,26 @@ type Stats struct {
 	// ByVerdict counts results per verdict category, indexed by
 	// alive.Verdict.
 	ByVerdict [4]uint64
-	// Canceled counts Canceled results (a subset of the Inconclusive
-	// bucket).
-	Canceled uint64
+	// ByReason counts results per alive.Reason, indexed by it (the
+	// NoReason slot counts the verdicts that are not Inconclusive).
+	ByReason [6]uint64
 	// Wall is cumulative time spent answering, summed across
 	// workers.
 	Wall time.Duration
 }
 
 // Counters returns the snapshot's monotonic counters under stable
-// snake_case names — verdict categories use the alive.Verdict names —
-// for metrics exporters (the serving layer's Prometheus endpoint, obs
-// event fields). Wall is excluded: exporters publish it separately as
-// a seconds total.
+// snake_case names ("queries", the alive.Verdict names and the
+// alive.Reason ones) for metrics exporters (the serving layer's
+// Prometheus endpoint, obs event fields). Wall is excluded: exporters
+// publish it separately as a seconds total.
 func (s Stats) Counters() map[string]uint64 {
-	out := map[string]uint64{
-		"queries":  s.Queries,
-		"canceled": s.Canceled,
-	}
+	out := map[string]uint64{"queries": s.Queries}
 	for i, n := range s.ByVerdict {
 		out[alive.Verdict(i).String()] = n
+	}
+	for r := alive.NoReason + 1; int(r) < len(s.ByReason); r++ {
+		out[r.String()] = s.ByReason[r]
 	}
 	return out
 }
@@ -45,7 +45,7 @@ func (s Stats) String() string {
 		s.Queries,
 		s.ByVerdict[alive.Equivalent], s.ByVerdict[alive.SemanticError],
 		s.ByVerdict[alive.SyntaxError], s.ByVerdict[alive.Inconclusive],
-		s.Canceled, s.Wall.Round(time.Millisecond))
+		s.ByReason[alive.Canceled], s.Wall.Round(time.Millisecond))
 }
 
 // StatsCollector accumulates per-verdict counters; safe for
@@ -53,19 +53,21 @@ func (s Stats) String() string {
 type StatsCollector struct {
 	queries   atomic.Uint64
 	byVerdict [4]atomic.Uint64
-	canceled  atomic.Uint64
+	byReason  [6]atomic.Uint64
 	wallNanos atomic.Int64
 }
 
 // Snapshot returns the current counter values.
 func (c *StatsCollector) Snapshot() Stats {
 	s := Stats{
-		Queries:  c.queries.Load(),
-		Canceled: c.canceled.Load(),
-		Wall:     time.Duration(c.wallNanos.Load()),
+		Queries: c.queries.Load(),
+		Wall:    time.Duration(c.wallNanos.Load()),
 	}
 	for i := range s.ByVerdict {
 		s.ByVerdict[i] = c.byVerdict[i].Load()
+	}
+	for i := range s.ByReason {
+		s.ByReason[i] = c.byReason[i].Load()
 	}
 	return s
 }
@@ -79,7 +81,5 @@ func (c *StatsCollector) count(res alive.Result, wall time.Duration) {
 	if res.Verdict >= 0 && int(res.Verdict) < len(c.byVerdict) {
 		c.byVerdict[res.Verdict].Add(1)
 	}
-	if res.Canceled {
-		c.canceled.Add(1)
-	}
+	c.byReason[res.Reason()].Add(1)
 }

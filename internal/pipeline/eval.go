@@ -140,7 +140,7 @@ func EvaluateCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample
 			Sample:   s,
 			Verdict:  j.FinalVerdict.Verdict,
 			Diag:     j.FinalVerdict.Diag,
-			Canceled: j.FinalVerdict.Canceled,
+			Canceled: j.FinalVerdict.Reason() == alive.Canceled,
 			Copied:   ep.Copied,
 			Base:     costmodel.Measure(s.O0),
 			Ref:      costmodel.Measure(s.Ref),

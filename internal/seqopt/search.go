@@ -112,7 +112,7 @@ func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, s
 		res.States++
 		vr := cfg.Oracle.Verify(ctx, f0, g, alive.DefaultOptions())
 		res.Queries++
-		if vr.Canceled {
+		if vr.Reason() == alive.Canceled {
 			return out, ctx.Err()
 		}
 		if vr.Verdict != alive.Equivalent {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"veriopt/internal/alive"
 	"veriopt/internal/oracle"
 )
 
@@ -28,7 +29,9 @@ var fuzzEndpoints = []struct {
 // a panic. Every body posted to /v1/verify, /v1/optimize or
 // /v1/evaluate of a real oracle stack must answer a documented status —
 // 200 with the endpoint's response type, or 400 with a non-empty
-// ErrorResponse — and leave veriopt_panics_total where it was. A policy
+// ErrorResponse — and leave veriopt_panics_total where it was. Every
+// verdict a 200 carries has a reason exactly when it is inconclusive,
+// and the reason is one of alive.Reason's names. A policy
 // output is exactly such a body: the paper scores a malformed one as a
 // syntax error paying zero reward, never as a crash.
 //
@@ -98,8 +101,23 @@ func FuzzHandlerBody(f *testing.F) {
 		dec.DisallowUnknownFields()
 		switch rec.Code {
 		case http.StatusOK:
-			if err := dec.Decode(ep.resp()); err != nil {
+			resp := ep.resp()
+			if err := dec.Decode(resp); err != nil {
 				t.Fatalf("%s %q: 200 body %q does not decode: %v", ep.path, body, out, err)
+			}
+			var verdicts [][2]string
+			switch r := resp.(type) {
+			case *VerifyResponse:
+				verdicts = append(verdicts, [2]string{r.Verdict, r.Reason})
+			case *OptimizeResponse:
+				for _, fr := range r.Functions {
+					verdicts = append(verdicts, [2]string{fr.Verdict, fr.Reason})
+				}
+			}
+			for _, v := range verdicts {
+				if !reasonFits(v[0], v[1]) {
+					t.Fatalf("%s %q: verdict %q with reason %q in %q", ep.path, body, v[0], v[1], out)
+				}
 			}
 		case http.StatusBadRequest:
 			var er ErrorResponse
@@ -110,4 +128,18 @@ func FuzzHandlerBody(f *testing.F) {
 			t.Fatalf("%s %q: status %d, body %q; want 200 or 400", ep.path, body, rec.Code, out)
 		}
 	})
+}
+
+// reasonFits reports whether reason is one of alive.Reason's names and
+// is empty exactly when verdict is not inconclusive.
+func reasonFits(verdict, reason string) bool {
+	if (verdict == alive.Inconclusive.String()) != (reason != "") {
+		return false
+	}
+	for r := alive.NoReason; r <= alive.Canceled; r++ {
+		if r.String() == reason {
+			return true
+		}
+	}
+	return false
 }

@@ -70,10 +70,10 @@ type VerifyRequest struct {
 type VerifyResponse struct {
 	Verdict string `json:"verdict"`
 	Diag    string `json:"diag,omitempty"`
-	// Canceled marks a verdict produced because the request deadline
-	// expired rather than because the query exhausted its limits;
-	// retrying with a longer timeout can still prove the query.
-	Canceled        bool              `json:"canceled,omitempty"`
+	// Reason names why an inconclusive verdict is one (alive.Reason);
+	// "canceled" is the request deadline, not the query's limits, and a
+	// retry with a longer timeout can still prove the query.
+	Reason          string            `json:"reason,omitempty"`
 	Counterexample  map[string]uint64 `json:"counterexample,omitempty"`
 	SolverConflicts int               `json:"solver_conflicts,omitempty"`
 }
@@ -94,7 +94,7 @@ type FunctionResult struct {
 	// UsedFallback reports that the input was kept because the
 	// candidate failed to parse or to verify (the deployment rule).
 	UsedFallback bool        `json:"used_fallback"`
-	Canceled     bool        `json:"canceled,omitempty"`
+	Reason       string      `json:"reason,omitempty"`
 	Base         MetricsJSON `json:"base"`
 	Out          MetricsJSON `json:"out"`
 	Speedup      float64     `json:"speedup"`
@@ -276,7 +276,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return http.StatusOK, VerifyResponse{
 			Verdict:         res.Verdict.String(),
 			Diag:            res.Diag,
-			Canceled:        res.Canceled,
+			Reason:          res.Reason().String(),
 			Counterexample:  res.Counterexample,
 			SolverConflicts: res.SolverConflicts,
 		}
@@ -322,7 +322,7 @@ func (s *Server) optimizeFunc(ctx context.Context, f *ir.Function) (*ir.Function
 		Verdict:      res.Verdict.String(),
 		Diag:         res.Diag,
 		UsedFallback: out == f,
-		Canceled:     res.Canceled,
+		Reason:       res.Reason().String(),
 		Base:         metricsJSON(base),
 		Out:          metricsJSON(after),
 		Speedup:      costmodel.Speedup(base, after),

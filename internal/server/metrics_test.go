@@ -30,7 +30,7 @@ func (fixedOracle) Verify(context.Context, *ir.Function, *ir.Function, alive.Opt
 }
 
 func (fixedOracle) OracleStats() (oracle.Stats, vcache.Stats) {
-	return oracle.Stats{Queries: 12345678, ByVerdict: [4]uint64{7, 5, 3, 2}, Canceled: 1, Wall: 1500 * time.Millisecond},
+	return oracle.Stats{Queries: 12345678, ByVerdict: [4]uint64{7, 5, 3, 2}, ByReason: [6]uint64{alive.ConflictBudget: 1, alive.Canceled: 1}, Wall: 1500 * time.Millisecond},
 		vcache.Stats{Queries: 40, Hits: 30, Misses: 9, Evictions: 4, Promotions: 3, Demotions: 4, StoreErrors: 1,
 			BudgetExhausted: 2, SolverConflicts: 123456, Canceled: 1, Entries: 17, WallTime: 25 * time.Microsecond}
 }

@@ -91,7 +91,7 @@ func TestVerifyEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &vr); err != nil {
 		t.Fatal(err)
 	}
-	if vr.Verdict != "equivalent" || vr.Canceled {
+	if vr.Verdict != "equivalent" || vr.Reason != "" {
 		t.Fatalf("verdict = %+v, want equivalent", vr)
 	}
 
@@ -141,7 +141,7 @@ func TestDeadlinePropagation(t *testing.T) {
 	if err := json.Unmarshal(body, &vr); err != nil {
 		t.Fatal(err)
 	}
-	if !vr.Canceled || vr.Verdict != "inconclusive" {
+	if vr.Reason != "canceled" || vr.Verdict != "inconclusive" {
 		t.Fatalf("response = %+v, want canceled inconclusive", vr)
 	}
 	if elapsed := time.Since(t0); elapsed > 5*time.Second {
@@ -492,7 +492,7 @@ func TestTimeoutClampAndNegativeReject(t *testing.T) {
 		if err := json.Unmarshal(body, &vr); err != nil {
 			t.Fatal(err)
 		}
-		if !vr.Canceled {
+		if vr.Reason != "canceled" {
 			t.Fatalf("timeout_ms %d: response = %+v, want canceled (clamped deadline must trip)", ms, vr)
 		}
 		if elapsed < maxT {
@@ -537,7 +537,7 @@ func TestDefaultTimeoutAlsoClamped(t *testing.T) {
 	if err := json.Unmarshal(body, &vr); err != nil {
 		t.Fatal(err)
 	}
-	if !vr.Canceled {
+	if vr.Reason != "canceled" {
 		t.Fatalf("response = %+v, want canceled", vr)
 	}
 	if elapsed := time.Since(t0); elapsed > 10*time.Second {

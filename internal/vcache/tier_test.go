@@ -45,7 +45,7 @@ func (b *memBacking) Put(k Key, res alive.Result) error {
 	if b.fail {
 		return fmt.Errorf("injected backing failure")
 	}
-	if res.Canceled {
+	if res.Reason() == alive.Canceled {
 		return fmt.Errorf("memBacking: refusing Canceled verdict")
 	}
 	b.m[k] = res

@@ -36,7 +36,6 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -368,7 +367,7 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 			e.canceled.Add(1)
 			return alive.CanceledResult(ctx.Err())
 		}
-		if !c.res.Canceled {
+		if c.res.Reason() != alive.Canceled {
 			e.hits.Add(1)
 			return c.res
 		}
@@ -384,7 +383,7 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 		res, ok, err := e.backing.Get(k)
 		if err != nil {
 			e.storeErrors.Add(1)
-		} else if ok && !res.Canceled {
+		} else if ok && res.Reason() != alive.Canceled {
 			e.hits.Add(1)
 			e.promotions.Add(1)
 			c.res = res
@@ -396,11 +395,12 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 	c.res = compute()
 	e.wallNanos.Add(int64(time.Since(t0)))
 	e.solverConflicts.Add(uint64(c.res.SolverConflicts))
-	if c.res.Verdict == alive.Inconclusive && strings.Contains(c.res.Diag, "solver budget exhausted") {
+	reason := c.res.Reason()
+	if reason == alive.ConflictBudget {
 		e.budgetExhausted.Add(1)
 	}
 
-	if c.res.Canceled {
+	if reason == alive.Canceled {
 		e.canceled.Add(1)
 		e.mu.Lock()
 		delete(e.inflight, fp)

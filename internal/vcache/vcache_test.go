@@ -92,14 +92,14 @@ func TestCanceledResultsNotCached(t *testing.T) {
 		computes.Add(1)
 		return alive.CanceledResult(context.Canceled)
 	})
-	if !first.Canceled || first.Verdict != alive.Inconclusive {
+	if first.Reason() != alive.Canceled {
 		t.Fatalf("first result = %+v, want canceled inconclusive", first)
 	}
 	second := e.Do(bg, keyN(2), func() alive.Result {
 		computes.Add(1)
 		return equivalent()
 	})
-	if second.Verdict != alive.Equivalent || second.Canceled {
+	if second.Verdict != alive.Equivalent {
 		t.Fatalf("second result = %+v, want live equivalent", second)
 	}
 	if computes.Load() != 2 {
@@ -135,7 +135,7 @@ func TestDuplicateWaiterUnblocksOnOwnCancel(t *testing.T) {
 	cancel()
 	select {
 	case r := <-done:
-		if !r.Canceled {
+		if r.Reason() != alive.Canceled {
 			t.Fatalf("duplicate waiter result = %+v, want canceled", r)
 		}
 	case <-time.After(5 * time.Second):
@@ -155,7 +155,7 @@ func TestPreCanceledContextShortCircuits(t *testing.T) {
 		t.Error("compute ran under a pre-canceled context")
 		return equivalent()
 	})
-	if !r.Canceled || r.Verdict != alive.Inconclusive {
+	if r.Reason() != alive.Canceled {
 		t.Fatalf("result = %+v, want canceled inconclusive", r)
 	}
 	s := e.Stats()
@@ -195,7 +195,7 @@ func TestWaiterCancelCountsCanceledNotHit(t *testing.T) {
 	cancel()
 	select {
 	case r := <-waiterDone:
-		if !r.Canceled {
+		if r.Reason() != alive.Canceled {
 			t.Fatalf("waiter result = %+v, want canceled", r)
 		}
 	case <-time.After(5 * time.Second):
@@ -258,7 +258,7 @@ func TestWaiterAnsweredByOwnerIsHit(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	close(release)
 	<-ownerDone
-	if r := <-waiterDone; r.Verdict != alive.Equivalent || r.Canceled {
+	if r := <-waiterDone; r.Verdict != alive.Equivalent {
 		t.Fatalf("waiter result = %+v, want owner's equivalent", r)
 	}
 	s := e.Stats()
@@ -296,12 +296,12 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	}
 	time.Sleep(10 * time.Millisecond)
 	cancelOwner()
-	if r := <-ownerDone; !r.Canceled {
+	if r := <-ownerDone; r.Reason() != alive.Canceled {
 		t.Fatalf("owner result = %+v, want canceled", r)
 	}
 	select {
 	case r := <-waiterDone:
-		if r.Verdict != alive.Equivalent || r.Canceled {
+		if r.Verdict != alive.Equivalent {
 			t.Fatalf("waiter under a live context got %+v, want the computed verdict", r)
 		}
 	case <-time.After(5 * time.Second):

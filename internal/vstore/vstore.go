@@ -404,7 +404,7 @@ func (s *Store) active() *segment { return s.segs[s.order[len(s.order)-1]] }
 // results: they are transient by contract and must never be
 // persisted.
 func (s *Store) Put(k vcache.Key, res alive.Result) error {
-	if res.Canceled {
+	if res.Reason() == alive.Canceled {
 		return fmt.Errorf("vstore: refusing to persist a Canceled verdict")
 	}
 	buf, err := encodeRecord(record{Src: k.Src, Dst: k.Dst, Opts: k.Opts, Res: res})

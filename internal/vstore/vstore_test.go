@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"veriopt/internal/alive"
+	"veriopt/internal/ir"
 	"veriopt/internal/vcache"
 )
 
@@ -260,6 +261,45 @@ func TestCanceledVerdictsRefused(t *testing.T) {
 	}
 	if st := s.Stats(); st.Appends != 0 || st.Entries != 0 {
 		t.Fatalf("refused Put still touched the log: %+v", st)
+	}
+}
+
+// TestReasonSurvivesReopen: an Inconclusive verdict's reason is read
+// off its diag, so the record a reopened store rebuilds still says why.
+func TestReasonSurvivesReopen(t *testing.T) {
+	src, err := ir.ParseFunc("define i6 @d(i6 noundef %x, i6 noundef %y, i6 noundef %z) {\n  %s = add i6 %y, %z\n  %r = mul i6 %x, %s\n  ret i6 %r\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := ir.ParseFunc("define i6 @d(i6 noundef %x, i6 noundef %y, i6 noundef %z) {\n  %a = mul i6 %x, %y\n  %b = mul i6 %x, %z\n  %r = add i6 %a, %b\n  ret i6 %r\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := alive.DefaultOptions()
+	opts.SolverBudget = 1
+	res := alive.VerifyFuncs(src, tgt, opts)
+	if res.Reason() != alive.ConflictBudget {
+		t.Fatalf("x*(y+z) against x*y+x*z in 1 conflict: %v, reason %q (%s)", res.Verdict, res.Reason(), res.Diag)
+	}
+	k := vcache.Key{Src: vcache.KeyOfFunc(src), Dst: vcache.KeyOfFunc(tgt), Opts: opts}
+	dir := t.TempDir()
+	s, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(k, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := mustGet(t, s, k); got.Reason() != alive.ConflictBudget || got.Diag != res.Diag {
+		t.Fatalf("after reopen: %v, reason %q (%s), want %q (%s)", got.Verdict, got.Reason(), got.Diag, alive.ConflictBudget, res.Diag)
 	}
 }
 
