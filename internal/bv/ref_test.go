@@ -289,8 +289,9 @@ func (c *refChecker) exhaust(t *testing.T, w int, n *refNode) {
 	}
 	env := map[string]uint64{}
 	for x := uint64(0); x <= refOnes(w); x++ {
+		env["x"] = x
 		for y := uint64(0); y <= refOnes(w); y++ {
-			env["x"], env["y"] = x, y
+			env["y"] = y
 			if msg := c.check(n, term, env); msg != "" {
 				t.Fatal(msg)
 			}
@@ -304,7 +305,9 @@ func (c *refChecker) exhaust(t *testing.T, w int, n *refNode) {
 // assignment. From width 3 the forms that are not plain binary operators
 // are paired with binary operators only; width 4, where the binary
 // operators alone are half a billion evaluations, keeps of those forms
-// the unary ones and runs outside -short.
+// the unary ones and runs outside -short. Each inner form, with the
+// outer forms it is paired with, is a parallel subtest on its own
+// checker; the width's totals are logged once all of them are done.
 func TestBuilderMatchesReferenceExhaustive(t *testing.T) {
 	widths := []int{1, 2, 3, 4}
 	if testing.Short() {
@@ -312,7 +315,6 @@ func TestBuilderMatchesReferenceExhaustive(t *testing.T) {
 	}
 	for _, w := range widths {
 		t.Run(fmt.Sprintf("i%d", w), func(t *testing.T) {
-			var c refChecker
 			leaves := []*refNode{refVar(w, "x"), refVar(w, "y")}
 			for v := uint64(0); v <= refOnes(w); v++ {
 				leaves = append(leaves, refConst(w, v))
@@ -321,42 +323,62 @@ func TestBuilderMatchesReferenceExhaustive(t *testing.T) {
 			if w == 4 {
 				other = slices.DeleteFunc(other, func(f refForm) bool { return !f.unary })
 			}
-			outer := func(f2 refForm, inner *refNode) {
-				if f2.unary {
-					c.exhaust(t, w, f2.mk(inner, nil))
-					return
-				}
-				for _, l3 := range leaves {
-					c.exhaust(t, w, f2.mk(inner, l3))
-					c.exhaust(t, w, f2.mk(l3, inner))
-				}
+			type part struct {
+				name string
+				f1   refForm
+				f2s  []refForm
 			}
-			nest := func(f1s, f2s []refForm) {
+			var parts []part
+			nest := func(f1s, f2s []refForm, outer string) {
 				for _, f1 := range f1s {
-					for _, l1 := range leaves {
-						if f1.unary {
-							for _, f2 := range f2s {
-								outer(f2, f1.mk(l1, nil))
-							}
-							continue
-						}
-						for _, l2 := range leaves {
-							inner := f1.mk(l1, l2)
-							c.exhaust(t, w, inner)
-							for _, f2 := range f2s {
-								outer(f2, inner)
-							}
-						}
-					}
+					parts = append(parts, part{f1.name + "." + outer, f1, f2s})
 				}
 			}
-			nest(binary, binary)
-			nest(binary, other)
-			nest(other, binary)
+			nest(binary, binary, "binary")
+			nest(binary, other, "other")
+			nest(other, binary, "binary")
 			if w < 3 {
-				nest(other, other)
+				nest(other, other, "other")
 			}
-			t.Logf("%d expressions, %d evaluations", c.trees, c.evals)
+			checkers := make([]refChecker, len(parts))
+			t.Run("forms", func(t *testing.T) {
+				for i, p := range parts {
+					t.Run(p.name, func(t *testing.T) {
+						t.Parallel()
+						c := &checkers[i]
+						outer := func(f2 refForm, inner *refNode) {
+							if f2.unary {
+								c.exhaust(t, w, f2.mk(inner, nil))
+								return
+							}
+							for _, l3 := range leaves {
+								c.exhaust(t, w, f2.mk(inner, l3))
+								c.exhaust(t, w, f2.mk(l3, inner))
+							}
+						}
+						for _, l1 := range leaves {
+							if p.f1.unary {
+								for _, f2 := range p.f2s {
+									outer(f2, p.f1.mk(l1, nil))
+								}
+								continue
+							}
+							for _, l2 := range leaves {
+								inner := p.f1.mk(l1, l2)
+								c.exhaust(t, w, inner)
+								for _, f2 := range p.f2s {
+									outer(f2, inner)
+								}
+							}
+						}
+					})
+				}
+			})
+			var trees, evals int
+			for _, c := range checkers {
+				trees, evals = trees+c.trees, evals+c.evals
+			}
+			t.Logf("%d expressions, %d evaluations", trees, evals)
 		})
 	}
 }
