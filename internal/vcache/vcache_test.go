@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"veriopt/internal/alive"
+	"veriopt/internal/ir"
 )
 
 var bg = context.Background()
@@ -80,6 +81,33 @@ func TestNonEquivalentVerdictsCachedToo(t *testing.T) {
 	}
 	if s := e.Stats(); s.Hits != 1 {
 		t.Fatalf("semantic verdict not cached: %+v", s)
+	}
+}
+
+// TestBudgetExhaustedCountsConflictBudget: a compute that ran out of
+// conflict budget counts under BudgetExhausted and is kept like any
+// verdict; a canceled compute and a decided one do not count there.
+func TestBudgetExhaustedCountsConflictBudget(t *testing.T) {
+	src, err := ir.ParseFunc("define i6 @d(i6 noundef %x, i6 noundef %y, i6 noundef %z) {\n  %s = add i6 %y, %z\n  %r = mul i6 %x, %s\n  ret i6 %r\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt, err := ir.ParseFunc("define i6 @d(i6 noundef %x, i6 noundef %y, i6 noundef %z) {\n  %a = mul i6 %x, %y\n  %b = mul i6 %x, %z\n  %r = add i6 %a, %b\n  ret i6 %r\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := alive.DefaultOptions()
+	opts.SolverBudget = 1
+	budget := alive.VerifyFuncs(src, tgt, opts)
+	if budget.Reason() != alive.ConflictBudget {
+		t.Fatalf("x*(y+z) against x*y+x*z in 1 conflict: %v, reason %q (%s)", budget.Verdict, budget.Reason(), budget.Diag)
+	}
+	e := New(Config{})
+	e.Do(bg, keyN(0), func() alive.Result { return budget })
+	e.Do(bg, keyN(1), func() alive.Result { return alive.CanceledResult(nil) })
+	e.Do(bg, keyN(2), equivalent)
+	if s := e.Stats(); s.BudgetExhausted != 1 || s.Canceled != 1 || s.Misses != 2 || s.Entries != 2 {
+		t.Fatalf("stats = %+v, want 1 budget-exhausted, 1 canceled, 2 misses and entries", s)
 	}
 }
 
