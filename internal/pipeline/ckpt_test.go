@@ -89,12 +89,16 @@ func requireSameRun(t *testing.T, want, got *Result) {
 	}
 }
 
-// TestParentCheckpointResumes resumes checkpoints written by the last
-// tree that snapshotted trainers mid-stage (testdata/parent-ckpt, see
-// writer_test.go.txt there): one taken inside model-correctness, with a
-// trainer snapshot and a dev-selected best, and one taken at the
-// model-latency boundary. Each must finish on the uninterrupted run's
-// Model-Latency bytes and all three reward histories.
+// TestParentCheckpointResumes resumes checkpoints earlier trees wrote
+// (testdata/parent-ckpt). Two come from the last tree that snapshotted
+// trainers mid-stage (writer_test.go.txt there), whose signature still
+// spells alive.Options' FreshSolver: one taken inside model-correctness,
+// with a trainer snapshot and a dev-selected best, and one taken at the
+// model-latency boundary. The third, boundary-no-fresh-solver
+// (boundary_writer_test.go.txt), is taken at the same boundary by the
+// last tree whose signature was %+v of StageConfig. Each must finish on
+// the uninterrupted run's Model-Latency bytes and all three reward
+// histories.
 func TestParentCheckpointResumes(t *testing.T) {
 	train := resumeCorpus(t)
 	ref := resumeStageConfig("")
@@ -103,7 +107,7 @@ func TestParentCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"mid-stage", "boundary"} {
+	for _, name := range []string{"mid-stage", "boundary", "boundary-no-fresh-solver"} {
 		t.Run(name, func(t *testing.T) {
 			blob, err := os.ReadFile(filepath.Join("testdata", "parent-ckpt", name, ckptFileName))
 			if err != nil {
@@ -122,6 +126,31 @@ func TestParentCheckpointResumes(t *testing.T) {
 			}
 			requireSameRun(t, want, got)
 		})
+	}
+}
+
+// The signatures the last tree whose signature was %+v of StageConfig
+// wrote for DefaultStageConfig() and for resumeStageConfig, both over a
+// 48-sample corpus.
+const (
+	parentDefaultSig = "{Capacity:{Name:Qwen-3B HashFeatures:4 NoiseScale:1.2 MaxSteps:24 MaxBias:1.5} Seed:1 Stage1Steps:10 WarmupEpochs:3 Stage2Steps:120 Stage3Steps:80 GRPO:{GroupSize:6 BatchInputs:8 LR:30 ClipNorm:5 Temperature:1 Mode:0 Augmented:false Latency:{UMax:0 Gamma:0} Verify:{MaxPaths:256 MaxSteps:2048 SolverBudget:40000} SeqLevelNorm:false NoGroupBaseline:false NoBleuShaping:false Workers:0} SFT:{Epochs:3 LR:0.35} UMaxPercentile:80 Gamma:2 Workers:0 Oracle:<nil> Obs:<nil> Ckpt:<nil>}|corpus=48"
+	parentResumeSig  = "{Capacity:{Name:Qwen-3B HashFeatures:4 NoiseScale:1.2 MaxSteps:24 MaxBias:1.5} Seed:1 Stage1Steps:4 WarmupEpochs:2 Stage2Steps:10 Stage3Steps:8 GRPO:{GroupSize:6 BatchInputs:8 LR:30 ClipNorm:5 Temperature:1 Mode:0 Augmented:false Latency:{UMax:0 Gamma:0} Verify:{MaxPaths:256 MaxSteps:2048 SolverBudget:40000} SeqLevelNorm:false NoGroupBaseline:false NoBleuShaping:false Workers:0} SFT:{Epochs:3 LR:0.35} UMaxPercentile:80 Gamma:2 Workers:0 Oracle:<nil> Obs:<nil> Ckpt:<nil>}|corpus=48"
+)
+
+// TestConfigSigMatchesParent: a checkpoint's signature keeps the bytes
+// the parent wrote, so every checkpoint it left still resumes.
+func TestConfigSigMatchesParent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  StageConfig
+		want string
+	}{
+		{"default", DefaultStageConfig(), parentDefaultSig},
+		{"resume", resumeStageConfig(t.TempDir()), parentResumeSig},
+	} {
+		if got := configSig(tc.cfg, 48); got != tc.want {
+			t.Errorf("%s signature:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
 	}
 }
 
