@@ -105,6 +105,9 @@ fuzz-smoke:
 # And on a verdict's diag searched for text outside internal/alive: why
 # a verdict is Inconclusive is alive.Result.Reason, the one reader of
 # the diag prefixes alive writes.
+# And on %+v in non-test code under internal/ and cmd/: a struct dump
+# changes whenever a field is added, renamed or removed, so it is not a
+# persisted format (the checkpoint signature writes named fields).
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
@@ -147,6 +150,12 @@ lint:
 	@hits=$$(grep -rnE 'strings\.(Contains|HasPrefix|HasSuffix|Index)\([^,)]*\.Diag\b' --include='*.go' --exclude='*_test.go' --exclude-dir=alive .); \
 	if [ -n "$$hits" ]; then \
 		echo "a verdict's diag searched outside internal/alive (ask Result.Reason why it is Inconclusive):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnF -e '%+v' --include='*.go' --exclude='*_test.go' internal cmd); \
+	if [ -n "$$hits" ]; then \
+		echo "%+v outside tests (a struct dump is not a persisted format: write the named fields the caller means):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

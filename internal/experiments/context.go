@@ -143,7 +143,7 @@ func (c *Context) Pipeline() (*pipeline.Result, error) {
 		}
 		cfg := c.Cfg.Stage
 		cfg.Seed = c.Cfg.Seed
-		cfg.Workers = c.Cfg.Workers
+		cfg.GRPO.Workers = c.Cfg.Workers
 		cfg.Oracle = c.Oracle
 		cfg.Obs = c.Obs
 		c.progress("training curriculum (stages 1-3)...")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"veriopt/internal/ckpt"
 	"veriopt/internal/dataset"
@@ -130,18 +129,30 @@ func resumeFailures(states []failureState, data []*dataset.Sample) ([]*grpo.Fail
 	return out, nil
 }
 
-// configSig fingerprints everything the trajectory depends on. The
-// process-local knobs that provably do not affect results (worker
-// counts at both levels, Oracle, Obs, Ckpt itself) are excluded, so
-// a run interrupted at one worker count resumes at any other.
-func configSig(cfg StageConfig, corpusLen int) string {
-	c := cfg
-	c.Workers = 0
-	c.GRPO.Workers = 0
-	c.Oracle = nil
-	c.Obs = nil
-	c.Ckpt = nil
-	return fmt.Sprintf("%+v|corpus=%d", c, corpusLen)
+// configSig fingerprints what a curriculum's trajectory reads off cfg,
+// each value under a fixed name, and the corpus size. It leaves out
+// what changes no result: Oracle, Obs, Ckpt, the worker count, and the
+// GRPO Mode, Augmented and Latency that RunCtx sets per stage. Names,
+// order and one-valued slots are those of the struct dump it used to
+// be, so checkpoints written under that still resume; freshSolver
+// spells Verify as it was while alive.Options had FreshSolver.
+func configSig(cfg StageConfig, corpusLen int, freshSolver bool) string {
+	c, g, v := cfg.Capacity, cfg.GRPO, cfg.GRPO.Verify
+	fresh := ""
+	if freshSolver {
+		fresh = " FreshSolver:false"
+	}
+	// SFT's Epochs slot holds the default that WarmupEpochs overrode.
+	return fmt.Sprintf("{Capacity:{Name:%v HashFeatures:%v NoiseScale:%v MaxSteps:%v MaxBias:%v}"+
+		" Seed:%v Stage1Steps:%v WarmupEpochs:%v Stage2Steps:%v Stage3Steps:%v"+
+		" GRPO:{GroupSize:%v BatchInputs:%v LR:%v ClipNorm:%v Temperature:%v Mode:0 Augmented:false Latency:{UMax:0 Gamma:0}"+
+		" Verify:{MaxPaths:%v MaxSteps:%v SolverBudget:%v%s} SeqLevelNorm:%v NoGroupBaseline:%v NoBleuShaping:%v Workers:0}"+
+		" SFT:{Epochs:3 LR:%v} UMaxPercentile:%v Gamma:%v Workers:0 Oracle:<nil> Obs:<nil> Ckpt:<nil>}|corpus=%d",
+		c.Name, c.HashFeatures, c.NoiseScale, c.MaxSteps, c.MaxBias,
+		cfg.Seed, cfg.Stage1Steps, cfg.SFT.Epochs, cfg.Stage2Steps, cfg.Stage3Steps,
+		g.GroupSize, g.BatchInputs, g.LR, g.ClipNorm, g.Temperature,
+		v.MaxPaths, v.MaxSteps, v.SolverBudget, fresh, g.SeqLevelNorm, g.NoGroupBaseline, g.NoBleuShaping,
+		cfg.SFT.LR, umaxPercentile, latencyGamma, corpusLen)
 }
 
 // ckptRunner owns the durable state of one RunCtx invocation. A
@@ -164,7 +175,7 @@ func newCkptRunner(cfg StageConfig, train []*dataset.Sample) (*ckptRunner, error
 		return nil, err
 	}
 	r.path = filepath.Join(cfg.Ckpt.Dir, ckptFileName)
-	sig := configSig(cfg, len(train))
+	sig := configSig(cfg, len(train), false)
 	if !ckpt.Exists(r.path) {
 		r.state.ConfigSig = sig
 		return r, nil
@@ -175,10 +186,7 @@ func newCkptRunner(cfg StageConfig, train []*dataset.Sample) (*ckptRunner, error
 	if err := ckpt.Load(r.path, ckptKind, r.state); err != nil {
 		return nil, err
 	}
-	// A checkpoint written while alive.Options still had a FreshSolver
-	// field spells it, false, in its signature: no training run could
-	// set it, so it is read as absent.
-	if strings.ReplaceAll(r.state.ConfigSig, " FreshSolver:false", "") != sig {
+	if got := r.state.ConfigSig; got != sig && got != configSig(cfg, len(train), true) {
 		return nil, fmt.Errorf("pipeline: checkpoint at %s was written under a different configuration; resuming it would not reproduce the original trajectory", r.path)
 	}
 	r.rec.Emit(obs.Event{Kind: "checkpoint", Stage: stageNames[r.state.Stage], Note: "resumed"})

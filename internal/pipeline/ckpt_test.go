@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -31,10 +32,10 @@ func resumeCorpus(t *testing.T) []*dataset.Sample {
 func resumeStageConfig(dir string) StageConfig {
 	cfg := DefaultStageConfig()
 	cfg.Stage1Steps = 4
-	cfg.WarmupEpochs = 2
+	cfg.SFT.Epochs = 2
 	cfg.Stage2Steps = 10
 	cfg.Stage3Steps = 8
-	cfg.Workers = 2
+	cfg.GRPO.Workers = 2
 	if dir != "" {
 		cfg.Ckpt = &CkptConfig{Dir: dir, Resume: true}
 	}
@@ -148,8 +149,85 @@ func TestConfigSigMatchesParent(t *testing.T) {
 		{"default", DefaultStageConfig(), parentDefaultSig},
 		{"resume", resumeStageConfig(t.TempDir()), parentResumeSig},
 	} {
-		if got := configSig(tc.cfg, 48); got != tc.want {
+		if got := configSig(tc.cfg, 48, false); got != tc.want {
 			t.Errorf("%s signature:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// trajectoryFree are the StageConfig fields a curriculum's trajectory
+// does not read, so its checkpoint signature does not either: the
+// process-local Oracle, Obs and Ckpt, the worker count (results are
+// bit-identical at any), and the reward and prompt settings RunCtx
+// overwrites per stage.
+var trajectoryFree = map[string]bool{
+	"Oracle": true, "Obs": true, "Ckpt": true,
+	"GRPO.Workers": true, "GRPO.Mode": true, "GRPO.Augmented": true,
+	"GRPO.Latency.UMax": true, "GRPO.Latency.Gamma": true,
+}
+
+// leafFields returns the dotted path of every field under t that is not
+// itself a struct (pointers and interfaces are leaves).
+func leafFields(t reflect.Type, prefix string) []string {
+	var out []string
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, leafFields(f.Type, prefix+f.Name+".")...)
+		} else {
+			out = append(out, prefix+f.Name)
+		}
+	}
+	return out
+}
+
+// perturb sets the leaf field at path in cfg to a value different from
+// the one it holds.
+func perturb(t *testing.T, cfg *StageConfig, path string) {
+	t.Helper()
+	v := reflect.ValueOf(cfg).Elem()
+	for _, name := range strings.Split(path, ".") {
+		v = v.FieldByName(name)
+	}
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Interface:
+		v.Set(reflect.ValueOf(oracle.Func(nil)))
+	default:
+		t.Fatalf("%s: no perturbation for kind %s", path, v.Kind())
+	}
+}
+
+// TestConfigSigCoversStageConfig: every leaf field of StageConfig is
+// either signed, so that changing it changes the signature, or on the
+// trajectory-free list, so that changing it does not.
+func TestConfigSigCoversStageConfig(t *testing.T) {
+	base := DefaultStageConfig()
+	sig := configSig(base, 48, false)
+	leaves := map[string]bool{}
+	for _, path := range leafFields(reflect.TypeOf(base), "") {
+		leaves[path] = true
+		cfg := base
+		perturb(t, &cfg, path)
+		switch changed := configSig(cfg, 48, false) != sig; {
+		case trajectoryFree[path] && changed:
+			t.Errorf("%s is trajectory-free, but changing it changed the signature", path)
+		case !trajectoryFree[path] && !changed:
+			t.Errorf("%s is neither in the signature nor on the trajectory-free list", path)
+		}
+	}
+	for path := range trajectoryFree {
+		if !leaves[path] {
+			t.Errorf("trajectory-free %s is not a field of StageConfig", path)
 		}
 	}
 }
@@ -185,7 +263,7 @@ func TestResumeSmoke(t *testing.T) {
 	for i, kill := range []int64{260, 820} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := resumeStageConfig(dir)
-		cfg.Workers = 2 + 2*i
+		cfg.GRPO.Workers = 2 + 2*i
 		cfg.Oracle = cancelAfter(kill, cancel, oracle.NewStack(oracle.Config{}))
 		_, err := RunCtx(ctx, train, cfg)
 		cancel()
@@ -205,7 +283,7 @@ func TestResumeSmoke(t *testing.T) {
 
 	// Final resume runs to completion at yet another worker count.
 	cfg := resumeStageConfig(dir)
-	cfg.Workers = 3
+	cfg.GRPO.Workers = 3
 	cfg.Oracle = oracle.NewStack(oracle.Config{})
 	gotRes, err := RunCtx(context.Background(), train, cfg)
 	if err != nil {
@@ -266,7 +344,7 @@ func TestResumeRejectsUnknownFailureSample(t *testing.T) {
 	dir := t.TempDir()
 	cfg := resumeStageConfig(dir)
 	st := &curriculumState{
-		ConfigSig: configSig(cfg, len(train)),
+		ConfigSig: configSig(cfg, len(train), false),
 		Stage:     stageWarmUp,
 		ModelZero: policy.New(cfg.Capacity, cfg.Seed),
 		Failures:  []failureState{{Sample: "no-such-sample"}},

@@ -143,10 +143,7 @@ type PassesResult struct {
 func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesConfig) (*PassesResult, error) {
 	seq := grpo.DefaultSeqConfig()
 	seq.Workers = cfg.Workers
-	// The latency reward saturates at the 80th percentile of
-	// instcombine's speedups on the training split: the paper's
-	// setting, and the curriculum's.
-	seq.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(train, 80), Gamma: 2}
+	seq.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(train, umaxPercentile), Gamma: latencyGamma}
 	o := oracle.OrDefault(cfg.Oracle)
 
 	res := &PassesResult{Model: seqopt.NewModel(cfg.Seed)}

@@ -21,23 +21,16 @@ type StageConfig struct {
 	Capacity policy.Capacity
 	Seed     int64
 
-	Stage1Steps  int // Model Zero GRPO steps (also harvests failures)
-	WarmupEpochs int
-	Stage2Steps  int // Model-Correctness GRPO steps
-	Stage3Steps  int // Model-Latency GRPO steps
+	Stage1Steps int // Model Zero GRPO steps (also harvests failures)
+	Stage2Steps int // Model-Correctness GRPO steps
+	Stage3Steps int // Model-Latency GRPO steps
 
+	// GRPO configures every stage's trainer (RunCtx sets Mode, Augmented
+	// and Latency per stage); its Workers also bounds each checkpoint
+	// evaluation. The result is bit-identical at any worker count.
 	GRPO grpo.Config
-	SFT  sft.Config
+	SFT  sft.Config // the warm-up's, Epochs included
 
-	// UMaxPercentile sets the latency-reward saturation (paper: 80).
-	UMaxPercentile float64
-	// Gamma is the convex shaping exponent of Eq. 4.
-	Gamma float64
-
-	// Workers bounds the rollout/verification fan-out of every GRPO
-	// step and checkpoint evaluation (<= 0 selects runtime.NumCPU()).
-	// The curriculum result is bit-identical at any worker count.
-	Workers int
 	// Oracle answers verification queries for all stages; nil selects
 	// the shared default stack (oracle.Default), whose cache memoizes
 	// verdicts across stages.
@@ -54,18 +47,23 @@ type StageConfig struct {
 // DefaultStageConfig returns the reduced-scale defaults.
 func DefaultStageConfig() StageConfig {
 	return StageConfig{
-		Capacity:       policy.CapQwen3B,
-		Seed:           1,
-		Stage1Steps:    10,
-		WarmupEpochs:   3,
-		Stage2Steps:    120,
-		Stage3Steps:    80,
-		GRPO:           grpo.DefaultConfig(),
-		SFT:            sft.DefaultConfig(),
-		UMaxPercentile: 80,
-		Gamma:          2,
+		Capacity:    policy.CapQwen3B,
+		Seed:        1,
+		Stage1Steps: 10,
+		Stage2Steps: 120,
+		Stage3Steps: 80,
+		GRPO:        grpo.DefaultConfig(),
+		SFT:         sft.DefaultConfig(),
 	}
 }
+
+// Eq. 3–4's settings, the paper's, for the curriculum and the pass
+// workload alike: UMax is this percentile of instcombine's speedups on
+// the training split, and latencyGamma the convex shaping exponent.
+const (
+	umaxPercentile = 80
+	latencyGamma   = 2
+)
 
 // Result bundles the four curriculum models and their training
 // traces. A canceled RunCtx returns it partially filled: the model of
@@ -184,9 +182,8 @@ func trainWithCheckpoints(ctx context.Context, tr *grpo.Trainer, steps, evalEver
 func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Result, error) {
 	res := &Result{}
 	res.Base = policy.New(cfg.Capacity, cfg.Seed)
-	cfg.GRPO.Workers = cfg.Workers
 	o := oracle.OrDefault(cfg.Oracle)
-	ec := EvalConfig{Workers: cfg.Workers, Oracle: o}
+	ec := EvalConfig{Workers: cfg.GRPO.Workers, Oracle: o}
 	// Hold out a slice of the training set for checkpoint selection
 	// (never the validation set).
 	devN := len(train) / 5
@@ -235,9 +232,7 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 	if ck.state.Stage <= stageWarmUp {
 		sp := beginStage(cfg.Obs, o, "warm-up")
 		warm := res.Base.Clone()
-		sftCfg := cfg.SFT
-		sftCfg.Epochs = cfg.WarmupEpochs
-		res.SFTStats, err = sft.WarmUpCtx(ctx, warm, train, res.Failures, sftCfg)
+		res.SFTStats, err = sft.WarmUpCtx(ctx, warm, train, res.Failures, cfg.SFT)
 		if err != nil {
 			sp.end(res.SFTStats.CloneSteps, nil, "canceled")
 			return res, err
@@ -283,11 +278,11 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 	if ck.state.Stage <= stageLatency {
 		sp := beginStage(cfg.Obs, o, "model-latency")
 		lat := res.Correctness.Clone()
-		res.UMax = grpo.ComputeUMax(train, cfg.UMaxPercentile)
+		res.UMax = grpo.ComputeUMax(train, umaxPercentile)
 		c3 := cfg.GRPO
 		c3.Mode = grpo.ModeLatency
 		c3.Augmented = false
-		c3.Latency = grpo.LatencyRewardParams{UMax: res.UMax, Gamma: cfg.Gamma}
+		c3.Latency = grpo.LatencyRewardParams{UMax: res.UMax, Gamma: latencyGamma}
 		t3 := grpo.NewTrainer(lat, train, c3, cfg.Seed+303)
 		t3.Oracle = o
 		best3, err := trainWithCheckpoints(ctx, t3, cfg.Stage3Steps, 10, dev, false, ec)
