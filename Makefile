@@ -108,6 +108,11 @@ fuzz-smoke:
 # And on %+v in non-test code under internal/ and cmd/: a struct dump
 # changes whenever a field is added, renamed or removed, so it is not a
 # persisted format (the checkpoint signature writes named fields).
+# Last, on an exported name under internal/ (package-level, method, or
+# field of an exported struct) that no other package's non-test code
+# references, unless an interface names it, it carries a json tag, an
+# exported signature names it, or scripts/surface.allow lists it with a
+# reason (scripts/surface: go/types over the module, a few seconds).
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \
@@ -159,6 +164,7 @@ lint:
 		echo "$$hits"; \
 		exit 1; \
 	fi
+	@$(GO) run ./scripts/surface
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -24,11 +24,11 @@ type Baseline struct {
 	Model  *policy.Model
 }
 
-// SFT builds a supervised-fine-tuned baseline at the given capacity:
+// sftBaseline builds a supervised-fine-tuned baseline at the given capacity:
 // behaviour cloning of the instcombine teacher on the training set
 // ("train on the same dataset until convergence", §V-C), with no
 // reinforcement learning and no diagnostic protocol.
-func SFT(cap policy.Capacity, params float64, train []*dataset.Sample, seed int64) *Baseline {
+func sftBaseline(cap policy.Capacity, params float64, train []*dataset.Sample, seed int64) *Baseline {
 	m := policy.New(cap, seed)
 	cfg := sft.DefaultConfig()
 	// SFT-only training gets the full supervised budget; the warm-up
@@ -40,12 +40,12 @@ func SFT(cap policy.Capacity, params float64, train []*dataset.Sample, seed int6
 	return &Baseline{Name: cap.Name + "-SFT", Params: params, Model: m}
 }
 
-// LLMCompiler builds the LLM-Compiler-7B analogue: a model that
+// llmCompiler builds the LLM-Compiler-7B analogue: a model that
 // compiles almost always (very low corruption rate — the paper
 // reports 95.6% compiling output) but rarely matches the optimized
 // form (20% exact match), because its pass-pipeline pretraining
 // favours cosmetic and shallow transformations.
-func LLMCompiler(seed int64) *Baseline {
+func llmCompiler(seed int64) *Baseline {
 	m := policy.New(policy.CapQwen7B, seed)
 	for a, r := range m.Rules {
 		switch r.Kind {
@@ -76,11 +76,11 @@ func LLMCompiler(seed int64) *Baseline {
 // count.
 func Suite(train []*dataset.Sample, seed int64) []*Baseline {
 	return []*Baseline{
-		SFT(policy.CapQwen05B, 0.5, train, seed+1),
-		SFT(policy.CapQwen3B, 3, train, seed+2),
-		LLMCompiler(seed + 3),
-		SFT(policy.CapQwen7B, 7, train, seed+4),
-		SFT(policy.CapLlama8B, 8, train, seed+5),
-		SFT(policy.CapQwen32B, 32, train, seed+6),
+		sftBaseline(policy.CapQwen05B, 0.5, train, seed+1),
+		sftBaseline(policy.CapQwen3B, 3, train, seed+2),
+		llmCompiler(seed + 3),
+		sftBaseline(policy.CapQwen7B, 7, train, seed+4),
+		sftBaseline(policy.CapLlama8B, 8, train, seed+5),
+		sftBaseline(policy.CapQwen32B, 32, train, seed+6),
 	}
 }

@@ -49,7 +49,7 @@ func TestSFTBaselineBeatsUntrained(t *testing.T) {
 	}
 	base := policy.New(policy.CapQwen3B, 9)
 	baseRep := evaluate(base, val, false)
-	sftB := SFT(policy.CapQwen3B, 3, train, 9)
+	sftB := sftBaseline(policy.CapQwen3B, 3, train, 9)
 	sftRep := evaluate(sftB.Model, val, false)
 	if sftRep.DifferentCorrectFrac() <= baseRep.DifferentCorrectFrac() {
 		t.Errorf("SFT (%.2f) did not beat untrained (%.2f) on different-correct",
@@ -62,7 +62,7 @@ func TestLLMCompilerProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := LLMCompiler(3)
+	b := llmCompiler(3)
 	rep := evaluate(b.Model, samples, false)
 	// The LLM-Compiler analogue compiles nearly always (the paper
 	// reports 95.6%) ...
@@ -91,8 +91,8 @@ func TestScaleImprovesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := SFT(policy.CapQwen05B, 0.5, train, 7)
-	big := SFT(policy.CapQwen32B, 32, train, 7)
+	small := sftBaseline(policy.CapQwen05B, 0.5, train, 7)
+	big := sftBaseline(policy.CapQwen32B, 32, train, 7)
 	smallRep := evaluate(small.Model, val, false)
 	bigRep := evaluate(big.Model, val, false)
 	if bigRep.CorrectFrac() < smallRep.CorrectFrac()-0.05 {

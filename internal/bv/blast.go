@@ -222,12 +222,12 @@ func (bl *Blaster) negate(a []sat.Lit) []sat.Lit {
 	return bl.adder(complement(a), zeros, bl.tLit)
 }
 
-// Blast returns the bit literals (LSB first) representing t.
-func (bl *Blaster) Blast(t *Term) []sat.Lit {
+// blast returns the bit literals (LSB first) representing t.
+func (bl *Blaster) blast(t *Term) []sat.Lit {
 	if lits, ok := bl.cache[t.id]; ok {
 		return lits
 	}
-	lits := bl.blast(t)
+	lits := bl.blastUncached(t)
 	if len(lits) != t.Width {
 		panic(fmt.Sprintf("bv: blast width mismatch for %v: got %d, want %d", t.Op, len(lits), t.Width))
 	}
@@ -235,7 +235,7 @@ func (bl *Blaster) Blast(t *Term) []sat.Lit {
 	return lits
 }
 
-func (bl *Blaster) blast(t *Term) []sat.Lit {
+func (bl *Blaster) blastUncached(t *Term) []sat.Lit {
 	w := t.Width
 	switch t.Op {
 	case OpConst:
@@ -244,10 +244,10 @@ func (bl *Blaster) blast(t *Term) []sat.Lit {
 			out[i] = bl.constLit(t.Val>>uint(i)&1 == 1)
 		}
 		return out
-	case OpVar:
-		if lits, ok := bl.vars[t.Name]; ok {
+	case opVar:
+		if lits, ok := bl.vars[t.name]; ok {
 			if len(lits) != w {
-				panic("bv: variable " + t.Name + " used at two widths")
+				panic("bv: variable " + t.name + " used at two widths")
 			}
 			return lits
 		}
@@ -255,29 +255,29 @@ func (bl *Blaster) blast(t *Term) []sat.Lit {
 		for i := range out {
 			out[i] = bl.freshLit()
 		}
-		bl.vars[t.Name] = out
+		bl.vars[t.name] = out
 		return out
 	case OpNot:
-		return complement(bl.Blast(t.Kids[0]))
-	case OpNeg:
-		return bl.negate(bl.Blast(t.Kids[0]))
+		return complement(bl.blast(t.Kids[0]))
+	case opNeg:
+		return bl.negate(bl.blast(t.Kids[0]))
 	case OpAdd:
 		// x + neg y is x - y: one adder over y's complement with the
 		// carry in set, not a negation and then an addition.
 		var in [2][]sat.Lit
 		cin := bl.fLit
 		for i, k := range t.Kids {
-			if k.Op == OpNeg && cin == bl.fLit {
-				in[i], cin = complement(bl.Blast(k.Kids[0])), bl.tLit
+			if k.Op == opNeg && cin == bl.fLit {
+				in[i], cin = complement(bl.blast(k.Kids[0])), bl.tLit
 			} else {
-				in[i] = bl.Blast(k)
+				in[i] = bl.blast(k)
 			}
 		}
 		return bl.adder(in[0], in[1], cin)
 	case OpMul:
-		return bl.multiplier(bl.Blast(t.Kids[0]), bl.Blast(t.Kids[1]))
+		return bl.multiplier(bl.blast(t.Kids[0]), bl.blast(t.Kids[1]))
 	case OpAnd, OpOr, OpXor:
-		x, y := bl.Blast(t.Kids[0]), bl.Blast(t.Kids[1])
+		x, y := bl.blast(t.Kids[0]), bl.blast(t.Kids[1])
 		out := make([]sat.Lit, w)
 		for i := range out {
 			switch t.Op {
@@ -291,36 +291,36 @@ func (bl *Blaster) blast(t *Term) []sat.Lit {
 		}
 		return out
 	case OpShl, OpLShr, OpAShr:
-		return bl.shifter(t.Op, bl.Blast(t.Kids[0]), bl.Blast(t.Kids[1]))
+		return bl.shifter(t.Op, bl.blast(t.Kids[0]), bl.blast(t.Kids[1]))
 	case OpUDiv, OpSDiv, OpURem, OpSRem:
 		return bl.divider(t)
-	case OpEq:
-		x, y := bl.Blast(t.Kids[0]), bl.Blast(t.Kids[1])
+	case opEq:
+		x, y := bl.blast(t.Kids[0]), bl.blast(t.Kids[1])
 		acc := bl.tLit
 		for i := range x {
 			acc = bl.andGate(acc, bl.xorGate(x[i], y[i]).Not())
 		}
 		return []sat.Lit{acc}
 	case OpUlt, OpUle, OpSlt, OpSle:
-		return []sat.Lit{bl.compare(t.Op, bl.Blast(t.Kids[0]), bl.Blast(t.Kids[1]))}
-	case OpIte:
-		c := bl.Blast(t.Kids[0])[0]
-		x, y := bl.Blast(t.Kids[1]), bl.Blast(t.Kids[2])
+		return []sat.Lit{bl.compare(t.Op, bl.blast(t.Kids[0]), bl.blast(t.Kids[1]))}
+	case opIte:
+		c := bl.blast(t.Kids[0])[0]
+		x, y := bl.blast(t.Kids[1]), bl.blast(t.Kids[2])
 		out := make([]sat.Lit, w)
 		for i := range out {
 			out[i] = bl.muxGate(c, x[i], y[i])
 		}
 		return out
-	case OpZExt:
-		x := bl.Blast(t.Kids[0])
+	case opZExt:
+		x := bl.blast(t.Kids[0])
 		out := make([]sat.Lit, w)
 		copy(out, x)
 		for i := len(x); i < w; i++ {
 			out[i] = bl.fLit
 		}
 		return out
-	case OpSExt:
-		x := bl.Blast(t.Kids[0])
+	case opSExt:
+		x := bl.blast(t.Kids[0])
 		out := make([]sat.Lit, w)
 		copy(out, x)
 		sign := x[len(x)-1]
@@ -328,8 +328,8 @@ func (bl *Blaster) blast(t *Term) []sat.Lit {
 			out[i] = sign
 		}
 		return out
-	case OpTrunc:
-		x := bl.Blast(t.Kids[0])
+	case opTrunc:
+		x := bl.blast(t.Kids[0])
 		out := make([]sat.Lit, w)
 		copy(out, x[:w])
 		return out
@@ -468,8 +468,8 @@ func (bl *Blaster) compare(op Op, x, y []sat.Lit) sat.Lit {
 // divisors with UB conditions, as internal/alive does.
 func (bl *Blaster) divider(t *Term) []sat.Lit {
 	w := t.Width
-	a := bl.Blast(t.Kids[0])
-	b := bl.Blast(t.Kids[1])
+	a := bl.blast(t.Kids[0])
+	b := bl.blast(t.Kids[1])
 	q := make([]sat.Lit, w)
 	r := make([]sat.Lit, w)
 	for i := 0; i < w; i++ {
@@ -556,7 +556,7 @@ func (bl *Blaster) AssertTrue(t *Term) {
 	if t.Width != 1 {
 		panic("bv: AssertTrue on non-boolean term")
 	}
-	bl.S.AddClause(bl.Blast(t)[0])
+	bl.S.AddClause(bl.blast(t)[0])
 }
 
 // Model extracts variable values from a satisfying assignment.

@@ -401,7 +401,7 @@ func TestSDivMinIntByMinusOneUnconstrained(t *testing.T) {
 	// Force the divider to be blasted by mentioning it.
 	bl := NewBlaster()
 	bl.AssertTrue(prop)
-	bl.Blast(d)
+	bl.blast(d)
 	st, err := bl.S.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -541,3 +541,6 @@ func ExampleSession() {
 	fmt.Println(res.Status == sat.Sat, res.Model["x"])
 	// Output: true 10
 }
+
+// numTerms returns the number of distinct terms created.
+func (b *Builder) numTerms() int { return b.nextID }

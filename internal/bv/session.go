@@ -44,17 +44,6 @@ type Session struct {
 	prepassHits int
 }
 
-// SessionStats reports what a session did, for benchmarks and logs.
-type SessionStats struct {
-	// Queries is the number of Check calls.
-	Queries int
-	// PrepassHits counts queries answered by concrete evaluation
-	// without running the solver.
-	PrepassHits int
-	// Conflicts is the total number of SAT conflicts spent.
-	Conflicts int
-}
-
 // NewSession builds a session with the given per-query conflict
 // budget (0 = unlimited).
 func NewSession(budget int) *Session {
@@ -70,11 +59,6 @@ func (s *Session) SeedEnv(env map[string]uint64) {
 
 // Conflicts returns the total SAT conflicts spent across the session.
 func (s *Session) Conflicts() int { return s.bl.S.Conflicts() }
-
-// Stats returns a snapshot of the session's counters.
-func (s *Session) Stats() SessionStats {
-	return SessionStats{Queries: s.queries, PrepassHits: s.prepassHits, Conflicts: s.Conflicts()}
-}
 
 // TryConcrete runs only the concrete pre-pass: it reports (result,
 // true) when some candidate environment satisfies t, and (zero, false)
@@ -118,7 +102,7 @@ func (s *Session) Check(t *Term) (Result, error) {
 
 	// Blast (cached across queries), guard with an activation literal,
 	// and solve under that assumption so learnt clauses carry over.
-	cond := s.bl.Blast(t)[0]
+	cond := s.bl.blast(t)[0]
 	act := s.bl.freshLit()
 	s.bl.S.AddClause(act.Not(), cond)
 	if s.budget > 0 {

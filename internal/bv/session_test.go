@@ -24,7 +24,7 @@ func randomBoolTerm(b *Builder, rng *rand.Rand, w, d int) *Term {
 		ops := []Op{OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor, OpShl, OpLShr, OpAShr}
 		return b.Bin(ops[rng.Intn(len(ops))], val(d-1), val(d-1))
 	}
-	cmps := []Op{OpEq, OpUlt, OpUle, OpSlt, OpSle}
+	cmps := []Op{opEq, OpUlt, OpUle, OpSlt, OpSle}
 	cond := b.Cmp(cmps[rng.Intn(len(cmps))], val(d), val(d))
 	for rng.Intn(2) == 0 {
 		next := b.Cmp(cmps[rng.Intn(len(cmps))], val(d), val(d))
@@ -145,7 +145,7 @@ func TestSessionSharedBlasting(t *testing.T) {
 	// One expensive shared core (a multiplier), many cheap variants.
 	core := b.Bin(OpMul, x, y)
 	conds := []*Term{
-		b.Cmp(OpEq, core, b.Const(w, 42)),
+		b.Cmp(opEq, core, b.Const(w, 42)),
 		b.Cmp(OpUlt, core, b.Const(w, 42)),
 		b.Cmp(OpUle, core, x),
 		b.Cmp(OpSlt, core, y),
@@ -157,7 +157,7 @@ func TestSessionSharedBlasting(t *testing.T) {
 			t.Fatal(err)
 		}
 		bl := NewBlaster()
-		bl.Blast(c)
+		bl.blast(c)
 		freshVars += bl.S.NumVars()
 	}
 	if got := sess.bl.S.NumVars(); got >= freshVars {
@@ -172,20 +172,20 @@ func TestSessionPrepass(t *testing.T) {
 	x := b.Var(8, "x")
 	sess := NewSession(0)
 	sess.SeedEnv(map[string]uint64{"x": 7})
-	res, err := sess.Check(b.Cmp(OpEq, x, b.Const(8, 7)))
+	res, err := sess.Check(b.Cmp(opEq, x, b.Const(8, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != sat.Sat || res.Model["x"] != 7 {
 		t.Fatalf("res = %+v, want pre-pass Sat with x=7", res)
 	}
-	st := sess.Stats()
-	if st.PrepassHits != 1 || st.Conflicts != 0 {
+	st := sess.stats()
+	if st.prepassHits != 1 || st.conflicts != 0 {
 		t.Fatalf("stats = %+v, want 1 pre-pass hit and 0 conflicts", st)
 	}
 	// A later Sat answer from the solver becomes a candidate env for
 	// subsequent queries.
-	res, err = sess.Check(b.Cmp(OpEq, x, b.Const(8, 9)))
+	res, err = sess.Check(b.Cmp(opEq, x, b.Const(8, 9)))
 	if err != nil || res.Status != sat.Sat {
 		t.Fatalf("solver query: %+v, %v", res, err)
 	}
@@ -196,8 +196,8 @@ func TestSessionPrepass(t *testing.T) {
 	if res.Status != sat.Sat {
 		t.Fatalf("res = %+v, want Sat", res)
 	}
-	if sess.Stats().PrepassHits != 2 {
-		t.Fatalf("stats = %+v, want the earlier model to answer the third query", sess.Stats())
+	if sess.stats().prepassHits != 2 {
+		t.Fatalf("stats = %+v, want the earlier model to answer the third query", sess.stats())
 	}
 }
 
@@ -207,11 +207,11 @@ func TestSessionUnsatThenUsable(t *testing.T) {
 	b := NewBuilder()
 	x := b.Var(8, "x")
 	sess := NewSession(0)
-	res, err := sess.Check(b.BoolAnd(b.Cmp(OpEq, x, b.Const(8, 1)), b.Cmp(OpEq, x, b.Const(8, 2))))
+	res, err := sess.Check(b.BoolAnd(b.Cmp(opEq, x, b.Const(8, 1)), b.Cmp(opEq, x, b.Const(8, 2))))
 	if err != nil || res.Status != sat.Unsat {
 		t.Fatalf("contradiction: %+v, %v, want Unsat", res, err)
 	}
-	res, err = sess.Check(b.Cmp(OpEq, x, b.Const(8, 1)))
+	res, err = sess.Check(b.Cmp(opEq, x, b.Const(8, 1)))
 	if err != nil || res.Status != sat.Sat {
 		t.Fatalf("after unsat: %+v, %v, want Sat", res, err)
 	}
@@ -243,7 +243,7 @@ func TestSessionBudget(t *testing.T) {
 	// An easy follow-up query still gets its own budget (a Sat answer
 	// must complete a model over the abandoned query's gates too, so
 	// it spends a few conflicts — but nowhere near another 50).
-	res, err := sess.Check(b.Cmp(OpEq, x, b.Const(w, 5)))
+	res, err := sess.Check(b.Cmp(opEq, x, b.Const(w, 5)))
 	if err != nil || res.Status != sat.Sat {
 		t.Fatalf("after budget exhaustion: %+v, %v, want Sat", res, err)
 	}
@@ -281,4 +281,20 @@ func TestSessionDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sessionStats reports what a session did, for the tests.
+type sessionStats struct {
+	// queries is the number of Check calls.
+	queries int
+	// prepassHits counts queries answered by concrete evaluation
+	// without running the solver.
+	prepassHits int
+	// conflicts is the total number of SAT conflicts spent.
+	conflicts int
+}
+
+// stats returns a snapshot of the session's counters.
+func (s *Session) stats() sessionStats {
+	return sessionStats{queries: s.queries, prepassHits: s.prepassHits, conflicts: s.Conflicts()}
 }

@@ -42,49 +42,49 @@ type Config struct {
 	SkipVerify bool
 }
 
-// TemplateStat is one template's generation accounting.
-type TemplateStat struct {
-	Name string
-	// Scenario is the template's corpus-taxonomy label.
-	Scenario string
-	// Kept counts instances that survived the verify/context filter.
-	Kept int
-	// Rejected counts instances the filter excluded.
-	Rejected int
+// templateStat is one template's generation accounting.
+type templateStat struct {
+	name string
+	// scenario is the template's corpus-taxonomy label.
+	scenario string
+	// kept counts instances that survived the verify/context filter.
+	kept int
+	// rejected counts instances the filter excluded.
+	rejected int
 }
 
-// ScenarioStat aggregates generation accounting over one scenario
+// scenarioStat aggregates generation accounting over one scenario
 // label (several templates).
-type ScenarioStat struct {
-	Scenario string
-	// Templates counts registry entries carrying the label.
-	Templates int
-	Kept      int
-	Rejected  int
+type scenarioStat struct {
+	scenario string
+	// templates counts registry entries carrying the label.
+	templates int
+	kept      int
+	rejected  int
 }
 
 // GenReport summarizes a corpus generation run: total attempts and
 // the per-template kept/rejected split, in registry order.
 type GenReport struct {
-	Attempts  int
-	Templates []TemplateStat
+	attempts  int
+	templates []templateStat
 }
 
-// Scenarios rolls the per-template accounting up to scenario labels,
+// scenarios rolls the per-template accounting up to scenario labels,
 // in first-appearance registry order.
-func (r *GenReport) Scenarios() []ScenarioStat {
+func (r *GenReport) scenarios() []scenarioStat {
 	idx := map[string]int{}
-	var out []ScenarioStat
-	for _, ts := range r.Templates {
-		i, ok := idx[ts.Scenario]
+	var out []scenarioStat
+	for _, ts := range r.templates {
+		i, ok := idx[ts.scenario]
 		if !ok {
 			i = len(out)
-			idx[ts.Scenario] = i
-			out = append(out, ScenarioStat{Scenario: ts.Scenario})
+			idx[ts.scenario] = i
+			out = append(out, scenarioStat{scenario: ts.scenario})
 		}
-		out[i].Templates++
-		out[i].Kept += ts.Kept
-		out[i].Rejected += ts.Rejected
+		out[i].templates++
+		out[i].kept += ts.kept
+		out[i].rejected += ts.rejected
 	}
 	return out
 }
@@ -92,16 +92,16 @@ func (r *GenReport) Scenarios() []ScenarioStat {
 // String renders the report for logs and the dataset CLI.
 func (r *GenReport) String() string {
 	kept := 0
-	for _, ts := range r.Templates {
-		kept += ts.Kept
+	for _, ts := range r.templates {
+		kept += ts.kept
 	}
-	out := fmt.Sprintf("generated %d samples in %d attempts", kept, r.Attempts)
-	for _, ts := range r.Templates {
-		out += fmt.Sprintf("\n  %-15s %-13s kept %3d, rejected %3d", ts.Name, ts.Scenario, ts.Kept, ts.Rejected)
+	out := fmt.Sprintf("generated %d samples in %d attempts", kept, r.attempts)
+	for _, ts := range r.templates {
+		out += fmt.Sprintf("\n  %-15s %-13s kept %3d, rejected %3d", ts.name, ts.scenario, ts.kept, ts.rejected)
 	}
-	for _, ss := range r.Scenarios() {
+	for _, ss := range r.scenarios() {
 		out += fmt.Sprintf("\n  scenario %-13s %2d templates, kept %3d, rejected %3d",
-			ss.Scenario, ss.Templates, ss.Kept, ss.Rejected)
+			ss.scenario, ss.templates, ss.kept, ss.rejected)
 	}
 	return out
 }
@@ -141,30 +141,30 @@ func GenerateReport(cfg Config) ([]*Sample, *GenReport, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tmpls := Templates()
-	rep := &GenReport{Templates: make([]TemplateStat, len(tmpls))}
+	rep := &GenReport{templates: make([]templateStat, len(tmpls))}
 	for i, tm := range tmpls {
-		rep.Templates[i].Name = tm.Name
-		rep.Templates[i].Scenario = tm.Scenario
+		rep.templates[i].name = tm.Name
+		rep.templates[i].scenario = tm.scenario
 	}
 	var out []*Sample
 	id := 0 // global instance counter: keeps generated names unique
 	for len(out) < cfg.N {
-		rep.Attempts++
-		if rep.Attempts > cfg.N*20 {
-			return nil, rep, fmt.Errorf("dataset: filter rejected too many samples (%d kept of %d attempts)", len(out), rep.Attempts)
+		rep.attempts++
+		if rep.attempts > cfg.N*20 {
+			return nil, rep, fmt.Errorf("dataset: filter rejected too many samples (%d kept of %d attempts)", len(out), rep.attempts)
 		}
-		ti := nextTemplate(rep.Templates)
-		prog := tmpls[ti].Gen(rng, id)
+		ti := nextTemplate(rep.templates)
+		prog := tmpls[ti].gen(rng, id)
 		id++
 		s, err := build(prog, tmpls[ti], cfg)
 		if err != nil {
 			return nil, rep, err
 		}
 		if s == nil {
-			rep.Templates[ti].Rejected++
+			rep.templates[ti].rejected++
 			continue // filtered
 		}
-		rep.Templates[ti].Kept++
+		rep.templates[ti].kept++
 		out = append(out, s)
 	}
 	return out, rep, nil
@@ -173,10 +173,10 @@ func GenerateReport(cfg Config) ([]*Sample, *GenReport, error) {
 // nextTemplate picks the template with the fewest kept samples,
 // breaking ties toward registry order — balanced representation in
 // the kept corpus regardless of per-template rejection rates.
-func nextTemplate(stats []TemplateStat) int {
+func nextTemplate(stats []templateStat) int {
 	best := 0
 	for i := 1; i < len(stats); i++ {
-		if stats[i].Kept < stats[best].Kept {
+		if stats[i].kept < stats[best].kept {
 			best = i
 		}
 	}
@@ -207,7 +207,7 @@ func build(prog *program, tmpl Template, cfg Config) (*Sample, error) {
 	return &Sample{
 		Name:     prog.name,
 		Template: tmpl.Name,
-		Scenario: tmpl.Scenario,
+		Scenario: tmpl.scenario,
 		Module:   m,
 		O0:       o0,
 		Ref:      ref,

@@ -16,7 +16,7 @@ func TestEveryTemplateLowersAndVerifies(t *testing.T) {
 		tm := tm
 		t.Run(tm.Name, func(t *testing.T) {
 			for i := 0; i < 5; i++ {
-				prog := tm.Gen(rng, i)
+				prog := tm.gen(rng, i)
 				m, err := lower(prog)
 				if err != nil {
 					t.Fatalf("lower: %v", err)
@@ -189,16 +189,16 @@ func TestGenerateBalancedTemplates(t *testing.T) {
 		byName[s.Template]++
 	}
 	minK, maxK, keptSum := n, 0, 0
-	for _, ts := range rep.Templates {
-		if ts.Kept != byName[ts.Name] {
-			t.Errorf("template %s: report kept %d, corpus has %d", ts.Name, ts.Kept, byName[ts.Name])
+	for _, ts := range rep.templates {
+		if ts.kept != byName[ts.name] {
+			t.Errorf("template %s: report kept %d, corpus has %d", ts.name, ts.kept, byName[ts.name])
 		}
-		keptSum += ts.Kept
-		if ts.Kept < minK {
-			minK = ts.Kept
+		keptSum += ts.kept
+		if ts.kept < minK {
+			minK = ts.kept
 		}
-		if ts.Kept > maxK {
-			maxK = ts.Kept
+		if ts.kept > maxK {
+			maxK = ts.kept
 		}
 	}
 	if keptSum != n {
@@ -207,8 +207,8 @@ func TestGenerateBalancedTemplates(t *testing.T) {
 	if maxK-minK > 1 {
 		t.Errorf("kept counts skewed: min %d, max %d", minK, maxK)
 	}
-	if rep.Attempts < n {
-		t.Errorf("attempts %d < kept %d", rep.Attempts, n)
+	if rep.attempts < n {
+		t.Errorf("attempts %d < kept %d", rep.attempts, n)
 	}
 }
 
@@ -226,20 +226,20 @@ func TestGenerateRetriesRejectedTemplate(t *testing.T) {
 	}
 	_ = samples
 	rejected := 0
-	for _, ts := range rep.Templates {
-		rejected += ts.Rejected
+	for _, ts := range rep.templates {
+		rejected += ts.rejected
 	}
-	if rep.Attempts != 46+rejected {
-		t.Errorf("attempts %d != kept 46 + rejected %d", rep.Attempts, rejected)
+	if rep.attempts != 46+rejected {
+		t.Errorf("attempts %d != kept 46 + rejected %d", rep.attempts, rejected)
 	}
 	// Determinism: the same seed reproduces the same report.
 	_, rep2, err := GenerateReport(Config{Seed: 2, N: 46})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rep.Templates {
-		if rep.Templates[i] != rep2.Templates[i] {
-			t.Errorf("report not deterministic: %+v vs %+v", rep.Templates[i], rep2.Templates[i])
+	for i := range rep.templates {
+		if rep.templates[i] != rep2.templates[i] {
+			t.Errorf("report not deterministic: %+v vs %+v", rep.templates[i], rep2.templates[i])
 		}
 	}
 }

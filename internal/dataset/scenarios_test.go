@@ -23,10 +23,10 @@ func TestScenarioTaxonomyCovered(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for _, tm := range Templates() {
-		if !known[tm.Scenario] {
-			t.Errorf("template %s: unknown scenario %q", tm.Name, tm.Scenario)
+		if !known[tm.scenario] {
+			t.Errorf("template %s: unknown scenario %q", tm.Name, tm.scenario)
 		}
-		counts[tm.Scenario]++
+		counts[tm.scenario]++
 	}
 	for sc := range known {
 		if counts[sc] < 2 {
@@ -64,12 +64,12 @@ func TestScenarioFamiliesParseAndSelfVerify(t *testing.T) {
 	}
 	// 72 samples over 36 balanced templates = 2 per template, so every
 	// scenario must appear with its full registry share.
-	for _, ss := range rep.Scenarios() {
-		if seen[ss.Scenario] != ss.Kept {
-			t.Errorf("scenario %s: report kept %d, corpus carries %d", ss.Scenario, ss.Kept, seen[ss.Scenario])
+	for _, ss := range rep.scenarios() {
+		if seen[ss.scenario] != ss.kept {
+			t.Errorf("scenario %s: report kept %d, corpus carries %d", ss.scenario, ss.kept, seen[ss.scenario])
 		}
-		if ss.Kept == 0 {
-			t.Errorf("scenario %s generated no samples", ss.Scenario)
+		if ss.kept == 0 {
+			t.Errorf("scenario %s generated no samples", ss.scenario)
 		}
 	}
 }
@@ -84,20 +84,20 @@ func TestScenarioTagsHitGenReport(t *testing.T) {
 	}
 	byName := map[string]string{}
 	for _, tm := range Templates() {
-		byName[tm.Name] = tm.Scenario
+		byName[tm.Name] = tm.scenario
 	}
-	for _, ts := range rep.Templates {
-		if ts.Scenario != byName[ts.Name] {
-			t.Errorf("template %s: report scenario %q, registry says %q", ts.Name, ts.Scenario, byName[ts.Name])
+	for _, ts := range rep.templates {
+		if ts.scenario != byName[ts.name] {
+			t.Errorf("template %s: report scenario %q, registry says %q", ts.name, ts.scenario, byName[ts.name])
 		}
 	}
 	rollup := map[string]int{}
-	for _, ts := range rep.Templates {
-		rollup[ts.Scenario] += ts.Kept
+	for _, ts := range rep.templates {
+		rollup[ts.scenario] += ts.kept
 	}
-	for _, ss := range rep.Scenarios() {
-		if ss.Kept != rollup[ss.Scenario] {
-			t.Errorf("scenario %s rollup kept %d, templates sum %d", ss.Scenario, ss.Kept, rollup[ss.Scenario])
+	for _, ss := range rep.scenarios() {
+		if ss.kept != rollup[ss.scenario] {
+			t.Errorf("scenario %s rollup kept %d, templates sum %d", ss.scenario, ss.kept, rollup[ss.scenario])
 		}
 	}
 	if !strings.Contains(rep.String(), "scenario") {
@@ -159,7 +159,7 @@ func TestScenarioShapesAreStructural(t *testing.T) {
 	outOfRange := false
 	for _, tm := range Templates() {
 		for i := 0; i < 6; i++ {
-			m, err := lower(tm.Gen(rng, i))
+			m, err := lower(tm.gen(rng, i))
 			if err != nil {
 				t.Fatalf("%s: lower: %v", tm.Name, err)
 			}

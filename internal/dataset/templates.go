@@ -11,13 +11,13 @@ import (
 // constants, widths, and shapes under a seeded RNG.
 type Template struct {
 	Name string
-	// Scenario classifies the family for corpus accounting, the load
+	// scenario classifies the family for corpus accounting, the load
 	// harness, and per-scenario benchmark reporting: one of the
 	// Scenario* constants below.
-	Scenario string
-	// Gen builds a program instance. Deterministic for a given RNG
+	scenario string
+	// gen builds a program instance. Deterministic for a given RNG
 	// state.
-	Gen func(rng *rand.Rand, id int) *program
+	gen func(rng *rand.Rand, id int) *program
 }
 
 // Scenario labels partition the template registry into the corpus
@@ -67,44 +67,44 @@ func binU(op ir.Opcode, l, r expr) expr { return eBin{op: op, flags: ir.Flags{NU
 // the scheduler and every seeded corpus depend on registry order.
 func Templates() []Template {
 	return []Template{
-		{Name: "arith-chain", Scenario: ScenarioScalar, Gen: genArithChain},
-		{Name: "identity-mix", Scenario: ScenarioScalar, Gen: genIdentityMix},
-		{Name: "strength-mul", Scenario: ScenarioScalar, Gen: genStrengthMul},
-		{Name: "strength-div", Scenario: ScenarioScalar, Gen: genStrengthDiv},
-		{Name: "xor-cancel", Scenario: ScenarioScalar, Gen: genXorCancel},
-		{Name: "negation", Scenario: ScenarioScalar, Gen: genNegation},
-		{Name: "cmp-chain", Scenario: ScenarioScalar, Gen: genCmpChain},
-		{Name: "branch-max", Scenario: ScenarioControlFlow, Gen: genBranchMax},
-		{Name: "branch-clamp", Scenario: ScenarioControlFlow, Gen: genBranchClamp},
-		{Name: "sign-splat", Scenario: ScenarioControlFlow, Gen: genSignSplat},
-		{Name: "cast-chain", Scenario: ScenarioWideInt, Gen: genCastChain},
-		{Name: "known-bits", Scenario: ScenarioScalar, Gen: genKnownBits},
-		{Name: "const-ret", Scenario: ScenarioScalar, Gen: genConstRet},
-		{Name: "cond-call", Scenario: ScenarioControlFlow, Gen: genCondCall},
-		{Name: "call-arith", Scenario: ScenarioScalar, Gen: genCallArith},
-		{Name: "store-zero", Scenario: ScenarioScalar, Gen: genStoreZero},
-		{Name: "overflow-trap", Scenario: ScenarioAdversarial, Gen: genOverflowTrap},
-		{Name: "nonpow2-div", Scenario: ScenarioScalar, Gen: genNonPow2Div},
-		{Name: "bounded-loop", Scenario: ScenarioLoop, Gen: genBoundedLoop},
-		{Name: "deep-chain", Scenario: ScenarioScalar, Gen: genDeepChain},
-		{Name: "multi-var", Scenario: ScenarioScalar, Gen: genMultiVar},
-		{Name: "select-bool", Scenario: ScenarioControlFlow, Gen: genSelectBool},
-		{Name: "switch-table", Scenario: ScenarioControlFlow, Gen: genSwitchTable},
+		{Name: "arith-chain", scenario: ScenarioScalar, gen: genArithChain},
+		{Name: "identity-mix", scenario: ScenarioScalar, gen: genIdentityMix},
+		{Name: "strength-mul", scenario: ScenarioScalar, gen: genStrengthMul},
+		{Name: "strength-div", scenario: ScenarioScalar, gen: genStrengthDiv},
+		{Name: "xor-cancel", scenario: ScenarioScalar, gen: genXorCancel},
+		{Name: "negation", scenario: ScenarioScalar, gen: genNegation},
+		{Name: "cmp-chain", scenario: ScenarioScalar, gen: genCmpChain},
+		{Name: "branch-max", scenario: ScenarioControlFlow, gen: genBranchMax},
+		{Name: "branch-clamp", scenario: ScenarioControlFlow, gen: genBranchClamp},
+		{Name: "sign-splat", scenario: ScenarioControlFlow, gen: genSignSplat},
+		{Name: "cast-chain", scenario: ScenarioWideInt, gen: genCastChain},
+		{Name: "known-bits", scenario: ScenarioScalar, gen: genKnownBits},
+		{Name: "const-ret", scenario: ScenarioScalar, gen: genConstRet},
+		{Name: "cond-call", scenario: ScenarioControlFlow, gen: genCondCall},
+		{Name: "call-arith", scenario: ScenarioScalar, gen: genCallArith},
+		{Name: "store-zero", scenario: ScenarioScalar, gen: genStoreZero},
+		{Name: "overflow-trap", scenario: ScenarioAdversarial, gen: genOverflowTrap},
+		{Name: "nonpow2-div", scenario: ScenarioScalar, gen: genNonPow2Div},
+		{Name: "bounded-loop", scenario: ScenarioLoop, gen: genBoundedLoop},
+		{Name: "deep-chain", scenario: ScenarioScalar, gen: genDeepChain},
+		{Name: "multi-var", scenario: ScenarioScalar, gen: genMultiVar},
+		{Name: "select-bool", scenario: ScenarioControlFlow, gen: genSelectBool},
+		{Name: "switch-table", scenario: ScenarioControlFlow, gen: genSwitchTable},
 		// Scenario-corpus families (DESIGN.md §17): multi-block control
 		// flow, wider loop shapes, bit-width mixes, adversarial edges.
-		{Name: "nested-branch", Scenario: ScenarioControlFlow, Gen: genNestedBranch},
-		{Name: "diamond-ladder", Scenario: ScenarioControlFlow, Gen: genDiamondLadder},
-		{Name: "branch-ladder", Scenario: ScenarioControlFlow, Gen: genBranchLadder},
-		{Name: "loop-branch", Scenario: ScenarioLoop, Gen: genLoopBranch},
-		{Name: "loop-double", Scenario: ScenarioLoop, Gen: genLoopDouble},
-		{Name: "loop-shift", Scenario: ScenarioLoop, Gen: genLoopShift},
-		{Name: "bool-mix", Scenario: ScenarioWideInt, Gen: genBoolMix},
-		{Name: "width-mix", Scenario: ScenarioWideInt, Gen: genWidthMix},
-		{Name: "narrow-rescue", Scenario: ScenarioWideInt, Gen: genNarrowRescue},
-		{Name: "near-overflow", Scenario: ScenarioAdversarial, Gen: genNearOverflow},
-		{Name: "poison-shift", Scenario: ScenarioAdversarial, Gen: genPoisonShift},
-		{Name: "dead-store", Scenario: ScenarioAdversarial, Gen: genDeadStore},
-		{Name: "guarded-div", Scenario: ScenarioAdversarial, Gen: genGuardedDiv},
+		{Name: "nested-branch", scenario: ScenarioControlFlow, gen: genNestedBranch},
+		{Name: "diamond-ladder", scenario: ScenarioControlFlow, gen: genDiamondLadder},
+		{Name: "branch-ladder", scenario: ScenarioControlFlow, gen: genBranchLadder},
+		{Name: "loop-branch", scenario: ScenarioLoop, gen: genLoopBranch},
+		{Name: "loop-double", scenario: ScenarioLoop, gen: genLoopDouble},
+		{Name: "loop-shift", scenario: ScenarioLoop, gen: genLoopShift},
+		{Name: "bool-mix", scenario: ScenarioWideInt, gen: genBoolMix},
+		{Name: "width-mix", scenario: ScenarioWideInt, gen: genWidthMix},
+		{Name: "narrow-rescue", scenario: ScenarioWideInt, gen: genNarrowRescue},
+		{Name: "near-overflow", scenario: ScenarioAdversarial, gen: genNearOverflow},
+		{Name: "poison-shift", scenario: ScenarioAdversarial, gen: genPoisonShift},
+		{Name: "dead-store", scenario: ScenarioAdversarial, gen: genDeadStore},
+		{Name: "guarded-div", scenario: ScenarioAdversarial, gen: genGuardedDiv},
 	}
 }
 

@@ -46,7 +46,7 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 		v.mutate(&cfg)
 		tr := grpo.NewTrainer(m, train, cfg, c.Cfg.Seed+7000+int64(i))
 		tr.Oracle = c.Oracle
-		if _, err := tr.TrainCtx(c.Context(), steps); err != nil {
+		if _, err := tr.TrainCtx(c.context(), steps); err != nil {
 			return nil, err
 		}
 		rep, err := c.report(m, false)
@@ -59,7 +59,7 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 		key := fmt.Sprintf("variant%d_diff_correct_pct", i)
 		nums[key] = 100 * rep.DifferentCorrectFrac()
 	}
-	return &Outcome{ID: "ablation_grpo", Title: "Ablation: GRPO design choices (§IV-B)", Text: sb.String(), Numbers: nums}, nil
+	return &Outcome{id: "ablation_grpo", title: "Ablation: GRPO design choices (§IV-B)", Text: sb.String(), numbers: nums}, nil
 }
 
 // ablationVerifier contrasts the verifier-in-the-loop reward against
@@ -86,10 +86,10 @@ func ablationVerifier(c *Context) (*Outcome, error) {
 		100*latRep.DifferentCorrectFrac(), pipeline.GeomeanSpeedup(latRep))
 	fmt.Fprintf(&sb, "\nBoth configurations ship only verified IR (fallback to -O0 otherwise);\nonly the in-loop reward converts verification into optimization capability.\n")
 	return &Outcome{
-		ID:    "ablation_verifier",
-		Title: "Ablation: verifier in the reward vs verifier as post-filter",
+		id:    "ablation_verifier",
+		title: "Ablation: verifier in the reward vs verifier as post-filter",
 		Text:  sb.String(),
-		Numbers: map[string]float64{
+		numbers: map[string]float64{
 			"postfilter_diff_correct_pct": 100 * baseRep.DifferentCorrectFrac(),
 			"inloop_diff_correct_pct":     100 * latRep.DifferentCorrectFrac(),
 		},

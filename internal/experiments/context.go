@@ -89,8 +89,8 @@ func (c *Context) progress(format string, args ...interface{}) {
 	}
 }
 
-// Context returns the cancellation context runs observe.
-func (c *Context) Context() context.Context {
+// context returns the cancellation context runs observe.
+func (c *Context) context() context.Context {
 	if c.Ctx != nil {
 		return c.Ctx
 	}
@@ -147,7 +147,7 @@ func (c *Context) Pipeline() (*pipeline.Result, error) {
 		cfg.Oracle = c.Oracle
 		cfg.Obs = c.Obs
 		c.progress("training curriculum (stages 1-3)...")
-		res, err := pipeline.RunCtx(c.Context(), train, cfg)
+		res, err := pipeline.RunCtx(c.context(), train, cfg)
 		if err != nil {
 			return res, err
 		}
@@ -172,7 +172,7 @@ func (c *Context) report(m *policy.Model, augmented bool) (*pipeline.Report, err
 	if err != nil {
 		return nil, err
 	}
-	rep, err := pipeline.EvaluateCtx(c.Context(), m, val, augmented, pipeline.EvalConfig{Workers: c.Cfg.Workers, Oracle: c.Oracle})
+	rep, err := pipeline.EvaluateCtx(c.context(), m, val, augmented, pipeline.EvalConfig{Workers: c.Cfg.Workers, Oracle: c.Oracle})
 	if err != nil {
 		return nil, err
 	}
@@ -183,8 +183,8 @@ func (c *Context) report(m *policy.Model, augmented bool) (*pipeline.Report, err
 	return rep, nil
 }
 
-// Baselines returns the Fig. 5 comparison suite.
-func (c *Context) Baselines() ([]*baselines.Baseline, error) {
+// baselines returns the Fig. 5 comparison suite.
+func (c *Context) baselines() ([]*baselines.Baseline, error) {
 	if c.bl == nil {
 		train, err := c.Train()
 		if err != nil {

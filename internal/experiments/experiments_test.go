@@ -105,17 +105,17 @@ func TestAllExperimentsRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run(%s): %v", id, err)
 			}
-			if out.ID != id {
-				t.Errorf("outcome id %q != %q", out.ID, id)
+			if out.id != id {
+				t.Errorf("outcome id %q != %q", out.id, id)
 			}
 			if strings.TrimSpace(out.Text) == "" {
 				t.Error("empty rendered text")
 			}
-			if len(out.Numbers) == 0 {
+			if len(out.numbers) == 0 {
 				t.Error("no measured numbers exposed")
 			}
 			rendered := Render(out)
-			if !strings.Contains(rendered, out.Title) {
+			if !strings.Contains(rendered, out.title) {
 				t.Error("render missing title")
 			}
 		})
@@ -133,7 +133,7 @@ func TestTable1MatchesTableIShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := out.Numbers
+	n := out.numbers
 	// The base model must be dominated by copies with substantial
 	// syntax-error mass — the Table I profile (±20 points at this
 	// reduced scale).
@@ -157,9 +157,9 @@ func TestTable2BeatsTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t2.Numbers["latency_diff_correct_pct"] <= t1.Numbers["different_correct_pct"] {
+	if t2.numbers["latency_diff_correct_pct"] <= t1.numbers["different_correct_pct"] {
 		t.Errorf("trained model (%.1f%%) must beat base (%.1f%%) on different-correct",
-			t2.Numbers["latency_diff_correct_pct"], t1.Numbers["different_correct_pct"])
+			t2.numbers["latency_diff_correct_pct"], t1.numbers["different_correct_pct"])
 	}
 }
 
@@ -168,7 +168,7 @@ func TestFig6HasAllThreeBuckets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := out.Numbers
+	n := out.numbers
 	sum := n["latency_better_pct"] + n["latency_worse_pct"] + n["latency_tie_pct"]
 	if sum < 99.9 || sum > 100.1 {
 		t.Errorf("latency buckets sum to %.1f, want 100", sum)

@@ -28,7 +28,7 @@ func passesWorkload(c *Context) (*Outcome, error) {
 	cfg.Oracle = c.Oracle
 	cfg.Obs = c.Obs
 	c.progress("training sequence policy (%d steps) and evaluating pass orderings...", cfg.TrainSteps)
-	res, err := pipeline.RunPassesCtx(c.Context(), train, val, cfg)
+	res, err := pipeline.RunPassesCtx(c.context(), train, val, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -46,5 +46,5 @@ func passesWorkload(c *Context) (*Outcome, error) {
 	if fixed, beam := rep.Row(pipeline.MethodFixed), rep.Row(pipeline.MethodBeam); fixed != nil && beam != nil {
 		numbers["beam_vs_fixed_latency_gain"] = fixed.GeoLatency / beam.GeoLatency
 	}
-	return &Outcome{ID: "passes", Title: "Pass-ordering workload: policy vs search vs fixed pipeline", Text: sb.String(), Numbers: numbers}, nil
+	return &Outcome{id: "passes", title: "Pass-ordering workload: policy vs search vs fixed pipeline", Text: sb.String(), numbers: numbers}, nil
 }

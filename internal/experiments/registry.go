@@ -50,18 +50,18 @@ func Run(id string, c *Context) (*Outcome, error) {
 // measured headline numbers in stable order.
 func Render(o *Outcome) string {
 	var sb strings.Builder
-	bar := strings.Repeat("=", len(o.Title))
-	fmt.Fprintf(&sb, "%s\n%s\n%s\n", bar, o.Title, bar)
+	bar := strings.Repeat("=", len(o.title))
+	fmt.Fprintf(&sb, "%s\n%s\n%s\n", bar, o.title, bar)
 	sb.WriteString(o.Text)
-	if len(o.Numbers) > 0 {
+	if len(o.numbers) > 0 {
 		sb.WriteString("\nmeasured numbers:\n")
-		keys := make([]string, 0, len(o.Numbers))
-		for k := range o.Numbers {
+		keys := make([]string, 0, len(o.numbers))
+		for k := range o.numbers {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&sb, "  %-40s %.3f\n", k, o.Numbers[k])
+			fmt.Fprintf(&sb, "  %-40s %.3f\n", k, o.numbers[k])
 		}
 	}
 	return sb.String()

@@ -10,13 +10,13 @@ import (
 
 // Outcome is one regenerated table or figure.
 type Outcome struct {
-	ID    string
-	Title string
+	id    string
+	title string
 	// Text is the rendered plain-text artifact.
 	Text string
-	// Numbers holds the headline measured values, keyed for
+	// numbers holds the headline measured values, keyed for
 	// EXPERIMENTS.md comparison against the paper.
-	Numbers map[string]float64
+	numbers map[string]float64
 }
 
 func verdictTable(title string, rep *pipeline.Report) string {
@@ -49,10 +49,10 @@ func table1(c *Context) (*Outcome, error) {
 	}
 	total := float64(rep.Total())
 	return &Outcome{
-		ID:    "table1",
-		Title: "Table I: verification results of the baseline (untrained) model",
+		id:    "table1",
+		title: "Table I: verification results of the baseline (untrained) model",
 		Text:  verdictTable("Baseline Qwen-3B analogue", rep),
-		Numbers: map[string]float64{
+		numbers: map[string]float64{
 			"correct_pct":           100 * rep.CorrectFrac(),
 			"copies_pct":            100 * float64(rep.Copies) / total,
 			"semantic_pct":          100 * float64(rep.Semantic) / total,
@@ -80,10 +80,10 @@ func table2(c *Context) (*Outcome, error) {
 	}
 	text := verdictTable("Model-Correctness", corr) + "\n" + verdictTable("Model-Latency", lat)
 	return &Outcome{
-		ID:    "table2",
-		Title: "Table II: verification results of the LLM-VeriOpt models",
+		id:    "table2",
+		title: "Table II: verification results of the LLM-VeriOpt models",
 		Text:  text,
-		Numbers: map[string]float64{
+		numbers: map[string]float64{
 			"correctness_correct_pct":      100 * corr.CorrectFrac(),
 			"correctness_diff_correct_pct": 100 * corr.DifferentCorrectFrac(),
 			"latency_correct_pct":          100 * lat.CorrectFrac(),
@@ -128,9 +128,9 @@ func table3(c *Context) (*Outcome, error) {
 		}
 	}
 	return &Outcome{
-		ID:      "table3",
-		Title:   "Table III: per-sample outcome counts vs LLVM -O0",
+		id:      "table3",
+		title:   "Table III: per-sample outcome counts vs LLVM -O0",
 		Text:    sb.String(),
-		Numbers: nums,
+		numbers: nums,
 	}, nil
 }

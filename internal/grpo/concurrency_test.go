@@ -112,7 +112,7 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 		if o.err == nil {
 			t.Fatal("canceled StepCtx returned nil error")
 		}
-		if o.stats.Episodes != 0 {
+		if o.stats.episodes != 0 {
 			t.Fatalf("canceled step reported episodes: %+v", o.stats)
 		}
 	case <-time.After(10 * time.Second):
@@ -131,8 +131,8 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 	tr.Oracle = oracle.NewStack(oracle.Config{})
 	resumed := stepBg(tr.StepCtx)
 	fresh := trainSteps(t, samples, 1, 1)
-	if resumed.MeanReward != fresh.RewardHistory[0] {
-		t.Fatalf("resumed step diverged: %v vs %v", resumed.MeanReward, fresh.RewardHistory[0])
+	if resumed.meanReward != fresh.RewardHistory[0] {
+		t.Fatalf("resumed step diverged: %v vs %v", resumed.meanReward, fresh.RewardHistory[0])
 	}
 }
 
@@ -157,8 +157,8 @@ func TestStepEmptyDataNoPanic(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 3)
 	tr := NewTrainer(m, nil, DefaultConfig(), 1)
 	stats := stepBg(tr.StepCtx)
-	if stats.Episodes != 0 {
-		t.Fatalf("episodes = %d, want 0", stats.Episodes)
+	if stats.episodes != 0 {
+		t.Fatalf("episodes = %d, want 0", stats.episodes)
 	}
 	if len(tr.RewardHistory) != 1 {
 		t.Fatalf("history length = %d, want 1 (one entry per Step)", len(tr.RewardHistory))
@@ -169,7 +169,7 @@ func TestStepEmptyDataNoPanic(t *testing.T) {
 // left by DefaultConfig) used to yield math.Pow(negativeFrac, 0) == 1
 // — an unconditional full reward for any speedup > 1.
 func TestLatencyRewardZeroParams(t *testing.T) {
-	j := &Judgment{FinalVerdict: alive.Result{Verdict: alive.Equivalent}, Speedup: 1.5}
+	j := &Judgment{FinalVerdict: alive.Result{Verdict: alive.Equivalent}, speedup: 1.5}
 	r := latencyReward(j, LatencyRewardParams{})
 	if math.IsNaN(r) {
 		t.Fatal("zero params produced NaN")
@@ -209,13 +209,13 @@ func TestNoBleuShapingCoversBothSegments(t *testing.T) {
 		Diag:        &policy.DiagRecord{PredictedClass: policy.DiagOK},
 	}
 	j := judge(ep, s, vo)
-	if j.AttemptBleu <= 0 || j.Bleu <= 0 {
-		t.Fatalf("test setup: expected nonzero BLEU terms, got %v / %v", j.Bleu, j.AttemptBleu)
+	if j.attemptBleu <= 0 || j.bleu <= 0 {
+		t.Fatalf("test setup: expected nonzero BLEU terms, got %v / %v", j.bleu, j.attemptBleu)
 	}
-	if got, want := correctnessReward(ep, j, false), correctnessReward(ep, j, true)-j.Bleu; math.Abs(got-want) > 1e-9 {
+	if got, want := correctnessReward(ep, j, false), correctnessReward(ep, j, true)-j.bleu; math.Abs(got-want) > 1e-9 {
 		t.Errorf("answer segment: unshaped = %v, want %v", got, want)
 	}
-	if got, want := attemptReward(ep, j, false), attemptReward(ep, j, true)-j.AttemptBleu; math.Abs(got-want) > 1e-9 {
+	if got, want := attemptReward(ep, j, false), attemptReward(ep, j, true)-j.attemptBleu; math.Abs(got-want) > 1e-9 {
 		t.Errorf("attempt segment: unshaped = %v, want %v", got, want)
 	}
 }

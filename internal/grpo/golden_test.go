@@ -76,7 +76,7 @@ func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
 	tr.CollectFailures = mode == ModeCorrectness
 	var norms []float64
 	for _, st := range trainBg(tr.TrainCtx, goldenSteps) {
-		norms = append(norms, st.GradNorm)
+		norms = append(norms, st.gradNorm)
 	}
 	vecs := [][]float64{m.B, m.S, m.P}
 	vecs = append(vecs, m.N...)
@@ -94,12 +94,12 @@ func seqTrajectory(t *testing.T, workers int) trajectory {
 	m := seqopt.NewModel(5)
 	cfg := DefaultSeqConfig()
 	cfg.Workers = workers
-	cfg.LR = 4
+	cfg.lr = 4
 	tr := NewSeqTrainer(m, seqCorpus(t, 24), cfg, 23)
 	tr.Oracle = oracle.NewStack(oracle.Config{})
 	var norms []float64
 	for _, st := range trainBg(tr.TrainCtx, goldenSteps) {
-		norms = append(norms, st.GradNorm)
+		norms = append(norms, st.gradNorm)
 	}
 	vecs := [][]float64{m.B, m.S}
 	vecs = append(vecs, m.N...)

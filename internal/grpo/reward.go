@@ -24,24 +24,24 @@ import (
 // Judgment is the verifier's view of one episode: the attempt's and
 // the final answer's verdicts, plus the reward ingredients.
 type Judgment struct {
-	// AttemptVerdict is the verdict for the <think>-block attempt.
-	AttemptVerdict alive.Result
+	// attemptVerdict is the verdict for the <think>-block attempt.
+	attemptVerdict alive.Result
 	// FinalVerdict is the verdict for the <answer>-block output.
 	FinalVerdict alive.Result
 	// FinalFn is the parsed final function (nil on syntax error).
 	FinalFn *ir.Function
-	// ExactMatch reports canonical-text equality with the reference.
-	ExactMatch bool
-	// Bleu is BLEU(final, reference).
-	Bleu float64
-	// AttemptExact/AttemptBleu are the same measures for the
+	// exactMatch reports canonical-text equality with the reference.
+	exactMatch bool
+	// bleu is BLEU(final, reference).
+	bleu float64
+	// attemptExact/AttemptBleu are the same measures for the
 	// think-block attempt (used for per-segment credit assignment).
-	AttemptExact bool
-	AttemptBleu  float64
-	// Speedup is t(O0)/t(final) when FinalFn verified, else 0.
-	Speedup float64
-	// Copied mirrors Episode.Copied.
-	Copied bool
+	attemptExact bool
+	attemptBleu  float64
+	// speedup is t(O0)/t(final) when FinalFn verified, else 0.
+	speedup float64
+	// copied mirrors Episode.Copied.
+	copied bool
 }
 
 // JudgeWith verifies an episode against its sample; opts bounds the
@@ -53,25 +53,25 @@ type Judgment struct {
 // across curriculum stages.
 func JudgeWith(ctx context.Context, o oracle.Oracle, ep *policy.Episode, s *dataset.Sample, opts alive.Options) *Judgment {
 	o = oracle.OrDefault(o)
-	j := &Judgment{Copied: ep.Copied}
+	j := &Judgment{copied: ep.Copied}
 	j.FinalVerdict, j.FinalFn = verdictOf(ctx, o, ep.FinalText, s, opts)
 	if ep.Diag != nil && ep.AttemptText != ep.FinalText {
-		j.AttemptVerdict, _ = verdictOf(ctx, o, ep.AttemptText, s, opts)
+		j.attemptVerdict, _ = verdictOf(ctx, o, ep.AttemptText, s, opts)
 	} else {
-		j.AttemptVerdict = j.FinalVerdict
+		j.attemptVerdict = j.FinalVerdict
 	}
-	j.ExactMatch = ir.FingerprintText(ep.FinalText) == ir.FingerprintText(s.RefText)
-	j.Bleu = bleu.ScoreText(ep.FinalText, s.RefText)
+	j.exactMatch = ir.FingerprintText(ep.FinalText) == ir.FingerprintText(s.RefText)
+	j.bleu = bleu.ScoreText(ep.FinalText, s.RefText)
 	if ep.AttemptText == ep.FinalText {
-		j.AttemptExact, j.AttemptBleu = j.ExactMatch, j.Bleu
+		j.attemptExact, j.attemptBleu = j.exactMatch, j.bleu
 	} else {
-		j.AttemptExact = ir.FingerprintText(ep.AttemptText) == ir.FingerprintText(s.RefText)
-		j.AttemptBleu = bleu.ScoreText(ep.AttemptText, s.RefText)
+		j.attemptExact = ir.FingerprintText(ep.AttemptText) == ir.FingerprintText(s.RefText)
+		j.attemptBleu = bleu.ScoreText(ep.AttemptText, s.RefText)
 	}
 	if j.FinalVerdict.Verdict == alive.Equivalent && j.FinalFn != nil {
 		base := costmodel.Measure(s.O0)
 		opt := costmodel.Measure(j.FinalFn)
-		j.Speedup = costmodel.Speedup(base, opt)
+		j.speedup = costmodel.Speedup(base, opt)
 	}
 	return j
 }
@@ -112,7 +112,7 @@ func eq1(formatOK bool, verdict alive.Verdict, exact bool, b float64, shaping bo
 
 // correctnessReward applies Eq. 1 to the final answer.
 func correctnessReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
-	return eq1(ep.FormatOK, j.FinalVerdict.Verdict, j.ExactMatch, j.Bleu, bleuShaping)
+	return eq1(ep.FormatOK, j.FinalVerdict.Verdict, j.exactMatch, j.bleu, bleuShaping)
 }
 
 // attemptReward applies Eq. 1 to the think-block attempt: the reward
@@ -121,7 +121,7 @@ func correctnessReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float6
 // removes the shaping signal from the attempt segment, not just from
 // the answer segment.
 func attemptReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
-	return eq1(ep.FormatOK, j.AttemptVerdict.Verdict, j.AttemptExact, j.AttemptBleu, bleuShaping)
+	return eq1(ep.FormatOK, j.attemptVerdict.Verdict, j.attemptExact, j.attemptBleu, bleuShaping)
 }
 
 // cotReward is the paper's Eq. 2: full credit when model and verifier
@@ -131,13 +131,13 @@ func cotReward(ep *policy.Episode, j *Judgment) float64 {
 	if ep.Diag == nil {
 		return 0
 	}
-	verifierOK := j.AttemptVerdict.Verdict == alive.Equivalent
+	verifierOK := j.attemptVerdict.Verdict == alive.Equivalent
 	modelOK := ep.Diag.PredictedClass == policy.DiagOK
 	switch {
 	case verifierOK && modelOK:
 		return 1
 	case !verifierOK && !modelOK:
-		return 0.5 + 0.5*bleu.ScoreText(ep.Diag.Message, j.AttemptVerdict.Diag)
+		return 0.5 + 0.5*bleu.ScoreText(ep.Diag.Message, j.attemptVerdict.Diag)
 	default:
 		return 0
 	}
@@ -181,11 +181,11 @@ func (p LatencyRewardParams) normalize() LatencyRewardParams {
 // speedup. Degenerate params (UMax <= 1 or Gamma < 1) are replaced by
 // defaults — see normalize.
 func latencyReward(j *Judgment, p LatencyRewardParams) float64 {
-	if j.FinalVerdict.Verdict != alive.Equivalent || j.Speedup <= 1 {
+	if j.FinalVerdict.Verdict != alive.Equivalent || j.speedup <= 1 {
 		return 0
 	}
 	p = p.normalize()
-	frac := (j.Speedup - 1) / (p.UMax - 1)
+	frac := (j.speedup - 1) / (p.UMax - 1)
 	if frac > 1 {
 		frac = 1
 	}

@@ -30,11 +30,11 @@ func TestSeqTrainerLearns(t *testing.T) {
 		t.Fatalf("reward history has %d entries, want 30", len(tr.RewardHistory))
 	}
 	for i, st := range stats {
-		if st.Episodes == 0 {
+		if st.episodes == 0 {
 			t.Fatalf("step %d rolled out no episodes", i)
 		}
-		if st.VerifiedFrac != 1 {
-			t.Errorf("step %d: VerifiedFrac %.2f, want 1 (sound registry)", i, st.VerifiedFrac)
+		if st.verifiedFrac != 1 {
+			t.Errorf("step %d: VerifiedFrac %.2f, want 1 (sound registry)", i, st.verifiedFrac)
 		}
 	}
 	early := avg(tr.RewardHistory[:5])
@@ -71,8 +71,8 @@ func TestSeqTrainerWorkerIndependence(t *testing.T) {
 			t.Fatalf("step %d reward differs: %v vs %v", i, a.RewardHistory[i], b.RewardHistory[i])
 		}
 	}
-	for i := range a.Model.B {
-		if a.Model.B[i] != b.Model.B[i] || a.Model.S[i] != b.Model.S[i] {
+	for i := range a.model.B {
+		if a.model.B[i] != b.model.B[i] || a.model.S[i] != b.model.S[i] {
 			t.Fatalf("parameter %d differs across worker counts", i)
 		}
 	}
@@ -84,14 +84,14 @@ func TestSeqTrainerCancellation(t *testing.T) {
 	data := seqCorpus(t, 12)
 	cfg := DefaultSeqConfig()
 	tr := NewSeqTrainer(seqopt.NewModel(9), data, cfg, 31)
-	before := tr.Model.Clone()
+	before := tr.model.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := tr.StepCtx(ctx); err == nil {
+	if _, err := tr.stepCtx(ctx); err == nil {
 		t.Fatal("canceled step returned nil error")
 	}
 	for i := range before.B {
-		if tr.Model.B[i] != before.B[i] || tr.Model.S[i] != before.S[i] {
+		if tr.model.B[i] != before.B[i] || tr.model.S[i] != before.S[i] {
 			t.Fatal("canceled step mutated the model")
 		}
 	}
@@ -103,15 +103,15 @@ func TestSeqTrainerCancellation(t *testing.T) {
 	}
 	// A live resume now replays the same batch deterministically.
 	other := NewSeqTrainer(seqopt.NewModel(9), data, cfg, 31)
-	st1, err := tr.StepCtx(context.Background())
+	st1, err := tr.stepCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := other.StepCtx(context.Background())
+	st2, err := other.stepCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.MeanReward != st2.MeanReward || st1.GradNorm != st2.GradNorm {
+	if st1.meanReward != st2.meanReward || st1.gradNorm != st2.gradNorm {
 		t.Fatal("resumed step diverged from the uncanceled trajectory")
 	}
 }
@@ -120,8 +120,8 @@ func TestSeqTrainerCancellation(t *testing.T) {
 // the text trainer stay safe here too.
 func TestSeqTrainerEmptyCorpus(t *testing.T) {
 	tr := NewSeqTrainer(seqopt.NewModel(1), nil, DefaultSeqConfig(), 1)
-	st := stepBg(tr.StepCtx)
-	if st.Episodes != 0 {
+	st := stepBg(tr.stepCtx)
+	if st.episodes != 0 {
 		t.Fatal("empty corpus produced episodes")
 	}
 	if len(tr.RewardHistory) != 1 {

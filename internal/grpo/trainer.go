@@ -82,12 +82,12 @@ func DefaultConfig() Config {
 
 // StepStats summarizes one optimization step.
 type StepStats struct {
-	MeanReward   float64
-	MeanCoT      float64
-	VerifiedFrac float64
-	CopyFrac     float64
-	GradNorm     float64
-	Episodes     int
+	meanReward   float64
+	meanCoT      float64
+	verifiedFrac float64
+	copyFrac     float64
+	gradNorm     float64
+	episodes     int
 }
 
 // FailureSample is a Model Zero mistake harvested for the
@@ -107,7 +107,7 @@ type FailureSample struct {
 // RewardHistory are the rollout core's (rollout.go).
 type Trainer struct {
 	Model *policy.Model
-	Cfg   Config
+	cfg   Config
 	rollout
 
 	// Failures accumulates Model Zero mistakes when CollectFailures is
@@ -120,7 +120,7 @@ type Trainer struct {
 // per-episode RNGs derived from seed, so a trainer's trajectory
 // depends only on (model, data, cfg, seed) — never on Cfg.Workers.
 func NewTrainer(m *policy.Model, data []*dataset.Sample, cfg Config, seed int64) *Trainer {
-	return &Trainer{Model: m, Cfg: cfg, rollout: rollout{Data: data, seed: seed}}
+	return &Trainer{Model: m, cfg: cfg, rollout: rollout{Data: data, seed: seed}}
 }
 
 // episodeScore pairs an episode with its judgment and reward. The
@@ -148,7 +148,7 @@ type episodeScore struct {
 // grid).
 func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 	m := tr.Model
-	cfg := tr.Cfg
+	cfg := tr.cfg
 	cells, err := grid(ctx, &tr.rollout, cfg.BatchInputs, cfg.GroupSize, cfg.Workers,
 		func(o oracle.Oracle, s *dataset.Sample, rng *rand.Rand) episodeScore {
 			ep := m.Generate(s.O0, policy.GenOptions{
@@ -178,33 +178,33 @@ func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 	// Everything below is sequential and walks the grid in its
 	// deterministic (batch, group) order: failure harvesting, stats,
 	// and gradient accumulation.
-	stats := StepStats{Episodes: len(cells)}
+	stats := StepStats{episodes: len(cells)}
 	totalTokens := 0
 	for _, es := range cells {
-		if tr.CollectFailures && es.j.AttemptVerdict.Verdict != alive.Equivalent {
+		if tr.CollectFailures && es.j.attemptVerdict.Verdict != alive.Equivalent {
 			tr.Failures = append(tr.Failures, &FailureSample{
 				Sample:      es.s,
 				AttemptText: es.ep.AttemptText,
-				TrueDiag:    es.j.AttemptVerdict.Diag,
-				TrueClass:   classOf(es.j.AttemptVerdict.Verdict),
+				TrueDiag:    es.j.attemptVerdict.Diag,
+				TrueClass:   classOf(es.j.attemptVerdict.Verdict),
 				UsedRules:   usedRules(m, es.ep),
 			})
 		}
 		totalTokens += tokensOf(es.ep)
-		stats.MeanReward += es.r
-		stats.MeanCoT += es.rThink
+		stats.meanReward += es.r
+		stats.meanCoT += es.rThink
 		if es.j.FinalVerdict.Verdict == alive.Equivalent {
-			stats.VerifiedFrac++
+			stats.verifiedFrac++
 		}
 		if es.ep.Copied {
-			stats.CopyFrac++
+			stats.copyFrac++
 		}
 	}
-	stats.MeanReward /= float64(stats.Episodes)
-	stats.MeanCoT /= float64(stats.Episodes)
-	stats.VerifiedFrac /= float64(stats.Episodes)
-	stats.CopyFrac /= float64(stats.Episodes)
-	tr.RewardHistory = append(tr.RewardHistory, stats.MeanReward)
+	stats.meanReward /= float64(stats.episodes)
+	stats.meanCoT /= float64(stats.episodes)
+	stats.verifiedFrac /= float64(stats.episodes)
+	stats.copyFrac /= float64(stats.episodes)
+	tr.RewardHistory = append(tr.RewardHistory, stats.meanReward)
 
 	// Group-relative advantages, one per reward component, normalized
 	// per token over the whole batch (or per sequence, for the
@@ -224,7 +224,7 @@ func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 		}
 		tr.accumulateEpisode(g, gDiag, es.ep, advPair{answer: answer[i] / norm, think: think[i] / norm, attempt: attempt[i] / norm})
 	}
-	stats.GradNorm = m.ClipStep(g, m.Diag.W, gDiag, cfg.LR, cfg.ClipNorm, m.Cap.MaxBias)
+	stats.gradNorm = m.ClipStep(g, m.Diag.W, gDiag, cfg.LR, cfg.ClipNorm, m.Cap.MaxBias)
 	return stats, nil
 }
 
@@ -240,7 +240,7 @@ func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *po
 	m := tr.Model
 	addRecords := func(recs []policy.ActionRecord, h []float64, scale float64) {
 		for _, rec := range recs {
-			m.AddGrad(g, rec, h, tr.Cfg.Temperature, scale)
+			m.AddGrad(g, rec, h, tr.cfg.Temperature, scale)
 		}
 	}
 	// Attempt tokens are judged by the attempt's own Eq. 1 (per-segment
@@ -256,7 +256,7 @@ func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *po
 	}
 	addRecords(ep.Actions, ep.H, attemptScale)
 	if ep.Diag != nil {
-		m.Diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, tr.Cfg.Temperature, adv.think)
+		m.Diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, tr.cfg.Temperature, adv.think)
 	}
 }
 

@@ -115,7 +115,7 @@ func TestLatencyRewardShape(t *testing.T) {
 	p := LatencyRewardParams{UMax: 3, Gamma: 2}
 	ok := alive.Result{Verdict: alive.Equivalent}
 	mk := func(v alive.Verdict, u float64) *Judgment {
-		return &Judgment{FinalVerdict: alive.Result{Verdict: v}, Speedup: u}
+		return &Judgment{FinalVerdict: alive.Result{Verdict: v}, speedup: u}
 	}
 	if latencyReward(mk(alive.SemanticError, 5), p) != 0 {
 		t.Error("unverified output must get 0")
@@ -186,8 +186,8 @@ func TestTrainingImprovesVerifiedFraction(t *testing.T) {
 	for i := 0; i < 14; i++ {
 		last = stepBg(tr.StepCtx)
 	}
-	if last.MeanReward <= first.MeanReward {
-		t.Errorf("mean reward did not improve: %v -> %v", first.MeanReward, last.MeanReward)
+	if last.meanReward <= first.meanReward {
+		t.Errorf("mean reward did not improve: %v -> %v", first.meanReward, last.meanReward)
 	}
 	if len(tr.RewardHistory) != 15 {
 		t.Errorf("history length %d, want 15", len(tr.RewardHistory))
@@ -251,14 +251,14 @@ func TestJudgeCountsCopyAndExact(t *testing.T) {
 	s := samples[0]
 	ep := &policy.Episode{FinalText: s.RefText, AttemptText: s.RefText, FormatOK: true}
 	j := judge(ep, s, alive.DefaultOptions())
-	if !j.ExactMatch {
+	if !j.exactMatch {
 		t.Error("exact match not detected")
 	}
 	if j.FinalVerdict.Verdict != alive.Equivalent {
 		t.Errorf("ref output verdict = %v", j.FinalVerdict.Verdict)
 	}
-	if j.Speedup <= 0 {
-		t.Errorf("speedup = %v", j.Speedup)
+	if j.speedup <= 0 {
+		t.Errorf("speedup = %v", j.speedup)
 	}
 	// Structural sanity of FinalFn.
 	if j.FinalFn == nil || ir.VerifyFunc(j.FinalFn) != nil {

@@ -171,15 +171,15 @@ type tally struct {
 func checkAgainstRef(t *testing.T, f *ir.Function, args []Val, rng *rand.Rand, tl *tally) {
 	t.Helper()
 	n := nonPhi(f)
-	for i, cfg := range []Config{DefaultConfig(), {MaxSteps: n}, {MaxSteps: 1 + rng.Intn(max(n, 1))}} {
+	for i, cfg := range []Config{DefaultConfig(), {maxSteps: n}, {maxSteps: 1 + rng.Intn(max(n, 1))}} {
 		got, gerr := Run(f, args, cfg)
 		want, werr := refRun(f, args, cfg)
 		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("MaxSteps %d, args %v:\n got %+v, %v\nwant %+v, %v\n%s", cfg.MaxSteps, args, got, gerr, want, werr, ir.FuncString(f))
+			t.Fatalf("MaxSteps %d, args %v:\n got %+v, %v\nwant %+v, %v\n%s", cfg.maxSteps, args, got, gerr, want, werr, ir.FuncString(f))
 		}
 		tl.runs++
 		switch {
-		case errors.Is(gerr, ErrStepLimit):
+		case errors.Is(gerr, errStepLimit):
 			tl.stepLimit++
 			if i == 1 && hasBackEdgePhi(f) {
 				tl.backEdgePhi++

@@ -19,8 +19,8 @@ type Val struct {
 	Poison bool
 }
 
-// P returns a poison value.
-func P() Val { return Val{Poison: true} }
+// p returns a poison value.
+func p() Val { return Val{Poison: true} }
 
 // V returns a non-poison value with the given bits.
 func V(b uint64) Val { return Val{Bits: b} }
@@ -47,24 +47,24 @@ type CallObs struct {
 
 // Config controls interpretation limits.
 type Config struct {
-	// MaxSteps bounds executed instructions (guards against runaway
+	// maxSteps bounds executed instructions (guards against runaway
 	// loops); exceeding it returns an error.
-	MaxSteps int
+	maxSteps int
 }
 
 // DefaultConfig returns the standard interpreter limits.
-func DefaultConfig() Config { return Config{MaxSteps: 10000} }
+func DefaultConfig() Config { return Config{maxSteps: 10000} }
 
-// ErrStepLimit is returned when execution exceeds MaxSteps.
-var ErrStepLimit = fmt.Errorf("interp: step limit exceeded")
+// errStepLimit is returned when execution exceeds MaxSteps.
+var errStepLimit = fmt.Errorf("interp: step limit exceeded")
 
 // Run executes f on the given argument values.
 func Run(f *ir.Function, args []Val, cfg Config) (*Outcome, error) {
 	if len(args) != len(f.Params) {
 		return nil, fmt.Errorf("interp: %d args for %d params", len(args), len(f.Params))
 	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 10000
+	if cfg.maxSteps == 0 {
+		cfg.maxSteps = 10000
 	}
 	st := &state{
 		cfg:    cfg,
@@ -138,9 +138,9 @@ func (s *state) eval(v ir.Value) Val {
 	case *ir.Undef:
 		// Model undef as poison for refinement purposes (conservative
 		// but sound for the transformations we validate).
-		return P()
+		return p()
 	case *ir.Poison:
-		return P()
+		return p()
 	case *ir.GlobalRef:
 		return V(0x61000) // opaque non-null address; never dereferenced
 	}
@@ -182,8 +182,8 @@ func (s *state) run(f *ir.Function) error {
 				continue
 			}
 			s.steps++
-			if s.steps > s.cfg.MaxSteps {
-				return ErrStepLimit
+			if s.steps > s.cfg.maxSteps {
+				return errStepLimit
 			}
 			done, succ, err := s.step(in)
 			if err != nil {
@@ -216,7 +216,7 @@ func (s *state) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 	case in.Op == ir.OpICmp:
 		x, y := s.eval(in.Args[0]), s.eval(in.Args[1])
 		if x.Poison || y.Poison {
-			v = P()
+			v = p()
 		} else {
 			it := in.Args[0].Type().(ir.IntType)
 			v = V(boolBit(icmp(in.Pred, x.Bits, y.Bits, it)))
@@ -225,7 +225,7 @@ func (s *state) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 		c, t, f := s.eval(in.Args[0]), s.eval(in.Args[1]), s.eval(in.Args[2])
 		switch {
 		case c.Poison:
-			v = P()
+			v = p()
 		case c.Bits&1 == 1:
 			v = t
 		default:
@@ -234,14 +234,14 @@ func (s *state) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 	case in.Op == ir.OpZExt:
 		v = s.eval(in.Args[0]) // already masked
 	case in.Op == ir.OpSExt:
-		v = P()
+		v = p()
 		if x := s.eval(in.Args[0]); !x.Poison {
 			from := in.Args[0].Type().(ir.IntType)
 			to := in.Ty.(ir.IntType)
 			v = V(signExtend(x.Bits, from) & to.Mask())
 		}
 	case in.Op == ir.OpTrunc:
-		v = P()
+		v = p()
 		if x := s.eval(in.Args[0]); !x.Poison {
 			v = V(x.Bits & in.Ty.(ir.IntType).Mask())
 		}
@@ -268,7 +268,7 @@ func (s *state) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 			return true, nil, nil
 		}
 		// Uninitialized load yields undef, modeled as poison.
-		v = P()
+		v = p()
 		if c := &s.cells[i]; c.init {
 			v = c.val
 			if it, ok := in.Ty.(ir.IntType); ok && !v.Poison {
@@ -362,23 +362,23 @@ func (s *state) binop(in *ir.Instr, x, y Val) Val {
 	if in.Op.IsDivRem() {
 		if y.Poison {
 			s.ub(fmt.Sprintf("%s by poison divisor", in.Op))
-			return P()
+			return p()
 		}
 		if y.Bits&it.Mask() == 0 {
 			s.ub(fmt.Sprintf("%s by zero", in.Op))
-			return P()
+			return p()
 		}
 		if in.Op == ir.OpSDiv || in.Op == ir.OpSRem {
 			sx := signExtend(x.Bits, it)
 			sy := signExtend(y.Bits, it)
 			if !x.Poison && int64(sy) == -1 && int64(sx) == minSigned(it) {
 				s.ub("signed division overflow")
-				return P()
+				return p()
 			}
 		}
 	}
 	if x.Poison || y.Poison {
-		return P()
+		return p()
 	}
 	a, b := x.Bits&it.Mask(), y.Bits&it.Mask()
 	var r uint64
@@ -432,7 +432,7 @@ func (s *state) binop(in *ir.Instr, x, y Val) Val {
 		r = a ^ b
 	case ir.OpShl:
 		if b >= uint64(it.Bits) {
-			return P()
+			return p()
 		}
 		r = (a << b) & it.Mask()
 		if in.Flags.NUW && (r>>b) != a {
@@ -443,7 +443,7 @@ func (s *state) binop(in *ir.Instr, x, y Val) Val {
 		}
 	case ir.OpLShr:
 		if b >= uint64(it.Bits) {
-			return P()
+			return p()
 		}
 		r = a >> b
 		if in.Flags.Exact && a&((1<<b)-1) != 0 {
@@ -451,7 +451,7 @@ func (s *state) binop(in *ir.Instr, x, y Val) Val {
 		}
 	case ir.OpAShr:
 		if b >= uint64(it.Bits) {
-			return P()
+			return p()
 		}
 		r = uint64(int64(signExtend(a, it))>>b) & it.Mask()
 		if in.Flags.Exact && a&((1<<b)-1) != 0 {
@@ -459,7 +459,7 @@ func (s *state) binop(in *ir.Instr, x, y Val) Val {
 		}
 	}
 	if poison {
-		return P()
+		return p()
 	}
 	return V(r & it.Mask())
 }

@@ -183,8 +183,8 @@ loop:
   br label %loop
 }
 `)
-	_, err := Run(f, nil, Config{MaxSteps: 100})
-	if err != ErrStepLimit {
+	_, err := Run(f, nil, Config{maxSteps: 100})
+	if err != errStepLimit {
 		t.Errorf("err = %v, want ErrStepLimit", err)
 	}
 }

@@ -19,8 +19,8 @@ func refRun(f *ir.Function, args []Val, cfg Config) (*Outcome, error) {
 	if len(args) != len(f.Params) {
 		return nil, fmt.Errorf("interp: %d args for %d params", len(args), len(f.Params))
 	}
-	if cfg.MaxSteps == 0 {
-		cfg.MaxSteps = 10000
+	if cfg.maxSteps == 0 {
+		cfg.maxSteps = 10000
 	}
 	st := &refState{
 		cfg:  cfg,
@@ -75,9 +75,9 @@ func (s *refState) eval(v ir.Value) Val {
 	case *ir.Undef:
 		// Model undef as poison for refinement purposes (conservative
 		// but sound for the transformations we validate).
-		return P()
+		return p()
 	case *ir.Poison:
-		return P()
+		return p()
 	case *ir.GlobalRef:
 		return V(0x61000) // opaque non-null address; never dereferenced
 	}
@@ -114,8 +114,8 @@ func (s *refState) run(f *ir.Function) error {
 				continue
 			}
 			s.steps++
-			if s.steps > s.cfg.MaxSteps {
-				return ErrStepLimit
+			if s.steps > s.cfg.maxSteps {
+				return errStepLimit
 			}
 			done, next, err := s.step(in)
 			if err != nil {
@@ -146,7 +146,7 @@ func (s *refState) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 	case in.Op == ir.OpICmp:
 		x, y := s.eval(in.Args[0]), s.eval(in.Args[1])
 		if x.Poison || y.Poison {
-			s.vals[in] = P()
+			s.vals[in] = p()
 		} else {
 			it := in.Args[0].Type().(ir.IntType)
 			s.vals[in] = V(boolBit(icmp(in.Pred, x.Bits, y.Bits, it)))
@@ -155,7 +155,7 @@ func (s *refState) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 		c, t, f := s.eval(in.Args[0]), s.eval(in.Args[1]), s.eval(in.Args[2])
 		switch {
 		case c.Poison:
-			s.vals[in] = P()
+			s.vals[in] = p()
 		case c.Bits&1 == 1:
 			s.vals[in] = t
 		default:
@@ -166,7 +166,7 @@ func (s *refState) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 	case in.Op == ir.OpSExt:
 		x := s.eval(in.Args[0])
 		if x.Poison {
-			s.vals[in] = P()
+			s.vals[in] = p()
 		} else {
 			from := in.Args[0].Type().(ir.IntType)
 			to := in.Ty.(ir.IntType)
@@ -175,7 +175,7 @@ func (s *refState) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 	case in.Op == ir.OpTrunc:
 		x := s.eval(in.Args[0])
 		if x.Poison {
-			s.vals[in] = P()
+			s.vals[in] = p()
 		} else {
 			to := in.Ty.(ir.IntType)
 			s.vals[in] = V(x.Bits & to.Mask())
@@ -201,7 +201,7 @@ func (s *refState) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 		cell := s.mem[cellIn]
 		if !cell.init {
 			// Uninitialized load yields undef, modeled as poison.
-			s.vals[in] = P()
+			s.vals[in] = p()
 		} else {
 			v := cell.val
 			if it, ok := in.Ty.(ir.IntType); ok && !v.Poison {
@@ -296,23 +296,23 @@ func (s *refState) binop(in *ir.Instr, x, y Val) Val {
 	if in.Op.IsDivRem() {
 		if y.Poison {
 			s.ub(fmt.Sprintf("%s by poison divisor", in.Op))
-			return P()
+			return p()
 		}
 		if y.Bits&it.Mask() == 0 {
 			s.ub(fmt.Sprintf("%s by zero", in.Op))
-			return P()
+			return p()
 		}
 		if in.Op == ir.OpSDiv || in.Op == ir.OpSRem {
 			sx := signExtend(x.Bits, it)
 			sy := signExtend(y.Bits, it)
 			if !x.Poison && int64(sy) == -1 && int64(sx) == minSigned(it) {
 				s.ub("signed division overflow")
-				return P()
+				return p()
 			}
 		}
 	}
 	if x.Poison || y.Poison {
-		return P()
+		return p()
 	}
 	a, b := x.Bits&it.Mask(), y.Bits&it.Mask()
 	var r uint64
@@ -366,7 +366,7 @@ func (s *refState) binop(in *ir.Instr, x, y Val) Val {
 		r = a ^ b
 	case ir.OpShl:
 		if b >= uint64(it.Bits) {
-			return P()
+			return p()
 		}
 		r = (a << b) & it.Mask()
 		if in.Flags.NUW && (r>>b) != a {
@@ -377,7 +377,7 @@ func (s *refState) binop(in *ir.Instr, x, y Val) Val {
 		}
 	case ir.OpLShr:
 		if b >= uint64(it.Bits) {
-			return P()
+			return p()
 		}
 		r = a >> b
 		if in.Flags.Exact && a&((1<<b)-1) != 0 {
@@ -385,7 +385,7 @@ func (s *refState) binop(in *ir.Instr, x, y Val) Val {
 		}
 	case ir.OpAShr:
 		if b >= uint64(it.Bits) {
-			return P()
+			return p()
 		}
 		r = uint64(int64(signExtend(a, it))>>b) & it.Mask()
 		if in.Flags.Exact && a&((1<<b)-1) != 0 {
@@ -393,7 +393,7 @@ func (s *refState) binop(in *ir.Instr, x, y Val) Val {
 		}
 	}
 	if poison {
-		return P()
+		return p()
 	}
 	return V(r & it.Mask())
 }

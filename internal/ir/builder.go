@@ -57,7 +57,7 @@ func (b *Builder) insert(in *Instr) *Instr {
 	if in.HasResult() && in.NameStr == "" {
 		in.NameStr = b.nextName()
 	}
-	return b.cur.Append(in)
+	return b.cur.appendInstr(in)
 }
 
 // Bin emits a binary instruction with no flags.
@@ -87,7 +87,7 @@ func (b *Builder) Cast(op Opcode, x Value, to Type) *Instr {
 
 // Alloca emits a stack allocation of elemTy, yielding a ptr.
 func (b *Builder) Alloca(elemTy Type) *Instr {
-	return b.insert(&Instr{Op: OpAlloca, Ty: Ptr, AllocTy: elemTy})
+	return b.insert(&Instr{Op: OpAlloca, Ty: ptrTy, AllocTy: elemTy})
 }
 
 // Load emits a typed load from ptr.
@@ -122,11 +122,6 @@ func (b *Builder) Br(dst *Block) *Instr {
 // CondBr emits a conditional branch on cond.
 func (b *Builder) CondBr(cond Value, ifTrue, ifFalse *Block) *Instr {
 	return b.insert(&Instr{Op: OpCondBr, Ty: Void, Args: []Value{cond}, Succs: []*Block{ifTrue, ifFalse}})
-}
-
-// Phi emits a phi node of the given type with the given incomings.
-func (b *Builder) Phi(ty Type, incs ...Incoming) *Instr {
-	return b.insert(&Instr{Op: OpPhi, Ty: ty, Incs: incs})
 }
 
 // Switch emits a switch terminator with a default destination and

@@ -251,7 +251,7 @@ func TestParseRejectsInvalidUTF8(t *testing.T) {
 			t.Errorf("%s: error %v (%T), want *ParseError", tc.name, err, err)
 			continue
 		}
-		if pe.Line != tc.line || !strings.Contains(pe.Msg, "UTF-8") {
+		if pe.Line != tc.line || !strings.Contains(pe.msg, "UTF-8") {
 			t.Errorf("%s: %v, want an invalid UTF-8 error on line %d", tc.name, pe, tc.line)
 		}
 	}

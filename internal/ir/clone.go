@@ -179,7 +179,7 @@ func hasSideEffects(in *Instr, m *Module) bool {
 		return true
 	case OpCall:
 		if m != nil {
-			if d := m.Decl(in.Callee); d != nil && d.ReadNone {
+			if d := m.decl(in.Callee); d != nil && d.readNone {
 				return false
 			}
 		}

@@ -13,3 +13,18 @@ var (
 // FormatInstr renders one instruction without indentation or newline,
 // for test messages; the product prints whole functions.
 func FormatInstr(in *Instr) string { return string(new(printer).instr(in).buf) }
+
+// phi emits a phi node of the given type with the given incomings.
+func (b *Builder) phi(ty Type, incs ...Incoming) *Instr {
+	return b.insert(&Instr{Op: OpPhi, Ty: ty, Incs: incs})
+}
+
+// block returns the block with the given label, or nil.
+func (f *Function) block(name string) *Block {
+	for _, b := range f.Blocks {
+		if b.NameStr == name {
+			return b
+		}
+	}
+	return nil
+}

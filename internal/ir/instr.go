@@ -8,7 +8,7 @@ type Opcode int
 // Instruction opcodes. Binary integer ops come first, then compares,
 // selects, casts, memory, control flow.
 const (
-	OpInvalid Opcode = iota
+	opInvalid Opcode = iota
 
 	// Binary integer arithmetic.
 	OpAdd
@@ -255,9 +255,6 @@ type Instr struct {
 // Type returns the instruction's result type.
 func (in *Instr) Type() Type { return in.Ty }
 
-// Name returns the SSA result name without the leading %.
-func (in *Instr) Name() string { return in.NameStr }
-
 // HasResult reports whether the instruction defines an SSA value.
 func (in *Instr) HasResult() bool {
 	switch in.Op {
@@ -278,9 +275,6 @@ type Block struct {
 	Parent  *Function
 }
 
-// Name returns the block label without the trailing colon.
-func (b *Block) Name() string { return b.NameStr }
-
 // Term returns the block terminator, or nil if the block is empty or
 // unterminated (only possible mid-construction).
 func (b *Block) Term() *Instr {
@@ -294,8 +288,8 @@ func (b *Block) Term() *Instr {
 	return last
 }
 
-// Append adds an instruction to the end of the block.
-func (b *Block) Append(in *Instr) *Instr {
+// appendInstr adds an instruction to the end of the block.
+func (b *Block) appendInstr(in *Instr) *Instr {
 	in.Parent = b
 	b.Instrs = append(b.Instrs, in)
 	return in
@@ -347,16 +341,6 @@ func (f *Function) Entry() *Block {
 	return f.Blocks[0]
 }
 
-// Block returns the block with the given label, or nil.
-func (f *Function) Block(name string) *Block {
-	for _, b := range f.Blocks {
-		if b.NameStr == name {
-			return b
-		}
-	}
-	return nil
-}
-
 // NumInstrs returns the total instruction count across all blocks.
 func (f *Function) NumInstrs() int {
 	n := 0
@@ -380,13 +364,10 @@ type Declaration struct {
 	NameStr  string
 	RetTy    Type
 	ParamTys []Type
-	// ReadNone marks the callee as having no side effects (pure);
+	// readNone marks the callee as having no side effects (pure);
 	// such calls may be deduplicated or removed when unused.
-	ReadNone bool
+	readNone bool
 }
-
-// Name returns the declared symbol name without the leading @.
-func (d *Declaration) Name() string { return d.NameStr }
 
 // Module is a translation unit: declarations plus function definitions.
 type Module struct {
@@ -404,8 +385,8 @@ func (m *Module) Func(name string) *Function {
 	return nil
 }
 
-// Decl returns the declaration with the given name, or nil.
-func (m *Module) Decl(name string) *Declaration {
+// decl returns the declaration with the given name, or nil.
+func (m *Module) decl(name string) *Declaration {
 	for _, d := range m.Decls {
 		if d.NameStr == name {
 			return d

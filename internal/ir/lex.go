@@ -103,7 +103,7 @@ func (t *tok) typ() (Type, bool) {
 	switch {
 	case w == "ptr":
 		t.i++
-		return Ptr, true
+		return ptrTy, true
 	case w == "void":
 		t.i++
 		return Void, true

@@ -12,11 +12,11 @@ import (
 // used in the paper's evaluation.
 type ParseError struct {
 	Line int
-	Msg  string
+	msg  string
 }
 
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("line %d: %s", e.Line, e.Msg)
+	return fmt.Sprintf("line %d: %s", e.Line, e.msg)
 }
 
 // Parse parses a module (declarations and function definitions) from
@@ -26,7 +26,7 @@ func Parse(src string) (*Module, error) {
 	p := &parser{lines: strings.Split(src, "\n"), tk: tok{words: make([]string, 0, 32)}}
 	for i, line := range p.lines {
 		if !utf8.ValidString(line) {
-			return nil, &ParseError{Line: i + 1, Msg: "invalid UTF-8"}
+			return nil, &ParseError{Line: i + 1, msg: "invalid UTF-8"}
 		}
 	}
 	m := &Module{}
@@ -61,7 +61,7 @@ func ParseFunc(src string) (*Function, error) {
 		return nil, err
 	}
 	if len(m.Funcs) != 1 {
-		return nil, &ParseError{Line: 1, Msg: fmt.Sprintf("expected exactly one function, found %d", len(m.Funcs))}
+		return nil, &ParseError{Line: 1, msg: fmt.Sprintf("expected exactly one function, found %d", len(m.Funcs))}
 	}
 	return m.Funcs[0], nil
 }
@@ -77,7 +77,7 @@ func (p *parser) peekLine() string { return p.lines[p.pos] }
 func (p *parser) next() string     { l := p.lines[p.pos]; p.pos++; return l }
 
 func (p *parser) errf(format string, args ...interface{}) error {
-	return &ParseError{Line: p.pos + 1, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Line: p.pos + 1, msg: fmt.Sprintf(format, args...)}
 }
 
 // pendingRef is a placeholder for a forward-referenced local value.
@@ -118,7 +118,7 @@ func (p *parser) parseDecl() (*Declaration, error) {
 		}
 	}
 	if tk.eatAnyIdent("readnone") {
-		d.ReadNone = true
+		d.readNone = true
 	}
 	return d, nil
 }
@@ -133,14 +133,14 @@ func (p *parser) parseFunc() (*Function, error) {
 	}
 	retTy, ok := tk.typ()
 	if !ok {
-		return nil, &ParseError{Line: headerLine, Msg: "define: bad return type"}
+		return nil, &ParseError{Line: headerLine, msg: "define: bad return type"}
 	}
 	name, ok := tk.global()
 	if !ok {
-		return nil, &ParseError{Line: headerLine, Msg: "define: expected @name"}
+		return nil, &ParseError{Line: headerLine, msg: "define: expected @name"}
 	}
 	if !tk.eat("(") {
-		return nil, &ParseError{Line: headerLine, Msg: "define: expected ("}
+		return nil, &ParseError{Line: headerLine, msg: "define: expected ("}
 	}
 	f := &Function{NameStr: name, RetTy: retTy}
 	// The value table is made once the body has been counted; until
@@ -150,7 +150,7 @@ func (p *parser) parseFunc() (*Function, error) {
 	for !tk.eat(")") {
 		pt, ok := tk.typ()
 		if !ok {
-			return nil, &ParseError{Line: headerLine, Msg: "define: bad parameter type"}
+			return nil, &ParseError{Line: headerLine, msg: "define: bad parameter type"}
 		}
 		pr := &Param{Ty: pt}
 		for {
@@ -165,16 +165,16 @@ func (p *parser) parseFunc() (*Function, error) {
 		}
 		pn, ok := tk.local()
 		if !ok {
-			return nil, &ParseError{Line: headerLine, Msg: "define: expected parameter name"}
+			return nil, &ParseError{Line: headerLine, msg: "define: expected parameter name"}
 		}
 		pr.NameStr = pn
 		if _, dup := paramNames[pn]; dup {
-			return nil, &ParseError{Line: headerLine, Msg: "duplicate parameter %" + pn}
+			return nil, &ParseError{Line: headerLine, msg: "duplicate parameter %" + pn}
 		}
 		paramNames[pn] = struct{}{}
 		f.Params = append(f.Params, pr)
 		if !tk.eat(",") && tk.peek() != ")" {
-			return nil, &ParseError{Line: headerLine, Msg: "define: expected , or )"}
+			return nil, &ParseError{Line: headerLine, msg: "define: expected , or )"}
 		}
 	}
 	// Attribute-group reference and anything else before the brace.
@@ -182,7 +182,7 @@ func (p *parser) parseFunc() (*Function, error) {
 	if strings.HasSuffix(rest, "{") {
 		f.Attrs = strings.TrimSpace(strings.TrimSuffix(rest, "{"))
 	} else {
-		return nil, &ParseError{Line: headerLine, Msg: "define: expected {"}
+		return nil, &ParseError{Line: headerLine, msg: "define: expected {"}
 	}
 
 	// Body: find the blocks, as ranges of p.lines. Instructions are parsed
@@ -220,7 +220,7 @@ func (p *parser) parseFunc() (*Function, error) {
 		total++
 	}
 	if !closed {
-		return nil, &ParseError{Line: p.pos, Msg: "unterminated function body (missing })"}
+		return nil, &ParseError{Line: p.pos, msg: "unterminated function body (missing })"}
 	}
 	cur.end = p.pos - 1
 	raws = append(raws, cur)
@@ -242,7 +242,7 @@ func (p *parser) parseFunc() (*Function, error) {
 	f.Blocks = make([]*Block, len(raws))
 	for i, rb := range raws {
 		if _, dup := blocks[rb.name]; dup {
-			return nil, &ParseError{Line: headerLine, Msg: "duplicate block label " + rb.name}
+			return nil, &ParseError{Line: headerLine, msg: "duplicate block label " + rb.name}
 		}
 		b := &blockSlab[i]
 		*b = Block{NameStr: rb.name, Parent: f, Instrs: carve(&instrPtrs, rb.n)[:0]}
@@ -273,11 +273,11 @@ func (p *parser) parseFunc() (*Function, error) {
 			}
 			if in.HasResult() {
 				if _, dup := names[in.NameStr]; dup {
-					return nil, &ParseError{Line: li + 1, Msg: "redefinition of %" + in.NameStr}
+					return nil, &ParseError{Line: li + 1, msg: "redefinition of %" + in.NameStr}
 				}
 				names[in.NameStr] = in
 			}
-			b.Append(in)
+			b.appendInstr(in)
 		}
 	}
 
@@ -289,10 +289,10 @@ func (p *parser) parseFunc() (*Function, error) {
 		}
 		rv, ok := names[pr.name]
 		if !ok {
-			return nil, &ParseError{Line: lno, Msg: "use of undefined value %" + pr.name}
+			return nil, &ParseError{Line: lno, msg: "use of undefined value %" + pr.name}
 		}
 		if pr.ty != nil && !rv.Type().Equal(pr.ty) {
-			return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("type mismatch for %%%s: declared %s, defined %s", pr.name, pr.ty, rv.Type())}
+			return nil, &ParseError{Line: lno, msg: fmt.Sprintf("type mismatch for %%%s: declared %s, defined %s", pr.name, pr.ty, rv.Type())}
 		}
 		return rv, nil
 	}
@@ -408,14 +408,14 @@ func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
 	if n, ok := tk.local(); ok {
 		if v, ok := ip.names[n]; ok {
 			if ty != nil && !v.Type().Equal(ty) {
-				return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("operand %%%s has type %s, expected %s", n, v.Type(), ty)}
+				return nil, &ParseError{Line: lno, msg: fmt.Sprintf("operand %%%s has type %s, expected %s", n, v.Type(), ty)}
 			}
 			return v, nil
 		}
 		return &pendingRef{name: n, ty: ty}, nil
 	}
 	if g, ok := tk.global(); ok {
-		return &GlobalRef{NameStr: g, Ty: Ptr}, nil
+		return &GlobalRef{NameStr: g, ty: ptrTy}, nil
 	}
 	w := tk.peek()
 	switch w {
@@ -423,7 +423,7 @@ func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
 		tk.eat(w)
 		it, ok := ty.(IntType)
 		if !ok || it.Bits != 1 {
-			return nil, &ParseError{Line: lno, Msg: w + " constant requires type i1"}
+			return nil, &ParseError{Line: lno, msg: w + " constant requires type i1"}
 		}
 		v := uint64(0)
 		if w == "true" {
@@ -441,7 +441,7 @@ func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
 		tk.eat(w)
 		it, ok := ty.(IntType)
 		if !ok {
-			return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("integer constant %s requires an integer type, got %v", w, ty)}
+			return nil, &ParseError{Line: lno, msg: fmt.Sprintf("integer constant %s requires an integer type, got %v", w, ty)}
 		}
 		return ip.konst(it, uint64(iv)), nil
 	}
@@ -450,18 +450,18 @@ func (ip *instrParser) value(tk *tok, ty Type, lno int) (Value, error) {
 		tk.eat(w)
 		it, ok := ty.(IntType)
 		if !ok {
-			return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("integer constant %s requires an integer type", w)}
+			return nil, &ParseError{Line: lno, msg: fmt.Sprintf("integer constant %s requires an integer type", w)}
 		}
 		return ip.konst(it, uv), nil
 	}
-	return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("expected value, got %q", w)}
+	return nil, &ParseError{Line: lno, msg: fmt.Sprintf("expected value, got %q", w)}
 }
 
 // typedValue parses "<ty> <val>".
 func (ip *instrParser) typedValue(tk *tok, lno int) (Value, error) {
 	ty, ok := tk.typ()
 	if !ok {
-		return nil, &ParseError{Line: lno, Msg: fmt.Sprintf("expected type, got %q", tk.peek())}
+		return nil, &ParseError{Line: lno, msg: fmt.Sprintf("expected type, got %q", tk.peek())}
 	}
 	for tk.eatAnyIdent("noundef") {
 	}
@@ -470,15 +470,15 @@ func (ip *instrParser) typedValue(tk *tok, lno int) (Value, error) {
 
 func (ip *instrParser) label(tk *tok, lno int) (*Block, error) {
 	if !tk.eatAnyIdent("label") {
-		return nil, &ParseError{Line: lno, Msg: "expected 'label'"}
+		return nil, &ParseError{Line: lno, msg: "expected 'label'"}
 	}
 	n, ok := tk.local()
 	if !ok {
-		return nil, &ParseError{Line: lno, Msg: "expected %label name"}
+		return nil, &ParseError{Line: lno, msg: "expected %label name"}
 	}
 	b, ok := ip.blocks[n]
 	if !ok {
-		return nil, &ParseError{Line: lno, Msg: "branch to undefined label %" + n}
+		return nil, &ParseError{Line: lno, msg: "branch to undefined label %" + n}
 	}
 	return b, nil
 }
@@ -489,12 +489,12 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 	if n, ok := tk.local(); ok {
 		name = n
 		if !tk.eat("=") {
-			return nil, &ParseError{Line: lno, Msg: "expected = after result name"}
+			return nil, &ParseError{Line: lno, msg: "expected = after result name"}
 		}
 	}
 	op := tk.ident()
 	fail := func(format string, args ...interface{}) (*Instr, error) {
-		return nil, &ParseError{Line: lno, Msg: fmt.Sprintf(format, args...)}
+		return nil, &ParseError{Line: lno, msg: fmt.Sprintf(format, args...)}
 	}
 	// define finishes an instruction that yields a value.
 	define := func(in *Instr) (*Instr, error) {
@@ -632,7 +632,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 			}
 			tk.ident()
 		}
-		return define(ip.instr(Instr{Op: OpAlloca, Ty: Ptr, AllocTy: ty}))
+		return define(ip.instr(Instr{Op: OpAlloca, Ty: ptrTy, AllocTy: ty}))
 	case "load":
 		ty, ok := tk.typ()
 		if !ok {
@@ -645,7 +645,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !ptr.Type().Equal(Ptr) {
+		if !ptr.Type().Equal(ptrTy) {
 			return fail("load: pointer operand has type %s", ptr.Type())
 		}
 		if tk.eat(",") {
@@ -667,7 +667,7 @@ func (ip *instrParser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !ptr.Type().Equal(Ptr) {
+		if !ptr.Type().Equal(ptrTy) {
 			return fail("store: pointer operand has type %s", ptr.Type())
 		}
 		if tk.eat(",") {

@@ -243,7 +243,7 @@ func Print(m *Module) string {
 			p.typ(t)
 		}
 		p.s(")")
-		if d.ReadNone {
+		if d.readNone {
 			p.s(" readnone")
 		}
 		p.s("\n")

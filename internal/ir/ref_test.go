@@ -240,7 +240,7 @@ func refCloneFunc(f *Function) *Function {
 				Pred: in.Pred, Flags: in.Flags, AllocTy: in.AllocTy, Callee: in.Callee,
 				Cases: append([]*Const(nil), in.Cases...),
 			}
-			nb.Append(ni)
+			nb.appendInstr(ni)
 			if in.HasResult() {
 				vmap[in] = ni
 			}
@@ -405,7 +405,7 @@ func refDominates(idom map[*Block]*Block, a, b *Block) bool {
 
 func refVerifyFunc(f *Function) error {
 	fail := func(format string, args ...interface{}) error {
-		return &VerifyError{f.NameStr, fmt.Sprintf(format, args...)}
+		return &verifyError{f.NameStr, fmt.Sprintf(format, args...)}
 	}
 	if len(f.Blocks) == 0 {
 		return fail("no blocks")

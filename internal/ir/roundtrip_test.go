@@ -449,7 +449,7 @@ c:
 		t.Fatal(err)
 	}
 	cfg := NewCFG(f)
-	entry, a, b, c := cfg.Index(f.Block("entry")), cfg.Index(f.Block("a")), cfg.Index(f.Block("b")), cfg.Index(f.Block("c"))
+	entry, a, b, c := cfg.Index(f.block("entry")), cfg.Index(f.block("a")), cfg.Index(f.block("b")), cfg.Index(f.block("c"))
 	if got := int(cfg.idom[c]); got != entry {
 		t.Errorf("idom(c) = %v, want entry", f.Blocks[got].NameStr)
 	}

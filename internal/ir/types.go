@@ -65,13 +65,13 @@ func (PtrType) Equal(o Type) bool {
 
 // Convenience singletons for the common types.
 var (
-	I1   = IntType{1}
-	I8   = IntType{8}
-	I16  = IntType{16}
-	I32  = IntType{32}
-	I64  = IntType{64}
-	Void = VoidType{}
-	Ptr  = PtrType{}
+	I1    = IntType{1}
+	I8    = IntType{8}
+	I16   = IntType{16}
+	I32   = IntType{32}
+	I64   = IntType{64}
+	Void  = VoidType{}
+	ptrTy = PtrType{}
 )
 
 // IsInt reports whether t is an integer type, returning it if so.

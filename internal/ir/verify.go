@@ -5,14 +5,14 @@ import (
 	"slices"
 )
 
-// VerifyError is a structural well-formedness violation.
-type VerifyError struct {
-	Fn  string
-	Msg string
+// verifyError is a structural well-formedness violation.
+type verifyError struct {
+	fn  string
+	msg string
 }
 
-func (e *VerifyError) Error() string {
-	return fmt.Sprintf("function @%s: %s", e.Fn, e.Msg)
+func (e *verifyError) Error() string {
+	return fmt.Sprintf("function @%s: %s", e.fn, e.msg)
 }
 
 // VerifyModule checks structural well-formedness of every function in
@@ -30,17 +30,17 @@ func VerifyModule(m *Module) error {
 			}
 			if g := m.Func(in.Callee); g != nil {
 				if !g.RetTy.Equal(in.Ty) || len(g.Params) != len(in.Args) {
-					cerr = &VerifyError{f.NameStr, "call to @" + in.Callee + " signature mismatch"}
+					cerr = &verifyError{f.NameStr, "call to @" + in.Callee + " signature mismatch"}
 				}
 				return
 			}
-			if d := m.Decl(in.Callee); d != nil {
+			if d := m.decl(in.Callee); d != nil {
 				if !d.RetTy.Equal(in.Ty) || len(d.ParamTys) != len(in.Args) {
-					cerr = &VerifyError{f.NameStr, "call to @" + in.Callee + " signature mismatch"}
+					cerr = &verifyError{f.NameStr, "call to @" + in.Callee + " signature mismatch"}
 				}
 				return
 			}
-			cerr = &VerifyError{f.NameStr, "call to undefined symbol @" + in.Callee}
+			cerr = &verifyError{f.NameStr, "call to undefined symbol @" + in.Callee}
 		})
 		if cerr != nil {
 			return cerr
@@ -58,7 +58,7 @@ func VerifyModule(m *Module) error {
 // a further look at its shape. f is only read.
 func VerifyFunc(f *Function) error {
 	fail := func(format string, args ...interface{}) error {
-		return &VerifyError{f.NameStr, fmt.Sprintf(format, args...)}
+		return &verifyError{f.NameStr, fmt.Sprintf(format, args...)}
 	}
 	if len(f.Blocks) == 0 {
 		return fail("no blocks")
@@ -254,11 +254,11 @@ func verifyTypes(f *Function, fail func(string, ...interface{}) error) error {
 				err = fail("%s %%%s: i%d to i%d not widening", in.Op, in.NameStr, from.Bits, to.Bits)
 			}
 		case in.Op == OpLoad:
-			if !in.Args[0].Type().Equal(Ptr) {
+			if !in.Args[0].Type().Equal(ptrTy) {
 				err = fail("load %%%s: non-pointer address", in.NameStr)
 			}
 		case in.Op == OpStore:
-			if !in.Args[1].Type().Equal(Ptr) {
+			if !in.Args[1].Type().Equal(ptrTy) {
 				err = fail("store in %s: non-pointer address", b.NameStr)
 			}
 		case in.Op == OpRet:

@@ -198,8 +198,8 @@ func newCkptRunner(cfg StageConfig, train []*dataset.Sample) (*ckptRunner, error
 func (r *ckptRunner) apply(res *Result, train []*dataset.Sample) error {
 	st := r.state
 	res.ModelZero, res.WarmUp, res.Correctness, res.Latency = st.ModelZero, st.WarmUp, st.Correctness, st.Latency
-	res.ZeroHistory, res.CorrectnessHistory, res.LatencyHistory = st.ZeroHistory, st.CorrectnessHistory, st.LatencyHistory
-	res.UMax, res.SFTStats = st.UMax, st.SFTStats
+	res.zeroHistory, res.CorrectnessHistory, res.LatencyHistory = st.ZeroHistory, st.CorrectnessHistory, st.LatencyHistory
+	res.UMax, res.sftStats = st.UMax, st.SFTStats
 	var err error
 	res.Failures, err = resumeFailures(st.Failures, train)
 	return err
@@ -215,8 +215,8 @@ func (r *ckptRunner) boundary(next int, res *Result) error {
 		return nil
 	}
 	st.ModelZero, st.WarmUp, st.Correctness, st.Latency = res.ModelZero, res.WarmUp, res.Correctness, res.Latency
-	st.ZeroHistory, st.CorrectnessHistory, st.LatencyHistory = res.ZeroHistory, res.CorrectnessHistory, res.LatencyHistory
-	st.UMax, st.SFTStats = res.UMax, res.SFTStats
+	st.ZeroHistory, st.CorrectnessHistory, st.LatencyHistory = res.zeroHistory, res.CorrectnessHistory, res.LatencyHistory
+	st.UMax, st.SFTStats = res.UMax, res.sftStats
 	st.Failures = suspendFailures(res.Failures)
 	if err := ckpt.Save(r.path, ckptKind, st); err != nil {
 		return fmt.Errorf("pipeline: write checkpoint: %w", err)

@@ -75,7 +75,7 @@ func requireSameRun(t *testing.T, want, got *Result) {
 		t.Fatal("resumed Model-Latency bytes differ from the uninterrupted run")
 	}
 	for name, pair := range map[string][2][]float64{
-		"zero":        {want.ZeroHistory, got.ZeroHistory},
+		"zero":        {want.zeroHistory, got.zeroHistory},
 		"correctness": {want.CorrectnessHistory, got.CorrectnessHistory},
 		"latency":     {want.LatencyHistory, got.LatencyHistory},
 	} {

@@ -130,7 +130,7 @@ func TestEvaluateCanceledVerdictsCountSkipped(t *testing.T) {
 		if r == nil {
 			t.Fatalf("complete run left slot %d nil", i)
 		}
-		if r.Canceled {
+		if r.canceled {
 			nCanceled++
 		}
 	}
@@ -181,7 +181,7 @@ func TestEvaluatePartialFractionsExcludeCanceled(t *testing.T) {
 	}
 	evaluated := 0
 	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
+		if r == nil || r.canceled {
 			continue
 		}
 		evaluated++

@@ -22,13 +22,13 @@ type SampleResult struct {
 	Sample  *dataset.Sample
 	Verdict alive.Verdict
 	Diag    string
-	// Canceled marks a sample whose verification was cut short by the
+	// canceled marks a sample whose verification was cut short by the
 	// run's context ending (the judge returned a Canceled verdict).
 	// The slot is kept — Sample, Base, and the fallback Out are valid
 	// — but the sample was not genuinely evaluated: it is counted in
 	// Report.Skipped, not Inconclusive, and excluded from Total() and
 	// every aggregate metric.
-	Canceled bool
+	canceled bool
 	Copied   bool
 	// FinalFn is the model's output when verified; nil otherwise.
 	FinalFn *ir.Function
@@ -74,7 +74,7 @@ func (r *Report) Total() int { return len(r.Results) - r.Skipped }
 func (r *Report) evaluated() []*SampleResult {
 	out := make([]*SampleResult, 0, len(r.Results))
 	for _, res := range r.Results {
-		if res != nil && !res.Canceled {
+		if res != nil && !res.canceled {
 			out = append(out, res)
 		}
 	}
@@ -140,7 +140,7 @@ func EvaluateCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample
 			Sample:   s,
 			Verdict:  j.FinalVerdict.Verdict,
 			Diag:     j.FinalVerdict.Diag,
-			Canceled: j.FinalVerdict.Reason() == alive.Canceled,
+			canceled: j.FinalVerdict.Reason() == alive.Canceled,
 			Copied:   ep.Copied,
 			Base:     costmodel.Measure(s.O0),
 			Ref:      costmodel.Measure(s.Ref),

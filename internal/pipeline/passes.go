@@ -47,61 +47,61 @@ func DefaultPassesConfig() PassesConfig {
 // Method names of the evaluation rows, in report order.
 const (
 	MethodFixed  = "fixed-instcombine"
-	MethodGreedy = "greedy"
+	methodGreedy = "greedy"
 	MethodBeam   = "beam"
-	MethodPolicy = "policy"
+	methodPolicy = "policy"
 )
 
-// PassesOutput is one method's accepted output on one sample.
-type PassesOutput struct {
-	Method string
-	// Sequence is the applied pass list (empty = output is the input).
-	Sequence []string
-	// Fn is the accepted output function. Acceptance is verifier-gated:
+// passesOutput is one method's accepted output on one sample.
+type passesOutput struct {
+	method string
+	// sequence is the applied pass list (empty = output is the input).
+	sequence []string
+	// fn is the accepted output function. Acceptance is verifier-gated:
 	// Fn differs from the sample's O0 only when the oracle proved
 	// equivalence. On a rejected output Fn is the O0 function itself
 	// and Fallback is set.
-	Fn *ir.Function
-	// Verified reports the oracle proved Fn equivalent to the input
+	fn *ir.Function
+	// verified reports the oracle proved Fn equivalent to the input
 	// (identity outputs are trivially verified).
-	Verified bool
-	// Fallback reports the method's raw output was rejected and the
+	verified bool
+	// fallback reports the method's raw output was rejected and the
 	// O0 metrics were substituted.
-	Fallback bool
-	Metrics  costmodel.Metrics
+	fallback bool
+	metrics  costmodel.Metrics
 }
 
-// PassesDetail is the per-sample evaluation record.
-type PassesDetail struct {
-	Sample  *dataset.Sample
-	Base    costmodel.Metrics
-	Outputs []PassesOutput // one per method, in report order
+// passesDetail is the per-sample evaluation record.
+type passesDetail struct {
+	sample  *dataset.Sample
+	base    costmodel.Metrics
+	outputs []passesOutput // one per method, in report order
 }
 
 // PassesRow aggregates one method over the evaluation split.
 type PassesRow struct {
 	Method string
 	// Geomean out/base ratios per metric (< 1 is better than -O0).
-	GeoLatency, GeoICount, GeoSize float64
-	// Verified counts oracle-proven outputs, Improved strict latency
+	GeoLatency, geoICount, geoSize float64
+	// verified counts oracle-proven outputs, Improved strict latency
 	// wins, Fallbacks rejected outputs.
-	Verified, Improved, Fallbacks int
-	// Degenerate counts samples excluded from the geomeans because a
+	verified, Improved, fallbacks int
+	// degenerate counts samples excluded from the geomeans because a
 	// metric was zero on either side of the ratio (empty-body or
 	// size-0 edge cases): log(0) and log(x/0) would otherwise fold
 	// ±Inf into the row and NaN every geomean.
-	Degenerate int
-	MeanSeqLen float64
+	degenerate int
+	meanSeqLen float64
 }
 
 // PassesReport is the four-way comparison table.
 type PassesReport struct {
 	Rows    []PassesRow
-	Details []*PassesDetail
+	details []*passesDetail
 }
 
 // Samples is the evaluation-split size.
-func (r *PassesReport) Samples() int { return len(r.Details) }
+func (r *PassesReport) Samples() int { return len(r.details) }
 
 // Row returns the aggregate for a method name, or nil.
 func (r *PassesReport) Row(method string) *PassesRow {
@@ -121,8 +121,8 @@ func (r *PassesReport) String() string {
 		"Method", "Latency", "ICount", "Size", "Verified", "Improved", "Fall", "Degen", "SeqLen")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&sb, "%-18s %9.4f %9.4f %9.4f %9d %9d %6d %5d %7.2f\n",
-			row.Method, row.GeoLatency, row.GeoICount, row.GeoSize,
-			row.Verified, row.Improved, row.Fallbacks, row.Degenerate, row.MeanSeqLen)
+			row.Method, row.GeoLatency, row.geoICount, row.geoSize,
+			row.verified, row.Improved, row.fallbacks, row.degenerate, row.meanSeqLen)
 	}
 	return sb.String()
 }
@@ -131,7 +131,7 @@ func (r *PassesReport) String() string {
 // trace, and the evaluation report.
 type PassesResult struct {
 	Model   *seqopt.Model
-	History []float64
+	history []float64
 	Report  *PassesReport
 }
 
@@ -151,7 +151,7 @@ func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesC
 	tr := grpo.NewSeqTrainer(res.Model, train, seq, cfg.Seed+404)
 	tr.Oracle = o
 	_, err := tr.TrainCtx(ctx, cfg.TrainSteps)
-	res.History = tr.RewardHistory
+	res.history = tr.RewardHistory
 	if err != nil {
 		sp.end(len(tr.RewardHistory), tr.RewardHistory, "canceled")
 		return res, err
@@ -178,33 +178,33 @@ func evaluatePasses(ctx context.Context, m *seqopt.Model, samples []*dataset.Sam
 	o := oracle.OrDefault(cfg.Oracle)
 	scfg := seqopt.SearchConfig{Width: cfg.BeamWidth, Depth: cfg.BeamDepth, Oracle: o}
 
-	details := make([]*PassesDetail, len(samples))
+	details := make([]*passesDetail, len(samples))
 	err := par.For(ctx, cfg.Workers, len(samples), func(i int) {
 		s := samples[i]
-		d := &PassesDetail{Sample: s, Base: costmodel.Measure(s.O0)}
+		d := &passesDetail{sample: s, base: costmodel.Measure(s.O0)}
 
 		// Every non-identity output goes through the deployment rule:
 		// oracle.Accept hands back O0 itself on anything short of a proof.
-		accept := func(method string, seq []string, fn *ir.Function) PassesOutput {
+		accept := func(method string, seq []string, fn *ir.Function) passesOutput {
 			if fn == s.O0 || len(seq) == 0 {
-				return PassesOutput{Method: method, Fn: s.O0, Verified: true, Metrics: d.Base}
+				return passesOutput{method: method, fn: s.O0, verified: true, metrics: d.base}
 			}
 			if out, _ := oracle.Accept(ctx, o, nil, s.O0, fn, alive.DefaultOptions()); out == s.O0 {
-				return PassesOutput{Method: method, Fn: s.O0, Fallback: true, Metrics: d.Base}
+				return passesOutput{method: method, fn: s.O0, fallback: true, metrics: d.base}
 			}
-			return PassesOutput{Method: method, Sequence: seq, Fn: fn, Verified: true, Metrics: costmodel.Measure(fn)}
+			return passesOutput{method: method, sequence: seq, fn: fn, verified: true, metrics: costmodel.Measure(fn)}
 		}
 
-		d.Outputs = append(d.Outputs, accept(MethodFixed, []string{"instcombine"}, instcombine.Run(s.O0)))
+		d.outputs = append(d.outputs, accept(MethodFixed, []string{"instcombine"}, instcombine.Run(s.O0)))
 		if gr, err := seqopt.Greedy(ctx, s.O0, scfg); err == nil {
-			d.Outputs = append(d.Outputs, accept(MethodGreedy, gr.Sequence, gr.Fn))
+			d.outputs = append(d.outputs, accept(methodGreedy, gr.Sequence, gr.Fn))
 		}
 		if br, err := seqopt.Beam(ctx, s.O0, scfg); err == nil {
-			d.Outputs = append(d.Outputs, accept(MethodBeam, br.Sequence, br.Fn))
+			d.outputs = append(d.outputs, accept(MethodBeam, br.Sequence, br.Fn))
 		}
 		if m != nil {
 			ep := m.Generate(s.O0, seqopt.GenOptions{}) // greedy decode
-			d.Outputs = append(d.Outputs, accept(MethodPolicy, ep.Sequence, ep.FinalFn))
+			d.outputs = append(d.outputs, accept(methodPolicy, ep.Sequence, ep.FinalFn))
 		}
 		details[i] = d
 	})
@@ -212,10 +212,10 @@ func evaluatePasses(ctx context.Context, m *seqopt.Model, samples []*dataset.Sam
 		return nil, err
 	}
 
-	rep := &PassesReport{Details: details}
-	methods := []string{MethodFixed, MethodGreedy, MethodBeam}
+	rep := &PassesReport{details: details}
+	methods := []string{MethodFixed, methodGreedy, MethodBeam}
 	if m != nil {
-		methods = append(methods, MethodPolicy)
+		methods = append(methods, methodPolicy)
 	}
 	for _, method := range methods {
 		rep.Rows = append(rep.Rows, aggregatePasses(method, details))
@@ -229,47 +229,47 @@ func evaluatePasses(ctx context.Context, m *seqopt.Model, samples []*dataset.Sam
 // the whole geomean into NaN — so it is skipped from the geomean
 // accumulation and counted in Degenerate instead. Counters
 // (Verified/Improved/Fallbacks/MeanSeqLen) still cover every sample.
-func aggregatePasses(method string, details []*PassesDetail) PassesRow {
-	row := PassesRow{Method: method, GeoLatency: 1, GeoICount: 1, GeoSize: 1}
+func aggregatePasses(method string, details []*passesDetail) PassesRow {
+	row := PassesRow{Method: method, GeoLatency: 1, geoICount: 1, geoSize: 1}
 	logL, logI, logS := 0.0, 0.0, 0.0
 	n, nGeo := 0, 0
 	for _, d := range details {
-		var out *PassesOutput
-		for j := range d.Outputs {
-			if d.Outputs[j].Method == method {
-				out = &d.Outputs[j]
+		var out *passesOutput
+		for j := range d.outputs {
+			if d.outputs[j].method == method {
+				out = &d.outputs[j]
 			}
 		}
 		if out == nil {
 			continue
 		}
 		n++
-		if degenerateMetrics(out.Metrics) || degenerateMetrics(d.Base) {
-			row.Degenerate++
+		if degenerateMetrics(out.metrics) || degenerateMetrics(d.base) {
+			row.degenerate++
 		} else {
 			nGeo++
-			logL += math.Log(float64(out.Metrics.Latency) / float64(d.Base.Latency))
-			logI += math.Log(float64(out.Metrics.ICount) / float64(d.Base.ICount))
-			logS += math.Log(float64(out.Metrics.Size) / float64(d.Base.Size))
+			logL += math.Log(float64(out.metrics.Latency) / float64(d.base.Latency))
+			logI += math.Log(float64(out.metrics.ICount) / float64(d.base.ICount))
+			logS += math.Log(float64(out.metrics.Size) / float64(d.base.Size))
 		}
-		if out.Verified {
-			row.Verified++
+		if out.verified {
+			row.verified++
 		}
-		if out.Fallback {
-			row.Fallbacks++
+		if out.fallback {
+			row.fallbacks++
 		}
-		if out.Metrics.Latency < d.Base.Latency {
+		if out.metrics.Latency < d.base.Latency {
 			row.Improved++
 		}
-		row.MeanSeqLen += float64(len(out.Sequence))
+		row.meanSeqLen += float64(len(out.sequence))
 	}
 	if nGeo > 0 {
 		row.GeoLatency = math.Exp(logL / float64(nGeo))
-		row.GeoICount = math.Exp(logI / float64(nGeo))
-		row.GeoSize = math.Exp(logS / float64(nGeo))
+		row.geoICount = math.Exp(logI / float64(nGeo))
+		row.geoSize = math.Exp(logS / float64(nGeo))
 	}
 	if n > 0 {
-		row.MeanSeqLen /= float64(n)
+		row.meanSeqLen /= float64(n)
 	}
 	return row
 }

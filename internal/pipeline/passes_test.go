@@ -50,21 +50,21 @@ func TestPassesSmoke(t *testing.T) {
 	}
 
 	// (1) + (2): every accepted output re-verifies, no fallbacks.
-	for _, d := range rep.Details {
-		for _, out := range d.Outputs {
-			if out.Fallback {
-				t.Errorf("%s/%s: fallback used (unverified output emitted)", d.Sample.Name, out.Method)
+	for _, d := range rep.details {
+		for _, out := range d.outputs {
+			if out.fallback {
+				t.Errorf("%s/%s: fallback used (unverified output emitted)", d.sample.Name, out.method)
 			}
-			if !out.Verified {
-				t.Errorf("%s/%s: output not verified", d.Sample.Name, out.Method)
+			if !out.verified {
+				t.Errorf("%s/%s: output not verified", d.sample.Name, out.method)
 			}
-			if len(out.Sequence) == 0 {
+			if len(out.sequence) == 0 {
 				continue
 			}
-			vr := alive.VerifyFuncs(d.Sample.O0, out.Fn, alive.DefaultOptions())
+			vr := alive.VerifyFuncs(d.sample.O0, out.fn, alive.DefaultOptions())
 			if vr.Verdict != alive.Equivalent {
 				t.Errorf("%s/%s: emitted output fails independent re-verification: %s",
-					d.Sample.Name, out.Method, vr.Diag)
+					d.sample.Name, out.method, vr.Diag)
 			}
 		}
 	}
@@ -79,17 +79,17 @@ func TestPassesSmoke(t *testing.T) {
 			beam.GeoLatency, fixed.GeoLatency)
 	}
 	// Greedy sits between doing nothing and beam.
-	greedy := rep.Row(MethodGreedy)
+	greedy := rep.Row(methodGreedy)
 	if greedy.GeoLatency > 1 || beam.GeoLatency > greedy.GeoLatency {
 		t.Errorf("ordering violated: greedy %.4f, beam %.4f", greedy.GeoLatency, beam.GeoLatency)
 	}
 	// The trained policy must act: non-trivial sequences and some wins.
-	policy := rep.Row(MethodPolicy)
+	policy := rep.Row(methodPolicy)
 	if policy.Improved == 0 {
 		t.Error("trained policy improved nothing")
 	}
-	if len(res.History) != cfg.TrainSteps {
-		t.Errorf("history has %d entries, want %d", len(res.History), cfg.TrainSteps)
+	if len(res.history) != cfg.TrainSteps {
+		t.Errorf("history has %d entries, want %d", len(res.history), cfg.TrainSteps)
 	}
 }
 
@@ -171,43 +171,43 @@ func TestPassesBench(t *testing.T) {
 // division by zero's NaN) into the whole method row.
 func TestAggregatePassesDegenerate(t *testing.T) {
 	m := func(l, i, s int) costmodel.Metrics { return costmodel.Metrics{Latency: l, ICount: i, Size: s} }
-	out := func(metrics costmodel.Metrics) []PassesOutput {
-		return []PassesOutput{{Method: MethodFixed, Sequence: []string{"instcombine"}, Metrics: metrics}}
+	out := func(metrics costmodel.Metrics) []passesOutput {
+		return []passesOutput{{method: MethodFixed, sequence: []string{"instcombine"}, metrics: metrics}}
 	}
 	cases := []struct {
 		name    string
-		details []*PassesDetail
+		details []*passesDetail
 		wantGeo float64 // GeoLatency
 		wantDeg int
 	}{
 		{
 			name: "clean",
-			details: []*PassesDetail{
-				{Base: m(8, 8, 32), Outputs: out(m(4, 4, 16))},
-				{Base: m(2, 2, 8), Outputs: out(m(4, 4, 16))},
+			details: []*passesDetail{
+				{base: m(8, 8, 32), outputs: out(m(4, 4, 16))},
+				{base: m(2, 2, 8), outputs: out(m(4, 4, 16))},
 			},
 			wantGeo: 1, wantDeg: 0, // ratios 0.5 and 2 cancel
 		},
 		{
 			name: "zero output metric skipped",
-			details: []*PassesDetail{
-				{Base: m(8, 8, 32), Outputs: out(m(4, 4, 16))},
-				{Base: m(8, 8, 32), Outputs: out(m(0, 1, 4))},
+			details: []*passesDetail{
+				{base: m(8, 8, 32), outputs: out(m(4, 4, 16))},
+				{base: m(8, 8, 32), outputs: out(m(0, 1, 4))},
 			},
 			wantGeo: 0.5, wantDeg: 1,
 		},
 		{
 			name: "zero base metric skipped",
-			details: []*PassesDetail{
-				{Base: m(8, 8, 32), Outputs: out(m(4, 4, 16))},
-				{Base: m(4, 4, 0), Outputs: out(m(4, 4, 16))},
+			details: []*passesDetail{
+				{base: m(8, 8, 32), outputs: out(m(4, 4, 16))},
+				{base: m(4, 4, 0), outputs: out(m(4, 4, 16))},
 			},
 			wantGeo: 0.5, wantDeg: 1,
 		},
 		{
 			name: "all degenerate leaves identity geomean",
-			details: []*PassesDetail{
-				{Base: m(0, 0, 0), Outputs: out(m(0, 0, 0))},
+			details: []*passesDetail{
+				{base: m(0, 0, 0), outputs: out(m(0, 0, 0))},
 			},
 			wantGeo: 1, wantDeg: 1,
 		},
@@ -215,13 +215,13 @@ func TestAggregatePassesDegenerate(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			row := aggregatePasses(MethodFixed, tc.details)
-			if row.Degenerate != tc.wantDeg {
-				t.Errorf("Degenerate = %d, want %d", row.Degenerate, tc.wantDeg)
+			if row.degenerate != tc.wantDeg {
+				t.Errorf("Degenerate = %d, want %d", row.degenerate, tc.wantDeg)
 			}
 			if diff := row.GeoLatency - tc.wantGeo; diff > 1e-9 || diff < -1e-9 {
 				t.Errorf("GeoLatency = %v, want %v", row.GeoLatency, tc.wantGeo)
 			}
-			for _, g := range []float64{row.GeoLatency, row.GeoICount, row.GeoSize} {
+			for _, g := range []float64{row.GeoLatency, row.geoICount, row.geoSize} {
 				if math.IsNaN(g) || math.IsInf(g, 0) {
 					t.Errorf("geomean not finite: %v", g)
 				}

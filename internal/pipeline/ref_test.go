@@ -18,7 +18,7 @@ func refOutcomesVsO0(rep *Report, m Metric) Outcomes {
 	var o Outcomes
 	sum, n := 0.0, 0
 	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
+		if r == nil || r.canceled {
 			continue
 		}
 		base := metricOf(r.Base, m)
@@ -46,7 +46,7 @@ func refGeomeanRatio(rep *Report, m Metric) float64 {
 	logSum := 0.0
 	n := 0
 	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
+		if r == nil || r.canceled {
 			continue
 		}
 		base := metricOf(r.Base, m)
@@ -67,7 +67,7 @@ func refRefGeomeanSpeedup(rep *Report) float64 {
 	logSum := 0.0
 	n := 0
 	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
+		if r == nil || r.canceled {
 			continue
 		}
 		b, ref := r.Base.Latency, r.Ref.Latency
@@ -87,7 +87,7 @@ func refVsInstCombine(rep *Report, m Metric) Outcomes {
 	var o Outcomes
 	sum, n := 0.0, 0
 	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
+		if r == nil || r.canceled {
 			continue
 		}
 		ref := metricOf(r.Ref, m)
@@ -115,7 +115,7 @@ func refHybridGeomeanGain(rep *Report, m Metric) float64 {
 	logSum := 0.0
 	n := 0
 	for _, r := range rep.Results {
-		if r == nil || r.Canceled {
+		if r == nil || r.canceled {
 			continue
 		}
 		ref := metricOf(r.Ref, m)
@@ -146,7 +146,7 @@ func partialOf(rep *Report) *Report {
 		case 0:
 		case 1:
 			c := *r
-			c.Canceled = true
+			c.canceled = true
 			p.Results[i] = &c
 		default:
 			p.Results[i] = r

@@ -78,13 +78,13 @@ type Result struct {
 
 	// Reward histories per stage (Fig. 4 raw series). Present for the
 	// interrupted stage too, truncated at the canceled step.
-	ZeroHistory        []float64
+	zeroHistory        []float64
 	CorrectnessHistory []float64
 	LatencyHistory     []float64
 
 	Failures []*grpo.FailureSample
 	UMax     float64
-	SFTStats sft.Stats
+	sftStats sft.Stats
 }
 
 // stageSpan instruments one curriculum stage for the trace: it
@@ -213,7 +213,7 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 		t1.Oracle = o
 		t1.CollectFailures = true
 		_, err := t1.TrainCtx(ctx, cfg.Stage1Steps)
-		res.ZeroHistory = t1.RewardHistory
+		res.zeroHistory = t1.RewardHistory
 		res.Failures = t1.Failures
 		if err != nil {
 			sp.end(len(t1.RewardHistory), t1.RewardHistory, "canceled")
@@ -232,12 +232,12 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 	if ck.state.Stage <= stageWarmUp {
 		sp := beginStage(cfg.Obs, o, "warm-up")
 		warm := res.Base.Clone()
-		res.SFTStats, err = sft.WarmUpCtx(ctx, warm, train, res.Failures, cfg.SFT)
+		res.sftStats, err = sft.WarmUpCtx(ctx, warm, train, res.Failures, cfg.SFT)
 		if err != nil {
-			sp.end(res.SFTStats.CloneSteps, nil, "canceled")
+			sp.end(res.sftStats.CloneSteps, nil, "canceled")
 			return res, err
 		}
-		sp.end(res.SFTStats.CloneSteps, nil, "")
+		sp.end(res.sftStats.CloneSteps, nil, "")
 		res.WarmUp = warm
 		if err := ck.boundary(stageCorrectness, res); err != nil {
 			return res, err

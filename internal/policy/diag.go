@@ -46,9 +46,9 @@ var subclassMessages = [...]string{
 // the bookkeeping needed for policy gradients.
 type DiagRecord struct {
 	PredictedClass DiagClass
-	Subclass       int
+	subclass       int
 	Message        string
-	BlamedRules    []string
+	blamedRules    []string
 
 	// Features and the candidate probabilities at sampling time, for
 	// gradient computation.
@@ -140,7 +140,7 @@ func (m *Model) diagnose(h []float64, acts []ActionRecord, opts GenOptions) *Dia
 		if a < len(m.Rules) {
 			k := m.Rules[a].Kind
 			if k == rewrite.KindUnsound || k == rewrite.KindCorrupt {
-				rec.BlamedRules = append(rec.BlamedRules, m.Rules[a].Name)
+				rec.blamedRules = append(rec.blamedRules, m.Rules[a].Name)
 			}
 		}
 	}
@@ -150,10 +150,10 @@ func (m *Model) diagnose(h []float64, acts []ActionRecord, opts GenOptions) *Dia
 	case DiagSyntaxError:
 		rec.Message = "\n; Alive2: " + alive.DiagParsePrefix + "invalid instruction"
 	case DiagSemanticError:
-		rec.Subclass = m.Diag.bestSubclass(m, acts)
-		msg := subclassMessages[rec.Subclass]
-		if len(rec.BlamedRules) > 0 {
-			msg += " (suspect: " + strings.Join(rec.BlamedRules, ", ") + ")"
+		rec.subclass = m.Diag.bestSubclass(m, acts)
+		msg := subclassMessages[rec.subclass]
+		if len(rec.blamedRules) > 0 {
+			msg += " (suspect: " + strings.Join(rec.blamedRules, ", ") + ")"
 		}
 		rec.Message = "\n; Alive2: " + msg
 	}

@@ -154,7 +154,7 @@ func TestMaskRulesRespected(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		// The correction attempt's rollout, the one that takes a mask.
 		_, acts, _ := m.rollout(f, h, GenOptions{Temperature: 1.5, Rng: rng}, mask)
-		kinds := (&Episode{Actions: acts}).UsedRuleKinds(m)
+		kinds := (&Episode{Actions: acts}).usedRuleKinds(m)
 		if kinds[rewrite.KindUnsound] > 0 || kinds[rewrite.KindCorrupt] > 0 || kinds[rewrite.KindExtra] > 0 {
 			t.Fatalf("masked rule used: %v", kinds)
 		}
@@ -182,7 +182,7 @@ func TestBaseModelProfileRoughlyTableI(t *testing.T) {
 		// hash features exactly as a different input would).
 		salt := string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
 		ep := saltedEpisode(m, f, salt)
-		kinds := ep.UsedRuleKinds(m)
+		kinds := ep.usedRuleKinds(m)
 		switch {
 		case kinds[rewrite.KindCorrupt] > 0:
 			corrupts++
@@ -282,4 +282,21 @@ func mustTestFn(t *testing.T) *ir.Function {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// usedRuleKinds summarizes which rule kinds the final trajectory
+// applied (the correction's trajectory when used, else the attempt's).
+func (ep *Episode) usedRuleKinds(m *Model) map[rewrite.Kind]int {
+	acts := ep.Actions
+	if ep.CorrectionUsed {
+		acts = ep.CorrectionActs
+	}
+	out := map[rewrite.Kind]int{}
+	for _, rec := range acts {
+		a := rec.Cands[rec.Chosen]
+		if a < len(m.Rules) {
+			out[m.Rules[a].Kind]++
+		}
+	}
+	return out
 }

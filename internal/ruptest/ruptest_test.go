@@ -1,34 +1,33 @@
-package ruptest_test
+package ruptest
 
 import (
 	"os"
 	"regexp"
 	"testing"
 
-	"veriopt/internal/ruptest"
 	"veriopt/internal/sat"
 )
 
-func lit(v int) sat.Lit { return sat.MkLit(v, false) }
+func pos(v int) sat.Lit { return sat.MkLit(v, false) }
 func neg(v int) sat.Lit { return sat.MkLit(v, true) }
 
 // handTrace refutes (a∨b)(a∨¬b)(¬a∨c)(¬a∨¬c∨d)(¬d∨¬c) through the
 // lemma (a): no axiom is unit, so without it nothing propagates.
-func handTrace() ruptest.Trace {
+func handTrace() Trace {
 	const a, b, c, d = 0, 1, 2, 3
-	var tr ruptest.Trace
-	tr.Axiom([]sat.Lit{lit(a), lit(b)})
-	tr.Axiom([]sat.Lit{lit(a), neg(b)})
-	tr.Axiom([]sat.Lit{neg(a), lit(c)})
-	tr.Axiom([]sat.Lit{neg(a), neg(c), lit(d)})
+	var tr Trace
+	tr.Axiom([]sat.Lit{pos(a), pos(b)})
+	tr.Axiom([]sat.Lit{pos(a), neg(b)})
+	tr.Axiom([]sat.Lit{neg(a), pos(c)})
+	tr.Axiom([]sat.Lit{neg(a), neg(c), pos(d)})
 	tr.Axiom([]sat.Lit{neg(d), neg(c)})
-	tr.Lemma([]sat.Lit{lit(a)})
+	tr.Lemma([]sat.Lit{pos(a)})
 	tr.Unsat(nil)
 	return tr
 }
 
 func TestAcceptsHandTrace(t *testing.T) {
-	if err := ruptest.Check(handTrace()); err != nil {
+	if err := check(handTrace()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -36,31 +35,31 @@ func TestAcceptsHandTrace(t *testing.T) {
 func TestRejectsUnsatWithoutItsLemma(t *testing.T) {
 	tr := handTrace()
 	tr = append(tr[:5:5], tr[6:]...) // drop the lemma (a)
-	if err := ruptest.Check(tr); err == nil {
+	if err := check(tr); err == nil {
 		t.Fatal("an Unsat whose only lemma was dropped was accepted: no axiom is unit")
 	}
 }
 
 func TestRejectsSatisfiableUnsat(t *testing.T) {
-	var tr ruptest.Trace
-	tr.Axiom([]sat.Lit{lit(0), lit(1)})
+	var tr Trace
+	tr.Axiom([]sat.Lit{pos(0), pos(1)})
 	tr.Unsat([]sat.Lit{neg(0)})
-	if err := ruptest.Check(tr); err == nil {
+	if err := check(tr); err == nil {
 		t.Fatal("(a∨b) under ¬a is satisfiable, yet Unsat was accepted")
 	}
 	tr = nil
-	tr.Axiom([]sat.Lit{lit(0), lit(1)})
+	tr.Axiom([]sat.Lit{pos(0), pos(1)})
 	tr.Unsat([]sat.Lit{neg(0), neg(1)})
-	if err := ruptest.Check(tr); err != nil {
+	if err := check(tr); err != nil {
 		t.Fatalf("(a∨b) under ¬a,¬b: %v", err)
 	}
 }
 
 func TestRejectsNonRUPLemma(t *testing.T) {
-	var tr ruptest.Trace
-	tr.Axiom([]sat.Lit{lit(0), lit(1)})
-	tr.Lemma([]sat.Lit{lit(0)}) // not implied: b alone satisfies the axiom
-	if err := ruptest.Check(tr); err == nil {
+	var tr Trace
+	tr.Axiom([]sat.Lit{pos(0), pos(1)})
+	tr.Lemma([]sat.Lit{pos(0)}) // not implied: b alone satisfies the axiom
+	if err := check(tr); err == nil {
 		t.Fatal("a lemma the axioms do not imply was accepted")
 	}
 }
@@ -68,9 +67,9 @@ func TestRejectsNonRUPLemma(t *testing.T) {
 // solverTrace records a real refutation: the pigeonhole principle is
 // not refutable by unit propagation alone, so the Unsat rests on the
 // lemmas.
-func solverTrace(t *testing.T) ruptest.Trace {
+func solverTrace(t *testing.T) Trace {
 	t.Helper()
-	var tr ruptest.Trace
+	var tr Trace
 	s := sat.New()
 	s.Proof = &tr
 	const pigeons, holes = 6, 5
@@ -81,7 +80,7 @@ func solverTrace(t *testing.T) ruptest.Trace {
 	for p := 0; p < pigeons; p++ {
 		cl := make([]sat.Lit, holes)
 		for h := range cl {
-			cl[h] = lit(v(p, h))
+			cl[h] = pos(v(p, h))
 		}
 		s.AddClause(cl...)
 	}
@@ -98,10 +97,10 @@ func solverTrace(t *testing.T) ruptest.Trace {
 	return tr
 }
 
-func lemmaSteps(tr ruptest.Trace) []int {
+func lemmaSteps(tr Trace) []int {
 	var at []int
 	for i, st := range tr {
-		if st.Kind == ruptest.KindLemma {
+		if st.kind == kindLemma {
 			at = append(at, i)
 		}
 	}
@@ -114,7 +113,7 @@ func lemmaSteps(tr ruptest.Trace) []int {
 // one lemma flipped, it is rejected.
 func TestRejectsCorruptedSolverTrace(t *testing.T) {
 	tr := solverTrace(t)
-	if err := ruptest.Check(tr); err != nil {
+	if err := check(tr); err != nil {
 		t.Fatalf("unmodified trace: %v", err)
 	}
 	lemmas := lemmaSteps(tr)
@@ -123,15 +122,15 @@ func TestRejectsCorruptedSolverTrace(t *testing.T) {
 	}
 	dropped, flipped := 0, 0
 	for _, i := range lemmas {
-		without := append(append(ruptest.Trace{}, tr[:i]...), tr[i+1:]...)
-		if ruptest.Check(without) != nil {
+		without := append(append(Trace{}, tr[:i]...), tr[i+1:]...)
+		if check(without) != nil {
 			dropped++
 		}
-		bad := append(ruptest.Trace{}, tr...)
+		bad := append(Trace{}, tr...)
 		lits := append([]sat.Lit(nil), tr[i].Lits...)
 		lits[0] = lits[0].Not()
 		bad[i].Lits = lits
-		if ruptest.Check(bad) != nil {
+		if check(bad) != nil {
 			flipped++
 		}
 	}

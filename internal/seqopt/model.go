@@ -39,31 +39,20 @@ func NewModel(seed int64) *Model {
 		MaxLen:       6,
 		MaxBias:      2.5,
 	}
-	m.Linear = policy.NewLinear(m.NumActions(), m.HashFeatures, 1, false, rand.New(rand.NewSource(seed)))
-	m.B[m.ActStop()] = 0.5
+	m.Linear = policy.NewLinear(m.numActions(), m.HashFeatures, 1, false, rand.New(rand.NewSource(seed)))
+	m.B[m.actStop()] = 0.5
 	for a := 0; a < len(m.Passes); a++ {
 		m.S[a] = -0.5
 	}
-	m.S[m.ActStop()] = 1.5
+	m.S[m.actStop()] = 1.5
 	return m
 }
 
-// NumActions counts passes plus STOP.
-func (m *Model) NumActions() int { return len(m.Passes) + 1 }
+// numActions counts passes plus STOP.
+func (m *Model) numActions() int { return len(m.Passes) + 1 }
 
-// ActStop is the STOP action index.
-func (m *Model) ActStop() int { return len(m.Passes) }
-
-// ActionName renders an action index.
-func (m *Model) ActionName(a int) string {
-	if a >= 0 && a < len(m.Passes) {
-		return m.Passes[a]
-	}
-	if a == m.ActStop() {
-		return "stop"
-	}
-	return fmt.Sprintf("action(%d)", a)
-}
+// actStop is the STOP action index.
+func (m *Model) actStop() int { return len(m.Passes) }
 
 // Clone deep-copies the model.
 func (m *Model) Clone() *Model {
@@ -71,12 +60,9 @@ func (m *Model) Clone() *Model {
 		MaxLen: m.MaxLen, MaxBias: m.MaxBias, Linear: m.Linear.Copy()}
 }
 
-// Clamp enforces the finite parameter budget after an update.
-func (m *Model) Clamp() { m.Linear.Clamp(m.MaxBias) }
-
 // Episode is one rollout: an ordered pass sequence applied to Input.
 type Episode struct {
-	Input   *ir.Function
+	input   *ir.Function
 	H       []float64
 	Actions []policy.ActionRecord
 	// Sequence names the passes actually applied (STOP excluded).
@@ -103,7 +89,7 @@ func (m *Model) Generate(f *ir.Function, opts GenOptions) *Episode {
 	if len(passes) != len(m.Passes) {
 		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(passes)))
 	}
-	ep := &Episode{Input: f, H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
+	ep := &Episode{input: f, H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
 	cur := f
 	for t := 0; t < m.MaxLen; t++ {
 		// Probe which passes fire on the current state.
@@ -115,7 +101,7 @@ func (m *Model) Generate(f *ir.Function, opts GenOptions) *Episode {
 				next = append(next, g)
 			}
 		}
-		cands = append(cands, m.ActStop())
+		cands = append(cands, m.actStop())
 		stepFrac := float64(t) / float64(m.MaxLen)
 		pick := m.Choose(cands, stepFrac, 0, ep.H, opts.Temperature, opts.Rng)
 		ep.Actions = append(ep.Actions, policy.ActionRecord{Cands: cands, StepFrac: stepFrac, Chosen: pick})

@@ -288,7 +288,7 @@ func TestGenerateGreedyDeterministicAndSampledReproducible(t *testing.T) {
 			t.Fatalf("%s: episode recorded no actions", s.Name)
 		}
 		for _, rec := range a.Actions {
-			if len(rec.Cands) == 0 || rec.Cands[len(rec.Cands)-1] != m.ActStop() {
+			if len(rec.Cands) == 0 || rec.Cands[len(rec.Cands)-1] != m.actStop() {
 				t.Fatalf("%s: STOP missing from candidate set", s.Name)
 			}
 		}
@@ -305,8 +305,11 @@ func TestModelCloneIndependent(t *testing.T) {
 	if c.B[0] == m.B[0] || c.N[0][0] == m.N[0][0] {
 		t.Error("clone shares storage with original")
 	}
-	m.Clamp()
+	m.clamp()
 	if m.B[0] != m.MaxBias {
 		t.Errorf("clamp: B[0] = %v, want %v", m.B[0], m.MaxBias)
 	}
 }
+
+// clamp enforces the finite parameter budget after an update.
+func (m *Model) clamp() { m.Linear.Clamp(m.MaxBias) }

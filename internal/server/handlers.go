@@ -25,29 +25,29 @@ type OptionsJSON struct {
 	SolverBudget int `json:"solver_budget,omitempty"`
 }
 
-// MetricsJSON mirrors costmodel.Metrics on the wire.
-type MetricsJSON struct {
+// metricsJSON mirrors costmodel.Metrics on the wire.
+type metricsJSON struct {
 	Latency int `json:"latency"`
 	ICount  int `json:"icount"`
 	Size    int `json:"size"`
 }
 
-func metricsJSON(m costmodel.Metrics) MetricsJSON {
-	return MetricsJSON{Latency: m.Latency, ICount: m.ICount, Size: m.Size}
+func metricsOf(m costmodel.Metrics) metricsJSON {
+	return metricsJSON{Latency: m.Latency, ICount: m.ICount, Size: m.Size}
 }
 
-// ErrorResponse is the body of every non-2xx response. Line is the
+// errorResponse is the body of every non-2xx response. Line is the
 // 1-based line of the request's IR text the parser stopped at, on the
 // 400 that answers a source or module that does not parse.
-type ErrorResponse struct {
+type errorResponse struct {
 	Error string `json:"error"`
 	Line  int    `json:"line,omitempty"`
 }
 
 // parseFailure is that 400's body: the message as it always read, and
 // the line where err is an *ir.ParseError.
-func parseFailure(what string, err error) ErrorResponse {
-	resp := ErrorResponse{Error: what + " does not parse: " + err.Error()}
+func parseFailure(what string, err error) errorResponse {
+	resp := errorResponse{Error: what + " does not parse: " + err.Error()}
 	var pe *ir.ParseError
 	if errors.As(err, &pe) {
 		resp.Line = pe.Line
@@ -78,16 +78,16 @@ type VerifyResponse struct {
 	SolverConflicts int               `json:"solver_conflicts,omitempty"`
 }
 
-// OptimizeRequest asks the served optimizer to rewrite a module.
-type OptimizeRequest struct {
+// optimizeRequest asks the served optimizer to rewrite a module.
+type optimizeRequest struct {
 	// IR is a whole-module text; every defined function is optimized
 	// independently under the paper's fallback rule.
 	IR        string `json:"ir"`
 	TimeoutMs int    `json:"timeout_ms,omitempty"`
 }
 
-// FunctionResult is the per-function outcome of /v1/optimize.
-type FunctionResult struct {
+// functionResult is the per-function outcome of /v1/optimize.
+type functionResult struct {
 	Name    string `json:"name"`
 	Verdict string `json:"verdict"`
 	Diag    string `json:"diag,omitempty"`
@@ -95,20 +95,20 @@ type FunctionResult struct {
 	// candidate failed to parse or to verify (the deployment rule).
 	UsedFallback bool        `json:"used_fallback"`
 	Reason       string      `json:"reason,omitempty"`
-	Base         MetricsJSON `json:"base"`
-	Out          MetricsJSON `json:"out"`
+	Base         metricsJSON `json:"base"`
+	Out          metricsJSON `json:"out"`
 	Speedup      float64     `json:"speedup"`
 }
 
-// OptimizeResponse carries the rewritten module and per-function
+// optimizeResponse carries the rewritten module and per-function
 // metrics.
-type OptimizeResponse struct {
+type optimizeResponse struct {
 	Module    string           `json:"module"`
-	Functions []FunctionResult `json:"functions"`
+	Functions []functionResult `json:"functions"`
 }
 
-// EvaluateRequest names a deterministic corpus slice to evaluate.
-type EvaluateRequest struct {
+// evaluateRequest names a deterministic corpus slice to evaluate.
+type evaluateRequest struct {
 	// Seed and N identify the generated corpus (cached server-side).
 	Seed int64 `json:"seed"`
 	N    int   `json:"n"`
@@ -120,8 +120,8 @@ type EvaluateRequest struct {
 	TimeoutMs int  `json:"timeout_ms,omitempty"`
 }
 
-// EvaluateResponse summarizes the (possibly partial) report.
-type EvaluateResponse struct {
+// evaluateResponse summarizes the (possibly partial) report.
+type evaluateResponse struct {
 	Correct      int `json:"correct"`
 	Copies       int `json:"copies"`
 	Semantic     int `json:"semantic"`
@@ -161,7 +161,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request body: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true
@@ -179,7 +179,7 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 // the queue worker (and with it the whole process).
 func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, timeoutMs int, fn func(ctx context.Context) (int, any)) {
 	if timeoutMs < 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "timeout_ms must be non-negative"})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "timeout_ms must be non-negative"})
 		return
 	}
 	ctx := r.Context()
@@ -209,7 +209,7 @@ func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, timeoutMs i
 			if rec := recover(); rec != nil {
 				s.metrics.panics.Add(1)
 				status = http.StatusInternalServerError
-				body = ErrorResponse{Error: fmt.Sprintf("internal error: %v", rec)}
+				body = errorResponse{Error: fmt.Sprintf("internal error: %v", rec)}
 			}
 		}()
 		if span := spanOf(r.Context()); span != nil {
@@ -221,10 +221,10 @@ func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, timeoutMs i
 	case queueFull:
 		s.metrics.shed.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(retryAfter)))
-		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "work queue full, retry later"})
+		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "work queue full, retry later"})
 		return
 	case queueDraining:
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "server draining"})
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
 		return
 	}
 	<-j.done
@@ -264,7 +264,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := ir.VerifyFunc(src); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "source does not verify: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "source does not verify: " + err.Error()})
 		return
 	}
 	opts := verifyOptions(req.Options)
@@ -284,7 +284,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
+	var req optimizeRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
@@ -294,11 +294,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := ir.VerifyModule(m); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "module does not verify: " + err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "module does not verify: " + err.Error()})
 		return
 	}
 	s.serveQueued(w, r, req.TimeoutMs, func(ctx context.Context) (int, any) {
-		resp := OptimizeResponse{Functions: make([]FunctionResult, 0, len(m.Funcs))}
+		resp := optimizeResponse{Functions: make([]functionResult, 0, len(m.Funcs))}
 		for i, f := range m.Funcs {
 			out, fr := s.optimizeFunc(ctx, f)
 			out.NameStr = f.NameStr
@@ -314,39 +314,39 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 // (oracle.Accept: trained model if loaded, else instcombine; the input
 // is kept unless the verifier proves the candidate) and reports what
 // came back.
-func (s *Server) optimizeFunc(ctx context.Context, f *ir.Function) (*ir.Function, FunctionResult) {
+func (s *Server) optimizeFunc(ctx context.Context, f *ir.Function) (*ir.Function, functionResult) {
 	out, res := oracle.Accept(ctx, s.oracle, s.cfg.Model, f, nil, alive.DefaultOptions())
 	base, after := costmodel.Measure(f), costmodel.Measure(out)
-	return out, FunctionResult{
+	return out, functionResult{
 		Name:         f.Name(),
 		Verdict:      res.Verdict.String(),
 		Diag:         res.Diag,
 		UsedFallback: out == f,
 		Reason:       res.Reason().String(),
-		Base:         metricsJSON(base),
-		Out:          metricsJSON(after),
+		Base:         metricsOf(base),
+		Out:          metricsOf(after),
 		Speedup:      costmodel.Speedup(base, after),
 	}
 }
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
-	var req EvaluateRequest
+	var req evaluateRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
 	if req.N <= 0 || req.N > evalMaxN {
 		writeJSON(w, http.StatusBadRequest,
-			ErrorResponse{Error: fmt.Sprintf("n must be in [1, %d]", evalMaxN)})
+			errorResponse{Error: fmt.Sprintf("n must be in [1, %d]", evalMaxN)})
 		return
 	}
 	if req.Offset < 0 || req.Count < 0 || req.Offset > req.N {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "offset/count out of range"})
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "offset/count out of range"})
 		return
 	}
 	s.serveQueued(w, r, req.TimeoutMs, func(ctx context.Context) (int, any) {
 		corpus, err := s.corpus(req.Seed, req.N)
 		if err != nil {
-			return http.StatusInternalServerError, ErrorResponse{Error: "corpus generation: " + err.Error()}
+			return http.StatusInternalServerError, errorResponse{Error: "corpus generation: " + err.Error()}
 		}
 		slice := corpus[req.Offset:]
 		if req.Count > 0 && req.Count < len(slice) {
@@ -357,7 +357,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			Workers: 1, // the queue's worker pool is the concurrency governor
 			Oracle:  s.oracle,
 		})
-		return http.StatusOK, EvaluateResponse{
+		return http.StatusOK, evaluateResponse{
 			Correct:              rep.Correct,
 			Copies:               rep.Copies,
 			Semantic:             rep.Semantic,
@@ -373,10 +373,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// HealthzResponse is the /healthz JSON body: enough identity and load
+// healthzResponse is the /healthz JSON body: enough identity and load
 // state for a cluster coordinator's replica probes (and the cluster
 // smoke harness) to assert on more than a bare 200.
-type HealthzResponse struct {
+type healthzResponse struct {
 	OK      bool   `json:"ok"`
 	Version string `json:"version"`
 	// Role is "worker" for a plain serving process, "coordinator" for
@@ -391,11 +391,11 @@ type HealthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthzResponse{
+	resp := healthzResponse{
 		OK:            true,
-		Version:       Version,
+		Version:       version,
 		Role:          s.cfg.Role,
-		QueueDepth:    s.QueueDepth(),
+		QueueDepth:    s.queueDepth(),
 		QueueCapacity: s.cfg.QueueSize,
 	}
 	if src, ok := s.oracle.(oracle.StoreSource); ok && src.VStore() != nil {

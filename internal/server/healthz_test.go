@@ -35,7 +35,7 @@ func TestCeilSeconds(t *testing.T) {
 	}
 }
 
-func getHealthz(t *testing.T, base string) HealthzResponse {
+func getHealthz(t *testing.T, base string) healthzResponse {
 	t.Helper()
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -49,7 +49,7 @@ func getHealthz(t *testing.T, base string) HealthzResponse {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hr HealthzResponse
+	var hr healthzResponse
 	if err := json.Unmarshal(blob, &hr); err != nil {
 		t.Fatalf("healthz body is not JSON: %v (%s)", err, blob)
 	}
@@ -63,8 +63,8 @@ func TestHealthzBody(t *testing.T) {
 	_, base, cancel, errc := start(t, Config{QueueSize: 32, Oracle: oracle.NewStack(oracle.Config{})})
 	hr := getHealthz(t, base)
 	drain(t, cancel, errc)
-	if !hr.OK || hr.Version != Version {
-		t.Fatalf("healthz = %+v, want ok with version %q", hr, Version)
+	if !hr.OK || hr.Version != version {
+		t.Fatalf("healthz = %+v, want ok with version %q", hr, version)
 	}
 	if hr.Role != "worker" {
 		t.Fatalf("default role = %q, want worker", hr.Role)

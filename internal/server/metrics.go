@@ -162,7 +162,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fams := []metrics.Family{reqs, lat,
 		metrics.Scalar("veriopt_requests_shed_total", "Requests shed with 429 because the work queue was full.", "counter", metrics.Int(s.metrics.shed.Load())),
 		metrics.Scalar("veriopt_panics_total", "Handler panics recovered by queue workers (any value > 0 is a bug).", "counter", metrics.Int(s.metrics.panics.Load())),
-		metrics.Scalar("veriopt_queue_depth", "Queued-but-unstarted jobs.", "gauge", metrics.Int(s.QueueDepth())),
+		metrics.Scalar("veriopt_queue_depth", "Queued-but-unstarted jobs.", "gauge", metrics.Int(s.queueDepth())),
 		metrics.Scalar("veriopt_queue_capacity", "Work-queue bound.", "gauge", metrics.Int(s.cfg.QueueSize)),
 	}
 	if src, ok := s.oracle.(oracle.StatsSource); ok {

@@ -44,9 +44,9 @@ import (
 	"veriopt/internal/policy"
 )
 
-// Version identifies the serving build on /healthz. It tracks the PR
+// version identifies the serving build on /healthz. It tracks the PR
 // sequence growing this repo, not an external release scheme.
-const Version = "0.9.0"
+const version = "0.9.0"
 
 // Defaults for the zero Config.
 const (
@@ -139,6 +139,9 @@ type Server struct {
 	cfg     Config
 	oracle  oracle.Oracle
 	evalPol *policy.Model
+	// handler is the instrumented mux. The queued endpoints (/v1/*)
+	// only make progress while Run's worker pool drains the queue;
+	// /healthz and /metrics answer inline.
 	handler http.Handler
 	metrics *metricsRegistry
 
@@ -197,13 +200,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the instrumented HTTP handler. The queued endpoints
-// (/v1/*) only make progress while Run's worker pool is draining the
-// queue; /healthz and /metrics answer inline.
-func (s *Server) Handler() http.Handler { return s.handler }
-
-// QueueDepth reports the number of queued-but-unstarted jobs.
-func (s *Server) QueueDepth() int { return len(s.queue) }
+// queueDepth reports the number of queued-but-unstarted jobs.
+func (s *Server) queueDepth() int { return len(s.queue) }
 
 // Run serves on ln until ctx ends, then drains gracefully: stop
 // accepting, finish in-flight requests (bounded by GracePeriod),

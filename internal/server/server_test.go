@@ -187,7 +187,7 @@ func TestShedWith429UnderFullQueue(t *testing.T) {
 	r2 := make(chan reply, 1)
 	go fire(r2)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() == 0 {
+	for s.queueDepth() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("second request never reached the queue")
 		}
@@ -364,8 +364,8 @@ func TestOptimizeKeepsInputWithoutProof(t *testing.T) {
 			alive.DiagParsePrefix + `line 2: unknown instruction "faddq"`},
 	} {
 		_, base, cancel, errc := start(t, tc.cfg)
-		code, body, _ := postJSON(t, &http.Client{}, base+"/v1/optimize", OptimizeRequest{IR: srcAddZero})
-		var or OptimizeResponse
+		code, body, _ := postJSON(t, &http.Client{}, base+"/v1/optimize", optimizeRequest{IR: srcAddZero})
+		var or optimizeResponse
 		if err := json.Unmarshal(body, &or); err != nil || code != http.StatusOK || len(or.Functions) != 1 {
 			t.Fatalf("%s: status %d, err %v, body %s", tc.name, code, err, body)
 		}
@@ -384,11 +384,11 @@ func TestOptimizeEndpoint(t *testing.T) {
 	_, base, cancel, errc := start(t, Config{Oracle: oracle.NewStack(oracle.Config{})})
 	client := &http.Client{}
 
-	code, body, _ := postJSON(t, client, base+"/v1/optimize", OptimizeRequest{IR: srcAddZero})
+	code, body, _ := postJSON(t, client, base+"/v1/optimize", optimizeRequest{IR: srcAddZero})
 	if code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", code, body)
 	}
-	var or OptimizeResponse
+	var or optimizeResponse
 	if err := json.Unmarshal(body, &or); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 
 	// A module that fails to parse is a 400.
-	code, _, _ = postJSON(t, client, base+"/v1/optimize", OptimizeRequest{IR: "not ir"})
+	code, _, _ = postJSON(t, client, base+"/v1/optimize", optimizeRequest{IR: "not ir"})
 	if code != http.StatusBadRequest {
 		t.Fatalf("broken module status = %d, want 400", code)
 	}
@@ -421,11 +421,11 @@ func TestEvaluateEndpoint(t *testing.T) {
 	client := &http.Client{}
 
 	code, body, _ := postJSON(t, client, base+"/v1/evaluate",
-		EvaluateRequest{Seed: 3, N: 8})
+		evaluateRequest{Seed: 3, N: 8})
 	if code != http.StatusOK {
 		t.Fatalf("status = %d, body %s", code, body)
 	}
-	var er EvaluateResponse
+	var er evaluateResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -443,11 +443,11 @@ func TestEvaluateEndpoint(t *testing.T) {
 	// prefix: skipped samples excluded from the fractions, HTTP still
 	// 200 (the partial report is the answer, not an error).
 	code, body, _ = postJSON(t, client, base+"/v1/evaluate",
-		EvaluateRequest{Seed: 3, N: 8, TimeoutMs: 1})
+		evaluateRequest{Seed: 3, N: 8, TimeoutMs: 1})
 	if code != http.StatusOK {
 		t.Fatalf("partial status = %d, body %s", code, body)
 	}
-	er = EvaluateResponse{}
+	er = evaluateResponse{}
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestEvaluateEndpoint(t *testing.T) {
 	}
 
 	// Out-of-range n is rejected before the queue.
-	code, _, _ = postJSON(t, client, base+"/v1/evaluate", EvaluateRequest{Seed: 3, N: 0})
+	code, _, _ = postJSON(t, client, base+"/v1/evaluate", evaluateRequest{Seed: 3, N: 0})
 	if code != http.StatusBadRequest {
 		t.Fatalf("n=0 status = %d, want 400", code)
 	}
@@ -506,7 +506,7 @@ func TestTimeoutClampAndNegativeReject(t *testing.T) {
 	if code != http.StatusBadRequest {
 		t.Fatalf("negative timeout status = %d, body %s, want 400", code, body)
 	}
-	var er ErrorResponse
+	var er errorResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestPanicRecovery(t *testing.T) {
 	if code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, body %s, want 500", code, body)
 	}
-	var er ErrorResponse
+	var er errorResponse
 	if err := json.Unmarshal(body, &er); err != nil {
 		t.Fatal(err)
 	}
@@ -603,12 +603,12 @@ func TestParseFailureCarriesLine(t *testing.T) {
 	}{
 		{"verify source", "/v1/verify", VerifyRequest{Src: badLine3, Tgt: tgtAddZero}, `source does not parse: line 3: unknown instruction "frob"`, 3},
 		{"verify source, first line", "/v1/verify", VerifyRequest{Src: "not ir", Tgt: tgtAddZero}, "source does not parse: line 1: ", 1},
-		{"optimize module", "/v1/optimize", OptimizeRequest{IR: "declare i32 @g(i32)\n\n" + badLine3}, `module does not parse: line 5: unknown instruction "frob"`, 5},
+		{"optimize module", "/v1/optimize", optimizeRequest{IR: "declare i32 @g(i32)\n\n" + badLine3}, `module does not parse: line 5: unknown instruction "frob"`, 5},
 		{"verify source that parses", "/v1/verify", VerifyRequest{Src: useBeforeDef, Tgt: tgtAddZero}, "source does not verify: ", 0},
 		{"negative timeout", "/v1/verify", VerifyRequest{Src: srcAddZero, Tgt: tgtAddZero, TimeoutMs: -5}, "timeout_ms", 0},
 	} {
 		code, body, _ := postJSON(t, client, base+tc.path, tc.req)
-		var er ErrorResponse
+		var er errorResponse
 		if err := json.Unmarshal(body, &er); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

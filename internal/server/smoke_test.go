@@ -68,11 +68,11 @@ func TestServeSmoke(t *testing.T) {
 	}
 	var extras []extra
 	for i := 0; i < 4; i++ {
-		extras = append(extras, extra{"/v1/optimize", OptimizeRequest{
+		extras = append(extras, extra{"/v1/optimize", optimizeRequest{
 			IR: fmt.Sprintf("define i32 @g(i32 noundef %%0) {\n  %%2 = mul i32 %%0, 1\n  %%3 = add i32 %%2, %d\n  ret i32 %%3\n}\n", i)}})
 	}
 	for seed := 0; seed < corpusCacheBound+2; seed++ {
-		extras = append(extras, extra{"/v1/evaluate", EvaluateRequest{Seed: int64(seed), N: 2}})
+		extras = append(extras, extra{"/v1/evaluate", evaluateRequest{Seed: int64(seed), N: 2}})
 	}
 	extraCodes := make([]int, len(extras))
 	extraBodies := make([][]byte, len(extras))
@@ -133,8 +133,8 @@ func TestServeSmoke(t *testing.T) {
 		if extraCodes[i] != http.StatusOK {
 			t.Fatalf("%s %+v: status %d, body %s", e.path, e.req, extraCodes[i], extraBodies[i])
 		}
-		var or OptimizeResponse
-		var er EvaluateResponse
+		var or optimizeResponse
+		var er evaluateResponse
 		if e.path == "/v1/optimize" && (json.Unmarshal(extraBodies[i], &or) != nil || len(or.Functions) != 1) ||
 			e.path == "/v1/evaluate" && (json.Unmarshal(extraBodies[i], &er) != nil || er.Total+er.Skipped != 2) {
 			t.Errorf("%s %+v: body %s", e.path, e.req, extraBodies[i])
@@ -176,8 +176,8 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	drain(t, cancel, errc)
-	if s.QueueDepth() != 0 {
-		t.Errorf("queue depth %d after drain", s.QueueDepth())
+	if s.queueDepth() != 0 {
+		t.Errorf("queue depth %d after drain", s.queueDepth())
 	}
 	tr.CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)

@@ -6,12 +6,12 @@ package tokenizer
 // maxContextTokens is the paper's context-window cap (§IV-A note 5).
 const maxContextTokens = 2048
 
-// Count returns the number of tokens in s: identifiers and numbers are
+// count returns the number of tokens in s: identifiers and numbers are
 // single tokens, punctuation characters are individual tokens,
 // whitespace separates. Nothing is built. Every delimiter is ASCII, so
 // the walk over the bytes splits where a walk over the runes would
 // (tokenize, in the tests), invalid UTF-8 included.
-func Count(s string) int {
+func count(s string) int {
 	n, inWord := 0, false
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
@@ -31,4 +31,4 @@ func Count(s string) int {
 }
 
 // FitsContext reports whether s fits in the model context window.
-func FitsContext(s string) bool { return Count(s) <= maxContextTokens }
+func FitsContext(s string) bool { return count(s) <= maxContextTokens }

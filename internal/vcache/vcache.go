@@ -150,13 +150,13 @@ type Config struct {
 	Backing Backing
 }
 
-// DefaultMaxEntries is the cache bound used when Config.MaxEntries is
+// defaultMaxEntries is the cache bound used when Config.MaxEntries is
 // unset. A resident verdict costs ≈ 200 bytes (a 112-byte entry and its
 // map slot) plus what its Result owns — a SemanticError's Diag and
 // Counterexample, ≈ 400 bytes — whatever the size of the functions:
 // ≈ 325 bytes on a model-output mix (TestHotTierBytesPerEntry; 324 on
 // the benchmark's serve-cold), so the bound is ≈ 43 MB of live heap.
-const DefaultMaxEntries = 1 << 17
+const defaultMaxEntries = 1 << 17
 
 // Stats is a point-in-time snapshot of an engine's counters.
 type Stats struct {
@@ -298,7 +298,7 @@ type Engine struct {
 // New builds an engine.
 func New(cfg Config) *Engine {
 	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = DefaultMaxEntries
+		cfg.MaxEntries = defaultMaxEntries
 	}
 	e := &Engine{
 		maxEntries: cfg.MaxEntries,

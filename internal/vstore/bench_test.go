@@ -53,11 +53,11 @@ func TestStoreBench(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Sync(); err != nil {
+	if err := s.sync(); err != nil {
 		t.Fatal(err)
 	}
 	appendWall := time.Since(t0)
-	bytesAppended := s.Stats().AppendedBytes
+	bytesAppended := s.Stats().appendedBytes
 
 	// Read phases: hits over the live set, misses over absent keys.
 	const reads = 10_000

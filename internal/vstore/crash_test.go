@@ -73,7 +73,7 @@ func TestKillMidAppendTruncatesTornTail(t *testing.T) {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
 	defer s.Close()
-	if st := s.Stats(); st.TruncatedTails != 1 || st.Entries != 5 {
+	if st := s.Stats(); st.truncatedTails != 1 || st.Entries != 5 {
 		t.Fatalf("stats after repair: %+v", st)
 	}
 	for i := 0; i < 5; i++ {
@@ -114,7 +114,7 @@ func TestBitFlipInActiveTailTruncatesFromThere(t *testing.T) {
 	}
 	defer s.Close()
 	st := s.Stats()
-	if st.TruncatedTails != 1 {
+	if st.truncatedTails != 1 {
 		t.Fatalf("no tail repair recorded: %+v", st)
 	}
 	if st.Entries != 4 {
