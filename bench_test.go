@@ -12,6 +12,7 @@ package veriopt
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -57,7 +58,10 @@ func benchExperiment(b *testing.B, id string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if out.Text == "" {
+		// Render is the title between two bars, the text, then the
+		// measured numbers.
+		text := strings.SplitN(experiments.Render(out), "\n", 4)[3]
+		if text == "" || strings.HasPrefix(text, "\nmeasured numbers:") {
 			b.Fatal("empty experiment output")
 		}
 	}

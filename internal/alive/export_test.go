@@ -39,3 +39,10 @@ func VerifyRuleHits(src, tgt *ir.Function, opts Options) (Result, map[string]int
 // UpdateGolden is the package's -update flag, for the external tests'
 // goldens (one test binary holds both packages' flags).
 var UpdateGolden = update
+
+// The Reason values no other package names, for the external tests.
+const (
+	PathLimit   = pathLimit
+	StepLimit   = stepLimit
+	Unsupported = unsupported
+)

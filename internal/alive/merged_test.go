@@ -64,9 +64,10 @@ func branchyPairs(tb testing.TB, seed int64, n int) []branchyPair {
 			}
 		}
 		add("pipeline", piped)
-		for _, p := range seqopt.Registry() {
+		names := seqopt.NewModel(0).Passes // the registry's, in order
+		for i, p := range seqopt.Registry() {
 			if g, changed := p.Apply(s.O0); changed {
-				add(p.Name, g)
+				add(names[i], g)
 			}
 		}
 		for _, base := range []*ir.Function{ref, piped} {

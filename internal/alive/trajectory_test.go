@@ -57,7 +57,10 @@ func runCorpus(t testing.TB) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	families := dataset.ScenarioCounts(samples)
+	families := map[string]int{}
+	for _, s := range samples {
+		families[s.Scenario]++
+	}
 	for _, f := range []string{dataset.ScenarioScalar, dataset.ScenarioControlFlow, dataset.ScenarioLoop,
 		dataset.ScenarioWideInt, dataset.ScenarioAdversarial} {
 		if families[f] == 0 {

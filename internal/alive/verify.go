@@ -67,9 +67,9 @@ type Reason int
 const (
 	NoReason       Reason = iota // the verdict is not Inconclusive
 	ConflictBudget               // a refinement query spent Options.SolverBudget
-	PathLimit                    // execution took Options.MaxPaths edges
-	StepLimit                    // execution visited Options.MaxSteps instructions
-	Unsupported                  // a construct outside the validated subset
+	pathLimit                    // execution took Options.MaxPaths edges
+	stepLimit                    // execution visited Options.MaxSteps instructions
+	unsupported                  // a construct outside the validated subset
 	// Canceled: the query's context ended, not its own limits. Such a
 	// result is transient: never memoized (vcache skips it, vstore
 	// refuses it), and a re-run under a live context can still prove it.
@@ -82,7 +82,7 @@ var reasonNames = [...]string{"", "conflict_budget", "path_limit", "step_limit",
 func (r Reason) String() string { return reasonNames[r] }
 
 // The diag prefixes Result.Reason reads; every diag of those reasons is
-// written from them. Any other Inconclusive diag is Unsupported.
+// written from them. Any other Inconclusive diag is unsupported.
 const (
 	diagConflictBudget = "ERROR: solver budget exhausted"
 	diagPathLimit      = "ERROR: resource limit: path budget exhausted"
@@ -99,13 +99,13 @@ func (r Result) Reason() Reason {
 	case strings.HasPrefix(r.Diag, diagConflictBudget):
 		return ConflictBudget
 	case strings.HasPrefix(r.Diag, diagPathLimit):
-		return PathLimit
+		return pathLimit
 	case strings.HasPrefix(r.Diag, diagStepLimit):
-		return StepLimit
+		return stepLimit
 	case strings.HasPrefix(r.Diag, diagCanceled):
 		return Canceled
 	}
-	return Unsupported
+	return unsupported
 }
 
 // CanceledResult builds the verdict returned when a query's context
@@ -171,7 +171,7 @@ func VerifyText(srcText, tgtText string, opts Options) (Result, error) {
 // Alive2 message (BLEU-scored against the real one) uses the first.
 const (
 	DiagParsePrefix   = "ERROR: couldn't parse transformed IR: "
-	DiagInvalidPrefix = "ERROR: invalid IR: "
+	diagInvalidPrefix = "ERROR: invalid IR: "
 )
 
 // Candidate is the one SyntaxError gate, applied to the outcome of
@@ -184,7 +184,7 @@ func Candidate(f *ir.Function, parseErr error) (*ir.Function, Result) {
 		return nil, Result{Verdict: SyntaxError, Diag: DiagParsePrefix + parseErr.Error()}
 	}
 	if err := ir.VerifyFunc(f); err != nil {
-		return nil, Result{Verdict: SyntaxError, Diag: DiagInvalidPrefix + err.Error()}
+		return nil, Result{Verdict: SyntaxError, Diag: diagInvalidPrefix + err.Error()}
 	}
 	return f, Result{}
 }

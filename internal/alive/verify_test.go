@@ -646,7 +646,7 @@ func TestCandidateGate(t *testing.T) {
   %3 = add i32 %0, 1
   ret i32 %2
 }
-`)); f != nil || res.Verdict != SyntaxError || !strings.HasPrefix(res.Diag, DiagInvalidPrefix) {
+`)); f != nil || res.Verdict != SyntaxError || !strings.HasPrefix(res.Diag, diagInvalidPrefix) {
 		t.Errorf("invalid candidate: f=%v res=%+v", f, res)
 	}
 	good, err := ir.ParseFunc("define i32 @f(i32 noundef %0) {\n  ret i32 %0\n}\n")

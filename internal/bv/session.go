@@ -86,8 +86,9 @@ func (s *Session) TryConcrete(t *Term) (Result, bool) {
 // Check determines satisfiability of the width-1 term t. On Sat,
 // Model gives a witness assignment; pre-pass hits return the
 // satisfying environment (variables it omits are 0, which is how the
-// condition was evaluated). The returned error is sat.ErrBudget when
-// the query exhausts its conflict budget; the session stays usable.
+// condition was evaluated). An error means the query exhausted its
+// conflict budget (the only error the solver returns); the session
+// stays usable.
 func (s *Session) Check(t *Term) (Result, error) {
 	if t.Width != 1 {
 		panic("bv: Check on non-boolean term")

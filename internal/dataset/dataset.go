@@ -7,7 +7,6 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/instcombine"
 	"veriopt/internal/ir"
-	"veriopt/internal/tokenizer"
 )
 
 // Sample is one training/evaluation pair: the -O0 style function and
@@ -106,16 +105,6 @@ func (r *GenReport) String() string {
 	return out
 }
 
-// ScenarioCounts tallies samples by scenario label — the mix a split
-// side or a load-generation corpus actually carries.
-func ScenarioCounts(samples []*Sample) map[string]int {
-	out := map[string]int{}
-	for _, s := range samples {
-		out[s.Scenario]++
-	}
-	return out
-}
-
 // Generate builds a filtered corpus of N samples, mirroring §IV-A:
 // lower each synthesized program to -O0 form, label with instcombine,
 // keep only pairs the verifier proves equivalent and that fit the
@@ -140,10 +129,10 @@ func GenerateReport(cfg Config) ([]*Sample, *GenReport, error) {
 		return nil, nil, fmt.Errorf("dataset: N must be positive")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	tmpls := Templates()
+	tmpls := templates()
 	rep := &GenReport{templates: make([]templateStat, len(tmpls))}
 	for i, tm := range tmpls {
-		rep.templates[i].name = tm.Name
+		rep.templates[i].name = tm.name
 		rep.templates[i].scenario = tm.scenario
 	}
 	var out []*Sample
@@ -183,7 +172,7 @@ func nextTemplate(stats []templateStat) int {
 	return best
 }
 
-func build(prog *program, tmpl Template, cfg Config) (*Sample, error) {
+func build(prog *program, tmpl template, cfg Config) (*Sample, error) {
 	m, err := lower(prog)
 	if err != nil {
 		return nil, err
@@ -193,7 +182,7 @@ func build(prog *program, tmpl Template, cfg Config) (*Sample, error) {
 	o0Text := ir.FuncString(o0)
 	refText := ir.FuncString(ref)
 	// Context-window filter (tokenized like the paper's 2048 cap).
-	if !tokenizer.FitsContext(o0Text) || !tokenizer.FitsContext(refText) {
+	if !fitsContext(o0Text) || !fitsContext(refText) {
 		return nil, nil
 	}
 	if !cfg.SkipVerify {
@@ -206,7 +195,7 @@ func build(prog *program, tmpl Template, cfg Config) (*Sample, error) {
 	}
 	return &Sample{
 		Name:     prog.name,
-		Template: tmpl.Name,
+		Template: tmpl.name,
 		Scenario: tmpl.scenario,
 		Module:   m,
 		O0:       o0,

@@ -12,9 +12,9 @@ import (
 
 func TestEveryTemplateLowersAndVerifies(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, tm := range Templates() {
+	for _, tm := range templates() {
 		tm := tm
-		t.Run(tm.Name, func(t *testing.T) {
+		t.Run(tm.name, func(t *testing.T) {
 			for i := 0; i < 5; i++ {
 				prog := tm.gen(rng, i)
 				m, err := lower(prog)

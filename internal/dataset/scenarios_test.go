@@ -22,9 +22,9 @@ func TestScenarioTaxonomyCovered(t *testing.T) {
 		ScenarioAdversarial: true,
 	}
 	counts := map[string]int{}
-	for _, tm := range Templates() {
+	for _, tm := range templates() {
 		if !known[tm.scenario] {
-			t.Errorf("template %s: unknown scenario %q", tm.Name, tm.scenario)
+			t.Errorf("template %s: unknown scenario %q", tm.name, tm.scenario)
 		}
 		counts[tm.scenario]++
 	}
@@ -83,8 +83,8 @@ func TestScenarioTagsHitGenReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	byName := map[string]string{}
-	for _, tm := range Templates() {
-		byName[tm.Name] = tm.scenario
+	for _, tm := range templates() {
+		byName[tm.name] = tm.scenario
 	}
 	for _, ts := range rep.templates {
 		if ts.scenario != byName[ts.name] {
@@ -118,8 +118,8 @@ func TestScenarioTagsSurviveSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := ScenarioCounts(samples)
-	tc, vc := ScenarioCounts(train), ScenarioCounts(val)
+	total := scenarioCounts(samples)
+	tc, vc := scenarioCounts(train), scenarioCounts(val)
 	for sc, n := range total {
 		if tc[sc]+vc[sc] != n {
 			t.Errorf("scenario %s: %d train + %d val != %d total", sc, tc[sc], vc[sc], n)
@@ -157,35 +157,35 @@ func hasBackedge(f *ir.Function) bool {
 func TestScenarioShapesAreStructural(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	outOfRange := false
-	for _, tm := range Templates() {
+	for _, tm := range templates() {
 		for i := 0; i < 6; i++ {
 			m, err := lower(tm.gen(rng, i))
 			if err != nil {
-				t.Fatalf("%s: lower: %v", tm.Name, err)
+				t.Fatalf("%s: lower: %v", tm.name, err)
 			}
 			f := m.Funcs[0]
 			text := ir.FuncString(f)
-			switch tm.Name {
+			switch tm.name {
 			case "nested-branch", "diamond-ladder", "branch-ladder":
 				if len(f.Blocks) < 4 {
-					t.Errorf("%s: %d blocks, want a multi-block CFG:\n%s", tm.Name, len(f.Blocks), text)
+					t.Errorf("%s: %d blocks, want a multi-block CFG:\n%s", tm.name, len(f.Blocks), text)
 				}
 			case "loop-branch", "loop-double", "loop-shift":
 				if !hasBackedge(f) {
-					t.Errorf("%s: no backedge in the CFG:\n%s", tm.Name, text)
+					t.Errorf("%s: no backedge in the CFG:\n%s", tm.name, text)
 				}
 			case "bool-mix":
 				if !strings.Contains(text, "i1") {
-					t.Errorf("%s: no i1 values:\n%s", tm.Name, text)
+					t.Errorf("%s: no i1 values:\n%s", tm.name, text)
 				}
 			case "width-mix", "narrow-rescue":
 				if !strings.Contains(text, "trunc") || !strings.Contains(text, "ext") {
-					t.Errorf("%s: no width mixing:\n%s", tm.Name, text)
+					t.Errorf("%s: no width mixing:\n%s", tm.name, text)
 				}
 			case "poison-shift":
 				var maxShift, bits int64
 				f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-					if in.Op.IsShift() {
+					if in.Op == ir.OpShl || in.Op == ir.OpLShr || in.Op == ir.OpAShr {
 						if it, ok := in.Ty.(ir.IntType); ok {
 							bits = int64(it.Bits)
 						}
@@ -199,12 +199,50 @@ func TestScenarioShapesAreStructural(t *testing.T) {
 				}
 			case "dead-store":
 				if strings.Count(text, "store") < 3 {
-					t.Errorf("%s: no dead-store chain:\n%s", tm.Name, text)
+					t.Errorf("%s: no dead-store chain:\n%s", tm.name, text)
 				}
 			}
 		}
 	}
 	if !outOfRange {
 		t.Error("poison-shift never produced an at-or-over-width shift in 6 instances")
+	}
+}
+
+// scenarioCounts tallies samples by scenario label: the mix a split
+// side actually carries.
+func scenarioCounts(samples []*Sample) map[string]int {
+	out := map[string]int{}
+	for _, s := range samples {
+		out[s.Scenario]++
+	}
+	return out
+}
+
+// registrySize is the number of templates. Corpus tests in ir, vcache,
+// interp, instcombine and seqopt size their slices by it (their
+// datasetTemplates constant): a template added here is added there.
+const registrySize = 36
+
+// TestOneRoundCoversEveryTemplate: a corpus of one sample per template
+// holds every template, the slice other packages' corpus tests draw.
+func TestOneRoundCoversEveryTemplate(t *testing.T) {
+	if n := len(templates()); n != registrySize {
+		t.Fatalf("%d templates, want %d: update registrySize and every datasetTemplates constant", n, registrySize)
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		samples, err := Generate(Config{Seed: seed, N: registrySize, SkipVerify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for _, s := range samples {
+			seen[s.Template] = true
+		}
+		for _, tpl := range templates() {
+			if !seen[tpl.name] {
+				t.Errorf("seed %d: template %s produced no sample", seed, tpl.name)
+			}
+		}
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"veriopt/internal/ir"
 )
 
-// Template generates one family of functions; instances vary in
+// template generates one family of functions; instances vary in
 // constants, widths, and shapes under a seeded RNG.
-type Template struct {
-	Name string
+type template struct {
+	name string
 	// scenario classifies the family for corpus accounting, the load
 	// harness, and per-scenario benchmark reporting: one of the
 	// Scenario* constants below.
@@ -63,48 +63,48 @@ func bin(op ir.Opcode, l, r expr) expr  { return eBin{op: op, l: l, r: r} }
 func binN(op ir.Opcode, l, r expr) expr { return eBin{op: op, flags: ir.Flags{NSW: true}, l: l, r: r} }
 func binU(op ir.Opcode, l, r expr) expr { return eBin{op: op, flags: ir.Flags{NUW: true}, l: l, r: r} }
 
-// Templates returns the full registry in stable order. Append-only:
+// templates returns the full registry in stable order. Append-only:
 // the scheduler and every seeded corpus depend on registry order.
-func Templates() []Template {
-	return []Template{
-		{Name: "arith-chain", scenario: ScenarioScalar, gen: genArithChain},
-		{Name: "identity-mix", scenario: ScenarioScalar, gen: genIdentityMix},
-		{Name: "strength-mul", scenario: ScenarioScalar, gen: genStrengthMul},
-		{Name: "strength-div", scenario: ScenarioScalar, gen: genStrengthDiv},
-		{Name: "xor-cancel", scenario: ScenarioScalar, gen: genXorCancel},
-		{Name: "negation", scenario: ScenarioScalar, gen: genNegation},
-		{Name: "cmp-chain", scenario: ScenarioScalar, gen: genCmpChain},
-		{Name: "branch-max", scenario: ScenarioControlFlow, gen: genBranchMax},
-		{Name: "branch-clamp", scenario: ScenarioControlFlow, gen: genBranchClamp},
-		{Name: "sign-splat", scenario: ScenarioControlFlow, gen: genSignSplat},
-		{Name: "cast-chain", scenario: ScenarioWideInt, gen: genCastChain},
-		{Name: "known-bits", scenario: ScenarioScalar, gen: genKnownBits},
-		{Name: "const-ret", scenario: ScenarioScalar, gen: genConstRet},
-		{Name: "cond-call", scenario: ScenarioControlFlow, gen: genCondCall},
-		{Name: "call-arith", scenario: ScenarioScalar, gen: genCallArith},
-		{Name: "store-zero", scenario: ScenarioScalar, gen: genStoreZero},
-		{Name: "overflow-trap", scenario: ScenarioAdversarial, gen: genOverflowTrap},
-		{Name: "nonpow2-div", scenario: ScenarioScalar, gen: genNonPow2Div},
-		{Name: "bounded-loop", scenario: ScenarioLoop, gen: genBoundedLoop},
-		{Name: "deep-chain", scenario: ScenarioScalar, gen: genDeepChain},
-		{Name: "multi-var", scenario: ScenarioScalar, gen: genMultiVar},
-		{Name: "select-bool", scenario: ScenarioControlFlow, gen: genSelectBool},
-		{Name: "switch-table", scenario: ScenarioControlFlow, gen: genSwitchTable},
+func templates() []template {
+	return []template{
+		{name: "arith-chain", scenario: ScenarioScalar, gen: genArithChain},
+		{name: "identity-mix", scenario: ScenarioScalar, gen: genIdentityMix},
+		{name: "strength-mul", scenario: ScenarioScalar, gen: genStrengthMul},
+		{name: "strength-div", scenario: ScenarioScalar, gen: genStrengthDiv},
+		{name: "xor-cancel", scenario: ScenarioScalar, gen: genXorCancel},
+		{name: "negation", scenario: ScenarioScalar, gen: genNegation},
+		{name: "cmp-chain", scenario: ScenarioScalar, gen: genCmpChain},
+		{name: "branch-max", scenario: ScenarioControlFlow, gen: genBranchMax},
+		{name: "branch-clamp", scenario: ScenarioControlFlow, gen: genBranchClamp},
+		{name: "sign-splat", scenario: ScenarioControlFlow, gen: genSignSplat},
+		{name: "cast-chain", scenario: ScenarioWideInt, gen: genCastChain},
+		{name: "known-bits", scenario: ScenarioScalar, gen: genKnownBits},
+		{name: "const-ret", scenario: ScenarioScalar, gen: genConstRet},
+		{name: "cond-call", scenario: ScenarioControlFlow, gen: genCondCall},
+		{name: "call-arith", scenario: ScenarioScalar, gen: genCallArith},
+		{name: "store-zero", scenario: ScenarioScalar, gen: genStoreZero},
+		{name: "overflow-trap", scenario: ScenarioAdversarial, gen: genOverflowTrap},
+		{name: "nonpow2-div", scenario: ScenarioScalar, gen: genNonPow2Div},
+		{name: "bounded-loop", scenario: ScenarioLoop, gen: genBoundedLoop},
+		{name: "deep-chain", scenario: ScenarioScalar, gen: genDeepChain},
+		{name: "multi-var", scenario: ScenarioScalar, gen: genMultiVar},
+		{name: "select-bool", scenario: ScenarioControlFlow, gen: genSelectBool},
+		{name: "switch-table", scenario: ScenarioControlFlow, gen: genSwitchTable},
 		// Scenario-corpus families (DESIGN.md §17): multi-block control
 		// flow, wider loop shapes, bit-width mixes, adversarial edges.
-		{Name: "nested-branch", scenario: ScenarioControlFlow, gen: genNestedBranch},
-		{Name: "diamond-ladder", scenario: ScenarioControlFlow, gen: genDiamondLadder},
-		{Name: "branch-ladder", scenario: ScenarioControlFlow, gen: genBranchLadder},
-		{Name: "loop-branch", scenario: ScenarioLoop, gen: genLoopBranch},
-		{Name: "loop-double", scenario: ScenarioLoop, gen: genLoopDouble},
-		{Name: "loop-shift", scenario: ScenarioLoop, gen: genLoopShift},
-		{Name: "bool-mix", scenario: ScenarioWideInt, gen: genBoolMix},
-		{Name: "width-mix", scenario: ScenarioWideInt, gen: genWidthMix},
-		{Name: "narrow-rescue", scenario: ScenarioWideInt, gen: genNarrowRescue},
-		{Name: "near-overflow", scenario: ScenarioAdversarial, gen: genNearOverflow},
-		{Name: "poison-shift", scenario: ScenarioAdversarial, gen: genPoisonShift},
-		{Name: "dead-store", scenario: ScenarioAdversarial, gen: genDeadStore},
-		{Name: "guarded-div", scenario: ScenarioAdversarial, gen: genGuardedDiv},
+		{name: "nested-branch", scenario: ScenarioControlFlow, gen: genNestedBranch},
+		{name: "diamond-ladder", scenario: ScenarioControlFlow, gen: genDiamondLadder},
+		{name: "branch-ladder", scenario: ScenarioControlFlow, gen: genBranchLadder},
+		{name: "loop-branch", scenario: ScenarioLoop, gen: genLoopBranch},
+		{name: "loop-double", scenario: ScenarioLoop, gen: genLoopDouble},
+		{name: "loop-shift", scenario: ScenarioLoop, gen: genLoopShift},
+		{name: "bool-mix", scenario: ScenarioWideInt, gen: genBoolMix},
+		{name: "width-mix", scenario: ScenarioWideInt, gen: genWidthMix},
+		{name: "narrow-rescue", scenario: ScenarioWideInt, gen: genNarrowRescue},
+		{name: "near-overflow", scenario: ScenarioAdversarial, gen: genNearOverflow},
+		{name: "poison-shift", scenario: ScenarioAdversarial, gen: genPoisonShift},
+		{name: "dead-store", scenario: ScenarioAdversarial, gen: genDeadStore},
+		{name: "guarded-div", scenario: ScenarioAdversarial, gen: genGuardedDiv},
 	}
 }
 

@@ -59,7 +59,7 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 		key := fmt.Sprintf("variant%d_diff_correct_pct", i)
 		nums[key] = 100 * rep.DifferentCorrectFrac()
 	}
-	return &Outcome{id: "ablation_grpo", title: "Ablation: GRPO design choices (§IV-B)", Text: sb.String(), numbers: nums}, nil
+	return &Outcome{id: "ablation_grpo", title: "Ablation: GRPO design choices (§IV-B)", text: sb.String(), numbers: nums}, nil
 }
 
 // ablationVerifier contrasts the verifier-in-the-loop reward against
@@ -88,7 +88,7 @@ func ablationVerifier(c *Context) (*Outcome, error) {
 	return &Outcome{
 		id:    "ablation_verifier",
 		title: "Ablation: verifier in the reward vs verifier as post-filter",
-		Text:  sb.String(),
+		text:  sb.String(),
 		numbers: map[string]float64{
 			"postfilter_diff_correct_pct": 100 * baseRep.DifferentCorrectFrac(),
 			"inloop_diff_correct_pct":     100 * latRep.DifferentCorrectFrac(),

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 
-	"veriopt/internal/baselines"
 	"veriopt/internal/dataset"
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
@@ -68,7 +67,7 @@ type Context struct {
 	train   []*dataset.Sample
 	val     []*dataset.Sample
 	res     *pipeline.Result
-	bl      []*baselines.Baseline
+	bl      []*baseline
 	reports map[evalKey]*pipeline.Report
 	// Progress, when non-nil, receives coarse progress messages.
 	Progress func(msg string)
@@ -184,14 +183,14 @@ func (c *Context) report(m *policy.Model, augmented bool) (*pipeline.Report, err
 }
 
 // baselines returns the Fig. 5 comparison suite.
-func (c *Context) baselines() ([]*baselines.Baseline, error) {
+func (c *Context) baselines() ([]*baseline, error) {
 	if c.bl == nil {
 		train, err := c.Train()
 		if err != nil {
 			return nil, err
 		}
 		c.progress("training SFT baselines...")
-		c.bl = baselines.Suite(train, c.Cfg.Seed+5000)
+		c.bl = baselineSuite(train, c.Cfg.Seed+5000)
 	}
 	return c.bl, nil
 }

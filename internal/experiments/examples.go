@@ -138,5 +138,5 @@ func fig8to12(c *Context) (*Outcome, error) {
 	}
 	nums["curated_total"] = float64(len(curated))
 	nums["curated_verified"] = float64(verified)
-	return &Outcome{id: "fig8_12", title: "Figures 8-12: qualitative examples", Text: sb.String(), numbers: nums}, nil
+	return &Outcome{id: "fig8_12", title: "Figures 8-12: qualitative examples", text: sb.String(), numbers: nums}, nil
 }

@@ -2,12 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"veriopt/internal/ir"
 	"veriopt/internal/pipeline"
 )
 
@@ -77,23 +76,10 @@ func TestCanceledReportNotKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Skipped != 0 || summary(got) != summary(want) {
-		t.Errorf("live report after a canceled one:\n got %s\nwant %s", summary(got), summary(want))
+	// Every per-sample outcome and tally, the unexported ones included.
+	if got.Skipped != 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("live report after a canceled one:\n got %+v\nwant %+v", *got, *want)
 	}
-}
-
-// summary renders every per-sample outcome and tally of a report.
-func summary(rep *pipeline.Report) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%d/%d/%d/%d/%d/%d", rep.Correct, rep.Copies, rep.Semantic, rep.Syntax, rep.Inconclusive, rep.Skipped)
-	for _, r := range rep.Results {
-		fn := ""
-		if r.FinalFn != nil {
-			fn = ir.FuncString(r.FinalFn)
-		}
-		fmt.Fprintf(&sb, "|%s %v %q %v %v %+v %+v %+v %s", r.Sample.Name, r.Verdict, r.Diag, r.Copied, r.UsedFallback, r.Out, r.Base, r.Ref, fn)
-	}
-	return sb.String()
 }
 
 func TestAllExperimentsRun(t *testing.T) {
@@ -108,7 +94,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			if out.id != id {
 				t.Errorf("outcome id %q != %q", out.id, id)
 			}
-			if strings.TrimSpace(out.Text) == "" {
+			if strings.TrimSpace(out.text) == "" {
 				t.Error("empty rendered text")
 			}
 			if len(out.numbers) == 0 {

@@ -84,7 +84,7 @@ func fig4(c *Context) (*Outcome, error) {
 		nums["latency_reward_first"] = res.LatencyHistory[0]
 		nums["latency_reward_last_ema"] = latE[len(latE)-1]
 	}
-	return &Outcome{id: "fig4", title: "Figure 4: GRPO training dynamics", Text: text, numbers: nums}, nil
+	return &Outcome{id: "fig4", title: "Figure 4: GRPO training dynamics", text: text, numbers: nums}, nil
 }
 
 // fig5 reproduces Figure 5: LLM-VeriOpt against SFT baselines of
@@ -110,11 +110,11 @@ func fig5(c *Context) (*Outcome, error) {
 	}
 	var rows []row
 	for _, b := range bl {
-		rep, err := c.report(b.Model, false)
+		rep, err := c.report(b.model, false)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, row{b.Name, b.Params, rep})
+		rows = append(rows, row{b.name, b.params, rep})
 	}
 	ours, err := c.report(res.Latency, false)
 	if err != nil {
@@ -132,7 +132,7 @@ func fig5(c *Context) (*Outcome, error) {
 		nums[key+"_speedup"] = sp
 	}
 	sb.WriteString("\n(ICount/BinSize are geomean ratios vs -O0; lower is better. Latency speedup: higher is better.)\n")
-	return &Outcome{id: "fig5", title: "Figure 5: comparison against LLM-based compiler baselines", Text: sb.String(), numbers: nums}, nil
+	return &Outcome{id: "fig5", title: "Figure 5: comparison against LLM-based compiler baselines", text: sb.String(), numbers: nums}, nil
 }
 
 // fig6 reproduces Figure 6: pairwise distributions of Model-Latency
@@ -174,7 +174,7 @@ func fig6(c *Context) (*Outcome, error) {
 		fmt.Fprintf(&sb, "  %-8s +%.1f%%\n", metric, 100*(g-1))
 		nums["hybrid_"+strings.ToLower(metric.String())+"_gain_pct"] = 100 * (g - 1)
 	}
-	return &Outcome{id: "fig6", title: "Figure 6: pairwise distributions vs baselines", Text: sb.String(), numbers: nums}, nil
+	return &Outcome{id: "fig6", title: "Figure 6: pairwise distributions vs baselines", text: sb.String(), numbers: nums}, nil
 }
 
 // fig7 reproduces Figure 7: the ablation over the four curriculum
@@ -220,5 +220,5 @@ func fig7(c *Context) (*Outcome, error) {
 		nums[key+"_correct_pct"] = 100 * st.rep.CorrectFrac()
 	}
 	sb.WriteString("(Speedup/ICount/BinSize are geomean improvements vs -O0, higher is better.)\n")
-	return &Outcome{id: "fig7", title: "Figure 7: ablation across the curriculum stages", Text: sb.String(), numbers: nums}, nil
+	return &Outcome{id: "fig7", title: "Figure 7: ablation across the curriculum stages", text: sb.String(), numbers: nums}, nil
 }

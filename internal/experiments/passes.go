@@ -46,5 +46,5 @@ func passesWorkload(c *Context) (*Outcome, error) {
 	if fixed, beam := rep.Row(pipeline.MethodFixed), rep.Row(pipeline.MethodBeam); fixed != nil && beam != nil {
 		numbers["beam_vs_fixed_latency_gain"] = fixed.GeoLatency / beam.GeoLatency
 	}
-	return &Outcome{id: "passes", title: "Pass-ordering workload: policy vs search vs fixed pipeline", Text: sb.String(), numbers: numbers}, nil
+	return &Outcome{id: "passes", title: "Pass-ordering workload: policy vs search vs fixed pipeline", text: sb.String(), numbers: numbers}, nil
 }

@@ -52,7 +52,7 @@ func Render(o *Outcome) string {
 	var sb strings.Builder
 	bar := strings.Repeat("=", len(o.title))
 	fmt.Fprintf(&sb, "%s\n%s\n%s\n", bar, o.title, bar)
-	sb.WriteString(o.Text)
+	sb.WriteString(o.text)
 	if len(o.numbers) > 0 {
 		sb.WriteString("\nmeasured numbers:\n")
 		keys := make([]string, 0, len(o.numbers))

@@ -12,8 +12,8 @@ import (
 type Outcome struct {
 	id    string
 	title string
-	// Text is the rendered plain-text artifact.
-	Text string
+	// text is the rendered plain-text artifact.
+	text string
 	// numbers holds the headline measured values, keyed for
 	// EXPERIMENTS.md comparison against the paper.
 	numbers map[string]float64
@@ -51,7 +51,7 @@ func table1(c *Context) (*Outcome, error) {
 	return &Outcome{
 		id:    "table1",
 		title: "Table I: verification results of the baseline (untrained) model",
-		Text:  verdictTable("Baseline Qwen-3B analogue", rep),
+		text:  verdictTable("Baseline Qwen-3B analogue", rep),
 		numbers: map[string]float64{
 			"correct_pct":           100 * rep.CorrectFrac(),
 			"copies_pct":            100 * float64(rep.Copies) / total,
@@ -82,7 +82,7 @@ func table2(c *Context) (*Outcome, error) {
 	return &Outcome{
 		id:    "table2",
 		title: "Table II: verification results of the LLM-VeriOpt models",
-		Text:  text,
+		text:  text,
 		numbers: map[string]float64{
 			"correctness_correct_pct":      100 * corr.CorrectFrac(),
 			"correctness_diff_correct_pct": 100 * corr.DifferentCorrectFrac(),
@@ -130,7 +130,7 @@ func table3(c *Context) (*Outcome, error) {
 	return &Outcome{
 		id:      "table3",
 		title:   "Table III: per-sample outcome counts vs LLVM -O0",
-		Text:    sb.String(),
+		text:    sb.String(),
 		numbers: nums,
 	}, nil
 }

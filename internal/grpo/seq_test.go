@@ -84,14 +84,15 @@ func TestSeqTrainerCancellation(t *testing.T) {
 	data := seqCorpus(t, 12)
 	cfg := DefaultSeqConfig()
 	tr := NewSeqTrainer(seqopt.NewModel(9), data, cfg, 31)
-	before := tr.model.Clone()
+	beforeB := append([]float64(nil), tr.model.B...)
+	beforeS := append([]float64(nil), tr.model.S...)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := tr.stepCtx(ctx); err == nil {
 		t.Fatal("canceled step returned nil error")
 	}
-	for i := range before.B {
-		if tr.model.B[i] != before.B[i] || tr.model.S[i] != before.S[i] {
+	for i := range beforeB {
+		if tr.model.B[i] != beforeB[i] || tr.model.S[i] != beforeS[i] {
 			t.Fatal("canceled step mutated the model")
 		}
 	}

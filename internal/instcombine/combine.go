@@ -92,7 +92,7 @@ func (c *combiner) iterate() bool {
 }
 
 // fresh returns a temporary name that does not collide with any
-// existing t<N> name in the function (StepAt creates a new combiner
+// existing t<N> name in the function (stepAt creates a new combiner
 // per call, so the counter must start above what is already there).
 func (c *combiner) fresh() string {
 	if c.nextID == 0 {

@@ -448,7 +448,7 @@ func sscanfTempNumber(name string) (int, bool) {
 }
 
 // TestTempNumberMatchesSscanf: fresh must start above every existing
-// t<digits> name, prefix matches included, and — StepAt's output is
+// t<digits> name, prefix matches included, and — stepAt's output is
 // not renumbered, so the number is visible — no higher than Sscanf put
 // it.
 func TestTempNumberMatchesSscanf(t *testing.T) {

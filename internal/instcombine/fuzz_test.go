@@ -35,7 +35,7 @@ func randFn(rng *rand.Rand) *ir.Function {
 			var y ir.Value
 			if op.IsDivRem() {
 				y = ir.NewConst(ty, int64(1+rng.Intn(15))) // non-zero divisor
-			} else if op.IsShift() {
+			} else if op == ir.OpShl || op == ir.OpLShr || op == ir.OpAShr {
 				y = ir.NewConst(ty, int64(rng.Intn(ty.Bits)))
 			} else if rng.Intn(3) == 0 {
 				y = pick()

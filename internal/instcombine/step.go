@@ -5,12 +5,12 @@ import "veriopt/internal/ir"
 // StepFirst applies one instcombine micro-step at the first position,
 // in layout order, where one fires — the algebraic rule subset of the
 // reference pass, without its memory cleanups. It probes f itself: a
-// StepAt that does not fire leaves the function untouched (pinned by
+// stepAt that does not fire leaves the function untouched (pinned by
 // TestStepAtFalseLeavesFunctionUntouched), so trying needs no clone.
 func StepFirst(f *ir.Function) bool {
 	for bi := range f.Blocks {
 		for ii := range f.Blocks[bi].Instrs {
-			if StepAt(f, bi, ii) {
+			if stepAt(f, bi, ii) {
 				return true
 			}
 		}
@@ -18,12 +18,12 @@ func StepFirst(f *ir.Function) bool {
 	return false
 }
 
-// StepAt applies one instcombine micro-step (simplify or rewrite) at
+// stepAt applies one instcombine micro-step (simplify or rewrite) at
 // the given position, mutating f in place. It reports whether
 // anything changed. Unlike Run, it performs no fixpoint iteration, no
 // memory forwarding, and no DCE beyond replacing the single value —
 // it is the unit of the simulated LLM's action space.
-func StepAt(f *ir.Function, bi, ii int) bool {
+func stepAt(f *ir.Function, bi, ii int) bool {
 	if bi >= len(f.Blocks) || ii >= len(f.Blocks[bi].Instrs) {
 		return false
 	}

@@ -30,7 +30,7 @@ func corpusFuncs(tb testing.TB, perTemplate int, seeds ...int64) []*ir.Function 
 	}
 	var fns []*ir.Function
 	for _, seed := range seeds {
-		samples, err := dataset.Generate(dataset.Config{Seed: seed, N: perTemplate * len(dataset.Templates()), SkipVerify: true})
+		samples, err := dataset.Generate(dataset.Config{Seed: seed, N: perTemplate * datasetTemplates, SkipVerify: true})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -313,3 +313,8 @@ func TestRunSharesFunction(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// datasetTemplates is the size of dataset's template registry
+// (pinned by dataset's TestOneRoundCoversEveryTemplate): a corpus of
+// k*datasetTemplates samples holds every template k times.
+const datasetTemplates = 36

@@ -13,7 +13,7 @@ import (
 func TestPrinterMatchesReferenceOnCorpus(t *testing.T) {
 	seen := map[string]bool{}
 	for _, seed := range []int64{1, 2, 3} {
-		samples, err := dataset.Generate(dataset.Config{Seed: seed, N: len(dataset.Templates()), SkipVerify: true})
+		samples, err := dataset.Generate(dataset.Config{Seed: seed, N: datasetTemplates, SkipVerify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,9 +30,12 @@ func TestPrinterMatchesReferenceOnCorpus(t *testing.T) {
 			}
 		}
 	}
-	for _, tpl := range dataset.Templates() {
-		if !seen[tpl.Name] {
-			t.Errorf("template %s produced no sample", tpl.Name)
-		}
+	if len(seen) != datasetTemplates {
+		t.Errorf("%d of the %d templates produced a sample", len(seen), datasetTemplates)
 	}
 }
+
+// datasetTemplates is the size of dataset's template registry
+// (pinned by dataset's TestOneRoundCoversEveryTemplate): a corpus of
+// k*datasetTemplates samples holds every template k times.
+const datasetTemplates = 36

@@ -82,9 +82,6 @@ func (op Opcode) IsBinary() bool { return op >= OpAdd && op <= OpAShr }
 // (which have immediate-UB semantics on zero divisors).
 func (op Opcode) IsDivRem() bool { return op >= OpUDiv && op <= OpSRem }
 
-// IsShift reports whether the opcode is a shift.
-func (op Opcode) IsShift() bool { return op == OpShl || op == OpLShr || op == OpAShr }
-
 // IsCast reports whether the opcode is an integer cast.
 func (op Opcode) IsCast() bool { return op == OpZExt || op == OpSExt || op == OpTrunc }
 

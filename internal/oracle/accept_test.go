@@ -16,16 +16,23 @@ import (
 func forcedModel(t *testing.T, action string) *policy.Model {
 	t.Helper()
 	m := policy.New(policy.CapQwen3B, 1)
-	for a := 0; a < m.NumActions(); a++ {
-		if m.ActionName(a) != action {
-			continue
-		}
-		m.B[a] = 1e6
+	if action == "stop" {
+		m.B[m.ActStop()] = 1e6
 		return m
+	}
+	for a, r := range m.Rules {
+		if r.Name == action {
+			m.B[a] = 1e6
+			return m
+		}
 	}
 	t.Fatalf("no action %q", action)
 	return nil
 }
+
+// invalidPrefix begins the diag of a candidate that parsed into
+// structurally invalid IR (alive's own tests pin its diags).
+const invalidPrefix = "ERROR: invalid IR: "
 
 // TestAcceptIsTheDeploymentRule: whatever produced the candidate — a
 // caller's pass pipeline, instcombine, a model's decode — it comes back
@@ -36,7 +43,7 @@ func TestAcceptIsTheDeploymentRule(t *testing.T) {
 	verdicts := []alive.Result{
 		{Verdict: alive.Equivalent},
 		{Verdict: alive.SemanticError, Diag: "ERROR: Value mismatch", Counterexample: map[string]uint64{"%x": 1}},
-		{Verdict: alive.SyntaxError, Diag: alive.DiagInvalidPrefix + "a verdict only a remote could send"},
+		{Verdict: alive.SyntaxError, Diag: invalidPrefix + "a verdict only a remote could send"},
 		{Verdict: alive.Inconclusive, Diag: "ERROR: solver budget exhausted"},
 		alive.CanceledResult(context.Canceled),
 	}
@@ -90,7 +97,7 @@ func TestAcceptGatesModelOutput(t *testing.T) {
 }`
 	for _, tc := range []struct{ name, src, action, diag string }{
 		{"unparsable", srcText, "corrupt-bad-mnemonic", alive.DiagParsePrefix + `line 2: unknown instruction "faddq"`},
-		{"invalid", mulText, "corrupt-type-mismatch", alive.DiagInvalidPrefix},
+		{"invalid", mulText, "corrupt-type-mismatch", invalidPrefix},
 	} {
 		var queries atomic.Int64
 		in := mustParse(t, tc.src)
@@ -98,7 +105,7 @@ func TestAcceptGatesModelOutput(t *testing.T) {
 		if out != in {
 			t.Errorf("%s: out is not the input pointer", tc.name)
 		}
-		if res.Verdict != alive.SyntaxError || !strings.HasPrefix(res.Diag, tc.diag) || len(res.Diag) == len(alive.DiagInvalidPrefix) {
+		if res.Verdict != alive.SyntaxError || !strings.HasPrefix(res.Diag, tc.diag) || len(res.Diag) == len(invalidPrefix) {
 			t.Errorf("%s: result %+v, want syntax_error with diag %q…", tc.name, res, tc.diag)
 		}
 		if queries.Load() != 0 {

@@ -27,10 +27,10 @@ func TestEvaluateIdenticalAcrossWorkers(t *testing.T) {
 		r1.Syntax != r4.Syntax || r1.Inconclusive != r4.Inconclusive {
 		t.Fatalf("tallies differ: %+v vs %+v", *r1, *r4)
 	}
-	for i := range r1.Results {
-		a, b := r1.Results[i], r4.Results[i]
-		if a.Verdict != b.Verdict || a.Diag != b.Diag || a.Copied != b.Copied ||
-			a.UsedFallback != b.UsedFallback || a.Out != b.Out || a.Base != b.Base || a.Ref != b.Ref {
+	for i := range r1.results {
+		a, b := r1.results[i], r4.results[i]
+		if a.verdict != b.verdict || a.diag != b.diag || a.copied != b.copied ||
+			a.usedFallback != b.usedFallback || a.out != b.out || a.base != b.base || a.ref != b.ref {
 			t.Fatalf("sample %d differs between worker counts:\n%+v\nvs\n%+v", i, a, b)
 		}
 	}
@@ -87,8 +87,8 @@ func TestEvaluateCancellationPartialReport(t *testing.T) {
 		if o.err != context.Canceled {
 			t.Fatalf("err = %v, want context.Canceled", o.err)
 		}
-		if len(o.rep.Results) != len(val) {
-			t.Fatalf("results slice resized: %d vs %d samples", len(o.rep.Results), len(val))
+		if len(o.rep.results) != len(val) {
+			t.Fatalf("results slice resized: %d vs %d samples", len(o.rep.results), len(val))
 		}
 		if o.rep.Total()+o.rep.Skipped != len(val) {
 			t.Fatalf("Total %d + Skipped %d != %d", o.rep.Total(), o.rep.Skipped, len(val))
@@ -126,7 +126,7 @@ func TestEvaluateCanceledVerdictsCountSkipped(t *testing.T) {
 		t.Fatalf("uncanceled run returned err = %v", err)
 	}
 	nCanceled := 0
-	for i, r := range rep.Results {
+	for i, r := range rep.results {
 		if r == nil {
 			t.Fatalf("complete run left slot %d nil", i)
 		}
@@ -180,7 +180,7 @@ func TestEvaluatePartialFractionsExcludeCanceled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", runErr)
 	}
 	evaluated := 0
-	for _, r := range rep.Results {
+	for _, r := range rep.results {
 		if r == nil || r.canceled {
 			continue
 		}
@@ -227,21 +227,21 @@ func TestRunCtxCancellationPartialResult(t *testing.T) {
 }
 
 // TestMeanDeltaSkipsZeroBaseline: MeanDelta used to sum only over
-// positive-baseline samples but divide by len(Results), dragging the
+// positive-baseline samples but divide by len(results), dragging the
 // mean toward zero whenever a sample had a zero baseline metric.
 func TestMeanDeltaSkipsZeroBaseline(t *testing.T) {
-	rep := &Report{Results: []*SampleResult{
+	rep := &Report{results: []*sampleResult{
 		{
-			Base: costmodel.Metrics{Latency: 100, Size: 10, ICount: 10},
-			Ref:  costmodel.Metrics{Latency: 100, Size: 10, ICount: 10},
-			Out:  costmodel.Metrics{Latency: 50, Size: 10, ICount: 10},
+			base: costmodel.Metrics{Latency: 100, Size: 10, ICount: 10},
+			ref:  costmodel.Metrics{Latency: 100, Size: 10, ICount: 10},
+			out:  costmodel.Metrics{Latency: 50, Size: 10, ICount: 10},
 		},
 		{
 			// A zero-latency sample: no relative change is defined, so
 			// it must not participate in the mean.
-			Base: costmodel.Metrics{Latency: 0, Size: 10, ICount: 10},
-			Ref:  costmodel.Metrics{Latency: 0, Size: 10, ICount: 10},
-			Out:  costmodel.Metrics{Latency: 0, Size: 10, ICount: 10},
+			base: costmodel.Metrics{Latency: 0, Size: 10, ICount: 10},
+			ref:  costmodel.Metrics{Latency: 0, Size: 10, ICount: 10},
+			out:  costmodel.Metrics{Latency: 0, Size: 10, ICount: 10},
 		},
 	}}
 	if got := OutcomesVsO0(rep, MetricLatency).MeanDelta; math.Abs(got-(-0.5)) > 1e-12 {
@@ -251,7 +251,7 @@ func TestMeanDeltaSkipsZeroBaseline(t *testing.T) {
 		t.Errorf("VsInstCombine MeanDelta = %v, want -0.5", got)
 	}
 	// All-zero baselines: mean must stay zero, not NaN.
-	zero := &Report{Results: []*SampleResult{{}}}
+	zero := &Report{results: []*sampleResult{{}}}
 	if got := OutcomesVsO0(zero, MetricLatency).MeanDelta; got != 0 || math.IsNaN(got) {
 		t.Errorf("all-zero baseline MeanDelta = %v, want 0", got)
 	}

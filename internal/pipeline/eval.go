@@ -17,39 +17,39 @@ import (
 	"veriopt/internal/policy"
 )
 
-// SampleResult is one evaluated function.
-type SampleResult struct {
-	Sample  *dataset.Sample
-	Verdict alive.Verdict
-	Diag    string
+// sampleResult is one evaluated function.
+type sampleResult struct {
+	sample  *dataset.Sample
+	verdict alive.Verdict
+	diag    string
 	// canceled marks a sample whose verification was cut short by the
 	// run's context ending (the judge returned a Canceled verdict).
-	// The slot is kept — Sample, Base, and the fallback Out are valid
+	// The slot is kept — sample, base, and the fallback out are valid
 	// — but the sample was not genuinely evaluated: it is counted in
 	// Report.Skipped, not Inconclusive, and excluded from Total() and
 	// every aggregate metric.
 	canceled bool
-	Copied   bool
-	// FinalFn is the model's output when verified; nil otherwise.
-	FinalFn *ir.Function
-	// Out is the effective metrics after the paper's fallback rule:
+	copied   bool
+	// finalFn is the model's output when verified; nil otherwise.
+	finalFn *ir.Function
+	// out is the effective metrics after the paper's fallback rule:
 	// unverified outputs fall back to the -O0 version.
-	Out costmodel.Metrics
-	// Base is the -O0 metrics; Ref the instcombine metrics.
-	Base, Ref costmodel.Metrics
-	// UsedFallback reports that Out == Base because verification failed.
-	UsedFallback bool
+	out costmodel.Metrics
+	// base is the -O0 metrics; ref the instcombine metrics.
+	base, ref costmodel.Metrics
+	// usedFallback reports that out == base because verification failed.
+	usedFallback bool
 }
 
 // Report aggregates an evaluation run, mirroring the verdict
 // categories of Tables I/II.
 type Report struct {
-	// Results holds one entry per sample. Entries are nil for samples
+	// results holds one entry per sample. Entries are nil for samples
 	// never evaluated because the run was canceled; entries with
-	// Canceled set were reached but their verification was cut short
+	// canceled set were reached but their verification was cut short
 	// mid-flight. Both kinds are excluded from every tally and
 	// aggregate metric and counted in Skipped.
-	Results []*SampleResult
+	results []*sampleResult
 
 	Correct      int
 	Copies       int // subset of Correct
@@ -57,8 +57,8 @@ type Report struct {
 	Syntax       int
 	Inconclusive int
 	// Skipped counts the samples a canceled run never reached (nil
-	// Results slots) plus the samples whose in-flight verification
-	// came back Canceled (slots with Canceled set). A complete run
+	// results slots) plus the samples whose in-flight verification
+	// came back Canceled (slots with canceled set). A complete run
 	// has Skipped == 0, so CorrectFrac/DifferentCorrectFrac are
 	// always fractions over genuinely evaluated samples.
 	Skipped int
@@ -66,14 +66,14 @@ type Report struct {
 
 // Total returns the number of evaluated samples (skipped samples of a
 // canceled run are not evaluated).
-func (r *Report) Total() int { return len(r.Results) - r.Skipped }
+func (r *Report) Total() int { return len(r.results) - r.Skipped }
 
 // evaluated returns the genuinely evaluated samples in sample order:
 // unreached slots (nil) and verifications cut short (Canceled) are
 // left out of every tally and aggregate.
-func (r *Report) evaluated() []*SampleResult {
-	out := make([]*SampleResult, 0, len(r.Results))
-	for _, res := range r.Results {
+func (r *Report) evaluated() []*sampleResult {
+	out := make([]*sampleResult, 0, len(r.results))
+	for _, res := range r.results {
 		if res != nil && !res.canceled {
 			out = append(out, res)
 		}
@@ -121,7 +121,7 @@ type EvalConfig struct {
 //
 // When ctx ends mid-run, EvaluateCtx returns promptly with a partial
 // report — evaluated samples keep their results, unreached samples
-// stay nil in Results, and samples whose in-flight verification came
+// stay nil in results, and samples whose in-flight verification came
 // back Canceled keep their slot with Canceled set — plus the
 // context's error. Both unreached and canceled samples are counted in
 // Skipped, never in Inconclusive, so a partial report's fractions are
@@ -131,40 +131,40 @@ func EvaluateCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample
 		cfg.Verify = alive.DefaultOptions()
 	}
 	o := oracle.OrDefault(cfg.Oracle)
-	rep := &Report{Results: make([]*SampleResult, len(samples))}
+	rep := &Report{results: make([]*sampleResult, len(samples))}
 	err := par.For(ctx, cfg.Workers, len(samples), func(i int) {
 		s := samples[i]
 		ep := m.Generate(s.O0, policy.GenOptions{Augmented: augmented})
 		j := grpo.JudgeWith(ctx, o, ep, s, cfg.Verify)
-		res := &SampleResult{
-			Sample:   s,
-			Verdict:  j.FinalVerdict.Verdict,
-			Diag:     j.FinalVerdict.Diag,
+		res := &sampleResult{
+			sample:   s,
+			verdict:  j.FinalVerdict.Verdict,
+			diag:     j.FinalVerdict.Diag,
 			canceled: j.FinalVerdict.Reason() == alive.Canceled,
-			Copied:   ep.Copied,
-			Base:     costmodel.Measure(s.O0),
-			Ref:      costmodel.Measure(s.Ref),
+			copied:   ep.Copied,
+			base:     costmodel.Measure(s.O0),
+			ref:      costmodel.Measure(s.Ref),
 		}
-		if res.Verdict == alive.Equivalent {
-			res.FinalFn = j.FinalFn
-			res.Out = costmodel.Measure(j.FinalFn)
+		if res.verdict == alive.Equivalent {
+			res.finalFn = j.FinalFn
+			res.out = costmodel.Measure(j.FinalFn)
 		}
-		if res.FinalFn == nil {
-			res.Out = res.Base
-			res.UsedFallback = true
+		if res.finalFn == nil {
+			res.out = res.base
+			res.usedFallback = true
 		}
-		rep.Results[i] = res
+		rep.results[i] = res
 	})
 	// Unreached, or verification cut short mid-flight: the sample was
 	// never genuinely evaluated, so it must not land in Inconclusive
 	// (that would deflate the fractions of a partial report).
 	done := rep.evaluated()
-	rep.Skipped = len(rep.Results) - len(done)
+	rep.Skipped = len(rep.results) - len(done)
 	for _, res := range done {
-		switch res.Verdict {
+		switch res.verdict {
 		case alive.Equivalent:
 			rep.Correct++
-			if res.Copied {
+			if res.copied {
 				rep.Copies++
 			}
 		case alive.SemanticError:
@@ -217,12 +217,12 @@ type Outcomes struct {
 // outcomes counts the model's effective output (with fallback)
 // against baseline's metric per sample, and averages the relative
 // change over the samples with a positive baseline metric.
-func outcomes(rep *Report, m Metric, baseline func(*SampleResult) costmodel.Metrics) Outcomes {
+func outcomes(rep *Report, m Metric, baseline func(*sampleResult) costmodel.Metrics) Outcomes {
 	var o Outcomes
 	sum, n := 0.0, 0
 	for _, r := range rep.evaluated() {
 		base := metricOf(baseline(r), m)
-		out := metricOf(r.Out, m)
+		out := metricOf(r.out, m)
 		switch {
 		case out < base:
 			o.Better++
@@ -236,7 +236,7 @@ func outcomes(rep *Report, m Metric, baseline func(*SampleResult) costmodel.Metr
 			n++
 		}
 	}
-	// Divide by the number of summed terms, not len(Results): a
+	// Divide by the number of summed terms, not len(results): a
 	// skipped zero-baseline sample must not drag the mean toward zero.
 	if n > 0 {
 		o.MeanDelta = sum / float64(n)
@@ -247,7 +247,7 @@ func outcomes(rep *Report, m Metric, baseline func(*SampleResult) costmodel.Metr
 // geomean returns the geometric mean of num/den over the samples where
 // both are positive, 1 when there are none. Logs are added in sample
 // order.
-func geomean(rep *Report, num, den func(*SampleResult) int) float64 {
+func geomean(rep *Report, num, den func(*sampleResult) int) float64 {
 	logSum := 0.0
 	n := 0
 	for _, r := range rep.evaluated() {
@@ -267,21 +267,21 @@ func geomean(rep *Report, num, den func(*SampleResult) int) float64 {
 // OutcomesVsO0 computes a Table III row: the model's effective output
 // (with fallback) against the -O0 baseline.
 func OutcomesVsO0(rep *Report, m Metric) Outcomes {
-	return outcomes(rep, m, func(r *SampleResult) costmodel.Metrics { return r.Base })
+	return outcomes(rep, m, func(r *sampleResult) costmodel.Metrics { return r.base })
 }
 
 // VsInstCombine compares the model's effective output against the
 // instcombine reference per function — Fig. 6(c).
 func VsInstCombine(rep *Report, m Metric) Outcomes {
-	return outcomes(rep, m, func(r *SampleResult) costmodel.Metrics { return r.Ref })
+	return outcomes(rep, m, func(r *sampleResult) costmodel.Metrics { return r.ref })
 }
 
 // GeomeanRatio returns the geometric mean of out/base for the metric
 // (< 1 = improvement), the Fig. 5/7 aggregation.
 func GeomeanRatio(rep *Report, m Metric) float64 {
 	return geomean(rep,
-		func(r *SampleResult) int { return metricOf(r.Out, m) },
-		func(r *SampleResult) int { return metricOf(r.Base, m) })
+		func(r *sampleResult) int { return metricOf(r.out, m) },
+		func(r *sampleResult) int { return metricOf(r.base, m) })
 }
 
 // GeomeanSpeedup returns the geometric-mean latency speedup vs -O0
@@ -294,8 +294,8 @@ func GeomeanSpeedup(rep *Report) float64 {
 // samples (the 2.39× comparison point).
 func RefGeomeanSpeedup(rep *Report) float64 {
 	return geomean(rep,
-		func(r *SampleResult) int { return r.Base.Latency },
-		func(r *SampleResult) int { return r.Ref.Latency })
+		func(r *sampleResult) int { return r.base.Latency },
+		func(r *sampleResult) int { return r.ref.Latency })
 }
 
 // HybridGeomeanGain computes the paper's fallback-hybrid gain: taking
@@ -304,6 +304,6 @@ func RefGeomeanSpeedup(rep *Report) float64 {
 // 2.1% in the paper).
 func HybridGeomeanGain(rep *Report, m Metric) float64 {
 	return geomean(rep,
-		func(r *SampleResult) int { return metricOf(r.Ref, m) },
-		func(r *SampleResult) int { return min(metricOf(r.Ref, m), metricOf(r.Out, m)) })
+		func(r *sampleResult) int { return metricOf(r.ref, m) },
+		func(r *sampleResult) int { return min(metricOf(r.ref, m), metricOf(r.out, m)) })
 }

@@ -75,11 +75,11 @@ func TestCurriculumImprovesSpeedup(t *testing.T) {
 func TestFallbackRuleNeverWorseOnFailures(t *testing.T) {
 	res, val := smallRun(t)
 	rep := evaluate(res.Base, val, false, EvalConfig{})
-	for _, r := range rep.Results {
-		if r.UsedFallback && r.Out != r.Base {
+	for _, r := range rep.results {
+		if r.usedFallback && r.out != r.base {
 			t.Fatal("fallback did not restore the O0 metrics")
 		}
-		if r.Verdict != alive.Equivalent && !r.UsedFallback {
+		if r.verdict != alive.Equivalent && !r.usedFallback {
 			t.Fatal("unverified output accepted without fallback")
 		}
 	}
@@ -157,8 +157,8 @@ func TestEvaluateDeterministic(t *testing.T) {
 	res, val := smallRun(t)
 	a := evaluate(res.Latency, val[:10], false, EvalConfig{})
 	b := evaluate(res.Latency, val[:10], false, EvalConfig{})
-	for i := range a.Results {
-		if a.Results[i].Verdict != b.Results[i].Verdict || a.Results[i].Out != b.Results[i].Out {
+	for i := range a.results {
+		if a.results[i].verdict != b.results[i].verdict || a.results[i].out != b.results[i].out {
 			t.Fatal("evaluation not deterministic")
 		}
 	}

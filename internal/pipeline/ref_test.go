@@ -17,12 +17,12 @@ import (
 func refOutcomesVsO0(rep *Report, m Metric) Outcomes {
 	var o Outcomes
 	sum, n := 0.0, 0
-	for _, r := range rep.Results {
+	for _, r := range rep.results {
 		if r == nil || r.canceled {
 			continue
 		}
-		base := metricOf(r.Base, m)
-		out := metricOf(r.Out, m)
+		base := metricOf(r.base, m)
+		out := metricOf(r.out, m)
 		switch {
 		case out < base:
 			o.Better++
@@ -45,12 +45,12 @@ func refOutcomesVsO0(rep *Report, m Metric) Outcomes {
 func refGeomeanRatio(rep *Report, m Metric) float64 {
 	logSum := 0.0
 	n := 0
-	for _, r := range rep.Results {
+	for _, r := range rep.results {
 		if r == nil || r.canceled {
 			continue
 		}
-		base := metricOf(r.Base, m)
-		out := metricOf(r.Out, m)
+		base := metricOf(r.base, m)
+		out := metricOf(r.out, m)
 		if base <= 0 || out <= 0 {
 			continue
 		}
@@ -66,11 +66,11 @@ func refGeomeanRatio(rep *Report, m Metric) float64 {
 func refRefGeomeanSpeedup(rep *Report) float64 {
 	logSum := 0.0
 	n := 0
-	for _, r := range rep.Results {
+	for _, r := range rep.results {
 		if r == nil || r.canceled {
 			continue
 		}
-		b, ref := r.Base.Latency, r.Ref.Latency
+		b, ref := r.base.Latency, r.ref.Latency
 		if b <= 0 || ref <= 0 {
 			continue
 		}
@@ -86,12 +86,12 @@ func refRefGeomeanSpeedup(rep *Report) float64 {
 func refVsInstCombine(rep *Report, m Metric) Outcomes {
 	var o Outcomes
 	sum, n := 0.0, 0
-	for _, r := range rep.Results {
+	for _, r := range rep.results {
 		if r == nil || r.canceled {
 			continue
 		}
-		ref := metricOf(r.Ref, m)
-		out := metricOf(r.Out, m)
+		ref := metricOf(r.ref, m)
+		out := metricOf(r.out, m)
 		switch {
 		case out < ref:
 			o.Better++
@@ -114,12 +114,12 @@ func refVsInstCombine(rep *Report, m Metric) Outcomes {
 func refHybridGeomeanGain(rep *Report, m Metric) float64 {
 	logSum := 0.0
 	n := 0
-	for _, r := range rep.Results {
+	for _, r := range rep.results {
 		if r == nil || r.canceled {
 			continue
 		}
-		ref := metricOf(r.Ref, m)
-		out := metricOf(r.Out, m)
+		ref := metricOf(r.ref, m)
+		out := metricOf(r.out, m)
 		best := ref
 		if out < best {
 			best = out
@@ -140,16 +140,16 @@ func refHybridGeomeanGain(rep *Report, m Metric) float64 {
 // every third slot after it cut short mid-flight (Canceled), the two
 // kinds of hole a canceled evaluation leaves.
 func partialOf(rep *Report) *Report {
-	p := &Report{Results: make([]*SampleResult, len(rep.Results))}
-	for i, r := range rep.Results {
+	p := &Report{results: make([]*sampleResult, len(rep.results))}
+	for i, r := range rep.results {
 		switch i % 3 {
 		case 0:
 		case 1:
 			c := *r
 			c.canceled = true
-			p.Results[i] = &c
+			p.results[i] = &c
 		default:
-			p.Results[i] = r
+			p.results[i] = r
 		}
 	}
 	return p
@@ -160,13 +160,13 @@ func partialOf(rep *Report) *Report {
 // together, beside ordinary samples.
 func zeroSides() *Report {
 	ms := func(l, s, i int) costmodel.Metrics { return costmodel.Metrics{Latency: l, Size: s, ICount: i} }
-	return &Report{Results: []*SampleResult{
-		{Base: ms(10, 8, 6), Out: ms(5, 8, 7), Ref: ms(4, 9, 5)},
-		{Base: ms(0, 0, 0), Out: ms(3, 2, 1), Ref: ms(2, 2, 2)},
-		{Base: ms(7, 5, 3), Out: ms(0, 0, 0), Ref: ms(6, 5, 2)},
-		{Base: ms(9, 4, 4), Out: ms(8, 4, 4), Ref: ms(0, 0, 0)},
-		{Base: ms(0, 0, 0), Out: ms(0, 0, 0), Ref: ms(0, 0, 0)},
-		{Base: ms(12, 11, 10), Out: ms(12, 13, 9), Ref: ms(11, 11, 11)},
+	return &Report{results: []*sampleResult{
+		{base: ms(10, 8, 6), out: ms(5, 8, 7), ref: ms(4, 9, 5)},
+		{base: ms(0, 0, 0), out: ms(3, 2, 1), ref: ms(2, 2, 2)},
+		{base: ms(7, 5, 3), out: ms(0, 0, 0), ref: ms(6, 5, 2)},
+		{base: ms(9, 4, 4), out: ms(8, 4, 4), ref: ms(0, 0, 0)},
+		{base: ms(0, 0, 0), out: ms(0, 0, 0), ref: ms(0, 0, 0)},
+		{base: ms(12, 11, 10), out: ms(12, 13, 9), ref: ms(11, 11, 11)},
 	}}
 }
 

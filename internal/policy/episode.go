@@ -2,7 +2,6 @@ package policy
 
 import (
 	"math/rand"
-	"strings"
 
 	"veriopt/internal/ir"
 	"veriopt/internal/rewrite"
@@ -20,11 +19,11 @@ type Episode struct {
 	// prompts; the answer itself for generic prompts).
 	AttemptText string
 
-	// Diagnose/correction phase (augmented-prompt mode only).
+	// Diagnose/correction phase (augmented-prompt mode only). When
+	// CorrectionUsed, FinalText is the correction's text.
 	Diag           *DiagRecord
 	CorrectionUsed bool
 	CorrectionActs []ActionRecord
-	CorrectionText string
 	// CorrH holds the hash features used by the correction rollout.
 	CorrH []float64
 
@@ -92,7 +91,6 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 		ep.CorrH = h2
 		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, opts, mask)
 		ep.CorrectionActs = corrActs
-		ep.CorrectionText = corrText
 		ep.FinalText = corrText
 		ep.FormatOK = !corrFmtBreak
 	} else {
@@ -193,24 +191,3 @@ func (l *lazySource) source() rand.Source64 {
 func (l *lazySource) Int63() int64    { return l.source().Int63() }
 func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
 func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil }
-
-// Completion renders the episode in the paper's prompt-output format:
-// generic (answer only) or augmented (<think> with attempt and
-// diagnosis, then <answer>).
-func (ep *Episode) Completion() string {
-	var sb strings.Builder
-	if ep.Diag != nil {
-		sb.WriteString("<think>\n")
-		sb.WriteString(ep.AttemptText)
-		sb.WriteString(ep.Diag.Message)
-		sb.WriteString("\n</think>\n")
-	}
-	if ep.FormatOK {
-		sb.WriteString("<answer>\n")
-		sb.WriteString(ep.FinalText)
-		sb.WriteString("</answer>\n")
-	} else {
-		sb.WriteString(ep.FinalText)
-	}
-	return sb.String()
-}

@@ -50,8 +50,8 @@ func (l *Linear) Grad() *Linear {
 	return g
 }
 
-// Copy deep-copies the block.
-func (l *Linear) Copy() Linear {
+// clone deep-copies the block.
+func (l *Linear) clone() Linear {
 	return Linear{B: cloneVec(l.B), S: cloneVec(l.S), P: cloneVec(l.P), N: cloneRows(l.N)}
 }
 

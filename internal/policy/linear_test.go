@@ -143,7 +143,7 @@ func TestClipStep(t *testing.T) {
 			}
 		}
 		want = math.Sqrt(want)
-		before, denseBefore := l.Copy(), cloneRows(dense)
+		before, denseBefore := l.clone(), cloneRows(dense)
 		got := l.ClipStep(g, dense, gDense, lr, clip, 0)
 		if math.Abs(got-want) > 1e-12*want {
 			t.Errorf("gradient norm %v: returned %v, want the pre-clip norm", want, got)

@@ -16,7 +16,6 @@
 package policy
 
 import (
-	"fmt"
 	"math/rand"
 
 	"veriopt/internal/rewrite"
@@ -76,27 +75,11 @@ type Model struct {
 	SelfCorrectGate float64
 }
 
-// NumActions returns the size of the action space.
-func (m *Model) NumActions() int { return len(m.Rules) + numSpecialActions }
-
 // ActStop returns the STOP action index.
 func (m *Model) ActStop() int { return len(m.Rules) + actStopOffset }
 
 // ActFormatBreak returns the format-breaking action index.
 func (m *Model) ActFormatBreak() int { return len(m.Rules) + actFormatBreakOffset }
-
-// ActionName renders an action index for logs.
-func (m *Model) ActionName(a int) string {
-	switch {
-	case a < len(m.Rules):
-		return m.Rules[a].Name
-	case a == m.ActStop():
-		return "stop"
-	case a == m.ActFormatBreak():
-		return "format-break"
-	}
-	return fmt.Sprintf("action(%d)", a)
-}
 
 // New builds an untrained base model whose initial action
 // distribution is calibrated to the paper's Table I profile for the
@@ -107,7 +90,7 @@ func New(cap Capacity, seed int64) *Model {
 	rules := rewrite.All()
 	m := &Model{Cap: cap, Rules: rules}
 	rng := rand.New(rand.NewSource(seed))
-	m.Linear = NewLinear(m.NumActions(), cap.HashFeatures, cap.NoiseScale, true, rng)
+	m.Linear = NewLinear(len(m.Rules)+numSpecialActions, cap.HashFeatures, cap.NoiseScale, true, rng)
 	// Base biases per kind (Table I calibration; see DESIGN.md §5).
 	for a, r := range rules {
 		switch r.Kind {
@@ -144,7 +127,7 @@ func New(cap Capacity, seed int64) *Model {
 // Clone deep-copies the model (used to snapshot curriculum stages).
 func (m *Model) Clone() *Model {
 	return &Model{Cap: m.Cap, Rules: m.Rules, SelfCorrectGate: m.SelfCorrectGate,
-		Linear: m.Linear.Copy(), Diag: m.Diag.clone()}
+		Linear: m.Linear.clone(), Diag: m.Diag.clone()}
 }
 
 // HashFeatures embeds input text x for this model's capacity.

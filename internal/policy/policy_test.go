@@ -130,7 +130,7 @@ func TestAugmentedModeProducesDiagnosis(t *testing.T) {
 	if ep.Diag == nil {
 		t.Fatal("augmented generation without diagnosis")
 	}
-	comp := ep.Completion()
+	comp := completion(ep)
 	if ep.FormatOK {
 		for _, want := range []string{"<think>", "</think>", "<answer>", "</answer>"} {
 			if !contains(comp, want) {

@@ -64,8 +64,9 @@ const (
 	Unsat
 )
 
-// ErrBudget is returned when the solver exceeds its conflict budget.
-var ErrBudget = errors.New("sat: conflict budget exhausted")
+// errBudget is returned when the solver exceeds its conflict budget, and
+// is the only error Solve returns.
+var errBudget = errors.New("sat: conflict budget exhausted")
 
 // ProofSink receives a solver's clausal proof as it is produced, for
 // an independent checker (internal/ruptest) to replay every Unsat by
@@ -613,7 +614,7 @@ func (s *Solver) Solve(assumptions ...Lit) (Status, error) {
 				return s.unsat(assumptions)
 			}
 			if s.Budget > 0 && s.conflicts > s.Budget {
-				return Unknown, ErrBudget
+				return Unknown, errBudget
 			}
 			learnt, backLevel := s.analyze(conf)
 			if s.Proof != nil {

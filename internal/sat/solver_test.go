@@ -190,8 +190,8 @@ func TestBudgetExhaustion(t *testing.T) {
 	pigeonhole(s, 9, 8) // hard enough to exceed a tiny budget
 	s.Budget = 5
 	st, err := s.Solve()
-	if err != ErrBudget {
-		t.Fatalf("status=%v err=%v, want ErrBudget", st, err)
+	if err != errBudget {
+		t.Fatalf("status=%v err=%v, want errBudget", st, err)
 	}
 }
 
@@ -293,16 +293,16 @@ func TestBudgetSpansSolveCalls(t *testing.T) {
 	s := New()
 	pigeonhole(s, 7, 6)
 	s.Budget = 5
-	if _, err := s.Solve(); err != ErrBudget {
-		t.Fatalf("first call err = %v, want ErrBudget", err)
+	if _, err := s.Solve(); err != errBudget {
+		t.Fatalf("first call err = %v, want errBudget", err)
 	}
 	spent := s.Conflicts()
 	if spent <= 5 {
 		t.Fatalf("conflicts = %d, want > 5", spent)
 	}
 	// Without raising the budget, the next call fails immediately.
-	if _, err := s.Solve(); err != ErrBudget {
-		t.Fatalf("second call err = %v, want ErrBudget", err)
+	if _, err := s.Solve(); err != errBudget {
+		t.Fatalf("second call err = %v, want errBudget", err)
 	}
 	// Topping up gives the next call fresh headroom.
 	s.Budget = s.Conflicts() + 100000
@@ -315,7 +315,7 @@ func TestBudgetSpansSolveCalls(t *testing.T) {
 // TestBudgetAtLevelZeroConflict: a conflict at decision level 0 refutes
 // the formula whatever the budget says. Solve used to test the budget
 // first: the second conflict here (the learnt unit a propagates into
-// ¬a∨c and ¬a∨¬c at level 0) returned ErrBudget with the falsified
+// ¬a∨c and ¬a∨¬c at level 0) returned errBudget with the falsified
 // clause already behind the propagation queue, and the next Solve
 // answered Sat with a = c = true.
 func TestBudgetAtLevelZeroConflict(t *testing.T) {

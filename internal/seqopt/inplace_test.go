@@ -19,15 +19,24 @@ import (
 // scenario families, in it.
 func familySlice(t *testing.T, perTemplate int) []*dataset.Sample {
 	t.Helper()
-	samples, err := dataset.Generate(dataset.Config{Seed: 7, N: perTemplate * len(dataset.Templates()), SkipVerify: true})
+	samples, err := dataset.Generate(dataset.Config{Seed: 7, N: perTemplate * datasetTemplates, SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(dataset.ScenarioCounts(samples)); n != 5 {
+	families := map[string]bool{}
+	for _, s := range samples {
+		families[s.Scenario] = true
+	}
+	if n := len(families); n != 5 {
 		t.Fatalf("slice covers %d scenario families, want 5", n)
 	}
 	return samples
 }
+
+// datasetTemplates is the size of dataset's template registry
+// (pinned by dataset's TestOneRoundCoversEveryTemplate): a corpus of
+// k*datasetTemplates samples holds every template k times.
+const datasetTemplates = 36
 
 func layout(f *ir.Function) []*ir.Instr {
 	var out []*ir.Instr
@@ -62,15 +71,15 @@ func TestInPlaceFalseLeavesFunctionUntouched(t *testing.T) {
 				}
 				probes++
 				if got := ir.FuncString(g); got != text {
-					t.Fatalf("%s on %s state %d reported false but changed the function:\n%s\nwas:\n%s", p.Name, s.Name, i, got, text)
+					t.Fatalf("%s on %s state %d reported false but changed the function:\n%s\nwas:\n%s", p.name, s.Name, i, got, text)
 				}
 				if !slices.Equal(layout(g), instrs) {
-					t.Fatalf("%s on %s state %d reported false but moved or replaced an instruction", p.Name, s.Name, i)
+					t.Fatalf("%s on %s state %d reported false but moved or replaced an instruction", p.name, s.Name, i)
 				}
 			}
 		}
 		if probes < 100 {
-			t.Errorf("%s: only %d non-firing probes; the corpus no longer exercises the contract", p.Name, probes)
+			t.Errorf("%s: only %d non-firing probes; the corpus no longer exercises the contract", p.name, probes)
 		}
 	}
 }
@@ -117,10 +126,10 @@ j:
 		same := func(p *Pass, a, b *ir.Function) bool {
 			ca, cb := p.run(a), p.run(b)
 			if ta, tb := ir.FuncString(a), ir.FuncString(b); ca != cb || ta != tb {
-				t.Fatalf("%s: parsed (changed %v):\n%s\nclone (changed %v):\n%s\nfrom:\n%s", p.Name, ca, ta, cb, tb, text)
+				t.Fatalf("%s: parsed (changed %v):\n%s\nclone (changed %v):\n%s\nfrom:\n%s", p.name, ca, ta, cb, tb, text)
 			}
 			if ca {
-				fired[p.Name]++
+				fired[p.name]++
 			}
 			return ca
 		}
@@ -142,8 +151,8 @@ j:
 		}
 	}
 	for _, p := range reg {
-		if fired[p.Name] == 0 {
-			t.Errorf("%s never fired; the corpus no longer exercises it", p.Name)
+		if fired[p.name] == 0 {
+			t.Errorf("%s never fired; the corpus no longer exercises it", p.name)
 		}
 	}
 }
@@ -168,7 +177,7 @@ func refExpand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig
 		if vr.Verdict != alive.Equivalent {
 			continue
 		}
-		seq := append(append([]string(nil), st.seq...), p.Name)
+		seq := append(append([]string(nil), st.seq...), p.name)
 		out = append(out, &state{fn: g, key: key, seq: seq, m: costmodel.Measure(g)})
 	}
 	return out
@@ -237,7 +246,7 @@ func TestSearchMatchesPerPassApply(t *testing.T) {
 			if !reflect.DeepEqual(outcomeOf(got), outcomeOf(want)) {
 				t.Errorf("%s on %s:\n got %+v\nwant %+v", name, s.Name, outcomeOf(got), outcomeOf(want))
 			}
-			if got.Improved() {
+			if got.Best.Latency < got.Base.Latency {
 				improved++
 			}
 		}
@@ -304,8 +313,8 @@ func TestBeamConcurrentSharedConfig(t *testing.T) {
 func TestRegistryBuildsOnce(t *testing.T) {
 	a, b := Registry(), Registry()
 	a[0], a[1] = a[1], a[0]
-	if b[0].Name != "combine" || b[1] != a[0] || b[0] != a[1] {
-		t.Errorf("Registry calls share their slice or rebuild their passes: %s, %s", b[0].Name, b[1].Name)
+	if b[0].name != "combine" || b[1] != a[0] || b[0] != a[1] {
+		t.Errorf("Registry calls share their slice or rebuild their passes: %s, %s", b[0].name, b[1].name)
 	}
 	if n := testing.AllocsPerRun(20, func() { Registry() }); n > 1 {
 		t.Errorf("Registry: %v allocations per call, want the slice only", n)

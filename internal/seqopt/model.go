@@ -54,12 +54,6 @@ func (m *Model) numActions() int { return len(m.Passes) + 1 }
 // actStop is the STOP action index.
 func (m *Model) actStop() int { return len(m.Passes) }
 
-// Clone deep-copies the model.
-func (m *Model) Clone() *Model {
-	return &Model{Passes: append([]string(nil), m.Passes...), HashFeatures: m.HashFeatures,
-		MaxLen: m.MaxLen, MaxBias: m.MaxBias, Linear: m.Linear.Copy()}
-}
-
 // Episode is one rollout: an ordered pass sequence applied to Input.
 type Episode struct {
 	input   *ir.Function

@@ -49,12 +49,6 @@ type SearchResult struct {
 	States, Queries int
 }
 
-// Improved reports whether the search found a strictly faster
-// verified state.
-func (r *SearchResult) Improved() bool {
-	return r.Best.Latency < r.Base.Latency
-}
-
 // state is one node of the search graph. key is ir.CanonicalKey(fn),
 // the key the verdict cache uses, so states that dedupe here also
 // share cache entries there.
@@ -120,7 +114,7 @@ func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, s
 		}
 		seq := make([]string, len(st.seq)+1)
 		copy(seq, st.seq)
-		seq[len(st.seq)] = p.Name
+		seq[len(st.seq)] = p.name
 		out = append(out, &state{fn: g, key: key, seq: seq, m: costmodel.Measure(g)})
 	}
 	return out, nil

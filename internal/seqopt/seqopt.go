@@ -42,7 +42,7 @@ import (
 // Pass is one deterministic whole-function transformation in the
 // sequence action space. Passes come from Registry.
 type Pass struct {
-	Name string
+	name string
 	// Apply returns a transformed copy of f and whether anything
 	// changed. The input is never mutated; a changed output is
 	// renumbered into canonical form. Apply is deterministic: the same
@@ -65,7 +65,7 @@ const maxFixpointIters = 64
 // to the pass's fixpoint and reports whether it changed anything,
 // leaving it untouched if not.
 func newPass(name string, fix func(*ir.Function) bool) *Pass {
-	p := &Pass{Name: name}
+	p := &Pass{name: name}
 	p.run = func(g *ir.Function) bool {
 		changed := fix(g)
 		if changed {
@@ -144,7 +144,7 @@ func passNames() []string {
 	reg := registry()
 	out := make([]string, len(reg))
 	for i, p := range reg {
-		out[i] = p.Name
+		out[i] = p.name
 	}
 	return out
 }

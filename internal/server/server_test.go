@@ -349,8 +349,8 @@ func TestOptimizeKeepsInputWithoutProof(t *testing.T) {
 		return alive.Result{Verdict: alive.SemanticError, Diag: "ERROR: Value mismatch"}
 	})
 	garbler := policy.New(policy.CapQwen3B, 1)
-	for a := 0; a < garbler.NumActions(); a++ {
-		if garbler.ActionName(a) == "corrupt-bad-mnemonic" {
+	for a, r := range garbler.Rules {
+		if r.Name == "corrupt-bad-mnemonic" {
 			garbler.B[a] = 1e6
 		}
 	}

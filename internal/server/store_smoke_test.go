@@ -121,8 +121,8 @@ func TestStoreSmoke(t *testing.T) {
 		t.Fatalf("hot tier holds %d entries after restart, bound is %d", cs.Entries, hotBound)
 	}
 	ss := st2.Stats()
-	if ss.Hits < uint64(pairs) {
-		t.Fatalf("store served %d hits, want >= %d", ss.Hits, pairs)
+	if hits := ss.Counters()["hits"]; hits < uint64(pairs) {
+		t.Fatalf("store served %d hits, want >= %d", hits, pairs)
 	}
 
 	// /metrics exports the store section alongside the cache one.

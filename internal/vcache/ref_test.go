@@ -87,7 +87,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 		texts = append(texts, g.Text, KeyOfFunc(f))
 	}
 	for _, seed := range []int64{5, 12} {
-		samples, err := dataset.Generate(dataset.Config{Seed: seed, N: len(dataset.Templates()), SkipVerify: true})
+		samples, err := dataset.Generate(dataset.Config{Seed: seed, N: datasetTemplates, SkipVerify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 			texts = append(texts, KeyOfFunc(s.O0), KeyOfFunc(s.Ref))
 		}
 	}
-	if len(texts) < 4*len(dataset.Templates()) {
+	if len(texts) < 4*datasetTemplates {
 		t.Fatalf("only %d corpus texts", len(texts))
 	}
 	for i := 0; i+1 < len(texts); i++ {

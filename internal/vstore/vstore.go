@@ -593,7 +593,7 @@ type Stats struct {
 	Appends        uint64
 	appendedBytes  uint64
 	gets           uint64
-	Hits           uint64
+	hits           uint64
 	misses         uint64
 	syncs          uint64
 	truncatedTails uint64
@@ -606,7 +606,7 @@ func (s Stats) Counters() map[string]uint64 {
 		"appends":         s.Appends,
 		"appended_bytes":  s.appendedBytes,
 		"gets":            s.gets,
-		"hits":            s.Hits,
+		"hits":            s.hits,
 		"misses":          s.misses,
 		"syncs":           s.syncs,
 		"truncated_tails": s.truncatedTails,
@@ -617,7 +617,7 @@ func (s Stats) Counters() map[string]uint64 {
 func (s Stats) String() string {
 	return fmt.Sprintf("vstore: %d entries in %d segments (%d live bytes), %d appends, %d gets (%d hits), %d syncs, %d torn tails repaired",
 		s.Entries, s.Segments, s.LiveBytes,
-		s.Appends, s.gets, s.Hits, s.syncs, s.truncatedTails)
+		s.Appends, s.gets, s.hits, s.syncs, s.truncatedTails)
 }
 
 // Stats returns a snapshot of the store's counters and gauges.
@@ -628,7 +628,7 @@ func (s *Store) Stats() Stats {
 	st.Appends = s.appends.Load()
 	st.appendedBytes = s.appendedBytes.Load()
 	st.gets = s.gets.Load()
-	st.Hits = s.hits.Load()
+	st.hits = s.hits.Load()
 	st.misses = s.misses.Load()
 	st.syncs = s.syncs.Load()
 	st.truncatedTails = s.truncatedTails.Load()

@@ -73,7 +73,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Fatalf("absent key: ok=%v err=%v, want miss", ok, err)
 	}
 	st := s.Stats()
-	if st.Entries != 10 || st.Appends != 10 || st.Hits != 10 || st.misses != 1 {
+	if st.Entries != 10 || st.Appends != 10 || st.hits != 10 || st.misses != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -101,11 +101,11 @@ func midFunc(tb testing.TB) *ir.Function {
 
 func combinePass(tb testing.TB) *seqopt.Pass {
 	tb.Helper()
-	p := seqopt.Registry()[0]
-	if p.Name != "combine" {
-		tb.Fatalf("registry[0] is %s, want combine", p.Name)
+	// A model's Passes name the registry's passes in order.
+	if name := seqopt.NewModel(0).Passes[0]; name != "combine" {
+		tb.Fatalf("registry[0] is %s, want combine", name)
 	}
-	return p
+	return seqopt.Registry()[0]
 }
 
 // verifyMid is one verification on a search's path: midFn against its
@@ -122,8 +122,8 @@ func verifyMid(tb testing.TB, f, opt *ir.Function) alive.Result {
 // runs them.
 func beamMid(tb testing.TB, f *ir.Function) *seqopt.SearchResult {
 	res, err := seqopt.Beam(context.Background(), f, seqopt.SearchConfig{Oracle: oracle.NewStack(oracle.Config{})})
-	if err != nil || !res.Improved() {
-		tb.Fatalf("beam over midFn: improved %v, err %v", res.Improved(), err)
+	if err != nil || res.Best.Latency >= res.Base.Latency {
+		tb.Fatalf("beam over midFn: best latency %d from %d, err %v", res.Best.Latency, res.Base.Latency, err)
 	}
 	return res
 }
@@ -322,8 +322,12 @@ func BenchmarkVerifyTail(b *testing.B) {
 // set-up cost a single hot function would amortize is paid in full.
 func BenchmarkInterpRun(b *testing.B) {
 	samples, err := dataset.Generate(dataset.Config{Seed: 12, N: 256, SkipVerify: true})
-	if err != nil || len(dataset.ScenarioCounts(samples)) != 5 {
-		b.Fatalf("%d scenario families, err %v", len(dataset.ScenarioCounts(samples)), err)
+	families := map[string]bool{}
+	for _, s := range samples {
+		families[s.Scenario] = true
+	}
+	if err != nil || len(families) != 5 {
+		b.Fatalf("%d scenario families, err %v", len(families), err)
 	}
 	args := make([][]interp.Val, len(samples))
 	for i, s := range samples {

@@ -6,6 +6,9 @@
 // reason in scripts/surface.allow.
 //
 // Exempt are:
+//   - every name of a test-support package: one named *test that no
+//     non-test file imports (scripts/loc.sh counts its lines as test
+//     lines);
 //   - a method an interface names: an interface type of the module's
 //     non-test code, fmt.Stringer, error, json.Marshaler or
 //     json.Unmarshaler;
@@ -162,9 +165,16 @@ func run() error {
 		subjects[obj] = s
 		byKey[key] = s
 	}
+	imported := map[*types.Package]bool{} // by a non-test file
+	for _, u := range l.order {
+		for _, p := range u.pkg.Imports() {
+			imported[p] = true
+		}
+	}
 	var named []*types.Named // every named type of the module's non-test code
 	for _, u := range l.order {
-		internal := strings.HasPrefix(u.path, module+"/internal/")
+		testSupport := strings.HasSuffix(u.pkg.Name(), "test") && !imported[u.pkg]
+		internal := strings.HasPrefix(u.path, module+"/internal/") && !testSupport
 		rel := strings.TrimPrefix(u.path, module+"/internal/")
 		scope := u.pkg.Scope()
 		for _, name := range scope.Names() {
