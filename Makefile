@@ -108,6 +108,9 @@ fuzz-smoke:
 # And on %+v in non-test code under internal/ and cmd/: a struct dump
 # changes whenever a field is added, renamed or removed, so it is not a
 # persisted format (the checkpoint signature writes named fields).
+# And on a NewStack( call in non-test code under internal/: there is
+# no process-wide verifier, so a stack is built at the program's edge
+# (cmd/, bench/, tests) and handed down as an oracle.Oracle argument.
 # Last, on an exported name under internal/ (package-level, method, or
 # field of an exported struct) that no other package's non-test code
 # references, unless an interface names it, it carries a json tag, an
@@ -161,6 +164,12 @@ lint:
 	@hits=$$(grep -rnF -e '%+v' --include='*.go' --exclude='*_test.go' internal cmd); \
 	if [ -n "$$hits" ]; then \
 		echo "%+v outside tests (a struct dump is not a persisted format: write the named fields the caller means):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnE '(oracle\.)?NewStack\(' --include='*.go' --exclude='*_test.go' internal | grep -v 'func NewStack'); \
+	if [ -n "$$hits" ]; then \
+		echo "an oracle stack built under internal/ (stacks are built in cmd/, bench/ and tests, and handed down: take an oracle.Oracle argument):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

@@ -31,6 +31,10 @@ var (
 	ctxErr  error
 )
 
+// testStack verifies the shared context's runs and the evaluations of
+// its models, so an evaluation re-proves training's outputs from cache.
+var testStack = oracle.NewStack(oracle.Config{})
+
 // benchContext builds the shared reduced-scale context (corpus +
 // curriculum + baselines).
 func benchContext(b *testing.B) *experiments.Context {
@@ -41,7 +45,7 @@ func benchContext(b *testing.B) *experiments.Context {
 		cfg.Stage.Stage1Steps = 8
 		cfg.Stage.Stage2Steps = 60
 		cfg.Stage.Stage3Steps = 40
-		ctx = experiments.NewContext(cfg)
+		ctx = experiments.NewContext(cfg, testStack)
 		_, ctxErr = ctx.Pipeline()
 	})
 	if ctxErr != nil {
@@ -142,7 +146,7 @@ func BenchmarkGreedyInferenceWithVerification(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, _ := pipeline.EvaluateCtx(context.Background(), res.Latency, val, false, pipeline.EvalConfig{})
+		rep, _ := pipeline.EvaluateCtx(context.Background(), testStack, res.Latency, val, false, pipeline.EvalConfig{})
 		if rep.Total() != len(val) {
 			b.Fatal("evaluation lost samples")
 		}
@@ -171,9 +175,9 @@ func benchEvalWorkers(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st = oracle.NewStack(oracle.Config{})
-		cfg := pipeline.EvalConfig{Workers: workers, Oracle: st}
+		cfg := pipeline.EvalConfig{Workers: workers}
 		for _, m := range models {
-			rep, _ := pipeline.EvaluateCtx(context.Background(), m, val, false, cfg)
+			rep, _ := pipeline.EvaluateCtx(context.Background(), st, m, val, false, cfg)
 			if rep.Total() != len(val) {
 				b.Fatal("evaluation lost samples")
 			}
@@ -206,8 +210,7 @@ func benchTrainerStep(b *testing.B, workers int) {
 	m := policy.New(policy.CapQwen3B, 5)
 	cfg := grpo.DefaultConfig()
 	cfg.Workers = workers
-	tr := grpo.NewTrainer(m, samples, cfg, 17)
-	tr.Oracle = oracle.NewStack(oracle.Config{})
+	tr := grpo.NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, cfg, 17)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.StepCtx(context.Background())

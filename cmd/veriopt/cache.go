@@ -28,18 +28,14 @@ func openStoreDir(dir string, rec *obs.Recorder) (*vstore.Store, error) {
 	return st, nil
 }
 
-// storeStack is the stack a run verifies with: the shared default when
-// it has neither a store nor a replica set, else a stack of its own
-// with the store (if opened) as the cache's cold tier and the replica
-// set (if any) as its remote. The store is set only when opened: a nil
-// *vstore.Store in the Backing interface is not a nil Backing.
+// storeStack builds the stack a run verifies with: the store (if
+// opened) as the cache's cold tier and the replica set (if any) as its
+// remote. The store is set only when opened: a nil *vstore.Store in
+// the Backing interface is not a nil Backing.
 func storeStack(st *vstore.Store, remote oracle.Remote) *oracle.Stack {
 	cfg := oracle.Config{Remote: remote}
 	if st != nil {
 		cfg.Backing = st
-	}
-	if cfg.Backing == nil && cfg.Remote == nil {
-		return oracle.Default()
 	}
 	return oracle.NewStack(cfg)
 }

@@ -19,9 +19,10 @@ import (
 // semantic errors, the counterexample diagnostic. Both files may hold
 // whole modules: functions are paired by name (a lone source function
 // pairs with a lone target whatever their names) and validated
-// concurrently through the default oracle stack, so duplicate bodies
-// are proven once. SIGINT cancels in-flight verification; functions not
-// yet checked report an inconclusive "canceled" verdict.
+// concurrently through one oracle stack the command builds, so
+// duplicate bodies are proven once. SIGINT cancels in-flight
+// verification; functions not yet checked report an inconclusive
+// "canceled" verdict.
 //
 // It returns the exit status: 0 equivalent, 1 semantic/syntax error,
 // 2 inconclusive, 3 usage or source errors, 130 interrupted.
@@ -57,7 +58,7 @@ func cmdCheck(ctx context.Context, args []string, stdout io.Writer) int {
 		opts.SolverBudget = *budget
 	}
 
-	o := oracle.Default()
+	o := oracle.NewStack(oracle.Config{})
 	results, runErr := check(ctx, o, srcMod, string(tgtBlob), opts, *workers)
 	worst := 0
 	for _, r := range results {

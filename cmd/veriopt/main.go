@@ -168,9 +168,8 @@ func buildContext(ctx context.Context, rec *obs.Recorder, o oracle.Oracle, n int
 	cfg.Stage.Stage1Steps = s1
 	cfg.Stage.Stage2Steps = s2
 	cfg.Stage.Stage3Steps = s3
-	c := experiments.NewContext(cfg)
+	c := experiments.NewContext(cfg, o)
 	c.Ctx = ctx
-	c.Oracle = o
 	c.Obs = rec
 	c.Progress = func(msg string) {
 		fmt.Fprintf(os.Stderr, "[%s] %s\n", time.Now().Format("15:04:05"), msg)
@@ -178,15 +177,12 @@ func buildContext(ctx context.Context, rec *obs.Recorder, o oracle.Oracle, n int
 	return c
 }
 
-// reportVerifierStats prints the oracle stack's counters (per-verdict
-// query distribution plus cache hits and solver wall time) to stderr.
-// An attached verdict store reports itself once, in closeStore.
-func reportVerifierStats(o oracle.Oracle) {
-	src, ok := oracle.OrDefault(o).(oracle.StatsSource)
-	if !ok {
-		return
-	}
-	ostats, cstats := src.OracleStats()
+// reportVerifierStats prints the counters of the stack the command
+// built (per-verdict query distribution plus cache hits and solver wall
+// time) to stderr. An attached verdict store reports itself once, in
+// closeStore.
+func reportVerifierStats(o *oracle.Stack) {
+	ostats, cstats := o.OracleStats()
 	fmt.Fprintf(os.Stderr, "[%s]\n[%s]\n", ostats, cstats)
 }
 
@@ -208,8 +204,9 @@ func cmdExperiments(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	c := buildContext(ctx, rec, storeStack(st, nil), *n, *seed, *s1, *s2, *s3, *workers)
-	defer reportVerifierStats(c.Oracle)
+	o := storeStack(st, nil)
+	c := buildContext(ctx, rec, o, *n, *seed, *s1, *s2, *s3, *workers)
+	defer reportVerifierStats(o)
 	defer closeStore(st, rec)
 	ids := experiments.IDs()
 	if *run != "all" {
@@ -271,15 +268,16 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	c := buildContext(ctx, rec, storeStack(st, nil), *n, *seed, *s1, *s2, *s3, *workers)
+	o := storeStack(st, nil)
+	c := buildContext(ctx, rec, o, *n, *seed, *s1, *s2, *s3, *workers)
 	if *checkpoint != "" {
 		c.Cfg.Stage.Ckpt = &pipeline.CkptConfig{Dir: *checkpoint, Resume: *resume}
 	}
-	defer reportVerifierStats(c.Oracle)
+	defer reportVerifierStats(o)
 	defer closeStore(st, rec)
 	switch *workload {
 	case "passes":
-		return trainPasses(ctx, c, rec, *save, *seqSteps, *beamWidth, *beamDepth)
+		return trainPasses(ctx, o, c, rec, *save, *seqSteps, *beamWidth, *beamDepth)
 	case "peephole":
 	default:
 		return fmt.Errorf("unknown -workload %q (have peephole, passes)", *workload)
@@ -303,7 +301,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	ec := pipeline.EvalConfig{Workers: *workers, Oracle: c.Oracle}
+	ec := pipeline.EvalConfig{Workers: *workers}
 	rows := []struct {
 		name      string
 		m         *policy.Model
@@ -329,7 +327,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 		if runErr != nil {
 			ectx = context.Background()
 		}
-		rep, err := pipeline.EvaluateCtx(ectx, r.m, val, r.augmented, ec)
+		rep, err := pipeline.EvaluateCtx(ectx, o, r.m, val, r.augmented, ec)
 		if err != nil {
 			return err
 		}
@@ -354,7 +352,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 // policy on the training split, then print the four-way comparison
 // (fixed instcombine / greedy / beam / policy) on the validation
 // split. On SIGINT the partial result still saves and reports.
-func trainPasses(ctx context.Context, c *experiments.Context, rec *obs.Recorder, save string, steps, width, depth int) error {
+func trainPasses(ctx context.Context, o oracle.Oracle, c *experiments.Context, rec *obs.Recorder, save string, steps, width, depth int) error {
 	rec.Emit(obs.Event{Kind: "run_start", Note: "train -workload=passes"})
 	train, err := c.Train()
 	if err != nil {
@@ -367,12 +365,11 @@ func trainPasses(ctx context.Context, c *experiments.Context, rec *obs.Recorder,
 	cfg := pipeline.DefaultPassesConfig()
 	cfg.Seed = c.Cfg.Seed
 	cfg.Workers = c.Cfg.Workers
-	cfg.Oracle = c.Oracle
 	cfg.Obs = rec
 	cfg.TrainSteps = steps
 	cfg.BeamWidth = width
 	cfg.BeamDepth = depth
-	res, runErr := pipeline.RunPassesCtx(ctx, train, val, cfg)
+	res, runErr := pipeline.RunPassesCtx(ctx, o, train, val, cfg)
 	if res == nil {
 		return runErr
 	}
@@ -499,7 +496,7 @@ func cmdOptimize(ctx context.Context, args []string) error {
 		return err
 	}
 	opts := alive.DefaultOptions()
-	o := oracle.Default()
+	o := oracle.NewStack(oracle.Config{})
 	defer reportVerifierStats(o)
 	// Generate + verify every function in parallel; notes and the
 	// module rewrite are applied sequentially afterwards so output

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"veriopt/internal/dataset"
+	"veriopt/internal/oracle"
 	"veriopt/internal/pipeline"
 	"veriopt/internal/policy"
 )
@@ -34,7 +35,10 @@ func main() {
 	cfg.Stage3Steps = 40
 	t0 = time.Now()
 	ctx := context.Background()
-	res, err := pipeline.RunCtx(ctx, train, cfg)
+	// One stack verifies training and every evaluation below, so the
+	// evaluations re-prove training's outputs from its cache.
+	o := oracle.NewStack(oracle.Config{})
+	res, err := pipeline.RunCtx(ctx, o, train, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +46,7 @@ func main() {
 		time.Since(t0).Round(time.Second), len(res.Failures), res.UMax)
 
 	evaluate := func(m *policy.Model, augmented bool) *pipeline.Report {
-		rep, err := pipeline.EvaluateCtx(ctx, m, val, augmented, pipeline.EvalConfig{})
+		rep, err := pipeline.EvaluateCtx(ctx, o, m, val, augmented, pipeline.EvalConfig{})
 		if err != nil {
 			log.Fatal(err)
 		}

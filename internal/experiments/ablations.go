@@ -44,8 +44,7 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 		cfg.Mode = grpo.ModeCorrectness
 		cfg.Workers = c.Cfg.Workers
 		v.mutate(&cfg)
-		tr := grpo.NewTrainer(m, train, cfg, c.Cfg.Seed+7000+int64(i))
-		tr.Oracle = c.Oracle
+		tr := grpo.NewTrainer(c.oracle, m, train, cfg, c.Cfg.Seed+7000+int64(i))
 		if _, err := tr.TrainCtx(c.context(), steps); err != nil {
 			return nil, err
 		}

@@ -12,7 +12,7 @@ import (
 // evaluate is pipeline.EvaluateCtx under a context that never ends,
 // where the only error is nil.
 func evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool) *pipeline.Report {
-	rep, _ := pipeline.EvaluateCtx(context.Background(), m, samples, augmented, pipeline.EvalConfig{})
+	rep, _ := pipeline.EvaluateCtx(context.Background(), testStack, m, samples, augmented, pipeline.EvalConfig{})
 	return rep
 }
 

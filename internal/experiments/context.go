@@ -56,13 +56,11 @@ type Context struct {
 	// cancelable: training steps abort without a model update and
 	// evaluations return partial reports. nil means Background.
 	Ctx context.Context
-	// Oracle answers all verification queries; nil selects the shared
-	// default stack (oracle.Default).
-	Oracle oracle.Oracle
 	// Obs, when non-nil, receives per-stage trace events from the
 	// curriculum run.
 	Obs *obs.Recorder
 
+	oracle  oracle.Oracle // answers every verification query
 	samples []*dataset.Sample
 	train   []*dataset.Sample
 	val     []*dataset.Sample
@@ -79,8 +77,9 @@ type evalKey struct {
 	augmented bool
 }
 
-// NewContext returns an empty context for the given config.
-func NewContext(cfg Config) *Context { return &Context{Cfg: cfg} }
+// NewContext returns an empty context for the given config, whose
+// runs all verify through o.
+func NewContext(cfg Config, o oracle.Oracle) *Context { return &Context{Cfg: cfg, oracle: o} }
 
 func (c *Context) progress(format string, args ...interface{}) {
 	if c.Progress != nil {
@@ -143,10 +142,9 @@ func (c *Context) Pipeline() (*pipeline.Result, error) {
 		cfg := c.Cfg.Stage
 		cfg.Seed = c.Cfg.Seed
 		cfg.GRPO.Workers = c.Cfg.Workers
-		cfg.Oracle = c.Oracle
 		cfg.Obs = c.Obs
 		c.progress("training curriculum (stages 1-3)...")
-		res, err := pipeline.RunCtx(c.context(), train, cfg)
+		res, err := pipeline.RunCtx(c.context(), c.oracle, train, cfg)
 		if err != nil {
 			return res, err
 		}
@@ -171,7 +169,7 @@ func (c *Context) report(m *policy.Model, augmented bool) (*pipeline.Report, err
 	if err != nil {
 		return nil, err
 	}
-	rep, err := pipeline.EvaluateCtx(c.context(), m, val, augmented, pipeline.EvalConfig{Workers: c.Cfg.Workers, Oracle: c.Oracle})
+	rep, err := pipeline.EvaluateCtx(c.context(), c.oracle, m, val, augmented, pipeline.EvalConfig{Workers: c.Cfg.Workers})
 	if err != nil {
 		return nil, err
 	}

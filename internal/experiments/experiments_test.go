@@ -7,8 +7,13 @@ import (
 	"sync"
 	"testing"
 
+	"veriopt/internal/oracle"
 	"veriopt/internal/pipeline"
 )
+
+// testStack is the stack the package's tests share: each NewContext
+// run re-trains the same curriculum, and proves its verdicts once.
+var testStack = oracle.NewStack(oracle.Config{})
 
 var (
 	testCtxOnce sync.Once
@@ -17,7 +22,7 @@ var (
 
 func sharedCtx(t *testing.T) *Context {
 	t.Helper()
-	testCtxOnce.Do(func() { testCtx = NewContext(testConfig()) })
+	testCtxOnce.Do(func() { testCtx = NewContext(testConfig(), testStack) })
 	return testCtx
 }
 
@@ -34,7 +39,7 @@ func testConfig() Config {
 // the curriculum's models share one validation report per (model,
 // prompt): five for these six experiments, which ask for nineteen.
 func TestOneEvaluationPerModelAndPrompt(t *testing.T) {
-	c := NewContext(testConfig())
+	c := NewContext(testConfig(), testStack)
 	for _, id := range []string{"table1", "table2", "table3", "fig6", "fig7", "ablation_verifier"} {
 		if _, err := Run(id, c); err != nil {
 			t.Fatalf("Run(%s): %v", id, err)
@@ -49,7 +54,7 @@ func TestOneEvaluationPerModelAndPrompt(t *testing.T) {
 // and leaves nothing memoized, so the next call under a live context
 // evaluates afresh and gets the full report.
 func TestCanceledReportNotKept(t *testing.T) {
-	c := NewContext(testConfig())
+	c := NewContext(testConfig(), testStack)
 	res, err := c.Pipeline()
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +77,7 @@ func TestCanceledReportNotKept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := pipeline.EvaluateCtx(context.Background(), res.Latency, val, false, pipeline.EvalConfig{})
+	want, err := pipeline.EvaluateCtx(context.Background(), testStack, res.Latency, val, false, pipeline.EvalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

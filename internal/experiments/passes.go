@@ -25,10 +25,9 @@ func passesWorkload(c *Context) (*Outcome, error) {
 	cfg := pipeline.DefaultPassesConfig()
 	cfg.Seed = c.Cfg.Seed
 	cfg.Workers = c.Cfg.Workers
-	cfg.Oracle = c.Oracle
 	cfg.Obs = c.Obs
 	c.progress("training sequence policy (%d steps) and evaluating pass orderings...", cfg.TrainSteps)
-	res, err := pipeline.RunPassesCtx(c.context(), train, val, cfg)
+	res, err := pipeline.RunPassesCtx(c.context(), c.oracle, train, val, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -20,8 +20,7 @@ func trainSteps(t *testing.T, samples []*dataset.Sample, workers, steps int) *Tr
 	m := policy.New(policy.CapQwen3B, 7)
 	cfg := DefaultConfig()
 	cfg.Workers = workers
-	tr := NewTrainer(m, samples, cfg, 21)
-	tr.Oracle = oracle.NewStack(oracle.Config{})
+	tr := NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, cfg, 21)
 	tr.CollectFailures = true
 	trainBg(tr.TrainCtx, steps)
 	return tr
@@ -63,7 +62,7 @@ func TestStepDeterministicAcrossWorkers(t *testing.T) {
 func TestTrainerCacheGetsHits(t *testing.T) {
 	samples := corpus(t, 8)
 	tr := trainSteps(t, samples, 4, 2)
-	os, cs := tr.Oracle.(oracle.StatsSource).OracleStats()
+	os, cs := tr.oracle.(oracle.StatsSource).OracleStats()
 	if os.Queries == 0 {
 		t.Fatal("no verification queries recorded")
 	}
@@ -81,8 +80,6 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 7)
 	cfg := DefaultConfig()
 	cfg.Workers = 4
-	tr := NewTrainer(m, samples, cfg, 21)
-
 	started := make(chan struct{}, 1)
 	blocking := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
 		select {
@@ -92,7 +89,7 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 		<-ctx.Done() // wedge every verification until canceled
 		return alive.CanceledResult(ctx.Err())
 	})
-	tr.Oracle = blocking
+	tr := NewTrainer(blocking, m, samples, cfg, 21)
 
 	before := m.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -128,7 +125,7 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 	}
 	// The cursor rewound: the resumed first step replays the same batch
 	// as an uncanceled run's first step.
-	tr.Oracle = oracle.NewStack(oracle.Config{})
+	tr.oracle = oracle.NewStack(oracle.Config{})
 	resumed := stepBg(tr.StepCtx)
 	fresh := trainSteps(t, samples, 1, 1)
 	if resumed.meanReward != fresh.RewardHistory[0] {
@@ -141,8 +138,7 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 func TestTrainCtxStopsEarly(t *testing.T) {
 	samples := corpus(t, 4)
 	m := policy.New(policy.CapQwen3B, 7)
-	tr := NewTrainer(m, samples, DefaultConfig(), 21)
-	tr.Oracle = oracle.NewStack(oracle.Config{})
+	tr := NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, DefaultConfig(), 21)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	stats, err := tr.TrainCtx(ctx, 5)
@@ -155,7 +151,7 @@ func TestTrainCtxStopsEarly(t *testing.T) {
 // checking it, panicking on an empty corpus.
 func TestStepEmptyDataNoPanic(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 3)
-	tr := NewTrainer(m, nil, DefaultConfig(), 1)
+	tr := NewTrainer(testStack, m, nil, DefaultConfig(), 1)
 	stats := stepBg(tr.StepCtx)
 	if stats.episodes != 0 {
 		t.Fatalf("episodes = %d, want 0", stats.episodes)
@@ -169,7 +165,7 @@ func TestStepEmptyDataNoPanic(t *testing.T) {
 // left by DefaultConfig) used to yield math.Pow(negativeFrac, 0) == 1
 // — an unconditional full reward for any speedup > 1.
 func TestLatencyRewardZeroParams(t *testing.T) {
-	j := &Judgment{FinalVerdict: alive.Result{Verdict: alive.Equivalent}, speedup: 1.5}
+	j := &judgment{finalVerdict: alive.Result{Verdict: alive.Equivalent}, speedup: 1.5}
 	r := latencyReward(j, LatencyRewardParams{})
 	if math.IsNaN(r) {
 		t.Fatal("zero params produced NaN")

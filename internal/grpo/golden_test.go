@@ -66,13 +66,11 @@ func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
 	cfg.Mode = mode
 	switch mode {
 	case ModeCorrectnessCoT:
-		cfg.Augmented = true
 		m.SelfCorrectGate = 2
 	case ModeLatency:
 		cfg.Latency = LatencyRewardParams{UMax: ComputeUMax(data, 80), Gamma: 2}
 	}
-	tr := NewTrainer(m, data, cfg, 21)
-	tr.Oracle = oracle.NewStack(oracle.Config{})
+	tr := NewTrainer(oracle.NewStack(oracle.Config{}), m, data, cfg, 21)
 	tr.CollectFailures = mode == ModeCorrectness
 	var norms []float64
 	for _, st := range trainBg(tr.TrainCtx, goldenSteps) {
@@ -95,8 +93,7 @@ func seqTrajectory(t *testing.T, workers int) trajectory {
 	cfg := DefaultSeqConfig()
 	cfg.Workers = workers
 	cfg.lr = 4
-	tr := NewSeqTrainer(m, seqCorpus(t, 24), cfg, 23)
-	tr.Oracle = oracle.NewStack(oracle.Config{})
+	tr := NewSeqTrainer(oracle.NewStack(oracle.Config{}), m, seqCorpus(t, 24), cfg, 23)
 	var norms []float64
 	for _, st := range trainBg(tr.TrainCtx, goldenSteps) {
 		norms = append(norms, st.gradNorm)

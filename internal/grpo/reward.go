@@ -21,15 +21,15 @@ import (
 	"veriopt/internal/policy"
 )
 
-// Judgment is the verifier's view of one episode: the attempt's and
+// judgment is the verifier's view of one episode: the attempt's and
 // the final answer's verdicts, plus the reward ingredients.
-type Judgment struct {
+type judgment struct {
 	// attemptVerdict is the verdict for the <think>-block attempt.
 	attemptVerdict alive.Result
-	// FinalVerdict is the verdict for the <answer>-block output.
-	FinalVerdict alive.Result
-	// FinalFn is the parsed final function (nil on syntax error).
-	FinalFn *ir.Function
+	// finalVerdict is the verdict for the <answer>-block output.
+	finalVerdict alive.Result
+	// finalFn is the parsed final function (nil on syntax error).
+	finalFn *ir.Function
 	// exactMatch reports canonical-text equality with the reference.
 	exactMatch bool
 	// bleu is BLEU(final, reference).
@@ -38,27 +38,24 @@ type Judgment struct {
 	// think-block attempt (used for per-segment credit assignment).
 	attemptExact bool
 	attemptBleu  float64
-	// speedup is t(O0)/t(final) when FinalFn verified, else 0.
+	// speedup is t(O0)/t(final) when finalFn verified, else 0.
 	speedup float64
 	// copied mirrors Episode.Copied.
 	copied bool
 }
 
-// JudgeWith verifies an episode against its sample; opts bounds the
-// verifier work per query, asked of o (nil selects the shared default
-// stack) under ctx. The default stack memoizes verdicts, so a single
-// episode does not pay for the same (source, text) proof twice — the
-// attempt and the final answer frequently coincide across the rollouts
-// of a GRPO group, and greedy evaluation re-proves identical outputs
-// across curriculum stages.
-func JudgeWith(ctx context.Context, o oracle.Oracle, ep *policy.Episode, s *dataset.Sample, opts alive.Options) *Judgment {
-	o = oracle.OrDefault(o)
-	j := &Judgment{copied: ep.Copied}
-	j.FinalVerdict, j.FinalFn = verdictOf(ctx, o, ep.FinalText, s, opts)
+// judgeWith verifies a training episode against its sample; opts
+// bounds the verifier work per query, asked of o under ctx. A stack's
+// cache memoizes verdicts, so the attempt and the final answer, which
+// frequently coincide across the rollouts of a GRPO group, are proved
+// once.
+func judgeWith(ctx context.Context, o oracle.Oracle, ep *policy.Episode, s *dataset.Sample, opts alive.Options) *judgment {
+	j := &judgment{copied: ep.Copied}
+	j.finalVerdict, j.finalFn = verdictOf(ctx, o, ep.FinalText, s, opts)
 	if ep.Diag != nil && ep.AttemptText != ep.FinalText {
 		j.attemptVerdict, _ = verdictOf(ctx, o, ep.AttemptText, s, opts)
 	} else {
-		j.attemptVerdict = j.FinalVerdict
+		j.attemptVerdict = j.finalVerdict
 	}
 	j.exactMatch = ir.FingerprintText(ep.FinalText) == ir.FingerprintText(s.RefText)
 	j.bleu = bleu.ScoreText(ep.FinalText, s.RefText)
@@ -68,9 +65,9 @@ func JudgeWith(ctx context.Context, o oracle.Oracle, ep *policy.Episode, s *data
 		j.attemptExact = ir.FingerprintText(ep.AttemptText) == ir.FingerprintText(s.RefText)
 		j.attemptBleu = bleu.ScoreText(ep.AttemptText, s.RefText)
 	}
-	if j.FinalVerdict.Verdict == alive.Equivalent && j.FinalFn != nil {
+	if j.finalVerdict.Verdict == alive.Equivalent && j.finalFn != nil {
 		base := costmodel.Measure(s.O0)
-		opt := costmodel.Measure(j.FinalFn)
+		opt := costmodel.Measure(j.finalFn)
 		j.speedup = costmodel.Speedup(base, opt)
 	}
 	return j
@@ -111,8 +108,8 @@ func eq1(formatOK bool, verdict alive.Verdict, exact bool, b float64, shaping bo
 }
 
 // correctnessReward applies Eq. 1 to the final answer.
-func correctnessReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
-	return eq1(ep.FormatOK, j.FinalVerdict.Verdict, j.exactMatch, j.bleu, bleuShaping)
+func correctnessReward(ep *policy.Episode, j *judgment, bleuShaping bool) float64 {
+	return eq1(ep.FormatOK, j.finalVerdict.Verdict, j.exactMatch, j.bleu, bleuShaping)
 }
 
 // attemptReward applies Eq. 1 to the think-block attempt: the reward
@@ -120,14 +117,14 @@ func correctnessReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float6
 // The BLEU term is optional here too, so the NoBleuShaping ablation
 // removes the shaping signal from the attempt segment, not just from
 // the answer segment.
-func attemptReward(ep *policy.Episode, j *Judgment, bleuShaping bool) float64 {
+func attemptReward(ep *policy.Episode, j *judgment, bleuShaping bool) float64 {
 	return eq1(ep.FormatOK, j.attemptVerdict.Verdict, j.attemptExact, j.attemptBleu, bleuShaping)
 }
 
 // cotReward is the paper's Eq. 2: full credit when model and verifier
 // agree the attempt is OK, partial credit scaled by diagnostic BLEU
 // when both agree on an error, zero on disagreement.
-func cotReward(ep *policy.Episode, j *Judgment) float64 {
+func cotReward(ep *policy.Episode, j *judgment) float64 {
 	if ep.Diag == nil {
 		return 0
 	}
@@ -180,8 +177,8 @@ func (p LatencyRewardParams) normalize() LatencyRewardParams {
 // (S=1) and sped up (u>1); then a convex, saturating share of the
 // speedup. Degenerate params (UMax <= 1 or Gamma < 1) are replaced by
 // defaults — see normalize.
-func latencyReward(j *Judgment, p LatencyRewardParams) float64 {
-	if j.FinalVerdict.Verdict != alive.Equivalent || j.speedup <= 1 {
+func latencyReward(j *judgment, p LatencyRewardParams) float64 {
+	if j.finalVerdict.Verdict != alive.Equivalent || j.speedup <= 1 {
 		return 0
 	}
 	p = p.normalize()

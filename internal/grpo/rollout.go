@@ -18,10 +18,9 @@ import (
 type rollout struct {
 	Data []*dataset.Sample
 
-	// Oracle answers the verification queries. nil selects the shared
-	// default stack (oracle.Default), whose cache memoizes verdicts
-	// across episodes and steps.
-	Oracle oracle.Oracle
+	// oracle answers every verification query; NewTrainer and
+	// NewSeqTrainer take it.
+	oracle oracle.Oracle
 
 	// RewardHistory records the mean raw reward per step (Fig. 4).
 	RewardHistory []float64
@@ -46,7 +45,7 @@ type rollout struct {
 // to divide by zero at the cursor modulus) records an empty step so
 // RewardHistory keeps one entry per Step.
 func grid[T any](ctx context.Context, r *rollout, batch, group, workers int,
-	cell func(o oracle.Oracle, s *dataset.Sample, rng *rand.Rand) T) ([]T, error) {
+	cell func(s *dataset.Sample, rng *rand.Rand) T) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -54,13 +53,12 @@ func grid[T any](ctx context.Context, r *rollout, batch, group, workers int,
 		r.RewardHistory = append(r.RewardHistory, 0)
 		return nil, nil
 	}
-	o := oracle.OrDefault(r.Oracle)
 	base := r.cursor
 	r.cursor += batch
 	cells := make([]T, batch*group)
 	err := par.For(ctx, workers, len(cells), func(i int) {
 		bi, gi := i/group, i%group
-		cells[i] = cell(o, r.Data[(base+bi)%len(r.Data)], rand.New(rand.NewSource(episodeSeed(r.seed, base+bi, gi))))
+		cells[i] = cell(r.Data[(base+bi)%len(r.Data)], rand.New(rand.NewSource(episodeSeed(r.seed, base+bi, gi))))
 	})
 	if err != nil {
 		r.cursor = base

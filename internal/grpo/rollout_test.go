@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"veriopt/internal/dataset"
-	"veriopt/internal/oracle"
 )
 
 // TestAdvantagesAreGroupRelative: within each group of consecutive
@@ -45,7 +44,7 @@ func TestGridAssignsCellsByCursor(t *testing.T) {
 	}
 	run := func(r *rollout, workers int) []cell {
 		cells, err := grid(context.Background(), r, 2, 3, workers,
-			func(_ oracle.Oracle, s *dataset.Sample, rng *rand.Rand) cell { return cell{s.Name, rng.Int63()} })
+			func(s *dataset.Sample, rng *rand.Rand) cell { return cell{s.Name, rng.Int63()} })
 		if err != nil || len(cells) != 6 {
 			t.Fatalf("grid: %d cells, err %v", len(cells), err)
 		}
@@ -71,7 +70,7 @@ func TestGridAssignsCellsByCursor(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := grid(ctx, r, 2, 3, 1, func(oracle.Oracle, *dataset.Sample, *rand.Rand) cell {
+	got, err := grid(ctx, r, 2, 3, 1, func(*dataset.Sample, *rand.Rand) cell {
 		t.Error("canceled grid rolled out a cell")
 		return cell{}
 	})

@@ -24,7 +24,7 @@ func seqCorpus(t *testing.T, n int) []*dataset.Sample {
 func TestSeqTrainerLearns(t *testing.T) {
 	data := seqCorpus(t, 40)
 	m := seqopt.NewModel(3)
-	tr := NewSeqTrainer(m, data, DefaultSeqConfig(), 11)
+	tr := NewSeqTrainer(testStack, m, data, DefaultSeqConfig(), 11)
 	stats := trainBg(tr.TrainCtx, 30)
 	if len(tr.RewardHistory) != 30 {
 		t.Fatalf("reward history has %d entries, want 30", len(tr.RewardHistory))
@@ -61,7 +61,7 @@ func TestSeqTrainerWorkerIndependence(t *testing.T) {
 	run := func(workers int) *SeqTrainer {
 		cfg := DefaultSeqConfig()
 		cfg.Workers = workers
-		tr := NewSeqTrainer(seqopt.NewModel(5), data, cfg, 23)
+		tr := NewSeqTrainer(testStack, seqopt.NewModel(5), data, cfg, 23)
 		trainBg(tr.TrainCtx, 8)
 		return tr
 	}
@@ -83,7 +83,7 @@ func TestSeqTrainerWorkerIndependence(t *testing.T) {
 func TestSeqTrainerCancellation(t *testing.T) {
 	data := seqCorpus(t, 12)
 	cfg := DefaultSeqConfig()
-	tr := NewSeqTrainer(seqopt.NewModel(9), data, cfg, 31)
+	tr := NewSeqTrainer(testStack, seqopt.NewModel(9), data, cfg, 31)
 	beforeB := append([]float64(nil), tr.model.B...)
 	beforeS := append([]float64(nil), tr.model.S...)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -103,7 +103,7 @@ func TestSeqTrainerCancellation(t *testing.T) {
 		t.Fatalf("canceled step left cursor at %d", tr.cursor)
 	}
 	// A live resume now replays the same batch deterministically.
-	other := NewSeqTrainer(seqopt.NewModel(9), data, cfg, 31)
+	other := NewSeqTrainer(testStack, seqopt.NewModel(9), data, cfg, 31)
 	st1, err := tr.stepCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestSeqTrainerCancellation(t *testing.T) {
 // TestSeqTrainerEmptyCorpus: the degenerate shapes that used to panic
 // the text trainer stay safe here too.
 func TestSeqTrainerEmptyCorpus(t *testing.T) {
-	tr := NewSeqTrainer(seqopt.NewModel(1), nil, DefaultSeqConfig(), 1)
+	tr := NewSeqTrainer(testStack, seqopt.NewModel(1), nil, DefaultSeqConfig(), 1)
 	st := stepBg(tr.stepCtx)
 	if st.episodes != 0 {
 		t.Fatal("empty corpus produced episodes")

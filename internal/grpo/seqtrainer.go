@@ -15,38 +15,33 @@ import (
 // workload). It is Config minus the text-workload concerns
 // (reward modes, diagnosis, BLEU shaping): a sequence episode has
 // exactly one reward, the verified latency gain of its final state.
+// Its group and batch shape, clip norm, temperature and verifier
+// limits are fixed: the seq* constants and trainVerify.
 type SeqConfig struct {
-	// groupSize is G, rollouts per input (relative advantages).
-	groupSize int
-	// batchInputs is the number of inputs per optimization step.
-	batchInputs int
 	// lr is the gradient-ascent learning rate.
 	lr float64
-	// clipNorm bounds the global gradient norm.
-	clipNorm float64
-	// temperature for rollout sampling.
-	temperature float64
 	// Latency holds the Eq. 3–4 shaping parameters.
 	Latency LatencyRewardParams
-	// verify bounds each verification query during training.
-	verify alive.Options
 	// Workers bounds the rollout + verification fan-out (<= 0 selects
 	// runtime.NumCPU()). Results are bit-identical at any worker count.
 	Workers int
 }
 
+// The sequence trainer's fixed settings, the text trainer's defaults:
+// G rollouts per input, inputs per step, the global gradient-norm
+// bound and the sampling temperature.
+const (
+	seqGroupSize   = 6
+	seqBatchInputs = 8
+	seqClipNorm    = 5
+	seqTemperature = 1.0
+)
+
 // DefaultSeqConfig returns the settings used by the passes workload's
 // training runs. The LR is higher than the text trainer's because a
 // sequence episode has far fewer decisions per gradient step.
 func DefaultSeqConfig() SeqConfig {
-	return SeqConfig{
-		groupSize:   6,
-		batchInputs: 8,
-		lr:          40,
-		clipNorm:    5,
-		temperature: 1.0,
-		verify:      alive.Options{MaxPaths: 256, MaxSteps: 2048, SolverBudget: 40000},
-	}
+	return SeqConfig{lr: 40}
 }
 
 // SeqStepStats summarizes one sequence-trainer step.
@@ -77,11 +72,11 @@ type SeqTrainer struct {
 	rollout
 }
 
-// NewSeqTrainer wires a sequence trainer. As with NewTrainer, the
-// training trajectory depends only on (model, data, cfg, seed) —
-// never on Cfg.Workers.
-func NewSeqTrainer(m *seqopt.Model, data []*dataset.Sample, cfg SeqConfig, seed int64) *SeqTrainer {
-	return &SeqTrainer{model: m, cfg: cfg, rollout: rollout{Data: data, seed: seed}}
+// NewSeqTrainer wires a sequence trainer whose rewards o gates. As
+// with NewTrainer, the training trajectory depends only on (model,
+// data, cfg, seed) — never on Cfg.Workers.
+func NewSeqTrainer(o oracle.Oracle, m *seqopt.Model, data []*dataset.Sample, cfg SeqConfig, seed int64) *SeqTrainer {
+	return &SeqTrainer{model: m, cfg: cfg, rollout: rollout{Data: data, oracle: o, seed: seed}}
 }
 
 // seqScore pairs an episode with its reward.
@@ -97,23 +92,23 @@ type seqScore struct {
 func (tr *SeqTrainer) stepCtx(ctx context.Context) (SeqStepStats, error) {
 	m := tr.model
 	cfg := tr.cfg
-	cells, err := grid(ctx, &tr.rollout, cfg.batchInputs, cfg.groupSize, cfg.Workers,
-		func(o oracle.Oracle, s *dataset.Sample, rng *rand.Rand) seqScore {
+	cells, err := grid(ctx, &tr.rollout, seqBatchInputs, seqGroupSize, cfg.Workers,
+		func(s *dataset.Sample, rng *rand.Rand) seqScore {
 			ep := m.Generate(s.O0, seqopt.GenOptions{
-				Temperature: cfg.temperature,
+				Temperature: seqTemperature,
 				Rng:         rng,
 			})
 			es := seqScore{ep: ep}
 			if len(ep.Sequence) == 0 {
 				// No transformation: trivially equivalent, zero gain.
 				es.verified = true
-			} else if vr := o.Verify(ctx, s.O0, ep.FinalFn, cfg.verify); vr.Verdict == alive.Equivalent {
+			} else if vr := tr.oracle.Verify(ctx, s.O0, ep.FinalFn, trainVerify); vr.Verdict == alive.Equivalent {
 				es.verified = true
 				u := costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(ep.FinalFn))
 				es.improved = u > 1
 				// Reuse the Eq. 3–4 latency shaping via a synthetic
 				// judgment: verified final state with speedup u.
-				es.r = latencyReward(&Judgment{FinalVerdict: vr, speedup: u}, cfg.Latency)
+				es.r = latencyReward(&judgment{finalVerdict: vr, speedup: u}, cfg.Latency)
 			}
 			return es
 		})
@@ -143,12 +138,12 @@ func (tr *SeqTrainer) stepCtx(ctx context.Context) (SeqStepStats, error) {
 	tr.RewardHistory = append(tr.RewardHistory, stats.meanReward)
 
 	g := m.Grad()
-	for i, adv := range advantages(cells, cfg.groupSize, false, func(e *seqScore) float64 { return e.r }) {
+	for i, adv := range advantages(cells, seqGroupSize, false, func(e *seqScore) float64 { return e.r }) {
 		for _, rec := range cells[i].ep.Actions {
-			m.AddGrad(g, rec, cells[i].ep.H, cfg.temperature, adv/float64(totalTokens))
+			m.AddGrad(g, rec, cells[i].ep.H, seqTemperature, adv/float64(totalTokens))
 		}
 	}
-	stats.gradNorm = m.ClipStep(g, nil, nil, cfg.lr, cfg.clipNorm, m.MaxBias)
+	stats.gradNorm = m.ClipStep(g, nil, nil, cfg.lr, seqClipNorm, m.MaxBias)
 	return stats, nil
 }
 

@@ -38,11 +38,9 @@ type Config struct {
 	ClipNorm float64
 	// Temperature for rollout sampling.
 	Temperature float64
-	// Mode selects the reward.
+	// Mode selects the reward. ModeCorrectnessCoT also rolls out with
+	// the diagnose-and-correct protocol (the augmented prompt).
 	Mode RewardMode
-	// Augmented enables the diagnose-and-correct protocol during
-	// rollouts.
-	Augmented bool
 	// Latency holds Eq. 3–4 parameters (Mode == ModeLatency).
 	Latency LatencyRewardParams
 	// Verify bounds each verification query during training.
@@ -76,9 +74,13 @@ func DefaultConfig() Config {
 		LR:          30,
 		ClipNorm:    5,
 		Temperature: 1.0,
-		Verify:      alive.Options{MaxPaths: 256, MaxSteps: 2048, SolverBudget: 40000},
+		Verify:      trainVerify,
 	}
 }
+
+// trainVerify bounds each verification query of a training run: the
+// text trainer's default and the sequence trainer's fixed setting.
+var trainVerify = alive.Options{MaxPaths: 256, MaxSteps: 2048, SolverBudget: 40000}
 
 // StepStats summarizes one optimization step.
 type StepStats struct {
@@ -103,7 +105,7 @@ type FailureSample struct {
 	UsedRules []string
 }
 
-// Trainer runs GRPO over a model and corpus; Data, Oracle and
+// Trainer runs GRPO over a model and corpus; Data, the oracle and
 // RewardHistory are the rollout core's (rollout.go).
 type Trainer struct {
 	Model *policy.Model
@@ -116,11 +118,12 @@ type Trainer struct {
 	Failures        []*FailureSample
 }
 
-// NewTrainer wires a trainer. Rollout sampling is driven by
-// per-episode RNGs derived from seed, so a trainer's trajectory
-// depends only on (model, data, cfg, seed) — never on Cfg.Workers.
-func NewTrainer(m *policy.Model, data []*dataset.Sample, cfg Config, seed int64) *Trainer {
-	return &Trainer{Model: m, cfg: cfg, rollout: rollout{Data: data, seed: seed}}
+// NewTrainer wires a trainer whose rewards o gates. Rollout sampling
+// is driven by per-episode RNGs derived from seed, so a trainer's
+// trajectory depends only on (model, data, cfg, seed) — never on
+// Cfg.Workers.
+func NewTrainer(o oracle.Oracle, m *policy.Model, data []*dataset.Sample, cfg Config, seed int64) *Trainer {
+	return &Trainer{Model: m, cfg: cfg, rollout: rollout{Data: data, oracle: o, seed: seed}}
 }
 
 // episodeScore pairs an episode with its judgment and reward. The
@@ -132,7 +135,7 @@ func NewTrainer(m *policy.Model, data []*dataset.Sample, cfg Config, seed int64)
 type episodeScore struct {
 	s        *dataset.Sample
 	ep       *policy.Episode
-	j        *Judgment
+	j        *judgment
 	r        float64
 	rAnswer  float64
 	rThink   float64
@@ -150,13 +153,13 @@ func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 	m := tr.Model
 	cfg := tr.cfg
 	cells, err := grid(ctx, &tr.rollout, cfg.BatchInputs, cfg.GroupSize, cfg.Workers,
-		func(o oracle.Oracle, s *dataset.Sample, rng *rand.Rand) episodeScore {
+		func(s *dataset.Sample, rng *rand.Rand) episodeScore {
 			ep := m.Generate(s.O0, policy.GenOptions{
 				Temperature: cfg.Temperature,
 				Rng:         rng,
-				Augmented:   cfg.Augmented,
+				Augmented:   cfg.Mode == ModeCorrectnessCoT,
 			})
-			j := JudgeWith(ctx, o, ep, s, cfg.Verify)
+			j := judgeWith(ctx, tr.oracle, ep, s, cfg.Verify)
 			es := episodeScore{s: s, ep: ep, j: j}
 			switch cfg.Mode {
 			case ModeCorrectness, ModeCorrectnessCoT:
@@ -193,7 +196,7 @@ func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 		totalTokens += tokensOf(es.ep)
 		stats.meanReward += es.r
 		stats.meanCoT += es.rThink
-		if es.j.FinalVerdict.Verdict == alive.Equivalent {
+		if es.j.finalVerdict.Verdict == alive.Equivalent {
 			stats.verifiedFrac++
 		}
 		if es.ep.Copied {

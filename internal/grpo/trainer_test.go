@@ -8,6 +8,7 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
 	"veriopt/internal/ir"
+	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
 )
 
@@ -32,9 +33,13 @@ func trainBg[S any](trainCtx func(context.Context, int) ([]S, error), n int) []S
 	return stats
 }
 
-// judge is JudgeWith on the shared default stack.
-func judge(ep *policy.Episode, s *dataset.Sample, opts alive.Options) *Judgment {
-	return JudgeWith(context.Background(), nil, ep, s, opts)
+// testStack is the stack the package's tests share, so verdicts proved
+// by one test are cache hits for the next.
+var testStack = oracle.NewStack(oracle.Config{})
+
+// judge is judgeWith on testStack.
+func judge(ep *policy.Episode, s *dataset.Sample, opts alive.Options) *judgment {
+	return judgeWith(context.Background(), testStack, ep, s, opts)
 }
 
 func TestRewardEq1Hierarchy(t *testing.T) {
@@ -61,8 +66,8 @@ func TestRewardEq1Hierarchy(t *testing.T) {
 	// Garbage: only BLEU-ish scraps, and t=1 keeps the format point.
 	epBad := &policy.Episode{FinalText: "not ir at all", AttemptText: "not ir at all", FormatOK: true}
 	jBad := judge(epBad, s, vo)
-	if jBad.FinalVerdict.Verdict != alive.SyntaxError {
-		t.Fatalf("garbage verdict = %v", jBad.FinalVerdict.Verdict)
+	if jBad.finalVerdict.Verdict != alive.SyntaxError {
+		t.Fatalf("garbage verdict = %v", jBad.finalVerdict.Verdict)
 	}
 	rBad := correctnessReward(epBad, jBad, true)
 	if rBad >= rCopy {
@@ -83,7 +88,7 @@ func TestCoTRewardAgreement(t *testing.T) {
 	s := samples[0]
 	vo := alive.DefaultOptions()
 
-	mk := func(attempt string, cls policy.DiagClass, msg string) (*policy.Episode, *Judgment) {
+	mk := func(attempt string, cls policy.DiagClass, msg string) (*policy.Episode, *judgment) {
 		ep := &policy.Episode{
 			FinalText:   s.RefText,
 			AttemptText: attempt,
@@ -114,8 +119,8 @@ func TestCoTRewardAgreement(t *testing.T) {
 func TestLatencyRewardShape(t *testing.T) {
 	p := LatencyRewardParams{UMax: 3, Gamma: 2}
 	ok := alive.Result{Verdict: alive.Equivalent}
-	mk := func(v alive.Verdict, u float64) *Judgment {
-		return &Judgment{FinalVerdict: alive.Result{Verdict: v}, speedup: u}
+	mk := func(v alive.Verdict, u float64) *judgment {
+		return &judgment{finalVerdict: alive.Result{Verdict: v}, speedup: u}
 	}
 	if latencyReward(mk(alive.SemanticError, 5), p) != 0 {
 		t.Error("unverified output must get 0")
@@ -180,7 +185,7 @@ func TestTrainingImprovesVerifiedFraction(t *testing.T) {
 	samples := corpus(t, 30)
 	m := policy.New(policy.CapQwen3B, 3)
 	cfg := DefaultConfig()
-	tr := NewTrainer(m, samples, cfg, 11)
+	tr := NewTrainer(testStack, m, samples, cfg, 11)
 	first := stepBg(tr.StepCtx)
 	var last StepStats
 	for i := 0; i < 14; i++ {
@@ -197,7 +202,7 @@ func TestTrainingImprovesVerifiedFraction(t *testing.T) {
 func TestFailureCollection(t *testing.T) {
 	samples := corpus(t, 12)
 	m := policy.New(policy.CapQwen3B, 3)
-	tr := NewTrainer(m, samples, DefaultConfig(), 12)
+	tr := NewTrainer(testStack, m, samples, DefaultConfig(), 12)
 	tr.CollectFailures = true
 	trainBg(tr.TrainCtx, 3)
 	if len(tr.Failures) == 0 {
@@ -219,7 +224,7 @@ func TestGradClipBoundsUpdate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ClipNorm = 0.001 // practically freeze the model
 	before := append([]float64(nil), m.B...)
-	tr := NewTrainer(m, samples, cfg, 13)
+	tr := NewTrainer(testStack, m, samples, cfg, 13)
 	trainBg(tr.TrainCtx, 2)
 	maxDelta := 0.0
 	for a := range m.B {
@@ -254,14 +259,14 @@ func TestJudgeCountsCopyAndExact(t *testing.T) {
 	if !j.exactMatch {
 		t.Error("exact match not detected")
 	}
-	if j.FinalVerdict.Verdict != alive.Equivalent {
-		t.Errorf("ref output verdict = %v", j.FinalVerdict.Verdict)
+	if j.finalVerdict.Verdict != alive.Equivalent {
+		t.Errorf("ref output verdict = %v", j.finalVerdict.Verdict)
 	}
 	if j.speedup <= 0 {
 		t.Errorf("speedup = %v", j.speedup)
 	}
-	// Structural sanity of FinalFn.
-	if j.FinalFn == nil || ir.VerifyFunc(j.FinalFn) != nil {
-		t.Error("FinalFn missing or invalid")
+	// Structural sanity of finalFn.
+	if j.finalFn == nil || ir.VerifyFunc(j.finalFn) != nil {
+		t.Error("finalFn missing or invalid")
 	}
 }

@@ -18,6 +18,11 @@
 // inside it so a memoized verdict never pays a network hop and a remote
 // verdict is memoized like a local one.
 //
+// There is no process-wide stack. NewStack is called at the program's
+// edge (cmd/, bench/, tests) and the stack is handed down: every
+// function that verifies takes its Oracle right after ctx, and every
+// type that verifies takes it at construction.
+//
 // Nothing here consults a clock or a counter to decide a verdict:
 // deadlines arrive as request contexts, and the solver's effort bound
 // is alive.Options.SolverBudget, which is part of the cache key.
@@ -27,7 +32,6 @@ package oracle
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"veriopt/internal/alive"
@@ -171,30 +175,4 @@ func NewStack(cfg Config) *Stack {
 	}
 	s.store, _ = cfg.Backing.(*vstore.Store)
 	return s
-}
-
-var (
-	defaultOnce  sync.Once
-	defaultStack *Stack
-)
-
-// Default returns the process-wide stack used when a caller does not
-// supply its own oracle. Verdicts are pure, so sharing one cache
-// across trainer stages, evaluation runs, and CLIs is always sound
-// and maximizes reuse (greedy evaluation re-proves the same outputs
-// across curriculum stages).
-func Default() *Stack {
-	defaultOnce.Do(func() { defaultStack = NewStack(Config{}) })
-	return defaultStack
-}
-
-// OrDefault resolves the "nil means the shared default" convention in
-// one place: every config struct that carries an optional Oracle
-// (grpo.Trainer, pipeline.EvalConfig, pipeline.StageConfig) funnels
-// through here, so a future change of the default has one home.
-func OrDefault(o Oracle) Oracle {
-	if o == nil {
-		return Default()
-	}
-	return o
 }

@@ -93,16 +93,3 @@ func TestBaseHonorsContext(t *testing.T) {
 		t.Fatalf("pre-canceled base query: %+v", r)
 	}
 }
-
-func TestOrDefault(t *testing.T) {
-	if OrDefault(nil) != Default() {
-		t.Fatal("OrDefault(nil) is not the shared default stack")
-	}
-	st := NewStack(Config{})
-	if OrDefault(st) != Oracle(st) {
-		t.Fatal("OrDefault replaced a caller-supplied oracle")
-	}
-	if Default() != Default() {
-		t.Fatal("Default is not process-wide")
-	}
-}

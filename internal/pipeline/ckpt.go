@@ -131,10 +131,11 @@ func resumeFailures(states []failureState, data []*dataset.Sample) ([]*grpo.Fail
 
 // configSig fingerprints what a curriculum's trajectory reads off cfg,
 // each value under a fixed name, and the corpus size. It leaves out
-// what changes no result: Oracle, Obs, Ckpt, the worker count, and the
-// GRPO Mode, Augmented and Latency that RunCtx sets per stage. Names,
-// order and one-valued slots are those of the struct dump it used to
-// be, so checkpoints written under that still resume; freshSolver
+// what changes no result: Obs, Ckpt, the worker count, and the GRPO
+// Mode and Latency that RunCtx sets per stage. Names, order and
+// one-valued slots are those of the struct dump it used to be, so
+// checkpoints written under that still resume (Augmented:false and
+// Oracle:<nil> are such slots, for fields since deleted); freshSolver
 // spells Verify as it was while alive.Options had FreshSolver.
 func configSig(cfg StageConfig, corpusLen int, freshSolver bool) string {
 	c, g, v := cfg.Capacity, cfg.GRPO, cfg.GRPO.Verify

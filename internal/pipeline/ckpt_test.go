@@ -103,8 +103,7 @@ func requireSameRun(t *testing.T, want, got *Result) {
 func TestParentCheckpointResumes(t *testing.T) {
 	train := resumeCorpus(t)
 	ref := resumeStageConfig("")
-	ref.Oracle = oracle.NewStack(oracle.Config{})
-	want, err := RunCtx(context.Background(), train, ref)
+	want, err := RunCtx(context.Background(), oracle.NewStack(oracle.Config{}), train, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +119,7 @@ func TestParentCheckpointResumes(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := resumeStageConfig(dir)
-			cfg.Oracle = oracle.NewStack(oracle.Config{})
-			got, err := RunCtx(context.Background(), train, cfg)
+			got, err := RunCtx(context.Background(), oracle.NewStack(oracle.Config{}), train, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,12 +155,12 @@ func TestConfigSigMatchesParent(t *testing.T) {
 
 // trajectoryFree are the StageConfig fields a curriculum's trajectory
 // does not read, so its checkpoint signature does not either: the
-// process-local Oracle, Obs and Ckpt, the worker count (results are
-// bit-identical at any), and the reward and prompt settings RunCtx
-// overwrites per stage.
+// process-local Obs and Ckpt, the worker count (results are
+// bit-identical at any), and the reward settings RunCtx overwrites per
+// stage.
 var trajectoryFree = map[string]bool{
-	"Oracle": true, "Obs": true, "Ckpt": true,
-	"GRPO.Workers": true, "GRPO.Mode": true, "GRPO.Augmented": true,
+	"Obs": true, "Ckpt": true,
+	"GRPO.Workers": true, "GRPO.Mode": true,
 	"GRPO.Latency.UMax": true, "GRPO.Latency.Gamma": true,
 }
 
@@ -242,8 +240,7 @@ func TestResumeSmoke(t *testing.T) {
 
 	// Reference trajectory: one uninterrupted run, no checkpointing.
 	ref := resumeStageConfig("")
-	ref.Oracle = oracle.NewStack(oracle.Config{})
-	wantRes, err := RunCtx(context.Background(), train, ref)
+	wantRes, err := RunCtx(context.Background(), oracle.NewStack(oracle.Config{}), train, ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +261,7 @@ func TestResumeSmoke(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := resumeStageConfig(dir)
 		cfg.GRPO.Workers = 2 + 2*i
-		cfg.Oracle = cancelAfter(kill, cancel, oracle.NewStack(oracle.Config{}))
-		_, err := RunCtx(ctx, train, cfg)
+		_, err := RunCtx(ctx, cancelAfter(kill, cancel, oracle.NewStack(oracle.Config{})), train, cfg)
 		cancel()
 		if err == nil {
 			t.Fatalf("run with kill after %d queries finished uninterrupted — raise the step counts", kill)
@@ -284,8 +280,7 @@ func TestResumeSmoke(t *testing.T) {
 	// Final resume runs to completion at yet another worker count.
 	cfg := resumeStageConfig(dir)
 	cfg.GRPO.Workers = 3
-	cfg.Oracle = oracle.NewStack(oracle.Config{})
-	gotRes, err := RunCtx(context.Background(), train, cfg)
+	gotRes, err := RunCtx(context.Background(), oracle.NewStack(oracle.Config{}), train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +288,11 @@ func TestResumeSmoke(t *testing.T) {
 
 	// A completed run resumes without touching the oracle at all.
 	cfg = resumeStageConfig(dir)
-	cfg.Oracle = oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+	silent := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
 		t.Error("resume of a finished run issued a verification query")
 		return alive.Result{Verdict: alive.Inconclusive}
 	})
-	doneRes, err := RunCtx(context.Background(), train, cfg)
+	doneRes, err := RunCtx(context.Background(), silent, train, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +309,7 @@ func TestCkptRefusesOverwriteAndConfigDrift(t *testing.T) {
 	// past the warm-up boundary (see TestResumeSmoke's query counts).
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := resumeStageConfig(dir)
-	cfg.Oracle = cancelAfter(260, cancel, oracle.NewStack(oracle.Config{}))
-	if _, err := RunCtx(ctx, train, cfg); err == nil {
+	if _, err := RunCtx(ctx, cancelAfter(260, cancel, oracle.NewStack(oracle.Config{})), train, cfg); err == nil {
 		t.Fatal("expected interrupt")
 	}
 	cancel()
@@ -323,14 +317,14 @@ func TestCkptRefusesOverwriteAndConfigDrift(t *testing.T) {
 	// Without Resume, an existing checkpoint must refuse to run.
 	cfg = resumeStageConfig(dir)
 	cfg.Ckpt.Resume = false
-	if _, err := RunCtx(context.Background(), train, cfg); err == nil {
+	if _, err := RunCtx(context.Background(), testStack, train, cfg); err == nil {
 		t.Fatal("existing checkpoint was silently overwritten")
 	}
 
 	// A different training configuration must refuse to resume.
 	cfg = resumeStageConfig(dir)
 	cfg.Seed = 999
-	if _, err := RunCtx(context.Background(), train, cfg); err == nil {
+	if _, err := RunCtx(context.Background(), testStack, train, cfg); err == nil {
 		t.Fatal("checkpoint resumed under a different configuration")
 	}
 }
@@ -352,11 +346,11 @@ func TestResumeRejectsUnknownFailureSample(t *testing.T) {
 	if err := ckpt.Save(filepath.Join(dir, ckptFileName), ckptKind, st); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Oracle = oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+	silent := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
 		t.Error("a refused resume issued a verification query")
 		return alive.Result{Verdict: alive.Inconclusive}
 	})
-	_, err := RunCtx(context.Background(), train, cfg)
+	_, err := RunCtx(context.Background(), silent, train, cfg)
 	if err == nil || !strings.Contains(err.Error(), "no-such-sample") {
 		t.Fatalf("resume error = %v, want one naming the unknown sample", err)
 	}

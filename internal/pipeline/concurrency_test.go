@@ -20,8 +20,8 @@ import (
 // too.
 func TestEvaluateIdenticalAcrossWorkers(t *testing.T) {
 	res, val := smallRun(t)
-	r1 := evaluate(res.Latency, val, false, EvalConfig{Workers: 1, Oracle: oracle.NewStack(oracle.Config{})})
-	r4 := evaluate(res.Latency, val, false, EvalConfig{Workers: 4, Oracle: oracle.NewStack(oracle.Config{})})
+	r1 := evaluate(oracle.NewStack(oracle.Config{}), res.Latency, val, false, EvalConfig{Workers: 1})
+	r4 := evaluate(oracle.NewStack(oracle.Config{}), res.Latency, val, false, EvalConfig{Workers: 4})
 
 	if r1.Correct != r4.Correct || r1.Copies != r4.Copies || r1.Semantic != r4.Semantic ||
 		r1.Syntax != r4.Syntax || r1.Inconclusive != r4.Inconclusive {
@@ -42,9 +42,9 @@ func TestEvaluateIdenticalAcrossWorkers(t *testing.T) {
 func TestEvaluateCacheSharing(t *testing.T) {
 	res, val := smallRun(t)
 	st := oracle.NewStack(oracle.Config{})
-	evaluate(res.Latency, val, false, EvalConfig{Workers: 4, Oracle: st})
+	evaluate(st, res.Latency, val, false, EvalConfig{Workers: 4})
 	miss := st.Engine.Stats().Misses
-	evaluate(res.Latency, val, false, EvalConfig{Verify: alive.DefaultOptions(), Workers: 4, Oracle: st})
+	evaluate(st, res.Latency, val, false, EvalConfig{Verify: alive.DefaultOptions(), Workers: 4})
 	s := st.Engine.Stats()
 	if s.Misses != miss {
 		t.Fatalf("re-evaluation ran the solver again: %+v", s)
@@ -76,8 +76,8 @@ func TestEvaluateCancellationPartialReport(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		rep, err := EvaluateCtx(ctx, res.Latency, val, false,
-			EvalConfig{Workers: 2, Oracle: blocking})
+		rep, err := EvaluateCtx(ctx, blocking, res.Latency, val, false,
+			EvalConfig{Workers: 2})
 		done <- outcome{rep, err}
 	}()
 	<-started
@@ -120,8 +120,8 @@ func TestEvaluateCanceledVerdictsCountSkipped(t *testing.T) {
 	canceled := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
 		return alive.CanceledResult(context.Canceled)
 	})
-	rep, err := EvaluateCtx(context.Background(), m, samples, false,
-		EvalConfig{Workers: 2, Oracle: canceled})
+	rep, err := EvaluateCtx(context.Background(), canceled, m, samples, false,
+		EvalConfig{Workers: 2})
 	if err != nil {
 		t.Fatalf("uncanceled run returned err = %v", err)
 	}
@@ -174,8 +174,8 @@ func TestEvaluatePartialFractionsExcludeCanceled(t *testing.T) {
 		}
 		return alive.Result{Verdict: alive.Equivalent}
 	})
-	rep, runErr := EvaluateCtx(ctx, m, samples, false,
-		EvalConfig{Workers: 1, Oracle: fake})
+	rep, runErr := EvaluateCtx(ctx, fake, m, samples, false,
+		EvalConfig{Workers: 1})
 	if runErr != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", runErr)
 	}
@@ -214,7 +214,7 @@ func TestRunCtxCancellationPartialResult(t *testing.T) {
 	}
 	cfg := DefaultStageConfig()
 	cfg.Stage1Steps, cfg.Stage2Steps, cfg.Stage3Steps = 2, 2, 2
-	res, err := RunCtx(ctx, samples, cfg)
+	res, err := RunCtx(ctx, testStack, samples, cfg)
 	if err == nil {
 		t.Fatal("pre-canceled RunCtx returned nil error")
 	}
@@ -260,7 +260,7 @@ func TestMeanDeltaSkipsZeroBaseline(t *testing.T) {
 // TestEvaluateEmptySamples guards the degenerate evaluation.
 func TestEvaluateEmptySamples(t *testing.T) {
 	res, _ := smallRun(t)
-	rep := evaluate(res.Base, nil, false, EvalConfig{Workers: 4})
+	rep := evaluate(testStack, res.Base, nil, false, EvalConfig{Workers: 4})
 	if rep.Total() != 0 || rep.Correct != 0 {
 		t.Fatalf("empty evaluation produced counts: %+v", *rep)
 	}

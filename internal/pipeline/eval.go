@@ -10,7 +10,6 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
-	"veriopt/internal/grpo"
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/par"
@@ -30,14 +29,13 @@ type sampleResult struct {
 	// every aggregate metric.
 	canceled bool
 	copied   bool
-	// finalFn is the model's output when verified; nil otherwise.
-	finalFn *ir.Function
 	// out is the effective metrics after the paper's fallback rule:
 	// unverified outputs fall back to the -O0 version.
 	out costmodel.Metrics
 	// base is the -O0 metrics; ref the instcombine metrics.
 	base, ref costmodel.Metrics
-	// usedFallback reports that out == base because verification failed.
+	// usedFallback reports that out == base because oracle.Accept
+	// kept the input.
 	usedFallback bool
 }
 
@@ -107,17 +105,17 @@ type EvalConfig struct {
 	// runtime.NumCPU()). Greedy generation is deterministic per
 	// sample, so the report is byte-identical at any worker count.
 	Workers int
-	// Oracle answers the verification queries; nil selects the shared
-	// default stack (oracle.Default).
-	Oracle oracle.Oracle
 }
 
 // EvaluateCtx runs the model greedily (deterministic, §IV-B) over the
-// samples, verifying each output and applying the fallback rule. Each
-// sample is independent (greedy generation reads only immutable model
-// state), so the fan-out is embarrassingly parallel; results land in
-// per-sample slots and the verdict tallies are summed sequentially
-// afterwards, keeping the report identical at any worker count.
+// samples and puts each output through the deployment rule,
+// oracle.Accept over o: one query per sample, none for an output the
+// syntax gate rejects, and the -O0 input kept on anything short of a
+// proof (the fallback rule). Each sample is independent (greedy
+// generation reads only immutable model state), so the fan-out is
+// embarrassingly parallel; results land in per-sample slots and the
+// verdict tallies are summed sequentially afterwards, keeping the
+// report identical at any worker count.
 //
 // When ctx ends mid-run, EvaluateCtx returns promptly with a partial
 // report — evaluated samples keep their results, unreached samples
@@ -126,32 +124,32 @@ type EvalConfig struct {
 // context's error. Both unreached and canceled samples are counted in
 // Skipped, never in Inconclusive, so a partial report's fractions are
 // over genuinely evaluated samples only.
-func EvaluateCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, augmented bool, cfg EvalConfig) (*Report, error) {
+func EvaluateCtx(ctx context.Context, o oracle.Oracle, m *policy.Model, samples []*dataset.Sample, augmented bool, cfg EvalConfig) (*Report, error) {
 	if cfg.Verify == (alive.Options{}) {
 		cfg.Verify = alive.DefaultOptions()
 	}
-	o := oracle.OrDefault(cfg.Oracle)
 	rep := &Report{results: make([]*sampleResult, len(samples))}
 	err := par.For(ctx, cfg.Workers, len(samples), func(i int) {
 		s := samples[i]
 		ep := m.Generate(s.O0, policy.GenOptions{Augmented: augmented})
-		j := grpo.JudgeWith(ctx, o, ep, s, cfg.Verify)
+		out := s.O0
+		cand, vr := alive.Candidate(ir.ParseFunc(ep.FinalText))
+		if cand != nil {
+			out, vr = oracle.Accept(ctx, o, nil, s.O0, cand, cfg.Verify)
+		}
 		res := &sampleResult{
-			sample:   s,
-			verdict:  j.FinalVerdict.Verdict,
-			diag:     j.FinalVerdict.Diag,
-			canceled: j.FinalVerdict.Reason() == alive.Canceled,
-			copied:   ep.Copied,
-			base:     costmodel.Measure(s.O0),
-			ref:      costmodel.Measure(s.Ref),
+			sample:       s,
+			verdict:      vr.Verdict,
+			diag:         vr.Diag,
+			canceled:     vr.Reason() == alive.Canceled,
+			copied:       ep.Copied,
+			base:         costmodel.Measure(s.O0),
+			ref:          costmodel.Measure(s.Ref),
+			usedFallback: out == s.O0,
 		}
-		if res.verdict == alive.Equivalent {
-			res.finalFn = j.FinalFn
-			res.out = costmodel.Measure(j.FinalFn)
-		}
-		if res.finalFn == nil {
-			res.out = res.base
-			res.usedFallback = true
+		res.out = res.base
+		if !res.usedFallback {
+			res.out = costmodel.Measure(out)
 		}
 		rep.results[i] = res
 	})

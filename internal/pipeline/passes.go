@@ -32,9 +32,6 @@ type PassesConfig struct {
 	// Workers bounds the evaluation fan-out (<= 0 selects
 	// runtime.NumCPU()); results are worker-count independent.
 	Workers int
-	// Oracle answers all verification queries; nil selects the shared
-	// default stack. Search memoization lives in its verdict cache.
-	Oracle oracle.Oracle
 	// Obs, when non-nil, receives stage trace events.
 	Obs *obs.Recorder
 }
@@ -136,20 +133,19 @@ type PassesResult struct {
 }
 
 // RunPassesCtx trains the sequence policy on the training split and
-// evaluates the four methods on the validation split. Cancellation
-// follows the curriculum's convention: the interrupted phase aborts
-// promptly and the partial result is returned with the context's
-// error (Report nil when evaluation never completed).
-func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesConfig) (*PassesResult, error) {
+// evaluates the four methods on the validation split, every query
+// asked of o (search memoization lives in its verdict cache).
+// Cancellation follows the curriculum's convention: the interrupted
+// phase aborts promptly and the partial result is returned with the
+// context's error (Report nil when evaluation never completed).
+func RunPassesCtx(ctx context.Context, o oracle.Oracle, train, val []*dataset.Sample, cfg PassesConfig) (*PassesResult, error) {
 	seq := grpo.DefaultSeqConfig()
 	seq.Workers = cfg.Workers
 	seq.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(train, umaxPercentile), Gamma: latencyGamma}
-	o := oracle.OrDefault(cfg.Oracle)
 
 	res := &PassesResult{Model: seqopt.NewModel(cfg.Seed)}
 	sp := beginStage(cfg.Obs, o, "seq-train")
-	tr := grpo.NewSeqTrainer(res.Model, train, seq, cfg.Seed+404)
-	tr.Oracle = o
+	tr := grpo.NewSeqTrainer(o, res.Model, train, seq, cfg.Seed+404)
 	_, err := tr.TrainCtx(ctx, cfg.TrainSteps)
 	res.history = tr.RewardHistory
 	if err != nil {
@@ -159,7 +155,7 @@ func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesC
 	sp.end(cfg.TrainSteps, tr.RewardHistory, "")
 
 	sp = beginStage(cfg.Obs, o, "passes-eval")
-	rep, err := evaluatePasses(ctx, res.Model, val, cfg)
+	rep, err := evaluatePasses(ctx, o, res.Model, val, cfg)
 	res.Report = rep
 	if err != nil {
 		sp.end(0, nil, "canceled")
@@ -174,8 +170,7 @@ func RunPassesCtx(ctx context.Context, train, val []*dataset.Sample, cfg PassesC
 // function is accepted only with an Equivalent verdict, otherwise the
 // O0 metrics are substituted (the fallback rule of the text
 // workload). m may be nil to skip the policy row.
-func evaluatePasses(ctx context.Context, m *seqopt.Model, samples []*dataset.Sample, cfg PassesConfig) (*PassesReport, error) {
-	o := oracle.OrDefault(cfg.Oracle)
+func evaluatePasses(ctx context.Context, o oracle.Oracle, m *seqopt.Model, samples []*dataset.Sample, cfg PassesConfig) (*PassesReport, error) {
 	scfg := seqopt.SearchConfig{Width: cfg.BeamWidth, Depth: cfg.BeamDepth, Oracle: o}
 
 	details := make([]*passesDetail, len(samples))

@@ -36,8 +36,7 @@ func TestPassesSmoke(t *testing.T) {
 	train, val := passesCorpus(t, 60)
 	cfg := DefaultPassesConfig()
 	cfg.TrainSteps = 10
-	cfg.Oracle = oracle.NewStack(oracle.Config{})
-	res, err := RunPassesCtx(context.Background(), train, val, cfg)
+	res, err := RunPassesCtx(context.Background(), oracle.NewStack(oracle.Config{}), train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +101,7 @@ func TestPassesEvalWorkerIndependence(t *testing.T) {
 	run := func(workers int) string {
 		cfg := DefaultPassesConfig()
 		cfg.Workers = workers
-		cfg.Oracle = oracle.NewStack(oracle.Config{})
-		rep, err := evaluatePasses(context.Background(), m, val, cfg)
+		rep, err := evaluatePasses(context.Background(), oracle.NewStack(oracle.Config{}), m, val, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,8 +120,7 @@ func TestPassesTrainWorkerIndependence(t *testing.T) {
 		cfg := DefaultPassesConfig()
 		cfg.TrainSteps = 4
 		cfg.Workers = workers
-		cfg.Oracle = oracle.NewStack(oracle.Config{})
-		res, err := RunPassesCtx(context.Background(), train, val, cfg)
+		res, err := RunPassesCtx(context.Background(), oracle.NewStack(oracle.Config{}), train, val, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,9 +139,8 @@ func TestPassesBench(t *testing.T) {
 	stack := oracle.NewStack(oracle.Config{})
 	cfg := DefaultPassesConfig()
 	cfg.TrainSteps = 12
-	cfg.Oracle = stack
 
-	res, err := RunPassesCtx(context.Background(), train, val, cfg)
+	res, err := RunPassesCtx(context.Background(), stack, train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +148,7 @@ func TestPassesBench(t *testing.T) {
 
 	// Warm re-evaluation: identical searches against the warm cache
 	// must perform zero additional solver (compute) runs.
-	rep2, err := evaluatePasses(context.Background(), res.Model, val, cfg)
+	rep2, err := evaluatePasses(context.Background(), stack, res.Model, val, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

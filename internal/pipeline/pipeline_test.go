@@ -2,13 +2,21 @@ package pipeline
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
+	"veriopt/internal/ir"
+	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
 )
+
+// testStack is the stack the package's tests share where they do not
+// build their own: smallRun trains on it and the evaluations of its
+// models re-prove the same outputs from its cache.
+var testStack = oracle.NewStack(oracle.Config{})
 
 // smallRun executes a reduced curriculum once per test binary.
 var cached *Result
@@ -31,22 +39,22 @@ func smallRun(t *testing.T) (*Result, []*dataset.Sample) {
 	cfg.Stage1Steps = 6
 	cfg.Stage2Steps = 40
 	cfg.Stage3Steps = 30
-	cached, _ = RunCtx(context.Background(), train, cfg)
+	cached, _ = RunCtx(context.Background(), testStack, train, cfg)
 	cachedVal = val
 	return cached, cachedVal
 }
 
 // evaluate is EvaluateCtx under a context that never ends, where the
 // only error is nil.
-func evaluate(m *policy.Model, samples []*dataset.Sample, augmented bool, cfg EvalConfig) *Report {
-	rep, _ := EvaluateCtx(context.Background(), m, samples, augmented, cfg)
+func evaluate(o oracle.Oracle, m *policy.Model, samples []*dataset.Sample, augmented bool, cfg EvalConfig) *Report {
+	rep, _ := EvaluateCtx(context.Background(), o, m, samples, augmented, cfg)
 	return rep
 }
 
 func TestCurriculumImprovesDifferentCorrect(t *testing.T) {
 	res, val := smallRun(t)
-	base := evaluate(res.Base, val, false, EvalConfig{})
-	lat := evaluate(res.Latency, val, false, EvalConfig{})
+	base := evaluate(testStack, res.Base, val, false, EvalConfig{})
+	lat := evaluate(testStack, res.Latency, val, false, EvalConfig{})
 	if lat.DifferentCorrectFrac() <= base.DifferentCorrectFrac() {
 		t.Errorf("different-correct did not improve: base %.2f, latency %.2f",
 			base.DifferentCorrectFrac(), lat.DifferentCorrectFrac())
@@ -60,8 +68,8 @@ func TestCurriculumImprovesDifferentCorrect(t *testing.T) {
 
 func TestCurriculumImprovesSpeedup(t *testing.T) {
 	res, val := smallRun(t)
-	base := evaluate(res.Base, val, false, EvalConfig{})
-	lat := evaluate(res.Latency, val, false, EvalConfig{})
+	base := evaluate(testStack, res.Base, val, false, EvalConfig{})
+	lat := evaluate(testStack, res.Latency, val, false, EvalConfig{})
 	bs, ls := GeomeanSpeedup(base), GeomeanSpeedup(lat)
 	if ls <= bs {
 		t.Errorf("speedup did not improve: base %.3f, latency %.3f", bs, ls)
@@ -74,7 +82,7 @@ func TestCurriculumImprovesSpeedup(t *testing.T) {
 
 func TestFallbackRuleNeverWorseOnFailures(t *testing.T) {
 	res, val := smallRun(t)
-	rep := evaluate(res.Base, val, false, EvalConfig{})
+	rep := evaluate(testStack, res.Base, val, false, EvalConfig{})
 	for _, r := range rep.results {
 		if r.usedFallback && r.out != r.base {
 			t.Fatal("fallback did not restore the O0 metrics")
@@ -85,9 +93,45 @@ func TestFallbackRuleNeverWorseOnFailures(t *testing.T) {
 	}
 }
 
+// TestEvaluateAsksOneQueryPerSample: evaluation accepts through
+// oracle.Accept, so an augmented run asks at most one query per sample
+// even where the model corrected its attempt: no report reads the
+// attempt's verdict, so it is never asked.
+func TestEvaluateAsksOneQueryPerSample(t *testing.T) {
+	samples, err := dataset.Generate(dataset.Config{Seed: 5, N: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := policy.New(policy.CapQwen3B, 7)
+	m.SelfCorrectGate = 2 // open, as grpo's golden opens it
+	// and diagnose every attempt a semantic error, so each corrects
+	m.Diag.W[policy.DiagSemanticError][0] = 5
+	corrected := 0
+	for _, s := range samples {
+		if ep := m.Generate(s.O0, policy.GenOptions{Augmented: true}); ep.AttemptText != ep.FinalText {
+			corrected++
+		}
+	}
+	if corrected == 0 {
+		t.Fatal("no sample's answer differs from its attempt: the test exercises no correction")
+	}
+	var queries atomic.Int64
+	counting := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+		queries.Add(1)
+		return testStack.Verify(ctx, src, tgt, opts)
+	})
+	rep := evaluate(counting, m, samples, true, EvalConfig{Workers: 2})
+	if q := queries.Load(); q > int64(len(samples)) {
+		t.Fatalf("%d queries for %d samples (%d corrected)", q, len(samples), corrected)
+	}
+	if rep.Total() != len(samples) {
+		t.Fatalf("evaluated %d of %d samples", rep.Total(), len(samples))
+	}
+}
+
 func TestReportCountsConsistent(t *testing.T) {
 	res, val := smallRun(t)
-	rep := evaluate(res.Correctness, val, true, EvalConfig{})
+	rep := evaluate(testStack, res.Correctness, val, true, EvalConfig{})
 	if rep.Correct+rep.Semantic+rep.Syntax+rep.Inconclusive != rep.Total() {
 		t.Errorf("verdict counts do not partition the total: %+v", rep)
 	}
@@ -98,7 +142,7 @@ func TestReportCountsConsistent(t *testing.T) {
 
 func TestOutcomesArithmetic(t *testing.T) {
 	res, val := smallRun(t)
-	rep := evaluate(res.Latency, val, false, EvalConfig{})
+	rep := evaluate(testStack, res.Latency, val, false, EvalConfig{})
 	for _, m := range []Metric{MetricLatency, MetricSize, MetricICount} {
 		o := OutcomesVsO0(rep, m)
 		if o.Better+o.Worse+o.Tie != rep.Total() {
@@ -113,7 +157,7 @@ func TestOutcomesArithmetic(t *testing.T) {
 
 func TestGeomeanRelationships(t *testing.T) {
 	res, val := smallRun(t)
-	rep := evaluate(res.Latency, val, false, EvalConfig{})
+	rep := evaluate(testStack, res.Latency, val, false, EvalConfig{})
 	sp := GeomeanSpeedup(rep)
 	ratio := GeomeanRatio(rep, MetricLatency)
 	if sp <= 0 || ratio <= 0 {
@@ -145,8 +189,8 @@ func TestLatencyStagePreservesCorrectness(t *testing.T) {
 	// Table II: Model-Latency's correctness stays comparable to
 	// Model-Correctness (within a tolerance band for the small run).
 	res, val := smallRun(t)
-	corr := evaluate(res.Correctness, val, true, EvalConfig{})
-	lat := evaluate(res.Latency, val, false, EvalConfig{})
+	corr := evaluate(testStack, res.Correctness, val, true, EvalConfig{})
+	lat := evaluate(testStack, res.Latency, val, false, EvalConfig{})
 	if lat.CorrectFrac() < corr.CorrectFrac()-0.25 {
 		t.Errorf("latency stage lost too much correctness: %.2f -> %.2f",
 			corr.CorrectFrac(), lat.CorrectFrac())
@@ -155,8 +199,8 @@ func TestLatencyStagePreservesCorrectness(t *testing.T) {
 
 func TestEvaluateDeterministic(t *testing.T) {
 	res, val := smallRun(t)
-	a := evaluate(res.Latency, val[:10], false, EvalConfig{})
-	b := evaluate(res.Latency, val[:10], false, EvalConfig{})
+	a := evaluate(testStack, res.Latency, val[:10], false, EvalConfig{})
+	b := evaluate(testStack, res.Latency, val[:10], false, EvalConfig{})
 	for i := range a.results {
 		if a.results[i].verdict != b.results[i].verdict || a.results[i].out != b.results[i].out {
 			t.Fatal("evaluation not deterministic")

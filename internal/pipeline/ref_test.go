@@ -189,7 +189,7 @@ func TestAggregatesMatchReference(t *testing.T) {
 		{"correctness", res.Correctness, true},
 		{"latency", res.Latency, false},
 	} {
-		rep := evaluate(run.m, val, run.aug, EvalConfig{})
+		rep := evaluate(testStack, run.m, val, run.aug, EvalConfig{})
 		cases[run.name] = rep
 		cases[run.name+"-partial"] = partialOf(rep)
 	}

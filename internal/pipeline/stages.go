@@ -25,16 +25,12 @@ type StageConfig struct {
 	Stage2Steps int // Model-Correctness GRPO steps
 	Stage3Steps int // Model-Latency GRPO steps
 
-	// GRPO configures every stage's trainer (RunCtx sets Mode, Augmented
-	// and Latency per stage); its Workers also bounds each checkpoint
+	// GRPO configures every stage's trainer (RunCtx sets Mode and
+	// Latency per stage); its Workers also bounds each checkpoint
 	// evaluation. The result is bit-identical at any worker count.
 	GRPO grpo.Config
 	SFT  sft.Config // the warm-up's, Epochs included
 
-	// Oracle answers verification queries for all stages; nil selects
-	// the shared default stack (oracle.Default), whose cache memoizes
-	// verdicts across stages.
-	Oracle oracle.Oracle
 	// Obs, when non-nil, receives stage_start/stage_end trace events
 	// with wall time, verdict/cache deltas, and reward summaries.
 	Obs *obs.Recorder
@@ -130,9 +126,9 @@ func (sp *stageSpan) end(steps int, rewards []float64, note string) {
 // headline different-correct fraction, with geomean speedup (which
 // already embeds the fallback-to-O0 correctness penalty) breaking
 // ties.
-func devEvalCtx(ctx context.Context, m *policy.Model, dev []*dataset.Sample, augmented bool, ec EvalConfig) (float64, error) {
+func devEvalCtx(ctx context.Context, o oracle.Oracle, m *policy.Model, dev []*dataset.Sample, augmented bool, ec EvalConfig) (float64, error) {
 	ec.Verify = alive.Options{MaxPaths: 256, MaxSteps: 2048, SolverBudget: 30000}
-	rep, err := EvaluateCtx(ctx, m, dev, augmented, ec)
+	rep, err := EvaluateCtx(ctx, o, m, dev, augmented, ec)
 	if err != nil {
 		return 0, err
 	}
@@ -144,9 +140,9 @@ func devEvalCtx(ctx context.Context, m *policy.Model, dev []*dataset.Sample, aug
 // returns the best model seen (the paper's "selecting the best
 // checkpoint for evaluation"). On cancellation it returns the best
 // model so far with the context's error.
-func trainWithCheckpoints(ctx context.Context, tr *grpo.Trainer, steps, evalEvery int, dev []*dataset.Sample, augmented bool, ec EvalConfig) (*policy.Model, error) {
+func trainWithCheckpoints(ctx context.Context, o oracle.Oracle, tr *grpo.Trainer, steps, evalEvery int, dev []*dataset.Sample, augmented bool, ec EvalConfig) (*policy.Model, error) {
 	best := tr.Model.Clone()
-	bestScore, err := devEvalCtx(ctx, best, dev, augmented, ec)
+	bestScore, err := devEvalCtx(ctx, o, best, dev, augmented, ec)
 	if err != nil {
 		return best, err
 	}
@@ -155,7 +151,7 @@ func trainWithCheckpoints(ctx context.Context, tr *grpo.Trainer, steps, evalEver
 			return best, err
 		}
 		if (i+1)%evalEvery == 0 || i == steps-1 {
-			score, err := devEvalCtx(ctx, tr.Model, dev, augmented, ec)
+			score, err := devEvalCtx(ctx, o, tr.Model, dev, augmented, ec)
 			if err != nil {
 				return best, err
 			}
@@ -168,7 +164,8 @@ func trainWithCheckpoints(ctx context.Context, tr *grpo.Trainer, steps, evalEver
 	return best, nil
 }
 
-// RunCtx executes the full curriculum on the training samples. When ctx
+// RunCtx executes the full curriculum on the training samples, every
+// stage's rewards and checkpoint evaluations verified by o. When ctx
 // ends, the in-flight stage aborts promptly (see grpo.Trainer.StepCtx
 // and EvaluateCtx), the partial Result accumulated so far is returned
 // with the context's error, and the interrupted stage's model is left
@@ -179,11 +176,10 @@ func trainWithCheckpoints(ctx context.Context, tr *grpo.Trainer, steps, evalEver
 // checkpointed atomically, and a resumed run (CkptConfig.Resume) skips
 // the completed stages and replays the interrupted one from its start
 // — the final models are bit-identical to an uninterrupted run's.
-func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Result, error) {
+func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg StageConfig) (*Result, error) {
 	res := &Result{}
 	res.Base = policy.New(cfg.Capacity, cfg.Seed)
-	o := oracle.OrDefault(cfg.Oracle)
-	ec := EvalConfig{Workers: cfg.GRPO.Workers, Oracle: o}
+	ec := EvalConfig{Workers: cfg.GRPO.Workers}
 	// Hold out a slice of the training set for checkpoint selection
 	// (never the validation set).
 	devN := len(train) / 5
@@ -208,9 +204,7 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 		zero := res.Base.Clone()
 		c1 := cfg.GRPO
 		c1.Mode = grpo.ModeCorrectness
-		c1.Augmented = false
-		t1 := grpo.NewTrainer(zero, train, c1, cfg.Seed+101)
-		t1.Oracle = o
+		t1 := grpo.NewTrainer(o, zero, train, c1, cfg.Seed+101)
 		t1.CollectFailures = true
 		_, err := t1.TrainCtx(ctx, cfg.Stage1Steps)
 		res.zeroHistory = t1.RewardHistory
@@ -251,16 +245,14 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 		corr := res.WarmUp.Clone()
 		c2 := cfg.GRPO
 		c2.Mode = grpo.ModeCorrectnessCoT
-		c2.Augmented = true
 		// Stage 2 refines the warm-up solution; a gentler learning rate
 		// and larger groups avoid collapsing into the copy-and-predict-OK
 		// reward-hacking attractor that destabilizes raw GRPO (§III-C2).
 		c2.LR = cfg.GRPO.LR / 3
 		c2.GroupSize = cfg.GRPO.GroupSize + 2
 		c2.ClipNorm = cfg.GRPO.ClipNorm / 2
-		t2 := grpo.NewTrainer(corr, train, c2, cfg.Seed+202)
-		t2.Oracle = o
-		best2, err := trainWithCheckpoints(ctx, t2, cfg.Stage2Steps, 10, dev, true, ec)
+		t2 := grpo.NewTrainer(o, corr, train, c2, cfg.Seed+202)
+		best2, err := trainWithCheckpoints(ctx, o, t2, cfg.Stage2Steps, 10, dev, true, ec)
 		res.CorrectnessHistory = t2.RewardHistory
 		if err != nil {
 			sp.end(len(t2.RewardHistory), t2.RewardHistory, "canceled")
@@ -281,11 +273,9 @@ func RunCtx(ctx context.Context, train []*dataset.Sample, cfg StageConfig) (*Res
 		res.UMax = grpo.ComputeUMax(train, umaxPercentile)
 		c3 := cfg.GRPO
 		c3.Mode = grpo.ModeLatency
-		c3.Augmented = false
 		c3.Latency = grpo.LatencyRewardParams{UMax: res.UMax, Gamma: latencyGamma}
-		t3 := grpo.NewTrainer(lat, train, c3, cfg.Seed+303)
-		t3.Oracle = o
-		best3, err := trainWithCheckpoints(ctx, t3, cfg.Stage3Steps, 10, dev, false, ec)
+		t3 := grpo.NewTrainer(o, lat, train, c3, cfg.Seed+303)
+		best3, err := trainWithCheckpoints(ctx, o, t3, cfg.Stage3Steps, 10, dev, false, ec)
 		res.LatencyHistory = t3.RewardHistory
 		if err != nil {
 			sp.end(len(t3.RewardHistory), t3.RewardHistory, "canceled")

@@ -40,7 +40,7 @@ func TestBeamMatchesGolden(t *testing.T) {
 	}
 	got := make([]beamGolden, len(samples))
 	for i, s := range samples {
-		res, err := Beam(context.Background(), s.O0, SearchConfig{})
+		res, err := Beam(context.Background(), s.O0, SearchConfig{Oracle: testStack})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,9 +16,9 @@ type SearchConfig struct {
 	Width int
 	// Depth bounds the sequence length. <= 0 selects 4.
 	Depth int
-	// Oracle answers equivalence queries; nil selects oracle.Default().
-	// Every query of a search runs under alive.DefaultOptions(), so one
-	// warm cache serves the whole search.
+	// Oracle answers equivalence queries; it is required. Every query
+	// of a search runs under alive.DefaultOptions(), so one warm cache
+	// serves the whole search.
 	Oracle oracle.Oracle
 }
 
@@ -29,7 +29,6 @@ func (c SearchConfig) normalize() SearchConfig {
 	if c.Depth <= 0 {
 		c.Depth = 4
 	}
-	c.Oracle = oracle.OrDefault(c.Oracle)
 	return c
 }
 

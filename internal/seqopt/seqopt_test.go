@@ -16,6 +16,11 @@ import (
 	"veriopt/internal/oracle"
 )
 
+// testStack is the stack the package's tests share where they do not
+// build their own, so verdicts proved by one test are cache hits for
+// the next.
+var testStack = oracle.NewStack(oracle.Config{})
+
 func corpus(t *testing.T, n int) []*dataset.Sample {
 	t.Helper()
 	samples, err := dataset.Generate(dataset.Config{Seed: 31, N: n})
@@ -149,7 +154,7 @@ b:
 // is strictly better in aggregate (the acceptance criterion).
 func TestBeamFindsInstcombineOrBetter(t *testing.T) {
 	samples := corpus(t, 24)
-	cfg := SearchConfig{Width: 4, Depth: 4}
+	cfg := SearchConfig{Width: 4, Depth: 4, Oracle: testStack}
 	ctx := context.Background()
 	logSum, strictly := 0.0, 0
 	for _, s := range samples {
@@ -224,7 +229,7 @@ func TestBeamWarmCacheZeroSolverRuns(t *testing.T) {
 // never slower than the input, and reproducible.
 func TestGreedyNeverWorseAndDeterministic(t *testing.T) {
 	samples := corpus(t, 15)
-	cfg := SearchConfig{Depth: 4}
+	cfg := SearchConfig{Depth: 4, Oracle: testStack}
 	ctx := context.Background()
 	for _, s := range samples {
 		a, err := Greedy(ctx, s.O0, cfg)
@@ -253,7 +258,7 @@ func TestSearchCancellation(t *testing.T) {
 	samples := corpus(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Beam(ctx, samples[0].O0, SearchConfig{})
+	res, err := Beam(ctx, samples[0].O0, SearchConfig{Oracle: testStack})
 	if err == nil {
 		t.Error("canceled beam search returned nil error")
 	}

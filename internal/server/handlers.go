@@ -352,10 +352,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		if req.Count > 0 && req.Count < len(slice) {
 			slice = slice[:req.Count]
 		}
-		rep, runErr := pipeline.EvaluateCtx(ctx, s.evalPol, slice, req.Augmented, pipeline.EvalConfig{
+		rep, runErr := pipeline.EvaluateCtx(ctx, s.oracle, s.evalPol, slice, req.Augmented, pipeline.EvalConfig{
 			Verify:  alive.DefaultOptions(),
 			Workers: 1, // the queue's worker pool is the concurrency governor
-			Oracle:  s.oracle,
 		})
 		return http.StatusOK, evaluateResponse{
 			Correct:              rep.Correct,

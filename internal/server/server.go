@@ -70,9 +70,9 @@ const (
 	corpusCacheBound = 8
 )
 
-// Config sizes and wires a Server. The zero value is usable: default
-// queue and worker sizing, the process-wide oracle stack, an
-// untrained base policy, no tracing.
+// Config sizes and wires a Server. Oracle is required; every other
+// zero value is usable: default queue and worker sizing, an untrained
+// base policy, no tracing.
 type Config struct {
 	// Workers is the queue worker count (<= 0 selects
 	// runtime.NumCPU()). It bounds the number of requests executing
@@ -94,10 +94,9 @@ type Config struct {
 	// GracePeriod bounds the drain after shutdown begins (<= 0
 	// selects DefaultGracePeriod).
 	GracePeriod time.Duration
-	// Oracle answers all verification queries (nil selects the shared
-	// oracle.Default() stack). Supply a *oracle.Stack — or any
-	// oracle.StatsSource — to light up the oracle/vcache sections of
-	// /metrics.
+	// Oracle answers all verification queries; it is required. A
+	// *oracle.Stack — or any oracle.StatsSource — lights up the
+	// oracle/vcache sections of /metrics.
 	Oracle oracle.Oracle
 	// Model is the trained policy behind /v1/optimize and
 	// /v1/evaluate. nil means /v1/optimize uses the instcombine
@@ -178,7 +177,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		oracle:  oracle.OrDefault(cfg.Oracle),
+		oracle:  cfg.Oracle,
 		evalPol: cfg.Model,
 		metrics: newMetricsRegistry(),
 		queue:   make(chan *job, cfg.QueueSize),

@@ -8,8 +8,13 @@ import (
 	"veriopt/internal/dataset"
 	"veriopt/internal/grpo"
 	"veriopt/internal/ir"
+	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
 )
+
+// testStack is the stack the package's tests share, so verdicts proved
+// by one test are cache hits for the next.
+var testStack = oracle.NewStack(oracle.Config{})
 
 func corpus(t *testing.T, n int) []*dataset.Sample {
 	t.Helper()
@@ -58,7 +63,7 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 
 	// Harvest failures from a couple of Model Zero steps.
 	zero := m.Clone()
-	tr := grpo.NewTrainer(zero, samples, grpo.DefaultConfig(), 7)
+	tr := grpo.NewTrainer(testStack, zero, samples, grpo.DefaultConfig(), 7)
 	tr.CollectFailures = true
 	tr.TrainCtx(context.Background(), 3)
 
@@ -96,7 +101,7 @@ func TestWarmUpTrainsDiagnosticHead(t *testing.T) {
 	samples := corpus(t, 20)
 	m := policy.New(policy.CapQwen3B, 3)
 	zero := m.Clone()
-	tr := grpo.NewTrainer(zero, samples, grpo.DefaultConfig(), 8)
+	tr := grpo.NewTrainer(testStack, zero, samples, grpo.DefaultConfig(), 8)
 	tr.CollectFailures = true
 	tr.TrainCtx(context.Background(), 4)
 	if len(tr.Failures) == 0 {
