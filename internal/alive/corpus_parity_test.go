@@ -35,7 +35,7 @@ func breakFn(f *ir.Function) *ir.Function {
 }
 
 // concretelyDiffers is differsOn at a counterexample's inputs.
-func concretelyDiffers(t *testing.T, src, tgt *ir.Function, inputs map[string]uint64) bool {
+func concretelyDiffersOld(t *testing.T, src, tgt *ir.Function, inputs map[string]uint64) bool {
 	t.Helper()
 	args := make([]interp.Val, len(src.Params))
 	for i, p := range src.Params {

@@ -295,7 +295,7 @@ type mergeTally struct {
 // property depends on it (nuw on an add of two call results overflows
 // for some results and not for the hashed ones), no run on the
 // parameters alone can show the violation.
-func usesCallResult(f *ir.Function) bool {
+func usesCallResultOld(f *ir.Function) bool {
 	uses := false
 	isCall := func(v ir.Value) bool {
 		in, ok := v.(*ir.Instr)
@@ -316,7 +316,7 @@ func usesCallResult(f *ir.Function) bool {
 // refinement violation (UB introduced, extra poison, value mismatch, or
 // diverging call trace); the error is the interpreter's own, a step
 // limit.
-func differsOn(src, tgt *ir.Function, args []interp.Val) (bool, error) {
+func differsOnOld(src, tgt *ir.Function, args []interp.Val) (bool, error) {
 	o1, err := interp.Run(src, args, interp.DefaultConfig())
 	if err != nil {
 		return false, fmt.Errorf("interp src: %w", err)
@@ -352,7 +352,7 @@ func differsOn(src, tgt *ir.Function, args []interp.Val) (bool, error) {
 // parameters total at most 16 bits by running both functions on every
 // input: source UB or poison admits anything, otherwise the results
 // must agree. ok is false when the pair is not of that kind.
-func refinesExhaustively(src, tgt *ir.Function) (refines, ok bool) {
+func refinesExhaustivelyOld(src, tgt *ir.Function) (refines, ok bool) {
 	bits := 0
 	for i, p := range src.Params {
 		it, isInt := p.Ty.(ir.IntType)

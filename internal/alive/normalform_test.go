@@ -7,10 +7,14 @@ package alive_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -22,9 +26,11 @@ import (
 	"veriopt/internal/interp"
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
+	"veriopt/internal/refinetest"
 	"veriopt/internal/rewrite"
 	"veriopt/internal/sat"
 	"veriopt/internal/seqopt"
+	"veriopt/internal/server"
 )
 
 var tableSeed = flag.Int64("seed", 12, "corpus seed of TestNormalFormTable (the benchmark's --seed)")
@@ -206,6 +212,45 @@ func forEachBenchSample(t *testing.T, seed int64, n int, fn func(i int, s *datas
 			s.RefText = strings.Replace(s.RefText, old, renamed, 1)
 			fn(c*chunk+j, s)
 		}
+	}
+}
+
+// TestLabellerIsTheBenchmarks holds bench/corpus.go's labeller, which
+// bench/ keeps as its own copy, to refinetest.Target: the op list
+// cluster-cold runs at the benchmark's defaults (seed 12, 1250 ops a
+// second for 15 s, trimmed to a whole number of nine segments: 18 747
+// ops), labelled by refinetest and fingerprinted the way the benchmark's
+// digestRequests does with no play order, must match the cluster-cold
+// digest in bench/golden.json.
+func TestLabellerIsTheBenchmarks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("18 747 labelled ops; tier 1 runs it without -short")
+	}
+	raw, err := os.ReadFile("../../bench/golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden struct {
+		Seed    int64
+		Digests map[string]string
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	label := map[refinetest.Label]alive.Verdict{refinetest.Refines: alive.Equivalent,
+		refinetest.Distinguished: alive.SemanticError, refinetest.Unparsable: alive.SyntaxError}
+	unsound, corrupt := rewrite.Unsound(), rewrite.Corruptions()
+	h := sha256.New()
+	forEachBenchSample(t, golden.Seed, 18747, func(i int, s *dataset.Sample) {
+		tgt, l := refinetest.Target(golden.Seed, i, s.O0, s.Ref, s.RefText, unsound, corrupt)
+		body, err := json.Marshal(server.VerifyRequest{Src: s.O0Text, Tgt: tgt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%d:%s%s\n", len(body), body, label[l]) // a nil play order adds no bytes
+	})
+	if got, want := hex.EncodeToString(h.Sum(nil)), golden.Digests["cluster-cold"]; got != want {
+		t.Errorf("cluster-cold labelled by refinetest: digest %s, bench/golden.json has %s", got, want)
 	}
 }
 
@@ -422,6 +467,9 @@ func TestNormalFormFoldsWithoutSolver(t *testing.T) {
 							if concretelyDiffers(t, src, bad, in) {
 								t.Fatalf("%s, %s: accepted, yet %v distinguishes\n%s%s", name, rule.Name, in, text, ir.FuncString(bad))
 							}
+						}
+						if in, err := refinetest.Falsify(src, bad, int64(bits), 300); in != nil || err != nil {
+							t.Fatalf("side by side: %s, %s: the 300 tries found nothing, refinetest.Falsify %v, %v", name, rule.Name, in, err)
 						}
 					default:
 						t.Errorf("%s, %s: %v (%s)", name, rule.Name, res.Verdict, res.Diag)

@@ -9,7 +9,7 @@ import (
 )
 
 // runBoth executes src and tgt on the same inputs.
-func runBoth(t *testing.T, src, tgt *ir.Function, args []interp.Val) (*interp.Outcome, *interp.Outcome) {
+func runBothOld(t *testing.T, src, tgt *ir.Function, args []interp.Val) (*interp.Outcome, *interp.Outcome) {
 	t.Helper()
 	cfg := interp.DefaultConfig()
 	o1, err := interp.Run(src, args, cfg)
@@ -27,7 +27,7 @@ func runBoth(t *testing.T, src, tgt *ir.Function, args []interp.Val) (*interp.Ou
 // violation on these inputs: target UB without source UB, target
 // poison where source is defined, a value mismatch, or an observable
 // call-trace difference.
-func distinguishes(o1, o2 *interp.Outcome) bool {
+func distinguishesOld(o1, o2 *interp.Outcome) bool {
 	if o1.UB {
 		return false // source UB permits anything
 	}
@@ -166,6 +166,7 @@ func TestCounterexamplesAreReal(t *testing.T) {
 		for i, p := range src.Params {
 			args[i] = interp.V(res.Counterexample[p.NameStr])
 		}
+		cexArgs(src, res.Counterexample, args)
 		o1, o2 := runBoth(t, src, tgt, args)
 		if !distinguishes(o1, o2) {
 			t.Fatalf("iteration %d: counterexample %v does not distinguish:\nsrc:\n%s\ntgt:\n%s\ndiag: %s\nsrc ret=%+v tgt ret=%+v",
@@ -205,6 +206,7 @@ func TestEquivalentVerdictsAgreeWithSampling(t *testing.T) {
 					iter, args, ir.FuncString(src), ir.FuncString(tgt))
 			}
 		}
+		sampledToo(t, src, tgt, int64(iter))
 	}
 	if proven < 5 {
 		t.Logf("note: only %d/60 mutations were accidentally sound", proven)

@@ -48,6 +48,7 @@ func TestSessionMatchesFreshSolver(t *testing.T) {
 			for i, p := range src.Params {
 				args[i] = interp.V(res.Counterexample[p.NameStr])
 			}
+			cexArgs(src, res.Counterexample, args)
 			o1, o2 := runBoth(t, src, tgt, args)
 			if !distinguishes(o1, o2) {
 				t.Fatalf("iteration %d: %s counterexample %v does not distinguish:\nsrc:\n%s\ntgt:\n%s\ndiag: %s",

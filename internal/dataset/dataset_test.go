@@ -8,6 +8,7 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/interp"
 	"veriopt/internal/ir"
+	"veriopt/internal/refinetest"
 )
 
 func TestEveryTemplateLowersAndVerifies(t *testing.T) {
@@ -257,6 +258,11 @@ func TestPairsAgreeUnderInterpretation(t *testing.T) {
 			args := make([]interp.Val, len(s.O0.Params))
 			for i := range args {
 				args[i] = interp.V(rng.Uint64())
+			}
+			// Side by side, for one commit: refinetest's comparator must
+			// find no violation where this inline check finds none.
+			if d, err := refinetest.Differs(s.O0, s.Ref, args); d || err != nil {
+				t.Fatalf("side by side: %s: refinetest.Differs %v, %v on %v", s.Name, d, err, args)
 			}
 			o1, err1 := interp.Run(s.O0, args, interp.DefaultConfig())
 			o2, err2 := interp.Run(s.Ref, args, interp.DefaultConfig())

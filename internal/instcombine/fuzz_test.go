@@ -7,6 +7,7 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/interp"
 	"veriopt/internal/ir"
+	"veriopt/internal/refinetest"
 )
 
 // randFn synthesizes a random straight-line function exercising every
@@ -96,6 +97,11 @@ func TestRunSoundOnRandomFunctions(t *testing.T) {
 		// Differential check on concrete inputs.
 		for trial := 0; trial < 6; trial++ {
 			args := []interp.Val{interp.V(rng.Uint64()), interp.V(rng.Uint64())}
+			// Side by side, for one commit: refinetest's comparator must
+			// find no violation where this inline check finds none.
+			if d, err := refinetest.Differs(f, g, args); d || err != nil {
+				t.Fatalf("side by side: iter %d: refinetest.Differs %v, %v on %v", iter, d, err, args)
+			}
 			o1, e1 := interp.Run(f, args, interp.DefaultConfig())
 			o2, e2 := interp.Run(g, args, interp.DefaultConfig())
 			if e1 != nil || e2 != nil {
