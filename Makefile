@@ -111,6 +111,11 @@ fuzz-smoke:
 # And on a NewStack( call in non-test code under internal/: there is
 # no process-wide verifier, so a stack is built at the program's edge
 # (cmd/, bench/, tests) and handed down as an oracle.Oracle argument.
+# And on interp.Run( in any file under internal/, tests included,
+# outside internal/interp and internal/refinetest: whether some input
+# distinguishes two functions is decided by refinetest's one comparator
+# (Run and Violation, Witness, Exhaustive, Falsify, Target), not by a
+# copy.
 # Last, on an exported name under internal/ (package-level, method, or
 # field of an exported struct) that no other package's non-test code
 # references, unless an interface names it, it carries a json tag, an
@@ -170,6 +175,12 @@ lint:
 	@hits=$$(grep -rnE '(oracle\.)?NewStack\(' --include='*.go' --exclude='*_test.go' internal | grep -v 'func NewStack'); \
 	if [ -n "$$hits" ]; then \
 		echo "an oracle stack built under internal/ (stacks are built in cmd/, bench/ and tests, and handed down: take an oracle.Oracle argument):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnF 'interp.Run(' --include='*.go' --exclude-dir=interp --exclude-dir=refinetest internal); \
+	if [ -n "$$hits" ]; then \
+		echo "interp.Run( outside internal/interp and internal/refinetest (run a pair through refinetest: Run and Violation, Witness, Exhaustive, Falsify):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

@@ -9,8 +9,8 @@ import (
 
 	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
-	"veriopt/internal/interp"
 	"veriopt/internal/ir"
+	"veriopt/internal/refinetest"
 )
 
 // breakFn clones f and perturbs the first constant operand it finds,
@@ -32,20 +32,6 @@ func breakFn(f *ir.Function) *ir.Function {
 		return nil
 	}
 	return g
-}
-
-// concretelyDiffers is differsOn at a counterexample's inputs.
-func concretelyDiffersOld(t *testing.T, src, tgt *ir.Function, inputs map[string]uint64) bool {
-	t.Helper()
-	args := make([]interp.Val, len(src.Params))
-	for i, p := range src.Params {
-		args[i] = interp.V(inputs[p.NameStr])
-	}
-	differs, err := differsOn(src, tgt, args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return differs
 }
 
 // TestCorpusSessionParity verifies dataset-generated (O0, Ref) pairs —
@@ -76,7 +62,7 @@ func TestCorpusSessionParity(t *testing.T) {
 			if rs.Verdict == alive.SemanticError {
 				semantic++
 				for name, res := range map[string]alive.Result{"session": rs, "fresh": rf} {
-					if !concretelyDiffers(t, s.O0, tgt, res.Counterexample) {
+					if !refinetest.Witness(t, s.O0, tgt, res.Counterexample) {
 						t.Fatalf("%s: %s counterexample %v does not distinguish\nsrc:\n%s\ntgt:\n%s",
 							s.Name, name, res.Counterexample, ir.FuncString(s.O0), ir.FuncString(tgt))
 					}

@@ -19,8 +19,8 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
 	"veriopt/internal/instcombine"
-	"veriopt/internal/interp"
 	"veriopt/internal/ir"
+	"veriopt/internal/refinetest"
 	"veriopt/internal/rewrite"
 	"veriopt/internal/ruptest"
 	"veriopt/internal/sat"
@@ -283,108 +283,9 @@ func mutateBranchy(f *ir.Function, rng *rand.Rand) *ir.Function {
 
 // mergeTally is what a differential run saw, for the floors.
 // callWitness counts the pairs held to verdict agreement only (see
-// usesCallResult).
+// refinetest.UsesCallResult).
 type mergeTally struct {
 	pairs, equivalent, semantic, forkingOutOfPaths, budget, exhaustive, exhaustiveRefuted, callWitness int
-}
-
-// usesCallResult reports whether some instruction of f reads what a
-// call returned. A verifier's model is free to choose that value, and a
-// Counterexample carries the parameters only, while interp.Run makes
-// the value up from a hash of the call's arguments: when the violated
-// property depends on it (nuw on an add of two call results overflows
-// for some results and not for the hashed ones), no run on the
-// parameters alone can show the violation.
-func usesCallResultOld(f *ir.Function) bool {
-	uses := false
-	isCall := func(v ir.Value) bool {
-		in, ok := v.(*ir.Instr)
-		return ok && in.Op == ir.OpCall
-	}
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		for _, a := range in.Args {
-			uses = uses || isCall(a)
-		}
-		for _, inc := range in.Incs {
-			uses = uses || isCall(inc.Val)
-		}
-	})
-	return uses
-}
-
-// differsOn reports whether running src and tgt on args exposes a
-// refinement violation (UB introduced, extra poison, value mismatch, or
-// diverging call trace); the error is the interpreter's own, a step
-// limit.
-func differsOnOld(src, tgt *ir.Function, args []interp.Val) (bool, error) {
-	o1, err := interp.Run(src, args, interp.DefaultConfig())
-	if err != nil {
-		return false, fmt.Errorf("interp src: %w", err)
-	}
-	o2, err := interp.Run(tgt, args, interp.DefaultConfig())
-	if err != nil {
-		return false, fmt.Errorf("interp tgt: %w", err)
-	}
-	if o1.UB {
-		return false, nil
-	}
-	if o2.UB || len(o1.Calls) != len(o2.Calls) {
-		return true, nil
-	}
-	for i := range o1.Calls {
-		if o1.Calls[i].Callee != o2.Calls[i].Callee || len(o1.Calls[i].Args) != len(o2.Calls[i].Args) {
-			return true, nil
-		}
-		for j := range o1.Calls[i].Args {
-			a, b := o1.Calls[i].Args[j], o2.Calls[i].Args[j]
-			if a.Poison || b.Poison || a.Bits != b.Bits {
-				return true, nil
-			}
-		}
-	}
-	if o1.Ret.Poison {
-		return false, nil
-	}
-	return o2.Ret.Poison || o1.Ret.Bits != o2.Ret.Bits, nil
-}
-
-// refinesExhaustively decides refinement for a call-free pair whose
-// parameters total at most 16 bits by running both functions on every
-// input: source UB or poison admits anything, otherwise the results
-// must agree. ok is false when the pair is not of that kind.
-func refinesExhaustivelyOld(src, tgt *ir.Function) (refines, ok bool) {
-	bits := 0
-	for i, p := range src.Params {
-		it, isInt := p.Ty.(ir.IntType)
-		if !isInt || !p.Noundef || i >= len(tgt.Params) || !tgt.Params[i].Ty.Equal(p.Ty) || !tgt.Params[i].Noundef {
-			return false, false
-		}
-		bits += it.Bits
-	}
-	calls := false
-	for _, f := range []*ir.Function{src, tgt} {
-		f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) { calls = calls || in.Op == ir.OpCall })
-	}
-	if bits > 16 || calls || len(src.Params) != len(tgt.Params) || !src.RetTy.Equal(tgt.RetTy) {
-		return false, false
-	}
-	args := make([]interp.Val, len(src.Params))
-	for in := uint64(0); in < 1<<uint(bits); in++ {
-		rest := in
-		for i, p := range src.Params {
-			w := uint(p.Ty.(ir.IntType).Bits)
-			args[i] = interp.V(rest & (1<<w - 1))
-			rest >>= w
-		}
-		differs, err := differsOn(src, tgt, args)
-		if err != nil {
-			return false, false
-		}
-		if differs {
-			return false, true
-		}
-	}
-	return true, true
 }
 
 // checkMergedVsForking verifies one pair with exec and with the forking
@@ -394,8 +295,9 @@ func refinesExhaustivelyOld(src, tgt *ir.Function) (refines, ok bool) {
 // exhaustive decision. A verdict may differ in one way only: the
 // reference ran out of paths or steps where exec did not. A
 // counterexample that does not distinguish under the interpreter is a
-// failure unless a call result is read (usesCallResult): such a pair is
-// held to the verdict agreement and counted in tl.callWitness.
+// failure unless a call result is read (refinetest.UsesCallResult):
+// such a pair is held to the verdict agreement and counted in
+// tl.callWitness.
 func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 	t.Helper()
 	audit := &ruptest.Audit{}
@@ -426,8 +328,8 @@ func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 			fail("fresh=%v: merged %v (%s), forking %v (%s)", fresh, merged.Verdict, merged.Diag, forking.Verdict, forking.Diag)
 		}
 		for name, res := range map[string]alive.Result{"merged": merged, "forking": forking} {
-			if res.Verdict == alive.SemanticError && !concretelyDiffers(t, p.src, p.tgt, res.Counterexample) {
-				if !usesCallResult(p.src) && !usesCallResult(p.tgt) {
+			if res.Verdict == alive.SemanticError && !refinetest.Witness(t, p.src, p.tgt, res.Counterexample) {
+				if !refinetest.UsesCallResult(p.src) && !refinetest.UsesCallResult(p.tgt) {
 					fail("fresh=%v: %s counterexample %v does not distinguish (%s)", fresh, name, res.Counterexample, res.Diag)
 				}
 				callWitness = true
@@ -450,7 +352,7 @@ func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 	if callWitness {
 		tl.callWitness++
 	}
-	if refines, ok := refinesExhaustively(p.src, p.tgt); ok {
+	if refines, err := refinetest.Exhaustive(p.src, p.tgt); err == nil {
 		tl.exhaustive++
 		want := alive.SemanticError
 		if refines {

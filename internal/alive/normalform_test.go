@@ -23,7 +23,6 @@ import (
 	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
 	"veriopt/internal/instcombine"
-	"veriopt/internal/interp"
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/refinetest"
@@ -215,6 +214,10 @@ func forEachBenchSample(t *testing.T, seed int64, n int, fn func(i int, s *datas
 	}
 }
 
+// verdictOf is the verdict each of refinetest's labels must get.
+var verdictOf = map[refinetest.Label]alive.Verdict{refinetest.Refines: alive.Equivalent,
+	refinetest.Distinguished: alive.SemanticError, refinetest.Unparsable: alive.SyntaxError}
+
 // TestLabellerIsTheBenchmarks holds bench/corpus.go's labeller, which
 // bench/ keeps as its own copy, to refinetest.Target: the op list
 // cluster-cold runs at the benchmark's defaults (seed 12, 1250 ops a
@@ -237,8 +240,6 @@ func TestLabellerIsTheBenchmarks(t *testing.T) {
 	if err := json.Unmarshal(raw, &golden); err != nil {
 		t.Fatal(err)
 	}
-	label := map[refinetest.Label]alive.Verdict{refinetest.Refines: alive.Equivalent,
-		refinetest.Distinguished: alive.SemanticError, refinetest.Unparsable: alive.SyntaxError}
 	unsound, corrupt := rewrite.Unsound(), rewrite.Corruptions()
 	h := sha256.New()
 	forEachBenchSample(t, golden.Seed, 18747, func(i int, s *dataset.Sample) {
@@ -247,76 +248,10 @@ func TestLabellerIsTheBenchmarks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%d:%s%s\n", len(body), body, label[l]) // a nil play order adds no bytes
+		fmt.Fprintf(h, "%d:%s%s\n", len(body), body, verdictOf[l]) // a nil play order adds no bytes
 	})
 	if got, want := hex.EncodeToString(h.Sum(nil)), golden.Digests["cluster-cold"]; got != want {
 		t.Errorf("cluster-cold labelled by refinetest: digest %s, bench/golden.json has %s", got, want)
-	}
-}
-
-// benchProbeBits is bench/corpus.go's probeBits.
-var benchProbeBits = []uint64{0, 1, 2, 3, 7, 8, 0x7f, 0x80, 0xff, 0x7fff, 0x8000, 0x7fffffff, 0x80000000,
-	0xfffffffe, 0xffffffff, 0x7fffffffffffffff, 0x8000000000000000, ^uint64(0), ^uint64(1)}
-
-// fillTarget is bench/corpus.go's buildRequests for one sample: the
-// target serve-warm's fill proves against s.O0, with its label — half
-// the instcombine reference, a third an unsound rewrite of it that an
-// interpreted run distinguishes, the rest unparsable (returned as "").
-// The draws are the benchmark's, so the corpus is the benchmark's.
-func fillTarget(seed int64, i int, s *dataset.Sample, unsound, corrupt []*rewrite.Rule) (string, alive.Verdict) {
-	rng := rand.New(rand.NewSource(seed<<20 ^ int64(i)))
-	type probe struct {
-		args []interp.Val
-		ret  uint64
-	}
-	var probes []probe
-	for {
-		switch x := rng.Float64(); {
-		case x < 0.50:
-			return s.RefText, alive.Equivalent
-		case x < 0.85:
-			if probes == nil {
-				probes = []probe{}
-				for try := 0; try < 16; try++ {
-					args := make([]interp.Val, len(s.O0.Params))
-					for j := range args {
-						if rng.Intn(2) == 0 {
-							args[j] = interp.V(benchProbeBits[rng.Intn(len(benchProbeBits))])
-						} else {
-							args[j] = interp.V(rng.Uint64())
-						}
-					}
-					if o, err := interp.Run(s.O0, args, interp.DefaultConfig()); err == nil && !o.UB && !o.Ret.Poison {
-						probes = append(probes, probe{args, o.Ret.Bits})
-					}
-				}
-			}
-			if len(probes) == 0 {
-				continue
-			}
-			for _, ri := range rng.Perm(len(unsound)) {
-				rule := unsound[ri]
-				if !rule.Applicable(s.Ref) {
-					continue
-				}
-				g := ir.CloneFunc(s.Ref)
-				if !rule.Apply(g, rng) || ir.VerifyFunc(g) != nil || len(g.Params) != len(probes[0].args) {
-					continue
-				}
-				for _, p := range probes {
-					if o, err := interp.Run(g, p.args, interp.DefaultConfig()); err == nil && !o.UB && !o.Ret.Poison && o.Ret.Bits != p.ret {
-						return ir.FuncString(g), alive.SemanticError
-					}
-				}
-			}
-		default:
-			for _, ri := range rng.Perm(len(corrupt)) {
-				out := corrupt[ri].ApplyText(s.RefText, rng)
-				if f, err := ir.ParseFunc(out); err != nil || ir.VerifyFunc(f) != nil {
-					return "", alive.SyntaxError
-				}
-			}
-		}
 	}
 }
 
@@ -339,10 +274,11 @@ func TestNormalFormTable(t *testing.T) {
 	fill := &table{solvers: solvers, rows: map[string]*tally{}}
 	unsound, corrupt := rewrite.Unsound(), rewrite.Corruptions()
 	forEachBenchSample(t, *tableSeed, fillN, func(i int, s *dataset.Sample) {
-		tgtText, label := fillTarget(*tableSeed, i, s, unsound, corrupt)
-		if label == alive.SyntaxError {
+		tgtText, l := refinetest.Target(*tableSeed, i, s.O0, s.Ref, s.RefText, unsound, corrupt)
+		if l == refinetest.Unparsable {
 			return
 		}
+		label := verdictOf[l]
 		src, err := ir.ParseFunc(s.O0Text)
 		if err != nil {
 			t.Fatal(err)
@@ -453,23 +389,13 @@ func TestNormalFormFoldsWithoutSolver(t *testing.T) {
 					switch res.Verdict {
 					case alive.SemanticError:
 						refuted++
-						if !concretelyDiffers(t, src, bad, res.Counterexample) {
+						if !refinetest.Witness(t, src, bad, res.Counterexample) {
 							t.Errorf("%s, %s, fresh=%v: counterexample %v does not distinguish\n%s%s", name, rule.Name,
 								fresh, res.Counterexample, text, ir.FuncString(bad))
 						}
 					case alive.Equivalent:
-						rng := rand.New(rand.NewSource(int64(bits)))
-						for try := 0; try < 300; try++ {
-							in := map[string]uint64{"0": rng.Uint64() >> uint(rng.Intn(64)), "1": rng.Uint64() >> uint(rng.Intn(64))}
-							if try < len(benchProbeBits) {
-								in["0"] = benchProbeBits[try]
-							}
-							if concretelyDiffers(t, src, bad, in) {
-								t.Fatalf("%s, %s: accepted, yet %v distinguishes\n%s%s", name, rule.Name, in, text, ir.FuncString(bad))
-							}
-						}
 						if in, err := refinetest.Falsify(src, bad, int64(bits), 300); in != nil || err != nil {
-							t.Fatalf("side by side: %s, %s: the 300 tries found nothing, refinetest.Falsify %v, %v", name, rule.Name, in, err)
+							t.Fatalf("%s, %s: accepted, yet %v distinguishes (%v)\n%s%s", name, rule.Name, in, err, text, ir.FuncString(bad))
 						}
 					default:
 						t.Errorf("%s, %s: %v (%s)", name, rule.Name, res.Verdict, res.Diag)
@@ -515,7 +441,7 @@ func TestDivisionSideConditionsKept(t *testing.T) {
 		if res.Verdict != tc.back {
 			t.Errorf("%s as the target: %v, want %v (%s)", tc.name, res.Verdict, tc.back, res.Diag)
 		}
-		if res.Verdict == alive.SemanticError && !concretelyDiffers(t, tc.alt, tc.div, res.Counterexample) {
+		if res.Verdict == alive.SemanticError && !refinetest.Witness(t, tc.alt, tc.div, res.Counterexample) {
 			t.Errorf("%s as the target: counterexample %v does not distinguish", tc.name, res.Counterexample)
 		}
 	}

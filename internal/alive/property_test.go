@@ -4,64 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"veriopt/internal/interp"
 	"veriopt/internal/ir"
+	"veriopt/internal/refinetest"
 )
-
-// runBoth executes src and tgt on the same inputs.
-func runBothOld(t *testing.T, src, tgt *ir.Function, args []interp.Val) (*interp.Outcome, *interp.Outcome) {
-	t.Helper()
-	cfg := interp.DefaultConfig()
-	o1, err := interp.Run(src, args, cfg)
-	if err != nil {
-		t.Fatalf("interp src: %v", err)
-	}
-	o2, err := interp.Run(tgt, args, cfg)
-	if err != nil {
-		t.Fatalf("interp tgt: %v", err)
-	}
-	return o1, o2
-}
-
-// distinguishes reports whether the concrete run shows a refinement
-// violation on these inputs: target UB without source UB, target
-// poison where source is defined, a value mismatch, or an observable
-// call-trace difference.
-func distinguishesOld(o1, o2 *interp.Outcome) bool {
-	if o1.UB {
-		return false // source UB permits anything
-	}
-	if o2.UB {
-		return true
-	}
-	if len(o1.Calls) != len(o2.Calls) {
-		return true
-	}
-	for i := range o1.Calls {
-		if o1.Calls[i].Callee != o2.Calls[i].Callee {
-			return true
-		}
-		if len(o1.Calls[i].Args) != len(o2.Calls[i].Args) {
-			return true
-		}
-		for j := range o1.Calls[i].Args {
-			a, b := o1.Calls[i].Args[j], o2.Calls[i].Args[j]
-			if a.Poison || b.Poison {
-				return true // poison call argument observed
-			}
-			if a.Bits != b.Bits {
-				return true
-			}
-		}
-	}
-	if o1.Ret.Poison {
-		return false // poison result may be refined to anything
-	}
-	if o2.Ret.Poison {
-		return true
-	}
-	return o1.Ret.Bits != o2.Ret.Bits
-}
 
 // mutants applies small random semantic mutations to a function.
 func mutate(f *ir.Function, rng *rand.Rand) *ir.Function {
@@ -162,15 +107,9 @@ func TestCounterexamplesAreReal(t *testing.T) {
 			continue
 		}
 		errors++
-		args := make([]interp.Val, len(src.Params))
-		for i, p := range src.Params {
-			args[i] = interp.V(res.Counterexample[p.NameStr])
-		}
-		cexArgs(src, res.Counterexample, args)
-		o1, o2 := runBoth(t, src, tgt, args)
-		if !distinguishes(o1, o2) {
-			t.Fatalf("iteration %d: counterexample %v does not distinguish:\nsrc:\n%s\ntgt:\n%s\ndiag: %s\nsrc ret=%+v tgt ret=%+v",
-				iter, res.Counterexample, ir.FuncString(src), ir.FuncString(tgt), res.Diag, o1.Ret, o2.Ret)
+		if !refinetest.Witness(t, src, tgt, res.Counterexample) {
+			t.Fatalf("iteration %d: counterexample %v does not distinguish:\nsrc:\n%s\ntgt:\n%s\ndiag: %s",
+				iter, res.Counterexample, ir.FuncString(src), ir.FuncString(tgt), res.Diag)
 		}
 	}
 	if errors < 10 {
@@ -179,7 +118,7 @@ func TestCounterexamplesAreReal(t *testing.T) {
 }
 
 // TestEquivalentVerdictsAgreeWithSampling is the dual property: when
-// the verifier proves equivalence, random concrete runs must never
+// the verifier proves equivalence, sampled concrete runs must never
 // distinguish the functions.
 func TestEquivalentVerdictsAgreeWithSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
@@ -195,18 +134,16 @@ func TestEquivalentVerdictsAgreeWithSampling(t *testing.T) {
 			continue
 		}
 		proven++
-		for trial := 0; trial < 16; trial++ {
-			args := make([]interp.Val, len(src.Params))
-			for i := range args {
-				args[i] = interp.V(rng.Uint64())
-			}
-			o1, o2 := runBoth(t, src, tgt, args)
-			if distinguishes(o1, o2) {
-				t.Fatalf("iteration %d: proven-equivalent pair distinguished on %v:\nsrc:\n%s\ntgt:\n%s",
-					iter, args, ir.FuncString(src), ir.FuncString(tgt))
-			}
+		if in, err := refinetest.Falsify(src, tgt, int64(iter), 16); in != nil || err != nil {
+			t.Fatalf("iteration %d: proven-equivalent pair distinguished on %v (%v):\nsrc:\n%s\ntgt:\n%s",
+				iter, in, err, ir.FuncString(src), ir.FuncString(tgt))
 		}
-		sampledToo(t, src, tgt, int64(iter))
+		// The 16 inputs were once drawn from rng, which also makes the
+		// pairs; it still skips those draws, so the pairs stay the ones
+		// this test has always checked.
+		for range 16 * len(src.Params) {
+			rng.Uint64()
+		}
 	}
 	if proven < 5 {
 		t.Logf("note: only %d/60 mutations were accidentally sound", proven)

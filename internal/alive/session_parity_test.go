@@ -6,8 +6,8 @@ import (
 	"sync"
 	"testing"
 
-	"veriopt/internal/interp"
 	"veriopt/internal/ir"
+	"veriopt/internal/refinetest"
 )
 
 // TestSessionMatchesFreshSolver pins the acceptance criterion of the
@@ -44,13 +44,7 @@ func TestSessionMatchesFreshSolver(t *testing.T) {
 			continue
 		}
 		for name, res := range map[string]Result{"session": rs, "fresh": rf} {
-			args := make([]interp.Val, len(src.Params))
-			for i, p := range src.Params {
-				args[i] = interp.V(res.Counterexample[p.NameStr])
-			}
-			cexArgs(src, res.Counterexample, args)
-			o1, o2 := runBoth(t, src, tgt, args)
-			if !distinguishes(o1, o2) {
+			if !refinetest.Witness(t, src, tgt, res.Counterexample) {
 				t.Fatalf("iteration %d: %s counterexample %v does not distinguish:\nsrc:\n%s\ntgt:\n%s\ndiag: %s",
 					iter, name, res.Counterexample, ir.FuncString(src), ir.FuncString(tgt), res.Diag)
 			}

@@ -245,8 +245,8 @@ func TestGenerateRetriesRejectedTemplate(t *testing.T) {
 	}
 }
 
-// Differential test: interpret O0 and Ref on random inputs; outputs
-// must agree whenever neither traps nor returns poison.
+// Differential test: interpret O0 and Ref on random inputs; Ref's run
+// must refine O0's (refinetest's comparator: UB, call trace, return).
 func TestPairsAgreeUnderInterpretation(t *testing.T) {
 	samples, err := Generate(Config{Seed: 21, N: 25})
 	if err != nil {
@@ -259,34 +259,12 @@ func TestPairsAgreeUnderInterpretation(t *testing.T) {
 			for i := range args {
 				args[i] = interp.V(rng.Uint64())
 			}
-			// Side by side, for one commit: refinetest's comparator must
-			// find no violation where this inline check finds none.
-			if d, err := refinetest.Differs(s.O0, s.Ref, args); d || err != nil {
-				t.Fatalf("side by side: %s: refinetest.Differs %v, %v on %v", s.Name, d, err, args)
+			r, err := refinetest.Run(s.O0, s.Ref, args)
+			if err != nil {
+				t.Fatalf("%s: %v", s.Name, err)
 			}
-			o1, err1 := interp.Run(s.O0, args, interp.DefaultConfig())
-			o2, err2 := interp.Run(s.Ref, args, interp.DefaultConfig())
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s: interp error: %v %v", s.Name, err1, err2)
-			}
-			if o1.UB {
-				continue // source UB: target unconstrained
-			}
-			if o2.UB {
-				t.Fatalf("%s: ref introduces UB (%s) on %v", s.Name, o2.UBReason, args)
-			}
-			if o1.Ret.Poison {
-				continue
-			}
-			if o2.Ret.Poison {
-				t.Fatalf("%s: ref more poisonous on %v", s.Name, args)
-			}
-			if o1.Ret.Bits != o2.Ret.Bits {
-				t.Fatalf("%s: value mismatch on %v: %d vs %d\nO0:\n%s\nRef:\n%s",
-					s.Name, args, o1.Ret.Bits, o2.Ret.Bits, s.O0Text, s.RefText)
-			}
-			if len(o1.Calls) != len(o2.Calls) {
-				t.Fatalf("%s: call trace length differs", s.Name)
+			if v := r.Violation(); v != "" {
+				t.Fatalf("%s: %s on %v: O0 %+v, Ref %+v\nO0:\n%s\nRef:\n%s", s.Name, v, args, *r.Src, *r.Tgt, s.O0Text, s.RefText)
 			}
 		}
 	}

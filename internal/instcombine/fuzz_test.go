@@ -97,30 +97,13 @@ func TestRunSoundOnRandomFunctions(t *testing.T) {
 		// Differential check on concrete inputs.
 		for trial := 0; trial < 6; trial++ {
 			args := []interp.Val{interp.V(rng.Uint64()), interp.V(rng.Uint64())}
-			// Side by side, for one commit: refinetest's comparator must
-			// find no violation where this inline check finds none.
-			if d, err := refinetest.Differs(f, g, args); d || err != nil {
-				t.Fatalf("side by side: iter %d: refinetest.Differs %v, %v on %v", iter, d, err, args)
+			r, err := refinetest.Run(f, g, args)
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
 			}
-			o1, e1 := interp.Run(f, args, interp.DefaultConfig())
-			o2, e2 := interp.Run(g, args, interp.DefaultConfig())
-			if e1 != nil || e2 != nil {
-				t.Fatalf("iter %d: interp error %v %v", iter, e1, e2)
-			}
-			if o1.UB || o1.Ret.Poison {
-				continue
-			}
-			if o2.UB {
-				t.Fatalf("iter %d: output introduces UB on %v\nin:\n%s\nout:\n%s",
-					iter, args, ir.FuncString(f), ir.FuncString(g))
-			}
-			if o2.Ret.Poison {
-				t.Fatalf("iter %d: output more poisonous on %v\nin:\n%s\nout:\n%s",
-					iter, args, ir.FuncString(f), ir.FuncString(g))
-			}
-			if o1.Ret.Bits != o2.Ret.Bits {
-				t.Fatalf("iter %d: value mismatch on %v: %d vs %d\nin:\n%s\nout:\n%s",
-					iter, args, o1.Ret.Bits, o2.Ret.Bits, ir.FuncString(f), ir.FuncString(g))
+			if v := r.Violation(); v != "" {
+				t.Fatalf("iter %d: %s on %v: in %+v, out %+v\nin:\n%s\nout:\n%s",
+					iter, v, args, *r.Src, *r.Tgt, ir.FuncString(f), ir.FuncString(g))
 			}
 		}
 	}

@@ -6,7 +6,7 @@
 // files import it.
 //
 // Four deciders are built on one comparator (Runs.Violation):
-//   - Differs and Witness, which run one input (a counterexample's);
+//   - Witness, which runs a counterexample's input;
 //   - Exhaustive, which runs every input of a narrow call-free pair;
 //   - Falsify, a seeded sampler with corner values for wider pairs;
 //   - Target, the labeller of the benchmark's model-output corpus.
@@ -23,7 +23,6 @@ import (
 
 // Runs is a source and a target run on the same arguments.
 type Runs struct {
-	Args     []interp.Val
 	Src, Tgt *interp.Outcome
 }
 
@@ -38,7 +37,7 @@ func Run(src, tgt *ir.Function, args []interp.Val) (Runs, error) {
 	if err != nil {
 		return Runs{}, fmt.Errorf("interp tgt: %w", err)
 	}
-	return Runs{args, o1, o2}, nil
+	return Runs{o1, o2}, nil
 }
 
 // Violation names the refinement clause the target's run breaks, or
@@ -87,32 +86,27 @@ func (r Runs) Violation() string {
 	return ""
 }
 
-// Differs reports whether running src and tgt on args shows a
+// differs reports whether running src and tgt on args shows a
 // refinement violation.
-func Differs(src, tgt *ir.Function, args []interp.Val) (bool, error) {
+func differs(src, tgt *ir.Function, args []interp.Val) (bool, error) {
 	r, err := Run(src, tgt, args)
 	return err == nil && r.Violation() != "", err
 }
 
-// Args lays a verifier's counterexample, parameter values by name, out
-// in f's parameter order; a parameter the map lacks is 0.
-func Args(f *ir.Function, cex map[string]uint64) []interp.Val {
-	args := make([]interp.Val, len(f.Params))
-	for i, p := range f.Params {
-		args[i] = interp.V(cex[p.NameStr])
-	}
-	return args
-}
-
-// Witness reports whether cex distinguishes src and tgt under the
-// interpreter. An interpreter error fails the test.
+// Witness reports whether cex, a verifier's counterexample (parameter
+// values by name; a parameter it lacks is 0), distinguishes src and tgt
+// under the interpreter. An interpreter error fails the test.
 func Witness(t testing.TB, src, tgt *ir.Function, cex map[string]uint64) bool {
 	t.Helper()
-	differs, err := Differs(src, tgt, Args(src, cex))
+	args := make([]interp.Val, len(src.Params))
+	for i, p := range src.Params {
+		args[i] = interp.V(cex[p.NameStr])
+	}
+	d, err := differs(src, tgt, args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return differs
+	return d
 }
 
 // UsesCallResult reports whether some instruction of f reads what a
@@ -139,9 +133,9 @@ func UsesCallResult(f *ir.Function) bool {
 	return uses
 }
 
-// MaxBits is the most parameter bits Exhaustive enumerates: 65 536
+// maxBits is the most parameter bits Exhaustive enumerates: 65 536
 // inputs.
-const MaxBits = 16
+const maxBits = 16
 
 // Exhaustive decides whether tgt refines src by running both on every
 // input. It declines, with an error saying why, a pair it cannot
@@ -149,7 +143,7 @@ const MaxBits = 16
 //   - a parameter that is not a noundef integer (a poison input is not
 //     enumerated), on either side;
 //   - parameter or return types that differ;
-//   - more than MaxBits parameter bits;
+//   - more than 16 parameter bits;
 //   - a call on either side (a call's result is made up, so the
 //     parameters do not determine a run);
 //   - an input the interpreter cannot finish.
@@ -168,8 +162,8 @@ func Exhaustive(src, tgt *ir.Function) (refines bool, err error) {
 		}
 		bits += it.Bits
 	}
-	if bits > MaxBits {
-		return false, fmt.Errorf("refinetest: %d parameter bits, more than %d", bits, MaxBits)
+	if bits > maxBits {
+		return false, fmt.Errorf("refinetest: %d parameter bits, more than %d", bits, maxBits)
 	}
 	for _, f := range []*ir.Function{src, tgt} {
 		calls := false
@@ -186,18 +180,17 @@ func Exhaustive(src, tgt *ir.Function) (refines bool, err error) {
 			args[i] = interp.V(rest & (1<<w - 1))
 			rest >>= w
 		}
-		differs, err := Differs(src, tgt, args)
-		if err != nil || differs {
+		if d, err := differs(src, tgt, args); err != nil || d {
 			return false, err
 		}
 	}
 	return true, nil
 }
 
-// Corners are the boundary values tried, masked to width, beside
+// corners are the boundary values tried, masked to width, beside
 // random ones: unsound folds typically break at sign and overflow
 // edges.
-var Corners = []uint64{0, 1, 2, 3, 7, 8, 0x7f, 0x80, 0xff, 0x7fff, 0x8000, 0x7fffffff, 0x80000000,
+var corners = []uint64{0, 1, 2, 3, 7, 8, 0x7f, 0x80, 0xff, 0x7fff, 0x8000, 0x7fffffff, 0x80000000,
 	0xfffffffe, 0xffffffff, 0x7fffffffffffffff, 0x8000000000000000, ^uint64(0), ^uint64(1)}
 
 // draw is one input for f's parameters: each a corner value or a
@@ -206,7 +199,7 @@ func draw(f *ir.Function, rng *rand.Rand) []interp.Val {
 	args := make([]interp.Val, len(f.Params))
 	for j := range args {
 		if rng.Intn(2) == 0 {
-			args[j] = interp.V(Corners[rng.Intn(len(Corners))])
+			args[j] = interp.V(corners[rng.Intn(len(corners))])
 		} else {
 			args[j] = interp.V(rng.Uint64())
 		}
@@ -216,12 +209,13 @@ func draw(f *ir.Function, rng *rand.Rand) []interp.Val {
 
 // Falsify runs src and tgt on tries inputs drawn from a generator of its
 // own, seeded with seed, and returns the first input that distinguishes
-// them, or nil when none does.
+// them, or nil when none does. The error is the interpreter's, with the
+// input it stopped on.
 func Falsify(src, tgt *ir.Function, seed int64, tries int) ([]interp.Val, error) {
 	rng := rand.New(rand.NewSource(seed))
 	for try := 0; try < tries; try++ {
 		args := draw(src, rng)
-		if differs, err := Differs(src, tgt, args); err != nil || differs {
+		if d, err := differs(src, tgt, args); err != nil || d {
 			return args, err
 		}
 	}

@@ -62,12 +62,12 @@ func TestViolationClauses(t *testing.T) {
 		if got := r.Violation(); got != tc.want {
 			t.Errorf("%s: violation %q, want %q", tc.name, got, tc.want)
 		}
-		differs, err := Differs(src, tgt, []interp.Val{interp.V(tc.arg)})
+		differs, err := differs(src, tgt, []interp.Val{interp.V(tc.arg)})
 		if err != nil || differs != (tc.want != "") {
-			t.Errorf("%s: Differs %v, %v", tc.name, differs, err)
+			t.Errorf("%s: differs %v, %v", tc.name, differs, err)
 		}
 		if w := Witness(t, src, tgt, map[string]uint64{"0": tc.arg}); w != differs {
-			t.Errorf("%s: Witness %v, Differs %v", tc.name, w, differs)
+			t.Errorf("%s: Witness %v, differs %v", tc.name, w, differs)
 		}
 	}
 	// A source that returns poison still has its calls compared.
@@ -138,7 +138,7 @@ func TestFalsifyAgreesWithExhaustive(t *testing.T) {
 			t.Errorf("%s: exhaustive says refines=%v, the sampler found %v", tc.name, refines, in)
 		}
 		if in != nil {
-			if differs, _ := Differs(src, tc.tgt, in); !differs {
+			if differs, _ := differs(src, tc.tgt, in); !differs {
 				t.Errorf("%s: the sampler's %v does not distinguish", tc.name, in)
 			}
 		}
