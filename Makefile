@@ -31,9 +31,12 @@ serve-smoke:
 
 # Durable-runs acceptance gate: train, kill mid-run (twice, at
 # different depths), resume from the checkpoint, and require the final
-# Model-Latency bytes to equal an uninterrupted run's.
+# Model-Latency bytes to equal an uninterrupted run's; resume the
+# checkpoints earlier trees wrote (testdata/parent-ckpt) onto the same
+# bytes; and require the trace of an uninterrupted, a canceled and a
+# resumed run to keep its stage, step and checkpoint events.
 resume-smoke:
-	$(GO) test -run TestResumeSmoke -count=1 ./internal/pipeline
+	$(GO) test -run 'TestResumeSmoke|TestParentCheckpointResumes|TestCurriculumTrace' -count=1 ./internal/pipeline
 
 # Tiered-storage acceptance gate: fill a -store-dir past the hot
 # tier's bound over HTTP, restart the server on the same directory

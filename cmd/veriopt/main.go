@@ -259,6 +259,9 @@ func cmdTrain(ctx context.Context, args []string) error {
 			return fmt.Errorf("-workload=passes has no checkpoints: remove %s", strings.Join(set, ", "))
 		}
 	}
+	if *resume && *checkpoint == "" {
+		return errors.New("-resume continues the checkpoint in -checkpoint, and none was given")
+	}
 	rec, closeTrace, err := openTrace(*trace)
 	if err != nil {
 		return err
@@ -404,24 +407,7 @@ func savePolicy(res *pipeline.Result, path string) error {
 	if path == "" {
 		return nil
 	}
-	var (
-		name  string
-		model *policy.Model
-	)
-	for _, r := range []struct {
-		name string
-		m    *policy.Model
-	}{
-		{"model-latency", res.Latency},
-		{"model-correctness", res.Correctness},
-		{"warm-up", res.WarmUp},
-		{"model-zero", res.ModelZero},
-	} {
-		if r.m != nil {
-			name, model = r.name, r.m
-			break
-		}
-	}
+	name, model := res.Latest()
 	if model == nil {
 		fmt.Fprintf(os.Stderr, "-save: no stage finished before interrupt, nothing written to %s\n", path)
 		return nil

@@ -14,18 +14,25 @@ import (
 // "resume" one that did not exist. The combination is now a usage
 // error naming the flags, raised before anything is created or
 // trained: the context is already canceled, so any training the call
-// reached would surface as context.Canceled instead.
+// reached would surface as context.Canceled instead. The last row is
+// the peephole workload's -resume without -checkpoint, which used to
+// retrain from scratch and write no checkpoint.
 func TestTrainPassesRejectsCheckpointFlags(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, extra := range [][]string{
-		{"-checkpoint", "CKPT"},
-		{"-checkpoint", "CKPT", "-resume"},
-		{"-resume"},
+	for _, tc := range []struct {
+		workload string
+		extra    []string
+	}{
+		{"passes", []string{"-checkpoint", "CKPT"}},
+		{"passes", []string{"-checkpoint", "CKPT", "-resume"}},
+		{"passes", []string{"-resume"}},
+		{"peephole", []string{"-resume"}},
 	} {
+		extra := tc.extra
 		dir := t.TempDir()
 		ckptDir := filepath.Join(dir, "ck")
-		args := []string{"-workload", "passes", "-n", "40", "-seq-steps", "2",
+		args := []string{"-workload", tc.workload, "-n", "40", "-seq-steps", "2",
 			"-trace", filepath.Join(dir, "trace.jsonl"), "-store-dir", filepath.Join(dir, "store")}
 		for _, a := range extra {
 			if a == "CKPT" {

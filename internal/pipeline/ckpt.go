@@ -10,7 +10,6 @@ import (
 	"veriopt/internal/grpo"
 	"veriopt/internal/obs"
 	"veriopt/internal/policy"
-	"veriopt/internal/sft"
 )
 
 // CkptConfig makes a curriculum run durable: RunCtx writes an atomic
@@ -35,44 +34,28 @@ const (
 	ckptKind     = "curriculum"
 )
 
-// Curriculum stage indices, in execution order. A checkpoint's Stage
-// is the first stage that has NOT completed yet.
-const (
-	stageModelZero = iota
-	stageWarmUp
-	stageCorrectness
-	stageLatency
-	stageDone
-)
+// stages names the curriculum's stages in execution order, and then
+// "done". A checkpoint's Stage indexes it: the first stage that has
+// not completed yet.
+var stages = [...]string{"model-zero", "warm-up", "model-correctness", "model-latency", "done"}
 
-var stageNames = [...]string{"model-zero", "warm-up", "model-correctness", "model-latency", "done"}
-
-// curriculumState is the durable form of a curriculum run: the
-// Result's own fields, except Base, which is rebuilt deterministically
-// from (Capacity, Seed). A checkpoint written by a tree that still
+// curriculumState is the durable form of a curriculum run: the Result
+// itself, whose Base is rebuilt from (Capacity, Seed) and whose
+// failures are stored by sample name, plus what a resume checks and
+// where it continues. A checkpoint written by a tree that still
 // snapshotted trainers mid-stage also carries "trainer" and "best"
-// fields; decoding ignores them and the stage it names replays.
+// fields, and one written before the warm-up's statistics were dropped
+// carries "sft_stats"; decoding ignores them, and the stage it names
+// replays.
 type curriculumState struct {
 	// ConfigSig fingerprints the run configuration; resume refuses a
 	// checkpoint written under a different one (the determinism
 	// guarantee would be silently void).
 	ConfigSig string `json:"config_sig"`
-	// Stage is the first stage not yet completed (stageDone = run
-	// finished).
+	// Stage is the first stage not yet completed, an index into stages.
 	Stage int `json:"stage"`
-
-	ModelZero   *policy.Model `json:"model_zero,omitempty"`
-	WarmUp      *policy.Model `json:"warm_up,omitempty"`
-	Correctness *policy.Model `json:"correctness,omitempty"`
-	Latency     *policy.Model `json:"latency,omitempty"`
-
-	ZeroHistory        []float64 `json:"zero_history,omitempty"`
-	CorrectnessHistory []float64 `json:"correctness_history,omitempty"`
-	LatencyHistory     []float64 `json:"latency_history,omitempty"`
-
+	*Result
 	Failures []failureState `json:"failures,omitempty"`
-	UMax     float64        `json:"umax,omitempty"`
-	SFTStats sft.Stats      `json:"sft_stats,omitempty"`
 }
 
 // failureState is the durable form of a grpo.FailureSample. The sample
@@ -168,7 +151,7 @@ type ckptRunner struct {
 // newCkptRunner builds the runner for cfg, loading existing durable
 // state when resuming.
 func newCkptRunner(cfg StageConfig, train []*dataset.Sample) (*ckptRunner, error) {
-	r := &ckptRunner{rec: cfg.Obs, state: &curriculumState{Stage: stageModelZero}}
+	r := &ckptRunner{rec: cfg.Obs, state: &curriculumState{Result: &Result{}}}
 	if cfg.Ckpt == nil || cfg.Ckpt.Dir == "" {
 		return r, nil
 	}
@@ -190,38 +173,23 @@ func newCkptRunner(cfg StageConfig, train []*dataset.Sample) (*ckptRunner, error
 	if got := r.state.ConfigSig; got != sig && got != configSig(cfg, len(train), true) {
 		return nil, fmt.Errorf("pipeline: checkpoint at %s was written under a different configuration; resuming it would not reproduce the original trajectory", r.path)
 	}
-	r.rec.Emit(obs.Event{Kind: "checkpoint", Stage: stageNames[r.state.Stage], Note: "resumed"})
+	r.rec.Emit(obs.Event{Kind: "checkpoint", Stage: stages[r.state.Stage], Note: "resumed"})
 	return r, nil
-}
-
-// apply copies a loaded checkpoint into the Result: completed-stage
-// models, histories, harvested failures, and curriculum scalars.
-func (r *ckptRunner) apply(res *Result, train []*dataset.Sample) error {
-	st := r.state
-	res.ModelZero, res.WarmUp, res.Correctness, res.Latency = st.ModelZero, st.WarmUp, st.Correctness, st.Latency
-	res.zeroHistory, res.CorrectnessHistory, res.LatencyHistory = st.ZeroHistory, st.CorrectnessHistory, st.LatencyHistory
-	res.UMax, res.sftStats = st.UMax, st.SFTStats
-	var err error
-	res.Failures, err = resumeFailures(st.Failures, train)
-	return err
 }
 
 // boundary records a completed stage: next becomes the first
 // unfinished stage, and the whole curriculum state is written
 // atomically.
-func (r *ckptRunner) boundary(next int, res *Result) error {
+func (r *ckptRunner) boundary(next int) error {
 	st := r.state
 	st.Stage = next
 	if r.path == "" {
 		return nil
 	}
-	st.ModelZero, st.WarmUp, st.Correctness, st.Latency = res.ModelZero, res.WarmUp, res.Correctness, res.Latency
-	st.ZeroHistory, st.CorrectnessHistory, st.LatencyHistory = res.zeroHistory, res.CorrectnessHistory, res.LatencyHistory
-	st.UMax, st.SFTStats = res.UMax, res.sftStats
-	st.Failures = suspendFailures(res.Failures)
+	st.Failures = suspendFailures(st.Result.Failures)
 	if err := ckpt.Save(r.path, ckptKind, st); err != nil {
 		return fmt.Errorf("pipeline: write checkpoint: %w", err)
 	}
-	r.rec.Emit(obs.Event{Kind: "checkpoint", Stage: stageNames[next], Note: "stage boundary"})
+	r.rec.Emit(obs.Event{Kind: "checkpoint", Stage: stages[next], Note: "stage boundary"})
 	return nil
 }

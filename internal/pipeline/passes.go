@@ -144,25 +144,23 @@ func RunPassesCtx(ctx context.Context, o oracle.Oracle, train, val []*dataset.Sa
 	seq.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(train, umaxPercentile), Gamma: latencyGamma}
 
 	res := &PassesResult{Model: seqopt.NewModel(cfg.Seed)}
-	sp := beginStage(cfg.Obs, o, "seq-train")
-	tr := grpo.NewSeqTrainer(o, res.Model, train, seq, cfg.Seed+404)
-	_, err := tr.TrainCtx(ctx, cfg.TrainSteps)
-	res.history = tr.RewardHistory
+	err := traceStage(cfg.Obs, o, "seq-train", func() (int, []float64, error) {
+		tr := grpo.NewSeqTrainer(o, res.Model, train, seq, cfg.Seed+404)
+		_, err := tr.TrainCtx(ctx, cfg.TrainSteps)
+		res.history = tr.RewardHistory
+		return len(tr.RewardHistory), tr.RewardHistory, err
+	})
 	if err != nil {
-		sp.end(len(tr.RewardHistory), tr.RewardHistory, "canceled")
 		return res, err
 	}
-	sp.end(cfg.TrainSteps, tr.RewardHistory, "")
-
-	sp = beginStage(cfg.Obs, o, "passes-eval")
-	rep, err := evaluatePasses(ctx, o, res.Model, val, cfg)
-	res.Report = rep
-	if err != nil {
-		sp.end(0, nil, "canceled")
-		return res, err
-	}
-	sp.end(len(val), nil, "")
-	return res, nil
+	err = traceStage(cfg.Obs, o, "passes-eval", func() (int, []float64, error) {
+		var err error
+		if res.Report, err = evaluatePasses(ctx, o, res.Model, val, cfg); err != nil {
+			return 0, nil, err
+		}
+		return len(val), nil, nil
+	})
+	return res, err
 }
 
 // evaluatePasses runs the four-way comparison on samples. Every

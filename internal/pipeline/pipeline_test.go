@@ -174,7 +174,7 @@ func TestGeomeanRelationships(t *testing.T) {
 
 func TestTrainingHistoriesRecorded(t *testing.T) {
 	res, _ := smallRun(t)
-	if len(res.zeroHistory) == 0 || len(res.CorrectnessHistory) == 0 || len(res.LatencyHistory) == 0 {
+	if len(res.ZeroHistory) == 0 || len(res.CorrectnessHistory) == 0 || len(res.LatencyHistory) == 0 {
 		t.Error("missing reward histories (needed for Fig. 4)")
 	}
 	if len(res.Failures) == 0 {

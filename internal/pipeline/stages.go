@@ -64,62 +64,68 @@ const (
 // Result bundles the four curriculum models and their training
 // traces. A canceled RunCtx returns it partially filled: the model of
 // the interrupted stage (and of the stages after it) stays nil, while
-// every completed stage keeps its model and history.
+// every completed stage keeps its model and history. It is also what a
+// checkpoint holds (curriculumState), under the JSON names below.
 type Result struct {
-	Base        *policy.Model // untrained foundation model
-	ModelZero   *policy.Model
-	WarmUp      *policy.Model
-	Correctness *policy.Model
-	Latency     *policy.Model
+	Base        *policy.Model `json:"-"` // untrained foundation model
+	ModelZero   *policy.Model `json:"model_zero,omitempty"`
+	WarmUp      *policy.Model `json:"warm_up,omitempty"`
+	Correctness *policy.Model `json:"correctness,omitempty"`
+	Latency     *policy.Model `json:"latency,omitempty"`
 
 	// Reward histories per stage (Fig. 4 raw series). Present for the
 	// interrupted stage too, truncated at the canceled step.
-	zeroHistory        []float64
-	CorrectnessHistory []float64
-	LatencyHistory     []float64
+	ZeroHistory        []float64 `json:"zero_history,omitempty"`
+	CorrectnessHistory []float64 `json:"correctness_history,omitempty"`
+	LatencyHistory     []float64 `json:"latency_history,omitempty"`
 
-	Failures []*grpo.FailureSample
-	UMax     float64
-	sftStats sft.Stats
+	Failures []*grpo.FailureSample `json:"-"` // checkpointed by sample name
+	UMax     float64               `json:"umax,omitempty"`
 }
 
-// stageSpan instruments one curriculum stage for the trace: it
-// snapshots the oracle's counters at stage start so stage_end can
-// carry the per-stage deltas rather than process-lifetime totals.
-type stageSpan struct {
-	rec  *obs.Recorder
-	name string
-	t0   time.Time
-	src  oracle.StatsSource
-	os0  oracle.Stats
-	cs0  vcache.Stats
+// Latest returns the most advanced model the run finished and the name
+// of its stage, or "" and nil when no stage finished.
+func (r *Result) Latest() (string, *policy.Model) {
+	models := [...]*policy.Model{r.ModelZero, r.WarmUp, r.Correctness, r.Latency}
+	for i := len(models) - 1; i >= 0; i-- {
+		if models[i] != nil {
+			return stages[i], models[i]
+		}
+	}
+	return "", nil
 }
 
-func beginStage(rec *obs.Recorder, o oracle.Oracle, name string) *stageSpan {
-	sp := &stageSpan{rec: rec, name: name, t0: time.Now()}
-	if src, ok := o.(oracle.StatsSource); ok {
-		sp.src = src
-		sp.os0, sp.cs0 = src.OracleStats()
+// traceStage runs body as one stage of the trace: stage_start, then
+// stage_end with the steps and rewards body reports, the note
+// "canceled" when it fails, and the oracle's verdict and cache deltas
+// over the stage rather than process-lifetime totals.
+func traceStage(rec *obs.Recorder, o oracle.Oracle, name string, body func() (steps int, rewards []float64, err error)) error {
+	t0 := time.Now()
+	src, _ := o.(oracle.StatsSource)
+	var os0 oracle.Stats
+	var cs0 vcache.Stats
+	if src != nil {
+		os0, cs0 = src.OracleStats()
 	}
 	rec.Emit(obs.Event{Kind: "stage_start", Stage: name})
-	return sp
-}
-
-func (sp *stageSpan) end(steps int, rewards []float64, note string) {
+	steps, rewards, err := body()
 	ev := obs.Event{
 		Kind:   "stage_end",
-		Stage:  sp.name,
+		Stage:  name,
 		Steps:  steps,
-		WallMs: float64(time.Since(sp.t0).Microseconds()) / 1000,
+		WallMs: float64(time.Since(t0).Microseconds()) / 1000,
 		Reward: obs.Summarize(rewards),
-		Note:   note,
 	}
-	if sp.src != nil {
-		os1, cs1 := sp.src.OracleStats()
-		ev.Verdicts = obs.DeltaVerdicts(sp.os0, os1)
-		ev.Cache = obs.DeltaCache(sp.cs0, cs1)
+	if err != nil {
+		ev.Note = "canceled"
 	}
-	sp.rec.Emit(ev)
+	if src != nil {
+		os1, cs1 := src.OracleStats()
+		ev.Verdicts = obs.DeltaVerdicts(os0, os1)
+		ev.Cache = obs.DeltaCache(cs0, cs1)
+	}
+	rec.Emit(ev)
+	return err
 }
 
 // devEvalCtx scores a model for checkpoint selection: the paper's
@@ -177,8 +183,16 @@ func trainWithCheckpoints(ctx context.Context, o oracle.Oracle, tr *grpo.Trainer
 // the completed stages and replays the interrupted one from its start
 // — the final models are bit-identical to an uninterrupted run's.
 func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg StageConfig) (*Result, error) {
-	res := &Result{}
-	res.Base = policy.New(cfg.Capacity, cfg.Seed)
+	base := policy.New(cfg.Capacity, cfg.Seed)
+	ck, err := newCkptRunner(cfg, train)
+	if err != nil {
+		return &Result{Base: base}, err
+	}
+	res := ck.state.Result
+	res.Base = base
+	if res.Failures, err = resumeFailures(ck.state.Failures, train); err != nil {
+		return res, err
+	}
 	ec := EvalConfig{Workers: cfg.GRPO.Workers}
 	// Hold out a slice of the training set for checkpoint selection
 	// (never the validation set).
@@ -188,105 +202,78 @@ func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg S
 	}
 	dev := train[len(train)-devN:]
 
-	ck, err := newCkptRunner(cfg, train)
-	if err != nil {
-		return res, err
+	// body trains the named stage, stores its history in res and, when
+	// it finishes, its model.
+	body := func(name string) (int, []float64, error) {
+		switch name {
+		case "model-zero":
+			// Stage 1: Model Zero — raw GRPO with the generic prompt.
+			// Its training space, validated by the checker, yields the
+			// diagnostic-augmented corpus.
+			zero := base.Clone()
+			c1 := cfg.GRPO
+			c1.Mode = grpo.ModeCorrectness
+			t1 := grpo.NewTrainer(o, zero, train, c1, cfg.Seed+101)
+			t1.CollectFailures = true
+			_, err := t1.TrainCtx(ctx, cfg.Stage1Steps)
+			res.ZeroHistory, res.Failures = t1.RewardHistory, t1.Failures
+			if err == nil {
+				res.ModelZero = zero
+			}
+			return len(t1.RewardHistory), t1.RewardHistory, err
+		case "warm-up":
+			// Stage 2a: Warm-up — SFT from the *base* model (Model Zero
+			// is only the sample generator, §III-C1) on first-time and
+			// correction-augmented samples.
+			warm := base.Clone()
+			st, err := sft.WarmUpCtx(ctx, warm, train, res.Failures, cfg.SFT)
+			if err == nil {
+				res.WarmUp = warm
+			}
+			return st.CloneSteps, nil, err
+		case "model-correctness":
+			// Stage 2b: Model-Correctness — GRPO with augmented
+			// prompts, Eq. 1 + Eq. 2.
+			c2 := cfg.GRPO
+			c2.Mode = grpo.ModeCorrectnessCoT
+			// Stage 2 refines the warm-up solution; a gentler learning
+			// rate and larger groups avoid collapsing into the
+			// copy-and-predict-OK reward-hacking attractor that
+			// destabilizes raw GRPO (§III-C2).
+			c2.LR = cfg.GRPO.LR / 3
+			c2.GroupSize = cfg.GRPO.GroupSize + 2
+			c2.ClipNorm = cfg.GRPO.ClipNorm / 2
+			t2 := grpo.NewTrainer(o, res.WarmUp.Clone(), train, c2, cfg.Seed+202)
+			best, err := trainWithCheckpoints(ctx, o, t2, cfg.Stage2Steps, 10, dev, true, ec)
+			res.CorrectnessHistory = t2.RewardHistory
+			if err == nil {
+				res.Correctness = best
+			}
+			return len(t2.RewardHistory), t2.RewardHistory, err
+		default: // "model-latency"
+			// Stage 3: Model-Latency — incremental GRPO with the
+			// latency reward; instcombine labels and the think-protocol
+			// are dropped.
+			res.UMax = grpo.ComputeUMax(train, umaxPercentile)
+			c3 := cfg.GRPO
+			c3.Mode = grpo.ModeLatency
+			c3.Latency = grpo.LatencyRewardParams{UMax: res.UMax, Gamma: latencyGamma}
+			t3 := grpo.NewTrainer(o, res.Correctness.Clone(), train, c3, cfg.Seed+303)
+			best, err := trainWithCheckpoints(ctx, o, t3, cfg.Stage3Steps, 10, dev, false, ec)
+			res.LatencyHistory = t3.RewardHistory
+			if err == nil {
+				res.Latency = best
+			}
+			return len(t3.RewardHistory), t3.RewardHistory, err
+		}
 	}
-	if err := ck.apply(res, train); err != nil {
-		return res, err
-	}
-
-	// Stage 1: Model Zero — raw GRPO with the generic prompt. Its
-	// training space, validated by the checker, yields the
-	// diagnostic-augmented corpus.
-	if ck.state.Stage <= stageModelZero {
-		sp := beginStage(cfg.Obs, o, "model-zero")
-		zero := res.Base.Clone()
-		c1 := cfg.GRPO
-		c1.Mode = grpo.ModeCorrectness
-		t1 := grpo.NewTrainer(o, zero, train, c1, cfg.Seed+101)
-		t1.CollectFailures = true
-		_, err := t1.TrainCtx(ctx, cfg.Stage1Steps)
-		res.zeroHistory = t1.RewardHistory
-		res.Failures = t1.Failures
-		if err != nil {
-			sp.end(len(t1.RewardHistory), t1.RewardHistory, "canceled")
+	for i := ck.state.Stage; i < len(stages)-1; i++ {
+		if err := traceStage(cfg.Obs, o, stages[i], func() (int, []float64, error) { return body(stages[i]) }); err != nil {
 			return res, err
 		}
-		sp.end(cfg.Stage1Steps, t1.RewardHistory, "")
-		res.ModelZero = zero
-		if err := ck.boundary(stageWarmUp, res); err != nil {
-			return res, err
-		}
-	}
-
-	// Stage 2a: Warm-up — SFT from the *base* model (Model Zero is
-	// only the sample generator, §III-C1) on first-time and
-	// correction-augmented samples.
-	if ck.state.Stage <= stageWarmUp {
-		sp := beginStage(cfg.Obs, o, "warm-up")
-		warm := res.Base.Clone()
-		res.sftStats, err = sft.WarmUpCtx(ctx, warm, train, res.Failures, cfg.SFT)
-		if err != nil {
-			sp.end(res.sftStats.CloneSteps, nil, "canceled")
-			return res, err
-		}
-		sp.end(res.sftStats.CloneSteps, nil, "")
-		res.WarmUp = warm
-		if err := ck.boundary(stageCorrectness, res); err != nil {
-			return res, err
-		}
-	}
-
-	// Stage 2b: Model-Correctness — GRPO with augmented prompts,
-	// Eq. 1 + Eq. 2.
-	if ck.state.Stage <= stageCorrectness {
-		sp := beginStage(cfg.Obs, o, "model-correctness")
-		corr := res.WarmUp.Clone()
-		c2 := cfg.GRPO
-		c2.Mode = grpo.ModeCorrectnessCoT
-		// Stage 2 refines the warm-up solution; a gentler learning rate
-		// and larger groups avoid collapsing into the copy-and-predict-OK
-		// reward-hacking attractor that destabilizes raw GRPO (§III-C2).
-		c2.LR = cfg.GRPO.LR / 3
-		c2.GroupSize = cfg.GRPO.GroupSize + 2
-		c2.ClipNorm = cfg.GRPO.ClipNorm / 2
-		t2 := grpo.NewTrainer(o, corr, train, c2, cfg.Seed+202)
-		best2, err := trainWithCheckpoints(ctx, o, t2, cfg.Stage2Steps, 10, dev, true, ec)
-		res.CorrectnessHistory = t2.RewardHistory
-		if err != nil {
-			sp.end(len(t2.RewardHistory), t2.RewardHistory, "canceled")
-			return res, err
-		}
-		sp.end(cfg.Stage2Steps, t2.RewardHistory, "")
-		res.Correctness = best2
-		if err := ck.boundary(stageLatency, res); err != nil {
+		if err := ck.boundary(i + 1); err != nil {
 			return res, err
 		}
 	}
-
-	// Stage 3: Model-Latency — incremental GRPO with the latency
-	// reward; instcombine labels and the think-protocol are dropped.
-	if ck.state.Stage <= stageLatency {
-		sp := beginStage(cfg.Obs, o, "model-latency")
-		lat := res.Correctness.Clone()
-		res.UMax = grpo.ComputeUMax(train, umaxPercentile)
-		c3 := cfg.GRPO
-		c3.Mode = grpo.ModeLatency
-		c3.Latency = grpo.LatencyRewardParams{UMax: res.UMax, Gamma: latencyGamma}
-		t3 := grpo.NewTrainer(o, lat, train, c3, cfg.Seed+303)
-		best3, err := trainWithCheckpoints(ctx, o, t3, cfg.Stage3Steps, 10, dev, false, ec)
-		res.LatencyHistory = t3.RewardHistory
-		if err != nil {
-			sp.end(len(t3.RewardHistory), t3.RewardHistory, "canceled")
-			return res, err
-		}
-		sp.end(cfg.Stage3Steps, t3.RewardHistory, "")
-		res.Latency = best3
-		if err := ck.boundary(stageDone, res); err != nil {
-			return res, err
-		}
-	}
-
 	return res, nil
 }

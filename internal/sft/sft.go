@@ -68,11 +68,8 @@ func teacherTrajectory(m *policy.Model, input *ir.Function) ([]policy.ActionReco
 type Stats struct {
 	// CloneSteps is the number of behaviour-cloning gradient steps.
 	CloneSteps int
-	// DiagExamples is the number of supervised diagnostic examples.
-	DiagExamples int
-	// TeacherMatchFrac is the fraction of samples whose teacher
-	// trajectory reproduces the reference text exactly.
-	TeacherMatchFrac float64
+	// diagExamples is the number of supervised diagnostic examples.
+	diagExamples int
 }
 
 // WarmUpCtx runs the supervised stage on the model in place: behaviour
@@ -85,19 +82,13 @@ type Stats struct {
 // on cancellation) rather than treat as a finished stage.
 func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, failures []*grpo.FailureSample, cfg Config) (Stats, error) {
 	var st Stats
-	matches := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// First-time augmented samples: clone the teacher.
 		for _, s := range samples {
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
-			recs, reached := teacherTrajectory(m, s.O0)
-			if epoch == 0 {
-				if ir.FingerprintText(reached) == ir.FingerprintText(s.RefText) {
-					matches++
-				}
-			}
+			recs, _ := teacherTrajectory(m, s.O0)
 			h := m.HashFeatures(ir.CanonicalText(s.O0))
 			// One cross-entropy gradient step toward each teacher
 			// action, in place.
@@ -107,7 +98,7 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			}
 			// The first-time diagnosis target is OK.
 			trainDiag(m, h, recs, policy.DiagOK, "", cfg.LR)
-			st.DiagExamples++
+			st.diagExamples++
 		}
 		// Correction-augmented samples: learn the true diagnosis for
 		// each observed failure, the association between the rules used
@@ -123,15 +114,12 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			if fs.TrueClass != policy.DiagOK {
 				penalizeBlamed(m, fs, cfg.LR/2)
 			}
-			st.DiagExamples++
+			st.diagExamples++
 		}
 	}
 	// The warm-up teaches the model to attempt self-correction.
 	m.SelfCorrectGate = 2.0
 	m.Clamp()
-	if len(samples) > 0 {
-		st.TeacherMatchFrac = float64(matches) / float64(len(samples))
-	}
 	return st, nil
 }
 

@@ -89,7 +89,7 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 	if after <= before {
 		t.Errorf("teacher likelihood did not improve: %.3f -> %.3f", before, after)
 	}
-	if st.CloneSteps == 0 || st.DiagExamples == 0 {
+	if st.CloneSteps == 0 || st.diagExamples == 0 {
 		t.Errorf("stats empty: %+v", st)
 	}
 	if m.SelfCorrectGate <= 0 {
