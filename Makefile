@@ -103,8 +103,13 @@ fuzz-smoke:
 # made a resident verdict weigh 1.2 KB; the spine's one identity is
 # Key.Fingerprint().
 # And on a rewrite rule that spells Applicable or Apply itself: a rule
-# states what it matches once, to matchRule, peephole or stepRule, and
+# states what it matches once, to matchRule, peephole or stepRule (which
+# takes one of instcombine's steps, its own finder with act false), and
 # both methods are derived from that.
+# And on ir.CloneFunc( in non-test internal/rewrite code outside
+# mem2reg.go: Applicable reads the function it is asked about and copies
+# nothing; mem2reg's promote-then-verify copy is the one copy a rule
+# needs.
 # And on a verdict's diag searched for text outside internal/alive: why
 # a verdict is Inconclusive is alive.Result.Reason, the one reader of
 # the diag prefixes alive writes.
@@ -159,7 +164,13 @@ lint:
 	fi
 	@hits=$$(grep -rnE '\b(Applicable|Apply):' --include='*.go' --exclude='*_test.go' internal/rewrite); \
 	if [ -n "$$hits" ]; then \
-		echo "a rule's match written out per method (declare it once with matchRule, peephole or stepRule):"; \
+		echo "a rule's match written out per method (declare it once with matchRule, peephole or stepRule, which takes a finder):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnF 'ir.CloneFunc(' --include='*.go' --exclude='*_test.go' --exclude=mem2reg.go internal/rewrite); \
+	if [ -n "$$hits" ]; then \
+		echo "ir.CloneFunc( in internal/rewrite outside mem2reg.go (a finder reads the function it is asked about: Applicable copies nothing):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

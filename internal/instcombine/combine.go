@@ -25,21 +25,26 @@ import (
 // long as the result (a corpus keeps it as a sample's Ref).
 func Run(f *ir.Function) *ir.Function {
 	g := ir.CloneFunc(f)
-	RunInPlace(g)
+	RunInPlace(g, true)
 	ir.RenumberFunc(g)
 	return ir.CloneFunc(g)
 }
 
 // RunInPlace is Run on f itself, without the renumbering. It reports
-// whether any rule or cleanup fired; false leaves f untouched.
-func RunInPlace(f *ir.Function) bool {
+// whether any rule or cleanup fired; false leaves f untouched. With act
+// false it is the pipeline's finder (see step.go): the first sweep
+// fires when one of its parts fires on f as it is.
+func RunInPlace(f *ir.Function, act bool) bool {
+	if !act {
+		return StepFirst(f, false) || forwardLoads(f, false) || removeDeadAllocas(f, false) || ir.HasDeadCode(f)
+	}
 	c := &combiner{fn: f}
 	fired := false
 	for iter := 0; iter < maxIterations; iter++ {
 		changed := c.iterate()
-		changed = forwardLoads(f) || changed
-		changed = removeDeadAllocas(f) || changed
-		changed = ir.DeadCodeElim(f, nil) > 0 || changed
+		changed = forwardLoads(f, true) || changed
+		changed = removeDeadAllocas(f, true) || changed
+		changed = ir.DeadCodeElim(f) > 0 || changed
 		if !changed {
 			break
 		}
@@ -60,6 +65,9 @@ type combiner struct {
 	// mutated records in-place edits (operand swaps) that do not
 	// produce a replacement value but must still count as progress.
 	mutated bool
+	// find makes the rules a finder: they match as ever, but insert
+	// nothing and swap no operand, recording only that they would.
+	find bool
 }
 
 // iterate runs one sweep over all instructions; reports whether
@@ -136,8 +144,11 @@ func tempNumber(name string) (int, bool) {
 }
 
 // insertBefore places a new instruction immediately before position
-// *idx in block b and advances the index.
+// *idx in block b and advances the index. A finder leaves it out.
 func (c *combiner) insertBefore(b *ir.Block, idx *int, in *ir.Instr) *ir.Instr {
+	if c.find {
+		return in
+	}
 	if in.HasResult() && in.NameStr == "" {
 		in.NameStr = c.fresh()
 	}
@@ -148,6 +159,25 @@ func (c *combiner) insertBefore(b *ir.Block, idx *int, in *ir.Instr) *ir.Instr {
 	*idx++
 	return in
 }
+
+// swapOperands exchanges in's two operands, mirroring a compare's
+// predicate: progress without a replacement value. A finder only
+// records it.
+func (c *combiner) swapOperands(in *ir.Instr) {
+	c.mutated = true
+	if c.find {
+		return
+	}
+	in.Args[0], in.Args[1] = in.Args[1], in.Args[0]
+	if in.Op == ir.OpICmp {
+		in.Pred = in.Pred.Swapped()
+	}
+}
+
+// swapped reports that a finder has met an operand swap: the step
+// fires whatever follows, and the rules after it would read the
+// operands swapped, so the finder stops there.
+func (c *combiner) swapped() bool { return c.find && c.mutated }
 
 // Convenience constructors used by rules.
 

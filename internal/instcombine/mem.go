@@ -1,83 +1,115 @@
 package instcombine
 
-import "veriopt/internal/ir"
+import (
+	"slices"
+
+	"veriopt/internal/ir"
+)
 
 // forwardLoads performs store-to-load forwarding within each basic
 // block, the analogue of InstCombine's FindAvailableLoadedValue: a
 // load from an alloca whose most recent same-block store is visible
 // (with no intervening call that could access memory) is replaced by
-// the stored value.
-func forwardLoads(f *ir.Function) bool {
+// the stored value. With act false it only reports whether a load
+// would be.
+func forwardLoads(f *ir.Function, act bool) bool {
 	changed := false
-	// Forwarding cannot change which allocas escape: a load's uses only
-	// ever take a value already stored, and storing an address escapes it.
-	escaped := escapedAllocas(f)
 	for _, b := range f.Blocks {
-		// available maps an alloca to the last value stored into it in
-		// this block, invalidated by calls (conservatively: a callee
-		// could not access a non-escaping alloca, but an alloca whose
-		// address flows into a call can change; track escapes).
-		available := map[*ir.Instr]ir.Value{}
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpStore:
-				if a, ok := directAlloca(in.Args[1]); ok {
-					available[a] = in.Args[0]
-				}
-			case ir.OpLoad:
-				if a, ok := directAlloca(in.Args[0]); ok {
-					if v, have := available[a]; have && v.Type().Equal(in.Ty) {
-						ir.ReplaceAllUses(f, in, v)
-						changed = true
-					}
-				}
-			case ir.OpCall:
-				// Calls may write allocas whose address escaped.
-				for a := range available {
-					if escaped[a] {
-						delete(available, a)
-					}
-				}
+		for i, in := range b.Instrs {
+			if in.Op != ir.OpLoad {
+				continue
 			}
+			a, ok := directAlloca(in.Args[0])
+			if !ok {
+				continue
+			}
+			v := storedBefore(f, b, i, a)
+			if v == nil || !v.Type().Equal(in.Ty) {
+				continue
+			}
+			if !act {
+				return true
+			}
+			ir.ReplaceAllUses(f, in, v)
+			changed = true
 		}
 	}
 	return changed
 }
 
-// removeDeadAllocas deletes allocas that are never loaded and never
-// escape, together with their stores — LLVM InstCombine's
-// isAllocSiteRemovable cleanup.
-func removeDeadAllocas(f *ir.Function) bool {
-	escaped := escapedAllocas(f)
-	loaded := map[*ir.Instr]bool{}
-	stores := map[*ir.Instr][]*ir.Instr{}
-	var allocas []*ir.Instr
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		switch in.Op {
-		case ir.OpAlloca:
-			allocas = append(allocas, in)
-		case ir.OpLoad:
-			if a, ok := directAlloca(in.Args[0]); ok {
-				loaded[a] = true
-			}
+// storedBefore returns the value the last store to alloca a before
+// position i of block b stored, or nil when there is none or a call
+// since could have written a (its address escaped). Forwarding cannot
+// change which allocas escape: a load's uses only ever take a value
+// already stored, and storing an address escapes it.
+func storedBefore(f *ir.Function, b *ir.Block, i int, a *ir.Instr) ir.Value {
+	for j := i - 1; j >= 0; j-- {
+		switch in := b.Instrs[j]; in.Op {
 		case ir.OpStore:
-			if a, ok := directAlloca(in.Args[1]); ok {
-				stores[a] = append(stores[a], in)
+			if in.Args[1] == ir.Value(a) {
+				return in.Args[0]
+			}
+		case ir.OpCall:
+			if escapes(f, a) {
+				return nil
+			}
+		}
+	}
+	return nil
+}
+
+// removeDeadAllocas deletes the stores to allocas that are never
+// loaded and never escape — LLVM InstCombine's isAllocSiteRemovable
+// cleanup; DCE removes the allocas once unused. The dead set is decided
+// before anything is removed. With act false it only reports whether
+// there is a store to remove.
+func removeDeadAllocas(f *ir.Function, act bool) bool {
+	var dead []*ir.Instr
+	for _, b := range f.Blocks {
+		for _, a := range b.Instrs {
+			if a.Op != ir.OpAlloca || !deadAlloca(f, a) {
+				continue
+			}
+			if !act {
+				return true
+			}
+			dead = append(dead, a)
+		}
+	}
+	if len(dead) == 0 {
+		return false
+	}
+	var stores []*ir.Instr
+	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
+		if in.Op == ir.OpStore {
+			if a, ok := directAlloca(in.Args[1]); ok && slices.Contains(dead, a) {
+				stores = append(stores, in)
 			}
 		}
 	})
-	changed := false
-	for _, a := range allocas {
-		if escaped[a] || loaded[a] {
-			continue
-		}
-		for _, st := range stores[a] {
-			ir.RemoveInstr(st)
-			changed = true
-		}
-		// The alloca itself is removed by DCE once unused.
+	for _, st := range stores {
+		ir.RemoveInstr(st)
 	}
-	return changed
+	return true
+}
+
+// deadAlloca reports whether a is stored to but never loaded and never
+// escapes.
+func deadAlloca(f *ir.Function, a *ir.Instr) bool {
+	stored := false
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpLoad:
+				if in.Args[0] == ir.Value(a) {
+					return false
+				}
+			case ir.OpStore:
+				stored = stored || in.Args[1] == ir.Value(a)
+			}
+		}
+	}
+	return stored && !escapes(f, a)
 }
 
 // directAlloca returns the alloca a pointer value directly denotes.
@@ -89,29 +121,29 @@ func directAlloca(p ir.Value) (*ir.Instr, bool) {
 	return in, true
 }
 
-// escapedAllocas finds allocas whose address is used by anything
-// other than a direct load or the pointer operand of a store.
-func escapedAllocas(f *ir.Function) map[*ir.Instr]bool {
-	escaped := map[*ir.Instr]bool{}
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		check := func(v ir.Value, isSafeUse bool) {
-			if a, ok := directAlloca(v); ok && !isSafeUse {
-				escaped[a] = true
+// escapes reports whether alloca a's address is used by anything other
+// than a direct load or the pointer operand of a store.
+func escapes(f *ir.Function, a *ir.Instr) bool {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpLoad:
+				// The address operand is a safe use.
+			case ir.OpStore:
+				if in.Args[0] == ir.Value(a) { // storing the address escapes it
+					return true
+				}
+			default:
+				if slices.Contains(in.Args, ir.Value(a)) {
+					return true
+				}
+				for _, inc := range in.Incs {
+					if inc.Val == ir.Value(a) {
+						return true
+					}
+				}
 			}
 		}
-		switch in.Op {
-		case ir.OpLoad:
-			// The address operand is a safe use.
-		case ir.OpStore:
-			check(in.Args[0], false) // storing the address escapes it
-		default:
-			for _, a := range in.Args {
-				check(a, false)
-			}
-			for _, inc := range in.Incs {
-				check(inc.Val, false)
-			}
-		}
-	})
-	return escaped
+	}
+	return false
 }

@@ -8,14 +8,14 @@ import "veriopt/internal/ir"
 func (c *combiner) rewrite(b *ir.Block, idx *int, in *ir.Instr) ir.Value {
 	switch {
 	case in.Op.IsBinary():
-		if v := c.canonicalizeBin(b, idx, in); v != nil {
+		if v := c.canonicalizeBin(b, idx, in); v != nil || c.swapped() {
 			return v
 		}
 		if v := c.combineBin(b, idx, in); v != nil {
 			return v
 		}
 	case in.Op == ir.OpICmp:
-		if v := c.combineICmp(b, idx, in); v != nil {
+		if v := c.combineICmp(b, idx, in); v != nil || c.swapped() {
 			return v
 		}
 	case in.Op == ir.OpSelect:
@@ -35,8 +35,7 @@ func (c *combiner) canonicalizeBin(b *ir.Block, idx *int, in *ir.Instr) ir.Value
 	if in.Op.IsCommutative() {
 		if _, ok := mConst(x); ok {
 			if _, yc := mConst(y); !yc {
-				in.Args[0], in.Args[1] = y, x
-				c.mutated = true
+				c.swapOperands(in)
 			}
 		}
 	}
@@ -213,9 +212,7 @@ func (c *combiner) combineICmp(b *ir.Block, idx *int, in *ir.Instr) ir.Value {
 	// Constant on the LHS: swap.
 	if _, ok := mConst(x); ok {
 		if _, yc := mConst(y); !yc {
-			in.Args[0], in.Args[1] = y, x
-			in.Pred = in.Pred.Swapped()
-			c.mutated = true
+			c.swapOperands(in)
 			return nil
 		}
 	}

@@ -29,7 +29,7 @@ func TestStepAtFalseLeavesFunctionUntouched(t *testing.T) {
 			instrs := layout(f)
 			for bi := range f.Blocks {
 				for ii := range f.Blocks[bi].Instrs {
-					if instcombine.StepAt(f, bi, ii) {
+					if instcombine.StepAt(f, bi, ii, true) {
 						continue states
 					}
 					probes++
@@ -48,7 +48,7 @@ func TestStepAtFalseLeavesFunctionUntouched(t *testing.T) {
 				}
 			}
 			// Fixpoint: no position fires.
-			if !instcombine.ForwardLoadsStep(f) && !instcombine.RemoveDeadAllocasStep(f) {
+			if !instcombine.ForwardLoadsStep(f, true) && !instcombine.RemoveDeadAllocasStep(f, true) {
 				break
 			}
 		}
@@ -80,13 +80,13 @@ func TestStepFirstIsTheFirstFiringStepAt(t *testing.T) {
 			for bi := range g.Blocks {
 				for ii := range g.Blocks[bi].Instrs {
 					// Probe on a throwaway copy, as Sites used to.
-					if instcombine.StepAt(ir.CloneFunc(g), bi, ii) {
-						want = instcombine.StepAt(g, bi, ii)
+					if instcombine.StepAt(ir.CloneFunc(g), bi, ii, true) {
+						want = instcombine.StepAt(g, bi, ii, true)
 						break scan
 					}
 				}
 			}
-			if got := instcombine.StepFirst(f); got != want {
+			if got := instcombine.StepFirst(f, true); got != want {
 				t.Fatalf("%s: StepFirst = %v, first firing StepAt = %v", s.Name, got, want)
 			}
 			if ir.FuncString(f) != ir.FuncString(g) {

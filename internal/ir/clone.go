@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -172,17 +173,11 @@ func RemoveInstr(in *Instr) {
 
 // hasSideEffects reports whether removing the instruction could change
 // observable behaviour (stores, calls, terminators, and
-// possibly-trapping division).
-func hasSideEffects(in *Instr, m *Module) bool {
+// possibly-trapping division). Every call counts, a readnone callee's
+// too: alive and interp both observe each call as an event.
+func hasSideEffects(in *Instr) bool {
 	switch in.Op {
-	case OpStore, OpRet, OpBr, OpCondBr, OpUnreachable:
-		return true
-	case OpCall:
-		if m != nil {
-			if d := m.decl(in.Callee); d != nil && d.readNone {
-				return false
-			}
-		}
+	case OpStore, OpRet, OpBr, OpCondBr, OpUnreachable, OpCall:
 		return true
 	}
 	if in.Op.IsDivRem() {
@@ -204,7 +199,7 @@ func hasSideEffects(in *Instr, m *Module) bool {
 
 // DeadCodeElim removes unused side-effect-free instructions until a
 // fixpoint, returning the number removed.
-func DeadCodeElim(f *Function, m *Module) int {
+func DeadCodeElim(f *Function) int {
 	removed := 0
 	used := make(map[*Instr]struct{}, f.NumInstrs())
 	for {
@@ -226,7 +221,7 @@ func DeadCodeElim(f *Function, m *Module) int {
 			if !in.HasResult() {
 				return
 			}
-			if _, ok := used[in]; !ok && !hasSideEffects(in, m) {
+			if _, ok := used[in]; !ok && !hasSideEffects(in) {
 				dead = append(dead, in)
 			}
 		})
@@ -238,6 +233,37 @@ func DeadCodeElim(f *Function, m *Module) int {
 			removed++
 		}
 	}
+}
+
+// HasDeadCode reports whether DeadCodeElim would remove anything from
+// f, which it only reads, allocating nothing.
+func HasDeadCode(f *Function) bool {
+	for bi, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.HasResult() && !hasSideEffects(in) && !used(f, bi, in) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// used reports whether anything in f names def, which sits in block
+// bi: the search starts there, where most uses are, and wraps around.
+func used(f *Function, bi int, def *Instr) bool {
+	for k := range f.Blocks {
+		for _, in := range f.Blocks[(bi+k)%len(f.Blocks)].Instrs {
+			if slices.Contains(in.Args, Value(def)) {
+				return true
+			}
+			for _, inc := range in.Incs {
+				if inc.Val == Value(def) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // FingerprintText strips whitespace variations from IR text so that

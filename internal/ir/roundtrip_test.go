@@ -458,24 +458,49 @@ c:
 	}
 }
 
+// TestDeadCodeElim: unused pure instructions go, and what could be
+// observed stays — a division that may trap, and every call, a
+// readnone callee's too (alive and interp both see each call).
 func TestDeadCodeElim(t *testing.T) {
-	src := `define i32 @f(i32 noundef %0) {
+	cases := []struct {
+		name, src string
+		removed   int
+	}{
+		{"dead div by zero stays", `define i32 @f(i32 noundef %0) {
   %2 = add i32 %0, 1
   %3 = mul i32 %2, 2
   %4 = sdiv i32 %0, 0
   ret i32 %0
 }
-`
-	f, err := ParseFunc(src)
-	if err != nil {
-		t.Fatal(err)
+`, 2},
+		{"unused readnone call stays", `declare i32 @pure(i32) readnone
+
+define i32 @f(i32 noundef %0) {
+  %2 = call i32 @pure(i32 %0)
+  %3 = add i32 %0, 1
+  ret i32 %0
+}
+`, 1},
 	}
-	n := DeadCodeElim(f, nil)
-	if n != 2 {
-		t.Errorf("removed %d instructions, want 2 (dead div by zero must stay)", n)
-	}
-	if f.NumInstrs() != 2 {
-		t.Errorf("remaining instrs = %d, want 2", f.NumInstrs())
+	for _, tc := range cases {
+		m, err := Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		f := m.Funcs[len(m.Funcs)-1]
+		instrs := f.NumInstrs()
+		if !HasDeadCode(f) {
+			t.Errorf("%s: HasDeadCode is false before DeadCodeElim", tc.name)
+		}
+		if n := DeadCodeElim(f); n != tc.removed {
+			t.Errorf("%s: removed %d instructions, want %d", tc.name, n, tc.removed)
+		}
+		if got := f.NumInstrs(); got != instrs-tc.removed {
+			t.Errorf("%s: %d instructions remain, want %d", tc.name, got, instrs-tc.removed)
+		}
+		if HasDeadCode(f) {
+			t.Errorf("%s: HasDeadCode is true after DeadCodeElim", tc.name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"math/rand"
+	"slices"
 
 	"veriopt/internal/ir"
 )
@@ -122,7 +123,7 @@ func pruneUnreachable(f *ir.Function) bool {
 			}
 		}
 	}
-	ir.DeadCodeElim(f, nil)
+	ir.DeadCodeElim(f)
 	return true
 }
 
@@ -136,19 +137,37 @@ func findMergePair(f *ir.Function) (mergePair, bool) {
 	if len(f.Blocks) < 2 {
 		return mergePair{}, false
 	}
-	cfg := ir.NewCFG(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
 		c := t.Succs[0]
-		if c == f.Entry() || c == b || len(cfg.Preds(cfg.Index(c))) != 1 {
+		if c == f.Entry() || c == b || predEdges(f, c) != 1 {
 			continue
 		}
 		return mergePair{b, c}, true
 	}
 	return mergePair{}, false
+}
+
+// predEdges counts the edges into b from f's blocks, one per edge, as
+// ir.CFG's Preds does (none for a block not in f), without building
+// the analysis: a finder that answers no allocates nothing.
+func predEdges(f *ir.Function, b *ir.Block) int {
+	n, in := 0, false
+	for _, x := range f.Blocks {
+		in = in || x == b
+		for _, s := range x.Succs() {
+			if s == b {
+				n++
+			}
+		}
+	}
+	if !in {
+		return 0
+	}
+	return n
 }
 
 // mergeBlocks splices a single-predecessor successor into its
@@ -207,14 +226,13 @@ func findDiamond(f *ir.Function) (diamond, bool) {
 	if len(f.Blocks) < 2 {
 		return diamond{}, false
 	}
-	cfg := ir.NewCFG(f)
 	for _, h := range f.Blocks {
 		t := h.Term()
 		if t == nil || t.Op != ir.OpCondBr {
 			continue
 		}
 		a, b := t.Succs[0], t.Succs[1]
-		join, la, lb := diamondJoin(h, a, b, &cfg)
+		join, la, lb := diamondJoin(f, h, a, b)
 		if join == nil {
 			continue
 		}
@@ -236,10 +254,10 @@ func findDiamond(f *ir.Function) (diamond, bool) {
 // shared join block; each arm is either the join itself (empty arm)
 // or a single block that unconditionally branches to the join and has
 // one predecessor.
-func diamondJoin(h, a, b *ir.Block, cfg *ir.CFG) (join, armA, armB *ir.Block) {
+func diamondJoin(f *ir.Function, h, a, b *ir.Block) (join, armA, armB *ir.Block) {
 	armTarget := func(x *ir.Block) (*ir.Block, *ir.Block) {
 		// Returns (join candidate, arm block or nil).
-		if t := x.Term(); t != nil && t.Op == ir.OpBr && len(cfg.Preds(cfg.Index(x))) == 1 && x != h {
+		if t := x.Term(); t != nil && t.Op == ir.OpBr && predEdges(f, x) == 1 && x != h {
 			return t.Succs[0], x
 		}
 		return x, nil
@@ -253,7 +271,7 @@ func diamondJoin(h, a, b *ir.Block, cfg *ir.CFG) (join, armA, armB *ir.Block) {
 		return nil, nil, nil
 	}
 	// The join must have exactly the two arm predecessors.
-	if len(cfg.Preds(cfg.Index(ja))) != 2 {
+	if predEdges(f, ja) != 2 {
 		return nil, nil, nil
 	}
 	return ja, la, lb
@@ -349,78 +367,113 @@ type promotion struct {
 
 // findPromotable locates a non-escaping alloca with exactly one store
 // whose block dominates every load (and precedes them within its own
-// block).
+// block), trying the allocas in the order of their first load or
+// store.
 func findPromotable(f *ir.Function) (promotion, bool) {
-	type info struct {
-		stores []*ir.Instr
-		loads  []*ir.Instr
-		escape bool
-	}
-	infos := map[*ir.Instr]*info{}
-	// order fixes the candidate scan order (map iteration would make
-	// the promoted alloca vary run to run).
-	var order []*ir.Instr
-	get := func(a *ir.Instr) *info {
-		if infos[a] == nil {
-			infos[a] = &info{}
-			order = append(order, a)
-		}
-		return infos[a]
-	}
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		switch in.Op {
-		case ir.OpLoad:
-			if a, ok := in.Args[0].(*ir.Instr); ok && a.Op == ir.OpAlloca {
-				get(a).loads = append(get(a).loads, in)
-				return
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			a := accessedAlloca(in)
+			if a == nil || firstAccess(f, a) != in {
+				continue
 			}
-		case ir.OpStore:
-			if a, ok := in.Args[1].(*ir.Instr); ok && a.Op == ir.OpAlloca {
-				st := get(a)
-				st.stores = append(st.stores, in)
+			if st := singleStore(f, a); st != nil && storeReachesLoads(f, a, st) {
+				var loads []*ir.Instr
+				f.ForEachInstr(func(_ *ir.Block, ld *ir.Instr) {
+					if ld.Op == ir.OpLoad && ld.Args[0] == ir.Value(a) {
+						loads = append(loads, ld)
+					}
+				})
+				return promotion{alloca: a, store: st, loads: loads}, true
 			}
-			if a, ok := in.Args[0].(*ir.Instr); ok && a.Op == ir.OpAlloca {
-				get(a).escape = true
-			}
-			return
-		}
-		for _, arg := range in.Args {
-			if a, ok := arg.(*ir.Instr); ok && a.Op == ir.OpAlloca && in.Op != ir.OpLoad {
-				get(a).escape = true
-			}
-		}
-	})
-	cfg := ir.NewCFG(f)
-	pos := map[*ir.Instr]int{}
-	i := 0
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) { pos[in] = i; i++ })
-	for _, a := range order {
-		inf := infos[a]
-		if inf.escape || len(inf.stores) != 1 || len(inf.loads) == 0 {
-			continue
-		}
-		st := inf.stores[0]
-		ok := true
-		for _, ld := range inf.loads {
-			if st.Parent == ld.Parent {
-				if pos[st] > pos[ld] {
-					ok = false
-					break
-				}
-			} else if !cfg.Dominates(cfg.Index(st.Parent), cfg.Index(ld.Parent)) {
-				ok = false
-				break
-			}
-			if !ld.Ty.Equal(st.Args[0].Type()) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return promotion{alloca: a, store: st, loads: inf.loads}, true
 		}
 	}
 	return promotion{}, false
+}
+
+// accessedAlloca returns the alloca a load reads or a store writes, or
+// nil.
+func accessedAlloca(in *ir.Instr) *ir.Instr {
+	var p ir.Value
+	switch in.Op {
+	case ir.OpLoad:
+		p = in.Args[0]
+	case ir.OpStore:
+		p = in.Args[1]
+	}
+	if a, ok := p.(*ir.Instr); ok && a.Op == ir.OpAlloca {
+		return a
+	}
+	return nil
+}
+
+// firstAccess returns the first load or store of a in layout order.
+func firstAccess(f *ir.Function, a *ir.Instr) *ir.Instr {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if accessedAlloca(in) == a {
+				return in
+			}
+		}
+	}
+	return nil
+}
+
+// singleStore returns the one store to alloca a when a is loaded and
+// never escapes (an operand of anything but a load's address or a
+// store's pointer); nil otherwise.
+func singleStore(f *ir.Function, a *ir.Instr) *ir.Instr {
+	var store *ir.Instr
+	loads, stores := 0, 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op == ir.OpStore && in.Args[0] == ir.Value(a),
+				in.Op != ir.OpLoad && in.Op != ir.OpStore && slices.Contains(in.Args, ir.Value(a)):
+				return nil
+			case in.Op == ir.OpLoad && in.Args[0] == ir.Value(a):
+				loads++
+			case in.Op == ir.OpStore && in.Args[1] == ir.Value(a):
+				store = in
+				stores++
+			}
+		}
+	}
+	if loads == 0 || stores != 1 {
+		return nil
+	}
+	return store
+}
+
+// storeReachesLoads reports whether st, the one store to alloca a,
+// comes before every load of a in its own block and dominates the
+// blocks of the others, each load reading the stored type. The
+// dominator analysis is built only for a load outside st's block.
+func storeReachesLoads(f *ir.Function, a, st *ir.Instr) bool {
+	var cfg ir.CFG
+	built := false
+	for _, b := range f.Blocks {
+		for _, ld := range b.Instrs {
+			if ld.Op != ir.OpLoad || ld.Args[0] != ir.Value(a) {
+				continue
+			}
+			if b == st.Parent {
+				if slices.Index(b.Instrs, st) > slices.Index(b.Instrs, ld) {
+					return false
+				}
+			} else {
+				if !built {
+					cfg, built = ir.NewCFG(f), true
+				}
+				if !cfg.Dominates(cfg.Index(st.Parent), cfg.Index(b)) {
+					return false
+				}
+			}
+			if !ld.Ty.Equal(st.Args[0].Type()) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // promoteAlloca replaces every load of a single-store dominating

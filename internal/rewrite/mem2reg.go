@@ -3,6 +3,7 @@ package rewrite
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"veriopt/internal/ir"
 )
@@ -16,8 +17,8 @@ import (
 //
 // It promotes on a copy and moves the result into f only once it
 // verifies, so the rule is safe to expose as a policy action and false
-// leaves f untouched, every instruction where it was: seqopt's search
-// goes on offering the same function to its next pass.
+// leaves f untouched, every instruction where it was. That copy is the
+// one a rule makes: its finder, promotableAllocas, reads f only.
 func mem2reg(f *ir.Function, _ []*ir.Instr, _ *rand.Rand) bool {
 	g := ir.CloneFunc(f)
 	p := &promoter{
@@ -55,74 +56,52 @@ type promoter struct {
 
 // promotableAllocas finds non-escaping allocas whose loads and stores
 // all agree with the allocated element type and that are loaded at
-// least once.
+// least once, in layout order; it allocates only for one it finds.
 func promotableAllocas(f *ir.Function) ([]*ir.Instr, bool) {
-	type usage struct {
-		loads, stores int
-		consistent    bool
-		escaped       bool
-	}
-	u := map[*ir.Instr]*usage{}
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		if in.Op == ir.OpAlloca {
-			u[in] = &usage{consistent: true}
-		}
-	})
-	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		mark := func(v ir.Value, safe bool, width ir.Type) {
-			a, ok := v.(*ir.Instr)
-			if !ok || a.Op != ir.OpAlloca {
-				return
-			}
-			info, tracked := u[a]
-			if !tracked {
-				return
-			}
-			if !safe {
-				info.escaped = true
-				return
-			}
-			if width != nil && !width.Equal(a.AllocTy) {
-				info.consistent = false
-			}
-		}
-		switch in.Op {
-		case ir.OpLoad:
-			mark(in.Args[0], true, in.Ty)
-			if a, ok := in.Args[0].(*ir.Instr); ok && a.Op == ir.OpAlloca {
-				if info := u[a]; info != nil {
-					info.loads++
-				}
-			}
-		case ir.OpStore:
-			mark(in.Args[1], true, in.Args[0].Type())
-			mark(in.Args[0], false, nil) // address stored somewhere
-			if a, ok := in.Args[1].(*ir.Instr); ok && a.Op == ir.OpAlloca {
-				if info := u[a]; info != nil {
-					info.stores++
-				}
-			}
-		default:
-			for _, arg := range in.Args {
-				mark(arg, false, nil)
-			}
-			for _, inc := range in.Incs {
-				mark(inc.Val, false, nil)
-			}
-		}
-	})
 	var out []*ir.Instr
-	// Deterministic order: layout order of the allocas.
 	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		if in.Op != ir.OpAlloca {
-			return
-		}
-		info := u[in]
-		if info != nil && !info.escaped && info.consistent && info.loads > 0 {
+		if in.Op == ir.OpAlloca && promotable(f, in) {
 			out = append(out, in)
 		}
 	})
 	return out, len(out) > 0
+}
+
+// promotable reports whether alloca a is loaded, only ever as its
+// allocated type, and otherwise only stored to as that type: no other
+// use of its address.
+func promotable(f *ir.Function, a *ir.Instr) bool {
+	loaded := false
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpLoad:
+				if in.Args[0] == ir.Value(a) {
+					if !in.Ty.Equal(a.AllocTy) {
+						return false
+					}
+					loaded = true
+				}
+			case ir.OpStore:
+				if in.Args[0] == ir.Value(a) { // the address stored somewhere
+					return false
+				}
+				if in.Args[1] == ir.Value(a) && !in.Args[0].Type().Equal(a.AllocTy) {
+					return false
+				}
+			default:
+				if slices.Contains(in.Args, ir.Value(a)) {
+					return false
+				}
+				for _, inc := range in.Incs {
+					if inc.Val == ir.Value(a) {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return loaded
 }
 
 func (p *promoter) run(allocas []*ir.Instr) {
@@ -211,6 +190,13 @@ func (p *promoter) run(allocas []*ir.Instr) {
 func (p *promoter) readVar(a *ir.Instr, b *ir.Block) ir.Value {
 	key := promKey{a, b}
 	if v, ok := p.blockIn[key]; ok {
+		if v == nil {
+			// Back round a cycle of single-predecessor blocks with no
+			// store on it (only the entry or unreachable blocks can
+			// close one): a is never set there.
+			v = &ir.Undef{Ty: a.AllocTy}
+			p.blockIn[key] = v
+		}
 		return v
 	}
 	// Value flowing out of a predecessor: the last store in it, else
@@ -235,6 +221,7 @@ func (p *promoter) readVar(a *ir.Instr, b *ir.Block) ir.Value {
 		p.blockIn[key] = v
 		return v
 	case 1:
+		p.blockIn[key] = nil // on the way round, see above
 		v := outOf(p.f.Blocks[preds[0]])
 		p.blockIn[key] = v
 		return v

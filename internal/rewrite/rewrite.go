@@ -108,11 +108,12 @@ func peephole(name string, kind Kind, pred func(*ir.Instr) bool, rewrite func(*i
 
 // stepRule declares a sound rule as one of instcombine's steps, which
 // find and rewrite in one walk and leave f untouched when they report
-// false: applicable when the step changes a copy of the function.
-func stepRule(name string, step func(*ir.Function) bool) *Rule {
+// false. With act false the step is its own finder, which fires exactly
+// when acting would and reads f only: applicable copies nothing.
+func stepRule(name string, step func(f *ir.Function, act bool) bool) *Rule {
 	return &Rule{Name: name, Kind: KindSound,
-		applicable: func(f *ir.Function) bool { return step(ir.CloneFunc(f)) },
-		apply:      func(f *ir.Function, _ *rand.Rand) bool { return step(f) }}
+		applicable: func(f *ir.Function) bool { return step(f, false) },
+		apply:      func(f *ir.Function, _ *rand.Rand) bool { return step(f, true) }}
 }
 
 // corruption declares a text-level damage rule.
@@ -260,7 +261,7 @@ func Unsound() []*Rule {
 			},
 			func(f *ir.Function, in *ir.Instr, _ *rand.Rand) {
 				ir.ReplaceAllUses(f, in, ir.NewConst(ir.I1, 1))
-				ir.DeadCodeElim(f, nil)
+				ir.DeadCodeElim(f)
 			}),
 		// sub X, Y "commutes" — flat wrong.
 		peephole("unsound-sub-commute", KindUnsound,

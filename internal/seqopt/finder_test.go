@@ -6,19 +6,11 @@ import (
 	"slices"
 	"testing"
 
+	"veriopt/internal/dataset"
 	"veriopt/internal/instcombine"
 	"veriopt/internal/ir"
 	"veriopt/internal/rewrite"
 )
-
-// passFinds is a pass's answer to "do you fire here?", asked of f.
-func passFinds(p *Pass, f *ir.Function) bool {
-	_, changed := p.Apply(f)
-	return changed
-}
-
-// runInPlaceFinds is instcombine.RunInPlace's answer, asked of f.
-func runInPlaceFinds(f *ir.Function) bool { return instcombine.RunInPlace(ir.CloneFunc(f)) }
 
 // exactRules and exactPasses answer exactly when acting fires: they
 // are instcombine's steps. Every other finder may say yes where its
@@ -31,9 +23,10 @@ var (
 // checkFinders holds every non-corrupt rule and every pass to its
 // finder on f: the finder says yes whenever acting on a copy fires,
 // instcombine's steps and RunInPlace say yes exactly then, and asking
-// leaves f's text and instruction objects as they were. It reports how
-// many answers were no.
-func checkFinders(t testing.TB, what string, f *ir.Function) (noes int) {
+// leaves f's text and instruction objects as they were. With allocs
+// set, a finder that says no must also have allocated nothing. It
+// reports how many answers were no.
+func checkFinders(t testing.TB, what string, f *ir.Function, allocs bool) (noes int) {
 	t.Helper()
 	text, instrs := ir.FuncString(f), layout(f)
 	probe := func(who string, find func(*ir.Function) bool) bool {
@@ -45,10 +38,16 @@ func checkFinders(t testing.TB, what string, f *ir.Function) (noes int) {
 		if !slices.Equal(layout(f), instrs) {
 			t.Fatalf("%s: asking %s moved or replaced an instruction", what, who)
 		}
-		if !ok {
-			noes++
+		if ok {
+			return true
 		}
-		return ok
+		noes++
+		if allocs {
+			if n := testing.AllocsPerRun(2, func() { find(f) }); n != 0 {
+				t.Fatalf("%s: %s's finder says no after %v allocations:\n%s", what, who, n, text)
+			}
+		}
+		return false
 	}
 	for _, r := range rewrite.All() {
 		if r.Kind == rewrite.KindCorrupt {
@@ -64,19 +63,17 @@ func checkFinders(t testing.TB, what string, f *ir.Function) (noes int) {
 		}
 	}
 	for _, p := range registry() {
-		ok := probe(p.name, func(g *ir.Function) bool { return passFinds(p, g) })
-		_, changed := p.Apply(f)
-		if changed && !ok {
-			t.Fatalf("%s: pass %s changes the function but its finder says no:\n%s", what, p.name, text)
+		ok := probe(p.name, p.find)
+		fired := p.run(ir.CloneFunc(f))
+		if fired && !ok {
+			t.Fatalf("%s: pass %s fires but its finder says no:\n%s", what, p.name, text)
 		}
-		if exactPasses[p.name] {
-			if fired := p.run(ir.CloneFunc(f)); ok != fired {
-				t.Fatalf("%s: pass %s's finder says %v, running it fires %v:\n%s", what, p.name, ok, fired, text)
-			}
+		if exactPasses[p.name] && ok != fired {
+			t.Fatalf("%s: pass %s's finder says %v, running it fires %v:\n%s", what, p.name, ok, fired, text)
 		}
 	}
-	ok := probe("RunInPlace", runInPlaceFinds)
-	if fired := instcombine.RunInPlace(ir.CloneFunc(f)); ok != fired {
+	ok := probe("RunInPlace", func(g *ir.Function) bool { return instcombine.RunInPlace(g, false) })
+	if fired := instcombine.RunInPlace(ir.CloneFunc(f), true); ok != fired {
 		t.Fatalf("%s: RunInPlace's finder says %v, running it fires %v:\n%s", what, ok, fired, text)
 	}
 	return noes
@@ -84,7 +81,8 @@ func checkFinders(t testing.TB, what string, f *ir.Function) (noes int) {
 
 // TestFindersAgreeWithApply walks the registry down from every O0
 // function of the slice, as TestInPlaceFalseLeavesFunctionUntouched
-// does, and holds every rule and pass to its finder on each state.
+// does, and holds every rule and pass to its finder on each state, a
+// finder that says no to allocating nothing.
 func TestFindersAgreeWithApply(t *testing.T) {
 	noes := 0
 	for _, s := range familySlice(t, 2) {
@@ -95,10 +93,36 @@ func TestFindersAgreeWithApply(t *testing.T) {
 			}
 		}
 		for i, st := range states {
-			noes += checkFinders(t, fmt.Sprintf("%s state %d", s.Name, i), st)
+			noes += checkFinders(t, fmt.Sprintf("%s state %d", s.Name, i), st, true)
 		}
 	}
 	if noes < 1000 {
 		t.Errorf("only %d finders answered no; the corpus no longer exercises them", noes)
 	}
+}
+
+// FuzzFinderAgreesWithApply holds every rule and pass to its finder, as
+// TestFindersAgreeWithApply does, on any text that parses and verifies.
+// It is seeded with the corpus's O0 functions and what the unsound
+// rules make of them.
+func FuzzFinderAgreesWithApply(f *testing.F) {
+	samples, err := dataset.Generate(dataset.Config{Seed: 7, N: datasetTemplates, SkipVerify: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range samples {
+		f.Add(s.O0Text)
+		for i, r := range rewrite.Unsound() {
+			if g := ir.CloneFunc(s.O0); r.Apply(g, rand.New(rand.NewSource(int64(i)))) {
+				f.Add(ir.FuncString(g))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		fn, err := ir.ParseFunc(text)
+		if err != nil || ir.VerifyFunc(fn) != nil {
+			return
+		}
+		checkFinders(t, "input", fn, false)
+	})
 }

@@ -44,11 +44,11 @@ func layout(f *ir.Function) []*ir.Instr {
 	return out
 }
 
-// TestInPlaceFalseLeavesFunctionUntouched is the contract expand's
-// shared working copy stands on, for every pass the registry holds —
-// none is skipped, so a new pass is under it the day it is appended: a
-// run that reports false has changed nothing, not the text and not
-// which instruction object sits where. Each pass is probed on the O0
+// TestInPlaceFalseLeavesFunctionUntouched holds every pass the registry
+// holds — none is skipped, so a new pass is under it the day it is
+// appended — to the in-place contract of the steps and rules it is made
+// of: a run that reports false has changed nothing, not the text and
+// not which instruction object sits where. Each pass is probed on the O0
 // function and on every state a walk through the registry passes on
 // the way down from it.
 func TestInPlaceFalseLeavesFunctionUntouched(t *testing.T) {
@@ -157,13 +157,13 @@ j:
 	}
 }
 
-// refExpand is expand as it was before the shared working copy: every
-// pass gets its own clone of the state through Apply.
+// refExpand is expand without finders: every pass runs on its own
+// clone of the state.
 func refExpand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult) []*state {
 	var out []*state
 	for _, p := range Registry() {
-		g, changed := p.Apply(st.fn)
-		if !changed {
+		g := ir.CloneFunc(st.fn)
+		if !p.run(g) {
 			continue
 		}
 		key := ir.CanonicalKey(g)
@@ -226,8 +226,9 @@ func outcomeOf(r *SearchResult) outcome {
 	return outcome{r.Sequence, ir.CanonicalText(r.Fn), r.Base, r.Best, r.States, r.Queries}
 }
 
-// TestSearchMatchesPerPassApply: sharing one working copy among the
-// passes of an expansion changes nothing a search reports.
+// TestSearchMatchesPerPassApply: asking each pass's finder first, and
+// copying a state only for a pass that fires, changes nothing a search
+// reports.
 func TestSearchMatchesPerPassApply(t *testing.T) {
 	samples := familySlice(t, 1)
 	ctx := context.Background()

@@ -76,27 +76,18 @@ func better(a, b *state) bool {
 
 // expand applies every pass to st, verifies each unseen result
 // against the search input f0, and returns the verified children in
-// registry order. seen dedupes states across the whole search.
-//
-// The passes share one working copy of st.fn: a pass that does not
-// fire leaves it untouched (Pass.run), so it is offered to the next;
-// a pass that fires keeps it as its result, and the next pass gets a
-// new one.
+// registry order. seen dedupes states across the whole search. A state
+// is copied only for a pass whose finder fires on it.
 func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult) ([]*state, error) {
 	var out []*state
-	var work *ir.Function
 	for _, p := range registry() {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		if work == nil {
-			work = ir.CloneFunc(st.fn)
-		}
-		if !p.run(work) {
+		g, changed := p.try(st.fn)
+		if !changed {
 			continue
 		}
-		g := work
-		work = nil
 		key := ir.CanonicalKey(g)
 		if seen[key] {
 			continue

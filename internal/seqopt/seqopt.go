@@ -10,9 +10,9 @@
 //     transformations with stable names — instcombine rule subsets,
 //     the full instcombine reference pipeline, and the
 //     simplifycfg/mem2reg-flavoured passes from internal/rewrite —
-//     each applied to fixpoint on a clone and renumbered into
-//     canonical form so structurally identical states print (and
-//     therefore cache) identically.
+//     each asked first whether it fires, then applied to fixpoint on a
+//     clone and renumbered into canonical form so structurally
+//     identical states print (and therefore cache) identically.
 //
 //   - Search baselines (Greedy, Beam): classic phase-ordering search
 //     over the registry where every explored state is admitted only
@@ -43,88 +43,106 @@ import (
 // sequence action space. Passes come from Registry.
 type Pass struct {
 	name string
-	// Apply returns a transformed copy of f and whether anything
-	// changed. The input is never mutated; a changed output is
-	// renumbered into canonical form. Apply is deterministic: the same
-	// input always yields the same output.
-	Apply func(f *ir.Function) (*ir.Function, bool)
-	// run is Apply without the copy: it takes g itself to the pass's
-	// fixpoint, renumbers it if that changed anything, and reports
-	// whether it did. False leaves g untouched — same text, same
-	// instruction objects in the same slots — so expand can offer one
-	// copy of a state to pass after pass
-	// (TestInPlaceFalseLeavesFunctionUntouched).
-	run func(g *ir.Function) bool
+	// find reports whether run would change f, which it only reads; a
+	// finder that answers no allocates nothing. A rule pass's finder is
+	// its rule's Applicable, which may say yes where the rule then
+	// declines (mem2reg promotes on a copy and keeps it only if it
+	// verifies); instcombine's steps say yes exactly when they fire.
+	find func(f *ir.Function) bool
+	// fix rewrites g in place to the pass's fixpoint and reports
+	// whether it changed anything, leaving g untouched if not.
+	fix func(g *ir.Function) bool
+	// confirm makes Apply test a change against its input: instcombine's
+	// driver counts rule firings, and a run of them can end structurally
+	// where it began. expand needs no such test: a result structurally
+	// equal to the state it came from has that state's key, which is
+	// seen.
+	confirm bool
+}
+
+// Apply returns a transformed copy of f and whether anything changed.
+// The input is never mutated, and is copied only when the pass's
+// finder fires; a changed output is renumbered into canonical form.
+// Apply is deterministic: the same input always yields the same output.
+func (p *Pass) Apply(f *ir.Function) (*ir.Function, bool) {
+	g, changed := p.try(f)
+	if changed && p.confirm && ir.FuncsStructurallyEqual(f, g) {
+		return f, false
+	}
+	return g, changed
+}
+
+// try is Apply without the confirm: a copy of f run through the pass,
+// made only when the finder says it fires.
+func (p *Pass) try(f *ir.Function) (*ir.Function, bool) {
+	if !p.find(f) {
+		return f, false
+	}
+	if g := ir.CloneFunc(f); p.run(g) {
+		return g, true
+	}
+	return f, false
+}
+
+// run takes g itself to the pass's fixpoint, renumbers it if that
+// changed anything, and reports whether it did. False leaves g
+// untouched — same text, same instruction objects in the same slots
+// (TestInPlaceFalseLeavesFunctionUntouched).
+func (p *Pass) run(g *ir.Function) bool {
+	changed := p.fix(g)
+	if changed {
+		ir.RenumberFunc(g)
+	}
+	return changed
 }
 
 // maxFixpointIters caps per-pass fixpoint iteration, mirroring
 // instcombine's own safety cap.
 const maxFixpointIters = 64
 
-// newPass builds a Pass from fix, which rewrites a function in place
-// to the pass's fixpoint and reports whether it changed anything,
-// leaving it untouched if not.
-func newPass(name string, fix func(*ir.Function) bool) *Pass {
-	p := &Pass{name: name}
-	p.run = func(g *ir.Function) bool {
-		changed := fix(g)
-		if changed {
-			ir.RenumberFunc(g)
-		}
-		return changed
-	}
-	p.Apply = func(f *ir.Function) (*ir.Function, bool) {
-		if g := ir.CloneFunc(f); p.run(g) {
-			return g, true
-		}
-		return f, false
-	}
-	return p
-}
-
-// fixpointPass lifts a single mutating step into a Pass: apply the
-// step until it stops firing.
-func fixpointPass(name string, step func(*ir.Function) bool) *Pass {
-	return newPass(name, func(g *ir.Function) bool {
+// fixpointPass lifts a single mutating step and its finder into a
+// Pass: apply the step until it stops firing.
+func fixpointPass(name string, find, step func(*ir.Function) bool) *Pass {
+	return &Pass{name: name, find: find, fix: func(g *ir.Function) bool {
 		changed := false
 		for i := 0; i < maxFixpointIters && step(g); i++ {
 			changed = true
 		}
 		return changed
-	})
+	}}
+}
+
+// stepPass lifts one of instcombine's steps, which is its own finder
+// with act false, into a fixpoint Pass.
+func stepPass(name string, step func(f *ir.Function, act bool) bool) *Pass {
+	return fixpointPass(name,
+		func(f *ir.Function) bool { return step(f, false) },
+		func(g *ir.Function) bool { return step(g, true) })
 }
 
 // instcombinePass wraps the full reference pipeline (the corpus
-// labeler) as one action. Its driver counts rule firings, and a run of
-// them can end structurally where it began, so Apply confirms a change
-// against its input. expand needs no such test: a result structurally
-// equal to the state it came from has that state's key, which is seen.
+// labeler) as one action, confirmed against its input.
 func instcombinePass() *Pass {
-	p := newPass("instcombine", instcombine.RunInPlace)
-	apply := p.Apply
-	p.Apply = func(f *ir.Function) (*ir.Function, bool) {
-		if g, changed := apply(f); changed && !ir.FuncsStructurallyEqual(f, g) {
-			return g, true
-		}
-		return f, false
-	}
-	return p
+	return &Pass{name: "instcombine", confirm: true,
+		find: func(f *ir.Function) bool { return instcombine.RunInPlace(f, false) },
+		fix:  func(g *ir.Function) bool { return instcombine.RunInPlace(g, true) }}
 }
 
 // rulePass lifts one of internal/rewrite's sound beyond-instcombine
-// rules (simplifycfg/mem2reg-flavoured) into a fixpoint Pass. Those
-// rules ignore their RNG parameter, so the lift stays deterministic.
+// rules (simplifycfg/mem2reg-flavoured) into a fixpoint Pass found by
+// the rule's Applicable. Those rules ignore their RNG parameter, so the
+// lift stays deterministic.
 func rulePass(name string, rule *rewrite.Rule) *Pass {
-	return fixpointPass(name, func(f *ir.Function) bool { return rule.Apply(f, nil) })
+	return fixpointPass(name, rule.Applicable, func(g *ir.Function) bool { return rule.Apply(g, nil) })
 }
 
 // registry holds the passes, built once per process: they are
 // stateless, and every search asks for them.
 var registry = sync.OnceValue(func() []*Pass {
 	return []*Pass{
-		fixpointPass("combine", instcombine.StepFirst),
-		fixpointPass("forward-loads", instcombine.ForwardLoadsStep),
-		fixpointPass("drop-dead-allocas", instcombine.RemoveDeadAllocasStep),
+		stepPass("combine", instcombine.StepFirst),
+		stepPass("forward-loads", instcombine.ForwardLoadsStep),
+		stepPass("drop-dead-allocas", instcombine.RemoveDeadAllocasStep),
 		instcombinePass(),
 		rulePass("mem2reg", rewrite.Mem2Reg),
 		rulePass("fold-branches", rewrite.FoldConstBranch),
