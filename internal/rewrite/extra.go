@@ -368,12 +368,12 @@ type promotion struct {
 // findPromotable locates a non-escaping alloca with exactly one store
 // whose block dominates every load (and precedes them within its own
 // block), trying the allocas in the order of their first load or
-// store.
+// store: one asked again at a later access answers no again.
 func findPromotable(f *ir.Function) (promotion, bool) {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			a := accessedAlloca(in)
-			if a == nil || firstAccess(f, a) != in {
+			if a == nil {
 				continue
 			}
 			if st := singleStore(f, a); st != nil && storeReachesLoads(f, a, st) {
@@ -402,18 +402,6 @@ func accessedAlloca(in *ir.Instr) *ir.Instr {
 	}
 	if a, ok := p.(*ir.Instr); ok && a.Op == ir.OpAlloca {
 		return a
-	}
-	return nil
-}
-
-// firstAccess returns the first load or store of a in layout order.
-func firstAccess(f *ir.Function, a *ir.Instr) *ir.Instr {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if accessedAlloca(in) == a {
-				return in
-			}
-		}
 	}
 	return nil
 }

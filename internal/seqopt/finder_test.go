@@ -79,21 +79,68 @@ func checkFinders(t testing.TB, what string, f *ir.Function, allocs bool) (noes 
 	return noes
 }
 
+// finderTexts reach what the corpus's O0 functions never hold: a
+// constant on the left of a commutative operation and of a compare (the
+// combiner's two operand swaps), a branch on a constant, and unused
+// values, of which only the pure one is dead code.
+var finderTexts = []string{`declare i32 @g(i32)
+
+define i32 @unused(i32 noundef %x, i32 noundef %y) {
+  %a = add i32 %x, 1
+  %c = call i32 @g(i32 %x)
+  %d = sdiv i32 %x, %y
+  ret i32 %x
+}
+`, `define i32 @swaps(i32 noundef %x, i32 noundef %y) {
+  %a = add i32 5, %x
+  %c = icmp slt i32 7, %y
+  %s = select i1 %c, i32 %a, i32 %y
+  ret i32 %s
+}
+`, `define i32 @constbr(i32 noundef %x) {
+entry:
+  br i1 true, label %a, label %b
+
+a:
+  %y = add i32 %x, 0
+  br label %j
+
+b:
+  br label %j
+
+j:
+  %p = phi i32 [ %y, %a ], [ 7, %b ]
+  ret i32 %p
+}
+`}
+
 // TestFindersAgreeWithApply walks the registry down from every O0
-// function of the slice, as TestInPlaceFalseLeavesFunctionUntouched
-// does, and holds every rule and pass to its finder on each state, a
-// finder that says no to allocating nothing.
+// function of the slice and from finderTexts, as
+// TestInPlaceFalseLeavesFunctionUntouched does, and holds every rule
+// and pass to its finder on each state, a finder that says no to
+// allocating nothing.
 func TestFindersAgreeWithApply(t *testing.T) {
-	noes := 0
+	var starts []*ir.Function
 	for _, s := range familySlice(t, 2) {
-		states := []*ir.Function{s.O0}
+		starts = append(starts, s.O0)
+	}
+	for _, text := range finderTexts {
+		m, err := ir.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		starts = append(starts, m.Funcs...)
+	}
+	noes := 0
+	for _, f := range starts {
+		states := []*ir.Function{f}
 		for _, q := range registry() {
 			if g, changed := q.Apply(states[len(states)-1]); changed {
 				states = append(states, g)
 			}
 		}
 		for i, st := range states {
-			noes += checkFinders(t, fmt.Sprintf("%s state %d", s.Name, i), st, true)
+			noes += checkFinders(t, fmt.Sprintf("%s state %d", f.NameStr, i), st, true)
 		}
 	}
 	if noes < 1000 {
@@ -103,9 +150,12 @@ func TestFindersAgreeWithApply(t *testing.T) {
 
 // FuzzFinderAgreesWithApply holds every rule and pass to its finder, as
 // TestFindersAgreeWithApply does, on any text that parses and verifies.
-// It is seeded with the corpus's O0 functions and what the unsound
-// rules make of them.
+// It is seeded with finderTexts, the corpus's O0 functions and what the
+// unsound rules make of them.
 func FuzzFinderAgreesWithApply(f *testing.F) {
+	for _, text := range finderTexts {
+		f.Add(text)
+	}
 	samples, err := dataset.Generate(dataset.Config{Seed: 7, N: datasetTemplates, SkipVerify: true})
 	if err != nil {
 		f.Fatal(err)
