@@ -22,8 +22,9 @@ var (
 
 // checkFinders holds every non-corrupt rule and every pass to its
 // finder on f: the finder says yes whenever acting on a copy fires,
-// instcombine's steps and RunInPlace say yes exactly then, and asking
-// leaves f's text and instruction objects as they were. With allocs
+// instcombine's steps and RunInPlace say yes exactly then, asking
+// leaves f's text and instruction objects as they were, and what
+// acting leaves still verifies. With allocs
 // set, a finder that says no must also have allocated nothing. It
 // reports how many answers were no.
 func checkFinders(t testing.TB, what string, f *ir.Function, allocs bool) (noes int) {
@@ -54,9 +55,13 @@ func checkFinders(t testing.TB, what string, f *ir.Function, allocs bool) (noes 
 			continue
 		}
 		ok := probe(r.Name, r.Applicable)
-		fired := r.Apply(ir.CloneFunc(f), rand.New(rand.NewSource(1)))
+		g := ir.CloneFunc(f)
+		fired := r.Apply(g, rand.New(rand.NewSource(1)))
 		if fired && !ok {
 			t.Fatalf("%s: %s fires but its finder says no:\n%s", what, r.Name, text)
+		}
+		if err := ir.VerifyFunc(g); fired && err != nil {
+			t.Fatalf("%s: %s leaves a function that does not verify: %v\n%s", what, r.Name, err, text)
 		}
 		if exactRules[r.Name] && ok != fired {
 			t.Fatalf("%s: %s's finder says %v, acting fires %v:\n%s", what, r.Name, ok, fired, text)
@@ -64,9 +69,13 @@ func checkFinders(t testing.TB, what string, f *ir.Function, allocs bool) (noes 
 	}
 	for _, p := range registry() {
 		ok := probe(p.name, p.find)
-		fired := p.run(ir.CloneFunc(f))
+		g := ir.CloneFunc(f)
+		fired := p.run(g)
 		if fired && !ok {
 			t.Fatalf("%s: pass %s fires but its finder says no:\n%s", what, p.name, text)
+		}
+		if err := ir.VerifyFunc(g); fired && err != nil {
+			t.Fatalf("%s: pass %s leaves a function that does not verify: %v\n%s", what, p.name, err, text)
 		}
 		if exactPasses[p.name] && ok != fired {
 			t.Fatalf("%s: pass %s's finder says %v, running it fires %v:\n%s", what, p.name, ok, fired, text)
@@ -81,8 +90,9 @@ func checkFinders(t testing.TB, what string, f *ir.Function, allocs bool) (noes 
 
 // finderTexts reach what the corpus's O0 functions never hold: a
 // constant on the left of a commutative operation and of a compare (the
-// combiner's two operand swaps), a branch on a constant, and unused
-// values, of which only the pure one is dead code.
+// combiner's two operand swaps), a branch on a constant, unused
+// values, of which only the pure one is dead code, and an alloca's
+// address flowing into a phi, which escapes it.
 var finderTexts = []string{`declare i32 @g(i32)
 
 define i32 @unused(i32 noundef %x, i32 noundef %y) {
@@ -111,6 +121,27 @@ b:
 j:
   %p = phi i32 [ %y, %a ], [ 7, %b ]
   ret i32 %p
+}
+`, `define i32 @phiaddr(i1 noundef %c, i32 noundef %x) {
+entry:
+  %a = alloca i32
+  %b = alloca i32
+  store i32 %x, ptr %a
+  store i32 7, ptr %b
+  br i1 %c, label %l, label %r
+
+l:
+  br label %j
+
+r:
+  br label %j
+
+j:
+  %p = phi ptr [ %a, %l ], [ %b, %r ]
+  %v = load i32, ptr %p
+  %w = load i32, ptr %a
+  %s = add i32 %v, %w
+  ret i32 %s
 }
 `}
 
