@@ -19,8 +19,8 @@ func forwardLoads(f *ir.Function, act bool) bool {
 			if in.Op != ir.OpLoad {
 				continue
 			}
-			a, ok := directAlloca(in.Args[0])
-			if !ok {
+			a := ir.AccessedAlloca(in)
+			if a == nil {
 				continue
 			}
 			v := storedBefore(f, b, i, a)
@@ -50,7 +50,7 @@ func storedBefore(f *ir.Function, b *ir.Block, i int, a *ir.Instr) ir.Value {
 				return in.Args[0]
 			}
 		case ir.OpCall:
-			if escapes(f, a) {
+			if ir.UsesOfAlloca(f, a).Escapes {
 				return nil
 			}
 		}
@@ -67,7 +67,10 @@ func removeDeadAllocas(f *ir.Function, act bool) bool {
 	var dead []*ir.Instr
 	for _, b := range f.Blocks {
 		for _, a := range b.Instrs {
-			if a.Op != ir.OpAlloca || !deadAlloca(f, a) {
+			if a.Op != ir.OpAlloca {
+				continue
+			}
+			if u := ir.UsesOfAlloca(f, a); u.Loads > 0 || u.Stores == 0 || u.Escapes {
 				continue
 			}
 			if !act {
@@ -81,69 +84,12 @@ func removeDeadAllocas(f *ir.Function, act bool) bool {
 	}
 	var stores []*ir.Instr
 	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		if in.Op == ir.OpStore {
-			if a, ok := directAlloca(in.Args[1]); ok && slices.Contains(dead, a) {
-				stores = append(stores, in)
-			}
+		if in.Op == ir.OpStore && slices.Contains(dead, ir.AccessedAlloca(in)) {
+			stores = append(stores, in)
 		}
 	})
 	for _, st := range stores {
 		ir.RemoveInstr(st)
 	}
 	return true
-}
-
-// deadAlloca reports whether a is stored to but never loaded and never
-// escapes.
-func deadAlloca(f *ir.Function, a *ir.Instr) bool {
-	stored := false
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpLoad:
-				if in.Args[0] == ir.Value(a) {
-					return false
-				}
-			case ir.OpStore:
-				stored = stored || in.Args[1] == ir.Value(a)
-			}
-		}
-	}
-	return stored && !escapes(f, a)
-}
-
-// directAlloca returns the alloca a pointer value directly denotes.
-func directAlloca(p ir.Value) (*ir.Instr, bool) {
-	in, ok := p.(*ir.Instr)
-	if !ok || in.Op != ir.OpAlloca {
-		return nil, false
-	}
-	return in, true
-}
-
-// escapes reports whether alloca a's address is used by anything other
-// than a direct load or the pointer operand of a store.
-func escapes(f *ir.Function, a *ir.Instr) bool {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpLoad:
-				// The address operand is a safe use.
-			case ir.OpStore:
-				if in.Args[0] == ir.Value(a) { // storing the address escapes it
-					return true
-				}
-			default:
-				if slices.Contains(in.Args, ir.Value(a)) {
-					return true
-				}
-				for _, inc := range in.Incs {
-					if inc.Val == ir.Value(a) {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
 }

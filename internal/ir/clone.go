@@ -253,17 +253,80 @@ func HasDeadCode(f *Function) bool {
 func used(f *Function, bi int, def *Instr) bool {
 	for k := range f.Blocks {
 		for _, in := range f.Blocks[(bi+k)%len(f.Blocks)].Instrs {
-			if slices.Contains(in.Args, Value(def)) {
+			if names(in, def) {
 				return true
-			}
-			for _, inc := range in.Incs {
-				if inc.Val == Value(def) {
-					return true
-				}
 			}
 		}
 	}
 	return false
+}
+
+// names reports whether v is one of in's operands or phi incomings.
+func names(in *Instr, v Value) bool {
+	if slices.Contains(in.Args, v) {
+		return true
+	}
+	for _, inc := range in.Incs {
+		if inc.Val == v {
+			return true
+		}
+	}
+	return false
+}
+
+// AllocaUses is what a function does with one alloca's address.
+type AllocaUses struct {
+	Loads, Stores int
+	Store         *Instr // the last store to it in layout order; nil when Stores is 0
+	// Escapes is any use but a load's address or a store's pointer: the
+	// stored value, any other instruction's operand, a phi incoming.
+	Escapes bool
+	// Retyped is a load or store of a type other than its AllocTy.
+	Retyped bool
+}
+
+// UsesOfAlloca takes alloca a's census in one walk of f, which it only
+// reads, allocating nothing. It is the one question instcombine's
+// memory cleanups and the promotions ask of an alloca.
+func UsesOfAlloca(f *Function, a *Instr) AllocaUses {
+	var u AllocaUses
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case OpLoad:
+				if in.Args[0] == Value(a) {
+					u.Loads++
+					u.Retyped = u.Retyped || !in.Ty.Equal(a.AllocTy)
+				}
+			case OpStore:
+				u.Escapes = u.Escapes || in.Args[0] == Value(a)
+				if in.Args[1] == Value(a) {
+					u.Stores++
+					u.Store = in
+					u.Retyped = u.Retyped || !in.Args[0].Type().Equal(a.AllocTy)
+				}
+			default:
+				u.Escapes = u.Escapes || names(in, a)
+			}
+		}
+	}
+	return u
+}
+
+// AccessedAlloca returns the alloca a load reads or a store writes, or
+// nil when in is neither or its pointer is not an alloca.
+func AccessedAlloca(in *Instr) *Instr {
+	var p Value
+	switch in.Op {
+	case OpLoad:
+		p = in.Args[0]
+	case OpStore:
+		p = in.Args[1]
+	}
+	if a, ok := p.(*Instr); ok && a.Op == OpAlloca {
+		return a
+	}
+	return nil
 }
 
 // FingerprintText strips whitespace variations from IR text so that

@@ -372,64 +372,24 @@ type promotion struct {
 func findPromotable(f *ir.Function) (promotion, bool) {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			a := accessedAlloca(in)
+			a := ir.AccessedAlloca(in)
 			if a == nil {
 				continue
 			}
-			if st := singleStore(f, a); st != nil && storeReachesLoads(f, a, st) {
-				var loads []*ir.Instr
-				f.ForEachInstr(func(_ *ir.Block, ld *ir.Instr) {
-					if ld.Op == ir.OpLoad && ld.Args[0] == ir.Value(a) {
-						loads = append(loads, ld)
-					}
-				})
-				return promotion{alloca: a, store: st, loads: loads}, true
+			u := ir.UsesOfAlloca(f, a)
+			if u.Loads == 0 || u.Stores != 1 || u.Escapes || !storeReachesLoads(f, a, u.Store) {
+				continue
 			}
+			var loads []*ir.Instr
+			f.ForEachInstr(func(_ *ir.Block, ld *ir.Instr) {
+				if ld.Op == ir.OpLoad && ld.Args[0] == ir.Value(a) {
+					loads = append(loads, ld)
+				}
+			})
+			return promotion{alloca: a, store: u.Store, loads: loads}, true
 		}
 	}
 	return promotion{}, false
-}
-
-// accessedAlloca returns the alloca a load reads or a store writes, or
-// nil.
-func accessedAlloca(in *ir.Instr) *ir.Instr {
-	var p ir.Value
-	switch in.Op {
-	case ir.OpLoad:
-		p = in.Args[0]
-	case ir.OpStore:
-		p = in.Args[1]
-	}
-	if a, ok := p.(*ir.Instr); ok && a.Op == ir.OpAlloca {
-		return a
-	}
-	return nil
-}
-
-// singleStore returns the one store to alloca a when a is loaded and
-// never escapes (an operand of anything but a load's address or a
-// store's pointer); nil otherwise.
-func singleStore(f *ir.Function, a *ir.Instr) *ir.Instr {
-	var store *ir.Instr
-	loads, stores := 0, 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch {
-			case in.Op == ir.OpStore && in.Args[0] == ir.Value(a),
-				in.Op != ir.OpLoad && in.Op != ir.OpStore && slices.Contains(in.Args, ir.Value(a)):
-				return nil
-			case in.Op == ir.OpLoad && in.Args[0] == ir.Value(a):
-				loads++
-			case in.Op == ir.OpStore && in.Args[1] == ir.Value(a):
-				store = in
-				stores++
-			}
-		}
-	}
-	if loads == 0 || stores != 1 {
-		return nil
-	}
-	return store
 }
 
 // storeReachesLoads reports whether st, the one store to alloca a,

@@ -3,7 +3,6 @@ package rewrite
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"veriopt/internal/ir"
 )
@@ -54,54 +53,20 @@ type promoter struct {
 	nextID  int
 }
 
-// promotableAllocas finds non-escaping allocas whose loads and stores
-// all agree with the allocated element type and that are loaded at
-// least once, in layout order; it allocates only for one it finds.
+// promotableAllocas finds the allocas that are loaded, never escape
+// and are never loaded or stored as another type, in layout order; it
+// allocates only for one it finds.
 func promotableAllocas(f *ir.Function) ([]*ir.Instr, bool) {
 	var out []*ir.Instr
 	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
-		if in.Op == ir.OpAlloca && promotable(f, in) {
+		if in.Op != ir.OpAlloca {
+			return
+		}
+		if u := ir.UsesOfAlloca(f, in); u.Loads > 0 && !u.Escapes && !u.Retyped {
 			out = append(out, in)
 		}
 	})
 	return out, len(out) > 0
-}
-
-// promotable reports whether alloca a is loaded, only ever as its
-// allocated type, and otherwise only stored to as that type: no other
-// use of its address.
-func promotable(f *ir.Function, a *ir.Instr) bool {
-	loaded := false
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpLoad:
-				if in.Args[0] == ir.Value(a) {
-					if !in.Ty.Equal(a.AllocTy) {
-						return false
-					}
-					loaded = true
-				}
-			case ir.OpStore:
-				if in.Args[0] == ir.Value(a) { // the address stored somewhere
-					return false
-				}
-				if in.Args[1] == ir.Value(a) && !in.Args[0].Type().Equal(a.AllocTy) {
-					return false
-				}
-			default:
-				if slices.Contains(in.Args, ir.Value(a)) {
-					return false
-				}
-				for _, inc := range in.Incs {
-					if inc.Val == ir.Value(a) {
-						return false
-					}
-				}
-			}
-		}
-	}
-	return loaded
 }
 
 func (p *promoter) run(allocas []*ir.Instr) {
