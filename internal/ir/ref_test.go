@@ -273,6 +273,46 @@ func refCloneFunc(f *Function) *Function {
 	return nf
 }
 
+// refDeadCodeElim is DeadCodeElim as it was before it became
+// HasDeadCode's acting half: a used-set filled each round and a list of
+// the dead, removed after the walk. checkDCE holds the in-place walk to
+// it.
+func refDeadCodeElim(f *Function) int {
+	removed := 0
+	used := make(map[*Instr]struct{}, f.NumInstrs())
+	for {
+		clear(used)
+		f.ForEachInstr(func(_ *Block, in *Instr) {
+			for _, a := range in.Args {
+				if def, ok := a.(*Instr); ok {
+					used[def] = struct{}{}
+				}
+			}
+			for _, inc := range in.Incs {
+				if def, ok := inc.Val.(*Instr); ok {
+					used[def] = struct{}{}
+				}
+			}
+		})
+		var dead []*Instr
+		f.ForEachInstr(func(_ *Block, in *Instr) {
+			if !in.HasResult() {
+				return
+			}
+			if _, ok := used[in]; !ok && !hasSideEffects(in) {
+				dead = append(dead, in)
+			}
+		})
+		if len(dead) == 0 {
+			return removed
+		}
+		for _, in := range dead {
+			RemoveInstr(in)
+			removed++
+		}
+	}
+}
+
 // The map-per-question CFG helpers and the VerifyFunc built on them, as
 // they were before the dense analysis (cfg.go): the reference
 // FuzzVerifyFuncVsReference and the ill-formed table hold the new

@@ -10,12 +10,12 @@ import (
 )
 
 // corpusTexts returns, for perTemplate samples of every dataset
-// template (all five scenario families), the O0 text, the reference
-// text and — the corpus itself holds no phi — the text of the O0
-// function after mem2reg.
-func corpusTexts(tb testing.TB, perTemplate int) []string {
+// template (all five scenario families) at the given seed, the O0 text,
+// the reference text and — the corpus itself holds no phi — the text of
+// the O0 function after mem2reg.
+func corpusTexts(tb testing.TB, seed int64, perTemplate int) []string {
 	tb.Helper()
-	samples, err := dataset.Generate(dataset.Config{Seed: 7, N: perTemplate * datasetTemplates, SkipVerify: true})
+	samples, err := dataset.Generate(dataset.Config{Seed: seed, N: perTemplate * datasetTemplates, SkipVerify: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func parse(tb testing.TB, text string) *ir.Function {
 // maps node by node — predecessors, reachability, immediate dominators.
 func TestVerifyAndCFGMatchReferenceOnCorpus(t *testing.T) {
 	multi, phis := 0, 0
-	for _, text := range corpusTexts(t, 3) {
+	for _, text := range corpusTexts(t, 7, 3) {
 		f := parse(t, text)
 		ir.CheckVerify(t, f)
 		ir.CheckCFG(t, f)
@@ -75,12 +75,13 @@ func TestVerifyAndCFGMatchReferenceOnCorpus(t *testing.T) {
 }
 
 // FuzzVerifyFuncVsReference: whatever parses, VerifyFunc and the CFG
-// analysis answer as the reference implementations in ref_test.go do.
+// analysis answer as the reference implementations in ref_test.go do,
+// and whatever also verifies clones and loses its dead code as they do.
 // Seeds: every template's texts, and what rewrite.Corruptions() makes
 // of them that still parses — the malformed IR a policy emits first.
 func FuzzVerifyFuncVsReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
-	for _, text := range corpusTexts(f, 1) {
+	for _, text := range corpusTexts(f, 7, 1) {
 		f.Add(text)
 		for _, r := range rewrite.Corruptions() {
 			if out := r.ApplyText(text, rng); out != text {
@@ -98,6 +99,10 @@ func FuzzVerifyFuncVsReference(f *testing.F) {
 		for _, fn := range m.Funcs {
 			ir.CheckVerify(t, fn)
 			ir.CheckCFG(t, fn)
+			if ir.VerifyFunc(fn) == nil {
+				ir.CheckClone(t, fn)
+				ir.CheckDCE(t, fn)
+			}
 		}
 	})
 }
@@ -106,11 +111,69 @@ func FuzzVerifyFuncVsReference(f *testing.F) {
 // cloned once already, CloneFunc copies what the clone it replaced
 // (ref_test.go) copied and shares what it shared.
 func TestCloneMatchesReference(t *testing.T) {
-	for _, text := range corpusTexts(t, 3) {
+	for _, text := range corpusTexts(t, 7, 3) {
 		f := parse(t, text)
 		ir.CheckClone(t, f)
 		ir.CheckClone(t, ir.CloneFunc(f))
 	}
+}
+
+// TestDCEMatchesReferenceOnCorpus: DeadCodeElim removes what the
+// map-based reference (ref_test.go) removes, on every seed-12 corpus
+// function and on each copy of one whose uses of a result are handed to
+// a parameter or a constant of its type. That leaves the result dead,
+// and with it a chain of its operands, across blocks and through phis.
+func TestDCEMatchesReferenceOnCorpus(t *testing.T) {
+	chains, phis := 0, 0
+	for _, text := range corpusTexts(t, 12, 3) {
+		f := parse(t, text)
+		ir.CheckDCE(t, f)
+		for bi, b := range f.Blocks {
+			for ii, in := range b.Instrs {
+				sub := standIn(f, in.Ty)
+				if !in.HasResult() || sub == nil {
+					continue
+				}
+				g := ir.CloneFunc(f)
+				ir.ReplaceAllUses(g, g.Blocks[bi].Instrs[ii], sub)
+				ir.CheckDCE(t, g)
+				blocks, phisBefore := len(g.Blocks[bi].Instrs), countPhis(g)
+				if n := ir.DeadCodeElim(g); n > 1 && len(g.Blocks[bi].Instrs) > blocks-n {
+					chains++ // some of the chain lay in another block
+				}
+				if countPhis(g) < phisBefore {
+					phis++
+				}
+			}
+		}
+	}
+	if chains < 40 || phis < 40 { // 45 and 57 when written
+		t.Errorf("%d dead chains across blocks and %d through phis; the test is close to vacuous", chains, phis)
+	}
+}
+
+// standIn is a parameter of f of type ty, else a constant of it, else
+// nil.
+func standIn(f *ir.Function, ty ir.Type) ir.Value {
+	for _, p := range f.Params {
+		if p.Ty.Equal(ty) {
+			return p
+		}
+	}
+	if it, ok := ty.(ir.IntType); ok {
+		return ir.NewConst(it, 1)
+	}
+	return nil
+}
+
+func countPhis(f *ir.Function) int {
+	n := 0
+	f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
+		if in.Op == ir.OpPhi {
+			n++
+		}
+	})
+	return n
 }
 
 // TestParsedSlicesDoNotAlias: a parsed function's operand, successor,
@@ -127,7 +190,7 @@ func TestParsedSlicesDoNotAlias(t *testing.T) {
 	intruder := &ir.Instr{Op: ir.OpUnreachable, NameStr: "INTRUDER", Ty: ir.Void, Parent: intruderBlock}
 	intruderCase := ir.NewConst(ir.I32, 123456789)
 	windows := 0
-	for _, text := range corpusTexts(t, 2) {
+	for _, text := range corpusTexts(t, 7, 2) {
 		for _, f := range []*ir.Function{parse(t, text), ir.CloneFunc(parse(t, text))} {
 			before := ir.FuncString(f)
 			for _, b := range f.Blocks {
