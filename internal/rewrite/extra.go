@@ -17,7 +17,7 @@ var (
 	MergeBlocks       = matchRule("extra-merge-blocks", KindExtra, findMergePair, mergeBlocks)
 	DiamondToSelect   = matchRule("extra-diamond-to-select", KindExtra, findDiamond, diamondToSelect)
 	promoteAllocaRule = matchRule("extra-promote-alloca", KindExtra, findPromotable, promoteAlloca)
-	Mem2Reg           = matchRule("extra-mem2reg", KindExtra, promotableAllocas, mem2reg)
+	Mem2Reg           = matchRule("extra-mem2reg", KindExtra, countPromotable, mem2reg)
 )
 
 // Extra returns them in their stable order.
