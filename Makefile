@@ -129,6 +129,11 @@ fuzz-smoke:
 # references, unless an interface names it, it carries a json tag, an
 # exported signature names it, or scripts/surface.allow lists it with a
 # reason (scripts/surface: go/types over the module, a few seconds).
+# And, in the same script, on a package-level variable of function type
+# in non-test code under internal/ (a sync.OnceFunc/OnceValue/OnceValues
+# memo aside): a process-wide hook a test reassigns cannot serve two
+# tests at once, so a seam such as a solver's proof sink is handed in as
+# an argument (bv.NewBlaster, bv.NewSessionProof) instead.
 lint:
 	$(GO) vet ./...
 	@fmtout=$$(gofmt -l .); \

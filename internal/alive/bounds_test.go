@@ -97,14 +97,14 @@ func TestExecutorBounds(t *testing.T) {
 	// Twelve rungs are 4 096 paths: past MaxPaths for an executor that
 	// forks, 49 edges (four a rung and the entry's) for one that merges.
 	branchy, selects := ladderFns(t, 12, 0)
-	res, _, counts := alive.VerifyRuleHits(branchy, selects, opts)
+	res, _, counts := alive.VerifyRuleHits(branchy, selects, opts, nil)
 	if res.Verdict != alive.Equivalent || res.SolverConflicts != 0 {
 		t.Errorf("12-rung ladder against its if-converted form: %v, %d conflicts (%s)", res.Verdict, res.SolverConflicts, res.Diag)
 	}
 	if counts[0].Paths != 49 || counts[0].Merges != 12 {
 		t.Errorf("12-rung ladder: %+v, want 49 paths and 12 merges", counts[0])
 	}
-	if forking := alive.VerifyForking(context.Background(), branchy, selects, opts); forking.Reason() != alive.PathLimit {
+	if forking := alive.VerifyForking(context.Background(), branchy, selects, opts, nil); forking.Reason() != alive.PathLimit {
 		t.Errorf("the forking reference on the 12-rung ladder: %v (%s), want the path budget", forking.Verdict, forking.Diag)
 	}
 	_, mutant := ladderFns(t, 12, 7)
@@ -114,7 +114,7 @@ func TestExecutorBounds(t *testing.T) {
 
 	// A loop is still unrolled, and stops at MaxSteps: the budget that
 	// is exactly enough for 40 trips is one trip short for 41.
-	_, _, counts = alive.VerifyRuleHits(countedLoop(t, 40), countedLoop(t, 40), opts)
+	_, _, counts = alive.VerifyRuleHits(countedLoop(t, 40), countedLoop(t, 40), opts, nil)
 	tight := opts
 	tight.MaxSteps = counts[0].Steps
 	if res := alive.VerifyFuncs(countedLoop(t, 40), countedLoop(t, 40), tight); res.Verdict != alive.Equivalent {
@@ -132,7 +132,7 @@ func TestExecutorBounds(t *testing.T) {
 	if calls.name != "calls" {
 		t.Fatalf("shapePairs()[2] is %s", calls.name)
 	}
-	res, _, counts = alive.VerifyRuleHits(calls.src, calls.tgt, opts)
+	res, _, counts = alive.VerifyRuleHits(calls.src, calls.tgt, opts, nil)
 	if res.Verdict != alive.Equivalent || counts[0].Merges != 0 || counts[0].Steps != 9 {
 		t.Errorf("arms with one call and two: %v, %+v (%s), want equivalent, 0 merges, 9 steps", res.Verdict, counts[0], res.Diag)
 	}

@@ -53,7 +53,7 @@ func TestCorpusSessionParity(t *testing.T) {
 		}
 		for _, tgt := range targets {
 			rs := alive.VerifyFuncs(s.O0, tgt, opts)
-			rf := alive.VerifyFresh(context.Background(), s.O0, tgt, opts, false)
+			rf := alive.VerifyFresh(context.Background(), s.O0, tgt, opts, false, nil)
 			if rs.Verdict != rf.Verdict {
 				t.Fatalf("%s: session=%v fresh=%v\nsrc:\n%s\ntgt:\n%s\nsession diag: %s\nfresh diag: %s",
 					s.Name, rs.Verdict, rf.Verdict, ir.FuncString(s.O0), ir.FuncString(tgt), rs.Diag, rf.Diag)

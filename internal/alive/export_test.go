@@ -5,6 +5,7 @@ import (
 
 	"veriopt/internal/bv"
 	"veriopt/internal/ir"
+	"veriopt/internal/sat"
 )
 
 // ExecCounts is what symbolic execution of one function took: edges
@@ -20,8 +21,9 @@ func (c *ExecCounts) Add(o ExecCounts) {
 // normal-form rules fired while the two functions were executed and
 // what executing the source and the target took (zero for a side that
 // did not finish), for the external tests (dataset imports this
-// package).
-func VerifyRuleHits(src, tgt *ir.Function, opts Options) (Result, map[string]int, [2]ExecCounts) {
+// package). The session's solver, if one is built, takes its proof
+// sink from proof (nil: no proof).
+func VerifyRuleHits(src, tgt *ir.Function, opts Options, proof func() sat.ProofSink) (Result, map[string]int, [2]ExecCounts) {
 	b := bv.NewBuilder()
 	var counts [2]ExecCounts
 	side := 0
@@ -32,8 +34,22 @@ func VerifyRuleHits(src, tgt *ir.Function, opts Options) (Result, map[string]int
 		}
 		side++
 		return s, err
-	}, newSession)
+	}, proving(proof))
 	return res, b.RuleHits(), counts
+}
+
+// proving is newSession with the session's solver told a sink from
+// proof: one call per session built, and nil means no proof.
+func proving(proof func() sat.ProofSink) func(*ir.Function, Options) querySolver {
+	return func(fn *ir.Function, opts Options) querySolver { return sessionProof(fn, opts, sinkOf(proof)) }
+}
+
+// sinkOf is a fresh sink from proof, or none when proof is nil.
+func sinkOf(proof func() sat.ProofSink) sat.ProofSink {
+	if proof == nil {
+		return nil
+	}
+	return proof()
 }
 
 // UpdateGolden is the package's -update flag, for the external tests'

@@ -23,7 +23,6 @@ import (
 	"veriopt/internal/refinetest"
 	"veriopt/internal/rewrite"
 	"veriopt/internal/ruptest"
-	"veriopt/internal/sat"
 	"veriopt/internal/seqopt"
 )
 
@@ -301,8 +300,6 @@ type mergeTally struct {
 func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 	t.Helper()
 	audit := &ruptest.Audit{}
-	sat.ProofForNew = func() sat.ProofSink { return audit.New() }
-	defer func() { sat.ProofForNew = nil }()
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("%s: %s\nsource:\n%s\ntarget:\n%s", p.name, fmt.Sprintf(format, args...), ir.FuncString(p.src), ir.FuncString(p.tgt))
@@ -312,11 +309,11 @@ func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 	var definite []alive.Result
 	callWitness := false
 	for _, fresh := range []bool{false, true} {
-		merged := alive.VerifyFuncs(p.src, p.tgt, opts)
-		forking := alive.VerifyForking(context.Background(), p.src, p.tgt, opts)
+		merged, _, _ := alive.VerifyRuleHits(p.src, p.tgt, opts, audit.New)
+		forking := alive.VerifyForking(context.Background(), p.src, p.tgt, opts, audit.New)
 		if fresh {
-			merged = alive.VerifyFresh(context.Background(), p.src, p.tgt, opts, false)
-			forking = alive.VerifyFresh(context.Background(), p.src, p.tgt, opts, true)
+			merged = alive.VerifyFresh(context.Background(), p.src, p.tgt, opts, false, audit.New)
+			forking = alive.VerifyFresh(context.Background(), p.src, p.tgt, opts, true, audit.New)
 		}
 		mr, fr := merged.Reason(), forking.Reason()
 		switch {
@@ -371,6 +368,7 @@ func checkMergedVsForking(t *testing.T, p branchyPair, tl *mergeTally) {
 // TestMergedVsForking is the differential over two corpus seeds and the
 // hand-written joins; the floors keep it from passing vacuously.
 func TestMergedVsForking(t *testing.T) {
+	t.Parallel()
 	var tl mergeTally
 	pairs := shapePairs(t)
 	n := 72

@@ -27,6 +27,7 @@ import (
 	"veriopt/internal/oracle"
 	"veriopt/internal/refinetest"
 	"veriopt/internal/rewrite"
+	"veriopt/internal/ruptest"
 	"veriopt/internal/sat"
 	"veriopt/internal/seqopt"
 	"veriopt/internal/server"
@@ -34,14 +35,12 @@ import (
 
 var tableSeed = flag.Int64("seed", 12, "corpus seed of TestNormalFormTable (the benchmark's --seed)")
 
-// countSolvers counts the sat.Solvers built until the test ends: a
-// verification that builds none ran no Session.Check and no CheckSat.
-func countSolvers(t *testing.T) *int {
-	n := new(int)
-	sat.ProofForNew = func() sat.ProofSink { *n++; return nil }
-	t.Cleanup(func() { sat.ProofForNew = nil })
-	return n
-}
+// solverCount's sink is a sink factory that counts the sat.Solvers it
+// is asked for and attaches no sink: a verification that built none ran
+// no Session.Check and no fresh solver.
+type solverCount int
+
+func (n *solverCount) sink() sat.ProofSink { *n++; return nil }
 
 // tally is one row of the table.
 type tally struct {
@@ -53,9 +52,8 @@ type tally struct {
 }
 
 type table struct {
-	solvers *int
-	rows    map[string]*tally
-	each    []time.Duration
+	rows map[string]*tally
+	each []time.Duration
 	// rerun lists the acyclic functions whose execution visited more
 	// instructions than one pass over each block per distinct call
 	// count reaching it.
@@ -107,9 +105,9 @@ func onceThroughSteps(f *ir.Function) (steps int, ok bool) {
 // measure verifies one pair as the oracle stack's base does and books
 // it under row.
 func (tb *table) measure(row string, src, tgt *ir.Function) alive.Result {
-	before := *tb.solvers
+	var built solverCount
 	t0 := time.Now()
-	res, hits, counts := alive.VerifyRuleHits(src, tgt, alive.DefaultOptions())
+	res, hits, counts := alive.VerifyRuleHits(src, tgt, alive.DefaultOptions(), built.sink)
 	dt := time.Since(t0)
 	r := tb.rows[row]
 	if r == nil {
@@ -123,7 +121,7 @@ func (tb *table) measure(row string, src, tgt *ir.Function) alive.Result {
 			tb.rerun = append(tb.rerun, fmt.Sprintf("%s (%s): %d steps, %d once through", f.NameStr, row, counts[i].Steps, bound))
 		}
 	}
-	if *tb.solvers == before {
+	if built == 0 {
 		r.noSolver++
 	}
 	r.conflicts += res.SolverConflicts
@@ -195,7 +193,7 @@ func widthOfFn(f *ir.Function) string {
 // forEachBenchSample is bench/corpus.go's forEachSample: the n-sample
 // corpus of seed, generated in chunks of 1024 with the chunk number
 // appended to every function name.
-func forEachBenchSample(t *testing.T, seed int64, n int, fn func(i int, s *dataset.Sample)) {
+func forEachBenchSample(t testing.TB, seed int64, n int, fn func(i int, s *dataset.Sample)) {
 	const chunk = 1024
 	for c := 0; c*chunk < n; c++ {
 		samples, err := dataset.Generate(dataset.Config{Seed: seed*1_000_003 + int64(c), N: min(chunk, n-c*chunk), SkipVerify: true})
@@ -268,10 +266,9 @@ func TestNormalFormTable(t *testing.T) {
 	if testing.Verbose() {
 		fillN, searchN = 8192, 512
 	}
-	solvers := countSolvers(t)
 	fired := map[string]int{}
 
-	fill := &table{solvers: solvers, rows: map[string]*tally{}}
+	fill := &table{rows: map[string]*tally{}}
 	unsound, corrupt := rewrite.Unsound(), rewrite.Corruptions()
 	forEachBenchSample(t, *tableSeed, fillN, func(i int, s *dataset.Sample) {
 		tgtText, l := refinetest.Target(*tableSeed, i, s.O0, s.Ref, s.RefText, unsound, corrupt)
@@ -294,7 +291,7 @@ func TestNormalFormTable(t *testing.T) {
 	})
 	fill.print(t, fmt.Sprintf("serve-warm fill, seed %d, %d keys", *tableSeed, fillN))
 
-	search := &table{solvers: solvers, rows: map[string]*tally{}}
+	search := &table{rows: map[string]*tally{}}
 	row := ""
 	stack := oracle.NewStack(oracle.Config{Base: oracle.Func(func(_ context.Context, src, tgt *ir.Function, _ alive.Options) alive.Result {
 		return search.measure(row, src, tgt)
@@ -322,6 +319,67 @@ func TestNormalFormTable(t *testing.T) {
 		if fired[rule] == 0 {
 			t.Errorf("rule %s fired on neither corpus: delete it", rule)
 		}
+	}
+}
+
+// BenchmarkProofReplay is what replaying every proof costs on the
+// verifier's real traffic: serve-warm's fill corpus (seed 12, 8192 keys,
+// the pairs TestNormalFormTable -v measures) verified plain, then with a
+// ruptest.Checker as the proof sink of every solver a verification
+// builds. Per pass over the corpus it reports the verdicts settled with
+// no solver built and with one, the µs per solver-built verdict, and the
+// lemmas and Unsat answers replayed; replay's µs less plain's is the
+// checker's share.
+func BenchmarkProofReplay(b *testing.B) {
+	const seed = 12
+	var pairs [][2]*ir.Function
+	unsound, corrupt := rewrite.Unsound(), rewrite.Corruptions()
+	forEachBenchSample(b, seed, 8192, func(i int, s *dataset.Sample) {
+		tgtText, l := refinetest.Target(seed, i, s.O0, s.Ref, s.RefText, unsound, corrupt)
+		if l == refinetest.Unparsable {
+			return
+		}
+		src, err := ir.ParseFunc(s.O0Text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tgt, err := ir.ParseFunc(tgtText)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs = append(pairs, [2]*ir.Function{src, tgt})
+	})
+	for _, mode := range []string{"plain", "replay"} {
+		b.Run(mode, func(b *testing.B) {
+			var a ruptest.Audit
+			noSolver, solver, lemmas, unsats := 0, 0, 0, 0
+			var spent time.Duration
+			for range b.N {
+				for _, p := range pairs {
+					var built solverCount
+					proof := built.sink
+					if mode == "replay" {
+						proof = func() sat.ProofSink { built++; return a.New() }
+					}
+					t0 := time.Now()
+					alive.VerifyRuleHits(p[0], p[1], alive.DefaultOptions(), proof)
+					dt := time.Since(t0)
+					_, l, u := a.Verify(b)
+					lemmas, unsats = lemmas+l, unsats+u
+					if built == 0 {
+						noSolver++
+						continue
+					}
+					solver++
+					spent += dt
+				}
+			}
+			b.ReportMetric(float64(noSolver)/float64(b.N), "no-solver-verdicts/op")
+			b.ReportMetric(float64(solver)/float64(b.N), "solver-verdicts/op")
+			b.ReportMetric(float64(spent.Microseconds())/float64(solver), "µs/solver-verdict")
+			b.ReportMetric(float64(lemmas)/float64(b.N), "lemmas-replayed/op")
+			b.ReportMetric(float64(unsats)/float64(b.N), "unsats-replayed/op")
+		})
 	}
 }
 
@@ -357,7 +415,7 @@ func tailShapes(bits int) map[string]string {
 // fresh, with a counterexample the interpreter confirms; one the
 // verifier accepts must survive the interpreter on a few hundred inputs.
 func TestNormalFormFoldsWithoutSolver(t *testing.T) {
-	solvers := countSolvers(t)
+	t.Parallel()
 	refuted := 0
 	for _, bits := range []int{8, 16, 32, 64} {
 		for name, text := range tailShapes(bits) {
@@ -370,11 +428,11 @@ func TestNormalFormFoldsWithoutSolver(t *testing.T) {
 			if ir.FuncString(ref) == ir.FuncString(src) {
 				t.Fatalf("%s: instcombine left it alone", name)
 			}
-			before := *solvers
-			res := alive.VerifyFuncs(src, ref, alive.DefaultOptions())
-			if res.Verdict != alive.Equivalent || res.SolverConflicts != 0 || *solvers != before {
+			var built solverCount
+			res, _, _ := alive.VerifyRuleHits(src, ref, alive.DefaultOptions(), built.sink)
+			if res.Verdict != alive.Equivalent || res.SolverConflicts != 0 || built != 0 {
 				t.Errorf("%s: %v, %d conflicts, %d solvers built\n%s%s", name, res.Verdict, res.SolverConflicts,
-					*solvers-before, text, ir.FuncString(ref))
+					built, text, ir.FuncString(ref))
 			}
 			for i, rule := range rewrite.Unsound() {
 				bad := ir.CloneFunc(ref)
@@ -384,7 +442,7 @@ func TestNormalFormFoldsWithoutSolver(t *testing.T) {
 				for _, fresh := range []bool{false, true} {
 					res := alive.VerifyFuncs(src, bad, alive.DefaultOptions())
 					if fresh {
-						res = alive.VerifyFresh(context.Background(), src, bad, alive.DefaultOptions(), false)
+						res = alive.VerifyFresh(context.Background(), src, bad, alive.DefaultOptions(), false, nil)
 					}
 					switch res.Verdict {
 					case alive.SemanticError:
@@ -500,7 +558,7 @@ func TestNormalFormLinearOnLongChains(t *testing.T) {
 	run := func(n int, right bool) (walked int, took time.Duration) {
 		src, same, other := chainFn(t, n, right, 0), chainFn(t, n, right, 0), chainFn(t, n, right, 1)
 		t0 := time.Now()
-		res, hits, _ := alive.VerifyRuleHits(src, same, alive.DefaultOptions())
+		res, hits, _ := alive.VerifyRuleHits(src, same, alive.DefaultOptions(), nil)
 		if res.Verdict != alive.Equivalent {
 			t.Fatalf("chain of %d against itself: %v (%s)", n, res.Verdict, res.Diag)
 		}

@@ -23,7 +23,7 @@ func distributes(t *testing.T) (src, tgt *ir.Function) {
 func TestInconclusiveDiags(t *testing.T) {
 	opts := alive.DefaultOptions()
 	branchy, selects := ladderFns(t, 12, 0)
-	_, _, counts := alive.VerifyRuleHits(countedLoop(t, 40), countedLoop(t, 40), opts)
+	_, _, counts := alive.VerifyRuleHits(countedLoop(t, 40), countedLoop(t, 40), opts, nil)
 	tight := opts
 	tight.MaxSteps = counts[0].Steps
 	mulSrc, mulTgt := distributes(t)
@@ -38,12 +38,14 @@ func TestInconclusiveDiags(t *testing.T) {
 		run  func(context.Context, *ir.Function, *ir.Function, alive.Options) alive.Result
 	}{
 		{"VerifyFuncsCtx", alive.VerifyFuncsCtx},
-		{"VerifyForking", alive.VerifyForking},
+		{"VerifyForking", func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+			return alive.VerifyForking(ctx, src, tgt, opts, nil)
+		}},
 		{"VerifyFresh", func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-			return alive.VerifyFresh(ctx, src, tgt, opts, false)
+			return alive.VerifyFresh(ctx, src, tgt, opts, false, nil)
 		}},
 		{"VerifyFresh/forking", func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-			return alive.VerifyFresh(ctx, src, tgt, opts, true)
+			return alive.VerifyFresh(ctx, src, tgt, opts, true, nil)
 		}},
 	}
 	for _, c := range []struct {

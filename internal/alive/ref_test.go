@@ -19,22 +19,26 @@ import (
 // touches a path's state is its own copy.
 
 // VerifyForking is VerifyFuncsCtx with both functions executed by the
-// forking reference.
-func VerifyForking(ctx context.Context, src, tgt *ir.Function, opts Options) Result {
-	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, refExec, newSession)
+// forking reference. The session's solver takes its proof sink from
+// proof (nil: no proof).
+func VerifyForking(ctx context.Context, src, tgt *ir.Function, opts Options, proof func() sat.ProofSink) Result {
+	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, refExec, proving(proof))
 }
 
 // VerifyFresh is VerifyFuncsCtx with the second reference below, a
 // fresh solver per refinement query, in place of the session; forking
-// selects the forking executor as well. The session must reach the
+// selects the forking executor as well, and each fresh solver takes its
+// proof sink from proof (nil: no proof). The session must reach the
 // verdicts it reaches (TestSessionMatchesFreshSolver,
 // TestCorpusSessionParity, TestTrajectoryGolden).
-func VerifyFresh(ctx context.Context, src, tgt *ir.Function, opts Options, forking bool) Result {
+func VerifyFresh(ctx context.Context, src, tgt *ir.Function, opts Options, forking bool, proof func() sat.ProofSink) Result {
 	run := exec
 	if forking {
 		run = refExec
 	}
-	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, run, newFreshSolver)
+	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, run, func(_ *ir.Function, opts Options) querySolver {
+		return &freshSolver{budget: opts.SolverBudget, proof: proof}
+	})
 }
 
 // freshSolver is the query solver as it was before bv.Session: every
@@ -43,14 +47,11 @@ func VerifyFresh(ctx context.Context, src, tgt *ir.Function, opts Options, forki
 type freshSolver struct {
 	budget    int
 	conflicts int
-}
-
-func newFreshSolver(_ *ir.Function, opts Options) querySolver {
-	return &freshSolver{budget: opts.SolverBudget}
+	proof     func() sat.ProofSink
 }
 
 func (f *freshSolver) check(t *bv.Term) (bv.Result, error) {
-	bl := bv.NewBlaster()
+	bl := bv.NewBlaster(sinkOf(f.proof))
 	bl.S.Budget = f.budget
 	bl.AssertTrue(t)
 	st, err := bl.S.Solve()

@@ -34,7 +34,7 @@ func TestSessionMatchesFreshSolver(t *testing.T) {
 		}
 		opts := propOptions()
 		rs := VerifyFuncs(src, tgt, opts)
-		rf := VerifyFresh(context.Background(), src, tgt, opts, false)
+		rf := VerifyFresh(context.Background(), src, tgt, opts, false, nil)
 		if rs.Verdict != rf.Verdict {
 			t.Fatalf("iteration %d: session=%v fresh=%v\nsrc:\n%s\ntgt:\n%s\nsession diag: %s\nfresh diag: %s",
 				iter, rs.Verdict, rf.Verdict, ir.FuncString(src), ir.FuncString(tgt), rs.Diag, rf.Diag)
@@ -135,7 +135,7 @@ func TestVerifyReportsSolverConflicts(t *testing.T) {
 	for _, fresh := range []bool{false, true} {
 		res := VerifyFuncs(src, tgt, DefaultOptions())
 		if fresh {
-			res = VerifyFresh(context.Background(), src, tgt, DefaultOptions(), false)
+			res = VerifyFresh(context.Background(), src, tgt, DefaultOptions(), false, nil)
 		}
 		if res.Verdict != Equivalent {
 			t.Fatalf("fresh=%v: verdict %v, want Equivalent (%s)", fresh, res.Verdict, res.Diag)

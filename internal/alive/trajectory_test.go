@@ -5,7 +5,9 @@ package alive_test
 // checker, which must accept every Unsat the solver returns, and (2)
 // against testdata/trajectory_golden.json, which pins every verdict and
 // every conflict count, so a change to the solver's memory layout can
-// show it searched exactly as before. The corpus runs every query twice,
+// show it searched exactly as before. The checked runs must hash to the
+// same digests: a proof sink observes the search and changes nothing in
+// it. The corpus runs every query twice,
 // through the session and through the fresh-solver reference
 // (VerifyFresh, ref_test.go), which is why it lives here and not in
 // package sat. External test package: dataset imports alive.
@@ -23,19 +25,12 @@ import (
 	"veriopt/internal/bv"
 	"veriopt/internal/dataset"
 	"veriopt/internal/ir"
+	"veriopt/internal/oracle"
+	"veriopt/internal/par"
 	"veriopt/internal/rewrite"
 	"veriopt/internal/ruptest"
 	"veriopt/internal/sat"
 )
-
-// newAudit gives every solver built until the test ends its own
-// checker.
-func newAudit(t testing.TB) *ruptest.Audit {
-	a := &ruptest.Audit{}
-	sat.ProofForNew = func() sat.ProofSink { return a.New() }
-	t.Cleanup(func() { sat.ProofForNew = nil })
-	return a
-}
 
 // corpusSeed and corpusN fix the corpus slice: eight instances of each
 // of the 36 templates, so all five scenario families are in it. (Four,
@@ -49,9 +44,10 @@ const (
 
 // runCorpus verifies every sample's (O0, Ref) pair and every
 // rewrite.Unsound() mutant of Ref that applies, each with the session
-// solver and with a fresh solver per query, and returns one line per
+// solver and with a fresh solver per query, every solver taking its
+// proof sink from proof (nil: no proof), and returns one line per
 // verification: what was asked, the verdict, the conflicts spent.
-func runCorpus(t testing.TB) []string {
+func runCorpus(t testing.TB, proof func() sat.ProofSink) []string {
 	t.Helper()
 	samples, err := dataset.Generate(dataset.Config{Seed: corpusSeed, N: corpusN, SkipVerify: true})
 	if err != nil {
@@ -85,9 +81,9 @@ func runCorpus(t testing.TB) []string {
 		}
 		for j, tgt := range targets {
 			for _, fresh := range []bool{false, true} {
-				res := alive.VerifyFuncs(s.O0, tgt, opts)
+				res, _, _ := alive.VerifyRuleHits(s.O0, tgt, opts, proof)
 				if fresh {
-					res = alive.VerifyFresh(context.Background(), s.O0, tgt, opts, false)
+					res = alive.VerifyFresh(context.Background(), s.O0, tgt, opts, false, proof)
 				}
 				lines = append(lines, fmt.Sprintf("%s %s %s fresh=%v %v %d",
 					s.Scenario, s.Template, names[j], fresh, res.Verdict, res.SolverConflicts))
@@ -101,7 +97,8 @@ func runCorpus(t testing.TB) []string {
 // queries over shared subterms, Unsat and Sat answers interleaved,
 // repeats that can lean on carried-over lemmas, a pre-pass hit, and —
 // in a second session — budget exhaustion followed by more queries.
-func runSessionScript(t testing.TB) []string {
+// newSession builds each session from its per-query budget.
+func runSessionScript(t testing.TB, newSession func(budget int) *bv.Session) []string {
 	t.Helper()
 	var lines []string
 	ask := func(sess *bv.Session, name string, cond *bv.Term) {
@@ -149,7 +146,7 @@ func runSessionScript(t testing.TB) []string {
 			{"neg-mul", ne(mul(b.Neg(x), y), b.Neg(xy))},
 			{"square-is-2-again", b.Eq(mul(x, x), c(2))},
 		}
-		sess := bv.NewSession(run.budget)
+		sess := newSession(run.budget)
 		sess.SeedEnv(map[string]uint64{"x": 0, "y": 0, "z": 0})
 		for _, q := range queries {
 			ask(sess, run.name+"/"+q.name, q.cond)
@@ -167,25 +164,78 @@ func digest(lines []string) string {
 }
 
 // TestProofReplayCorpus: the checker accepts every Unsat behind every
-// verdict over the corpus slice, session and fresh.
+// verdict over the corpus slice, session and fresh, and the checked run
+// decides what the golden says, conflict for conflict.
 func TestProofReplayCorpus(t *testing.T) {
-	a := newAudit(t)
-	lines := runCorpus(t)
+	t.Parallel()
+	a := &ruptest.Audit{}
+	lines := runCorpus(t, a.New)
 	solvers, lemmas, unsats := a.Verify(t)
 	t.Logf("%d verifications on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), solvers, lemmas, unsats)
 	if unsats < 100 || lemmas < 10000 {
 		t.Errorf("coverage too thin: %d Unsat answers, %d lemmas", unsats, lemmas)
+	}
+	if want := readTrajectoryGolden(t); len(lines) != want.CorpusRuns || digest(lines) != want.CorpusSHA256 {
+		t.Errorf("under the checker: %d runs, sha256 %s; golden: %d, %s", len(lines), digest(lines), want.CorpusRuns, want.CorpusSHA256)
 	}
 }
 
 // TestProofReplaySession: the same over bv.Session reuse, where lemmas
 // learnt under one query's activation literal outlive it.
 func TestProofReplaySession(t *testing.T) {
-	a := newAudit(t)
-	lines := runSessionScript(t)
+	t.Parallel()
+	a := &ruptest.Audit{}
+	lines := runSessionScript(t, func(budget int) *bv.Session { return bv.NewSessionProof(budget, a.New()) })
 	solvers, lemmas, unsats := a.Verify(t)
 	t.Logf("%d queries on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), solvers, lemmas, unsats)
 	if unsats < 10 || lemmas < 1000 {
+		t.Errorf("coverage too thin: %d Unsat answers, %d lemmas", unsats, lemmas)
+	}
+	if want := readTrajectoryGolden(t); len(lines) != want.SessionQueries || digest(lines) != want.SessionSHA256 {
+		t.Errorf("under the checker: %d queries, sha256 %s; golden: %d, %s", len(lines), digest(lines), want.SessionQueries, want.SessionSHA256)
+	}
+}
+
+// TestProofReplayWorkers: one Audit serves every worker of a parallel
+// run, as an audit of the oracle stack's traffic needs. Two workers
+// drive a stack whose base verifier hands the audit's factory to each
+// verification, over the head of the corpus slice and a mutant of each,
+// and must reach the verdicts VerifyFuncs reaches.
+func TestProofReplayWorkers(t *testing.T) {
+	t.Parallel()
+	samples, err := dataset.Generate(dataset.Config{Seed: corpusSeed, N: 72, SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs [][2]*ir.Function
+	for i, s := range samples {
+		pairs = append(pairs, [2]*ir.Function{s.O0, s.Ref})
+		for _, rule := range rewrite.Unsound() {
+			if g := ir.CloneFunc(s.Ref); rule.Applicable(s.Ref) && rule.Apply(g, rand.New(rand.NewSource(int64(i)))) && ir.VerifyFunc(g) == nil {
+				pairs = append(pairs, [2]*ir.Function{s.O0, g})
+				break
+			}
+		}
+	}
+	a := &ruptest.Audit{}
+	stack := oracle.NewStack(oracle.Config{Base: oracle.Func(func(_ context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+		res, _, _ := alive.VerifyRuleHits(src, tgt, opts, a.New)
+		return res
+	})})
+	got := make([]alive.Verdict, len(pairs))
+	if err := par.For(context.Background(), 2, len(pairs), func(i int) {
+		got[i] = stack.Verify(context.Background(), pairs[i][0], pairs[i][1], alive.DefaultOptions()).Verdict
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pairs {
+		if want := alive.VerifyFuncs(p[0], p[1], alive.DefaultOptions()).Verdict; got[i] != want {
+			t.Errorf("%s: %v through the audited stack, %v unaudited", p[0].NameStr, got[i], want)
+		}
+	}
+	solvers, lemmas, unsats := a.Verify(t)
+	t.Logf("%d verifications on %d solvers: %d lemmas and %d Unsat answers replayed", len(pairs), solvers, lemmas, unsats)
+	if unsats == 0 || lemmas == 0 {
 		t.Errorf("coverage too thin: %d Unsat answers, %d lemmas", unsats, lemmas)
 	}
 }
@@ -207,7 +257,7 @@ type trajectoryGolden struct {
 // deliberate change to the search itself may run -update. (It lived in
 // package sat until the fresh solver became a test reference of alive.)
 func TestTrajectoryGolden(t *testing.T) {
-	corpus, session := runCorpus(t), runSessionScript(t)
+	corpus, session := runCorpus(t, nil), runSessionScript(t, bv.NewSession)
 	got := trajectoryGolden{
 		Note:           "sha256 over one line per verification/query; go test ./internal/alive -run TrajectoryGolden -update",
 		CorpusRuns:     len(corpus),
@@ -215,28 +265,34 @@ func TestTrajectoryGolden(t *testing.T) {
 		SessionQueries: len(session),
 		SessionSHA256:  digest(session),
 	}
-	const path = "testdata/trajectory_golden.json"
 	if *alive.UpdateGolden {
 		out, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(trajectoryPath, append(out, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want trajectoryGolden
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if want := readTrajectoryGolden(t); got != want {
 		t.Errorf("trajectory moved:\n got %+v\nwant %+v", got, want)
 		for _, l := range session {
 			t.Log(l)
 		}
 	}
+}
+
+const trajectoryPath = "testdata/trajectory_golden.json"
+
+func readTrajectoryGolden(t testing.TB) trajectoryGolden {
+	t.Helper()
+	raw, err := os.ReadFile(trajectoryPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var g trajectoryGolden
+	if err := json.Unmarshal(raw, &g); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

@@ -507,9 +507,12 @@ func (s *sessionSolver) check(t *bv.Term) (bv.Result, error) { return s.sess.Che
 func (s *sessionSolver) spent() int                          { return s.sess.Conflicts() }
 
 // newSession is the production query solver: one bv.Session under the
-// conflict budget, its pre-pass seeded from fn's parameter widths.
-func newSession(fn *ir.Function, opts Options) querySolver {
-	sess := bv.NewSession(opts.SolverBudget)
+// conflict budget, its pre-pass seeded from fn's parameter widths; in
+// sessionProof its solver's Proof is proof, for the tests that audit it.
+func newSession(fn *ir.Function, opts Options) querySolver { return sessionProof(fn, opts, nil) }
+
+func sessionProof(fn *ir.Function, opts Options, proof sat.ProofSink) querySolver {
+	sess := bv.NewSessionProof(opts.SolverBudget, proof)
 	for _, env := range seedEnvs(fn) {
 		sess.SeedEnv(env)
 	}

@@ -39,9 +39,10 @@ const (
 	gateMux
 )
 
-// NewBlaster wires a blaster to a fresh solver.
-func NewBlaster() *Blaster {
+// NewBlaster wires a blaster to a fresh solver whose Proof is proof.
+func NewBlaster(proof sat.ProofSink) *Blaster {
 	s := sat.New()
+	s.Proof = proof
 	b := &Blaster{S: s, cache: map[int][]sat.Lit{}, vars: map[string][]sat.Lit{}, gates: map[gateKey]sat.Lit{}}
 	v := s.NewVar()
 	b.tLit = sat.MkLit(v, false)

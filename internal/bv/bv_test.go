@@ -11,11 +11,11 @@ import (
 
 // checkSat determines satisfiability of the width-1 term on a fresh
 // Blaster and solver, with an optional conflict budget (0 =
-// unlimited); on Sat, Model gives a witness for every variable
+// unlimited) and proof sink (nil: none); on Sat, Model gives a witness for every variable
 // mentioned. It is the one-query-one-solver reference the tests hold
 // terms and Session to.
-func checkSat(t *Term, budget int) (Result, error) {
-	bl := NewBlaster()
+func checkSat(t *Term, budget int, proof sat.ProofSink) (Result, error) {
+	bl := NewBlaster(proof)
 	bl.S.Budget = budget
 	bl.AssertTrue(t)
 	st, err := bl.S.Solve()
@@ -33,7 +33,7 @@ func checkSat(t *Term, budget int) (Result, error) {
 // showing its negation unsatisfiable.
 func checkValid(t *testing.T, b *Builder, prop *Term) {
 	t.Helper()
-	res, err := checkSat(b.Not(prop), 0)
+	res, err := checkSat(b.Not(prop), 0, nil)
 	if err != nil {
 		t.Fatalf("solver: %v", err)
 	}
@@ -46,7 +46,7 @@ func checkValid(t *testing.T, b *Builder, prop *Term) {
 // model with the evaluator.
 func checkSatisfiable(t *testing.T, prop *Term) map[string]uint64 {
 	t.Helper()
-	res, err := checkSat(prop, 0)
+	res, err := checkSat(prop, 0, nil)
 	if err != nil {
 		t.Fatalf("solver: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestBlastAgainstEvalExhaustive(t *testing.T) {
 					prop := b.BoolAnd(
 						b.BoolAnd(b.Eq(x, b.Const(w, a)), b.Eq(y, b.Const(w, c))),
 						b.Not(b.Eq(expr, b.Const(w, want))))
-					res, err := checkSat(prop, 0)
+					res, err := checkSat(prop, 0, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -297,7 +297,7 @@ func TestBlastRandomWide(t *testing.T) {
 		prop := b.BoolAnd(
 			b.BoolAnd(b.Eq(x, b.Const(w, a)), b.Eq(y, b.Const(w, c))),
 			b.Eq(expr, b.Const(w, want)))
-		res, err := checkSat(prop, 0)
+		res, err := checkSat(prop, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,7 +354,7 @@ func TestUnsoundIdentityRejected(t *testing.T) {
 	x := b.Var(8, "x")
 	xp1 := b.Bin(OpAdd, x, b.Const(8, 1))
 	prop := b.Cmp(OpSlt, x, xp1)
-	res, err := checkSat(b.Not(prop), 0)
+	res, err := checkSat(b.Not(prop), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestSDivMinIntByMinusOneUnconstrained(t *testing.T) {
 	prop := b.BoolAnd(b.Eq(x, b.Const(8, 0x80)), b.Eq(y, b.Const(8, 0xFF)))
 	prop = b.BoolAnd(prop, b.Eq(d, d))
 	// Force the divider to be blasted by mentioning it.
-	bl := NewBlaster()
+	bl := NewBlaster(nil)
 	bl.AssertTrue(prop)
 	bl.blast(d)
 	st, err := bl.S.Solve()
@@ -438,7 +438,7 @@ func TestCastChain(t *testing.T) {
 	checkValid(t, b, b.Eq(lhs, rhs))
 	// sext(trunc(x,8),32) differs from x in general.
 	l2 := b.SExt(b.Trunc(x, 8), 32)
-	res, err := checkSat(b.Not(b.Eq(l2, x)), 0)
+	res, err := checkSat(b.Not(b.Eq(l2, x)), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func BenchmarkBlastMulCommutativity(b *testing.B) {
 		x := bd.Var(7, "x")
 		y := bd.Var(7, "y")
 		prop := bd.Not(bd.Eq(bd.Bin(OpMul, x, y), bd.Bin(OpMul, y, x)))
-		res, err := checkSat(prop, 0)
+		res, err := checkSat(prop, 0, nil)
 		if err != nil || res.Status != sat.Unsat {
 			b.Fatalf("%v %v", res.Status, err)
 		}
@@ -526,7 +526,7 @@ func BenchmarkBlastAddValid(b *testing.B) {
 		y := bd.Var(64, "y")
 		lhs := bd.Bin(OpAdd, x, y)
 		rhs := bd.Bin(OpAdd, y, x)
-		res, err := checkSat(bd.Not(bd.Eq(lhs, rhs)), 0)
+		res, err := checkSat(bd.Not(bd.Eq(lhs, rhs)), 0, nil)
 		if err != nil || res.Status != sat.Unsat {
 			b.Fatalf("%v %v", res.Status, err)
 		}

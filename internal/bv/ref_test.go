@@ -471,7 +471,7 @@ func builderVsReference(t testing.TB, rng *rand.Rand) {
 		for name, v := range env {
 			cond = b.BoolAnd(cond, b.Eq(b.Var(w, name), b.Const(w, v)))
 		}
-		res, err := checkSat(cond, 2000)
+		res, err := checkSat(cond, 2000, nil)
 		if err == nil && res.Status != sat.Unsat {
 			t.Fatalf("%v under %v is %d; the blasted term %v can differ (model %v)", n, env, want, term, res.Model)
 		}

@@ -46,8 +46,11 @@ type Session struct {
 
 // NewSession builds a session with the given per-query conflict
 // budget (0 = unlimited).
-func NewSession(budget int) *Session {
-	return &Session{bl: NewBlaster(), budget: budget}
+func NewSession(budget int) *Session { return NewSessionProof(budget, nil) }
+
+// NewSessionProof is NewSession whose solver's Proof is proof.
+func NewSessionProof(budget int, proof sat.ProofSink) *Session {
+	return &Session{bl: NewBlaster(proof), budget: budget}
 }
 
 // SeedEnv registers a candidate environment for the concrete

@@ -53,11 +53,9 @@ func sessionVsFresh(t testing.TB, rng *rand.Rand, budget int) {
 	// agreed on by two runs of the same solver code but replayed by
 	// independent unit propagation.
 	a := &ruptest.Audit{}
-	sat.ProofForNew = func() sat.ProofSink { return a.New() }
-	defer func() { sat.ProofForNew = nil }()
 	b := NewBuilder()
 	w := []int{4, 8, 16}[rng.Intn(3)]
-	sess := NewSession(budget)
+	sess := NewSessionProof(budget, a.New())
 	// Seed a few environments like the verifier does, so the
 	// pre-pass path is exercised too.
 	sess.SeedEnv(map[string]uint64{"x": 0, "y": 0, "z": 0})
@@ -65,7 +63,7 @@ func sessionVsFresh(t testing.TB, rng *rand.Rand, budget int) {
 	nQ := 2 + rng.Intn(6)
 	for q := 0; q < nQ; q++ {
 		cond := randomBoolTerm(b, rng, w, 2)
-		fresh, ferr := checkSat(cond, budget)
+		fresh, ferr := checkSat(cond, budget, a.New())
 		got, serr := sess.Check(cond)
 		if budget == 0 && (ferr != nil || serr != nil) {
 			t.Fatalf("q %d: fresh: %v, session: %v", q, ferr, serr)
@@ -91,6 +89,7 @@ func sessionVsFresh(t testing.TB, rng *rand.Rand, budget int) {
 // TestSessionDifferentialFuzz runs sessionVsFresh over 40 seeded
 // streams with no conflict budget.
 func TestSessionDifferentialFuzz(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(1234))
 	for iter := 0; iter < 40; iter++ {
 		sessionVsFresh(t, rng, 0)
@@ -156,7 +155,7 @@ func TestSessionSharedBlasting(t *testing.T) {
 		if _, err := sess.Check(c); err != nil {
 			t.Fatal(err)
 		}
-		bl := NewBlaster()
+		bl := NewBlaster(nil)
 		bl.blast(c)
 		freshVars += bl.S.NumVars()
 	}

@@ -16,6 +16,7 @@ package ruptest
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"veriopt/internal/sat"
@@ -62,23 +63,32 @@ func check(tr Trace) error {
 	return c.err
 }
 
-// Audit hands out one Checker per solver a test builds (the test
-// points the solver package's new-solver hook at New) and judges them
-// together.
-type Audit struct{ checkers []*Checker }
+// Audit hands out one Checker per solver a test builds (the test hands
+// New to the code under test as its sink factory, and that code sets
+// each sink as one solver's Proof) and judges them together. New and
+// Verify may be called from concurrent goroutines, so one Audit serves
+// every worker of a parallel run; each Checker serves one solver.
+type Audit struct {
+	mu       sync.Mutex
+	checkers []*Checker
+}
 
 // New returns a fresh checker the audit remembers.
-func (a *Audit) New() *Checker {
+func (a *Audit) New() sat.ProofSink {
 	c := newChecker()
+	a.mu.Lock()
 	a.checkers = append(a.checkers, c)
+	a.mu.Unlock()
 	return c
 }
 
 // Verify fails the test on the first lemma or Unsat any checker
 // rejected, returns how many solvers, lemmas and Unsat answers were
-// checked, and forgets the checkers.
+// checked, and forgets the checkers. The solvers must be done.
 func (a *Audit) Verify(t testing.TB) (solvers, lemmas, unsats int) {
 	t.Helper()
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for i, c := range a.checkers {
 		if err := c.err; err != nil {
 			t.Fatalf("solver %d of %d: %v", i+1, len(a.checkers), err)

@@ -14,13 +14,11 @@ import (
 func blastedCNF(t *testing.T, w int) (cnf [][]sat.Lit, nVars int) {
 	t.Helper()
 	var tr ruptest.Trace
-	sat.ProofForNew = func() sat.ProofSink { return &tr }
-	defer func() { sat.ProofForNew = nil }()
 	b := bv.NewBuilder()
 	x, y := b.Var(w, "x"), b.Var(w, "y")
 	xy := b.Bin(bv.OpMul, x, y)
 	cond := b.Not(b.Eq(b.Bin(bv.OpMul, x, b.Bin(bv.OpAdd, y, b.Const(w, 1))), b.Bin(bv.OpAdd, xy, x)))
-	bl := bv.NewBlaster()
+	bl := bv.NewBlaster(&tr)
 	bl.AssertTrue(cond)
 	for _, st := range tr {
 		cnf = append(cnf, st.Lits)

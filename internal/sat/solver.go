@@ -80,11 +80,6 @@ type ProofSink interface {
 	Unsat(assumptions []Lit)
 }
 
-// ProofForNew, when set, supplies the Proof of every solver New
-// returns: the seam tests use to audit solvers built deep inside bv and
-// alive. Only _test.go files assign it, never from parallel tests.
-var ProofForNew func() ProofSink
-
 // watcher is one watch-list entry: the clause plus a blocker literal
 // (some other literal of the clause). If the blocker is already true
 // the clause is satisfied and propagation skips it without touching
@@ -125,7 +120,7 @@ type Solver struct {
 	conflicts int
 
 	// Proof, nil by default, is told every axiom, lemma and Unsat
-	// answer. It must be set before the first AddClause.
+	// answer: the one place a sink attaches, before the first AddClause.
 	Proof ProofSink
 
 	nVars int
@@ -136,9 +131,6 @@ type Solver struct {
 func New() *Solver {
 	s := &Solver{varInc: 1, claInc: 1, okay: true}
 	s.order = &varHeap{s: s}
-	if ProofForNew != nil {
-		s.Proof = ProofForNew()
-	}
 	return s
 }
 

@@ -18,6 +18,13 @@
 //     field's type, a kept type's underlying type when that is not a
 //     struct (a struct's fields are judged one by one).
 //
+// It also rejects a package-level variable of function type in the
+// non-test code under internal/: such a variable is a process-wide hook
+// that a test reassigns, which no two tests can do at once. A seam is
+// an argument, a field or an interface instead. Exempt is a variable
+// initialized by sync.OnceFunc, OnceValue or OnceValues: a memo of one
+// computation, which nothing has a reason to point elsewhere.
+//
 // On failure it prints each offending name with its file and line, and
 // each allowlist entry that names nothing or nothing it needs to, and
 // exits 1. Run it from the module root: go run ./scripts/surface
@@ -209,11 +216,27 @@ func run() error {
 		}
 	}
 
+	var hooks []string
+	for _, u := range l.order {
+		if !strings.HasPrefix(u.path, module+"/internal/") {
+			continue
+		}
+		for _, f := range u.files {
+			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					for _, spec := range gd.Specs {
+						hooks = append(hooks, funcVars(u, spec.(*ast.ValueSpec), fset, module)...)
+					}
+				}
+			}
+		}
+	}
+
 	allow, err := readAllow()
 	if err != nil {
 		return err
 	}
-	var problems []string
+	problems := hooks
 	for _, a := range allow {
 		if s := byKey[a.key]; s == nil {
 			problems = append(problems, fmt.Sprintf("%s:%d: %s: allowlisted, but no such exported name", allowFile, a.line, a.key))
@@ -428,9 +451,36 @@ func run() error {
 		for _, p := range problems {
 			fmt.Println(p)
 		}
-		return fmt.Errorf("%d problems: unexport or delete the name, or allowlist it in %s with a reason", len(problems), allowFile)
+		return fmt.Errorf("%d problems: unexport or delete an unused name, or allowlist it in %s with a reason; no allowlist line excuses a hook", len(problems), allowFile)
 	}
 	return nil
+}
+
+// funcVars reports each variable spec declares whose type is a function
+// and whose value is not a sync.OnceFunc, OnceValue or OnceValues memo.
+func funcVars(u *unit, spec *ast.ValueSpec, fset *token.FileSet, module string) []string {
+	var out []string
+	for i, id := range spec.Names {
+		v, ok := u.pkg.Scope().Lookup(id.Name).(*types.Var)
+		if !ok {
+			continue
+		}
+		if _, fn := v.Type().Underlying().(*types.Signature); !fn {
+			continue
+		}
+		if i < len(spec.Values) {
+			if call, ok := spec.Values[i].(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if o := u.info.Uses[sel.Sel]; o != nil && o.Pkg() != nil && o.Pkg().Path() == "sync" && strings.HasPrefix(o.Name(), "Once") {
+						continue
+					}
+				}
+			}
+		}
+		out = append(out, fmt.Sprintf("%s: %s.%s: a package-level variable of function type, a process-wide hook: pass the function as an argument or a field",
+			fset.Position(v.Pos()), strings.TrimPrefix(u.path, module+"/internal/"), id.Name))
+	}
+	return out
 }
 
 func deref(t types.Type) types.Type {
