@@ -240,7 +240,9 @@ bench-pair:
 # verification, cache key, its digest, one clone and one combine fixpoint
 # pass on a fixed mid-size function, one clone and one DCE of a generated
 # 2 000-instruction function (where a lookup by position would show a
-# size cliff), the reference instcombine pass over 40 corpus functions
+# size cliff), one interpreter run one-shot over the corpus, to the step
+# limit on a corpus loop mutant and over the 2 000-instruction function,
+# the reference instcombine pass over 40 corpus functions
 # (bench_test.go), then what a search does with it: one verification
 # and one whole Beam on a cold stack (the same go test line with
 # -memprofile is the allocation profile of that path), the verifier's
@@ -249,7 +251,7 @@ bench-pair:
 # width, with the normal-form rules that fired (-seed N for another seed).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
-	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|KeyFingerprint|CloneFunc|CombinePass|CloneFuncLarge|DeadCodeElimLarge|Mem2RegLarge|InstCombinePass|VerifyMid|BeamMid|VerifyTail|InterpRun|GenerateSkipVerify)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|KeyFingerprint|CloneFunc|CombinePass|CloneFuncLarge|DeadCodeElimLarge|Mem2RegLarge|InstCombinePass|VerifyMid|BeamMid|VerifyTail|InterpRun|InterpRunLoop|InterpRunLarge|GenerateSkipVerify)$$' -benchmem .
 	$(GO) test -run '^TestNormalFormTable$$' -count=1 -v ./internal/alive
 
 # "Least code" as a number (ROADMAP, Design diet): per-package non-test
