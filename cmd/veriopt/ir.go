@@ -55,11 +55,11 @@ func cmdIR(args []string, stdout io.Writer) error {
 		}
 		var vals []interp.Val
 		for _, a := range rest[1:] {
-			v, err := strconv.ParseInt(a, 0, 64)
+			v, err := parseArg(a)
 			if err != nil {
 				return fmt.Errorf("argument %q: %w", a, err)
 			}
-			vals = append(vals, interp.V(uint64(v)))
+			vals = append(vals, interp.V(v))
 		}
 		out, err := interp.Run(f, vals, interp.DefaultConfig())
 		if err != nil {
@@ -80,4 +80,18 @@ func cmdIR(args []string, stdout io.Writer) error {
 		return fmt.Errorf("unknown ir command %q", cmd)
 	}
 	return nil
+}
+
+// parseArg reads an interp argument: a signed 64-bit integer, or an
+// unsigned one, so that a result printed as 0xffffffffffffffff reads
+// back. Out of both ranges, the error is the signed parse's.
+func parseArg(a string) (uint64, error) {
+	v, err := strconv.ParseInt(a, 0, 64)
+	if err == nil {
+		return uint64(v), nil
+	}
+	if u, uerr := strconv.ParseUint(a, 0, 64); uerr == nil {
+		return u, nil
+	}
+	return 0, err
 }

@@ -89,6 +89,29 @@ func TestCheckInterrupted(t *testing.T) {
 
 // TestIRTools drives `veriopt ir` on a fixture: the numbers are the
 // cost model's and the interpreter's, the texts the printer's.
+// TestIRInterpArgs: an argument reads as a signed or an unsigned 64-bit
+// integer, so every result `ir interp` prints reads back as an argument.
+func TestIRInterpArgs(t *testing.T) {
+	p := writeLL(t, map[string]string{"id.ll": "define i64 @id(i64 %0) {\n  ret i64 %0\n}\n"})
+	for _, tc := range []struct{ arg, want string }{
+		{"0xffffffffffffffff", "result: -1 (0xffffffffffffffff)\n"},
+		{"18446744073709551615", "result: -1 (0xffffffffffffffff)\n"},
+		{"-1", "result: -1 (0xffffffffffffffff)\n"},
+		{"9223372036854775808", "result: -9223372036854775808 (0x8000000000000000)\n"},
+		{"-9223372036854775808", "result: -9223372036854775808 (0x8000000000000000)\n"},
+		{"0x7fffffffffffffff", "result: 9223372036854775807 (0x7fffffffffffffff)\n"},
+		{"0x10000000000000000", ""},
+		{"-9223372036854775809", ""},
+		{"two", ""},
+	} {
+		var out bytes.Buffer
+		err := cmdIR([]string{"interp", p("id.ll"), "id", tc.arg}, &out)
+		if got := out.String(); got != tc.want || (err != nil) != (tc.want == "") {
+			t.Errorf("ir interp id %s: stdout %q, err %v; want %q", tc.arg, got, err, tc.want)
+		}
+	}
+}
+
 func TestIRTools(t *testing.T) {
 	p := writeLL(t, map[string]string{"src.ll": llAddZero, "mul.ll": llMulA,
 		"use.ll": "define i32 @f(i32 noundef %0) {\n  %2 = add i32 %0, %3\n  %3 = add i32 %0, 1\n  ret i32 %2\n}\n"})

@@ -69,8 +69,9 @@ func corpusFuncs(tb testing.TB, perTemplate int, seeds ...int64) []*ir.Function 
 }
 
 // shapes are what no template emits: phis that swap (every one reads
-// before any is assigned), allocas re-executed in a loop with their
-// addresses and a global's observed by a call, and a use of undef.
+// before any is assigned), a switch into phis beside two cases on one
+// edge, allocas re-executed in a loop with their addresses and a
+// global's observed by a call, and a use of undef.
 var shapes = []string{
 	`define i32 @swap(i32 %n, i32 %x, i32 %y) {
 entry:
@@ -85,6 +86,20 @@ loop:
 out:
   %r = sub i32 %a, %b
   ret i32 %r
+}`,
+	`define i32 @sw(i32 %x, i32 %y) {
+entry:
+  switch i32 %x, label %d [ i32 0, label %j i32 1, label %m i32 2, label %m ]
+m:
+  %t = add i32 %y, 1
+  br label %j
+d:
+  br label %j
+j:
+  %r = phi i32 [ %x, %entry ], [ %t, %m ], [ 7, %d ]
+  %s = phi i32 [ %y, %entry ], [ %t, %m ], [ %x, %d ]
+  %u = sub i32 %r, %s
+  ret i32 %u
 }`,
 	`declare i32 @obs(ptr, ptr, ptr)
 define i32 @cells(i32 %n) {
@@ -219,6 +234,7 @@ func FuzzRunVsReference(f *testing.F) {
 	for i, fn := range corpusFuncs(f, 1, 7) {
 		f.Add(ir.FuncString(fn), int64(i))
 	}
+	f.Add(ptrICmp, int64(0))
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		m, err := ir.Parse(src)
 		if err != nil {
@@ -236,13 +252,19 @@ func FuzzRunVsReference(f *testing.F) {
 	})
 }
 
+// ptrICmp compares two pointers, which ir.VerifyFunc accepts and Run
+// does not model.
+const ptrICmp = "define i1 @f(i32 %a) {\n  %p = alloca i32\n  %q = alloca i32\n  %c = icmp eq ptr %p, %q\n  ret i1 %c\n}"
+
 // TestRunTerminatesOnIllFormed: functions the parser accepts and the
 // verifier would reject — no blocks, an empty block, a block of only
-// phis, a block that falls off its end — are an error, not a hang (the
-// step counter ticks only on non-phi instructions) and not a nil
-// dereference.
+// phis, a block that falls off its end, a branch out of the function —
+// are an error, not a hang (the step counter ticks only on non-phi
+// instructions) and not a nil dereference; so is an icmp on pointers,
+// which the verifier accepts.
 func TestRunTerminatesOnIllFormed(t *testing.T) {
 	for _, tc := range []struct{ name, src, want string }{
+		{"icmp on pointers", ptrICmp, "interp: icmp on non-integer operands"},
 		{"empty body", "define i32 @f(i32 %0) {\n}", "interp: block entry does not end in a terminator"},
 		{"phi-only block", "define i32 @f(i32 %a) {\nentry:\n  br label %l\nl:\n  %p = phi i32 [ %a, %entry ]\n}", "interp: block l does not end in a terminator"},
 		{"falls off the end", "define i32 @f(i32 %a) {\nentry:\n  %x = add i32 %a, 1\n}", "interp: block entry does not end in a terminator"},
@@ -254,6 +276,11 @@ func TestRunTerminatesOnIllFormed(t *testing.T) {
 		runWithDeadline(t, tc.name, f, []Val{V(1)}, tc.want)
 	}
 	runWithDeadline(t, "no blocks", &ir.Function{NameStr: "f", RetTy: ir.Void}, nil, "interp: function has no blocks")
+	f, g := mustParse(t, "define i32 @f(i32 %a) {\nentry:\n  br label %next\nnext:\n  ret i32 %a\n}"), mustParse(t, "define i32 @g(i32 %a) {\nentry:\n  ret i32 %a\n}")
+	f.Blocks[0].Instrs[0].Succs[0] = g.Blocks[0]
+	runWithDeadline(t, "branch out of the function", f, []Val{V(1)}, "interp: block entry branches to a block outside the function")
+	f.Blocks[0].Instrs[0].Succs = nil
+	runWithDeadline(t, "branch to no block", f, []Val{V(1)}, "interp: block entry branches to a block outside the function")
 }
 
 func runWithDeadline(t *testing.T, name string, f *ir.Function, args []Val, want string) {

@@ -13,7 +13,9 @@ import (
 // Outcome, error text and step accounting define Run's on every
 // function ir.VerifyFunc accepts. It shares only the pure arithmetic
 // helpers (icmp, signExtend, the overflow predicates, hashCall), which
-// have property tests of their own.
+// have property tests of their own. One change since: an icmp on
+// pointers, which the verifier accepts, is the error "interp: icmp on
+// non-integer operands" where it was a panic.
 
 func refRun(f *ir.Function, args []Val, cfg Config) (*Outcome, error) {
 	if len(args) != len(f.Params) {
@@ -144,11 +146,14 @@ func (s *refState) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 			return true, nil, nil
 		}
 	case in.Op == ir.OpICmp:
+		it, ok := in.Args[0].Type().(ir.IntType)
+		if !ok {
+			return false, nil, fmt.Errorf("interp: icmp on non-integer operands")
+		}
 		x, y := s.eval(in.Args[0]), s.eval(in.Args[1])
 		if x.Poison || y.Poison {
 			s.vals[in] = p()
 		} else {
-			it := in.Args[0].Type().(ir.IntType)
 			s.vals[in] = V(boolBit(icmp(in.Pred, x.Bits, y.Bits, it)))
 		}
 	case in.Op == ir.OpSelect:
