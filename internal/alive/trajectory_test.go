@@ -46,8 +46,11 @@ const (
 // rewrite.Unsound() mutant of Ref that applies, each with the session
 // solver and with a fresh solver per query, every solver taking its
 // proof sink from proof (nil: no proof), and returns one line per
-// verification: what was asked, the verdict, the conflicts spent.
-func runCorpus(t testing.TB, proof func() sat.ProofSink) []string {
+// verification: what was asked, the verdict, the conflicts spent. work
+// has one line per session verification: what executing each side took
+// (edges, instructions, merges) and how many times bv's normal form
+// fired, walks included.
+func runCorpus(t testing.TB, proof func() sat.ProofSink) (lines, work []string) {
 	t.Helper()
 	samples, err := dataset.Generate(dataset.Config{Seed: corpusSeed, N: corpusN, SkipVerify: true})
 	if err != nil {
@@ -65,7 +68,6 @@ func runCorpus(t testing.TB, proof func() sat.ProofSink) []string {
 	}
 	opts := alive.DefaultOptions()
 	opts.SolverBudget = 20000
-	var lines []string
 	for i, s := range samples {
 		targets := []*ir.Function{s.Ref}
 		names := []string{"ref"}
@@ -81,16 +83,24 @@ func runCorpus(t testing.TB, proof func() sat.ProofSink) []string {
 		}
 		for j, tgt := range targets {
 			for _, fresh := range []bool{false, true} {
-				res, _, _ := alive.VerifyRuleHits(s.O0, tgt, opts, proof)
+				res, hits, counts := alive.VerifyRuleHits(s.O0, tgt, opts, proof)
 				if fresh {
 					res = alive.VerifyFresh(context.Background(), s.O0, tgt, opts, false, proof)
 				}
 				lines = append(lines, fmt.Sprintf("%s %s %s fresh=%v %v %d",
 					s.Scenario, s.Template, names[j], fresh, res.Verdict, res.SolverConflicts))
+				if !fresh {
+					total := 0
+					for _, n := range hits {
+						total += n
+					}
+					work = append(work, fmt.Sprintf("%s %s %s src=%+v tgt=%+v hits=%d",
+						s.Scenario, s.Template, names[j], counts[0], counts[1], total))
+				}
 			}
 		}
 	}
-	return lines
+	return lines, work
 }
 
 // runSessionScript drives bv.Session the way one long verification would:
@@ -169,7 +179,7 @@ func digest(lines []string) string {
 func TestProofReplayCorpus(t *testing.T) {
 	t.Parallel()
 	a := &ruptest.Audit{}
-	lines := runCorpus(t, a.New)
+	lines, work := runCorpus(t, a.New)
 	solvers, lemmas, unsats := a.Verify(t)
 	t.Logf("%d verifications on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), solvers, lemmas, unsats)
 	if unsats < 100 || lemmas < 10000 {
@@ -177,6 +187,8 @@ func TestProofReplayCorpus(t *testing.T) {
 	}
 	if want := readTrajectoryGolden(t); len(lines) != want.CorpusRuns || digest(lines) != want.CorpusSHA256 {
 		t.Errorf("under the checker: %d runs, sha256 %s; golden: %d, %s", len(lines), digest(lines), want.CorpusRuns, want.CorpusSHA256)
+	} else if digest(work) != want.CorpusWorkSHA256 {
+		t.Errorf("under the checker: work sha256 %s; golden: %s", digest(work), want.CorpusWorkSHA256)
 	}
 }
 
@@ -243,27 +255,35 @@ func TestProofReplayWorkers(t *testing.T) {
 type trajectoryGolden struct {
 	Note string `json:"note"`
 	// CorpusRuns and SessionQueries are how many lines each digest covers.
-	CorpusRuns     int    `json:"corpus_runs"`
-	CorpusSHA256   string `json:"corpus_sha256"`
-	SessionQueries int    `json:"session_queries"`
-	SessionSHA256  string `json:"session_sha256"`
+	CorpusRuns   int    `json:"corpus_runs"`
+	CorpusSHA256 string `json:"corpus_sha256"`
+	// CorpusWorkSHA256 covers one line per session verification of the
+	// corpus: each side's paths, steps and merges and the rule hits.
+	CorpusWorkSHA256 string `json:"corpus_work_sha256"`
+	SessionQueries   int    `json:"session_queries"`
+	SessionSHA256    string `json:"session_sha256"`
 }
 
 // TestTrajectoryGolden pins what the solver decided: the ordered
 // (verdict, SolverConflicts) of the corpus slice and the ordered
 // (Status, Conflicts) of the session script. The file was written by
 // the heap-object clause database (the commit before the arena); a
-// layout change must leave its four numbers equal, and only a
-// deliberate change to the search itself may run -update. (It lived in
-// package sat until the fresh solver became a test reference of alive.)
+// layout change must leave its numbers equal, and only a deliberate
+// change to the search itself may run -update. (It lived in package sat
+// until the fresh solver became a test reference of alive.) The work
+// digest pins what alive itself did on the way, which a change to the
+// executor's memory layout must leave equal too: each side's edges,
+// instructions and merges, and the normal form's rule hits.
 func TestTrajectoryGolden(t *testing.T) {
-	corpus, session := runCorpus(t, nil), runSessionScript(t, bv.NewSession)
+	corpus, work := runCorpus(t, nil)
+	session := runSessionScript(t, bv.NewSession)
 	got := trajectoryGolden{
-		Note:           "sha256 over one line per verification/query; go test ./internal/alive -run TrajectoryGolden -update",
-		CorpusRuns:     len(corpus),
-		CorpusSHA256:   digest(corpus),
-		SessionQueries: len(session),
-		SessionSHA256:  digest(session),
+		Note:             "sha256 over one line per verification/query; go test ./internal/alive -run TrajectoryGolden -update",
+		CorpusRuns:       len(corpus),
+		CorpusSHA256:     digest(corpus),
+		CorpusWorkSHA256: digest(work),
+		SessionQueries:   len(session),
+		SessionSHA256:    digest(session),
 	}
 	if *alive.UpdateGolden {
 		out, err := json.MarshalIndent(got, "", "  ")
