@@ -14,6 +14,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"veriopt/internal/alive"
@@ -237,11 +240,99 @@ one:
 }`},
 }
 
-// shapePairs parses mergeShapes, each both ways round.
+// positionShapes are where finding a value by its layout position has
+// to look past the obvious: a header phi fed through the back edge by a
+// value defined later in its own block, and by one in a latch laid out
+// after the loop's exit; an alloca outside the entry block; and (wide) a
+// function with more instructions, operands and forked state than the
+// executor's arrays hold.
+var positionShapes = [][2]string{
+	{`define i8 @selfloop(i8 noundef %a, i8 noundef %b) {
+entry:
+  br label %loop
+loop:
+  %i = phi i8 [ 0, %entry ], [ %i1, %loop ]
+  %acc = phi i8 [ %a, %entry ], [ %acc1, %loop ]
+  %acc1 = xor i8 %acc, %b
+  %i1 = add i8 %i, 1
+  %c = icmp ult i8 %i1, 3
+  br i1 %c, label %loop, label %out
+out:
+  ret i8 %acc1
+}`, `define i8 @selfloop(i8 noundef %a, i8 noundef %b) {
+  %r = xor i8 %a, %b
+  ret i8 %r
+}`},
+	{`define i8 @latchlast(i8 noundef %a, i8 noundef %b) {
+entry:
+  br label %head
+head:
+  %i = phi i8 [ 0, %entry ], [ %i1, %latch ]
+  %acc = phi i8 [ %a, %entry ], [ %acc1, %latch ]
+  %c = icmp ult i8 %i, 2
+  br i1 %c, label %latch, label %out
+out:
+  ret i8 %acc
+latch:
+  %acc1 = add i8 %acc, %b
+  %i1 = add i8 %i, 1
+  br label %head
+}`, `define i8 @latchlast(i8 noundef %a, i8 noundef %b) {
+  %b2 = shl i8 %b, 1
+  %r = add i8 %a, %b2
+  ret i8 %r
+}`},
+	{`define i8 @latealloca(i8 noundef %a, i8 noundef %b) {
+entry:
+  %c = icmp ult i8 %a, %b
+  br i1 %c, label %t, label %join
+t:
+  %p = alloca i8
+  store i8 %a, ptr %p
+  %v = load i8, ptr %p
+  br label %join
+join:
+  %r = phi i8 [ %v, %t ], [ %b, %entry ]
+  ret i8 %r
+}`, `define i8 @latealloca(i8 noundef %a, i8 noundef %b) {
+  %c = icmp ult i8 %a, %b
+  %r = select i1 %c, i8 %a, i8 %b
+  ret i8 %r
+}`},
+	wideShape(),
+}
+
+// wideShape is a diamond whose arms are chains of 40 instructions each,
+// joined by a phi, against the same chains joined by a select: 86
+// instructions and 170 operands, past the executor's 64 slots and its
+// 128-entry table, and a fork that does not fit beside the entry state.
+func wideShape() [2]string {
+	var t, f, both strings.Builder
+	ops := [...]string{"add", "xor", "mul", "sub"}
+	for i := range 40 {
+		tPrev, fPrev := "%a", "%b"
+		if i > 0 {
+			tPrev, fPrev = fmt.Sprintf("%%t%d", i-1), fmt.Sprintf("%%f%d", i-1)
+		}
+		fmt.Fprintf(&t, "  %%t%d = %s i8 %s, %d\n", i, ops[i%4], tPrev, i+1)
+		fmt.Fprintf(&f, "  %%f%d = %s i8 %s, %%a\n", i, ops[(i+1)%4], fPrev)
+	}
+	both.WriteString(t.String())
+	both.WriteString(f.String())
+	return [2]string{
+		"define i8 @wide(i8 noundef %a, i8 noundef %b) {\nentry:\n  %c = icmp ult i8 %a, %b\n  br i1 %c, label %t, label %f\nt:\n" + t.String() +
+			"  br label %join\nf:\n" + f.String() + "  br label %join\njoin:\n  %r = phi i8 [ %t39, %t ], [ %f39, %f ]\n  ret i8 %r\n}",
+		"define i8 @wide(i8 noundef %a, i8 noundef %b) {\n  %c = icmp ult i8 %a, %b\n" + both.String() +
+			"  %r = select i1 %c, i8 %t39, i8 %f39\n  ret i8 %r\n}",
+	}
+}
+
+// shapePairs parses mergeShapes and positionShapes, each both ways
+// round.
 func shapePairs(tb testing.TB) []branchyPair {
 	tb.Helper()
 	var pairs []branchyPair
-	for _, sh := range mergeShapes {
+	for _, sh := range append(mergeShapes[:len(mergeShapes):len(mergeShapes)], positionShapes...) {
 		var fns [2]*ir.Function
 		for i, text := range sh {
 			fns[i] = mustParse(tb, text)
@@ -422,4 +513,87 @@ func FuzzMergedVsForking(f *testing.F) {
 		}
 		checkMergedVsForking(t, branchyPair{src.NameStr, src, tgt}, new(mergeTally))
 	})
+}
+
+// TestOperandOfAnotherFunction: an operand that is another function's
+// parameter or instruction, or a load through another function's
+// alloca, is outside the executed region. ir.VerifyFunc rejects such a
+// function (except for the parameter), so it reaches the verifier only
+// from ir.Builder; the verdict and diagnostic are the forking
+// reference's, as they were while exec kept its slots in a map.
+func TestOperandOfAnotherFunction(t *testing.T) {
+	other := ir.NewBuilder("other", ir.I8, ir.I8)
+	other.NewBlock("entry")
+	sum := other.Bin(ir.OpAdd, other.Param(0), other.Param(0))
+	cell := other.Alloca(ir.I8)
+	other.Ret(sum)
+	for _, tc := range []struct {
+		name string
+		use  func(b *ir.Builder) ir.Value
+		diag string
+	}{
+		{"parameter", func(*ir.Builder) ir.Value { return other.Param(0) }, "ERROR: unsupported: value defined outside executed region"},
+		{"instruction", func(*ir.Builder) ir.Value { return sum }, "ERROR: unsupported: value defined outside executed region"},
+		{"alloca", func(b *ir.Builder) ir.Value { return b.Load(ir.I8, cell) }, "ERROR: unsupported: memory access to out-of-scope alloca"},
+	} {
+		b := ir.NewBuilder("f", ir.I8, ir.I8)
+		b.NewBlock("entry")
+		b.Ret(b.Bin(ir.OpXor, b.Param(0), tc.use(b)))
+		f := b.Fn
+		same := ir.NewBuilder("f", ir.I8, ir.I8)
+		same.NewBlock("entry")
+		same.Ret(same.Param(0))
+		for _, pair := range [][2]*ir.Function{{f, same.Fn}, {same.Fn, f}} {
+			got := alive.VerifyFuncs(pair[0], pair[1], alive.DefaultOptions())
+			ref := alive.VerifyForking(context.Background(), pair[0], pair[1], alive.DefaultOptions(), nil)
+			if got.Verdict != alive.Inconclusive || got.Diag != tc.diag || !reflect.DeepEqual(got, ref) {
+				t.Errorf("%s: %+v; the forking reference %+v; want Inconclusive %q", tc.name, got, ref, tc.diag)
+			}
+		}
+	}
+}
+
+// TestVerifySharesFunctions: one pair verified from several goroutines
+// at once (run it under -race) reaches one result, and the verifier
+// writes nothing into either function. The pairs fork, merge, read
+// memory and call the solver: a corpus function of several blocks
+// against its instcombine output, and a refuted mutant of a diamond.
+func TestVerifySharesFunctions(t *testing.T) {
+	var pairs []branchyPair
+	for _, p := range branchyPairs(t, 12, 36) {
+		if strings.HasSuffix(p.name, "/instcombine") && len(p.src.Blocks) > 2 {
+			pairs = append(pairs, p)
+			break
+		}
+	}
+	for _, p := range shapePairs(t) {
+		if p.name == "phidiamond" {
+			pairs = append(pairs, branchyPair{"phidiamond/mutant", p.src, mutateBranchy(p.tgt, rand.New(rand.NewSource(3)))})
+		}
+	}
+	if len(pairs) != 2 {
+		t.Fatalf("%d pairs, want a corpus function and the mutant", len(pairs))
+	}
+	for _, p := range pairs {
+		before := [2]string{ir.FuncString(p.src), ir.FuncString(p.tgt)}
+		want := alive.VerifyFuncs(p.src, p.tgt, alive.DefaultOptions())
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 5 {
+					if got := alive.VerifyFuncs(p.src, p.tgt, alive.DefaultOptions()); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: %+v, want %+v", p.name, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if after := [2]string{ir.FuncString(p.src), ir.FuncString(p.tgt)}; after != before {
+			t.Errorf("%s: verifying changed the functions:\n%s\n%s\nwere\n%s\n%s", p.name, after[0], after[1], before[0], before[1])
+		}
+		t.Logf("%s: %v", p.name, want.Verdict)
+	}
 }
