@@ -27,8 +27,8 @@ func VerifyRuleHits(src, tgt *ir.Function, opts Options, proof func() sat.ProofS
 	b := bv.NewBuilder()
 	var counts [2]ExecCounts
 	side := 0
-	res := verifyWith(context.Background(), b, src, tgt, opts, func(b *bv.Builder, f *ir.Function, params []symVal, cfg execConfig) (*summary, error) {
-		s, err := exec(b, f, params, cfg)
+	res := verifyWith(context.Background(), b, src, tgt, opts, func(ex *executor, b *bv.Builder, f *ir.Function, params []symVal, cfg execConfig) (summary, error) {
+		s, err := exec(ex, b, f, params, cfg)
 		if err == nil {
 			counts[side] = ExecCounts{Paths: s.paths, Steps: s.steps, Merges: s.merges}
 		}

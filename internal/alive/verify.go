@@ -208,10 +208,28 @@ func VerifyFuncsCtx(ctx context.Context, src, tgt *ir.Function, opts Options) Re
 	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, exec, newSession)
 }
 
+// verification is what one verification holds while it runs, besides
+// its terms and its session, in one allocation: the executor that runs
+// the source and then the target, the two summaries, the shared inputs
+// and their names, and the refinement queries. A function of up to four
+// parameters and a pair with up to eight queries fit the arrays; the
+// executor's own arrays hold the corpus's functions.
+type verification struct {
+	ex      executor
+	sum     [2]summary
+	params  [4]symVal
+	names   [4]string
+	queries [8]refinementQuery
+}
+
+// execFunc is how verifyWith runs each side: exec, but for the tests'
+// references.
+type execFunc func(*executor, *bv.Builder, *ir.Function, []symVal, execConfig) (summary, error)
+
 // verifyWith is VerifyFuncsCtx over a builder the caller can read
 // afterwards, an executor and a query solver it chooses (exec and
 // newSession, but for ref_test.go).
-func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts Options, run func(*bv.Builder, *ir.Function, []symVal, execConfig) (*summary, error), newSolver func(*ir.Function, Options) querySolver) Result {
+func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts Options, run execFunc, newSolver func(*ir.Function, Options) querySolver) Result {
 	if opts.MaxPaths == 0 {
 		opts = DefaultOptions()
 	}
@@ -229,14 +247,14 @@ func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts 
 	// Shared symbolic inputs. Parameters carry noundef in the clang
 	// -O0 style our pipeline uses, so inputs are never poison; a
 	// non-noundef parameter gets a free poison bit.
-	params := make([]symVal, len(src.Params))
-	paramNames := make([]string, len(src.Params))
+	v := new(verification)
+	params, paramNames := room(v.params[:], len(src.Params)), room(v.names[:], len(src.Params))
 	for i, p := range src.Params {
 		w, err := widthOf(p.Ty)
 		if err != nil {
 			return Result{Verdict: Inconclusive, Diag: "ERROR: " + err.Error()}
 		}
-		name := fmt.Sprintf("in%d", i)
+		name := inputName(i)
 		paramNames[i] = p.NameStr
 		poison := b.False()
 		if !p.Noundef || !tgt.Params[i].Noundef {
@@ -245,31 +263,26 @@ func verifyWith(ctx context.Context, b *bv.Builder, src, tgt *ir.Function, opts 
 		params[i] = symVal{val: b.Var(w, name), poison: poison}
 	}
 
-	// Shared uninterpreted call results: occurrence k of callee c
-	// returns the same unknown on both sides (trace equality below
-	// makes this sound).
-	callVars := map[string]*bv.Term{}
-	callVar := func(k int, callee string, width int) *bv.Term {
-		key := fmt.Sprintf("call$%s$%d$%d", callee, k, width)
-		if t, ok := callVars[key]; ok {
-			return t
+	// Call results are shared uninterpreted variables: occurrence k of
+	// callee c returns the same unknown on both sides (callVar; trace
+	// equality below makes this sound).
+	cfg := execConfig{ctx: ctx, maxPaths: opts.MaxPaths, maxSteps: opts.MaxSteps}
+	for i, fn := range [2]*ir.Function{src, tgt} {
+		var err error
+		if v.sum[i], err = run(&v.ex, b, fn, params, cfg); err != nil {
+			return inconclusiveFrom(err)
 		}
-		t := b.Var(width, key)
-		callVars[key] = t
-		return t
 	}
+	return refine(ctx, b, &v.sum[0], &v.sum[1], paramNames, opts, newSolver, v.queries[:0])
+}
 
-	cfg := execConfig{ctx: ctx, maxPaths: opts.MaxPaths, maxSteps: opts.MaxSteps, callVar: callVar}
-	sSum, err := run(b, src, params, cfg)
-	if err != nil {
-		return inconclusiveFrom(err)
+// inputName is the name of the variable for parameter i: "in0", "in1",
+// and so on, sliced from a constant below ten.
+func inputName(i int) string {
+	if i < 10 {
+		return "in0in1in2in3in4in5in6in7in8in9"[3*i : 3*i+3]
 	}
-	tSum, err := run(b, tgt, params, cfg)
-	if err != nil {
-		return inconclusiveFrom(err)
-	}
-
-	return refine(ctx, b, sSum, tSum, paramNames, opts, newSolver)
+	return fmt.Sprintf("in%d", i)
 }
 
 // inconclusiveFrom is the verdict of an executor that stopped with err;
@@ -293,9 +306,10 @@ type refinementQuery struct {
 	diag string
 }
 
-func refine(ctx context.Context, b *bv.Builder, src, tgt *summary, paramNames []string, opts Options, newSolver func(*ir.Function, Options) querySolver) Result {
+// refine decides the refinement queries between the two summaries,
+// appending them to queries, which it is handed empty.
+func refine(ctx context.Context, b *bv.Builder, src, tgt *summary, paramNames []string, opts Options, newSolver func(*ir.Function, Options) querySolver, queries []refinementQuery) Result {
 	srcOK := b.Not(src.ub)
-	var queries []refinementQuery
 
 	// 1. Target must not introduce UB.
 	queries = append(queries, refinementQuery{
@@ -567,7 +581,7 @@ var seedEnvMemo = struct {
 func buildSeedEnvs(sig []byte) []map[string]uint64 {
 	widths, names := make([]int, len(sig)), make([]string, len(sig))
 	for i, w := range sig {
-		widths[i], names[i] = int(w), fmt.Sprintf("in%d", i)
+		widths[i], names[i] = int(w), inputName(i)
 	}
 	maskOf := func(w int) uint64 {
 		if w >= 64 {
@@ -679,7 +693,7 @@ func gatherCalls(b *bv.Builder, events []callEvent, callee string) (*bv.Term, []
 func extractInputs(model map[string]uint64, paramNames []string) map[string]uint64 {
 	out := make(map[string]uint64, len(paramNames))
 	for i, n := range paramNames {
-		out[strings.Clone(n)] = model[fmt.Sprintf("in%d", i)]
+		out[strings.Clone(n)] = model[inputName(i)]
 	}
 	return out
 }
@@ -697,7 +711,7 @@ func renderDiag(b *bv.Builder, kind string, model map[string]uint64, src, tgt *s
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "ERROR: %s\n\nExample:\n", kind)
 	for i, p := range src.fn.Params {
-		v := model[fmt.Sprintf("in%d", i)]
+		v := model[inputName(i)]
 		w, _ := widthOf(p.Ty)
 		fmt.Fprintf(&sb, "%s %%%s = #x%0*x (%d)\n", p.Ty, paramNames[i], (w+3)/4, v, signedOf(v, w))
 	}

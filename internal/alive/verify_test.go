@@ -660,20 +660,28 @@ func TestCandidateGate(t *testing.T) {
 
 var cloneSink *pathState
 
-// TestPathStateCloneAllocs pins what forking a path state allocates: the
-// state and one copy of its slots, however many values and cells it
-// holds. Two maps.Clone calls, a header and buckets each, were the
-// price while it kept them in maps keyed by instruction.
+// TestPathStateCloneAllocs pins what forking a path state allocates:
+// nothing, amortized, however many values and cells it holds. The state
+// and its slots are carved from the executor's chunks, which double. The
+// state and one copy of its slots were the price while a fork cloned
+// them with slices.Clone, and two maps.Clone calls more, a header and
+// buckets each, while it kept them in maps keyed by instruction.
 func TestPathStateCloneAllocs(t *testing.T) {
 	b := bv.NewBuilder()
-	ps := &pathState{cond: b.True(), slots: make([]slot, 40)}
+	ex := new(executor)
+	ex.states, ex.slab = ex.stateBuf[:0], ex.slotBuf[:0]
+	ps := ex.state(40)
+	ps.cond = b.True()
 	for i := range ps.slots {
 		ps.slots[i].val = symVal{val: b.Const(32, uint64(i)), poison: b.False()}
 		if i%4 == 0 {
-			ps.slots[i].cell = memCell{val: ps.slots[i].val, init: true}
+			ps.slots[i].cell = ps.slots[i].val
 		}
 	}
-	if got := testing.AllocsPerRun(100, func() { cloneSink = ps.clone() }); got != 2 {
-		t.Errorf("pathState.clone: %.0f allocations, want 2", got)
+	if got := testing.AllocsPerRun(100, func() { cloneSink = ex.clone(ps) }); got != 0 {
+		t.Errorf("executor.clone: %.0f allocations, want 0", got)
+	}
+	if cloneSink.cond != ps.cond || cloneSink.slots[8] != ps.slots[8] || &cloneSink.slots[0] == &ps.slots[0] {
+		t.Error("executor.clone is not a copy of its own")
 	}
 }
