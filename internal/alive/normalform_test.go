@@ -324,15 +324,18 @@ func TestNormalFormTable(t *testing.T) {
 
 // BenchmarkProofReplay is what replaying every proof costs on the
 // verifier's real traffic: serve-warm's fill corpus (seed 12, 8192 keys,
-// the pairs TestNormalFormTable -v measures) verified plain, then with a
-// ruptest.Checker as the proof sink of every solver a verification
-// builds. Per pass over the corpus it reports the verdicts settled with
-// no solver built and with one, the µs per solver-built verdict, and the
-// lemmas and Unsat answers replayed; replay's µs less plain's is the
-// checker's share.
+// the pairs TestNormalFormTable -v measures) and, under search-cold/,
+// the pairs search-cold's beam sends its base verifier (searchColdPairs),
+// verified plain, then with a ruptest.Checker as the proof sink of every
+// solver a verification builds. Per pass over a corpus it reports the
+// verdicts settled with no solver built and with one, the µs per
+// solver-built verdict, and the lemmas and Unsat answers replayed;
+// replay's µs less plain's is the checker's share. The search-cold
+// runs also report how many of the beam's queries its stack's cache
+// answered, which reach no verifier.
 func BenchmarkProofReplay(b *testing.B) {
 	const seed = 12
-	var pairs [][2]*ir.Function
+	var fill [][2]*ir.Function
 	unsound, corrupt := rewrite.Unsound(), rewrite.Corruptions()
 	forEachBenchSample(b, seed, 8192, func(i int, s *dataset.Sample) {
 		tgtText, l := refinetest.Target(seed, i, s.O0, s.Ref, s.RefText, unsound, corrupt)
@@ -347,40 +350,96 @@ func BenchmarkProofReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pairs = append(pairs, [2]*ir.Function{src, tgt})
+		fill = append(fill, [2]*ir.Function{src, tgt})
 	})
-	for _, mode := range []string{"plain", "replay"} {
-		b.Run(mode, func(b *testing.B) {
-			var a ruptest.Audit
-			noSolver, solver, lemmas, unsats := 0, 0, 0, 0
-			var spent time.Duration
-			for range b.N {
-				for _, p := range pairs {
-					var built solverCount
-					proof := built.sink
-					if mode == "replay" {
-						proof = func() sat.ProofSink { built++; return a.New() }
-					}
-					t0 := time.Now()
-					alive.VerifyRuleHits(p[0], p[1], alive.DefaultOptions(), proof)
-					dt := time.Since(t0)
-					_, l, u := a.Verify(b)
-					lemmas, unsats = lemmas+l, unsats+u
-					if built == 0 {
-						noSolver++
-						continue
-					}
-					solver++
-					spent += dt
+	searched, cached := searchColdPairs(b)
+	for _, corpus := range []struct {
+		prefix string
+		pairs  [][2]*ir.Function
+	}{{"", fill}, {"search-cold/", searched}} {
+		for _, mode := range []string{"plain", "replay"} {
+			b.Run(corpus.prefix+mode, func(b *testing.B) {
+				replayPairs(b, corpus.pairs, mode == "replay")
+				if corpus.prefix != "" {
+					b.ReportMetric(float64(cached), "cache-verdicts/op")
 				}
-			}
-			b.ReportMetric(float64(noSolver)/float64(b.N), "no-solver-verdicts/op")
-			b.ReportMetric(float64(solver)/float64(b.N), "solver-verdicts/op")
-			b.ReportMetric(float64(spent.Microseconds())/float64(solver), "µs/solver-verdict")
-			b.ReportMetric(float64(lemmas)/float64(b.N), "lemmas-replayed/op")
-			b.ReportMetric(float64(unsats)/float64(b.N), "unsats-replayed/op")
-		})
+			})
+		}
 	}
+}
+
+// replayPairs verifies pairs b.N times, with every solver's proof
+// replayed when replay is set, and reports BenchmarkProofReplay's
+// metrics.
+func replayPairs(b *testing.B, pairs [][2]*ir.Function, replay bool) {
+	var a ruptest.Audit
+	noSolver, solver, lemmas, unsats := 0, 0, 0, 0
+	var spent time.Duration
+	for range b.N {
+		for _, p := range pairs {
+			var built solverCount
+			proof := built.sink
+			if replay {
+				proof = func() sat.ProofSink { built++; return a.New() }
+			}
+			t0 := time.Now()
+			alive.VerifyRuleHits(p[0], p[1], alive.DefaultOptions(), proof)
+			dt := time.Since(t0)
+			_, l, u := a.Verify(b)
+			lemmas, unsats = lemmas+l, unsats+u
+			if built == 0 {
+				noSolver++
+				continue
+			}
+			solver++
+			spent += dt
+		}
+	}
+	b.ReportMetric(float64(noSolver)/float64(b.N), "no-solver-verdicts/op")
+	b.ReportMetric(float64(solver)/float64(b.N), "solver-verdicts/op")
+	b.ReportMetric(float64(spent.Microseconds())/float64(solver), "µs/solver-verdict")
+	b.ReportMetric(float64(lemmas)/float64(b.N), "lemmas-replayed/op")
+	b.ReportMetric(float64(unsats)/float64(b.N), "unsats-replayed/op")
+}
+
+// searchColdPairs runs seqopt.Beam over search-cold's inputs at the
+// benchmark's defaults (seed 12, 190 searches a second for 15 s: 2 844
+// inputs, whose digest must be bench/golden.json's) on one stack, as
+// search-cold does, and returns copies of the pairs its base verifier
+// was asked, in order, and how many queries the stack's cache answered.
+func searchColdPairs(b *testing.B) (pairs [][2]*ir.Function, cached int) {
+	raw, err := os.ReadFile("../../bench/golden.json")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var golden struct {
+		Seed    int64
+		Digests map[string]string
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		b.Fatal(err)
+	}
+	asked := 0
+	stack := oracle.NewStack(oracle.Config{Base: oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+		pairs = append(pairs, [2]*ir.Function{ir.CloneFunc(src), ir.CloneFunc(tgt)})
+		return alive.VerifyFuncsCtx(ctx, src, tgt, opts)
+	})})
+	counted := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+		asked++
+		return stack.Verify(ctx, src, tgt, opts)
+	})
+	h := sha256.New()
+	forEachBenchSample(b, golden.Seed, 2844, func(_ int, s *dataset.Sample) {
+		text := ir.FuncString(s.O0)
+		fmt.Fprintf(h, "%d:%s\n", len(text), text)
+		if _, err := seqopt.Beam(context.Background(), s.O0, seqopt.SearchConfig{Oracle: counted}); err != nil {
+			b.Fatal(err)
+		}
+	})
+	if got, want := hex.EncodeToString(h.Sum(nil)), golden.Digests["search-cold"]; got != want {
+		b.Fatalf("search-cold's inputs: digest %s, bench/golden.json has %s", got, want)
+	}
+	return pairs, asked - len(pairs)
 }
 
 // tailShapes returns the corpus templates whose verification the normal
