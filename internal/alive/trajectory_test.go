@@ -15,8 +15,10 @@ package alive_test
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"math/rand"
 	"os"
 	"testing"
@@ -49,8 +51,12 @@ const (
 // verification: what was asked, the verdict, the conflicts spent. work
 // has one line per session verification: what executing each side took
 // (edges, instructions, merges) and how many times bv's normal form
-// fired, walks included.
-func runCorpus(t testing.TB, proof func() sat.ProofSink) (lines, work []string) {
+// fired, walks included. cnf has one line per session verification too:
+// the sha256 of the axioms, lemmas and Unsat answers its solver was
+// told, in order (what a cnfHash sees, in front of proof's sink), which
+// pins the variable numbering and the clause order the blaster feeds
+// the solver.
+func runCorpus(t testing.TB, proof func() sat.ProofSink) (lines, work, cnf []string) {
 	t.Helper()
 	samples, err := dataset.Generate(dataset.Config{Seed: corpusSeed, N: corpusN, SkipVerify: true})
 	if err != nil {
@@ -83,7 +89,15 @@ func runCorpus(t testing.TB, proof func() sat.ProofSink) (lines, work []string) 
 		}
 		for j, tgt := range targets {
 			for _, fresh := range []bool{false, true} {
-				res, hits, counts := alive.VerifyRuleHits(s.O0, tgt, opts, proof)
+				var sinks []*cnfHash
+				res, hits, counts := alive.VerifyRuleHits(s.O0, tgt, opts, func() sat.ProofSink {
+					h := &cnfHash{h: sha256.New()}
+					if proof != nil {
+						h.next = proof()
+					}
+					sinks = append(sinks, h)
+					return h
+				})
 				if fresh {
 					res = alive.VerifyFresh(context.Background(), s.O0, tgt, opts, false, proof)
 				}
@@ -96,11 +110,54 @@ func runCorpus(t testing.TB, proof func() sat.ProofSink) (lines, work []string) 
 					}
 					work = append(work, fmt.Sprintf("%s %s %s src=%+v tgt=%+v hits=%d",
 						s.Scenario, s.Template, names[j], counts[0], counts[1], total))
+					line := fmt.Sprintf("%s %s %s", s.Scenario, s.Template, names[j])
+					for _, h := range sinks {
+						line += fmt.Sprintf(" %x", h.h.Sum(nil))
+					}
+					cnf = append(cnf, line)
 				}
 			}
 		}
 	}
-	return lines, work
+	return lines, work, cnf
+}
+
+// cnfHash is a proof sink that hashes every step it is told, its kind
+// and its literals, and passes it on to next, if any.
+type cnfHash struct {
+	h    hash.Hash
+	next sat.ProofSink
+}
+
+func (c *cnfHash) step(kind byte, lits []sat.Lit) {
+	buf := make([]byte, 0, 5+4*len(lits))
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(lits)))
+	for _, l := range lits {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
+	}
+	c.h.Write(buf)
+}
+
+func (c *cnfHash) Axiom(lits []sat.Lit) {
+	c.step('a', lits)
+	if c.next != nil {
+		c.next.Axiom(lits)
+	}
+}
+
+func (c *cnfHash) Lemma(lits []sat.Lit) {
+	c.step('l', lits)
+	if c.next != nil {
+		c.next.Lemma(lits)
+	}
+}
+
+func (c *cnfHash) Unsat(assumptions []sat.Lit) {
+	c.step('u', assumptions)
+	if c.next != nil {
+		c.next.Unsat(assumptions)
+	}
 }
 
 // runSessionScript drives bv.Session the way one long verification would:
@@ -179,7 +236,7 @@ func digest(lines []string) string {
 func TestProofReplayCorpus(t *testing.T) {
 	t.Parallel()
 	a := &ruptest.Audit{}
-	lines, work := runCorpus(t, a.New)
+	lines, work, cnf := runCorpus(t, a.New)
 	solvers, lemmas, unsats := a.Verify(t)
 	t.Logf("%d verifications on %d solvers: %d lemmas and %d Unsat answers replayed", len(lines), solvers, lemmas, unsats)
 	if unsats < 100 || lemmas < 10000 {
@@ -189,6 +246,8 @@ func TestProofReplayCorpus(t *testing.T) {
 		t.Errorf("under the checker: %d runs, sha256 %s; golden: %d, %s", len(lines), digest(lines), want.CorpusRuns, want.CorpusSHA256)
 	} else if digest(work) != want.CorpusWorkSHA256 {
 		t.Errorf("under the checker: work sha256 %s; golden: %s", digest(work), want.CorpusWorkSHA256)
+	} else if digest(cnf) != want.CorpusCNFSHA256 {
+		t.Errorf("under the checker: CNF sha256 %s; golden: %s", digest(cnf), want.CorpusCNFSHA256)
 	}
 }
 
@@ -260,8 +319,11 @@ type trajectoryGolden struct {
 	// CorpusWorkSHA256 covers one line per session verification of the
 	// corpus: each side's paths, steps and merges and the rule hits.
 	CorpusWorkSHA256 string `json:"corpus_work_sha256"`
-	SessionQueries   int    `json:"session_queries"`
-	SessionSHA256    string `json:"session_sha256"`
+	// CorpusCNFSHA256 covers one line per session verification of the
+	// corpus: the hash of every axiom, lemma and Unsat its solver saw.
+	CorpusCNFSHA256 string `json:"corpus_cnf_sha256"`
+	SessionQueries  int    `json:"session_queries"`
+	SessionSHA256   string `json:"session_sha256"`
 }
 
 // TestTrajectoryGolden pins what the solver decided: the ordered
@@ -273,15 +335,19 @@ type trajectoryGolden struct {
 // until the fresh solver became a test reference of alive.) The work
 // digest pins what alive itself did on the way, which a change to the
 // executor's memory layout must leave equal too: each side's edges,
-// instructions and merges, and the normal form's rule hits.
+// instructions and merges, and the normal form's rule hits. The CNF
+// digest pins what reached each session's solver, variable for variable
+// and clause for clause, which a change to the blaster's or the
+// solver's memory must leave equal.
 func TestTrajectoryGolden(t *testing.T) {
-	corpus, work := runCorpus(t, nil)
+	corpus, work, cnf := runCorpus(t, nil)
 	session := runSessionScript(t, bv.NewSession)
 	got := trajectoryGolden{
 		Note:             "sha256 over one line per verification/query; go test ./internal/alive -run TrajectoryGolden -update",
 		CorpusRuns:       len(corpus),
 		CorpusSHA256:     digest(corpus),
 		CorpusWorkSHA256: digest(work),
+		CorpusCNFSHA256:  digest(cnf),
 		SessionQueries:   len(session),
 		SessionSHA256:    digest(session),
 	}
