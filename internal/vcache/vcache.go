@@ -375,6 +375,7 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 	c := &call{done: make(chan struct{})}
 	e.inflight[fp] = c
 	e.mu.Unlock()
+	defer e.abandon(fp, c)
 
 	// Miss in the hot tier: consult the cold tier before the solver.
 	// The singleflight slot is already claimed, so concurrent
@@ -424,6 +425,24 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 	}
 	e.settle(fp, c, owed)
 	return c.res
+}
+
+// abandon releases the singleflight slot of a call that never settled
+// because backing.Get or compute panicked, and lets the panic go on up:
+// later callers compute the key again, and a waiter woken here reads a
+// Canceled result and goes round, as it does when the owner's caller
+// left, rather than the zero Result, whose verdict is Equivalent.
+func (e *Engine) abandon(fp [sha256.Size]byte, c *call) {
+	select {
+	case <-c.done:
+		return
+	default:
+	}
+	c.res = alive.CanceledResult(nil)
+	e.mu.Lock()
+	delete(e.inflight, fp)
+	e.mu.Unlock()
+	close(c.done)
 }
 
 // settle installs a finished computation into the hot tier, releases

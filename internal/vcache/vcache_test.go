@@ -340,6 +340,86 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	}
 }
 
+// TestPanickingComputeReleasesItsSlot: a compute that panics (the
+// server's recover answers the request 500) must leave the key free. A
+// caller already waiting on it goes round and computes, never reading
+// the zero Result (whose verdict is Equivalent), and a later caller
+// with no deadline, as the trainer's are, is answered too.
+func TestPanickingComputeReleasesItsSlot(t *testing.T) {
+	e := New(Config{})
+	bad := alive.Result{Verdict: alive.SemanticError, Diag: "ERROR: Value mismatch"}
+	started, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		e.Do(bg, keyN(6), func() alive.Result {
+			close(started)
+			<-release
+			panic("compute failed")
+		})
+	}()
+	<-started
+	waiterDone := make(chan alive.Result, 1)
+	go func() { waiterDone <- e.Do(bg, keyN(6), func() alive.Result { return bad }) }()
+	// Let the waiter park on the owner's call before the owner panics.
+	for e.Stats().Queries < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if r := <-panicked; r != "compute failed" {
+		t.Fatalf("the owner's panic reached its caller as %v", r)
+	}
+	deadline := time.After(5 * time.Second)
+	select {
+	case r := <-waiterDone:
+		if r.Verdict != bad.Verdict {
+			t.Fatalf("waiter got %+v, want its own computed verdict", r)
+		}
+	case <-deadline:
+		t.Fatal("the waiter never returned: the panicking owner kept the slot")
+	}
+	later := make(chan alive.Result, 1)
+	go func() { later <- e.Do(bg, keyN(6), equivalent) }()
+	select {
+	case r := <-later:
+		if r.Verdict != bad.Verdict {
+			t.Fatalf("a later query got %+v, want the waiter's cached verdict", r)
+		}
+	case <-deadline:
+		t.Fatal("a later query never returned")
+	}
+
+	// The same for a backing store whose Get panics.
+	e = New(Config{Backing: &panickingBacking{}})
+	func() {
+		defer func() { recover() }()
+		e.Do(bg, keyN(7), equivalent)
+	}()
+	done := make(chan alive.Result, 1)
+	go func() {
+		defer func() { recover() }()
+		done <- e.Do(bg, keyN(7), equivalent)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a query after a panicking Get never returned")
+	}
+}
+
+// panickingBacking panics on its first Get and answers misses after.
+type panickingBacking struct{ gets atomic.Int64 }
+
+func (b *panickingBacking) Get(Key) (alive.Result, bool, error) {
+	if b.gets.Add(1) == 1 {
+		panic("backing failed")
+	}
+	return alive.Result{}, false, nil
+}
+
+func (*panickingBacking) Put(Key, alive.Result) error { return nil }
+
 func TestEvictionRespectsBound(t *testing.T) {
 	e := New(Config{MaxEntries: 2})
 	for i := 0; i < 5; i++ {
