@@ -24,10 +24,10 @@ func (c *ExecCounts) Add(o ExecCounts) {
 // package). The session's solver, if one is built, takes its proof
 // sink from proof (nil: no proof).
 func VerifyRuleHits(src, tgt *ir.Function, opts Options, proof func() sat.ProofSink) (Result, map[string]int, [2]ExecCounts) {
-	b := bv.NewBuilder()
+	v := new(verification)
 	var counts [2]ExecCounts
 	side := 0
-	res := verifyWith(context.Background(), b, src, tgt, opts, func(ex *executor, b *bv.Builder, f *ir.Function, params []symVal, cfg execConfig) (summary, error) {
+	res := verifyWith(context.Background(), v, src, tgt, opts, func(ex *executor, b *bv.Builder, f *ir.Function, params []symVal, cfg execConfig) (summary, error) {
 		s, err := exec(ex, b, f, params, cfg)
 		if err == nil {
 			counts[side] = ExecCounts{Paths: s.paths, Steps: s.steps, Merges: s.merges}
@@ -35,7 +35,7 @@ func VerifyRuleHits(src, tgt *ir.Function, opts Options, proof func() sat.ProofS
 		side++
 		return s, err
 	}, proving(proof))
-	return res, b.RuleHits(), counts
+	return res, v.b.RuleHits(), counts
 }
 
 // proving is newSession with the session's solver told a sink from

@@ -24,7 +24,7 @@ import (
 // forking reference. The session's solver takes its proof sink from
 // proof (nil: no proof).
 func VerifyForking(ctx context.Context, src, tgt *ir.Function, opts Options, proof func() sat.ProofSink) Result {
-	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, refExec, proving(proof))
+	return verifyWith(ctx, new(verification), src, tgt, opts, refExec, proving(proof))
 }
 
 // VerifyFresh is VerifyFuncsCtx with the second reference below, a
@@ -38,7 +38,7 @@ func VerifyFresh(ctx context.Context, src, tgt *ir.Function, opts Options, forki
 	if forking {
 		run = refExec
 	}
-	return verifyWith(ctx, bv.NewBuilder(), src, tgt, opts, run, func(_ *ir.Function, opts Options) querySolver {
+	return verifyWith(ctx, new(verification), src, tgt, opts, run, func(_ *ir.Function, opts Options) querySolver {
 		return &freshSolver{budget: opts.SolverBudget, proof: proof}
 	})
 }

@@ -8,7 +8,9 @@ import (
 	"sync"
 	"testing"
 
+	"veriopt/internal/bv"
 	"veriopt/internal/ir"
+	"veriopt/internal/sat"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/seed_envs_golden.json")
@@ -131,5 +133,59 @@ func TestSeedEnvsSharedReadOnly(t *testing.T) {
 	wg.Wait()
 	if after := seedEnvsJSON(t, fn); !bytes.Equal(before, after) {
 		t.Fatal("the shared seed environments changed under concurrent verification")
+	}
+}
+
+// TestSessionsShareSeedList: sessions seeded from one memoized list
+// share it until each appends its first model, which must copy it (run
+// under -race in tier 2: an append in place would be two goroutines
+// writing one slot). Two sessions on two goroutines each find a model
+// only the solver finds; afterwards each session's pre-pass holds its
+// own model and not the other's, and the memoized list is as it was.
+func TestSessionsShareSeedList(t *testing.T) {
+	fn, err := ir.ParseFunc("define i32 @f(i32 noundef %0, i32 noundef %1) {\n  ret i32 %0\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, n := seedEnvsJSON(t, fn), len(seedEnvs(fn))
+	type side struct {
+		b    *bv.Builder
+		sess *bv.Session
+		own  *bv.Term
+	}
+	sides := make([]side, 2)
+	for i := range sides {
+		b := bv.NewBuilder()
+		x, y := b.Var(32, inputName(0)), b.Var(32, inputName(1))
+		sides[i] = side{b: b, sess: sessionProof(fn, DefaultOptions(), nil).(*sessionSolver).sess,
+			own: b.BoolAnd(b.Eq(x, b.Const(32, 0x5a5a0000+uint64(i))), b.Eq(y, b.Const(32, 0x12340000+uint64(i))))}
+		if _, hit := sides[i].sess.TryConcrete(sides[i].own); hit {
+			t.Fatalf("side %d: a seed environment already satisfies the query", i)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range sides {
+		wg.Add(1)
+		go func(s side) {
+			defer wg.Done()
+			if res, err := s.sess.Check(s.own); err != nil || res.Status != sat.Sat {
+				t.Errorf("%v, %v: want a model", res.Status, err)
+			}
+		}(sides[i])
+	}
+	wg.Wait()
+	for i, s := range sides {
+		// The other side's query, asked through this side's builder.
+		x, y := s.b.Var(32, inputName(0)), s.b.Var(32, inputName(1))
+		other := s.b.BoolAnd(s.b.Eq(x, s.b.Const(32, 0x5a5a0000+uint64(1-i))), s.b.Eq(y, s.b.Const(32, 0x12340000+uint64(1-i))))
+		if _, hit := s.sess.TryConcrete(s.own); !hit {
+			t.Errorf("side %d: its own model is not in its pre-pass", i)
+		}
+		if _, hit := s.sess.TryConcrete(other); hit {
+			t.Errorf("side %d: the pre-pass holds side %d's model", i, 1-i)
+		}
+	}
+	if after := seedEnvsJSON(t, fn); len(seedEnvs(fn)) != n || !bytes.Equal(before, after) {
+		t.Fatal("a session's model reached the memoized seed list")
 	}
 }

@@ -9,14 +9,14 @@ import (
 // Blaster translates bit-vector terms into CNF over a sat.Solver via
 // Tseitin encoding, one solver variable per bit.
 //
-// The blast cache is keyed by term id, which is unique per Builder,
-// and it survives across queries: a Blaster reused for a stream of
-// queries over one Builder (the Session path) blasts every shared
-// subterm exactly once. Consequently a Blaster must only ever see
-// terms from a single Builder.
+// The blast cache is indexed by term id, which is unique and dense per
+// Builder, and it survives across queries: a Blaster reused for a
+// stream of queries over one Builder (the Session path) blasts every
+// shared subterm exactly once. Consequently a Blaster must only ever
+// see terms from a single Builder.
 type Blaster struct {
 	S     *sat.Solver
-	cache map[int][]sat.Lit // term id -> bit literals
+	cache [][]sat.Lit // term id -> bit literals, nil until blasted
 	// tLit/fLit are literals fixed to true/false.
 	tLit, fLit sat.Lit
 	vars       map[string][]sat.Lit // variable name -> bit literals
@@ -43,7 +43,7 @@ const (
 func NewBlaster(proof sat.ProofSink) *Blaster {
 	s := sat.New()
 	s.Proof = proof
-	b := &Blaster{S: s, cache: map[int][]sat.Lit{}, vars: map[string][]sat.Lit{}, gates: map[gateKey]sat.Lit{}}
+	b := &Blaster{S: s, vars: map[string][]sat.Lit{}, gates: map[gateKey]sat.Lit{}}
 	v := s.NewVar()
 	b.tLit = sat.MkLit(v, false)
 	b.fLit = b.tLit.Not()
@@ -225,12 +225,15 @@ func (bl *Blaster) negate(a []sat.Lit) []sat.Lit {
 
 // blast returns the bit literals (LSB first) representing t.
 func (bl *Blaster) blast(t *Term) []sat.Lit {
-	if lits, ok := bl.cache[t.id]; ok {
-		return lits
+	if t.id < len(bl.cache) && bl.cache[t.id] != nil {
+		return bl.cache[t.id]
 	}
 	lits := bl.blastUncached(t)
 	if len(lits) != t.Width {
 		panic(fmt.Sprintf("bv: blast width mismatch for %v: got %d, want %d", t.Op, len(lits), t.Width))
+	}
+	if t.id >= len(bl.cache) {
+		bl.cache = extend(bl.cache, t.id+1)
 	}
 	bl.cache[t.id] = lits
 	return lits

@@ -13,7 +13,8 @@ import (
 
 // refInterner is the interner Builder had before termKey: a table
 // keyed by the rendered string op|width|val|name|kid ids, ids in order
-// of first sight. It is the reference the struct key is fuzzed against.
+// of first sight. It is the reference the open-addressed table is
+// fuzzed against.
 type refInterner struct{ ids map[string]int }
 
 func refKey(op Op, w int, val uint64, name string, kids []*Term) string {
@@ -36,15 +37,15 @@ func (r *refInterner) intern(key string) (id int, fresh bool) {
 	return id, true
 }
 
-// sync feeds the reference every term b created since the last call,
-// in id order: each must be new to the reference too (two pointers
-// for one old key would be a class the struct key split) and get the
-// same id.
+// sync feeds the reference every term b's table holds that b created
+// since the last call, in id order: each must be new to the reference
+// too (two pointers for one old key would be a class the table split)
+// and get the same id.
 func (r *refInterner) sync(t testing.TB, b *Builder) {
 	t.Helper()
 	var created []*Term
 	for _, tm := range b.table {
-		if tm.id >= len(r.ids) {
+		if tm != nil && tm.id >= len(r.ids) {
 			created = append(created, tm)
 		}
 	}
@@ -166,6 +167,69 @@ func FuzzInternVsReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		internVsReference(t, rand.New(&byteSource{data, rand.NewSource(int64(len(data)))}))
 	})
+}
+
+// TestInternThroughGrowths: a builder taken through six table growths
+// and past the first 1 024-term chunk hands every term back, same
+// pointer and same id, each time it is asked again; the re-interns run
+// after every growth, and once more at the end.
+func TestInternThroughGrowths(t *testing.T) {
+	b := NewBuilder()
+	var made []*Term
+	check := func(when string) {
+		for i, tm := range made {
+			if got := b.intern(tm.Op, tm.Width, tm.Val, tm.name, tm.Kids...); got != tm || got.id != i {
+				t.Fatalf("%s: term %d (%v) came back as %p, id %d, not %p", when, i, tm, got, got.id, tm)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	slots := len(b.table)
+	for len(made) < 3000 {
+		var tm *Term
+		switch k := rng.Intn(3); {
+		case k == 0 || len(made) < 2:
+			tm = b.Const(32, uint64(len(made))<<8)
+		case k == 1:
+			tm = b.Var(32, fmt.Sprintf("v%d", len(made)))
+		default:
+			op := []Op{OpAnd, OpOr, OpXor}[rng.Intn(3)]
+			tm = b.intern(op, 32, 0, "", made[rng.Intn(len(made))], made[rng.Intn(len(made))])
+		}
+		if tm.id < len(made) {
+			continue // asked again, not made
+		}
+		if tm.id != len(made) {
+			t.Fatalf("term %v has id %d, want %d: ids follow creation order", tm, tm.id, len(made))
+		}
+		made = append(made, tm)
+		if len(b.table) != slots {
+			slots = len(b.table)
+			check(fmt.Sprintf("after growing to %d slots at %d terms", slots, len(made)))
+		}
+	}
+	check("at the end")
+	if len(b.table) < 64<<6 || len(made) < 32+64+128+256+512+1024+1 {
+		t.Errorf("%d slots over %d terms: the test no longer crosses six growths and the 1 024-term chunk", len(b.table), len(made))
+	}
+}
+
+// TestZeroBuilderMatchesNewBuilder: a Builder's zero value and
+// NewBuilder's result hand out the same ids for the same calls.
+func TestZeroBuilderMatchesNewBuilder(t *testing.T) {
+	var zero Builder
+	made := NewBuilder()
+	rz, rn := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+	for q := 0; q < 200; q++ {
+		w := []int{1, 8, 32, 64}[q%4]
+		cz, cn := randomCond(&zero, rz, w, 3), randomCond(made, rn, w, 3)
+		if cz.id != cn.id || cz.String() != cn.String() {
+			t.Fatalf("query %d: the zero Builder made id %d %v, NewBuilder id %d %v", q, cz.id, cz, cn.id, cn)
+		}
+	}
+	if zero.nextID != made.nextID || zero.nextID < 1000 {
+		t.Fatalf("%d terms from the zero Builder, %d from NewBuilder: want equal, and past the first table", zero.nextID, made.nextID)
+	}
 }
 
 // TestKidsAppendReallocates: Kids is a slice of the term's own

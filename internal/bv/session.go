@@ -35,7 +35,8 @@ type Session struct {
 	// query gets the same headroom a fresh solver would have.
 	budget int
 	// envs are the pre-pass candidate environments, in check order:
-	// caller seeds first, then models from earlier Sat answers.
+	// caller seeds first, then models from earlier Sat answers. Until
+	// the first model it may be the caller's own capped list.
 	envs []map[string]uint64
 	// memo serves every evaluation of the pre-pass.
 	memo evalMemo
@@ -53,11 +54,18 @@ func NewSessionProof(budget int, proof sat.ProofSink) *Session {
 	return &Session{bl: NewBlaster(proof), budget: budget}
 }
 
-// SeedEnv registers a candidate environment for the concrete
-// pre-pass. Environments are tried in registration order; variables
-// absent from an environment evaluate as 0, matching Eval.
-func (s *Session) SeedEnv(env map[string]uint64) {
-	s.envs = append(s.envs, env)
+// SeedEnv registers candidate environments for the concrete pre-pass.
+// Environments are tried in registration order; variables absent from
+// an environment evaluate as 0, matching Eval. The session reads envs
+// and never writes to it or its maps: a session with no environments
+// yet keeps envs itself, capped, so a later append copies it, and many
+// sessions can share one read-only list.
+func (s *Session) SeedEnv(envs ...map[string]uint64) {
+	if len(s.envs) == 0 {
+		s.envs = envs[:len(envs):len(envs)]
+		return
+	}
+	s.envs = append(s.envs, envs...)
 }
 
 // Conflicts returns the total SAT conflicts spent across the session.

@@ -134,9 +134,17 @@ func New() *Solver {
 	return s
 }
 
+// varFloor is the variables the per-variable arrays first make room
+// for: a session of alive's solves p50 34 and p90 129 variables, so
+// most grow once or not at all.
+const varFloor = 64
+
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := s.nVars
+	if v == cap(s.assign) {
+		s.growVars(max(2*v, varFloor))
+	}
 	s.nVars++
 	s.watches = append(s.watches, s.newWatchList(), s.newWatchList())
 	s.assign = append(s.assign, lUndef)
@@ -147,6 +155,29 @@ func (s *Solver) NewVar() int {
 	s.phase = append(s.phase, false)
 	s.order.push(v)
 	return v
+}
+
+// growVars makes room in every per-variable array, the heap's too, for
+// n variables at once, rather than letting each grow by its own chain of
+// appends.
+func (s *Solver) growVars(n int) {
+	s.watches = grown(s.watches, 2*n)
+	s.assign = grown(s.assign, n)
+	s.level = grown(s.level, n)
+	s.reason = grown(s.reason, n)
+	s.activity = grown(s.activity, n)
+	s.seen = grown(s.seen, n)
+	s.phase = grown(s.phase, n)
+	s.order.heap = grown(s.order.heap, n)
+	s.order.index = grown(s.order.index, n)
+}
+
+// grown is s copied into a new array of capacity n: one allocation,
+// where slices.Grow makes the zeroed tail separately under -race.
+func grown[T any](s []T, n int) []T {
+	t := make([]T, len(s), n)
+	copy(t, s)
+	return t
 }
 
 // NumVars returns the number of allocated variables.
