@@ -244,7 +244,8 @@ bench-pair:
 # limit on a corpus loop mutant and over the 2 000-instruction function,
 # the reference instcombine pass over 40 corpus functions
 # (bench_test.go), then what a search does with it: one verification,
-# one of the 2 000-instruction function to the step limit (VerifyLarge)
+# one of the 2 000-instruction function to the step limit (VerifyLarge),
+# one seed-12 miscompile the session's pre-pass refutes (VerifyPrepass)
 # and one whole Beam on a cold stack (the same go test line with
 # -memprofile is the allocation profile of that path), the verifier's
 # tail shapes one by one (VerifyTail), and then the table of where the
@@ -252,7 +253,7 @@ bench-pair:
 # width, with the normal-form rules that fired (-seed N for another seed).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
-	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|KeyFingerprint|CloneFunc|CombinePass|CloneFuncLarge|DeadCodeElimLarge|Mem2RegLarge|InstCombinePass|VerifyMid|VerifyLarge|BeamMid|VerifyTail|InterpRun|InterpRunLoop|InterpRunLarge|GenerateSkipVerify)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|KeyFingerprint|CloneFunc|CombinePass|CloneFuncLarge|DeadCodeElimLarge|Mem2RegLarge|InstCombinePass|VerifyMid|VerifyLarge|VerifyPrepass|BeamMid|VerifyTail|InterpRun|InterpRunLoop|InterpRunLarge|GenerateSkipVerify)$$' -benchmem .
 	$(GO) test -run '^TestNormalFormTable$$' -count=1 -v ./internal/alive
 
 # "Least code" as a number (ROADMAP, Design diet): per-package non-test

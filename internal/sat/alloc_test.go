@@ -44,10 +44,13 @@ func andLadder(n int) (cnf [][]sat.Lit, nVars int) {
 // grown-by-append watch list per literal it was 3.7 per clause on the
 // blasted formula below (42 864 for the larger). Now a clause costs
 // none of its own: the count is set by how often the arena, the watch
-// slab and the per-variable slices grow — the same few dozen for every
+// slab and the per-variable arrays grow — the same few dozen for every
 // 8x in size — plus one growth per watch list that outgrows its slab
 // share, which a real blasted formula has (a multiplier's low bits fan
-// out widely) and a gate ladder does not.
+// out widely) and a gate ladder does not. The per-variable arrays grow
+// together, doubling from 64 variables: the ladders read 80 / 123 / 170
+// and the blasted formulas 256 and 1 602 (133 / 204 / 293, 300 and
+// 1 669 while each of them grew by its own chain of appends).
 func TestClauseDatabaseAllocations(t *testing.T) {
 	mallocs := func(cnf [][]sat.Lit, nVars int) float64 {
 		return testing.AllocsPerRun(5, func() {
