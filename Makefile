@@ -253,7 +253,7 @@ bench-pair:
 # width, with the normal-form rules that fired (-seed N for another seed).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
 bench-ir:
-	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|VerifyFunc|KeyOfFunc|KeyFingerprint|CloneFunc|CombinePass|CloneFuncLarge|DeadCodeElimLarge|Mem2RegLarge|InstCombinePass|VerifyMid|VerifyLarge|VerifyPrepass|BeamMid|VerifyTail|InterpRun|InterpRunLoop|InterpRunLarge|GenerateSkipVerify)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|ParseLarge|VerifyFunc|KeyOfFunc|KeyFingerprint|CloneFunc|CombinePass|CloneFuncLarge|DeadCodeElimLarge|Mem2RegLarge|InstCombinePass|VerifyMid|VerifyLarge|VerifyPrepass|BeamMid|VerifyTail|InterpRun|InterpRunLoop|InterpRunLarge|GenerateSkipVerify)$$' -benchmem .
 	$(GO) test -run '^TestNormalFormTable$$' -count=1 -v ./internal/alive
 
 # "Least code" as a number (ROADMAP, Design diet): per-package non-test

@@ -1,14 +1,16 @@
 package ir
 
-// CheckPrinter, CheckVerify, CheckCFG, CheckClone and CheckDCE let the
-// external test package (which may import internal/dataset and
-// internal/rewrite; this one cannot) run the reference comparisons.
+// CheckPrinter, CheckVerify, CheckCFG, CheckClone, CheckDCE and
+// CheckParse let the external test package (which may import
+// internal/dataset and internal/rewrite; this one cannot) run the
+// reference comparisons.
 var (
 	CheckPrinter = checkPrinter
 	CheckVerify  = checkVerify
 	CheckCFG     = checkCFG
 	CheckClone   = checkClone
 	CheckDCE     = checkDCE
+	CheckParse   = checkParse
 )
 
 // FormatInstr renders one instruction without indentation or newline,
