@@ -143,6 +143,27 @@ func TestParseCastsAndFlags(t *testing.T) {
 	}
 }
 
+// TestParseClangComments: clang annotates a block header with its
+// predecessors and may close a body with a comment after the brace;
+// both parse, and print as the text without the comments.
+func TestParseClangComments(t *testing.T) {
+	src := "define i32 @f(i32 noundef %0) {\nentry:\n  %1 = icmp eq i32 %0, 0 ; cmp\n  br i1 %1, label %next, label %out\n\nnext:   ; preds = %entry\n  br label %out\n\nout:                ; preds = %next, %entry\n  %2 = phi i32 [ 1, %next ], [ %0, %entry ]\n  ret i32 %2\n} ; end of @f\n"
+	f, err := ParseFunc(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := ParseFunc(strings.NewReplacer("   ; preds = %entry", "", "                ; preds = %next, %entry", "", " ; cmp", "", " ; end of @f", "").Replace(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := FuncString(f), FuncString(bare); got != want {
+		t.Errorf("commented text prints\n%s\nwant\n%s", got, want)
+	}
+	if len(f.Blocks) != 3 || f.Blocks[1].NameStr != "next" {
+		t.Errorf("blocks %v, want entry, next, out", blockNames(f.Blocks))
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -159,6 +180,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad predicate", "define i1 @f(i32 %0) {\n  %1 = icmp wat i32 %0, 0\n  ret i1 %1\n}\n", "predicate"},
 		{"branch to nowhere", "define i32 @f(i32 %0) {\n  br label %nope\n}\n", "undefined label"},
 		{"store with result", "define void @f(i32 %0, ptr %1) {\n  %2 = store i32 %0, ptr %1\n  ret void\n}\n", "store"},
+		{"commented label, misspelt branch", "define i32 @f(i32 %0) {\n  br label %nxt\n\nnext:   ; preds = %entry\n  ret i32 %0\n}\n", "branch to undefined label %nxt"},
+		{"brace only in a comment", "define i32 @f(i32 %0) {\n  ret i32 %0 ; }\n", "unterminated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
