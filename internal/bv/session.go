@@ -29,7 +29,11 @@ import (
 // A Session must only see terms from a single Builder (term IDs are
 // unique per Builder), and it is not safe for concurrent use.
 type Session struct {
-	bl *Blaster
+	// bl is built, with its solver and proof, by the first query the
+	// pre-pass cannot settle: a session the pre-pass answers throughout
+	// never blasts, and never pays for the solver's arrays.
+	bl    *Blaster
+	proof sat.ProofSink
 	// budget is the per-query conflict budget (0 = unlimited). The
 	// underlying solver budget is topped up before each query so every
 	// query gets the same headroom a fresh solver would have.
@@ -51,7 +55,7 @@ func NewSession(budget int) *Session { return NewSessionProof(budget, nil) }
 
 // NewSessionProof is NewSession whose solver's Proof is proof.
 func NewSessionProof(budget int, proof sat.ProofSink) *Session {
-	return &Session{bl: NewBlaster(proof), budget: budget}
+	return &Session{proof: proof, budget: budget}
 }
 
 // SeedEnv registers candidate environments for the concrete pre-pass.
@@ -69,7 +73,12 @@ func (s *Session) SeedEnv(envs ...map[string]uint64) {
 }
 
 // Conflicts returns the total SAT conflicts spent across the session.
-func (s *Session) Conflicts() int { return s.bl.S.Conflicts() }
+func (s *Session) Conflicts() int {
+	if s.bl == nil {
+		return 0
+	}
+	return s.bl.S.Conflicts()
+}
 
 // TryConcrete runs only the concrete pre-pass: it reports (result,
 // true) when some candidate environment satisfies t, and (zero, false)
@@ -114,6 +123,9 @@ func (s *Session) Check(t *Term) (Result, error) {
 
 	// Blast (cached across queries), guard with an activation literal,
 	// and solve under that assumption so learnt clauses carry over.
+	if s.bl == nil {
+		s.bl = NewBlaster(s.proof)
+	}
 	cond := s.bl.blast(t)[0]
 	act := s.bl.freshLit()
 	s.bl.S.AddClause(act.Not(), cond)
