@@ -4,18 +4,19 @@ import "slices"
 
 // CFG is a read-only analysis of a function's control-flow graph:
 // predecessor lists, reachability from entry and immediate dominators.
-// A block is its position in f.Blocks, and every per-block answer lives
-// in int32 slices carved from one allocation. The analysis writes
-// nothing into the function — no index or mark on Block or Instr — so
-// any number of goroutines may analyse one function at once. It is a
-// snapshot: blocks or terminators changed afterwards are not seen.
+// A block is its position in f.Blocks, found from the *Block through a
+// table inside the analysis, and every per-block answer lives in int32
+// slices carved from one allocation. The analysis writes nothing into
+// the function — no index or mark on Block or Instr — so any number of
+// goroutines may analyse one function at once. It is a snapshot: blocks
+// or terminators changed afterwards are not seen.
 type CFG struct {
 	blocks []*Block
 	// Nothing below is built for a function whose only block has no
 	// successor (the scalar majority of what is parsed): it has no edge
 	// to record, and every accessor answers for it from nil slices. One
 	// block that branches to itself is not that case.
-	index   map[*Block]int32
+	index   table   // positions of blocks, by name
 	predOff []int32 // preds[predOff[i]:predOff[i+1]] are the predecessors of block i
 	preds   []int32
 	order   []int32 // reverse post-order number; -1 when unreachable
@@ -35,9 +36,11 @@ func NewCFG(f *Function) CFG {
 	if n <= 1 && edges == 0 {
 		return c
 	}
-	c.index = make(map[*Block]int32, n)
+	c.index.reset(n)
 	for i, b := range f.Blocks {
-		c.index[b] = int32(i)
+		// A block listed twice is found at its last position.
+		_, slot := c.find(b)
+		c.index.put(slot, int32(i))
 	}
 	slab := make([]int32, 2*(n+1)+2*edges+5*n)
 	succOff, succs := carve(&slab, n+1), carve(&slab, edges)
@@ -50,9 +53,8 @@ func NewCFG(f *Function) CFG {
 	for i, b := range f.Blocks {
 		succOff[i] = int32(e)
 		for _, s := range b.Succs() {
-			si, ok := c.index[s]
-			if !ok {
-				si = -1
+			si := int32(c.Index(s))
+			if si < 0 {
 				if c.foreign == nil {
 					c.foreign = b
 				}
@@ -150,13 +152,20 @@ func NewCFG(f *Function) CFG {
 // Index returns b's position in the function's block list, or -1 when
 // b is not one of its blocks.
 func (c *CFG) Index(b *Block) int {
-	if c.index == nil {
+	if c.index.size == 0 {
 		return slices.Index(c.blocks, b) // of at most one block
 	}
-	if i, ok := c.index[b]; ok {
-		return int(i)
+	if b == nil {
+		return -1
 	}
-	return -1
+	pos, _ := c.find(b)
+	return int(pos)
+}
+
+// find looks b up by its name, and tells it from another block of the
+// same name by its pointer.
+func (c *CFG) find(b *Block) (int32, int) {
+	return c.index.find(b.NameStr, func(pos int32) bool { return c.blocks[pos] == b })
 }
 
 // Preds returns the predecessors of block i, one entry per edge, in

@@ -129,8 +129,6 @@ func (p *printer) val(v Value) *printer {
 		return p.s("%").name(&v.NameStr)
 	case *Instr:
 		return p.s("%").name(&v.NameStr)
-	case *pendingRef:
-		return p.s("%").sym(v.name)
 	case *GlobalRef:
 		return p.s("@").sym(v.NameStr)
 	case *Undef:

@@ -561,3 +561,34 @@ func TestCFGDeepChainDoesNotRecurse(t *testing.T) {
 		t.Error("wrong analysis of a straight chain")
 	}
 }
+
+// TestCFGIndexTellsSameNamedBlocksApart: the analysis finds a block by
+// its name and then by its pointer, so blocks that share a name — all
+// of them past the table's array, to one probe chain — each answer
+// their own position, and a stranger of the same name -1.
+func TestCFGIndexTellsSameNamedBlocksApart(t *testing.T) {
+	for _, n := range []int{3, 200} {
+		b := NewBuilder("same", Void)
+		blocks := make([]*Block, n)
+		for i := range blocks {
+			blocks[i] = &Block{NameStr: "x", Parent: b.Fn}
+		}
+		b.Fn.Blocks = blocks
+		for i, blk := range blocks[:n-1] {
+			blk.appendInstr(&Instr{Op: OpBr, Ty: Void, Succs: []*Block{blocks[i+1]}})
+		}
+		blocks[n-1].appendInstr(&Instr{Op: OpRet, Ty: Void})
+		c := NewCFG(b.Fn)
+		for i, blk := range blocks {
+			if got := c.Index(blk); got != i {
+				t.Fatalf("%d blocks: Index of block %d = %d", n, i, got)
+			}
+		}
+		if c.Index(&Block{NameStr: "x"}) != -1 || c.foreign != nil {
+			t.Errorf("%d blocks: a stranger named x is found, or a branch counted foreign", n)
+		}
+		if err := VerifyFunc(b.Fn); err == nil || err.Error() != "function @same: duplicate block x" {
+			t.Errorf("%d blocks: VerifyFunc = %v", n, err)
+		}
+	}
+}
