@@ -48,8 +48,8 @@ func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8723", "listen address")
 	queueSize := fs.Int("queue", server.DefaultQueueSize,
-		"bounded work-queue capacity (a full queue sheds requests with 429 + Retry-After)")
-	workers := fs.Int("workers", runtime.NumCPU(), "queue worker count (concurrent request executions)")
+		"requests that may wait for a slot (past that, requests are shed with 429 + Retry-After)")
+	workers := fs.Int("workers", runtime.NumCPU(), "requests executing at once (the rest wait for a slot)")
 	modelPath := fs.String("model", "",
 		"trained policy JSON (from train -save) behind /v1/optimize and /v1/evaluate; empty = instcombine / untrained base")
 	timeout := fs.Duration("timeout", 30*time.Second,

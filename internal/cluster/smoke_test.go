@@ -180,7 +180,7 @@ func TestClusterSmoke(t *testing.T) {
 }
 
 // Harness sizing. The scaling workload is latency-bound by design:
-// each slow worker runs 8 queue workers over an 80ms verification
+// each slow worker runs 8 requests at once over an 80ms verification
 // sleep, so per-replica capacity is 100 qps and a saturating client
 // pool measures fan-out, not single-CPU solver throughput (total CPU
 // demand at 4 replicas is ~400 qps x ~0.6ms of parse/JSON/HTTP work

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -156,30 +158,51 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decode reads and parses the request body, answering 400 itself on
-// failure.
+// decode reads the request body once, into one allocation when its
+// length is known, and parses it into v, answering 400 itself on
+// failure. A body json.Unmarshal rejects goes to json.Decoder, which
+// reads one value and ignores what follows, with the body's reader
+// failing again as it did: which bodies are accepted, and every 400's
+// text, are the decoder's.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var buf bytes.Buffer
+	if r.ContentLength >= 0 {
+		buf.Grow(int(min(r.ContentLength, maxBodyBytes)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(body); err == nil && json.Unmarshal(buf.Bytes(), v) == nil {
+		return true
+	}
+	if err := json.NewDecoder(io.MultiReader(bytes.NewReader(buf.Bytes()), body)).Decode(v); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return false
 	}
 	return true
 }
 
-// serveQueued runs fn through the bounded work queue under the
-// request deadline, shedding with 429 + Retry-After when the queue is
-// full and 503 while draining. fn returns the response status and
-// body.
+// serveQueued runs fn on this goroutine once it holds a slot, under the
+// request deadline, shedding with 429 + Retry-After when QueueSize
+// requests already wait for one and answering 503 once the drain has
+// begun. fn returns the response status and body.
 //
 // Deadline semantics are honest in both directions: a negative
 // timeout_ms is a client error (400), and a positive one is clamped
 // to the server's MaxTimeout so no request can talk itself past the
-// operator's ceiling. A panicking fn answers 500 instead of killing
-// the queue worker (and with it the whole process).
+// operator's ceiling. The deadline covers the wait for a slot. A
+// panicking fn answers 500 instead of killing the process.
 func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, timeoutMs int, fn func(ctx context.Context) (int, any)) {
 	if timeoutMs < 0 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "timeout_ms must be non-negative"})
+		return
+	}
+	switch s.admit() {
+	case http.StatusServiceUnavailable:
+		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
+		return
+	case http.StatusTooManyRequests:
+		s.metrics.shed.Add(1)
+		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(retryAfter)))
+		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "work queue full, retry later"})
 		return
 	}
 	ctx := r.Context()
@@ -198,36 +221,8 @@ func (s *Server) serveQueued(w http.ResponseWriter, r *http.Request, timeoutMs i
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	var (
-		status int
-		body   any
-	)
-	enqueuedAt := time.Now()
-	j := &job{done: make(chan struct{})}
-	j.run = func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.metrics.panics.Add(1)
-				status = http.StatusInternalServerError
-				body = errorResponse{Error: fmt.Sprintf("internal error: %v", rec)}
-			}
-		}()
-		if span := spanOf(r.Context()); span != nil {
-			span.queueWait = time.Since(enqueuedAt)
-		}
-		status, body = fn(ctx)
-	}
-	switch s.enqueue(j) {
-	case queueFull:
-		s.metrics.shed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(retryAfter)))
-		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "work queue full, retry later"})
-		return
-	case queueDraining:
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
-		return
-	}
-	<-j.done
+	rec, _ := w.(*statusRecorder)
+	status, body := s.call(ctx, rec, fn)
 	writeJSON(w, status, body)
 }
 
@@ -256,8 +251,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// A broken source is harness misuse (same contract as
-	// alive.VerifyText): reject before queueing. A broken target is a
-	// model failure and yields a syntax_error verdict.
+	// alive.VerifyText): reject before taking a slot. A broken target
+	// is a model failure and yields a syntax_error verdict.
 	src, err := ir.ParseFunc(req.Src)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, parseFailure("source", err))
@@ -354,7 +349,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 		rep, runErr := pipeline.EvaluateCtx(ctx, s.oracle, s.evalPol, slice, req.Augmented, pipeline.EvalConfig{
 			Verify:  alive.DefaultOptions(),
-			Workers: 1, // the queue's worker pool is the concurrency governor
+			Workers: 1, // the server's Workers slots bound the concurrency
 		})
 		return http.StatusOK, evaluateResponse{
 			Correct:              rep.Correct,
@@ -381,7 +376,8 @@ type healthzResponse struct {
 	// Role is "worker" for a plain serving process, "coordinator" for
 	// the cluster front.
 	Role string `json:"role"`
-	// QueueDepth/QueueCapacity report the bounded work queue's load.
+	// QueueDepth/QueueCapacity report the requests waiting for a slot
+	// and their bound.
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity"`
 	// StoreAttached reports whether a durable verdict store backs the

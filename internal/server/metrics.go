@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"io"
 	"maps"
 	"net/http"
@@ -31,7 +30,7 @@ type metricsRegistry struct {
 	latCount map[string]uint64
 
 	shed atomic.Uint64
-	// panics counts handler panics recovered by the queue workers;
+	// panics counts handler panics Server.call recovered;
 	// anything non-zero is a bug, surfaced on /metrics so load
 	// harnesses can assert on it.
 	panics atomic.Uint64
@@ -76,23 +75,12 @@ var knownEndpoints = map[string]bool{
 	"/metrics":     true,
 }
 
-// reqSpan carries per-request measurements from the queue worker back
-// to the instrumentation middleware.
-type reqSpan struct {
-	queueWait time.Duration
-}
-
-type spanCtxKey struct{}
-
-func spanOf(ctx context.Context) *reqSpan {
-	s, _ := ctx.Value(spanCtxKey{}).(*reqSpan)
-	return s
-}
-
-// statusRecorder captures the response code written by a handler.
+// statusRecorder captures the response code written by a handler, and
+// the time a /v1/* request waited for a slot (Server.call writes it).
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code      int
+	queueWait time.Duration
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -109,14 +97,14 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		if !knownEndpoints[endpoint] {
 			endpoint = "other"
 		}
-		span := &reqSpan{}
-		r = r.WithContext(context.WithValue(r.Context(), spanCtxKey{}, span))
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		t0 := time.Now()
 		next.ServeHTTP(rec, r)
 		wall := time.Since(t0)
 		s.metrics.observe(endpoint, rec.code, wall)
-		s.cfg.Obs.Emit(obs.RequestEvent(endpoint, rec.code, span.queueWait, wall))
+		if s.cfg.Obs != nil {
+			s.cfg.Obs.Emit(obs.RequestEvent(endpoint, rec.code, rec.queueWait, wall))
+		}
 	})
 }
 
