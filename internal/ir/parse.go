@@ -247,7 +247,9 @@ func (p *parser) block(name string) *Block {
 }
 
 func (p *parser) parseDecl() (*Declaration, error) {
-	tk := p.tk.lex(p.next())
+	// The cursor leaves the line on return, so errf names this line.
+	tk := p.tk.lex(p.peekLine())
+	defer p.next()
 	tk.eat("declare")
 	retTy, ok := tk.typ()
 	if !ok {

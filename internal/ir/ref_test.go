@@ -610,10 +610,12 @@ func refVerifyDominance(f *Function, fail func(string, ...interface{}) error) er
 
 // refParse and refParseFunc are parse.go and lex.go as they were while
 // a parse went through a Module, a slice of lines and maps of names and
-// blocks (every identifier prefixed ref), with one change since: the
+// blocks (every identifier prefixed ref), with two changes since: the
 // body's first pass strips a line's ';' comment before it classifies
 // the line, so that clang's "next:  ; preds = %entry" is a label and
-// "} ; end" closes the body. FuzzParseFuncVsReference and checkParse
+// "} ; end" closes the body; and parseDecl leaves its line only when it
+// returns, so its errors name the declaration's line, not the next
+// one. FuzzParseFuncVsReference and checkParse
 // hold the parser to them, on the error text and, where both succeed, on
 // what they build. They define every ParseError a client, the vstore
 // and Eq. 2's BLEU score see.
@@ -688,7 +690,8 @@ type refPendingRef struct {
 func (r *refPendingRef) Type() Type { return r.ty }
 
 func (p *refParser) parseDecl() (*Declaration, error) {
-	tk := p.tk.lex(p.next())
+	tk := p.tk.lex(p.peekLine())
+	defer p.next()
 	tk.eat("declare")
 	retTy, ok := tk.typ()
 	if !ok {

@@ -182,6 +182,8 @@ func TestParseErrors(t *testing.T) {
 		{"store with result", "define void @f(i32 %0, ptr %1) {\n  %2 = store i32 %0, ptr %1\n  ret void\n}\n", "store"},
 		{"commented label, misspelt branch", "define i32 @f(i32 %0) {\n  br label %nxt\n\nnext:   ; preds = %entry\n  ret i32 %0\n}\n", "branch to undefined label %nxt"},
 		{"brace only in a comment", "define i32 @f(i32 %0) {\n  ret i32 %0 ; }\n", "unterminated"},
+		{"unclosed declaration", "declare i32 @ext(i32\n", "line 1: declare: expected , or )"},
+		{"declaration after a blank line", "\ndeclare i32 ext(i32)\n", "line 2: declare: expected @name"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
