@@ -252,8 +252,12 @@ bench-pair:
 # solver's time goes over the benchmark's two corpora, per template and
 # width, with the normal-form rules that fired (-seed N for another seed).
 # Their allocation ceilings run in tier1 (TestIRFrontHalfAllocCeilings).
+# The second line is one warm /v1/verify through the server's handler, in
+# process (TestVerifyWarmAllocCeiling holds its allocations); add -cpu 1
+# -count 10 to it to compare two trees.
 bench-ir:
 	$(GO) test -run '^$$' -bench '^Benchmark(ParseFunc|ParseLarge|VerifyFunc|KeyOfFunc|KeyFingerprint|CloneFunc|CombinePass|CloneFuncLarge|DeadCodeElimLarge|Mem2RegLarge|InstCombinePass|VerifyMid|VerifyLarge|VerifyPrepass|BeamMid|VerifyTail|InterpRun|InterpRunLoop|InterpRunLarge|GenerateSkipVerify)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^BenchmarkVerifyWarmHandler$$' -benchmem ./internal/server
 	$(GO) test -run '^TestNormalFormTable$$' -count=1 -v ./internal/alive
 
 # "Least code" as a number (ROADMAP, Design diet): per-package non-test
