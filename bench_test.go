@@ -23,6 +23,7 @@ import (
 	"veriopt/internal/oracle"
 	"veriopt/internal/pipeline"
 	"veriopt/internal/policy"
+	"veriopt/internal/seqopt"
 )
 
 var (
@@ -202,23 +203,86 @@ func BenchmarkEvaluateWorkers4(b *testing.B) { benchEvalWorkers(b, 4) }
 // BenchmarkTrainerStepWorkers1 and ...Workers4 measure one GRPO step
 // (rollout + verification grid) at fixed worker counts; training is
 // bit-identical at any value, so the delta is pure wall-clock.
-func benchTrainerStep(b *testing.B, workers int) {
-	samples, err := dataset.Generate(dataset.Config{Seed: 11, N: 48})
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := policy.New(policy.CapQwen3B, 5)
-	cfg := grpo.DefaultConfig()
-	cfg.Workers = workers
-	tr := grpo.NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, cfg, 17)
+// BenchmarkTrainerStepLatencyWorkers1 is the sequential step in the
+// Model-Latency stage's reward mode.
+func benchTrainerStep(b *testing.B, mode grpo.RewardMode, workers int) {
+	tr := stepTrainer(b, mode, workers)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.StepCtx(context.Background())
 	}
 }
 
+// stepTrainer is the trainer the step benchmarks and
+// TestGRPOStepAllocCeilings run: corpus seed 11 (48 samples), policy
+// seed 5, trainer seed 17, on a fresh stack. The CoT mode opens the
+// self-correction gate (as sft does after the warm-up), so the
+// correction rollout and the diagnosis are on the step; the latency
+// mode takes the curriculum's Eq. 3–4 parameters.
+func stepTrainer(tb testing.TB, mode grpo.RewardMode, workers int) *grpo.Trainer {
+	samples, err := dataset.Generate(dataset.Config{Seed: 11, N: 48})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := policy.New(policy.CapQwen3B, 5)
+	cfg := grpo.DefaultConfig()
+	cfg.Workers = workers
+	cfg.Mode = mode
+	switch mode {
+	case grpo.ModeCorrectnessCoT:
+		m.SelfCorrectGate = 2
+	case grpo.ModeLatency:
+		cfg.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(samples, 80), Gamma: 2}
+	}
+	return grpo.NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, cfg, 17)
+}
+
 // BenchmarkTrainerStepWorkers1 is the sequential GRPO-step baseline.
-func BenchmarkTrainerStepWorkers1(b *testing.B) { benchTrainerStep(b, 1) }
+func BenchmarkTrainerStepWorkers1(b *testing.B) { benchTrainerStep(b, grpo.ModeCorrectness, 1) }
 
 // BenchmarkTrainerStepWorkers4 fans the rollout grid over 4 workers.
-func BenchmarkTrainerStepWorkers4(b *testing.B) { benchTrainerStep(b, 4) }
+func BenchmarkTrainerStepWorkers4(b *testing.B) { benchTrainerStep(b, grpo.ModeCorrectness, 4) }
+
+// BenchmarkTrainerStepLatencyWorkers1 is one sequential Model-Latency step.
+func BenchmarkTrainerStepLatencyWorkers1(b *testing.B) {
+	benchTrainerStep(b, grpo.ModeLatency, 1)
+}
+
+// TestGRPOStepAllocCeilings holds what one Workers-1 GRPO step
+// allocates, averaged over the 20 steps after a first one, in each
+// text reward mode and in the sequence trainer (corpus seed 17, 40
+// samples, model seed 5, trainer seed 23). A step's allocations repeat
+// to the digit: the trajectory is pinned and AllocsPerRun runs on one
+// thread. Each ceiling is about 5 % above what the step read when the
+// test was written (correctness 30 376–30 412, CoT 37 547, latency
+// 29 026, sequence 5 351; under -race up to 0.6 % more); nearly all of
+// the text steps' allocations were then BLEU against the instcombine
+// label.
+func TestGRPOStepAllocCeilings(t *testing.T) {
+	seqData, err := dataset.Generate(dataset.Config{Seed: 17, N: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqCfg := grpo.DefaultSeqConfig()
+	seqCfg.Workers = 1
+	seq := grpo.NewSeqTrainer(oracle.NewStack(oracle.Config{}), seqopt.NewModel(5), seqData, seqCfg, 23)
+	step := func(tr *grpo.Trainer) func() {
+		return func() { tr.StepCtx(context.Background()) }
+	}
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		fn      func()
+	}{
+		{"correctness", 31900, step(stepTrainer(t, grpo.ModeCorrectness, 1))},
+		{"correctness-cot", 39400, step(stepTrainer(t, grpo.ModeCorrectnessCoT, 1))},
+		{"latency", 30500, step(stepTrainer(t, grpo.ModeLatency, 1))},
+		{"sequence", 5600, func() { seq.TrainCtx(context.Background(), 1) }},
+	} {
+		got := testing.AllocsPerRun(20, tc.fn)
+		t.Logf("%s: %.0f allocations per step", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("%s: %.0f allocations per step, ceiling %.0f", tc.name, got, tc.ceiling)
+		}
+	}
+}
