@@ -257,7 +257,10 @@ func BenchmarkTrainerStepLatencyWorkers1(b *testing.B) {
 // test was written (correctness 30 376–30 412, CoT 37 547, latency
 // 29 026, sequence 5 351; under -race up to 0.6 % more); nearly all of
 // the text steps' allocations were then BLEU against the instcombine
-// label.
+// label. The latency stage has since stopped scoring the label it
+// drops (one scorer per reward mode): its step reads 3 626, 3 808
+// under -race, and its ceiling was lowered to 3 900; the other rows
+// read 30 329–30 365, 37 491 and 5 350 then.
 func TestGRPOStepAllocCeilings(t *testing.T) {
 	seqData, err := dataset.Generate(dataset.Config{Seed: 17, N: 40})
 	if err != nil {
@@ -276,7 +279,7 @@ func TestGRPOStepAllocCeilings(t *testing.T) {
 	}{
 		{"correctness", 31900, step(stepTrainer(t, grpo.ModeCorrectness, 1))},
 		{"correctness-cot", 39400, step(stepTrainer(t, grpo.ModeCorrectnessCoT, 1))},
-		{"latency", 30500, step(stepTrainer(t, grpo.ModeLatency, 1))},
+		{"latency", 3900, step(stepTrainer(t, grpo.ModeLatency, 1))},
 		{"sequence", 5600, func() { seq.TrainCtx(context.Background(), 1) }},
 	} {
 		got := testing.AllocsPerRun(20, tc.fn)

@@ -45,7 +45,7 @@ func ablationGRPO(c *Context) (*Outcome, error) {
 		cfg.Workers = c.Cfg.Workers
 		v.mutate(&cfg)
 		tr := grpo.NewTrainer(c.oracle, m, train, cfg, c.Cfg.Seed+7000+int64(i))
-		if _, err := tr.TrainCtx(c.context(), steps); err != nil {
+		if err := tr.TrainCtx(c.context(), steps); err != nil {
 			return nil, err
 		}
 		rep, err := c.report(m, false)

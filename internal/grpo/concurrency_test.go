@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"veriopt/internal/alive"
+	"veriopt/internal/bleu"
 	"veriopt/internal/dataset"
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
@@ -93,30 +94,23 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 
 	before := m.Clone()
 	ctx, cancel := context.WithCancel(context.Background())
-	type outcome struct {
-		stats StepStats
-		err   error
-	}
-	done := make(chan outcome, 1)
+	done := make(chan error, 1)
 	go func() {
-		st, err := tr.StepCtx(ctx)
-		done <- outcome{st, err}
+		_, err := tr.StepCtx(ctx)
+		done <- err
 	}()
 	<-started
 	cancel()
 	select {
-	case o := <-done:
-		if o.err == nil {
+	case err := <-done:
+		if err == nil {
 			t.Fatal("canceled StepCtx returned nil error")
-		}
-		if o.stats.episodes != 0 {
-			t.Fatalf("canceled step reported episodes: %+v", o.stats)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("StepCtx did not return promptly after cancel")
 	}
-	if len(tr.RewardHistory) != 0 {
-		t.Fatalf("canceled step appended history: %v", tr.RewardHistory)
+	if len(tr.RewardHistory) != 0 || tr.cursor != 0 {
+		t.Fatalf("canceled step appended history %v or moved the cursor to %d", tr.RewardHistory, tr.cursor)
 	}
 	for a := range m.B {
 		if m.B[a] != before.B[a] || m.S[a] != before.S[a] || m.P[a] != before.P[a] {
@@ -126,24 +120,24 @@ func TestStepCancellationPromptNoUpdate(t *testing.T) {
 	// The cursor rewound: the resumed first step replays the same batch
 	// as an uncanceled run's first step.
 	tr.oracle = oracle.NewStack(oracle.Config{})
-	resumed := stepBg(tr.StepCtx)
+	stepBg(tr.StepCtx)
 	fresh := trainSteps(t, samples, 1, 1)
-	if resumed.meanReward != fresh.RewardHistory[0] {
-		t.Fatalf("resumed step diverged: %v vs %v", resumed.meanReward, fresh.RewardHistory[0])
+	if tr.RewardHistory[0] != fresh.RewardHistory[0] {
+		t.Fatalf("resumed step diverged: %v vs %v", tr.RewardHistory[0], fresh.RewardHistory[0])
 	}
 }
 
 // TestTrainCtxStopsEarly: cancellation between steps truncates the
-// stats without an extra partial entry.
+// run without an extra partial entry.
 func TestTrainCtxStopsEarly(t *testing.T) {
 	samples := corpus(t, 4)
 	m := policy.New(policy.CapQwen3B, 7)
 	tr := NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, DefaultConfig(), 21)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stats, err := tr.TrainCtx(ctx, 5)
-	if err == nil || len(stats) != 0 {
-		t.Fatalf("pre-canceled TrainCtx: stats=%d err=%v", len(stats), err)
+	err := tr.TrainCtx(ctx, 5)
+	if err == nil || len(tr.RewardHistory) != 0 || tr.cursor != 0 {
+		t.Fatalf("pre-canceled TrainCtx: history=%v cursor=%d err=%v", tr.RewardHistory, tr.cursor, err)
 	}
 }
 
@@ -152,12 +146,12 @@ func TestTrainCtxStopsEarly(t *testing.T) {
 func TestStepEmptyDataNoPanic(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 3)
 	tr := NewTrainer(testStack, m, nil, DefaultConfig(), 1)
-	stats := stepBg(tr.StepCtx)
-	if stats.episodes != 0 {
-		t.Fatalf("episodes = %d, want 0", stats.episodes)
+	stepBg(tr.StepCtx)
+	if len(tr.RewardHistory) != 1 || tr.RewardHistory[0] != 0 {
+		t.Fatalf("history = %v, want one empty step's 0 (one entry per Step)", tr.RewardHistory)
 	}
-	if len(tr.RewardHistory) != 1 {
-		t.Fatalf("history length = %d, want 1 (one entry per Step)", len(tr.RewardHistory))
+	if tr.cursor != 0 {
+		t.Fatalf("an empty step moved the cursor to %d", tr.cursor)
 	}
 }
 
@@ -165,8 +159,7 @@ func TestStepEmptyDataNoPanic(t *testing.T) {
 // left by DefaultConfig) used to yield math.Pow(negativeFrac, 0) == 1
 // — an unconditional full reward for any speedup > 1.
 func TestLatencyRewardZeroParams(t *testing.T) {
-	j := &judgment{finalVerdict: alive.Result{Verdict: alive.Equivalent}, speedup: 1.5}
-	r := latencyReward(j, LatencyRewardParams{})
+	r := latencyReward(alive.Equivalent, 1.5, LatencyRewardParams{})
 	if math.IsNaN(r) {
 		t.Fatal("zero params produced NaN")
 	}
@@ -179,12 +172,12 @@ func TestLatencyRewardZeroParams(t *testing.T) {
 	}
 	// Fractional Gamma < 1 also normalizes instead of producing NaN
 	// for the negative frac of a degenerate UMax.
-	r = latencyReward(j, LatencyRewardParams{UMax: 0, Gamma: 0.5})
+	r = latencyReward(alive.Equivalent, 1.5, LatencyRewardParams{UMax: 0, Gamma: 0.5})
 	if math.IsNaN(r) || r <= 0 || r >= 1 {
 		t.Fatalf("reward = %v under degenerate UMax + fractional Gamma", r)
 	}
 	// Valid params are untouched.
-	r = latencyReward(j, LatencyRewardParams{UMax: 3, Gamma: 2})
+	r = latencyReward(alive.Equivalent, 1.5, LatencyRewardParams{UMax: 3, Gamma: 2})
 	if math.Abs(r-0.0625) > 1e-9 {
 		t.Fatalf("valid params altered: reward = %v, want 0.0625", r)
 	}
@@ -192,26 +185,26 @@ func TestLatencyRewardZeroParams(t *testing.T) {
 
 // TestNoBleuShapingCoversBothSegments: the ablation must remove the
 // BLEU term from the attempt segment's reward too, not only from the
-// final answer's (it used to subtract j.Bleu from rAnswer while
-// leaving attemptReward's j.AttemptBleu intact).
+// final answer's (it once took the answer's BLEU out of the answer's
+// reward and left the attempt's BLEU in the attempt's).
 func TestNoBleuShapingCoversBothSegments(t *testing.T) {
 	samples := corpus(t, 2)
 	s := samples[0]
-	vo := alive.DefaultOptions()
 	ep := &policy.Episode{
 		FinalText:   s.RefText,
 		AttemptText: s.O0Text,
 		FormatOK:    true,
 		Diag:        &policy.DiagRecord{PredictedClass: policy.DiagOK},
 	}
-	j := judge(ep, s, vo)
-	if j.attemptBleu <= 0 || j.bleu <= 0 {
-		t.Fatalf("test setup: expected nonzero BLEU terms, got %v / %v", j.bleu, j.attemptBleu)
+	b, attemptB := bleu.ScoreText(ep.FinalText, s.RefText), bleu.ScoreText(ep.AttemptText, s.RefText)
+	if attemptB <= 0 || b <= 0 {
+		t.Fatalf("test setup: expected nonzero BLEU terms, got %v / %v", b, attemptB)
 	}
-	if got, want := correctnessReward(ep, j, false), correctnessReward(ep, j, true)-j.bleu; math.Abs(got-want) > 1e-9 {
+	shaped, unshaped := scoreIn(ModeCorrectnessCoT, true, ep, s), scoreIn(ModeCorrectnessCoT, false, ep, s)
+	if got, want := unshaped.rAnswer, shaped.rAnswer-b; math.Abs(got-want) > 1e-9 {
 		t.Errorf("answer segment: unshaped = %v, want %v", got, want)
 	}
-	if got, want := attemptReward(ep, j, false), attemptReward(ep, j, true)-j.attemptBleu; math.Abs(got-want) > 1e-9 {
+	if got, want := unshaped.rAttempt, shaped.rAttempt-attemptB; math.Abs(got-want) > 1e-9 {
 		t.Errorf("attempt segment: unshaped = %v, want %v", got, want)
 	}
 }

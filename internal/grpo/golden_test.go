@@ -1,6 +1,7 @@
 package grpo
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -72,10 +73,7 @@ func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
 	}
 	tr := NewTrainer(oracle.NewStack(oracle.Config{}), m, data, cfg, 21)
 	tr.CollectFailures = mode == ModeCorrectness
-	var norms []float64
-	for _, st := range trainBg(tr.TrainCtx, goldenSteps) {
-		norms = append(norms, st.gradNorm)
-	}
+	norms := stepNorms(tr.StepCtx)
 	vecs := [][]float64{m.B, m.S, m.P}
 	vecs = append(vecs, m.N...)
 	vecs = append(vecs, m.Diag.W...)
@@ -94,13 +92,20 @@ func seqTrajectory(t *testing.T, workers int) trajectory {
 	cfg.Workers = workers
 	cfg.lr = 4
 	tr := NewSeqTrainer(oracle.NewStack(oracle.Config{}), m, seqCorpus(t, 24), cfg, 23)
-	var norms []float64
-	for _, st := range trainBg(tr.TrainCtx, goldenSteps) {
-		norms = append(norms, st.gradNorm)
-	}
+	norms := stepNorms(tr.stepCtx)
 	vecs := [][]float64{m.B, m.S}
 	vecs = append(vecs, m.N...)
 	return trajectory{Params: paramDigest(vecs...), Rewards: bitsOf(tr.RewardHistory), GradNorms: bitsOf(norms)}
+}
+
+// stepNorms runs goldenSteps steps and returns each one's pre-clip
+// gradient norm.
+func stepNorms(stepCtx func(context.Context) (float64, error)) []float64 {
+	norms := make([]float64, goldenSteps)
+	for i := range norms {
+		norms[i] = stepBg(stepCtx)
+	}
+	return norms
 }
 
 func checkGolden(t *testing.T, path string, got map[string]trajectory) {

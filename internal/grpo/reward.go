@@ -21,56 +21,61 @@ import (
 	"veriopt/internal/policy"
 )
 
-// judgment is the verifier's view of one episode: the attempt's and
-// the final answer's verdicts, plus the reward ingredients.
-type judgment struct {
-	// attemptVerdict is the verdict for the <think>-block attempt.
-	attemptVerdict alive.Result
-	// finalVerdict is the verdict for the <answer>-block output.
-	finalVerdict alive.Result
-	// finalFn is the parsed final function (nil on syntax error).
-	finalFn *ir.Function
-	// exactMatch reports canonical-text equality with the reference.
-	exactMatch bool
-	// bleu is BLEU(final, reference).
-	bleu float64
-	// attemptExact/AttemptBleu are the same measures for the
-	// think-block attempt (used for per-segment credit assignment).
-	attemptExact bool
-	attemptBleu  float64
-	// speedup is t(O0)/t(final) when finalFn verified, else 0.
-	speedup float64
-	// copied mirrors Episode.Copied.
-	copied bool
+// score verifies one rollout cell's episode against its sample and
+// computes the rewards of cfg.Mode from the terms that mode reads, and
+// no others:
+//   - ModeLatency: the final verdict and the speedup (Eqs. 3–4). The
+//     label is dropped, so no exact match and no BLEU against it.
+//   - ModeCorrectness: Eq. 1 on the final answer, with exact match, and
+//     BLEU only when shaping is on.
+//   - ModeCorrectnessCoT: the same, plus Eq. 2 and the attempt's own
+//     Eq. 1. An attempt whose text is the answer's reuses its terms.
+//
+// The oracle is asked about the final answer, then about the attempt
+// when the episode diagnosed one that differs; a stack's cache
+// memoizes verdicts, so the attempts and answers that coincide across
+// the rollouts of a GRPO group are proved once. cfg.Verify bounds the
+// verifier work per query, asked of o under ctx.
+func score(ctx context.Context, o oracle.Oracle, s *dataset.Sample, ep *policy.Episode, cfg *Config) episodeScore {
+	es := episodeScore{s: s, ep: ep}
+	final, finalFn := verdictOf(ctx, o, ep.FinalText, s, cfg.Verify)
+	es.attempt = final
+	if ep.Diag != nil && ep.AttemptText != ep.FinalText {
+		es.attempt, _ = verdictOf(ctx, o, ep.AttemptText, s, cfg.Verify)
+	}
+	switch cfg.Mode {
+	case ModeLatency:
+		speedup := 0.0
+		if final.Verdict == alive.Equivalent {
+			speedup = costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(finalFn))
+		}
+		es.rAnswer = latencyReward(final.Verdict, speedup, cfg.Latency)
+	case ModeCorrectness, ModeCorrectnessCoT:
+		shaping := !cfg.NoBleuShaping
+		ref := ir.FingerprintText(s.RefText)
+		exact, b := labelTerms(ep.FinalText, s.RefText, ref, shaping)
+		es.rAnswer = eq1(ep.FormatOK, final.Verdict, exact, b, shaping)
+		if cfg.Mode == ModeCorrectnessCoT {
+			if ep.AttemptText != ep.FinalText {
+				exact, b = labelTerms(ep.AttemptText, s.RefText, ref, shaping)
+			}
+			es.rAttempt = eq1(ep.FormatOK, es.attempt.Verdict, exact, b, shaping)
+			es.rThink = cotReward(ep.Diag, es.attempt)
+		}
+	}
+	es.r = es.rAnswer + es.rThink
+	return es
 }
 
-// judgeWith verifies a training episode against its sample; opts
-// bounds the verifier work per query, asked of o under ctx. A stack's
-// cache memoizes verdicts, so the attempt and the final answer, which
-// frequently coincide across the rollouts of a GRPO group, are proved
-// once.
-func judgeWith(ctx context.Context, o oracle.Oracle, ep *policy.Episode, s *dataset.Sample, opts alive.Options) *judgment {
-	j := &judgment{copied: ep.Copied}
-	j.finalVerdict, j.finalFn = verdictOf(ctx, o, ep.FinalText, s, opts)
-	if ep.Diag != nil && ep.AttemptText != ep.FinalText {
-		j.attemptVerdict, _ = verdictOf(ctx, o, ep.AttemptText, s, opts)
-	} else {
-		j.attemptVerdict = j.finalVerdict
+// labelTerms returns Eq. 1's label terms for one emitted text: m, its
+// exact match with the reference (ref is the reference's fingerprint),
+// and b, its BLEU against the reference text when shaping is on.
+func labelTerms(text, refText, ref string, shaping bool) (exact bool, b float64) {
+	exact = ir.FingerprintText(text) == ref
+	if shaping {
+		b = bleu.ScoreText(text, refText)
 	}
-	j.exactMatch = ir.FingerprintText(ep.FinalText) == ir.FingerprintText(s.RefText)
-	j.bleu = bleu.ScoreText(ep.FinalText, s.RefText)
-	if ep.AttemptText == ep.FinalText {
-		j.attemptExact, j.attemptBleu = j.exactMatch, j.bleu
-	} else {
-		j.attemptExact = ir.FingerprintText(ep.AttemptText) == ir.FingerprintText(s.RefText)
-		j.attemptBleu = bleu.ScoreText(ep.AttemptText, s.RefText)
-	}
-	if j.finalVerdict.Verdict == alive.Equivalent && j.finalFn != nil {
-		base := costmodel.Measure(s.O0)
-		opt := costmodel.Measure(j.finalFn)
-		j.speedup = costmodel.Speedup(base, opt)
-	}
-	return j
+	return exact, b
 }
 
 func verdictOf(ctx context.Context, o oracle.Oracle, text string, s *dataset.Sample, opts alive.Options) (alive.Result, *ir.Function) {
@@ -107,34 +112,21 @@ func eq1(formatOK bool, verdict alive.Verdict, exact bool, b float64, shaping bo
 	return r
 }
 
-// correctnessReward applies Eq. 1 to the final answer.
-func correctnessReward(ep *policy.Episode, j *judgment, bleuShaping bool) float64 {
-	return eq1(ep.FormatOK, j.finalVerdict.Verdict, j.exactMatch, j.bleu, bleuShaping)
-}
-
-// attemptReward applies Eq. 1 to the think-block attempt: the reward
-// whose group-relative advantage trains the attempt's action tokens.
-// The BLEU term is optional here too, so the NoBleuShaping ablation
-// removes the shaping signal from the attempt segment, not just from
-// the answer segment.
-func attemptReward(ep *policy.Episode, j *judgment, bleuShaping bool) float64 {
-	return eq1(ep.FormatOK, j.attemptVerdict.Verdict, j.attemptExact, j.attemptBleu, bleuShaping)
-}
-
 // cotReward is the paper's Eq. 2: full credit when model and verifier
 // agree the attempt is OK, partial credit scaled by diagnostic BLEU
-// when both agree on an error, zero on disagreement.
-func cotReward(ep *policy.Episode, j *judgment) float64 {
-	if ep.Diag == nil {
+// when both agree on an error, zero on disagreement (and without a
+// diagnosis).
+func cotReward(d *policy.DiagRecord, attempt alive.Result) float64 {
+	if d == nil {
 		return 0
 	}
-	verifierOK := j.attemptVerdict.Verdict == alive.Equivalent
-	modelOK := ep.Diag.PredictedClass == policy.DiagOK
+	verifierOK := attempt.Verdict == alive.Equivalent
+	modelOK := d.PredictedClass == policy.DiagOK
 	switch {
 	case verifierOK && modelOK:
 		return 1
 	case !verifierOK && !modelOK:
-		return 0.5 + 0.5*bleu.ScoreText(ep.Diag.Message, j.attemptVerdict.Diag)
+		return 0.5 + 0.5*bleu.ScoreText(d.Message, attempt.Diag)
 	default:
 		return 0
 	}
@@ -177,12 +169,12 @@ func (p LatencyRewardParams) normalize() LatencyRewardParams {
 // (S=1) and sped up (u>1); then a convex, saturating share of the
 // speedup. Degenerate params (UMax <= 1 or Gamma < 1) are replaced by
 // defaults — see normalize.
-func latencyReward(j *judgment, p LatencyRewardParams) float64 {
-	if j.finalVerdict.Verdict != alive.Equivalent || j.speedup <= 1 {
+func latencyReward(v alive.Verdict, speedup float64, p LatencyRewardParams) float64 {
+	if v != alive.Equivalent || speedup <= 1 {
 		return 0
 	}
 	p = p.normalize()
-	frac := (j.speedup - 1) / (p.UMax - 1)
+	frac := (speedup - 1) / (p.UMax - 1)
 	if frac > 1 {
 		frac = 1
 	}

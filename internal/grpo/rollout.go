@@ -108,18 +108,13 @@ func advantages[T any](cells []T, group int, raw bool, r func(*T) float64) []flo
 	return adv
 }
 
-// train runs up to n steps under ctx, returning the stats of the
-// steps that completed. On cancellation the aborted step leaves no
-// trace (see grid) and the shortened slice is returned with the
-// context's error.
-func train[S any](ctx context.Context, n int, step func(context.Context) (S, error)) ([]S, error) {
-	out := make([]S, 0, n)
+// train runs up to n steps under ctx. On cancellation the aborted step
+// leaves no trace (see grid) and the context's error is returned.
+func train(ctx context.Context, n int, step func(context.Context) (float64, error)) error {
 	for i := 0; i < n; i++ {
-		st, err := step(ctx)
-		if err != nil {
-			return out, err
+		if _, err := step(ctx); err != nil {
+			return err
 		}
-		out = append(out, st)
 	}
-	return out, nil
+	return nil
 }

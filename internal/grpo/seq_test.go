@@ -2,9 +2,13 @@ package grpo
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
+	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
+	"veriopt/internal/ir"
+	"veriopt/internal/oracle"
 	"veriopt/internal/seqopt"
 )
 
@@ -19,23 +23,28 @@ func seqCorpus(t *testing.T, n int) []*dataset.Sample {
 
 // TestSeqTrainerLearns: training must raise the mean verified-latency
 // reward above the untrained policy's and keep every reward gated on
-// verification (VerifiedFrac stays 1: all registry passes are sound,
-// so every rollout's final state must verify).
+// verification (every sequence the oracle is asked about proves
+// Equivalent: all registry passes are sound).
 func TestSeqTrainerLearns(t *testing.T) {
 	data := seqCorpus(t, 40)
 	m := seqopt.NewModel(3)
-	tr := NewSeqTrainer(testStack, m, data, DefaultSeqConfig(), 11)
-	stats := trainBg(tr.TrainCtx, 30)
+	var asked, unproved atomic.Int64
+	counting := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+		r := testStack.Verify(ctx, src, tgt, opts)
+		asked.Add(1)
+		if r.Verdict != alive.Equivalent {
+			unproved.Add(1)
+		}
+		return r
+	})
+	tr := NewSeqTrainer(counting, m, data, DefaultSeqConfig(), 11)
+	trainBg(tr.TrainCtx, 30)
 	if len(tr.RewardHistory) != 30 {
 		t.Fatalf("reward history has %d entries, want 30", len(tr.RewardHistory))
 	}
-	for i, st := range stats {
-		if st.episodes == 0 {
-			t.Fatalf("step %d rolled out no episodes", i)
-		}
-		if st.verifiedFrac != 1 {
-			t.Errorf("step %d: VerifiedFrac %.2f, want 1 (sound registry)", i, st.verifiedFrac)
-		}
+	if asked.Load() == 0 || unproved.Load() != 0 {
+		t.Errorf("%d of %d sequences the oracle was asked about did not prove Equivalent, want 0 (sound registry)",
+			unproved.Load(), asked.Load())
 	}
 	early := avg(tr.RewardHistory[:5])
 	late := avg(tr.RewardHistory[len(tr.RewardHistory)-5:])
@@ -104,15 +113,15 @@ func TestSeqTrainerCancellation(t *testing.T) {
 	}
 	// A live resume now replays the same batch deterministically.
 	other := NewSeqTrainer(testStack, seqopt.NewModel(9), data, cfg, 31)
-	st1, err := tr.stepCtx(context.Background())
+	norm1, err := tr.stepCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := other.stepCtx(context.Background())
+	norm2, err := other.stepCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st1.meanReward != st2.meanReward || st1.gradNorm != st2.gradNorm {
+	if tr.RewardHistory[0] != other.RewardHistory[0] || norm1 != norm2 {
 		t.Fatal("resumed step diverged from the uncanceled trajectory")
 	}
 }
@@ -121,11 +130,11 @@ func TestSeqTrainerCancellation(t *testing.T) {
 // the text trainer stay safe here too.
 func TestSeqTrainerEmptyCorpus(t *testing.T) {
 	tr := NewSeqTrainer(testStack, seqopt.NewModel(1), nil, DefaultSeqConfig(), 1)
-	st := stepBg(tr.stepCtx)
-	if st.episodes != 0 {
-		t.Fatal("empty corpus produced episodes")
+	stepBg(tr.stepCtx)
+	if len(tr.RewardHistory) != 1 || tr.RewardHistory[0] != 0 {
+		t.Fatalf("history = %v, want one empty step's 0", tr.RewardHistory)
 	}
-	if len(tr.RewardHistory) != 1 {
-		t.Fatal("empty step must still record a history entry")
+	if tr.cursor != 0 {
+		t.Fatalf("an empty step moved the cursor to %d", tr.cursor)
 	}
 }

@@ -44,23 +44,6 @@ func DefaultSeqConfig() SeqConfig {
 	return SeqConfig{lr: 40}
 }
 
-// SeqStepStats summarizes one sequence-trainer step.
-type SeqStepStats struct {
-	// meanReward is the mean verified-latency reward across the grid.
-	meanReward float64
-	// verifiedFrac is the fraction of episodes whose final state the
-	// oracle proved equivalent (empty sequences count: the input
-	// trivially refines itself).
-	verifiedFrac float64
-	// improvedFrac is the fraction of episodes with a verified strict
-	// latency win.
-	improvedFrac float64
-	// meanLen is the mean applied-sequence length.
-	meanLen  float64
-	gradNorm float64
-	episodes int
-}
-
 // SeqTrainer runs GRPO over a sequence policy and corpus. The reward
 // is gated by the oracle exactly as in the text workload: an episode
 // whose final state is not proven equivalent to its input earns zero,
@@ -81,15 +64,15 @@ func NewSeqTrainer(o oracle.Oracle, m *seqopt.Model, data []*dataset.Sample, cfg
 
 // seqScore pairs an episode with its reward.
 type seqScore struct {
-	ep       *seqopt.Episode
-	r        float64
-	verified bool
-	improved bool
+	ep *seqopt.Episode
+	r  float64
 }
 
 // stepCtx performs one GRPO update over a BatchInputs × GroupSize
-// grid of sequence rollouts; determinism and cancellation are grid's.
-func (tr *SeqTrainer) stepCtx(ctx context.Context) (SeqStepStats, error) {
+// grid of sequence rollouts and returns its pre-clip gradient norm;
+// the step's mean reward is appended to RewardHistory. Determinism and
+// cancellation are grid's.
+func (tr *SeqTrainer) stepCtx(ctx context.Context) (float64, error) {
 	m := tr.model
 	cfg := tr.cfg
 	cells, err := grid(ctx, &tr.rollout, seqBatchInputs, seqGroupSize, cfg.Workers,
@@ -98,44 +81,31 @@ func (tr *SeqTrainer) stepCtx(ctx context.Context) (SeqStepStats, error) {
 				Temperature: seqTemperature,
 				Rng:         rng,
 			})
+			// No transformation is trivially equivalent, with zero gain.
 			es := seqScore{ep: ep}
-			if len(ep.Sequence) == 0 {
-				// No transformation: trivially equivalent, zero gain.
-				es.verified = true
-			} else if vr := tr.oracle.Verify(ctx, s.O0, ep.FinalFn, trainVerify); vr.Verdict == alive.Equivalent {
-				es.verified = true
-				u := costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(ep.FinalFn))
-				es.improved = u > 1
-				// Reuse the Eq. 3–4 latency shaping via a synthetic
-				// judgment: verified final state with speedup u.
-				es.r = latencyReward(&judgment{finalVerdict: vr, speedup: u}, cfg.Latency)
+			if len(ep.Sequence) > 0 {
+				vr := tr.oracle.Verify(ctx, s.O0, ep.FinalFn, trainVerify)
+				u := 0.0
+				if vr.Verdict == alive.Equivalent {
+					u = costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(ep.FinalFn))
+				}
+				es.r = latencyReward(vr.Verdict, u, cfg.Latency)
 			}
 			return es
 		})
 	if cells == nil {
-		return SeqStepStats{}, err
+		return 0, err
 	}
 
-	// Sequential, grid-ordered: stats, advantages (token-normalized
-	// over the whole batch) and gradient accumulation.
-	stats := SeqStepStats{episodes: len(cells)}
+	// Sequential, grid-ordered: the mean reward, advantages
+	// (token-normalized over the whole batch) and gradient accumulation.
 	totalTokens := 0
+	meanReward := 0.0
 	for _, es := range cells {
 		totalTokens += len(es.ep.Actions)
-		stats.meanReward += es.r
-		stats.meanLen += float64(len(es.ep.Sequence))
-		if es.verified {
-			stats.verifiedFrac++
-		}
-		if es.improved {
-			stats.improvedFrac++
-		}
+		meanReward += es.r
 	}
-	stats.meanReward /= float64(stats.episodes)
-	stats.meanLen /= float64(stats.episodes)
-	stats.verifiedFrac /= float64(stats.episodes)
-	stats.improvedFrac /= float64(stats.episodes)
-	tr.RewardHistory = append(tr.RewardHistory, stats.meanReward)
+	tr.RewardHistory = append(tr.RewardHistory, meanReward/float64(len(cells)))
 
 	g := m.Grad()
 	for i, adv := range advantages(cells, seqGroupSize, false, func(e *seqScore) float64 { return e.r }) {
@@ -143,12 +113,11 @@ func (tr *SeqTrainer) stepCtx(ctx context.Context) (SeqStepStats, error) {
 			m.AddGrad(g, rec, cells[i].ep.H, seqTemperature, adv/float64(totalTokens))
 		}
 	}
-	stats.gradNorm = m.ClipStep(g, nil, nil, cfg.lr, seqClipNorm, m.MaxBias)
-	return stats, nil
+	return m.ClipStep(g, nil, nil, cfg.lr, seqClipNorm, m.MaxBias), nil
 }
 
 // TrainCtx runs up to n steps under ctx; cancellation semantics match
 // Trainer.TrainCtx.
-func (tr *SeqTrainer) TrainCtx(ctx context.Context, n int) ([]SeqStepStats, error) {
+func (tr *SeqTrainer) TrainCtx(ctx context.Context, n int) error {
 	return train(ctx, n, tr.stepCtx)
 }

@@ -82,16 +82,6 @@ func DefaultConfig() Config {
 // text trainer's default and the sequence trainer's fixed setting.
 var trainVerify = alive.Options{MaxPaths: 256, MaxSteps: 2048, SolverBudget: 40000}
 
-// StepStats summarizes one optimization step.
-type StepStats struct {
-	meanReward   float64
-	meanCoT      float64
-	verifiedFrac float64
-	copyFrac     float64
-	gradNorm     float64
-	episodes     int
-}
-
 // FailureSample is a Model Zero mistake harvested for the
 // diagnostic-augmented corpus (Stage 1 of the pipeline).
 type FailureSample struct {
@@ -126,16 +116,17 @@ func NewTrainer(o oracle.Oracle, m *policy.Model, data []*dataset.Sample, cfg Co
 	return &Trainer{Model: m, cfg: cfg, rollout: rollout{Data: data, oracle: o, seed: seed}}
 }
 
-// episodeScore pairs an episode with its judgment and reward. The
-// total reward r = rAnswer + rThink; the components keep separate
-// group-relative advantages so that think-block tokens (the attempt
-// and the diagnosis) are not credited with the corrected answer's
-// reward — without the split, a corrupt-then-correct episode would
-// reinforce corrupting first.
+// episodeScore is one rollout cell: the sample, the episode, the
+// attempt's verdict (which Model Zero's failure harvest reads) and the
+// rewards score computed. The total reward r = rAnswer + rThink; the
+// components keep separate group-relative advantages so that
+// think-block tokens (the attempt and the diagnosis) are not credited
+// with the corrected answer's reward — without the split, a
+// corrupt-then-correct episode would reinforce corrupting first.
 type episodeScore struct {
 	s        *dataset.Sample
 	ep       *policy.Episode
-	j        *judgment
+	attempt  alive.Result
 	r        float64
 	rAnswer  float64
 	rThink   float64
@@ -145,11 +136,12 @@ type episodeScore struct {
 // StepCtx performs one GRPO update: sample a batch of inputs, roll out G
 // completions each in parallel across Cfg.Workers goroutines, verify
 // through the oracle, compute group-relative advantages, and apply a
-// single clipped gradient-ascent update. The update is bit-identical
-// at any worker count. When ctx ends mid-rollout the step aborts
-// promptly with NO model update and the input cursor rewound (see
-// grid).
-func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
+// single clipped gradient-ascent update. It returns the update's
+// pre-clip gradient norm; the step's mean reward is appended to
+// RewardHistory. The update is bit-identical at any worker count. When
+// ctx ends mid-rollout the step aborts promptly with NO model update
+// and the input cursor rewound (see grid).
+func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 	m := tr.Model
 	cfg := tr.cfg
 	cells, err := grid(ctx, &tr.rollout, cfg.BatchInputs, cfg.GroupSize, cfg.Workers,
@@ -159,55 +151,31 @@ func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 				Rng:         rng,
 				Augmented:   cfg.Mode == ModeCorrectnessCoT,
 			})
-			j := judgeWith(ctx, tr.oracle, ep, s, cfg.Verify)
-			es := episodeScore{s: s, ep: ep, j: j}
-			switch cfg.Mode {
-			case ModeCorrectness, ModeCorrectnessCoT:
-				es.rAnswer = correctnessReward(ep, j, !cfg.NoBleuShaping)
-				if cfg.Mode == ModeCorrectnessCoT {
-					es.rThink = cotReward(ep, j)
-					es.rAttempt = attemptReward(ep, j, !cfg.NoBleuShaping)
-				}
-			case ModeLatency:
-				es.rAnswer = latencyReward(j, cfg.Latency)
-			}
-			es.r = es.rAnswer + es.rThink
-			return es
+			return score(ctx, tr.oracle, s, ep, &cfg)
 		})
 	if cells == nil {
-		return StepStats{}, err
+		return 0, err
 	}
 
 	// Everything below is sequential and walks the grid in its
-	// deterministic (batch, group) order: failure harvesting, stats,
-	// and gradient accumulation.
-	stats := StepStats{episodes: len(cells)}
+	// deterministic (batch, group) order: failure harvesting, the mean
+	// reward, and gradient accumulation.
 	totalTokens := 0
+	meanReward := 0.0
 	for _, es := range cells {
-		if tr.CollectFailures && es.j.attemptVerdict.Verdict != alive.Equivalent {
+		if tr.CollectFailures && es.attempt.Verdict != alive.Equivalent {
 			tr.Failures = append(tr.Failures, &FailureSample{
 				Sample:      es.s,
 				AttemptText: es.ep.AttemptText,
-				TrueDiag:    es.j.attemptVerdict.Diag,
-				TrueClass:   classOf(es.j.attemptVerdict.Verdict),
+				TrueDiag:    es.attempt.Diag,
+				TrueClass:   classOf(es.attempt.Verdict),
 				UsedRules:   usedRules(m, es.ep),
 			})
 		}
 		totalTokens += tokensOf(es.ep)
-		stats.meanReward += es.r
-		stats.meanCoT += es.rThink
-		if es.j.finalVerdict.Verdict == alive.Equivalent {
-			stats.verifiedFrac++
-		}
-		if es.ep.Copied {
-			stats.copyFrac++
-		}
+		meanReward += es.r
 	}
-	stats.meanReward /= float64(stats.episodes)
-	stats.meanCoT /= float64(stats.episodes)
-	stats.verifiedFrac /= float64(stats.episodes)
-	stats.copyFrac /= float64(stats.episodes)
-	tr.RewardHistory = append(tr.RewardHistory, stats.meanReward)
+	tr.RewardHistory = append(tr.RewardHistory, meanReward/float64(len(cells)))
 
 	// Group-relative advantages, one per reward component, normalized
 	// per token over the whole batch (or per sequence, for the
@@ -227,8 +195,7 @@ func (tr *Trainer) StepCtx(ctx context.Context) (StepStats, error) {
 		}
 		tr.accumulateEpisode(g, gDiag, es.ep, advPair{answer: answer[i] / norm, think: think[i] / norm, attempt: attempt[i] / norm})
 	}
-	stats.gradNorm = m.ClipStep(g, m.Diag.W, gDiag, cfg.LR, cfg.ClipNorm, m.Cap.MaxBias)
-	return stats, nil
+	return m.ClipStep(g, m.Diag.W, gDiag, cfg.LR, cfg.ClipNorm, m.Cap.MaxBias), nil
 }
 
 // advPair carries the per-component advantages.
@@ -296,9 +263,9 @@ func usedRules(m *policy.Model, ep *policy.Episode) []string {
 	return out
 }
 
-// TrainCtx runs up to n steps under ctx, returning the stats of the
-// steps that completed and, on cancellation, the context's error.
-func (tr *Trainer) TrainCtx(ctx context.Context, n int) ([]StepStats, error) {
+// TrainCtx runs up to n steps under ctx, returning, on cancellation,
+// the context's error.
+func (tr *Trainer) TrainCtx(ctx context.Context, n int) error {
 	return train(ctx, n, tr.StepCtx)
 }
 

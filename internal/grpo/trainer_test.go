@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"veriopt/internal/alive"
+	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
-	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
 )
@@ -23,61 +23,57 @@ func corpus(t *testing.T, n int) []*dataset.Sample {
 
 // stepBg and trainBg run a trainer's StepCtx and TrainCtx under a
 // context that never ends, where the only error is nil.
-func stepBg[S any](stepCtx func(context.Context) (S, error)) S {
-	stats, _ := stepCtx(context.Background())
-	return stats
+func stepBg(stepCtx func(context.Context) (float64, error)) float64 {
+	norm, _ := stepCtx(context.Background())
+	return norm
 }
 
-func trainBg[S any](trainCtx func(context.Context, int) ([]S, error), n int) []S {
-	stats, _ := trainCtx(context.Background(), n)
-	return stats
+func trainBg(trainCtx func(context.Context, int) error, n int) {
+	_ = trainCtx(context.Background(), n)
 }
 
 // testStack is the stack the package's tests share, so verdicts proved
 // by one test are cache hits for the next.
 var testStack = oracle.NewStack(oracle.Config{})
 
-// judge is judgeWith on testStack.
-func judge(ep *policy.Episode, s *dataset.Sample, opts alive.Options) *judgment {
-	return judgeWith(context.Background(), testStack, ep, s, opts)
+// scoreIn is score on testStack in mode, under the default verifier
+// bounds, with BLEU shaping on or off.
+func scoreIn(mode RewardMode, shaping bool, ep *policy.Episode, s *dataset.Sample) episodeScore {
+	cfg := Config{Mode: mode, Verify: alive.DefaultOptions(), NoBleuShaping: !shaping}
+	return score(context.Background(), testStack, s, ep, &cfg)
 }
 
 func TestRewardEq1Hierarchy(t *testing.T) {
 	samples := corpus(t, 4)
 	s := samples[0]
-	vo := alive.DefaultOptions()
 
 	// Exact instcombine output: top reward 4 (t=1, a=1, m=1, b=1).
 	epExact := &policy.Episode{FinalText: s.RefText, AttemptText: s.RefText, FormatOK: true}
-	jExact := judge(epExact, s, vo)
-	rExact := correctnessReward(epExact, jExact, true)
+	rExact := scoreIn(ModeCorrectness, true, epExact, s).rAnswer
 	if math.Abs(rExact-4) > 1e-9 {
 		t.Errorf("exact-match reward = %v, want 4", rExact)
 	}
 
 	// Copy of input: correct but no exact match (2 + BLEU).
 	epCopy := &policy.Episode{FinalText: s.O0Text, AttemptText: s.O0Text, FormatOK: true, Copied: true}
-	jCopy := judge(epCopy, s, vo)
-	rCopy := correctnessReward(epCopy, jCopy, true)
+	rCopy := scoreIn(ModeCorrectness, true, epCopy, s).rAnswer
 	if rCopy <= 2 || rCopy >= rExact {
 		t.Errorf("copy reward = %v, want in (2, %v)", rCopy, rExact)
 	}
 
 	// Garbage: only BLEU-ish scraps, and t=1 keeps the format point.
 	epBad := &policy.Episode{FinalText: "not ir at all", AttemptText: "not ir at all", FormatOK: true}
-	jBad := judge(epBad, s, vo)
-	if jBad.finalVerdict.Verdict != alive.SyntaxError {
-		t.Fatalf("garbage verdict = %v", jBad.finalVerdict.Verdict)
+	esBad := scoreIn(ModeCorrectness, true, epBad, s)
+	if esBad.attempt.Verdict != alive.SyntaxError {
+		t.Fatalf("garbage verdict = %v", esBad.attempt.Verdict)
 	}
-	rBad := correctnessReward(epBad, jBad, true)
-	if rBad >= rCopy {
-		t.Errorf("garbage reward %v not below copy reward %v", rBad, rCopy)
+	if esBad.rAnswer >= rCopy {
+		t.Errorf("garbage reward %v not below copy reward %v", esBad.rAnswer, rCopy)
 	}
 
 	// Format break zeroes the t term.
 	epNoFmt := &policy.Episode{FinalText: s.RefText, AttemptText: s.RefText, FormatOK: false}
-	jNoFmt := judge(epNoFmt, s, vo)
-	rNoFmt := correctnessReward(epNoFmt, jNoFmt, true)
+	rNoFmt := scoreIn(ModeCorrectness, true, epNoFmt, s).rAnswer
 	if math.Abs(rNoFmt-1) > 1e-9 { // b = 1 only
 		t.Errorf("format-broken exact reward = %v, want 1", rNoFmt)
 	}
@@ -86,31 +82,27 @@ func TestRewardEq1Hierarchy(t *testing.T) {
 func TestCoTRewardAgreement(t *testing.T) {
 	samples := corpus(t, 2)
 	s := samples[0]
-	vo := alive.DefaultOptions()
 
-	mk := func(attempt string, cls policy.DiagClass, msg string) (*policy.Episode, *judgment) {
+	mk := func(attempt string, cls policy.DiagClass, msg string) float64 {
 		ep := &policy.Episode{
 			FinalText:   s.RefText,
 			AttemptText: attempt,
 			FormatOK:    true,
 			Diag:        &policy.DiagRecord{PredictedClass: cls, Message: msg},
 		}
-		return ep, judge(ep, s, vo)
+		return scoreIn(ModeCorrectnessCoT, true, ep, s).rThink
 	}
 
 	// Agreement on OK.
-	ep, j := mk(s.RefText, policy.DiagOK, "ok")
-	if r := cotReward(ep, j); r != 1 {
+	if r := mk(s.RefText, policy.DiagOK, "ok"); r != 1 {
 		t.Errorf("agree-OK reward = %v, want 1", r)
 	}
 	// Disagreement: verifier OK, model says error.
-	ep, j = mk(s.RefText, policy.DiagSemanticError, "ERROR: Value mismatch")
-	if r := cotReward(ep, j); r != 0 {
+	if r := mk(s.RefText, policy.DiagSemanticError, "ERROR: Value mismatch"); r != 0 {
 		t.Errorf("disagree reward = %v, want 0", r)
 	}
 	// Agreement on ERR: 0.5 + BLEU share.
-	ep, j = mk("garbage text", policy.DiagSyntaxError, "ERROR: couldn't parse transformed IR")
-	r := cotReward(ep, j)
+	r := mk("garbage text", policy.DiagSyntaxError, "ERROR: couldn't parse transformed IR")
 	if r < 0.5 || r > 1 {
 		t.Errorf("agree-ERR reward = %v, want in [0.5, 1]", r)
 	}
@@ -118,19 +110,15 @@ func TestCoTRewardAgreement(t *testing.T) {
 
 func TestLatencyRewardShape(t *testing.T) {
 	p := LatencyRewardParams{UMax: 3, Gamma: 2}
-	ok := alive.Result{Verdict: alive.Equivalent}
-	mk := func(v alive.Verdict, u float64) *judgment {
-		return &judgment{finalVerdict: alive.Result{Verdict: v}, speedup: u}
-	}
-	if latencyReward(mk(alive.SemanticError, 5), p) != 0 {
+	if latencyReward(alive.SemanticError, 5, p) != 0 {
 		t.Error("unverified output must get 0")
 	}
-	if latencyReward(mk(alive.Equivalent, 1.0), p) != 0 {
+	if latencyReward(alive.Equivalent, 1.0, p) != 0 {
 		t.Error("no speedup must get 0 (copies included)")
 	}
-	r2 := latencyReward(mk(alive.Equivalent, 2), p)
-	r3 := latencyReward(mk(alive.Equivalent, 3), p)
-	r9 := latencyReward(mk(alive.Equivalent, 9), p)
+	r2 := latencyReward(alive.Equivalent, 2, p)
+	r3 := latencyReward(alive.Equivalent, 3, p)
+	r9 := latencyReward(alive.Equivalent, 9, p)
 	if !(r2 > 0 && r2 < r3) {
 		t.Errorf("reward not increasing: r2=%v r3=%v", r2, r3)
 	}
@@ -138,11 +126,10 @@ func TestLatencyRewardShape(t *testing.T) {
 		t.Errorf("saturation failed: r3=%v r9=%v", r3, r9)
 	}
 	// Convexity: γ>1 emphasizes larger speedups.
-	rHalf := latencyReward(mk(alive.Equivalent, 2), p)
+	rHalf := latencyReward(alive.Equivalent, 2, p)
 	if math.Abs(rHalf-0.25) > 1e-9 {
 		t.Errorf("r(u=2, umax=3, γ=2) = %v, want 0.25", rHalf)
 	}
-	_ = ok
 }
 
 // TestPercentileIndexNearestRank pins the nearest-rank index math:
@@ -186,16 +173,12 @@ func TestTrainingImprovesVerifiedFraction(t *testing.T) {
 	m := policy.New(policy.CapQwen3B, 3)
 	cfg := DefaultConfig()
 	tr := NewTrainer(testStack, m, samples, cfg, 11)
-	first := stepBg(tr.StepCtx)
-	var last StepStats
-	for i := 0; i < 14; i++ {
-		last = stepBg(tr.StepCtx)
-	}
-	if last.meanReward <= first.meanReward {
-		t.Errorf("mean reward did not improve: %v -> %v", first.meanReward, last.meanReward)
-	}
+	trainBg(tr.TrainCtx, 15)
 	if len(tr.RewardHistory) != 15 {
-		t.Errorf("history length %d, want 15", len(tr.RewardHistory))
+		t.Fatalf("history length %d, want 15", len(tr.RewardHistory))
+	}
+	if first, last := tr.RewardHistory[0], tr.RewardHistory[14]; last <= first {
+		t.Errorf("mean reward did not improve: %v -> %v", first, last)
 	}
 }
 
@@ -251,22 +234,27 @@ func TestEMA(t *testing.T) {
 	}
 }
 
-func TestJudgeCountsCopyAndExact(t *testing.T) {
-	samples := corpus(t, 2)
-	s := samples[0]
-	ep := &policy.Episode{FinalText: s.RefText, AttemptText: s.RefText, FormatOK: true}
-	j := judge(ep, s, alive.DefaultOptions())
-	if !j.exactMatch {
-		t.Error("exact match not detected")
+// TestScoreCountsExactAndSpeedup: the instcombine label itself scores
+// the exact-match point of Eq. 1 in the correctness modes, and in the
+// latency mode Eq. 4 of the speedup of the function parsed from it.
+func TestScoreCountsExactAndSpeedup(t *testing.T) {
+	p := LatencyRewardParams{UMax: 3, Gamma: 2}
+	sped := 0
+	for _, s := range corpus(t, 8) {
+		ep := &policy.Episode{FinalText: s.RefText, AttemptText: s.RefText, FormatOK: true}
+		if es := scoreIn(ModeCorrectness, false, ep, s); es.rAnswer != 3 || es.attempt.Verdict != alive.Equivalent {
+			t.Errorf("%s: label scored %v (%v), want 3: t, a and m", s.Name, es.rAnswer, es.attempt.Verdict)
+		}
+		u := costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(s.Ref))
+		if u > 1 {
+			sped++
+		}
+		cfg := Config{Mode: ModeLatency, Verify: alive.DefaultOptions(), Latency: p}
+		if got, want := score(context.Background(), testStack, s, ep, &cfg).rAnswer, latencyReward(alive.Equivalent, u, p); got != want {
+			t.Errorf("%s: latency reward %v, want %v (speedup %v)", s.Name, got, want, u)
+		}
 	}
-	if j.finalVerdict.Verdict != alive.Equivalent {
-		t.Errorf("ref output verdict = %v", j.finalVerdict.Verdict)
-	}
-	if j.speedup <= 0 {
-		t.Errorf("speedup = %v", j.speedup)
-	}
-	// Structural sanity of finalFn.
-	if j.finalFn == nil || ir.VerifyFunc(j.finalFn) != nil {
-		t.Error("finalFn missing or invalid")
+	if sped == 0 {
+		t.Fatal("no label in the corpus is faster than its input; the latency check is vacuous")
 	}
 }

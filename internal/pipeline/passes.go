@@ -146,7 +146,7 @@ func RunPassesCtx(ctx context.Context, o oracle.Oracle, train, val []*dataset.Sa
 	res := &PassesResult{Model: seqopt.NewModel(cfg.Seed)}
 	err := traceStage(cfg.Obs, o, "seq-train", func() (int, []float64, error) {
 		tr := grpo.NewSeqTrainer(o, res.Model, train, seq, cfg.Seed+404)
-		_, err := tr.TrainCtx(ctx, cfg.TrainSteps)
+		err := tr.TrainCtx(ctx, cfg.TrainSteps)
 		res.history = tr.RewardHistory
 		return len(tr.RewardHistory), tr.RewardHistory, err
 	})

@@ -215,7 +215,7 @@ func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg S
 			c1.Mode = grpo.ModeCorrectness
 			t1 := grpo.NewTrainer(o, zero, train, c1, cfg.Seed+101)
 			t1.CollectFailures = true
-			_, err := t1.TrainCtx(ctx, cfg.Stage1Steps)
+			err := t1.TrainCtx(ctx, cfg.Stage1Steps)
 			res.ZeroHistory, res.Failures = t1.RewardHistory, t1.Failures
 			if err == nil {
 				res.ModelZero = zero
