@@ -95,7 +95,7 @@ func (c *Coordinator) MetricsText(ctx context.Context) string {
 	}
 	fams = append(fams,
 		metrics.Scalar("veriopt_cluster_workers_scraped", "Replicas whose /metrics answered within the scrape timeout.", "gauge", metrics.Int(scraped)),
-		metrics.Scalar("veriopt_cluster_workers_queue_depth", "Queued-but-unstarted jobs summed across scraped replicas.", "gauge", metrics.Int(qdepth)))
+		metrics.Scalar("veriopt_cluster_workers_queue_depth", "Requests waiting for a slot, summed across scraped replicas.", "gauge", metrics.Int(qdepth)))
 	for _, fam := range mergedFamilies {
 		if len(merged[fam]) > 0 {
 			fams = append(fams, metrics.Counters("veriopt_cluster_"+strings.TrimPrefix(fam, "veriopt_"),

@@ -148,10 +148,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	fams := []metrics.Family{reqs, lat,
-		metrics.Scalar("veriopt_requests_shed_total", "Requests shed with 429 because the work queue was full.", "counter", metrics.Int(s.metrics.shed.Load())),
-		metrics.Scalar("veriopt_panics_total", "Handler panics recovered by queue workers (any value > 0 is a bug).", "counter", metrics.Int(s.metrics.panics.Load())),
-		metrics.Scalar("veriopt_queue_depth", "Queued-but-unstarted jobs.", "gauge", metrics.Int(s.queueDepth())),
-		metrics.Scalar("veriopt_queue_capacity", "Work-queue bound.", "gauge", metrics.Int(s.cfg.QueueSize)),
+		metrics.Scalar("veriopt_requests_shed_total", "Requests shed with 429 because QueueSize requests were already waiting for a slot.", "counter", metrics.Int(s.metrics.shed.Load())),
+		metrics.Scalar("veriopt_panics_total", "Handler panics recovered while serving a request (any value > 0 is a bug).", "counter", metrics.Int(s.metrics.panics.Load())),
+		metrics.Scalar("veriopt_queue_depth", "Admitted requests waiting for one of the Workers slots.", "gauge", metrics.Int(s.queueDepth())),
+		metrics.Scalar("veriopt_queue_capacity", "Bound on the requests waiting for a slot (QueueSize).", "gauge", metrics.Int(s.cfg.QueueSize)),
 	}
 	if src, ok := s.oracle.(oracle.StatsSource); ok {
 		ostats, cstats := src.OracleStats()
