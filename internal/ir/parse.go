@@ -98,11 +98,18 @@ type parser struct {
 	succs  chunk[*Block]
 	incs   chunk[Incoming]
 	consts chunk[Const]
-	// pend names each forward reference, in the order the instructions'
-	// operands hold them; the first 16 are in the array.
-	pend     [16]string
-	pendMore []string
+	// pend names each forward reference, and the line that made it, in
+	// the order the instructions' operands hold them; the first 16 are
+	// in the array.
+	pend     [16]fwdRef
+	pendMore []fwdRef
 	npend    int
+}
+
+// fwdRef is a forward reference's name and the line it was made on.
+type fwdRef struct {
+	name string
+	line int
 }
 
 // start points p at src, which it checks is valid UTF-8 line by line.
@@ -182,12 +189,12 @@ func (r pendingRef) Type() Type {
 	return IntType{int(r)}
 }
 
-// pending makes a forward reference to name, of type ty.
-func (p *parser) pending(name string, ty Type) Value {
+// pending makes a forward reference to name, of type ty, on line lno.
+func (p *parser) pending(name string, ty Type, lno int) Value {
 	if p.npend < len(p.pend) {
-		p.pend[p.npend] = name
+		p.pend[p.npend] = fwdRef{name, lno}
 	} else {
-		p.pendMore = append(p.pendMore, name)
+		p.pendMore = append(p.pendMore, fwdRef{name, lno})
 	}
 	p.npend++
 	if it, ok := ty.(IntType); ok {
@@ -199,8 +206,8 @@ func (p *parser) pending(name string, ty Type) Value {
 	return pendPtr
 }
 
-// pendingName is the name of the k-th forward reference.
-func (p *parser) pendingName(k int) string {
+// pendingAt is the k-th forward reference.
+func (p *parser) pendingAt(k int) fwdRef {
 	if k < len(p.pend) {
 		return p.pend[k]
 	}
@@ -473,15 +480,15 @@ func (p *parser) parseFunc() (*Function, error) {
 		if !ok {
 			return v, nil
 		}
-		name := p.pendingName(k)
+		ref := p.pendingAt(k)
 		k++
-		pos, _ := p.lookup(name)
+		pos, _ := p.lookup(ref.name)
 		if pos < 0 {
-			return nil, &ParseError{Line: 0, msg: "use of undefined value %" + name}
+			return nil, &ParseError{Line: ref.line, msg: "use of undefined value %" + ref.name}
 		}
 		rv := p.at(pos)
 		if !rv.Type().Equal(pr.Type()) {
-			return nil, &ParseError{Line: 0, msg: fmt.Sprintf("type mismatch for %%%s: declared %s, defined %s", name, pr.Type(), rv.Type())}
+			return nil, &ParseError{Line: ref.line, msg: fmt.Sprintf("type mismatch for %%%s: declared %s, defined %s", ref.name, pr.Type(), rv.Type())}
 		}
 		return rv, nil
 	}
@@ -582,7 +589,7 @@ func (p *parser) value(tk *tok, ty Type, lno int) (Value, error) {
 			}
 			return v, nil
 		}
-		return p.pending(n, ty), nil
+		return p.pending(n, ty, lno), nil
 	}
 	if g, ok := tk.global(); ok {
 		return &GlobalRef{NameStr: g, ty: ptrTy}, nil

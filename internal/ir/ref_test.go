@@ -613,9 +613,11 @@ func refVerifyDominance(f *Function, fail func(string, ...interface{}) error) er
 // blocks (every identifier prefixed ref), with two changes since: the
 // body's first pass strips a line's ';' comment before it classifies
 // the line, so that clang's "next:  ; preds = %entry" is a label and
-// "} ; end" closes the body; and parseDecl leaves its line only when it
+// "} ; end" closes the body; parseDecl leaves its line only when it
 // returns, so its errors name the declaration's line, not the next
-// one. FuzzParseFuncVsReference and checkParse
+// one; and a forward reference records the line it is made on, which
+// its "use of undefined value" or "type mismatch" error names (it was
+// line 0). FuzzParseFuncVsReference and checkParse
 // hold the parser to them, on the error text and, where both succeed, on
 // what they build. They define every ParseError a client, the vstore
 // and Eq. 2's BLEU score see.
@@ -681,10 +683,12 @@ func (p *refParser) errf(format string, args ...interface{}) error {
 	return &ParseError{Line: p.pos + 1, msg: fmt.Sprintf(format, args...)}
 }
 
-// refPendingRef is a placeholder for a forward-referenced local value.
+// refPendingRef is a placeholder for a forward-referenced local value,
+// made on line.
 type refPendingRef struct {
 	name string
 	ty   Type
+	line int
 }
 
 func (r *refPendingRef) Type() Type { return r.ty }
@@ -890,17 +894,17 @@ func (p *refParser) parseFunc() (*Function, error) {
 	}
 
 	// Resolve forward references.
-	resolve := func(v Value, lno int) (Value, error) {
+	resolve := func(v Value) (Value, error) {
 		pr, ok := v.(*refPendingRef)
 		if !ok {
 			return v, nil
 		}
 		rv, ok := names[pr.name]
 		if !ok {
-			return nil, &ParseError{Line: lno, msg: "use of undefined value %" + pr.name}
+			return nil, &ParseError{Line: pr.line, msg: "use of undefined value %" + pr.name}
 		}
 		if pr.ty != nil && !rv.Type().Equal(pr.ty) {
-			return nil, &ParseError{Line: lno, msg: fmt.Sprintf("type mismatch for %%%s: declared %s, defined %s", pr.name, pr.ty, rv.Type())}
+			return nil, &ParseError{Line: pr.line, msg: fmt.Sprintf("type mismatch for %%%s: declared %s, defined %s", pr.name, pr.ty, rv.Type())}
 		}
 		return rv, nil
 	}
@@ -910,7 +914,7 @@ func (p *refParser) parseFunc() (*Function, error) {
 			return
 		}
 		for i, a := range in.Args {
-			v, err := resolve(a, 0)
+			v, err := resolve(a)
 			if err != nil {
 				rerr = err
 				return
@@ -918,7 +922,7 @@ func (p *refParser) parseFunc() (*Function, error) {
 			in.Args[i] = v
 		}
 		for i := range in.Incs {
-			v, err := resolve(in.Incs[i].Val, 0)
+			v, err := resolve(in.Incs[i].Val)
 			if err != nil {
 				rerr = err
 				return
@@ -1020,7 +1024,7 @@ func (ip *refInstrParser) value(tk *refTok, ty Type, lno int) (Value, error) {
 			}
 			return v, nil
 		}
-		return &refPendingRef{name: n, ty: ty}, nil
+		return &refPendingRef{name: n, ty: ty, line: lno}, nil
 	}
 	if g, ok := tk.global(); ok {
 		return &GlobalRef{NameStr: g, ty: ptrTy}, nil

@@ -184,6 +184,8 @@ func TestParseErrors(t *testing.T) {
 		{"brace only in a comment", "define i32 @f(i32 %0) {\n  ret i32 %0 ; }\n", "unterminated"},
 		{"unclosed declaration", "declare i32 @ext(i32\n", "line 1: declare: expected , or )"},
 		{"declaration after a blank line", "\ndeclare i32 ext(i32)\n", "line 2: declare: expected @name"},
+		{"forward reference never defined", "define i32 @f(i32 %0) {\n  %1 = add i32 %0, 1\n  ret i32 %9\n}\n", "line 3: use of undefined value %9"},
+		{"forward reference of another type", "define i32 @f(i32 %0) {\n  %1 = add i32 %2, 1\n  %2 = zext i32 %0 to i64\n  ret i32 %1\n}\n", "line 2: type mismatch for %2: declared i32, defined i64"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
