@@ -124,6 +124,11 @@ fuzz-smoke:
 # distinguishes two functions is decided by refinetest's one comparator
 # (Run and Violation, Witness, Exhaustive, Falsify, Target), not by a
 # copy.
+# And on bleu. or ir.FingerprintText( in non-test internal/grpo code
+# outside reward.go: a reward term is computed in one place, the scorer,
+# which computes only the terms the step's reward mode reads (the
+# latency stage scores no BLEU and no exact match against the label it
+# drops).
 # Last, on an exported name under internal/ (package-level, method, or
 # field of an exported struct) that no other package's non-test code
 # references, unless an interface names it, it carries a json tag, an
@@ -200,6 +205,12 @@ lint:
 	@hits=$$(grep -rnF 'interp.Run(' --include='*.go' --exclude-dir=interp --exclude-dir=refinetest internal); \
 	if [ -n "$$hits" ]; then \
 		echo "interp.Run( outside internal/interp and internal/refinetest (run a pair through refinetest: Run and Violation, Witness, Exhaustive, Falsify):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnE 'bleu\.|ir\.FingerprintText\(' --include='*.go' --exclude='*_test.go' --exclude=reward.go internal/grpo); \
+	if [ -n "$$hits" ]; then \
+		echo "a reward term computed outside internal/grpo/reward.go (the scorer computes each term its mode reads, once):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

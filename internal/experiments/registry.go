@@ -6,25 +6,25 @@ import (
 	"strings"
 )
 
-// runner is one registered experiment driver.
+// runner is one registered experiment driver; the title is its
+// Outcome's.
 type runner struct {
-	id    string
-	title string
-	run   func(*Context) (*Outcome, error)
+	id  string
+	run func(*Context) (*Outcome, error)
 }
 
 var registry = []runner{
-	{"table1", "Table I: baseline model verdicts", table1},
-	{"table2", "Table II: LLM-VeriOpt model verdicts", table2},
-	{"table3", "Table III: outcomes vs -O0", table3},
-	{"fig4", "Figure 4: training dynamics", fig4},
-	{"fig5", "Figure 5: baseline comparison", fig5},
-	{"fig6", "Figure 6: vs instcombine", fig6},
-	{"fig7", "Figure 7: curriculum ablation", fig7},
-	{"fig8_12", "Figures 8-12: qualitative examples", fig8to12},
-	{"ablation_grpo", "Ablation: GRPO design choices", ablationGRPO},
-	{"ablation_verifier", "Ablation: verifier placement", ablationVerifier},
-	{"passes", "Pass-ordering workload: policy vs search vs fixed pipeline", passesWorkload},
+	{"table1", table1},
+	{"table2", table2},
+	{"table3", table3},
+	{"fig4", fig4},
+	{"fig5", fig5},
+	{"fig6", fig6},
+	{"fig7", fig7},
+	{"fig8_12", fig8to12},
+	{"ablation_grpo", ablationGRPO},
+	{"ablation_verifier", ablationVerifier},
+	{"passes", passesWorkload},
 }
 
 // IDs lists the registered experiment identifiers in run order.

@@ -11,8 +11,7 @@ import (
 // first attempt, the optional diagnosis + correction, and the final
 // completion.
 type Episode struct {
-	inputText string
-	H         []float64 // hash features of the input
+	H []float64 // hash features of the input
 
 	Actions []ActionRecord
 	// AttemptText is the first attempt (inside <think> for augmented
@@ -56,10 +55,7 @@ const retrySalt = "#retry"
 // completion. The input function is never modified.
 func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	inputText := ir.CanonicalText(input)
-	ep := &Episode{
-		inputText: inputText,
-		H:         m.HashFeatures(inputText),
-	}
+	ep := &Episode{H: m.HashFeatures(inputText)}
 	attempt, acts, formatBreak := m.rollout(input, ep.H, opts, nil)
 	ep.Actions = acts
 	ep.AttemptText = attempt

@@ -56,13 +56,13 @@ func (m *Model) actStop() int { return len(m.Passes) }
 
 // Episode is one rollout: an ordered pass sequence applied to Input.
 type Episode struct {
-	input   *ir.Function
 	H       []float64
 	Actions []policy.ActionRecord
 	// Sequence names the passes actually applied (STOP excluded).
 	Sequence []string
-	// FinalFn is the resulting function (== Input when Sequence is
-	// empty). Unverified: reward gating verifies it against Input.
+	// FinalFn is the resulting function (the input itself when
+	// Sequence is empty). Unverified: reward gating verifies it against
+	// the input.
 	FinalFn *ir.Function
 }
 
@@ -83,7 +83,7 @@ func (m *Model) Generate(f *ir.Function, opts GenOptions) *Episode {
 	if len(passes) != len(m.Passes) {
 		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(passes)))
 	}
-	ep := &Episode{input: f, H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
+	ep := &Episode{H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
 	cur := f
 	for t := 0; t < m.MaxLen; t++ {
 		// Probe which passes fire on the current state.

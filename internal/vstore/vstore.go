@@ -128,7 +128,6 @@ type recloc struct {
 // handle; the active segment also holds the write handle.
 type segment struct {
 	seq  uint64
-	path string
 	r    *os.File   // ReadAt handle, safe for concurrent readers
 	w    appendFile // append handle, active segment only
 	size int64
@@ -321,7 +320,7 @@ func (s *Store) openAndReplay(seq uint64, active bool) error {
 	if err != nil {
 		return fmt.Errorf("vstore: open segment %s: %w", segmentName(seq), err)
 	}
-	seg := &segment{seq: seq, path: path, r: r}
+	seg := &segment{seq: seq, r: r}
 
 	br := bufio.NewReaderSize(r, 1<<20)
 	var off int64
@@ -547,7 +546,7 @@ func (s *Store) rotateLocked() error {
 	old.w = nil
 
 	s.mu.Lock()
-	s.segs[seq] = &segment{seq: seq, path: path, r: r, w: w}
+	s.segs[seq] = &segment{seq: seq, r: r, w: w}
 	s.order = order
 	s.mu.Unlock()
 	return nil

@@ -727,7 +727,7 @@ func TestFailedSyncRefusesLaterAppends(t *testing.T) {
 		t.Fatalf("Put whose fsync failed: %v, want the fsync's error", err)
 	}
 	size := func() int64 {
-		fi, err := os.Stat(s.active().path)
+		fi, err := os.Stat(filepath.Join(s.dir, segmentName(s.active().seq)))
 		if err != nil {
 			t.Fatal(err)
 		}
