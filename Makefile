@@ -219,8 +219,8 @@ lint:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Single- vs multi-worker evaluation and GRPO-step deltas (recorded
-# in EXPERIMENTS.md).
+# Single- vs multi-worker evaluation and GRPO-step deltas, and the
+# sequential Model-Latency step (recorded in EXPERIMENTS.md).
 bench-workers:
 	$(GO) test -run xxx -bench 'Workers[0-9]' -benchtime 5x .
 
