@@ -250,17 +250,18 @@ func BenchmarkTrainerStepLatencyWorkers1(b *testing.B) {
 
 // TestGRPOStepAllocCeilings holds what one Workers-1 GRPO step
 // allocates, averaged over the 20 steps after a first one, in each
-// text reward mode and in the sequence trainer (corpus seed 17, 40
-// samples, model seed 5, trainer seed 23). A step's allocations repeat
-// to the digit: the trajectory is pinned and AllocsPerRun runs on one
-// thread. Each ceiling is about 5 % above what the step read when the
-// test was written (correctness 30 376–30 412, CoT 37 547, latency
-// 29 026, sequence 5 351; under -race up to 0.6 % more); nearly all of
-// the text steps' allocations were then BLEU against the instcombine
-// label. The latency stage has since stopped scoring the label it
-// drops (one scorer per reward mode): its step reads 3 626, 3 808
-// under -race, and its ceiling was lowered to 3 900; the other rows
-// read 30 329–30 365, 37 491 and 5 350 then.
+// text reward mode (stepTrainer's) and in the sequence trainer (corpus
+// seed 17, 40 samples, model seed 5, trainer seed 23). A step's
+// allocations repeat to the digit: the trajectory is pinned and
+// AllocsPerRun runs on one thread. Each ceiling is about 5 % above
+// what the step read when the test was written (correctness
+// 30 376–30 412, CoT 37 547, latency 29 026, sequence 5 351; under
+// -race up to 0.6 % more); nearly all of the text steps' allocations
+// were then BLEU against the instcombine label. The latency stage has
+// since stopped scoring the label it drops (one scorer per reward
+// mode): its step reads 3 626, 3 808 under -race, and its ceiling was
+// lowered to 3 900; the other rows read 30 329–30 365, 37 491 and
+// 5 350 then.
 func TestGRPOStepAllocCeilings(t *testing.T) {
 	seqData, err := dataset.Generate(dataset.Config{Seed: 17, N: 40})
 	if err != nil {
