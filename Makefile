@@ -129,6 +129,11 @@ fuzz-smoke:
 # which computes only the terms the step's reward mode reads (the
 # latency stage scores no BLEU and no exact match against the label it
 # drops).
+# And on math.Log(, math.Exp(, oracle.Accept( or costmodel.Measure( in
+# non-test internal/pipeline and internal/experiments code outside
+# internal/pipeline/eval.go: both evaluation workloads (the text policy
+# and the pass-ordering table) judge an output, measure what is kept and
+# average the ratios in one place, judge, tally and geomean.
 # Last, on an exported name under internal/ (package-level, method, or
 # field of an exported struct) that no other package's non-test code
 # references, unless an interface names it, it carries a json tag, an
@@ -211,6 +216,12 @@ lint:
 	@hits=$$(grep -rnE 'bleu\.|ir\.FingerprintText\(' --include='*.go' --exclude='*_test.go' --exclude=reward.go internal/grpo); \
 	if [ -n "$$hits" ]; then \
 		echo "a reward term computed outside internal/grpo/reward.go (the scorer computes each term its mode reads, once):"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi
+	@hits=$$(grep -rnF -e 'math.Log(' -e 'math.Exp(' -e 'oracle.Accept(' -e 'costmodel.Measure(' --include='*.go' --exclude='*_test.go' internal/pipeline internal/experiments | grep -v '^internal/pipeline/eval.go:'); \
+	if [ -n "$$hits" ]; then \
+		echo "an output judged, measured or averaged outside internal/pipeline/eval.go (go through judge, tally and the Report aggregates):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

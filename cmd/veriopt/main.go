@@ -240,8 +240,6 @@ func cmdTrain(ctx context.Context, args []string) error {
 		"training workload: 'peephole' (text rewriting curriculum) or 'passes' (pass-sequence phase ordering; "+
 			"has no checkpoints: -checkpoint and -resume are rejected)")
 	seqSteps := fs.Int("seq-steps", 30, "passes workload: sequence-policy GRPO steps")
-	beamWidth := fs.Int("beam-width", 4, "passes workload: beam width of the search baseline")
-	beamDepth := fs.Int("beam-depth", 4, "passes workload: search depth bound (greedy and beam)")
 	n, seed, s1, s2, s3, workers, trace := commonFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -280,7 +278,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 	defer closeStore(st, rec)
 	switch *workload {
 	case "passes":
-		return trainPasses(ctx, o, c, rec, *save, *seqSteps, *beamWidth, *beamDepth)
+		return trainPasses(ctx, o, c, rec, *save, *seqSteps)
 	case "peephole":
 	default:
 		return fmt.Errorf("unknown -workload %q (have peephole, passes)", *workload)
@@ -355,7 +353,7 @@ func cmdTrain(ctx context.Context, args []string) error {
 // policy on the training split, then print the four-way comparison
 // (fixed instcombine / greedy / beam / policy) on the validation
 // split. On SIGINT the partial result still saves and reports.
-func trainPasses(ctx context.Context, o oracle.Oracle, c *experiments.Context, rec *obs.Recorder, save string, steps, width, depth int) error {
+func trainPasses(ctx context.Context, o oracle.Oracle, c *experiments.Context, rec *obs.Recorder, save string, steps int) error {
 	rec.Emit(obs.Event{Kind: "run_start", Note: "train -workload=passes"})
 	train, err := c.Train()
 	if err != nil {
@@ -370,8 +368,6 @@ func trainPasses(ctx context.Context, o oracle.Oracle, c *experiments.Context, r
 	cfg.Workers = c.Cfg.Workers
 	cfg.Obs = rec
 	cfg.TrainSteps = steps
-	cfg.BeamWidth = width
-	cfg.BeamDepth = depth
 	res, runErr := pipeline.RunPassesCtx(ctx, o, train, val, cfg)
 	if res == nil {
 		return runErr

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"veriopt/internal/pipeline"
 )
@@ -33,17 +32,17 @@ func passesWorkload(c *Context) (*Outcome, error) {
 	}
 	rep := res.Report
 
-	var sb strings.Builder
-	sb.WriteString(rep.String())
-	fmt.Fprintf(&sb, "\nAll %d outputs verifier-gated; fallbacks substitute the -O0 metrics.\n", rep.Samples()*len(rep.Rows))
-
+	outputs := 0
 	numbers := map[string]float64{}
-	for _, row := range rep.Rows {
-		numbers["geomean_latency_"+row.Method] = row.GeoLatency
-		numbers["improved_frac_"+row.Method] = float64(row.Improved) / float64(rep.Samples())
+	for i, method := range rep.Methods {
+		r := rep.Reports[i]
+		outputs += r.Total()
+		numbers["geomean_latency_"+method] = pipeline.GeomeanRatio(r, pipeline.MetricLatency)
+		numbers["improved_frac_"+method] = float64(pipeline.OutcomesVsO0(r, pipeline.MetricLatency).Better) / float64(r.Total())
 	}
-	if fixed, beam := rep.Row(pipeline.MethodFixed), rep.Row(pipeline.MethodBeam); fixed != nil && beam != nil {
-		numbers["beam_vs_fixed_latency_gain"] = fixed.GeoLatency / beam.GeoLatency
+	if fixed, beam := rep.Method(pipeline.MethodFixed), rep.Method(pipeline.MethodBeam); fixed != nil && beam != nil {
+		numbers["beam_vs_fixed_latency_gain"] = pipeline.GeomeanRatio(fixed, pipeline.MetricLatency) / pipeline.GeomeanRatio(beam, pipeline.MetricLatency)
 	}
-	return &Outcome{id: "passes", title: "Pass-ordering workload: policy vs search vs fixed pipeline", text: sb.String(), numbers: numbers}, nil
+	text := fmt.Sprintf("%s\nAll %d outputs verifier-gated; fallbacks substitute the -O0 metrics.\n", rep, outputs)
+	return &Outcome{id: "passes", title: "Pass-ordering workload: policy vs search vs fixed pipeline", text: text, numbers: numbers}, nil
 }

@@ -55,7 +55,7 @@ func TestRewardEq1Hierarchy(t *testing.T) {
 	}
 
 	// Copy of input: correct but no exact match (2 + BLEU).
-	epCopy := &policy.Episode{FinalText: s.O0Text, AttemptText: s.O0Text, FormatOK: true, Copied: true}
+	epCopy := &policy.Episode{FinalText: s.O0Text, AttemptText: s.O0Text, FormatOK: true}
 	rCopy := scoreIn(ModeCorrectness, true, epCopy, s).rAnswer
 	if rCopy <= 2 || rCopy >= rExact {
 		t.Errorf("copy reward = %v, want in (2, %v)", rCopy, rExact)

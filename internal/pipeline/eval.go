@@ -37,6 +37,11 @@ type sampleResult struct {
 	// usedFallback reports that out == base because oracle.Accept
 	// kept the input.
 	usedFallback bool
+	// fn and seq are, in the pass workload, the kept output and the
+	// pass sequence that produced it (nil where a rejected output fell
+	// back to the input).
+	fn  *ir.Function
+	seq []string
 }
 
 // Report aggregates an evaluation run, mirroring the verdict
@@ -128,36 +133,56 @@ func EvaluateCtx(ctx context.Context, o oracle.Oracle, m *policy.Model, samples 
 	if cfg.Verify == (alive.Options{}) {
 		cfg.Verify = alive.DefaultOptions()
 	}
-	rep := &Report{results: make([]*sampleResult, len(samples))}
+	results := make([]*sampleResult, len(samples))
 	err := par.For(ctx, cfg.Workers, len(samples), func(i int) {
 		s := samples[i]
 		ep := m.Generate(s.O0, policy.GenOptions{Augmented: augmented})
-		out := s.O0
 		cand, vr := alive.Candidate(ir.ParseFunc(ep.FinalText))
-		if cand != nil {
-			out, vr = oracle.Accept(ctx, o, nil, s.O0, cand, cfg.Verify)
-		}
-		res := &sampleResult{
-			sample:       s,
-			verdict:      vr.Verdict,
-			diag:         vr.Diag,
-			canceled:     vr.Reason() == alive.Canceled,
-			copied:       ep.Copied,
-			base:         costmodel.Measure(s.O0),
-			ref:          costmodel.Measure(s.Ref),
-			usedFallback: out == s.O0,
-		}
-		res.out = res.base
-		if !res.usedFallback {
-			res.out = costmodel.Measure(out)
-		}
-		rep.results[i] = res
+		res := judge(ctx, o, s, cand, vr, cfg.Verify)
+		res.copied = ir.FingerprintText(ep.FinalText) == ir.FingerprintText(ir.CanonicalText(s.O0))
+		results[i] = res
 	})
-	// Unreached, or verification cut short mid-flight: the sample was
-	// never genuinely evaluated, so it must not land in Inconclusive
-	// (that would deflate the fractions of a partial report).
+	return tally(results), err
+}
+
+// judge puts one output through the deployment rule against s.O0,
+// oracle.Accept over o, and measures what is kept. A nil cand is an
+// output the syntax gate rejected, for the reason vr gives; cand ==
+// s.O0 (a method that returned its input) is kept with no query.
+// Both workloads judge every output here.
+func judge(ctx context.Context, o oracle.Oracle, s *dataset.Sample, cand *ir.Function, vr alive.Result, opts alive.Options) *sampleResult {
+	out := s.O0
+	switch {
+	case cand == s.O0:
+		vr = alive.Result{Verdict: alive.Equivalent}
+	case cand != nil:
+		out, vr = oracle.Accept(ctx, o, nil, s.O0, cand, opts)
+	}
+	res := &sampleResult{
+		sample:       s,
+		verdict:      vr.Verdict,
+		diag:         vr.Diag,
+		canceled:     vr.Reason() == alive.Canceled,
+		base:         costmodel.Measure(s.O0),
+		ref:          costmodel.Measure(s.Ref),
+		usedFallback: out == s.O0 && cand != s.O0,
+	}
+	res.out = res.base
+	if out != s.O0 {
+		res.out = costmodel.Measure(out)
+	}
+	return res
+}
+
+// tally counts the verdicts of one run's results (one slot per
+// sample, in sample order). Unreached slots (nil) and verifications
+// cut short mid-flight were never genuinely evaluated, so they are
+// counted in Skipped, not Inconclusive (that would deflate the
+// fractions of a partial report).
+func tally(results []*sampleResult) *Report {
+	rep := &Report{results: results}
 	done := rep.evaluated()
-	rep.Skipped = len(rep.results) - len(done)
+	rep.Skipped = len(results) - len(done)
 	for _, res := range done {
 		switch res.verdict {
 		case alive.Equivalent:
@@ -173,7 +198,7 @@ func EvaluateCtx(ctx context.Context, o oracle.Oracle, m *policy.Model, samples 
 			rep.Inconclusive++
 		}
 	}
-	return rep, err
+	return rep
 }
 
 // Metric selects one of the paper's three efficiency metrics.
@@ -243,23 +268,25 @@ func outcomes(rep *Report, m Metric, baseline func(*sampleResult) costmodel.Metr
 }
 
 // geomean returns the geometric mean of num/den over the samples where
-// both are positive, 1 when there are none. Logs are added in sample
-// order.
-func geomean(rep *Report, num, den func(*sampleResult) int) float64 {
+// both are positive, 1 when there are none, and the number of samples
+// it skipped. Logs are added in sample order. The rule is per ratio: a
+// sample with a zero on one metric still counts on the others.
+func geomean(rep *Report, num, den func(*sampleResult) int) (g float64, skipped int) {
 	logSum := 0.0
 	n := 0
 	for _, r := range rep.evaluated() {
 		a, b := num(r), den(r)
 		if a <= 0 || b <= 0 {
+			skipped++
 			continue
 		}
 		logSum += math.Log(float64(a) / float64(b))
 		n++
 	}
 	if n == 0 {
-		return 1
+		return 1, skipped
 	}
-	return math.Exp(logSum / float64(n))
+	return math.Exp(logSum / float64(n)), skipped
 }
 
 // OutcomesVsO0 computes a Table III row: the model's effective output
@@ -277,6 +304,13 @@ func VsInstCombine(rep *Report, m Metric) Outcomes {
 // GeomeanRatio returns the geometric mean of out/base for the metric
 // (< 1 = improvement), the Fig. 5/7 aggregation.
 func GeomeanRatio(rep *Report, m Metric) float64 {
+	g, _ := ratio(rep, m)
+	return g
+}
+
+// ratio is GeomeanRatio with the number of samples it skipped for a
+// zero metric on either side.
+func ratio(rep *Report, m Metric) (float64, int) {
 	return geomean(rep,
 		func(r *sampleResult) int { return metricOf(r.out, m) },
 		func(r *sampleResult) int { return metricOf(r.base, m) })
@@ -291,9 +325,10 @@ func GeomeanSpeedup(rep *Report) float64 {
 // RefGeomeanSpeedup returns instcombine's geomean speedup on the same
 // samples (the 2.39× comparison point).
 func RefGeomeanSpeedup(rep *Report) float64 {
-	return geomean(rep,
+	g, _ := geomean(rep,
 		func(r *sampleResult) int { return r.base.Latency },
 		func(r *sampleResult) int { return r.ref.Latency })
+	return g
 }
 
 // HybridGeomeanGain computes the paper's fallback-hybrid gain: taking
@@ -301,7 +336,8 @@ func RefGeomeanSpeedup(rep *Report) float64 {
 // improvement over instcombine alone (latency 17%, icount 13.9%, size
 // 2.1% in the paper).
 func HybridGeomeanGain(rep *Report, m Metric) float64 {
-	return geomean(rep,
+	g, _ := geomean(rep,
 		func(r *sampleResult) int { return metricOf(r.ref, m) },
 		func(r *sampleResult) int { return min(metricOf(r.ref, m), metricOf(r.out, m)) })
+	return g
 }

@@ -3,11 +3,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
 	"veriopt/internal/alive"
-	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
 	"veriopt/internal/grpo"
 	"veriopt/internal/instcombine"
@@ -26,9 +24,6 @@ type PassesConfig struct {
 	// TrainSteps is the number of SeqTrainer GRPO steps, each under
 	// grpo.DefaultSeqConfig().
 	TrainSteps int
-	// BeamWidth and BeamDepth size the beam baseline (<= 0 selects the
-	// seqopt defaults). Greedy shares BeamDepth.
-	BeamWidth, BeamDepth int
 	// Workers bounds the evaluation fan-out (<= 0 selects
 	// runtime.NumCPU()); results are worker-count independent.
 	Workers int
@@ -49,77 +44,48 @@ const (
 	methodPolicy = "policy"
 )
 
-// passesOutput is one method's accepted output on one sample.
-type passesOutput struct {
-	method string
-	// sequence is the applied pass list (empty = output is the input).
-	sequence []string
-	// fn is the accepted output function. Acceptance is verifier-gated:
-	// Fn differs from the sample's O0 only when the oracle proved
-	// equivalence. On a rejected output Fn is the O0 function itself
-	// and Fallback is set.
-	fn *ir.Function
-	// verified reports the oracle proved Fn equivalent to the input
-	// (identity outputs are trivially verified).
-	verified bool
-	// fallback reports the method's raw output was rejected and the
-	// O0 metrics were substituted.
-	fallback bool
-	metrics  costmodel.Metrics
-}
-
-// passesDetail is the per-sample evaluation record.
-type passesDetail struct {
-	sample  *dataset.Sample
-	base    costmodel.Metrics
-	outputs []passesOutput // one per method, in report order
-}
-
-// PassesRow aggregates one method over the evaluation split.
-type PassesRow struct {
-	Method string
-	// Geomean out/base ratios per metric (< 1 is better than -O0).
-	GeoLatency, geoICount, geoSize float64
-	// verified counts oracle-proven outputs, Improved strict latency
-	// wins, Fallbacks rejected outputs.
-	verified, Improved, fallbacks int
-	// degenerate counts samples excluded from the geomeans because a
-	// metric was zero on either side of the ratio (empty-body or
-	// size-0 edge cases): log(0) and log(x/0) would otherwise fold
-	// ±Inf into the row and NaN every geomean.
-	degenerate int
-	meanSeqLen float64
-}
-
-// PassesReport is the four-way comparison table.
+// PassesReport is the four-way comparison table: one Report per
+// method, in row order, each over the same samples and judged by the
+// text workload's rule (judge), so every column is one of its
+// aggregates.
 type PassesReport struct {
-	Rows    []PassesRow
-	details []*passesDetail
+	Methods []string
+	Reports []*Report
 }
 
-// Samples is the evaluation-split size.
-func (r *PassesReport) Samples() int { return len(r.details) }
-
-// Row returns the aggregate for a method name, or nil.
-func (r *PassesReport) Row(method string) *PassesRow {
-	for i := range r.Rows {
-		if r.Rows[i].Method == method {
-			return &r.Rows[i]
+// Method returns the report of the named method, or nil.
+func (r *PassesReport) Method(name string) *Report {
+	for i, m := range r.Methods {
+		if m == name {
+			return r.Reports[i]
 		}
 	}
 	return nil
 }
 
-// String renders the pass-ordering table.
+// String renders the pass-ordering table off each method's Report.
+// Verified counts the outputs proved Equivalent or returned unchanged
+// (Correct), Improved the strict latency wins over -O0, Fall the
+// outputs rejected (the -O0 function kept), Degen the samples the
+// latency geomean skipped for a zero latency, and SeqLen the mean
+// length of the kept sequences (0 where the input was kept).
 func (r *PassesReport) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Pass-ordering evaluation (n=%d; geomean out/O0 ratios, lower is better)\n", r.Samples())
+	fmt.Fprintf(&sb, "Pass-ordering evaluation (n=%d; geomean out/O0 ratios, lower is better)\n", len(r.Reports[0].results))
 	fmt.Fprintf(&sb, "%-18s %9s %9s %9s %9s %9s %6s %5s %7s\n",
 		"Method", "Latency", "ICount", "Size", "Verified", "Improved", "Fall", "Degen", "SeqLen")
-	for _, row := range r.Rows {
+	for i, rep := range r.Reports {
+		lat, degen := ratio(rep, MetricLatency)
+		seqLen := 0.0
+		for _, res := range rep.evaluated() {
+			seqLen += float64(len(res.seq))
+		}
+		if n := rep.Total(); n > 0 {
+			seqLen /= float64(n)
+		}
 		fmt.Fprintf(&sb, "%-18s %9.4f %9.4f %9.4f %9d %9d %6d %5d %7.2f\n",
-			row.Method, row.GeoLatency, row.geoICount, row.geoSize,
-			row.verified, row.Improved, row.fallbacks, row.degenerate, row.meanSeqLen)
+			r.Methods[i], lat, GeomeanRatio(rep, MetricICount), GeomeanRatio(rep, MetricSize),
+			rep.Correct, OutcomesVsO0(rep, MetricLatency).Better, rep.Total()-rep.Correct, degen, seqLen)
 	}
 	return sb.String()
 }
@@ -164,111 +130,46 @@ func RunPassesCtx(ctx context.Context, o oracle.Oracle, train, val []*dataset.Sa
 }
 
 // evaluatePasses runs the four-way comparison on samples. Every
-// non-identity output is verifier-gated: a method's transformed
-// function is accepted only with an Equivalent verdict, otherwise the
-// O0 metrics are substituted (the fallback rule of the text
-// workload). m may be nil to skip the policy row.
+// method's output goes through judge, the deployment rule of the text
+// workload: a transformed function is kept only with an Equivalent
+// verdict, otherwise the O0 metrics count. m may be nil to skip the
+// policy row.
 func evaluatePasses(ctx context.Context, o oracle.Oracle, m *seqopt.Model, samples []*dataset.Sample, cfg PassesConfig) (*PassesReport, error) {
-	scfg := seqopt.SearchConfig{Width: cfg.BeamWidth, Depth: cfg.BeamDepth, Oracle: o}
-
-	details := make([]*passesDetail, len(samples))
+	scfg := seqopt.SearchConfig{Oracle: o}
+	rep := &PassesReport{Methods: []string{MethodFixed, methodGreedy, MethodBeam}}
+	if m != nil {
+		rep.Methods = append(rep.Methods, methodPolicy)
+	}
+	results := make([][]*sampleResult, len(rep.Methods))
+	for j := range results {
+		results[j] = make([]*sampleResult, len(samples))
+	}
 	err := par.For(ctx, cfg.Workers, len(samples), func(i int) {
 		s := samples[i]
-		d := &passesDetail{sample: s, base: costmodel.Measure(s.O0)}
-
-		// Every non-identity output goes through the deployment rule:
-		// oracle.Accept hands back O0 itself on anything short of a proof.
-		accept := func(method string, seq []string, fn *ir.Function) passesOutput {
-			if fn == s.O0 || len(seq) == 0 {
-				return passesOutput{method: method, fn: s.O0, verified: true, metrics: d.base}
+		keep := func(method int, seq []string, fn *ir.Function) {
+			res := judge(ctx, o, s, fn, alive.Result{}, alive.DefaultOptions())
+			if !res.usedFallback {
+				res.fn, res.seq = fn, seq
 			}
-			if out, _ := oracle.Accept(ctx, o, nil, s.O0, fn, alive.DefaultOptions()); out == s.O0 {
-				return passesOutput{method: method, fn: s.O0, fallback: true, metrics: d.base}
-			}
-			return passesOutput{method: method, sequence: seq, fn: fn, verified: true, metrics: costmodel.Measure(fn)}
+			results[method][i] = res
 		}
-
-		d.outputs = append(d.outputs, accept(MethodFixed, []string{"instcombine"}, instcombine.Run(s.O0)))
+		keep(0, []string{"instcombine"}, instcombine.Run(s.O0))
 		if gr, err := seqopt.Greedy(ctx, s.O0, scfg); err == nil {
-			d.outputs = append(d.outputs, accept(methodGreedy, gr.Sequence, gr.Fn))
+			keep(1, gr.Sequence, gr.Fn)
 		}
 		if br, err := seqopt.Beam(ctx, s.O0, scfg); err == nil {
-			d.outputs = append(d.outputs, accept(MethodBeam, br.Sequence, br.Fn))
+			keep(2, br.Sequence, br.Fn)
 		}
 		if m != nil {
 			ep := m.Generate(s.O0, seqopt.GenOptions{}) // greedy decode
-			d.outputs = append(d.outputs, accept(methodPolicy, ep.Sequence, ep.FinalFn))
+			keep(3, ep.Sequence, ep.FinalFn)
 		}
-		details[i] = d
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	rep := &PassesReport{details: details}
-	methods := []string{MethodFixed, methodGreedy, MethodBeam}
-	if m != nil {
-		methods = append(methods, methodPolicy)
-	}
-	for _, method := range methods {
-		rep.Rows = append(rep.Rows, aggregatePasses(method, details))
+	for _, r := range results {
+		rep.Reports = append(rep.Reports, tally(r))
 	}
 	return rep, nil
-}
-
-// aggregatePasses folds one method's per-sample outputs into a report
-// row. A sample with a zero Latency/ICount/Size on either side of the
-// out/base ratio is degenerate — log of 0 or division by 0 would turn
-// the whole geomean into NaN — so it is skipped from the geomean
-// accumulation and counted in Degenerate instead. Counters
-// (Verified/Improved/Fallbacks/MeanSeqLen) still cover every sample.
-func aggregatePasses(method string, details []*passesDetail) PassesRow {
-	row := PassesRow{Method: method, GeoLatency: 1, geoICount: 1, geoSize: 1}
-	logL, logI, logS := 0.0, 0.0, 0.0
-	n, nGeo := 0, 0
-	for _, d := range details {
-		var out *passesOutput
-		for j := range d.outputs {
-			if d.outputs[j].method == method {
-				out = &d.outputs[j]
-			}
-		}
-		if out == nil {
-			continue
-		}
-		n++
-		if degenerateMetrics(out.metrics) || degenerateMetrics(d.base) {
-			row.degenerate++
-		} else {
-			nGeo++
-			logL += math.Log(float64(out.metrics.Latency) / float64(d.base.Latency))
-			logI += math.Log(float64(out.metrics.ICount) / float64(d.base.ICount))
-			logS += math.Log(float64(out.metrics.Size) / float64(d.base.Size))
-		}
-		if out.verified {
-			row.verified++
-		}
-		if out.fallback {
-			row.fallbacks++
-		}
-		if out.metrics.Latency < d.base.Latency {
-			row.Improved++
-		}
-		row.meanSeqLen += float64(len(out.sequence))
-	}
-	if nGeo > 0 {
-		row.GeoLatency = math.Exp(logL / float64(nGeo))
-		row.geoICount = math.Exp(logI / float64(nGeo))
-		row.geoSize = math.Exp(logS / float64(nGeo))
-	}
-	if n > 0 {
-		row.meanSeqLen /= float64(n)
-	}
-	return row
-}
-
-// degenerateMetrics reports a metric vector that cannot participate
-// in a log-space ratio.
-func degenerateMetrics(m costmodel.Metrics) bool {
-	return m.Latency <= 0 || m.ICount <= 0 || m.Size <= 0
 }

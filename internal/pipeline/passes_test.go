@@ -3,11 +3,13 @@ package pipeline
 import (
 	"context"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
+	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/seqopt"
 )
@@ -41,50 +43,48 @@ func TestPassesSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := res.Report
-	if rep.Samples() != len(val) {
-		t.Fatalf("report covers %d samples, want %d", rep.Samples(), len(val))
-	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("report has %d rows, want 4", len(rep.Rows))
+	if len(rep.Methods) != 4 || len(rep.Reports) != 4 {
+		t.Fatalf("report has %d methods and %d reports, want 4", len(rep.Methods), len(rep.Reports))
 	}
 
 	// (1) + (2): every accepted output re-verifies, no fallbacks.
-	for _, d := range rep.details {
-		for _, out := range d.outputs {
-			if out.fallback {
-				t.Errorf("%s/%s: fallback used (unverified output emitted)", d.sample.Name, out.method)
+	for i, r := range rep.Reports {
+		if r.Total() != len(val) || r.Skipped != 0 {
+			t.Fatalf("%s covers %d samples (%d skipped), want %d", rep.Methods[i], r.Total(), r.Skipped, len(val))
+		}
+		for _, res := range r.results {
+			if res.usedFallback {
+				t.Errorf("%s/%s: fallback used (unverified output emitted)", res.sample.Name, rep.Methods[i])
 			}
-			if !out.verified {
-				t.Errorf("%s/%s: output not verified", d.sample.Name, out.method)
+			if res.verdict != alive.Equivalent {
+				t.Errorf("%s/%s: output not verified", res.sample.Name, rep.Methods[i])
 			}
-			if len(out.sequence) == 0 {
+			if len(res.seq) == 0 {
 				continue
 			}
-			vr := alive.VerifyFuncs(d.sample.O0, out.fn, alive.DefaultOptions())
+			vr := alive.VerifyFuncs(res.sample.O0, res.fn, alive.DefaultOptions())
 			if vr.Verdict != alive.Equivalent {
 				t.Errorf("%s/%s: emitted output fails independent re-verification: %s",
-					d.sample.Name, out.method, vr.Diag)
+					res.sample.Name, rep.Methods[i], vr.Diag)
 			}
 		}
 	}
 
 	// (3): beam strictly beats the fixed pipeline on geomean latency.
-	fixed, beam := rep.Row(MethodFixed), rep.Row(MethodBeam)
-	if fixed == nil || beam == nil {
-		t.Fatal("missing fixed/beam rows")
+	fixed, beam, greedy := rep.Method(MethodFixed), rep.Method(MethodBeam), rep.Method(methodGreedy)
+	if fixed == nil || beam == nil || greedy == nil {
+		t.Fatal("missing fixed/greedy/beam reports")
 	}
-	if beam.GeoLatency >= fixed.GeoLatency {
-		t.Errorf("beam geomean latency %.4f does not beat fixed instcombine %.4f",
-			beam.GeoLatency, fixed.GeoLatency)
+	geo := func(r *Report) float64 { return GeomeanRatio(r, MetricLatency) }
+	if geo(beam) >= geo(fixed) {
+		t.Errorf("beam geomean latency %.4f does not beat fixed instcombine %.4f", geo(beam), geo(fixed))
 	}
 	// Greedy sits between doing nothing and beam.
-	greedy := rep.Row(methodGreedy)
-	if greedy.GeoLatency > 1 || beam.GeoLatency > greedy.GeoLatency {
-		t.Errorf("ordering violated: greedy %.4f, beam %.4f", greedy.GeoLatency, beam.GeoLatency)
+	if geo(greedy) > 1 || geo(beam) > geo(greedy) {
+		t.Errorf("ordering violated: greedy %.4f, beam %.4f", geo(greedy), geo(beam))
 	}
 	// The trained policy must act: non-trivial sequences and some wins.
-	policy := rep.Row(methodPolicy)
-	if policy.Improved == 0 {
+	if OutcomesVsO0(rep.Method(methodPolicy), MetricLatency).Better == 0 {
 		t.Error("trained policy improved nothing")
 	}
 	if len(res.history) != cfg.TrainSteps {
@@ -161,67 +161,77 @@ func TestPassesBench(t *testing.T) {
 
 }
 
-// TestAggregatePassesDegenerate pins the geomean-poisoning fix: a
-// sample with a zero metric on either side of the out/base ratio is
-// skipped and counted rather than folding log(0)'s -Inf (or a
-// division by zero's NaN) into the whole method row.
+// TestAggregatePassesDegenerate pins the geomean-poisoning fix on the table's
+// shared aggregates: a zero metric on either side of an out/base ratio
+// is skipped from that metric's geomean rather than folding log(0)'s
+// -Inf (or a division by zero's NaN) into it, and the Degen column
+// counts the samples the latency geomean skipped. The skip is per
+// metric: a zero Size drops the sample from the Size geomean only.
 func TestAggregatePassesDegenerate(t *testing.T) {
 	m := func(l, i, s int) costmodel.Metrics { return costmodel.Metrics{Latency: l, ICount: i, Size: s} }
-	out := func(metrics costmodel.Metrics) []passesOutput {
-		return []passesOutput{{method: MethodFixed, sequence: []string{"instcombine"}, metrics: metrics}}
-	}
+	res := func(base, out costmodel.Metrics) *sampleResult { return &sampleResult{base: base, out: out} }
 	cases := []struct {
 		name    string
-		details []*passesDetail
-		wantGeo float64 // GeoLatency
+		results []*sampleResult
+		wantGeo [3]float64 // Latency, ICount, Size
 		wantDeg int
 	}{
 		{
-			name: "clean",
-			details: []*passesDetail{
-				{base: m(8, 8, 32), outputs: out(m(4, 4, 16))},
-				{base: m(2, 2, 8), outputs: out(m(4, 4, 16))},
-			},
-			wantGeo: 1, wantDeg: 0, // ratios 0.5 and 2 cancel
+			name:    "clean",
+			results: []*sampleResult{res(m(8, 8, 32), m(4, 4, 16)), res(m(2, 2, 8), m(4, 4, 16))},
+			wantGeo: [3]float64{1, 1, 1}, wantDeg: 0, // ratios 0.5 and 2 cancel
 		},
 		{
-			name: "zero output metric skipped",
-			details: []*passesDetail{
-				{base: m(8, 8, 32), outputs: out(m(4, 4, 16))},
-				{base: m(8, 8, 32), outputs: out(m(0, 1, 4))},
-			},
-			wantGeo: 0.5, wantDeg: 1,
+			name:    "zero output metric skipped",
+			results: []*sampleResult{res(m(8, 8, 32), m(4, 4, 16)), res(m(8, 8, 32), m(0, 1, 4))},
+			wantGeo: [3]float64{0.5, 0.25, 0.25}, wantDeg: 1,
 		},
 		{
-			name: "zero base metric skipped",
-			details: []*passesDetail{
-				{base: m(8, 8, 32), outputs: out(m(4, 4, 16))},
-				{base: m(4, 4, 0), outputs: out(m(4, 4, 16))},
-			},
-			wantGeo: 0.5, wantDeg: 1,
+			name:    "zero base metric skipped",
+			results: []*sampleResult{res(m(8, 8, 32), m(4, 4, 16)), res(m(4, 4, 0), m(4, 4, 16))},
+			wantGeo: [3]float64{math.Sqrt(0.5), math.Sqrt(0.5), 0.5}, wantDeg: 0,
 		},
 		{
-			name: "all degenerate leaves identity geomean",
-			details: []*passesDetail{
-				{base: m(0, 0, 0), outputs: out(m(0, 0, 0))},
-			},
-			wantGeo: 1, wantDeg: 1,
+			name:    "all degenerate leaves identity geomean",
+			results: []*sampleResult{res(m(0, 0, 0), m(0, 0, 0))},
+			wantGeo: [3]float64{1, 1, 1}, wantDeg: 1,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			row := aggregatePasses(MethodFixed, tc.details)
-			if row.degenerate != tc.wantDeg {
-				t.Errorf("Degenerate = %d, want %d", row.degenerate, tc.wantDeg)
+			rep := tally(tc.results)
+			if _, deg := ratio(rep, MetricLatency); deg != tc.wantDeg {
+				t.Errorf("Degen = %d, want %d", deg, tc.wantDeg)
 			}
-			if diff := row.GeoLatency - tc.wantGeo; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("GeoLatency = %v, want %v", row.GeoLatency, tc.wantGeo)
-			}
-			for _, g := range []float64{row.GeoLatency, row.geoICount, row.geoSize} {
+			for i, metric := range []Metric{MetricLatency, MetricICount, MetricSize} {
+				g := GeomeanRatio(rep, metric)
+				if diff := g - tc.wantGeo[i]; diff > 1e-9 || diff < -1e-9 {
+					t.Errorf("%s geomean = %v, want %v", metric, g, tc.wantGeo[i])
+				}
 				if math.IsNaN(g) || math.IsInf(g, 0) {
-					t.Errorf("geomean not finite: %v", g)
+					t.Errorf("%s geomean not finite: %v", metric, g)
 				}
 			}
 		})
+	}
+}
+
+// TestJudgeKeepsReturnedInputWithoutQuery: a method that hands back
+// its input is kept as it is, Equivalent with no query and no
+// fallback, as a search that found nothing better does.
+func TestJudgeKeepsReturnedInputWithoutQuery(t *testing.T) {
+	_, val := passesCorpus(t, 8)
+	s := val[0]
+	var queries atomic.Int64
+	counting := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+		queries.Add(1)
+		return testStack.Verify(ctx, src, tgt, opts)
+	})
+	res := judge(context.Background(), counting, s, s.O0, alive.Result{}, alive.DefaultOptions())
+	if q := queries.Load(); q != 0 {
+		t.Errorf("%d queries for the returned input, want 0", q)
+	}
+	if res.verdict != alive.Equivalent || res.usedFallback || res.out != res.base {
+		t.Errorf("returned input judged %v, fallback %v, out %v (base %v)", res.verdict, res.usedFallback, res.out, res.base)
 	}
 }

@@ -31,9 +31,6 @@ type Episode struct {
 	// FormatOK is the paper's t_i: whether the completion carries the
 	// required <answer> structure.
 	FormatOK bool
-	// Copied reports whether the final text is byte-identical to the
-	// canonical input (the "copy of input" row of Tables I/II).
-	Copied bool
 }
 
 // GenOptions controls one generation.
@@ -63,7 +60,6 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 
 	if !opts.Augmented {
 		ep.FinalText = attempt
-		ep.Copied = ir.FingerprintText(attempt) == ir.FingerprintText(inputText)
 		return ep
 	}
 
@@ -92,7 +88,6 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	} else {
 		ep.FinalText = attempt
 	}
-	ep.Copied = ir.FingerprintText(ep.FinalText) == ir.FingerprintText(inputText)
 	return ep
 }
 

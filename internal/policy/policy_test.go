@@ -166,7 +166,7 @@ func TestMaskRulesRespected(t *testing.T) {
 func saltedEpisode(m *Model, f *ir.Function, salt string) *Episode {
 	text := ir.CanonicalText(f)
 	final, acts, _ := m.rollout(f, m.HashFeatures(salt+text), GenOptions{}, nil)
-	return &Episode{Actions: acts, FinalText: final, Copied: ir.FingerprintText(final) == ir.FingerprintText(text)}
+	return &Episode{Actions: acts, FinalText: final}
 }
 
 func TestBaseModelProfileRoughlyTableI(t *testing.T) {
@@ -188,7 +188,7 @@ func TestBaseModelProfileRoughlyTableI(t *testing.T) {
 			corrupts++
 		case kinds[rewrite.KindSound]+kinds[rewrite.KindExtra] > 0:
 			sounds++
-		case ep.Copied:
+		case ir.FingerprintText(ep.FinalText) == ir.FingerprintText(ir.CanonicalText(f)):
 			copies++
 		}
 	}

@@ -186,12 +186,11 @@ func refExpand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig
 // refSearch is Beam (beam true) or Greedy over refExpand.
 func refSearch(f0 *ir.Function, cfg SearchConfig, beam bool) *SearchResult {
 	ctx := context.Background()
-	cfg = cfg.normalize()
 	root := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
 	res := &SearchResult{Fn: f0, Base: root.m, Best: root.m}
 	best, frontier := root, []*state{root}
 	seen := map[string]bool{root.key: true}
-	for d := 0; d < cfg.Depth && len(frontier) > 0; d++ {
+	for d := 0; d < searchDepth && len(frontier) > 0; d++ {
 		var cands []*state
 		for _, st := range frontier {
 			cands = append(cands, refExpand(ctx, f0, st, cfg, seen, res)...)
@@ -202,8 +201,8 @@ func refSearch(f0 *ir.Function, cfg SearchConfig, beam bool) *SearchResult {
 				break
 			}
 			cands = cands[:1]
-		} else if len(cands) > cfg.Width {
-			cands = cands[:cfg.Width]
+		} else if len(cands) > beamWidth {
+			cands = cands[:beamWidth]
 		}
 		if len(cands) > 0 && better(cands[0], best) {
 			best = cands[0]

@@ -10,26 +10,19 @@ import (
 	"veriopt/internal/oracle"
 )
 
-// SearchConfig sizes a phase-ordering search.
+// The search's shape: beamWidth states survive each depth of Beam, and
+// no sequence of Beam or Greedy is longer than searchDepth passes.
+const (
+	beamWidth   = 4
+	searchDepth = 4
+)
+
+// SearchConfig names what a phase-ordering search asks.
 type SearchConfig struct {
-	// Width is the beam width (states kept per depth). <= 0 selects 4.
-	Width int
-	// Depth bounds the sequence length. <= 0 selects 4.
-	Depth int
 	// Oracle answers equivalence queries; it is required. Every query
 	// of a search runs under alive.DefaultOptions(), so one warm cache
 	// serves the whole search.
 	Oracle oracle.Oracle
-}
-
-func (c SearchConfig) normalize() SearchConfig {
-	if c.Width <= 0 {
-		c.Width = 4
-	}
-	if c.Depth <= 0 {
-		c.Depth = 4
-	}
-	return c
 }
 
 // SearchResult reports the best verified state a search found.
@@ -112,18 +105,17 @@ func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, s
 
 // Beam runs beam search over pass sequences: at each depth every
 // frontier state is expanded through every pass, candidates are
-// verified equivalence-gated, and the Width best survive. The global
+// verified equivalence-gated, and the beamWidth best survive. The global
 // best over all verified states (including the untouched input) is
 // returned. On cancellation the best state found so far is returned
 // along with the context's error.
 func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult, error) {
-	cfg = cfg.normalize()
 	root := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
 	res := &SearchResult{Fn: f0, Base: root.m, Best: root.m}
 	best := root
 	seen := map[string]bool{root.key: true}
 	frontier := []*state{root}
-	for d := 0; d < cfg.Depth && len(frontier) > 0; d++ {
+	for d := 0; d < searchDepth && len(frontier) > 0; d++ {
 		var cands []*state
 		for _, st := range frontier {
 			kids, err := expand(ctx, f0, st, cfg, seen, res)
@@ -134,8 +126,8 @@ func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult
 			}
 		}
 		sort.Slice(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
-		if len(cands) > cfg.Width {
-			cands = cands[:cfg.Width]
+		if len(cands) > beamWidth {
+			cands = cands[:beamWidth]
 		}
 		if len(cands) > 0 && better(cands[0], best) {
 			best = cands[0]
@@ -150,11 +142,10 @@ func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult
 // latency, stopping when no pass strictly improves it. It is the
 // cheap O(passes x depth) baseline against beam search.
 func Greedy(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult, error) {
-	cfg = cfg.normalize()
 	cur := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
 	res := &SearchResult{Fn: f0, Base: cur.m, Best: cur.m}
 	seen := map[string]bool{cur.key: true}
-	for d := 0; d < cfg.Depth; d++ {
+	for d := 0; d < searchDepth; d++ {
 		kids, err := expand(ctx, f0, cur, cfg, seen, res)
 		if err != nil {
 			finish(res, cur)

@@ -154,7 +154,7 @@ b:
 // is strictly better in aggregate (the acceptance criterion).
 func TestBeamFindsInstcombineOrBetter(t *testing.T) {
 	samples := corpus(t, 24)
-	cfg := SearchConfig{Width: 4, Depth: 4, Oracle: testStack}
+	cfg := SearchConfig{Oracle: testStack}
 	ctx := context.Background()
 	logSum, strictly := 0.0, 0
 	for _, s := range samples {
@@ -186,7 +186,7 @@ func TestBeamFindsInstcombineOrBetter(t *testing.T) {
 func TestBeamWarmCacheZeroSolverRuns(t *testing.T) {
 	samples := corpus(t, 10)
 	stack := oracle.NewStack(oracle.Config{})
-	cfg := SearchConfig{Width: 4, Depth: 4, Oracle: stack}
+	cfg := SearchConfig{Oracle: stack}
 	ctx := context.Background()
 
 	run := func() []*SearchResult {
@@ -229,7 +229,7 @@ func TestBeamWarmCacheZeroSolverRuns(t *testing.T) {
 // never slower than the input, and reproducible.
 func TestGreedyNeverWorseAndDeterministic(t *testing.T) {
 	samples := corpus(t, 15)
-	cfg := SearchConfig{Depth: 4, Oracle: testStack}
+	cfg := SearchConfig{Oracle: testStack}
 	ctx := context.Background()
 	for _, s := range samples {
 		a, err := Greedy(ctx, s.O0, cfg)
