@@ -232,7 +232,7 @@ func stepTrainer(tb testing.TB, mode grpo.RewardMode, workers int) *grpo.Trainer
 	case grpo.ModeCorrectnessCoT:
 		m.SelfCorrectGate = 2
 	case grpo.ModeLatency:
-		cfg.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(samples, 80), Gamma: 2}
+		cfg.UMax = grpo.ComputeUMax(samples)
 	}
 	return grpo.NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, cfg, 17)
 }

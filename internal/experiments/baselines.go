@@ -26,17 +26,20 @@ type baseline struct {
 // sftBaseline builds a supervised-fine-tuned baseline at the given capacity:
 // behaviour cloning of the instcombine teacher on the training set
 // ("train on the same dataset until convergence", §V-C), with no
-// reinforcement learning and no diagnostic protocol.
-func sftBaseline(cap policy.Capacity, params float64, train []*dataset.Sample, seed int64) *baseline {
+// reinforcement learning and no diagnostic protocol. When ctx ends
+// mid-training it returns the context's error and no baseline.
+func sftBaseline(ctx context.Context, cap policy.Capacity, params float64, train []*dataset.Sample, seed int64) (*baseline, error) {
 	m := policy.New(cap, seed)
 	cfg := sft.DefaultConfig()
 	// SFT-only training gets the full supervised budget; the warm-up
 	// inside the VeriOpt pipeline deliberately uses fewer epochs.
 	cfg.Epochs = 5
-	sft.WarmUpCtx(context.Background(), m, train, nil, cfg)
+	if _, err := sft.WarmUpCtx(ctx, m, train, nil, cfg); err != nil {
+		return nil, err
+	}
 	// Pure SFT models have no diagnose-and-correct ability.
 	m.SelfCorrectGate = -2
-	return &baseline{name: cap.Name + "-SFT", params: params, model: m}
+	return &baseline{name: cap.Name + "-SFT", params: params, model: m}, nil
 }
 
 // llmCompiler builds the LLM-Compiler-7B analogue: a model that
@@ -72,14 +75,28 @@ func llmCompiler(seed int64) *baseline {
 }
 
 // baselineSuite builds the full Fig. 5 baseline set, ordered by
-// parameter count.
-func baselineSuite(train []*dataset.Sample, seed int64) []*baseline {
-	return []*baseline{
-		sftBaseline(policy.CapQwen05B, 0.5, train, seed+1),
-		sftBaseline(policy.CapQwen3B, 3, train, seed+2),
-		llmCompiler(seed + 3),
-		sftBaseline(policy.CapQwen7B, 7, train, seed+4),
-		sftBaseline(policy.CapLlama8B, 8, train, seed+5),
-		sftBaseline(policy.CapQwen32B, 32, train, seed+6),
+// parameter count. When ctx ends it trains no further baseline and
+// returns the context's error.
+func baselineSuite(ctx context.Context, train []*dataset.Sample, seed int64) ([]*baseline, error) {
+	var err error
+	sftB := func(cap policy.Capacity, params float64, seed int64) *baseline {
+		if err != nil {
+			return nil
+		}
+		var b *baseline
+		b, err = sftBaseline(ctx, cap, params, train, seed)
+		return b
 	}
+	suite := []*baseline{
+		sftB(policy.CapQwen05B, 0.5, seed+1),
+		sftB(policy.CapQwen3B, 3, seed+2),
+		llmCompiler(seed + 3),
+		sftB(policy.CapQwen7B, 7, seed+4),
+		sftB(policy.CapLlama8B, 8, seed+5),
+		sftB(policy.CapQwen32B, 32, seed+6),
+	}
+	if err != nil {
+		return nil, err
+	}
+	return suite, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"veriopt/internal/dataset"
@@ -21,7 +22,10 @@ func TestSuiteOrderAndNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := baselineSuite(samples, 1)
+	suite, err := baselineSuite(context.Background(), samples, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(suite) != 6 {
 		t.Fatalf("suite size %d, want 6", len(suite))
 	}
@@ -49,11 +53,30 @@ func TestSFTBaselineBeatsUntrained(t *testing.T) {
 	}
 	base := policy.New(policy.CapQwen3B, 9)
 	baseRep := evaluate(base, val, false)
-	sftB := sftBaseline(policy.CapQwen3B, 3, train, 9)
+	sftB, err := sftBaseline(context.Background(), policy.CapQwen3B, 3, train, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sftRep := evaluate(sftB.model, val, false)
 	if sftRep.DifferentCorrectFrac() <= baseRep.DifferentCorrectFrac() {
 		t.Errorf("SFT (%.2f) did not beat untrained (%.2f) on different-correct",
 			sftRep.DifferentCorrectFrac(), baseRep.DifferentCorrectFrac())
+	}
+}
+
+// TestCanceledBaselinesNotKept: under a canceled context the SFT
+// baselines stop training, return the context's error and leave
+// nothing cached, as a canceled curriculum run does.
+func TestCanceledBaselinesNotKept(t *testing.T) {
+	c := NewContext(testConfig(), testStack)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.Ctx = ctx
+	if bl, err := c.baselines(); !errors.Is(err, context.Canceled) || bl != nil {
+		t.Fatalf("canceled baselines: got %d baselines, %v; want none and context.Canceled", len(bl), err)
+	}
+	if c.bl != nil {
+		t.Fatalf("canceled suite cached: %d baselines", len(c.bl))
 	}
 }
 
@@ -107,8 +130,14 @@ func TestScaleImprovesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small := sftBaseline(policy.CapQwen05B, 0.5, train, 7)
-	big := sftBaseline(policy.CapQwen32B, 32, train, 7)
+	small, err := sftBaseline(context.Background(), policy.CapQwen05B, 0.5, train, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := sftBaseline(context.Background(), policy.CapQwen32B, 32, train, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	smallRep := evaluate(small.model, val, false)
 	bigRep := evaluate(big.model, val, false)
 	if bigRep.CorrectFrac() < smallRep.CorrectFrac()-0.05 {

@@ -180,7 +180,9 @@ func (c *Context) report(m *policy.Model, augmented bool) (*pipeline.Report, err
 	return rep, nil
 }
 
-// baselines returns the Fig. 5 comparison suite.
+// baselines returns the Fig. 5 comparison suite, training it on first
+// use. A canceled training returns the context's error and is not
+// cached, so a later call under a live context retrains.
 func (c *Context) baselines() ([]*baseline, error) {
 	if c.bl == nil {
 		train, err := c.Train()
@@ -188,7 +190,11 @@ func (c *Context) baselines() ([]*baseline, error) {
 			return nil, err
 		}
 		c.progress("training SFT baselines...")
-		c.bl = baselineSuite(train, c.Cfg.Seed+5000)
+		bl, err := baselineSuite(c.context(), train, c.Cfg.Seed+5000)
+		if err != nil {
+			return nil, err
+		}
+		c.bl = bl
 	}
 	return c.bl, nil
 }

@@ -155,31 +155,25 @@ func TestStepEmptyDataNoPanic(t *testing.T) {
 	}
 }
 
-// TestLatencyRewardZeroParams: a zero-valued LatencyRewardParams (as
-// left by DefaultConfig) used to yield math.Pow(negativeFrac, 0) == 1
-// — an unconditional full reward for any speedup > 1.
+// TestLatencyRewardZeroParams: a zero UMax (as left by DefaultConfig)
+// used to yield math.Pow(negativeFrac, 0) == 1 — an unconditional full
+// reward for any speedup > 1.
 func TestLatencyRewardZeroParams(t *testing.T) {
-	r := latencyReward(alive.Equivalent, 1.5, LatencyRewardParams{})
+	r := latencyReward(alive.Equivalent, 1.5, 0)
 	if math.IsNaN(r) {
-		t.Fatal("zero params produced NaN")
+		t.Fatal("zero UMax produced NaN")
 	}
 	if r <= 0 || r >= 1 {
 		t.Fatalf("reward = %v for modest speedup 1.5 under defaults, want in (0, 1)", r)
 	}
-	// With the defaults (UMax=2, Gamma=2): frac = 0.5, reward 0.25.
+	// With the default UMax=2 (and γ=2): frac = 0.5, reward 0.25.
 	if math.Abs(r-0.25) > 1e-9 {
-		t.Fatalf("reward = %v, want 0.25 under normalized defaults", r)
+		t.Fatalf("reward = %v, want 0.25 under the default UMax", r)
 	}
-	// Fractional Gamma < 1 also normalizes instead of producing NaN
-	// for the negative frac of a degenerate UMax.
-	r = latencyReward(alive.Equivalent, 1.5, LatencyRewardParams{UMax: 0, Gamma: 0.5})
-	if math.IsNaN(r) || r <= 0 || r >= 1 {
-		t.Fatalf("reward = %v under degenerate UMax + fractional Gamma", r)
-	}
-	// Valid params are untouched.
-	r = latencyReward(alive.Equivalent, 1.5, LatencyRewardParams{UMax: 3, Gamma: 2})
+	// A valid UMax is untouched.
+	r = latencyReward(alive.Equivalent, 1.5, 3)
 	if math.Abs(r-0.0625) > 1e-9 {
-		t.Fatalf("valid params altered: reward = %v, want 0.0625", r)
+		t.Fatalf("valid UMax altered: reward = %v, want 0.0625", r)
 	}
 }
 

@@ -69,7 +69,7 @@ func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
 	case ModeCorrectnessCoT:
 		m.SelfCorrectGate = 2
 	case ModeLatency:
-		cfg.Latency = LatencyRewardParams{UMax: ComputeUMax(data, 80), Gamma: 2}
+		cfg.UMax = ComputeUMax(data)
 	}
 	tr := NewTrainer(oracle.NewStack(oracle.Config{}), m, data, cfg, 21)
 	tr.CollectFailures = mode == ModeCorrectness

@@ -34,14 +34,14 @@ import (
 // The oracle is asked about the final answer, then about the attempt
 // when the episode diagnosed one that differs; a stack's cache
 // memoizes verdicts, so the attempts and answers that coincide across
-// the rollouts of a GRPO group are proved once. cfg.Verify bounds the
+// the rollouts of a GRPO group are proved once. trainVerify bounds the
 // verifier work per query, asked of o under ctx.
 func score(ctx context.Context, o oracle.Oracle, s *dataset.Sample, ep *policy.Episode, cfg *Config) episodeScore {
 	es := episodeScore{s: s, ep: ep}
-	final, finalFn := verdictOf(ctx, o, ep.FinalText, s, cfg.Verify)
+	final, finalFn := verdictOf(ctx, o, ep.FinalText, s)
 	es.attempt = final
 	if ep.Diag != nil && ep.AttemptText != ep.FinalText {
-		es.attempt, _ = verdictOf(ctx, o, ep.AttemptText, s, cfg.Verify)
+		es.attempt, _ = verdictOf(ctx, o, ep.AttemptText, s)
 	}
 	switch cfg.Mode {
 	case ModeLatency:
@@ -49,7 +49,7 @@ func score(ctx context.Context, o oracle.Oracle, s *dataset.Sample, ep *policy.E
 		if final.Verdict == alive.Equivalent {
 			speedup = costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(finalFn))
 		}
-		es.rAnswer = latencyReward(final.Verdict, speedup, cfg.Latency)
+		es.rAnswer = latencyReward(final.Verdict, speedup, cfg.UMax)
 	case ModeCorrectness, ModeCorrectnessCoT:
 		shaping := !cfg.NoBleuShaping
 		ref := ir.FingerprintText(s.RefText)
@@ -78,12 +78,12 @@ func labelTerms(text, refText, ref string, shaping bool) (exact bool, b float64)
 	return exact, b
 }
 
-func verdictOf(ctx context.Context, o oracle.Oracle, text string, s *dataset.Sample, opts alive.Options) (alive.Result, *ir.Function) {
+func verdictOf(ctx context.Context, o oracle.Oracle, text string, s *dataset.Sample) (alive.Result, *ir.Function) {
 	f, res := alive.Candidate(ir.ParseFunc(text))
 	if f == nil {
 		return res, nil
 	}
-	return o.Verify(ctx, s.O0, f, opts), f
+	return o.Verify(ctx, s.O0, f, trainVerify), f
 }
 
 // eq1 is the paper's Eq. 1:
@@ -132,61 +132,42 @@ func cotReward(d *policy.DiagRecord, attempt alive.Result) float64 {
 	}
 }
 
-// LatencyRewardParams configures Eqs. 3–4.
-type LatencyRewardParams struct {
-	// UMax is the saturation threshold — the paper sets it to the 80th
-	// percentile of instcombine's speedups on the training set.
-	UMax float64
-	// Gamma is the convex shaping exponent (> 1).
-	Gamma float64
-}
-
-// Eq. 3–4 defaults applied when LatencyRewardParams is left zero (or
-// set to degenerate values): UMax matches ComputeUMax's empty-corpus
-// fallback, Gamma the paper's convex shaping exponent.
+// Eqs. 3–4's settings, the paper's: UMax is the umaxPercentile-th
+// percentile of instcombine's speedups on the training set (the caller
+// computes it once, with ComputeUMax, and passes it in), and
+// latencyGamma the convex shaping exponent. A UMax of 1 or less (0 in
+// a Config that never set it) reads as defaultUMax, ComputeUMax's
+// empty-corpus value: otherwise frac would be negative and the reward
+// meaningless.
 const (
-	defaultUMax  = 2.0
-	defaultGamma = 2.0
+	umaxPercentile = 80
+	latencyGamma   = 2.0
+	defaultUMax    = 2.0
 )
-
-// normalize validates the Eq. 3–4 parameters, substituting safe
-// defaults for degenerate values. A zero-valued params struct (as
-// left by DefaultConfig, which never sets Latency) would otherwise
-// make frac negative (UMax-1 <= 0) and math.Pow(frac, 0) == 1 — an
-// unconditional full reward for any speedup > 1, and NaN for
-// fractional Gamma.
-func (p LatencyRewardParams) normalize() LatencyRewardParams {
-	if p.UMax <= 1 {
-		p.UMax = defaultUMax
-	}
-	if p.Gamma < 1 {
-		p.Gamma = defaultGamma
-	}
-	return p
-}
 
 // latencyReward is the paper's Eq. 4: zero unless the output verified
 // (S=1) and sped up (u>1); then a convex, saturating share of the
-// speedup. Degenerate params (UMax <= 1 or Gamma < 1) are replaced by
-// defaults — see normalize.
-func latencyReward(v alive.Verdict, speedup float64, p LatencyRewardParams) float64 {
+// speedup.
+func latencyReward(v alive.Verdict, speedup, umax float64) float64 {
 	if v != alive.Equivalent || speedup <= 1 {
 		return 0
 	}
-	p = p.normalize()
-	frac := (speedup - 1) / (p.UMax - 1)
+	if umax <= 1 {
+		umax = defaultUMax
+	}
+	frac := (speedup - 1) / (umax - 1)
 	if frac > 1 {
 		frac = 1
 	}
-	return math.Pow(frac, p.Gamma)
+	return math.Pow(frac, latencyGamma)
 }
 
-// ComputeUMax returns the given percentile of instcombine's speedups
-// over the corpus (paper: 80th percentile). The percentile is clamped
-// to [0, 100] and resolved by the nearest-rank method — the old
-// truncating index int(p/100*(n-1)) biased UMax low on small corpora
-// (the 80th percentile of 4 samples selected index 2 instead of 3).
-func ComputeUMax(samples []*dataset.Sample, percentile float64) float64 {
+// ComputeUMax returns the umaxPercentile-th percentile of instcombine's
+// speedups over the corpus, resolved by the nearest-rank method — the
+// old truncating index int(p/100*(n-1)) biased UMax low on small
+// corpora (the 80th percentile of 4 samples selected index 2 instead
+// of 3).
+func ComputeUMax(samples []*dataset.Sample) float64 {
 	var ups []float64
 	for _, s := range samples {
 		u := costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(s.Ref))
@@ -196,31 +177,16 @@ func ComputeUMax(samples []*dataset.Sample, percentile float64) float64 {
 		return defaultUMax
 	}
 	sort.Float64s(ups)
-	u := ups[percentileIndex(percentile, len(ups))]
+	u := ups[percentileIndex(umaxPercentile, len(ups))]
 	if u <= 1.01 {
 		u = 1.5
 	}
 	return u
 }
 
-// percentileIndex maps a percentile to a 0-based index into a sorted
-// slice of n values using the nearest-rank method with half-ranks
-// rounded up: rank = ceil(p/100 * n), clamped to [1, n]. p itself is
-// clamped to [0, 100] first, so out-of-range inputs select the min or
-// max rather than panicking.
+// percentileIndex maps a percentile p in [0, 100] to a 0-based index
+// into a sorted slice of n values using the nearest-rank method with
+// half-ranks rounded up: rank = ceil(p/100 * n), at least 1.
 func percentileIndex(p float64, n int) int {
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	rank := int(math.Ceil(p / 100 * float64(n)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return rank - 1
+	return max(int(math.Ceil(p/100*float64(n))), 1) - 1
 }

@@ -16,26 +16,17 @@ import (
 // (reward modes, diagnosis, BLEU shaping): a sequence episode has
 // exactly one reward, the verified latency gain of its final state.
 // Its group and batch shape, clip norm, temperature and verifier
-// limits are fixed: the seq* constants and trainVerify.
+// limits are the text trainer's defaults: groupSize, batchInputs,
+// clipNorm, temperature and trainVerify.
 type SeqConfig struct {
 	// lr is the gradient-ascent learning rate.
 	lr float64
-	// Latency holds the Eq. 3–4 shaping parameters.
-	Latency LatencyRewardParams
+	// UMax is Eq. 4's saturation threshold, as Config.UMax.
+	UMax float64
 	// Workers bounds the rollout + verification fan-out (<= 0 selects
 	// runtime.NumCPU()). Results are bit-identical at any worker count.
 	Workers int
 }
-
-// The sequence trainer's fixed settings, the text trainer's defaults:
-// G rollouts per input, inputs per step, the global gradient-norm
-// bound and the sampling temperature.
-const (
-	seqGroupSize   = 6
-	seqBatchInputs = 8
-	seqClipNorm    = 5
-	seqTemperature = 1.0
-)
 
 // DefaultSeqConfig returns the settings used by the passes workload's
 // training runs. The LR is higher than the text trainer's because a
@@ -68,17 +59,17 @@ type seqScore struct {
 	r  float64
 }
 
-// stepCtx performs one GRPO update over a BatchInputs × GroupSize
+// stepCtx performs one GRPO update over a batchInputs × groupSize
 // grid of sequence rollouts and returns its pre-clip gradient norm;
 // the step's mean reward is appended to RewardHistory. Determinism and
 // cancellation are grid's.
 func (tr *SeqTrainer) stepCtx(ctx context.Context) (float64, error) {
 	m := tr.model
 	cfg := tr.cfg
-	cells, err := grid(ctx, &tr.rollout, seqBatchInputs, seqGroupSize, cfg.Workers,
+	cells, err := grid(ctx, &tr.rollout, batchInputs, groupSize, cfg.Workers,
 		func(s *dataset.Sample, rng *rand.Rand) seqScore {
 			ep := m.Generate(s.O0, seqopt.GenOptions{
-				Temperature: seqTemperature,
+				Temperature: temperature,
 				Rng:         rng,
 			})
 			// No transformation is trivially equivalent, with zero gain.
@@ -89,7 +80,7 @@ func (tr *SeqTrainer) stepCtx(ctx context.Context) (float64, error) {
 				if vr.Verdict == alive.Equivalent {
 					u = costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(ep.FinalFn))
 				}
-				es.r = latencyReward(vr.Verdict, u, cfg.Latency)
+				es.r = latencyReward(vr.Verdict, u, cfg.UMax)
 			}
 			return es
 		})
@@ -108,12 +99,12 @@ func (tr *SeqTrainer) stepCtx(ctx context.Context) (float64, error) {
 	tr.RewardHistory = append(tr.RewardHistory, meanReward/float64(len(cells)))
 
 	g := m.Grad()
-	for i, adv := range advantages(cells, seqGroupSize, false, func(e *seqScore) float64 { return e.r }) {
+	for i, adv := range advantages(cells, groupSize, false, func(e *seqScore) float64 { return e.r }) {
 		for _, rec := range cells[i].ep.Actions {
-			m.AddGrad(g, rec, cells[i].ep.H, seqTemperature, adv/float64(totalTokens))
+			m.AddGrad(g, rec, cells[i].ep.H, temperature, adv/float64(totalTokens))
 		}
 	}
-	return m.ClipStep(g, nil, nil, cfg.lr, seqClipNorm, m.MaxBias), nil
+	return m.ClipStep(g, nil, nil, cfg.lr, clipNorm, m.MaxBias), nil
 }
 
 // TrainCtx runs up to n steps under ctx; cancellation semantics match

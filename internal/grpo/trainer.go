@@ -24,27 +24,25 @@ const (
 	ModeLatency
 )
 
-// Config parameterizes the trainer.
+// Config parameterizes the trainer. The batch shape and sampling
+// temperature are fixed (batchInputs, temperature), and so are the
+// verifier's bounds (trainVerify).
 type Config struct {
 	// GroupSize is G, the number of rollouts per input compared
 	// against each other (relative advantages).
 	GroupSize int
-	// BatchInputs is the number of inputs per optimization step.
-	BatchInputs int
 	// LR is the gradient-ascent learning rate.
 	LR float64
 	// ClipNorm bounds the global gradient norm (the paper's stability
 	// device in place of the KL penalty).
 	ClipNorm float64
-	// Temperature for rollout sampling.
-	Temperature float64
 	// Mode selects the reward. ModeCorrectnessCoT also rolls out with
 	// the diagnose-and-correct protocol (the augmented prompt).
 	Mode RewardMode
-	// Latency holds Eq. 3–4 parameters (Mode == ModeLatency).
-	Latency LatencyRewardParams
-	// Verify bounds each verification query during training.
-	Verify alive.Options
+	// UMax is Eq. 4's saturation threshold (Mode == ModeLatency), as
+	// ComputeUMax returns it for the training set; 1 or less reads as
+	// 2 (see latencyReward).
+	UMax float64
 	// SeqLevelNorm switches from token-level (DAPO-style, the paper's
 	// choice) to per-sequence loss normalization — kept for the
 	// ablation study.
@@ -65,21 +63,25 @@ type Config struct {
 	Workers int
 }
 
+// GRPO's recipe (§IV-B) as both trainers run it: G rollouts per input
+// (DefaultConfig's GroupSize, the sequence trainer's fixed G), inputs
+// per step, the global gradient-norm bound (DefaultConfig's ClipNorm,
+// the sequence trainer's fixed bound) and temperature-1 sampling.
+const (
+	groupSize   = 6
+	batchInputs = 8
+	clipNorm    = 5
+	temperature = 1.0
+)
+
 // DefaultConfig returns the settings used by the reproduction's
 // training runs.
 func DefaultConfig() Config {
-	return Config{
-		GroupSize:   6,
-		BatchInputs: 8,
-		LR:          30,
-		ClipNorm:    5,
-		Temperature: 1.0,
-		Verify:      trainVerify,
-	}
+	return Config{GroupSize: groupSize, LR: 30, ClipNorm: clipNorm}
 }
 
-// trainVerify bounds each verification query of a training run: the
-// text trainer's default and the sequence trainer's fixed setting.
+// trainVerify bounds each verification query of a training run, in
+// both trainers.
 var trainVerify = alive.Options{MaxPaths: 256, MaxSteps: 2048, SolverBudget: 40000}
 
 // FailureSample is a Model Zero mistake harvested for the
@@ -144,10 +146,10 @@ type episodeScore struct {
 func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 	m := tr.Model
 	cfg := tr.cfg
-	cells, err := grid(ctx, &tr.rollout, cfg.BatchInputs, cfg.GroupSize, cfg.Workers,
+	cells, err := grid(ctx, &tr.rollout, batchInputs, cfg.GroupSize, cfg.Workers,
 		func(s *dataset.Sample, rng *rand.Rand) episodeScore {
 			ep := m.Generate(s.O0, policy.GenOptions{
-				Temperature: cfg.Temperature,
+				Temperature: temperature,
 				Rng:         rng,
 				Augmented:   cfg.Mode == ModeCorrectnessCoT,
 			})
@@ -210,7 +212,7 @@ func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *po
 	m := tr.Model
 	addRecords := func(recs []policy.ActionRecord, h []float64, scale float64) {
 		for _, rec := range recs {
-			m.AddGrad(g, rec, h, tr.cfg.Temperature, scale)
+			m.AddGrad(g, rec, h, temperature, scale)
 		}
 	}
 	// Attempt tokens are judged by the attempt's own Eq. 1 (per-segment
@@ -226,7 +228,7 @@ func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *po
 	}
 	addRecords(ep.Actions, ep.H, attemptScale)
 	if ep.Diag != nil {
-		m.Diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, tr.cfg.Temperature, adv.think)
+		m.Diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, temperature, adv.think)
 	}
 }
 

@@ -115,13 +115,17 @@ func resumeFailures(states []failureState, data []*dataset.Sample) ([]*grpo.Fail
 // configSig fingerprints what a curriculum's trajectory reads off cfg,
 // each value under a fixed name, and the corpus size. It leaves out
 // what changes no result: Obs, Ckpt, the worker count, and the GRPO
-// Mode and Latency that RunCtx sets per stage. Names, order and
+// Mode and UMax that RunCtx sets per stage. Names, order and
 // one-valued slots are those of the struct dump it used to be, so
-// checkpoints written under that still resume (Augmented:false and
-// Oracle:<nil> are such slots, for fields since deleted); freshSolver
-// spells Verify as it was while alive.Options had FreshSolver.
+// checkpoints written under that still resume: Augmented:false and
+// Oracle:<nil> are such slots, for fields since deleted, and so are the
+// settings since made constants, which it prints as those constants
+// read (the capacity RunCtx trains, grpo's batch shape, temperature and
+// verifier bounds, sft's learning rate, Eqs. 3–4's percentile and γ);
+// freshSolver spells Verify as it was while alive.Options had
+// FreshSolver.
 func configSig(cfg StageConfig, corpusLen int, freshSolver bool) string {
-	c, g, v := cfg.Capacity, cfg.GRPO, cfg.GRPO.Verify
+	c, g := policy.CapQwen3B, cfg.GRPO
 	fresh := ""
 	if freshSolver {
 		fresh = " FreshSolver:false"
@@ -129,14 +133,13 @@ func configSig(cfg StageConfig, corpusLen int, freshSolver bool) string {
 	// SFT's Epochs slot holds the default that WarmupEpochs overrode.
 	return fmt.Sprintf("{Capacity:{Name:%v HashFeatures:%v NoiseScale:%v MaxSteps:%v MaxBias:%v}"+
 		" Seed:%v Stage1Steps:%v WarmupEpochs:%v Stage2Steps:%v Stage3Steps:%v"+
-		" GRPO:{GroupSize:%v BatchInputs:%v LR:%v ClipNorm:%v Temperature:%v Mode:0 Augmented:false Latency:{UMax:0 Gamma:0}"+
-		" Verify:{MaxPaths:%v MaxSteps:%v SolverBudget:%v%s} SeqLevelNorm:%v NoGroupBaseline:%v NoBleuShaping:%v Workers:0}"+
-		" SFT:{Epochs:3 LR:%v} UMaxPercentile:%v Gamma:%v Workers:0 Oracle:<nil> Obs:<nil> Ckpt:<nil>}|corpus=%d",
+		" GRPO:{GroupSize:%v BatchInputs:8 LR:%v ClipNorm:%v Temperature:1 Mode:0 Augmented:false Latency:{UMax:0 Gamma:0}"+
+		" Verify:{MaxPaths:256 MaxSteps:2048 SolverBudget:40000%s} SeqLevelNorm:%v NoGroupBaseline:%v NoBleuShaping:%v Workers:0}"+
+		" SFT:{Epochs:3 LR:0.35} UMaxPercentile:80 Gamma:2 Workers:0 Oracle:<nil> Obs:<nil> Ckpt:<nil>}|corpus=%d",
 		c.Name, c.HashFeatures, c.NoiseScale, c.MaxSteps, c.MaxBias,
 		cfg.Seed, cfg.Stage1Steps, cfg.SFT.Epochs, cfg.Stage2Steps, cfg.Stage3Steps,
-		g.GroupSize, g.BatchInputs, g.LR, g.ClipNorm, g.Temperature,
-		v.MaxPaths, v.MaxSteps, v.SolverBudget, fresh, g.SeqLevelNorm, g.NoGroupBaseline, g.NoBleuShaping,
-		cfg.SFT.LR, umaxPercentile, latencyGamma, corpusLen)
+		g.GroupSize, g.LR, g.ClipNorm,
+		fresh, g.SeqLevelNorm, g.NoGroupBaseline, g.NoBleuShaping, corpusLen)
 }
 
 // ckptRunner owns the durable state of one RunCtx invocation. A

@@ -162,8 +162,7 @@ func TestConfigSigMatchesParent(t *testing.T) {
 // stage.
 var trajectoryFree = map[string]bool{
 	"Obs": true, "Ckpt": true,
-	"GRPO.Workers": true, "GRPO.Mode": true,
-	"GRPO.Latency.UMax": true, "GRPO.Latency.Gamma": true,
+	"GRPO.Workers": true, "GRPO.Mode": true, "GRPO.UMax": true,
 }
 
 // leafFields returns the dotted path of every field under t that is not
@@ -342,7 +341,7 @@ func TestResumeRejectsUnknownFailureSample(t *testing.T) {
 	st := &curriculumState{
 		ConfigSig: configSig(cfg, len(train), false),
 		Stage:     1, // warm-up
-		Result:    &Result{ModelZero: policy.New(cfg.Capacity, cfg.Seed)},
+		Result:    &Result{ModelZero: policy.New(policy.CapQwen3B, cfg.Seed)},
 		Failures:  []failureState{{Sample: "no-such-sample"}},
 	}
 	if err := ckpt.Save(filepath.Join(dir, ckptFileName), ckptKind, st); err != nil {

@@ -28,7 +28,9 @@ type sampleResult struct {
 	// Report.Skipped, not Inconclusive, and excluded from Total() and
 	// every aggregate metric.
 	canceled bool
-	copied   bool
+	// copied marks an Equivalent output whose text is its input's;
+	// EvaluateCtx leaves it false on every other verdict.
+	copied bool
 	// out is the effective metrics after the paper's fallback rule:
 	// unverified outputs fall back to the -O0 version.
 	out costmodel.Metrics
@@ -139,7 +141,10 @@ func EvaluateCtx(ctx context.Context, o oracle.Oracle, m *policy.Model, samples 
 		ep := m.Generate(s.O0, policy.GenOptions{Augmented: augmented})
 		cand, vr := alive.Candidate(ir.ParseFunc(ep.FinalText))
 		res := judge(ctx, o, s, cand, vr, cfg.Verify)
-		res.copied = ir.FingerprintText(ep.FinalText) == ir.FingerprintText(ir.CanonicalText(s.O0))
+		// Only an Equivalent output counts as a copy (see tally).
+		if res.verdict == alive.Equivalent {
+			res.copied = ir.FingerprintText(ep.FinalText) == ir.CanonicalKey(s.O0)
+		}
 		results[i] = res
 	})
 	return tally(results), err

@@ -107,7 +107,7 @@ type PassesResult struct {
 func RunPassesCtx(ctx context.Context, o oracle.Oracle, train, val []*dataset.Sample, cfg PassesConfig) (*PassesResult, error) {
 	seq := grpo.DefaultSeqConfig()
 	seq.Workers = cfg.Workers
-	seq.Latency = grpo.LatencyRewardParams{UMax: grpo.ComputeUMax(train, umaxPercentile), Gamma: latencyGamma}
+	seq.UMax = grpo.ComputeUMax(train)
 
 	res := &PassesResult{Model: seqopt.NewModel(cfg.Seed)}
 	err := traceStage(cfg.Obs, o, "seq-train", func() (int, []float64, error) {

@@ -138,6 +138,13 @@ func TestReportCountsConsistent(t *testing.T) {
 	if rep.Copies > rep.Correct {
 		t.Error("copies exceed correct count")
 	}
+	// A model whose STOP bias makes it return every input copies each
+	// one, and each copy proves Equivalent.
+	stop := policy.New(policy.CapQwen3B, 1)
+	stop.B[stop.ActStop()] = 100
+	if rep := evaluate(testStack, stop, val, false, EvalConfig{}); rep.Copies != rep.Correct || rep.Correct != rep.Total() || rep.Total() == 0 {
+		t.Errorf("input-returning model: %d copies, %d correct, %d total; want all equal and nonzero", rep.Copies, rep.Correct, rep.Total())
+	}
 }
 
 func TestOutcomesArithmetic(t *testing.T) {

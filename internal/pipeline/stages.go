@@ -16,17 +16,16 @@ import (
 
 // StageConfig sizes the curriculum. The defaults are scaled for
 // commodity wall-clock; paper-scale runs pass larger step counts via
-// the CLI.
+// the CLI. Every stage trains the paper's 3B model (policy.CapQwen3B).
 type StageConfig struct {
-	Capacity policy.Capacity
-	Seed     int64
+	Seed int64
 
 	Stage1Steps int // Model Zero GRPO steps (also harvests failures)
 	Stage2Steps int // Model-Correctness GRPO steps
 	Stage3Steps int // Model-Latency GRPO steps
 
 	// GRPO configures every stage's trainer (RunCtx sets Mode and
-	// Latency per stage); its Workers also bounds each checkpoint
+	// UMax per stage); its Workers also bounds each checkpoint
 	// evaluation. The result is bit-identical at any worker count.
 	GRPO grpo.Config
 	SFT  sft.Config // the warm-up's, Epochs included
@@ -43,7 +42,6 @@ type StageConfig struct {
 // DefaultStageConfig returns the reduced-scale defaults.
 func DefaultStageConfig() StageConfig {
 	return StageConfig{
-		Capacity:    policy.CapQwen3B,
 		Seed:        1,
 		Stage1Steps: 10,
 		Stage2Steps: 120,
@@ -52,14 +50,6 @@ func DefaultStageConfig() StageConfig {
 		SFT:         sft.DefaultConfig(),
 	}
 }
-
-// Eq. 3–4's settings, the paper's, for the curriculum and the pass
-// workload alike: UMax is this percentile of instcombine's speedups on
-// the training split, and latencyGamma the convex shaping exponent.
-const (
-	umaxPercentile = 80
-	latencyGamma   = 2
-)
 
 // Result bundles the four curriculum models and their training
 // traces. A canceled RunCtx returns it partially filled: the model of
@@ -183,7 +173,7 @@ func trainWithCheckpoints(ctx context.Context, o oracle.Oracle, tr *grpo.Trainer
 // the completed stages and replays the interrupted one from its start
 // — the final models are bit-identical to an uninterrupted run's.
 func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg StageConfig) (*Result, error) {
-	base := policy.New(cfg.Capacity, cfg.Seed)
+	base := policy.New(policy.CapQwen3B, cfg.Seed)
 	ck, err := newCkptRunner(cfg, train)
 	if err != nil {
 		return &Result{Base: base}, err
@@ -254,10 +244,10 @@ func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg S
 			// Stage 3: Model-Latency — incremental GRPO with the
 			// latency reward; instcombine labels and the think-protocol
 			// are dropped.
-			res.UMax = grpo.ComputeUMax(train, umaxPercentile)
+			res.UMax = grpo.ComputeUMax(train)
 			c3 := cfg.GRPO
 			c3.Mode = grpo.ModeLatency
-			c3.Latency = grpo.LatencyRewardParams{UMax: res.UMax, Gamma: latencyGamma}
+			c3.UMax = res.UMax
 			t3 := grpo.NewTrainer(o, res.Correctness.Clone(), train, c3, cfg.Seed+303)
 			best, err := trainWithCheckpoints(ctx, o, t3, cfg.Stage3Steps, 10, dev, false, ec)
 			res.LatencyHistory = t3.RewardHistory

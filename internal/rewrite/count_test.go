@@ -67,7 +67,7 @@ func TestEachRuleAskedOncePerStep(t *testing.T) {
 	}
 	check("Available", m, finds, len(samples), mask)
 	m, finds = countingModel()
-	st, err := sft.WarmUpCtx(context.Background(), m, samples, nil, sft.Config{Epochs: 1, LR: 0.35})
+	st, err := sft.WarmUpCtx(context.Background(), m, samples, nil, sft.Config{Epochs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

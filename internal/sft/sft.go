@@ -22,12 +22,13 @@ import (
 type Config struct {
 	// Epochs over the sample set.
 	Epochs int
-	// LR is the supervised learning rate.
-	LR float64
 }
 
 // DefaultConfig matches the reproduction's runs.
-func DefaultConfig() Config { return Config{Epochs: 3, LR: 0.35} }
+func DefaultConfig() Config { return Config{Epochs: 3} }
+
+// lr is the supervised learning rate of every warm-up.
+const lr = 0.35
 
 // teacherTrajectory computes the sound-action sequence that rewrites
 // the O0 function toward the instcombine reference: at each state the
@@ -82,6 +83,10 @@ type Stats struct {
 // on cancellation) rather than treat as a finished stage.
 func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, failures []*grpo.FailureSample, cfg Config) (Stats, error) {
 	var st Stats
+	ruleIdx := make(map[string]int, len(m.Rules))
+	for i, r := range m.Rules {
+		ruleIdx[r.Name] = i
+	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// First-time augmented samples: clone the teacher.
 		for _, s := range samples {
@@ -93,11 +98,11 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			// One cross-entropy gradient step toward each teacher
 			// action, in place.
 			for _, rec := range recs {
-				m.AddGrad(&m.Linear, rec, h, 1, cfg.LR)
+				m.AddGrad(&m.Linear, rec, h, 1, lr)
 				st.CloneSteps++
 			}
 			// The first-time diagnosis target is OK.
-			trainDiag(m, h, recs, policy.DiagOK, "", cfg.LR)
+			trainDiag(m, h, recs, policy.DiagOK, "")
 			st.diagExamples++
 		}
 		// Correction-augmented samples: learn the true diagnosis for
@@ -109,10 +114,10 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 				return st, err
 			}
 			h := m.HashFeatures(ir.CanonicalText(fs.Sample.O0))
-			recs := reconstructRecords(m, fs)
-			trainDiag(m, h, recs, fs.TrueClass, fs.TrueDiag, cfg.LR)
+			recs := reconstructRecords(ruleIdx, fs)
+			trainDiag(m, h, recs, fs.TrueClass, fs.TrueDiag)
 			if fs.TrueClass != policy.DiagOK {
-				penalizeBlamed(m, fs, cfg.LR/2)
+				penalizeBlamed(m, ruleIdx, fs)
 			}
 			st.diagExamples++
 		}
@@ -124,15 +129,12 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 }
 
 // penalizeBlamed pushes down the failure-causing rules named in a
-// correction-augmented sample: the supervised counterpart of cloning
-// the corrected answer instead of the wrong attempt.
-func penalizeBlamed(m *policy.Model, fs *grpo.FailureSample, lr float64) {
-	nameToIdx := map[string]int{}
-	for i, r := range m.Rules {
-		nameToIdx[r.Name] = i
-	}
+// correction-augmented sample, found by name in ruleIdx, at half the
+// learning rate: the supervised counterpart of cloning the corrected
+// answer instead of the wrong attempt.
+func penalizeBlamed(m *policy.Model, ruleIdx map[string]int, fs *grpo.FailureSample) {
 	for _, name := range fs.UsedRules {
-		idx, ok := nameToIdx[name]
+		idx, ok := ruleIdx[name]
 		if !ok {
 			continue
 		}
@@ -140,23 +142,19 @@ func penalizeBlamed(m *policy.Model, fs *grpo.FailureSample, lr float64) {
 		if k != rewrite.KindCorrupt && k != rewrite.KindUnsound {
 			continue
 		}
-		m.B[idx] -= lr
-		m.P[idx] -= lr
+		m.B[idx] -= lr / 2
+		m.P[idx] -= lr / 2
 	}
 }
 
 // reconstructRecords rebuilds action records for a harvested failure
 // so the diagnostic features reflect what the failing trajectory did.
-func reconstructRecords(m *policy.Model, fs *grpo.FailureSample) []policy.ActionRecord {
-	// Only the rule kinds matter for the features; synthesize records
-	// whose chosen actions are the named rules.
-	nameToIdx := map[string]int{}
-	for i, r := range m.Rules {
-		nameToIdx[r.Name] = i
-	}
+// Only the rule kinds matter for the features; it synthesizes records
+// whose chosen actions are the named rules, found in ruleIdx.
+func reconstructRecords(ruleIdx map[string]int, fs *grpo.FailureSample) []policy.ActionRecord {
 	var recs []policy.ActionRecord
 	for _, name := range fs.UsedRules {
-		if idx, ok := nameToIdx[name]; ok {
+		if idx, ok := ruleIdx[name]; ok {
 			recs = append(recs, policy.ActionRecord{Cands: []int{idx}, Chosen: 0})
 		}
 	}
@@ -166,7 +164,7 @@ func reconstructRecords(m *policy.Model, fs *grpo.FailureSample) []policy.Action
 // trainDiag applies one supervised step on the diagnostic head toward
 // the true class, and perceptron-bumps the subclass association for
 // semantic errors.
-func trainDiag(m *policy.Model, h []float64, recs []policy.ActionRecord, trueClass policy.DiagClass, trueDiag string, lr float64) {
+func trainDiag(m *policy.Model, h []float64, recs []policy.ActionRecord, trueClass policy.DiagClass, trueDiag string) {
 	m.Diag.AddGrad(m.Diag.W, m.DiagFeatures(h, recs), int(trueClass), 1, lr)
 	if trueClass == policy.DiagSemanticError && trueDiag != "" {
 		sub := policy.SubclassForDiag(trueDiag)
