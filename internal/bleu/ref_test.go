@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// The reference the fuzz target below holds ScoreText to: score, split
-// and ngramOverlap as they are written today, bodies verbatim under
-// ref-prefixed names. A faster tokenizer or n-gram count must score
-// every text pair to the same float64 bits.
+// The reference the fuzz target below holds Scorer to: score, split and
+// ngramOverlap as they were written before n-grams were counted over
+// word ids, bodies verbatim under ref-prefixed names (string tokens,
+// one map per n-gram order keyed by the tokens joined with NUL). The
+// id-based scorer must score every text pair to the same float64 bits.
 
 func refScore(candidate, reference []string) float64 {
 	if len(candidate) == 0 || len(reference) == 0 {
@@ -91,10 +92,12 @@ func refNgramOverlap(cand, ref []string, n int) (match, total int) {
 	return match, total
 }
 
-// FuzzScoreVsReference: on any pair of texts ScoreText returns the
+// FuzzScoreVsReference: on any pair of texts Scorer returns the
 // reference's float64 bit for bit. Seeds: IR-shaped text, every
 // delimiter of the tokenizer, whitespace runs, non-ASCII runes and
-// invalid UTF-8, repeated n-grams (the clipping), empty sides.
+// invalid UTF-8, repeated n-grams (the clipping), empty sides, and
+// tokens holding NUL, whose n-grams the reference's joined keys can
+// confuse across token boundaries.
 func FuzzScoreVsReference(f *testing.F) {
 	for _, seed := range [][2]string{
 		{"define i32 @f(i32 %0) {\n  %2 = add i32 %0, 1\n  ret i32 %2\n}", "define i32 @f(i32 %0) {\n  ret i32 %0\n}"},
@@ -108,13 +111,15 @@ func FuzzScoreVsReference(f *testing.F) {
 		{"", "x"},
 		{"x", ""},
 		{"ret", "ret i32 %0"},
+		{"a\x00b c a\x00 \x00", "a b\x00c \x00 a\x00"},
+		{"x\x00\x00y z x", "x \x00y\x00z \x00\x00"},
 	} {
 		f.Add(seed[0], seed[1])
 	}
 	f.Fuzz(func(t *testing.T, cand, ref string) {
-		got, want := ScoreText(cand, ref), refScore(refSplit(cand), refSplit(ref))
+		got, want := Scorer(ref)(cand), refScore(refSplit(cand), refSplit(ref))
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("ScoreText(%q, %q) = %v, reference %v", cand, ref, got, want)
+			t.Fatalf("Scorer(%q)(%q) = %v, reference %v", ref, cand, got, want)
 		}
 	})
 }

@@ -190,7 +190,8 @@ func TestNoBleuShapingCoversBothSegments(t *testing.T) {
 		FormatOK:    true,
 		Diag:        &policy.DiagRecord{PredictedClass: policy.DiagOK},
 	}
-	b, attemptB := bleu.ScoreText(ep.FinalText, s.RefText), bleu.ScoreText(ep.AttemptText, s.RefText)
+	label := bleu.Scorer(s.RefText)
+	b, attemptB := label(ep.FinalText), label(ep.AttemptText)
 	if attemptB <= 0 || b <= 0 {
 		t.Fatalf("test setup: expected nonzero BLEU terms, got %v / %v", b, attemptB)
 	}
