@@ -11,8 +11,39 @@ import (
 // one: after a counting pass, every Param, Block and Instr comes from a
 // slab of its kind and every list is a window carved from one slab per
 // element type, nil where the original's is empty. Constants are shared
-// (they are immutable), and so is any value that is not f's own.
+// (they are immutable), and so is any value that is not f's own. The
+// copy is in fresh memory: it is a zero Copier's.
 func CloneFunc(f *Function) *Function {
+	var c Copier
+	return c.Clone(f)
+}
+
+// A Copier copies functions as CloneFunc does, into memory it may
+// reuse. It holds the function and the slabs of the last copy it made;
+// once the caller says that copy is dropped (Release), the next Clone
+// carves from them where they are big enough. Until then every Clone
+// allocates, so a caller that never releases shares nothing.
+type Copier struct {
+	released  bool
+	fn        *Function
+	params    []Param
+	paramPtrs []*Param
+	blocks    []Block
+	blockPtrs []*Block
+	instrs    []Instr
+	instrPtrs []*Instr
+	vals      []Value
+	incs      []Incoming
+	cases     []*Const
+}
+
+// Release tells c that the last copy it made is dropped: nothing will
+// read or write it again, so the next Clone may overwrite it.
+func (c *Copier) Release() { c.released = true }
+
+// Clone returns a deep copy of f, in the memory of the last copy when
+// that was released.
+func (c *Copier) Clone(f *Function) *Function {
 	var instrs, args, succs, incs, cases int
 	for _, b := range f.Blocks {
 		instrs += len(b.Instrs)
@@ -20,16 +51,22 @@ func CloneFunc(f *Function) *Function {
 			args, succs, incs, cases = args+len(in.Args), succs+len(in.Succs), incs+len(in.Incs), cases+len(in.Cases)
 		}
 	}
-	nf := &Function{NameStr: f.NameStr, RetTy: f.RetTy, Attrs: f.Attrs}
-	paramSlab, paramPtrs := make([]Param, len(f.Params)), make([]*Param, len(f.Params))
+	reuse := c.released
+	c.released = false
+	if !reuse || c.fn == nil {
+		c.fn = new(Function)
+	}
+	nf := c.fn
+	*nf = Function{NameStr: f.NameStr, RetTy: f.RetTy, Attrs: f.Attrs}
+	paramSlab, paramPtrs := slab(&c.params, reuse, len(f.Params)), slab(&c.paramPtrs, reuse, len(f.Params))
 	nf.Params = carve(&paramPtrs, len(f.Params))
 	for i, p := range f.Params {
 		paramSlab[i] = *p
 		nf.Params[i] = &paramSlab[i]
 	}
-	blockSlab, blockPtrs := make([]Block, len(f.Blocks)), make([]*Block, len(f.Blocks)+succs)
+	blockSlab, blockPtrs := slab(&c.blocks, reuse, len(f.Blocks)), slab(&c.blockPtrs, reuse, len(f.Blocks)+succs)
 	nf.Blocks = carve(&blockPtrs, len(f.Blocks))
-	instrSlab, instrPtrs := make([]Instr, instrs), make([]*Instr, instrs)
+	instrSlab, instrPtrs := slab(&c.instrs, reuse, instrs), slab(&c.instrPtrs, reuse, instrs)
 	for bi, b := range f.Blocks {
 		nb := &blockSlab[bi]
 		*nb = Block{NameStr: b.NameStr, Instrs: carve(&instrPtrs, len(b.Instrs)), Parent: nf}
@@ -44,7 +81,7 @@ func CloneFunc(f *Function) *Function {
 	// same position; anything else, a value of another function
 	// included, stays shared, and another function's block is nil.
 	// Second sweep resolves operands (handles forward refs through phis).
-	valSlab, incSlab, caseSlab := make([]Value, args), make([]Incoming, incs), make([]*Const, cases)
+	valSlab, incSlab, caseSlab := slab(&c.vals, reuse, args), slab(&c.incs, reuse, incs), slab(&c.cases, reuse, cases)
 	for bi, b := range f.Blocks {
 		for ii, in := range b.Instrs {
 			ni := nf.Blocks[bi].Instrs[ii]
@@ -121,6 +158,15 @@ func blockCopy(f, nf *Function, bi int, b *Block) *Block {
 		}
 	}
 	return nil
+}
+
+// slab returns n elements of *held, first replaced by a fresh slab
+// unless reuse is set and it has room. Clone overwrites every element.
+func slab[T any](held *[]T, reuse bool, n int) []T {
+	if !reuse || cap(*held) < n {
+		*held = make([]T, n)
+	}
+	return (*held)[:n]
 }
 
 // carve takes the next n elements of *slab as a window whose capacity is

@@ -330,19 +330,43 @@ out:
 	if _, isGlobal := c.Blocks[1].Instrs[3].Args[0].(*GlobalRef); !isGlobal || remapped < 9 || shared < 5 {
 		t.Errorf("%d own and %d foreign operands checked (global seen: %v)", remapped, shared, isGlobal)
 	}
-	checkClone(t, f)
+	checkClone(t, f, CloneFunc(f))
 }
 
-// checkClone holds CloneFunc to the clone it replaced (refCloneFunc):
-// the same text and key, and every parameter, block, instruction,
-// operand, incoming, successor and case of the copy where the
-// reference's is — the copy of f's own object at the same position, or
-// f's very object (a constant, a global, a value of another function) —
-// with the same lengths and the same lists left nil. Then it writes over
-// everything the copy holds and requires f to print as before.
-func checkClone(t *testing.T, f *Function) {
+// TestCopierReusesOnlyReleasedMemory: a Copier's next copy leaves the
+// last one alone until that is released, and then takes its memory.
+func TestCopierReusesOnlyReleasedMemory(t *testing.T) {
+	f, err := ParseFunc(sampleFn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Copier
+	a := c.Clone(f)
+	text := FuncString(a)
+	b := c.Clone(f)
+	if a == b || a.Blocks[0] == b.Blocks[0] || a.Blocks[0].Instrs[0] == b.Blocks[0].Instrs[0] {
+		t.Fatal("a copy nobody released was reused")
+	}
+	c.Release()
+	if d := c.Clone(f); d != b || d.Blocks[0] != b.Blocks[0] || d.Blocks[0].Instrs[0] != b.Blocks[0].Instrs[0] {
+		t.Error("the released copy's memory was not reused")
+	}
+	if got := FuncString(a); got != text {
+		t.Errorf("the first copy changed:\n%s\nwas:\n%s", got, text)
+	}
+}
+
+// checkClone holds c, a copy of f by CloneFunc or a Copier, to the
+// clone CloneFunc replaced (refCloneFunc): the same text and key, and
+// every parameter, block, instruction, operand, incoming, successor and
+// case of the copy where the reference's is — the copy of f's own
+// object at the same position, or f's very object (a constant, a
+// global, a value of another function) — with the same lengths and the
+// same lists left nil. Then it writes over everything the copy holds
+// and requires f to print as before.
+func checkClone(t *testing.T, f, c *Function) {
 	t.Helper()
-	c, r := CloneFunc(f), refCloneFunc(f)
+	r := refCloneFunc(f)
 	if got, want := FuncString(c), FuncString(r); got != want {
 		t.Fatalf("CloneFunc prints differently from the reference:\n%s\nreference:\n%s", got, want)
 	}

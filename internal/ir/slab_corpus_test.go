@@ -102,7 +102,7 @@ func FuzzVerifyFuncVsReference(f *testing.F) {
 			ir.CheckVerify(t, fn)
 			ir.CheckCFG(t, fn)
 			if ir.VerifyFunc(fn) == nil {
-				ir.CheckClone(t, fn)
+				ir.CheckClone(t, fn, ir.CloneFunc(fn))
 				ir.CheckDCE(t, fn)
 			}
 		}
@@ -182,12 +182,20 @@ func FuzzParseFuncVsReference(f *testing.F) {
 
 // TestCloneMatchesReference: on every corpus function, parsed and
 // cloned once already, CloneFunc copies what the clone it replaced
-// (ref_test.go) copied and shares what it shared.
+// (ref_test.go) copied and shares what it shared, and so does a Copier
+// copying into the memory of the copy before.
 func TestCloneMatchesReference(t *testing.T) {
+	var copier ir.Copier
 	for _, text := range corpusTexts(t, 7, 3) {
 		f := parse(t, text)
-		ir.CheckClone(t, f)
-		ir.CheckClone(t, ir.CloneFunc(f))
+		ir.CheckClone(t, f, ir.CloneFunc(f))
+		g := ir.CloneFunc(f)
+		ir.CheckClone(t, g, ir.CloneFunc(g))
+		// Into the memory of the last copy, which CheckClone wrote over:
+		// the corpus functions differ in size, so some copies fit there
+		// and some take fresh slabs.
+		copier.Release()
+		ir.CheckClone(t, f, copier.Clone(f))
 	}
 }
 

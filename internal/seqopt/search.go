@@ -70,19 +70,24 @@ func better(a, b *state) bool {
 // expand applies every pass to st, verifies each unseen result
 // against the search input f0, and returns the verified children in
 // registry order. seen dedupes states across the whole search. A state
-// is copied only for a pass whose finder fires on it.
-func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult) ([]*state, error) {
+// is copied only for a pass whose finder fires on it, by the search's
+// one copier c; a copy that is no new state (the pass changed nothing,
+// or its key is seen) is released to c for the next, so only the new
+// states, which go to the oracle and may join the frontier, keep memory
+// of their own, never written again.
+func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult, c *ir.Copier) ([]*state, error) {
 	var out []*state
 	for _, p := range registry() {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		g, changed := p.try(st.fn)
+		g, changed := p.try(st.fn, c)
 		if !changed {
 			continue
 		}
 		key := ir.CanonicalKey(g)
 		if seen[key] {
+			c.Release()
 			continue
 		}
 		seen[key] = true
@@ -115,10 +120,11 @@ func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult
 	best := root
 	seen := map[string]bool{root.key: true}
 	frontier := []*state{root}
+	var c ir.Copier
 	for d := 0; d < searchDepth && len(frontier) > 0; d++ {
 		var cands []*state
 		for _, st := range frontier {
-			kids, err := expand(ctx, f0, st, cfg, seen, res)
+			kids, err := expand(ctx, f0, st, cfg, seen, res, &c)
 			cands = append(cands, kids...)
 			if err != nil {
 				finish(res, best)
@@ -145,8 +151,9 @@ func Greedy(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResu
 	cur := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
 	res := &SearchResult{Fn: f0, Base: cur.m, Best: cur.m}
 	seen := map[string]bool{cur.key: true}
+	var c ir.Copier
 	for d := 0; d < searchDepth; d++ {
-		kids, err := expand(ctx, f0, cur, cfg, seen, res)
+		kids, err := expand(ctx, f0, cur, cfg, seen, res, &c)
 		if err != nil {
 			finish(res, cur)
 			return res, err

@@ -65,22 +65,25 @@ type Pass struct {
 // finder fires; a changed output is renumbered into canonical form.
 // Apply is deterministic: the same input always yields the same output.
 func (p *Pass) Apply(f *ir.Function) (*ir.Function, bool) {
-	g, changed := p.try(f)
+	var c ir.Copier
+	g, changed := p.try(f, &c)
 	if changed && p.confirm && ir.FuncsStructurallyEqual(f, g) {
 		return f, false
 	}
 	return g, changed
 }
 
-// try is Apply without the confirm: a copy of f run through the pass,
-// made only when the finder says it fires.
-func (p *Pass) try(f *ir.Function) (*ir.Function, bool) {
+// try is Apply without the confirm: a copy of f made by c and run
+// through the pass, made only when the finder says it fires. A copy the
+// pass leaves unchanged is released to c.
+func (p *Pass) try(f *ir.Function, c *ir.Copier) (*ir.Function, bool) {
 	if !p.find(f) {
 		return f, false
 	}
-	if g := ir.CloneFunc(f); p.run(g) {
+	if g := c.Clone(f); p.run(g) {
 		return g, true
 	}
+	c.Release()
 	return f, false
 }
 
