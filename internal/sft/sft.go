@@ -87,35 +87,43 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 	for i, r := range m.Rules {
 		ruleIdx[r.Name] = i
 	}
+	clones, fixes := make([]example, len(samples)), make([]example, len(failures))
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		// First-time augmented samples: clone the teacher.
-		for _, s := range samples {
+		for i, s := range samples {
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
-			recs, _ := teacherTrajectory(m, s.O0)
-			h := m.HashFeatures(ir.CanonicalText(s.O0))
+			ex := &clones[i]
+			if ex.diag == nil {
+				ex.recs, _ = teacherTrajectory(m, s.O0)
+				ex.h = m.HashFeatures(ir.CanonicalText(s.O0))
+				ex.diag = m.DiagFeatures(ex.h, ex.recs)
+			}
 			// One cross-entropy gradient step toward each teacher
 			// action, in place.
-			for _, rec := range recs {
-				m.AddGrad(&m.Linear, rec, h, 1, lr)
+			for _, rec := range ex.recs {
+				m.AddGrad(&m.Linear, rec, ex.h, 1, lr)
 				st.CloneSteps++
 			}
 			// The first-time diagnosis target is OK.
-			trainDiag(m, h, recs, policy.DiagOK, "")
+			trainDiag(m, ex, policy.DiagOK, "")
 			st.diagExamples++
 		}
 		// Correction-augmented samples: learn the true diagnosis for
 		// each observed failure, the association between the rules used
 		// and the error subclass, and — the corrective half of Fig. 2 —
 		// a margin against the actions the diagnostic blamed.
-		for _, fs := range failures {
+		for i, fs := range failures {
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
-			h := m.HashFeatures(ir.CanonicalText(fs.Sample.O0))
-			recs := reconstructRecords(ruleIdx, fs)
-			trainDiag(m, h, recs, fs.TrueClass, fs.TrueDiag)
+			ex := &fixes[i]
+			if ex.diag == nil {
+				ex.recs = reconstructRecords(ruleIdx, fs)
+				ex.diag = m.DiagFeatures(m.HashFeatures(ir.CanonicalText(fs.Sample.O0)), ex.recs)
+			}
+			trainDiag(m, ex, fs.TrueClass, fs.TrueDiag)
 			if fs.TrueClass != policy.DiagOK {
 				penalizeBlamed(m, ruleIdx, fs)
 			}
@@ -126,6 +134,16 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 	m.SelfCorrectGate = 2.0
 	m.Clamp()
 	return st, nil
+}
+
+// example is what the warm-up trains on for one sample or failure. None
+// of it reads the weights the epochs train, so the first epoch computes
+// it and the others reuse it: the action records (the teacher's, or a
+// failure's rules), the input's hash features h (a sample's; a failure
+// trains no action) and the diagnostic head's features diag over both.
+type example struct {
+	recs    []policy.ActionRecord
+	h, diag []float64
 }
 
 // penalizeBlamed pushes down the failure-causing rules named in a
@@ -164,11 +182,11 @@ func reconstructRecords(ruleIdx map[string]int, fs *grpo.FailureSample) []policy
 // trainDiag applies one supervised step on the diagnostic head toward
 // the true class, and perceptron-bumps the subclass association for
 // semantic errors.
-func trainDiag(m *policy.Model, h []float64, recs []policy.ActionRecord, trueClass policy.DiagClass, trueDiag string) {
-	m.Diag.AddGrad(m.Diag.W, m.DiagFeatures(h, recs), int(trueClass), 1, lr)
+func trainDiag(m *policy.Model, ex *example, trueClass policy.DiagClass, trueDiag string) {
+	m.Diag.AddGrad(m.Diag.W, ex.diag, int(trueClass), 1, lr)
 	if trueClass == policy.DiagSemanticError && trueDiag != "" {
 		sub := policy.SubclassForDiag(trueDiag)
-		for _, rec := range recs {
+		for _, rec := range ex.recs {
 			a := rec.Cands[rec.Chosen]
 			m.Diag.BumpSub(sub, a, lr)
 		}
