@@ -30,12 +30,13 @@ type rollout struct {
 }
 
 // grid rolls out one step's batch × group cells in parallel across
-// workers goroutines. The cursor advances by the batch up front; cell
-// (bi, gi) rolls out input cursor+bi, draws from its own rand.Rand
-// derived from the seed and that position, and writes only its own
-// slot, so the result is independent of worker count and
-// interleaving; callers then walk it sequentially in (batch, group)
-// order.
+// workers goroutines. The cursor advances by the batch up front. Each
+// input cursor+bi is first prepared once, in batch order, by input,
+// which returns the function that rolls out its group; cell (bi, gi)
+// calls that function with its own rand.Rand derived from the seed and
+// that position, and writes only its own slot, so the result is
+// independent of worker count and interleaving; callers then walk it
+// sequentially in (batch, group) order.
 //
 // A nil grid means no step ran. When ctx ends — before or mid-rollout
 // — in-flight verifications return Canceled verdicts, the partial grid
@@ -45,7 +46,7 @@ type rollout struct {
 // to divide by zero at the cursor modulus) records an empty step so
 // RewardHistory keeps one entry per Step.
 func grid[T any](ctx context.Context, r *rollout, batch, group, workers int,
-	cell func(s *dataset.Sample, rng *rand.Rand) T) ([]T, error) {
+	input func(s *dataset.Sample) func(rng *rand.Rand) T) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -55,10 +56,14 @@ func grid[T any](ctx context.Context, r *rollout, batch, group, workers int,
 	}
 	base := r.cursor
 	r.cursor += batch
+	rollouts := make([]func(*rand.Rand) T, batch)
+	for bi := range rollouts {
+		rollouts[bi] = input(r.Data[(base+bi)%len(r.Data)])
+	}
 	cells := make([]T, batch*group)
 	err := par.For(ctx, workers, len(cells), func(i int) {
 		bi, gi := i/group, i%group
-		cells[i] = cell(r.Data[(base+bi)%len(r.Data)], rand.New(rand.NewSource(episodeSeed(r.seed, base+bi, gi))))
+		cells[i] = rollouts[bi](rand.New(rand.NewSource(episodeSeed(r.seed, base+bi, gi))))
 	})
 	if err != nil {
 		r.cursor = base

@@ -44,7 +44,9 @@ func TestGridAssignsCellsByCursor(t *testing.T) {
 	}
 	run := func(r *rollout, workers int) []cell {
 		cells, err := grid(context.Background(), r, 2, 3, workers,
-			func(s *dataset.Sample, rng *rand.Rand) cell { return cell{s.Name, rng.Int63()} })
+			func(s *dataset.Sample) func(*rand.Rand) cell {
+				return func(rng *rand.Rand) cell { return cell{s.Name, rng.Int63()} }
+			})
 		if err != nil || len(cells) != 6 {
 			t.Fatalf("grid: %d cells, err %v", len(cells), err)
 		}
@@ -70,9 +72,9 @@ func TestGridAssignsCellsByCursor(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := grid(ctx, r, 2, 3, 1, func(*dataset.Sample, *rand.Rand) cell {
-		t.Error("canceled grid rolled out a cell")
-		return cell{}
+	got, err := grid(ctx, r, 2, 3, 1, func(*dataset.Sample) func(*rand.Rand) cell {
+		t.Error("canceled grid prepared an input")
+		return nil
 	})
 	if got != nil || err == nil || r.cursor != 4 || len(r.RewardHistory) != 0 {
 		t.Errorf("canceled grid: cells %v err %v cursor %d history %v", got, err, r.cursor, r.RewardHistory)

@@ -67,22 +67,24 @@ func (tr *SeqTrainer) stepCtx(ctx context.Context) (float64, error) {
 	m := tr.model
 	cfg := tr.cfg
 	cells, err := grid(ctx, &tr.rollout, batchInputs, groupSize, cfg.Workers,
-		func(s *dataset.Sample, rng *rand.Rand) seqScore {
-			ep := m.Generate(s.O0, seqopt.GenOptions{
-				Temperature: temperature,
-				Rng:         rng,
-			})
-			// No transformation is trivially equivalent, with zero gain.
-			es := seqScore{ep: ep}
-			if len(ep.Sequence) > 0 {
-				vr := tr.oracle.Verify(ctx, s.O0, ep.FinalFn, trainVerify)
-				u := 0.0
-				if vr.Verdict == alive.Equivalent {
-					u = costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(ep.FinalFn))
+		func(s *dataset.Sample) func(*rand.Rand) seqScore {
+			return func(rng *rand.Rand) seqScore {
+				ep := m.Generate(s.O0, seqopt.GenOptions{
+					Temperature: temperature,
+					Rng:         rng,
+				})
+				// No transformation is trivially equivalent, with zero gain.
+				es := seqScore{ep: ep}
+				if len(ep.Sequence) > 0 {
+					vr := tr.oracle.Verify(ctx, s.O0, ep.FinalFn, trainVerify)
+					u := 0.0
+					if vr.Verdict == alive.Equivalent {
+						u = costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(ep.FinalFn))
+					}
+					es.r = latencyReward(vr.Verdict, u, cfg.UMax)
 				}
-				es.r = latencyReward(vr.Verdict, u, cfg.UMax)
+				return es
 			}
-			return es
 		})
 	if cells == nil {
 		return 0, err

@@ -147,13 +147,16 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 	m := tr.Model
 	cfg := tr.cfg
 	cells, err := grid(ctx, &tr.rollout, batchInputs, cfg.GroupSize, cfg.Workers,
-		func(s *dataset.Sample, rng *rand.Rand) episodeScore {
-			ep := m.Generate(s.O0, policy.GenOptions{
-				Temperature: temperature,
-				Rng:         rng,
-				Augmented:   cfg.Mode == ModeCorrectnessCoT,
-			})
-			return score(ctx, tr.oracle, s, ep, &cfg)
+		func(s *dataset.Sample) func(*rand.Rand) episodeScore {
+			l := labelOf(s, &cfg)
+			return func(rng *rand.Rand) episodeScore {
+				ep := m.Generate(s.O0, policy.GenOptions{
+					Temperature: temperature,
+					Rng:         rng,
+					Augmented:   cfg.Mode == ModeCorrectnessCoT,
+				})
+				return score(ctx, tr.oracle, s, l, ep, &cfg)
+			}
 		})
 	if cells == nil {
 		return 0, err

@@ -40,7 +40,7 @@ var testStack = oracle.NewStack(oracle.Config{})
 // bounds, with BLEU shaping on or off.
 func scoreIn(mode RewardMode, shaping bool, ep *policy.Episode, s *dataset.Sample) episodeScore {
 	cfg := Config{Mode: mode, NoBleuShaping: !shaping}
-	return score(context.Background(), testStack, s, ep, &cfg)
+	return score(context.Background(), testStack, s, labelOf(s, &cfg), ep, &cfg)
 }
 
 func TestRewardEq1Hierarchy(t *testing.T) {
@@ -245,7 +245,7 @@ func TestScoreCountsExactAndSpeedup(t *testing.T) {
 			sped++
 		}
 		cfg := Config{Mode: ModeLatency, UMax: umax}
-		if got, want := score(context.Background(), testStack, s, ep, &cfg).rAnswer, latencyReward(alive.Equivalent, u, umax); got != want {
+		if got, want := score(context.Background(), testStack, s, labelOf(s, &cfg), ep, &cfg).rAnswer, latencyReward(alive.Equivalent, u, umax); got != want {
 			t.Errorf("%s: latency reward %v, want %v (speedup %v)", s.Name, got, want, u)
 		}
 	}
