@@ -11,8 +11,20 @@ import (
 // the one that matters across restarts: its bytes are persisted.
 func checkPrinter(t *testing.T, f *Function) {
 	t.Helper()
-	if got, want := CanonicalKey(f), refCanonicalKey(f); got != want {
-		t.Errorf("CanonicalKey diverged from the reference:\n got %q\nwant %q", got, want)
+	key := refCanonicalKey(f)
+	if got := CanonicalKey(f); got != key {
+		t.Errorf("CanonicalKey diverged from the reference:\n got %q\nwant %q", got, key)
+	}
+	// The append form, after a prefix it must keep, into a buffer with
+	// no room left and into one with room to spare; the seeds with
+	// whitespace or non-ASCII names take the odd-name path.
+	for _, prefix := range []string{"", "k\u00e9y \"\n"} {
+		for _, room := range []int{0, 4096} {
+			dst := append(make([]byte, 0, len(prefix)+room), prefix...)
+			if got := string(AppendCanonicalKey(dst, f)); got != prefix+key {
+				t.Errorf("AppendCanonicalKey after %q (room %d) diverged from the reference:\n got %q\nwant %q", prefix, room, got, prefix+key)
+			}
+		}
 	}
 	if got, want := CanonicalText(f), refCanonicalText(f); got != want {
 		t.Errorf("CanonicalText diverged from the reference:\n got %q\nwant %q", got, want)

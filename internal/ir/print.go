@@ -11,11 +11,12 @@ import (
 // printer appends IR text to buf. It is the one place declaration,
 // function and instruction syntax is spelled; its callers differ only
 // in naming scheme and layout. Each caller starts buf on an array of
-// stackBytes in its own frame and makes the text one string of exactly
-// its length: a key lives as long as the cache that holds it. buf only
-// ever takes a slice of itself or a fresh copy (grown), so the array
-// stays on the stack; an append or a Fprintf into buf would move it to
-// the heap, so s copies and the rare fallbacks append a Sprintf.
+// stackBytes in its own frame, or on the buffer AppendCanonicalKey is
+// handed, and makes the text one string of exactly its length: a key
+// lives as long as the cache that holds it. buf only ever takes a slice
+// of itself or a fresh copy (grown), so the array stays on the stack;
+// an append or a Fprintf into buf would move it to the heap, so s
+// copies and the rare fallbacks append a Sprintf.
 type printer struct {
 	buf []byte
 	// nums is the naming scheme, by name field: a param, block or result
@@ -303,12 +304,23 @@ func CanonicalText(f *Function) string {
 // numbered. Its bytes are a persisted format.
 func CanonicalKey(f *Function) string {
 	var stack [stackBytes]byte
-	p := printer{buf: stack[:0], key: true}
+	return string(AppendCanonicalKey(stack[:0], f))
+}
+
+// AppendCanonicalKey appends CanonicalKey(f) to dst and returns the
+// extended slice. Beyond what CanonicalKey allocates besides its string
+// (a map when f is not canonically numbered, the FingerprintText pass
+// when a name holds whitespace or a non-ASCII rune) it allocates only
+// when dst runs out of room, so a caller that prints into a buffer it
+// reuses, or into an array on its stack, makes no string.
+func AppendCanonicalKey(dst []byte, f *Function) []byte {
+	n := len(dst)
+	p := printer{buf: dst, key: true}
 	p.canonical(f).fn(f, f.NameStr, "")
 	if p.odd {
-		return FingerprintText(string(p.buf))
+		return append(p.buf[:n], FingerprintText(string(p.buf[n:]))...)
 	}
-	return string(p.buf)
+	return p.buf
 }
 
 // FuncsStructurallyEqual reports whether two functions are identical

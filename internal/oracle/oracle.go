@@ -8,9 +8,10 @@
 //	(*Stack).Verify(ctx, src, tgt, opts) alive.Result   // ask
 //	Accept(ctx, o, model, in, cand, opts)               // accept
 //
-// Verify is one method: count the query, build its key, and let the
-// verdict cache's engine answer it — from the hot tier, from an
-// identical query in flight, from the durable backing, or by computing.
+// Verify is one method: count the query, print both functions' keys
+// on its stack, and let the verdict cache's engine answer it — from
+// the hot tier, from an identical query in flight, from the durable
+// backing, or by computing.
 // Computing means the remote replica set when one is configured (a
 // coordinator), and the base verifier otherwise or when the whole fleet
 // failed under a context that is still live. The counters sit outside
@@ -120,8 +121,10 @@ type Stack struct {
 func (s *Stack) Verify(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
 	s.stats.queries.Add(1)
 	t0 := time.Now()
-	k := vcache.Key{Src: vcache.KeyOfFunc(src), Dst: vcache.KeyOfFunc(tgt), Opts: opts}
-	res := s.Engine.Do(ctx, k, func() alive.Result {
+	// vcache.KeyOfFunc's bytes, printed into arrays the size of the
+	// printer's own: a hot-tier hit makes no string.
+	var srcKey, tgtKey [2048]byte
+	res := s.Engine.Do(ctx, ir.AppendCanonicalKey(srcKey[:0], src), ir.AppendCanonicalKey(tgtKey[:0], tgt), opts, func() alive.Result {
 		if s.remote != nil {
 			res, err := s.remote.VerifyRemote(ctx, src, tgt, opts)
 			if err == nil {

@@ -7,6 +7,7 @@ import (
 
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
+	"veriopt/internal/vcache"
 )
 
 var bg = context.Background()
@@ -91,5 +92,53 @@ func TestBaseHonorsContext(t *testing.T) {
 	r := Base().Verify(ctx, src, tgt, alive.DefaultOptions())
 	if r.Reason() != alive.Canceled {
 		t.Fatalf("pre-canceled base query: %+v", r)
+	}
+}
+
+// recordingBacking is a vcache.Backing that holds nothing and records
+// the key of every Get and Put.
+type recordingBacking struct {
+	gets, puts []vcache.Key
+}
+
+func (b *recordingBacking) Get(k vcache.Key) (alive.Result, bool, error) {
+	b.gets = append(b.gets, k)
+	return alive.Result{}, false, nil
+}
+
+func (b *recordingBacking) Put(k vcache.Key, _ alive.Result) error {
+	b.puts = append(b.puts, k)
+	return nil
+}
+
+// TestBackingSeesFullKeys: Verify prints both keys on its stack, and the
+// engine spells them out only for the backing. A miss hands the
+// backing's Get and Put one and the same Key, the one vcache.KeyOfFunc
+// spells for each side (a name with whitespace and non-ASCII runes
+// included); a hot-tier hit asks the backing nothing.
+func TestBackingSeesFullKeys(t *testing.T) {
+	var base atomic.Int64
+	backing := &recordingBacking{}
+	st := NewStack(Config{Base: countingBase(&base), Backing: backing})
+	src, tgt, bad := mustParse(t, srcText), mustParse(t, tgtText), mustParse(t, badText)
+	odd := mustParse(t, "define i32 @\u00e9t\u00e9(i32 noundef %x\u00a0y) {\n  ret i32 %x\u00a0y\n}")
+	opts := alive.DefaultOptions()
+	for i, pair := range [][2]*ir.Function{{src, tgt}, {src, bad}, {odd, src}} {
+		want := vcache.Key{Src: vcache.KeyOfFunc(pair[0]), Dst: vcache.KeyOfFunc(pair[1]), Opts: opts}
+		for range 2 { // a miss, then a hot-tier hit
+			st.Verify(bg, pair[0], pair[1], opts)
+			if len(backing.gets) != i+1 || len(backing.puts) != i+1 {
+				t.Fatalf("pair %d: the backing was asked %d Gets and %d Puts, want %d of each", i, len(backing.gets), len(backing.puts), i+1)
+			}
+		}
+		if got := backing.gets[i]; got != want {
+			t.Errorf("pair %d: Get was handed %+v, want %+v", i, got, want)
+		}
+		if got := backing.puts[i]; got != want {
+			t.Errorf("pair %d: Put was handed %+v, want %+v", i, got, want)
+		}
+	}
+	if n := base.Load(); n != 3 {
+		t.Errorf("the base ran %d times, want once per pair", n)
 	}
 }

@@ -1,9 +1,9 @@
 package rewrite
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 
 	"veriopt/internal/ir"
 )
@@ -15,13 +15,40 @@ import (
 // al.'s simple-and-efficient SSA algorithm: block-local defs first,
 // then recursive lookups that pre-install phis to break cycles.
 //
-// It promotes on a copy and moves the result into f only once it
-// verifies, so the rule is safe to expose as a policy action and false
-// leaves f untouched, every instruction where it was. That copy is the
-// one a rule makes: its finder, countPromotable, reads f only and
-// allocates nothing; n is what it counted.
+// It promotes on a copy (promoteCopy with a copier of its own) and
+// moves the result into f only once it verifies, so the rule is safe to
+// expose as a policy action and false leaves f untouched, every
+// instruction where it was. That copy is the one a rule makes: its
+// finder, countPromotable, reads f only and allocates nothing; n is
+// what it counted.
 func mem2reg(f *ir.Function, n int, _ *rand.Rand) bool {
-	g := ir.CloneFunc(f)
+	var c ir.Copier
+	g, ok := promoteCopy(&c, f, n)
+	if !ok {
+		return false
+	}
+	*f = *g
+	for _, b := range f.Blocks {
+		b.Parent = f
+	}
+	return true
+}
+
+// PromoteCopy is mem2reg into a copy the caller keeps: it copies f with
+// c, promotes the copy and returns it if it passes ir.VerifyFunc. With
+// nothing to promote it copies nothing, and a copy that does not verify
+// it releases to c; either way it returns f, only read, and false.
+func PromoteCopy(c *ir.Copier, f *ir.Function) (*ir.Function, bool) {
+	n, ok := countPromotable(f)
+	if !ok {
+		return f, false
+	}
+	return promoteCopy(c, f, n)
+}
+
+// promoteCopy is PromoteCopy once f's n promotable allocas are counted.
+func promoteCopy(c *ir.Copier, f *ir.Function, n int) (*ir.Function, bool) {
+	g := c.Clone(f)
 	allocas := make([]*ir.Instr, 0, n) // the match counted f's allocas; these are the copy's
 	g.ForEachInstr(func(_ *ir.Block, in *ir.Instr) {
 		if promotable(g, in) {
@@ -36,13 +63,10 @@ func mem2reg(f *ir.Function, n int, _ *rand.Rand) bool {
 	}
 	p.run()
 	if err := ir.VerifyFunc(g); err != nil {
-		return false
+		c.Release()
+		return f, false
 	}
-	*f = *g
-	for _, b := range f.Blocks {
-		b.Parent = f
-	}
-	return true
+	return g, true
 }
 
 // liveIn is the resolved block-entry value of one alloca at one block.
@@ -202,8 +226,13 @@ func (p *promoter) readVar(ai, bi int) ir.Value {
 	}
 	b := p.f.Blocks[bi]
 	p.nextID++
-	phi := &ir.Instr{Op: ir.OpPhi, NameStr: fmt.Sprintf("m2r%d", p.nextID), Ty: a.AllocTy, Parent: b}
-	b.Instrs = append([]*ir.Instr{phi}, b.Instrs...)
+	phi := &ir.Instr{Op: ir.OpPhi, NameStr: "m2r" + strconv.Itoa(p.nextID), Ty: a.AllocTy, Parent: b,
+		Incs: make([]ir.Incoming, 0, len(preds))}
+	// A list of its own: b's may be a window of a slab.
+	instrs := make([]*ir.Instr, len(b.Instrs)+1)
+	instrs[0] = phi
+	copy(instrs[1:], b.Instrs)
+	b.Instrs = instrs
 	in.v = phi // break cycles before recursing
 	for _, pi := range preds {
 		phi.Incs = append(phi.Incs, ir.Incoming{Val: outOf(int(pi)), Block: p.f.Blocks[pi]})

@@ -177,8 +177,7 @@ func refExpand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig
 		if vr.Verdict != alive.Equivalent {
 			continue
 		}
-		seq := append(append([]string(nil), st.seq...), p.name)
-		out = append(out, &state{fn: g, key: key, seq: seq, m: costmodel.Measure(g)})
+		out = append(out, &state{fn: g, key: key, parent: st, pass: p.name, m: costmodel.Measure(g)})
 	}
 	return out
 }
@@ -209,8 +208,7 @@ func refSearch(f0 *ir.Function, cfg SearchConfig, beam bool) *SearchResult {
 		}
 		frontier = cands
 	}
-	finish(res, best)
-	return res
+	return (&search{res: res}).finish(best)
 }
 
 // outcome is everything a search reports, the winner as canonical text.

@@ -1,8 +1,10 @@
 package seqopt
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
+	"strings"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/costmodel"
@@ -43,67 +45,86 @@ type SearchResult struct {
 
 // state is one node of the search graph. key is ir.CanonicalKey(fn),
 // the key the verdict cache uses, so states that dedupe here also
-// share cache entries there.
+// share cache entries there. A state names only the pass that made it
+// from its parent; finish spells out the winner's sequence.
 type state struct {
-	fn  *ir.Function
-	key string
-	seq []string
-	m   costmodel.Metrics
+	fn     *ir.Function
+	key    string
+	parent *state // nil for the search input
+	pass   string
+	m      costmodel.Metrics
 }
 
-// better orders states by cost: latency, then instruction count, then
+// compare orders states by cost: latency, then instruction count, then
 // size, then canonical text — a strict total order, so sorting and
 // best-tracking are deterministic regardless of exploration order.
-func better(a, b *state) bool {
-	if a.m.Latency != b.m.Latency {
-		return a.m.Latency < b.m.Latency
-	}
-	if a.m.ICount != b.m.ICount {
-		return a.m.ICount < b.m.ICount
-	}
-	if a.m.Size != b.m.Size {
-		return a.m.Size < b.m.Size
-	}
-	return a.key < b.key
+func compare(a, b *state) int {
+	return cmp.Or(cmp.Compare(a.m.Latency, b.m.Latency), cmp.Compare(a.m.ICount, b.m.ICount),
+		cmp.Compare(a.m.Size, b.m.Size), strings.Compare(a.key, b.key))
+}
+
+// better reports whether a sorts before b.
+func better(a, b *state) bool { return compare(a, b) < 0 }
+
+// search is what one Beam or Greedy holds across its expansions: the
+// input, the states seen (by key), the result so far, the one copier
+// every state is copied by, and the buffer each copy's key is printed
+// into.
+type search struct {
+	f0   *ir.Function
+	cfg  SearchConfig
+	seen map[string]bool
+	res  *SearchResult
+	c    ir.Copier
+	key  []byte
+}
+
+// newSearch starts a search of f0, returning it with the root state.
+// The key buffer starts as f0's key, printed at the size of f0: the
+// states after it are passes' outputs, and rarely larger.
+func newSearch(f0 *ir.Function, cfg SearchConfig) (search, *state) {
+	key := ir.AppendCanonicalKey(nil, f0)
+	root := &state{fn: f0, key: string(key), m: costmodel.Measure(f0)}
+	return search{f0: f0, cfg: cfg, seen: map[string]bool{root.key: true},
+		res: &SearchResult{Fn: f0, Base: root.m, Best: root.m}, key: key}, root
 }
 
 // expand applies every pass to st, verifies each unseen result
-// against the search input f0, and returns the verified children in
-// registry order. seen dedupes states across the whole search. A state
-// is copied only for a pass whose finder fires on it, by the search's
-// one copier c; a copy that is no new state (the pass changed nothing,
-// or its key is seen) is released to c for the next, so only the new
-// states, which go to the oracle and may join the frontier, keep memory
-// of their own, never written again.
-func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, seen map[string]bool, res *SearchResult, c *ir.Copier) ([]*state, error) {
+// against the search input, and returns the verified children in
+// registry order. A state is copied only for a pass whose finder fires
+// on it, by the search's one copier; its key is printed into the
+// search's buffer and looked up there, and becomes a string only for a
+// new state. A copy that is no new state (the pass changed nothing, or
+// its key is seen) is released to the copier for the next, so only the
+// new states, which go to the oracle and may join the frontier, keep
+// memory of their own, never written again.
+func (s *search) expand(ctx context.Context, st *state) ([]*state, error) {
 	var out []*state
 	for _, p := range registry() {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		g, changed := p.try(st.fn, c)
+		g, changed := p.try(st.fn, &s.c)
 		if !changed {
 			continue
 		}
-		key := ir.CanonicalKey(g)
-		if seen[key] {
-			c.Release()
+		s.key = ir.AppendCanonicalKey(s.key[:0], g)
+		if s.seen[string(s.key)] {
+			s.c.Release()
 			continue
 		}
-		seen[key] = true
-		res.States++
-		vr := cfg.Oracle.Verify(ctx, f0, g, alive.DefaultOptions())
-		res.Queries++
+		key := string(s.key)
+		s.seen[key] = true
+		s.res.States++
+		vr := s.cfg.Oracle.Verify(ctx, s.f0, g, alive.DefaultOptions())
+		s.res.Queries++
 		if vr.Reason() == alive.Canceled {
 			return out, ctx.Err()
 		}
 		if vr.Verdict != alive.Equivalent {
 			continue
 		}
-		seq := make([]string, len(st.seq)+1)
-		copy(seq, st.seq)
-		seq[len(st.seq)] = p.name
-		out = append(out, &state{fn: g, key: key, seq: seq, m: costmodel.Measure(g)})
+		out = append(out, &state{fn: g, key: key, parent: st, pass: p.name, m: costmodel.Measure(g)})
 	}
 	return out, nil
 }
@@ -115,23 +136,18 @@ func expand(ctx context.Context, f0 *ir.Function, st *state, cfg SearchConfig, s
 // returned. On cancellation the best state found so far is returned
 // along with the context's error.
 func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult, error) {
-	root := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
-	res := &SearchResult{Fn: f0, Base: root.m, Best: root.m}
-	best := root
-	seen := map[string]bool{root.key: true}
-	frontier := []*state{root}
-	var c ir.Copier
+	s, root := newSearch(f0, cfg)
+	best, frontier := root, []*state{root}
 	for d := 0; d < searchDepth && len(frontier) > 0; d++ {
 		var cands []*state
 		for _, st := range frontier {
-			kids, err := expand(ctx, f0, st, cfg, seen, res, &c)
+			kids, err := s.expand(ctx, st)
 			cands = append(cands, kids...)
 			if err != nil {
-				finish(res, best)
-				return res, err
+				return s.finish(best), err
 			}
 		}
-		sort.Slice(cands, func(i, j int) bool { return better(cands[i], cands[j]) })
+		slices.SortFunc(cands, compare)
 		if len(cands) > beamWidth {
 			cands = cands[:beamWidth]
 		}
@@ -140,23 +156,18 @@ func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult
 		}
 		frontier = cands
 	}
-	finish(res, best)
-	return res, nil
+	return s.finish(best), nil
 }
 
 // Greedy repeatedly takes the single pass that most improves verified
 // latency, stopping when no pass strictly improves it. It is the
 // cheap O(passes x depth) baseline against beam search.
 func Greedy(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult, error) {
-	cur := &state{fn: f0, key: ir.CanonicalKey(f0), m: costmodel.Measure(f0)}
-	res := &SearchResult{Fn: f0, Base: cur.m, Best: cur.m}
-	seen := map[string]bool{cur.key: true}
-	var c ir.Copier
+	s, cur := newSearch(f0, cfg)
 	for d := 0; d < searchDepth; d++ {
-		kids, err := expand(ctx, f0, cur, cfg, seen, res, &c)
+		kids, err := s.expand(ctx, cur)
 		if err != nil {
-			finish(res, cur)
-			return res, err
+			return s.finish(cur), err
 		}
 		var next *state
 		for _, k := range kids {
@@ -169,12 +180,23 @@ func Greedy(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResu
 		}
 		cur = next
 	}
-	finish(res, cur)
-	return res, nil
+	return s.finish(cur), nil
 }
 
-func finish(res *SearchResult, best *state) {
-	res.Sequence = best.seq
-	res.Fn = best.fn
-	res.Best = best.m
+// finish records best as the search's winner, its pass sequence read
+// off its parents, and returns the result.
+func (s *search) finish(best *state) *SearchResult {
+	n := 0
+	for st := best; st.parent != nil; st = st.parent {
+		n++
+	}
+	if n > 0 {
+		s.res.Sequence = make([]string, n)
+		for st := best; st.parent != nil; st = st.parent {
+			n--
+			s.res.Sequence[n] = st.pass
+		}
+	}
+	s.res.Fn, s.res.Best = best.fn, best.m
+	return s.res
 }

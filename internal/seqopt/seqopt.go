@@ -48,6 +48,7 @@ type Pass struct {
 	// its rule's Applicable, which may say yes where the rule then
 	// declines (mem2reg promotes on a copy and keeps it only if it
 	// verifies); instcombine's steps say yes exactly when they fire.
+	// try asks it before copying f, except for a pass that promotes.
 	find func(f *ir.Function) bool
 	// fix rewrites g in place to the pass's fixpoint and reports
 	// whether it changed anything, leaving g untouched if not.
@@ -58,6 +59,10 @@ type Pass struct {
 	// equal to the state it came from has that state's key, which is
 	// seen.
 	confirm bool
+	// promotes marks the mem2reg pass: try's first round is
+	// rewrite.PromoteCopy into the copier's copy, so the state is copied
+	// once; the rounds after it go through the rule.
+	promotes bool
 }
 
 // Apply returns a transformed copy of f and whether anything changed.
@@ -77,6 +82,9 @@ func (p *Pass) Apply(f *ir.Function) (*ir.Function, bool) {
 // through the pass, made only when the finder says it fires. A copy the
 // pass leaves unchanged is released to c.
 func (p *Pass) try(f *ir.Function, c *ir.Copier) (*ir.Function, bool) {
+	if p.promotes {
+		return promote(f, c)
+	}
 	if !p.find(f) {
 		return f, false
 	}
@@ -85,6 +93,23 @@ func (p *Pass) try(f *ir.Function, c *ir.Copier) (*ir.Function, bool) {
 	}
 	c.Release()
 	return f, false
+}
+
+// promote is try for the mem2reg pass: the first round promotes into
+// c's copy of f (or copies nothing, or releases the copy, and reports
+// false), and the rounds after it rewrite that copy in place through
+// the rule, all of them together at most maxFixpointIters. It is called
+// directly, not through a Pass field, so that Apply's copier stays on
+// Apply's stack.
+func promote(f *ir.Function, c *ir.Copier) (*ir.Function, bool) {
+	g, ok := rewrite.PromoteCopy(c, f)
+	if !ok {
+		return f, false
+	}
+	for i := 1; i < maxFixpointIters && rewrite.Mem2Reg.Apply(g, nil); i++ {
+	}
+	ir.RenumberFunc(g)
+	return g, true
 }
 
 // run takes g itself to the pass's fixpoint, renumbers it if that
@@ -142,12 +167,14 @@ func rulePass(name string, rule *rewrite.Rule) *Pass {
 // registry holds the passes, built once per process: they are
 // stateless, and every search asks for them.
 var registry = sync.OnceValue(func() []*Pass {
+	mem2reg := rulePass("mem2reg", rewrite.Mem2Reg)
+	mem2reg.promotes = true
 	return []*Pass{
 		stepPass("combine", instcombine.StepFirst),
 		stepPass("forward-loads", instcombine.ForwardLoadsStep),
 		stepPass("drop-dead-allocas", instcombine.RemoveDeadAllocasStep),
 		instcombinePass(),
-		rulePass("mem2reg", rewrite.Mem2Reg),
+		mem2reg,
 		rulePass("fold-branches", rewrite.FoldConstBranch),
 		rulePass("merge-blocks", rewrite.MergeBlocks),
 		rulePass("if-to-select", rewrite.DiamondToSelect),

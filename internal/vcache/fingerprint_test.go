@@ -3,6 +3,7 @@ package vcache
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"veriopt/internal/alive"
@@ -42,5 +43,36 @@ func TestFingerprintSeparatesKeys(t *testing.T) {
 			t.Fatalf("variant %d collides with an earlier key", i)
 		}
 		seen[fp] = true
+	}
+}
+
+// TestEveryOptionIsKeyed walks alive.Options by reflection: changing any
+// one field must change the fingerprint, from the strings and from the
+// bytes alike, and leave both equal to the reference. Fingerprint
+// writes the fields by name, so a field added to alive.Options and not
+// to it fails here, not silently in a cache that serves a verdict
+// minted under other limits.
+func TestEveryOptionIsKeyed(t *testing.T) {
+	base := Key{Src: "s", Dst: "d", Opts: alive.DefaultOptions()}
+	fields := reflect.TypeOf(base.Opts)
+	if fields.NumField() == 0 {
+		t.Fatal("alive.Options has no fields; the test is vacuous")
+	}
+	for i := 0; i < fields.NumField(); i++ {
+		k := base
+		v := reflect.ValueOf(&k.Opts).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		default:
+			t.Fatalf("alive.Options.%s is a %s; teach this test to vary it", fields.Field(i).Name, v.Kind())
+		}
+		checkFingerprint(t, k)
+		if k.Fingerprint() == base.Fingerprint() {
+			t.Errorf("changing alive.Options.%s leaves Key.Fingerprint as it was", fields.Field(i).Name)
+		}
+		if fingerprint([]byte(k.Src), []byte(k.Dst), k.Opts) == fingerprint([]byte(base.Src), []byte(base.Dst), base.Opts) {
+			t.Errorf("changing alive.Options.%s leaves the fingerprint of the bytes as it was", fields.Field(i).Name)
+		}
 	}
 }

@@ -25,11 +25,18 @@ func refFingerprint(k Key) [sha256.Size]byte {
 	return sha256.Sum256(blob)
 }
 
+// checkFingerprint holds both entries to the reference: Key.Fingerprint,
+// and fingerprint, which Do reads off the texts' bytes.
 func checkFingerprint(t *testing.T, k Key) {
 	t.Helper()
-	if got, want := k.Fingerprint(), refFingerprint(k); got != want {
+	want := refFingerprint(k)
+	if got := k.Fingerprint(); got != want {
 		blob, _ := json.Marshal(k)
 		t.Fatalf("Fingerprint = %x, reference %x = sha256(%s)", got, want, blob)
+	}
+	if got := fingerprint([]byte(k.Src), []byte(k.Dst), k.Opts); got != want {
+		blob, _ := json.Marshal(k)
+		t.Fatalf("fingerprint of the bytes = %x, reference %x = sha256(%s)", got, want, blob)
 	}
 }
 
@@ -66,9 +73,10 @@ func escaperKeys() []Key {
 	return keys
 }
 
-// TestFingerprintMatchesReference runs the digest against its
-// json.Marshal definition over every key_golden.json text, every
-// dataset template at two seeds, and the hand table above.
+// TestFingerprintMatchesReference runs the digest, from the strings and
+// from the bytes, against its json.Marshal definition over every
+// key_golden.json text, every dataset template at two seeds, and the
+// hand table above (JSON escapes, invalid UTF-8, U+2028 and U+2029).
 func TestFingerprintMatchesReference(t *testing.T) {
 	var texts []string
 	blob, err := os.ReadFile("testdata/key_golden.json")

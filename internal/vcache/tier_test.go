@@ -73,13 +73,13 @@ func (b *memBacking) has(k Key) bool {
 func TestLRUKeepsHotEntryUnderEvictionPressure(t *testing.T) {
 	e := New(Config{MaxEntries: 4})
 	hot := keyN(0)
-	e.Do(bg, hot, equivalent)
+	e.doKey(bg, hot, equivalent)
 	for i := 1; i <= 20; i++ {
-		e.Do(bg, hot, func() alive.Result {
+		e.doKey(bg, hot, func() alive.Result {
 			t.Fatal("hot entry evicted despite constant hits")
 			return alive.Result{}
 		})
-		e.Do(bg, keyN(i), equivalent)
+		e.doKey(bg, keyN(i), equivalent)
 	}
 	s := e.Stats()
 	if s.Entries != 4 {
@@ -95,17 +95,17 @@ func TestLRUKeepsHotEntryUnderEvictionPressure(t *testing.T) {
 func TestLRUEvictsColdestNotOldest(t *testing.T) {
 	e := New(Config{MaxEntries: 3})
 	for i := 0; i < 3; i++ {
-		e.Do(bg, keyN(i), equivalent)
+		e.doKey(bg, keyN(i), equivalent)
 	}
-	e.Do(bg, keyN(0), equivalent) // key 0 is now most recent
-	e.Do(bg, keyN(3), equivalent) // overflow: key 1 is the coldest
+	e.doKey(bg, keyN(0), equivalent) // key 0 is now most recent
+	e.doKey(bg, keyN(3), equivalent) // overflow: key 1 is the coldest
 
-	e.Do(bg, keyN(0), func() alive.Result {
+	e.doKey(bg, keyN(0), func() alive.Result {
 		t.Fatal("recently-hit oldest entry was evicted")
 		return alive.Result{}
 	})
 	var computes int
-	e.Do(bg, keyN(1), func() alive.Result { computes++; return equivalent() })
+	e.doKey(bg, keyN(1), func() alive.Result { computes++; return equivalent() })
 	if computes != 1 {
 		t.Fatal("coldest entry (key 1) survived the overflow")
 	}
@@ -116,7 +116,7 @@ func TestComputedVerdictsWriteThrough(t *testing.T) {
 	e := New(Config{MaxEntries: 8, Backing: b})
 	for i := 0; i < 5; i++ {
 		i := i
-		e.Do(bg, keyN(i), func() alive.Result { return resN(i) })
+		e.doKey(bg, keyN(i), func() alive.Result { return resN(i) })
 	}
 	// Every computed verdict is durable immediately, not at eviction or
 	// shutdown.
@@ -133,7 +133,7 @@ func TestBackingHitPromotesWithoutCompute(t *testing.T) {
 	b.m[keyN(0)] = resN(7)
 	e := New(Config{MaxEntries: 8, Backing: b})
 
-	got := e.Do(bg, keyN(0), func() alive.Result {
+	got := e.doKey(bg, keyN(0), func() alive.Result {
 		t.Fatal("compute ran for a verdict the backing holds")
 		return alive.Result{}
 	})
@@ -146,7 +146,7 @@ func TestBackingHitPromotesWithoutCompute(t *testing.T) {
 	}
 	// The promoted entry is hot now: the next query never touches disk.
 	gets := b.gets
-	e.Do(bg, keyN(0), func() alive.Result { t.Fatal("compute ran"); return alive.Result{} })
+	e.doKey(bg, keyN(0), func() alive.Result { t.Fatal("compute ran"); return alive.Result{} })
 	if b.gets != gets {
 		t.Fatal("hot-tier hit read the backing")
 	}
@@ -162,14 +162,14 @@ func TestEvictionDemotesNonDurableOnly(t *testing.T) {
 	// A failed write-through leaves the entry owing the backing a
 	// write: it is the one kind of entry that keeps its full key.
 	b.fail = true
-	e.Do(bg, keyN(0), func() alive.Result { return resN(0) })
+	e.doKey(bg, keyN(0), func() alive.Result { return resN(0) })
 	b.fail = false
 	if ent := e.entries[keyN(0).Fingerprint()]; ent.owed == nil || *ent.owed != keyN(0) {
 		t.Fatalf("entry whose write-through failed keeps key %v, want %v", ent.owed, keyN(0))
 	}
 	// Written through: durable, and nothing but digest and verdict stay.
 	puts := b.puts
-	e.Do(bg, keyN(1), func() alive.Result { return resN(1) })
+	e.doKey(bg, keyN(1), func() alive.Result { return resN(1) })
 	if b.puts != puts+1 {
 		t.Fatalf("write-through puts = %d, want %d", b.puts, puts+1)
 	}
@@ -178,12 +178,12 @@ func TestEvictionDemotesNonDurableOnly(t *testing.T) {
 	}
 	// Overflow twice: key 0 (non-durable) demotes with a Put; key 1
 	// (durable) demotes without one.
-	e.Do(bg, keyN(2), func() alive.Result { return resN(2) })
+	e.doKey(bg, keyN(2), func() alive.Result { return resN(2) })
 	if !b.has(keyN(0)) {
 		t.Fatal("non-durable eviction was discarded instead of demoted")
 	}
 	putsAfterDemote := b.puts
-	e.Do(bg, keyN(3), func() alive.Result { return resN(3) })
+	e.doKey(bg, keyN(3), func() alive.Result { return resN(3) })
 	s := e.Stats()
 	if s.Evictions != 2 || s.Demotions != 2 {
 		t.Fatalf("evictions/demotions: %+v", s)
@@ -196,7 +196,7 @@ func TestEvictionDemotesNonDurableOnly(t *testing.T) {
 	// Both evicted verdicts answer from the backing via promotion, and
 	// a promoted entry holds no key either.
 	for _, i := range []int{0, 1} {
-		got := e.Do(bg, keyN(i), func() alive.Result {
+		got := e.doKey(bg, keyN(i), func() alive.Result {
 			t.Fatalf("compute ran for demoted key %d", i)
 			return alive.Result{}
 		})
@@ -214,7 +214,7 @@ func TestBackingErrorsDegradeToSolver(t *testing.T) {
 	b.fail = true
 	e := New(Config{MaxEntries: 8, Backing: b})
 	var computes int
-	got := e.Do(bg, keyN(0), func() alive.Result { computes++; return resN(0) })
+	got := e.doKey(bg, keyN(0), func() alive.Result { computes++; return resN(0) })
 	if computes != 1 || got.Diag != resN(0).Diag {
 		t.Fatalf("query not answered by solver: computes=%d res=%+v", computes, got)
 	}
@@ -224,20 +224,20 @@ func TestBackingErrorsDegradeToSolver(t *testing.T) {
 		t.Fatalf("store errors = %d, want 2", s.StoreErrors)
 	}
 	// The verdict is still served from the hot tier afterwards.
-	e.Do(bg, keyN(0), func() alive.Result { t.Fatal("compute ran"); return alive.Result{} })
+	e.doKey(bg, keyN(0), func() alive.Result { t.Fatal("compute ran"); return alive.Result{} })
 }
 
 func TestCanceledNeverReachesBacking(t *testing.T) {
 	b := newMemBacking()
 	e := New(Config{MaxEntries: 1, Backing: b})
-	e.Do(bg, keyN(0), func() alive.Result { return alive.CanceledResult(nil) })
+	e.doKey(bg, keyN(0), func() alive.Result { return alive.CanceledResult(nil) })
 	if b.puts != 0 {
 		t.Fatal("canceled verdict was written through")
 	}
 	// A canceled result planted in the backing is never promoted.
 	b.m[keyN(1)] = alive.CanceledResult(nil)
 	var computes int
-	e.Do(bg, keyN(1), func() alive.Result { computes++; return resN(1) })
+	e.doKey(bg, keyN(1), func() alive.Result { computes++; return resN(1) })
 	if computes != 1 {
 		t.Fatal("canceled backing entry served as an answer")
 	}
@@ -280,7 +280,7 @@ func TestHotTierBytesPerEntry(t *testing.T) {
 				if len(k.Src)+len(k.Dst) < 600 {
 					t.Fatalf("key texts are %d bytes, want a corpus-sized key", len(k.Src)+len(k.Dst))
 				}
-				e.Do(bg, k, func() alive.Result {
+				e.doKey(bg, k, func() alive.Result {
 					if i%3 != 0 {
 						return alive.Result{Verdict: alive.Equivalent, SolverConflicts: i}
 					}

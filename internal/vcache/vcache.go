@@ -11,9 +11,13 @@
 //
 // which identifies functions up to whitespace. What stays resident is
 // the key's 32-byte Fingerprint and the verdict, not the two texts: an
-// entry is fixed-size whatever the functions were. Identical queries in
-// flight are deduplicated (singleflight): the second caller blocks on
-// the first's result instead of re-running the solver.
+// entry is fixed-size whatever the functions were. Do is handed the two
+// texts as bytes its caller printed (oracle.Stack.Verify prints them
+// into arrays on its stack) and fingerprints them there; the strings of
+// a full Key are made only for the Backing, once per hot-tier miss.
+// Identical queries in flight are deduplicated (singleflight): the
+// second caller blocks on the first's result instead of re-running the
+// solver.
 //
 // Tiering: a query that misses the hot tier falls through to the
 // Backing before the solver; a backing hit promotes the entry into
@@ -74,12 +78,20 @@ type Key struct {
 // added to Key or alive.Options must be appended here, and
 // TestFingerprintMatchesReference fails until it is.
 func (k Key) Fingerprint() [sha256.Size]byte {
+	// No copy: fingerprint neither keeps nor writes the slices.
+	return fingerprint([]byte(k.Src), []byte(k.Dst), k.Opts)
+}
+
+// fingerprint is the Fingerprint of the Key with the texts src and dst
+// and the options opts, read off the bytes, so that Do fingerprints a
+// query without making its key's strings.
+func fingerprint(src, dst []byte, opts alive.Options) [sha256.Size]byte {
 	var stack [2048]byte // corpus keys are 0.5-1.6 KB as JSON; a longer one spills to the heap
-	b := appendJSONString(append(stack[:0], `{"Src":`...), k.Src)
-	b = appendJSONString(append(b, `,"Dst":`...), k.Dst)
-	b = strconv.AppendInt(append(b, `,"Opts":{"MaxPaths":`...), int64(k.Opts.MaxPaths), 10)
-	b = strconv.AppendInt(append(b, `,"MaxSteps":`...), int64(k.Opts.MaxSteps), 10)
-	b = strconv.AppendInt(append(b, `,"SolverBudget":`...), int64(k.Opts.SolverBudget), 10)
+	b := appendJSONString(append(stack[:0], `{"Src":`...), src)
+	b = appendJSONString(append(b, `,"Dst":`...), dst)
+	b = strconv.AppendInt(append(b, `,"Opts":{"MaxPaths":`...), int64(opts.MaxPaths), 10)
+	b = strconv.AppendInt(append(b, `,"MaxSteps":`...), int64(opts.MaxSteps), 10)
+	b = strconv.AppendInt(append(b, `,"SolverBudget":`...), int64(opts.SolverBudget), 10)
 	return sha256.Sum256(append(b, "}}"...))
 }
 
@@ -100,7 +112,7 @@ var jsonEscape = func() (t [256]byte) {
 // appendJSONString appends s quoted the way json.Marshal quotes a
 // string: `"`, `\`, control bytes, the HTML-unsafe `<` `>` `&` and
 // U+2028/U+2029 escaped, each invalid UTF-8 byte as \ufffd.
-func appendJSONString(b []byte, s string) []byte {
+func appendJSONString(b, s []byte) []byte {
 	const hex = "0123456789abcdef"
 	b = append(b, '"')
 	start := 0 // s[start:i] is read but not yet copied
@@ -112,7 +124,7 @@ func appendJSONString(b []byte, s string) []byte {
 		}
 		r, size := rune(s[i]), 1
 		if r >= utf8.RuneSelf { // an invalid byte decodes as (U+FFFD, 1)
-			if r, size = utf8.DecodeRuneInString(s[i:]); size > 1 && r != '\u2028' && r != '\u2029' {
+			if r, size = utf8.DecodeRune(s[i:]); size > 1 && r != '\u2028' && r != '\u2029' {
 				i += size
 				continue
 			}
@@ -310,10 +322,15 @@ func New(cfg Config) *Engine {
 	return e
 }
 
-// KeyOfFunc renders a function into cache-key form.
+// KeyOfFunc renders a function into cache-key form: ir.CanonicalKey,
+// whose bytes ir.AppendCanonicalKey prints into a caller's buffer.
 func KeyOfFunc(f *ir.Function) string { return ir.CanonicalKey(f) }
 
-// Do returns the memoized result for k, running compute on a miss.
+// Do returns the memoized result for the query whose key has the texts
+// src and dst (KeyOfFunc's bytes) and the options opts, running compute
+// on a miss. Do only reads src and dst, and not after it returns: it
+// fingerprints them, and spells out the Key only on a hot-tier miss
+// with a Backing, once, for the backing's Get and Put alike.
 // Identical in-flight keys are deduplicated: duplicate callers block
 // on the first caller's compute, or return a Canceled result as soon
 // as their own ctx ends. Canceled results (ctx ended mid-compute) are
@@ -326,9 +343,9 @@ func KeyOfFunc(f *ir.Function) string { return ir.CanonicalKey(f) }
 // ran. A query that ends Canceled — its ctx done at entry, while it
 // waited, or mid-compute — counts as Canceled, not as a Hit or a Miss:
 // it was never answered.
-func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) alive.Result {
+func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, compute func() alive.Result) alive.Result {
 	e.queries.Add(1)
-	fp := k.Fingerprint()
+	fp := fingerprint(src, dst, opts)
 	for {
 		// A context that is already done cannot be answered: skip the
 		// cache and the solver alike and return promptly, counted under
@@ -380,7 +397,9 @@ func (e *Engine) Do(ctx context.Context, k Key, compute func() alive.Result) ali
 	// Miss in the hot tier: consult the cold tier before the solver.
 	// The singleflight slot is already claimed, so concurrent
 	// duplicates wait on this read instead of hammering the disk.
+	var k Key // the full key, made only for the backing
 	if e.backing != nil {
+		k = Key{Src: string(src), Dst: string(dst), Opts: opts}
 		res, ok, err := e.backing.Get(k)
 		if err != nil {
 			e.storeErrors.Add(1)

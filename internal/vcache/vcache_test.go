@@ -17,6 +17,11 @@ func keyN(i int) Key {
 	return Key{Src: string(rune('a' + i)), Dst: "t", Opts: alive.DefaultOptions()}
 }
 
+// doKey asks e for k's verdict, as a caller holding k's texts does.
+func (e *Engine) doKey(ctx context.Context, k Key, compute func() alive.Result) alive.Result {
+	return e.Do(ctx, []byte(k.Src), []byte(k.Dst), k.Opts, compute)
+}
+
 func equivalent() alive.Result { return alive.Result{Verdict: alive.Equivalent} }
 
 func TestSecondIdenticalQueryIsHit(t *testing.T) {
@@ -28,7 +33,7 @@ func TestSecondIdenticalQueryIsHit(t *testing.T) {
 		return equivalent()
 	}
 
-	r1 := e.Do(bg, keyN(0), compute)
+	r1 := e.doKey(bg, keyN(0), compute)
 	if r1.Verdict != alive.Equivalent {
 		t.Fatalf("verdict = %v, want equivalent", r1.Verdict)
 	}
@@ -37,7 +42,7 @@ func TestSecondIdenticalQueryIsHit(t *testing.T) {
 		t.Fatalf("after miss: %+v", s)
 	}
 
-	r2 := e.Do(bg, keyN(0), compute)
+	r2 := e.doKey(bg, keyN(0), compute)
 	if r2.Verdict != r1.Verdict || r2.Diag != r1.Diag {
 		t.Fatalf("cached result differs: %+v vs %+v", r2, r1)
 	}
@@ -59,10 +64,10 @@ func TestSecondIdenticalQueryIsHit(t *testing.T) {
 func TestDifferentOptionsAreDifferentKeys(t *testing.T) {
 	e := New(Config{})
 	k := keyN(0)
-	e.Do(bg, k, equivalent)
+	e.doKey(bg, k, equivalent)
 	other := k
 	other.Opts.SolverBudget /= 2
-	e.Do(bg, other, equivalent)
+	e.doKey(bg, other, equivalent)
 	if s := e.Stats(); s.Misses != 2 || s.Hits != 0 {
 		t.Fatalf("distinct Options shared an entry: %+v", s)
 	}
@@ -71,8 +76,8 @@ func TestDifferentOptionsAreDifferentKeys(t *testing.T) {
 func TestNonEquivalentVerdictsCachedToo(t *testing.T) {
 	e := New(Config{})
 	bad := alive.Result{Verdict: alive.SemanticError, Diag: "ERROR: Value mismatch"}
-	r1 := e.Do(bg, keyN(1), func() alive.Result { return bad })
-	r2 := e.Do(bg, keyN(1), func() alive.Result {
+	r1 := e.doKey(bg, keyN(1), func() alive.Result { return bad })
+	r2 := e.doKey(bg, keyN(1), func() alive.Result {
 		t.Error("compute re-ran for a cached semantic verdict")
 		return bad
 	})
@@ -103,9 +108,9 @@ func TestBudgetExhaustedCountsConflictBudget(t *testing.T) {
 		t.Fatalf("x*(y+z) against x*y+x*z in 1 conflict: %v, reason %q (%s)", budget.Verdict, budget.Reason(), budget.Diag)
 	}
 	e := New(Config{})
-	e.Do(bg, keyN(0), func() alive.Result { return budget })
-	e.Do(bg, keyN(1), func() alive.Result { return alive.CanceledResult(nil) })
-	e.Do(bg, keyN(2), equivalent)
+	e.doKey(bg, keyN(0), func() alive.Result { return budget })
+	e.doKey(bg, keyN(1), func() alive.Result { return alive.CanceledResult(nil) })
+	e.doKey(bg, keyN(2), equivalent)
 	if s := e.Stats(); s.BudgetExhausted != 1 || s.Canceled != 1 || s.Misses != 2 || s.Entries != 2 {
 		t.Fatalf("stats = %+v, want 1 budget-exhausted, 1 canceled, 2 misses and entries", s)
 	}
@@ -116,14 +121,14 @@ func TestBudgetExhaustedCountsConflictBudget(t *testing.T) {
 func TestCanceledResultsNotCached(t *testing.T) {
 	e := New(Config{})
 	var computes atomic.Int64
-	first := e.Do(bg, keyN(2), func() alive.Result {
+	first := e.doKey(bg, keyN(2), func() alive.Result {
 		computes.Add(1)
 		return alive.CanceledResult(context.Canceled)
 	})
 	if first.Reason() != alive.Canceled {
 		t.Fatalf("first result = %+v, want canceled inconclusive", first)
 	}
-	second := e.Do(bg, keyN(2), func() alive.Result {
+	second := e.doKey(bg, keyN(2), func() alive.Result {
 		computes.Add(1)
 		return equivalent()
 	})
@@ -145,7 +150,7 @@ func TestDuplicateWaiterUnblocksOnOwnCancel(t *testing.T) {
 	e := New(Config{})
 	started := make(chan struct{})
 	release := make(chan struct{})
-	go e.Do(bg, keyN(3), func() alive.Result {
+	go e.doKey(bg, keyN(3), func() alive.Result {
 		close(started)
 		<-release
 		return equivalent()
@@ -155,7 +160,7 @@ func TestDuplicateWaiterUnblocksOnOwnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan alive.Result, 1)
 	go func() {
-		done <- e.Do(ctx, keyN(3), func() alive.Result {
+		done <- e.doKey(ctx, keyN(3), func() alive.Result {
 			t.Error("duplicate caller ran compute")
 			return equivalent()
 		})
@@ -179,7 +184,7 @@ func TestPreCanceledContextShortCircuits(t *testing.T) {
 	e := New(Config{})
 	ctx, cancel := context.WithCancel(bg)
 	cancel()
-	r := e.Do(ctx, keyN(0), func() alive.Result {
+	r := e.doKey(ctx, keyN(0), func() alive.Result {
 		t.Error("compute ran under a pre-canceled context")
 		return equivalent()
 	})
@@ -204,7 +209,7 @@ func TestWaiterCancelCountsCanceledNotHit(t *testing.T) {
 	release := make(chan struct{})
 	ownerDone := make(chan alive.Result, 1)
 	go func() {
-		ownerDone <- e.Do(bg, keyN(3), func() alive.Result {
+		ownerDone <- e.doKey(bg, keyN(3), func() alive.Result {
 			close(started)
 			<-release
 			return equivalent()
@@ -215,7 +220,7 @@ func TestWaiterCancelCountsCanceledNotHit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan alive.Result, 1)
 	go func() {
-		waiterDone <- e.Do(ctx, keyN(3), func() alive.Result {
+		waiterDone <- e.doKey(ctx, keyN(3), func() alive.Result {
 			t.Error("duplicate caller ran compute")
 			return equivalent()
 		})
@@ -243,7 +248,7 @@ func TestWaiterCancelCountsCanceledNotHit(t *testing.T) {
 	}
 	// The owner's live run and a subsequent cached answer classify as
 	// before: one miss, then one genuine hit.
-	if r := e.Do(bg, keyN(3), func() alive.Result {
+	if r := e.doKey(bg, keyN(3), func() alive.Result {
 		t.Error("compute re-ran for a cached verdict")
 		return equivalent()
 	}); r.Verdict != alive.Equivalent {
@@ -264,7 +269,7 @@ func TestWaiterAnsweredByOwnerIsHit(t *testing.T) {
 	release := make(chan struct{})
 	ownerDone := make(chan alive.Result, 1)
 	go func() {
-		ownerDone <- e.Do(bg, keyN(4), func() alive.Result {
+		ownerDone <- e.doKey(bg, keyN(4), func() alive.Result {
 			close(started)
 			<-release
 			return equivalent()
@@ -275,7 +280,7 @@ func TestWaiterAnsweredByOwnerIsHit(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithCancel(bg)
 		defer cancel()
-		waiterDone <- e.Do(ctx, keyN(4), func() alive.Result {
+		waiterDone <- e.doKey(ctx, keyN(4), func() alive.Result {
 			t.Error("duplicate caller ran compute")
 			return equivalent()
 		})
@@ -306,7 +311,7 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	started := make(chan struct{})
 	ownerDone := make(chan alive.Result, 1)
 	go func() {
-		ownerDone <- e.Do(ownerCtx, keyN(5), func() alive.Result {
+		ownerDone <- e.doKey(ownerCtx, keyN(5), func() alive.Result {
 			close(started)
 			<-ownerCtx.Done()
 			return alive.CanceledResult(ownerCtx.Err())
@@ -315,7 +320,7 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	<-started
 	waiterDone := make(chan alive.Result, 1)
 	go func() {
-		waiterDone <- e.Do(bg, keyN(5), equivalent)
+		waiterDone <- e.doKey(bg, keyN(5), equivalent)
 	}()
 	// Let the waiter park on the owner's call before the owner's
 	// caller gives up.
@@ -352,7 +357,7 @@ func TestPanickingComputeReleasesItsSlot(t *testing.T) {
 	panicked := make(chan any, 1)
 	go func() {
 		defer func() { panicked <- recover() }()
-		e.Do(bg, keyN(6), func() alive.Result {
+		e.doKey(bg, keyN(6), func() alive.Result {
 			close(started)
 			<-release
 			panic("compute failed")
@@ -360,7 +365,7 @@ func TestPanickingComputeReleasesItsSlot(t *testing.T) {
 	}()
 	<-started
 	waiterDone := make(chan alive.Result, 1)
-	go func() { waiterDone <- e.Do(bg, keyN(6), func() alive.Result { return bad }) }()
+	go func() { waiterDone <- e.doKey(bg, keyN(6), func() alive.Result { return bad }) }()
 	// Let the waiter park on the owner's call before the owner panics.
 	for e.Stats().Queries < 2 {
 		time.Sleep(time.Millisecond)
@@ -380,7 +385,7 @@ func TestPanickingComputeReleasesItsSlot(t *testing.T) {
 		t.Fatal("the waiter never returned: the panicking owner kept the slot")
 	}
 	later := make(chan alive.Result, 1)
-	go func() { later <- e.Do(bg, keyN(6), equivalent) }()
+	go func() { later <- e.doKey(bg, keyN(6), equivalent) }()
 	select {
 	case r := <-later:
 		if r.Verdict != bad.Verdict {
@@ -394,12 +399,12 @@ func TestPanickingComputeReleasesItsSlot(t *testing.T) {
 	e = New(Config{Backing: &panickingBacking{}})
 	func() {
 		defer func() { recover() }()
-		e.Do(bg, keyN(7), equivalent)
+		e.doKey(bg, keyN(7), equivalent)
 	}()
 	done := make(chan alive.Result, 1)
 	go func() {
 		defer func() { recover() }()
-		done <- e.Do(bg, keyN(7), equivalent)
+		done <- e.doKey(bg, keyN(7), equivalent)
 	}()
 	select {
 	case <-done:
@@ -423,7 +428,7 @@ func (*panickingBacking) Put(Key, alive.Result) error { return nil }
 func TestEvictionRespectsBound(t *testing.T) {
 	e := New(Config{MaxEntries: 2})
 	for i := 0; i < 5; i++ {
-		e.Do(bg, keyN(i), equivalent)
+		e.doKey(bg, keyN(i), equivalent)
 	}
 	s := e.Stats()
 	if s.Entries > 2 {
@@ -447,11 +452,11 @@ func TestConcurrentQueriesRaceFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if r := e.Do(bg, keyN(0), compute); r.Verdict != alive.Equivalent {
+				if r := e.doKey(bg, keyN(0), compute); r.Verdict != alive.Equivalent {
 					t.Error("wrong verdict")
 					return
 				}
-				if r := e.Do(bg, keyN(1), compute); r.Verdict != alive.Equivalent {
+				if r := e.doKey(bg, keyN(1), compute); r.Verdict != alive.Equivalent {
 					t.Error("wrong verdict")
 					return
 				}
@@ -474,9 +479,9 @@ func TestSolverConflictsAccumulateOnLiveRunsOnly(t *testing.T) {
 	compute := func() alive.Result {
 		return alive.Result{Verdict: alive.Equivalent, SolverConflicts: 7}
 	}
-	e.Do(bg, keyN(0), compute)
-	e.Do(bg, keyN(0), compute) // cache hit: no live solver work
-	e.Do(bg, keyN(1), compute)
+	e.doKey(bg, keyN(0), compute)
+	e.doKey(bg, keyN(0), compute) // cache hit: no live solver work
+	e.doKey(bg, keyN(1), compute)
 	if got := e.Stats().SolverConflicts; got != 14 {
 		t.Fatalf("SolverConflicts = %d, want 14 (two live runs of 7)", got)
 	}

@@ -16,7 +16,6 @@ import (
 // not be cut), the failed demote is counted and the verdict is
 // recomputed on its next query, never answered from a torn record.
 func TestOwedVerdictReachesTheStoreAtEviction(t *testing.T) {
-	bg := context.Background()
 	compute := func(i int, ran *int) func() alive.Result {
 		return func() alive.Result { *ran++; return tres(i) }
 	}
@@ -30,7 +29,7 @@ func TestOwedVerdictReachesTheStoreAtEviction(t *testing.T) {
 		e := vcache.New(vcache.Config{MaxEntries: 1, Backing: s})
 		disk := fillDisk(s, 11, false)
 		ran := 0
-		sameResult(t, e.Do(bg, tkey(0), compute(0, &ran)), tres(0))
+		sameResult(t, do(e, tkey(0), compute(0, &ran)), tres(0))
 		if st := e.Stats(); st.StoreErrors != 1 {
 			t.Fatalf("write-through on a full disk: %+v, want one store error", st)
 		}
@@ -39,7 +38,7 @@ func TestOwedVerdictReachesTheStoreAtEviction(t *testing.T) {
 		}
 		// The disk has room again; the next verdict evicts the owed one.
 		disk.room = 1 << 30
-		sameResult(t, e.Do(bg, tkey(1), compute(1, &ran)), tres(1))
+		sameResult(t, do(e, tkey(1), compute(1, &ran)), tres(1))
 		if st := e.Stats(); st.Evictions != 1 || st.Demotions != 1 || st.StoreErrors != 1 {
 			t.Fatalf("after the eviction: %+v, want one demotion and still one store error", st)
 		}
@@ -60,7 +59,7 @@ func TestOwedVerdictReachesTheStoreAtEviction(t *testing.T) {
 		// disk.
 		e2 := vcache.New(vcache.Config{MaxEntries: 1, Backing: s2})
 		for i := 0; i < 2; i++ {
-			sameResult(t, e2.Do(bg, tkey(i), compute(i, &ran)), tres(i))
+			sameResult(t, do(e2, tkey(i), compute(i, &ran)), tres(i))
 		}
 		if ran != 2 {
 			t.Fatalf("%d computations, want 2: a demoted verdict was recomputed after reopen", ran)
@@ -76,18 +75,23 @@ func TestOwedVerdictReachesTheStoreAtEviction(t *testing.T) {
 		e := vcache.New(vcache.Config{MaxEntries: 1, Backing: s})
 		fillDisk(s, 11, true)
 		ran := 0
-		sameResult(t, e.Do(bg, tkey(0), compute(0, &ran)), tres(0))
+		sameResult(t, do(e, tkey(0), compute(0, &ran)), tres(0))
 		// Key 1's write-through is refused, and so is key 0's demote.
-		sameResult(t, e.Do(bg, tkey(1), compute(1, &ran)), tres(1))
+		sameResult(t, do(e, tkey(1), compute(1, &ran)), tres(1))
 		if st := e.Stats(); st.StoreErrors != 3 || st.Demotions != 1 {
 			t.Fatalf("stats %+v, want 3 store errors (two write-throughs, one demote) and one demotion", st)
 		}
 		if _, ok, err := s.Get(tkey(0)); ok || err != nil {
 			t.Fatalf("refused demote: Get = %v, %v; want a miss", ok, err)
 		}
-		sameResult(t, e.Do(bg, tkey(0), compute(0, &ran)), tres(0))
+		sameResult(t, do(e, tkey(0), compute(0, &ran)), tres(0))
 		if ran != 3 {
 			t.Fatalf("%d computations, want 3: the evicted verdict was answered without being recomputed", ran)
 		}
 	})
+}
+
+// do asks e for k's verdict, as a caller holding k's texts does.
+func do(e *vcache.Engine, k vcache.Key, compute func() alive.Result) alive.Result {
+	return e.Do(context.Background(), []byte(k.Src), []byte(k.Dst), k.Opts, compute)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,9 +68,10 @@ import (
 // heap; 7 while it mapped every value to its number). A named midFn
 // reads 5.
 //
-// The last five rows are what a search pays outside the SAT search,
+// The last seven rows are what a search pays outside the SAT search,
 // and their ceilings are about 5 % above what they read under -race, or
-// one above where 5 % rounds to nothing: one verification the normal
+// one above where 5 % rounds to nothing, and 0 for the hot-tier hit,
+// which must make nothing: one verification the normal
 // form decides without a solver (1, under -race too, the verification
 // struct its terms live in; BenchmarkVerifyTail's negation-i64; 5 while
 // bv.NewBuilder allocated the builder, its map and its first term chunk,
@@ -87,7 +89,9 @@ import (
 // 71 with the builder's map and the seed list appended one environment
 // at a time), a small
 // pair a solver decides Unsat (35, under -race too; 93 and 94) and one
-// whole Beam on a stack nothing has warmed (642, under -race too; 659,
+// whole Beam on a stack nothing has warmed (633, 632 under -race; 642
+// while each copy's key and each query's two keys were made as strings
+// and a state kept its own sequence; 659,
 // 663 before that, while every copy that was no new state was made in
 // fresh memory and dropped; 800
 // and 802 with the builder's map, 888 with the executor's map, 1078
@@ -95,7 +99,14 @@ import (
 // 1121 with a map in each path state, 1192 with those maps and the
 // key's, 2579 with a clone an object per instruction, 10 658 with that
 // interner and a clone per pass application instead of one working copy
-// per expanded state).
+// per expanded state); midFn holds no alloca, and a Beam over
+// diamondO0, whose winner mem2reg makes with a phi, is 79, under -race
+// too (92 while mem2reg copied the search's copy again, a phi took two
+// allocations more and every key was a string); and one
+// query a stack with no backing answers from its hot tier, on
+// canonically numbered functions as a search asks, is 0: both keys are
+// printed into arrays on Verify's stack and fingerprinted there (2
+// while each query made both key strings).
 
 const midFn = `define i32 @mid(i32 noundef %a, i32 noundef %b, i32 noundef %c) {
 entry:
@@ -260,7 +271,42 @@ func verifyEquivalent(tb testing.TB, f, g *ir.Function) alive.Result {
 func beamMid(tb testing.TB, f *ir.Function) *seqopt.SearchResult {
 	res, err := seqopt.Beam(context.Background(), f, seqopt.SearchConfig{Oracle: oracle.NewStack(oracle.Config{})})
 	if err != nil || res.Best.Latency >= res.Base.Latency {
-		tb.Fatalf("beam over midFn: best latency %d from %d, err %v", res.Best.Latency, res.Base.Latency, err)
+		tb.Fatalf("beam over @%s: best latency %d from %d, err %v", f.NameStr, res.Best.Latency, res.Base.Latency, err)
+	}
+	return res
+}
+
+// diamondO0 is an O0-shaped diamond: one alloca stored in both arms
+// and loaded at the join, so only mem2reg, with a phi, takes it off the
+// stack.
+const diamondO0 = `define i32 @diamond(i32 noundef %a, i32 noundef %b) {
+entry:
+  %r = alloca i32
+  %c = icmp sgt i32 %a, %b
+  br i1 %c, label %then, label %else
+
+then:
+  %s = sub i32 %a, %b
+  store i32 %s, ptr %r
+  br label %join
+
+else:
+  %t = sub i32 %b, %a
+  store i32 %t, ptr %r
+  br label %join
+
+join:
+  %v = load i32, ptr %r
+  ret i32 %v
+}
+`
+
+// beamDiamond is one search over diamondO0 on a stack nothing has
+// warmed, whose winner mem2reg made.
+func beamDiamond(tb testing.TB, f *ir.Function) *seqopt.SearchResult {
+	res := beamMid(tb, f)
+	if !slices.Contains(res.Sequence, "mem2reg") {
+		tb.Fatalf("beam over diamondO0 wins with %v, without mem2reg", res.Sequence)
 	}
 	return res
 }
@@ -301,6 +347,19 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 	// A search's copier, holding the memory of a first copy of midFn.
 	var copier ir.Copier
 	copier.Clone(f)
+	diamond, err := ir.ParseFunc(diamondO0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A stack with no backing that has answered midFn, renumbered as
+	// every search state is, against its instcombine output once.
+	warm := oracle.NewStack(oracle.Config{})
+	hit := func() {
+		if r := warm.Verify(context.Background(), renumbered, opt, alive.DefaultOptions()); r.Verdict != alive.Equivalent {
+			t.Fatalf("midFn against its instcombine output: %s", r.Verdict)
+		}
+	}
+	hit()
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
@@ -322,9 +381,13 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 		{"alive.VerifyFuncs, folded", 2, func() { verifyFolded(t, neg, negOpt) }},
 		{"alive.VerifyFuncs, pre-pass refuted", 35, func() { verifyPrepass(t, pre, preBad) }},
 		{"alive.VerifyFuncs, solver Unsat", 37, func() { verifyEquivalent(t, kb, kbOpt) }},
-		{"seqopt.Beam", 674, func() { beamMid(t, f) }},
+		{"seqopt.Beam", 665, func() { beamMid(t, f) }},
+		{"seqopt.Beam, mem2reg fires", 83, func() { beamDiamond(t, diamond) }},
+		{"oracle.Stack.Verify, hot-tier hit", 0, hit},
 	} {
-		if got := testing.AllocsPerRun(50, tc.fn); got > tc.ceiling {
+		got := testing.AllocsPerRun(50, tc.fn)
+		t.Logf("%s: %.0f allocations per run", tc.name, got)
+		if got > tc.ceiling {
 			t.Errorf("%s: %.0f allocations per run on midFn, ceiling %.0f", tc.name, got, tc.ceiling)
 
 		}
