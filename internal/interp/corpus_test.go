@@ -283,6 +283,28 @@ func TestRunTerminatesOnIllFormed(t *testing.T) {
 	runWithDeadline(t, "branch to no block", f, []Val{V(1)}, "interp: block entry branches to a block outside the function")
 }
 
+// TestRunReadsForeignOperandsAsZero: an operand that is no value of f's
+// own — another function's parameter, instruction or alloca, or one of
+// f's instructions that defines no value (a store) — reads as the zero
+// Val, as it does in refRun, where such a value was never assigned.
+// A call observes what it reads, so its argument list shows each one.
+func TestRunReadsForeignOperandsAsZero(t *testing.T) {
+	other := mustParse(t, "define i32 @o(i32 %b) {\n  %s = add i32 %b, 1\n  %q = alloca i32\n  ret i32 %s\n}")
+	f := mustParse(t, "define i32 @f(i32 %a) {\n  %p = alloca i32\n  store i32 %a, ptr %p\n  %v = call i32 @obs(i32 %a)\n  ret i32 %v\n}")
+	store, call := f.Blocks[0].Instrs[1], f.Blocks[0].Instrs[2]
+	foreign := []ir.Value{other.Params[0], other.Blocks[0].Instrs[0], other.Blocks[0].Instrs[1], store}
+	call.Args = append(call.Args, foreign...) // ill-typed on purpose: only what each reads is under test
+	args := []Val{V(5)}
+	got, gerr := Run(f, args, DefaultConfig())
+	want, werr := refRun(f, args, DefaultConfig())
+	if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %+v, %v\nwant %+v, %v", got, gerr, want, werr)
+	}
+	if len(got.Calls) != 1 || !reflect.DeepEqual(got.Calls[0].Args, []Val{V(5), {}, {}, {}, {}}) {
+		t.Errorf("the call observed %+v, want the parameter and four zero Vals", got.Calls)
+	}
+}
+
 func runWithDeadline(t *testing.T, name string, f *ir.Function, args []Val, want string) {
 	t.Helper()
 	done := make(chan error, 1) // the one send must not block after a timeout
