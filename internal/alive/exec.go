@@ -92,7 +92,7 @@ func callVar(b *bv.Builder, k int, callee string, width int) *bv.Term {
 // its zero value. A result's slot is its layout position: base[bi] is
 // the position of block bi's first instruction, first[p] indexes the
 // operands of the instruction at p in uses, and uses holds, per operand,
-// the slot it reads (resolve). Everything a run holds is carved from the
+// the slot it reads (layout). Everything a run holds is carved from the
 // arrays at its end while the function fits them, as a verification of
 // the corpus does, and from chunks of the heap past them.
 type executor struct {
@@ -240,7 +240,9 @@ func exec(ex *executor, b *bv.Builder, fn *ir.Function, params []symVal, cfg exe
 }
 
 // layout numbers fn's instructions by position and resolves every
-// operand to the slot it reads, once per run; it returns how many
+// operand to the slot it reads, once per run: the position
+// ir.Function.Position finds for a result of fn, -2 - i for fn's
+// parameter i, and noSlot for anything else. It returns how many
 // positions there are.
 func (ex *executor) layout() int {
 	nb, n, nu := len(ex.fn.Blocks), 0, 0
@@ -260,79 +262,28 @@ func (ex *executor) layout() int {
 	p, u := 0, int32(0)
 	for bi, blk := range ex.fn.Blocks {
 		for ii, in := range blk.Instrs {
+			slotOf := func(v ir.Value) int32 {
+				if bk, j := ex.fn.Position(bi, ii, v); bk >= 0 {
+					return ex.base[bk] + int32(j)
+				}
+				if x, ok := v.(*ir.Param); ok {
+					return -2 - int32(slices.Index(ex.fn.Params, x)) // noSlot when x is not fn's
+				}
+				return noSlot
+			}
 			ex.first[p] = u
 			for _, a := range in.Args {
-				ex.uses[u] = ex.resolve(bi, ii, a)
+				ex.uses[u] = slotOf(a)
 				u++
 			}
 			for _, inc := range in.Incs {
-				ex.uses[u] = ex.resolve(bi, ii, inc.Val)
+				ex.uses[u] = slotOf(inc.Val)
 				u++
 			}
 			p++
 		}
 	}
 	return n
-}
-
-// resolve returns the slot operand v of the instruction at index ii of
-// block bi reads: the position of a result of fn, -2 - i for fn's
-// parameter i, and noSlot for anything else. A result is looked for as
-// ir.CloneFunc and interp's lowering look: from the use up and from the
-// block's head down at once, then in the blocks before it, wrapping
-// around, and last below the use; an alloca forward from the entry,
-// where clang puts every one.
-func (ex *executor) resolve(bi, ii int, v ir.Value) int32 {
-	blocks := ex.fn.Blocks
-	switch x := v.(type) {
-	case *ir.Instr:
-		if !x.HasResult() {
-			return noSlot
-		}
-		if x.Op == ir.OpAlloca {
-			for bk, blk := range blocks {
-				if j := slices.Index(blk.Instrs, x); j >= 0 {
-					return ex.base[bk] + int32(j)
-				}
-			}
-			return noSlot
-		}
-		for k := range len(blocks) + 1 {
-			bk := (bi - k + len(blocks)) % len(blocks)
-			instrs, lo, hi := blocks[bk].Instrs, 0, len(blocks[bk].Instrs)-1
-			switch k {
-			case 0:
-				hi = ii
-			case len(blocks):
-				lo = ii + 1
-			}
-			for ; lo <= hi; lo, hi = lo+1, hi-1 {
-				if instrs[hi] == x {
-					return ex.base[bk] + int32(hi)
-				}
-				if instrs[lo] == x {
-					return ex.base[bk] + int32(lo)
-				}
-			}
-		}
-	case *ir.Param:
-		if i := slices.Index(ex.fn.Params, x); i >= 0 {
-			return -2 - int32(i)
-		}
-	}
-	return noSlot
-}
-
-// block returns the index of fn's block b, named by block from, or -1
-// when b is not fn's. The search starts at from.
-func (ex *executor) block(from int32, b *ir.Block) int32 {
-	blocks := ex.fn.Blocks
-	for k := range len(blocks) {
-		if i := (int(from) + k) % len(blocks); blocks[i] == b {
-			return int32(i)
-		}
-	}
-	return -1
 }
 
 func (ex *executor) finish() (summary, error) {
@@ -363,7 +314,7 @@ func (ex *executor) addUB(cond *bv.Term) {
 func (ex *executor) number(bi int32) {
 	ex.order[bi] = 1
 	for _, s := range ex.fn.Blocks[bi].Succs() {
-		if si := ex.block(bi, s); si >= 0 && ex.order[si] == 0 {
+		if si := int32(ex.fn.BlockIndex(int(bi), s)); si >= 0 && ex.order[si] == 0 {
 			ex.number(si)
 		}
 	}
@@ -628,7 +579,7 @@ func (ex *executor) take(dst *ir.Block, from int32, ps *pathState, cond *bv.Term
 	if ex.paths++; ex.paths > ex.cfg.maxPaths {
 		return &errPathLimit{diagPathLimit}
 	}
-	di := ex.block(from, dst)
+	di := int32(ex.fn.BlockIndex(int(from), dst))
 	if di < 0 {
 		return &errUnsupported{"branch to a block outside the function"}
 	}

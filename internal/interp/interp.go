@@ -362,7 +362,7 @@ type lowering struct {
 }
 
 // lower turns f, which has a block, into a program carved from buf. It
-// only reads f, and finds an operand by position, as ir.CloneFunc does.
+// only reads f, and finds an operand by ir.Function.Position.
 // What fails only when run — an unhandled op, an icmp on pointers, a
 // block without a terminator, a phi without an incoming for the edge
 // taken, a branch out of f or to no block — lowers to an op that fails
@@ -527,12 +527,12 @@ func (l *lowering) instr(bi, ii int, in *ir.Instr) op {
 	case in.Op.IsCast(), in.Op == ir.OpFreeze:
 		o.it, o.a = width(argTy()), arg(0)
 	case in.Op == ir.OpAlloca:
-		_, o.b = l.cell(in)
+		_, o.b = l.cell(bi, ii, in)
 	case in.Op == ir.OpLoad:
-		o.a, o.b = l.cell(at(in.Args, 0))
+		o.a, o.b = l.cell(bi, ii, at(in.Args, 0))
 	case in.Op == ir.OpStore:
 		o.a = arg(0)
-		o.b, o.c = l.cell(at(in.Args, 1))
+		o.b, o.c = l.cell(bi, ii, at(in.Args, 1))
 	case in.Op == ir.OpCall:
 		o.a = int32(l.nlists)
 		for i := range in.Args {
@@ -574,13 +574,7 @@ func (l *lowering) instr(bi, ii int, in *ir.Instr) op {
 // the search for to starts at bi) to block to goes to: to's first op,
 // or a stub that assigns to's phis or fails.
 func (l *lowering) edge(bi, from int, to *ir.Block) int32 {
-	j := -1
-	for k := range l.f.Blocks {
-		if i := (bi + k) % len(l.f.Blocks); to != nil && l.f.Blocks[i] == to {
-			j = i
-			break
-		}
-	}
+	j := l.f.BlockIndex(bi, to)
 	if j < 0 {
 		return l.stub(op{code: int8(opFail), pred: faultOutside, a: int32(from)})
 	}
@@ -620,11 +614,9 @@ func (l *lowering) konst(v Val) int32 {
 func (l *lowering) slot(bi, ii int, v ir.Value) int32 {
 	switch x := v.(type) {
 	case *ir.Instr:
-		if x.Op == ir.OpAlloca {
-			addr, _ := l.cell(x)
-			return addr
+		if bk, j := l.f.Position(bi, ii, x); bk >= 0 {
+			return l.base[bk] + int32(j)
 		}
-		return l.result(bi, ii, x)
 	case *ir.Param:
 		if i := slices.Index(l.f.Params, x); i >= 0 {
 			return l.params + int32(i)
@@ -641,57 +633,33 @@ func (l *lowering) slot(bi, ii int, v ir.Value) int32 {
 	return l.zero
 }
 
-// result returns the slot of x's result, used at index ii of block bi,
-// or the zero slot when x is not f's. The search starts in the use's
-// block, from the use up and from the block's head down at once, then
-// does the same in the blocks before it, wrapping around, and ends
-// with what follows the use: a definition a few instructions up, or a
-// phi at the head of a long loop body, is found in a few steps.
-func (l *lowering) result(bi, ii int, x *ir.Instr) int32 {
-	blocks := l.f.Blocks
-	for k := range len(blocks) {
-		bk := (bi - k + len(blocks)) % len(blocks)
-		instrs := blocks[bk].Instrs
-		if k == 0 {
-			instrs = instrs[:min(ii+1, len(instrs))]
-		}
-		for lo, hi := 0, len(instrs)-1; lo <= hi; lo, hi = lo+1, hi-1 {
-			if instrs[hi] == x {
-				return l.base[bk] + int32(hi)
-			}
-			if instrs[lo] == x {
-				return l.base[bk] + int32(lo)
-			}
-		}
-	}
-	for j := len(blocks[bi].Instrs) - 1; j > ii; j-- {
-		if blocks[bi].Instrs[j] == x {
-			return l.base[bi] + int32(j)
-		}
-	}
-	return l.zero
-}
-
-// cell returns the slots of the address and the cell of the alloca v
-// points to, looked for forward from the entry, where clang puts every
-// alloca; a pointer that is no alloca of f gets the zero slot twice.
-func (l *lowering) cell(v ir.Value) (addr, cell int32) {
+// cell returns the slots of the address and the cell of the alloca v,
+// named by the instruction at index ii of block bi, points to; a
+// pointer that is no alloca of f gets the zero slot twice. The cells
+// are in layout order, so an alloca's is the number of allocas before
+// it.
+func (l *lowering) cell(bi, ii int, v ir.Value) (addr, cell int32) {
 	x, ok := v.(*ir.Instr)
 	if !ok || x.Op != ir.OpAlloca {
 		return l.zero, l.zero
 	}
+	bk, j := l.f.Position(bi, ii, x)
+	if bk < 0 {
+		return l.zero, l.zero
+	}
 	cell = l.cells
-	for bi, b := range l.f.Blocks {
-		for ii, in := range b.Instrs {
-			if in == x {
-				return l.base[bi] + int32(ii), cell
-			}
+	for b, blk := range l.f.Blocks[:bk+1] {
+		instrs := blk.Instrs
+		if b == bk {
+			instrs = instrs[:j]
+		}
+		for _, in := range instrs {
 			if in.Op == ir.OpAlloca {
 				cell++
 			}
 		}
 	}
-	return l.zero, l.zero
+	return l.base[bk] + int32(j), cell
 }
 
 // binop computes a binary op, or the reason it is undefined behaviour.

@@ -9,7 +9,9 @@ import (
 
 // TestPrinterMatchesReferenceOnCorpus: every dataset template, three
 // seeds, the O0 function and its reference — as built, and as parsed
-// back from their printed texts (what a server keys).
+// back from their printed texts (what a server keys) — print as the
+// reference printer prints them, and their operands and successors are
+// found where the reference layout scan finds them.
 func TestPrinterMatchesReferenceOnCorpus(t *testing.T) {
 	seen := map[string]bool{}
 	for _, seed := range []int64{1, 2, 3} {
@@ -19,14 +21,17 @@ func TestPrinterMatchesReferenceOnCorpus(t *testing.T) {
 		}
 		for _, s := range samples {
 			seen[s.Template] = true
-			ir.CheckPrinter(t, s.O0)
-			ir.CheckPrinter(t, s.Ref)
+			for _, f := range []*ir.Function{s.O0, s.Ref} {
+				ir.CheckPrinter(t, f)
+				ir.CheckPositions(t, f)
+			}
 			for _, text := range []string{s.O0Text, s.RefText} {
 				f, err := ir.ParseFunc(text)
 				if err != nil {
 					t.Fatalf("%s: %v", s.Name, err)
 				}
 				ir.CheckPrinter(t, f)
+				ir.CheckPositions(t, f)
 			}
 		}
 	}

@@ -78,86 +78,46 @@ func (c *Copier) Clone(f *Function) *Function {
 		}
 	}
 	// An instruction, parameter or block of f maps to its copy at the
-	// same position; anything else, a value of another function
-	// included, stays shared, and another function's block is nil.
-	// Second sweep resolves operands (handles forward refs through phis).
+	// same position (Position, BlockIndex); anything else, a value of
+	// another function included, stays shared, and another function's
+	// block is nil. Second sweep resolves operands (handles forward refs
+	// through phis).
 	valSlab, incSlab, caseSlab := slab(&c.vals, reuse, args), slab(&c.incs, reuse, incs), slab(&c.cases, reuse, cases)
 	for bi, b := range f.Blocks {
 		for ii, in := range b.Instrs {
+			copyOf := func(v Value) Value {
+				if bk, j := f.Position(bi, ii, v); bk >= 0 {
+					return nf.Blocks[bk].Instrs[j]
+				}
+				if p, ok := v.(*Param); ok {
+					if i := slices.Index(f.Params, p); i >= 0 {
+						return nf.Params[i]
+					}
+				}
+				return v
+			}
+			blockOf := func(b *Block) *Block {
+				if i := f.BlockIndex(bi, b); i >= 0 {
+					return nf.Blocks[i]
+				}
+				return nil
+			}
 			ni := nf.Blocks[bi].Instrs[ii]
 			ni.Args, ni.Succs = carve(&valSlab, len(in.Args)), carve(&blockPtrs, len(in.Succs))
 			ni.Incs, ni.Cases = carve(&incSlab, len(in.Incs)), carve(&caseSlab, len(in.Cases))
 			for i, a := range in.Args {
-				ni.Args[i] = cloneOf(f, nf, bi, ii, a)
+				ni.Args[i] = copyOf(a)
 			}
 			for i, s := range in.Succs {
-				ni.Succs[i] = blockCopy(f, nf, bi, s)
+				ni.Succs[i] = blockOf(s)
 			}
 			for i, inc := range in.Incs {
-				ni.Incs[i] = Incoming{Val: cloneOf(f, nf, bi, ii, inc.Val), Block: blockCopy(f, nf, bi, inc.Block)}
+				ni.Incs[i] = Incoming{Val: copyOf(inc.Val), Block: blockOf(inc.Block)}
 			}
 			copy(ni.Cases, in.Cases)
 		}
 	}
 	return nf
-}
-
-// cloneOf returns what the copy nf holds where f holds v, for a use at
-// position ii of block bi: the copy of f's parameter or result at v's
-// position, or v itself. The search runs backward from the use and
-// wraps around, so a definition a few instructions up is found in a few
-// steps. An alloca is looked for forward from the entry instead, where
-// clang puts every one, however far below its uses are.
-func cloneOf(f, nf *Function, bi, ii int, v Value) Value {
-	switch x := v.(type) {
-	case *Instr:
-		if !x.HasResult() {
-			return v
-		}
-		if x.Op == OpAlloca {
-			for bk, b := range f.Blocks {
-				if j := slices.Index(b.Instrs, x); j >= 0 {
-					return nf.Blocks[bk].Instrs[j]
-				}
-			}
-			return v
-		}
-		for k := range len(f.Blocks) {
-			bk := (bi - k + len(f.Blocks)) % len(f.Blocks)
-			instrs := f.Blocks[bk].Instrs
-			if k == 0 {
-				instrs = instrs[:ii+1]
-			}
-			for j := len(instrs) - 1; j >= 0; j-- {
-				if instrs[j] == x {
-					return nf.Blocks[bk].Instrs[j]
-				}
-			}
-		}
-		for j := len(f.Blocks[bi].Instrs) - 1; j > ii; j-- {
-			if f.Blocks[bi].Instrs[j] == x {
-				return nf.Blocks[bi].Instrs[j]
-			}
-		}
-	case *Param:
-		for i, p := range f.Params {
-			if p == x {
-				return nf.Params[i]
-			}
-		}
-	}
-	return v
-}
-
-// blockCopy returns nf's copy of block b, named by an instruction of
-// block bi, or nil when b is not f's. The search starts at bi.
-func blockCopy(f, nf *Function, bi int, b *Block) *Block {
-	for k := range len(f.Blocks) {
-		if i := (bi + k) % len(f.Blocks); f.Blocks[i] == b {
-			return nf.Blocks[i]
-		}
-	}
-	return nil
 }
 
 // slab returns n elements of *held, first replaced by a fresh slab
@@ -325,15 +285,18 @@ func dead(f *Function, bi, ii int, in *Instr) bool {
 
 // used reports whether anything in f names def, which sits at position
 // ii of block bi: the search starts just after it, where most uses
-// are, and wraps around through the other blocks to def itself.
+// are, goes on through the blocks after bi and then those before it,
+// and ends at def itself.
 func used(f *Function, bi, ii int, def *Instr) bool {
 	b := f.Blocks[bi]
 	if anyNames(b.Instrs[ii+1:], def) {
 		return true
 	}
-	for k := 1; k < len(f.Blocks); k++ {
-		if anyNames(f.Blocks[(bi+k)%len(f.Blocks)].Instrs, def) {
-			return true
+	for _, blocks := range [2][]*Block{f.Blocks[bi+1:], f.Blocks[:bi]} {
+		for _, c := range blocks {
+			if anyNames(c.Instrs, def) {
+				return true
+			}
 		}
 	}
 	return anyNames(b.Instrs[:ii+1], def)

@@ -1,16 +1,17 @@
 package ir
 
-// CheckPrinter, CheckVerify, CheckCFG, CheckClone, CheckDCE and
-// CheckParse let the external test package (which may import
+// CheckPrinter, CheckVerify, CheckCFG, CheckClone, CheckDCE,
+// CheckParse and CheckPositions let the external test package (which may import
 // internal/dataset and internal/rewrite; this one cannot) run the
 // reference comparisons.
 var (
-	CheckPrinter = checkPrinter
-	CheckVerify  = checkVerify
-	CheckCFG     = checkCFG
-	CheckClone   = checkClone
-	CheckDCE     = checkDCE
-	CheckParse   = checkParse
+	CheckPrinter   = checkPrinter
+	CheckVerify    = checkVerify
+	CheckCFG       = checkCFG
+	CheckClone     = checkClone
+	CheckDCE       = checkDCE
+	CheckParse     = checkParse
+	CheckPositions = checkPositions
 )
 
 // FormatInstr renders one instruction without indentation or newline,

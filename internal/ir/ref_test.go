@@ -274,6 +274,75 @@ func refCloneFunc(f *Function) *Function {
 	return nf
 }
 
+// refPosition is Position as a plain layout scan, whatever the use:
+// the first place v is found walking f's blocks and their instructions
+// in order, when v is a result.
+func refPosition(f *Function, v Value) (bk, j int) {
+	if x, ok := v.(*Instr); ok && x.HasResult() {
+		for bk, b := range f.Blocks {
+			for j, in := range b.Instrs {
+				if in == x {
+					return bk, j
+				}
+			}
+		}
+	}
+	return -1, -1
+}
+
+// refBlockIndex is BlockIndex as a plain scan from the entry.
+func refBlockIndex(f *Function, b *Block) int {
+	for i, c := range f.Blocks {
+		if b != nil && c == b {
+			return i
+		}
+	}
+	return -1
+}
+
+// positionCases counts what checkPositions compared: operands defined
+// below their use (a back-edge phi incoming), operands that are allocas
+// outside the entry block, and operands that are no result of f's own.
+type positionCases struct{ Below, Alloca, Foreign int }
+
+// checkPositions holds Position and BlockIndex to refPosition and
+// refBlockIndex on every operand, phi incoming and successor of f, each
+// asked from the instruction that names it, and on a nil value and a
+// nil block from every instruction. It returns what it compared.
+func checkPositions(t *testing.T, f *Function) positionCases {
+	t.Helper()
+	var pc positionCases
+	for bi, b := range f.Blocks {
+		for ii, in := range b.Instrs {
+			vals, blocks := append([]Value{nil}, in.Args...), append([]*Block{nil}, in.Succs...)
+			for _, inc := range in.Incs {
+				vals, blocks = append(vals, inc.Val), append(blocks, inc.Block)
+			}
+			for k, v := range vals {
+				gb, gj := f.Position(bi, ii, v)
+				wb, wj := refPosition(f, v)
+				if gb != wb || gj != wj {
+					t.Fatalf("@%s: Position(%d, %d, value %d of %s) = %d, %d; reference %d, %d\n%s", f.NameStr, bi, ii, k, FormatInstr(in), gb, gj, wb, wj, FuncString(f))
+				}
+				switch x, _ := v.(*Instr); {
+				case wb < 0:
+					pc.Foreign++
+				case wb > bi || wb == bi && wj > ii:
+					pc.Below++
+				case x.Op == OpAlloca && wb > 0:
+					pc.Alloca++
+				}
+			}
+			for k, s := range blocks {
+				if got, want := f.BlockIndex(bi, s), refBlockIndex(f, s); got != want {
+					t.Fatalf("@%s: BlockIndex(%d, block %d of %s) = %d; reference %d\n%s", f.NameStr, bi, k, FormatInstr(in), got, want, FuncString(f))
+				}
+			}
+		}
+	}
+	return pc
+}
+
 // refDeadCodeElim is DeadCodeElim as it was before it became
 // HasDeadCode's acting half: a used-set filled each round and a list of
 // the dead, removed after the walk. checkDCE holds the in-place walk to

@@ -260,7 +260,10 @@ func TestCloneIndependence(t *testing.T) {
 // global, an instruction of f that defines no value — stay the same
 // objects in the clone, while every parameter and result of f, phi
 // incomings through a back edge, a phi's own name and an alloca outside
-// the entry block included, is remapped to its copy.
+// the entry block included, is remapped to its copy. Position and
+// BlockIndex find each where the reference layout scan does, from the
+// use: the incoming defined below it, the alloca outside the entry and
+// the foreign values included.
 func TestCloneSharesForeignValues(t *testing.T) {
 	other, err := ParseFunc(sampleFn)
 	if err != nil {
@@ -292,6 +295,9 @@ out:
 	foreign := []Value{other.Params[1], other.Blocks[0].Instrs[0], slot.Blocks[0].Instrs[0], f.Blocks[0].Instrs[0]} // the last is f's br: no value, so shared
 	add := f.Blocks[1].Instrs[2]
 	add.Args = append(add.Args, foreign...) // ill-typed on purpose: only identity is under test
+	if pc := checkPositions(t, f); pc.Below < 1 || pc.Alloca < 1 || pc.Foreign < len(foreign) {
+		t.Errorf("positions compared: %+v; want a definition below its use, an alloca outside the entry and the foreign values", pc)
+	}
 	c := CloneFunc(f)
 	copyOf := map[Value]Value{} // each own value's copy, by position
 	for i, p := range f.Params {
