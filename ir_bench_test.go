@@ -89,8 +89,9 @@ import (
 // 71 with the builder's map and the seed list appended one environment
 // at a time), a small
 // pair a solver decides Unsat (35, under -race too; 93 and 94) and one
-// whole Beam on a stack nothing has warmed (633, 632 under -race; 642
-// while each copy's key and each query's two keys were made as strings
+// whole Beam on a stack nothing has warmed (628, under -race too; 633
+// and 632 while each expansion's children and each depth's candidates
+// grew by append from nil; 642 while each copy's key and each query's two keys were made as strings
 // and a state kept its own sequence; 659,
 // 663 before that, while every copy that was no new state was made in
 // fresh memory and dropped; 800
@@ -100,8 +101,8 @@ import (
 // key's, 2579 with a clone an object per instruction, 10 658 with that
 // interner and a clone per pass application instead of one working copy
 // per expanded state); midFn holds no alloca, and a Beam over
-// diamondO0, whose winner mem2reg makes with a phi, is 79, under -race
-// too (92 while mem2reg copied the search's copy again, a phi took two
+// diamondO0, whose winner mem2reg makes with a phi, is 76, under -race
+// too (79 while those lists grew by append, 92 while mem2reg copied the search's copy again, a phi took two
 // allocations more and every key was a string); and one
 // query a stack with no backing answers from its hot tier, on
 // canonically numbered functions as a search asks, is 0: both keys are
@@ -381,8 +382,8 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 		{"alive.VerifyFuncs, folded", 2, func() { verifyFolded(t, neg, negOpt) }},
 		{"alive.VerifyFuncs, pre-pass refuted", 35, func() { verifyPrepass(t, pre, preBad) }},
 		{"alive.VerifyFuncs, solver Unsat", 37, func() { verifyEquivalent(t, kb, kbOpt) }},
-		{"seqopt.Beam", 665, func() { beamMid(t, f) }},
-		{"seqopt.Beam, mem2reg fires", 83, func() { beamDiamond(t, diamond) }},
+		{"seqopt.Beam", 659, func() { beamMid(t, f) }},
+		{"seqopt.Beam, mem2reg fires", 80, func() { beamDiamond(t, diamond) }},
 		{"oracle.Stack.Verify, hot-tier hit", 0, hit},
 	} {
 		got := testing.AllocsPerRun(50, tc.fn)
