@@ -74,7 +74,7 @@ func cmdIR(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "result: %d (0x%x)\n", int64(out.Ret.Bits), out.Ret.Bits)
 		}
 		for _, cobs := range out.Calls {
-			fmt.Fprintf(stdout, "observed call @%s(%v)\n", cobs.Callee, cobs.Args)
+			fmt.Fprintf(stdout, "observed call @%s(%v)\n", cobs.Site.Callee, cobs.Args)
 		}
 	default:
 		return fmt.Errorf("unknown ir command %q", cmd)

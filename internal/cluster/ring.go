@@ -1,10 +1,13 @@
 // Package cluster is the horizontal scale-out layer behind veriopt
 // serve: a coordinator process that spreads verification queries
 // across N worker replicas by consistent-hashing the query
-// fingerprint — the same sha256 fingerprint the verdict cache and the
-// durable store key on — so each (src, dst, opts) triple lands on a
-// stable replica and that replica's hot cache and on-disk store
-// accumulate exactly the verdicts it will be asked for again.
+// fingerprint — vcache.Key.Fingerprint, the digest the verdict cache
+// and the durable store key on — so each (src, dst, opts) triple lands
+// on one replica and that replica's hot cache and on-disk store
+// accumulate exactly the verdicts it will be asked for again. Only the
+// coordinator hashes onto the ring, so placement is a matter of one
+// process: a build whose digest differs routes keys to other replicas,
+// which then miss and verify once, and is never wrong.
 //
 // The pieces:
 //

@@ -36,15 +36,17 @@ type Outcome struct {
 	UBReason string
 	// Ret is the returned value (meaningless if UB, zero Val for void).
 	Ret Val
-	// Calls records the observable call trace: callee name plus the
+	// Calls records the observable call trace: call site plus the
 	// concrete arguments, in execution order.
 	Calls []CallObs
 }
 
 // CallObs is one observed external call.
 type CallObs struct {
-	Callee string
-	Args   []Val
+	// Site is the call instruction: its Callee, and its Args' types,
+	// which the Vals below do not carry.
+	Site *ir.Instr
+	Args []Val
 }
 
 // Config controls interpretation limits.
@@ -114,9 +116,9 @@ type program struct {
 	f               *ir.Function
 	ops             []op
 	vals            []Val
-	lists           []int32 // call arguments, phi sources, switch tables
-	callees         []string
-	entry           int32 // the pc the run starts at
+	lists           []int32     // call arguments, phi sources, switch tables
+	sites           []*ir.Instr // call instructions
+	entry           int32       // the pc the run starts at
 	params, scratch int32
 }
 
@@ -125,11 +127,11 @@ type program struct {
 // times, and this keeps that from being most of the garbage its set-up
 // makes. A larger slab comes from the heap.
 type slabs struct {
-	tab     [64]int32
-	ops     [64]op
-	vals    [64]Val
-	lists   [32]int32
-	callees [8]string
+	tab   [64]int32
+	ops   [64]op
+	vals  [64]Val
+	lists [32]int32
+	sites [8]*ir.Instr
 }
 
 // room returns n elements of buf, or of a new slice when buf is
@@ -151,7 +153,7 @@ func room[T any](buf []T, n int) []T {
 //	alloca              b: its cell
 //	load                a: the address's slot; b: the cell
 //	store               a: value; b: the address's slot; c: the cell
-//	call                lists[a:b]: arguments; callees[c]; dst -1 if void
+//	call                lists[a:b]: arguments; sites[c]; dst -1 if void
 //	ret                 a: value, -1 if void
 //	br                  a: target
 //	condbr              a: condition; b, c: targets
@@ -212,7 +214,7 @@ func (prog *program) fault(o *op) error {
 
 // exec runs prog from its entry, recording into out.
 func (prog *program) exec(out *Outcome, maxSteps int) error {
-	ops, vals, lists, callees := prog.ops, prog.vals, prog.lists, prog.callees
+	ops, vals, lists, sites := prog.ops, prog.vals, prog.lists, prog.sites
 	steps, cells := 0, 0
 	ub := func(reason string) error {
 		out.UB, out.UBReason = true, reason
@@ -299,11 +301,11 @@ func (prog *program) exec(out *Outcome, maxSteps int) error {
 			for i, s := range lists[o.a:o.b] {
 				args[i] = vals[s]
 			}
-			out.Calls = append(out.Calls, CallObs{Callee: callees[o.c], Args: args})
+			out.Calls = append(out.Calls, CallObs{Site: sites[o.c], Args: args})
 			if o.dst >= 0 {
 				// A value derived from a hash of the arguments, so that
 				// equal call sites yield equal results within a run.
-				vals[o.dst] = V(hashCall(callees[o.c], args) & o.mask())
+				vals[o.dst] = V(hashCall(sites[o.c].Callee, args) & o.mask())
 			}
 		case ir.OpRet:
 			if o.a >= 0 {
@@ -356,9 +358,9 @@ func (prog *program) exec(out *Outcome, maxSteps int) error {
 // index, so that slabs on Run's stack stay there.
 type lowering struct {
 	*program
-	nops, nvals, nlists, ncallees int
-	start, base                   []int32
-	zero, poison, global, cells   int32
+	nops, nvals, nlists, nsites int
+	start, base                 []int32
+	zero, poison, global, cells int32
 }
 
 // lower turns f, which has a block, into a program carved from buf. It
@@ -414,11 +416,11 @@ func lower(f *ir.Function, buf *slabs) program {
 	}
 	fixed := n + 3 + len(f.Params) + cells + scratch
 	prog := program{
-		f:       f,
-		ops:     room(buf.ops[:], body+edges),
-		vals:    room(buf.vals[:], fixed+consts+phiSrcs),
-		lists:   room(buf.lists[:], lists+phiSrcs),
-		callees: room(buf.callees[:], calls),
+		f:     f,
+		ops:   room(buf.ops[:], body+edges),
+		vals:  room(buf.vals[:], fixed+consts+phiSrcs),
+		lists: room(buf.lists[:], lists+phiSrcs),
+		sites: room(buf.sites[:], calls),
 	}
 	l := lowering{program: &prog, nops: body, nvals: fixed, start: start, base: base}
 	l.zero, l.poison, l.global = int32(n), int32(n+1), int32(n+2)
@@ -538,9 +540,9 @@ func (l *lowering) instr(bi, ii int, in *ir.Instr) op {
 		for i := range in.Args {
 			l.list(arg(i))
 		}
-		o.b, o.c = int32(l.nlists), int32(l.ncallees)
-		l.callees[l.ncallees] = in.Callee
-		l.ncallees++
+		o.b, o.c = int32(l.nlists), int32(l.nsites)
+		l.sites[l.nsites] = in
+		l.nsites++
 		if !in.HasResult() {
 			o.dst = -1
 		}

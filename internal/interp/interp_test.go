@@ -229,7 +229,7 @@ func TestCallObservation(t *testing.T) {
 	if len(out.Calls) != 2 {
 		t.Fatalf("observed %d calls, want 2", len(out.Calls))
 	}
-	if out.Calls[0].Callee != "ext" || out.Calls[0].Args[0].Bits != 3 {
+	if out.Calls[0].Site.Callee != "ext" || out.Calls[0].Args[0].Bits != 3 {
 		t.Errorf("call obs = %+v", out.Calls[0])
 	}
 	// Deterministic call results: same callee+args give same value.

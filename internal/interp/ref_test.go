@@ -229,7 +229,7 @@ func (s *refState) step(in *ir.Instr) (done bool, next *ir.Block, err error) {
 		for i, a := range in.Args {
 			args[i] = s.eval(a)
 		}
-		s.out.Calls = append(s.out.Calls, CallObs{Callee: in.Callee, Args: args})
+		s.out.Calls = append(s.out.Calls, CallObs{Site: in, Args: args})
 		if in.HasResult() {
 			s.vals[in] = V(hashCall(in.Callee, args))
 			if it, ok := in.Ty.(ir.IntType); ok {

@@ -7,7 +7,8 @@
 //
 // Four deciders are built on one comparator (Runs.Violation):
 //   - Witness, which runs a counterexample's input;
-//   - Exhaustive, which runs every input of a narrow call-free pair;
+//   - Exhaustive, which runs every input of a narrow pair that reads no
+//     call's result;
 //   - Falsify, a seeded sampler with corner values for wider pairs;
 //   - Target, the labeller of the benchmark's model-output corpus.
 package refinetest
@@ -43,10 +44,10 @@ func Run(src, tgt *ir.Function, args []interp.Val) (Runs, error) {
 // Violation names the refinement clause the target's run breaks, or
 // returns "" when it refines the source's. Source UB admits anything.
 // Otherwise the target may not raise UB, and the call traces must match
-// call for call: callee, argument count, and every argument's bits, a
-// poison argument on either side being observed. Last, source poison
-// admits any return, and a defined source return must be met by the
-// same bits.
+// call for call: callee, argument count, and every argument's type and
+// bits, a poison argument on either side being observed. Last, source
+// poison admits any return, and a defined source return must be met by
+// the same bits.
 func (r Runs) Violation() string {
 	o1, o2 := r.Src, r.Tgt
 	if o1.UB {
@@ -60,13 +61,16 @@ func (r Runs) Violation() string {
 	}
 	for i, c := range o1.Calls {
 		d := o2.Calls[i]
-		if c.Callee != d.Callee {
+		if c.Site.Callee != d.Site.Callee {
 			return "callee"
 		}
 		if len(c.Args) != len(d.Args) {
 			return "call argument count"
 		}
 		for j, a := range c.Args {
+			if !c.Site.Args[j].Type().Equal(d.Site.Args[j].Type()) {
+				return "call argument type"
+			}
 			if b := d.Args[j]; a.Poison || b.Poison {
 				return "poison call argument"
 			} else if a.Bits != b.Bits {
@@ -144,8 +148,8 @@ const maxBits = 16
 //     enumerated), on either side;
 //   - parameter or return types that differ;
 //   - more than 16 parameter bits;
-//   - a call on either side (a call's result is made up, so the
-//     parameters do not determine a run);
+//   - a call's result read on either side (the interpreter makes it
+//     up, so the parameters do not determine a run);
 //   - an input the interpreter cannot finish.
 func Exhaustive(src, tgt *ir.Function) (refines bool, err error) {
 	if len(src.Params) != len(tgt.Params) || !src.RetTy.Equal(tgt.RetTy) {
@@ -166,10 +170,8 @@ func Exhaustive(src, tgt *ir.Function) (refines bool, err error) {
 		return false, fmt.Errorf("refinetest: %d parameter bits, more than %d", bits, maxBits)
 	}
 	for _, f := range []*ir.Function{src, tgt} {
-		calls := false
-		f.ForEachInstr(func(_ *ir.Block, in *ir.Instr) { calls = calls || in.Op == ir.OpCall })
-		if calls {
-			return false, fmt.Errorf("refinetest: %s makes a call", f.NameStr)
+		if UsesCallResult(f) {
+			return false, fmt.Errorf("refinetest: %s reads a call's result", f.NameStr)
 		}
 	}
 	args := make([]interp.Val, len(src.Params))

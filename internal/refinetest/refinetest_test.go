@@ -34,6 +34,7 @@ func TestViolationClauses(t *testing.T) {
 		obsOther = "  %2 = call i8 @other(i8 %0)\n  ret i8 0\n"
 		obsTwice = "  %2 = call i8 @obs(i8 %0)\n  %3 = call i8 @obs(i8 %0)\n  ret i8 0\n"
 		obsNext  = "  %2 = add i8 %0, 1\n  %3 = call i8 @obs(i8 %2)\n  ret i8 0\n"
+		obsWide  = "  %2 = zext i8 %0 to i9\n  %3 = call i8 @obs(i9 %2)\n  ret i8 0\n"
 	)
 	for _, tc := range []struct {
 		name     string
@@ -52,6 +53,7 @@ func TestViolationClauses(t *testing.T) {
 		{"callee mismatch", obs, obsOther, 3, "callee"},
 		{"call count", obs, obsTwice, 3, "call count"},
 		{"call argument", obs, obsNext, 3, "call argument"},
+		{"call argument type", obs, obsWide, 3, "call argument type"},
 		{"value mismatch", id, "  ret i8 4\n", 3, "value"},
 	} {
 		src, tgt := fn(t, "", tc.src), fn(t, "", tc.tgt)
@@ -95,7 +97,8 @@ func TestExhaustive(t *testing.T) {
 		{"target not noundef", fn(t, "", "  ret i8 %0\n"), fn(t, "i8 @f(i8 %0)", "  ret i8 %0\n"), false, "noundef"},
 		{"17 bits", fn(t, "i8 @f(i16 noundef %0, i1 noundef %1)", "  %3 = trunc i16 %0 to i8\n  ret i8 %3\n"),
 			fn(t, "i8 @f(i16 noundef %0, i1 noundef %1)", "  %3 = trunc i16 %0 to i8\n  ret i8 %3\n"), false, "17 parameter bits"},
-		{"a call", fn(t, "", "  ret i8 %0\n"), fn(t, "", "  %2 = call i8 @obs(i8 %0)\n  ret i8 %0\n"), false, "call"},
+		{"a call's result", fn(t, "", "  ret i8 %0\n"), fn(t, "", "  %2 = call i8 @obs(i8 %0)\n  ret i8 %2\n"), false, "call's result"},
+		{"a call, its result unread", fn(t, "", "  ret i8 %0\n"), fn(t, "", "  %2 = call i8 @obs(i8 %0)\n  ret i8 %0\n"), false, ""},
 		{"parameter types", fn(t, "", "  ret i8 %0\n"), fn(t, "i8 @f(i16 noundef %0)", "  %2 = trunc i16 %0 to i8\n  ret i8 %2\n"), false, "signatures"},
 		{"return types", fn(t, "", "  ret i8 %0\n"), fn(t, "i16 @f(i8 noundef %0)", "  %2 = zext i8 %0 to i16\n  ret i16 %2\n"), false, "signatures"},
 		{"parameter counts", fn(t, "", "  ret i8 %0\n"), fn(t, two, "  ret i8 %0\n"), false, "signatures"},
@@ -109,6 +112,27 @@ func TestExhaustive(t *testing.T) {
 		case refines != tc.refines:
 			t.Errorf("%s: refines=%v", tc.name, refines)
 		}
+	}
+}
+
+// TestCallArgumentTypeRefutes: a call passing i32 0 in the source and
+// i36 0 in the target observes equal bits, and alive rejects it ("has
+// a different type"); the reference must refute it too, on the
+// counterexample's input and on every input. FuzzMergedVsForking found
+// the pair on a corpus function (cond_call_13, its call's constant
+// retyped); this is its narrow form.
+func TestCallArgumentTypeRefutes(t *testing.T) {
+	src := fn(t, "", "  call void @foo(i32 0)\n  ret i8 %0\n")
+	tgt := fn(t, "", "  call void @foo(i36 0)\n  ret i8 %0\n")
+	r, err := Run(src, tgt, []interp.Val{interp.V(0)})
+	if err != nil || r.Violation() != "call argument type" {
+		t.Fatalf("violation %q, %v; want %q", r.Violation(), err, "call argument type")
+	}
+	if !Witness(t, src, tgt, map[string]uint64{}) {
+		t.Error("Witness does not refute a call whose argument changed type")
+	}
+	if refines, err := Exhaustive(src, tgt); err != nil || refines {
+		t.Errorf("Exhaustive: refines=%v, %v; want refuted", refines, err)
 	}
 }
 

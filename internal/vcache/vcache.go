@@ -10,7 +10,8 @@
 //	(ir.FingerprintText(src), ir.FingerprintText(dst), Options)
 //
 // which identifies functions up to whitespace. What stays resident is
-// the key's 32-byte Fingerprint and the verdict, not the two texts: an
+// the key's 32-byte Fingerprint, a SHA-256 of the key's own bytes that
+// no store or peer persists, and the verdict, not the two texts: an
 // entry is fixed-size whatever the functions were. Do is handed the two
 // texts as bytes its caller printed (oracle.Stack.Verify prints them
 // into arrays on its stack) and fingerprints them there; the strings of
@@ -38,12 +39,11 @@ package vcache
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
-	"unicode/utf8"
 
 	"veriopt/internal/alive"
 	"veriopt/internal/ir"
@@ -70,12 +70,13 @@ type Key struct {
 // time; the ring only routes, so a collision merely co-locates two
 // queries.
 //
-// The bytes are sha256(json.Marshal(k)). A store keeps no digest on
-// disk: Open fingerprints each record's stored full key, so what a
-// record's options decode to decides the bytes. They are produced without
-// encoding/json (which costs two allocations and three times the CPU
-// of the hash) by appending the same JSON into a stack buffer; a field
-// added to Key or alive.Options must be appended here, and
+// The bytes are SHA-256 over the key's fields in order, each text as
+// its length (8 bytes, little-endian) then its bytes, each option as an
+// 8-byte little-endian integer: an encoding no two keys share, whatever
+// bytes their texts hold. Nothing persists the digest, so its
+// definition binds no store or peer: vstore keeps full keys and
+// fingerprints each record at Open, and the ring lives in one process.
+// A field added to Key or alive.Options must be appended here, and
 // TestFingerprintMatchesReference fails until it is.
 func (k Key) Fingerprint() [sha256.Size]byte {
 	// No copy: fingerprint neither keeps nor writes the slices.
@@ -86,59 +87,12 @@ func (k Key) Fingerprint() [sha256.Size]byte {
 // and the options opts, read off the bytes, so that Do fingerprints a
 // query without making its key's strings.
 func fingerprint(src, dst []byte, opts alive.Options) [sha256.Size]byte {
-	var stack [2048]byte // corpus keys are 0.5-1.6 KB as JSON; a longer one spills to the heap
-	b := appendJSONString(append(stack[:0], `{"Src":`...), src)
-	b = appendJSONString(append(b, `,"Dst":`...), dst)
-	b = strconv.AppendInt(append(b, `,"Opts":{"MaxPaths":`...), int64(opts.MaxPaths), 10)
-	b = strconv.AppendInt(append(b, `,"MaxSteps":`...), int64(opts.MaxSteps), 10)
-	b = strconv.AppendInt(append(b, `,"SolverBudget":`...), int64(opts.SolverBudget), 10)
-	return sha256.Sum256(append(b, "}}"...))
-}
-
-// jsonEscape[c] is 0 for a byte json.Marshal copies into a string and
-// otherwise the letter after its backslash; 'u' is \u00XX, or for a
-// byte >= 0x80 whatever its rune turns out to need.
-var jsonEscape = func() (t [256]byte) {
-	for c := range t {
-		if c < ' ' || c >= utf8.RuneSelf || c == '<' || c == '>' || c == '&' {
-			t[c] = 'u'
-		}
-	}
-	t['"'], t['\\'] = '"', '\\'
-	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'] = 'b', 'f', 'n', 'r', 't'
-	return t
-}()
-
-// appendJSONString appends s quoted the way json.Marshal quotes a
-// string: `"`, `\`, control bytes, the HTML-unsafe `<` `>` `&` and
-// U+2028/U+2029 escaped, each invalid UTF-8 byte as \ufffd.
-func appendJSONString(b, s []byte) []byte {
-	const hex = "0123456789abcdef"
-	b = append(b, '"')
-	start := 0 // s[start:i] is read but not yet copied
-	for i := 0; i < len(s); {
-		e := jsonEscape[s[i]]
-		if e == 0 {
-			i++
-			continue
-		}
-		r, size := rune(s[i]), 1
-		if r >= utf8.RuneSelf { // an invalid byte decodes as (U+FFFD, 1)
-			if r, size = utf8.DecodeRune(s[i:]); size > 1 && r != '\u2028' && r != '\u2029' {
-				i += size
-				continue
-			}
-		}
-		b = append(b, s[start:i]...)
-		i += size
-		start = i
-		if e != 'u' {
-			b = append(b, '\\', e)
-		} else {
-			b = append(b, '\\', 'u', hex[r>>12], hex[r>>8&0xF], hex[r>>4&0xF], hex[r&0xF])
-		}
-	}
-	return append(append(b, s[start:]...), '"')
+	var stack [2048]byte // corpus keys are 0.5-1.6 KB; a longer one spills to the heap
+	b := append(binary.LittleEndian.AppendUint64(stack[:0], uint64(len(src))), src...)
+	b = append(binary.LittleEndian.AppendUint64(b, uint64(len(dst))), dst...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(opts.MaxPaths))
+	b = binary.LittleEndian.AppendUint64(b, uint64(opts.MaxSteps))
+	return sha256.Sum256(binary.LittleEndian.AppendUint64(b, uint64(opts.SolverBudget)))
 }
 
 // Backing is the durable tier under the in-memory cache, implemented

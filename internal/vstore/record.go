@@ -1,7 +1,6 @@
 package vstore
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -48,14 +47,6 @@ type record struct {
 
 func (r record) key() vcache.Key {
 	return vcache.Key{Src: r.Src, Dst: r.Dst, Opts: r.Opts}
-}
-
-// fingerprint condenses a key to the fixed-size index form — the
-// shared vcache.Key.Fingerprint, so the store's index and the cluster
-// coordinator's hash ring agree on every key's identity. Collisions
-// are handled at read time by comparing the record's stored key.
-func fingerprint(k vcache.Key) [sha256.Size]byte {
-	return k.Fingerprint()
 }
 
 // encodeRecord renders rec in the on-disk layout.

@@ -37,13 +37,15 @@
 //   - Sealed segments are never modified, so corruption found in one is
 //     not a crash artifact — Open fails loudly instead of guessing.
 //
-// The in-memory index maps a 32-byte key fingerprint to the newest
-// record location. Put on a key that already has a record appends a
-// second one, and the newest wins — in memory at once, on reopen
-// because replay follows the MANIFEST's order; the older record stays
-// on disk. Reads verify the record checksum and compare the stored
-// key, so a fingerprint collision degrades to a miss, never a wrong
-// verdict.
+// The in-memory index maps a key's 32-byte vcache.Key.Fingerprint to
+// the newest record location. No digest is written to disk: Open
+// rebuilds the index by fingerprinting each record's stored key, so a
+// store outlives any change to the digest's definition. Put on a key
+// that already has a record appends a second one, and the newest wins
+// — in memory at once, on reopen because replay follows the MANIFEST's
+// order; the older record stays on disk. Reads verify the record
+// checksum and compare the stored key, so a fingerprint collision
+// degrades to a miss, never a wrong verdict.
 //
 // Stores written before the log was append-only may hold deletion
 // records and a compacted segment the MANIFEST orders before
@@ -387,7 +389,7 @@ func (s *Store) openAndReplay(seq uint64, active bool) error {
 // for a key wins, and a deletion record (only older builds wrote them)
 // drops the key. Open-time only; callers hold no locks.
 func (s *Store) replay(rec record, loc recloc) {
-	h := fingerprint(rec.key())
+	h := rec.key().Fingerprint()
 	if rec.Tomb {
 		s.liveBytes -= int64(s.index[h].n)
 		delete(s.index, h)
@@ -418,7 +420,7 @@ func (s *Store) Put(k vcache.Key, res alive.Result) error {
 	if err != nil {
 		return err
 	}
-	h := fingerprint(k)
+	h := k.Fingerprint()
 
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
@@ -466,7 +468,7 @@ func (s *Store) Put(k vcache.Key, res alive.Result) error {
 // never returned.
 func (s *Store) Get(k vcache.Key) (alive.Result, bool, error) {
 	s.gets.Add(1)
-	h := fingerprint(k)
+	h := k.Fingerprint()
 	s.mu.RLock()
 	loc, ok := s.index[h]
 	seg := s.segs[loc.seq]

@@ -459,8 +459,8 @@ func TestFingerprintCollisionDegradesToMiss(t *testing.T) {
 	if err := s.Put(tkey(1), tres(1)); err != nil {
 		t.Fatal(err)
 	}
-	hA := fingerprint(tkey(1))
-	hB := fingerprint(tkey(2))
+	hA := tkey(1).Fingerprint()
+	hB := tkey(2).Fingerprint()
 	s.mu.Lock()
 	s.index[hB] = s.index[hA]
 	s.mu.Unlock()
