@@ -18,11 +18,12 @@ func CloneFunc(f *Function) *Function {
 	return c.Clone(f)
 }
 
-// A Copier copies functions as CloneFunc does, into memory it may
-// reuse. It holds the function and the slabs of the last copy it made;
-// once the caller says that copy is dropped (Release), the next Clone
-// carves from them where they are big enough. Until then every Clone
-// allocates, so a caller that never releases shares nothing.
+// A Copier builds functions, copies (Clone) or parses (Parse) alike,
+// into memory it may reuse. It holds the function and the slabs of the
+// last one it built; once the caller says that one is dropped
+// (Release), the next Clone or Parse carves from them where they are
+// big enough. Until then every one allocates, so a caller that never
+// releases shares nothing.
 type Copier struct {
 	released  bool
 	fn        *Function
@@ -35,14 +36,26 @@ type Copier struct {
 	vals      []Value
 	incs      []Incoming
 	cases     []*Const
+	consts    []Const
 }
 
-// Release tells c that the last copy it made is dropped: nothing will
-// read or write it again, so the next Clone may overwrite it.
+// Release tells c that the last function it built is dropped: nothing
+// will read or write it again, so the next Clone or Parse may overwrite
+// it.
 func (c *Copier) Release() { c.released = true }
 
-// Clone returns a deep copy of f, in the memory of the last copy when
-// that was released.
+// claim starts a function: it reports whether the memory c holds may be
+// overwritten, and sets c.fn to the Function to build.
+func (c *Copier) claim() (reuse bool) {
+	reuse, c.released = c.released, false
+	if !reuse || c.fn == nil {
+		c.fn = new(Function)
+	}
+	return reuse
+}
+
+// Clone returns a deep copy of f, in the memory of the last function c
+// built when that was released.
 func (c *Copier) Clone(f *Function) *Function {
 	var instrs, args, succs, incs, cases int
 	for _, b := range f.Blocks {
@@ -51,11 +64,7 @@ func (c *Copier) Clone(f *Function) *Function {
 			args, succs, incs, cases = args+len(in.Args), succs+len(in.Succs), incs+len(in.Incs), cases+len(in.Cases)
 		}
 	}
-	reuse := c.released
-	c.released = false
-	if !reuse || c.fn == nil {
-		c.fn = new(Function)
-	}
+	reuse := c.claim()
 	nf := c.fn
 	*nf = Function{NameStr: f.NameStr, RetTy: f.RetTy, Attrs: f.Attrs}
 	paramSlab, paramPtrs := slab(&c.params, reuse, len(f.Params)), slab(&c.paramPtrs, reuse, len(f.Params))
@@ -121,7 +130,8 @@ func (c *Copier) Clone(f *Function) *Function {
 }
 
 // slab returns n elements of *held, first replaced by a fresh slab
-// unless reuse is set and it has room. Clone overwrites every element.
+// unless reuse is set and it has room. Clone and the parser overwrite
+// every element they hand out.
 func slab[T any](held *[]T, reuse bool, n int) []T {
 	if !reuse || cap(*held) < n {
 		*held = make([]T, n)

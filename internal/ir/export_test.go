@@ -1,17 +1,18 @@
 package ir
 
 // CheckPrinter, CheckVerify, CheckCFG, CheckClone, CheckDCE,
-// CheckParse and CheckPositions let the external test package (which may import
-// internal/dataset and internal/rewrite; this one cannot) run the
-// reference comparisons.
+// CheckParse, CheckCopierParse and CheckPositions let the external test
+// package (which may import internal/dataset and internal/rewrite; this
+// one cannot) run the reference comparisons.
 var (
-	CheckPrinter   = checkPrinter
-	CheckVerify    = checkVerify
-	CheckCFG       = checkCFG
-	CheckClone     = checkClone
-	CheckDCE       = checkDCE
-	CheckParse     = checkParse
-	CheckPositions = checkPositions
+	CheckPrinter     = checkPrinter
+	CheckVerify      = checkVerify
+	CheckCFG         = checkCFG
+	CheckClone       = checkClone
+	CheckDCE         = checkDCE
+	CheckParse       = checkParse
+	CheckCopierParse = checkCopierParse
+	CheckPositions   = checkPositions
 )
 
 // FormatInstr renders one instruction without indentation or newline,

@@ -28,8 +28,9 @@ func Parse(src string) (*Module, error) {
 		return nil, err
 	}
 	m := &Module{}
+	var c Copier // never released: each function in fresh memory
 	for {
-		d, f, err := p.unit()
+		d, f, err := p.unit(&c)
 		switch {
 		case err != nil:
 			return nil, err
@@ -44,20 +45,35 @@ func Parse(src string) (*Module, error) {
 }
 
 // ParseFunc parses a single function definition; declarations beside
-// it are checked and dropped. It allocates what the function keeps and
-// little else: no Module, no slice of lines, and a parser, with its
-// token buffer and name table, on the caller's stack.
+// it are checked and dropped. It is a zero Copier's Parse: the function
+// is in fresh memory, as CloneFunc's copy is.
 func ParseFunc(src string) (*Function, error) {
+	var c Copier
+	return c.Parse(src)
+}
+
+// Parse parses a single function definition as ParseFunc does, into the
+// memory of the last function c built when that was released. It
+// allocates what the function keeps and little else: no Module, no
+// slice of lines, and a parser, with its token buffer and name table,
+// on the caller's stack. A parse that fails hands nothing out, so what
+// c held free before it is free after it.
+func (c *Copier) Parse(src string) (*Function, error) {
+	free := c.released
+	fail := func(err error) (*Function, error) {
+		c.released = free
+		return nil, err
+	}
 	var p parser
 	if err := p.start(src); err != nil {
-		return nil, err
+		return fail(err)
 	}
 	var f *Function
 	n := 0
 	for {
-		d, g, err := p.unit()
+		d, g, err := p.unit(c)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if d == nil && g == nil {
 			break
@@ -70,14 +86,15 @@ func ParseFunc(src string) (*Function, error) {
 		}
 	}
 	if n != 1 {
-		return nil, &ParseError{Line: 1, msg: fmt.Sprintf("expected exactly one function, found %d", n)}
+		return fail(&ParseError{Line: 1, msg: fmt.Sprintf("expected exactly one function, found %d", n)})
 	}
 	return f, nil
 }
 
 // parser reads src a line at a time, in place, and builds one function
-// at a time straight into that function's memory. Nothing in it points
-// into it, so it can live on its caller's stack.
+// at a time straight into that function's memory, which a Copier lends
+// it. Nothing in it points into it or into the Copier, so that both can
+// live on their callers' stacks.
 type parser struct {
 	src string
 	off int // byte offset of the next unread line; past len(src) at the end
@@ -98,6 +115,7 @@ type parser struct {
 	succs  chunk[*Block]
 	incs   chunk[Incoming]
 	consts chunk[Const]
+	cases  chunk[*Const]
 	// pend names each forward reference, and the line that made it, in
 	// the order the instructions' operands hold them; the first 16 are
 	// in the array.
@@ -151,8 +169,9 @@ func (p *parser) errf(format string, args ...interface{}) error {
 }
 
 // unit parses the next declaration or definition, past blank and
-// comment lines; both are nil at the end of src.
-func (p *parser) unit() (*Declaration, *Function, error) {
+// comment lines, a definition into c's memory; both are nil at the end
+// of src.
+func (p *parser) unit(c *Copier) (*Declaration, *Function, error) {
 	for !p.eof() {
 		line := strings.TrimSpace(p.peekLine())
 		switch {
@@ -162,7 +181,7 @@ func (p *parser) unit() (*Declaration, *Function, error) {
 			d, err := p.parseDecl()
 			return d, nil, err
 		case strings.HasPrefix(line, "define"):
-			f, err := p.parseFunc()
+			f, err := p.parseFunc(c)
 			return nil, f, err
 		default:
 			return nil, nil, p.errf("expected 'define' or 'declare', got %q", line)
@@ -290,7 +309,7 @@ func (p *parser) parseDecl() (*Declaration, error) {
 	return d, nil
 }
 
-func (p *parser) parseFunc() (*Function, error) {
+func (p *parser) parseFunc(c *Copier) (*Function, error) {
 	header := p.next()
 	headerLine := p.pos
 
@@ -356,18 +375,20 @@ func (p *parser) parseFunc() (*Function, error) {
 	if !tk.eat("(") {
 		return nil, &ParseError{Line: headerLine, msg: "define: expected ("}
 	}
-	f := &Function{NameStr: name, RetTy: retTy}
+	// The function and its slabs are c's: the released function's
+	// memory where that fits, else fresh (slab).
+	reuse := c.claim()
+	f := c.fn
+	*f = Function{NameStr: name, RetTy: retTy}
 	// Every parameter's name is a token of the header beginning with
 	// '%', so their number bounds the parameters: their slabs, and the
 	// table of names, are made before the first is read.
 	bound := strings.Count(header, "%")
 	p.base = int32(bound + total)
 	p.names.reset(bound + total + len(raws) + 1)
-	p.params, p.instrs, p.npend, p.pendMore = nil, nil, 0, p.pendMore[:0]
-	var paramSlab []Param
-	if bound > 0 {
-		paramSlab, p.params = make([]Param, bound), make([]*Param, 0, bound)
-	}
+	p.instrs, p.npend, p.pendMore = nil, 0, p.pendMore[:0]
+	paramSlab := slab(&c.params, reuse, bound)
+	p.params = slab(&c.paramPtrs, reuse, bound)[:0]
 	for !tk.eat(")") {
 		pt, ok := tk.typ()
 		if !ok {
@@ -423,13 +444,13 @@ func (p *parser) parseFunc() (*Function, error) {
 	// slab, its capacity capped at the block's count — an append by a
 	// later pass reallocates instead of writing into the next block's
 	// window. None of the three is ever grown, so *Block and *Instr are
-	// stable. Operands, successors, phi incomings and constants, whose
-	// numbers the first pass does not know, come from chunks, the first
-	// successors from the block list's own allocation, past its capped
-	// end. Everything is garbage once the function is: the parser keeps
-	// nothing.
+	// stable. Operands, successors, phi incomings, cases and constants,
+	// whose numbers the first pass does not know, come from chunks, the
+	// first successors from the block list's own slab, past its capped
+	// end. The parser keeps nothing; c keeps the slabs for its next
+	// function.
 	n := len(raws)
-	blockSlab, blockPtrs, instrPtrs := make([]Block, n), make([]*Block, 3*n), make([]*Instr, total)
+	blockSlab, blockPtrs, instrPtrs := slab(&c.blocks, reuse, n), slab(&c.blockPtrs, reuse, 3*n), slab(&c.instrPtrs, reuse, total)
 	f.Blocks, p.blocks = blockPtrs[:n:n], blockPtrs[:0:n]
 	for i, rb := range raws {
 		pos, slot := p.lookupBlock(rb.name)
@@ -443,9 +464,10 @@ func (p *parser) parseFunc() (*Function, error) {
 	}
 
 	// Parse instructions; operands may forward-reference values.
-	p.instrs = make([]Instr, 0, total)
-	p.vals, p.consts = chunk[Value]{size: 2 * total}, chunk[Const]{size: total}
-	p.succs, p.incs = chunk[*Block]{buf: blockPtrs[n:n], size: 2 * n}, chunk[Incoming]{size: 4 * n}
+	p.instrs = slab(&c.instrs, reuse, total)[:0:total]
+	p.vals, p.consts = chunk[Value]{held: c.vals, reuse: reuse, size: 2 * total}, chunk[Const]{held: c.consts, reuse: reuse, size: total}
+	p.incs, p.cases = chunk[Incoming]{held: c.incs, reuse: reuse, size: 4 * n}, chunk[*Const]{held: c.cases, reuse: reuse, size: n}
+	p.succs = chunk[*Block]{held: c.blockPtrs, buf: blockPtrs[n:n], size: 2 * n}
 	for bi, rb := range raws {
 		b := f.Blocks[bi]
 		for at, li := rb.start, rb.line; at < rb.end; li++ {
@@ -469,6 +491,11 @@ func (p *parser) parseFunc() (*Function, error) {
 			b.appendInstr(in)
 		}
 	}
+
+	// c holds the chunks' last arrays from now on. A parse that fails
+	// before here leaves it holding the ones it held, which are free
+	// when it was.
+	c.vals, c.consts, c.incs, c.cases, c.blockPtrs = p.vals.held, p.consts.held, p.incs.held, p.cases.held, p.succs.held
 
 	// Resolve forward references, in the order they were made.
 	if p.npend == 0 {
@@ -530,22 +557,32 @@ func (p *parser) konst(ty IntType, val uint64) *Const {
 }
 
 // chunk hands out windows of one backing array to lists whose lengths
-// the first pass does not know (operands, successors, phi incomings),
-// in place of an allocation each. One window is open at a time: push
-// extends it, take closes it.
+// the first pass does not know (operands, successors, phi incomings,
+// cases, constants), in place of an allocation each. One window is open
+// at a time: push extends it, take closes it. Its arrays are a Copier's
+// slab, held, which parseFunc hands back to the Copier.
 type chunk[T any] struct {
-	buf  []T
-	open int // where the open window begins
-	size int // elements in a fresh array
+	held  []T  // the Copier's slab: maybe the first array, and every later one
+	reuse bool // held is no live function's memory
+	buf   []T
+	open  int // where the open window begins
+	size  int // elements in a first array
 }
 
 // push appends v to the open window. A full array is replaced, never
 // grown — the windows taken from it stay where they are — and the open
-// window moves to the new one.
+// window moves to the new one: for a first array (buf nil) the held
+// slab, when it may be reused and is big enough, else a fresh array,
+// at least twice the full one, that the Copier holds from then on, so
+// that a function the held slab did not fit fits the next time.
 func (c *chunk[T]) push(v T) {
 	if len(c.buf) == cap(c.buf) {
 		w := c.buf[c.open:]
-		c.buf, c.open = append(make([]T, 0, max(c.size, 2*len(w)+1)), w...), 0
+		n := max(c.size, 2*len(w)+1, 2*cap(c.buf))
+		if !c.reuse || c.buf != nil || cap(c.held) < n {
+			c.held = make([]T, 0, n)
+		}
+		c.buf, c.open = append(c.held[:0], w...), 0
 	}
 	c.buf = append(c.buf, v)
 }
@@ -987,7 +1024,6 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if !tk.eat("[") {
 			return fail("switch: expected [")
 		}
-		var cases []*Const
 		p.succs.push(def)
 		for !tk.eat("]") {
 			cty, ok := tk.typ()
@@ -1012,10 +1048,10 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			cases = append(cases, cc)
+			p.cases.push(cc)
 			p.succs.push(dst)
 		}
-		return p.instr(Instr{Op: OpSwitch, Ty: Void, Args: p.vals.of(v), Succs: p.succs.take(), Cases: cases}), nil
+		return p.instr(Instr{Op: OpSwitch, Ty: Void, Args: p.vals.of(v), Succs: p.succs.take(), Cases: p.cases.take()}), nil
 	case "unreachable":
 		if name != "" {
 			return fail("unreachable: must not have a result")

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -1678,6 +1679,30 @@ func checkParse(t *testing.T, src string) {
 	for i, d := range gm.Decls {
 		if w := wm.Decls[i]; fmt.Sprint(d.NameStr, d.RetTy, d.ParamTys, d.readNone) != fmt.Sprint(w.NameStr, w.RetTy, w.ParamTys, w.readNone) {
 			t.Fatalf("Parse: declaration %d is %v, reference %v\n%q", i, *d, *w, src)
+		}
+	}
+}
+
+// checkCopierParse holds c.Parse to refParseFunc as checkParse holds
+// ParseFunc, on a Copier whose last function is released: the same
+// error, its line too, or a function that prints, keys and names alike.
+// Then it parses src again into the memory that parse left.
+func checkCopierParse(t *testing.T, c *Copier, src string) {
+	t.Helper()
+	want, werr := refParseFunc(src)
+	for range 2 {
+		c.Release()
+		got, gerr := c.Parse(src)
+		if gerr != nil || werr != nil {
+			var gpe, wpe *ParseError
+			if gerr == nil || werr == nil || gerr.Error() != werr.Error() || !errors.As(gerr, &gpe) || !errors.As(werr, &wpe) || gpe.Line != wpe.Line || got != nil {
+				t.Fatalf("Copier.Parse: %v, %v; reference %v\n%q", got, gerr, werr, src)
+			}
+			continue
+		}
+		checkSameFunc(t, got, want, src)
+		if g, w := CanonicalKey(got), refCanonicalKey(want); g != w {
+			t.Fatalf("Copier.Parse's function keys as\n%q\nreference\n%q\nfrom %q", g, w, src)
 		}
 	}
 }

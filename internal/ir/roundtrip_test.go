@@ -362,6 +362,95 @@ func TestCopierReusesOnlyReleasedMemory(t *testing.T) {
 	}
 }
 
+// TestCopierParseReusesOnlyReleasedMemory: a Copier's parse follows
+// the rule its copies do. It leaves an unreleased function alone and
+// takes a released one's memory; a parse that fails hands nothing out
+// and leaves free what was free; and copies and parses by one Copier
+// reuse each other's memory on the same terms.
+func TestCopierParseReusesOnlyReleasedMemory(t *testing.T) {
+	parse := func(c *Copier, text string) *Function {
+		t.Helper()
+		f, err := c.Parse(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// same reports whether g is f's memory: its function, first block
+	// and first instruction.
+	same := func(f, g *Function) bool {
+		return f == g && f.Blocks[0] == g.Blocks[0] && f.Blocks[0].Instrs[0] == g.Blocks[0].Instrs[0]
+	}
+	distinct := func(f, g *Function) bool {
+		return f != g && f.Blocks[0] != g.Blocks[0] && f.Blocks[0].Instrs[0] != g.Blocks[0].Instrs[0]
+	}
+	// broken fails in its last instruction, after the parser has taken
+	// the function, its slabs and its chunks.
+	broken := strings.Replace(sampleFn, "ret i32", "rte i32", 1)
+
+	t.Run("an unreleased parse is left alone", func(t *testing.T) {
+		var c Copier
+		a := parse(&c, sampleFn)
+		if b := parse(&c, sampleFn); !distinct(a, b) {
+			t.Fatal("a parse nobody released was reused")
+		}
+		if got := FuncString(a); got != sampleFn {
+			t.Errorf("the first parse changed:\n%s", got)
+		}
+	})
+	t.Run("a released one's memory is taken", func(t *testing.T) {
+		var c Copier
+		a := parse(&c, sampleFn)
+		c.Release()
+		if b := parse(&c, sampleFn); !same(a, b) {
+			t.Fatal("the released parse's memory was not reused")
+		}
+	})
+	t.Run("a failed parse hands nothing out and leaves its memory free", func(t *testing.T) {
+		var c Copier
+		a := parse(&c, sampleFn)
+		c.Release()
+		if g, err := c.Parse(broken); g != nil || err == nil || !strings.Contains(err.Error(), `unknown instruction "rte"`) {
+			t.Fatalf("the broken text parsed to %v, %v", g, err)
+		}
+		b := parse(&c, sampleFn)
+		if !same(a, b) {
+			t.Fatal("after a failed parse, the released memory was not reused")
+		}
+		// Nothing was released since b: a failed parse frees nothing.
+		if _, err := c.Parse(broken); err == nil {
+			t.Fatal("the broken text parsed")
+		}
+		if d := parse(&c, sampleFn); !distinct(b, d) {
+			t.Fatal("a failed parse freed the memory of a function nobody released")
+		}
+		if got := FuncString(b); got != sampleFn {
+			t.Errorf("the unreleased parse changed:\n%s", got)
+		}
+	})
+	t.Run("a clone and a parse by one Copier follow the same rule", func(t *testing.T) {
+		var c, fresh Copier
+		f := parse(&fresh, sampleFn)
+		a := parse(&c, sampleFn)
+		c.Release()
+		b := c.Clone(f)
+		if !same(a, b) {
+			t.Fatal("a clone did not take a released parse's memory")
+		}
+		d := parse(&c, sampleFn)
+		if !distinct(b, d) {
+			t.Fatal("a parse took an unreleased clone's memory")
+		}
+		c.Release()
+		if e := parse(&c, sampleFn); !same(d, e) {
+			t.Fatal("a parse did not take a released parse's memory after a clone")
+		}
+		if got := FuncString(b); got != sampleFn {
+			t.Errorf("the unreleased clone changed:\n%s", got)
+		}
+	})
+}
+
 // checkClone holds c, a copy of f by CloneFunc or a Copier, to the
 // clone CloneFunc replaced (refCloneFunc): the same text and key, and
 // every parameter, block, instruction, operand, incoming, successor and

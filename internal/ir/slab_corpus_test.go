@@ -161,12 +161,53 @@ func manyNames(n, b int) string {
 	return sb.String()
 }
 
+// midFn is the root package's midFn: four blocks, a phi and every kind
+// of operand list, larger than most inputs a Copier parses.
+const midFn = `define i32 @mid(i32 noundef %a, i32 noundef %b, i32 noundef %c) {
+entry:
+  %t0 = add nsw i32 %a, 0
+  %t1 = mul i32 %t0, 8
+  %t2 = shl i32 %b, 2
+  %t3 = shl i32 %t2, 3
+  %t4 = xor i32 %t1, %t1
+  %t5 = or i32 %t3, %t4
+  %t6 = sub i32 %t5, 0
+  %t7 = and i32 %t6, -1
+  %cmp = icmp sgt i32 %t7, %c
+  br i1 %cmp, label %then, label %else
+
+then:
+  %u0 = add i32 %t7, 5
+  %u1 = add i32 %u0, 7
+  %u2 = udiv i32 %u1, 4
+  %u3 = mul i32 %u2, 1
+  br label %join
+
+else:
+  %v0 = sub i32 %c, %c
+  %v1 = add i32 %v0, %t7
+  %v2 = lshr i32 %v1, 1
+  %v3 = lshr i32 %v2, 2
+  %v4 = select i1 true, i32 %v3, i32 %a
+  br label %join
+
+join:
+  %p = phi i32 [ %u3, %then ], [ %v4, %else ]
+  %w0 = xor i32 %p, 0
+  %w1 = trunc i32 %w0 to i8
+  %w2 = zext i8 %w1 to i32
+  ret i32 %w2
+}
+`
+
 // FuzzParseFuncVsReference: ParseFunc and Parse fail with the error text
 // refParseFunc and refParse (ref_test.go) fail with, or both succeed
 // with functions that print alike, are structurally equal and carry the
-// same names. Seeds: every template's texts, including instcombine's
-// output, everything rewrite.Corruptions() makes of them, and
-// parseSeeds.
+// same names. So does a Copier's Parse into released memory: a Copier
+// that has parsed midFn, one that has parsed a one-line function, and
+// each of them again into what its parse of the input left. Seeds:
+// every template's texts, including instcombine's output, everything
+// rewrite.Corruptions() makes of them, and parseSeeds.
 func FuzzParseFuncVsReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for _, text := range corpusTexts(f, 7, 1) {
@@ -182,6 +223,13 @@ func FuzzParseFuncVsReference(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		ir.CheckParse(t, src)
+		for _, before := range []string{midFn, "define i32 @s(i32 %a) {\n  ret i32 %a\n}\n"} {
+			var c ir.Copier
+			if _, err := c.Parse(before); err != nil {
+				t.Fatal(err)
+			}
+			ir.CheckCopierParse(t, &c, src)
+		}
 	})
 }
 

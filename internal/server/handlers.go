@@ -245,15 +245,37 @@ func verifyOptions(o *OptionsJSON) alive.Options {
 	return opts
 }
 
+// parsers is the memory one /v1/verify parses its source and its
+// target into: a Copier each, whose functions are released once the
+// response is written.
+type parsers struct{ src, tgt ir.Copier }
+
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	var req VerifyRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
+	// Both texts parse into a spare pair, or a fresh one when none is
+	// spare. Nothing reads either function once the response is written:
+	// then the pair goes back, released, unless Workers pairs are spare.
+	var ps *parsers
+	select {
+	case ps = <-s.spare:
+	default:
+		ps = new(parsers)
+	}
+	defer func() {
+		ps.src.Release()
+		ps.tgt.Release()
+		select {
+		case s.spare <- ps:
+		default:
+		}
+	}()
 	// A broken source is harness misuse (same contract as
 	// alive.VerifyText): reject before taking a slot. A broken target
 	// is a model failure and yields a syntax_error verdict.
-	src, err := ir.ParseFunc(req.Src)
+	src, err := ps.src.Parse(req.Src)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, parseFailure("source", err))
 		return
@@ -264,7 +286,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := verifyOptions(req.Options)
 	s.serveQueued(w, r, req.TimeoutMs, func(ctx context.Context) (int, any) {
-		tgt, res := alive.Candidate(ir.ParseFunc(req.Tgt))
+		tgt, res := alive.Candidate(ps.tgt.Parse(req.Tgt))
 		if tgt != nil {
 			res = s.oracle.Verify(ctx, src, tgt, opts)
 		}

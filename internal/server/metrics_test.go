@@ -168,11 +168,16 @@ func (w *sink) WriteHeader(code int) { w.code = code }
 // the server: decoding the body, both parses, the verdict cache's probe,
 // the response and the request accounting (warmVerify; no network, no
 // client). It read 47 with a job queue drained by a worker pool, and
-// reads 35 on a counting semaphore: the request runs on its own
-// goroutine, the wait is written on the middleware's recorder, the body
-// is read once. The ceiling is about 5 % above that.
+// 35 on a counting semaphore: the request runs on its own goroutine,
+// the wait is written on the middleware's recorder, the body is read
+// once. It read 33 before both texts parsed into a spare pair of
+// ir.Copiers, the memory of the request before, and reads 16 since (17
+// were the two parses' functions and slabs). Under -race it reads 17
+// (17.7 on average: the race detector drops some of what sync.Pool
+// holds, and AllocsPerRun rounds down), so the ceiling is one above
+// that, as the root package's ceilings are where 5 % rounds to nothing.
 func TestVerifyWarmAllocCeiling(t *testing.T) {
-	const ceiling = 37
+	const ceiling = 18
 	serve := warmVerify(t)
 	if n := testing.AllocsPerRun(200, serve); n > ceiling {
 		t.Fatalf("one warm /v1/verify allocates %.1f, ceiling %d", n, ceiling)

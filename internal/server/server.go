@@ -23,6 +23,14 @@
 // exercised on every timeout. Identical in-flight verify queries
 // coalesce through the verdict cache's singleflight.
 //
+// A /v1/verify parses its two texts into a pair of ir.Copiers taken
+// from a spare list, and gives the pair back, released, once its
+// response is written: the next verify parses into that memory. The
+// list holds at most Workers pairs; a request that finds none spare
+// makes a pair, and one that finds the list full drops its own. Nothing
+// that outlives a request (a verdict, a cache entry, a store record)
+// holds IR.
+//
 // Shutdown is a graceful drain: cancel the context passed to Run and
 // the server stops accepting, finishes in-flight requests (bounded by
 // GracePeriod), waits for every request it admitted, and returns with
@@ -140,6 +148,11 @@ type Server struct {
 	active atomic.Int64
 	idle   chan struct{}
 
+	// spare holds parser pairs whose functions are released, for the
+	// next /v1/verify to parse into (handleVerify): up to Workers, the
+	// number of requests that execute at once.
+	spare chan *parsers
+
 	corpusMu sync.Mutex
 	corpora  map[corpusKey][]*dataset.Sample
 	corpusQ  []corpusKey
@@ -173,6 +186,7 @@ func New(cfg Config) *Server {
 		evalPol: cfg.Model,
 		metrics: newMetricsRegistry(),
 		slots:   make(chan struct{}, cfg.Workers),
+		spare:   make(chan *parsers, cfg.Workers),
 		idle:    make(chan struct{}),
 		corpora: make(map[corpusKey][]*dataset.Sample),
 	}

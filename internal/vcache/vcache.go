@@ -206,13 +206,9 @@ func (s Stats) String() string {
 	return out
 }
 
-// call is one in-flight computation, shared by duplicate queriers.
-type call struct {
-	done chan struct{}
-	res  alive.Result
-}
-
-// entry is one hot-tier resident, linked into the engine's LRU ring.
+// entry is one verdict: in flight, in the engine's in-flight map, until
+// its computation settles, then a hot-tier resident, linked into the
+// engine's LRU ring.
 type entry struct {
 	fp         [sha256.Size]byte
 	res        alive.Result
@@ -222,6 +218,15 @@ type entry struct {
 	// It is nil for every other entry: written through, promoted, or
 	// made by an engine with no backing.
 	owed *Key
+}
+
+// flight is an entry in flight: its computation has not settled, and
+// done, when a duplicate caller waits, closes when it has. The first
+// such caller makes done, under e.mu; a query nobody waits for makes
+// none.
+type flight struct {
+	ent  *entry
+	done chan struct{}
 }
 
 // unlink takes ent out of the LRU ring; pushFront makes it the most
@@ -246,7 +251,7 @@ type Engine struct {
 	mu       sync.Mutex
 	entries  map[[sha256.Size]byte]*entry
 	lru      entry // ring sentinel: next = most recently used, prev = coldest
-	inflight map[[sha256.Size]byte]*call
+	inflight map[[sha256.Size]byte]flight
 
 	queries         atomic.Uint64
 	hits            atomic.Uint64
@@ -270,7 +275,7 @@ func New(cfg Config) *Engine {
 		maxEntries: cfg.MaxEntries,
 		backing:    cfg.Backing,
 		entries:    make(map[[sha256.Size]byte]*entry),
-		inflight:   make(map[[sha256.Size]byte]*call),
+		inflight:   make(map[[sha256.Size]byte]flight),
 	}
 	e.lru.prev, e.lru.next = &e.lru, &e.lru
 	return e
@@ -319,9 +324,13 @@ func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, co
 			e.hits.Add(1)
 			return res
 		}
-		c, ok := e.inflight[fp]
+		f, ok := e.inflight[fp]
 		if !ok {
 			break // still holding e.mu: this caller becomes the owner
+		}
+		if f.done == nil {
+			f.done = make(chan struct{})
+			e.inflight[fp] = f
 		}
 		e.mu.Unlock()
 		// Done is asked for only here: a context makes its channel on
@@ -331,22 +340,24 @@ func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, co
 			ctxDone = ctx.Done()
 		}
 		select {
-		case <-c.done:
+		case <-f.done:
 		case <-ctxDone:
 			// The waiter gave up before the owner's result arrived:
 			// it got a Canceled result, not a cache answer.
 			e.canceled.Add(1)
 			return alive.CanceledResult(ctx.Err())
 		}
-		if c.res.Reason() != alive.Canceled {
+		if f.ent.res.Reason() != alive.Canceled {
 			e.hits.Add(1)
-			return c.res
+			return f.ent.res
 		}
 	}
-	c := &call{done: make(chan struct{})}
-	e.inflight[fp] = c
+	// The entry that settle installs holds the singleflight slot until
+	// then: one allocation per miss.
+	c := &entry{fp: fp}
+	e.inflight[fp] = flight{ent: c}
 	e.mu.Unlock()
-	defer e.abandon(fp, c)
+	defer e.abandon(c)
 
 	// Miss in the hot tier: consult the cold tier before the solver.
 	// The singleflight slot is already claimed, so concurrent
@@ -361,7 +372,7 @@ func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, co
 			e.hits.Add(1)
 			e.promotions.Add(1)
 			c.res = res
-			e.settle(fp, c, nil)
+			e.settle(c)
 			return res
 		}
 	}
@@ -376,10 +387,7 @@ func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, co
 
 	if reason == alive.Canceled {
 		e.canceled.Add(1)
-		e.mu.Lock()
-		delete(e.inflight, fp)
-		e.mu.Unlock()
-		close(c.done)
+		e.leave(c)
 		return c.res
 	}
 	e.misses.Add(1)
@@ -388,45 +396,64 @@ func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, co
 	// verdict is durable before — not eventually after — it becomes
 	// evictable. Only a failed write leaves the entry owing one, and
 	// only then does it keep the key.
-	var owed *Key
 	if e.backing != nil {
 		if err := e.backing.Put(k, c.res); err != nil {
 			e.storeErrors.Add(1)
 			kept := k // a copy, so that k itself stays on the caller's stack
-			owed = &kept
+			c.owed = &kept
 		}
 	}
-	e.settle(fp, c, owed)
+	e.settle(c)
 	return c.res
 }
 
-// abandon releases the singleflight slot of a call that never settled
+// abandon releases the singleflight slot of an entry that never settled
 // because backing.Get or compute panicked, and lets the panic go on up:
 // later callers compute the key again, and a waiter woken here reads a
 // Canceled result and goes round, as it does when the owner's caller
-// left, rather than the zero Result, whose verdict is Equivalent.
-func (e *Engine) abandon(fp [sha256.Size]byte, c *call) {
-	select {
-	case <-c.done:
-		return
-	default:
-	}
-	c.res = alive.CanceledResult(nil)
+// left, rather than the zero Result, whose verdict is Equivalent. An
+// entry that settled or left holds the slot no longer: its flight's
+// ent, read under e.mu, says which.
+func (e *Engine) abandon(c *entry) {
 	e.mu.Lock()
-	delete(e.inflight, fp)
+	flying := e.inflight[c.fp].ent == c
 	e.mu.Unlock()
-	close(c.done)
+	if flying {
+		c.res = alive.CanceledResult(nil)
+		e.leave(c)
+	}
+}
+
+// leave releases the singleflight slot of an entry the hot tier does
+// not keep, waking whoever waits for it.
+func (e *Engine) leave(c *entry) {
+	e.mu.Lock()
+	done := e.land(c)
+	e.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+}
+
+// land ends c's flight under e.mu, returning the channel to close once
+// the lock is released, nil when nobody waits.
+func (e *Engine) land(c *entry) chan struct{} {
+	done := e.inflight[c.fp].done
+	delete(e.inflight, c.fp)
+	return done
 }
 
 // settle installs a finished computation into the hot tier, releases
 // the singleflight slot, and performs any demote writes the insertion
 // forced — outside the lock.
-func (e *Engine) settle(fp [sha256.Size]byte, c *call, owed *Key) {
+func (e *Engine) settle(c *entry) {
 	e.mu.Lock()
-	demoted := e.store(fp, c.res, owed)
-	delete(e.inflight, fp)
+	demoted := e.store(c)
+	done := e.land(c)
 	e.mu.Unlock()
-	close(c.done)
+	if done != nil {
+		close(done)
+	}
 	for _, ent := range demoted {
 		if err := e.backing.Put(*ent.owed, ent.res); err != nil {
 			e.storeErrors.Add(1)
@@ -434,27 +461,26 @@ func (e *Engine) settle(fp [sha256.Size]byte, c *call, owed *Key) {
 	}
 }
 
-// store inserts under e.mu as the most recent entry, evicting from the
-// LRU tail as needed. It returns the evicted entries that still owe the
-// backing a write (none without a backing); the caller performs them
-// after releasing the lock. The singleflight slot its caller holds
-// means fp is not resident.
-func (e *Engine) store(fp [sha256.Size]byte, res alive.Result, owed *Key) []*entry {
+// store inserts ent under e.mu as the most recent entry, evicting from
+// the LRU tail as needed. It returns the evicted entries that still owe
+// the backing a write (none without a backing); the caller performs
+// them after releasing the lock. The singleflight slot its caller holds
+// means ent's fingerprint is not resident.
+func (e *Engine) store(ent *entry) []*entry {
 	var demoted []*entry
 	for len(e.entries) >= e.maxEntries {
-		ent := e.lru.prev
-		ent.unlink()
-		delete(e.entries, ent.fp)
+		old := e.lru.prev
+		old.unlink()
+		delete(e.entries, old.fp)
 		e.evictions.Add(1)
 		if e.backing != nil {
 			e.demotions.Add(1)
-			if ent.owed != nil {
-				demoted = append(demoted, ent)
+			if old.owed != nil {
+				demoted = append(demoted, old)
 			}
 		}
 	}
-	ent := &entry{fp: fp, res: res, owed: owed}
-	e.entries[fp] = ent
+	e.entries[ent.fp] = ent
 	e.pushFront(ent)
 	return demoted
 }

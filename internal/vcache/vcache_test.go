@@ -2,6 +2,8 @@ package vcache
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -487,5 +489,32 @@ func TestSolverConflictsAccumulateOnLiveRunsOnly(t *testing.T) {
 	}
 	if got := e.Stats().Counters()["solver_conflicts"]; got != 14 {
 		t.Fatalf("Counters()[solver_conflicts] = %d, want 14", got)
+	}
+}
+
+// TestMissAllocatesOneEntry: a miss with no backing allocates the entry
+// it keeps, which held the singleflight slot while the computation ran,
+// and nothing else: no channel, since nobody waits. The maps are sized
+// beforehand, so that their growth is not counted. It read 3 while the
+// slot was a call of its own with its channel made up front.
+func TestMissAllocatesOneEntry(t *testing.T) {
+	const runs = 100
+	e := New(Config{})
+	e.entries = make(map[[sha256.Size]byte]*entry, runs+1)
+	e.inflight = make(map[[sha256.Size]byte]flight, 1)
+	srcs := make([][]byte, runs+1) // AllocsPerRun's warm-up run and runs more
+	for i := range srcs {
+		srcs[i] = []byte(fmt.Sprintf("define i32 @f%d", i))
+	}
+	dst, i := []byte("t"), 0
+	got := testing.AllocsPerRun(runs, func() {
+		e.Do(bg, srcs[i], dst, alive.DefaultOptions(), equivalent)
+		i++
+	})
+	if s := e.Stats(); s.Misses != runs+1 || s.Entries != runs+1 {
+		t.Fatalf("stats = %+v, want %d misses, each resident", s, runs+1)
+	}
+	if got > 1 {
+		t.Errorf("a miss allocates %.1f, want at most 1 (its entry)", got)
 	}
 }

@@ -47,10 +47,13 @@ import (
 // the slices grew by append). A search copies through one ir.Copier,
 // which makes a copy in the memory of the last one once that is
 // released (a pass that changed nothing, a state already seen): 0 on
-// midFn, into a released copy of midFn. DeadCodeElim allocates
-// nothing: its row prunes copies made outside the count, midFn with the
-// join's phi handed to a parameter, which leaves a dead chain through
-// both arms (13 with the used-set and the dead list).
+// midFn, into a released copy of midFn. A server parses through one
+// ir.Copier per request text in the same way (Copier.Parse, of which
+// ParseFunc is a zero Copier's): 0 on midFn, into a released parse of
+// midFn. DeadCodeElim allocates nothing: its row prunes copies made
+// outside the count, midFn with the join's phi handed to a parameter,
+// which leaves a dead chain through both arms (13 with the used-set and
+// the dead list).
 // One interp.Run, which the benchmark's labeller and every differential
 // test call once per input, is 1, its Outcome: the function is lowered
 // into slabs on Run's stack (4 with them on the heap, 7 with a
@@ -345,9 +348,13 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 	if n := ir.DeadCodeElim(ir.CloneFunc(pruned[0])); n < 8 {
 		t.Fatalf("DeadCodeElim removes %d instructions from the pruned midFn; its ceiling would be close to vacuous", n)
 	}
-	// A search's copier, holding the memory of a first copy of midFn.
-	var copier ir.Copier
+	// A search's copier, holding the memory of a first copy of midFn,
+	// and a server's, holding a first parse of it.
+	var copier, parser ir.Copier
 	copier.Clone(f)
+	if _, err := parser.Parse(midFn); err != nil {
+		t.Fatal(err)
+	}
 	diamond, err := ir.ParseFunc(diamondO0)
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +375,7 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 	}{
 		{"ir.ParseFunc", 11, func() { midFunc(t) }},
 		{"ir.ParseFunc, syntax error", 16, func() { parseGarbled(t) }},
+		{"ir.Copier.Parse, into released memory", 0, func() { parser.Release(); parser.Parse(midFn) }},
 		{"ir.VerifyFunc", 2, func() { _ = ir.VerifyFunc(f) }},
 		{"vcache.KeyOfFunc", 6, func() { vcache.KeyOfFunc(f) }},
 		{"ir.CanonicalKey, renumbered", 1, func() { ir.CanonicalKey(renumbered) }},
