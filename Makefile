@@ -90,7 +90,7 @@ fuzz-smoke:
 
 # lint fails on any vet diagnostic or unformatted file; on Prometheus
 # exposition text written or matched by hand (internal/metrics is the
-# format's one renderer and one parser); and on a second softmax, hash
+# format's one renderer); and on a second softmax, hash
 # embedding or log-softmax gradient (internal/policy/linear.go holds
 # the one of each that both policies, both trainers and sft use); and
 # on a map keyed by an interface (ir.Value, any, interface{}) under
@@ -154,7 +154,7 @@ lint:
 	fi
 	@hits=$$(grep -rnF -e '# HELP' -e '# TYPE' -e '{counter=' --include='*.go' --exclude='*_test.go' --exclude-dir=metrics internal cmd); \
 	if [ -n "$$hits" ]; then \
-		echo "exposition text outside internal/metrics (build a metrics.Family, or look it up on a metrics.Scrape):"; \
+		echo "exposition text outside internal/metrics (build a metrics.Family):"; \
 		echo "$$hits"; \
 		exit 1; \
 	fi

@@ -43,7 +43,7 @@ func splitReplicas(s string) []string {
 // cache are consistent-hashed across the named worker replicas, with
 // failure re-routing and local verification as the last-resort
 // fallback. /healthz reports role=coordinator and /metrics grows the
-// per-replica and fleet-merged sections.
+// coordinator's per-replica section.
 func cmdServe(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8723", "listen address")

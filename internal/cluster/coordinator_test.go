@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -548,43 +547,6 @@ func TestProbeHeals(t *testing.T) {
 	}
 }
 
-// TestMetricsMergesWorkerCounters: the coordinator's metrics section
-// sums worker oracle/vcache counters and queue depth across the
-// fleet and exposes its own per-replica families.
-func TestMetricsMergesWorkerCounters(t *testing.T) {
-	mkWorker := func(queries, depth int) *httptest.Server {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, r *http.Request) {
-			body := "# HELP veriopt_oracle_total x\n" +
-				"# TYPE veriopt_oracle_total counter\n" +
-				"veriopt_oracle_total{counter=\"queries\"} " + strconv.Itoa(queries) + "\n" +
-				"veriopt_vcache_total{counter=\"hits\"} 3\n" +
-				"veriopt_queue_depth " + strconv.Itoa(depth) + "\n"
-			rw.Write([]byte(body))
-		})
-		ts := httptest.NewServer(mux)
-		t.Cleanup(ts.Close)
-		return ts
-	}
-	w0, w1 := mkWorker(5, 2), mkWorker(7, 4)
-	c := mustNew(t, Config{Replicas: []string{w0.URL, w1.URL}})
-	text := c.MetricsText(context.Background())
-	for _, want := range []string{
-		"veriopt_cluster_replicas 2",
-		"veriopt_cluster_replicas_healthy 2",
-		"veriopt_cluster_workers_scraped 2",
-		`veriopt_cluster_oracle_total{counter="queries"} 12`,
-		`veriopt_cluster_vcache_total{counter="hits"} 6`,
-		"veriopt_cluster_workers_queue_depth 6",
-		`veriopt_cluster_requests_total{replica="` + w0.URL + `"} 0`,
-		`veriopt_cluster_replica_up{replica="` + w1.URL + `"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, text)
-		}
-	}
-}
-
 // TestStackComposition: the coordinator composes under the full
 // oracle stack via Config.Remote — a memoized verdict never touches
 // the network, and identical stack queries hit the worker once.
@@ -611,5 +573,19 @@ func TestStackComposition(t *testing.T) {
 	}
 	if baseRuns.Load() != 0 {
 		t.Fatalf("local base ran %d times; remote answers must preempt it", baseRuns.Load())
+	}
+}
+
+// TestNilContextVerifies: a stack over the coordinator answers a nil
+// ctx as it answers context.Background(), the way oracle.Stack.Verify
+// and the local verifier take one; the coordinator must not call a
+// method on the nil ctx after its attempt.
+func TestNilContextVerifies(t *testing.T) {
+	w := newFakeWorker(t)
+	c := mustNew(t, Config{Replicas: []string{w.ts.URL}})
+	src, _ := parsePair(t)
+	res := oracle.NewStack(oracle.Config{Remote: c}).Verify(nil, src, src, alive.DefaultOptions())
+	if res.Verdict != alive.Equivalent || w.hits.Load() != 1 {
+		t.Fatalf("result = %+v, worker hits = %d; want equivalent from the worker", res, w.hits.Load())
 	}
 }

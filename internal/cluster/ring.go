@@ -19,9 +19,9 @@
 //     deadline, retry-with-backoff re-routing on replica failure, and
 //     /healthz probing that heals the ring. Identical queries in
 //     flight are coalesced above it, by the stack's verdict cache.
-//   - MetricsText: the coordinator's /metrics section — per-replica
-//     request/error/retry counters plus a merged scrape of the worker
-//     fleet's oracle/vcache/vstore counters.
+//   - MetricsText: the coordinator's /metrics section — ring and
+//     health gauges and per-replica request/error/retry counters, read
+//     off the coordinator's own state.
 //
 // The coordinator enters the oracle stack as oracle.Config.Remote,
 // inside the local verdict cache and in front of the local base, so

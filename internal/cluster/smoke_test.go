@@ -14,6 +14,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,7 +58,8 @@ func TestMain(m *testing.M) {
 //  2. Fault tolerance: SIGKILL one of two replicas mid-stream — every
 //     accepted request still answers 200 with the right verdict —
 //     then restart it on the same port and watch the coordinator's
-//     health probes heal the ring.
+//     health probes heal the ring; after a batch through the healed
+//     coordinator, each worker's own /metrics counts oracle queries.
 //
 // What each phase measured is logged (go test -v), not checked in:
 // these are injected-latency plumbing numbers, not a speed claim.
@@ -170,9 +172,19 @@ func TestClusterSmoke(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	metrics := scrape(t, coord.url)
-	if !strings.Contains(metrics, "veriopt_cluster_oracle_total") {
-		t.Error("coordinator /metrics is missing the merged worker scrape")
+	// The fleet does the verifying: after a batch through the healed
+	// coordinator, each live worker's own /metrics counts queries.
+	for q := 0; q < 32; q++ {
+		if err := postVerify(coord.url, 80000+q); err != nil {
+			t.Fatalf("query %d after the heal: %v", q, err)
+		}
+	}
+	for i, w := range kw {
+		n := oracleQueries(t, w.url)
+		t.Logf("worker %d oracle queries=%d", i, n)
+		if n == 0 {
+			t.Errorf("worker %d (%s) counts no oracle queries", i, w.url)
+		}
 	}
 	coord.stop()
 	kw[0].stop()
@@ -299,6 +311,23 @@ func fireWindow(t *testing.T, baseURL string, window time.Duration, concurrency,
 	wg.Wait()
 	p50, p99 := quantiles(lats)
 	return len(lats), p50, p99
+}
+
+// oracleQueries reads veriopt_oracle_total{counter="queries"} off the
+// /metrics of the server at baseURL; 0 when the sample is absent.
+func oracleQueries(t *testing.T, baseURL string) uint64 {
+	t.Helper()
+	const prefix = `veriopt_oracle_total{counter="queries"} `
+	for _, line := range strings.Split(scrape(t, baseURL), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s/metrics: %q: %v", baseURL, line, err)
+			}
+			return n
+		}
+	}
+	return 0
 }
 
 func scrape(t *testing.T, baseURL string) string {

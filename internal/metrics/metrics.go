@@ -1,16 +1,13 @@
 // Package metrics is the one place that knows the Prometheus text
 // exposition format (0.0.4): producers build Family values at their
-// sources and Write renders them; consumers Parse a scraped body and
-// look samples up on the Scrape. It hides the text format and nothing
+// sources and Write renders them. It hides the text format and nothing
 // else: no registry, no global state.
 package metrics
 
 import (
-	"bufio"
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Value is a sample value: an integer, rendered as %d, or a float,
@@ -52,8 +49,7 @@ func Scalar(name, help, typ string, v Value) Family {
 
 // Counters is a counter family with one {counter="name"} sample per
 // map entry, in sorted name order — the shape every Counters() map in
-// the tree is exported in; Scrape.Labeled(name, "counter") reads it
-// back.
+// the tree is exported in.
 func Counters(name, help string, counters map[string]uint64) Family {
 	f := Family{Name: name, Help: help, Type: "counter"}
 	for n, v := range counters {
@@ -90,66 +86,4 @@ func Write(w io.Writer, fams []Family) error {
 	}
 	_, err := w.Write(b)
 	return err
-}
-
-// Scrape is a parsed exposition: sample name with its label block, as
-// written, → value.
-type Scrape map[string]Value
-
-// Parse reads an exposition. Comments, blank lines and lines that are
-// not "name[{labels}] value [timestamp]" with a numeric value are
-// skipped, so it survives families it does not know and bodies it did
-// not write; of duplicate samples the last wins. An integer token is
-// an integer value, anything else strconv.ParseFloat accepts (NaN
-// too) a float. The error is the reader's — a line over 1 MiB is
-// bufio.ErrTooLong — and what was read before it comes back with it.
-func Parse(r io.Reader) (Scrape, error) {
-	s := Scrape{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '{' {
-			continue
-		}
-		// The name runs through the label block's '}' (a quoted label
-		// value may hold spaces; nothing after the block holds a
-		// brace), or to the first space when there is no block — or to
-		// the '{' of an unclosed one, which then is no numeric value.
-		end := strings.LastIndexByte(line, '}') + 1
-		if end == 0 {
-			end = max(strings.IndexAny(line, " \t{"), 0)
-		}
-		fields := strings.Fields(line[end:])
-		if end == 0 || len(fields) == 0 {
-			continue
-		}
-		if n, err := strconv.ParseUint(fields[0], 10, 64); err == nil {
-			s[line[:end]] = Int(n)
-		} else if f, err := strconv.ParseFloat(fields[0], 64); err == nil {
-			s[line[:end]] = Float(f)
-		}
-	}
-	return s, sc.Err()
-}
-
-// Uint returns the unlabeled integer sample called name; 0 when it
-// is absent or not an integer.
-func (s Scrape) Uint(name string) uint64 { return s[name].n }
-
-// Labeled returns every integer sample of family that carries exactly
-// the one label, keyed by the label's value: family{label="k"} n is
-// k → n. Consumers of counters skip what is not a count.
-func (s Scrape) Labeled(family, label string) map[string]uint64 {
-	out := make(map[string]uint64)
-	for name, v := range s {
-		rest, ok := strings.CutPrefix(name, family+"{"+label+"=")
-		if !ok || v.isFloat {
-			continue
-		}
-		if k, err := strconv.Unquote(strings.TrimSuffix(rest, "}")); err == nil {
-			out[k] = v.n
-		}
-	}
-	return out
 }

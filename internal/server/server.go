@@ -121,8 +121,8 @@ type Config struct {
 	Role string
 	// ExtraMetrics, when non-nil, appends additional Prometheus
 	// exposition text to /metrics — the coordinator wires its
-	// replica-aware cluster section through here. The context bounds
-	// any scraping the callback performs.
+	// replica-aware cluster section through here. The context is the
+	// scrape request's.
 	ExtraMetrics func(ctx context.Context) string
 }
 
@@ -294,8 +294,9 @@ func (s *Server) corpus(seed int64, n int) ([]*dataset.Sample, error) {
 	}
 	s.corpusMu.Unlock()
 	// Generation is expensive; run it outside the lock. Two racing
-	// requests for the same key both generate, the second store wins —
-	// the corpora are identical by construction.
+	// requests for the same key both generate; the first to store wins
+	// and the other returns the stored corpus — they are identical by
+	// construction.
 	c, err := dataset.Generate(dataset.Config{Seed: seed, N: n})
 	if err != nil {
 		return nil, err
