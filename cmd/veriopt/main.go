@@ -178,12 +178,15 @@ func buildContext(ctx context.Context, rec *obs.Recorder, o oracle.Oracle, n int
 }
 
 // reportVerifierStats prints the counters of the stack the command
-// built (per-verdict query distribution plus cache hits and solver wall
-// time) to stderr. An attached verdict store reports itself once, in
-// closeStore.
+// built (per-verdict query distribution and answer wall time, then
+// cache hits and solver wall time) to stderr. An attached verdict store
+// reports itself once, in closeStore.
 func reportVerifierStats(o *oracle.Stack) {
-	ostats, cstats := o.OracleStats()
-	fmt.Fprintf(os.Stderr, "[%s]\n[%s]\n", ostats, cstats)
+	ostats, s := o.OracleStats()
+	fmt.Fprintf(os.Stderr, "[oracle: %d queries (%d equivalent, %d semantic, %d syntax, %d inconclusive, %d canceled), %v wall]\n[%s]\n",
+		s.Queries, s.ByVerdict[alive.Equivalent], s.ByVerdict[alive.SemanticError],
+		s.ByVerdict[alive.SyntaxError], s.ByVerdict[alive.Inconclusive],
+		s.Canceled, ostats.Wall.Round(time.Millisecond), s)
 }
 
 func cmdExperiments(ctx context.Context, args []string) error {

@@ -172,14 +172,10 @@ func (c *Coordinator) healthyCount() int {
 // draining 503 is alive) demotes it, and the next replica is tried
 // after a backoff. A slow replica is waited on for as long as the
 // caller's deadline allows; a caller whose context ends gets a canceled
-// result, which is no replica's failure. A nil ctx is
-// context.Background(), as oracle.Stack.Verify allows one. A non-nil
-// error means the whole fleet failed the query and the caller
-// (oracle.Stack.Verify) should fall back to local verification.
+// result, which is no replica's failure. A non-nil error means the
+// whole fleet failed the query and the caller (oracle.Stack.Verify)
+// should fall back to local verification.
 func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, opts alive.Options) (alive.Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Print each function once: the text is the wire body, its fingerprint the key.
 	srcText, tgtText := ir.CanonicalText(src), ir.CanonicalText(tgt)
 	key := vcache.Key{

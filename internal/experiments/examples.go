@@ -105,7 +105,8 @@ done:
 }
 
 // fig8to12 runs the curated inputs through Model-Latency and
-// instcombine side by side, verifying every model output.
+// instcombine side by side, verifying every model output that passes
+// alive.Candidate's gate through the context's oracle.
 func fig8to12(c *Context) (*Outcome, error) {
 	res, err := c.Pipeline()
 	if err != nil {
@@ -124,17 +125,20 @@ func fig8to12(c *Context) (*Outcome, error) {
 		fmt.Fprintf(&sb, "=== %s: %s\n", ex.fig, ex.desc)
 		fmt.Fprintf(&sb, "--- input (-O0), latency %d:\n%s", costmodel.Latency(f), ir.CanonicalText(f))
 		fmt.Fprintf(&sb, "--- instcombine, latency %d:\n%s", costmodel.Latency(ref), ir.CanonicalText(ref))
-		out, perr := ir.ParseFunc(ep.FinalText)
-		if perr != nil {
-			fmt.Fprintf(&sb, "--- LLM-VeriOpt: (output did not parse: %v)\n%s\n", perr, ep.FinalText)
+		out, v := alive.Candidate(ir.ParseFunc(ep.FinalText))
+		if out == nil {
+			fmt.Fprintf(&sb, "--- LLM-VeriOpt, verifier: %s (%s)\n%s\n", v.Verdict, v.Diag, ep.FinalText)
 			continue
 		}
-		v := alive.VerifyFuncs(f, out, alive.DefaultOptions())
+		v = c.oracle.Verify(c.context(), f, out, alive.DefaultOptions())
 		fmt.Fprintf(&sb, "--- LLM-VeriOpt, latency %d, verifier: %s\n%s\n",
 			costmodel.Latency(out), v.Verdict, ir.CanonicalText(out))
 		if v.Verdict == alive.Equivalent {
 			verified++
 		}
+	}
+	if err := c.context().Err(); err != nil {
+		return nil, err
 	}
 	nums["curated_total"] = float64(len(curated))
 	nums["curated_verified"] = float64(verified)

@@ -63,8 +63,8 @@ func TestStepDeterministicAcrossWorkers(t *testing.T) {
 func TestTrainerCacheGetsHits(t *testing.T) {
 	samples := corpus(t, 8)
 	tr := trainSteps(t, samples, 4, 2)
-	os, cs := tr.oracle.(oracle.StatsSource).OracleStats()
-	if os.Queries == 0 {
+	_, cs := tr.oracle.(oracle.StatsSource).OracleStats()
+	if cs.Queries == 0 {
 		t.Fatal("no verification queries recorded")
 	}
 	if cs.Hits == 0 {

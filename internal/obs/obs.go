@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"veriopt/internal/alive"
-	"veriopt/internal/oracle"
 	"veriopt/internal/vcache"
 )
 
@@ -166,44 +165,25 @@ func ClusterEvent(kind, replica string, healthy, total int, note string) Event {
 	}
 }
 
-// verdictCounts converts an oracle stats snapshot into the event
-// verdict map, under the alive.Verdict names.
-func verdictCounts(s oracle.Stats) map[string]uint64 {
-	out := make(map[string]uint64, len(s.ByVerdict))
-	any := false
-	for i, n := range s.ByVerdict {
-		out[alive.Verdict(i).String()] = n
-		if n > 0 {
-			any = true
+// Delta returns a cache engine's counters over an interval as an
+// event's two sections: the answers per verdict category, under the
+// alive.Verdict names (nil when none was answered), and the cache's
+// hits, misses, evictions and canceled queries (nil when none landed).
+func Delta(before, after vcache.Stats) (verdicts map[string]uint64, cache *CacheStats) {
+	if after.ByVerdict != before.ByVerdict {
+		verdicts = make(map[string]uint64, len(after.ByVerdict))
+		for i, n := range after.ByVerdict {
+			verdicts[alive.Verdict(i).String()] = n - before.ByVerdict[i]
 		}
 	}
-	if !any {
-		return nil
-	}
-	return out
-}
-
-// DeltaVerdicts returns after-before per category (nil when nothing
-// happened in the interval).
-func DeltaVerdicts(before, after oracle.Stats) map[string]uint64 {
-	d := after
-	for i := range d.ByVerdict {
-		d.ByVerdict[i] -= before.ByVerdict[i]
-	}
-	return verdictCounts(d)
-}
-
-// DeltaCache returns the cache-engine delta over an interval (nil
-// when no queries landed).
-func DeltaCache(before, after vcache.Stats) *CacheStats {
-	c := &CacheStats{
+	c := CacheStats{
 		Hits:      after.Hits - before.Hits,
 		Misses:    after.Misses - before.Misses,
 		Evictions: after.Evictions - before.Evictions,
 		Canceled:  after.Canceled - before.Canceled,
 	}
-	if c.Hits == 0 && c.Misses == 0 && c.Evictions == 0 && c.Canceled == 0 {
-		return nil
+	if c == (CacheStats{}) {
+		return verdicts, nil
 	}
-	return c
+	return verdicts, &c
 }

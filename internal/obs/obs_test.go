@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"veriopt/internal/oracle"
 	"veriopt/internal/vcache"
 )
 
@@ -77,24 +76,18 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestDeltas(t *testing.T) {
-	var a, b oracle.Stats
+	var a, b vcache.Stats
 	b.ByVerdict[0] = 5
 	a.ByVerdict[0] = 2
-	d := DeltaVerdicts(a, b)
-	if d["equivalent"] != 3 {
+	if d, _ := Delta(a, b); d["equivalent"] != 3 || len(d) != 4 {
 		t.Fatalf("verdict delta = %v", d)
 	}
-	if DeltaVerdicts(b, b) != nil {
-		t.Fatal("zero verdict delta must be nil")
-	}
-	cb := vcache.Stats{Hits: 10, Misses: 4}
-	ca := vcache.Stats{Hits: 7, Misses: 4}
-	c := DeltaCache(ca, cb)
-	if c == nil || c.Hits != 3 || c.Misses != 0 {
+	b.Hits, a.Hits, b.Misses, a.Misses = 10, 7, 4, 4
+	if _, c := Delta(a, b); c == nil || c.Hits != 3 || c.Misses != 0 {
 		t.Fatalf("cache delta = %+v", c)
 	}
-	if DeltaCache(cb, cb) != nil {
-		t.Fatal("zero cache delta must be nil")
+	if d, c := Delta(b, b); d != nil || c != nil {
+		t.Fatalf("a zero delta must be nil: %v, %+v", d, c)
 	}
 }
 

@@ -8,16 +8,17 @@
 //	(*Stack).Verify(ctx, src, tgt, opts) alive.Result   // ask
 //	Accept(ctx, o, model, in, cand, opts)               // accept
 //
-// Verify is one method: count the query, print both functions' keys
-// on its stack, and let the verdict cache's engine answer it — from
-// the hot tier, from an identical query in flight, from the durable
-// backing, or by computing.
+// Verify is one method: print both functions' keys on its stack, let
+// the verdict cache's engine answer the query — from the hot tier, from
+// an identical query in flight, from the durable backing, or by
+// computing — and time the answer. A nil ctx is decided here, once, as
+// context.Background(): nothing under Verify sees one.
 // Computing means the remote replica set when one is configured (a
 // coordinator), and the base verifier otherwise or when the whole fleet
-// failed under a context that is still live. The counters sit outside
-// the cache so they see every query, hits included; the remote sits
-// inside it so a memoized verdict never pays a network hop and a remote
-// verdict is memoized like a local one.
+// failed under a context that is still live. The engine counts every
+// answer, hits included, by verdict and by reason (vcache.Stats); the
+// remote sits inside it so a memoized verdict never pays a network hop
+// and a remote verdict is memoized like a local one.
 //
 // There is no process-wide stack. NewStack is called at the program's
 // edge (cmd/, bench/, tests) and the stack is handed down: every
@@ -33,6 +34,7 @@ package oracle
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"veriopt/internal/alive"
@@ -70,14 +72,13 @@ func Base() Oracle {
 // hashes each query's fingerprint across worker replicas. Unlike
 // Oracle, a Remote can fail to answer at all (every replica down or
 // shedding); the error return carries that, and Stack.Verify then
-// verifies locally.
+// verifies locally. Stack.Verify never hands it a nil ctx.
 type Remote interface {
 	VerifyRemote(ctx context.Context, src, tgt *ir.Function, opts alive.Options) (alive.Result, error)
 }
 
 // Config assembles a Stack. The zero value builds the default
-// production shape: counters over a default-sized cache over the base
-// verifier.
+// production shape: a default-sized cache over the base verifier.
 type Config struct {
 	// CacheEntries bounds the verdict cache's hot tier (<= 0 selects
 	// vcache's default, 1<<17).
@@ -99,14 +100,14 @@ type Config struct {
 	Base Oracle
 }
 
-// Stack is the oracle every product path asks, plus handles to its
-// introspectable parts: the verdict cache's engine and the per-verdict
-// counters.
+// Stack is the oracle every product path asks, plus a handle to its
+// introspectable part, the verdict cache's engine, which counts every
+// answer.
 type Stack struct {
 	// Engine is the verdict cache: hot tier, singleflight and backing.
 	Engine *vcache.Engine
-	// stats counts every query, cache hits included.
-	stats *statsCollector
+	// wallNanos is the time spent answering, summed across callers.
+	wallNanos atomic.Int64
 
 	base   Oracle
 	remote Remote
@@ -119,7 +120,9 @@ type Stack struct {
 // A query whose own context ends during the remote attempt is returned
 // Canceled, never retried locally — the caller is gone either way.
 func (s *Stack) Verify(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-	s.stats.queries.Add(1)
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	t0 := time.Now()
 	// vcache.KeyOfFunc's bytes, printed into arrays the size of the
 	// printer's own: a hot-tier hit makes no string.
@@ -130,19 +133,27 @@ func (s *Stack) Verify(ctx context.Context, src, tgt *ir.Function, opts alive.Op
 			if err == nil {
 				return res
 			}
-			if ctx != nil && ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return alive.CanceledResult(ctx.Err())
 			}
 		}
 		return s.base.Verify(ctx, src, tgt, opts)
 	})
-	s.stats.count(res, time.Since(t0))
+	s.wallNanos.Add(int64(time.Since(t0)))
 	return res
+}
+
+// Stats is what only the stack measures; the engine's vcache.Stats
+// counts the queries and their answers.
+type Stats struct {
+	// Wall is cumulative time spent answering, summed across
+	// workers.
+	Wall time.Duration
 }
 
 // OracleStats implements StatsSource.
 func (s *Stack) OracleStats() (Stats, vcache.Stats) {
-	return s.stats.snapshot(), s.Engine.Stats()
+	return Stats{Wall: time.Duration(s.wallNanos.Load())}, s.Engine.Stats()
 }
 
 // VStore implements StoreSource: the verdict store under the cache, or
@@ -169,7 +180,6 @@ type StatsSource interface {
 func NewStack(cfg Config) *Stack {
 	s := &Stack{
 		Engine: vcache.New(vcache.Config{MaxEntries: cfg.CacheEntries, Backing: cfg.Backing}),
-		stats:  &statsCollector{},
 		base:   cfg.Base,
 		remote: cfg.Remote,
 	}

@@ -92,10 +92,9 @@ func (r *Result) Latest() (string, *policy.Model) {
 func traceStage(rec *obs.Recorder, o oracle.Oracle, name string, body func() (steps int, rewards []float64, err error)) error {
 	t0 := time.Now()
 	src, _ := o.(oracle.StatsSource)
-	var os0 oracle.Stats
 	var cs0 vcache.Stats
 	if src != nil {
-		os0, cs0 = src.OracleStats()
+		_, cs0 = src.OracleStats()
 	}
 	rec.Emit(obs.Event{Kind: "stage_start", Stage: name})
 	steps, rewards, err := body()
@@ -110,9 +109,8 @@ func traceStage(rec *obs.Recorder, o oracle.Oracle, name string, body func() (st
 		ev.Note = "canceled"
 	}
 	if src != nil {
-		os1, cs1 := src.OracleStats()
-		ev.Verdicts = obs.DeltaVerdicts(os0, os1)
-		ev.Cache = obs.DeltaCache(cs0, cs1)
+		_, cs1 := src.OracleStats()
+		ev.Verdicts, ev.Cache = obs.Delta(cs0, cs1)
 	}
 	rec.Emit(ev)
 	return err

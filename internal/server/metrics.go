@@ -22,12 +22,12 @@ import (
 // on exit.
 type metricsRegistry struct {
 	mu sync.Mutex
-	// requests counts completed requests per (endpoint, status code).
+	// requests counts completed requests per (endpoint, status code);
+	// an endpoint's request count is their sum over codes.
 	requests map[reqKey]uint64
-	// latSum/latCount accumulate end-to-end request seconds per
-	// endpoint (queue wait included).
-	latSum   map[string]float64
-	latCount map[string]uint64
+	// latSum accumulates end-to-end request seconds per endpoint
+	// (queue wait included).
+	latSum map[string]float64
 
 	shed atomic.Uint64
 	// panics counts handler panics Server.call recovered;
@@ -45,7 +45,6 @@ func newMetricsRegistry() *metricsRegistry {
 	return &metricsRegistry{
 		requests: make(map[reqKey]uint64),
 		latSum:   make(map[string]float64),
-		latCount: make(map[string]uint64),
 	}
 }
 
@@ -54,15 +53,14 @@ func (m *metricsRegistry) observe(endpoint string, code int, wall time.Duration)
 	defer m.mu.Unlock()
 	m.requests[reqKey{endpoint, code}]++
 	m.latSum[endpoint] += wall.Seconds()
-	m.latCount[endpoint]++
 }
 
 // snapshot copies the counters out under the lock so rendering (string
 // formatting, sorting, writing) never blocks request accounting.
-func (m *metricsRegistry) snapshot() (requests map[reqKey]uint64, latSum map[string]float64, latCount map[string]uint64) {
+func (m *metricsRegistry) snapshot() (requests map[reqKey]uint64, latSum map[string]float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return maps.Clone(m.requests), maps.Clone(m.latSum), maps.Clone(m.latCount)
+	return maps.Clone(m.requests), maps.Clone(m.latSum)
 }
 
 // instrumented endpoints, the bounded label set for request metrics;
@@ -115,7 +113,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // internal/metrics owns the text format; Config.ExtraMetrics is
 // appended verbatim.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	requests, latSum, latCount := s.metrics.snapshot()
+	requests, latSum := s.metrics.snapshot()
 
 	keys := make([]reqKey, 0, len(requests))
 	for k := range requests {
@@ -129,12 +127,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 	reqs := metrics.Family{Name: "veriopt_requests_total", Type: "counter",
 		Help: "Completed HTTP requests by endpoint and status code."}
+	latCount := make(map[string]uint64, len(latSum))
 	for _, k := range keys {
 		reqs.Samples = append(reqs.Samples, metrics.Sample{Value: metrics.Int(requests[k]),
 			Labels: []metrics.Label{{"endpoint", k.endpoint}, {"code", strconv.Itoa(k.code)}}})
+		latCount[k.endpoint] += requests[k]
 	}
-	eps := make([]string, 0, len(latCount))
-	for ep := range latCount {
+	eps := make([]string, 0, len(latSum))
+	for ep := range latSum {
 		eps = append(eps, ep)
 	}
 	sort.Strings(eps)
@@ -156,7 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if src, ok := s.oracle.(oracle.StatsSource); ok {
 		ostats, cstats := src.OracleStats()
 		fams = append(fams,
-			metrics.Counters("veriopt_oracle_total", "Oracle-stack query counters by category (verdict names, queries, canceled).", ostats.Counters()),
+			metrics.Counters("veriopt_oracle_total", "Oracle-stack query counters by category (verdict names, queries, canceled).", cstats.Verdicts()),
 			metrics.Scalar("veriopt_oracle_wall_seconds_total", "Cumulative verification wall time, summed across workers.", "counter", metrics.Float(ostats.Wall.Seconds())),
 			metrics.Counters("veriopt_vcache_total", "Verdict-cache counters (queries, hits, misses, evictions, promotions, demotions, store_errors, budget_exhausted, solver_conflicts, canceled).", cstats.Counters()),
 			metrics.Scalar("veriopt_vcache_hit_rate", "Hits over queries since process start.", "gauge", metrics.Float(cstats.HitRate())),

@@ -30,10 +30,13 @@
 // failed; only such an entry keeps its full key). With no backing the
 // engine is exactly the bounded in-memory cache it always was.
 //
+// The engine sees every query, hits included, so it is where the
+// queries are counted: Stats counts each answer Do returns by verdict
+// and by reason, beside the cache's own hits, misses and tier traffic.
 // vcache is deliberately only a cache: it never invokes the verifier
 // itself (the compute callback passed to Do does) and it owns no
 // scheduling — the worker pool lives in internal/par, and the
-// composition of cache, shard, and stats lives in internal/oracle.
+// composition of cache and shard lives in internal/oracle.
 package vcache
 
 import (
@@ -128,6 +131,13 @@ const defaultMaxEntries = 1 << 17
 type Stats struct {
 	// Queries counts all verification requests.
 	Queries uint64
+	// ByVerdict counts the answers Do returned per verdict category,
+	// indexed by alive.Verdict: hits, misses and canceled queries alike.
+	ByVerdict [4]uint64
+	// ByReason counts the same answers per alive.Reason, indexed by it
+	// (the NoReason slot counts the verdicts that are not
+	// Inconclusive).
+	ByReason [6]uint64
 	// Hits counts requests answered without running the solver: from
 	// the hot tier, from an identical in-flight query, or from the
 	// backing (those are additionally counted under Promotions).
@@ -140,8 +150,8 @@ type Stats struct {
 	// into the hot tier (a subset of Hits).
 	Promotions uint64
 	// Demotions counts evictions into the backing: the verdict was
-	// written through, came from the backing, or is written now. It
-	// equals Evictions whenever a backing exists, and is 0 otherwise.
+	// written through, came from the backing, or is written now. It is
+	// Evictions whenever a backing exists, and 0 otherwise.
 	Demotions uint64
 	// StoreErrors counts failed backing reads and writes. The query is
 	// still answered (by the solver, or from memory); the error only
@@ -154,12 +164,12 @@ type Stats struct {
 	// (non-cached) compute runs: the SAT effort actually spent, as
 	// opposed to effort saved by the cache.
 	SolverConflicts uint64
-	// Canceled counts queries that ended canceled: compute runs whose
-	// context expired mid-solve (result returned but not stored),
-	// dedup waiters whose own context expired before the owner's
-	// result arrived, and queries whose context was already done at
-	// entry. None of these are Hits or Misses — a canceled query was
-	// never answered.
+	// Canceled counts queries that ended canceled, ByReason's Canceled
+	// slot: compute runs whose context expired mid-solve (result
+	// returned but not stored), dedup waiters whose own context expired
+	// before the owner's result arrived, and queries whose context was
+	// already done at entry. None of these are Hits or Misses — a
+	// canceled query was never answered.
 	Canceled uint64
 	// Entries is the current hot-tier population.
 	Entries int
@@ -194,6 +204,20 @@ func (s Stats) Counters() map[string]uint64 {
 		"solver_conflicts": s.SolverConflicts,
 		"canceled":         s.Canceled,
 	}
+}
+
+// Verdicts returns the answers' counts under stable snake_case names
+// ("queries", the alive.Verdict names and the alive.Reason ones) for
+// the serving layer's veriopt_oracle_total family.
+func (s Stats) Verdicts() map[string]uint64 {
+	out := map[string]uint64{"queries": s.Queries}
+	for i, n := range s.ByVerdict {
+		out[alive.Verdict(i).String()] = n
+	}
+	for r := alive.NoReason + 1; int(r) < len(s.ByReason); r++ {
+		out[r.String()] = s.ByReason[r]
+	}
+	return out
 }
 
 // String renders the snapshot for logs and EXPERIMENTS.md.
@@ -254,15 +278,15 @@ type Engine struct {
 	inflight map[[sha256.Size]byte]flight
 
 	queries         atomic.Uint64
+	byVerdict       [4]atomic.Uint64
+	byReason        [6]atomic.Uint64
 	hits            atomic.Uint64
 	misses          atomic.Uint64
 	evictions       atomic.Uint64
 	promotions      atomic.Uint64
-	demotions       atomic.Uint64
 	storeErrors     atomic.Uint64
 	budgetExhausted atomic.Uint64
 	solverConflicts atomic.Uint64
-	canceled        atomic.Uint64
 	wallNanos       atomic.Int64
 }
 
@@ -289,7 +313,9 @@ func KeyOfFunc(f *ir.Function) string { return ir.CanonicalKey(f) }
 // src and dst (KeyOfFunc's bytes) and the options opts, running compute
 // on a miss. Do only reads src and dst, and not after it returns: it
 // fingerprints them, and spells out the Key only on a hot-tier miss
-// with a Backing, once, for the backing's Get and Put alike.
+// with a Backing, once, for the backing's Get and Put alike. ctx is
+// never nil (oracle.Stack.Verify, the one production caller, decides a
+// nil one).
 // Identical in-flight keys are deduplicated: duplicate callers block
 // on the first caller's compute, or return a Canceled result as soon
 // as their own ctx ends. Canceled results (ctx ended mid-compute) are
@@ -301,19 +327,27 @@ func KeyOfFunc(f *ir.Function) string { return ir.CanonicalKey(f) }
 // backing hit counts as a Hit (and a Promotion) — the solver never
 // ran. A query that ends Canceled — its ctx done at entry, while it
 // waited, or mid-compute — counts as Canceled, not as a Hit or a Miss:
-// it was never answered.
+// it was never answered. Every result Do returns, however it was
+// reached, is counted once under its verdict and its reason.
 func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, compute func() alive.Result) alive.Result {
 	e.queries.Add(1)
+	res := e.answer(ctx, src, dst, opts, compute)
+	if res.Verdict >= 0 && int(res.Verdict) < len(e.byVerdict) {
+		e.byVerdict[res.Verdict].Add(1)
+	}
+	e.byReason[res.Reason()].Add(1)
+	return res
+}
+
+// answer is Do's lookup, which Do counts.
+func (e *Engine) answer(ctx context.Context, src, dst []byte, opts alive.Options, compute func() alive.Result) alive.Result {
 	fp := fingerprint(src, dst, opts)
 	for {
 		// A context that is already done cannot be answered: skip the
 		// cache and the solver alike and return promptly, counted under
 		// Canceled so the hit rate only reflects answered queries.
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				e.canceled.Add(1)
-				return alive.CanceledResult(err)
-			}
+		if err := ctx.Err(); err != nil {
+			return alive.CanceledResult(err)
 		}
 		e.mu.Lock()
 		if ent, ok := e.entries[fp]; ok {
@@ -335,16 +369,11 @@ func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, co
 		e.mu.Unlock()
 		// Done is asked for only here: a context makes its channel on
 		// the first call, and most queries never wait.
-		var ctxDone <-chan struct{} // nil, and so never ready, without a ctx
-		if ctx != nil {
-			ctxDone = ctx.Done()
-		}
 		select {
 		case <-f.done:
-		case <-ctxDone:
+		case <-ctx.Done():
 			// The waiter gave up before the owner's result arrived:
 			// it got a Canceled result, not a cache answer.
-			e.canceled.Add(1)
 			return alive.CanceledResult(ctx.Err())
 		}
 		if f.ent.res.Reason() != alive.Canceled {
@@ -386,7 +415,6 @@ func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, co
 	}
 
 	if reason == alive.Canceled {
-		e.canceled.Add(1)
 		e.leave(c)
 		return c.res
 	}
@@ -473,11 +501,8 @@ func (e *Engine) store(ent *entry) []*entry {
 		old.unlink()
 		delete(e.entries, old.fp)
 		e.evictions.Add(1)
-		if e.backing != nil {
-			e.demotions.Add(1)
-			if old.owed != nil {
-				demoted = append(demoted, old)
-			}
+		if old.owed != nil {
+			demoted = append(demoted, old)
 		}
 	}
 	e.entries[ent.fp] = ent
@@ -490,18 +515,27 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	n := len(e.entries)
 	e.mu.Unlock()
-	return Stats{
+	s := Stats{
 		Queries:         e.queries.Load(),
 		Hits:            e.hits.Load(),
 		Misses:          e.misses.Load(),
 		Evictions:       e.evictions.Load(),
 		Promotions:      e.promotions.Load(),
-		Demotions:       e.demotions.Load(),
 		StoreErrors:     e.storeErrors.Load(),
 		BudgetExhausted: e.budgetExhausted.Load(),
 		SolverConflicts: e.solverConflicts.Load(),
-		Canceled:        e.canceled.Load(),
 		Entries:         n,
 		WallTime:        time.Duration(e.wallNanos.Load()),
 	}
+	for i := range s.ByVerdict {
+		s.ByVerdict[i] = e.byVerdict[i].Load()
+	}
+	for i := range s.ByReason {
+		s.ByReason[i] = e.byReason[i].Load()
+	}
+	s.Canceled = s.ByReason[alive.Canceled]
+	if e.backing != nil {
+		s.Demotions = s.Evictions
+	}
+	return s
 }

@@ -518,3 +518,107 @@ func TestMissAllocatesOneEntry(t *testing.T) {
 		t.Errorf("a miss allocates %.1f, want at most 1 (its entry)", got)
 	}
 }
+
+// TestEveryAnswerIsCounted drives a scripted mix through every return
+// of Do and requires each answer counted once, by verdict and by
+// reason: ΣByVerdict = ΣByReason = Queries, and Canceled is ByReason's
+// Canceled slot.
+func TestEveryAnswerIsCounted(t *testing.T) {
+	backing := newMemBacking()
+	e := New(Config{Backing: backing})
+	syntax := alive.Result{Verdict: alive.SyntaxError, Diag: "ERROR: couldn't parse transformed IR: x"}
+	unsupported := alive.Result{Verdict: alive.Inconclusive, Diag: "ERROR: unsupported construct"}
+	canceled := alive.CanceledResult(nil)
+	check := func(what string, got, want alive.Result) {
+		t.Helper()
+		if got.Verdict != want.Verdict || got.Reason() != want.Reason() {
+			t.Fatalf("%s: %+v, want %+v", what, got, want)
+		}
+	}
+	// until waits for k's flight to satisfy ok.
+	until := func(k Key, ok func(f flight, flying bool) bool) {
+		fp := k.Fingerprint()
+		for {
+			e.mu.Lock()
+			f, flying := e.inflight[fp]
+			e.mu.Unlock()
+			if ok(f, flying) {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// start has a caller compute k's verdict res once release closes,
+	// and returns once it holds k's slot.
+	start := func(k Key, res alive.Result) (release chan struct{}, answer chan alive.Result) {
+		release, answer = make(chan struct{}), make(chan alive.Result, 1)
+		go func() { answer <- e.doKey(bg, k, func() alive.Result { <-release; return res }) }()
+		until(k, func(_ flight, flying bool) bool { return flying })
+		return release, answer
+	}
+	// join asks for k under ctx and returns once it waits on k's owner.
+	join := func(ctx context.Context, k Key) chan alive.Result {
+		answer := make(chan alive.Result, 1)
+		go func() { answer <- e.doKey(ctx, k, equivalent) }()
+		until(k, func(f flight, _ bool) bool { return f.done != nil })
+		return answer
+	}
+
+	// A computed miss, then a hot-tier hit.
+	check("miss", e.doKey(bg, keyN(0), equivalent), equivalent())
+	check("hot-tier hit", e.doKey(bg, keyN(0), equivalent), equivalent())
+	// A backing promotion.
+	if err := backing.Put(keyN(1), resN(1)); err != nil {
+		t.Fatal(err)
+	}
+	check("promotion", e.doKey(bg, keyN(1), equivalent), resN(1))
+	// A waiter woken to its owner's verdict.
+	release, owner := start(keyN(2), syntax)
+	waiter := join(bg, keyN(2))
+	close(release)
+	check("owner", <-owner, syntax)
+	check("waiter woken to its owner's verdict", <-waiter, syntax)
+	// A ctx that is done at entry.
+	done, cancel := context.WithCancel(bg)
+	cancel()
+	check("ctx done at entry", e.doKey(done, keyN(0), equivalent), canceled)
+	// A waiter whose ctx ends while its owner computes on.
+	ctx, cancel := context.WithCancel(bg)
+	release, owner = start(keyN(3), unsupported)
+	waiter = join(ctx, keyN(3))
+	cancel()
+	check("waiter whose ctx ends", <-waiter, canceled)
+	close(release)
+	check("owner", <-owner, unsupported)
+	// A compute that ends Canceled.
+	check("canceled compute", e.doKey(bg, keyN(4), func() alive.Result { return canceled }), canceled)
+	// A waiter woken to a canceled owner goes round and computes.
+	release, owner = start(keyN(5), canceled)
+	waiter = join(bg, keyN(5))
+	close(release)
+	check("canceled owner", <-owner, canceled)
+	check("waiter woken to a canceled owner", <-waiter, equivalent())
+
+	s := e.Stats()
+	var verdicts, reasons uint64
+	for _, n := range s.ByVerdict {
+		verdicts += n
+	}
+	for _, n := range s.ByReason {
+		reasons += n
+	}
+	if s.Queries != 11 || verdicts != s.Queries || reasons != s.Queries || s.Canceled != s.ByReason[alive.Canceled] {
+		t.Fatalf("%d queries, %d by verdict, %d by reason, %d canceled: %+v", s.Queries, verdicts, reasons, s.Canceled, s)
+	}
+	if want := [4]uint64{alive.Equivalent: 3, alive.SemanticError: 1, alive.SyntaxError: 2, alive.Inconclusive: 5}; s.ByVerdict != want {
+		t.Errorf("ByVerdict = %v, want %v", s.ByVerdict, want)
+	}
+	var want [6]uint64
+	want[alive.NoReason], want[alive.Canceled], want[unsupported.Reason()] = 6, 4, 1
+	if s.ByReason != want {
+		t.Errorf("ByReason = %v, want %v", s.ByReason, want)
+	}
+	if s.Hits != 3 || s.Misses != 4 || s.Promotions != 1 {
+		t.Errorf("%d hits, %d misses, %d promotions, want 3, 4 and 1", s.Hits, s.Misses, s.Promotions)
+	}
+}
