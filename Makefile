@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 lint serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke experiments-check fuzz-smoke bench bench-workers bench-e2e bench-layers bench-pair bench-ir loc loc-check
+.PHONY: all tier1 tier2 lint vcache-race serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke experiments-check fuzz-smoke bench bench-workers bench-e2e bench-layers bench-pair bench-ir loc loc-check
 
 all: tier1 tier2
 
@@ -19,8 +19,15 @@ tier1:
 # -short under the race detector: the one thing it skips is bv's width-4
 # enumeration of the Builder against its reference (single-threaded, half
 # a billion evaluations, minutes under -race), which tier1 has just run.
-tier2: lint loc-check serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke experiments-check fuzz-smoke
+tier2: lint loc-check vcache-race serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke experiments-check fuzz-smoke
 	$(GO) test -race -short ./...
+
+# Singleflight stress gate: the verdict cache's engine under the race
+# detector ten times over, since its waiting, canceling and panicking
+# paths interleave differently on each run and -race -short ./... runs
+# each of them once (about 12 s on a 2-vCPU host).
+vcache-race:
+	$(GO) test -race -count=10 ./internal/vcache
 
 # Serving-layer acceptance gate: >=100 concurrent /v1/verify requests
 # through the bounded queue (200 or explicit 429, never a hang) beside

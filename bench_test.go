@@ -281,9 +281,7 @@ func TestGRPOStepAllocCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqCfg := grpo.DefaultSeqConfig()
-	seqCfg.Workers = 1
-	seq := grpo.NewSeqTrainer(oracle.NewStack(oracle.Config{}), seqopt.NewModel(5), seqData, seqCfg, 23)
+	seq := grpo.NewSeqTrainer(oracle.NewStack(oracle.Config{}), seqopt.NewModel(5), seqData, grpo.SeqConfig{Workers: 1}, 23)
 	step := func(tr *grpo.Trainer) func() {
 		return func() { tr.StepCtx(context.Background()) }
 	}

@@ -83,16 +83,13 @@ func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
 }
 
 // seqTrajectory trains the sequence policy for goldenSteps. The
-// learning rate is a tenth of the default so the policy stays
-// stochastic (and the gradient non-zero) for the whole run.
+// learning rate is a tenth of seqLR so the policy stays stochastic (and
+// the gradient non-zero) for the whole run.
 func seqTrajectory(t *testing.T, workers int) trajectory {
 	t.Helper()
 	m := seqopt.NewModel(5)
-	cfg := DefaultSeqConfig()
-	cfg.Workers = workers
-	cfg.lr = 4
-	tr := NewSeqTrainer(oracle.NewStack(oracle.Config{}), m, seqCorpus(t, 24), cfg, 23)
-	norms := stepNorms(tr.stepCtx)
+	tr := NewSeqTrainer(oracle.NewStack(oracle.Config{}), m, seqCorpus(t, 24), SeqConfig{Workers: workers}, 23)
+	norms := stepNorms(func(ctx context.Context) (float64, error) { return tr.step(ctx, seqLR/10) })
 	vecs := [][]float64{m.B, m.S}
 	vecs = append(vecs, m.N...)
 	return trajectory{Params: paramDigest(vecs...), Rewards: bitsOf(tr.RewardHistory), GradNorms: bitsOf(norms)}

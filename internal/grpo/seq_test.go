@@ -37,7 +37,7 @@ func TestSeqTrainerLearns(t *testing.T) {
 		}
 		return r
 	})
-	tr := NewSeqTrainer(counting, m, data, DefaultSeqConfig(), 11)
+	tr := NewSeqTrainer(counting, m, data, SeqConfig{}, 11)
 	trainBg(tr.TrainCtx, 30)
 	if len(tr.RewardHistory) != 30 {
 		t.Fatalf("reward history has %d entries, want 30", len(tr.RewardHistory))
@@ -68,9 +68,7 @@ func avg(xs []float64) float64 {
 func TestSeqTrainerWorkerIndependence(t *testing.T) {
 	data := seqCorpus(t, 24)
 	run := func(workers int) *SeqTrainer {
-		cfg := DefaultSeqConfig()
-		cfg.Workers = workers
-		tr := NewSeqTrainer(testStack, seqopt.NewModel(5), data, cfg, 23)
+		tr := NewSeqTrainer(testStack, seqopt.NewModel(5), data, SeqConfig{Workers: workers}, 23)
 		trainBg(tr.TrainCtx, 8)
 		return tr
 	}
@@ -91,8 +89,7 @@ func TestSeqTrainerWorkerIndependence(t *testing.T) {
 // rewinds the cursor so a resumed run replays the same batch.
 func TestSeqTrainerCancellation(t *testing.T) {
 	data := seqCorpus(t, 12)
-	cfg := DefaultSeqConfig()
-	tr := NewSeqTrainer(testStack, seqopt.NewModel(9), data, cfg, 31)
+	tr := NewSeqTrainer(testStack, seqopt.NewModel(9), data, SeqConfig{}, 31)
 	beforeB := append([]float64(nil), tr.model.B...)
 	beforeS := append([]float64(nil), tr.model.S...)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,7 +109,7 @@ func TestSeqTrainerCancellation(t *testing.T) {
 		t.Fatalf("canceled step left cursor at %d", tr.cursor)
 	}
 	// A live resume now replays the same batch deterministically.
-	other := NewSeqTrainer(testStack, seqopt.NewModel(9), data, cfg, 31)
+	other := NewSeqTrainer(testStack, seqopt.NewModel(9), data, SeqConfig{}, 31)
 	norm1, err := tr.stepCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +126,7 @@ func TestSeqTrainerCancellation(t *testing.T) {
 // TestSeqTrainerEmptyCorpus: the degenerate shapes that used to panic
 // the text trainer stay safe here too.
 func TestSeqTrainerEmptyCorpus(t *testing.T) {
-	tr := NewSeqTrainer(testStack, seqopt.NewModel(1), nil, DefaultSeqConfig(), 1)
+	tr := NewSeqTrainer(testStack, seqopt.NewModel(1), nil, SeqConfig{}, 1)
 	stepBg(tr.stepCtx)
 	if len(tr.RewardHistory) != 1 || tr.RewardHistory[0] != 0 {
 		t.Fatalf("history = %v, want one empty step's 0", tr.RewardHistory)

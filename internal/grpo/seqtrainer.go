@@ -17,10 +17,8 @@ import (
 // exactly one reward, the verified latency gain of its final state.
 // Its group and batch shape, clip norm, temperature and verifier
 // limits are the text trainer's defaults: groupSize, batchInputs,
-// clipNorm, temperature and trainVerify.
+// clipNorm, temperature and trainVerify. Its learning rate is seqLR.
 type SeqConfig struct {
-	// lr is the gradient-ascent learning rate.
-	lr float64
 	// UMax is Eq. 4's saturation threshold, as Config.UMax.
 	UMax float64
 	// Workers bounds the rollout + verification fan-out (<= 0 selects
@@ -28,12 +26,10 @@ type SeqConfig struct {
 	Workers int
 }
 
-// DefaultSeqConfig returns the settings used by the passes workload's
-// training runs. The LR is higher than the text trainer's because a
-// sequence episode has far fewer decisions per gradient step.
-func DefaultSeqConfig() SeqConfig {
-	return SeqConfig{lr: 40}
-}
+// seqLR is the sequence trainer's gradient-ascent learning rate. It is
+// higher than the text trainer's because a sequence episode has far
+// fewer decisions per gradient step.
+const seqLR = 40
 
 // SeqTrainer runs GRPO over a sequence policy and corpus. The reward
 // is gated by the oracle exactly as in the text workload: an episode
@@ -59,11 +55,14 @@ type seqScore struct {
 	r  float64
 }
 
-// stepCtx performs one GRPO update over a batchInputs × groupSize
-// grid of sequence rollouts and returns its pre-clip gradient norm;
-// the step's mean reward is appended to RewardHistory. Determinism and
-// cancellation are grid's.
-func (tr *SeqTrainer) stepCtx(ctx context.Context) (float64, error) {
+// stepCtx is step at the learning rate seqLR.
+func (tr *SeqTrainer) stepCtx(ctx context.Context) (float64, error) { return tr.step(ctx, seqLR) }
+
+// step performs one GRPO update at the learning rate lr over a
+// batchInputs × groupSize grid of sequence rollouts and returns its
+// pre-clip gradient norm; the step's mean reward is appended to
+// RewardHistory. Determinism and cancellation are grid's.
+func (tr *SeqTrainer) step(ctx context.Context, lr float64) (float64, error) {
 	m := tr.model
 	cfg := tr.cfg
 	cells, err := grid(ctx, &tr.rollout, batchInputs, groupSize, cfg.Workers,
@@ -106,7 +105,7 @@ func (tr *SeqTrainer) stepCtx(ctx context.Context) (float64, error) {
 			m.AddGrad(g, rec, cells[i].ep.H, temperature, adv/float64(totalTokens))
 		}
 	}
-	return m.ClipStep(g, nil, nil, cfg.lr, clipNorm, m.MaxBias), nil
+	return m.ClipStep(g, nil, nil, lr, clipNorm, m.MaxBias), nil
 }
 
 // TrainCtx runs up to n steps under ctx; cancellation semantics match

@@ -21,8 +21,7 @@ import (
 // greedy / beam / policy) on the validation split.
 type PassesConfig struct {
 	Seed int64
-	// TrainSteps is the number of SeqTrainer GRPO steps, each under
-	// grpo.DefaultSeqConfig().
+	// TrainSteps is the number of SeqTrainer GRPO steps.
 	TrainSteps int
 	// Workers bounds the evaluation fan-out (<= 0 selects
 	// runtime.NumCPU()); results are worker-count independent.
@@ -105,9 +104,7 @@ type PassesResult struct {
 // phase aborts promptly and the partial result is returned with the
 // context's error (Report nil when evaluation never completed).
 func RunPassesCtx(ctx context.Context, o oracle.Oracle, train, val []*dataset.Sample, cfg PassesConfig) (*PassesResult, error) {
-	seq := grpo.DefaultSeqConfig()
-	seq.Workers = cfg.Workers
-	seq.UMax = grpo.ComputeUMax(train)
+	seq := grpo.SeqConfig{Workers: cfg.Workers, UMax: grpo.ComputeUMax(train)}
 
 	res := &PassesResult{Model: seqopt.NewModel(cfg.Seed)}
 	err := traceStage(cfg.Obs, o, "seq-train", func() (int, []float64, error) {

@@ -69,8 +69,6 @@ func teacherTrajectory(m *policy.Model, input *ir.Function) ([]policy.ActionReco
 type Stats struct {
 	// CloneSteps is the number of behaviour-cloning gradient steps.
 	CloneSteps int
-	// diagExamples is the number of supervised diagnostic examples.
-	diagExamples int
 }
 
 // WarmUpCtx runs the supervised stage on the model in place: behaviour
@@ -108,7 +106,6 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			}
 			// The first-time diagnosis target is OK.
 			trainDiag(m, ex, policy.DiagOK, "")
-			st.diagExamples++
 		}
 		// Correction-augmented samples: learn the true diagnosis for
 		// each observed failure, the association between the rules used
@@ -127,7 +124,6 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			if fs.TrueClass != policy.DiagOK {
 				penalizeBlamed(m, ruleIdx, fs)
 			}
-			st.diagExamples++
 		}
 	}
 	// The warm-up teaches the model to attempt self-correction.

@@ -2,6 +2,7 @@ package sft
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"veriopt/internal/alive"
@@ -80,7 +81,7 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 		return total / float64(len(samples))
 	}
 
-	before := prob(m)
+	before, untrained := prob(m), m.Clone()
 	st, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +90,13 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 	if after <= before {
 		t.Errorf("teacher likelihood did not improve: %.3f -> %.3f", before, after)
 	}
-	if st.CloneSteps == 0 || st.diagExamples == 0 {
+	if st.CloneSteps == 0 {
 		t.Errorf("stats empty: %+v", st)
+	}
+	// The diagnostic head trains whether or not failures were harvested
+	// (every first-time sample is an OK example), so its weights move.
+	if reflect.DeepEqual(m.Diag.W, untrained.Diag.W) {
+		t.Error("warm-up left the diagnostic head's weights untouched")
 	}
 	if m.SelfCorrectGate <= 0 {
 		t.Error("warm-up should enable the self-correction gate")

@@ -230,9 +230,9 @@ func (s Stats) String() string {
 	return out
 }
 
-// entry is one verdict: in flight, in the engine's in-flight map, until
-// its computation settles, then a hot-tier resident, linked into the
-// engine's LRU ring.
+// entry is one verdict, in the engine's map from the start of its
+// computation: in flight (prev is nil) until it settles, then a hot-tier
+// resident, linked into the engine's LRU ring.
 type entry struct {
 	fp         [sha256.Size]byte
 	res        alive.Result
@@ -242,14 +242,8 @@ type entry struct {
 	// It is nil for every other entry: written through, promoted, or
 	// made by an engine with no backing.
 	owed *Key
-}
-
-// flight is an entry in flight: its computation has not settled, and
-// done, when a duplicate caller waits, closes when it has. The first
-// such caller makes done, under e.mu; a query nobody waits for makes
-// none.
-type flight struct {
-	ent  *entry
+	// done, made under e.mu by the first duplicate caller to wait,
+	// closes when the computation settles, which drops it.
 	done chan struct{}
 }
 
@@ -264,18 +258,18 @@ func (e *Engine) pushFront(ent *entry) {
 	ent.prev.next, ent.next.prev = ent, ent
 }
 
-// Engine is the memoized verdict store's hot tier. The zero value is
-// not usable; construct with New. All methods are safe for concurrent
-// use.
+// Engine is the memoized verdict store's hot tier and its singleflight
+// in one map of entries. The zero value is not usable; construct with
+// New. All methods are safe for concurrent use.
 type Engine struct {
 	maxEntries int
 
 	backing Backing // fixed at New
 
 	mu       sync.Mutex
-	entries  map[[sha256.Size]byte]*entry
-	lru      entry // ring sentinel: next = most recently used, prev = coldest
-	inflight map[[sha256.Size]byte]flight
+	entries  map[[sha256.Size]byte]*entry // in flight and resident alike
+	lru      entry                        // ring sentinel: next = most recently used, prev = coldest
+	resident int                          // entries linked into the ring, what MaxEntries bounds
 
 	queries         atomic.Uint64
 	byVerdict       [4]atomic.Uint64
@@ -299,7 +293,6 @@ func New(cfg Config) *Engine {
 		maxEntries: cfg.MaxEntries,
 		backing:    cfg.Backing,
 		entries:    make(map[[sha256.Size]byte]*entry),
-		inflight:   make(map[[sha256.Size]byte]flight),
 	}
 	e.lru.prev, e.lru.next = &e.lru, &e.lru
 	return e
@@ -323,11 +316,11 @@ func KeyOfFunc(f *ir.Function) string { return ir.CanonicalKey(f) }
 // say that the owner's caller left, not anything about the query, so a
 // waiter that wakes to one goes round again under its own context.
 //
-// Lookup order: hot tier, in-flight duplicates, backing, solver. A
-// backing hit counts as a Hit (and a Promotion) — the solver never
-// ran. A query that ends Canceled — its ctx done at entry, while it
-// waited, or mid-compute — counts as Canceled, not as a Hit or a Miss:
-// it was never answered. Every result Do returns, however it was
+// Lookup order: the map (a resident, or a duplicate in flight to wait
+// on), backing, solver. A backing hit counts as a Hit (and a Promotion)
+// — the solver never ran. A query that ends Canceled — its ctx done at
+// entry, while it waited, or mid-compute — counts as Canceled, not as a
+// Hit or a Miss: it was never answered. Every result Do returns, however it was
 // reached, is counted once under its verdict and its reason.
 func (e *Engine) Do(ctx context.Context, src, dst []byte, opts alive.Options, compute func() alive.Result) alive.Result {
 	e.queries.Add(1)
@@ -350,7 +343,11 @@ func (e *Engine) answer(ctx context.Context, src, dst []byte, opts alive.Options
 			return alive.CanceledResult(err)
 		}
 		e.mu.Lock()
-		if ent, ok := e.entries[fp]; ok {
+		ent, ok := e.entries[fp]
+		if !ok {
+			break // still holding e.mu: this caller becomes the owner
+		}
+		if ent.prev != nil { // linked: a resident; unlinked, it is in flight
 			ent.unlink()
 			e.pushFront(ent)
 			res := ent.res
@@ -358,33 +355,29 @@ func (e *Engine) answer(ctx context.Context, src, dst []byte, opts alive.Options
 			e.hits.Add(1)
 			return res
 		}
-		f, ok := e.inflight[fp]
-		if !ok {
-			break // still holding e.mu: this caller becomes the owner
+		if ent.done == nil {
+			ent.done = make(chan struct{})
 		}
-		if f.done == nil {
-			f.done = make(chan struct{})
-			e.inflight[fp] = f
-		}
+		done := ent.done
 		e.mu.Unlock()
 		// Done is asked for only here: a context makes its channel on
 		// the first call, and most queries never wait.
 		select {
-		case <-f.done:
+		case <-done:
 		case <-ctx.Done():
 			// The waiter gave up before the owner's result arrived:
 			// it got a Canceled result, not a cache answer.
 			return alive.CanceledResult(ctx.Err())
 		}
-		if f.ent.res.Reason() != alive.Canceled {
+		if ent.res.Reason() != alive.Canceled {
 			e.hits.Add(1)
-			return f.ent.res
+			return ent.res
 		}
 	}
-	// The entry that settle installs holds the singleflight slot until
-	// then: one allocation per miss.
+	// The entry goes into the map in flight, and settle links it into
+	// the ring where it is: one allocation per miss.
 	c := &entry{fp: fp}
-	e.inflight[fp] = flight{ent: c}
+	e.entries[fp] = c
 	e.mu.Unlock()
 	defer e.abandon(c)
 
@@ -440,11 +433,10 @@ func (e *Engine) answer(ctx context.Context, src, dst []byte, opts alive.Options
 // later callers compute the key again, and a waiter woken here reads a
 // Canceled result and goes round, as it does when the owner's caller
 // left, rather than the zero Result, whose verdict is Equivalent. An
-// entry that settled or left holds the slot no longer: its flight's
-// ent, read under e.mu, says which.
+// entry that settled is linked, and one that left is out of the map.
 func (e *Engine) abandon(c *entry) {
 	e.mu.Lock()
-	flying := e.inflight[c.fp].ent == c
+	flying := c.prev == nil && e.entries[c.fp] == c
 	e.mu.Unlock()
 	if flying {
 		c.res = alive.CanceledResult(nil)
@@ -452,32 +444,26 @@ func (e *Engine) abandon(c *entry) {
 	}
 }
 
-// leave releases the singleflight slot of an entry the hot tier does
-// not keep, waking whoever waits for it.
+// leave takes an entry the hot tier does not keep out of the map,
+// waking whoever waits for it.
 func (e *Engine) leave(c *entry) {
 	e.mu.Lock()
-	done := e.land(c)
+	delete(e.entries, c.fp)
+	done := c.done
 	e.mu.Unlock()
 	if done != nil {
 		close(done)
 	}
 }
 
-// land ends c's flight under e.mu, returning the channel to close once
-// the lock is released, nil when nobody waits.
-func (e *Engine) land(c *entry) chan struct{} {
-	done := e.inflight[c.fp].done
-	delete(e.inflight, c.fp)
-	return done
-}
-
-// settle installs a finished computation into the hot tier, releases
-// the singleflight slot, and performs any demote writes the insertion
-// forced — outside the lock.
+// settle links a finished computation into the hot tier, wakes whoever
+// waits for it, and performs any demote writes the insertion forced —
+// outside the lock.
 func (e *Engine) settle(c *entry) {
 	e.mu.Lock()
 	demoted := e.store(c)
-	done := e.land(c)
+	done := c.done
+	c.done = nil
 	e.mu.Unlock()
 	if done != nil {
 		close(done)
@@ -489,23 +475,24 @@ func (e *Engine) settle(c *entry) {
 	}
 }
 
-// store inserts ent under e.mu as the most recent entry, evicting from
-// the LRU tail as needed. It returns the evicted entries that still owe
-// the backing a write (none without a backing); the caller performs
-// them after releasing the lock. The singleflight slot its caller holds
-// means ent's fingerprint is not resident.
+// store links ent, already in the map, under e.mu as the most recent
+// resident, evicting from the LRU tail (where no entry in flight is) as
+// needed. It returns the evicted entries that still owe the backing a
+// write (none without a backing); the caller performs them after
+// releasing the lock.
 func (e *Engine) store(ent *entry) []*entry {
 	var demoted []*entry
-	for len(e.entries) >= e.maxEntries {
+	for e.resident >= e.maxEntries {
 		old := e.lru.prev
 		old.unlink()
 		delete(e.entries, old.fp)
+		e.resident--
 		e.evictions.Add(1)
 		if old.owed != nil {
 			demoted = append(demoted, old)
 		}
 	}
-	e.entries[ent.fp] = ent
+	e.resident++
 	e.pushFront(ent)
 	return demoted
 }
@@ -513,7 +500,7 @@ func (e *Engine) store(ent *entry) []*entry {
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	n := len(e.entries)
+	n := e.resident
 	e.mu.Unlock()
 	s := Stats{
 		Queries:         e.queries.Load(),

@@ -441,6 +441,49 @@ func TestEvictionRespectsBound(t *testing.T) {
 	}
 }
 
+// TestInFlightIsNotResident: an entry in flight shares the engine's map
+// with the residents, but only residents count against MaxEntries or are
+// evicted. With a bound of 1, key A computes while B and C settle (one
+// eviction), Entries reads 1 throughout, A's waiter is woken to A's own
+// verdict, and A's settling evicts C.
+func TestInFlightIsNotResident(t *testing.T) {
+	e := New(Config{MaxEntries: 1})
+	a := keyN(0)
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan alive.Result, 1)
+	go func() {
+		owner <- e.doKey(bg, a, func() alive.Result { close(started); <-release; return resN(1) })
+	}()
+	<-started
+	waiter := make(chan alive.Result, 1)
+	go func() {
+		waiter <- e.doKey(bg, a, func() alive.Result {
+			t.Error("duplicate caller ran compute")
+			return equivalent()
+		})
+	}()
+	for e.Stats().Queries < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	e.doKey(bg, keyN(1), func() alive.Result { return resN(2) })
+	e.doKey(bg, keyN(2), func() alive.Result { return resN(3) })
+	if s := e.Stats(); s.Entries != 1 || s.Evictions != 1 {
+		t.Fatalf("with A in flight: %d entries, %d evictions, want 1 and 1", s.Entries, s.Evictions)
+	}
+	close(release)
+	for name, ch := range map[string]chan alive.Result{"owner": owner, "waiter": waiter} {
+		if r := <-ch; r.Diag != resN(1).Diag || r.SolverConflicts != resN(1).SolverConflicts {
+			t.Fatalf("%s got %+v, want A's verdict %+v", name, r, resN(1))
+		}
+	}
+	if s := e.Stats(); s.Entries != 1 || s.Evictions != 2 || s.Hits != 1 || s.Misses != 3 {
+		t.Fatalf("after A settles: %+v, want 1 entry, 2 evictions, 1 hit, 3 misses", s)
+	}
+	if r := e.doKey(bg, a, equivalent); r.Diag != resN(1).Diag {
+		t.Fatalf("A is not the resident: got %+v", r)
+	}
+}
+
 func TestConcurrentQueriesRaceFree(t *testing.T) {
 	e := New(Config{})
 	var computes atomic.Int64
@@ -494,14 +537,13 @@ func TestSolverConflictsAccumulateOnLiveRunsOnly(t *testing.T) {
 
 // TestMissAllocatesOneEntry: a miss with no backing allocates the entry
 // it keeps, which held the singleflight slot while the computation ran,
-// and nothing else: no channel, since nobody waits. The maps are sized
-// beforehand, so that their growth is not counted. It read 3 while the
+// and nothing else: no channel, since nobody waits. The map is sized
+// beforehand, so that its growth is not counted. It read 3 while the
 // slot was a call of its own with its channel made up front.
 func TestMissAllocatesOneEntry(t *testing.T) {
 	const runs = 100
 	e := New(Config{})
 	e.entries = make(map[[sha256.Size]byte]*entry, runs+1)
-	e.inflight = make(map[[sha256.Size]byte]flight, 1)
 	srcs := make([][]byte, runs+1) // AllocsPerRun's warm-up run and runs more
 	for i := range srcs {
 		srcs[i] = []byte(fmt.Sprintf("define i32 @f%d", i))
@@ -535,14 +577,15 @@ func TestEveryAnswerIsCounted(t *testing.T) {
 			t.Fatalf("%s: %+v, want %+v", what, got, want)
 		}
 	}
-	// until waits for k's flight to satisfy ok.
-	until := func(k Key, ok func(f flight, flying bool) bool) {
+	// until waits for k's entry in flight to satisfy ok, under e.mu.
+	until := func(k Key, ok func(ent *entry) bool) {
 		fp := k.Fingerprint()
 		for {
 			e.mu.Lock()
-			f, flying := e.inflight[fp]
+			ent := e.entries[fp]
+			met := ent != nil && ent.prev == nil && ok(ent)
 			e.mu.Unlock()
-			if ok(f, flying) {
+			if met {
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -553,14 +596,14 @@ func TestEveryAnswerIsCounted(t *testing.T) {
 	start := func(k Key, res alive.Result) (release chan struct{}, answer chan alive.Result) {
 		release, answer = make(chan struct{}), make(chan alive.Result, 1)
 		go func() { answer <- e.doKey(bg, k, func() alive.Result { <-release; return res }) }()
-		until(k, func(_ flight, flying bool) bool { return flying })
+		until(k, func(*entry) bool { return true })
 		return release, answer
 	}
 	// join asks for k under ctx and returns once it waits on k's owner.
 	join := func(ctx context.Context, k Key) chan alive.Result {
 		answer := make(chan alive.Result, 1)
 		go func() { answer <- e.doKey(ctx, k, equivalent) }()
-		until(k, func(f flight, _ bool) bool { return f.done != nil })
+		until(k, func(ent *entry) bool { return ent.done != nil })
 		return answer
 	}
 
