@@ -8,6 +8,7 @@ import (
 	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
 	"veriopt/internal/oracle"
+	"veriopt/internal/policy"
 	"veriopt/internal/seqopt"
 )
 
@@ -68,7 +69,7 @@ func (tr *SeqTrainer) step(ctx context.Context, lr float64) (float64, error) {
 	cells, err := grid(ctx, &tr.rollout, batchInputs, groupSize, cfg.Workers,
 		func(s *dataset.Sample) func(*rand.Rand) seqScore {
 			return func(rng *rand.Rand) seqScore {
-				ep := m.Generate(s.O0, seqopt.GenOptions{
+				ep := m.Generate(s.O0, policy.GenOptions{
 					Temperature: temperature,
 					Rng:         rng,
 				})

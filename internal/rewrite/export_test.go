@@ -1,18 +1,24 @@
 package rewrite
 
-import "veriopt/internal/ir"
+import (
+	"math/rand"
+
+	"veriopt/internal/ir"
+)
 
 // CountApplicable returns a copy of r that adds one to *n each time
-// its finder runs to answer Applicable. A corruption has no finder and
-// comes back as it is.
+// its step runs as its finder (act false), which is how Applicable
+// asks. A corruption has no step and comes back as it is.
 func CountApplicable(r *Rule, n *int) *Rule {
-	if r.applicable == nil {
+	if r.step == nil {
 		return r
 	}
 	c := *r
-	c.applicable = func(f *ir.Function) bool {
-		*n++
-		return r.applicable(f)
+	c.step = func(f *ir.Function, act bool, rng *rand.Rand) bool {
+		if !act {
+			*n++
+		}
+		return r.step(f, act, rng)
 	}
 	return &c
 }

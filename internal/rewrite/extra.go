@@ -11,7 +11,7 @@ import (
 // mem2reg-flavoured transformations whose discovery the paper
 // attributes to reinforcement learning (Fig. 10: "emergent learning of
 // simplifycfg-style behavior"). They ignore their RNG. The exported
-// four are the ones seqopt's registry lifts into passes.
+// four are the ones seqopt's registry names by their Step, each a pass.
 var (
 	FoldConstBranch   = matchRule("extra-fold-const-branch", KindExtra, findConstBranch, foldConstBranch)
 	MergeBlocks       = matchRule("extra-merge-blocks", KindExtra, findMergePair, mergeBlocks)

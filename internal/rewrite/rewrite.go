@@ -21,12 +21,13 @@
 // Rules are deterministic given the same function and RNG so that
 // greedy decoding is reproducible (paper §IV-B).
 //
-// This package is the one pass vocabulary. Its unit is instcombine's:
-// mutate f, report whether anything changed, leave f untouched on
-// false. A rule is declared once, as a finder plus a rewrite of the
-// place found, as one such step, or as a text damager; Applicable,
-// Apply and ApplyText are derived from the declaration, and seqopt's
-// passes are these rules and instcombine's steps run to a fixpoint.
+// This package is the one pass vocabulary. Its unit is instcombine's
+// step: with act true, mutate f, report whether anything changed, leave
+// f untouched on false; with act false, read f only and say the same.
+// A rule is declared once, as a finder plus a rewrite of the place
+// found, as one such step, or as a text damager; Applicable, Apply,
+// Step and ApplyText read the declaration, and seqopt's passes are Step
+// and instcombine's steps run to a fixpoint.
 package rewrite
 
 import (
@@ -55,25 +56,31 @@ func (k Kind) String() string { return kindNames[k] }
 
 // Rule is one transformation in the action space, declared once by
 // one of the constructors below: what it matches is stated in one
-// place, and Applicable and Apply both read it from there.
+// place, its step, and Applicable, Apply and Step read it from there.
 type Rule struct {
 	Name string
 	Kind Kind
-	// applicable and apply are nil for a corruption, damage for
-	// everything else.
-	applicable func(f *ir.Function) bool
-	apply      func(f *ir.Function, rng *rand.Rand) bool
-	damage     func(text string, rng *rand.Rand) string
+	// step, the package's unit with the RNG added, is nil for a
+	// corruption, damage for everything else.
+	step   func(f *ir.Function, act bool, rng *rand.Rand) bool
+	damage func(text string, rng *rand.Rand) string
 }
 
 // Applicable reports whether the rule can fire on f, which it only
 // reads. Corruptions are always applicable (an LLM can emit garbage at
 // any time).
-func (r *Rule) Applicable(f *ir.Function) bool { return r.applicable == nil || r.applicable(f) }
+func (r *Rule) Applicable(f *ir.Function) bool { return r.step == nil || r.step(f, false, nil) }
 
 // Apply mutates f, returning false — and leaving f untouched — if
 // nothing matched. A corruption matches no function.
-func (r *Rule) Apply(f *ir.Function, rng *rand.Rand) bool { return r.apply != nil && r.apply(f, rng) }
+func (r *Rule) Apply(f *ir.Function, rng *rand.Rand) bool {
+	return r.step != nil && r.step(f, true, rng)
+}
+
+// Step is the rule in instcombine's shape, with no RNG: Apply with act
+// true, the finder with act false. A corruption matches no function,
+// so its Step always says no.
+func (r *Rule) Step(f *ir.Function, act bool) bool { return r.step != nil && r.step(f, act, nil) }
 
 // ApplyText damages printed IR (corrupt rules only) and terminates
 // generation.
@@ -82,12 +89,10 @@ func (r *Rule) ApplyText(text string, rng *rand.Rand) string { return r.damage(t
 // matchRule declares an IR rule as one finder, which reads f and says
 // where the rule fires, and one rewrite of f at the place found.
 func matchRule[M any](name string, kind Kind, find func(*ir.Function) (M, bool), rewrite func(*ir.Function, M, *rand.Rand) bool) *Rule {
-	return &Rule{Name: name, Kind: kind,
-		applicable: func(f *ir.Function) bool { _, ok := find(f); return ok },
-		apply: func(f *ir.Function, rng *rand.Rand) bool {
-			m, ok := find(f)
-			return ok && rewrite(f, m, rng)
-		}}
+	return &Rule{Name: name, Kind: kind, step: func(f *ir.Function, act bool, rng *rand.Rand) bool {
+		m, ok := find(f)
+		return ok && (!act || rewrite(f, m, rng))
+	}}
 }
 
 // peephole is matchRule for a rule that fires on the first
@@ -109,11 +114,9 @@ func peephole(name string, kind Kind, pred func(*ir.Instr) bool, rewrite func(*i
 // stepRule declares a sound rule as one of instcombine's steps, which
 // find and rewrite in one walk and leave f untouched when they report
 // false. With act false the step is its own finder, which fires exactly
-// when acting would and reads f only: applicable copies nothing.
+// when acting would and reads f only: Applicable copies nothing.
 func stepRule(name string, step func(f *ir.Function, act bool) bool) *Rule {
-	return &Rule{Name: name, Kind: KindSound,
-		applicable: func(f *ir.Function) bool { return step(f, false) },
-		apply:      func(f *ir.Function, _ *rand.Rand) bool { return step(f, true) }}
+	return &Rule{Name: name, Kind: KindSound, step: func(f *ir.Function, act bool, _ *rand.Rand) bool { return step(f, act) }}
 }
 
 // corruption declares a text-level damage rule.

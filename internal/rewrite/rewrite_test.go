@@ -337,8 +337,8 @@ func TestAllRulesStableOrder(t *testing.T) {
 		if r.Kind == KindCorrupt && r.damage == nil {
 			t.Errorf("corrupt rule %s lacks ApplyText", r.Name)
 		}
-		if r.Kind != KindCorrupt && r.apply == nil {
-			t.Errorf("rule %s lacks Apply", r.Name)
+		if r.Kind != KindCorrupt && r.step == nil {
+			t.Errorf("rule %s lacks a step", r.Name)
 		}
 	}
 }

@@ -66,22 +66,18 @@ type Episode struct {
 	FinalFn *ir.Function
 }
 
-// GenOptions control rollout sampling.
-type GenOptions struct {
-	// Temperature for sampling; ignored when Rng is nil.
-	Temperature float64
-	// Rng drives sampling. nil selects greedy (argmax) decoding for
-	// deterministic evaluation.
-	Rng *rand.Rand
-}
-
 // Generate rolls out a pass sequence on f. At each step the candidate
 // set is the passes that actually change the current state, plus
-// STOP; the episode ends on STOP or at MaxLen.
-func (m *Model) Generate(f *ir.Function, opts GenOptions) *Episode {
-	passes := registry()
-	if len(passes) != len(m.Passes) {
-		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(passes)))
+// STOP; the episode ends on STOP or at MaxLen. As in the token policy's
+// rollout, it samples only when opts.Temperature > 0; Augmented is
+// ignored.
+func (m *Model) Generate(f *ir.Function, opts policy.GenOptions) *Episode {
+	if len(registry) != len(m.Passes) {
+		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(registry)))
+	}
+	var rng *rand.Rand
+	if opts.Temperature > 0 {
+		rng = opts.Rng
 	}
 	ep := &Episode{H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
 	cur := f
@@ -89,7 +85,7 @@ func (m *Model) Generate(f *ir.Function, opts GenOptions) *Episode {
 		// Probe which passes fire on the current state.
 		var cands []int
 		var next []*ir.Function
-		for i, p := range passes {
+		for i, p := range registry {
 			if g, changed := p.Apply(cur); changed {
 				cands = append(cands, i)
 				next = append(next, g)
@@ -97,7 +93,7 @@ func (m *Model) Generate(f *ir.Function, opts GenOptions) *Episode {
 		}
 		cands = append(cands, m.actStop())
 		stepFrac := float64(t) / float64(m.MaxLen)
-		pick := m.Choose(cands, stepFrac, 0, ep.H, opts.Temperature, opts.Rng)
+		pick := m.Choose(cands, stepFrac, 0, ep.H, opts.Temperature, rng)
 		ep.Actions = append(ep.Actions, policy.ActionRecord{Cands: cands, StepFrac: stepFrac, Chosen: pick})
 		if pick == len(next) { // STOP, the last candidate
 			break

@@ -99,7 +99,7 @@ func newSearch(f0 *ir.Function, cfg SearchConfig) (search, *state) {
 // new states, which go to the oracle and may join the frontier, keep
 // memory of their own, never written again.
 func (s *search) expand(ctx context.Context, st *state, out []*state) ([]*state, error) {
-	for _, p := range registry() {
+	for _, p := range registry {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
@@ -139,7 +139,7 @@ func (s *search) expand(ctx context.Context, st *state, out []*state) ([]*state,
 func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult, error) {
 	s, root := newSearch(f0, cfg)
 	best, frontier := root, []*state{root}
-	n := beamWidth * len(registry())
+	n := beamWidth * len(registry)
 	lists := make([]*state, 2*n)
 	for d := 0; d < searchDepth && len(frontier) > 0; d++ {
 		cands := lists[d%2*n : d%2*n : (d%2+1)*n]
@@ -167,7 +167,7 @@ func Beam(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult
 // children take one list, sized for a child per pass.
 func Greedy(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResult, error) {
 	s, cur := newSearch(f0, cfg)
-	kids := make([]*state, 0, len(registry()))
+	kids := make([]*state, 0, len(registry))
 	for d := 0; d < searchDepth; d++ {
 		var err error
 		if kids, err = s.expand(ctx, cur, kids[:0]); err != nil {

@@ -10,9 +10,11 @@
 //     transformations with stable names — instcombine rule subsets,
 //     the full instcombine reference pipeline, and the
 //     simplifycfg/mem2reg-flavoured passes from internal/rewrite —
-//     each asked first whether it fires, then applied to fixpoint on a
-//     clone and renumbered into canonical form so structurally
-//     identical states print (and therefore cache) identically.
+//     each one step in instcombine's shape, func(f, act bool) bool,
+//     asked first with act false whether it fires, then applied to its
+//     fixpoint on a clone and renumbered into canonical form so
+//     structurally identical states print (and therefore cache)
+//     identically.
 //
 //   - Search baselines (Greedy, Beam): classic phase-ordering search
 //     over the registry where every explored state is admitted only
@@ -32,7 +34,6 @@ package seqopt
 
 import (
 	"slices"
-	"sync"
 
 	"veriopt/internal/instcombine"
 	"veriopt/internal/ir"
@@ -40,28 +41,26 @@ import (
 )
 
 // Pass is one deterministic whole-function transformation in the
-// sequence action space. Passes come from Registry.
+// sequence action space: a named step, run to its fixpoint. Passes come
+// from Registry.
 type Pass struct {
 	name string
-	// find reports whether run would change f, which it only reads; a
-	// finder that answers no allocates nothing. A rule pass's finder is
-	// its rule's Applicable, which may say yes where the rule then
-	// declines (mem2reg promotes on a copy and keeps it only if it
-	// verifies); instcombine's steps say yes exactly when they fire.
-	// try asks it before copying f, except for a pass that promotes.
-	find func(f *ir.Function) bool
-	// fix rewrites g in place to the pass's fixpoint and reports
-	// whether it changed anything, leaving g untouched if not.
-	fix func(g *ir.Function) bool
-	// confirm makes Apply test a change against its input: instcombine's
-	// driver counts rule firings, and a run of them can end structurally
-	// where it began. expand needs no such test: a result structurally
-	// equal to the state it came from has that state's key, which is
-	// seen.
+	// step is the pass in instcombine's shape (rewrite's package doc).
+	// With act false it is the finder try asks before copying f, unless
+	// the pass promotes; a no allocates nothing. A rule's finder may say
+	// yes where acting then declines (mem2reg keeps a promotion only if
+	// it verifies); instcombine's steps say yes exactly when they fire.
+	step func(f *ir.Function, act bool) bool
+	// confirm marks the instcombine pipeline, whose step is already its
+	// own fixpoint: run takes it once, and Apply tests a change against
+	// its input, since the driver counts rule firings and a run of them
+	// can end structurally where it began. expand needs no such test: a
+	// result structurally equal to the state it came from has that
+	// state's key, which is seen.
 	confirm bool
 	// promotes marks the mem2reg pass: try's first round is
 	// rewrite.PromoteCopy into the copier's copy, so the state is copied
-	// once; the rounds after it go through the rule.
+	// once; the rounds after it go through the step.
 	promotes bool
 }
 
@@ -85,7 +84,7 @@ func (p *Pass) try(f *ir.Function, c *ir.Copier) (*ir.Function, bool) {
 	if p.promotes {
 		return promote(f, c)
 	}
-	if !p.find(f) {
+	if !p.step(f, false) {
 		return f, false
 	}
 	if g := c.Clone(f); p.run(g) {
@@ -106,18 +105,25 @@ func promote(f *ir.Function, c *ir.Copier) (*ir.Function, bool) {
 	if !ok {
 		return f, false
 	}
-	for i := 1; i < maxFixpointIters && rewrite.Mem2Reg.Apply(g, nil); i++ {
+	for i := 1; i < maxFixpointIters && rewrite.Mem2Reg.Step(g, true); i++ {
 	}
 	ir.RenumberFunc(g)
 	return g, true
 }
 
-// run takes g itself to the pass's fixpoint, renumbers it if that
+// run takes g itself to the pass's fixpoint, its step applied until it
+// stops firing (once for a pass that confirms), renumbers it if that
 // changed anything, and reports whether it did. False leaves g
 // untouched — same text, same instruction objects in the same slots
 // (TestInPlaceFalseLeavesFunctionUntouched).
 func (p *Pass) run(g *ir.Function) bool {
-	changed := p.fix(g)
+	changed := false
+	for i := 0; i < maxFixpointIters && p.step(g, true); i++ {
+		changed = true
+		if p.confirm {
+			break
+		}
+	}
 	if changed {
 		ir.RenumberFunc(g)
 	}
@@ -128,70 +134,32 @@ func (p *Pass) run(g *ir.Function) bool {
 // instcombine's own safety cap.
 const maxFixpointIters = 64
 
-// fixpointPass lifts a single mutating step and its finder into a
-// Pass: apply the step until it stops firing.
-func fixpointPass(name string, find, step func(*ir.Function) bool) *Pass {
-	return &Pass{name: name, find: find, fix: func(g *ir.Function) bool {
-		changed := false
-		for i := 0; i < maxFixpointIters && step(g); i++ {
-			changed = true
-		}
-		return changed
-	}}
+// registry holds the passes: they are stateless, and every search
+// reads them. The first three are instcombine's steps, the fourth its
+// whole pipeline, the last four internal/rewrite's sound
+// beyond-instcombine rules (simplifycfg/mem2reg-flavoured), whose Step
+// passes no RNG, so the passes stay deterministic.
+var registry = []*Pass{
+	{name: "combine", step: instcombine.StepFirst},
+	{name: "forward-loads", step: instcombine.ForwardLoadsStep},
+	{name: "drop-dead-allocas", step: instcombine.RemoveDeadAllocasStep},
+	{name: "instcombine", step: instcombine.RunInPlace, confirm: true},
+	{name: "mem2reg", step: rewrite.Mem2Reg.Step, promotes: true},
+	{name: "fold-branches", step: rewrite.FoldConstBranch.Step},
+	{name: "merge-blocks", step: rewrite.MergeBlocks.Step},
+	{name: "if-to-select", step: rewrite.DiamondToSelect.Step},
 }
-
-// stepPass lifts one of instcombine's steps, which is its own finder
-// with act false, into a fixpoint Pass.
-func stepPass(name string, step func(f *ir.Function, act bool) bool) *Pass {
-	return fixpointPass(name,
-		func(f *ir.Function) bool { return step(f, false) },
-		func(g *ir.Function) bool { return step(g, true) })
-}
-
-// instcombinePass wraps the full reference pipeline (the corpus
-// labeler) as one action, confirmed against its input.
-func instcombinePass() *Pass {
-	return &Pass{name: "instcombine", confirm: true,
-		find: func(f *ir.Function) bool { return instcombine.RunInPlace(f, false) },
-		fix:  func(g *ir.Function) bool { return instcombine.RunInPlace(g, true) }}
-}
-
-// rulePass lifts one of internal/rewrite's sound beyond-instcombine
-// rules (simplifycfg/mem2reg-flavoured) into a fixpoint Pass found by
-// the rule's Applicable. Those rules ignore their RNG parameter, so the
-// lift stays deterministic.
-func rulePass(name string, rule *rewrite.Rule) *Pass {
-	return fixpointPass(name, rule.Applicable, func(g *ir.Function) bool { return rule.Apply(g, nil) })
-}
-
-// registry holds the passes, built once per process: they are
-// stateless, and every search asks for them.
-var registry = sync.OnceValue(func() []*Pass {
-	mem2reg := rulePass("mem2reg", rewrite.Mem2Reg)
-	mem2reg.promotes = true
-	return []*Pass{
-		stepPass("combine", instcombine.StepFirst),
-		stepPass("forward-loads", instcombine.ForwardLoadsStep),
-		stepPass("drop-dead-allocas", instcombine.RemoveDeadAllocasStep),
-		instcombinePass(),
-		mem2reg,
-		rulePass("fold-branches", rewrite.FoldConstBranch),
-		rulePass("merge-blocks", rewrite.MergeBlocks),
-		rulePass("if-to-select", rewrite.DiamondToSelect),
-	}
-})
 
 // Registry returns the pass action space in stable order. Policy
 // action indices and search tie-breaking depend on this ordering, so
 // new passes must be appended, never inserted. The slice is the
 // caller's own; the passes in it are shared.
-func Registry() []*Pass { return slices.Clone(registry()) }
+func Registry() []*Pass { return slices.Clone(registry) }
 
 // passNames returns the registry names in order.
 func passNames() []string {
-	reg := registry()
-	out := make([]string, len(reg))
-	for i, p := range reg {
+	out := make([]string, len(registry))
+	for i, p := range registry {
 		out[i] = p.name
 	}
 	return out
