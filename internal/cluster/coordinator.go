@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,7 +26,7 @@ const (
 	// replicas marked down.
 	defaultProbeInterval = 250 * time.Millisecond
 	// retryBackoff is the delay before a failed attempt is re-routed to
-	// the next replica in ring order; it doubles per successive failure
+	// the key's next replica in order; it doubles per successive failure
 	// within one query.
 	retryBackoff = 2 * time.Millisecond
 	// maxConnsPerReplica bounds each replica's HTTP connection pool.
@@ -37,7 +39,7 @@ type Config struct {
 	// is fixed for the coordinator's lifetime; failed replicas are
 	// skipped, not removed, so recovery never remaps keys.
 	Replicas []string
-	// Obs receives replica_down/replica_up ring-membership events (nil
+	// Obs receives replica_down/replica_up health events (nil
 	// = no tracing).
 	Obs *obs.Recorder
 }
@@ -46,6 +48,7 @@ type Config struct {
 // traffic counters.
 type replica struct {
 	url     string
+	seed    uint64 // the first 8 bytes of sha256(url): the replica's rendezvous seed
 	client  *http.Client
 	healthy atomic.Bool
 
@@ -61,10 +64,9 @@ type replica struct {
 //
 // It is a transport and coalesces nothing itself: the stack it sits in
 // admits one leader per key digest (vcache.Engine's singleflight) before
-// a query can reach it, and that digest is the one the ring routes on.
+// a query can reach it, and that digest is the one order routes on.
 type Coordinator struct {
 	cfg  Config
-	ring *ring
 	reps []*replica
 	// probeInterval is defaultProbeInterval outside this package's tests.
 	probeInterval time.Duration
@@ -78,7 +80,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, errors.New("cluster: no replicas configured")
 	}
-	c := &Coordinator{cfg: cfg, ring: newRing(cfg.Replicas), probeInterval: defaultProbeInterval}
+	c := &Coordinator{cfg: cfg, probeInterval: defaultProbeInterval}
 	for _, url := range cfg.Replicas {
 		// Each replica gets its own transport so one slow replica
 		// cannot starve the others' connection pools, and so
@@ -89,7 +91,8 @@ func New(cfg Config) (*Coordinator, error) {
 			MaxConnsPerHost:     maxConnsPerReplica,
 			IdleConnTimeout:     90 * time.Second,
 		}
-		rep := &replica{url: url, client: &http.Client{Transport: tr}}
+		sum := sha256.Sum256([]byte(url))
+		rep := &replica{url: url, seed: binary.BigEndian.Uint64(sum[:8]), client: &http.Client{Transport: tr}}
 		rep.healthy.Store(true)
 		c.reps = append(c.reps, rep)
 	}
@@ -97,8 +100,8 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Start launches the health prober, which re-checks demoted replicas
-// every probeInterval and heals the ring when one answers /healthz
-// again. Cancel ctx and call Wait to stop it.
+// every probeInterval and promotes one that answers /healthz again.
+// Cancel ctx and call Wait to stop it.
 func (c *Coordinator) Start(ctx context.Context) {
 	c.wg.Add(1)
 	go func() {
@@ -165,11 +168,11 @@ func (c *Coordinator) healthyCount() int {
 }
 
 // VerifyRemote implements oracle.Remote. It offers the query to one
-// replica at a time, under the caller's context, walking the key's ring
-// order healthy-first: the first answer is returned; a failed attempt
-// is counted against its replica, a transport failure (the dial or the
-// round trip failed — not an HTTP refusal: a replica shedding 429 or
-// draining 503 is alive) demotes it, and the next replica is tried
+// replica at a time, under the caller's context, walking the key's
+// order, healthy replicas first: the first answer is returned; a failed
+// attempt is counted against its replica, a transport failure (the dial
+// or the round trip failed — not an HTTP refusal: a replica shedding 429
+// or draining 503 is alive) demotes it, and the next replica is tried
 // after a backoff. A slow replica is waited on for as long as the
 // caller's deadline allows; a caller whose context ends gets a canceled
 // result, which is no replica's failure. A non-nil error means the
@@ -183,7 +186,7 @@ func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, o
 		Dst:  ir.FingerprintText(tgtText),
 		Opts: opts,
 	}.Fingerprint()
-	order := c.healthyFirst(c.ring.order(key))
+	order := c.order(key)
 	body, err := json.Marshal(server.VerifyRequest{
 		Src:     srcText,
 		Tgt:     tgtText,
@@ -233,28 +236,6 @@ func (c *Coordinator) VerifyRemote(ctx context.Context, src, tgt *ir.Function, o
 		}
 	}
 	return alive.Result{}, fmt.Errorf("cluster: all %d replicas failed: %w", len(order), firstErr)
-}
-
-// healthyFirst stably reorders a ring preference order so healthy
-// replicas come before demoted ones, preserving ring order within
-// each class. A fully-demoted fleet keeps the original order — the
-// attempt itself is the cheapest probe.
-func (c *Coordinator) healthyFirst(order []int) []int {
-	out := make([]int, 0, len(order))
-	for _, i := range order {
-		if c.reps[i].healthy.Load() {
-			out = append(out, i)
-		}
-	}
-	if len(out) == len(order) {
-		return order
-	}
-	for _, i := range order {
-		if !c.reps[i].healthy.Load() {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // post runs one /v1/verify round-trip against rep. The third return

@@ -140,7 +140,7 @@ func newFakeWorker(t *testing.T) *fakeWorker {
 }
 
 // queryKey mirrors the coordinator's routing key so tests can predict
-// ring placement.
+// replica placement.
 func queryKey(t *testing.T, src, tgt *ir.Function, opts alive.Options) [sha256.Size]byte {
 	t.Helper()
 	return vcache.Key{Src: vcache.KeyOfFunc(src), Dst: vcache.KeyOfFunc(tgt), Opts: opts}.Fingerprint()
@@ -155,13 +155,13 @@ func mustNew(t *testing.T, cfg Config) *Coordinator {
 	return c
 }
 
-// orderedWorkers returns the fake workers in the test query's ring
+// orderedWorkers returns the fake workers in the test query's replica
 // preference order, so tests can script the primary vs the successor
 // regardless of how URLs happened to hash.
 func orderedWorkers(t *testing.T, c *Coordinator, workers []*fakeWorker, opts alive.Options) ([]*fakeWorker, []int) {
 	t.Helper()
 	src, tgt := parsePair(t)
-	order := c.ring.order(queryKey(t, src, tgt, opts))
+	order := c.order(queryKey(t, src, tgt, opts))
 	out := make([]*fakeWorker, len(order))
 	for i, idx := range order {
 		out[i] = workers[idx]
@@ -265,8 +265,8 @@ func TestForwardedRequestBody(t *testing.T) {
 // TestSingleflightCoalesces: identical concurrent queries collapse to
 // one worker round-trip; the rest ride the leader's answer. The
 // coalescing is the stack's (vcache.Engine admits one leader per key
-// digest, the digest the ring routes on); the coordinator under it has
-// no singleflight of its own and needs none.
+// digest, the digest the replica order routes on); the coordinator
+// under it has no singleflight of its own and needs none.
 func TestSingleflightCoalesces(t *testing.T) {
 	w := newFakeWorker(t)
 	w.gate = make(chan struct{})
@@ -312,7 +312,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 }
 
 // TestFailoverReroutes: the key's primary replica dies mid-run; the
-// coordinator demotes it, re-routes to the ring successor, and the
+// coordinator demotes it, re-routes to the key's next replica, and the
 // query still succeeds — the zero-accepted-work-loss property the
 // cluster smoke test exercises end to end.
 func TestFailoverReroutes(t *testing.T) {
@@ -491,7 +491,7 @@ func TestEachQueryReachesOneReplica(t *testing.T) {
 	for q := 0; q < queries; q++ {
 		// A distinct step limit is a distinct key.
 		opts := alive.Options{MaxSteps: 1000 + q}
-		owned[c.ring.order(queryKey(t, src, tgt, opts))[0]]++
+		owned[c.order(queryKey(t, src, tgt, opts))[0]]++
 		go func() {
 			res, err := c.VerifyRemote(context.Background(), src, tgt, opts)
 			if err == nil && res.Verdict != alive.Equivalent {

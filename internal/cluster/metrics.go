@@ -8,7 +8,7 @@ import (
 )
 
 // MetricsText renders the coordinator's Prometheus section from its
-// own state: ring and health gauges and per-replica traffic counters.
+// own state: replica and health gauges and per-replica traffic counters.
 // It sends nothing to the fleet; each worker's oracle, cache and store
 // counters are on that worker's own /metrics. The context is unused;
 // it gives the method server.Config.ExtraMetrics' signature, through

@@ -40,7 +40,7 @@ func refVerifyRemote(c *Coordinator, ctx context.Context, src, tgt *ir.Function,
 		Dst:  ir.FingerprintText(tgtText),
 		Opts: opts,
 	}.Fingerprint()
-	order := c.healthyFirst(c.ring.order(key))
+	order := c.order(key)
 	body, err := json.Marshal(server.VerifyRequest{
 		Src:     srcText,
 		Tgt:     tgtText,
@@ -188,8 +188,8 @@ func TestLoopVsStateMachine(t *testing.T) {
 			}
 			run := func(dispatch func(*Coordinator, context.Context, *ir.Function, *ir.Function, alive.Options) (alive.Result, error)) dispatchOutcome {
 				hits = nil
-				// The same URLs build the same ring, so both dispatches
-				// walk the fleet in the same order.
+				// The same URLs give the same order, so both dispatches
+				// walk the fleet alike.
 				c := mustNew(t, Config{Replicas: urls})
 				t0 := time.Now()
 				res, err := dispatch(c, context.Background(), src, tgt, opts)

@@ -1,25 +1,26 @@
 // Package cluster is the horizontal scale-out layer behind veriopt
 // serve: a coordinator process that spreads verification queries
-// across N worker replicas by consistent-hashing the query
+// across N worker replicas by rendezvous-hashing the query
 // fingerprint — vcache.Key.Fingerprint, the digest the verdict cache
 // and the durable store key on — so each (src, dst, opts) triple lands
 // on one replica and that replica's hot cache and on-disk store
 // accumulate exactly the verdicts it will be asked for again. Only the
-// coordinator hashes onto the ring, so placement is a matter of one
-// process: a build whose digest differs routes keys to other replicas,
-// which then miss and verify once, and is never wrong.
+// coordinator hashes keys onto replicas, so placement is a matter of
+// one process: a build whose digest differs routes keys to other
+// replicas, which then miss and verify once, and is never wrong.
 //
 // The pieces:
 //
-//   - ring: a consistent-hash ring with virtual nodes. order(key)
-//     returns the full distinct-replica preference order for a key, so
-//     a retry walks to the key's successor instead of re-rolling.
-//   - Coordinator: implements oracle.Remote over the ring — per-replica
-//     bounded HTTP clients, one attempt at a time under the caller's
-//     deadline, retry-with-backoff re-routing on replica failure, and
-//     /healthz probing that heals the ring. Identical queries in
-//     flight are coalesced above it, by the stack's verdict cache.
-//   - MetricsText: the coordinator's /metrics section — ring and
+//   - order: rendezvous (highest-random-weight) hashing. Each replica
+//     scores each key by its URL alone, and order(key) lists every
+//     replica healthy first, each class by falling score, so a retry
+//     walks to the key's next-best replica instead of re-rolling.
+//   - Coordinator: implements oracle.Remote over that order —
+//     per-replica bounded HTTP clients, one attempt at a time under the
+//     caller's deadline, retry-with-backoff re-routing on replica
+//     failure, and /healthz probing that re-promotes. Identical
+//     queries in flight are coalesced above it, by the verdict cache.
+//   - MetricsText: the coordinator's /metrics section — replica and
 //     health gauges and per-replica request/error/retry counters, read
 //     off the coordinator's own state.
 //
@@ -30,68 +31,48 @@
 package cluster
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
-	"strconv"
+	"slices"
 )
 
-// vnodes is the virtual-node count per replica. 64 points per
-// replica keeps the ring's load spread within a few percent of even
-// for small fleets while the whole ring stays a few KB.
-const vnodes = 64
-
-type ringPoint struct {
-	hash uint64
-	idx  int
+// score is a key's weight on the replica with the given seed:
+// splitmix64's finalizer over the key's first 8 bytes XOR the seed.
+// The finalizer is a bijection, so two replicas tie only when their
+// seeds do, that is when one URL is listed twice.
+func score(key, seed uint64) uint64 {
+	z := key ^ seed
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
-// ring is an immutable consistent-hash ring over a fixed replica set.
-// Health is deliberately not the ring's concern: the ring answers
-// "which replicas, in what order, does this key prefer", and the
-// coordinator reorders that answer healthy-first. Keeping the ring
-// immutable means a flapping replica never remaps keys owned by
-// stable replicas — it is skipped, not removed.
-type ring struct {
-	points []ringPoint
-	n      int
-}
-
-// newRing builds a ring over replicas (identified by index) with
-// vnodes virtual points each. The point hashes are derived from the
-// replica's base URL so the same fleet listed in any order produces
-// the same key placement.
-func newRing(replicas []string) *ring {
-	r := &ring{n: len(replicas), points: make([]ringPoint, 0, len(replicas)*vnodes)}
-	for i, url := range replicas {
-		for v := 0; v < vnodes; v++ {
-			sum := sha256.Sum256([]byte(url + "#" + strconv.Itoa(v)))
-			r.points = append(r.points, ringPoint{hash: binary.BigEndian.Uint64(sum[:8]), idx: i})
+// order returns the key's full preference order: every replica index
+// once, healthy replicas before demoted ones, each class by falling
+// score, ties by listing order. Each replica's health is read once, so
+// a flag flipping under the call cannot drop a replica from the order
+// or list it twice. A fully demoted fleet keeps score order — the
+// attempt itself is the cheapest probe. Health never changes a score,
+// so a flapping replica never remaps keys owned by stable ones: it is
+// skipped, not removed.
+func (c *Coordinator) order(key [sha256.Size]byte) []int {
+	k := binary.BigEndian.Uint64(key[:8])
+	order := make([]int, len(c.reps))
+	healthy, demoted := 0, len(order)
+	for i, rep := range c.reps {
+		if rep.healthy.Load() {
+			order[healthy] = i
+			healthy++
+		} else {
+			demoted--
+			order[demoted] = i
 		}
 	}
-	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
-	return r
-}
-
-// order returns the key's full preference order: the owner replica
-// first, then each distinct successor walking clockwise from the
-// key's point. len == the replica count, every index exactly once.
-// Retries consume this order left to right, so a key's fallback
-// placement is as stable as its primary placement.
-func (r *ring) order(key [sha256.Size]byte) []int {
-	order := make([]int, 0, r.n)
-	if r.n == 0 {
-		return order
+	byScore := func(a, b int) int {
+		return cmp.Or(cmp.Compare(score(k, c.reps[b].seed), score(k, c.reps[a].seed)), cmp.Compare(a, b))
 	}
-	h := binary.BigEndian.Uint64(key[:8])
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := make([]bool, r.n)
-	for i := 0; len(order) < r.n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.idx] {
-			seen[p.idx] = true
-			order = append(order, p.idx)
-		}
-	}
+	slices.SortFunc(order[:healthy], byScore)
+	slices.SortFunc(order[healthy:], byScore)
 	return order
 }

@@ -58,7 +58,7 @@ func TestMain(m *testing.M) {
 //  2. Fault tolerance: SIGKILL one of two replicas mid-stream — every
 //     accepted request still answers 200 with the right verdict —
 //     then restart it on the same port and watch the coordinator's
-//     health probes heal the ring; after a batch through the healed
+//     health probes promote it again; after a batch through the healed
 //     coordinator, each worker's own /metrics counts oracle queries.
 //
 // What each phase measured is logged (go test -v), not checked in:
@@ -116,7 +116,7 @@ func TestClusterSmoke(t *testing.T) {
 		w.stop()
 	}
 
-	// --- Phase 2: kill one replica mid-stream, heal the ring. ---
+	// --- Phase 2: kill one replica mid-stream, heal the fleet. ---
 	killWorker := worker{Delay: 10 * time.Millisecond}
 	kw := []*proc{
 		startWorker(t, killWorker),
@@ -168,7 +168,7 @@ func TestClusterSmoke(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("ring never healed after the killed replica returned")
+			t.Fatal("the killed replica was never promoted after it returned")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -199,7 +199,7 @@ func TestClusterSmoke(t *testing.T) {
 // per query, about a quarter of the one core everything here shares).
 //
 // Throughput is measured over a fixed time window with continuous
-// load rather than as the wall time of a fixed batch: consistent
+// load rather than as the wall time of a fixed batch: rendezvous
 // hashing splits any finite key set unevenly (binomially) across
 // replicas, so a fixed batch drains unevenly and its wall time tracks
 // the most-loaded replica, understating fan-out. Under sustained
@@ -222,8 +222,8 @@ func quantiles(lats []time.Duration) (p50, p99 time.Duration) {
 }
 
 // verifyQuery builds the q-th distinct query: structurally different
-// constants give every query its own fingerprint (and so its own ring
-// placement and worker-cache slot), while src == tgt keeps the
+// constants give every query its own fingerprint (and so its own
+// replica order and worker-cache slot), while src == tgt keeps the
 // verdict trivially "equivalent" so the injected latency, not solver
 // wall, dominates.
 func verifyQuery(q int) (src, tgt string) {
