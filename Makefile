@@ -17,8 +17,9 @@ tier1:
 	$(GO) test ./...
 
 # -short under the race detector: the one thing it skips is bv's width-4
-# enumeration of the Builder against its reference (single-threaded, half
-# a billion evaluations, minutes under -race), which tier1 has just run.
+# enumeration of the Builder against its reference (half a billion
+# evaluations; about 130 s under -race on a 2-vCPU host), which tier1
+# has just run.
 tier2: lint loc-check vcache-race serve-smoke resume-smoke store-smoke cluster-smoke passes-smoke experiments-check fuzz-smoke
 	$(GO) test -race -short ./...
 
@@ -58,7 +59,8 @@ store-smoke:
 # cluster test binary, re-executed). Requires >= 1.7x throughput at 2
 # replicas and >= 3x at 4 (latency-bound workload: the workers sleep
 # before verifying), and zero accepted-work loss across a mid-run
-# SIGKILL of one replica followed by automatic ring healing.
+# SIGKILL of one replica, whose keys the coordinator re-routes to the
+# next replica in their order.
 cluster-smoke:
 	CLUSTER_SMOKE=1 $(GO) test -run TestClusterSmoke -count=1 -v ./internal/cluster
 

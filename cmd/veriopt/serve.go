@@ -40,7 +40,7 @@ func splitReplicas(s string) []string {
 //
 // With -replicas the process becomes a cluster coordinator (see
 // internal/cluster): /v1/verify queries that miss the local verdict
-// cache are consistent-hashed across the named worker replicas, with
+// cache are rendezvous-hashed across the named worker replicas, with
 // failure re-routing and local verification as the last-resort
 // fallback. /healthz reports role=coordinator and /metrics grows the
 // coordinator's per-replica section.
@@ -61,7 +61,7 @@ func cmdServe(ctx context.Context, args []string) error {
 	storeDir := fs.String("store-dir", "",
 		"durable verdict store directory: verdicts append incrementally as they are proved, survive crashes, and warm-start the next boot")
 	replicas := fs.String("replicas", "",
-		"coordinator mode: comma-separated worker base URLs (http://host:port); queries are consistent-hashed across them, with local verification as the fallback when the fleet fails")
+		"coordinator mode: comma-separated worker base URLs (http://host:port); queries are rendezvous-hashed across them, with local verification as the fallback when the fleet fails")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

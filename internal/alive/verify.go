@@ -63,7 +63,7 @@ type Result struct {
 // persists it, so a Result rebuilt from text still carries its reason.
 type Reason int
 
-// Reason values, in the order String and the oracle's counters use.
+// Reason values, in the order String and vcache.Stats.ByReason use.
 const (
 	NoReason       Reason = iota // the verdict is not Inconclusive
 	ConflictBudget               // a refinement query spent Options.SolverBudget

@@ -11,18 +11,26 @@ import (
 
 // The Builder judged from outside. A refNode is an expression exactly as
 // a caller wrote it: build hands it to the Builder's constructors, which
-// fold and rewrite as they see fit, and eval computes what it means with
-// an evaluator that shares nothing with foldBin or Eval — its own
-// masking, sign extension, division and shift-amount rules. Wherever the
-// written expression is defined, the term the Builder made of it must
-// evaluate, defined, to the same value: a rewrite may give an undefined
-// expression a value, never take one away.
+// fold and rewrite as they see fit, and a refChecker's table computes
+// what it means with an evaluator that shares nothing with foldBin or
+// Eval — its own masking, sign extension, division and shift-amount
+// rules. Wherever the written expression is defined, the term the
+// Builder made of it must evaluate, defined, to the same value: a
+// rewrite may give an undefined expression a value, never take one away.
 type refNode struct {
 	op   Op
 	w    int
 	kids [3]*refNode
 	val  uint64 // OpConst
 	name string // opVar
+	// tab is the node's table once a checker keeps it (see keep).
+	tab []refVal
+}
+
+// refVal is an expression's value in one environment.
+type refVal struct {
+	v  uint64
+	ok bool // defined
 }
 
 func refOnes(w int) uint64 { return ^uint64(0) >> uint(64-w) }
@@ -39,27 +47,9 @@ func refBool(c bool) uint64 {
 	return 0
 }
 
-// eval is strict except in ite, which looks at the arm it selects only.
-func (n *refNode) eval(env map[string]uint64) (uint64, bool) {
-	switch n.op {
-	case OpConst:
-		return n.val & refOnes(n.w), true
-	case opVar:
-		return env[n.name] & refOnes(n.w), true
-	case opIte:
-		c, ok := n.kids[0].eval(env)
-		if !ok {
-			return 0, false
-		}
-		if c != 0 {
-			return n.kids[1].eval(env)
-		}
-		return n.kids[2].eval(env)
-	}
-	a, ok := n.kids[0].eval(env)
-	if !ok {
-		return 0, false
-	}
+// apply is the meaning of n's operator on its operands' values a and b
+// (b unused by a unary operator), both defined.
+func (n *refNode) apply(a, b uint64) (uint64, bool) {
 	w := n.kids[0].w // the operands' width: a comparison's own is 1
 	ones := refOnes(n.w)
 	switch n.op {
@@ -73,10 +63,6 @@ func (n *refNode) eval(env map[string]uint64) (uint64, bool) {
 		return uint64(refSigned(a, w)) & ones, true
 	case opTrunc:
 		return a & ones, true
-	}
-	b, ok := n.kids[1].eval(env)
-	if !ok {
-		return 0, false
 	}
 	sa, sb := refSigned(a, w), refSigned(b, w)
 	switch n.op {
@@ -255,48 +241,108 @@ func refForms(w int) (binary, other []refForm) {
 	return binary, other
 }
 
-// refChecker compares one written expression with the Builder's term for
-// it, on a fresh Builder each time so that term ids — which the
-// Builder's canonical operand order reads — follow the order the
-// expression names its leaves in.
+// refChecker compares written expressions with the Builder's terms for
+// them over one list of environments, each on a fresh Builder so that
+// term ids — which the Builder's canonical operand order reads — follow
+// the order the expression names its leaves in. Bv's Eval only reads
+// an environment, so the list may be shared between checkers.
 type refChecker struct {
-	memo  evalMemo
-	trees int
-	evals int
+	envs    []map[string]uint64
+	scratch []refVal // tables of the expression being checked
+	used    int
+	memo    evalMemo
+	trees   int
+	evals   int
 }
 
-// check evaluates n both ways under env and returns a description of
-// the disagreement, if any.
-func (c *refChecker) check(n *refNode, t *Term, env map[string]uint64) string {
+// table returns n's value in each of c.envs, strict except in ite, which
+// takes the arm it selects. A kept table is n's own; any other lives in
+// the checker's scratch until the expression is checked.
+func (c *refChecker) table(n *refNode) []refVal {
+	if n.tab != nil {
+		return n.tab
+	}
+	k := len(c.envs)
+	if c.used+k > len(c.scratch) {
+		c.scratch, c.used = make([]refVal, max(2*len(c.scratch), 16*k)), 0
+	}
+	out := c.scratch[c.used : c.used+k : c.used+k]
+	c.used += k
+	switch n.op {
+	case OpConst:
+		for i := range out {
+			out[i] = refVal{n.val & refOnes(n.w), true}
+		}
+		return out
+	case opVar:
+		for i, env := range c.envs {
+			out[i] = refVal{env[n.name] & refOnes(n.w), true}
+		}
+		return out
+	case opIte:
+		cond, tr, fa := c.table(n.kids[0]), c.table(n.kids[1]), c.table(n.kids[2])
+		for i, cv := range cond {
+			switch {
+			case !cv.ok:
+				out[i] = refVal{}
+			case cv.v != 0:
+				out[i] = tr[i]
+			default:
+				out[i] = fa[i]
+			}
+		}
+		return out
+	}
+	a := c.table(n.kids[0])
+	b := a // apply ignores b for a unary operator
+	if n.kids[1] != nil {
+		b = c.table(n.kids[1])
+	}
+	for i := range out {
+		if a[i].ok && b[i].ok {
+			out[i].v, out[i].ok = n.apply(a[i].v, b[i].v)
+		} else {
+			out[i] = refVal{}
+		}
+	}
+	return out
+}
+
+// keep stores n's table in n, where table finds it: a leaf's, shared
+// read-only by every checker over the same environments, and an inner
+// expression's, while the outer forms paired with it are checked.
+func (c *refChecker) keep(n *refNode) {
+	n.tab = slices.Clone(c.table(n))
+	c.used = 0
+}
+
+// check compares the Builder's term t for n with n's value want under
+// env, and returns a description of the disagreement, if any.
+func (c *refChecker) check(n *refNode, t *Term, env map[string]uint64, want refVal) string {
 	c.evals++
-	want, defined := n.eval(env)
-	if !defined {
+	if !want.ok {
 		return ""
 	}
 	got, ok := c.memo.run(t, env)
-	if !ok || got != want {
-		return fmt.Sprintf("%v under %v is %d; the Builder's term %v evaluates to %d (defined %v)", n, env, want, t, got, ok)
+	if !ok || got != want.v {
+		return fmt.Sprintf("%v under %v is %d; the Builder's term %v evaluates to %d (defined %v)", n, env, want.v, t, got, ok)
 	}
 	return ""
 }
 
-// exhaust checks n on every assignment of x and y at n's leaf width w.
-func (c *refChecker) exhaust(t *testing.T, w int, n *refNode) {
+// exhaust checks n in every environment of c.envs.
+func (c *refChecker) exhaust(t testing.TB, n *refNode) {
 	c.trees++
 	term := n.build(NewBuilder())
 	if term.Width != n.w {
 		t.Fatalf("%v: built at width %d, written at %d", n, term.Width, n.w)
 	}
-	env := map[string]uint64{}
-	for x := uint64(0); x <= refOnes(w); x++ {
-		env["x"] = x
-		for y := uint64(0); y <= refOnes(w); y++ {
-			env["y"] = y
-			if msg := c.check(n, term, env); msg != "" {
-				t.Fatal(msg)
-			}
+	for i, want := range c.table(n) {
+		if msg := c.check(n, term, c.envs[i], want); msg != "" {
+			t.Fatal(msg)
 		}
 	}
+	c.used = 0
 }
 
 // TestBuilderMatchesReferenceExhaustive: every expression of depth at
@@ -307,7 +353,8 @@ func (c *refChecker) exhaust(t *testing.T, w int, n *refNode) {
 // operators alone are half a billion evaluations, keeps of those forms
 // the unary ones and runs outside -short. Each inner form, with the
 // outer forms it is paired with, is a parallel subtest on its own
-// checker; the width's totals are logged once all of them are done.
+// checker; the width's totals are compared with refCounts once all of
+// them are done, so a dropped form or assignment fails the test.
 func TestBuilderMatchesReferenceExhaustive(t *testing.T) {
 	widths := []int{1, 2, 3, 4}
 	if testing.Short() {
@@ -315,9 +362,18 @@ func TestBuilderMatchesReferenceExhaustive(t *testing.T) {
 	}
 	for _, w := range widths {
 		t.Run(fmt.Sprintf("i%d", w), func(t *testing.T) {
+			var envs []map[string]uint64
+			for x := uint64(0); x <= refOnes(w); x++ {
+				for y := uint64(0); y <= refOnes(w); y++ {
+					envs = append(envs, map[string]uint64{"x": x, "y": y})
+				}
+			}
 			leaves := []*refNode{refVar(w, "x"), refVar(w, "y")}
 			for v := uint64(0); v <= refOnes(w); v++ {
 				leaves = append(leaves, refConst(w, v))
+			}
+			for _, l := range leaves {
+				(&refChecker{envs: envs}).keep(l)
 			}
 			binary, other := refForms(w)
 			if w == 4 {
@@ -346,29 +402,31 @@ func TestBuilderMatchesReferenceExhaustive(t *testing.T) {
 					t.Run(p.name, func(t *testing.T) {
 						t.Parallel()
 						c := &checkers[i]
-						outer := func(f2 refForm, inner *refNode) {
-							if f2.unary {
-								c.exhaust(t, w, f2.mk(inner, nil))
-								return
-							}
-							for _, l3 := range leaves {
-								c.exhaust(t, w, f2.mk(inner, l3))
-								c.exhaust(t, w, f2.mk(l3, inner))
+						c.envs = envs
+						outer := func(inner *refNode) {
+							for _, f2 := range p.f2s {
+								if f2.unary {
+									c.exhaust(t, f2.mk(inner, nil))
+									continue
+								}
+								for _, l3 := range leaves {
+									c.exhaust(t, f2.mk(inner, l3))
+									c.exhaust(t, f2.mk(l3, inner))
+								}
 							}
 						}
 						for _, l1 := range leaves {
 							if p.f1.unary {
-								for _, f2 := range p.f2s {
-									outer(f2, p.f1.mk(l1, nil))
-								}
+								inner := p.f1.mk(l1, nil)
+								c.keep(inner)
+								outer(inner)
 								continue
 							}
 							for _, l2 := range leaves {
 								inner := p.f1.mk(l1, l2)
-								c.exhaust(t, w, inner)
-								for _, f2 := range p.f2s {
-									outer(f2, inner)
-								}
+								c.keep(inner)
+								c.exhaust(t, inner)
+								outer(inner)
 							}
 						}
 					})
@@ -378,9 +436,20 @@ func TestBuilderMatchesReferenceExhaustive(t *testing.T) {
 			for _, c := range checkers {
 				trees, evals = trees+c.trees, evals+c.evals
 			}
-			t.Logf("%d expressions, %d evaluations", trees, evals)
+			if want := refCounts[w]; trees != want[0] || evals != want[1] {
+				t.Errorf("%d expressions, %d evaluations; want %d and %d", trees, evals, want[0], want[1])
+			}
 		})
 	}
+}
+
+// refCounts holds, per width, how many expressions and evaluations
+// TestBuilderMatchesReferenceExhaustive checks.
+var refCounts = map[int][2]int{
+	1: {96_784, 387_136},
+	2: {328_632, 5_258_112},
+	3: {1_093_400, 69_977_600},
+	4: {2_080_728, 532_666_368},
 }
 
 // refRandom draws an expression of width w and depth at most d over x,
@@ -447,10 +516,9 @@ func builderVsReference(t testing.TB, rng *rand.Rand) {
 	n := refRandom(rng, w, 1+rng.Intn(6))
 	b := NewBuilder()
 	term := n.build(b)
-	var c refChecker
 	bounds := []uint64{0, 1, 2, refOnes(w), refOnes(w) >> 1, uint64(1) << uint(w-1), refOnes(w) - 1}
-	pinned := false
-	for i := 0; i < 24; i++ {
+	c := refChecker{envs: make([]map[string]uint64, 24)}
+	for i := range c.envs {
 		env := map[string]uint64{}
 		for _, name := range []string{"x", "y", "z"} {
 			if i < 12 {
@@ -459,21 +527,25 @@ func builderVsReference(t testing.TB, rng *rand.Rand) {
 				env[name] = rng.Uint64() >> uint(rng.Intn(64)) & refOnes(w)
 			}
 		}
-		if msg := c.check(n, term, env); msg != "" {
+		c.envs[i] = env
+	}
+	pinned := false
+	for i, want := range c.table(n) {
+		env := c.envs[i]
+		if msg := c.check(n, term, env, want); msg != "" {
 			t.Fatal(msg)
 		}
-		want, defined := n.eval(env)
-		if !defined || pinned || wideDivider(term, map[*Term]bool{}) {
+		if !want.ok || pinned || wideDivider(term, map[*Term]bool{}) {
 			continue
 		}
 		pinned = true
-		cond := b.Not(b.Eq(term, b.Const(w, want)))
+		cond := b.Not(b.Eq(term, b.Const(w, want.v)))
 		for name, v := range env {
 			cond = b.BoolAnd(cond, b.Eq(b.Var(w, name), b.Const(w, v)))
 		}
 		res, err := checkSat(cond, 2000, nil)
 		if err == nil && res.Status != sat.Unsat {
-			t.Fatalf("%v under %v is %d; the blasted term %v can differ (model %v)", n, env, want, term, res.Model)
+			t.Fatalf("%v under %v is %d; the blasted term %v can differ (model %v)", n, env, want.v, term, res.Model)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
 	"veriopt/internal/oracle"
-	"veriopt/internal/policy"
 	"veriopt/internal/seqopt"
 )
 
@@ -16,9 +15,10 @@ import (
 // workload). It is Config minus the text-workload concerns
 // (reward modes, diagnosis, BLEU shaping): a sequence episode has
 // exactly one reward, the verified latency gain of its final state.
-// Its group and batch shape, clip norm, temperature and verifier
-// limits are the text trainer's defaults: groupSize, batchInputs,
-// clipNorm, temperature and trainVerify. Its learning rate is seqLR.
+// Its group and batch shape, clip norm and verifier limits are the
+// text trainer's defaults: groupSize, batchInputs, clipNorm and
+// trainVerify; it samples at temperature 1 as the text trainer does.
+// Its learning rate is seqLR.
 type SeqConfig struct {
 	// UMax is Eq. 4's saturation threshold, as Config.UMax.
 	UMax float64
@@ -69,10 +69,7 @@ func (tr *SeqTrainer) step(ctx context.Context, lr float64) (float64, error) {
 	cells, err := grid(ctx, &tr.rollout, batchInputs, groupSize, cfg.Workers,
 		func(s *dataset.Sample) func(*rand.Rand) seqScore {
 			return func(rng *rand.Rand) seqScore {
-				ep := m.Generate(s.O0, policy.GenOptions{
-					Temperature: temperature,
-					Rng:         rng,
-				})
+				ep := m.Generate(s.O0, rng)
 				// No transformation is trivially equivalent, with zero gain.
 				es := seqScore{ep: ep}
 				if len(ep.Sequence) > 0 {
@@ -103,7 +100,7 @@ func (tr *SeqTrainer) step(ctx context.Context, lr float64) (float64, error) {
 	g := m.Grad()
 	for i, adv := range advantages(cells, groupSize, false, func(e *seqScore) float64 { return e.r }) {
 		for _, rec := range cells[i].ep.Actions {
-			m.AddGrad(g, rec, cells[i].ep.H, temperature, adv/float64(totalTokens))
+			m.AddGrad(g, rec, cells[i].ep.H, adv/float64(totalTokens))
 		}
 	}
 	return m.ClipStep(g, nil, nil, lr, clipNorm, m.MaxBias), nil

@@ -24,9 +24,8 @@ const (
 	ModeLatency
 )
 
-// Config parameterizes the trainer. The batch shape and sampling
-// temperature are fixed (batchInputs, temperature), and so are the
-// verifier's bounds (trainVerify).
+// Config parameterizes the trainer. The batch shape is fixed
+// (batchInputs), and so are the verifier's bounds (trainVerify).
 type Config struct {
 	// GroupSize is G, the number of rollouts per input compared
 	// against each other (relative advantages).
@@ -66,12 +65,12 @@ type Config struct {
 // GRPO's recipe (§IV-B) as both trainers run it: G rollouts per input
 // (DefaultConfig's GroupSize, the sequence trainer's fixed G), inputs
 // per step, the global gradient-norm bound (DefaultConfig's ClipNorm,
-// the sequence trainer's fixed bound) and temperature-1 sampling.
+// the sequence trainer's fixed bound). Each rollout samples at
+// temperature 1 from the rng grid hands it.
 const (
 	groupSize   = 6
 	batchInputs = 8
 	clipNorm    = 5
-	temperature = 1.0
 )
 
 // DefaultConfig returns the settings used by the reproduction's
@@ -150,11 +149,7 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 		func(s *dataset.Sample) func(*rand.Rand) episodeScore {
 			l := labelOf(s, &cfg)
 			return func(rng *rand.Rand) episodeScore {
-				ep := m.Generate(s.O0, policy.GenOptions{
-					Temperature: temperature,
-					Rng:         rng,
-					Augmented:   cfg.Mode == ModeCorrectnessCoT,
-				})
+				ep := m.Generate(s.O0, policy.GenOptions{Rng: rng, Augmented: cfg.Mode == ModeCorrectnessCoT})
 				return score(ctx, tr.oracle, s, l, ep, &cfg)
 			}
 		})
@@ -215,7 +210,7 @@ func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *po
 	m := tr.Model
 	addRecords := func(recs []policy.ActionRecord, h []float64, scale float64) {
 		for _, rec := range recs {
-			m.AddGrad(g, rec, h, temperature, scale)
+			m.AddGrad(g, rec, h, scale)
 		}
 	}
 	// Attempt tokens are judged by the attempt's own Eq. 1 (per-segment
@@ -231,7 +226,7 @@ func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *po
 	}
 	addRecords(ep.Actions, ep.H, attemptScale)
 	if ep.Diag != nil {
-		m.Diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, temperature, adv.think)
+		m.Diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, adv.think)
 	}
 }
 

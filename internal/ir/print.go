@@ -299,9 +299,9 @@ func CanonicalText(f *Function) string {
 }
 
 // CanonicalKey returns FingerprintText(CanonicalText(f)) — the form the
-// verdict cache, the verdict store and the cluster ring key functions
-// by — printed in one pass, into one allocation when f is canonically
-// numbered. Its bytes are a persisted format.
+// verdict cache, the verdict store and the cluster coordinator key
+// functions by — printed in one pass, into one allocation when f is
+// canonically numbered. Its bytes are a persisted format.
 func CanonicalKey(f *Function) string {
 	var stack [stackBytes]byte
 	return string(AppendCanonicalKey(stack[:0], f))

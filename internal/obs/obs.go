@@ -32,8 +32,8 @@ type Event struct {
 	ElapsedMs float64 `json:"elapsed_ms"`
 	// Kind names the event: run_start, stage_start, stage_end, eval,
 	// run_end, interrupted, request (one serving-layer request span;
-	// see RequestEvent), replica_down/replica_up (cluster ring
-	// membership; see ClusterEvent), ...
+	// see RequestEvent), replica_down/replica_up (a cluster replica's
+	// health; see ClusterEvent), ...
 	Kind string `json:"kind"`
 	// Stage names the curriculum stage, evaluation target, or — for
 	// request events — the endpoint path.
@@ -152,7 +152,7 @@ func RequestEvent(endpoint string, status int, queueWait, wall time.Duration) Ev
 // Stage, and the healthy/total replica counts after the transition in
 // Fields. Emitted by internal/cluster when traffic errors demote a
 // replica or a health probe restores one, so an operator tailing the
-// trace sees ring membership changes without scraping /metrics.
+// trace sees replica health change without scraping /metrics.
 func ClusterEvent(kind, replica string, healthy, total int, note string) Event {
 	return Event{
 		Kind:  kind,

@@ -68,7 +68,7 @@ func Base() Oracle {
 }
 
 // Remote answers verification queries over the network — implemented
-// by the cluster coordinator (internal/cluster), which consistent-
+// by the cluster coordinator (internal/cluster), which rendezvous-
 // hashes each query's fingerprint across worker replicas. Unlike
 // Oracle, a Remote can fail to answer at all (every replica down or
 // shedding); the error return carries that, and Stack.Verify then
@@ -116,7 +116,8 @@ type Stack struct {
 
 // Verify implements Oracle. Identical queries in flight share one
 // computation (the engine's singleflight, keyed by the digest the
-// cluster ring routes on), so a Remote sees each distinct query once.
+// cluster coordinator routes on), so a Remote sees each distinct query
+// once.
 // A query whose own context ends during the remote attempt is returned
 // Canceled, never retried locally — the caller is gone either way.
 func (s *Stack) Verify(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {

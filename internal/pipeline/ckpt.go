@@ -120,10 +120,10 @@ func resumeFailures(states []failureState, data []*dataset.Sample) ([]*grpo.Fail
 // checkpoints written under that still resume: Augmented:false and
 // Oracle:<nil> are such slots, for fields since deleted, and so are the
 // settings since made constants, which it prints as those constants
-// read (the capacity RunCtx trains, grpo's batch shape, temperature and
-// verifier bounds, sft's learning rate, Eqs. 3–4's percentile and γ);
-// freshSolver spells Verify as it was while alive.Options had
-// FreshSolver.
+// read (the capacity RunCtx trains, grpo's batch shape and verifier
+// bounds, the sampling temperature 1, sft's learning rate, Eqs. 3–4's
+// percentile and γ); freshSolver spells Verify as it was while
+// alive.Options had FreshSolver.
 func configSig(cfg StageConfig, corpusLen int, freshSolver bool) string {
 	c, g := policy.CapQwen3B, cfg.GRPO
 	fresh := ""

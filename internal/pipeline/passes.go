@@ -13,7 +13,6 @@ import (
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
 	"veriopt/internal/par"
-	"veriopt/internal/policy"
 	"veriopt/internal/seqopt"
 )
 
@@ -159,7 +158,7 @@ func evaluatePasses(ctx context.Context, o oracle.Oracle, m *seqopt.Model, sampl
 			keep(2, br.Sequence, br.Fn)
 		}
 		if m != nil {
-			ep := m.Generate(s.O0, policy.GenOptions{}) // greedy decode
+			ep := m.Generate(s.O0, nil) // greedy decode
 			keep(3, ep.Sequence, ep.FinalFn)
 		}
 	})

@@ -115,14 +115,14 @@ func (m *Model) DiagFeatures(h []float64, acts []ActionRecord) []float64 {
 }
 
 // diagnose emits the model's self-diagnosis of its attempt.
-func (m *Model) diagnose(h []float64, acts []ActionRecord, opts GenOptions) *DiagRecord {
+// rng samples the class; nil takes the most probable one.
+func (m *Model) diagnose(h []float64, acts []ActionRecord, rng *rand.Rand) *DiagRecord {
 	f := m.DiagFeatures(h, acts)
-	probs := m.Diag.ClassProbs(f, opts.Temperature)
-	var cls int
-	if opts.Temperature > 0 {
-		cls = sampleIdx(probs, opts.Rng)
+	probs := m.Diag.ClassProbs(f)
+	cls := 0
+	if rng != nil {
+		cls = sampleIdx(probs, rng)
 	} else {
-		cls = 0
 		for c := 1; c < len(probs); c++ {
 			if probs[c] > probs[cls] {
 				cls = c

@@ -35,9 +35,8 @@ type Episode struct {
 
 // GenOptions controls one generation.
 type GenOptions struct {
-	// Temperature 0 means greedy decoding.
-	Temperature float64
-	// Rng is required when Temperature > 0.
+	// Rng, when set, samples every decision (the actions and the
+	// diagnosis) at temperature 1; nil decodes greedily.
 	Rng *rand.Rand
 	// Augmented enables the <think> diagnose-and-correct protocol
 	// (Fig. 2 of the paper); otherwise the generic prompt (Fig. 1).
@@ -53,7 +52,7 @@ const retrySalt = "#retry"
 func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	inputText := ir.CanonicalText(input)
 	ep := &Episode{H: m.HashFeatures(inputText)}
-	attempt, acts, formatBreak := m.rollout(input, ep.H, opts, nil)
+	attempt, acts, formatBreak := m.rollout(input, ep.H, opts.Rng, nil)
 	ep.Actions = acts
 	ep.AttemptText = attempt
 	ep.FormatOK = !formatBreak
@@ -64,7 +63,7 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	}
 
 	// Augmented mode: diagnose the attempt, optionally correct.
-	ep.Diag = m.diagnose(ep.H, acts, opts)
+	ep.Diag = m.diagnose(ep.H, acts, opts.Rng)
 	if ep.Diag.PredictedClass != DiagOK && m.selfCorrectEnabled() {
 		ep.CorrectionUsed = true
 		// Mask the diagnosed family on the second attempt.
@@ -81,7 +80,7 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 		}
 		h2 := m.HashFeatures(retrySalt + inputText)
 		ep.CorrH = h2
-		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, opts, mask)
+		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, opts.Rng, mask)
 		ep.CorrectionActs = corrActs
 		ep.FinalText = corrText
 		ep.FormatOK = !corrFmtBreak
@@ -93,18 +92,14 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 
 // rollout runs one action sequence over a working copy of the input,
 // returning the emitted text, the action records, and whether the
-// format was broken.
-func (m *Model) rollout(input *ir.Function, h []float64, opts GenOptions, mask map[string]bool) (string, []ActionRecord, bool) {
+// format was broken. rng samples each action; nil decodes greedily.
+func (m *Model) rollout(input *ir.Function, h []float64, rng *rand.Rand, mask map[string]bool) (string, []ActionRecord, bool) {
 	work := ir.CloneFunc(input)
 	var acts []ActionRecord
-	var rng *rand.Rand
-	if opts.Temperature > 0 {
-		rng = opts.Rng
-	}
 	for t := 0; t < m.Cap.MaxSteps; t++ {
 		stepFrac := float64(t) / float64(m.Cap.MaxSteps)
 		cands, wf := m.Available(work, mask)
-		pick := m.Choose(cands, stepFrac, wf, h, opts.Temperature, rng)
+		pick := m.Choose(cands, stepFrac, wf, h, rng)
 		acts = append(acts, ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf, Chosen: pick})
 		a := cands[pick]
 		switch {

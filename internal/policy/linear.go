@@ -126,17 +126,12 @@ func (l *Linear) logit(a int, stepFrac, work float64, h []float64) float64 {
 	return v
 }
 
-// softmax turns logits into probabilities in place at the given
-// temperature (<= 0 is read as 1).
-func softmax(logits []float64, temp float64) []float64 {
-	if temp <= 0 {
-		temp = 1
-	}
+// softmax turns logits into probabilities in place.
+func softmax(logits []float64) []float64 {
 	maxL := math.Inf(-1)
-	for i := range logits {
-		logits[i] /= temp
-		if logits[i] > maxL {
-			maxL = logits[i]
+	for _, v := range logits {
+		if v > maxL {
+			maxL = v
 		}
 	}
 	sum := 0.0
@@ -153,19 +148,19 @@ func softmax(logits []float64, temp float64) []float64 {
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // Softmax computes action probabilities over the candidate set.
-func (l *Linear) Softmax(cands []int, stepFrac, work float64, h []float64, temp float64) []float64 {
+func (l *Linear) Softmax(cands []int, stepFrac, work float64, h []float64) []float64 {
 	logits := make([]float64, len(cands))
 	for i, a := range cands {
 		logits[i] = l.logit(a, stepFrac, work, h)
 	}
-	return softmax(logits, temp)
+	return softmax(logits)
 }
 
 // Choose picks an index into cands: sampled from Softmax when rng is
 // set, else the highest logit, ties toward the earlier candidate.
-func (l *Linear) Choose(cands []int, stepFrac, work float64, h []float64, temp float64, rng *rand.Rand) int {
+func (l *Linear) Choose(cands []int, stepFrac, work float64, h []float64, rng *rand.Rand) int {
 	if rng != nil {
-		return sampleIdx(l.Softmax(cands, stepFrac, work, h, temp), rng)
+		return sampleIdx(l.Softmax(cands, stepFrac, work, h), rng)
 	}
 	best, bestV := 0, math.Inf(-1)
 	for i, a := range cands {
@@ -191,8 +186,8 @@ func sampleIdx(probs []float64, rng *rand.Rand) int {
 // AddGrad adds scale·∇ log π(rec.Chosen) — the log-softmax gradient
 // (1[chosen] − p)·feature, under l's current parameters — into dst.
 // dst may be l itself (a supervised step) or an accumulator from Grad.
-func (l *Linear) AddGrad(dst *Linear, rec ActionRecord, h []float64, temp, scale float64) {
-	probs := l.Softmax(rec.Cands, rec.StepFrac, rec.Work, h, temp)
+func (l *Linear) AddGrad(dst *Linear, rec ActionRecord, h []float64, scale float64) {
+	probs := l.Softmax(rec.Cands, rec.StepFrac, rec.Work, h)
 	for i, a := range rec.Cands {
 		coeff := (b2f(i == rec.Chosen) - probs[i]) * scale
 		dst.B[a] += coeff
@@ -205,21 +200,21 @@ func (l *Linear) AddGrad(dst *Linear, rec ActionRecord, h []float64, temp, scale
 
 // ClassProbs is the dense twin of Softmax for the diagnostic head:
 // one logit W[c]·f per class.
-func (d *DiagHead) ClassProbs(f []float64, temp float64) []float64 {
+func (d *DiagHead) ClassProbs(f []float64) []float64 {
 	logits := make([]float64, len(d.W))
 	for c, row := range d.W {
 		for j, fj := range f {
 			logits[c] += row[j] * fj
 		}
 	}
-	return softmax(logits, temp)
+	return softmax(logits)
 }
 
 // AddGrad is the dense twin of Linear.AddGrad: scale·∇ log p(class)
 // under d's current weights, added into dst (d.W itself or a
 // W-shaped accumulator).
-func (d *DiagHead) AddGrad(dst [][]float64, f []float64, class int, temp, scale float64) {
-	for c, p := range d.ClassProbs(f, temp) {
+func (d *DiagHead) AddGrad(dst [][]float64, f []float64, class int, scale float64) {
+	for c, p := range d.ClassProbs(f) {
 		coeff := (b2f(c == class) - p) * scale
 		for j, fj := range f {
 			dst[c][j] += coeff * fj

@@ -30,9 +30,9 @@ func TestAddGradMatchesFiniteDifference(t *testing.T) {
 		h := HashFeatures(3, "", "some input")
 		rec := ActionRecord{Cands: []int{0, 2, 3, 4}, StepFrac: 0.4, Work: 0.6, Chosen: 2}
 		g := l.Grad()
-		l.AddGrad(g, rec, h, 1, 1)
+		l.AddGrad(g, rec, h, 1)
 		logp := func() float64 {
-			return math.Log(l.Softmax(rec.Cands, rec.StepFrac, rec.Work, h, 1)[rec.Chosen])
+			return math.Log(l.Softmax(rec.Cands, rec.StepFrac, rec.Work, h)[rec.Chosen])
 		}
 		params, grads := l.trainable(nil), g.trainable(nil)
 		for v := range params {
@@ -53,7 +53,7 @@ func TestAddGradMatchesFiniteDifference(t *testing.T) {
 			t.Errorf("work=%v: gradient P = %v", work, g.P)
 		}
 		// scale multiplies, and accumulation adds.
-		l.AddGrad(g, rec, h, 1, -1)
+		l.AddGrad(g, rec, h, -1)
 		for _, vs := range g.trainable(nil) {
 			for a, v := range vs {
 				if v != 0 {
@@ -75,15 +75,15 @@ func TestDiagHeadAddGradMatchesFiniteDifference(t *testing.T) {
 		clear(row)
 	}
 	const class = int(DiagSemanticError)
-	d.AddGrad(g, f, class, 1, 1)
+	d.AddGrad(g, f, class, 1)
 	for c := range d.W {
 		for j := range d.W[c] {
 			const eps = 1e-6
 			saved := d.W[c][j]
 			d.W[c][j] = saved + eps
-			up := math.Log(d.ClassProbs(f, 1)[class])
+			up := math.Log(d.ClassProbs(f)[class])
 			d.W[c][j] = saved - eps
-			down := math.Log(d.ClassProbs(f, 1)[class])
+			down := math.Log(d.ClassProbs(f)[class])
 			d.W[c][j] = saved
 			if fd := (up - down) / (2 * eps); math.Abs(fd-g[c][j]) > 1e-7 {
 				t.Errorf("W[%d][%d]: AddGrad %v, finite difference %v", c, j, g[c][j], fd)
@@ -97,16 +97,16 @@ func TestDiagHeadAddGradMatchesFiniteDifference(t *testing.T) {
 // samples every candidate the softmax gives mass to.
 func TestChooseGreedyPicksFirstMaximum(t *testing.T) {
 	l := Linear{B: []float64{0, 3, 3, 1}, S: make([]float64, 4), N: make([][]float64, 4)}
-	if got := l.Choose([]int{0, 1, 2, 3}, 0.5, 0, nil, 1, nil); got != 1 {
+	if got := l.Choose([]int{0, 1, 2, 3}, 0.5, 0, nil, nil); got != 1 {
 		t.Errorf("greedy chose index %d, want 1 (first of the tied maxima)", got)
 	}
-	if got := l.Choose([]int{3, 2, 1}, 0.5, 0, nil, 0, nil); got != 1 {
+	if got := l.Choose([]int{3, 2, 1}, 0.5, 0, nil, nil); got != 1 {
 		t.Errorf("greedy chose index %d of [3 2 1], want 1", got)
 	}
 	seen := map[int]bool{}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 400; i++ {
-		seen[l.Choose([]int{0, 1, 2, 3}, 0.5, 0, nil, 1, rng)] = true
+		seen[l.Choose([]int{0, 1, 2, 3}, 0.5, 0, nil, rng)] = true
 	}
 	if len(seen) != 4 {
 		t.Errorf("400 samples reached only %v", seen)

@@ -12,7 +12,7 @@
 // magnitude and feature count (Capacity).
 //
 // Generation is greedy for evaluation (paper §IV-B: deterministic,
-// reproducible) and temperature-sampled during GRPO training.
+// reproducible) and sampled at temperature 1 during GRPO training.
 package policy
 
 import (

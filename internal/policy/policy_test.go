@@ -46,7 +46,7 @@ func TestGenerationNeverMutatesInput(t *testing.T) {
 	before := ir.FuncString(f)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 20; i++ {
-		m.Generate(f, GenOptions{Temperature: 1.2, Rng: rng, Augmented: i%2 == 0})
+		m.Generate(f, GenOptions{Rng: rng, Augmented: i%2 == 0})
 	}
 	if ir.FuncString(f) != before {
 		t.Error("input function mutated by generation")
@@ -60,7 +60,7 @@ func TestSoftmaxIsDistribution(t *testing.T) {
 		stepFrac := float64(stepFracRaw) / 255
 		work := float64(workRaw) / 255
 		cands := []int{0, 1, 2, m.ActStop(), m.ActFormatBreak()}
-		probs := m.Softmax(cands, stepFrac, work, h, 1.0)
+		probs := m.Softmax(cands, stepFrac, work, h)
 		sum := 0.0
 		for _, p := range probs {
 			if p < 0 || p > 1 || math.IsNaN(p) {
@@ -153,7 +153,7 @@ func TestMaskRulesRespected(t *testing.T) {
 	h := m.HashFeatures(ir.CanonicalText(f))
 	for i := 0; i < 10; i++ {
 		// The correction attempt's rollout, the one that takes a mask.
-		_, acts, _ := m.rollout(f, h, GenOptions{Temperature: 1.5, Rng: rng}, mask)
+		_, acts, _ := m.rollout(f, h, rng, mask)
 		kinds := (&Episode{Actions: acts}).usedRuleKinds(m)
 		if kinds[rewrite.KindUnsound] > 0 || kinds[rewrite.KindCorrupt] > 0 || kinds[rewrite.KindExtra] > 0 {
 			t.Fatalf("masked rule used: %v", kinds)
@@ -165,7 +165,7 @@ func TestMaskRulesRespected(t *testing.T) {
 // to the text the hash features are taken of.
 func saltedEpisode(m *Model, f *ir.Function, salt string) *Episode {
 	text := ir.CanonicalText(f)
-	final, acts, _ := m.rollout(f, m.HashFeatures(salt+text), GenOptions{}, nil)
+	final, acts, _ := m.rollout(f, m.HashFeatures(salt+text), nil, nil)
 	return &Episode{Actions: acts, FinalText: final}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 // and output text over the fixed Generate batch below. A change to how
 // an action is chosen, how a rule draws from its RNG, or what a rollout
 // prints moves it.
-const rolloutBatchDigest = "d4fe1dff3b32babb2f12f7736fc72857ac2dc6c909d79bfce247621135de20c1"
+const rolloutBatchDigest = "48e34ad9541100492067b7ac5610b215ccd03e8930ad138e68b7e21fe9a4a189"
 
 // TestRolloutBatchDigest runs a fixed batch of generations (two
 // policies, greedy and sampled, generic and augmented prompts) and
@@ -56,8 +57,8 @@ func TestRolloutBatchDigest(t *testing.T) {
 			for _, opts := range []GenOptions{
 				{},
 				{Augmented: true},
-				{Temperature: 1, Rng: rng},
-				{Temperature: 1.5, Rng: rng, Augmented: true},
+				{Rng: rng},
+				{Rng: rng, Augmented: true},
 			} {
 				ep := m.Generate(s.O0, opts)
 				acts(ep.Actions)
@@ -75,6 +76,63 @@ func TestRolloutBatchDigest(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != rolloutBatchDigest {
 		t.Fatalf("%d rollouts hash to %s, want %s", rollouts, got, rolloutBatchDigest)
+	}
+}
+
+// TestNilRngDecodesGreedily: a generation without an Rng is the greedy
+// decode, in the generic and the augmented prompt alike. Every action
+// of the attempt and of the correction is Choose's greedy pick, the
+// diagnosis is the most probable class, and the augmented attempt is
+// the generic prompt's whole episode. Each policy runs as built, which
+// never corrects, and then with its self-correction gate open and its
+// diagnosis leaning toward a semantic error, so that corrections run.
+func TestNilRngDecodesGreedily(t *testing.T) {
+	samples, err := dataset.Generate(dataset.Config{Seed: 11, N: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy := func(what string, m *Model, recs []ActionRecord, h []float64) {
+		t.Helper()
+		for i, r := range recs {
+			if want := m.Choose(r.Cands, r.StepFrac, r.Work, h, nil); r.Chosen != want {
+				t.Fatalf("%s step %d chose %d of %v, greedy is %d", what, i, r.Chosen, r.Cands, want)
+			}
+		}
+	}
+	corrections := 0
+	for _, seed := range []int64{5, 9} {
+		m := New(CapQwen3B, seed)
+		for _, open := range []bool{false, true} {
+			if open {
+				m.SelfCorrectGate = 2
+				m.Diag.W[DiagSemanticError][0] += 2 // the bias feature
+			}
+			for _, s := range samples {
+				generic := m.Generate(s.O0, GenOptions{})
+				ep := m.Generate(s.O0, GenOptions{Augmented: true})
+				greedy(s.Name+" attempt", m, ep.Actions, ep.H)
+				greedy(s.Name+" correction", m, ep.CorrectionActs, ep.CorrH)
+				if ep.AttemptText != generic.FinalText || !reflect.DeepEqual(ep.Actions, generic.Actions) {
+					t.Fatalf("%s: the augmented attempt is not the generic greedy decode", s.Name)
+				}
+				probs := m.Diag.ClassProbs(ep.Diag.Features)
+				best := 0
+				for c := range probs {
+					if probs[c] > probs[best] {
+						best = c
+					}
+				}
+				if ep.Diag.ClassIdx != best {
+					t.Fatalf("%s: diagnosed class %d of %v, the most probable is %d", s.Name, ep.Diag.ClassIdx, probs, best)
+				}
+				if ep.CorrectionUsed {
+					corrections++
+				}
+			}
+		}
+	}
+	if corrections == 0 {
+		t.Fatal("no augmented episode ran a correction")
 	}
 }
 

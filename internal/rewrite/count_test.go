@@ -49,9 +49,8 @@ func TestEachRuleAskedOncePerStep(t *testing.T) {
 			}
 		}
 	}
-	for _, opts := range []policy.GenOptions{{}, {Temperature: 1}, {Temperature: 1, Augmented: true}} {
+	for _, opts := range []policy.GenOptions{{}, {Rng: rand.New(rand.NewSource(7))}, {Rng: rand.New(rand.NewSource(7)), Augmented: true}} {
 		m, finds := countingModel()
-		opts.Rng = rand.New(rand.NewSource(7))
 		steps := 0
 		for _, s := range samples {
 			ep := m.Generate(s.O0, opts)

@@ -69,15 +69,11 @@ type Episode struct {
 // Generate rolls out a pass sequence on f. At each step the candidate
 // set is the passes that actually change the current state, plus
 // STOP; the episode ends on STOP or at MaxLen. As in the token policy's
-// rollout, it samples only when opts.Temperature > 0; Augmented is
-// ignored.
-func (m *Model) Generate(f *ir.Function, opts policy.GenOptions) *Episode {
+// rollout, rng samples each step at temperature 1 and nil decodes
+// greedily.
+func (m *Model) Generate(f *ir.Function, rng *rand.Rand) *Episode {
 	if len(registry) != len(m.Passes) {
 		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(registry)))
-	}
-	var rng *rand.Rand
-	if opts.Temperature > 0 {
-		rng = opts.Rng
 	}
 	ep := &Episode{H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
 	cur := f
@@ -93,7 +89,7 @@ func (m *Model) Generate(f *ir.Function, opts policy.GenOptions) *Episode {
 		}
 		cands = append(cands, m.actStop())
 		stepFrac := float64(t) / float64(m.MaxLen)
-		pick := m.Choose(cands, stepFrac, 0, ep.H, opts.Temperature, rng)
+		pick := m.Choose(cands, stepFrac, 0, ep.H, rng)
 		ep.Actions = append(ep.Actions, policy.ActionRecord{Cands: cands, StepFrac: stepFrac, Chosen: pick})
 		if pick == len(next) { // STOP, the last candidate
 			break

@@ -14,7 +14,6 @@ import (
 	"veriopt/internal/instcombine"
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
-	"veriopt/internal/policy"
 )
 
 // testStack is the stack the package's tests share where they do not
@@ -278,16 +277,16 @@ func TestGenerateGreedyDeterministicAndSampledReproducible(t *testing.T) {
 	samples := corpus(t, 8)
 	m := NewModel(7)
 	for _, s := range samples {
-		a := m.Generate(s.O0, policy.GenOptions{})
-		b := m.Generate(s.O0, policy.GenOptions{})
+		a := m.Generate(s.O0, nil)
+		b := m.Generate(s.O0, nil)
 		if strings.Join(a.Sequence, ",") != strings.Join(b.Sequence, ",") {
 			t.Fatalf("%s: greedy decode not deterministic", s.Name)
 		}
 		if ir.FuncString(a.FinalFn) != ir.FuncString(b.FinalFn) {
 			t.Fatalf("%s: greedy decode final fn differs", s.Name)
 		}
-		c := m.Generate(s.O0, policy.GenOptions{Temperature: 1, Rng: rand.New(rand.NewSource(3))})
-		d := m.Generate(s.O0, policy.GenOptions{Temperature: 1, Rng: rand.New(rand.NewSource(3))})
+		c := m.Generate(s.O0, rand.New(rand.NewSource(3)))
+		d := m.Generate(s.O0, rand.New(rand.NewSource(3)))
 		if strings.Join(c.Sequence, ",") != strings.Join(d.Sequence, ",") {
 			t.Fatalf("%s: sampled decode not seed-reproducible", s.Name)
 		}

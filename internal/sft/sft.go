@@ -101,7 +101,7 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			// One cross-entropy gradient step toward each teacher
 			// action, in place.
 			for _, rec := range ex.recs {
-				m.AddGrad(&m.Linear, rec, ex.h, 1, lr)
+				m.AddGrad(&m.Linear, rec, ex.h, lr)
 				st.CloneSteps++
 			}
 			// The first-time diagnosis target is OK.
@@ -179,7 +179,7 @@ func reconstructRecords(ruleIdx map[string]int, fs *grpo.FailureSample) []policy
 // the true class, and perceptron-bumps the subclass association for
 // semantic errors.
 func trainDiag(m *policy.Model, ex *example, trueClass policy.DiagClass, trueDiag string) {
-	m.Diag.AddGrad(m.Diag.W, ex.diag, int(trueClass), 1, lr)
+	m.Diag.AddGrad(m.Diag.W, ex.diag, int(trueClass), lr)
 	if trueClass == policy.DiagSemanticError && trueDiag != "" {
 		sub := policy.SubclassForDiag(trueDiag)
 		for _, rec := range ex.recs {

@@ -75,7 +75,7 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 			recs, _ := teacherTrajectory(mm, s.O0)
 			h := mm.HashFeatures(ir.CanonicalText(s.O0))
 			rec := recs[0]
-			probs := mm.Softmax(rec.Cands, rec.StepFrac, rec.Work, h, 1.0)
+			probs := mm.Softmax(rec.Cands, rec.StepFrac, rec.Work, h)
 			total += probs[rec.Chosen]
 		}
 		return total / float64(len(samples))
@@ -135,7 +135,7 @@ func TestWarmUpTrainsDiagnosticHead(t *testing.T) {
 			}
 		}
 		f := m.DiagFeatures(h, recs)
-		probs := m.Diag.ClassProbs(f, 1.0)
+		probs := m.Diag.ClassProbs(f)
 		if probs[policy.DiagSyntaxError] > probs[policy.DiagOK] {
 			correct++
 		}

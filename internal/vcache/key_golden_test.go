@@ -20,9 +20,9 @@ type keyGolden struct {
 }
 
 // TestKeyOfFuncMatchesGolden pins the bytes of KeyOfFunc. They are a
-// persisted format: vstore compares full keys at read time, the ring
-// routes on their fingerprint, and coordinator and replica must
-// derive the same key from the same text. The golden was written by
+// persisted format: vstore compares full keys at read time, the
+// coordinator routes on their fingerprint, and coordinator and replica
+// must derive the same key from the same text. The golden was written by
 // this test (-update) at the commit that still built keys by clone,
 // renumber, print and fingerprint; a store filled by that code keeps
 // hitting only while this test passes. Regenerating it is a format

@@ -64,21 +64,22 @@ type Key struct {
 
 // Fingerprint condenses the key to the fixed-size form the whole
 // storage and serving spine shares: the hot tier's map, the verdict
-// store's index (internal/vstore) and the cluster coordinator's
-// consistent-hash ring (internal/cluster) all key on it. The full key
-// (src and dst are whole function texts) would make an index as large
-// as the corpus; 32 bytes keeps millions of verdicts indexable and
-// gives the ring a uniform hash. The hot tier trusts the digest;
-// vstore, which has the full key on disk anyway, compares it at read
-// time; the ring only routes, so a collision merely co-locates two
-// queries.
+// store's index (internal/vstore) and the cluster coordinator's replica
+// order (internal/cluster, rendezvous hashing) all key on it. The full
+// key (src and dst are whole function texts) would make an index as
+// large as the corpus; 32 bytes keeps millions of verdicts indexable
+// and gives the replica scores a uniform hash. The hot tier trusts the
+// digest; vstore, which has the full key on disk anyway, compares it at
+// read time; the coordinator only routes, so a collision merely
+// co-locates two queries.
 //
 // The bytes are SHA-256 over the key's fields in order, each text as
 // its length (8 bytes, little-endian) then its bytes, each option as an
 // 8-byte little-endian integer: an encoding no two keys share, whatever
 // bytes their texts hold. Nothing persists the digest, so its
 // definition binds no store or peer: vstore keeps full keys and
-// fingerprints each record at Open, and the ring lives in one process.
+// fingerprints each record at Open, and only the coordinator, one
+// process, places keys on replicas.
 // A field added to Key or alive.Options must be appended here, and
 // TestFingerprintMatchesReference fails until it is.
 func (k Key) Fingerprint() [sha256.Size]byte {
