@@ -8,54 +8,122 @@ import (
 )
 
 // CloneFunc produces a deep copy of a function the way parseFunc builds
-// one: after a counting pass, every Param, Block and Instr comes from a
-// slab of its kind and every list is a window carved from one slab per
-// element type, nil where the original's is empty. Constants are shared
-// (they are immutable), and so is any value that is not f's own. The
-// copy is in fresh memory: it is a zero Copier's.
+// one: after a counting pass, every Param, Block and Instr and every
+// list is carved from a window per element type, a list nil where the
+// original's is empty. Constants are shared (they are immutable), and
+// so is any value that is not f's own. The copy is a zero Copier's.
 func CloneFunc(f *Function) *Function {
 	var c Copier
 	return c.Clone(f)
 }
 
 // A Copier builds functions, copies (Clone) or parses (Parse) alike,
-// into memory it may reuse. It holds the function and the slabs of the
-// last one it built; once the caller says that one is dropped
-// (Release), the next Clone or Parse carves from them where they are
-// big enough. Until then every one allocates, so a caller that never
-// releases shares nothing.
+// as a bump arena: a chunk per kind of element a function is made of,
+// each function carved after the last, so that the ones a caller keeps
+// share a few chunks and are never written again. Once the caller says
+// the last one is dropped (Release), the next is carved where it began.
 type Copier struct {
-	released  bool
-	fn        *Function
-	params    []Param
-	paramPtrs []*Param
-	blocks    []Block
-	blockPtrs []*Block
-	instrs    []Instr
-	instrPtrs []*Instr
-	vals      []Value
-	incs      []Incoming
-	cases     []*Const
-	consts    []Const
+	fns       arena[Function]
+	params    arena[Param]
+	blocks    arena[Block]
+	instrs    arena[Instr]
+	paramPtrs arena[*Param]
+	blockPtrs arena[*Block] // a function's blocks, then its successor lists
+	instrPtrs arena[*Instr]
+	vals      arena[Value]
+	incs      arena[Incoming]
+	cases     arena[*Const]
+	consts    arena[Const]
 }
 
 // Release tells c that the last function it built is dropped: nothing
 // will read or write it again, so the next Clone or Parse may overwrite
 // it.
-func (c *Copier) Release() { c.released = true }
+func (c *Copier) Release() { c.mark(true) }
 
-// claim starts a function: it reports whether the memory c holds may be
-// overwritten, and sets c.fn to the Function to build.
-func (c *Copier) claim() (reuse bool) {
-	reuse, c.released = c.released, false
-	if !reuse || c.fn == nil {
-		c.fn = new(Function)
-	}
-	return reuse
+// mark marks in every arena where the next function begins, or with
+// release set rewinds every arena to its mark.
+func (c *Copier) mark(release bool) {
+	c.fns.mark(release)
+	c.params.mark(release)
+	c.blocks.mark(release)
+	c.instrs.mark(release)
+	c.paramPtrs.mark(release)
+	c.blockPtrs.mark(release)
+	c.instrPtrs.mark(release)
+	c.vals.mark(release)
+	c.incs.mark(release)
+	c.cases.mark(release)
+	c.consts.mark(release)
 }
 
-// Clone returns a deep copy of f, in the memory of the last function c
-// built when that was released.
+// An arena carves windows from its chunk, buf, each with capacity equal
+// to its length: an append to one reallocates it instead of writing
+// into the next. The last function built begins at start, the window
+// push fills at open; push replaces a full chunk by one of at least
+// size elements, what the parser expects the function to take.
+type arena[T any] struct {
+	buf               []T
+	start, open, size int
+}
+
+func (a *arena[T]) mark(release bool) {
+	if release {
+		a.buf = a.buf[:a.start]
+	}
+	a.start, a.open = len(a.buf), len(a.buf)
+}
+
+// room makes room for n elements from the open window on: a chunk too
+// small is replaced, never grown, by one of max(n, 2·cap) (a zero
+// arena's first is exact), the open window and the function being
+// built moving to it; the windows carved before stay where they are.
+func (a *arena[T]) room(n int) {
+	if a.open+n > cap(a.buf) {
+		a.buf = append(make([]T, 0, max(n, 2*cap(a.buf))), a.buf[a.open:]...)
+		a.start, a.open = 0, 0
+	}
+}
+
+// alloc carves the next n elements, nil when n is 0. They may be a
+// released function's: the caller writes every one.
+func (a *arena[T]) alloc(n int) []T {
+	a.room(n)
+	a.buf = a.buf[:len(a.buf)+n]
+	return a.take()
+}
+
+// giveBack returns the last n elements carved, the unused tail of a
+// window taken at an upper bound.
+func (a *arena[T]) giveBack(n int) { a.buf, a.open = a.buf[:len(a.buf)-n], len(a.buf)-n }
+
+// push appends v to the open window.
+func (a *arena[T]) push(v T) {
+	if len(a.buf) == cap(a.buf) {
+		a.room(max(a.size, len(a.buf)-a.open+1))
+	}
+	a.buf = append(a.buf, v)
+}
+
+// take closes the open window and returns it, nil when empty.
+func (a *arena[T]) take() []T {
+	w := a.buf[a.open:len(a.buf):len(a.buf)]
+	if a.open = len(a.buf); len(w) == 0 {
+		return nil
+	}
+	return w
+}
+
+// of returns vs as one window.
+func (a *arena[T]) of(vs ...T) []T {
+	for _, v := range vs {
+		a.push(v)
+	}
+	return a.take()
+}
+
+// Clone returns a deep copy of f, carved after the last function c
+// built, or where it began when that was released.
 func (c *Copier) Clone(f *Function) *Function {
 	var instrs, args, succs, incs, cases int
 	for _, b := range f.Blocks {
@@ -64,18 +132,18 @@ func (c *Copier) Clone(f *Function) *Function {
 			args, succs, incs, cases = args+len(in.Args), succs+len(in.Succs), incs+len(in.Incs), cases+len(in.Cases)
 		}
 	}
-	reuse := c.claim()
-	nf := c.fn
+	c.mark(false)
+	nf := &c.fns.alloc(1)[0]
 	*nf = Function{NameStr: f.NameStr, RetTy: f.RetTy, Attrs: f.Attrs}
-	paramSlab, paramPtrs := slab(&c.params, reuse, len(f.Params)), slab(&c.paramPtrs, reuse, len(f.Params))
-	nf.Params = carve(&paramPtrs, len(f.Params))
+	paramSlab := c.params.alloc(len(f.Params))
+	nf.Params = c.paramPtrs.alloc(len(f.Params))
 	for i, p := range f.Params {
 		paramSlab[i] = *p
 		nf.Params[i] = &paramSlab[i]
 	}
-	blockSlab, blockPtrs := slab(&c.blocks, reuse, len(f.Blocks)), slab(&c.blockPtrs, reuse, len(f.Blocks)+succs)
+	blockSlab, blockPtrs := c.blocks.alloc(len(f.Blocks)), c.blockPtrs.alloc(len(f.Blocks)+succs)
 	nf.Blocks = carve(&blockPtrs, len(f.Blocks))
-	instrSlab, instrPtrs := slab(&c.instrs, reuse, instrs), slab(&c.instrPtrs, reuse, instrs)
+	instrSlab, instrPtrs := c.instrs.alloc(instrs), c.instrPtrs.alloc(instrs)
 	for bi, b := range f.Blocks {
 		nb := &blockSlab[bi]
 		*nb = Block{NameStr: b.NameStr, Instrs: carve(&instrPtrs, len(b.Instrs)), Parent: nf}
@@ -91,7 +159,7 @@ func (c *Copier) Clone(f *Function) *Function {
 	// another function included, stays shared, and another function's
 	// block is nil. Second sweep resolves operands (handles forward refs
 	// through phis).
-	valSlab, incSlab, caseSlab := slab(&c.vals, reuse, args), slab(&c.incs, reuse, incs), slab(&c.cases, reuse, cases)
+	valSlab, incSlab, caseSlab := c.vals.alloc(args), c.incs.alloc(incs), c.cases.alloc(cases)
 	for bi, b := range f.Blocks {
 		for ii, in := range b.Instrs {
 			copyOf := func(v Value) Value {
@@ -127,16 +195,6 @@ func (c *Copier) Clone(f *Function) *Function {
 		}
 	}
 	return nf
-}
-
-// slab returns n elements of *held, first replaced by a fresh slab
-// unless reuse is set and it has room. Clone and the parser overwrite
-// every element they hand out.
-func slab[T any](held *[]T, reuse bool, n int) []T {
-	if !reuse || cap(*held) < n {
-		*held = make([]T, n)
-	}
-	return (*held)[:n]
 }
 
 // carve takes the next n elements of *slab as a window whose capacity is

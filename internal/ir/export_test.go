@@ -15,6 +15,10 @@ var (
 	CheckPositions   = checkPositions
 )
 
+// SampleFn is the internal tests' sample function, for the external
+// test package's fuzz corpus.
+const SampleFn = sampleFn
+
 // FormatInstr renders one instruction without indentation or newline,
 // for test messages; the product prints whole functions.
 func FormatInstr(in *Instr) string { return string(new(printer).instr(in).buf) }

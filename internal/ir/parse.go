@@ -27,10 +27,9 @@ func Parse(src string) (*Module, error) {
 	if err := p.start(src); err != nil {
 		return nil, err
 	}
-	m := &Module{}
-	var c Copier // never released: each function in fresh memory
+	m := &Module{} // the functions share the chunks of p's zero Copier
 	for {
-		d, f, err := p.unit(&c)
+		d, f, err := p.unit()
 		switch {
 		case err != nil:
 			return nil, err
@@ -52,28 +51,24 @@ func ParseFunc(src string) (*Function, error) {
 	return c.Parse(src)
 }
 
-// Parse parses a single function definition as ParseFunc does, into the
-// memory of the last function c built when that was released. It
-// allocates what the function keeps and little else: no Module, no
-// slice of lines, and a parser, with its token buffer and name table,
-// on the caller's stack. A parse that fails hands nothing out, so what
-// c held free before it is free after it.
+// Parse parses a single function definition as ParseFunc does, into
+// c's memory (Clone's rule). It allocates what the function keeps and
+// little else: no Module, no slice of lines, and a parser, with its
+// token buffer and name table, on the caller's stack. The parser carves
+// from a copy of c that only a parse that succeeds hands back: one that
+// fails hands nothing out and leaves c as it was, fill and marks.
 func (c *Copier) Parse(src string) (*Function, error) {
-	free := c.released
-	fail := func(err error) (*Function, error) {
-		c.released = free
-		return nil, err
-	}
 	var p parser
 	if err := p.start(src); err != nil {
-		return fail(err)
+		return nil, err
 	}
+	p.c = *c
 	var f *Function
 	n := 0
 	for {
-		d, g, err := p.unit(c)
+		d, g, err := p.unit()
 		if err != nil {
-			return fail(err)
+			return nil, err
 		}
 		if d == nil && g == nil {
 			break
@@ -86,15 +81,16 @@ func (c *Copier) Parse(src string) (*Function, error) {
 		}
 	}
 	if n != 1 {
-		return fail(&ParseError{Line: 1, msg: fmt.Sprintf("expected exactly one function, found %d", n)})
+		return nil, &ParseError{Line: 1, msg: fmt.Sprintf("expected exactly one function, found %d", n)}
 	}
+	*c = p.c
 	return f, nil
 }
 
 // parser reads src a line at a time, in place, and builds one function
-// at a time straight into that function's memory, which a Copier lends
-// it. Nothing in it points into it or into the Copier, so that both can
-// live on their callers' stacks.
+// at a time straight into that function's memory, carved from its copy
+// of a Copier. Nothing in it points into it or into the Copier, so that
+// both can live on their callers' stacks.
 type parser struct {
 	src string
 	off int // byte offset of the next unread line; past len(src) at the end
@@ -102,20 +98,16 @@ type parser struct {
 	tk  tok // the one line being tokenized
 
 	// The function being built. params and instrs are its parameter and
-	// instruction slabs, filled in order: a value's position is its
+	// instruction windows, filled in order: a value's position is its
 	// parameter index, or len(params) plus its index in instrs.
 	params []*Param
 	instrs []Instr
 	blocks []*Block
 	// names finds a value or a block by its name: a value's position,
 	// below base, or base plus a block's index.
-	names  table
-	base   int32
-	vals   chunk[Value]
-	succs  chunk[*Block]
-	incs   chunk[Incoming]
-	consts chunk[Const]
-	cases  chunk[*Const]
+	names table
+	base  int32
+	c     Copier
 	// pend names each forward reference, and the line that made it, in
 	// the order the instructions' operands hold them; the first 16 are
 	// in the array.
@@ -169,9 +161,8 @@ func (p *parser) errf(format string, args ...interface{}) error {
 }
 
 // unit parses the next declaration or definition, past blank and
-// comment lines, a definition into c's memory; both are nil at the end
-// of src.
-func (p *parser) unit(c *Copier) (*Declaration, *Function, error) {
+// comment lines; both are nil at the end of src.
+func (p *parser) unit() (*Declaration, *Function, error) {
 	for !p.eof() {
 		line := strings.TrimSpace(p.peekLine())
 		switch {
@@ -181,7 +172,7 @@ func (p *parser) unit(c *Copier) (*Declaration, *Function, error) {
 			d, err := p.parseDecl()
 			return d, nil, err
 		case strings.HasPrefix(line, "define"):
-			f, err := p.parseFunc(c)
+			f, err := p.parseFunc()
 			return nil, f, err
 		default:
 			return nil, nil, p.errf("expected 'define' or 'declare', got %q", line)
@@ -309,14 +300,15 @@ func (p *parser) parseDecl() (*Declaration, error) {
 	return d, nil
 }
 
-func (p *parser) parseFunc(c *Copier) (*Function, error) {
+func (p *parser) parseFunc() (*Function, error) {
+	c := &p.c
 	header := p.next()
 	headerLine := p.pos
 
 	// Body: find the blocks, as byte ranges of src, before the header is
 	// read. Instructions are parsed once every label is known: branches
 	// and phis name later blocks. This pass also counts what the next one
-	// builds, so that it can take every block and instruction from a slab
+	// builds, so that it can take every block and instruction from a window
 	// of exactly that size and size the name table once. Its error, an
 	// unterminated body, waits for the header's.
 	type rawBlock struct {
@@ -375,20 +367,18 @@ func (p *parser) parseFunc(c *Copier) (*Function, error) {
 	if !tk.eat("(") {
 		return nil, &ParseError{Line: headerLine, msg: "define: expected ("}
 	}
-	// The function and its slabs are c's: the released function's
-	// memory where that fits, else fresh (slab).
-	reuse := c.claim()
-	f := c.fn
+	c.mark(false)
+	f := &c.fns.alloc(1)[0]
 	*f = Function{NameStr: name, RetTy: retTy}
 	// Every parameter's name is a token of the header beginning with
-	// '%', so their number bounds the parameters: their slabs, and the
+	// '%', so their number bounds the parameters: their windows, and the
 	// table of names, are made before the first is read.
 	bound := strings.Count(header, "%")
 	p.base = int32(bound + total)
 	p.names.reset(bound + total + len(raws) + 1)
 	p.instrs, p.npend, p.pendMore = nil, 0, p.pendMore[:0]
-	paramSlab := slab(&c.params, reuse, bound)
-	p.params = slab(&c.paramPtrs, reuse, bound)[:0]
+	paramSlab := c.params.alloc(bound)
+	p.params = c.paramPtrs.alloc(bound)[:0]
 	for !tk.eat(")") {
 		pt, ok := tk.typ()
 		if !ok {
@@ -424,6 +414,8 @@ func (p *parser) parseFunc(c *Copier) (*Function, error) {
 	if len(p.params) > 0 {
 		f.Params = p.params[:len(p.params):len(p.params)]
 	}
+	c.params.giveBack(bound - len(p.params))
+	c.paramPtrs.giveBack(bound - len(p.params))
 	// Attribute-group reference and anything else before the brace.
 	rest := strings.TrimSpace(tk.rest())
 	if strings.HasSuffix(rest, "{") {
@@ -440,18 +432,18 @@ func (p *parser) parseFunc(c *Copier) (*Function, error) {
 	}
 
 	// The function's memory: one Block and one Instr per block and
-	// instruction found, and each block's Instrs a window of one pointer
-	// slab, its capacity capped at the block's count — an append by a
+	// instruction found, and each block's Instrs a slice of one window of
+	// pointers, its capacity capped at the block's count — an append by a
 	// later pass reallocates instead of writing into the next block's
 	// window. None of the three is ever grown, so *Block and *Instr are
 	// stable. Operands, successors, phi incomings, cases and constants,
-	// whose numbers the first pass does not know, come from chunks, the
-	// first successors from the block list's own slab, past its capped
-	// end. The parser keeps nothing; c keeps the slabs for its next
-	// function.
+	// whose numbers the first pass does not know, are lists pushed into
+	// c's arenas, the successors after the block list in a chunk with
+	// room for two per block.
 	n := len(raws)
-	blockSlab, blockPtrs, instrPtrs := slab(&c.blocks, reuse, n), slab(&c.blockPtrs, reuse, 3*n), slab(&c.instrPtrs, reuse, total)
-	f.Blocks, p.blocks = blockPtrs[:n:n], blockPtrs[:0:n]
+	c.blockPtrs.room(3 * n)
+	blockSlab, blockPtrs, instrPtrs := c.blocks.alloc(n), c.blockPtrs.alloc(n), c.instrPtrs.alloc(total)
+	f.Blocks, p.blocks = blockPtrs, blockPtrs[:0]
 	for i, rb := range raws {
 		pos, slot := p.lookupBlock(rb.name)
 		if pos >= 0 {
@@ -464,10 +456,8 @@ func (p *parser) parseFunc(c *Copier) (*Function, error) {
 	}
 
 	// Parse instructions; operands may forward-reference values.
-	p.instrs = slab(&c.instrs, reuse, total)[:0:total]
-	p.vals, p.consts = chunk[Value]{held: c.vals, reuse: reuse, size: 2 * total}, chunk[Const]{held: c.consts, reuse: reuse, size: total}
-	p.incs, p.cases = chunk[Incoming]{held: c.incs, reuse: reuse, size: 4 * n}, chunk[*Const]{held: c.cases, reuse: reuse, size: n}
-	p.succs = chunk[*Block]{held: c.blockPtrs, buf: blockPtrs[n:n], size: 2 * n}
+	p.instrs = c.instrs.alloc(total)[:0]
+	c.vals.size, c.consts.size, c.incs.size, c.cases.size, c.blockPtrs.size = 2*total, total, 4*n, n, 2*n
 	for bi, rb := range raws {
 		b := f.Blocks[bi]
 		for at, li := rb.start, rb.line; at < rb.end; li++ {
@@ -491,11 +481,6 @@ func (p *parser) parseFunc(c *Copier) (*Function, error) {
 			b.appendInstr(in)
 		}
 	}
-
-	// c holds the chunks' last arrays from now on. A parse that fails
-	// before here leaves it holding the ones it held, which are free
-	// when it was.
-	c.vals, c.consts, c.incs, c.cases, c.blockPtrs = p.vals.held, p.consts.held, p.incs.held, p.cases.held, p.succs.held
 
 	// Resolve forward references, in the order they were made.
 	if p.npend == 0 {
@@ -540,7 +525,7 @@ func (p *parser) parseFunc(c *Copier) (*Function, error) {
 	return f, nil
 }
 
-// instr moves in to the next slot of the function's instruction slab,
+// instr moves in to the next slot of the function's instruction window,
 // which has one per instruction line: it is never grown (the reslice
 // would panic first), so the pointer stays good.
 func (p *parser) instr(in Instr) *Instr {
@@ -551,61 +536,9 @@ func (p *parser) instr(in Instr) *Instr {
 }
 
 // konst returns the constant val of type ty, truncated to its width: a
-// window of one in the constant chunk.
+// window of one in the constant list.
 func (p *parser) konst(ty IntType, val uint64) *Const {
-	return &p.consts.of(Const{Ty: ty, Val: val & ty.Mask()})[0]
-}
-
-// chunk hands out windows of one backing array to lists whose lengths
-// the first pass does not know (operands, successors, phi incomings,
-// cases, constants), in place of an allocation each. One window is open
-// at a time: push extends it, take closes it. Its arrays are a Copier's
-// slab, held, which parseFunc hands back to the Copier.
-type chunk[T any] struct {
-	held  []T  // the Copier's slab: maybe the first array, and every later one
-	reuse bool // held is no live function's memory
-	buf   []T
-	open  int // where the open window begins
-	size  int // elements in a first array
-}
-
-// push appends v to the open window. A full array is replaced, never
-// grown — the windows taken from it stay where they are — and the open
-// window moves to the new one: for a first array (buf nil) the held
-// slab, when it may be reused and is big enough, else a fresh array,
-// at least twice the full one, that the Copier holds from then on, so
-// that a function the held slab did not fit fits the next time.
-func (c *chunk[T]) push(v T) {
-	if len(c.buf) == cap(c.buf) {
-		w := c.buf[c.open:]
-		n := max(c.size, 2*len(w)+1, 2*cap(c.buf))
-		if !c.reuse || c.buf != nil || cap(c.held) < n {
-			c.held = make([]T, 0, n)
-		}
-		c.buf, c.open = append(c.held[:0], w...), 0
-	}
-	c.buf = append(c.buf, v)
-}
-
-// take closes the open window and returns it, nil when empty, with its
-// capacity capped at its length: an append to one instruction's
-// operands by a later pass reallocates instead of writing into its
-// neighbour's (the rule bv.Term.Kids follows).
-func (c *chunk[T]) take() []T {
-	w := c.buf[c.open:len(c.buf):len(c.buf)]
-	c.open = len(c.buf)
-	if len(w) == 0 {
-		return nil
-	}
-	return w
-}
-
-// of returns vs as one window.
-func (c *chunk[T]) of(vs ...T) []T {
-	for _, v := range vs {
-		c.push(v)
-	}
-	return c.take()
+	return &p.c.consts.of(Const{Ty: ty, Val: val & ty.Mask()})[0]
 }
 
 // arithOps maps the mnemonics of the binary and cast opcodes.
@@ -753,7 +686,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return define(p.instr(Instr{Op: bop, Ty: ty, Args: p.vals.of(x, y), Flags: fl}))
+		return define(p.instr(Instr{Op: bop, Ty: ty, Args: p.c.vals.of(x, y), Flags: fl}))
 	}
 	switch op {
 	case "icmp":
@@ -777,7 +710,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return define(p.instr(Instr{Op: OpICmp, Pred: pred, Ty: I1, Args: p.vals.of(x, y)}))
+		return define(p.instr(Instr{Op: OpICmp, Pred: pred, Ty: I1, Args: p.c.vals.of(x, y)}))
 	case "select":
 		c, err := p.typedValue(tk, lno)
 		if err != nil {
@@ -803,7 +736,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if !t.Type().Equal(fv.Type()) {
 			return fail("select: arm types differ: %s vs %s", t.Type(), fv.Type())
 		}
-		return define(p.instr(Instr{Op: OpSelect, Ty: t.Type(), Args: p.vals.of(c, t, fv)}))
+		return define(p.instr(Instr{Op: OpSelect, Ty: t.Type(), Args: p.c.vals.of(c, t, fv)}))
 	case "zext", "sext", "trunc":
 		x, err := p.typedValue(tk, lno)
 		if err != nil {
@@ -827,13 +760,13 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if op != "trunc" && toI.Bits <= from.Bits {
 			return fail("%s: destination i%d not wider than source i%d", op, toI.Bits, from.Bits)
 		}
-		return define(p.instr(Instr{Op: arithOps[op], Ty: to, Args: p.vals.of(x)}))
+		return define(p.instr(Instr{Op: arithOps[op], Ty: to, Args: p.c.vals.of(x)}))
 	case "freeze":
 		x, err := p.typedValue(tk, lno)
 		if err != nil {
 			return nil, err
 		}
-		return define(p.instr(Instr{Op: OpFreeze, Ty: x.Type(), Args: p.vals.of(x)}))
+		return define(p.instr(Instr{Op: OpFreeze, Ty: x.Type(), Args: p.c.vals.of(x)}))
 	case "alloca":
 		ty, ok := tk.typ()
 		if !ok {
@@ -868,7 +801,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 			}
 			tk.ident()
 		}
-		return define(p.instr(Instr{Op: OpLoad, Ty: ty, Args: p.vals.of(ptr)}))
+		return define(p.instr(Instr{Op: OpLoad, Ty: ty, Args: p.c.vals.of(ptr)}))
 	case "store":
 		v, err := p.typedValue(tk, lno)
 		if err != nil {
@@ -893,7 +826,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if name != "" {
 			return fail("store: must not have a result")
 		}
-		return p.instr(Instr{Op: OpStore, Ty: Void, Args: p.vals.of(v, ptr)}), nil
+		return p.instr(Instr{Op: OpStore, Ty: Void, Args: p.c.vals.of(v, ptr)}), nil
 	case "call":
 		retTy, ok := tk.typ()
 		if !ok {
@@ -911,7 +844,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.vals.push(a)
+			p.c.vals.push(a)
 			if !tk.eat(",") && tk.peek() != ")" {
 				return fail("call: expected , or )")
 			}
@@ -923,7 +856,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if _, isVoid := retTy.(VoidType); isVoid && name != "" {
 			return fail("call: void call must not have a result")
 		}
-		return p.instr(Instr{Op: OpCall, NameStr: name, Ty: retTy, Callee: callee, Args: p.vals.take()}), nil
+		return p.instr(Instr{Op: OpCall, NameStr: name, Ty: retTy, Callee: callee, Args: p.c.vals.take()}), nil
 	case "phi":
 		ty, ok := tk.typ()
 		if !ok {
@@ -951,12 +884,12 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 			if !tk.eat("]") {
 				return fail("phi: expected ]")
 			}
-			p.incs.push(Incoming{Val: v, Block: blk})
+			p.c.incs.push(Incoming{Val: v, Block: blk})
 			if !tk.eat(",") {
 				break
 			}
 		}
-		return define(p.instr(Instr{Op: OpPhi, Ty: ty, Incs: p.incs.take()}))
+		return define(p.instr(Instr{Op: OpPhi, Ty: ty, Incs: p.c.incs.take()}))
 	case "ret":
 		if name != "" {
 			return fail("ret: must not have a result")
@@ -968,7 +901,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.instr(Instr{Op: OpRet, Ty: Void, Args: p.vals.of(v)}), nil
+		return p.instr(Instr{Op: OpRet, Ty: Void, Args: p.c.vals.of(v)}), nil
 	case "br":
 		if name != "" {
 			return fail("br: must not have a result")
@@ -978,7 +911,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return p.instr(Instr{Op: OpBr, Ty: Void, Succs: p.succs.of(dst)}), nil
+			return p.instr(Instr{Op: OpBr, Ty: Void, Succs: p.c.blockPtrs.of(dst)}), nil
 		}
 		c, err := p.typedValue(tk, lno)
 		if err != nil {
@@ -1001,7 +934,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.instr(Instr{Op: OpCondBr, Ty: Void, Args: p.vals.of(c), Succs: p.succs.of(t, f)}), nil
+		return p.instr(Instr{Op: OpCondBr, Ty: Void, Args: p.c.vals.of(c), Succs: p.c.blockPtrs.of(t, f)}), nil
 	case "switch":
 		if name != "" {
 			return fail("switch: must not have a result")
@@ -1024,7 +957,7 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 		if !tk.eat("[") {
 			return fail("switch: expected [")
 		}
-		p.succs.push(def)
+		p.c.blockPtrs.push(def)
 		for !tk.eat("]") {
 			cty, ok := tk.typ()
 			if !ok {
@@ -1048,10 +981,10 @@ func (p *parser) parseInstr(line string, lno int) (*Instr, error) {
 			if err != nil {
 				return nil, err
 			}
-			p.cases.push(cc)
-			p.succs.push(dst)
+			p.c.cases.push(cc)
+			p.c.blockPtrs.push(dst)
 		}
-		return p.instr(Instr{Op: OpSwitch, Ty: Void, Args: p.vals.of(v), Succs: p.succs.take(), Cases: p.cases.take()}), nil
+		return p.instr(Instr{Op: OpSwitch, Ty: Void, Args: p.c.vals.of(v), Succs: p.c.blockPtrs.take(), Cases: p.c.cases.take()}), nil
 	case "unreachable":
 		if name != "" {
 			return fail("unreachable: must not have a result")

@@ -70,31 +70,31 @@ type Episode struct {
 // set is the passes that actually change the current state, plus
 // STOP; the episode ends on STOP or at MaxLen. As in the token policy's
 // rollout, rng samples each step at temperature 1 and nil decodes
-// greedily.
+// greedily. Each pass is probed on a copy one copier makes and
+// releases; only the picked one is applied, into fresh memory.
 func (m *Model) Generate(f *ir.Function, rng *rand.Rand) *Episode {
 	if len(registry) != len(m.Passes) {
 		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(registry)))
 	}
 	ep := &Episode{H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
 	cur := f
+	var c ir.Copier
 	for t := 0; t < m.MaxLen; t++ {
-		// Probe which passes fire on the current state.
 		var cands []int
-		var next []*ir.Function
 		for i, p := range registry {
-			if g, changed := p.Apply(cur); changed {
+			if _, changed := p.apply(cur, &c); changed {
 				cands = append(cands, i)
-				next = append(next, g)
 			}
+			c.Release()
 		}
 		cands = append(cands, m.actStop())
 		stepFrac := float64(t) / float64(m.MaxLen)
 		pick := m.Choose(cands, stepFrac, 0, ep.H, rng)
 		ep.Actions = append(ep.Actions, policy.ActionRecord{Cands: cands, StepFrac: stepFrac, Chosen: pick})
-		if pick == len(next) { // STOP, the last candidate
+		if pick == len(cands)-1 { // STOP, the last candidate
 			break
 		}
-		cur = next[pick]
+		cur, _ = registry[cands[pick]].Apply(cur)
 		ep.Sequence = append(ep.Sequence, m.Passes[cands[pick]])
 	}
 	ep.FinalFn = cur

@@ -68,8 +68,8 @@ func better(a, b *state) bool { return compare(a, b) < 0 }
 
 // search is what one Beam or Greedy holds across its expansions: the
 // input, the states seen (by key), the result so far, the one copier
-// every state is copied by, and the buffer each copy's key is printed
-// into.
+// every state is copied by, so that the states share its chunks, and
+// the buffer each copy's key is printed into.
 type search struct {
 	f0   *ir.Function
 	cfg  SearchConfig
@@ -94,10 +94,10 @@ func newSearch(f0 *ir.Function, cfg SearchConfig) (search, *state) {
 // in registry order, returning it. A state is copied only for a pass
 // whose finder fires on it, by the search's one copier; its key is
 // printed into the search's buffer and looked up there, and becomes a
-// string only for a new state. A copy that is no new state (the pass changed nothing, or
-// its key is seen) is released to the copier for the next, so only the
-// new states, which go to the oracle and may join the frontier, keep
-// memory of their own, never written again.
+// string only for a new state. A copy that is no new state (the pass
+// changed nothing, or its key is seen) is released to the copier for
+// the next, so only the new states, which go to the oracle and may join
+// the frontier, keep their memory, never written again.
 func (s *search) expand(ctx context.Context, st *state, out []*state) ([]*state, error) {
 	for _, p := range registry {
 		if err := ctx.Err(); err != nil {
@@ -188,19 +188,21 @@ func Greedy(ctx context.Context, f0 *ir.Function, cfg SearchConfig) (*SearchResu
 }
 
 // finish records best as the search's winner, its pass sequence read
-// off its parents, and returns the result.
+// off its parents and itself copied into fresh memory unless it is the
+// input (the states share the search's chunks, and a result kept in
+// them would keep them all), and returns the result.
 func (s *search) finish(best *state) *SearchResult {
 	n := 0
 	for st := best; st.parent != nil; st = st.parent {
 		n++
 	}
+	s.res.Fn, s.res.Best = best.fn, best.m
 	if n > 0 {
-		s.res.Sequence = make([]string, n)
+		s.res.Fn, s.res.Sequence = ir.CloneFunc(best.fn), make([]string, n)
 		for st := best; st.parent != nil; st = st.parent {
 			n--
 			s.res.Sequence[n] = st.pass
 		}
 	}
-	s.res.Fn, s.res.Best = best.fn, best.m
 	return s.res
 }

@@ -69,8 +69,13 @@ type Pass struct {
 // finder fires; a changed output is renumbered into canonical form.
 // Apply is deterministic: the same input always yields the same output.
 func (p *Pass) Apply(f *ir.Function) (*ir.Function, bool) {
-	var c ir.Copier
-	g, changed := p.try(f, &c)
+	return p.apply(f, new(ir.Copier))
+}
+
+// apply is Apply with the copy made by c, which a rollout probing every
+// pass releases after each.
+func (p *Pass) apply(f *ir.Function, c *ir.Copier) (*ir.Function, bool) {
+	g, changed := p.try(f, c)
 	if changed && p.confirm && ir.FuncsStructurallyEqual(f, g) {
 		return f, false
 	}

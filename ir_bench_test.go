@@ -47,7 +47,10 @@ import (
 // the slices grew by append). A search copies through one ir.Copier,
 // which makes a copy in the memory of the last one once that is
 // released (a pass that changed nothing, a state already seen): 0 on
-// midFn, into a released copy of midFn. A server parses through one
+// midFn, into a released copy of midFn. The copies it keeps share its
+// chunks, which double: eight copies of midFn that one Copier keeps
+// are at most nine kinds times four chunks, 36 (72 while each copy took
+// a slab per kind). A server parses through one
 // ir.Copier per request text in the same way (Copier.Parse, of which
 // ParseFunc is a zero Copier's): 0 on midFn, into a released parse of
 // midFn. DeadCodeElim allocates nothing: its row prunes copies made
@@ -92,7 +95,9 @@ import (
 // 71 with the builder's map and the seed list appended one environment
 // at a time), a small
 // pair a solver decides Unsat (35, under -race too; 93 and 94) and one
-// whole Beam on a stack nothing has warmed (628, under -race too; 633
+// whole Beam on a stack nothing has warmed (618, under -race too, with
+// its winner copied out of the search's chunks; 619 while each state
+// had slabs of its own, and 628 before that; 633
 // and 632 while each expansion's children and each depth's candidates
 // grew by append from nil; 642 while each copy's key and each query's two keys were made as strings
 // and a state kept its own sequence; 659,
@@ -104,9 +109,12 @@ import (
 // key's, 2579 with a clone an object per instruction, 10 658 with that
 // interner and a clone per pass application instead of one working copy
 // per expanded state); midFn holds no alloca, and a Beam over
-// diamondO0, whose winner mem2reg makes with a phi, is 76, under -race
-// too (79 while those lists grew by append, 92 while mem2reg copied the search's copy again, a phi took two
-// allocations more and every key was a string); and one
+// diamondO0, whose winner mem2reg makes with a phi, is 77, under -race
+// too (69 before the winner was copied out of the search's chunks, and
+// 76 before that; 79 while those lists grew by append, 92 while mem2reg copied the search's copy again, a phi took two
+// allocations more and every key was a string); a Beam over the
+// seed-12 corpus's @sign_splat_9, which keeps eight states, is 311,
+// under -race too (355 while each state had slabs of its own); and one
 // query a stack with no backing answers from its hot tier, on
 // canonically numbered functions as a search asks, is 0: both keys are
 // printed into arrays on Verify's stack and fingerprinted there (2
@@ -315,6 +323,31 @@ func beamDiamond(tb testing.TB, f *ir.Function) *seqopt.SearchResult {
 	return res
 }
 
+// splatO0 is the seed-12 corpus's tenth input, @sign_splat_9, which
+// search-cold searches: a Beam over it keeps eight states and wins with
+// mem2reg, if-to-select and combine.
+func splatO0(tb testing.TB) *ir.Function {
+	tb.Helper()
+	samples, err := dataset.Generate(dataset.Config{Seed: 12, N: 10, SkipVerify: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := samples[9].O0
+	if f.NameStr != "sign_splat_9" {
+		tb.Fatalf("the seed-12 corpus's tenth input is @%s, not @sign_splat_9", f.NameStr)
+	}
+	return f
+}
+
+// clones makes k copies of f by one Copier and releases none, as a
+// search keeps its new states.
+func clones(f *ir.Function, k int) {
+	var c ir.Copier
+	for range k {
+		c.Clone(f)
+	}
+}
+
 // runMid is one concrete execution, as the corpus labeller makes them.
 func runMid(tb testing.TB, f *ir.Function) *interp.Outcome {
 	o, err := interp.Run(f, []interp.Val{interp.V(9), interp.V(3), interp.V(40)}, interp.DefaultConfig())
@@ -359,6 +392,7 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	splat := splatO0(t)
 	// A stack with no backing that has answered midFn, renumbered as
 	// every search state is, against its instcombine output once.
 	warm := oracle.NewStack(oracle.Config{})
@@ -383,6 +417,7 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 		{"combine pass", 34, func() { combine.Apply(f) }},
 		{"ir.CloneFunc", 10, func() { ir.CloneFunc(f) }},
 		{"ir.Copier.Clone, into released memory", 0, func() { copier.Release(); copier.Clone(f) }},
+		{"ir.Copier.Clone, 8 kept copies", 9 * 4, func() { clones(f, 8) }},
 		{"ir.DeadCodeElim", 0, func() { ir.DeadCodeElim(pruned[0]); pruned = pruned[1:] }},
 		{"interp.Run", 2, func() { runMid(t, f) }},
 		{"interp.Run, step limit", 2, func() { runToLimit(t, loop, loopArgs) }},
@@ -392,6 +427,7 @@ func TestIRFrontHalfAllocCeilings(t *testing.T) {
 		{"alive.VerifyFuncs, solver Unsat", 37, func() { verifyEquivalent(t, kb, kbOpt) }},
 		{"seqopt.Beam", 659, func() { beamMid(t, f) }},
 		{"seqopt.Beam, mem2reg fires", 80, func() { beamDiamond(t, diamond) }},
+		{"seqopt.Beam, seed-12 @sign_splat_9", 327, func() { beamMid(t, splat) }},
 		{"oracle.Stack.Verify, hot-tier hit", 0, hit},
 	} {
 		got := testing.AllocsPerRun(50, tc.fn)
@@ -433,6 +469,41 @@ func TestGeneratedSampleRetention(t *testing.T) {
 	t.Logf("%.0f bytes retained per sample", perSample)
 	if perSample > ceiling {
 		t.Errorf("%.0f bytes retained per generated sample, ceiling %d", perSample, ceiling)
+	}
+}
+
+// TestBeamResultRetention holds what 200 Beam results keep alive after
+// a collection, per result: the winner, its sequence and the result.
+// The states of a search share its copier's chunks, so a winner kept in
+// them would keep every state of its search (19 159 bytes a result,
+// when finish handed out the winner where the search built it); finish
+// copies it into fresh memory, and a result reads 1 508. The ceiling is
+// about 10 % above what the parent of that change read, 3 376, when
+// every state had slabs of its own, some a released copy's, larger
+// than it.
+func TestBeamResultRetention(t *testing.T) {
+	const n, ceiling = 200, 3700
+	samples, err := dataset.Generate(dataset.Config{Seed: 12, N: n, SkipVerify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := seqopt.SearchConfig{Oracle: oracle.NewStack(oracle.Config{})}
+	results := make([]*seqopt.SearchResult, n)
+	for i, s := range samples {
+		if results[i], err = seqopt.Beam(context.Background(), s.O0, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var held, dropped runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	clear(results)
+	runtime.GC()
+	runtime.ReadMemStats(&dropped)
+	perResult := float64(int64(held.HeapAlloc)-int64(dropped.HeapAlloc)) / n
+	t.Logf("%.0f bytes retained per result", perResult)
+	if perResult > ceiling {
+		t.Errorf("%.0f bytes retained per Beam result, ceiling %d", perResult, ceiling)
 	}
 }
 
