@@ -101,7 +101,8 @@ fuzz-smoke:
 # exposition text written or matched by hand (internal/metrics is the
 # format's one renderer); and on a second softmax, hash
 # embedding or log-softmax gradient (internal/policy/linear.go holds
-# the one of each that both policies, both trainers and sft use); and
+# the one of each that both policies, both trainers and the warm-up,
+# internal/pipeline/warmup.go, use); and
 # on a map keyed by an interface (ir.Value, any, interface{}) under
 # internal/ (every lookup hashes a type word and a pointer; key by
 # *ir.Instr, or by the name field as the canonical printer does, and
@@ -172,7 +173,7 @@ lint:
 		echo "$$hits"; \
 		exit 1; \
 	fi
-	@hits=$$(grep -rnF -e 'math.Exp(' -e 'hash/fnv' -e '- probs[' --include='*.go' --exclude='*_test.go' internal/seqopt internal/grpo internal/sft; \
+	@hits=$$(grep -rnF -e 'math.Exp(' -e 'hash/fnv' -e '- probs[' --include='*.go' --exclude='*_test.go' internal/seqopt internal/grpo internal/pipeline/warmup.go; \
 		grep -rnF -e 'math.Exp(' --include='*.go' --exclude='*_test.go' --exclude=linear.go internal/policy); \
 	if [ -n "$$hits" ]; then \
 		echo "softmax, hash features or the log-softmax gradient outside internal/policy/linear.go (use policy.Linear):"; \

@@ -216,7 +216,7 @@ func benchTrainerStep(b *testing.B, mode grpo.RewardMode, workers int) {
 // stepTrainer is the trainer the step benchmarks and
 // TestGRPOStepAllocCeilings run: corpus seed 11 (48 samples), policy
 // seed 5, trainer seed 17, on a fresh stack. The CoT mode opens the
-// self-correction gate (as sft does after the warm-up), so the
+// self-correction gate (as the warm-up does), so the
 // correction rollout and the diagnosis are on the step; the latency
 // mode takes the curriculum's Eq. 3–4 parameters.
 func stepTrainer(tb testing.TB, mode grpo.RewardMode, workers int) *grpo.Trainer {

@@ -59,7 +59,7 @@ func main() {
 	for iter := 0; iter < 20; iter++ {
 		changed := false
 		for _, r := range append(rewrite.Sound(), rewrite.Extra()...) {
-			if r.Name == "cosmetic-reorder" {
+			if r.Name == rewrite.CosmeticReorder {
 				continue
 			}
 			if r.Applicable(g) && r.Apply(g, rng) {

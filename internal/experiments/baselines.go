@@ -4,9 +4,9 @@ import (
 	"context"
 
 	"veriopt/internal/dataset"
+	"veriopt/internal/pipeline"
 	"veriopt/internal/policy"
 	"veriopt/internal/rewrite"
-	"veriopt/internal/sft"
 )
 
 // baseline is one comparison model of the paper's Fig. 5:
@@ -30,11 +30,9 @@ type baseline struct {
 // mid-training it returns the context's error and no baseline.
 func sftBaseline(ctx context.Context, cap policy.Capacity, params float64, train []*dataset.Sample, seed int64) (*baseline, error) {
 	m := policy.New(cap, seed)
-	cfg := sft.DefaultConfig()
-	// SFT-only training gets the full supervised budget; the warm-up
-	// inside the VeriOpt pipeline deliberately uses fewer epochs.
-	cfg.Epochs = 5
-	if _, err := sft.WarmUpCtx(ctx, m, train, nil, cfg); err != nil {
+	// SFT-only training gets the full supervised budget, 5 epochs; the
+	// warm-up inside the VeriOpt pipeline deliberately uses fewer.
+	if _, err := pipeline.WarmUpCtx(ctx, m, train, nil, 5); err != nil {
 		return nil, err
 	}
 	// Pure SFT models have no diagnose-and-correct ability.
@@ -53,7 +51,7 @@ func llmCompiler(seed int64) *baseline {
 		switch r.Kind {
 		case rewrite.KindSound:
 			m.B[a] = 0.6
-			if r.Name == "cosmetic-reorder" {
+			if r.Name == rewrite.CosmeticReorder {
 				m.B[a] = 1.6
 			}
 		case rewrite.KindExtra:

@@ -3,6 +3,7 @@ package grpo
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ func TestStepDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("failure harvest differs: %d vs %d", len(t1.Failures), len(t4.Failures))
 	}
 	for i := range t1.Failures {
-		if t1.Failures[i].AttemptText != t4.Failures[i].AttemptText ||
+		if !reflect.DeepEqual(t1.Failures[i].UsedRules, t4.Failures[i].UsedRules) ||
 			t1.Failures[i].TrueDiag != t4.Failures[i].TrueDiag {
 			t.Fatalf("failure %d differs between worker counts", i)
 		}

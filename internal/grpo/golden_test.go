@@ -56,8 +56,9 @@ const goldenSteps = 12
 
 // textTrajectory trains the text policy for goldenSteps under one
 // reward mode. The self-correction gate is opened by hand for the CoT
-// mode (sft, which normally opens it, imports this package) so the
-// correction rollout and the diagnosis gradient are on the trajectory.
+// mode (the warm-up, which normally opens it, is pipeline's, which
+// imports this package) so the correction rollout and the diagnosis
+// gradient are on the trajectory.
 func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
 	t.Helper()
 	data := corpus(t, 24)

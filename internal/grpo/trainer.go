@@ -86,8 +86,7 @@ var trainVerify = alive.Options{MaxPaths: 256, MaxSteps: 2048, SolverBudget: 400
 // FailureSample is a Model Zero mistake harvested for the
 // diagnostic-augmented corpus (Stage 1 of the pipeline).
 type FailureSample struct {
-	Sample      *dataset.Sample
-	AttemptText string
+	Sample *dataset.Sample
 	// TrueDiag is the verifier's actual diagnostic.
 	TrueDiag string
 	// TrueClass is the verdict category of the attempt.
@@ -165,11 +164,10 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 	for _, es := range cells {
 		if tr.CollectFailures && es.attempt.Verdict != alive.Equivalent {
 			tr.Failures = append(tr.Failures, &FailureSample{
-				Sample:      es.s,
-				AttemptText: es.ep.AttemptText,
-				TrueDiag:    es.attempt.Diag,
-				TrueClass:   classOf(es.attempt.Verdict),
-				UsedRules:   usedRules(m, es.ep),
+				Sample:    es.s,
+				TrueDiag:  es.attempt.Diag,
+				TrueClass: classOf(es.attempt.Verdict),
+				UsedRules: usedRules(m, es.ep),
 			})
 		}
 		totalTokens += tokensOf(es.ep)

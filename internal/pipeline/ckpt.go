@@ -63,22 +63,20 @@ type curriculumState struct {
 // from its seed on resume, so the name re-links to the identical
 // sample without serializing IR.
 type failureState struct {
-	Sample      string   `json:"sample"`
-	AttemptText string   `json:"attempt_text"`
-	TrueDiag    string   `json:"true_diag,omitempty"`
-	TrueClass   int      `json:"true_class"`
-	UsedRules   []string `json:"used_rules,omitempty"`
+	Sample    string   `json:"sample"`
+	TrueDiag  string   `json:"true_diag,omitempty"`
+	TrueClass int      `json:"true_class"`
+	UsedRules []string `json:"used_rules,omitempty"`
 }
 
 func suspendFailures(fails []*grpo.FailureSample) []failureState {
 	out := make([]failureState, 0, len(fails))
 	for _, f := range fails {
 		out = append(out, failureState{
-			Sample:      f.Sample.Name,
-			AttemptText: f.AttemptText,
-			TrueDiag:    f.TrueDiag,
-			TrueClass:   int(f.TrueClass),
-			UsedRules:   append([]string(nil), f.UsedRules...),
+			Sample:    f.Sample.Name,
+			TrueDiag:  f.TrueDiag,
+			TrueClass: int(f.TrueClass),
+			UsedRules: append([]string(nil), f.UsedRules...),
 		})
 	}
 	return out
@@ -102,11 +100,10 @@ func resumeFailures(states []failureState, data []*dataset.Sample) ([]*grpo.Fail
 			return nil, fmt.Errorf("pipeline: checkpointed failure references unknown sample %q (corpus changed?)", st.Sample)
 		}
 		out = append(out, &grpo.FailureSample{
-			Sample:      s,
-			AttemptText: st.AttemptText,
-			TrueDiag:    st.TrueDiag,
-			TrueClass:   policy.DiagClass(st.TrueClass),
-			UsedRules:   append([]string(nil), st.UsedRules...),
+			Sample:    s,
+			TrueDiag:  st.TrueDiag,
+			TrueClass: policy.DiagClass(st.TrueClass),
+			UsedRules: append([]string(nil), st.UsedRules...),
 		})
 	}
 	return out, nil
@@ -121,7 +118,7 @@ func resumeFailures(states []failureState, data []*dataset.Sample) ([]*grpo.Fail
 // Oracle:<nil> are such slots, for fields since deleted, and so are the
 // settings since made constants, which it prints as those constants
 // read (the capacity RunCtx trains, grpo's batch shape and verifier
-// bounds, the sampling temperature 1, sft's learning rate, Eqs. 3–4's
+// bounds, the sampling temperature 1, the warm-up's learning rate, Eqs. 3–4's
 // percentile and γ); freshSolver spells Verify as it was while
 // alive.Options had FreshSolver.
 func configSig(cfg StageConfig, corpusLen int, freshSolver bool) string {
@@ -130,14 +127,15 @@ func configSig(cfg StageConfig, corpusLen int, freshSolver bool) string {
 	if freshSolver {
 		fresh = " FreshSolver:false"
 	}
-	// SFT's Epochs slot holds the default that WarmupEpochs overrode.
+	// The WarmupEpochs slot holds the epochs; SFT's Epochs slot holds
+	// the default they overrode when both were fields.
 	return fmt.Sprintf("{Capacity:{Name:%v HashFeatures:%v NoiseScale:%v MaxSteps:%v MaxBias:%v}"+
 		" Seed:%v Stage1Steps:%v WarmupEpochs:%v Stage2Steps:%v Stage3Steps:%v"+
 		" GRPO:{GroupSize:%v BatchInputs:8 LR:%v ClipNorm:%v Temperature:1 Mode:0 Augmented:false Latency:{UMax:0 Gamma:0}"+
 		" Verify:{MaxPaths:256 MaxSteps:2048 SolverBudget:40000%s} SeqLevelNorm:%v NoGroupBaseline:%v NoBleuShaping:%v Workers:0}"+
 		" SFT:{Epochs:3 LR:0.35} UMaxPercentile:80 Gamma:2 Workers:0 Oracle:<nil> Obs:<nil> Ckpt:<nil>}|corpus=%d",
 		c.Name, c.HashFeatures, c.NoiseScale, c.MaxSteps, c.MaxBias,
-		cfg.Seed, cfg.Stage1Steps, cfg.SFT.Epochs, cfg.Stage2Steps, cfg.Stage3Steps,
+		cfg.Seed, cfg.Stage1Steps, cfg.WarmupEpochs, cfg.Stage2Steps, cfg.Stage3Steps,
 		g.GroupSize, g.LR, g.ClipNorm,
 		fresh, g.SeqLevelNorm, g.NoGroupBaseline, g.NoBleuShaping, corpusLen)
 }

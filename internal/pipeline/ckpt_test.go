@@ -34,7 +34,7 @@ func resumeCorpus(t *testing.T) []*dataset.Sample {
 func resumeStageConfig(dir string) StageConfig {
 	cfg := DefaultStageConfig()
 	cfg.Stage1Steps = 4
-	cfg.SFT.Epochs = 2
+	cfg.WarmupEpochs = 2
 	cfg.Stage2Steps = 10
 	cfg.Stage3Steps = 8
 	cfg.GRPO.Workers = 2
@@ -370,7 +370,7 @@ func TestCkptStateRoundTrip(t *testing.T) {
 		Stage:     2, // model-correctness
 		Result:    &Result{ModelZero: m, WarmUp: m, ZeroHistory: []float64{0.25, 0.5}, UMax: 3.5},
 		Failures: []failureState{{
-			Sample: train[0].Name, AttemptText: "x", TrueDiag: "ERROR: Value mismatch", TrueClass: 2,
+			Sample: train[0].Name, TrueDiag: "ERROR: Value mismatch", TrueClass: 2, UsedRules: []string{"unsound-add-flags"},
 		}},
 	}
 	if err := ckpt.Save(path, ckptKind, in); err != nil {
@@ -503,7 +503,7 @@ func TestCkptPayloadKeys(t *testing.T) {
 	*ck.state.Result = Result{
 		Base: m, ModelZero: m, WarmUp: m, Correctness: m, Latency: m,
 		ZeroHistory: []float64{1}, CorrectnessHistory: []float64{2}, LatencyHistory: []float64{3},
-		Failures: []*grpo.FailureSample{{Sample: train[0], AttemptText: "x", TrueClass: 2}},
+		Failures: []*grpo.FailureSample{{Sample: train[0], TrueClass: 2, UsedRules: []string{"x"}}},
 		UMax:     3.5,
 	}
 	if err := ck.boundary(len(stages) - 1); err != nil {
@@ -523,7 +523,7 @@ func TestCkptPayloadKeys(t *testing.T) {
 	if !reflect.DeepEqual(keys, want) {
 		t.Fatalf("payload keys %v, want %v", keys, want)
 	}
-	fails, err := json.Marshal([]failureState{{Sample: train[0].Name, AttemptText: "x", TrueClass: 2}})
+	fails, err := json.Marshal([]failureState{{Sample: train[0].Name, TrueClass: 2, UsedRules: []string{"x"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,12 +89,11 @@ func (r *PassesReport) String() string {
 	return sb.String()
 }
 
-// PassesResult bundles the trained sequence policy, its training
-// trace, and the evaluation report.
+// PassesResult bundles the trained sequence policy and the evaluation
+// report; the training trace goes to PassesConfig.Obs.
 type PassesResult struct {
-	Model   *seqopt.Model
-	history []float64
-	Report  *PassesReport
+	Model  *seqopt.Model
+	Report *PassesReport
 }
 
 // RunPassesCtx trains the sequence policy on the training split and
@@ -110,7 +109,6 @@ func RunPassesCtx(ctx context.Context, o oracle.Oracle, train, val []*dataset.Sa
 	err := traceStage(cfg.Obs, o, "seq-train", func() (int, []float64, error) {
 		tr := grpo.NewSeqTrainer(o, res.Model, train, seq, cfg.Seed+404)
 		err := tr.TrainCtx(ctx, cfg.TrainSteps)
-		res.history = tr.RewardHistory
 		return len(tr.RewardHistory), tr.RewardHistory, err
 	})
 	if err != nil {

@@ -1,8 +1,11 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"veriopt/internal/costmodel"
 	"veriopt/internal/dataset"
 	"veriopt/internal/ir"
+	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
 	"veriopt/internal/seqopt"
 )
@@ -38,6 +42,8 @@ func TestPassesSmoke(t *testing.T) {
 	train, val := passesCorpus(t, 60)
 	cfg := DefaultPassesConfig()
 	cfg.TrainSteps = 10
+	var trace bytes.Buffer
+	cfg.Obs = obs.New(&trace)
 	res, err := RunPassesCtx(context.Background(), oracle.NewStack(oracle.Config{}), train, val, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +93,19 @@ func TestPassesSmoke(t *testing.T) {
 	if OutcomesVsO0(rep.Method(methodPolicy), MetricLatency).Better == 0 {
 		t.Error("trained policy improved nothing")
 	}
-	if len(res.history) != cfg.TrainSteps {
-		t.Errorf("history has %d entries, want %d", len(res.history), cfg.TrainSteps)
+	// The training stage's trace counts one step per reward entry.
+	trained := -1
+	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
+		var ev obs.Event
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if ev.Kind == "stage_end" && ev.Stage == "seq-train" {
+			trained = ev.Steps
+		}
+	}
+	if trained != cfg.TrainSteps {
+		t.Errorf("seq-train trained %d steps, want %d", trained, cfg.TrainSteps)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"veriopt/internal/obs"
 	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
-	"veriopt/internal/sft"
 	"veriopt/internal/vcache"
 )
 
@@ -27,8 +26,8 @@ type StageConfig struct {
 	// GRPO configures every stage's trainer (RunCtx sets Mode and
 	// UMax per stage); its Workers also bounds each checkpoint
 	// evaluation. The result is bit-identical at any worker count.
-	GRPO grpo.Config
-	SFT  sft.Config // the warm-up's, Epochs included
+	GRPO         grpo.Config
+	WarmupEpochs int // the warm-up's passes over the training set
 
 	// Obs, when non-nil, receives stage_start/stage_end trace events
 	// with wall time, verdict/cache deltas, and reward summaries.
@@ -42,12 +41,12 @@ type StageConfig struct {
 // DefaultStageConfig returns the reduced-scale defaults.
 func DefaultStageConfig() StageConfig {
 	return StageConfig{
-		Seed:        1,
-		Stage1Steps: 10,
-		Stage2Steps: 120,
-		Stage3Steps: 80,
-		GRPO:        grpo.DefaultConfig(),
-		SFT:         sft.DefaultConfig(),
+		Seed:         1,
+		Stage1Steps:  10,
+		Stage2Steps:  120,
+		Stage3Steps:  80,
+		GRPO:         grpo.DefaultConfig(),
+		WarmupEpochs: 3,
 	}
 }
 
@@ -212,13 +211,13 @@ func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg S
 		case "warm-up":
 			// Stage 2a: Warm-up — SFT from the *base* model (Model Zero
 			// is only the sample generator, §III-C1) on first-time and
-			// correction-augmented samples.
+			// correction-augmented samples (warmup.go).
 			warm := base.Clone()
-			st, err := sft.WarmUpCtx(ctx, warm, train, res.Failures, cfg.SFT)
+			steps, err := WarmUpCtx(ctx, warm, train, res.Failures, cfg.WarmupEpochs)
 			if err == nil {
 				res.WarmUp = warm
 			}
-			return st.CloneSteps, nil, err
+			return steps, nil, err
 		case "model-correctness":
 			// Stage 2b: Model-Correctness — GRPO with augmented
 			// prompts, Eq. 1 + Eq. 2.

@@ -1,12 +1,4 @@
-// Package sft implements the supervised warm-up stage (Fig. 3,
-// "Warm-up Model"): behaviour cloning on diagnostic-augmented samples
-// harvested from Model Zero's GRPO failures, plus the original
-// (O0, instcombine) pairs. The warm-up gives the policy a teacher
-// prior over sound actions, gives the diagnostic head its rudimentary
-// error-recognition ability, and enables the self-correction gate —
-// the "externally provided chain of thought" of the paper's
-// discussion section.
-package sft
+package pipeline
 
 import (
 	"context"
@@ -18,91 +10,44 @@ import (
 	"veriopt/internal/rewrite"
 )
 
-// Config controls warm-up training.
-type Config struct {
-	// Epochs over the sample set.
-	Epochs int
-}
+// warmupLR is the supervised learning rate of every warm-up.
+const warmupLR = 0.35
 
-// DefaultConfig matches the reproduction's runs.
-func DefaultConfig() Config { return Config{Epochs: 3} }
-
-// lr is the supervised learning rate of every warm-up.
-const lr = 0.35
-
-// teacherTrajectory computes the sound-action sequence that rewrites
-// the O0 function toward the instcombine reference: at each state the
-// first applicable sound rule, then STOP. Returns the per-step
-// (candidates, chosen) records plus the text the trajectory reaches.
-func teacherTrajectory(m *policy.Model, input *ir.Function) ([]policy.ActionRecord, string) {
-	work := ir.CloneFunc(input)
-	var recs []policy.ActionRecord
-	for t := 0; t < m.Cap.MaxSteps; t++ {
-		stepFrac := float64(t) / float64(m.Cap.MaxSteps)
-		cands, wf := m.Available(work, nil)
-		// Teacher: the first applicable *real* sound rule (the cosmetic
-		// reorder optimizes nothing and is not taught), else STOP.
-		choice := -1
-		for i, a := range cands {
-			if a < len(m.Rules) && m.Rules[a].Kind == rewrite.KindSound &&
-				m.Rules[a].Name != "cosmetic-reorder" {
-				choice = i
-				break
-			}
-		}
-		if choice == -1 {
-			for i, a := range cands {
-				if a == m.ActStop() {
-					choice = i
-				}
-			}
-			recs = append(recs, policy.ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf, Chosen: choice})
-			return recs, ir.CanonicalText(work)
-		}
-		recs = append(recs, policy.ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf, Chosen: choice})
-		m.Rules[cands[choice]].Apply(work, nil)
-	}
-	return recs, ir.CanonicalText(work)
-}
-
-// Stats summarizes a warm-up run.
-type Stats struct {
-	// CloneSteps is the number of behaviour-cloning gradient steps.
-	CloneSteps int
-}
-
-// WarmUpCtx runs the supervised stage on the model in place: behaviour
-// cloning of first-time samples (teacher trajectories toward the
-// instcombine label) and diagnostic training from correction-augmented
+// WarmUpCtx runs the supervised stage (Fig. 3, "Warm-up Model") on the
+// model in place for the given number of epochs: behaviour cloning of
+// first-time samples (the teacher's walk toward the instcombine label,
+// policy.Model.Teach) and diagnostic training from correction-augmented
 // samples (Model Zero failures with their true verifier feedback). The
-// context is polled once per sample, so a SIGINT mid-warm-up returns
-// within one teacher trajectory; a canceled warm-up leaves a
-// partially-trained model, which callers abandon (the curriculum stops
-// on cancellation) rather than treat as a finished stage.
-func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, failures []*grpo.FailureSample, cfg Config) (Stats, error) {
-	var st Stats
+// warm-up gives the policy a teacher prior over sound actions and the
+// diagnostic head its rudimentary error recognition, and opens the
+// self-correction gate. It returns the number of behaviour-cloning
+// steps. The context is polled once per sample; a canceled warm-up
+// leaves a partially-trained model, which callers abandon rather than
+// treat as a finished stage. The Fig. 5 SFT baselines are this, with
+// no failures.
+func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, failures []*grpo.FailureSample, epochs int) (steps int, err error) {
 	ruleIdx := make(map[string]int, len(m.Rules))
 	for i, r := range m.Rules {
 		ruleIdx[r.Name] = i
 	}
 	clones, fixes := make([]example, len(samples)), make([]example, len(failures))
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		// First-time augmented samples: clone the teacher.
 		for i, s := range samples {
 			if err := ctx.Err(); err != nil {
-				return st, err
+				return steps, err
 			}
 			ex := &clones[i]
 			if ex.diag == nil {
-				ex.recs, _ = teacherTrajectory(m, s.O0)
 				ex.h = m.HashFeatures(ir.CanonicalText(s.O0))
+				_, ex.recs = m.Teach(s.O0, ex.h)
 				ex.diag = m.DiagFeatures(ex.h, ex.recs)
 			}
 			// One cross-entropy gradient step toward each teacher
 			// action, in place.
 			for _, rec := range ex.recs {
-				m.AddGrad(&m.Linear, rec, ex.h, lr)
-				st.CloneSteps++
+				m.AddGrad(&m.Linear, rec, ex.h, warmupLR)
+				steps++
 			}
 			// The first-time diagnosis target is OK.
 			trainDiag(m, ex, policy.DiagOK, "")
@@ -113,7 +58,7 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 		// a margin against the actions the diagnostic blamed.
 		for i, fs := range failures {
 			if err := ctx.Err(); err != nil {
-				return st, err
+				return steps, err
 			}
 			ex := &fixes[i]
 			if ex.diag == nil {
@@ -129,7 +74,7 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 	// The warm-up teaches the model to attempt self-correction.
 	m.SelfCorrectGate = 2.0
 	m.Clamp()
-	return st, nil
+	return steps, nil
 }
 
 // example is what the warm-up trains on for one sample or failure. None
@@ -156,8 +101,8 @@ func penalizeBlamed(m *policy.Model, ruleIdx map[string]int, fs *grpo.FailureSam
 		if k != rewrite.KindCorrupt && k != rewrite.KindUnsound {
 			continue
 		}
-		m.B[idx] -= lr / 2
-		m.P[idx] -= lr / 2
+		m.B[idx] -= warmupLR / 2
+		m.P[idx] -= warmupLR / 2
 	}
 }
 
@@ -179,12 +124,12 @@ func reconstructRecords(ruleIdx map[string]int, fs *grpo.FailureSample) []policy
 // the true class, and perceptron-bumps the subclass association for
 // semantic errors.
 func trainDiag(m *policy.Model, ex *example, trueClass policy.DiagClass, trueDiag string) {
-	m.Diag.AddGrad(m.Diag.W, ex.diag, int(trueClass), lr)
+	m.Diag.AddGrad(m.Diag.W, ex.diag, int(trueClass), warmupLR)
 	if trueClass == policy.DiagSemanticError && trueDiag != "" {
 		sub := policy.SubclassForDiag(trueDiag)
 		for _, rec := range ex.recs {
 			a := rec.Cands[rec.Chosen]
-			m.Diag.BumpSub(sub, a, lr)
+			m.Diag.BumpSub(sub, a, warmupLR)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-package sft
+package pipeline
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"veriopt/internal/grpo"
+	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
 )
@@ -60,10 +61,11 @@ func recordsDigest(recs []policy.ActionRecord) string {
 // count, and the bytes of a model warmed on the samples and on the
 // failures of a two-step Model Zero harvest. A refactor of the teacher
 // or the warm-up must leave it untouched; only a deliberate change of
-// either runs it with -update.
+// either runs it with -update. It was written in internal/sft, by the
+// teacher's own loop, before the teacher became policy.Model.Teach.
 func TestWarmUpMatchesGolden(t *testing.T) {
 	const path = "testdata/warmup_golden.json"
-	samples := corpus(t, 16)
+	samples := warmupCorpus(t, 16)
 	m := policy.New(policy.CapQwen3B, 5)
 
 	zero := m.Clone()
@@ -75,7 +77,7 @@ func TestWarmUpMatchesGolden(t *testing.T) {
 
 	got := warmupGolden{Failures: len(tr.Failures)}
 	for _, s := range samples {
-		recs, _ := teacherTrajectory(m, s.O0)
+		_, recs := m.Teach(s.O0, m.HashFeatures(ir.CanonicalText(s.O0)))
 		tg := teacherGolden{Sample: s.Name, Records: recordsDigest(recs)}
 		for _, r := range recs {
 			name := "stop"
@@ -86,11 +88,11 @@ func TestWarmUpMatchesGolden(t *testing.T) {
 		}
 		got.Teacher = append(got.Teacher, tg)
 	}
-	st, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, DefaultConfig())
+	steps, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.Steps = st.CloneSteps
+	got.Steps = steps
 	if got.Model, err = json.Marshal(m); err != nil {
 		t.Fatal(err)
 	}

@@ -1,23 +1,17 @@
-package sft
+package pipeline
 
 import (
 	"context"
 	"reflect"
 	"testing"
 
-	"veriopt/internal/alive"
 	"veriopt/internal/dataset"
 	"veriopt/internal/grpo"
 	"veriopt/internal/ir"
-	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
 )
 
-// testStack is the stack the package's tests share, so verdicts proved
-// by one test are cache hits for the next.
-var testStack = oracle.NewStack(oracle.Config{})
-
-func corpus(t *testing.T, n int) []*dataset.Sample {
+func warmupCorpus(t *testing.T, n int) []*dataset.Sample {
 	t.Helper()
 	samples, err := dataset.Generate(dataset.Config{Seed: 6, N: n})
 	if err != nil {
@@ -26,40 +20,8 @@ func corpus(t *testing.T, n int) []*dataset.Sample {
 	return samples
 }
 
-func TestTeacherTrajectoryReachesOptimizedForm(t *testing.T) {
-	samples := corpus(t, 20)
-	m := policy.New(policy.CapQwen3B, 1)
-	reachedBetter := 0
-	for _, s := range samples {
-		recs, reached := teacherTrajectory(m, s.O0)
-		if len(recs) == 0 {
-			t.Fatalf("%s: empty teacher trajectory", s.Name)
-		}
-		// The trajectory must end with STOP.
-		last := recs[len(recs)-1]
-		if last.Cands[last.Chosen] != m.ActStop() && len(recs) < m.Cap.MaxSteps {
-			t.Errorf("%s: teacher did not stop", s.Name)
-		}
-		f, err := ir.ParseFunc(reached)
-		if err != nil {
-			t.Fatalf("%s: teacher output unparseable: %v", s.Name, err)
-		}
-		// Teacher output must be sound.
-		res := alive.VerifyFuncs(s.O0, f, alive.DefaultOptions())
-		if res.Verdict == alive.SemanticError {
-			t.Fatalf("%s: teacher output unsound: %s", s.Name, res.Diag)
-		}
-		if reached != s.O0Text {
-			reachedBetter++
-		}
-	}
-	if reachedBetter < len(samples)/2 {
-		t.Errorf("teacher changed only %d/%d inputs", reachedBetter, len(samples))
-	}
-}
-
 func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
-	samples := corpus(t, 25)
+	samples := warmupCorpus(t, 25)
 	m := policy.New(policy.CapQwen3B, 2)
 
 	// Harvest failures from a couple of Model Zero steps.
@@ -72,8 +34,8 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 		// Mean probability assigned to the teacher action at step 0.
 		total := 0.0
 		for _, s := range samples {
-			recs, _ := teacherTrajectory(mm, s.O0)
 			h := mm.HashFeatures(ir.CanonicalText(s.O0))
+			_, recs := mm.Teach(s.O0, h)
 			rec := recs[0]
 			probs := mm.Softmax(rec.Cands, rec.StepFrac, rec.Work, h)
 			total += probs[rec.Chosen]
@@ -82,7 +44,7 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 	}
 
 	before, untrained := prob(m), m.Clone()
-	st, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, DefaultConfig())
+	steps, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +52,8 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 	if after <= before {
 		t.Errorf("teacher likelihood did not improve: %.3f -> %.3f", before, after)
 	}
-	if st.CloneSteps == 0 {
-		t.Errorf("stats empty: %+v", st)
+	if steps == 0 {
+		t.Error("warm-up took no behaviour-cloning step")
 	}
 	// The diagnostic head trains whether or not failures were harvested
 	// (every first-time sample is an OK example), so its weights move.
@@ -104,7 +66,7 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 }
 
 func TestWarmUpTrainsDiagnosticHead(t *testing.T) {
-	samples := corpus(t, 20)
+	samples := warmupCorpus(t, 20)
 	m := policy.New(policy.CapQwen3B, 3)
 	zero := m.Clone()
 	tr := grpo.NewTrainer(testStack, zero, samples, grpo.DefaultConfig(), 8)
@@ -113,7 +75,7 @@ func TestWarmUpTrainsDiagnosticHead(t *testing.T) {
 	if len(tr.Failures) == 0 {
 		t.Skip("no failures harvested in this configuration")
 	}
-	if _, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, DefaultConfig()); err != nil {
+	if _, err := WarmUpCtx(context.Background(), m, samples, tr.Failures, 3); err != nil {
 		t.Fatal(err)
 	}
 

@@ -52,7 +52,10 @@ const retrySalt = "#retry"
 func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	inputText := ir.CanonicalText(input)
 	ep := &Episode{H: m.HashFeatures(inputText)}
-	attempt, acts, formatBreak := m.rollout(input, ep.H, opts.Rng, nil)
+	choose := func(cands []int, stepFrac, work float64, h []float64) int {
+		return m.Choose(cands, stepFrac, work, h, opts.Rng)
+	}
+	attempt, acts, formatBreak := m.rollout(input, ep.H, choose, nil)
 	ep.Actions = acts
 	ep.AttemptText = attempt
 	ep.FormatOK = !formatBreak
@@ -80,7 +83,7 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 		}
 		h2 := m.HashFeatures(retrySalt + inputText)
 		ep.CorrH = h2
-		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, opts.Rng, mask)
+		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, choose, mask)
 		ep.CorrectionActs = corrActs
 		ep.FinalText = corrText
 		ep.FormatOK = !corrFmtBreak
@@ -90,16 +93,37 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	return ep
 }
 
+// Teach walks input as the warm-up's teacher: at each step the first
+// available rule that does real work, else STOP. It returns the text
+// the walk reaches and its records; h seeds each step's rule RNG, as
+// in a generation.
+func (m *Model) Teach(input *ir.Function, h []float64) (string, []ActionRecord) {
+	text, acts, _ := m.rollout(input, h, m.teach, nil)
+	return text, acts
+}
+
+// teach is the teacher's pick among cands: the first rule that does
+// real work, else STOP (available lists STOP, then format-break, last).
+func (m *Model) teach(cands []int, _, _ float64, _ []float64) int {
+	for i, a := range cands {
+		if a < len(m.Rules) && doesWork(m.Rules[a]) {
+			return i
+		}
+	}
+	return len(cands) - 2
+}
+
 // rollout runs one action sequence over a working copy of the input,
 // returning the emitted text, the action records, and whether the
-// format was broken. rng samples each action; nil decodes greedily.
-func (m *Model) rollout(input *ir.Function, h []float64, rng *rand.Rand, mask map[string]bool) (string, []ActionRecord, bool) {
+// format was broken. choose picks each step's index into the
+// candidates: the model's Choose in a generation, teach for Teach.
+func (m *Model) rollout(input *ir.Function, h []float64, choose func(cands []int, stepFrac, work float64, h []float64) int, mask map[string]bool) (string, []ActionRecord, bool) {
 	work := ir.CloneFunc(input)
 	var acts []ActionRecord
 	for t := 0; t < m.Cap.MaxSteps; t++ {
 		stepFrac := float64(t) / float64(m.Cap.MaxSteps)
-		cands, wf := m.Available(work, mask)
-		pick := m.Choose(cands, stepFrac, wf, h, rng)
+		cands, wf := m.available(work, mask)
+		pick := choose(cands, stepFrac, wf, h)
 		acts = append(acts, ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf, Chosen: pick})
 		a := cands[pick]
 		switch {
@@ -118,16 +142,16 @@ func (m *Model) rollout(input *ir.Function, h []float64, rng *rand.Rand, mask ma
 	return ir.CanonicalText(work), acts, false
 }
 
-// Available asks each rule once whether it applies to f and answers
+// available asks each rule once whether it applies to f and answers
 // both things a step needs: the available actions — every applicable
 // rule not in mask (corruptions always apply), STOP, and format-break —
-// and the work feature, how much real (non-cosmetic) sound rewriting
-// remains on f, masked or not, saturating at 1.
-func (m *Model) Available(f *ir.Function, mask map[string]bool) (cands []int, work float64) {
+// and the work feature, how much real work remains on f, masked or
+// not, saturating at 1.
+func (m *Model) available(f *ir.Function, mask map[string]bool) (cands []int, work float64) {
 	n := 0
 	for i, r := range m.Rules {
 		masked := mask[r.Name]
-		isWork := r.Kind == rewrite.KindSound && r.Name != "cosmetic-reorder"
+		isWork := doesWork(r)
 		if (masked && !isWork) || !r.Applicable(f) {
 			continue
 		}
@@ -140,6 +164,12 @@ func (m *Model) Available(f *ir.Function, mask map[string]bool) (cands []int, wo
 	}
 	cands = append(cands, m.ActStop(), m.ActFormatBreak())
 	return cands, min(float64(n)/2, 1)
+}
+
+// doesWork reports whether r is real work: a sound rule other than the
+// cosmetic reorder. The work feature counts these; the teacher picks them.
+func doesWork(r *rewrite.Rule) bool {
+	return r.Kind == rewrite.KindSound && r.Name != rewrite.CosmeticReorder
 }
 
 func (m *Model) selfCorrectEnabled() bool {

@@ -96,7 +96,7 @@ func New(cap Capacity, seed int64) *Model {
 		switch r.Kind {
 		case rewrite.KindSound:
 			m.B[a] = -0.35
-			if r.Name == "cosmetic-reorder" {
+			if r.Name == rewrite.CosmeticReorder {
 				// The base model's favourite: change the text without
 				// improving anything.
 				m.B[a] = 1.75

@@ -153,7 +153,7 @@ func TestMaskRulesRespected(t *testing.T) {
 	h := m.HashFeatures(ir.CanonicalText(f))
 	for i := 0; i < 10; i++ {
 		// The correction attempt's rollout, the one that takes a mask.
-		_, acts, _ := m.rollout(f, h, rng, mask)
+		_, acts, _ := m.rollout(f, h, chooser(m, rng), mask)
 		kinds := (&Episode{Actions: acts}).usedRuleKinds(m)
 		if kinds[rewrite.KindUnsound] > 0 || kinds[rewrite.KindCorrupt] > 0 || kinds[rewrite.KindExtra] > 0 {
 			t.Fatalf("masked rule used: %v", kinds)
@@ -161,11 +161,19 @@ func TestMaskRulesRespected(t *testing.T) {
 	}
 }
 
+// chooser is Generate's pick at a step: the model's Choose, sampled by
+// rng, or greedy when rng is nil.
+func chooser(m *Model, rng *rand.Rand) func([]int, float64, float64, []float64) int {
+	return func(cands []int, stepFrac, work float64, h []float64) int {
+		return m.Choose(cands, stepFrac, work, h, rng)
+	}
+}
+
 // saltedEpisode is Generate's generic-prompt path with salt prepended
 // to the text the hash features are taken of.
 func saltedEpisode(m *Model, f *ir.Function, salt string) *Episode {
 	text := ir.CanonicalText(f)
-	final, acts, _ := m.rollout(f, m.HashFeatures(salt+text), nil, nil)
+	final, acts, _ := m.rollout(f, m.HashFeatures(salt+text), chooser(m, nil), nil)
 	return &Episode{Actions: acts, FinalText: final}
 }
 

@@ -1,14 +1,13 @@
 package rewrite_test
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
 	"veriopt/internal/dataset"
+	"veriopt/internal/ir"
 	"veriopt/internal/policy"
 	"veriopt/internal/rewrite"
-	"veriopt/internal/sft"
 )
 
 // countingModel is a base policy whose rules count their Applicable
@@ -27,21 +26,20 @@ func countingModel() (*policy.Model, []int) {
 // TestEachRuleAskedOncePerStep: a rollout step asks every IR rule
 // whether it applies exactly once — the candidate list and the work
 // feature come from the same pass over the rules — before the chosen
-// rule's Apply finds its place again; sft's teacher walks the same way.
-// A masked rule is not asked at all, unless the work feature needs its
-// answer, and then once.
+// rule's Apply finds its place again. Generation and the warm-up's
+// teacher (Model.Teach) are the same rollout. policy's own tests hold
+// the masked step of a correction attempt, which asks a masked rule
+// only when the work feature needs its answer.
 func TestEachRuleAskedOncePerStep(t *testing.T) {
 	samples, err := dataset.Generate(dataset.Config{Seed: 42, N: 40, SkipVerify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mask := map[string]bool{"combine-step": true, "unsound-add-flags": true}
-	check := func(what string, m *policy.Model, finds []int, steps int, mask map[string]bool) {
+	check := func(what string, m *policy.Model, finds []int, steps int) {
 		t.Helper()
 		for i, r := range m.Rules {
 			want := steps
-			isWork := r.Kind == rewrite.KindSound && r.Name != "cosmetic-reorder"
-			if r.Kind == rewrite.KindCorrupt || (mask[r.Name] && !isWork) {
+			if r.Kind == rewrite.KindCorrupt {
 				want = 0
 			}
 			if finds[i] != want {
@@ -56,19 +54,13 @@ func TestEachRuleAskedOncePerStep(t *testing.T) {
 			ep := m.Generate(s.O0, opts)
 			steps += len(ep.Actions) + len(ep.CorrectionActs)
 		}
-		check("Generate", m, finds, steps, nil)
+		check("Generate", m, finds, steps)
 	}
-	// A mask (the correction attempt's) reaches the rules through
-	// Available, one step per call.
 	m, finds := countingModel()
+	steps := 0
 	for _, s := range samples {
-		m.Available(s.O0, mask)
+		_, recs := m.Teach(s.O0, m.HashFeatures(ir.CanonicalText(s.O0)))
+		steps += len(recs)
 	}
-	check("Available", m, finds, len(samples), mask)
-	m, finds = countingModel()
-	st, err := sft.WarmUpCtx(context.Background(), m, samples, nil, sft.Config{Epochs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("sft.WarmUpCtx", m, finds, st.CloneSteps, nil)
+	check("Teach", m, finds, steps)
 }

@@ -124,6 +124,10 @@ func corruption(name string, damage func(text string, rng *rand.Rand) string) *R
 	return &Rule{Name: name, Kind: KindCorrupt, damage: damage}
 }
 
+// CosmeticReorder names the one sound rule that does no real work: it
+// swaps two independent instructions and improves nothing.
+const CosmeticReorder = "cosmetic-reorder"
+
 // Sound returns the sound instcombine-equivalent rules, plus a
 // metric-neutral cosmetic reorder. The cosmetic rule models the base
 // LLM's dominant "different correct" behaviour (Table I discussion:
@@ -131,7 +135,7 @@ func corruption(name string, damage func(text string, rng *rand.Rand) string) *R
 // model's outputs actually got faster).
 func Sound() []*Rule {
 	return []*Rule{
-		matchRule("cosmetic-reorder", KindSound, swappablePairs,
+		matchRule(CosmeticReorder, KindSound, swappablePairs,
 			func(_ *ir.Function, pairs []swapPair, rng *rand.Rand) bool {
 				pick := 0
 				if rng != nil {
