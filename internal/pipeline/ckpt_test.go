@@ -415,14 +415,24 @@ func tracedRun(t *testing.T, ctx context.Context, o oracle.Oracle, train []*data
 	cfg.Obs = obs.New(&buf)
 	res, err := RunCtx(ctx, o, train, cfg)
 	var out []traceStep
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+	for _, ev := range traceEvents(t, buf.String()) {
+		out = append(out, traceStep{ev.Kind, ev.Stage, ev.Steps, ev.Note})
+	}
+	return out, res, err
+}
+
+// traceEvents parses the JSON-lines trace an obs.Recorder wrote.
+func traceEvents(t *testing.T, trace string) []obs.Event {
+	t.Helper()
+	var out []obs.Event
+	for _, line := range strings.Split(strings.TrimSpace(trace), "\n") {
 		var ev obs.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("trace line %q: %v", line, err)
 		}
-		out = append(out, traceStep{ev.Kind, ev.Stage, ev.Steps, ev.Note})
+		out = append(out, ev)
 	}
-	return out, res, err
+	return out
 }
 
 // TestCurriculumTrace pins what a checkpointed curriculum writes to

@@ -3,9 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"math"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -95,11 +93,7 @@ func TestPassesSmoke(t *testing.T) {
 	}
 	// The training stage's trace counts one step per reward entry.
 	trained := -1
-	for _, line := range strings.Split(strings.TrimSpace(trace.String()), "\n") {
-		var ev obs.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("trace line %q: %v", line, err)
-		}
+	for _, ev := range traceEvents(t, trace.String()) {
 		if ev.Kind == "stage_end" && ev.Stage == "seq-train" {
 			trained = ev.Steps
 		}
