@@ -12,6 +12,9 @@ package veriopt
 
 import (
 	"context"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -249,60 +252,69 @@ func BenchmarkTrainerStepLatencyWorkers1(b *testing.B) {
 }
 
 // TestGRPOStepAllocCeilings holds what one Workers-1 GRPO step
-// allocates, averaged over the 20 steps after a first one, in each
-// text reward mode (stepTrainer's) and in the sequence trainer (corpus
-// seed 17, 40 samples, model seed 5, trainer seed 23). A step's
-// allocations repeat to the digit: the trajectory is pinned and
-// AllocsPerRun runs on one thread. Each ceiling is about 5 % above
-// what the step read when the test was written (correctness
-// 30 376–30 412, CoT 37 547, latency 29 026, sequence 5 351; under
-// -race up to 0.6 % more); nearly all of the text steps' allocations
-// were then BLEU against the instcombine label. The latency stage has
-// since stopped scoring the label it drops (one scorer per reward
-// mode): its step reads 3 626, 3 808 under -race, and its ceiling was
-// lowered to 3 900; the other rows read 30 329–30 365, 37 491 and
-// 5 350 then. Generate has since stopped fingerprinting every rollout
-// for a copy flag only evaluation reads: correctness 30 268, CoT
-// 37 396, latency 3 530 (3 708 under -race), sequence 5 350; the
-// latency ceiling was lowered to 3 800, above the -race reading. BLEU
-// has since counted n-grams over word ids, sorted and merged, with the
-// label prepared once per sample per step: correctness 3 053 (3 198
-// under -race), CoT 3 794 (3 977), latency 3 538, sequence 5 358; the
-// correctness and CoT ceilings were lowered to 3 350 and 4 150. A search
-// has since printed each copy's key into a buffer it reuses, its oracle
-// both keys on its stack, and mem2reg promoted into the search's copy
-// (state by parent link, phis sized once): correctness 2 972 (3 116
-// under -race), CoT 3 701 (3 882), latency 3 457 (3 629), sequence
-// 4 734 (4 827); the correctness, CoT and sequence ceilings were
-// lowered to 3 270, 4 075 and 5 070, and latency's 3 800 already sat
-// about 5 % above its -race reading. A sequence rollout has since
-// probed the passes on copies one copier makes and releases, applying
-// only the picked pass, where it had kept a copy for every pass that
-// fired until the pick: sequence 4 091 (4 190 under -race), from 4 729;
-// its ceiling was lowered to 4 300.
+// allocates in each text reward mode (stepTrainer's) and in the
+// sequence policy (corpus seed 17, 40 samples, model seed 5, trainer
+// seed 23): stepAllocs' reading, which repeats to the allocation from
+// run to run. It reads (2-vCPU Xeon, go1.24.0) correctness 2 909.95,
+// CoT 3 670.65, latency 3 426.90 and sequence 4 141.05. Each ceiling
+// was set about 5 % above its step's reading when it was last lowered,
+// and none has been raised since the test was written.
 func TestGRPOStepAllocCeilings(t *testing.T) {
 	seqData, err := dataset.Generate(dataset.Config{Seed: 17, N: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := grpo.NewSeqTrainer(oracle.NewStack(oracle.Config{}), seqopt.NewModel(5), seqData, grpo.SeqConfig{Workers: 1}, 23)
-	step := func(tr *grpo.Trainer) func() {
-		return func() { tr.StepCtx(context.Background()) }
+	text := func(mode grpo.RewardMode) func() *grpo.Trainer {
+		return func() *grpo.Trainer { return stepTrainer(t, mode, 1) }
 	}
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
-		fn      func()
+		fresh   func() *grpo.Trainer
 	}{
-		{"correctness", 3270, step(stepTrainer(t, grpo.ModeCorrectness, 1))},
-		{"correctness-cot", 4075, step(stepTrainer(t, grpo.ModeCorrectnessCoT, 1))},
-		{"latency", 3800, step(stepTrainer(t, grpo.ModeLatency, 1))},
-		{"sequence", 4300, func() { seq.TrainCtx(context.Background(), 1) }},
+		{"correctness", 3270, text(grpo.ModeCorrectness)},
+		{"correctness-cot", 4075, text(grpo.ModeCorrectnessCoT)},
+		{"latency", 3800, text(grpo.ModeLatency)},
+		{"sequence", 4300, func() *grpo.Trainer {
+			return grpo.NewSequenceTrainer(oracle.NewStack(oracle.Config{}), seqopt.NewModel(5), seqData, 0, 1, 23)
+		}},
 	} {
-		got := testing.AllocsPerRun(20, tc.fn)
-		t.Logf("%s: %.0f allocations per step", tc.name, got)
+		got := stepAllocs(tc.fresh)
+		t.Logf("%s: %.2f allocations per step", tc.name, got)
 		if got > tc.ceiling {
-			t.Errorf("%s: %.0f allocations per step, ceiling %.0f", tc.name, got, tc.ceiling)
+			t.Errorf("%s: %.2f allocations per step, ceiling %.0f", tc.name, got, tc.ceiling)
 		}
 	}
+}
+
+// stepAllocs returns the mean allocations of allocSteps steps after a
+// first one, the fewest over allocWindows windows, each window on a
+// trainer fresh builds (so every window replays the same steps), with
+// GOMAXPROCS 1 and the collector off. testing.AllocsPerRun's reading
+// moved by one between runs of one tree: a collection during the
+// window refills fmt's printer pool and the runtime allocates for
+// itself, and the runtime builds each call site's type-assertion cache
+// (math/rand.New's Source64 assertion, fmt's Stringer and Formatter
+// switch) at a random one of its misses, so whichever window happens to
+// build one reads an allocation more. The fewest over the windows is
+// the step's own count.
+func stepAllocs(fresh func() *grpo.Trainer) float64 {
+	const allocSteps, allocWindows = 20, 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fewest := uint64(math.MaxUint64)
+	var ms runtime.MemStats
+	for range allocWindows {
+		tr := fresh()
+		tr.StepCtx(context.Background())
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for range allocSteps {
+			tr.StepCtx(context.Background())
+		}
+		runtime.ReadMemStats(&ms)
+		fewest = min(fewest, ms.Mallocs-before)
+	}
+	return float64(fewest) / allocSteps
 }

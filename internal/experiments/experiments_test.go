@@ -186,3 +186,16 @@ func TestSparkline(t *testing.T) {
 	// Constant series must not panic or divide by zero.
 	_ = sparkline([]float64{5, 5, 5}, 10)
 }
+
+func TestEMA(t *testing.T) {
+	s := ema([]float64{1, 1, 1, 5})
+	if len(s) != 4 {
+		t.Fatal("length mismatch")
+	}
+	if s[3] <= s[2] || s[3] > 5 {
+		t.Errorf("EMA response wrong: %v", s)
+	}
+	if len(ema(nil)) != 0 {
+		t.Error("empty series should yield empty EMA")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"veriopt/internal/grpo"
 	"veriopt/internal/pipeline"
 	"veriopt/internal/policy"
 )
@@ -41,14 +40,30 @@ func sparkline(series []float64, width int) string {
 	return sb.String()
 }
 
+// ema smooths a series with the paper's 0.95 exponential moving
+// average (Fig. 4 presentation).
+func ema(series []float64) []float64 {
+	const alpha = 0.95
+	out := make([]float64, len(series))
+	if len(series) == 0 {
+		return out
+	}
+	acc := series[0]
+	for i, v := range series {
+		acc = alpha*acc + (1-alpha)*v
+		out[i] = acc
+	}
+	return out
+}
+
 func renderSeries(name string, raw []float64) string {
-	ema := grpo.EMA(raw, 0.95)
+	smooth := ema(raw)
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s (%d steps)\n", name, len(raw))
 	fmt.Fprintf(&sb, "  raw: %s\n", sparkline(raw, 60))
-	fmt.Fprintf(&sb, "  ema: %s\n", sparkline(ema, 60))
+	fmt.Fprintf(&sb, "  ema: %s\n", sparkline(smooth, 60))
 	if len(raw) > 0 {
-		fmt.Fprintf(&sb, "  first=%.3f last(ema)=%.3f max=%.3f\n", raw[0], ema[len(ema)-1], maxOf(raw))
+		fmt.Fprintf(&sb, "  first=%.3f last(ema)=%.3f max=%.3f\n", raw[0], smooth[len(smooth)-1], maxOf(raw))
 	}
 	return sb.String()
 }
@@ -73,8 +88,8 @@ func fig4(c *Context) (*Outcome, error) {
 	}
 	text := renderSeries("(a) correctness-oriented stage reward", res.CorrectnessHistory) +
 		renderSeries("(b) latency-oriented stage reward", res.LatencyHistory)
-	corrE := grpo.EMA(res.CorrectnessHistory, 0.95)
-	latE := grpo.EMA(res.LatencyHistory, 0.95)
+	corrE := ema(res.CorrectnessHistory)
+	latE := ema(res.LatencyHistory)
 	nums := map[string]float64{}
 	if len(corrE) > 0 {
 		nums["correctness_reward_first"] = res.CorrectnessHistory[0]

@@ -13,57 +13,79 @@ import (
 	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
+	"veriopt/internal/seqopt"
 )
 
-// trainSteps runs a fresh trainer with the given worker count and
-// returns it (private oracle stack, so runs are fully independent).
-func trainSteps(t *testing.T, samples []*dataset.Sample, workers, steps int) *Trainer {
-	t.Helper()
-	m := policy.New(policy.CapQwen3B, 7)
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	tr := NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, cfg, 21)
-	tr.CollectFailures = true
-	trainBg(tr.TrainCtx, steps)
-	return tr
+// policies are the two constructors every trainer-behaviour table runs
+// over: build wires a fresh trainer of the policy over o, data and
+// workers (the token policy harvesting failures) and returns it with
+// the parameters its steps update.
+var policies = []struct {
+	name   string
+	corpus func(*testing.T, int) []*dataset.Sample
+	build  func(o oracle.Oracle, data []*dataset.Sample, workers int) (*Trainer, func() [][]float64)
+}{
+	{"token", corpus, func(o oracle.Oracle, data []*dataset.Sample, workers int) (*Trainer, func() [][]float64) {
+		m := policy.New(policy.CapQwen3B, 7)
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		tr := NewTrainer(o, m, data, cfg, 21)
+		tr.CollectFailures = true
+		return tr, func() [][]float64 { return append([][]float64{m.B, m.S, m.P}, m.Diag.W...) }
+	}},
+	{"sequence", seqCorpus, func(o oracle.Oracle, data []*dataset.Sample, workers int) (*Trainer, func() [][]float64) {
+		m := seqopt.NewModel(5)
+		return NewSequenceTrainer(o, m, data, 0, workers, 23), func() [][]float64 { return [][]float64{m.B, m.S} }
+	}},
 }
 
-// TestStepDeterministicAcrossWorkers is the tentpole's reproducibility
-// contract: the GRPO trajectory must be bit-identical at any worker
-// count, because every episode draws from its own derived rand.Rand
-// and gradient accumulation is sequential in grid order.
-func TestStepDeterministicAcrossWorkers(t *testing.T) {
-	samples := corpus(t, 16)
-	t1 := trainSteps(t, samples, 1, 3)
-	t4 := trainSteps(t, samples, 4, 3)
+// snapshot deep-copies a policy's parameters.
+func snapshot(params [][]float64) [][]float64 {
+	out := make([][]float64, len(params))
+	for i, vs := range params {
+		out[i] = append([]float64(nil), vs...)
+	}
+	return out
+}
 
-	if len(t1.RewardHistory) != len(t4.RewardHistory) {
-		t.Fatalf("history lengths differ: %d vs %d", len(t1.RewardHistory), len(t4.RewardHistory))
-	}
-	for i := range t1.RewardHistory {
-		if t1.RewardHistory[i] != t4.RewardHistory[i] {
-			t.Fatalf("step %d reward differs: %v vs %v", i, t1.RewardHistory[i], t4.RewardHistory[i])
-		}
-	}
-	for a := range t1.Model.B {
-		if t1.Model.B[a] != t4.Model.B[a] || t1.Model.S[a] != t4.Model.S[a] || t1.Model.P[a] != t4.Model.P[a] {
-			t.Fatalf("model weights differ at action %d", a)
-		}
-	}
-	if len(t1.Failures) != len(t4.Failures) {
-		t.Fatalf("failure harvest differs: %d vs %d", len(t1.Failures), len(t4.Failures))
-	}
-	for i := range t1.Failures {
-		if !reflect.DeepEqual(t1.Failures[i].UsedRules, t4.Failures[i].UsedRules) ||
-			t1.Failures[i].TrueDiag != t4.Failures[i].TrueDiag {
-			t.Fatalf("failure %d differs between worker counts", i)
-		}
+// TestStepDeterministicAcrossWorkers is the reproducibility contract:
+// the GRPO trajectory — the reward history, every parameter and the
+// failure harvest — must be bit-identical at any worker count, because
+// every episode draws from its own derived rand.Rand and gradient
+// accumulation is sequential in grid order. Run under -race by tier 2.
+func TestStepDeterministicAcrossWorkers(t *testing.T) {
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			data := p.corpus(t, 24)
+			run := func(workers int) (*Trainer, [][]float64) {
+				tr, params := p.build(oracle.NewStack(oracle.Config{}), data, workers)
+				trainBg(tr.TrainCtx, 4)
+				return tr, params()
+			}
+			t1, p1 := run(1)
+			t4, p4 := run(4)
+			if !reflect.DeepEqual(t1.RewardHistory, t4.RewardHistory) {
+				t.Fatalf("reward history differs: %v vs %v", t1.RewardHistory, t4.RewardHistory)
+			}
+			if !reflect.DeepEqual(p1, p4) {
+				t.Fatal("parameters differ between worker counts")
+			}
+			if len(t1.Failures) != len(t4.Failures) {
+				t.Fatalf("failure harvest differs: %d vs %d", len(t1.Failures), len(t4.Failures))
+			}
+			for i := range t1.Failures {
+				if !reflect.DeepEqual(t1.Failures[i].UsedRules, t4.Failures[i].UsedRules) ||
+					t1.Failures[i].TrueDiag != t4.Failures[i].TrueDiag {
+					t.Fatalf("failure %d differs between worker counts", i)
+				}
+			}
+		})
 	}
 }
 
 func TestTrainerCacheGetsHits(t *testing.T) {
-	samples := corpus(t, 8)
-	tr := trainSteps(t, samples, 4, 2)
+	tr, _ := policies[0].build(oracle.NewStack(oracle.Config{}), corpus(t, 8), 4)
+	trainBg(tr.TrainCtx, 2)
 	_, cs := tr.oracle.(oracle.StatsSource).OracleStats()
 	if cs.Queries == 0 {
 		t.Fatal("no verification queries recorded")
@@ -73,86 +95,113 @@ func TestTrainerCacheGetsHits(t *testing.T) {
 	}
 }
 
-// TestStepCancellationPromptNoUpdate is the tentpole's cancellation
-// contract for training: canceling mid-Step returns promptly, applies
-// NO model update, appends no reward history, and leaves the input
-// cursor where it was — the resumed trajectory is the uncanceled one.
+// TestStepCancellationPromptNoUpdate is the cancellation contract for
+// training: a step canceled before it starts, or mid-rollout, returns
+// promptly with the context's error, applies NO update, appends no
+// reward history, and leaves the input cursor where it was — the
+// resumed step replays the batch of an uncanceled run's first step.
 func TestStepCancellationPromptNoUpdate(t *testing.T) {
-	samples := corpus(t, 8)
-	m := policy.New(policy.CapQwen3B, 7)
-	cfg := DefaultConfig()
-	cfg.Workers = 4
-	started := make(chan struct{}, 1)
-	blocking := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
-		select {
-		case started <- struct{}{}:
-		default:
-		}
-		<-ctx.Done() // wedge every verification until canceled
-		return alive.CanceledResult(ctx.Err())
-	})
-	tr := NewTrainer(blocking, m, samples, cfg, 21)
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			data := p.corpus(t, 12)
+			untouched := func(tr *Trainer, params func() [][]float64, before [][]float64) {
+				t.Helper()
+				if len(tr.RewardHistory) != 0 || tr.cursor != 0 {
+					t.Fatalf("canceled step appended history %v or moved the cursor to %d", tr.RewardHistory, tr.cursor)
+				}
+				if !reflect.DeepEqual(params(), before) {
+					t.Fatal("canceled step updated the policy")
+				}
+			}
 
-	before := m.Clone()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := tr.StepCtx(ctx)
-		done <- err
-	}()
-	<-started
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("canceled StepCtx returned nil error")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("StepCtx did not return promptly after cancel")
-	}
-	if len(tr.RewardHistory) != 0 || tr.cursor != 0 {
-		t.Fatalf("canceled step appended history %v or moved the cursor to %d", tr.RewardHistory, tr.cursor)
-	}
-	for a := range m.B {
-		if m.B[a] != before.B[a] || m.S[a] != before.S[a] || m.P[a] != before.P[a] {
-			t.Fatalf("canceled step updated the model at action %d", a)
-		}
-	}
-	// The cursor rewound: the resumed first step replays the same batch
-	// as an uncanceled run's first step.
-	tr.oracle = oracle.NewStack(oracle.Config{})
-	stepBg(tr.StepCtx)
-	fresh := trainSteps(t, samples, 1, 1)
-	if tr.RewardHistory[0] != fresh.RewardHistory[0] {
-		t.Fatalf("resumed step diverged: %v vs %v", tr.RewardHistory[0], fresh.RewardHistory[0])
+			tr, params := p.build(testStack, data, 1)
+			before := snapshot(params())
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := tr.StepCtx(ctx); err == nil {
+				t.Fatal("pre-canceled StepCtx returned nil error")
+			}
+			untouched(tr, params, before)
+
+			started := make(chan struct{}, 1)
+			blocking := oracle.Func(func(ctx context.Context, src, tgt *ir.Function, opts alive.Options) alive.Result {
+				select {
+				case started <- struct{}{}:
+				default:
+				}
+				<-ctx.Done() // wedge every verification until canceled
+				return alive.CanceledResult(ctx.Err())
+			})
+			tr, params = p.build(blocking, data, 4)
+			before = snapshot(params())
+			ctx, cancel = context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, err := tr.StepCtx(ctx)
+				done <- err
+			}()
+			select {
+			case <-started:
+			case err := <-done:
+				t.Fatalf("step finished (err %v) without asking the oracle", err)
+			}
+			cancel()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatal("canceled StepCtx returned nil error")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("StepCtx did not return promptly after cancel")
+			}
+			untouched(tr, params, before)
+
+			// The cursor rewound: the resumed first step replays the same
+			// batch as an uncanceled run's first step.
+			tr.oracle = oracle.NewStack(oracle.Config{})
+			norm := stepBg(tr.StepCtx)
+			fresh, freshParams := p.build(oracle.NewStack(oracle.Config{}), data, 1)
+			if freshNorm := stepBg(fresh.StepCtx); tr.RewardHistory[0] != fresh.RewardHistory[0] || norm != freshNorm {
+				t.Fatalf("resumed step diverged: reward %v vs %v, norm %v vs %v", tr.RewardHistory[0], fresh.RewardHistory[0], norm, freshNorm)
+			}
+			if !reflect.DeepEqual(params(), freshParams()) {
+				t.Fatal("resumed step's parameters differ from the uncanceled run's")
+			}
+		})
 	}
 }
 
 // TestTrainCtxStopsEarly: cancellation between steps truncates the
 // run without an extra partial entry.
 func TestTrainCtxStopsEarly(t *testing.T) {
-	samples := corpus(t, 4)
-	m := policy.New(policy.CapQwen3B, 7)
-	tr := NewTrainer(oracle.NewStack(oracle.Config{}), m, samples, DefaultConfig(), 21)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := tr.TrainCtx(ctx, 5)
-	if err == nil || len(tr.RewardHistory) != 0 || tr.cursor != 0 {
-		t.Fatalf("pre-canceled TrainCtx: history=%v cursor=%d err=%v", tr.RewardHistory, tr.cursor, err)
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			tr, _ := p.build(oracle.NewStack(oracle.Config{}), p.corpus(t, 4), 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			err := tr.TrainCtx(ctx, 5)
+			if err == nil || len(tr.RewardHistory) != 0 || tr.cursor != 0 {
+				t.Fatalf("pre-canceled TrainCtx: history=%v cursor=%d err=%v", tr.RewardHistory, tr.cursor, err)
+			}
+		})
 	}
 }
 
-// TestStepEmptyDataNoPanic: Step used to divide by len(tr.Data) before
-// checking it, panicking on an empty corpus.
+// TestStepEmptyDataNoPanic: Step used to divide by the corpus length
+// before checking it, panicking on an empty corpus; an empty step
+// records one 0 (one entry per Step) and leaves the cursor alone.
 func TestStepEmptyDataNoPanic(t *testing.T) {
-	m := policy.New(policy.CapQwen3B, 3)
-	tr := NewTrainer(testStack, m, nil, DefaultConfig(), 1)
-	stepBg(tr.StepCtx)
-	if len(tr.RewardHistory) != 1 || tr.RewardHistory[0] != 0 {
-		t.Fatalf("history = %v, want one empty step's 0 (one entry per Step)", tr.RewardHistory)
-	}
-	if tr.cursor != 0 {
-		t.Fatalf("an empty step moved the cursor to %d", tr.cursor)
+	for _, p := range policies {
+		t.Run(p.name, func(t *testing.T) {
+			tr, _ := p.build(testStack, nil, 1)
+			stepBg(tr.StepCtx)
+			if len(tr.RewardHistory) != 1 || tr.RewardHistory[0] != 0 {
+				t.Fatalf("history = %v, want one empty step's 0", tr.RewardHistory)
+			}
+			if tr.cursor != 0 {
+				t.Fatalf("an empty step moved the cursor to %d", tr.cursor)
+			}
+		})
 	}
 }
 

@@ -89,8 +89,9 @@ func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
 func seqTrajectory(t *testing.T, workers int) trajectory {
 	t.Helper()
 	m := seqopt.NewModel(5)
-	tr := NewSeqTrainer(oracle.NewStack(oracle.Config{}), m, seqCorpus(t, 24), SeqConfig{Workers: workers}, 23)
-	norms := stepNorms(func(ctx context.Context) (float64, error) { return tr.step(ctx, seqLR/10) })
+	tr := NewSequenceTrainer(oracle.NewStack(oracle.Config{}), m, seqCorpus(t, 24), 0, workers, 23)
+	tr.cfg.LR = seqLR / 10
+	norms := stepNorms(tr.StepCtx)
 	vecs := [][]float64{m.B, m.S}
 	vecs = append(vecs, m.N...)
 	return trajectory{Params: paramDigest(vecs...), Rewards: bitsOf(tr.RewardHistory), GradNorms: bitsOf(norms)}
@@ -136,10 +137,10 @@ func checkGolden(t *testing.T, path string, got map[string]trajectory) {
 	}
 }
 
-// TestTextTrajectoriesMatchGolden pins the text trainer bit for bit in
-// all three reward modes, at Workers 1 and 4. The golden was written
-// by this test (-update) at the commit before the policy scorer and
-// the rollout grid were factored into policy.Linear and grpo's
+// TestTextTrajectoriesMatchGolden pins the token policy's training bit
+// for bit in all three reward modes, at Workers 1 and 4. The golden was
+// written by this test (-update) at the commit before the policy scorer
+// and the rollout grid were factored into policy.Linear and grpo's
 // rollout core, and has not been rewritten since: a change to sampling
 // order, gradient accumulation order, the norm walk or the clamp shows
 // as a diff against that commit.
@@ -156,12 +157,12 @@ func TestTextTrajectoriesMatchGolden(t *testing.T) {
 }
 
 // TestSeqTrajectoryMatchesGolden is the same pin for the sequence
-// trainer. Its golden was re-captured once, at the refactor itself:
+// policy, trained by NewSequenceTrainer's Trainer. Its golden was re-captured once, at the refactor itself:
 // against the parent's capture, parameters and rewards are bit-equal
 // and two of the twelve GradNorms differ in the last ulp, because the
 // parent summed the pre-clip norm as Σ_a(b_a² + s_a²) and the shared
 // policy.Linear.ClipStep sums vector by vector (all of B, then all of
-// S) as the text trainer always has.
+// S) as the token policy's update always has.
 func TestSeqTrajectoryMatchesGolden(t *testing.T) {
 	got := map[string]trajectory{"passes": seqTrajectory(t, 1)}
 	if w4 := seqTrajectory(t, 4); !reflect.DeepEqual(got["passes"], w4) {

@@ -46,11 +46,7 @@ func score(ctx context.Context, o oracle.Oracle, s *dataset.Sample, l label, ep 
 	}
 	switch cfg.Mode {
 	case ModeLatency:
-		speedup := 0.0
-		if final.Verdict == alive.Equivalent {
-			speedup = costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(finalFn))
-		}
-		es.rAnswer = latencyReward(final.Verdict, speedup, cfg.UMax)
+		es.rAnswer = latencyScore(s, final.Verdict, finalFn, cfg.UMax)
 	case ModeCorrectness, ModeCorrectnessCoT:
 		shaping := !cfg.NoBleuShaping
 		exact, b := l.terms(ep.FinalText)
@@ -166,6 +162,18 @@ const (
 	latencyGamma   = 2.0
 	defaultUMax    = 2.0
 )
+
+// latencyScore is Eqs. 3–4 for an output fn whose verdict against s's
+// input is v: the speedup of fn over the input, measured only when fn
+// verified, through latencyReward. Both policies' latency rewards are
+// this one.
+func latencyScore(s *dataset.Sample, v alive.Verdict, fn *ir.Function, umax float64) float64 {
+	speedup := 0.0
+	if v == alive.Equivalent {
+		speedup = costmodel.Speedup(costmodel.Measure(s.O0), costmodel.Measure(fn))
+	}
+	return latencyReward(v, speedup, umax)
+}
 
 // latencyReward is the paper's Eq. 4: zero unless the output verified
 // (S=1) and sped up (u>1); then a convex, saturating share of the

@@ -6,28 +6,8 @@ import (
 	"math/rand"
 
 	"veriopt/internal/dataset"
-	"veriopt/internal/oracle"
 	"veriopt/internal/par"
 )
-
-// rollout is the deterministic-rollout state both trainers carry: the
-// corpus and the cursor into it, the seed every episode RNG derives
-// from, the oracle that gates every reward, and the per-step reward
-// history. A trainer's trajectory depends only on (model, data, cfg,
-// seed) — never on the worker count.
-type rollout struct {
-	Data []*dataset.Sample
-
-	// oracle answers every verification query; NewTrainer and
-	// NewSeqTrainer take it.
-	oracle oracle.Oracle
-
-	// RewardHistory records the mean raw reward per step (Fig. 4).
-	RewardHistory []float64
-
-	seed   int64
-	cursor int
-}
 
 // grid rolls out one step's batch × group cells in parallel across
 // workers goroutines. The cursor advances by the batch up front. Each
@@ -45,28 +25,28 @@ type rollout struct {
 // it only truncates it. An empty corpus or degenerate grid shape (which used
 // to divide by zero at the cursor modulus) records an empty step so
 // RewardHistory keeps one entry per Step.
-func grid[T any](ctx context.Context, r *rollout, batch, group, workers int,
-	input func(s *dataset.Sample) func(rng *rand.Rand) T) ([]T, error) {
+func grid[T any](ctx context.Context, tr *Trainer, batch, group, workers int,
+	input func(ctx context.Context, s *dataset.Sample) func(rng *rand.Rand) T) ([]T, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if len(r.Data) == 0 || batch <= 0 || group <= 0 {
-		r.RewardHistory = append(r.RewardHistory, 0)
+	if len(tr.data) == 0 || batch <= 0 || group <= 0 {
+		tr.RewardHistory = append(tr.RewardHistory, 0)
 		return nil, nil
 	}
-	base := r.cursor
-	r.cursor += batch
+	base := tr.cursor
+	tr.cursor += batch
 	rollouts := make([]func(*rand.Rand) T, batch)
 	for bi := range rollouts {
-		rollouts[bi] = input(r.Data[(base+bi)%len(r.Data)])
+		rollouts[bi] = input(ctx, tr.data[(base+bi)%len(tr.data)])
 	}
 	cells := make([]T, batch*group)
 	err := par.For(ctx, workers, len(cells), func(i int) {
 		bi, gi := i/group, i%group
-		cells[i] = rollouts[bi](rand.New(rand.NewSource(episodeSeed(r.seed, base+bi, gi))))
+		cells[i] = rollouts[bi](rand.New(rand.NewSource(episodeSeed(tr.seed, base+bi, gi))))
 	})
 	if err != nil {
-		r.cursor = base
+		tr.cursor = base
 		return nil, err
 	}
 	return cells, nil
@@ -111,15 +91,4 @@ func advantages[T any](cells []T, group int, raw bool, r func(*T) float64) []flo
 		}
 	}
 	return adv
-}
-
-// train runs up to n steps under ctx. On cancellation the aborted step
-// leaves no trace (see grid) and the context's error is returned.
-func train(ctx context.Context, n int, step func(context.Context) (float64, error)) error {
-	for i := 0; i < n; i++ {
-		if _, err := step(ctx); err != nil {
-			return err
-		}
-	}
-	return nil
 }

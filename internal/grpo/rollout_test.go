@@ -42,9 +42,9 @@ func TestGridAssignsCellsByCursor(t *testing.T) {
 		name string
 		draw int64
 	}
-	run := func(r *rollout, workers int) []cell {
+	run := func(r *Trainer, workers int) []cell {
 		cells, err := grid(context.Background(), r, 2, 3, workers,
-			func(s *dataset.Sample) func(*rand.Rand) cell {
+			func(_ context.Context, s *dataset.Sample) func(*rand.Rand) cell {
 				return func(rng *rand.Rand) cell { return cell{s.Name, rng.Int63()} }
 			})
 		if err != nil || len(cells) != 6 {
@@ -52,7 +52,7 @@ func TestGridAssignsCellsByCursor(t *testing.T) {
 		}
 		return cells
 	}
-	r := &rollout{Data: data, seed: 7, cursor: 2}
+	r := &Trainer{data: data, seed: 7, cursor: 2}
 	cells := run(r, 1)
 	if r.cursor != 4 {
 		t.Errorf("cursor = %d after a batch of 2 from 2", r.cursor)
@@ -65,14 +65,14 @@ func TestGridAssignsCellsByCursor(t *testing.T) {
 			t.Errorf("cell %d drew %d, want %d", i, c.draw, want)
 		}
 	}
-	for i, c := range run(&rollout{Data: data, seed: 7, cursor: 2}, 4) {
+	for i, c := range run(&Trainer{data: data, seed: 7, cursor: 2}, 4) {
 		if c != cells[i] {
 			t.Errorf("cell %d differs at Workers=4: %v vs %v", i, c, cells[i])
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := grid(ctx, r, 2, 3, 1, func(*dataset.Sample) func(*rand.Rand) cell {
+	got, err := grid(ctx, r, 2, 3, 1, func(context.Context, *dataset.Sample) func(*rand.Rand) cell {
 		t.Error("canceled grid prepared an input")
 		return nil
 	})

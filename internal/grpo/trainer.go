@@ -8,6 +8,8 @@ import (
 	"veriopt/internal/dataset"
 	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
+	"veriopt/internal/rewrite"
+	"veriopt/internal/seqopt"
 )
 
 // RewardMode selects the training objective.
@@ -62,15 +64,18 @@ type Config struct {
 	Workers int
 }
 
-// GRPO's recipe (§IV-B) as both trainers run it: G rollouts per input
-// (DefaultConfig's GroupSize, the sequence trainer's fixed G), inputs
+// GRPO's recipe (§IV-B) as both policies train under it: G rollouts
+// per input (DefaultConfig's GroupSize, the sequence recipe's), inputs
 // per step, the global gradient-norm bound (DefaultConfig's ClipNorm,
-// the sequence trainer's fixed bound). Each rollout samples at
-// temperature 1 from the rng grid hands it.
+// the sequence recipe's). Each rollout samples at temperature 1 from
+// the rng grid hands it. seqLR is the sequence recipe's learning rate,
+// higher than DefaultConfig's because a sequence episode has far fewer
+// decisions per gradient step.
 const (
 	groupSize   = 6
 	batchInputs = 8
 	clipNorm    = 5
+	seqLR       = 40
 )
 
 // DefaultConfig returns the settings used by the reproduction's
@@ -79,8 +84,8 @@ func DefaultConfig() Config {
 	return Config{GroupSize: groupSize, LR: 30, ClipNorm: clipNorm}
 }
 
-// trainVerify bounds each verification query of a training run, in
-// both trainers.
+// trainVerify bounds each verification query of a training run, for
+// both policies.
 var trainVerify = alive.Options{MaxPaths: 256, MaxSteps: 2048, SolverBudget: 40000}
 
 // FailureSample is a Model Zero mistake harvested for the
@@ -95,25 +100,77 @@ type FailureSample struct {
 	UsedRules []string
 }
 
-// Trainer runs GRPO over a model and corpus; Data, the oracle and
-// RewardHistory are the rollout core's (rollout.go).
+// Trainer runs GRPO over a policy and corpus: the token policy
+// (NewTrainer) or the pass-sequence policy (NewSequenceTrainer). Its
+// trajectory depends only on (policy, data, cfg, seed) — never on the
+// worker count. The oracle gates every reward: an episode whose output
+// is not proven equivalent to its input earns no verified credit,
+// whatever the cost model claims.
 type Trainer struct {
-	Model *policy.Model
-	cfg   Config
-	rollout
+	// RewardHistory records the mean raw reward per step (Fig. 4).
+	RewardHistory []float64
 
-	// Failures accumulates Model Zero mistakes when CollectFailures is
-	// set.
+	// Failures accumulates Model Zero mistakes, the rollout cells whose
+	// attempt did not verify, when CollectFailures is set.
 	CollectFailures bool
 	Failures        []*FailureSample
+
+	cfg    Config
+	data   []*dataset.Sample
+	oracle oracle.Oracle
+	seed   int64
+	cursor int
+
+	// lin is the scorer StepCtx updates, clamped to lim; diag is the
+	// diagnostic head trained alongside it and rules the action names
+	// the failure harvest reads (both nil for the sequence policy).
+	lin   *policy.Linear
+	lim   float64
+	diag  *policy.DiagHead
+	rules []*rewrite.Rule
+	// rollouts prepares one input's group for grid: the function that
+	// rolls out and scores one cell of it.
+	rollouts func(ctx context.Context, s *dataset.Sample) func(*rand.Rand) episodeScore
 }
 
-// NewTrainer wires a trainer whose rewards o gates. Rollout sampling
-// is driven by per-episode RNGs derived from seed, so a trainer's
-// trajectory depends only on (model, data, cfg, seed) — never on
-// Cfg.Workers.
+// NewTrainer wires a trainer of the token policy m whose rewards o
+// gates. Rollout sampling is driven by per-episode RNGs derived from
+// seed, so the trajectory never depends on cfg.Workers.
 func NewTrainer(o oracle.Oracle, m *policy.Model, data []*dataset.Sample, cfg Config, seed int64) *Trainer {
-	return &Trainer{Model: m, cfg: cfg, rollout: rollout{Data: data, oracle: o, seed: seed}}
+	tr := &Trainer{cfg: cfg, data: data, oracle: o, seed: seed, lin: &m.Linear, lim: m.Cap.MaxBias, diag: m.Diag, rules: m.Rules}
+	tr.rollouts = func(ctx context.Context, s *dataset.Sample) func(*rand.Rand) episodeScore {
+		l := labelOf(s, &tr.cfg)
+		return func(rng *rand.Rand) episodeScore {
+			ep := m.Generate(s.O0, policy.GenOptions{Rng: rng, Augmented: tr.cfg.Mode == ModeCorrectnessCoT})
+			return score(ctx, tr.oracle, s, l, ep, &tr.cfg)
+		}
+	}
+	return tr
+}
+
+// NewSequenceTrainer wires a trainer of the pass-sequence policy m
+// (the phase-ordering workload) under the sequence recipe: DefaultConfig's
+// group and clip, the learning rate seqLR and ModeLatency, with Eq. 4
+// saturating at umax. A cell's episode is the sequence's actions, and
+// its one reward the verified latency gain of the sequence's final
+// state (latencyScore); an empty sequence is trivially equivalent,
+// with zero gain, and asks the oracle nothing.
+func NewSequenceTrainer(o oracle.Oracle, m *seqopt.Model, data []*dataset.Sample, umax float64, workers int, seed int64) *Trainer {
+	cfg := Config{GroupSize: groupSize, LR: seqLR, ClipNorm: clipNorm, Mode: ModeLatency, UMax: umax, Workers: workers}
+	tr := &Trainer{cfg: cfg, data: data, oracle: o, seed: seed, lin: &m.Linear, lim: m.MaxBias}
+	tr.rollouts = func(ctx context.Context, s *dataset.Sample) func(*rand.Rand) episodeScore {
+		return func(rng *rand.Rand) episodeScore {
+			ep := m.Generate(s.O0, rng)
+			es := episodeScore{s: s, ep: &policy.Episode{H: ep.H, Actions: ep.Actions}}
+			if len(ep.Sequence) > 0 {
+				es.attempt = tr.oracle.Verify(ctx, s.O0, ep.FinalFn, trainVerify)
+				es.rAnswer = latencyScore(s, es.attempt.Verdict, ep.FinalFn, tr.cfg.UMax)
+			}
+			es.r = es.rAnswer
+			return es
+		}
+	}
+	return tr
 }
 
 // episodeScore is one rollout cell: the sample, the episode, the
@@ -142,16 +199,8 @@ type episodeScore struct {
 // ctx ends mid-rollout the step aborts promptly with NO model update
 // and the input cursor rewound (see grid).
 func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
-	m := tr.Model
-	cfg := tr.cfg
-	cells, err := grid(ctx, &tr.rollout, batchInputs, cfg.GroupSize, cfg.Workers,
-		func(s *dataset.Sample) func(*rand.Rand) episodeScore {
-			l := labelOf(s, &cfg)
-			return func(rng *rand.Rand) episodeScore {
-				ep := m.Generate(s.O0, policy.GenOptions{Rng: rng, Augmented: cfg.Mode == ModeCorrectnessCoT})
-				return score(ctx, tr.oracle, s, l, ep, &cfg)
-			}
-		})
+	cfg := &tr.cfg
+	cells, err := grid(ctx, tr, batchInputs, cfg.GroupSize, cfg.Workers, tr.rollouts)
 	if cells == nil {
 		return 0, err
 	}
@@ -167,7 +216,7 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 				Sample:    es.s,
 				TrueDiag:  es.attempt.Diag,
 				TrueClass: classOf(es.attempt.Verdict),
-				UsedRules: usedRules(m, es.ep),
+				UsedRules: usedRules(tr.rules, es.ep),
 			})
 		}
 		totalTokens += tokensOf(es.ep)
@@ -181,19 +230,23 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 	answer := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rAnswer })
 	think := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rThink })
 	attempt := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rAttempt })
-	g := m.Grad()
-	gDiag := make([][]float64, len(m.Diag.W))
-	for c := range gDiag {
-		gDiag[c] = make([]float64, len(m.Diag.W[c]))
+	g := tr.lin.Grad()
+	var dense, gDense [][]float64
+	if tr.diag != nil {
+		dense = tr.diag.W
+		gDense = make([][]float64, len(dense))
+		for c := range gDense {
+			gDense[c] = make([]float64, len(dense[c]))
+		}
 	}
 	for i, es := range cells {
 		norm := float64(totalTokens)
 		if cfg.SeqLevelNorm {
 			norm = float64(tokensOf(es.ep)) * float64(len(cells))
 		}
-		tr.accumulateEpisode(g, gDiag, es.ep, advPair{answer: answer[i] / norm, think: think[i] / norm, attempt: attempt[i] / norm})
+		tr.accumulateEpisode(g, gDense, es.ep, advPair{answer: answer[i] / norm, think: think[i] / norm, attempt: attempt[i] / norm})
 	}
-	return m.ClipStep(g, m.Diag.W, gDiag, cfg.LR, cfg.ClipNorm, m.Cap.MaxBias), nil
+	return tr.lin.ClipStep(g, dense, gDense, cfg.LR, cfg.ClipNorm, tr.lim), nil
 }
 
 // advPair carries the per-component advantages.
@@ -205,10 +258,9 @@ type advPair struct{ answer, think, attempt float64 }
 // when it *is* the answer), the correction gets the answer advantage,
 // and the diagnosis decision gets the think advantage.
 func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *policy.Episode, adv advPair) {
-	m := tr.Model
 	addRecords := func(recs []policy.ActionRecord, h []float64, scale float64) {
 		for _, rec := range recs {
-			m.AddGrad(g, rec, h, scale)
+			tr.lin.AddGrad(g, rec, h, scale)
 		}
 	}
 	// Attempt tokens are judged by the attempt's own Eq. 1 (per-segment
@@ -224,7 +276,7 @@ func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *po
 	}
 	addRecords(ep.Actions, ep.H, attemptScale)
 	if ep.Diag != nil {
-		m.Diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, adv.think)
+		tr.diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, adv.think)
 	}
 }
 
@@ -250,34 +302,24 @@ func classOf(v alive.Verdict) policy.DiagClass {
 	}
 }
 
-func usedRules(m *policy.Model, ep *policy.Episode) []string {
+func usedRules(rules []*rewrite.Rule, ep *policy.Episode) []string {
 	var out []string
 	for _, rec := range ep.Actions {
 		a := rec.Cands[rec.Chosen]
-		if a < len(m.Rules) {
-			out = append(out, m.Rules[a].Name)
+		if a < len(rules) {
+			out = append(out, rules[a].Name)
 		}
 	}
 	return out
 }
 
-// TrainCtx runs up to n steps under ctx, returning, on cancellation,
-// the context's error.
+// TrainCtx runs up to n steps under ctx. On cancellation the aborted
+// step leaves no trace (see grid) and the context's error is returned.
 func (tr *Trainer) TrainCtx(ctx context.Context, n int) error {
-	return train(ctx, n, tr.StepCtx)
-}
-
-// EMA smooths a series with the paper's 0.95 exponential moving
-// average (Fig. 4 presentation).
-func EMA(series []float64, alpha float64) []float64 {
-	out := make([]float64, len(series))
-	if len(series) == 0 {
-		return out
+	for i := 0; i < n; i++ {
+		if _, err := tr.StepCtx(ctx); err != nil {
+			return err
+		}
 	}
-	acc := series[0]
-	for i, v := range series {
-		acc = alpha*acc + (1-alpha)*v
-		out[i] = acc
-	}
-	return out
+	return nil
 }

@@ -216,19 +216,6 @@ func TestGradClipBoundsUpdate(t *testing.T) {
 	}
 }
 
-func TestEMA(t *testing.T) {
-	s := EMA([]float64{1, 1, 1, 5}, 0.95)
-	if len(s) != 4 {
-		t.Fatal("length mismatch")
-	}
-	if s[3] <= s[2] || s[3] > 5 {
-		t.Errorf("EMA response wrong: %v", s)
-	}
-	if len(EMA(nil, 0.95)) != 0 {
-		t.Error("empty series should yield empty EMA")
-	}
-}
-
 // TestScoreCountsExactAndSpeedup: the instcombine label itself scores
 // the exact-match point of Eq. 1 in the correctness modes, and in the
 // latency mode Eq. 4 of the speedup of the function parsed from it.

@@ -21,7 +21,7 @@ import (
 // greedy / beam / policy) on the validation split.
 type PassesConfig struct {
 	Seed int64
-	// TrainSteps is the number of SeqTrainer GRPO steps.
+	// TrainSteps is the number of GRPO steps of the sequence policy.
 	TrainSteps int
 	// Workers bounds the evaluation fan-out (<= 0 selects
 	// runtime.NumCPU()); results are worker-count independent.
@@ -103,11 +103,9 @@ type PassesResult struct {
 // phase aborts promptly and the partial result is returned with the
 // context's error (Report nil when evaluation never completed).
 func RunPassesCtx(ctx context.Context, o oracle.Oracle, train, val []*dataset.Sample, cfg PassesConfig) (*PassesResult, error) {
-	seq := grpo.SeqConfig{Workers: cfg.Workers, UMax: grpo.ComputeUMax(train)}
-
 	res := &PassesResult{Model: seqopt.NewModel(cfg.Seed)}
 	err := traceStage(cfg.Obs, o, "seq-train", func() (int, []float64, error) {
-		tr := grpo.NewSeqTrainer(o, res.Model, train, seq, cfg.Seed+404)
+		tr := grpo.NewSequenceTrainer(o, res.Model, train, grpo.ComputeUMax(train), cfg.Workers, cfg.Seed+404)
 		err := tr.TrainCtx(ctx, cfg.TrainSteps)
 		return len(tr.RewardHistory), tr.RewardHistory, err
 	})

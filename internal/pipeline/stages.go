@@ -128,13 +128,13 @@ func devEvalCtx(ctx context.Context, o oracle.Oracle, m *policy.Model, dev []*da
 	return 2*rep.DifferentCorrectFrac() + GeomeanSpeedup(rep)/100, nil
 }
 
-// trainWithCheckpoints runs steps GRPO steps, evaluating on the dev
-// split before the first and every evalEvery steps after it, and
-// returns the best model seen (the paper's "selecting the best
-// checkpoint for evaluation"). On cancellation it returns the best
-// model so far with the context's error.
-func trainWithCheckpoints(ctx context.Context, o oracle.Oracle, tr *grpo.Trainer, steps, evalEvery int, dev []*dataset.Sample, augmented bool, ec EvalConfig) (*policy.Model, error) {
-	best := tr.Model.Clone()
+// trainWithCheckpoints runs steps GRPO steps of tr, the trainer of m,
+// evaluating m on the dev split before the first and every evalEvery
+// steps after it, and returns the best model seen (the paper's
+// "selecting the best checkpoint for evaluation"). On cancellation it
+// returns the best model so far with the context's error.
+func trainWithCheckpoints(ctx context.Context, o oracle.Oracle, tr *grpo.Trainer, m *policy.Model, steps, evalEvery int, dev []*dataset.Sample, augmented bool, ec EvalConfig) (*policy.Model, error) {
+	best := m.Clone()
 	bestScore, err := devEvalCtx(ctx, o, best, dev, augmented, ec)
 	if err != nil {
 		return best, err
@@ -144,13 +144,13 @@ func trainWithCheckpoints(ctx context.Context, o oracle.Oracle, tr *grpo.Trainer
 			return best, err
 		}
 		if (i+1)%evalEvery == 0 || i == steps-1 {
-			score, err := devEvalCtx(ctx, o, tr.Model, dev, augmented, ec)
+			score, err := devEvalCtx(ctx, o, m, dev, augmented, ec)
 			if err != nil {
 				return best, err
 			}
 			if score > bestScore {
 				bestScore = score
-				best = tr.Model.Clone()
+				best = m.Clone()
 			}
 		}
 	}
@@ -230,8 +230,9 @@ func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg S
 			c2.LR = cfg.GRPO.LR / 3
 			c2.GroupSize = cfg.GRPO.GroupSize + 2
 			c2.ClipNorm = cfg.GRPO.ClipNorm / 2
-			t2 := grpo.NewTrainer(o, res.WarmUp.Clone(), train, c2, cfg.Seed+202)
-			best, err := trainWithCheckpoints(ctx, o, t2, cfg.Stage2Steps, 10, dev, true, ec)
+			m2 := res.WarmUp.Clone()
+			t2 := grpo.NewTrainer(o, m2, train, c2, cfg.Seed+202)
+			best, err := trainWithCheckpoints(ctx, o, t2, m2, cfg.Stage2Steps, 10, dev, true, ec)
 			res.CorrectnessHistory = t2.RewardHistory
 			if err == nil {
 				res.Correctness = best
@@ -245,8 +246,9 @@ func RunCtx(ctx context.Context, o oracle.Oracle, train []*dataset.Sample, cfg S
 			c3 := cfg.GRPO
 			c3.Mode = grpo.ModeLatency
 			c3.UMax = res.UMax
-			t3 := grpo.NewTrainer(o, res.Correctness.Clone(), train, c3, cfg.Seed+303)
-			best, err := trainWithCheckpoints(ctx, o, t3, cfg.Stage3Steps, 10, dev, false, ec)
+			m3 := res.Correctness.Clone()
+			t3 := grpo.NewTrainer(o, m3, train, c3, cfg.Seed+303)
+			best, err := trainWithCheckpoints(ctx, o, t3, m3, cfg.Stage3Steps, 10, dev, false, ec)
 			res.LatencyHistory = t3.RewardHistory
 			if err == nil {
 				res.Latency = best

@@ -26,10 +26,11 @@
 //     time.
 //
 //   - A sequence policy (Model): policy.Linear, the scorer of the
-//     token policy, over pass indices plus STOP. It trains under
-//     grpo.SeqTrainer (the same rollout core as grpo.Trainer) with the
-//     paper's verified latency reward: the oracle gates every reward,
-//     so an unverified sequence earns exactly zero.
+//     token policy, over pass indices plus STOP. It trains through
+//     grpo.Trainer, the token policy's trainer, built by
+//     grpo.NewSequenceTrainer, with the paper's verified latency
+//     reward: the oracle gates every reward, so an unverified sequence
+//     earns exactly zero.
 package seqopt
 
 import (
