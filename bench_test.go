@@ -256,7 +256,7 @@ func BenchmarkTrainerStepLatencyWorkers1(b *testing.B) {
 // sequence policy (corpus seed 17, 40 samples, model seed 5, trainer
 // seed 23): stepAllocs' reading, which repeats to the allocation from
 // run to run. It reads (2-vCPU Xeon, go1.24.0) correctness 2 909.95,
-// CoT 3 670.65, latency 3 426.90 and sequence 4 141.05. Each ceiling
+// CoT 3 670.65, latency 3 426.90 and sequence 4 093.05. Each ceiling
 // was set about 5 % above its step's reading when it was last lowered,
 // and none has been raised since the test was written.
 func TestGRPOStepAllocCeilings(t *testing.T) {

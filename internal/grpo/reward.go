@@ -38,7 +38,7 @@ import (
 // verifier work per query, asked of o under ctx. l is s's label as
 // labelOf prepared it for cfg.
 func score(ctx context.Context, o oracle.Oracle, s *dataset.Sample, l label, ep *policy.Episode, cfg *Config) episodeScore {
-	es := episodeScore{s: s, ep: ep}
+	es := episodeScore{s: s, ep: *ep}
 	final, finalFn := verdictOf(ctx, o, ep.FinalText, s)
 	es.attempt = final
 	if ep.Diag != nil && ep.AttemptText != ep.FinalText {

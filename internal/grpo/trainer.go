@@ -151,7 +151,7 @@ func NewTrainer(o oracle.Oracle, m *policy.Model, data []*dataset.Sample, cfg Co
 // NewSequenceTrainer wires a trainer of the pass-sequence policy m
 // (the phase-ordering workload) under the sequence recipe: DefaultConfig's
 // group and clip, the learning rate seqLR and ModeLatency, with Eq. 4
-// saturating at umax. A cell's episode is the sequence's actions, and
+// saturating at umax. A cell's episode is the sequence's rollout, and
 // its one reward the verified latency gain of the sequence's final
 // state (latencyScore); an empty sequence is trivially equivalent,
 // with zero gain, and asks the oracle nothing.
@@ -161,7 +161,7 @@ func NewSequenceTrainer(o oracle.Oracle, m *seqopt.Model, data []*dataset.Sample
 	tr.rollouts = func(ctx context.Context, s *dataset.Sample) func(*rand.Rand) episodeScore {
 		return func(rng *rand.Rand) episodeScore {
 			ep := m.Generate(s.O0, rng)
-			es := episodeScore{s: s, ep: &policy.Episode{H: ep.H, Actions: ep.Actions}}
+			es := episodeScore{s: s, ep: policy.Episode{Rollout: ep.Rollout}}
 			if len(ep.Sequence) > 0 {
 				es.attempt = tr.oracle.Verify(ctx, s.O0, ep.FinalFn, trainVerify)
 				es.rAnswer = latencyScore(s, es.attempt.Verdict, ep.FinalFn, tr.cfg.UMax)
@@ -173,7 +173,8 @@ func NewSequenceTrainer(o oracle.Oracle, m *seqopt.Model, data []*dataset.Sample
 	return tr
 }
 
-// episodeScore is one rollout cell: the sample, the episode, the
+// episodeScore is one rollout cell: the sample, the episode (held by
+// value, so a sequence cell wraps its rollout without allocating), the
 // attempt's verdict (which Model Zero's failure harvest reads) and the
 // rewards score computed. The total reward r = rAnswer + rThink; the
 // components keep separate group-relative advantages so that
@@ -182,7 +183,7 @@ func NewSequenceTrainer(o oracle.Oracle, m *seqopt.Model, data []*dataset.Sample
 // corrupt-then-correct episode would reinforce corrupting first.
 type episodeScore struct {
 	s        *dataset.Sample
-	ep       *policy.Episode
+	ep       policy.Episode
 	attempt  alive.Result
 	r        float64
 	rAnswer  float64
@@ -210,16 +211,17 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 	// reward, and gradient accumulation.
 	totalTokens := 0
 	meanReward := 0.0
-	for _, es := range cells {
+	for i := range cells {
+		es := &cells[i]
 		if tr.CollectFailures && es.attempt.Verdict != alive.Equivalent {
 			tr.Failures = append(tr.Failures, &FailureSample{
 				Sample:    es.s,
 				TrueDiag:  es.attempt.Diag,
 				TrueClass: classOf(es.attempt.Verdict),
-				UsedRules: usedRules(tr.rules, es.ep),
+				UsedRules: usedRules(tr.rules, &es.ep),
 			})
 		}
-		totalTokens += tokensOf(es.ep)
+		totalTokens += tokensOf(&es.ep)
 		meanReward += es.r
 	}
 	tr.RewardHistory = append(tr.RewardHistory, meanReward/float64(len(cells)))
@@ -239,12 +241,13 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 			gDense[c] = make([]float64, len(dense[c]))
 		}
 	}
-	for i, es := range cells {
+	for i := range cells {
+		es := &cells[i]
 		norm := float64(totalTokens)
 		if cfg.SeqLevelNorm {
-			norm = float64(tokensOf(es.ep)) * float64(len(cells))
+			norm = float64(tokensOf(&es.ep)) * float64(len(cells))
 		}
-		tr.accumulateEpisode(g, gDense, es.ep, advPair{answer: answer[i] / norm, think: think[i] / norm, attempt: attempt[i] / norm})
+		tr.accumulateEpisode(g, gDense, &es.ep, advPair{answer: answer[i] / norm, think: think[i] / norm, attempt: attempt[i] / norm})
 	}
 	return tr.lin.ClipStep(g, dense, gDense, cfg.LR, cfg.ClipNorm, tr.lim), nil
 }
@@ -258,30 +261,25 @@ type advPair struct{ answer, think, attempt float64 }
 // when it *is* the answer), the correction gets the answer advantage,
 // and the diagnosis decision gets the think advantage.
 func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *policy.Episode, adv advPair) {
-	addRecords := func(recs []policy.ActionRecord, h []float64, scale float64) {
-		for _, rec := range recs {
-			tr.lin.AddGrad(g, rec, h, scale)
-		}
-	}
 	// Attempt tokens are judged by the attempt's own Eq. 1 (per-segment
 	// credit assignment; without this, copy-and-predict-OK episodes
 	// harvest the trivially-perfect CoT reward through their stop
 	// token). Correction tokens are judged by the final answer; the
 	// diagnosis decision by the CoT agreement.
 	attemptScale := adv.attempt
-	if ep.CorrectionUsed {
-		addRecords(ep.CorrectionActs, ep.CorrH, adv.answer)
+	if len(ep.Correction.Actions) > 0 {
+		tr.lin.AddGrad(g, ep.Correction, adv.answer)
 	} else if ep.Diag == nil {
 		attemptScale = adv.answer // generic prompt: answer == attempt
 	}
-	addRecords(ep.Actions, ep.H, attemptScale)
+	tr.lin.AddGrad(g, ep.Rollout, attemptScale)
 	if ep.Diag != nil {
-		tr.diag.AddGrad(gDiag, ep.Diag.Features, ep.Diag.ClassIdx, adv.think)
+		tr.diag.AddGrad(gDiag, ep.Diag.Features, int(ep.Diag.PredictedClass), adv.think)
 	}
 }
 
 func tokensOf(ep *policy.Episode) int {
-	n := len(ep.Actions) + len(ep.CorrectionActs)
+	n := len(ep.Actions) + len(ep.Correction.Actions)
 	if ep.Diag != nil {
 		n++
 	}

@@ -39,16 +39,13 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			}
 			ex := &clones[i]
 			if ex.diag == nil {
-				ex.h = m.HashFeatures(ir.CanonicalText(s.O0))
-				_, ex.recs = m.Teach(s.O0, ex.h)
-				ex.diag = m.DiagFeatures(ex.h, ex.recs)
+				_, ex.Rollout = m.Teach(s.O0)
+				ex.diag = m.DiagFeatures(ex.Rollout)
 			}
 			// One cross-entropy gradient step toward each teacher
 			// action, in place.
-			for _, rec := range ex.recs {
-				m.AddGrad(&m.Linear, rec, ex.h, warmupLR)
-				steps++
-			}
+			m.AddGrad(&m.Linear, ex.Rollout, warmupLR)
+			steps += len(ex.Actions)
 			// The first-time diagnosis target is OK.
 			trainDiag(m, ex, policy.DiagOK, "")
 		}
@@ -62,8 +59,9 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 			}
 			ex := &fixes[i]
 			if ex.diag == nil {
-				ex.recs = reconstructRecords(ruleIdx, fs)
-				ex.diag = m.DiagFeatures(m.HashFeatures(ir.CanonicalText(fs.Sample.O0)), ex.recs)
+				ex.H = m.HashFeatures(ir.CanonicalText(fs.Sample.O0))
+				ex.Actions = reconstructRecords(ruleIdx, fs)
+				ex.diag = m.DiagFeatures(ex.Rollout)
 			}
 			trainDiag(m, ex, fs.TrueClass, fs.TrueDiag)
 			if fs.TrueClass != policy.DiagOK {
@@ -79,12 +77,12 @@ func WarmUpCtx(ctx context.Context, m *policy.Model, samples []*dataset.Sample, 
 
 // example is what the warm-up trains on for one sample or failure. None
 // of it reads the weights the epochs train, so the first epoch computes
-// it and the others reuse it: the action records (the teacher's, or a
-// failure's rules), the input's hash features h (a sample's; a failure
-// trains no action) and the diagnostic head's features diag over both.
+// it and the others reuse it: the rollout (the teacher's, or a
+// failure's rules over its input's hash features; a failure trains no
+// action) and the diagnostic head's features diag of it.
 type example struct {
-	recs    []policy.ActionRecord
-	h, diag []float64
+	policy.Rollout
+	diag []float64
 }
 
 // penalizeBlamed pushes down the failure-causing rules named in a
@@ -127,7 +125,7 @@ func trainDiag(m *policy.Model, ex *example, trueClass policy.DiagClass, trueDia
 	m.Diag.AddGrad(m.Diag.W, ex.diag, int(trueClass), warmupLR)
 	if trueClass == policy.DiagSemanticError && trueDiag != "" {
 		sub := policy.SubclassForDiag(trueDiag)
-		for _, rec := range ex.recs {
+		for _, rec := range ex.Actions {
 			a := rec.Cands[rec.Chosen]
 			m.Diag.BumpSub(sub, a, warmupLR)
 		}

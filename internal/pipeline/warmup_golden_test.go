@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"veriopt/internal/grpo"
-	"veriopt/internal/ir"
 	"veriopt/internal/oracle"
 	"veriopt/internal/policy"
 )
@@ -77,9 +76,9 @@ func TestWarmUpMatchesGolden(t *testing.T) {
 
 	got := warmupGolden{Failures: len(tr.Failures)}
 	for _, s := range samples {
-		_, recs := m.Teach(s.O0, m.HashFeatures(ir.CanonicalText(s.O0)))
-		tg := teacherGolden{Sample: s.Name, Records: recordsDigest(recs)}
-		for _, r := range recs {
+		_, teacher := m.Teach(s.O0)
+		tg := teacherGolden{Sample: s.Name, Records: recordsDigest(teacher.Actions)}
+		for _, r := range teacher.Actions {
 			name := "stop"
 			if a := r.Cands[r.Chosen]; a < len(m.Rules) {
 				name = m.Rules[a].Name

@@ -34,10 +34,9 @@ func TestWarmUpImprovesTeacherLikelihood(t *testing.T) {
 		// Mean probability assigned to the teacher action at step 0.
 		total := 0.0
 		for _, s := range samples {
-			h := mm.HashFeatures(ir.CanonicalText(s.O0))
-			_, recs := mm.Teach(s.O0, h)
-			rec := recs[0]
-			probs := mm.Softmax(rec.Cands, rec.StepFrac, rec.Work, h)
+			_, teacher := mm.Teach(s.O0)
+			rec := teacher.Actions[0]
+			probs := mm.Softmax(rec.Cands, rec.StepFrac, rec.Work, teacher.H)
 			total += probs[rec.Chosen]
 		}
 		return total / float64(len(samples))
@@ -87,16 +86,15 @@ func TestWarmUpTrainsDiagnosticHead(t *testing.T) {
 		if fs.TrueClass != policy.DiagSyntaxError {
 			continue
 		}
-		h := m.HashFeatures(ir.CanonicalText(fs.Sample.O0))
-		recs := []policy.ActionRecord{}
+		r := policy.Rollout{H: m.HashFeatures(ir.CanonicalText(fs.Sample.O0))}
 		for _, name := range fs.UsedRules {
-			for i, r := range m.Rules {
-				if r.Name == name {
-					recs = append(recs, policy.ActionRecord{Cands: []int{i}, Chosen: 0})
+			for i, rule := range m.Rules {
+				if rule.Name == name {
+					r.Actions = append(r.Actions, policy.ActionRecord{Cands: []int{i}, Chosen: 0})
 				}
 			}
 		}
-		f := m.DiagFeatures(h, recs)
+		f := m.DiagFeatures(r)
 		probs := m.Diag.ClassProbs(f)
 		if probs[policy.DiagSyntaxError] > probs[policy.DiagOK] {
 			correct++

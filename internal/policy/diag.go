@@ -46,14 +46,12 @@ var subclassMessages = [...]string{
 // the bookkeeping needed for policy gradients.
 type DiagRecord struct {
 	PredictedClass DiagClass
-	subclass       int
 	Message        string
 	blamedRules    []string
 
-	// Features and the candidate probabilities at sampling time, for
+	// Features is the classifier input the class was drawn from, for
 	// gradient computation.
 	Features []float64
-	ClassIdx int // == int(PredictedClass)
 }
 
 // DiagHead is the linear classifier emulating Alive2 feedback.
@@ -93,31 +91,31 @@ func (d *DiagHead) clone() *DiagHead {
 	return &DiagHead{W: cloneRows(d.W), Sub: cloneRows(d.Sub), nFeatures: d.nFeatures, nRules: d.nRules}
 }
 
-// DiagFeatures builds the classifier input from the attempt
-// trajectory: [bias, usedCorrupt, usedUnsound, usedSoundOrExtra,
+// DiagFeatures builds the classifier input from the attempt's
+// rollout: [bias, usedCorrupt, usedUnsound, usedSoundOrExtra,
 // trajectoryLenFrac, h...].
-func (m *Model) DiagFeatures(h []float64, acts []ActionRecord) []float64 {
+func (m *Model) DiagFeatures(r Rollout) []float64 {
 	kinds := map[rewrite.Kind]int{}
-	for _, rec := range acts {
+	for _, rec := range r.Actions {
 		a := rec.Cands[rec.Chosen]
 		if a < len(m.Rules) {
 			kinds[m.Rules[a].Kind]++
 		}
 	}
-	f := make([]float64, 0, 5+len(h))
+	f := make([]float64, 0, 5+len(r.H))
 	f = append(f, 1)
 	f = append(f, b2f(kinds[rewrite.KindCorrupt] > 0))
 	f = append(f, b2f(kinds[rewrite.KindUnsound] > 0))
 	f = append(f, b2f(kinds[rewrite.KindSound]+kinds[rewrite.KindExtra] > 0))
-	f = append(f, float64(len(acts))/float64(m.Cap.MaxSteps))
-	f = append(f, h...)
+	f = append(f, float64(len(r.Actions))/float64(m.Cap.MaxSteps))
+	f = append(f, r.H...)
 	return f
 }
 
-// diagnose emits the model's self-diagnosis of its attempt.
+// diagnose emits the model's self-diagnosis of its attempt's rollout.
 // rng samples the class; nil takes the most probable one.
-func (m *Model) diagnose(h []float64, acts []ActionRecord, rng *rand.Rand) *DiagRecord {
-	f := m.DiagFeatures(h, acts)
+func (m *Model) diagnose(r Rollout, rng *rand.Rand) *DiagRecord {
+	f := m.DiagFeatures(r)
 	probs := m.Diag.ClassProbs(f)
 	cls := 0
 	if rng != nil {
@@ -129,13 +127,9 @@ func (m *Model) diagnose(h []float64, acts []ActionRecord, rng *rand.Rand) *Diag
 			}
 		}
 	}
-	rec := &DiagRecord{
-		PredictedClass: DiagClass(cls),
-		Features:       f,
-		ClassIdx:       cls,
-	}
+	rec := &DiagRecord{PredictedClass: DiagClass(cls), Features: f}
 	// Blame the suspicious rules in the trajectory.
-	for _, ar := range acts {
+	for _, ar := range r.Actions {
 		a := ar.Cands[ar.Chosen]
 		if a < len(m.Rules) {
 			k := m.Rules[a].Kind
@@ -150,8 +144,7 @@ func (m *Model) diagnose(h []float64, acts []ActionRecord, rng *rand.Rand) *Diag
 	case DiagSyntaxError:
 		rec.Message = "\n; Alive2: " + alive.DiagParsePrefix + "invalid instruction"
 	case DiagSemanticError:
-		rec.subclass = m.Diag.bestSubclass(m, acts)
-		msg := subclassMessages[rec.subclass]
+		msg := subclassMessages[m.Diag.bestSubclass(m, r.Actions)]
 		if len(rec.blamedRules) > 0 {
 			msg += " (suspect: " + strings.Join(rec.blamedRules, ", ") + ")"
 		}

@@ -7,24 +7,30 @@ import (
 	"veriopt/internal/rewrite"
 )
 
-// Episode is one full generation: the action trajectory, the emitted
-// first attempt, the optional diagnosis + correction, and the final
+// Rollout is what one rollout leaves the gradient: the hash features
+// of the input it ran on and one record per decision, in order. A
+// rollout records at least one decision, so an empty Actions means
+// none ran.
+type Rollout struct {
+	H       []float64
+	Actions []ActionRecord
+}
+
+// Episode is one full generation: the first attempt's rollout and
+// text, the optional diagnosis and correction, and the final
 // completion.
 type Episode struct {
-	H []float64 // hash features of the input
-
-	Actions []ActionRecord
+	// Rollout is the first attempt's.
+	Rollout
 	// AttemptText is the first attempt (inside <think> for augmented
 	// prompts; the answer itself for generic prompts).
 	AttemptText string
 
-	// Diagnose/correction phase (augmented-prompt mode only). When
-	// CorrectionUsed, FinalText is the correction's text.
-	Diag           *DiagRecord
-	CorrectionUsed bool
-	CorrectionActs []ActionRecord
-	// CorrH holds the hash features used by the correction rollout.
-	CorrH []float64
+	// Diagnose/correction phase (augmented-prompt mode only).
+	Diag *DiagRecord
+	// Correction is the correction's rollout, over retry-salted hash
+	// features; zero when none ran. When one ran, FinalText is its text.
+	Correction Rollout
 
 	// FinalText is the IR text in the answer block.
 	FinalText string
@@ -51,24 +57,21 @@ const retrySalt = "#retry"
 // completion. The input function is never modified.
 func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 	inputText := ir.CanonicalText(input)
-	ep := &Episode{H: m.HashFeatures(inputText)}
+	ep := &Episode{Rollout: Rollout{H: m.HashFeatures(inputText)}}
 	choose := func(cands []int, stepFrac, work float64, h []float64) int {
 		return m.Choose(cands, stepFrac, work, h, opts.Rng)
 	}
-	attempt, acts, formatBreak := m.rollout(input, ep.H, choose, nil)
-	ep.Actions = acts
+	attempt, formatBreak := m.rollout(input, &ep.Rollout, choose, nil)
 	ep.AttemptText = attempt
+	ep.FinalText = attempt
 	ep.FormatOK = !formatBreak
-
 	if !opts.Augmented {
-		ep.FinalText = attempt
 		return ep
 	}
 
 	// Augmented mode: diagnose the attempt, optionally correct.
-	ep.Diag = m.diagnose(ep.H, acts, opts.Rng)
+	ep.Diag = m.diagnose(ep.Rollout, opts.Rng)
 	if ep.Diag.PredictedClass != DiagOK && m.selfCorrectEnabled() {
-		ep.CorrectionUsed = true
 		// Mask the diagnosed family on the second attempt.
 		mask := map[string]bool{}
 		for _, name := range ep.Diag.blamedRules {
@@ -81,25 +84,22 @@ func (m *Model) Generate(input *ir.Function, opts GenOptions) *Episode {
 				}
 			}
 		}
-		h2 := m.HashFeatures(retrySalt + inputText)
-		ep.CorrH = h2
-		corrText, corrActs, corrFmtBreak := m.rollout(input, h2, choose, mask)
-		ep.CorrectionActs = corrActs
+		ep.Correction.H = m.HashFeatures(retrySalt + inputText)
+		corrText, corrFmtBreak := m.rollout(input, &ep.Correction, choose, mask)
 		ep.FinalText = corrText
 		ep.FormatOK = !corrFmtBreak
-	} else {
-		ep.FinalText = attempt
 	}
 	return ep
 }
 
 // Teach walks input as the warm-up's teacher: at each step the first
 // available rule that does real work, else STOP. It returns the text
-// the walk reaches and its records; h seeds each step's rule RNG, as
-// in a generation.
-func (m *Model) Teach(input *ir.Function, h []float64) (string, []ActionRecord) {
-	text, acts, _ := m.rollout(input, h, m.teach, nil)
-	return text, acts
+// the walk reaches and its rollout, over input's hash features (which
+// seed each step's rule RNG, as in a generation).
+func (m *Model) Teach(input *ir.Function) (string, Rollout) {
+	r := Rollout{H: m.HashFeatures(ir.CanonicalText(input))}
+	text, _ := m.rollout(input, &r, m.teach, nil)
+	return text, r
 }
 
 // teach is the teacher's pick among cands: the first rule that does
@@ -114,32 +114,33 @@ func (m *Model) teach(cands []int, _, _ float64, _ []float64) int {
 }
 
 // rollout runs one action sequence over a working copy of the input,
-// returning the emitted text, the action records, and whether the
-// format was broken. choose picks each step's index into the
-// candidates: the model's Choose in a generation, teach for Teach.
-func (m *Model) rollout(input *ir.Function, h []float64, choose func(cands []int, stepFrac, work float64, h []float64) int, mask map[string]bool) (string, []ActionRecord, bool) {
+// appending a record per decision to r.Actions; r.H is the hash
+// features the decisions read and seed each step's rule RNG from. It
+// returns the emitted text and whether the format was broken. choose
+// picks each step's index into the candidates: the model's Choose in a
+// generation, teach for Teach.
+func (m *Model) rollout(input *ir.Function, r *Rollout, choose func(cands []int, stepFrac, work float64, h []float64) int, mask map[string]bool) (string, bool) {
 	work := ir.CloneFunc(input)
-	var acts []ActionRecord
 	for t := 0; t < m.Cap.MaxSteps; t++ {
 		stepFrac := float64(t) / float64(m.Cap.MaxSteps)
 		cands, wf := m.available(work, mask)
-		pick := choose(cands, stepFrac, wf, h)
-		acts = append(acts, ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf, Chosen: pick})
+		pick := choose(cands, stepFrac, wf, r.H)
+		r.Actions = append(r.Actions, ActionRecord{Cands: cands, StepFrac: stepFrac, Work: wf, Chosen: pick})
 		a := cands[pick]
 		switch {
 		case a == m.ActStop():
-			return ir.CanonicalText(work), acts, false
+			return ir.CanonicalText(work), false
 		case a == m.ActFormatBreak():
-			return ir.CanonicalText(work), acts, true
+			return ir.CanonicalText(work), true
 		default:
-			r := m.Rules[a]
-			if r.Kind == rewrite.KindCorrupt {
-				return r.ApplyText(ir.CanonicalText(work), actionRand(h, t)), acts, false
+			rule := m.Rules[a]
+			if rule.Kind == rewrite.KindCorrupt {
+				return rule.ApplyText(ir.CanonicalText(work), actionRand(r.H, t)), false
 			}
-			r.Apply(work, actionRand(h, t))
+			rule.Apply(work, actionRand(r.H, t))
 		}
 	}
-	return ir.CanonicalText(work), acts, false
+	return ir.CanonicalText(work), false
 }
 
 // available asks each rule once whether it applies to f and answers

@@ -183,17 +183,21 @@ func sampleIdx(probs []float64, rng *rand.Rand) int {
 	return len(probs) - 1
 }
 
-// AddGrad adds scale·∇ log π(rec.Chosen) — the log-softmax gradient
-// (1[chosen] − p)·feature, under l's current parameters — into dst.
-// dst may be l itself (a supervised step) or an accumulator from Grad.
-func (l *Linear) AddGrad(dst *Linear, rec ActionRecord, h []float64, scale float64) {
-	probs := l.Softmax(rec.Cands, rec.StepFrac, rec.Work, h)
-	for i, a := range rec.Cands {
-		coeff := (b2f(i == rec.Chosen) - probs[i]) * scale
-		dst.B[a] += coeff
-		dst.S[a] += coeff * rec.StepFrac
-		if dst.P != nil {
-			dst.P[a] += coeff * rec.Work
+// AddGrad adds scale·∇ log π(r) into dst: for each of r's decisions
+// in order, the log-softmax gradient (1[chosen] − p)·feature under l's
+// parameters at that point. dst may be l itself (a supervised step,
+// where each decision sees what the one before it left) or an
+// accumulator from Grad.
+func (l *Linear) AddGrad(dst *Linear, r Rollout, scale float64) {
+	for _, rec := range r.Actions {
+		probs := l.Softmax(rec.Cands, rec.StepFrac, rec.Work, r.H)
+		for i, a := range rec.Cands {
+			coeff := (b2f(i == rec.Chosen) - probs[i]) * scale
+			dst.B[a] += coeff
+			dst.S[a] += coeff * rec.StepFrac
+			if dst.P != nil {
+				dst.P[a] += coeff * rec.Work
+			}
 		}
 	}
 }
@@ -210,9 +214,9 @@ func (d *DiagHead) ClassProbs(f []float64) []float64 {
 	return softmax(logits)
 }
 
-// AddGrad is the dense twin of Linear.AddGrad: scale·∇ log p(class)
-// under d's current weights, added into dst (d.W itself or a
-// W-shaped accumulator).
+// AddGrad is the dense twin of one decision of Linear.AddGrad:
+// scale·∇ log p(class) under d's current weights, added into dst (d.W
+// itself or a W-shaped accumulator).
 func (d *DiagHead) AddGrad(dst [][]float64, f []float64, class int, scale float64) {
 	for c, p := range d.ClassProbs(f) {
 		coeff := (b2f(c == class) - p) * scale

@@ -29,8 +29,9 @@ func TestAddGradMatchesFiniteDifference(t *testing.T) {
 		l := testLinear(work)
 		h := HashFeatures(3, "", "some input")
 		rec := ActionRecord{Cands: []int{0, 2, 3, 4}, StepFrac: 0.4, Work: 0.6, Chosen: 2}
+		r := Rollout{H: h, Actions: []ActionRecord{rec}}
 		g := l.Grad()
-		l.AddGrad(g, rec, h, 1)
+		l.AddGrad(g, r, 1)
 		logp := func() float64 {
 			return math.Log(l.Softmax(rec.Cands, rec.StepFrac, rec.Work, h)[rec.Chosen])
 		}
@@ -53,7 +54,7 @@ func TestAddGradMatchesFiniteDifference(t *testing.T) {
 			t.Errorf("work=%v: gradient P = %v", work, g.P)
 		}
 		// scale multiplies, and accumulation adds.
-		l.AddGrad(g, rec, h, -1)
+		l.AddGrad(g, r, -1)
 		for _, vs := range g.trainable(nil) {
 			for a, v := range vs {
 				if v != 0 {
@@ -69,7 +70,7 @@ func TestAddGradMatchesFiniteDifference(t *testing.T) {
 func TestDiagHeadAddGradMatchesFiniteDifference(t *testing.T) {
 	m := New(CapQwen3B, 3)
 	d := m.Diag
-	f := m.DiagFeatures(m.HashFeatures("x"), nil)
+	f := m.DiagFeatures(Rollout{H: m.HashFeatures("x")})
 	g := cloneRows(d.W)
 	for _, row := range g {
 		clear(row)

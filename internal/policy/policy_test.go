@@ -153,8 +153,9 @@ func TestMaskRulesRespected(t *testing.T) {
 	h := m.HashFeatures(ir.CanonicalText(f))
 	for i := 0; i < 10; i++ {
 		// The correction attempt's rollout, the one that takes a mask.
-		_, acts, _ := m.rollout(f, h, chooser(m, rng), mask)
-		kinds := (&Episode{Actions: acts}).usedRuleKinds(m)
+		r := Rollout{H: h}
+		m.rollout(f, &r, chooser(m, rng), mask)
+		kinds := (&Episode{Rollout: r}).usedRuleKinds(m)
 		if kinds[rewrite.KindUnsound] > 0 || kinds[rewrite.KindCorrupt] > 0 || kinds[rewrite.KindExtra] > 0 {
 			t.Fatalf("masked rule used: %v", kinds)
 		}
@@ -173,8 +174,9 @@ func chooser(m *Model, rng *rand.Rand) func([]int, float64, float64, []float64) 
 // to the text the hash features are taken of.
 func saltedEpisode(m *Model, f *ir.Function, salt string) *Episode {
 	text := ir.CanonicalText(f)
-	final, acts, _ := m.rollout(f, m.HashFeatures(salt+text), chooser(m, nil), nil)
-	return &Episode{Actions: acts, FinalText: final}
+	ep := &Episode{Rollout: Rollout{H: m.HashFeatures(salt + text)}}
+	ep.FinalText, _ = m.rollout(f, &ep.Rollout, chooser(m, nil), nil)
+	return ep
 }
 
 func TestBaseModelProfileRoughlyTableI(t *testing.T) {
@@ -296,8 +298,8 @@ func mustTestFn(t *testing.T) *ir.Function {
 // applied (the correction's trajectory when used, else the attempt's).
 func (ep *Episode) usedRuleKinds(m *Model) map[rewrite.Kind]int {
 	acts := ep.Actions
-	if ep.CorrectionUsed {
-		acts = ep.CorrectionActs
+	if len(ep.Correction.Actions) > 0 {
+		acts = ep.Correction.Actions
 	}
 	out := map[rewrite.Kind]int{}
 	for _, rec := range acts {

@@ -61,11 +61,14 @@ func TestRolloutBatchDigest(t *testing.T) {
 				{Rng: rng, Augmented: true},
 			} {
 				ep := m.Generate(s.O0, opts)
+				if opts.Augmented {
+					checkCorrection(t, s.Name, m, ep)
+				}
 				acts(ep.Actions)
-				acts(ep.CorrectionActs)
+				acts(ep.Correction.Actions)
 				text(ep.AttemptText)
 				correction := "" // the correction's own text: FinalText when one ran
-				if ep.CorrectionUsed {
+				if len(ep.Correction.Actions) > 0 {
 					correction = ep.FinalText
 				}
 				text(correction)
@@ -91,10 +94,10 @@ func TestNilRngDecodesGreedily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy := func(what string, m *Model, recs []ActionRecord, h []float64) {
+	greedy := func(what string, m *Model, ro Rollout) {
 		t.Helper()
-		for i, r := range recs {
-			if want := m.Choose(r.Cands, r.StepFrac, r.Work, h, nil); r.Chosen != want {
+		for i, r := range ro.Actions {
+			if want := m.Choose(r.Cands, r.StepFrac, r.Work, ro.H, nil); r.Chosen != want {
 				t.Fatalf("%s step %d chose %d of %v, greedy is %d", what, i, r.Chosen, r.Cands, want)
 			}
 		}
@@ -110,8 +113,9 @@ func TestNilRngDecodesGreedily(t *testing.T) {
 			for _, s := range samples {
 				generic := m.Generate(s.O0, GenOptions{})
 				ep := m.Generate(s.O0, GenOptions{Augmented: true})
-				greedy(s.Name+" attempt", m, ep.Actions, ep.H)
-				greedy(s.Name+" correction", m, ep.CorrectionActs, ep.CorrH)
+				greedy(s.Name+" attempt", m, ep.Rollout)
+				greedy(s.Name+" correction", m, ep.Correction)
+				checkCorrection(t, s.Name, m, ep)
 				if ep.AttemptText != generic.FinalText || !reflect.DeepEqual(ep.Actions, generic.Actions) {
 					t.Fatalf("%s: the augmented attempt is not the generic greedy decode", s.Name)
 				}
@@ -122,10 +126,10 @@ func TestNilRngDecodesGreedily(t *testing.T) {
 						best = c
 					}
 				}
-				if ep.Diag.ClassIdx != best {
-					t.Fatalf("%s: diagnosed class %d of %v, the most probable is %d", s.Name, ep.Diag.ClassIdx, probs, best)
+				if int(ep.Diag.PredictedClass) != best {
+					t.Fatalf("%s: diagnosed class %d of %v, the most probable is %d", s.Name, ep.Diag.PredictedClass, probs, best)
 				}
-				if ep.CorrectionUsed {
+				if len(ep.Correction.Actions) > 0 {
 					corrections++
 				}
 			}
@@ -133,6 +137,28 @@ func TestNilRngDecodesGreedily(t *testing.T) {
 	}
 	if corrections == 0 {
 		t.Fatal("no augmented episode ran a correction")
+	}
+}
+
+// checkCorrection holds an augmented episode to what a correction is:
+// one ran (its rollout recorded a decision) exactly when the diagnosis
+// is not OK and m's self-correction gate is open, and when none ran its
+// rollout has no features and the answer is the attempt.
+func checkCorrection(t *testing.T, name string, m *Model, ep *Episode) {
+	t.Helper()
+	gate := m.selfCorrectEnabled()
+	ran := len(ep.Correction.Actions) > 0
+	if want := ep.Diag.PredictedClass != DiagOK && gate; ran != want {
+		t.Fatalf("%s: diagnosed %v with the gate open=%v, yet a correction ran=%v", name, ep.Diag.PredictedClass, gate, ran)
+	}
+	if ran {
+		return
+	}
+	if ep.Correction.H != nil {
+		t.Fatalf("%s: no correction ran, yet it has features %v", name, ep.Correction.H)
+	}
+	if ep.FinalText != ep.AttemptText {
+		t.Fatalf("%s: no correction ran, yet the answer is not the attempt", name)
 	}
 }
 

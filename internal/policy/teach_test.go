@@ -18,7 +18,8 @@ func TestTeachReachesOptimizedForm(t *testing.T) {
 	m := New(CapQwen3B, 1)
 	reachedBetter := 0
 	for _, s := range samples {
-		reached, recs := m.Teach(s.O0, m.HashFeatures(ir.CanonicalText(s.O0)))
+		reached, teacher := m.Teach(s.O0)
+		recs := teacher.Actions
 		if len(recs) == 0 {
 			t.Fatalf("%s: empty teacher trajectory", s.Name)
 		}

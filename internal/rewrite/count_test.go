@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"veriopt/internal/dataset"
-	"veriopt/internal/ir"
 	"veriopt/internal/policy"
 	"veriopt/internal/rewrite"
 )
@@ -52,15 +51,15 @@ func TestEachRuleAskedOncePerStep(t *testing.T) {
 		steps := 0
 		for _, s := range samples {
 			ep := m.Generate(s.O0, opts)
-			steps += len(ep.Actions) + len(ep.CorrectionActs)
+			steps += len(ep.Actions) + len(ep.Correction.Actions)
 		}
 		check("Generate", m, finds, steps)
 	}
 	m, finds := countingModel()
 	steps := 0
 	for _, s := range samples {
-		_, recs := m.Teach(s.O0, m.HashFeatures(ir.CanonicalText(s.O0)))
-		steps += len(recs)
+		_, teacher := m.Teach(s.O0)
+		steps += len(teacher.Actions)
 	}
 	check("Teach", m, finds, steps)
 }

@@ -54,10 +54,10 @@ func (m *Model) numActions() int { return len(m.Passes) + 1 }
 // actStop is the STOP action index.
 func (m *Model) actStop() int { return len(m.Passes) }
 
-// Episode is one rollout: an ordered pass sequence applied to Input.
+// Episode is one rollout: an ordered pass sequence applied to the
+// input, over the input's "seq"-salted hash features.
 type Episode struct {
-	H       []float64
-	Actions []policy.ActionRecord
+	policy.Rollout
 	// Sequence names the passes actually applied (STOP excluded).
 	Sequence []string
 	// FinalFn is the resulting function (the input itself when
@@ -76,7 +76,7 @@ func (m *Model) Generate(f *ir.Function, rng *rand.Rand) *Episode {
 	if len(registry) != len(m.Passes) {
 		panic(fmt.Sprintf("seqopt: model has %d passes, registry has %d", len(m.Passes), len(registry)))
 	}
-	ep := &Episode{H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f)), FinalFn: f}
+	ep := &Episode{Rollout: policy.Rollout{H: policy.HashFeatures(m.HashFeatures, "seq", ir.CanonicalText(f))}, FinalFn: f}
 	cur := f
 	var c ir.Copier
 	for t := 0; t < m.MaxLen; t++ {
