@@ -54,18 +54,20 @@ func paramDigest(vecs ...[]float64) string {
 
 const goldenSteps = 12
 
-// textTrajectory trains the text policy for goldenSteps under one
-// reward mode. The self-correction gate is opened by hand for the CoT
-// mode (the warm-up, which normally opens it, is pipeline's, which
-// imports this package) so the correction rollout and the diagnosis
-// gradient are on the trajectory.
-func textTrajectory(t *testing.T, mode RewardMode, workers int) trajectory {
+// textTrajectory trains the text policy for goldenSteps under the
+// reward mode and ablations set writes into DefaultConfig. The
+// self-correction gate is opened by hand for the CoT mode (the warm-up,
+// which normally opens it, is pipeline's, which imports this package)
+// so the correction rollout and the diagnosis gradient are on the
+// trajectory.
+func textTrajectory(t *testing.T, set func(*Config), workers int) trajectory {
 	t.Helper()
 	data := corpus(t, 24)
 	m := policy.New(policy.CapQwen3B, 7)
 	cfg := DefaultConfig()
 	cfg.Workers = workers
-	cfg.Mode = mode
+	set(&cfg)
+	mode := cfg.Mode
 	switch mode {
 	case ModeCorrectnessCoT:
 		m.SelfCorrectGate = 2
@@ -138,18 +140,28 @@ func checkGolden(t *testing.T, path string, got map[string]trajectory) {
 }
 
 // TestTextTrajectoriesMatchGolden pins the token policy's training bit
-// for bit in all three reward modes, at Workers 1 and 4. The golden was
-// written by this test (-update) at the commit before the policy scorer
-// and the rollout grid were factored into policy.Linear and grpo's
-// rollout core, and has not been rewritten since: a change to sampling
-// order, gradient accumulation order, the norm walk or the clamp shows
-// as a diff against that commit.
+// for bit in all three reward modes, and in the CoT mode under each of
+// the three GRPO ablations (per-sequence normalization, raw rewards,
+// no BLEU shaping), at Workers 1 and 4. The three reward-mode entries
+// were written by this test (-update) at the commit before the policy
+// scorer and the rollout grid were factored into policy.Linear and
+// grpo's rollout core, and have not been rewritten since; the three
+// ablation entries were captured the same way at the commit before the
+// step's reward components became one array under one credit rule. A change to sampling order, gradient
+// accumulation order, the norm walk or the clamp shows as a diff
+// against those commits.
 func TestTextTrajectoriesMatchGolden(t *testing.T) {
 	got := map[string]trajectory{}
-	for name, mode := range map[string]RewardMode{
-		"correctness": ModeCorrectness, "correctness-cot": ModeCorrectnessCoT, "latency": ModeLatency} {
-		got[name] = textTrajectory(t, mode, 1)
-		if w4 := textTrajectory(t, mode, 4); !reflect.DeepEqual(got[name], w4) {
+	for name, set := range map[string]func(*Config){
+		"correctness":                       func(c *Config) { c.Mode = ModeCorrectness },
+		"correctness-cot":                   func(c *Config) { c.Mode = ModeCorrectnessCoT },
+		"latency":                           func(c *Config) { c.Mode = ModeLatency },
+		"correctness-cot-seq-level-norm":    func(c *Config) { c.Mode, c.SeqLevelNorm = ModeCorrectnessCoT, true },
+		"correctness-cot-no-group-baseline": func(c *Config) { c.Mode, c.NoGroupBaseline = ModeCorrectnessCoT, true },
+		"correctness-cot-no-bleu-shaping":   func(c *Config) { c.Mode, c.NoBleuShaping = ModeCorrectnessCoT, true },
+	} {
+		got[name] = textTrajectory(t, set, 1)
+		if w4 := textTrajectory(t, set, 4); !reflect.DeepEqual(got[name], w4) {
 			t.Errorf("%s: Workers=4 trajectory differs from Workers=1:\n w1 %+v\n w4 %+v", name, got[name], w4)
 		}
 	}
