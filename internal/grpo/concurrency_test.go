@@ -246,10 +246,10 @@ func TestNoBleuShapingCoversBothSegments(t *testing.T) {
 		t.Fatalf("test setup: expected nonzero BLEU terms, got %v / %v", b, attemptB)
 	}
 	shaped, unshaped := scoreIn(ModeCorrectnessCoT, true, ep, s), scoreIn(ModeCorrectnessCoT, false, ep, s)
-	if got, want := unshaped.rAnswer, shaped.rAnswer-b; math.Abs(got-want) > 1e-9 {
+	if got, want := unshaped.r[answer], shaped.r[answer]-b; math.Abs(got-want) > 1e-9 {
 		t.Errorf("answer segment: unshaped = %v, want %v", got, want)
 	}
-	if got, want := unshaped.rAttempt, shaped.rAttempt-attemptB; math.Abs(got-want) > 1e-9 {
+	if got, want := unshaped.r[attempt], shaped.r[attempt]-attemptB; math.Abs(got-want) > 1e-9 {
 		t.Errorf("attempt segment: unshaped = %v, want %v", got, want)
 	}
 }

@@ -46,20 +46,19 @@ func score(ctx context.Context, o oracle.Oracle, s *dataset.Sample, l label, ep 
 	}
 	switch cfg.Mode {
 	case ModeLatency:
-		es.rAnswer = latencyScore(s, final.Verdict, finalFn, cfg.UMax)
+		es.r[answer] = latencyScore(s, final.Verdict, finalFn, cfg.UMax)
 	case ModeCorrectness, ModeCorrectnessCoT:
 		shaping := !cfg.NoBleuShaping
 		exact, b := l.terms(ep.FinalText)
-		es.rAnswer = eq1(ep.FormatOK, final.Verdict, exact, b, shaping)
+		es.r[answer] = eq1(ep.FormatOK, final.Verdict, exact, b, shaping)
 		if cfg.Mode == ModeCorrectnessCoT {
 			if ep.AttemptText != ep.FinalText {
 				exact, b = l.terms(ep.AttemptText)
 			}
-			es.rAttempt = eq1(ep.FormatOK, es.attempt.Verdict, exact, b, shaping)
-			es.rThink = cotReward(ep.Diag, es.attempt)
+			es.r[attempt] = eq1(ep.FormatOK, es.attempt.Verdict, exact, b, shaping)
+			es.r[think] = cotReward(ep.Diag, es.attempt)
 		}
 	}
-	es.r = es.rAnswer + es.rThink
 	return es
 }
 

@@ -164,31 +164,44 @@ func NewSequenceTrainer(o oracle.Oracle, m *seqopt.Model, data []*dataset.Sample
 			es := episodeScore{s: s, ep: policy.Episode{Rollout: ep.Rollout}}
 			if len(ep.Sequence) > 0 {
 				es.attempt = tr.oracle.Verify(ctx, s.O0, ep.FinalFn, trainVerify)
-				es.rAnswer = latencyScore(s, es.attempt.Verdict, ep.FinalFn, tr.cfg.UMax)
+				es.r[answer] = latencyScore(s, es.attempt.Verdict, ep.FinalFn, tr.cfg.UMax)
 			}
-			es.r = es.rAnswer
 			return es
 		}
 	}
 	return tr
 }
 
-// episodeScore is one rollout cell: the sample, the episode (held by
-// value, so a sequence cell wraps its rollout without allocating), the
-// attempt's verdict (which Model Zero's failure harvest reads) and the
-// rewards score computed. The total reward r = rAnswer + rThink; the
-// components keep separate group-relative advantages so that
-// think-block tokens (the attempt and the diagnosis) are not credited
-// with the corrected answer's reward — without the split, a
-// corrupt-then-correct episode would reinforce corrupting first.
+// An episode's reward components, each with its own group-relative
+// advantage (see credited): Eq. 1 of the answer, Eq. 1 of the first
+// attempt and Eq. 2 of the diagnosis. Its reward is r[answer] + r[think].
+const (
+	answer = iota
+	attempt
+	think
+	components
+)
+
+// episodeScore is one rollout cell: the sample, the episode (by value:
+// a sequence cell wraps its rollout without allocating), the attempt's
+// verdict (for Model Zero's failure harvest) and each component's reward.
 type episodeScore struct {
-	s        *dataset.Sample
-	ep       policy.Episode
-	attempt  alive.Result
-	r        float64
-	rAnswer  float64
-	rThink   float64
-	rAttempt float64
+	s       *dataset.Sample
+	ep      policy.Episode
+	attempt alive.Result
+	r       [components]float64
+}
+
+// credited is the credit rule, the rollout each component pays: with
+// no diagnosis (the generic prompt, a sequence) the attempt is the
+// answer; with one, the answer pays the correction (empty when none
+// ran) and the attempt its own rollout, so a corrupt-then-correct
+// episode does not reinforce corrupting. think pays the diagnosis.
+func (es *episodeScore) credited() [think]policy.Rollout {
+	if es.ep.Diag == nil {
+		return [think]policy.Rollout{answer: es.ep.Rollout}
+	}
+	return [think]policy.Rollout{answer: es.ep.Correction, attempt: es.ep.Rollout}
 }
 
 // StepCtx performs one GRPO update: sample a batch of inputs, roll out G
@@ -208,9 +221,12 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 
 	// Everything below is sequential and walks the grid in its
 	// deterministic (batch, group) order: failure harvesting, the mean
-	// reward, and gradient accumulation.
+	// reward, and gradient accumulation. A component's advantages are
+	// computed at its first non-zero reward; one with none is skipped,
+	// bit for bit (its advantages and the accumulators are all +0).
 	totalTokens := 0
 	meanReward := 0.0
+	var adv [components][]float64
 	for i := range cells {
 		es := &cells[i]
 		if tr.CollectFailures && es.attempt.Verdict != alive.Equivalent {
@@ -222,16 +238,18 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 			})
 		}
 		totalTokens += tokensOf(&es.ep)
-		meanReward += es.r
+		meanReward += es.r[answer] + es.r[think]
+		for c, r := range es.r {
+			if r != 0 && adv[c] == nil {
+				adv[c] = advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.r[c] })
+			}
+		}
 	}
 	tr.RewardHistory = append(tr.RewardHistory, meanReward/float64(len(cells)))
 
-	// Group-relative advantages, one per reward component, normalized
-	// per token over the whole batch (or per sequence, for the
-	// ablation), then the policy gradient.
-	answer := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rAnswer })
-	think := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rThink })
-	attempt := advantages(cells, cfg.GroupSize, cfg.NoGroupBaseline, func(e *episodeScore) float64 { return e.rAttempt })
+	// The policy gradient: each component's advantage, normalized per
+	// token over the batch (or per sequence, for the ablation), times
+	// ∇ log π of what it pays, added correction, attempt, diagnosis.
 	g := tr.lin.Grad()
 	var dense, gDense [][]float64
 	if tr.diag != nil {
@@ -247,35 +265,17 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 		if cfg.SeqLevelNorm {
 			norm = float64(tokensOf(&es.ep)) * float64(len(cells))
 		}
-		tr.accumulateEpisode(g, gDense, &es.ep, advPair{answer: answer[i] / norm, think: think[i] / norm, attempt: attempt[i] / norm})
+		for c, a := range adv {
+			switch d := es.ep.Diag; {
+			case a == nil:
+			case c != think:
+				tr.lin.AddGrad(g, es.credited()[c], a[i]/norm)
+			case d != nil:
+				tr.diag.AddGrad(gDense, d.Features, int(d.PredictedClass), a[i]/norm)
+			}
+		}
 	}
 	return tr.lin.ClipStep(g, dense, gDense, cfg.LR, cfg.ClipNorm, tr.lim), nil
-}
-
-// advPair carries the per-component advantages.
-type advPair struct{ answer, think, attempt float64 }
-
-// accumulateEpisode adds ∇ log π(trajectory) · advantage into g,
-// routing each component's advantage to the tokens that produced it:
-// the attempt gets the think advantage (plus the answer advantage
-// when it *is* the answer), the correction gets the answer advantage,
-// and the diagnosis decision gets the think advantage.
-func (tr *Trainer) accumulateEpisode(g *policy.Linear, gDiag [][]float64, ep *policy.Episode, adv advPair) {
-	// Attempt tokens are judged by the attempt's own Eq. 1 (per-segment
-	// credit assignment; without this, copy-and-predict-OK episodes
-	// harvest the trivially-perfect CoT reward through their stop
-	// token). Correction tokens are judged by the final answer; the
-	// diagnosis decision by the CoT agreement.
-	attemptScale := adv.attempt
-	if len(ep.Correction.Actions) > 0 {
-		tr.lin.AddGrad(g, ep.Correction, adv.answer)
-	} else if ep.Diag == nil {
-		attemptScale = adv.answer // generic prompt: answer == attempt
-	}
-	tr.lin.AddGrad(g, ep.Rollout, attemptScale)
-	if ep.Diag != nil {
-		tr.diag.AddGrad(gDiag, ep.Diag.Features, int(ep.Diag.PredictedClass), adv.think)
-	}
 }
 
 func tokensOf(ep *policy.Episode) int {
