@@ -23,13 +23,16 @@
 // exercised on every timeout. Identical in-flight verify queries
 // coalesce through the verdict cache's singleflight.
 //
-// A /v1/verify parses its two texts into a pair of ir.Copiers taken
-// from a spare list, and gives the pair back, released, once its
-// response is written: the next verify parses into that memory. The
-// list holds at most Workers pairs; a request that finds none spare
-// makes a pair, and one that finds the list full drops its own. Nothing
-// that outlives a request (a verdict, a cache entry, a store record)
-// holds IR.
+// A /v1/verify runs in a set taken from a spare list: it reads its body
+// into the set's buffer, decodes its request there by hand (wire.go;
+// a body of any other shape is encoding/json's), parses its two texts
+// into the set's pair of ir.Copiers and writes its response from the
+// set's buffer. Once the response is written the set goes back,
+// released: the next verify runs in that memory. The list holds at
+// most Workers sets, and a set keeps no buffer grown past 64 KiB; a
+// request that finds none spare makes a set, and one that finds the
+// list full drops its own. Nothing that outlives a request (a verdict,
+// a cache entry, a store record) holds IR.
 //
 // Shutdown is a graceful drain: cancel the context passed to Run and
 // the server stops accepting, finishes in-flight requests (bounded by
@@ -148,9 +151,9 @@ type Server struct {
 	active atomic.Int64
 	idle   chan struct{}
 
-	// spare holds parser pairs whose functions are released, for the
-	// next /v1/verify to parse into (handleVerify): up to Workers, the
-	// number of requests that execute at once.
+	// spare holds released sets, for the next /v1/verify to run in
+	// (handleVerify): up to Workers, the number of requests that
+	// execute at once.
 	spare chan *parsers
 
 	corpusMu sync.Mutex
