@@ -255,8 +255,10 @@ func BenchmarkTrainerStepLatencyWorkers1(b *testing.B) {
 // allocates in each text reward mode (stepTrainer's) and in the
 // sequence policy (corpus seed 17, 40 samples, model seed 5, trainer
 // seed 23): stepAllocs' reading, which repeats to the allocation from
-// run to run. It reads (2-vCPU Xeon, go1.24.0) correctness 2 907.95,
-// CoT 3 670.65, latency 3 424.90 and sequence 4 091.05. Each ceiling
+// run to run. It reads (2-vCPU Xeon, go1.24.0) correctness 2 902.95,
+// CoT 3 670.65, latency 3 419.90 and sequence 4 091.05; the correctness
+// and latency rows read 5 more before the diagnostic head's gradient
+// was built only in a step where the diagnosis is paid. Each ceiling
 // was set about 5 % above its step's reading when it was last lowered,
 // and none has been raised since the test was written.
 func TestGRPOStepAllocCeilings(t *testing.T) {

@@ -250,10 +250,14 @@ func (tr *Trainer) StepCtx(ctx context.Context) (float64, error) {
 	// The policy gradient: each component's advantage, normalized per
 	// token over the batch (or per sequence, for the ablation), times
 	// ∇ log π of what it pays, added correction, attempt, diagnosis.
+	// The diagnostic head has a gradient only in a step where think
+	// pays; in any other it is still clamped.
 	g := tr.lin.Grad()
 	var dense, gDense [][]float64
 	if tr.diag != nil {
 		dense = tr.diag.W
+	}
+	if dense != nil && adv[think] != nil {
 		gDense = make([][]float64, len(dense))
 		for c := range gDense {
 			gDense[c] = make([]float64, len(dense[c]))

@@ -234,9 +234,10 @@ func b2f(b bool) float64 {
 }
 
 // ClipStep is the one parameter update: gradient ascent l += lr·g
-// (dense += lr·gDense for a dense head trained alongside), with the
-// step scaled down so a global gradient norm above clip moves the
-// parameters as if it were clip, then Clamp(lim, dense...). It returns
+// (dense += lr·gDense for a dense head trained alongside; a nil gDense
+// leaves the head where it is), with the step scaled down so a global
+// gradient norm above clip moves the parameters as if it were clip,
+// then Clamp(lim, dense...), with or without gDense. It returns
 // the pre-clip norm. N is frozen: it models the pretrained network's
 // fixed per-input idiosyncrasies, the irreducible error source of
 // Table II.

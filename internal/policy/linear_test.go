@@ -170,6 +170,14 @@ func TestClipStep(t *testing.T) {
 	if l.B[0] != 1.5 || l.P[1] != -1.5 || dense[0][0] != 1.5 || dense[0][1] != -1.5 {
 		t.Errorf("clamp did not saturate: B[0]=%v P[1]=%v dense=%v", l.B[0], l.P[1], dense)
 	}
+
+	// A head with no gradient (a step its component does not pay) does
+	// not move, but is clamped all the same.
+	dense = [][]float64{{3, -0.5}}
+	l.ClipStep(l.Grad(), dense, nil, 1, 0, 1.5)
+	if dense[0][0] != 1.5 || dense[0][1] != -0.5 {
+		t.Errorf("a head without a gradient reads %v, want [[1.5 -0.5]]", dense)
+	}
 }
 
 // TestHashFeaturesGolden pins both embeddings bit for bit. The values
